@@ -191,6 +191,24 @@ func (e *EdgeSnapshot[T]) At(x, y int) T {
 	}
 }
 
+// line returns the stored in-domain column c (cols) or row c as a slice
+// over y or x — the direct read behind Interp3D's boundary terms. Like At,
+// it panics on a line outside the strips.
+func (e *EdgeSnapshot[T]) line(cols bool, c int) []T {
+	lo, hi, r, n, m := e.top, e.bottom, min(e.r, e.ny), e.nx, e.ny
+	if cols {
+		lo, hi, r, n, m = e.left, e.right, min(e.r, e.nx), e.ny, e.nx
+	}
+	switch {
+	case c < r:
+		return lo[c*n : (c+1)*n]
+	case c >= m-r:
+		return hi[(c-(m-r))*n : (c-(m-r)+1)*n]
+	default:
+		panic(fmt.Sprintf("checksum: edge snapshot queried at interior line %d", c))
+	}
+}
+
 // LiveEdges wraps the full t-buffer as an EdgeSource — the zero-copy path
 // used by the online protector.
 func LiveEdges[T num.Float](g *grid.Grid[T], bc grid.Boundary, constVal T) EdgeSource[T] {

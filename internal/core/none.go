@@ -103,13 +103,7 @@ func (p *None3D[T]) Step() { p.StepInject(stencil.HookAt(p.inj, p.iter)) }
 // StepInject advances one sweep with no checksum work, applying hook (when
 // non-nil) during the sweep.
 func (p *None3D[T]) StepInject(hook stencil.InjectFunc[T]) {
-	if p.pool != nil {
-		p.op.SweepParallelHook(p.pool, p.buf.Write, p.buf.Read, nil, hook)
-	} else {
-		for z := 0; z < p.buf.Read.Nz(); z++ {
-			p.op.SweepLayer(p.buf.Write, p.buf.Read, z, nil, hook)
-		}
-	}
+	p.op.SweepParallelHook(p.pool, p.buf.Write, p.buf.Read, nil, hook)
 	p.buf.Swap()
 	p.iter++
 	p.stats.Iterations++

@@ -32,6 +32,13 @@ type Offline3D[T num.Float] struct {
 	edges []checksum.EdgeSource[T]      // scratch: per-layer sources for one step
 	store checkpoint.Store3D[T]
 
+	// sweepFn and interpFn are sweepLayers and interpLayers bound once, so
+	// handing them to the pool does not allocate a closure every step; hook
+	// and ringStep carry the current step's arguments to them.
+	sweepFn, interpFn func(lo, hi int)
+	hook              stencil.InjectFunc[T]
+	ringStep          int
+
 	iter     int
 	lastSafe int
 	stats    Stats
@@ -65,6 +72,7 @@ func NewOffline3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], opt Op
 		edges:    make([]checksum.EdgeSource[T], nz),
 		tel:      opt.Telemetry,
 	}
+	p.sweepFn, p.interpFn = p.sweepLayers, p.interpLayers
 	r := ip.EdgeRadius()
 	for s := range p.ring {
 		p.ring[s] = make([]*checksum.EdgeSnapshot[T], nz)
@@ -124,25 +132,34 @@ func (p *Offline3D[T]) Finalize() {
 }
 
 func (p *Offline3D[T]) sweep(hook stencil.InjectFunc[T]) {
-	src, dst := p.buf.Read, p.buf.Write
-	nz := src.Nz()
-	step := (p.iter - p.lastSafe) % p.period
+	p.hook, p.ringStep = hook, (p.iter-p.lastSafe)%p.period
 	p.tel.SetIter(p.iter)
 	t0 := p.tel.Begin()
-	capture := func(z int) { p.ring[step][z].Capture(src.Layer(z)) }
-	if p.pool != nil {
-		p.pool.ForEach(nz, capture)
-		p.op.SweepParallelHook(p.pool, dst, src, p.curB, hook)
-	} else {
-		for z := 0; z < nz; z++ {
-			capture(z)
-			p.op.SweepLayer(dst, src, z, p.curB[z], hook)
-		}
-	}
+	p.pool.ForEachChunk(p.buf.Read.Nz(), p.sweepFn)
 	p.tel.End(telemetry.PhaseSweep, t0)
+	p.hook = nil
 	p.buf.Swap()
 	p.iter++
 	p.stats.Iterations++
+}
+
+// sweepLayers captures the edge strips of layers [lo, hi) for the current
+// ring step and sweeps them; layers are independent, so chunks run
+// concurrently.
+func (p *Offline3D[T]) sweepLayers(lo, hi int) {
+	src, dst := p.buf.Read, p.buf.Write
+	for z := lo; z < hi; z++ {
+		p.ring[p.ringStep][z].Capture(src.Layer(z))
+		p.op.SweepLayer(dst, src, z, p.curB[z], p.hook)
+	}
+}
+
+// interpLayers advances the interpolation chain of layers [lo, hi) by one
+// step, reading the edge strips verify placed in p.edges.
+func (p *Offline3D[T]) interpLayers(lo, hi int) {
+	for z := lo; z < hi; z++ {
+		p.ip.InterpolateB(z, p.chain, p.edges, p.chainNxt[z])
+	}
 }
 
 // verify advances the per-layer interpolation chains `steps` iterations
@@ -160,14 +177,7 @@ func (p *Offline3D[T]) verify(steps int) {
 		for z := 0; z < nz; z++ {
 			p.edges[z] = p.ring[s][z]
 		}
-		interp := func(z int) { p.ip.InterpolateB(z, p.chain, p.edges, p.chainNxt[z]) }
-		if p.pool != nil {
-			p.pool.ForEach(nz, interp)
-		} else {
-			for z := 0; z < nz; z++ {
-				interp(z)
-			}
-		}
+		p.pool.ForEachChunk(nz, p.interpFn)
 		p.chain, p.chainNxt = p.chainNxt, p.chain
 	}
 	dirty := false

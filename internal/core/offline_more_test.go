@@ -186,3 +186,37 @@ func TestNew3DFactory(t *testing.T) {
 		t.Fatal("bogus mode accepted")
 	}
 }
+
+// TestStep3DAllocFree pins the steady-state step of the three 3-D runners at
+// zero heap allocations, sequentially and on a pool of 2: no per-step
+// closures, no escaping WaitGroup, no per-row scratch. Offline3D is measured
+// between verifications (its checkpoint save may allocate).
+func TestStep3DAllocFree(t *testing.T) {
+	op, init := hotspotLikeOp3D(), init3D(12, 10, 6)
+	for _, workers := range []int{0, 2} {
+		o := opts64()
+		o.Period = 64 // more than the steps taken below: no verification is measured
+		if workers > 0 {
+			o.Pool = &stencil.Pool{Workers: workers}
+			defer o.Pool.Close()
+		}
+		none, err := NewNone3D(op, init, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		online, err := NewOnline3D(op, init, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offline, err := NewOffline3D(op, init, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, step := range map[string]func(){"none": none.Step, "online": online.Step, "offline": offline.Step} {
+			step() // first step builds the sweep plan
+			if n := testing.AllocsPerRun(20, step); n != 0 {
+				t.Errorf("%s, %d workers: %v allocations a step", name, workers, n)
+			}
+		}
+	}
+}

@@ -26,11 +26,14 @@ type Online3D[T num.Float] struct {
 	newB    [][]T // fused per-layer column checksums of iteration t+1
 	interpB [][]T // interpolated per-layer column checksums
 
-	// Row-checksum scratch, computed lazily on detection.
+	// Row-checksum scratch of the repair path, allocated on first detection.
 	prevA, interpA [][]T
 	newA           []T
 
 	flagged []bool // per-layer mismatch scratch, reused every step
+	// detectFn is detectLayers bound once, so handing it to the pool does
+	// not allocate a closure every step.
+	detectFn func(lo, hi int)
 
 	// edges are per-layer live views of the current t-buffer (edges[z]
 	// views buf.Read.Layer(z)); edgesAlt views the other half. Boxing a
@@ -65,15 +68,13 @@ func NewOnline3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], opt Opt
 		prevB:    makeLayers[T](nz, ny),
 		newB:     makeLayers[T](nz, ny),
 		interpB:  makeLayers[T](nz, ny),
-		prevA:    makeLayers[T](nz, nx),
-		interpA:  makeLayers[T](nz, nx),
-		newA:     make([]T, nx),
 		flagged:  make([]bool, nz),
 		edges:    make([]checksum.EdgeSource[T], nz),
 		edgesAlt: make([]checksum.EdgeSource[T], nz),
 		corr:     checksum.Corrector[T]{PaperExact: opt.PaperExactCorrection},
 		tel:      opt.Telemetry,
 	}
+	p.detectFn = p.detectLayers
 	for z := 0; z < nz; z++ {
 		p.edges[z] = checksum.LiveEdges(p.buf.Read.Layer(z), op.BC, op.BCValue)
 		p.edgesAlt[z] = checksum.LiveEdges(p.buf.Write.Layer(z), op.BC, op.BCValue)
@@ -119,13 +120,7 @@ func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
 
 	p.tel.SetIter(p.iter)
 	t0 := p.tel.Begin()
-	if p.pool != nil {
-		p.op.SweepParallelHook(p.pool, dst, src, p.newB, hook)
-	} else {
-		for z := 0; z < nz; z++ {
-			p.op.SweepLayer(dst, src, z, p.newB[z], hook)
-		}
-	}
+	p.op.SweepParallelHook(p.pool, dst, src, p.newB, hook)
 	p.tel.End(telemetry.PhaseSweep, t0)
 
 	// Interpolate and detect per layer. Mismatching layers are collected
@@ -138,19 +133,7 @@ func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
 	for z := range flagged {
 		flagged[z] = false
 	}
-	detect := func(z int) {
-		p.ip.InterpolateB(z, p.prevB, p.edges, p.interpB[z])
-		if p.det.AnyMismatch(p.newB[z], p.interpB[z]) {
-			flagged[z] = true
-		}
-	}
-	if p.pool != nil {
-		p.pool.ForEach(nz, detect)
-	} else {
-		for z := 0; z < nz; z++ {
-			detect(z)
-		}
-	}
+	p.pool.ForEachChunk(nz, p.detectFn)
 	p.stats.Verifications++
 
 	anyFlagged := false
@@ -167,6 +150,10 @@ func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
 		// The row-checksum interpolation of layer z needs prevA of
 		// layers z+dz; compute prevA for every layer once (the slow
 		// path is rare and O(nx*ny*nz) total, the cost of one sweep).
+		if p.prevA == nil {
+			nx := src.Nx()
+			p.prevA, p.interpA, p.newA = makeLayers[T](nz, nx), makeLayers[T](nz, nx), make([]T, nx)
+		}
 		for z := 0; z < nz; z++ {
 			stencil.ChecksumA(src.Layer(z), p.prevA[z])
 		}
@@ -183,6 +170,17 @@ func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
 	p.edges, p.edgesAlt = p.edgesAlt, p.edges
 	p.iter++
 	p.stats.Iterations++
+}
+
+// detectLayers interpolates and compares layers [lo, hi), flagging the
+// mismatching ones; layers are independent, so chunks run concurrently.
+func (p *Online3D[T]) detectLayers(lo, hi int) {
+	for z := lo; z < hi; z++ {
+		p.ip.InterpolateB(z, p.prevB, p.edges, p.interpB[z])
+		if p.det.AnyMismatch(p.newB[z], p.interpB[z]) {
+			p.flagged[z] = true
+		}
+	}
 }
 
 // Run advances count iterations, applying the configured injection source.

@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -14,7 +15,9 @@ import (
 // generic SweepRange across all five boundary conditions, odd and tiny
 // sizes (down to 2*radius+1), a non-nil constant field C, and a non-nil
 // inject hook. Specialization must never change results — the README's
-// guarantee points here.
+// guarantee points here. The 3-D sweep, whose boundary rows run through the
+// same kernels as its interior, is pinned against a naive per-point sweep
+// instead, down to the smallest domain Validate allows.
 
 var pinBoundaries = []grid.Boundary{grid.Clamp, grid.Periodic, grid.Mirror, grid.Constant, grid.Zero}
 
@@ -119,6 +122,39 @@ func pinKernels2D[T num.Float](t *testing.T, typ string) {
 func TestKernelPin2DFloat32(t *testing.T) { pinKernels2D[float32](t, "float32") }
 func TestKernelPin2DFloat64(t *testing.T) { pinKernels2D[float64](t, "float64") }
 
+// naiveSweepLayer is the reference the row-folded 3-D sweep is pinned
+// against, and shares no code with it: BoundedGrid3D.At per stencil point in
+// declaration order, C first, hook before the store, b accumulated in x
+// order. Until the sweep folded boundaries per row, this was its own border
+// path (Op3D.pointSlow), which is why fast-against-ForceGeneric alone would
+// now compare the new code with itself.
+func naiveSweepLayer[T num.Float](op *Op3D[T], dst, src *grid.Grid3D[T], z int, b []T, hook InjectFunc[T]) {
+	bg := grid.BoundedGrid3D[T]{G: src, Cond: op.BC, ConstVal: op.BCValue}
+	for y := 0; y < src.Ny(); y++ {
+		var acc T
+		for x := 0; x < src.Nx(); x++ {
+			var v T
+			if op.C != nil {
+				v = op.C.At(x, y, z)
+			}
+			for _, p := range op.St.Points {
+				v += p.W * bg.At(x+p.DX, y+p.DY, z+p.DZ)
+			}
+			if hook != nil {
+				v = hook(x, y, z, v)
+			}
+			dst.Set(x, y, z, v)
+			acc += v
+		}
+		b[y] = acc
+	}
+}
+
+// sameBits compares by bit pattern, so a flipped sign of zero counts.
+func sameBits[T num.Float](a, b T) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
 func pinKernels3D[T num.Float](t *testing.T, typ string) {
 	rng := rand.New(rand.NewSource(13))
 	stencils := []struct {
@@ -127,15 +163,28 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 		want kernel
 	}{
 		{"star7", SevenPoint3D[T](0.31, 0.07, -0.05, 0.11, 0.13, 0.17, -0.19), kernStar7},
-		{"star5-per-layer", Laplace5[T](0.2), kernStar5}, // 2-D stencil swept layer-wise still specializes
+		{"star5-per-layer", FivePoint[T](0.37, 0.11, -0.13, 0.21, 0.29), kernStar5}, // 2-D stencil swept layer-wise still specializes
+		{"far3d", &Stencil[T]{Name: "far3d", Points: []Point[T]{ // radius 2/1/2, nothing symmetric
+			{DX: 0, DY: 0, DZ: 0, W: 0.41}, {DX: -2, DY: 0, DZ: 0, W: 0.07}, {DX: 1, DY: -1, DZ: 0, W: -0.05},
+			{DX: 0, DY: 1, DZ: -2, W: 0.11}, {DX: 2, DY: 0, DZ: 1, W: 0.13}, {DX: -1, DY: 1, DZ: 2, W: -0.17},
+			{DX: 0, DY: 0, DZ: -1, W: 0.19},
+		}}, kernGeneric},
 	}
 	for _, k := range stencils {
-		r := max(k.st.RadiusX(), max(k.st.RadiusY(), k.st.RadiusZ()))
-		minN := 2*r + 1
-		sizes := [][3]int{{minN, minN, minN}, {minN, minN + 2, minN + 1}, {7, 5, 3}, {9, 8, 4}}
+		rx, ry, rz := k.st.RadiusX(), k.st.RadiusY(), k.st.RadiusZ()
+		// The smallest domain Validate allows in every axis (periodic nz = 2
+		// makes z-1 and z+1 the same layer, mirror reflects at n = 2), each
+		// axis at its minimum alone, odd extents, and the paper's depth 8.
+		sizes := [][3]int{
+			{rx + 1, ry + 1, rz + 1}, {rx + 1, 5, 3}, {6, ry + 1, rz + 1},
+			{2*rx + 1, 2*ry + 1, 2*rz + 1}, {7, 5, 3}, {9, 8, 8},
+		}
 		for _, bc := range pinBoundaries {
 			for _, sz := range sizes {
 				nx, ny, nz := sz[0], sz[1], sz[2]
+				if nz <= rz {
+					continue
+				}
 				for _, withC := range []bool{false, true} {
 					for _, withHook := range []bool{false, true} {
 						name := fmt.Sprintf("%s/%s/%s/%dx%dx%d/C=%v/hook=%v", typ, k.name, bc, nx, ny, nz, withC, withHook)
@@ -147,6 +196,9 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 							}
 							fast := &Op3D[T]{St: k.st, BC: bc, BCValue: -1.5, C: c}
 							gen := &Op3D[T]{St: k.st, BC: bc, BCValue: -1.5, C: c, ForceGeneric: true}
+							if err := fast.Validate(nx, ny, nz); err != nil {
+								t.Fatal(err)
+							}
 							if got := fast.plan(nx, ny, nz).kern; got != k.want {
 								t.Fatalf("dispatched %v, want %v", got, k.want)
 							}
@@ -156,30 +208,34 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 
 							src := grid.New3D[T](nx, ny, nz)
 							src.FillFunc(func(x, y, z int) T { return T(rng.Float64()*200 - 100) })
-							dstFast := grid.New3D[T](nx, ny, nz)
-							dstGen := grid.New3D[T](nx, ny, nz)
 							var hook InjectFunc[T]
 							if withHook {
 								hook = func(x, y, z int, v T) T {
-									if x == nx/2 && y == ny/2 && z == nz/2 {
+									if (x == nx/2 || x == 0) && y == ny/2 && z == nz/2 {
 										return num.FlipBit(v, 9)
 									}
 									return v
 								}
 							}
-							for z := 0; z < nz; z++ {
-								bFast := make([]T, ny)
-								bGen := make([]T, ny)
-								fast.SweepLayer(dstFast, src, z, bFast, hook)
-								gen.SweepLayer(dstGen, src, z, bGen, hook)
-								for y := 0; y < ny; y++ {
-									if bFast[y] != bGen[y] {
-										t.Fatalf("z=%d b[%d]: fast %v != generic %v", z, y, bFast[y], bGen[y])
+							want := grid.New3D[T](nx, ny, nz)
+							bWant := make([]T, ny)
+							for _, op := range []*Op3D[T]{fast, gen} {
+								got := grid.New3D[T](nx, ny, nz)
+								bGot := make([]T, ny)
+								for z := 0; z < nz; z++ {
+									op.SweepLayer(got, src, z, bGot, hook)
+									naiveSweepLayer(op, want, src, z, bWant, hook)
+									for y := 0; y < ny; y++ {
+										if !sameBits(bGot[y], bWant[y]) {
+											t.Fatalf("generic=%v z=%d b[%d]: got %v, naive %v", op.ForceGeneric, z, y, bGot[y], bWant[y])
+										}
+										for x := 0; x < nx; x++ {
+											if g, w := got.At(x, y, z), want.At(x, y, z); !sameBits(g, w) {
+												t.Fatalf("generic=%v (%d,%d,%d): got %v, naive %v", op.ForceGeneric, x, y, z, g, w)
+											}
+										}
 									}
 								}
-							}
-							if dstFast.MaxAbsDiff(dstGen) != 0 {
-								t.Fatal("specialized 3-D sweep differs from generic")
 							}
 						})
 					}
@@ -264,6 +320,59 @@ func TestPlanInvalidatedOnWeightEdit(t *testing.T) {
 	fresh.Sweep(want, src)
 	if dst.MaxAbsDiff(want) != 0 {
 		t.Fatalf("stale plan after weight edit: got %v want %v", dst.At(4, 4), want.At(4, 4))
+	}
+}
+
+// TestPlanInvalidatedOnBoundaryEdit edits a 3-D operator's boundary
+// condition, ghost value and constant field in place between sweeps. The 3-D
+// plan holds BC-resolved tables and a ghost row, so each edit must reach the
+// next sweep exactly as it reaches a fresh operator.
+func TestPlanInvalidatedOnBoundaryEdit(t *testing.T) {
+	const nx, ny, nz = 6, 5, 4
+	rng := rand.New(rand.NewSource(29))
+	src := grid.New3D[float64](nx, ny, nz)
+	src.FillFunc(func(x, y, z int) float64 { return rng.Float64()*200 - 100 })
+	c := grid.New3D[float64](nx, ny, nz)
+	c.Fill(0.75)
+	st := SevenPoint3D(0.31, 0.07, -0.05, 0.11, 0.13, 0.17, -0.19)
+	op := &Op3D[float64]{St: st, BC: grid.Clamp}
+	got := grid.New3D[float64](nx, ny, nz)
+	want := grid.New3D[float64](nx, ny, nz)
+	for _, edit := range []struct {
+		name string
+		do   func()
+	}{
+		{"none", func() {}},
+		{"BC", func() { op.BC = grid.Constant }},
+		{"BCValue", func() { op.BCValue = 3.5 }},
+		{"BC again", func() { op.BC = grid.Mirror }},
+		{"C", func() { op.C = c }},
+	} {
+		edit.do()
+		op.Sweep(got, src)
+		fresh := &Op3D[float64]{St: st, BC: op.BC, BCValue: op.BCValue, C: op.C}
+		fresh.Sweep(want, src)
+		if got.MaxAbsDiff(want) != 0 {
+			t.Fatalf("stale plan after editing %s", edit.name)
+		}
+	}
+}
+
+// TestSweepParallel3DAllocFree pins the steady-state parallel 3-D sweep at
+// zero allocations: no per-call closure, no escaping WaitGroup.
+func TestSweepParallel3DAllocFree(t *testing.T) {
+	const nx, ny, nz = 16, 12, 6
+	src := grid.New3D[float32](nx, ny, nz)
+	dst := grid.New3D[float32](nx, ny, nz)
+	op := &Op3D[float32]{St: SevenPoint3D[float32](0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1), BC: grid.Clamp}
+	bs := make([][]float32, nz)
+	for z := range bs {
+		bs[z] = make([]float32, ny)
+	}
+	pool := &Pool{Workers: 2}
+	defer pool.Close()
+	if n := testing.AllocsPerRun(20, func() { op.SweepParallelHook(pool, dst, src, bs, nil) }); n != 0 {
+		t.Fatalf("parallel 3-D sweep allocates %v times a call", n)
 	}
 }
 

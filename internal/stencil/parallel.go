@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"stencilabft/internal/grid"
+	"stencilabft/internal/num"
 )
 
 // Pool is a persistent worker pool for domain-decomposed sweeps. The zero
@@ -27,6 +28,12 @@ type Pool struct {
 	once   sync.Once
 	jobs   chan poolJob
 	closed bool
+
+	// joins recycles the per-call WaitGroups. Every job carries a pointer
+	// to its call's group, so a group declared in ForEachChunk would be one
+	// heap allocation per parallel call — the last one on the step path.
+	mu    sync.Mutex
+	joins []*sync.WaitGroup
 }
 
 // poolJob is one row-range task: run fn(lo, hi), then signal wg.
@@ -103,7 +110,7 @@ func (p *Pool) ForEachChunk(n int, fn func(lo, hi int)) {
 	if jobs == nil || p.closed {
 		panic("stencil: Pool used after Close")
 	}
-	var wg sync.WaitGroup
+	wg := p.join()
 	wg.Add(w - 1)
 	chunk := n / w
 	rem := n % w
@@ -113,11 +120,27 @@ func (p *Pool) ForEachChunk(n int, fn func(lo, hi int)) {
 		if i < rem {
 			hi++
 		}
-		jobs <- poolJob{lo: lo, hi: hi, fn: fn, wg: &wg}
+		jobs <- poolJob{lo: lo, hi: hi, fn: fn, wg: wg}
 		lo = hi
 	}
 	fn(lo, n) // the caller is the last worker
 	wg.Wait()
+	p.mu.Lock()
+	p.joins = append(p.joins, wg)
+	p.mu.Unlock()
+}
+
+// join returns an idle WaitGroup, allocating only when every recycled one
+// is in use by a concurrent call.
+func (p *Pool) join() *sync.WaitGroup {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.joins); n > 0 {
+		wg := p.joins[n-1]
+		p.joins = p.joins[:n-1]
+		return wg
+	}
+	return new(sync.WaitGroup)
 }
 
 // ForEach invokes fn(i) for each i in [0, n), distributing indices over the
@@ -154,13 +177,37 @@ func (op *Op3D[T]) SweepParallel(p *Pool, dst, src *grid.Grid3D[T], bs [][]T) {
 	op.SweepParallelHook(p, dst, src, bs, nil)
 }
 
-// SweepParallelHook is SweepParallel with a per-point injection hook.
+// SweepParallelHook is SweepParallel with a per-point injection hook. A
+// steady-state call allocates nothing: what the workers need travels in a
+// layerSweep the operator keeps between calls instead of in a fresh closure.
 func (op *Op3D[T]) SweepParallelHook(p *Pool, dst, src *grid.Grid3D[T], bs [][]T, hook InjectFunc[T]) {
-	p.ForEach(src.Nz(), func(z int) {
+	c := op.sweepc.Take() // nil on first use, or while a concurrent call holds it
+	if c == nil {
+		c = new(layerSweep[T])
+		c.run = c.layers
+	}
+	c.op, c.dst, c.src, c.bs, c.hook = op, dst, src, bs, hook
+	p.ForEachChunk(src.Nz(), c.run)
+	*c = layerSweep[T]{run: c.run} // do not pin the caller's grids
+	op.sweepc.Store(c)
+}
+
+// layerSweep is the argument block of one SweepParallelHook call, with the
+// chunk function the pool runs bound to it once.
+type layerSweep[T num.Float] struct {
+	op       *Op3D[T]
+	dst, src *grid.Grid3D[T]
+	bs       [][]T
+	hook     InjectFunc[T]
+	run      func(lo, hi int)
+}
+
+func (c *layerSweep[T]) layers(lo, hi int) {
+	for z := lo; z < hi; z++ {
 		var b []T
-		if bs != nil {
-			b = bs[z]
+		if c.bs != nil {
+			b = c.bs[z]
 		}
-		op.SweepLayer(dst, src, z, b, hook)
-	})
+		c.op.SweepLayer(c.dst, c.src, z, b, c.hook)
+	}
 }

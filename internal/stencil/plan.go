@@ -17,8 +17,10 @@ import (
 //
 // The cache is validated on every fetch: shape, stencil identity, the
 // points themselves (offsets and weights, so even in-place weight edits are
-// caught) and the ForceGeneric knob. Any mismatch rebuilds the plan; an
-// atomic pointer keeps concurrent fetches race-free without a lock.
+// caught), the ForceGeneric knob and — for the 3-D plan, which holds
+// BC-resolved tables — the boundary condition and ghost value. Any mismatch
+// rebuilds the plan; an atomic pointer keeps concurrent fetches race-free
+// without a lock.
 
 // kernel identifies the interior row kernel a plan dispatches to.
 type kernel uint8
@@ -179,22 +181,25 @@ func (pl *plan2d[T]) sweepRow(dst, src, c []T, base, xlo, xhi int, acc T) T {
 }
 
 // plan3d is the compiled sweep plan of an Op3D for one nx-by-ny-by-nz shape.
+// Besides the kernel choice it holds the boundary fold (fold.go), so it is
+// keyed on the boundary condition and ghost value too.
 type plan3d[T num.Float] struct {
-	nx, ny, nz int
-	plane      int
-	st         *Stencil[T]
-	pts        []Point[T]
-	force      bool
-	offs       []int
-	ws         []T
-	rx, ry, rz int
-	kern       kernel
-	kw         [9]T
+	st      *Stencil[T]
+	pts     []Point[T] // private copy, for cache validation and the fold
+	force   bool
+	bcValue T
+	ws      []T
+	kern    kernel
+	kw      [9]T
+	fold    rowFold[T]
 }
 
 // matches reports whether the plan is still valid for op at the given shape.
+// op.C is not part of the key: sweeps read it from the operator every call.
 func (pl *plan3d[T]) matches(op *Op3D[T], nx, ny, nz int) bool {
-	if pl.nx != nx || pl.ny != ny || pl.nz != nz || pl.st != op.St || pl.force != op.ForceGeneric {
+	f := &pl.fold
+	if f.nx != nx || f.ny != ny || f.nz != nz || pl.st != op.St || pl.force != op.ForceGeneric ||
+		f.bc != op.BC || pl.bcValue != op.BCValue {
 		return false
 	}
 	if len(pl.pts) != len(op.St.Points) {
@@ -209,28 +214,23 @@ func (pl *plan3d[T]) matches(op *Op3D[T], nx, ny, nz int) bool {
 }
 
 // plan returns the compiled 3-D plan, rebuilding it when stale. The 2-D
-// kernels remain eligible: a stencil with all-zero DZ swept layer-wise has
-// the same flat offsets as in a 2-D grid, so e.g. a per-layer Laplace5 in a
-// 3-D domain still dispatches to star5.
+// kernels remain eligible: a stencil with all-zero DZ swept layer-wise reads
+// the same rows as in a 2-D grid, so e.g. a per-layer Laplace5 in a 3-D
+// domain still dispatches to star5.
 func (op *Op3D[T]) plan(nx, ny, nz int) *plan3d[T] {
 	if pl := op.planc.Load(); pl != nil && pl.matches(op, nx, ny, nz) {
 		return pl
 	}
-	pts := op.St.Points
-	plane := nx * ny
+	pts := append([]Point[T](nil), op.St.Points...)
 	pl := &plan3d[T]{
-		nx: nx, ny: ny, nz: nz, plane: plane,
-		st:    op.St,
-		pts:   append([]Point[T](nil), pts...),
-		force: op.ForceGeneric,
-		offs:  make([]int, len(pts)),
-		ws:    make([]T, len(pts)),
-		rx:    op.St.RadiusX(),
-		ry:    op.St.RadiusY(),
-		rz:    op.St.RadiusZ(),
+		st:      op.St,
+		pts:     pts,
+		force:   op.ForceGeneric,
+		bcValue: op.BCValue,
+		ws:      make([]T, len(pts)),
+		fold:    newRowFold(pts, op.BC, op.BCValue, nx, ny, nz, op.St.RadiusX(), op.St.RadiusY(), op.St.RadiusZ()),
 	}
 	for i, p := range pts {
-		pl.offs[i] = p.DX + p.DY*nx + p.DZ*plane
 		pl.ws[i] = p.W
 	}
 	if !op.ForceGeneric {
@@ -240,28 +240,34 @@ func (op *Op3D[T]) plan(nx, ny, nz int) *plan3d[T] {
 	return pl
 }
 
-// sweepRow is the 3-D analogue of plan2d.sweepRow; base already includes
-// the z-plane offset, so the 2-D kernels apply unchanged.
-func (pl *plan3d[T]) sweepRow(dst, src, c []T, base, xlo, xhi int, acc T) T {
+// sweepRow computes one destination segment from its per-point source rows
+// (kernels3d.go), dispatching like plan2d.sweepRow and threading the fused
+// checksum through in the same order.
+func (pl *plan3d[T]) sweepRow(dst, c []T, rows [][]T, acc T) T {
 	switch pl.kern {
 	case kernStar7:
-		return star7Row(dst, src, c, base, xlo, xhi, pl.nx, pl.plane, &pl.kw, acc)
+		return star7Row(dst, c, rows, &pl.kw, acc)
 	case kernStar5:
-		return star5Row(dst, src, c, base, xlo, xhi, pl.nx, &pl.kw, acc)
+		return star5Slices(dst, c, rows, &pl.kw, acc)
 	case kernBox9:
-		return box9Row(dst, src, c, base, xlo, xhi, pl.nx, &pl.kw, acc)
+		return box9Slices(dst, c, rows, &pl.kw, acc)
 	default:
-		return genericRow(dst, src, c, pl.offs, pl.ws, base, xlo, xhi, acc)
+		return genericSlices(dst, c, rows, pl.ws, acc)
 	}
 }
 
-// planCache is the one-slot atomic plan cache embedded in Op2D/Op3D. The
-// zero value is ready to use. It uses the untyped atomic primitives rather
-// than atomic.Pointer so the operator structs stay free of noCopy fields
-// (they are commonly constructed as literals and may be copied while cold).
+// planCache is the one-slot atomic cache embedded in Op2D/Op3D: the compiled
+// plan, and the reusable call state of the parallel 3-D sweep. The zero
+// value is ready to use. It uses the untyped atomic primitives rather than
+// atomic.Pointer so the operator structs stay free of noCopy fields (they
+// are commonly constructed as literals and may be copied while cold).
 type planCache[P any] struct {
 	p unsafe.Pointer // *P
 }
 
 func (c *planCache[P]) Load() *P   { return (*P)(atomic.LoadPointer(&c.p)) }
 func (c *planCache[P]) Store(p *P) { atomic.StorePointer(&c.p, unsafe.Pointer(p)) }
+
+// Take empties the slot and returns what it held, so exactly one caller owns
+// a mutable cached value at a time.
+func (c *planCache[P]) Take() *P { return (*P)(atomic.SwapPointer(&c.p, nil)) }

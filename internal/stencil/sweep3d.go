@@ -20,6 +20,9 @@ type Op3D[T num.Float] struct {
 	// planc caches the compiled sweep plan for the last-seen shape; see
 	// plan.go.
 	planc planCache[plan3d[T]]
+	// sweepc keeps SweepParallelHook's argument block between calls; see
+	// parallel.go.
+	sweepc planCache[layerSweep[T]]
 }
 
 // Validate checks the operator against a domain of the given shape.
@@ -52,6 +55,14 @@ func (op *Op3D[T]) Sweep(dst, src *grid.Grid3D[T]) {
 // column checksum vector b (b[y] = Σ_x dst(x,y,z), len ny) and applying
 // hook to each fresh value. Distinct layers write disjoint storage, so the
 // parallel engine calls SweepLayer concurrently without locks.
+//
+// Every row takes the same path: the plan's fold resolves the row's source
+// rows through the boundary condition once (fold.go), the row kernel runs
+// over [rx, nx-rx) on those rows, and the 2*rx edge columns come from the
+// fold's column table. Boundary rows and boundary layers cost what interior
+// ones do. A non-nil hook pins the interior to the generic loop, which
+// applies the same operations in the same order, so the hook path stays
+// bit-identical to the hook-free one.
 func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, hook InjectFunc[T]) {
 	nx, ny, nz := src.Nx(), src.Ny(), src.Nz()
 	if dst == src {
@@ -61,60 +72,47 @@ func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, hook Injec
 		panic("stencil: sweep shape mismatch")
 	}
 	pl := op.plan(nx, ny, nz)
-	bg := grid.BoundedGrid3D[T]{G: src, Cond: op.BC, ConstVal: op.BCValue}
-	offs, ws := pl.offs, pl.ws
-	plane := pl.plane
-	rx, ry, rz := pl.rx, pl.ry, pl.rz
+	f := &pl.fold
 	srcD, dstD := src.Data(), dst.Data()
 	var cD []T
 	if op.C != nil {
 		cD = op.C.Data()
 	}
-	zInterior := z >= rz && z < nz-rz
+	// Per-row scratch: each point's resolved start and source slice.
+	var stBuf [stackPoints]int
+	var rowBuf [stackPoints][]T
+	st, rows := stBuf[:], rowBuf[:]
+	if k := len(pl.ws); k > stackPoints {
+		st, rows = make([]int, k), make([][]T, k)
+	} else {
+		st, rows = st[:k], rows[:k]
+	}
+	rx := f.rx
+	nLeft := min(rx, nx) // edge columns left of the kernel segment
+	n := max(nx-2*rx, 0) // width of the kernel segment [rx, nx-rx)
 	for y := 0; y < ny; y++ {
 		var acc T
-		base := z*plane + y*nx
-		interior := zInterior && y >= ry && y < ny-ry
-		xlo, xhi := rx, nx-rx
-		if !interior {
-			xlo, xhi = nx, nx
-		}
-		for x := 0; x < min(xlo, nx); x++ {
-			v := op.pointSlow(bg, cD, x, y, z, nx, plane)
-			if hook != nil {
-				v = hook(x, y, z, v)
+		base := z*f.plane + y*nx
+		f.starts(y, z, st)
+		acc = f.sweepEdges(dstD, srcD, cD, pl.ws, st, base, 0, nLeft, y, z, hook, acc)
+		if n > 0 {
+			f.rows(rows, srcD, st, rx, n)
+			lo := base + rx
+			var cRow []T
+			if cD != nil {
+				cRow = cD[lo : lo+n]
 			}
-			dstD[base+x] = v
-			acc += v
-		}
-		if hook == nil {
-			acc = pl.sweepRow(dstD, srcD, cD, base, xlo, xhi, acc)
-		} else {
-			acc = genericRowHook(dstD, srcD, cD, offs, ws, base, xlo, xhi, y, z, hook, acc)
-		}
-		for x := max(xhi, min(xlo, nx)); x < nx; x++ {
-			v := op.pointSlow(bg, cD, x, y, z, nx, plane)
-			if hook != nil {
-				v = hook(x, y, z, v)
+			if hook == nil {
+				acc = pl.sweepRow(dstD[lo:lo+n], cRow, rows, acc)
+			} else {
+				acc = genericSlicesHook(dstD[lo:lo+n], cRow, rows, pl.ws, rx, y, z, hook, acc)
 			}
-			dstD[base+x] = v
-			acc += v
 		}
+		acc = f.sweepEdges(dstD, srcD, cD, pl.ws, st, base, nLeft, len(f.edgeX), y, z, hook, acc)
 		if b != nil {
 			b[y] = acc
 		}
 	}
-}
-
-func (op *Op3D[T]) pointSlow(bg grid.BoundedGrid3D[T], cD []T, x, y, z, nx, plane int) T {
-	var v T
-	if cD != nil {
-		v = cD[x+y*nx+z*plane]
-	}
-	for _, p := range op.St.Points {
-		v += p.W * bg.At(x+p.DX, y+p.DY, z+p.DZ)
-	}
-	return v
 }
 
 // LayerOp projects the 3-D operator onto layer z as a set of per-source-
