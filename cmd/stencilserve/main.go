@@ -5,7 +5,7 @@
 // quotas and a content-addressed result cache.
 //
 // The server re-execs its own binary with -worker to populate the pool;
-// each worker speaks the line-JSON protocol on stdin/stdout and hosts one
+// each worker speaks the line + attachment protocol on stdin/stdout and hosts one
 // job at a time. Cluster jobs whose rank count fits the pool are fanned out
 // one TCP rank per worker — the same deployment shape as stencilrun
 // -launch, behind an HTTP API.
@@ -19,7 +19,7 @@
 //	POST /v1/jobs                submit {"spec": WireSpec, "iters": N}
 //	GET  /v1/jobs/{id}           job status
 //	GET  /v1/jobs/{id}/events    SSE stream: stats per iteration, then done
-//	GET  /v1/jobs/{id}/result    final grid + merged stats
+//	GET  /v1/jobs/{id}/result    final grid + merged stats (JSON, or raw cells under Accept: application/octet-stream)
 //	POST /v1/grids               upload a grid, reference it as {"upload": id}
 //	GET  /v1/healthz, /metrics   liveness and Prometheus text
 package main

@@ -1215,7 +1215,7 @@ func (t *TCPTransport[T]) serveConn(conn net.Conn) {
 		}
 		switch f.kind {
 		case frameHalo:
-			data, err := decodeElems[T](f.elem, f.payload)
+			data, err := DecodeElems[T](f.elem, f.payload)
 			if err != nil {
 				t.poisonEdge(box, &classedError{class: ClassCorrupt,
 					err: fmt.Errorf("dist: halo frame from rank %d: %w", from, err)})
@@ -1238,7 +1238,7 @@ func (t *TCPTransport[T]) serveConn(conn net.Conn) {
 				return
 			}
 		case frameCkpt:
-			data, err := decodeElems[T](f.elem, f.payload)
+			data, err := DecodeElems[T](f.elem, f.payload)
 			if err != nil {
 				t.poisonEdge(box, &classedError{class: ClassCorrupt,
 					err: fmt.Errorf("dist: checkpoint frame from rank %d: %w", from, err)})
@@ -1443,7 +1443,7 @@ func (t *TCPTransport[T]) SendCkpt(from int, d Dir, gen int, data []T) {
 	es := elemSize[T]()
 	out := make([]byte, wireHeaderSize, wireHeaderSize+len(data)*int(es))
 	putHeader(out, frame{kind: frameCkpt, from: uint16(from), to: uint16(nb), dir: byte(d), elem: es, gen: uint32(gen)})
-	out = appendElems(out, data)
+	out = AppendElems(out, data)
 	select {
 	case oe.ch <- out:
 		oe.framesSent.Add(1)

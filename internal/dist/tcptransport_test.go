@@ -314,7 +314,7 @@ func TestTCPRejectsMixedElementWidth(t *testing.T) {
 	if _, err := conn.Write(appendFrame(nil, frame{kind: frameHello, from: 1, to: 0, dir: byte(Up)})); err != nil {
 		t.Fatal(err)
 	}
-	f32payload := appendElems(nil, []float32{1, 2})
+	f32payload := AppendElems(nil, []float32{1, 2})
 	if _, err := conn.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 4, payload: f32payload})); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestTCPEdgeRebind(t *testing.T) {
 	if ack, err := readFrame(conn); err != nil || ack.kind != frameHelloAck || ack.seq != 1 {
 		t.Fatalf("first hello ack: %+v, %v", ack, err)
 	}
-	payload := appendElems(nil, []float64{11})
+	payload := AppendElems(nil, []float64{11})
 	if _, err := conn.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 8, seq: 1, payload: payload})); err != nil {
 		t.Fatal(err)
 	}
@@ -361,11 +361,11 @@ func TestTCPEdgeRebind(t *testing.T) {
 
 	// A replay of the already-delivered frame is deduplicated; the next
 	// in-order frame is delivered.
-	stale := appendElems(nil, []float64{99})
+	stale := AppendElems(nil, []float64{99})
 	if _, err := dup.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 8, seq: 1, payload: stale})); err != nil {
 		t.Fatal(err)
 	}
-	payload = appendElems(nil, []float64{22})
+	payload = AppendElems(nil, []float64{22})
 	if _, err := dup.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 8, seq: 2, payload: payload})); err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestTCPCorruptFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 8, seq: 1,
-		payload: appendElems(nil, []float64{3.5})})
+		payload: AppendElems(nil, []float64{3.5})})
 	bad[len(bad)-3] ^= 0x10 // one flipped bit in the payload
 	if _, err := conn.Write(bad); err != nil {
 		t.Fatal(err)

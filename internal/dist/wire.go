@@ -136,7 +136,7 @@ func WriteStateFrame[T num.Float](w io.Writer, gen int, data []T) error {
 	es := elemSize[T]()
 	buf := make([]byte, wireHeaderSize, wireHeaderSize+len(data)*int(es))
 	putHeader(buf, frame{kind: frameState, elem: es, gen: uint32(gen)})
-	buf = appendElems(buf, data)
+	buf = AppendElems(buf, data)
 	sealFrame(buf, 0)
 	_, err := w.Write(buf)
 	return err
@@ -148,7 +148,7 @@ func DecodeStateFrame[T num.Float](f WireFrame) ([]T, int, error) {
 	if f.Kind != frameState {
 		return nil, 0, fmt.Errorf("dist: frame kind %d is not a state frame", f.Kind)
 	}
-	data, err := decodeElems[T](f.Elem, f.Payload)
+	data, err := DecodeElems[T](f.Elem, f.Payload)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -235,7 +235,7 @@ func encodeHaloFrameInto[T num.Float](buf []byte, from, to uint16, dir byte, gen
 		buf = buf[:wireHeaderSize]
 	}
 	putHeader(buf, frame{kind: frameHalo, from: from, to: to, dir: dir, elem: es, gen: gen})
-	return appendElems(buf, data)
+	return AppendElems(buf, data)
 }
 
 // wireCorruptError marks a frame rejected by the CRC check — the receiver
@@ -303,10 +303,11 @@ func elemSize[T num.Float]() byte {
 	return byte(unsafe.Sizeof(v))
 }
 
-// appendElems serialises data as little-endian IEEE-754 bits onto dst. The
+// AppendElems serialises data as little-endian IEEE-754 bits onto dst. The
 // conversions through float32/float64 are exact: T's underlying type has
-// the same width.
-func appendElems[T num.Float](dst []byte, data []T) []byte {
+// the same width. Exported because the stencilserve worker protocol moves
+// result grids through the same codec (internal/serve).
+func AppendElems[T num.Float](dst []byte, data []T) []byte {
 	if elemSize[T]() == 4 {
 		for _, v := range data {
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
@@ -319,9 +320,10 @@ func appendElems[T num.Float](dst []byte, data []T) []byte {
 	return dst
 }
 
-// decodeElems parses a halo payload back into elements, validating the
-// declared element width against T and the payload length against it.
-func decodeElems[T num.Float](elem byte, payload []byte) ([]T, error) {
+// DecodeElems parses a payload of raw element bits (a halo strip, a served
+// result grid) back into elements, validating the declared element width
+// against T and the payload length against it.
+func DecodeElems[T num.Float](elem byte, payload []byte) ([]T, error) {
 	want := elemSize[T]()
 	if elem != want {
 		return nil, fmt.Errorf("dist: halo element width %d bytes, this rank runs %d-byte elements (mixed float32/float64 cluster?)", elem, want)

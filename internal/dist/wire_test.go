@@ -64,7 +64,7 @@ func TestWireBadMagicAndTruncation(t *testing.T) {
 // of width mismatches and ragged payloads.
 func TestWireElems(t *testing.T) {
 	f64 := []float64{0, math.Copysign(0, -1), 1.5, -2.75e300, math.NaN()}
-	got64, err := decodeElems[float64](8, appendElems(nil, f64))
+	got64, err := DecodeElems[float64](8, AppendElems(nil, f64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWireElems(t *testing.T) {
 	}
 
 	f32 := []float32{0, 1.5, -3.25e30, float32(math.NaN())}
-	got32, err := decodeElems[float32](4, appendElems(nil, f32))
+	got32, err := DecodeElems[float32](4, AppendElems(nil, f32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,10 @@ func TestWireElems(t *testing.T) {
 		}
 	}
 
-	if _, err := decodeElems[float64](4, make([]byte, 8)); err == nil || !strings.Contains(err.Error(), "element width") {
+	if _, err := DecodeElems[float64](4, make([]byte, 8)); err == nil || !strings.Contains(err.Error(), "element width") {
 		t.Errorf("width mismatch accepted: %v", err)
 	}
-	if _, err := decodeElems[float64](8, make([]byte, 12)); err == nil || !strings.Contains(err.Error(), "whole number") {
+	if _, err := DecodeElems[float64](8, make([]byte, 12)); err == nil || !strings.Contains(err.Error(), "whole number") {
 		t.Errorf("ragged payload accepted: %v", err)
 	}
 }
@@ -99,7 +99,7 @@ func TestEncodeHaloFrameMatchesAppendFrame(t *testing.T) {
 	data := []float64{1.5, -2.25, 3.125}
 	want := appendFrame(nil, frame{
 		kind: frameHalo, from: 3, to: 5, dir: byte(Up), elem: 8, gen: 17, seq: 9,
-		payload: appendElems(nil, data),
+		payload: AppendElems(nil, data),
 	})
 	got := encodeHaloFrame(3, 5, byte(Up), 17, data)
 	sealFrame(got, 9) // the writer goroutine's final step

@@ -9,7 +9,8 @@ import (
 	"stencilabft/internal/stats"
 )
 
-// Result is a finished simulation: the final domain plus the run's counters.
+// Result is a finished simulation: the final domain, as the bits the
+// workers returned, plus the run's counters.
 type Result struct {
 	Grid  *GridPayload
 	Stats stats.Stats
@@ -17,9 +18,10 @@ type Result struct {
 
 // Key content-addresses a job by its canonical wire document and run
 // length. The canonical form (Spec.MarshalJSON of the resolved spec) has
-// named stencils expanded to points, generators and uploads expanded to
-// inline data, and elem explicit — so every way of spelling the same
-// computation hashes to the same key.
+// named stencils expanded to points, elem explicit, inline and uploaded
+// grids as inline data and a generator-backed grid as its resolved
+// generator reference — so every way of spelling the same computation
+// through one kind of grid source hashes to the same key.
 func Key(canonical []byte, iters int) string {
 	h := sha256.New()
 	h.Write(canonical)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	abft "stencilabft"
 	"stencilabft/internal/stats"
 )
 
@@ -40,18 +41,59 @@ func (e Event) Terminal() bool { return e.Type == "done" || e.Type == "error" }
 // job cannot grow the job record without bound.
 const maxStatsHistory = 512
 
-// Job is one submitted simulation: identity, canonical document, event
-// history, subscribers, and — once terminal — the outcome.
+// Layout is what dispatch needs from a job's document, read off the parsed
+// spec once at submission so the dispatcher never opens the document: the
+// domain shape (which bounds the result the workers may send back) and the
+// rank count of a 2-D cluster the scheduler may gang over TCP workers.
+type Layout struct {
+	Nx, Ny, Nz int
+	GangRanks  int // 0 unless the spec is a 2-D cluster deployment
+}
+
+// layoutOf records w's layout. A spec without a grid has none; it fails
+// validation before it can be scheduled.
+func layoutOf(w *abft.WireSpec) Layout {
+	if w.Grid == nil {
+		return Layout{}
+	}
+	l := Layout{Nx: w.Grid.Nx, Ny: w.Grid.Ny, Nz: w.Grid.Nz}
+	if w.Deployment == string(abft.Clustered) && l.Nz == 0 && w.Topology != string(abft.TopoLayers) {
+		if l.GangRanks = w.RanksX * w.RanksY; l.GangRanks == 0 {
+			l.GangRanks = w.Ranks
+		}
+	}
+	return l
+}
+
+// parseWireSpec is abft.ParseWireSpec behind a seam, so a test can count how
+// often the host opens a document (once per HTTP submission, never on the
+// dispatcher).
+var parseWireSpec = abft.ParseWireSpec
+
+// parseLayout reads the layout off a canonical document — for callers of
+// Scheduler.Submit, who hold only bytes.
+func parseLayout(canonical []byte) (Layout, error) {
+	w, err := parseWireSpec(canonical)
+	if err != nil {
+		return Layout{}, err
+	}
+	return layoutOf(w), nil
+}
+
+// Job is one submitted simulation: identity, layout, canonical document
+// (until terminal), event history, subscribers, and — once terminal — the
+// outcome.
 type Job struct {
 	ID      string
 	Tenant  string
 	Key     string // cache key: content hash of (canonical spec, iters)
 	Elem    string
 	Iters   int
-	Wire    []byte // canonical wire-form spec document
+	Layout  Layout
 	Created time.Time
 
 	mu         sync.Mutex
+	wire       []byte // canonical wire-form spec; dropped at the terminal transition
 	state      JobState
 	cached     bool
 	errMsg     string
@@ -67,16 +109,25 @@ type Job struct {
 	done       chan struct{}
 }
 
-func newJob(id, tenant, key, elem string, iters int, wire []byte) *Job {
+func newJob(id, tenant, key, elem string, iters int, wire []byte, lay Layout) *Job {
 	j := &Job{
-		ID: id, Tenant: tenant, Key: key, Elem: elem, Iters: iters, Wire: wire,
+		ID: id, Tenant: tenant, Key: key, Elem: elem, Iters: iters, Layout: lay,
 		Created: time.Now(),
+		wire:    wire,
 		state:   StateQueued,
 		subs:    make(map[chan Event]struct{}),
 		done:    make(chan struct{}),
 	}
 	j.history = append(j.history, Event{Type: "state", State: StateQueued})
 	return j
+}
+
+// spec returns the canonical document for dispatch; nil once terminal —
+// only dispatch reads it, so a retained record does not pin its input.
+func (j *Job) spec() []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.wire
 }
 
 // publish appends to the history and fans out to subscribers; j.mu held.
@@ -144,6 +195,7 @@ func (j *Job) Finish(res *GridPayload, st stats.Stats, cached bool) {
 		return
 	}
 	j.state = StateDone
+	j.wire = nil
 	j.cached = cached
 	j.result = res
 	j.stats = st
@@ -162,6 +214,7 @@ func (j *Job) Fail(msg string, status int) {
 		return
 	}
 	j.state = StateFailed
+	j.wire = nil
 	j.errMsg = msg
 	j.status = status
 	j.finished = time.Now()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,10 +10,11 @@ import (
 	"sync"
 )
 
-// Worker is one end of the line-JSON protocol WorkerMain speaks: Send posts
-// a JobRequest, Recv blocks for the next WorkerEvent, Kill tears the worker
+// Worker is the host end of the protocol WorkerMain speaks: Send posts a
+// JobRequest, Recv blocks for the next WorkerEvent, Kill tears the worker
 // down hard (mid-job if necessary). Implementations: a child process over
-// stdin/stdout, or an in-process goroutine over pipes.
+// stdin/stdout, or an in-process goroutine over pipes — both embed the one
+// stream codec and differ only in how they die.
 type Worker interface {
 	Send(req JobRequest) error
 	Recv() (WorkerEvent, error)
@@ -38,26 +38,14 @@ func InprocWorkers() StartWorker {
 			err := WorkerMain(reqR, evW)
 			evW.CloseWithError(err)
 		}()
-		return &pipeWorker{
-			enc: json.NewEncoder(reqW), dec: json.NewDecoder(evR),
-			reqW: reqW, evR: evR,
-		}, nil
+		return &pipeWorker{stream: newStream(evR, reqW), reqW: reqW, evR: evR}, nil
 	}
 }
 
 type pipeWorker struct {
-	enc  *json.Encoder
-	dec  *json.Decoder
+	*stream
 	reqW *io.PipeWriter
 	evR  *io.PipeReader
-}
-
-func (w *pipeWorker) Send(req JobRequest) error { return w.enc.Encode(req) }
-
-func (w *pipeWorker) Recv() (WorkerEvent, error) {
-	var ev WorkerEvent
-	err := w.dec.Decode(&ev)
-	return ev, err
 }
 
 func (w *pipeWorker) Kill() {
@@ -105,28 +93,16 @@ func ProcessWorkers(bin string, extraEnv []string, args ...string) StartWorker {
 		// so the reader sees EOF as soon as the child exits.
 		inR.Close()
 		outW.Close()
-		return &procWorker{
-			cmd: cmd, stdin: inW, stdout: outR,
-			enc: json.NewEncoder(inW), dec: json.NewDecoder(outR),
-		}, nil
+		return &procWorker{stream: newStream(outR, inW), cmd: cmd, stdin: inW, stdout: outR}, nil
 	}
 }
 
 type procWorker struct {
+	*stream
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
 	stdout io.ReadCloser
-	enc    *json.Encoder
-	dec    *json.Decoder
 	once   sync.Once
-}
-
-func (w *procWorker) Send(req JobRequest) error { return w.enc.Encode(req) }
-
-func (w *procWorker) Recv() (WorkerEvent, error) {
-	var ev WorkerEvent
-	err := w.dec.Decode(&ev)
-	return ev, err
 }
 
 func (w *procWorker) Kill() {

@@ -1,13 +1,16 @@
 package serve_test
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"testing"
 	"time"
 
 	abft "stencilabft"
+	"stencilabft/internal/dist"
 	"stencilabft/internal/serve"
 )
 
@@ -140,4 +143,39 @@ func TestWorkerRespawnAfterTimeout(t *testing.T) {
 	if st := waitTerminal(t, ts, id); st.State != serve.StateDone {
 		t.Fatalf("job after respawn settled %s: %s", st.State, st.Error)
 	}
+}
+
+// TestNonFiniteResultKeepsTheWorker: a result holding +Inf used to kill the
+// worker ("json: unsupported value: +Inf" encoding the done event). With
+// the grid out of the JSON line the run ends done on a live slot — a real
+// child process — and the same worker serves the next job.
+func TestNonFiniteResultKeepsTheWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks a worker process")
+	}
+	pool, err := serve.NewPool(1, processStart(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	slot, err := pool.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"overflow-1", "overflow-2"} {
+		var done serve.WorkerEvent
+		err := slot.Run(serve.JobRequest{ID: id, Spec: []byte(overflowSpec), Iters: 4},
+			func(ev serve.WorkerEvent) { done = ev })
+		if err != nil {
+			t.Fatalf("%s: slot.Run: %v", id, err)
+		}
+		if done.Event != "done" || done.Grid == nil {
+			t.Fatalf("%s: terminal event %+v, want done with a grid", id, done)
+		}
+		cells, err := dist.DecodeElems[float32](4, done.Grid.Raw)
+		if err != nil || len(cells) != 64 || !math.IsInf(float64(cells[0]), 1) {
+			t.Fatalf("%s: result %v (%v), want 64 cells of +Inf", id, cells, err)
+		}
+	}
+	pool.Release(slot, true)
 }

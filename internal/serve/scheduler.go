@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	abft "stencilabft"
 	"stencilabft/internal/stats"
 )
 
@@ -148,10 +147,21 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// Submit admits a job: cache hits return an already-done job immediately
+// Submit admits a job given only its canonical document, reading the
+// layout off it first. The HTTP path, which already holds the parsed
+// document, goes through submit directly.
+func (s *Scheduler) Submit(tenant, elem string, canonical []byte, iters int) (*Job, error) {
+	lay, err := parseLayout(canonical)
+	if err != nil {
+		return nil, err
+	}
+	return s.submit(tenant, elem, canonical, iters, lay)
+}
+
+// submit admits a job: cache hits return an already-done job immediately
 // (bypassing the quota — they cost no worker time); otherwise the job is
 // queued FIFO, bounded by the tenant quota and the global backlog.
-func (s *Scheduler) Submit(tenant, elem string, canonical []byte, iters int) (*Job, error) {
+func (s *Scheduler) submit(tenant, elem string, canonical []byte, iters int, lay Layout) (*Job, error) {
 	key := Key(canonical, iters)
 	s.mu.Lock()
 	s.seq++
@@ -159,7 +169,7 @@ func (s *Scheduler) Submit(tenant, elem string, canonical []byte, iters int) (*J
 	s.mu.Unlock()
 
 	if res, ok := s.cache.Get(key); ok {
-		j := newJob(id, tenant, key, elem, iters, canonical)
+		j := newJob(id, tenant, key, elem, iters, nil, lay)
 		s.register(j)
 		s.met.CacheHit()
 		j.SetRunning()
@@ -175,7 +185,7 @@ func (s *Scheduler) Submit(tenant, elem string, canonical []byte, iters int) (*J
 		return nil, fmt.Errorf("%w: tenant %q has %d job(s) queued or running (quota %d)",
 			ErrQuota, tenant, n, s.cfg.QuotaPerTenant)
 	}
-	j := newJob(id, tenant, key, elem, iters, canonical)
+	j := newJob(id, tenant, key, elem, iters, canonical, lay)
 	s.active[tenant]++
 	s.mu.Unlock()
 
@@ -281,21 +291,8 @@ func (s *Scheduler) drainQueue() {
 // counts) runs whole inside one worker on the channel transport; both
 // layouts are bit-identical by the transport contract.
 func (s *Scheduler) gangSize(j *Job) int {
-	if s.cfg.DisableFanOut || s.pool.Size() < 2 {
-		return 1
-	}
-	w, err := abft.ParseWireSpec(j.Wire)
-	if err != nil || w.Deployment != string(abft.Clustered) {
-		return 1
-	}
-	if w.Grid == nil || w.Grid.Nz > 0 || w.Topology == string(abft.TopoLayers) {
-		return 1
-	}
-	n := w.RanksX * w.RanksY
-	if n == 0 {
-		n = w.Ranks
-	}
-	if n < 2 || n > s.pool.Size() {
+	n := j.Layout.GangRanks
+	if s.cfg.DisableFanOut || n < 2 || n > s.pool.Size() {
 		return 1
 	}
 	return n
@@ -332,7 +329,7 @@ func statsEvery(iters int) int {
 func (s *Scheduler) runSingle(j *Job, slot *Slot) {
 	defer s.wg.Done()
 	j.SetRunning()
-	req := JobRequest{ID: j.ID, Spec: j.Wire, Iters: j.Iters, StatsEvery: statsEvery(j.Iters)}
+	req := JobRequest{ID: j.ID, Spec: j.spec(), Iters: j.Iters, StatsEvery: statsEvery(j.Iters)}
 	// The kill token scopes the watchdog to this run: if the timer fires
 	// concurrently with completion, the late callback is a no-op instead of
 	// shooting a respawned worker or the slot's next tenant.
@@ -347,6 +344,11 @@ func (s *Scheduler) runSingle(j *Job, slot *Slot) {
 		case "done":
 			if ev.Grid == nil || ev.Stats == nil {
 				j.Fail("serve: worker returned no result", 500)
+				return
+			}
+			if g := ev.Grid; !tileFits(g, j) || g.Nx != j.Layout.Nx || g.Ny != j.Layout.Ny {
+				j.Fail(fmt.Sprintf("serve: worker returned a %dx%dx%d %s grid for a %dx%dx%d %s job",
+					g.Nx, g.Ny, g.Nz, g.Elem, j.Layout.Nx, j.Layout.Ny, j.Layout.Nz, j.Elem), 500)
 				return
 			}
 			s.cache.Put(j.Key, Result{Grid: ev.Grid, Stats: *ev.Stats})
@@ -412,13 +414,14 @@ func (s *Scheduler) runGang(j *Job, slots []*Slot) {
 	watchdog := time.AfterFunc(s.cfg.JobTimeout, killAll)
 	var collapse sync.Once
 
+	spec := j.spec()
 	var wg sync.WaitGroup
 	for k := 0; k < n; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
 			req := JobRequest{
-				ID: j.ID, Spec: j.Wire, Iters: j.Iters,
+				ID: j.ID, Spec: spec, Iters: j.Iters,
 				TCP: true, Rank: k, Rendezvous: rdv,
 			}
 			if k == 0 {
@@ -469,19 +472,21 @@ func (s *Scheduler) runGang(j *Job, slots []*Slot) {
 		}
 	}
 
-	w, err := abft.ParseWireSpec(j.Wire)
-	if err != nil || w.Grid == nil {
-		j.Fail("serve: cannot re-read the job's canonical spec", 500)
-		return
-	}
-	nx, ny := w.Grid.Nx, w.Grid.Ny
-	data := make([]float64, nx*ny)
+	// Reassemble by copying tile rows of bytes into place: nothing is
+	// decoded on the way to the cache.
+	nx, ny, es := j.Layout.Nx, j.Layout.Ny, elemSize(j.Elem)
+	raw := make([]byte, nx*ny*es)
 	perRank := make([]stats.Stats, 0, n)
 	for k := range outs {
 		gp := outs[k].done.Grid
+		if !tileFits(gp, j) {
+			j.Fail(fmt.Sprintf("serve: rank %d returned a %dx%d %s tile at (%d,%d) outside the %dx%d %s domain",
+				k, gp.Nx, gp.Ny, gp.Elem, gp.X0, gp.Y0, nx, ny, j.Elem), 500)
+			return
+		}
+		row := gp.Nx * es
 		for yy := 0; yy < gp.Ny; yy++ {
-			row := (gp.Y0+yy)*nx + gp.X0
-			copy(data[row:row+gp.Nx], gp.Data[yy*gp.Nx:(yy+1)*gp.Nx])
+			copy(raw[((gp.Y0+yy)*nx+gp.X0)*es:], gp.Raw[yy*row:(yy+1)*row])
 		}
 		perRank = append(perRank, *outs[k].done.Stats)
 	}
@@ -490,7 +495,16 @@ func (s *Scheduler) runGang(j *Job, slots []*Slot) {
 	// normalisation the launcher applies to CHILDSTATS.
 	merged := stats.MergeAll(perRank)
 	merged.Iterations = perRank[0].Iterations
-	res := Result{Grid: &GridPayload{Nx: nx, Ny: ny, Data: data}, Stats: merged}
+	res := Result{Grid: &GridPayload{Nx: nx, Ny: ny, Elem: j.Elem, Raw: raw}, Stats: merged}
 	s.cache.Put(j.Key, res)
 	j.Finish(res.Grid, merged, false)
+}
+
+// tileFits reports whether g is a well-formed payload of the job's element
+// type lying inside the job's domain. Worker is an interface, so the
+// scheduler checks what it is handed before indexing by it.
+func tileFits(g *GridPayload, j *Job) bool {
+	want, err := g.byteLen()
+	return err == nil && len(g.Raw) == want && g.Elem == j.Elem && g.Nz == j.Layout.Nz &&
+		g.X0 >= 0 && g.Y0 >= 0 && g.Nx <= j.Layout.Nx-g.X0 && g.Ny <= j.Layout.Ny-g.Y0
 }

@@ -80,6 +80,8 @@ func kindFor(status int) string {
 		return "not_found"
 	case status == http.StatusConflict:
 		return "not_ready"
+	case status == http.StatusNotAcceptable:
+		return "not_acceptable"
 	case status >= 400 && status < 500:
 		return "bad_request"
 	default:
@@ -214,11 +216,14 @@ type submitBody struct {
 }
 
 // canonicalize resolves the wire document for element type T and re-emits
-// it in canonical form: named stencils expanded to points, generators and
-// uploads inlined, elem explicit. The canonical bytes are both the cache
-// key input and exactly what workers execute, so a cache hit and a fresh
-// run see the same document. Validation runs here too, so a spec Build
-// would reject never reaches the queue.
+// it in canonical form: named stencils expanded to points, elem explicit,
+// inline and uploaded grids as inline data, a generator-backed grid as its
+// resolved generator reference (Spec.Wire keeps it: the generators are
+// deterministic, so the worker regenerates the same bits and the document
+// stays small however large the domain). The canonical bytes are both the
+// cache key input and exactly what workers execute, so a cache hit and a
+// fresh run see the same document. Validation runs here too, so a spec
+// Build would reject never reaches the queue.
 func canonicalize[T abft.Float](w *abft.WireSpec) ([]byte, error) {
 	spec, err := abft.SpecFromWire[T](w)
 	if err != nil {
@@ -253,7 +258,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf(`serve: "iters" must be in [1, %d] (got %d)`, s.cfg.MaxIters, req.Iters))
 		return
 	}
-	wire, err := abft.ParseWireSpec(req.Spec)
+	wire, err := parseWireSpec(req.Spec)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -283,7 +288,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	j, err := s.sched.Submit(tenantOf(r), elem, canonical, req.Iters)
+	// wire is the only parse of this submission: its layout rides on the
+	// job, so the dispatcher never opens the canonical document.
+	j, err := s.sched.submit(tenantOf(r), elem, canonical, req.Iters, layoutOf(wire))
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -310,14 +317,6 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resultBody is the GET /v1/jobs/{id}/result response shape.
-type resultBody struct {
-	ID     string       `json:"id"`
-	Cached bool         `json:"cached"`
-	Grid   *GridPayload `json:"grid"`
-	Stats  any          `json:"stats"`
-}
-
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -325,12 +324,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch j.State() {
 	case StateDone:
-		grid, st, ok := j.Result()
-		if !ok {
-			s.writeErrorStatus(w, http.StatusInternalServerError, "serve: done job lost its result")
-			return
-		}
-		writeJSON(w, http.StatusOK, resultBody{ID: j.ID, Cached: j.Status().Cached, Grid: grid, Stats: st})
+		s.writeResult(w, r, j)
 	case StateFailed:
 		st := j.Status()
 		status := st.Status

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	abft "stencilabft"
+	"stencilabft/internal/dist"
 	"stencilabft/internal/serve"
 )
 
@@ -107,13 +109,21 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) serve.JobStatus 
 	return serve.JobStatus{}
 }
 
-// fetchResult GETs a done job's result.
-func fetchResult(t *testing.T, ts *httptest.Server, id string) (serve.GridPayload, abft.Stats, bool) {
+// resultGrid is the grid member of the JSON result body.
+type resultGrid struct {
+	Nx   int       `json:"nx"`
+	Ny   int       `json:"ny"`
+	Nz   int       `json:"nz"`
+	Data []float64 `json:"data"`
+}
+
+// fetchResult GETs a done job's result in the default (JSON) form.
+func fetchResult(t *testing.T, ts *httptest.Server, id string) (resultGrid, abft.Stats, bool) {
 	t.Helper()
 	var body struct {
-		Cached bool              `json:"cached"`
-		Grid   serve.GridPayload `json:"grid"`
-		Stats  abft.Stats        `json:"stats"`
+		Cached bool       `json:"cached"`
+		Grid   resultGrid `json:"grid"`
+		Stats  abft.Stats `json:"stats"`
 	}
 	if code := getJSON(t, ts, "/v1/jobs/"+id+"/result", &body); code != 200 {
 		t.Fatalf("GET result %s: status %d", id, code)
@@ -611,5 +621,161 @@ func TestServeNotFound(t *testing.T) {
 	var health map[string]any
 	if code := getJSON(t, ts, "/v1/healthz", &health); code != 200 || health["ok"] != true {
 		t.Fatalf("healthz: %d %v", code, health)
+	}
+}
+
+// binaryHeader is the header line of the binary result form.
+type binaryHeader struct {
+	ID     string     `json:"id"`
+	Cached bool       `json:"cached"`
+	Nx     int        `json:"nx"`
+	Ny     int        `json:"ny"`
+	Nz     int        `json:"nz"`
+	Elem   string     `json:"elem"`
+	Stats  abft.Stats `json:"stats"`
+}
+
+// fetchBinary GETs a done job's result in the binary form: one JSON header
+// line, then the cells as raw little-endian bits.
+func fetchBinary(t *testing.T, ts *httptest.Server, id string) (hdr binaryHeader, cells []float64) {
+	t.Helper()
+	req, err := http.NewRequest("GET", ts.URL+"/v1/jobs/"+id+"/result", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/octet-stream")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "application/octet-stream" {
+		t.Fatalf("GET binary result %s: status %d, type %q, %v", id, resp.StatusCode, resp.Header.Get("Content-Type"), err)
+	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Fatalf("binary result declares %d bytes, sent %d", resp.ContentLength, len(body))
+	}
+	line, raw, ok := bytes.Cut(body, []byte("\n"))
+	if !ok {
+		t.Fatal("binary result has no header line")
+	}
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		t.Fatalf("binary result header %q: %v", line, err)
+	}
+	switch hdr.Elem {
+	case "float32":
+		c, err := dist.DecodeElems[float32](4, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range c {
+			cells = append(cells, float64(v))
+		}
+	case "float64":
+		if cells, err = dist.DecodeElems[float64](8, raw); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("binary result elem %q", hdr.Elem)
+	}
+	return hdr, cells
+}
+
+// TestServeBinaryResult: the JSON and the binary form of one result decode
+// to bit-identical grids with the same header fields — for both element
+// types, for a job run whole in one worker and for a gang reassembled from
+// TCP tiles.
+func TestServeBinaryResult(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{Workers: 2})
+	for _, tc := range []struct{ name, elem, layout string }{
+		{"float32 local", "float32", ``},
+		{"float64 local", "float64", ``},
+		{"float32 gang", "float32", `"deployment":"cluster","ranks":2,`},
+		{"float64 gang", "float64", `"deployment":"cluster","ranksX":2,"ranksY":1,`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := fmt.Sprintf(`{"iters":5,"spec":{"elem":%q,"scheme":"online",%s"stencil":{"name":"laplace5"},`+
+				`"grid":{"nx":24,"ny":18,"generator":"uniform","seed":11},"inject":[{"iteration":2,"x":7,"y":9,"bit":29}]}}`,
+				tc.elem, tc.layout)
+			resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st serve.JobStatus
+			json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("POST: status %d", resp.StatusCode)
+			}
+			if fin := waitTerminal(t, ts, st.ID); fin.State != serve.StateDone {
+				t.Fatalf("job %s: %s", fin.State, fin.Error)
+			}
+			grid, jsonStats, _ := fetchResult(t, ts, st.ID)
+			hdr, cells := fetchBinary(t, ts, st.ID)
+			if hdr.ID != st.ID || hdr.Cached || hdr.Nx != 24 || hdr.Ny != 18 || hdr.Nz != 0 || hdr.Elem != tc.elem {
+				t.Fatalf("binary header %+v", hdr)
+			}
+			if hdr.Stats != jsonStats {
+				t.Fatalf("stats differ between the forms:\n%+v\n%+v", hdr.Stats, jsonStats)
+			}
+			if len(cells) != len(grid.Data) || len(cells) != 24*18 {
+				t.Fatalf("binary form has %d cells, JSON form %d", len(cells), len(grid.Data))
+			}
+			for i := range cells {
+				if math.Float64bits(cells[i]) != math.Float64bits(grid.Data[i]) {
+					t.Fatalf("cell %d: binary %v, JSON %v", i, cells[i], grid.Data[i])
+				}
+			}
+		})
+	}
+}
+
+// overflowSpec multiplies the domain by 2e30 a sweep: finite after one
+// iteration, +Inf from the second on in float32.
+const overflowSpec = `{"scheme":"none","stencil":{"points":[{"dx":0,"dy":0,"w":1e30},{"dx":1,"dy":0,"w":1e30}]},` +
+	`"grid":{"nx":8,"ny":8,"generator":"constant","value":100}}`
+
+// TestServeNonFiniteResult: a run that overflows finishes done like any
+// other. JSON has no spelling for ±Inf, so the JSON form answers a typed 406
+// naming the binary form — before any 200 is written — and the binary form
+// carries the cells as they are.
+func TestServeNonFiniteResult(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{Workers: 1})
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"iters":4,"spec":`+overflowSpec+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serve.JobStatus
+	json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if fin := waitTerminal(t, ts, st.ID); fin.State != serve.StateDone {
+		t.Fatalf("overflowing job settled %s (%d): %s", fin.State, fin.Status, fin.Error)
+	}
+
+	r, err := ts.Client().Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb struct {
+		Error string `json:"error"`
+		Kind  string `json:"kind"`
+	}
+	err = json.NewDecoder(r.Body).Decode(&eb)
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotAcceptable || err != nil || eb.Kind != "not_acceptable" ||
+		!strings.Contains(eb.Error, "application/octet-stream") {
+		t.Fatalf("JSON form of a non-finite result: status %d, body %+v (%v)", r.StatusCode, eb, err)
+	}
+
+	hdr, cells := fetchBinary(t, ts, st.ID)
+	if hdr.Elem != "float32" || len(cells) != 64 {
+		t.Fatalf("binary form: %+v, %d cells", hdr, len(cells))
+	}
+	for i, v := range cells {
+		if !math.IsInf(v, 1) {
+			t.Fatalf("cell %d is %v, want +Inf", i, v)
+		}
 	}
 }

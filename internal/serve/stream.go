@@ -1,0 +1,179 @@
+package serve
+
+import (
+	"bufio"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+)
+
+// Worker protocol v2. Every message is one JSON line; a line may announce
+// an attachment ("attach": n), and those n raw bytes follow the newline.
+// Anything grid-sized travels as an attachment, which encoding/json never
+// scans: the canonical spec document behind a request, the result grid (or
+// a TCP rank's tile) behind a "done" event, as little-endian IEEE-754 bits
+// at the job's native element width (the internal/dist codec).
+const (
+	// maxAttachment caps an announced attachment so a corrupt line cannot
+	// make the reader allocate without bound.
+	maxAttachment = 1 << 30
+	// maxLine caps a message line; the longest real one is a stats event
+	// of a few kilobytes.
+	maxLine = 1 << 20
+)
+
+// stream is one end of the protocol over a byte pipe. The host side calls
+// Send and Recv (both Worker implementations embed it); WorkerMain calls
+// readRequest and writeEvent.
+type stream struct {
+	r         *bufio.Reader
+	w         io.Writer
+	maxAttach int // maxAttachment; the fuzz target lowers it
+}
+
+func newStream(r io.Reader, w io.Writer) *stream {
+	return &stream{r: bufio.NewReader(r), w: w, maxAttach: maxAttachment}
+}
+
+type requestLine struct {
+	JobRequest
+	Attach int `json:"attach"`
+}
+
+type eventLine struct {
+	WorkerEvent
+	Attach int `json:"attach,omitempty"`
+}
+
+// Send posts req: its line, then the spec document.
+func (s *stream) Send(req JobRequest) error {
+	return s.write(requestLine{req, len(req.Spec)}, req.Spec)
+}
+
+// Recv blocks for the next event. A grid's bytes must be exactly what its
+// shape and element type announce; Grid.Raw is a buffer the caller owns.
+func (s *stream) Recv() (WorkerEvent, error) {
+	var l eventLine
+	if err := s.readLine(&l); err != nil {
+		return WorkerEvent{}, err
+	}
+	want := 0
+	if l.Grid != nil {
+		var err error
+		if want, err = l.Grid.byteLen(); err != nil {
+			return WorkerEvent{}, err
+		}
+	}
+	if l.Attach != want {
+		return WorkerEvent{}, fmt.Errorf("serve: event announces %d attached bytes, its grid needs %d", l.Attach, want)
+	}
+	if l.Grid != nil {
+		raw, err := s.readAttachment(want)
+		if err != nil {
+			return WorkerEvent{}, err
+		}
+		l.Grid.Raw = raw
+	}
+	return l.WorkerEvent, nil
+}
+
+func (s *stream) readRequest() (JobRequest, error) {
+	var l requestLine
+	if err := s.readLine(&l); err != nil {
+		return JobRequest{}, err
+	}
+	spec, err := s.readAttachment(l.Attach)
+	if err != nil {
+		return JobRequest{}, err
+	}
+	l.Spec = spec
+	return l.JobRequest, nil
+}
+
+func (s *stream) writeEvent(ev WorkerEvent) error {
+	var raw []byte
+	if ev.Grid != nil {
+		raw = ev.Grid.Raw
+	}
+	return s.write(eventLine{ev, len(raw)}, raw)
+}
+
+func (s *stream) write(line any, attach []byte) error {
+	b, err := json.Marshal(line)
+	if err != nil {
+		return err
+	}
+	if _, err := s.w.Write(append(b, '\n')); err != nil {
+		return err
+	}
+	if len(attach) > 0 {
+		_, err = s.w.Write(attach)
+	}
+	return err
+}
+
+// readLine reads one bounded line and decodes it into v. A clean end of
+// stream between messages is io.EOF; inside a line it is an error.
+func (s *stream) readLine(v any) error {
+	var line []byte
+	for {
+		part, err := s.r.ReadSlice('\n')
+		if err == nil && line == nil {
+			line = part // the usual case: the whole line sits in the buffer
+			break
+		}
+		line = append(line, part...)
+		if err == nil {
+			break
+		}
+		if errors.Is(err, io.EOF) && len(line) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if !errors.Is(err, bufio.ErrBufferFull) {
+			return err
+		}
+		if len(line) > maxLine {
+			return fmt.Errorf("serve: protocol line exceeds %d bytes", maxLine)
+		}
+	}
+	if err := json.Unmarshal(line, v); err != nil {
+		return fmt.Errorf("serve: bad protocol line: %w", err)
+	}
+	return nil
+}
+
+// readAttachment reads the n bytes a line announced, refusing a length
+// beyond the cap before allocating anything.
+func (s *stream) readAttachment(n int) ([]byte, error) {
+	if n < 0 || n > s.maxAttach {
+		return nil, fmt.Errorf("serve: announced attachment of %d bytes is outside [0, %d]", n, s.maxAttach)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(s.r, buf); err != nil {
+		return nil, fmt.Errorf("serve: truncated attachment (want %d bytes): %w", n, err)
+	}
+	return buf, nil
+}
+
+// elemSize is the byte width of a wire element type name, 0 if unknown.
+func elemSize(elem string) int {
+	switch elem {
+	case "float32":
+		return 4
+	case "float64":
+		return 8
+	}
+	return 0
+}
+
+// byteLen is the length Raw must have for the payload's shape and element
+// type, refusing shapes that are not a grid or exceed the attachment cap.
+func (g *GridPayload) byteLen() (int, error) {
+	es, nz := elemSize(g.Elem), max(g.Nz, 1)
+	if es == 0 || g.Nx < 1 || g.Ny < 1 || g.Nz < 0 ||
+		g.Nx > maxAttachment || g.Ny > maxAttachment/g.Nx || nz > maxAttachment/(g.Nx*g.Ny*es) {
+		return 0, fmt.Errorf("serve: grid payload %dx%dx%d of %q is not a shape this protocol carries", g.Nx, g.Ny, g.Nz, g.Elem)
+	}
+	return g.Nx * g.Ny * nz * es, nil
+}

@@ -1,0 +1,462 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	abft "stencilabft"
+	"stencilabft/internal/dist"
+	"stencilabft/internal/stats"
+)
+
+// protocolSamples is a worker conversation as bytes on the wire: what the
+// host writes (a request and its spec) and what the worker answers (stats,
+// a done event with a float32 grid, one with a float64 tile, an error).
+func protocolSamples(t testing.TB) (requests, events []byte) {
+	t.Helper()
+	var req, ev bytes.Buffer
+	host, worker := newStream(nil, &req), newStream(nil, &ev)
+	spec := []byte(`{"elem":"float32","stencil":{"name":"laplace5"},"grid":{"nx":4,"ny":2,"generator":"ramp"}}`)
+	if err := host.Send(JobRequest{ID: "j1", Spec: spec, Iters: 3, StatsEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := host.Send(JobRequest{ID: "j2", Spec: spec, Iters: 1, TCP: true, Rank: 1, Rendezvous: "127.0.0.1:9"}); err != nil {
+		t.Fatal(err)
+	}
+	st := stats.Stats{Iterations: 3}
+	for _, e := range []WorkerEvent{
+		{ID: "j1", Event: "stats", Iter: 1, Stats: &st},
+		{ID: "j1", Event: "done", Iter: 3, Stats: &st, Grid: &GridPayload{Nx: 4, Ny: 2, Elem: "float32",
+			Raw: dist.AppendElems(nil, []float32{1, 2, 3, 4, 5, 6, 7, float32(math.Inf(1))})}},
+		{ID: "j2", Event: "done", Iter: 1, Stats: &st, Grid: &GridPayload{Nx: 2, Ny: 1, Nz: 2, X0: 2, Y0: 1, Elem: "float64",
+			Raw: dist.AppendElems(nil, []float64{0.1, math.NaN(), math.Copysign(0, -1), 5e-324})}},
+		{ID: "j3", Event: "error", Error: "serve: no", Status: 400},
+	} {
+		if err := worker.writeEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return req.Bytes(), ev.Bytes()
+}
+
+// TestStreamRoundTrip: every message survives the wire with its attachment
+// bit for bit, and the stream ends on a clean io.EOF.
+func TestStreamRoundTrip(t *testing.T) {
+	reqs, evs := protocolSamples(t)
+
+	w := newStream(bytes.NewReader(reqs), io.Discard)
+	r1, err := w.readRequest()
+	if err != nil || r1.ID != "j1" || r1.Iters != 3 || r1.StatsEvery != 1 || !bytes.Contains(r1.Spec, []byte(`"ramp"`)) {
+		t.Fatalf("request 1: %+v, %v", r1, err)
+	}
+	r2, err := w.readRequest()
+	if err != nil || !r2.TCP || r2.Rank != 1 || r2.Rendezvous != "127.0.0.1:9" || !bytes.Equal(r2.Spec, r1.Spec) {
+		t.Fatalf("request 2: %+v, %v", r2, err)
+	}
+	if _, err := w.readRequest(); err != io.EOF {
+		t.Fatalf("after the last request: %v, want io.EOF", err)
+	}
+
+	h := newStream(bytes.NewReader(evs), io.Discard)
+	if ev, err := h.Recv(); err != nil || ev.Event != "stats" || ev.Stats.Iterations != 3 || ev.Grid != nil {
+		t.Fatalf("stats event: %+v, %v", ev, err)
+	}
+	ev, err := h.Recv()
+	if err != nil || ev.Event != "done" || ev.Grid == nil {
+		t.Fatalf("done event: %+v, %v", ev, err)
+	}
+	cells, err := dist.DecodeElems[float32](4, ev.Grid.Raw)
+	if err != nil || len(cells) != 8 || cells[0] != 1 || !math.IsInf(float64(cells[7]), 1) {
+		t.Fatalf("float32 grid: %v, %v", cells, err)
+	}
+	ev, err = h.Recv()
+	if err != nil || ev.Grid == nil || ev.Grid.X0 != 2 || ev.Grid.Y0 != 1 || ev.Grid.Nz != 2 {
+		t.Fatalf("tile event: %+v, %v", ev, err)
+	}
+	c64, err := dist.DecodeElems[float64](8, ev.Grid.Raw)
+	if err != nil || c64[0] != 0.1 || !math.IsNaN(c64[1]) || !math.Signbit(c64[2]) || c64[3] != 5e-324 {
+		t.Fatalf("float64 tile: %v, %v", c64, err)
+	}
+	if ev, err := h.Recv(); err != nil || ev.Event != "error" || ev.Status != 400 {
+		t.Fatalf("error event: %+v, %v", ev, err)
+	}
+	if _, err := h.Recv(); err != io.EOF {
+		t.Fatalf("after the last event: %v, want io.EOF", err)
+	}
+}
+
+// TestStreamRejectsBadAttachments: a length that disagrees with the grid's
+// shape, a length beyond the cap, and a cut-off attachment are errors — and
+// the oversize one is refused before anything of that size is allocated.
+func TestStreamRejectsBadAttachments(t *testing.T) {
+	cases := []struct{ name, wire, want string }{
+		{"length disagrees with shape", `{"id":"j","event":"done","grid":{"nx":2,"ny":2,"elem":"float32"},"attach":15}` + "\n" + strings.Repeat("x", 15), "needs 16"},
+		{"attachment without a grid", `{"id":"j","event":"stats","attach":4}` + "\nabcd", "needs 0"},
+		{"unknown element type", `{"id":"j","event":"done","grid":{"nx":2,"ny":2,"elem":"float16"},"attach":8}` + "\n12345678", "not a shape"},
+		{"shape overflows", `{"id":"j","event":"done","grid":{"nx":4611686018427387904,"ny":4,"elem":"float64"},"attach":0}` + "\n", "not a shape"},
+		{"shape beyond the cap", `{"id":"j","event":"done","grid":{"nx":65536,"ny":65536,"elem":"float64"},"attach":34359738368}` + "\n", "not a shape"},
+		{"truncated", `{"id":"j","event":"done","grid":{"nx":2,"ny":2,"elem":"float32"},"attach":16}` + "\nshort", "truncated"},
+		{"cut inside the line", `{"id":"j","event":"st`, "unexpected EOF"},
+		{"not json", "hello\n", "bad protocol line"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := newStream(strings.NewReader(tc.wire), io.Discard).Recv()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Recv: %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := newStream(strings.NewReader(`{"id":"j","iters":1,"attach":1073741825}`+"\nspec"), io.Discard).readRequest()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("oversize request attachment: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing a 1 GiB announcement allocated %d bytes", grew)
+	}
+}
+
+// FuzzWorkerStream feeds arbitrary bytes to both ends of the protocol
+// reader. It must never panic, never hang (the input is finite, so every
+// path ends in a message or an error), and never allocate more than the
+// attachment cap plus what the input itself holds because a line said so.
+func FuzzWorkerStream(f *testing.F) {
+	reqs, evs := protocolSamples(f)
+	f.Add(reqs)
+	f.Add(evs)
+	f.Add(evs[:len(evs)/2])
+	f.Add(reqs[:len(reqs)-3])
+	f.Add([]byte(`{"id":"j","event":"done","grid":{"nx":1000000,"ny":1000000,"elem":"float64"},"attach":8000000000000}` + "\n"))
+	f.Add([]byte(`{"id":"j","iters":1,"attach":999999999999}` + "\nx"))
+	f.Add([]byte(`{"attach":-1}` + "\n"))
+	f.Add(bytes.Repeat([]byte("x"), 5000))
+
+	const fuzzCap = 1 << 16
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		host := newStream(bytes.NewReader(data), io.Discard)
+		host.maxAttach = fuzzCap
+		for n := 0; ; n++ {
+			ev, err := host.Recv()
+			if err != nil {
+				break
+			}
+			if ev.Grid != nil && len(ev.Grid.Raw) > fuzzCap {
+				t.Fatalf("accepted a %d-byte attachment over a %d-byte cap", len(ev.Grid.Raw), fuzzCap)
+			}
+			if n > len(data) {
+				t.Fatal("more messages than input bytes")
+			}
+		}
+		worker := newStream(bytes.NewReader(data), io.Discard)
+		worker.maxAttach = fuzzCap
+		for {
+			req, err := worker.readRequest()
+			if err != nil {
+				break
+			}
+			if len(req.Spec) > fuzzCap {
+				t.Fatalf("accepted a %d-byte spec over a %d-byte cap", len(req.Spec), fuzzCap)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// Every message costs at least its newline, so the reads are bounded
+		// by the input; the allowance is decode garbage, not announced sizes.
+		if grew, allow := after.TotalAlloc-before.TotalAlloc, uint64(2*fuzzCap+64*len(data)+1<<20); grew > allow {
+			t.Fatalf("reading %d input bytes allocated %d (allowance %d)", len(data), grew, allow)
+		}
+	})
+}
+
+// legacyBody is the reflection-encoded result body of the JSON grid
+// plumbing this package used to have; the append-writer must reproduce it.
+type legacyBody struct {
+	ID     string      `json:"id"`
+	Cached bool        `json:"cached"`
+	Grid   *legacyGrid `json:"grid"`
+	Stats  any         `json:"stats"`
+}
+
+type legacyGrid struct {
+	Nx   int       `json:"nx"`
+	Ny   int       `json:"ny"`
+	Nz   int       `json:"nz,omitempty"`
+	X0   int       `json:"x0,omitempty"`
+	Y0   int       `json:"y0,omitempty"`
+	Data []float64 `json:"data"`
+}
+
+// TestResultJSONMatchesEncodingJSON: the append-writer's body equals what
+// encoding/json emits for the same values, byte for byte — across the 'f'/'e'
+// format switch, signed zeros, subnormals, float32-widened values and both
+// dimensionalities.
+func TestResultJSONMatchesEncodingJSON(t *testing.T) {
+	values := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 100.5, -123.456, 1.0 / 3,
+		5e-324, 1e-310, 2.2250738585072014e-308, // float64 subnormals and the smallest normal
+		1e-45, 1.1754943508222875e-38, // the float32 ones
+		9.99999e-7, 0.99999999e-6, 1e-6, 1.0000001e-6, 1e-7, 1.5e-9, 1e-10, 1e-100,
+		9.99e20, 999999999999999868928, 1e21, 1.0000001e21, 1e22, 1e100, -1e21, -1e-7,
+		math.MaxFloat32, math.SmallestNonzeroFloat32, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		float64(float32(0.1)), float64(float32(1e-6)), float64(float32(1e21)), float64(float32(123456.789)),
+		149.99999, 100.00000000000001,
+	}
+	st := stats.Stats{Iterations: 16, Detections: 2}
+	shapes := []struct{ nx, ny, nz int }{{len(values), 1, 0}, {1, len(values), 0}, {len(values) / 3, 1, 3}, {5, 2, 0}, {2, 2, 2}}
+	for _, elem := range []string{"float32", "float64"} {
+		for _, sh := range shapes {
+			n := sh.nx * sh.ny * max(sh.nz, 1)
+			g := &GridPayload{Nx: sh.nx, Ny: sh.ny, Nz: sh.nz, Elem: elem}
+			want := make([]float64, 0, n)
+			if elem == "float32" {
+				var cells []float32
+				for _, v := range values[:n] {
+					if c := float32(v); !math.IsInf(float64(c), 0) {
+						cells = append(cells, c)
+					} else {
+						cells = append(cells, 7)
+					}
+				}
+				g.Raw = dist.AppendElems(nil, cells)
+				for _, c := range cells {
+					want = append(want, float64(c))
+				}
+			} else {
+				g.Raw = dist.AppendElems(nil, values[:n])
+				want = append(want, values[:n]...)
+			}
+			for _, cached := range []bool{false, true} {
+				got, err := appendResultJSON(nil, "j0007-0123456789ab", cached, g, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ref bytes.Buffer
+				if err := json.NewEncoder(&ref).Encode(legacyBody{ID: "j0007-0123456789ab", Cached: cached,
+					Grid: &legacyGrid{Nx: sh.nx, Ny: sh.ny, Nz: sh.nz, Data: want}, Stats: st}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, ref.Bytes()) {
+					t.Fatalf("%s %dx%dx%d cached=%v:\n got %s\nwant %s", elem, sh.nx, sh.ny, sh.nz, cached, got, ref.Bytes())
+				}
+			}
+		}
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g := &GridPayload{Nx: 2, Ny: 1, Elem: "float64", Raw: dist.AppendElems(nil, []float64{1, bad})}
+		if _, err := appendResultJSON(nil, "j", false, g, st); err != errNonFinite {
+			t.Fatalf("grid holding %v: %v, want errNonFinite", bad, err)
+		}
+	}
+}
+
+// TestCanonicalGeneratorStaysSmall: a generator-backed job's canonical
+// document is a reference, not 64k numbers, and spelling the defaults out
+// (or setting a parameter the generator ignores) lands on the same bytes,
+// hence the same cache key.
+func TestCanonicalGeneratorStaysSmall(t *testing.T) {
+	canon := func(doc string) []byte {
+		t.Helper()
+		w, err := abft.ParseWireSpec([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := canonicalize[float32](w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	terse := canon(`{"stencil":{"name":"laplace5"},"scheme":"online","grid":{"nx":256,"ny":256,"generator":"uniform","seed":7}}`)
+	if len(terse) >= 1024 {
+		t.Fatalf("canonical document of a 256x256 generator job is %d bytes, want under 1 KB", len(terse))
+	}
+	if !bytes.Contains(terse, []byte(`"generator":"uniform"`)) || bytes.Contains(terse, []byte(`"data"`)) {
+		t.Fatalf("canonical document does not keep the generator reference: %s", terse)
+	}
+	explicit := canon(`{"elem":"float32","deployment":"","stencil":{"name":"laplace5","args":[0.2]},"bc":"clamp","bcValue":0,` +
+		`"scheme":"online","epsilon":0,"period":0,"grid":{"nx":256,"ny":256,"nz":0,"generator":"uniform","seed":7,"value":3}}`)
+	if !bytes.Equal(terse, explicit) {
+		t.Fatalf("two spellings of one job canonicalize differently:\n%s\n%s", terse, explicit)
+	}
+	if Key(terse, 16) != Key(explicit, 16) {
+		t.Fatal("two spellings of one job have different cache keys")
+	}
+	if other := canon(`{"stencil":{"name":"laplace5"},"scheme":"online","grid":{"nx":256,"ny":256,"generator":"uniform","seed":8}}`); bytes.Equal(terse, other) {
+		t.Fatal("a different seed canonicalizes to the same document")
+	}
+}
+
+// inlineJob is a POST /v1/jobs body carrying an n×n grid as inline data.
+func inlineJob(n, iters int) []byte {
+	data := make([]float64, n*n)
+	for i := range data {
+		data[i] = 100 + float64(i%13)
+	}
+	body, _ := json.Marshal(map[string]any{"iters": iters, "spec": map[string]any{
+		"scheme": "online", "stencil": map[string]any{"name": "laplace5"},
+		"grid": map[string]any{"nx": n, "ny": n, "data": data}}})
+	return body
+}
+
+// settle POSTs body and waits for the job to reach a terminal state.
+func settle(t *testing.T, srv *Server, ts *httptest.Server, body []byte) *Job {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST: status %d, %v", resp.StatusCode, err)
+	}
+	j, ok := srv.Scheduler().Job(st.ID)
+	if !ok {
+		t.Fatalf("job %s not registered", st.ID)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job %s did not settle", st.ID)
+	}
+	return j
+}
+
+// TestDispatcherParsesNothing: a 256x256 inline-data job submitted over
+// HTTP is parsed exactly once on the host — at POST, where its layout is
+// recorded — and still reaches the worker and finishes.
+func TestDispatcherParsesNothing(t *testing.T) {
+	parses := 0
+	parseWireSpec = func(data []byte) (*abft.WireSpec, error) {
+		parses++ // only the HTTP handler's goroutine may get here
+		return abft.ParseWireSpec(data)
+	}
+	defer func() { parseWireSpec = abft.ParseWireSpec }()
+
+	srv, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	j := settle(t, srv, ts, inlineJob(256, 2))
+	if j.State() != StateDone {
+		t.Fatalf("job ended %s: %s", j.State(), j.Status().Error)
+	}
+	if parses != 1 {
+		t.Fatalf("the host parsed the document %d times, want once (at POST)", parses)
+	}
+	if want := (Layout{Nx: 256, Ny: 256}); j.Layout != want {
+		t.Fatalf("recorded layout %+v, want %+v", j.Layout, want)
+	}
+
+	// Submit takes bytes alone, so it derives the layout itself: one more.
+	canonical, err := canonicalize[float32](mustParse(t, `{"scheme":"online","deployment":"cluster","ranksX":2,"ranksY":1,`+
+		`"stencil":{"name":"laplace5"},"grid":{"nx":16,"ny":16,"generator":"ramp"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parses = 0
+	j2, err := srv.Scheduler().Submit("t", "float32", canonical, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j2.Done()
+	if want := (Layout{Nx: 16, Ny: 16, GangRanks: 2}); parses != 1 || j2.Layout != want || j2.State() != StateDone {
+		t.Fatalf("Submit from bytes: %d parses, layout %+v, state %s (%s)", parses, j2.Layout, j2.State(), j2.Status().Error)
+	}
+}
+
+func mustParse(t *testing.T, doc string) *abft.WireSpec {
+	t.Helper()
+	w, err := abft.ParseWireSpec([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestTerminalJobDropsItsInput: a retained job record stops pinning the
+// canonical document once it is done or failed, and its status, result and
+// event history still answer.
+func TestTerminalJobDropsItsInput(t *testing.T) {
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	done := settle(t, srv, ts, inlineJob(32, 3))
+	// 16 ranks of one 16-row domain: thin tiles, which only Build rejects.
+	failed := settle(t, srv, ts, []byte(`{"iters":3,"spec":{"scheme":"online","deployment":"cluster","ranks":16,`+
+		`"stencil":{"name":"laplace5"},"grid":{"nx":16,"ny":16,"generator":"constant","value":100}}}`))
+	if done.State() != StateDone || failed.State() != StateFailed {
+		t.Fatalf("states %s / %s, want done / failed", done.State(), failed.State())
+	}
+	for _, j := range []*Job{done, failed} {
+		if spec := j.spec(); spec != nil {
+			t.Fatalf("%s job %s still holds its %d-byte document", j.State(), j.ID, len(spec))
+		}
+	}
+	get := func(path string) (int, string) {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	if code, body := get("/v1/jobs/" + done.ID); code != 200 || !strings.Contains(body, `"state":"done"`) {
+		t.Fatalf("status of the done job: %d %s", code, body)
+	}
+	if code, body := get("/v1/jobs/" + done.ID + "/result"); code != 200 || !strings.Contains(body, `"data":[`) {
+		t.Fatalf("result of the done job: %d %.80s", code, body)
+	}
+	if code, body := get("/v1/jobs/" + done.ID + "/events"); code != 200 || !strings.Contains(body, "event: done") {
+		t.Fatalf("events of the done job: %d %.80s", code, body)
+	}
+	if code, body := get("/v1/jobs/" + failed.ID + "/result"); code != 400 || !strings.Contains(body, `"bad_request"`) {
+		t.Fatalf("result of the failed job: %d %s", code, body)
+	}
+	if code, body := get("/v1/jobs/" + failed.ID + "/events"); code != 200 || !strings.Contains(body, "event: error") {
+		t.Fatalf("events of the failed job: %d %.80s", code, body)
+	}
+}
+
+// BenchmarkResultJSON prices the one text encoding a result gets: a
+// 256x256 float32 grid (the benchmark's serve_grid job) to its JSON body.
+func BenchmarkResultJSON(b *testing.B) {
+	cells := make([]float32, 256*256)
+	for i := range cells {
+		cells[i] = 100 + 50*float32(i%977)/977
+	}
+	g := &GridPayload{Nx: 256, Ny: 256, Elem: "float32", Raw: dist.AppendElems(nil, cells)}
+	buf := make([]byte, 0, 20*len(cells)+1024)
+	b.SetBytes(int64(len(g.Raw)))
+	for b.Loop() {
+		out, err := appendResultJSON(buf[:0], "j0001-0123456789ab", false, g, stats.Stats{})
+		if err != nil || len(out) < len(cells) {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,44 +4,45 @@
 // processes, streams per-iteration Stats over SSE, and content-addresses
 // finished results so identical submissions are answered from cache.
 //
-// The package splits into the worker side (this file: a line-JSON protocol
-// any process can speak over stdin/stdout) and the host side (pool,
-// scheduler, cache, HTTP surface). The same WorkerMain runs as a child
+// The package splits into the worker side (this file, speaking the line +
+// attachment protocol of stream.go over stdin/stdout) and the host side
+// (pool, scheduler, cache, HTTP surface). The same WorkerMain runs as a child
 // process of cmd/stencilserve, as a re-exec'd test binary, or in-process
 // over an io.Pipe — the scheduler cannot tell the difference, which is what
 // makes the service testable without forking in every test.
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 
 	abft "stencilabft"
+	"stencilabft/internal/dist"
 	"stencilabft/internal/stats"
 )
 
 // JobRequest is one unit of work sent to a worker: the canonical wire-form
-// spec plus the run length. A TCP request additionally places the worker as
-// one rank of a multi-process cluster meeting at Rendezvous — the
-// scheduler's gang fan-out (one rank per pooled worker, the same layout
-// stencilrun -launch produces).
+// spec plus the run length. Spec follows the request line as its attachment
+// (see stream.go), so the document is never re-scanned on the way in. A TCP
+// request additionally places the worker as one rank of a multi-process
+// cluster meeting at Rendezvous — the scheduler's gang fan-out (one rank per
+// pooled worker, the same layout stencilrun -launch produces).
 type JobRequest struct {
-	ID         string          `json:"id"`
-	Spec       json.RawMessage `json:"spec"`
-	Iters      int             `json:"iters"`
-	StatsEvery int             `json:"statsEvery,omitempty"` // 0 disables the stats stream
+	ID         string `json:"id"`
+	Spec       []byte `json:"-"`
+	Iters      int    `json:"iters"`
+	StatsEvery int    `json:"statsEvery,omitempty"` // 0 disables the stats stream
 
 	TCP        bool   `json:"tcp,omitempty"`
 	Rank       int    `json:"rank,omitempty"`
 	Rendezvous string `json:"rendezvous,omitempty"`
 }
 
-// WorkerEvent is one line of a worker's reply stream: zero or more "stats"
-// events followed by exactly one terminal "done" or "error" event. ID echoes
-// the request so a host can discard stale events after a kill.
+// WorkerEvent is one message of a worker's reply stream: zero or more
+// "stats" events followed by exactly one terminal "done" or "error" event.
+// ID echoes the request so a host can discard stale events after a kill.
 type WorkerEvent struct {
 	ID     string       `json:"id"`
 	Event  string       `json:"event"` // "stats" | "done" | "error"
@@ -52,17 +53,20 @@ type WorkerEvent struct {
 	Status int          `json:"status,omitempty"` // suggested HTTP status for "error"
 }
 
-// GridPayload carries a result domain as float64 values — exact for both
-// element types, so bit-identity survives the wire. A TCP rank returns only
-// its tile, placed at (X0, Y0) of the global domain; the scheduler
+// GridPayload is a result domain as the bits the run produced: Raw holds
+// the cells row-major at Elem's width, little-endian (dist.AppendElems), so
+// NaN and ±Inf travel like any other value and nothing is widened or parsed
+// between worker, scheduler, cache and the HTTP edge. A TCP rank returns
+// only its tile, placed at (X0, Y0) of the global domain; the scheduler
 // reassembles.
 type GridPayload struct {
-	Nx   int       `json:"nx"`
-	Ny   int       `json:"ny"`
-	Nz   int       `json:"nz,omitempty"`
-	X0   int       `json:"x0,omitempty"`
-	Y0   int       `json:"y0,omitempty"`
-	Data []float64 `json:"data"`
+	Nx   int    `json:"nx"`
+	Ny   int    `json:"ny"`
+	Nz   int    `json:"nz,omitempty"`
+	X0   int    `json:"x0,omitempty"`
+	Y0   int    `json:"y0,omitempty"`
+	Elem string `json:"elem"`
+	Raw  []byte `json:"-"`
 }
 
 // StatusFor maps an error from the spec/wire validation surface to the HTTP
@@ -86,24 +90,23 @@ func StatusFor(err error) int {
 	}
 }
 
-// WorkerMain is the worker side of the pool protocol: decode JobRequests
+// WorkerMain is the worker side of the pool protocol: read JobRequests
 // from r, run each, and stream WorkerEvents to w until r drains. It returns
 // nil on a clean EOF. cmd/stencilserve invokes it under -worker; tests run
 // it in-process over pipes or re-exec themselves into it.
 func WorkerMain(r io.Reader, w io.Writer) error {
-	dec := json.NewDecoder(r)
-	enc := json.NewEncoder(w)
+	st := newStream(r, w)
 	for {
-		var req JobRequest
-		if err := dec.Decode(&req); err != nil {
+		req, err := st.readRequest()
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
-			return fmt.Errorf("serve: worker cannot decode request: %w", err)
+			return fmt.Errorf("serve: worker cannot read request: %w", err)
 		}
 		emit := func(ev WorkerEvent) error {
 			ev.ID = req.ID
-			return enc.Encode(ev)
+			return st.writeEvent(ev)
 		}
 		if err := runJob(req, emit); err != nil {
 			return err
@@ -127,16 +130,16 @@ func runJob(req JobRequest, emit func(WorkerEvent) error) error {
 		return fail(err)
 	}
 	if w.Elem == "float64" {
-		return runTyped[float64](req, w, emit)
+		return runTyped[float64](req, w, "float64", emit)
 	}
-	return runTyped[float32](req, w, emit)
+	return runTyped[float32](req, w, "float32", emit)
 }
 
 // runTyped is the element-typed job body: resolve the wire spec, attach the
 // process-local knobs the wire form deliberately excludes (pool,
 // telemetry, and — for gang members — the TCP placement), run, and return
 // stats plus the result domain.
-func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, emit func(WorkerEvent) error) (err error) {
+func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, elem string, emit func(WorkerEvent) error) (err error) {
 	fail := func(ferr error) error {
 		return emit(WorkerEvent{Event: "error", Error: ferr.Error(), Status: StatusFor(ferr)})
 	}
@@ -184,22 +187,14 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, emit func(WorkerEv
 		if !ok {
 			return fail(fmt.Errorf("serve: tcp placement built %T, want a 2-D cluster", p))
 		}
-		ev.Grid = rankTile(cl, req.Rank)
+		ev.Grid = rankTile(cl, req.Rank, elem)
 		cl.Close()
 		return emit(ev)
 	}
 	if g3 := p.Grid3D(); g3 != nil {
-		data := make([]float64, g3.Len())
-		for i, v := range g3.Data() {
-			data[i] = float64(v)
-		}
-		ev.Grid = &GridPayload{Nx: g3.Nx(), Ny: g3.Ny(), Nz: g3.Nz(), Data: data}
+		ev.Grid = &GridPayload{Nx: g3.Nx(), Ny: g3.Ny(), Nz: g3.Nz(), Elem: elem, Raw: rawElems(elem, g3.Data())}
 	} else if g := p.Grid(); g != nil {
-		data := make([]float64, g.Len())
-		for i, v := range g.Data() {
-			data[i] = float64(v)
-		}
-		ev.Grid = &GridPayload{Nx: g.Nx(), Ny: g.Ny(), Data: data}
+		ev.Grid = &GridPayload{Nx: g.Nx(), Ny: g.Ny(), Elem: elem, Raw: rawElems(elem, g.Data())}
 	} else {
 		return fail(errors.New("serve: protector exposed no result domain"))
 	}
@@ -209,18 +204,21 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, emit func(WorkerEv
 	return emit(ev)
 }
 
+// rawElems encodes a whole domain into one exactly-sized buffer.
+func rawElems[T abft.Float](elem string, data []T) []byte {
+	return dist.AppendElems(make([]byte, 0, len(data)*elemSize(elem)), data)
+}
+
 // rankTile extracts the worker's own tile from a gathered grid. Under a
 // single hosted rank the gather fills only that tile (remote tiles stay
 // zero), so slicing the tile rectangle is exactly this rank's contribution.
-func rankTile[T abft.Float](cl *abft.Cluster[T], rank int) *GridPayload {
+func rankTile[T abft.Float](cl *abft.Cluster[T], rank int, elem string) *GridPayload {
 	tile := cl.Tile(rank)
 	g := cl.Grid()
-	pay := &GridPayload{Nx: tile.Nx(), Ny: tile.Ny(), X0: tile.X0, Y0: tile.Y0,
-		Data: make([]float64, 0, tile.Nx()*tile.Ny())}
+	pay := &GridPayload{Nx: tile.Nx(), Ny: tile.Ny(), X0: tile.X0, Y0: tile.Y0, Elem: elem,
+		Raw: make([]byte, 0, tile.Nx()*tile.Ny()*elemSize(elem))}
 	for y := tile.Y0; y < tile.Y1; y++ {
-		for _, v := range g.Row(y)[tile.X0:tile.X1] {
-			pay.Data = append(pay.Data, float64(v))
-		}
+		pay.Raw = dist.AppendElems(pay.Raw, g.Row(y)[tile.X0:tile.X1])
 	}
 	return pay
 }

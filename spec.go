@@ -278,6 +278,11 @@ type Spec[T Float] struct {
 	// the span timeline exports as a Chrome trace via WriteTrace. Nil
 	// disables telemetry entirely — the hot path then pays only nil checks.
 	Telemetry *Telemetry
+
+	// generated is the resolved generator reference SpecFromWire built
+	// Init/Init3D from, or nil. Wire re-emits it in place of the inline
+	// values while the grid still holds exactly the generator's bits.
+	generated *WireGrid
 }
 
 // withDefaults returns a copy with the zero Scheme and Deployment resolved.

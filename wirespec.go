@@ -3,6 +3,7 @@ package stencilabft
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -298,6 +299,41 @@ func fillGenerated[T Float](data []T, g *WireGrid, nx, ny, nz int) error {
 	return nil
 }
 
+// resolvedGenerator returns the canonical reference to generator grid g for
+// element type T: the shape, the generator name and only the parameter that
+// generator reads, with the value rounded to T — so every spelling of one
+// generated grid (defaults omitted or explicit, an ignored seed or value
+// set) is one document.
+func resolvedGenerator[T Float](g *WireGrid) *WireGrid {
+	ref := &WireGrid{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz, Generator: g.Generator}
+	switch g.Generator {
+	case "uniform":
+		ref.Seed = g.Seed
+	case "constant":
+		ref.Value = float64(T(g.Value))
+	}
+	return ref
+}
+
+// regenerates reports whether data still holds, bit for bit, what generator
+// reference ref produces — the condition under which Wire may emit the
+// reference instead of the values.
+func regenerates[T Float](ref *WireGrid, nx, ny, nz int, data []T) bool {
+	if ref == nil || ref.Nx != nx || ref.Ny != ny || ref.Nz != nz {
+		return false
+	}
+	want := make([]T, len(data))
+	if fillGenerated(want, ref, nx, ny, max(nz, 1)) != nil {
+		return false
+	}
+	for i, v := range data {
+		if math.Float64bits(float64(v)) != math.Float64bits(float64(want[i])) {
+			return false
+		}
+	}
+	return true
+}
+
 // gridFromWire materialises a WireGrid into the matching dimensionality's
 // domain. Upload references must have been resolved to inline data first —
 // that is the service layer's job (POST /v1/grids), and leaving one
@@ -411,6 +447,9 @@ func SpecFromWire[T Float](w *WireSpec) (Spec[T], error) {
 		spec.Op2D = &Op2D[T]{St: st, BC: bc, BCValue: T(w.BCValue), C: cf, ForceGeneric: w.ForceGeneric}
 		spec.Init = init
 	}
+	if w.Grid.Generator != "" {
+		spec.generated = resolvedGenerator[T](w.Grid)
+	}
 	spec.Detector = Detector[T]{Epsilon: T(w.Epsilon), AbsFloor: T(w.AbsFloor)}
 	switch w.PairPolicy {
 	case "", "residual":
@@ -448,9 +487,12 @@ func SpecFromWire[T Float](w *WireSpec) (Spec[T], error) {
 
 // Wire converts the Spec to its wire form, refusing process-local state
 // with an actionable error per field (errors.Is: ErrNotSerializable). The
-// emitted form is fully resolved — stencil as inline points, grids as
-// inline values, elem explicit — so it doubles as the canonical document
-// content-addressed caches hash.
+// emitted form is fully resolved — stencil as inline points, elem explicit,
+// grids as inline values — so it doubles as the canonical document
+// content-addressed caches hash. The one grid not inlined is an initial
+// domain SpecFromWire generated and nobody has written to since: it stays
+// its resolved generator reference (a few dozen bytes, however large the
+// domain), which rebuilds the same bits wherever the document is read.
 func (s Spec[T]) Wire() (*WireSpec, error) {
 	switch {
 	case s.Pool != nil:
@@ -502,7 +544,12 @@ func (s Spec[T]) Wire() (*WireSpec, error) {
 		w.BC = s.Op2D.BC.String()
 		w.BCValue = float64(s.Op2D.BCValue)
 		w.ForceGeneric = s.Op2D.ForceGeneric
-		w.Grid = wireGrid2D(s.Init)
+		if regenerates(s.generated, s.Init.Nx(), s.Init.Ny(), 0, s.Init.Data()) {
+			ref := *s.generated
+			w.Grid = &ref
+		} else {
+			w.Grid = wireGrid2D(s.Init)
+		}
 		if s.Op2D.C != nil {
 			w.CField = wireGrid2D(s.Op2D.C)
 		}
@@ -511,7 +558,12 @@ func (s Spec[T]) Wire() (*WireSpec, error) {
 		w.BC = s.Op3D.BC.String()
 		w.BCValue = float64(s.Op3D.BCValue)
 		w.ForceGeneric = s.Op3D.ForceGeneric
-		w.Grid = wireGrid3D(s.Init3D)
+		if regenerates(s.generated, s.Init3D.Nx(), s.Init3D.Ny(), s.Init3D.Nz(), s.Init3D.Data()) {
+			ref := *s.generated
+			w.Grid = &ref
+		} else {
+			w.Grid = wireGrid3D(s.Init3D)
+		}
 		if s.Op3D.C != nil {
 			w.CField = wireGrid3D(s.Op3D.C)
 		}

@@ -237,6 +237,75 @@ func TestWireSpecGenerators(t *testing.T) {
 	}
 }
 
+// TestWireKeepsGeneratorReference: a Spec resolved from a generator-backed
+// document marshals back to the resolved reference — small however large the
+// domain, one document for every spelling, bit-identical when rebuilt — and
+// falls back to inline values the moment the grid no longer holds exactly
+// the generator's bits.
+func TestWireKeepsGeneratorReference(t *testing.T) {
+	resolve := func(grid string) abft.Spec[float32] {
+		t.Helper()
+		w, err := abft.ParseWireSpec([]byte(`{"scheme":"online","stencil":{"name":"laplace5"},"grid":` + grid + `}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := abft.SpecFromWire[float32](w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	marshal := func(spec abft.Spec[float32]) string {
+		t.Helper()
+		doc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(doc)
+	}
+
+	for _, grid := range []string{
+		`{"nx":96,"ny":64,"generator":"uniform","seed":7}`,
+		`{"nx":12,"ny":10,"nz":4,"generator":"ramp"}`,
+		`{"nx":16,"ny":16,"generator":"constant","value":0.1}`,
+	} {
+		spec := resolve(grid)
+		doc := marshal(spec)
+		if len(doc) > 1024 || !strings.Contains(doc, `"generator"`) || strings.Contains(doc, `"data"`) {
+			t.Fatalf("%s marshalled to %d bytes without keeping the reference: %.200s", grid, len(doc), doc)
+		}
+		if again := marshal(roundTrip(t, spec)); again != doc {
+			t.Fatalf("the reference is not a fixed point:\n%s\n%s", doc, again)
+		}
+		runBoth(t, spec, 5)
+	}
+
+	// Spellings: parameters the generator ignores, defaults written out, and
+	// a float64 value that rounds to the same float32.
+	if a, b := marshal(resolve(`{"nx":8,"ny":8,"generator":"uniform","seed":3}`)),
+		marshal(resolve(`{"nx":8,"ny":8,"nz":0,"generator":"uniform","seed":3,"value":9}`)); a != b {
+		t.Fatalf("uniform spellings differ:\n%s\n%s", a, b)
+	}
+	if a, b := marshal(resolve(`{"nx":8,"ny":8,"generator":"constant","value":0.1}`)),
+		marshal(resolve(`{"nx":8,"ny":8,"generator":"constant","value":0.10000000149011612,"seed":5}`)); a != b {
+		t.Fatalf("constant spellings differ:\n%s\n%s", a, b)
+	}
+
+	// A written cell, or a replaced grid, is no longer what the generator
+	// produces: the values travel inline.
+	touched := resolve(`{"nx":8,"ny":8,"generator":"uniform","seed":3}`)
+	touched.Init.Set(2, 2, 1e6)
+	if doc := marshal(touched); strings.Contains(doc, `"generator"`) || !strings.Contains(doc, `"data":[`) {
+		t.Fatalf("a modified generated grid still marshals as its generator: %.200s", doc)
+	}
+	runBoth(t, touched, 3)
+	replaced := resolve(`{"nx":8,"ny":8,"generator":"ramp"}`)
+	replaced.Init = abft.New[float32](8, 6)
+	if doc := marshal(replaced); strings.Contains(doc, `"generator"`) {
+		t.Fatalf("a replaced grid still marshals as the old generator: %.200s", doc)
+	}
+}
+
 // TestSpecMarshalRefusesProcessLocal pins the actionable-refusal contract:
 // each process-local knob fails Marshal with ErrNotSerializable and an error
 // message naming the field.
