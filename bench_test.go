@@ -349,6 +349,7 @@ func BenchmarkDistCluster(b *testing.B) {
 				if c.Stats().Detections != 0 {
 					b.Fatal("false positive in bench")
 				}
+				c.Close()
 			}
 		})
 	}
@@ -573,6 +574,7 @@ func BenchmarkClusterTelemetry(b *testing.B) {
 				if c.Stats().Detections != 0 {
 					b.Fatal("false positive in bench")
 				}
+				c.Close()
 			}
 		})
 	}
@@ -618,6 +620,7 @@ func BenchmarkClusterBuddy(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			defer c.Close()
 			c.Run(iters) // warm-up segment: banks allocated, pages faulted
 			b.ReportAllocs()
 			b.ResetTimer()

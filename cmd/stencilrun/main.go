@@ -43,7 +43,6 @@ import (
 	"time"
 
 	abft "stencilabft"
-	"stencilabft/internal/dist"
 	"stencilabft/internal/fault"
 	"stencilabft/internal/grid"
 	"stencilabft/internal/metrics"
@@ -783,10 +782,8 @@ func runResilient(c config, p plan, op *abft.Op2D[float32], init *abft.Grid[floa
 			var reconnects, resends int64
 			curMu.Lock()
 			if cur != nil {
-				if m, ok := cur.Transport().(dist.MetricsSource); ok {
-					tm := m.Metrics()
-					reconnects, resends = tm.Reconnects, tm.Resends
-				}
+				tm := cur.TransportMetrics()
+				reconnects, resends = tm.Reconnects, tm.Resends
 			}
 			curMu.Unlock()
 			genMu.Lock()

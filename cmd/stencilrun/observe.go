@@ -21,7 +21,7 @@ import (
 // cluster's per-edge transport counters; both cluster deployments satisfy
 // it, local protectors simply don't.
 type transportMetricser interface {
-	TransportMetrics() (telemetry.TransportMetrics, bool)
+	TransportMetrics() telemetry.TransportMetrics
 }
 
 // serveMetrics binds addr and serves the observability endpoints in the
@@ -49,9 +49,7 @@ func serveMetrics(addr string, tel *abft.Telemetry, prot abft.Protector[float32]
 			return
 		}
 		if tm != nil {
-			if m, ok := tm.TransportMetrics(); ok {
-				m.WritePrometheus(w)
-			}
+			tm.TransportMetrics().WritePrometheus(w)
 		}
 	})
 

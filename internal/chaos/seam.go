@@ -5,7 +5,6 @@ import (
 
 	"stencilabft/internal/dist"
 	"stencilabft/internal/num"
-	"stencilabft/internal/telemetry"
 )
 
 // Transport-seam injection: a dist.Transport wrapper that works on any
@@ -18,23 +17,23 @@ import (
 // must leave the result bit-identical; Drop and Partition must end in a
 // classified *dist.Fault, never a hang (configure a receive timeout:
 // dist.Options.RecvTimeout on the channel backend, TCPConfig.IOTimeout on
-// TCP).
+// TCP). Faults act on the sending side only: the wrapper embeds the
+// backend and overrides Send and SendCkpt, so every receive, the barrier
+// and the rest of the contract are the backend's own and a wrapped cluster
+// runs the same overlap schedule as an unwrapped one.
 type Transport[T num.Float] struct {
-	inner dist.Transport[T]
-	in    *Injector
-	geo   dist.Decomp
-	ring  bool
+	dist.Transport[T] // the wrapped backend
+	in                *Injector
+	geo               dist.Decomp
+	ring              bool
 }
 
 // Wrap layers seam-level fault injection over any transport backend. The
 // rank-grid shape (the same arguments dist.Options.NewTransport receives)
 // lets the wrapper resolve each Send's destination rank for edge matching.
 func Wrap[T num.Float](tr dist.Transport[T], in *Injector, ranksX, ranksY int, ring bool) *Transport[T] {
-	return &Transport[T]{inner: tr, in: in, geo: dist.Decomp{RanksX: ranksX, RanksY: ranksY}, ring: ring}
+	return &Transport[T]{Transport: tr, in: in, geo: dist.Decomp{RanksX: ranksX, RanksY: ranksY}, ring: ring}
 }
-
-// Inner returns the wrapped transport.
-func (t *Transport[T]) Inner() dist.Transport[T] { return t.inner }
 
 // apply runs the seam faults for one outgoing message on the edge
 // from → to and reports whether the message should be suppressed.
@@ -93,56 +92,16 @@ func (t *Transport[T]) Send(from int, d dist.Dir, data []T) {
 	if t.apply(from, to) {
 		return
 	}
-	t.inner.Send(from, d, data)
+	t.Transport.Send(from, d, data)
 }
-
-// Recv passes through: seam faults act on the sending side only.
-func (t *Transport[T]) Recv(to int, d dist.Dir) []T { return t.inner.Recv(to, d) }
-
-// Neighbor passes through.
-func (t *Transport[T]) Neighbor(id int, d dist.Dir) bool { return t.inner.Neighbor(id, d) }
-
-// Barrier passes through.
-func (t *Transport[T]) Barrier() { t.inner.Barrier() }
 
 // SendCkpt forwards the snapshot unless a seam fault suppresses it — buddy
 // checkpoint traffic rides the same edges and is diced by the same
-// counters. Panics if the wrapped backend is not a CkptCarrier, matching
-// the unwrapped contract.
+// counters.
 func (t *Transport[T]) SendCkpt(from int, d dist.Dir, gen int, data []T) {
-	car := t.inner.(dist.CkptCarrier[T])
 	to, _ := t.geo.Neighbor(from, d, t.ring)
 	if t.apply(from, to) {
 		return
 	}
-	car.SendCkpt(from, d, gen, data)
-}
-
-// RecvCkpt passes through.
-func (t *Transport[T]) RecvCkpt(to int, d dist.Dir) ([]T, int, error) {
-	return t.inner.(dist.CkptCarrier[T]).RecvCkpt(to, d)
-}
-
-// Abort passes through when the backend supports it.
-func (t *Transport[T]) Abort(cause error) {
-	if a, ok := t.inner.(dist.Aborter); ok {
-		a.Abort(cause)
-	}
-}
-
-// Metrics passes through when the backend counts traffic, so telemetry
-// keeps working under chaos.
-func (t *Transport[T]) Metrics() telemetry.TransportMetrics {
-	if m, ok := t.inner.(dist.MetricsSource); ok {
-		return m.Metrics()
-	}
-	return telemetry.TransportMetrics{}
-}
-
-// Close passes through when the backend holds resources.
-func (t *Transport[T]) Close() error {
-	if c, ok := t.inner.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
+	t.Transport.SendCkpt(from, d, gen, data)
 }

@@ -25,16 +25,6 @@ type Protector[T num.Float] interface {
 	Finalize()
 }
 
-// Protector2D is the historical name of the unified protocol.
-//
-// Deprecated: use Protector.
-type Protector2D[T num.Float] = Protector[T]
-
-// Protector3D is the historical name of the unified protocol.
-//
-// Deprecated: use Protector.
-type Protector3D[T num.Float] = Protector[T]
-
 // Compile-time interface conformance checks for all six core protectors.
 var (
 	_ Protector[float32] = (*None2D[float32])(nil)

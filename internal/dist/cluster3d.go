@@ -91,15 +91,13 @@ func (c *Cluster3D[T]) Iter() int { return c.iter }
 // is enabled each entry carries that rank's phase-time breakdown.
 func (c *Cluster3D[T]) RankStats() []Stats {
 	out := make([]Stats, len(c.ranks))
-	m, haveM := c.TransportMetrics()
+	m := c.tr.Metrics()
 	for i, r := range c.ranks {
 		out[i] = r.stats
 		out[i].Timing = r.tel.Timing()
-		if haveM {
-			out[i].Transport = m.PerRank(r.id)
-		}
+		out[i].Transport = m.PerRank(r.id)
 	}
-	if haveM && len(out) > 0 {
+	if len(out) > 0 {
 		out[0].Transport.DialRetries += m.DialRetries
 		out[0].Transport.PoisonEvents += m.Poisoned
 	}
@@ -117,15 +115,8 @@ func (c *Cluster3D[T]) Stats() Stats {
 	return total
 }
 
-// TransportMetrics returns the transport's per-edge traffic snapshot when
-// the backend counts its traffic (both built-ins do).
-func (c *Cluster3D[T]) TransportMetrics() (telemetry.TransportMetrics, bool) {
-	m, ok := c.tr.(MetricsSource)
-	if !ok {
-		return telemetry.TransportMetrics{}, false
-	}
-	return m.Metrics(), true
-}
+// TransportMetrics returns the transport's per-edge traffic snapshot.
+func (c *Cluster3D[T]) TransportMetrics() telemetry.TransportMetrics { return c.tr.Metrics() }
 
 // Gather reassembles the global domain from the ranks' current slab states.
 // Call it between Run calls, never concurrently with one.
@@ -150,6 +141,11 @@ func (c *Cluster3D[T]) Grid() *grid.Grid[T] { return nil }
 // Finalize is a no-op: every rank verifies every sweep, so nothing is
 // pending at the end of a run.
 func (c *Cluster3D[T]) Finalize() {}
+
+// Close closes the cluster's transport. The slab ranks run on per-Run
+// goroutines, so there is nothing else to stop. Call it after the final
+// Run/Gather.
+func (c *Cluster3D[T]) Close() error { return c.tr.Close() }
 
 // Step advances the cluster by one lockstep iteration; like the 2-D
 // cluster, batch known iteration counts through Run.

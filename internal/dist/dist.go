@@ -16,13 +16,13 @@
 // The default ChanTransport wires them with paired channels in the MPI
 // neighbour pattern and separates iterations with a cyclic barrier, so
 // every rank's halo data is always exactly one iteration fresh — the
-// lockstep of a bulk-synchronous MPI stencil code. Real MPI or socket
-// backends implement Transport and plug in via Options.NewTransport.
+// lockstep of a bulk-synchronous MPI stencil code. TCPTransport carries the
+// same contract over sockets; any backend implementing Transport plugs in
+// via Options.NewTransport.
 package dist
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -175,7 +175,7 @@ type Cluster[T num.Float] struct {
 	// costs a channel send and a join per rank instead of a goroutine
 	// spawn, keeping the steady-state iteration path allocation-free.
 	// Close shuts them down.
-	cmds       []chan rankCmd[T]
+	cmds       []chan rankCmd
 	done       chan struct{}
 	faultMu    sync.Mutex
 	firstFault error
@@ -183,11 +183,9 @@ type Cluster[T num.Float] struct {
 }
 
 // rankCmd is one Run batch handed to a rank goroutine: iters iterations
-// starting at absolute iteration base, with an optional per-call
-// injector (RunPlan's call-relative plan).
-type rankCmd[T num.Float] struct {
+// starting at absolute iteration base.
+type rankCmd struct {
 	iters, base int
-	perCall     *fault.Injector[T]
 }
 
 // NewCluster decomposes init into nRanks horizontal row bands — the Nx1
@@ -243,10 +241,10 @@ func NewClusterGrid[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], ranksX
 		c.ranks = append(c.ranks, r)
 	}
 	c.plans = c.routePlan(opt.Inject)
-	c.cmds = make([]chan rankCmd[T], len(c.ranks))
+	c.cmds = make([]chan rankCmd, len(c.ranks))
 	c.done = make(chan struct{}, len(c.ranks))
 	for i, r := range c.ranks {
-		c.cmds[i] = make(chan rankCmd[T], 1)
+		c.cmds[i] = make(chan rankCmd, 1)
 		go c.rankLoop(r, c.plans[i], c.cmds[i])
 	}
 	return c, nil
@@ -294,15 +292,6 @@ func (c *Cluster[T]) Decomp() Decomp { return c.decomp }
 // answerable for remote ranks too.
 func (c *Cluster[T]) Tile(i int) Tile { return c.decomp.TileOf(i) }
 
-// Band returns the global row range [y0, y1) owned by rank i — meaningful
-// for the 1-D row-band (RanksX == 1) topology it predates.
-//
-// Deprecated: use Tile.
-func (c *Cluster[T]) Band(i int) (y0, y1 int) {
-	t := c.decomp.TileOf(i)
-	return t.Y0, t.Y1
-}
-
 // Iter returns the number of completed cluster iterations.
 func (c *Cluster[T]) Iter() int { return c.iter }
 
@@ -317,17 +306,15 @@ func (c *Cluster[T]) HaloDepth() int { return c.haloDepth }
 // is enabled each entry carries that rank's phase-time breakdown.
 func (c *Cluster[T]) RankStats() []Stats {
 	out := make([]Stats, len(c.ranks))
-	m, haveM := c.TransportMetrics()
+	m := c.tr.Metrics()
 	for i, r := range c.ranks {
 		out[i] = r.stats
 		out[i].Timing = r.tel.Timing()
-		if haveM {
-			out[i].Transport = m.PerRank(r.id)
-		}
+		out[i].Transport = m.PerRank(r.id)
 	}
 	// The transport-global counters have no owning rank; park them on the
 	// first entry so merging RankStats reproduces the cluster totals.
-	if haveM && len(out) > 0 {
+	if len(out) > 0 {
 		out[0].Transport.DialRetries += m.DialRetries
 		out[0].Transport.PoisonEvents += m.Poisoned
 		out[0].Transport.Reconnects += m.Reconnects
@@ -354,30 +341,8 @@ func (c *Cluster[T]) Stats() Stats {
 	return total
 }
 
-// MetricsSource is implemented by transports that count their traffic.
-// Both built-in backends do; a custom Options.NewTransport backend may
-// not, in which case the cluster's Stats simply carry a zero Transport.
-type MetricsSource interface {
-	Metrics() telemetry.TransportMetrics
-}
-
-// TransportMetrics returns the transport's per-edge traffic snapshot, or
-// ok == false when the backend does not implement MetricsSource.
-func (c *Cluster[T]) TransportMetrics() (telemetry.TransportMetrics, bool) {
-	m, ok := c.tr.(MetricsSource)
-	if !ok {
-		return telemetry.TransportMetrics{}, false
-	}
-	return m.Metrics(), true
-}
-
-// TotalStats is the historical name of Stats. Note the Iterations
-// semantics changed with the unified counter model: it now reports
-// lockstep sweeps (Iter), not the historical per-rank sum — sum
-// RankStats' Iterations for the old value.
-//
-// Deprecated: use Stats.
-func (c *Cluster[T]) TotalStats() Stats { return c.Stats() }
+// TransportMetrics returns the transport's per-edge traffic snapshot.
+func (c *Cluster[T]) TransportMetrics() telemetry.TransportMetrics { return c.tr.Metrics() }
 
 // Gather reassembles the global domain from the ranks' current tile
 // states — the MPI_Gather at the end of a distributed run. Call it between
@@ -407,20 +372,17 @@ func (c *Cluster[T]) Grid3D() *grid.Grid3D[T] { return nil }
 // pending at the end of a run.
 func (c *Cluster[T]) Finalize() {}
 
-// Close stops the persistent rank goroutines and tears down the cluster's
-// transport if the backend holds resources (the TCP backend's sockets and
-// goroutines; the in-process channel backend has nothing to release).
-// Call it after the final Run/Gather, never concurrently with one.
+// Close stops the persistent rank goroutines and closes the cluster's
+// transport (the TCP backend's sockets and goroutines; the in-process
+// channel backend has nothing to release). Call it after the final
+// Run/Gather, never concurrently with one.
 func (c *Cluster[T]) Close() error {
 	c.closeOnce.Do(func() {
 		for _, ch := range c.cmds {
 			close(ch)
 		}
 	})
-	if closer, ok := c.tr.(io.Closer); ok {
-		return closer.Close()
-	}
-	return nil
+	return c.tr.Close()
 }
 
 // Step advances the cluster by one lockstep iteration, applying the
@@ -435,7 +397,7 @@ func (c *Cluster[T]) Step() { c.Run(1) }
 // TCP backend's MPI_ERRORS_ARE_FATAL semantics; use RunRecover to survive
 // one.
 func (c *Cluster[T]) Run(count int) {
-	if err := c.run(count, nil); err != nil {
+	if err := c.run(count); err != nil {
 		panic(err)
 	}
 }
@@ -446,33 +408,19 @@ func (c *Cluster[T]) Run(count int) {
 // is NOT advanced — the hosted tiles are mid-iteration garbage and the
 // caller (the resilience layer) is expected to restore a checkpoint with
 // RestoreState/SetIter, or rebuild the cluster, before running again.
-func (c *Cluster[T]) RunRecover(count int) error { return c.run(count, nil) }
-
-// RunPlan advances the cluster by iters lockstep iterations with an
-// explicit fault plan whose injections are indexed within this call,
-// starting at 0 — the historical entry point. A plan configured in
-// Options.Inject stays live (matched on absolute iterations) alongside the
-// per-call plan.
-//
-// Deprecated: configure Options.Inject and use Run or Step.
-func (c *Cluster[T]) RunPlan(iters int, plan *fault.Plan) {
-	if err := c.run(iters, c.routePlan(plan)); err != nil {
-		panic(err)
-	}
-}
+func (c *Cluster[T]) RunRecover(count int) error { return c.run(count) }
 
 // run advances iters lockstep iterations by handing each persistent rank
-// goroutine a command and joining them. Each rank's sweep hook composes
-// the configured Options.Inject plan (looked up at the absolute iteration)
-// with the per-call plan (looked up at the in-call offset); perCall may be
-// nil. A rank that panics with an error (the transport fault path) aborts
+// goroutine a command and joining them. Each rank's sweep hook applies the
+// configured Options.Inject plan, looked up at the absolute iteration. A
+// rank that panics with an error (the transport fault path) aborts
 // the transport so its sibling ranks unwind from their own blocked
 // Recv/Barrier calls, and run returns the first such fault once every rank
 // has stopped; the rank goroutines survive an error fault and accept
 // further commands (the resilience layer restores state and reruns).
 // Non-error panics (programming bugs) abort the siblings too, then
 // re-panic, killing the process.
-func (c *Cluster[T]) run(iters int, perCall []*fault.Injector[T]) error {
+func (c *Cluster[T]) run(iters int) error {
 	if iters <= 0 {
 		return nil
 	}
@@ -480,12 +428,8 @@ func (c *Cluster[T]) run(iters int, perCall []*fault.Injector[T]) error {
 	c.firstFault = nil
 	c.faultMu.Unlock()
 	base := c.iter
-	for i := range c.ranks {
-		var pc *fault.Injector[T]
-		if perCall != nil {
-			pc = perCall[i]
-		}
-		c.cmds[i] <- rankCmd[T]{iters: iters, base: base, perCall: pc}
+	for _, ch := range c.cmds {
+		ch <- rankCmd{iters: iters, base: base}
 	}
 	for range c.ranks {
 		<-c.done
@@ -501,7 +445,7 @@ func (c *Cluster[T]) run(iters int, perCall []*fault.Injector[T]) error {
 
 // rankLoop is a materialised rank's persistent goroutine: it executes Run
 // batches from its command channel until Close closes it.
-func (c *Cluster[T]) rankLoop(r *rank[T], cfg *fault.Injector[T], cmds <-chan rankCmd[T]) {
+func (c *Cluster[T]) rankLoop(r *rank[T], cfg *fault.Injector[T], cmds <-chan rankCmd) {
 	for cmd := range cmds {
 		c.runBatch(r, cfg, cmd)
 	}
@@ -515,7 +459,7 @@ func (c *Cluster[T]) rankLoop(r *rank[T], cfg *fault.Injector[T], cmds <-chan ra
 // iteration is also what fences the in-process transport's zero-copy y
 // payloads: a receiver has copied them before its barrier, so the sender
 // may overwrite the underlying rows on its next sweep.
-func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd[T]) {
+func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd) {
 	defer func() {
 		p := recover()
 		if p != nil {
@@ -530,7 +474,8 @@ func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd[T]
 			} else {
 				err = fmt.Errorf("dist: rank %d panic: %v", r.id, p)
 			}
-			c.abortTransport(err)
+			// Wake the sibling ranks blocked in the transport.
+			c.tr.Abort(err)
 		}
 		c.done <- struct{}{}
 		if p != nil {
@@ -540,8 +485,7 @@ func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd[T]
 	for t := 0; t < cmd.iters; t++ {
 		abs := cmd.base + t
 		r.tel.SetIter(abs)
-		hook := chainHooks(stencil.HookAt[T](injSource(cfg), abs), stencil.HookAt[T](injSource(cmd.perCall), t))
-		r.advance(abs, hook)
+		r.advance(abs, stencil.HookAt[T](injSource(cfg), abs))
 		if c.afterStep != nil {
 			c.afterStep(r.id, abs)
 		}
@@ -553,18 +497,9 @@ func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd[T]
 	}
 }
 
-// abortTransport wakes every rank blocked in the transport with cause, when
-// the backend supports it. Both built-in backends do; a custom backend
-// without Abort leaves sibling ranks to fail on their own timeouts.
-func (c *Cluster[T]) abortTransport(cause error) {
-	if a, ok := c.tr.(Aborter); ok {
-		a.Abort(cause)
-	}
-}
-
 // Transport exposes the cluster's communication backend — how the
-// resilience layer reaches the checkpoint-carrier and abort capabilities of
-// the transport it configured.
+// resilience layer reaches the checkpoint and abort calls of the transport
+// it configured.
 func (c *Cluster[T]) Transport() Transport[T] { return c.tr }
 
 // SetIter rebases the cluster's absolute iteration counter — the rollback
@@ -605,18 +540,6 @@ func injSource[T num.Float](inj *fault.Injector[T]) stencil.InjectSource[T] {
 		return nil
 	}
 	return inj
-}
-
-// chainHooks composes two injection hooks, applying a then b; either (or
-// both) may be nil.
-func chainHooks[T num.Float](a, b stencil.InjectFunc[T]) stencil.InjectFunc[T] {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(x, y, z int, v T) T { return b(x, y, z, a(x, y, z, v)) }
 }
 
 // routePlan splits a global fault plan into per-rank plans with the

@@ -33,6 +33,20 @@ func reference(t *testing.T, op *stencil.Op2D[float64], init *grid.Grid[float64]
 	return ref.Grid()
 }
 
+// injectedCluster builds a row-band cluster with the injections configured
+// up front (absolute iterations) and closes it with the test.
+func injectedCluster(t *testing.T, op *stencil.Op2D[float64], init *grid.Grid[float64], ranks int, injs ...fault.Injection) *Cluster[float64] {
+	t.Helper()
+	opt := strictOpts()
+	opt.Inject = fault.NewPlan(injs...)
+	c, err := NewCluster(op, init, ranks, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // TestClusterMatchesReference: an error-free cluster run must reproduce the
 // single-process sweep bit for bit, for every boundary condition and for
 // rank counts that divide the domain evenly and unevenly. The halo rows
@@ -52,7 +66,7 @@ func TestClusterMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				c.Run(iters)
-				if ts := c.TotalStats(); ts.Detections != 0 {
+				if ts := c.Stats(); ts.Detections != 0 {
 					t.Fatalf("false positive: %+v", ts)
 				}
 				if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
@@ -78,7 +92,7 @@ func TestClusterAsymmetricStencil(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(iters)
-	if ts := c.TotalStats(); ts.Detections != 0 {
+	if ts := c.Stats(); ts.Detections != 0 {
 		t.Fatalf("false positive: %+v", ts)
 	}
 	if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
@@ -101,7 +115,7 @@ func TestClusterConstantField(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(iters)
-	if ts := c.TotalStats(); ts.Detections != 0 {
+	if ts := c.Stats(); ts.Detections != 0 {
 		t.Fatalf("false positive: %+v", ts)
 	}
 	if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
@@ -119,11 +133,8 @@ func TestClusterInjectionRouting(t *testing.T) {
 	want := reference(t, op, init, iters)
 
 	// Row 12 lies in rank 1's band (rows 8..15).
-	c, err := NewCluster(op, init, ranks, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunPlan(iters, fault.NewPlan(fault.Injection{Iteration: 4, X: 8, Y: 12, Bit: 60}))
+	c := injectedCluster(t, op, init, ranks, fault.Injection{Iteration: 4, X: 8, Y: 12, Bit: 60})
+	c.Run(iters)
 
 	for i, s := range c.RankStats() {
 		if i == 1 {
@@ -149,12 +160,9 @@ func TestClusterBandBoundaryInjection(t *testing.T) {
 	init := testInit(nx, ny)
 	want := reference(t, op, init, iters)
 
-	c, err := NewCluster(op, init, ranks, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Row 8 is rank 1's first row, exchanged into rank 0's halo.
-	c.RunPlan(iters, fault.NewPlan(fault.Injection{Iteration: 5, X: 3, Y: 8, Bit: 58}))
+	c := injectedCluster(t, op, init, ranks, fault.Injection{Iteration: 5, X: 3, Y: 8, Bit: 58})
+	c.Run(iters)
 
 	st := c.RankStats()
 	if st[1].Detections != 1 || st[1].CorrectedPoints != 1 {
@@ -177,12 +185,9 @@ func TestClusterPeriodicInjection(t *testing.T) {
 	init := testInit(nx, ny)
 	want := reference(t, op, init, iters)
 
-	c, err := NewCluster(op, init, ranks, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Row 0 is rank 0's first row, wrapped into rank 3's halo.
-	c.RunPlan(iters, fault.NewPlan(fault.Injection{Iteration: 3, X: 5, Y: 0, Bit: 59}))
+	c := injectedCluster(t, op, init, ranks, fault.Injection{Iteration: 3, X: 5, Y: 0, Bit: 59})
+	c.Run(iters)
 
 	st := c.RankStats()
 	if st[0].Detections != 1 || st[0].CorrectedPoints != 1 {
@@ -205,14 +210,11 @@ func TestClusterMultiRankInjections(t *testing.T) {
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
 	init := testInit(nx, ny)
 
-	c, err := NewCluster(op, init, ranks, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunPlan(iters, fault.NewPlan(
+	c := injectedCluster(t, op, init, ranks,
 		fault.Injection{Iteration: 2, X: 4, Y: 2, Bit: 60},   // rank 0
 		fault.Injection{Iteration: 2, X: 15, Y: 27, Bit: 59}, // rank 3
-	))
+	)
+	c.Run(iters)
 	st := c.RankStats()
 	for _, i := range []int{0, 3} {
 		if st[i].Detections != 1 || st[i].CorrectedPoints != 1 {
@@ -224,7 +226,7 @@ func TestClusterMultiRankInjections(t *testing.T) {
 			t.Fatalf("bystander rank %d: %+v", i, st[i])
 		}
 	}
-	ts := c.TotalStats()
+	ts := c.Stats()
 	if ts.Detections != 2 || ts.CorrectedPoints != 2 {
 		t.Fatalf("total: %+v", ts)
 	}
@@ -245,7 +247,11 @@ func TestClusterUnevenBands(t *testing.T) {
 	}
 	prevEnd := 0
 	for i := 0; i < c.Ranks(); i++ {
-		y0, y1 := c.Band(i)
+		tile := c.Tile(i)
+		if tile.X0 != 0 || tile.X1 != nx {
+			t.Fatalf("band %d spans columns [%d,%d), want the full width", i, tile.X0, tile.X1)
+		}
+		y0, y1 := tile.Y0, tile.Y1
 		if y0 != prevEnd {
 			t.Fatalf("band %d starts at %d, want %d", i, y0, prevEnd)
 		}
@@ -307,7 +313,7 @@ func TestClusterPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(iters)
-	if ts := c.TotalStats(); ts.Detections != 0 {
+	if ts := c.Stats(); ts.Detections != 0 {
 		t.Fatalf("false positive: %+v", ts)
 	}
 	if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
@@ -327,39 +333,38 @@ func TestClusterPoolInjection(t *testing.T) {
 
 	opt := strictOpts()
 	opt.Pool = &stencil.Pool{Workers: 8}
+	opt.Inject = fault.NewPlan(
+		fault.Injection{Iteration: 3, X: 5, Y: 2, Bit: 60},
+		fault.Injection{Iteration: 3, X: 60, Y: 29, Bit: 59},
+	)
 	c, err := NewCluster(op, init, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RunPlan(iters, fault.NewPlan(
-		fault.Injection{Iteration: 3, X: 5, Y: 2, Bit: 60},
-		fault.Injection{Iteration: 3, X: 60, Y: 29, Bit: 59},
-	))
-	ts := c.TotalStats()
+	defer c.Close()
+	c.Run(iters)
+	ts := c.Stats()
 	if ts.CorrectedPoints != 2 {
 		t.Fatalf("expected both flips repaired: %+v", ts)
 	}
 }
 
 // TestClusterRunResume: Run may be called repeatedly; iterations and stats
-// accumulate, and injection iterations are indexed within each call.
+// accumulate, and injection iterations stay absolute across the calls.
 func TestClusterRunResume(t *testing.T) {
 	const nx, ny, ranks = 16, 24, 3
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
 	init := testInit(nx, ny)
 	want := reference(t, op, init, 10)
 
-	c, err := NewCluster(op, init, ranks, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Absolute iteration 6 is iteration 2 of the second call.
+	c := injectedCluster(t, op, init, ranks, fault.Injection{Iteration: 6, X: 8, Y: 4, Bit: 60})
 	c.Run(4)
-	// Iteration 2 of the second call is absolute iteration 6.
-	c.RunPlan(6, fault.NewPlan(fault.Injection{Iteration: 2, X: 8, Y: 4, Bit: 60}))
+	c.Run(6)
 	if c.Iter() != 10 {
 		t.Fatalf("iteration count %d, want 10", c.Iter())
 	}
-	ts := c.TotalStats()
+	ts := c.Stats()
 	if ts.Detections != 1 || ts.CorrectedPoints != 1 {
 		t.Fatalf("total stats: %+v", ts)
 	}
@@ -377,7 +382,7 @@ func TestClusterRunResume(t *testing.T) {
 		t.Fatalf("residual after correction too large: %g", diff)
 	}
 
-	// Run(0) and a nil plan are no-ops.
+	// Run(0) is a no-op.
 	c.Run(0)
 	if c.Iter() != 10 {
 		t.Fatal("Run(0) advanced the cluster")
@@ -389,15 +394,12 @@ func TestClusterRunResume(t *testing.T) {
 func TestClusterHaloCounters(t *testing.T) {
 	const nx, ny, iters, ranks = 16, 20, 7, 2
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
-	c, err := NewCluster(op, testInit(nx, ny), ranks, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Neither injection can land: one outside the domain, one in 3-D.
-	c.RunPlan(iters, fault.NewPlan(
+	c := injectedCluster(t, op, testInit(nx, ny), ranks,
 		fault.Injection{Iteration: 1, X: nx + 5, Y: 3, Bit: 60},
 		fault.Injection{Iteration: 1, X: 3, Y: 3, Z: 1, Bit: 60},
-	))
+	)
+	c.Run(iters)
 	for i, s := range c.RankStats() {
 		if s.HaloExchanges != iters {
 			t.Fatalf("rank %d halo exchanges %d, want %d", i, s.HaloExchanges, iters)
@@ -411,52 +413,50 @@ func TestClusterHaloCounters(t *testing.T) {
 	}
 }
 
-// TestStatsAdd checks the aggregation arithmetic in isolation.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Iterations: 1, Verifications: 2, Detections: 3, CorrectedPoints: 4, ChecksumRepairs: 5, HaloExchanges: 6}
-	b := Stats{Iterations: 10, Verifications: 20, Detections: 30, CorrectedPoints: 40, ChecksumRepairs: 50, HaloExchanges: 60}
-	got := a.Add(b)
-	want := Stats{Iterations: 11, Verifications: 22, Detections: 33, CorrectedPoints: 44, ChecksumRepairs: 55, HaloExchanges: 66}
-	if got != want {
-		t.Fatalf("Add: %+v", got)
-	}
-	if s := got.String(); s == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 // countingTransport wraps another Transport and counts traffic — a stand-in
-// for a real MPI/socket backend that proves the cluster runs all its
-// communication through the seam.
+// for a tracing wrapper that proves the cluster runs all its communication
+// through the seam. It embeds the wrapped Transport and overrides only what
+// it counts; every form of receive counts as one.
 type countingTransport struct {
-	inner    Transport[float64]
+	Transport[float64]
 	mu       sync.Mutex
 	sends    int
 	recvs    int
 	barriers int
 }
 
-func (t *countingTransport) Send(from int, d Dir, data []float64) {
+func (t *countingTransport) count(n *int) {
 	t.mu.Lock()
-	t.sends++
+	*n++
 	t.mu.Unlock()
-	t.inner.Send(from, d, data)
+}
+
+func (t *countingTransport) Send(from int, d Dir, data []float64) {
+	t.count(&t.sends)
+	t.Transport.Send(from, d, data)
 }
 
 func (t *countingTransport) Recv(to int, d Dir) []float64 {
-	t.mu.Lock()
-	t.recvs++
-	t.mu.Unlock()
-	return t.inner.Recv(to, d)
+	t.count(&t.recvs)
+	return t.Transport.Recv(to, d)
 }
 
-func (t *countingTransport) Neighbor(id int, d Dir) bool { return t.inner.Neighbor(id, d) }
+func (t *countingTransport) TryRecv(to int, d Dir) ([]float64, bool) {
+	data, ok := t.Transport.TryRecv(to, d)
+	if ok {
+		t.count(&t.recvs)
+	}
+	return data, ok
+}
+
+func (t *countingTransport) RecvEither(to int, d1, d2 Dir) (Dir, []float64) {
+	t.count(&t.recvs)
+	return t.Transport.RecvEither(to, d1, d2)
+}
 
 func (t *countingTransport) Barrier() {
-	t.mu.Lock()
-	t.barriers++
-	t.mu.Unlock()
-	t.inner.Barrier()
+	t.count(&t.barriers)
+	t.Transport.Barrier()
 }
 
 // TestClusterCustomTransport swaps the default channel transport for a
@@ -474,7 +474,7 @@ func TestClusterCustomTransport(t *testing.T) {
 		if rx != 1 || ry != ranks || ring {
 			t.Errorf("NewTransport called with grid %dx%d ring=%v", rx, ry, ring)
 		}
-		ct = &countingTransport{inner: NewChanTransport[float64](rx, ry, ring)}
+		ct = &countingTransport{Transport: NewChanTransport[float64](rx, ry, ring)}
 		return ct
 	}
 	c, err := NewCluster(op, init, ranks, opt)
@@ -524,30 +524,5 @@ func TestClusterOptionsInject(t *testing.T) {
 	}
 	if diff := c.Gather().MaxAbsDiff(want); diff > 1e-6 {
 		t.Fatalf("residual after correction too large: %g", diff)
-	}
-}
-
-// TestClusterRunPlanComposesWithOptionsInject: a plan configured up front
-// stays live (absolute iterations) while RunPlan's per-call plan applies at
-// its in-call offsets; both flips must land and be repaired.
-func TestClusterRunPlanComposesWithOptionsInject(t *testing.T) {
-	const nx, ny, ranks = 16, 24, 3
-	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
-	init := testInit(nx, ny)
-
-	opt := strictOpts()
-	// Absolute iteration 6 — inside the RunPlan call below (its 2nd sweep).
-	opt.Inject = fault.NewPlan(fault.Injection{Iteration: 6, X: 3, Y: 2, Bit: 60})
-	c, err := NewCluster(op, init, ranks, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(4)
-	// Per-call iteration 2 = absolute iteration 6 as well, but in a
-	// different rank's band, so both injections fire on the same sweep.
-	c.RunPlan(6, fault.NewPlan(fault.Injection{Iteration: 2, X: 8, Y: 20, Bit: 59}))
-	ts := c.Stats()
-	if ts.Detections != 2 || ts.CorrectedPoints != 2 {
-		t.Fatalf("configured + per-call plans did not both land: %+v", ts)
 	}
 }

@@ -56,9 +56,7 @@ func RunChaos(t *testing.T, f Factory, wf WireFactory) {
 // fault — never a hang, never a garbage payload.
 func seamDropFaults(t *testing.T, f Factory) {
 	inner := f(1, 2, false)
-	if !setRecvTimeout(inner, 400*time.Millisecond) {
-		t.Skip("backend has no settable receive timeout; a seam drop cannot surface in test time")
-	}
+	inner.SetRecvTimeout(400 * time.Millisecond)
 	in := chaos.NewInjector([]chaos.Fault{{Type: chaos.Drop, Edge: &chaos.Edge{From: 0, To: 1}}}, 1)
 	tr := chaos.Wrap(inner, in, 1, 2, false)
 
@@ -108,28 +106,16 @@ func seamAbsorbed(t *testing.T, f Factory, fault chaos.Fault, typ string, wantFi
 func wireFaultHeals(t *testing.T, wf WireFactory, fault chaos.Fault) {
 	in := chaos.NewInjector([]chaos.Fault{fault}, 42)
 	tr := wf(1, 2, false, in.WrapConn())
-	setRecvTimeout(tr, 10*time.Second)
+	tr.SetRecvTimeout(10 * time.Second)
 	if err := exchangeExact(tr, 12); err != nil {
 		t.Fatalf("under a wire %s fault: %v", fault.Type, err)
 	}
 	if in.Total() == 0 {
 		t.Fatalf("scripted %s fault never fired", fault.Type)
 	}
-	if m, ok := tr.(dist.MetricsSource); ok {
-		if p := m.Metrics().Poisoned; p != 0 {
-			t.Fatalf("wire %s fault poisoned %d edges; healing should have absorbed it", fault.Type, p)
-		}
+	if p := tr.Metrics().Poisoned; p != 0 {
+		t.Fatalf("wire %s fault poisoned %d edges; healing should have absorbed it", fault.Type, p)
 	}
-}
-
-// setRecvTimeout bounds the transport's blocking receives when the
-// backend supports it (both built-in backends do).
-func setRecvTimeout(tr dist.Transport[float64], d time.Duration) bool {
-	s, ok := tr.(interface{ SetRecvTimeout(time.Duration) })
-	if ok {
-		s.SetRecvTimeout(d)
-	}
-	return ok
 }
 
 // exchangeExact drives a 1x2 halo exchange from both ranks concurrently

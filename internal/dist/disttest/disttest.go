@@ -1,10 +1,13 @@
-// Package disttest is the conformance harness for dist.Transport backends.
-// The in-process channel transport, a future MPI or socket backend, or any
-// wrapper (tracing, delaying, counting) can run the same suite: neighbour
-// geometry over 1-D chains and 2-D rank grids, message routing and payload
-// integrity in all four directions, torus wrap-around and self-exchange
-// degeneracies, the two-phase send-before-receive ordering the halo
-// exchange relies on, and barrier generation ordering.
+// Package disttest is the conformance suite of the dist.Transport contract:
+// every method of the interface has a sub-test here, and a backend or
+// wrapper is a Transport when it passes. The in-process channel transport,
+// the socket backend and the chaos wrapper all run it: neighbour geometry
+// over 1-D chains and 2-D rank grids, message routing and payload integrity
+// in all four directions, torus wrap-around and self-exchange degeneracies,
+// the two-phase send-before-receive ordering the halo exchange relies on,
+// non-blocking and first-of-two receives, the checkpoint side channel,
+// barrier generation ordering, abort, receive timeouts, traffic counters
+// and close.
 //
 // Usage, from the backend's own test file:
 //
@@ -14,8 +17,10 @@
 package disttest
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"stencilabft/internal/dist"
 )
@@ -34,7 +39,13 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SelfExchange", func(t *testing.T) { selfExchange(t, f) })
 	t.Run("ExchangeOrdering", func(t *testing.T) { exchangeOrdering(t, f) })
 	t.Run("EitherCompletion", func(t *testing.T) { eitherCompletion(t, f) })
+	t.Run("TryRecv", func(t *testing.T) { tryRecv(t, f) })
+	t.Run("Checkpoint", func(t *testing.T) { checkpoint(t, f) })
 	t.Run("BarrierOrdering", func(t *testing.T) { barrierOrdering(t, f) })
+	t.Run("Abort", func(t *testing.T) { abort(t, f) })
+	t.Run("RecvTimeout", func(t *testing.T) { recvTimeout(t, f) })
+	t.Run("Metrics", func(t *testing.T) { metrics(t, f) })
+	t.Run("Close", func(t *testing.T) { closeTwice(t, f) })
 }
 
 // neighbors1D checks the band-chain wiring: edge ranks have no outer
@@ -207,23 +218,17 @@ func exchangeOrdering(t *testing.T, f Factory) {
 	wg.Wait()
 }
 
-// eitherCompletion checks the per-edge completion contract of
-// dist.EitherReceiver — the overlap schedule's boundary-strip feed: when
-// only one of two directed edges has a pending payload, RecvEither must
-// complete on that edge (not block waiting for the other), and when both
-// are pending, two calls must drain both edges exactly once with each
-// payload arriving under its own direction. Transports (or wrappers) that
-// do not implement the optional interface are skipped: the cluster falls
-// back to deterministic ordered receives for them.
+// eitherCompletion checks the per-edge completion contract of RecvEither —
+// the overlap schedule's boundary-strip feed: when only one of two
+// directed edges has a pending payload, RecvEither must complete on that
+// edge (not block waiting for the other), and when both are pending, two
+// calls must drain both edges exactly once with each payload arriving
+// under its own direction.
 func eitherCompletion(t *testing.T, f Factory) {
 	tr := f(3, 1, false)
-	er, ok := tr.(dist.EitherReceiver[float64])
-	if !ok {
-		t.Skip("transport does not implement dist.EitherReceiver")
-	}
 	// Only the left neighbour has posted: the call must complete on Left.
 	tr.Send(0, dist.Right, []float64{1})
-	if d, got := er.RecvEither(1, dist.Left, dist.Right); d != dist.Left || len(got) != 1 || got[0] != 1 {
+	if d, got := tr.RecvEither(1, dist.Left, dist.Right); d != dist.Left || len(got) != 1 || got[0] != 1 {
 		t.Fatalf("RecvEither = (%v, %v), want the pending Left edge with payload [1]", d, got)
 	}
 	// The other edge still drains through a plain Recv afterwards.
@@ -238,7 +243,7 @@ func eitherCompletion(t *testing.T, f Factory) {
 	tr.Send(2, dist.Left, []float64{20})
 	want := map[dist.Dir]float64{dist.Left: 10, dist.Right: 20}
 	for i := 0; i < 2; i++ {
-		d, got := er.RecvEither(1, dist.Left, dist.Right)
+		d, got := tr.RecvEither(1, dist.Left, dist.Right)
 		w, pending := want[d]
 		if !pending || len(got) != 1 || got[0] != w {
 			t.Fatalf("drain call %d: RecvEither = (%v, %v), want one undrained edge of %v", i, d, got, want)
@@ -248,14 +253,203 @@ func eitherCompletion(t *testing.T, f Factory) {
 
 	// The y axis, on a fresh 1x3 chain.
 	trY := f(1, 3, false)
-	erY := trY.(dist.EitherReceiver[float64])
 	trY.Send(2, dist.Up, []float64{3})
-	if d, got := erY.RecvEither(1, dist.Up, dist.Down); d != dist.Down || len(got) != 1 || got[0] != 3 {
+	if d, got := trY.RecvEither(1, dist.Up, dist.Down); d != dist.Down || len(got) != 1 || got[0] != 3 {
 		t.Fatalf("RecvEither = (%v, %v), want the pending Down edge", d, got)
 	}
 	trY.Send(0, dist.Down, []float64{4})
-	if d, got := erY.RecvEither(1, dist.Up, dist.Down); d != dist.Up || len(got) != 1 || got[0] != 4 {
+	if d, got := trY.RecvEither(1, dist.Up, dist.Down); d != dist.Up || len(got) != 1 || got[0] != 4 {
 		t.Fatalf("RecvEither = (%v, %v), want the remaining Up edge", d, got)
+	}
+}
+
+// deliveryDeadline bounds how long a test polls for a strip that a backend
+// delivers asynchronously (a socket write and a reader goroutine away).
+const deliveryDeadline = 5 * time.Second
+
+// pollTryRecv polls TryRecv until the strip sent toward rank to from
+// direction d has been delivered.
+func pollTryRecv(t *testing.T, tr dist.Transport[float64], to int, d dist.Dir) []float64 {
+	t.Helper()
+	for deadline := time.Now().Add(deliveryDeadline); ; time.Sleep(time.Millisecond) {
+		if got, ok := tr.TryRecv(to, d); ok {
+			return got
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("TryRecv(%d, %v) saw no strip within %v of its Send", to, d, deliveryDeadline)
+		}
+	}
+}
+
+// tryRecv checks the non-blocking receive: an empty edge reports false
+// without blocking, a delivered strip is consumed exactly once, and TryRecv
+// and Recv drain the same FIFO.
+func tryRecv(t *testing.T, f Factory) {
+	tr := f(2, 1, false)
+	if got, ok := tr.TryRecv(1, dist.Left); ok {
+		t.Fatalf("TryRecv on an empty edge returned %v", got)
+	}
+	tr.Send(0, dist.Right, []float64{1})
+	if got := pollTryRecv(t, tr, 1, dist.Left); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("TryRecv returned %v, want [1]", got)
+	}
+	if got, ok := tr.TryRecv(1, dist.Left); ok {
+		t.Fatalf("TryRecv delivered the consumed strip again: %v", got)
+	}
+	// The next strips come out of the same queue through either call.
+	tr.Send(0, dist.Right, []float64{2})
+	got2 := tr.Recv(1, dist.Left)
+	tr.Send(0, dist.Right, []float64{3})
+	got3 := pollTryRecv(t, tr, 1, dist.Left)
+	if len(got2) != 1 || got2[0] != 2 || len(got3) != 1 || got3[0] != 3 {
+		t.Fatalf("Recv then TryRecv returned %v then %v, want [2] then [3]", got2, got3)
+	}
+}
+
+// checkpoint checks the buddy-snapshot side channel: payload and generation
+// stamp round-trip, and the snapshot neither waits behind nor consumes the
+// halo strip queued on the same edge before it.
+func checkpoint(t *testing.T, f Factory) {
+	tr := f(2, 1, false)
+	tr.Send(0, dist.Right, []float64{1})
+	tr.SendCkpt(0, dist.Right, 7, []float64{1.5, -2.25, 3.125})
+	data, gen, err := tr.RecvCkpt(1, dist.Left)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen != 7 || len(data) != 3 || data[0] != 1.5 || data[1] != -2.25 || data[2] != 3.125 {
+		t.Fatalf("snapshot arrived as gen=%d data=%v, want gen 7 [1.5 -2.25 3.125]", gen, data)
+	}
+	if got := tr.Recv(1, dist.Left); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("halo strip after a checkpoint on the same edge: %v, want [1]", got)
+	}
+}
+
+// recovered runs fn and returns what it panicked with as an error (a
+// non-error panic value is re-raised; nil when fn returned).
+func recovered(fn func()) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			e, ok := p.(error)
+			if !ok {
+				panic(p)
+			}
+			err = e
+		}
+	}()
+	fn()
+	return nil
+}
+
+// abort parks one rank in each blocking call of a 3x1 chain — Recv,
+// RecvEither, RecvCkpt and Barrier, none of which can complete — and
+// requires Abort to wake all four with the cause: the halo receives and the
+// barrier by panicking with it, the checkpoint receive by returning it.
+// Later calls fail the same way, and a second Abort does not replace the
+// cause.
+func abort(t *testing.T, f Factory) {
+	tr := f(3, 1, false)
+	cause := errors.New("simulated rank death")
+	calls := []struct {
+		name string
+		fn   func() error
+	}{
+		{"Recv", func() error { return recovered(func() { tr.Recv(0, dist.Right) }) }},
+		{"RecvEither", func() error { return recovered(func() { tr.RecvEither(1, dist.Left, dist.Right) }) }},
+		{"RecvCkpt", func() error { _, _, err := tr.RecvCkpt(2, dist.Left); return err }},
+		{"Barrier", func() error { return recovered(tr.Barrier) }},
+	}
+	woke := make([]chan error, len(calls))
+	for i, c := range calls {
+		woke[i] = make(chan error, 1)
+		go func() { woke[i] <- c.fn() }()
+	}
+	// Give the calls time to block; Abort is sticky, so one that has not
+	// blocked yet fails with the cause just the same.
+	time.Sleep(20 * time.Millisecond)
+	tr.Abort(cause)
+	tr.Abort(errors.New("a later cause"))
+	for i, c := range calls {
+		select {
+		case err := <-woke[i]:
+			if !errors.Is(err, cause) {
+				t.Errorf("%s woke with %v, want the abort cause", c.name, err)
+			}
+		case <-time.After(deliveryDeadline):
+			t.Fatalf("%s still blocked %v after Abort", c.name, deliveryDeadline)
+		}
+	}
+	var fault *dist.Fault
+	if err := recovered(func() { tr.Recv(1, dist.Left) }); !errors.Is(err, cause) || !errors.As(err, &fault) || fault.Rank != 1 || fault.Dir != dist.Left {
+		t.Errorf("Recv after Abort panicked with %v, want a *dist.Fault for rank 1's Left edge carrying the first cause", err)
+	}
+}
+
+// recvTimeout starves each blocking receive under a short receive timeout:
+// the halo receives must panic with a *dist.Fault of class ClassTimeout
+// naming the starved rank, the checkpoint receive must return an error —
+// never a hang.
+func recvTimeout(t *testing.T, f Factory) {
+	tr := f(3, 1, false)
+	tr.SetRecvTimeout(50 * time.Millisecond)
+	for name, fn := range map[string]func(){
+		"Recv":       func() { tr.Recv(1, dist.Left) },
+		"RecvEither": func() { tr.RecvEither(1, dist.Left, dist.Right) },
+	} {
+		var fault *dist.Fault
+		if err := recovered(fn); !errors.As(err, &fault) {
+			t.Fatalf("starved %s ended with %v, want a *dist.Fault", name, err)
+		}
+		if fault.Class != dist.ClassTimeout || fault.Rank != 1 {
+			t.Fatalf("starved %s classified as %v for rank %d, want %v for rank 1: %v", name, fault.Class, fault.Rank, dist.ClassTimeout, fault)
+		}
+	}
+	if _, _, err := tr.RecvCkpt(1, dist.Left); err == nil {
+		t.Fatal("starved RecvCkpt returned no error")
+	}
+}
+
+// metrics checks the per-edge counters after a known exchange: three
+// 8-byte elements one way and two the other on a 2x1 chain count as one
+// frame each, on the sender's edge as sent and on the receiver's as
+// received.
+func metrics(t *testing.T, f Factory) {
+	tr := f(2, 1, false)
+	tr.Send(0, dist.Right, []float64{1, 2, 3})
+	tr.Recv(1, dist.Left)
+	tr.Send(1, dist.Left, []float64{4, 5})
+	tr.Recv(0, dist.Right)
+
+	m := tr.Metrics()
+	if len(m.Edges) != 2 {
+		t.Fatalf("a 2x1 chain reported %d directed edges, want 2: %+v", len(m.Edges), m.Edges)
+	}
+	for _, e := range m.Edges {
+		var sent, recv int64
+		switch {
+		case e.From == 0 && e.To == 1 && e.Dir == dist.Right.String():
+			sent, recv = 24, 16
+		case e.From == 1 && e.To == 0 && e.Dir == dist.Left.String():
+			sent, recv = 16, 24
+		default:
+			t.Fatalf("unexpected edge %+v", e)
+		}
+		if e.FramesSent != 1 || e.BytesSent != sent || e.FramesRecv != 1 || e.BytesRecv != recv {
+			t.Errorf("edge %d --%s--> %d counted %d frames / %d B sent, %d frames / %d B received; want 1 / %d and 1 / %d",
+				e.From, e.Dir, e.To, e.FramesSent, e.BytesSent, e.FramesRecv, e.BytesRecv, sent, recv)
+		}
+	}
+}
+
+// closeTwice checks Close is idempotent, also after traffic.
+func closeTwice(t *testing.T, f Factory) {
+	tr := f(2, 1, false)
+	tr.Send(0, dist.Right, []float64{1})
+	tr.Recv(1, dist.Left)
+	for i := 0; i < 2; i++ {
+		if err := tr.Close(); err != nil {
+			t.Fatalf("Close call %d: %v", i+1, err)
+		}
 	}
 }
 

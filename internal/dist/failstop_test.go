@@ -28,17 +28,17 @@ func TestEdgeBoxPoisonConcurrentDeath(t *testing.T) {
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			_, err := box.recvHalo(5 * time.Second)
+			_, _, err := boxWait(5*time.Second, "the halo strip", box, box.halo, nil, nil)
 			errs <- err
 		}()
 		go func() {
 			defer wg.Done()
-			_, err := box.recvToken(5 * time.Second)
+			_, _, err := boxWait(5*time.Second, "the barrier token", box, box.tok, nil, nil)
 			errs <- err
 		}()
 		go func() {
 			defer wg.Done()
-			_, err := box.recvCkpt(5 * time.Second)
+			_, _, err := boxWait(5*time.Second, "the buddy checkpoint", box, box.ck, nil, nil)
 			errs <- err
 		}()
 	}
@@ -93,7 +93,7 @@ func TestRunRecoverUnwindsOnAbort(t *testing.T) {
 	cause := errors.New("simulated rank death")
 	opt.AfterStep = func(rank, iter int) {
 		if rank == 3 && iter == 5 {
-			c.Transport().(Aborter).Abort(cause)
+			c.Transport().Abort(cause)
 		}
 	}
 	var err error
@@ -158,11 +158,11 @@ func TestClusterStateRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChanTransportCkptCarrier pins the in-process checkpoint channel: a
+// TestChanTransportCkpt pins the in-process checkpoint channel: a
 // snapshot sent toward a neighbour arrives intact with its iteration stamp,
 // independent of the halo FIFO, and an aborted transport surfaces the cause
 // as an error (never a panic) from RecvCkpt.
-func TestChanTransportCkptCarrier(t *testing.T) {
+func TestChanTransportCkpt(t *testing.T) {
 	tr := NewChanTransport[float64](2, 1, false)
 	snap := []float64{1.5, -2.25, 3.125}
 	tr.SendCkpt(0, Right, 7, snap)

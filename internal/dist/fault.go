@@ -1,10 +1,6 @@
 package dist
 
-import (
-	"fmt"
-
-	"stencilabft/internal/num"
-)
+import "fmt"
 
 // FaultClass places a transport failure on the recovery ladder: how hard
 // the fault is determines how expensive the response must be. Transient
@@ -94,28 +90,3 @@ func (f *Fault) Error() string {
 
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (f *Fault) Unwrap() error { return f.Err }
-
-// Aborter is implemented by transports that can wake every blocked
-// receiver with a cause — how one rank's fault unblocks its siblings so a
-// tolerant run can unwind instead of hanging. Both built-in backends
-// implement it.
-type Aborter interface {
-	// Abort poisons every pending and future Recv/Barrier with cause.
-	// Idempotent; the first cause wins.
-	Abort(cause error)
-}
-
-// CkptCarrier is implemented by transports that can carry buddy-checkpoint
-// snapshots over the halo edges as a distinct frame kind, keeping them out
-// of the halo FIFO sequencing. Both built-in backends implement it.
-type CkptCarrier[T num.Float] interface {
-	// SendCkpt posts rank from's packed snapshot (stamped with the
-	// checkpoint iteration gen) toward its neighbour in direction d. Same
-	// non-blocking contract and payload lifetime as Send.
-	SendCkpt(from int, d Dir, gen int, data []T)
-	// RecvCkpt returns the next snapshot the neighbour of rank to in
-	// direction d sent, with its iteration stamp. Unlike Recv it returns
-	// transport faults instead of panicking: checkpoint exchange is the
-	// resilience layer's own traffic, and that layer wants errors.
-	RecvCkpt(to int, d Dir) (data []T, gen int, err error)
-}

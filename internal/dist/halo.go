@@ -1,114 +1,6 @@
 package dist
 
-import (
-	"stencilabft/internal/grid"
-	"stencilabft/internal/telemetry"
-)
-
-// exchangeHalos refreshes the read buffer's halo strips with iteration-t
-// data in two phases — the non-blocking Isend/Irecv schedule of a 2-D
-// Cartesian MPI stencil code, expressed through the cluster's Transport.
-//
-// Phase 1 (x): boundary columns over the tile's own rows are packed and
-// posted Left/Right, then inbound strips are copied into the halo columns.
-// Phase 2 (y): boundary rows at FULL extended width — including the halo
-// columns that phase 1 just filled — are posted Up/Down, so each message
-// threads the corner data the 9-point box kernels and the interpolation's
-// beta terms need to the diagonal neighbour without any extra diagonal
-// channel. Edges without a neighbour (the domain border under non-periodic
-// boundaries) synthesise their ghost strips from the global boundary
-// condition instead, in the same order, which makes a corner ghost resolve
-// each axis independently exactly like grid.BoundedGrid does.
-func (r *rank[T]) exchangeHalos() {
-	ext := r.buf.Read
-	if r.hx > 0 {
-		hasL, hasR := r.tr.Neighbor(r.id, Left), r.tr.Neighbor(r.id, Right)
-		if hasL {
-			t0 := r.tel.Begin()
-			r.packCols(ext, r.loX(), r.sendL) // own leftmost hx tile columns
-			t1 := r.tel.Begin()
-			r.tel.End(telemetry.PhasePack, t0)
-			r.tr.Send(r.id, Left, r.sendL)
-			r.tel.End(telemetry.PhaseSend, t1)
-			r.stats.HaloByDir[Left]++
-		}
-		if hasR {
-			t0 := r.tel.Begin()
-			r.packCols(ext, r.hiX()-r.hx, r.sendR) // own rightmost hx tile columns
-			t1 := r.tel.Begin()
-			r.tel.End(telemetry.PhasePack, t0)
-			r.tr.Send(r.id, Right, r.sendR)
-			r.tel.End(telemetry.PhaseSend, t1)
-			r.stats.HaloByDir[Right]++
-		}
-		if hasL {
-			t0 := r.tel.Begin()
-			in := r.tr.Recv(r.id, Left)
-			t1 := r.tel.Begin()
-			r.tel.End(telemetry.PhaseRecvWait, t0)
-			r.unpackCols(ext, 0, in)
-			r.tel.End(telemetry.PhaseUnpack, t1)
-		} else {
-			t0 := r.tel.Begin()
-			r.fillSideHalo(true)
-			r.tel.End(telemetry.PhaseUnpack, t0)
-		}
-		if hasR {
-			t0 := r.tel.Begin()
-			in := r.tr.Recv(r.id, Right)
-			t1 := r.tel.Begin()
-			r.tel.End(telemetry.PhaseRecvWait, t0)
-			r.unpackCols(ext, r.hiX(), in)
-			r.tel.End(telemetry.PhaseUnpack, t1)
-		} else {
-			t0 := r.tel.Begin()
-			r.fillSideHalo(false)
-			r.tel.End(telemetry.PhaseUnpack, t0)
-		}
-	}
-	if r.hy > 0 {
-		nxExt := r.nxLoc + 2*r.hx
-		data := ext.Data()
-		hasU, hasD := r.tr.Neighbor(r.id, Up), r.tr.Neighbor(r.id, Down)
-		if hasU {
-			t0 := r.tel.Begin()
-			r.tr.Send(r.id, Up, data[r.loY()*nxExt:(r.loY()+r.hy)*nxExt]) // own top hy rows, full width
-			r.tel.End(telemetry.PhaseSend, t0)
-			r.stats.HaloByDir[Up]++
-		}
-		if hasD {
-			t0 := r.tel.Begin()
-			r.tr.Send(r.id, Down, data[(r.hiY()-r.hy)*nxExt:r.hiY()*nxExt]) // own bottom hy rows, full width
-			r.tel.End(telemetry.PhaseSend, t0)
-			r.stats.HaloByDir[Down]++
-		}
-		if hasU {
-			t0 := r.tel.Begin()
-			in := r.tr.Recv(r.id, Up)
-			t1 := r.tel.Begin()
-			r.tel.End(telemetry.PhaseRecvWait, t0)
-			copy(data[0:r.hy*nxExt], in)
-			r.tel.End(telemetry.PhaseUnpack, t1)
-		} else {
-			t0 := r.tel.Begin()
-			r.fillEdgeHalo(true)
-			r.tel.End(telemetry.PhaseUnpack, t0)
-		}
-		if hasD {
-			t0 := r.tel.Begin()
-			in := r.tr.Recv(r.id, Down)
-			t1 := r.tel.Begin()
-			r.tel.End(telemetry.PhaseRecvWait, t0)
-			copy(data[r.hiY()*nxExt:(r.hiY()+r.hy)*nxExt], in)
-			r.tel.End(telemetry.PhaseUnpack, t1)
-		} else {
-			t0 := r.tel.Begin()
-			r.fillEdgeHalo(false)
-			r.tel.End(telemetry.PhaseUnpack, t0)
-		}
-	}
-	r.stats.HaloExchanges++
-}
+import "stencilabft/internal/grid"
 
 // packCols copies the hx-wide column strip starting at extended column x0,
 // over the tile's own rows, row-major into buf (len hx*nyLoc). The walk
@@ -149,19 +41,13 @@ func (r *rank[T]) unpackCols(ext *grid.Grid[T], x0 int, buf []T) {
 	}
 }
 
-// fillSideHalo synthesises the ghost columns beyond the global domain's x
-// edge over the tile's own rows by applying the global boundary condition
-// column-wise. Clamp and Mirror resolve to columns this rank owns (a tile
-// is strictly wider than the radius, so a reflected column never leaves
-// it); Constant and Zero substitute the fixed ghost value.
-func (r *rank[T]) fillSideHalo(left bool) {
-	r.fillSideHaloRows(left, r.loY(), r.hiY())
-}
-
-// fillSideHaloRows is fillSideHalo over an explicit extended-frame row
-// range [y0, y1) — the depth-k schedule synthesises ghost columns for
-// exactly the shell rows the current sub-iteration sweeps read, which can
-// extend beyond the tile's own rows.
+// fillSideHaloRows synthesises the ghost columns beyond the global domain's
+// x edge over the extended-frame row range [y0, y1) by applying the global
+// boundary condition column-wise: the tile's own rows on an exchange
+// iteration, the shell rows the current depth-k sub-iteration's sweeps read
+// in between. Clamp and Mirror resolve to columns this rank owns (a tile is
+// strictly wider than the radius, so a reflected column never leaves it);
+// Constant and Zero substitute the fixed ghost value.
 func (r *rank[T]) fillSideHaloRows(left bool, y0, y1 int) {
 	ext := r.buf.Read
 	data, stride := ext.Data(), ext.Nx()
@@ -194,9 +80,8 @@ func (r *rank[T]) fillSideHaloRows(left bool, y0, y1 int) {
 
 // fillEdgeHalo synthesises the ghost rows beyond the global domain's y edge
 // at full extended width by applying the global boundary condition
-// row-wise. Copying the whole extended source row — x halos included, just
-// filled by phase 1 — is what keeps the corner ghosts exact: the value at
-// (ghost x, ghost y) becomes the x-resolved value of the y-resolved row,
+// row-wise. Copying the whole extended source row — x halos included — is
+// what keeps the corner ghosts exact: the value at (ghost x, ghost y) becomes the x-resolved value of the y-resolved row,
 // i.e. both axes resolve independently, matching grid.BoundedGrid.
 // Refreshing these rows every iteration is what keeps the tile
 // interpolation exact at the domain edge.

@@ -8,6 +8,44 @@ import (
 	"stencilabft/internal/stencil"
 )
 
+// These tests pin what one production exchange iteration (rank.advance,
+// driven through Cluster.Run) leaves in a rank's halo strips. advance swaps
+// the buffers after its sweep, so the frame the exchange filled — the
+// iteration's source grid, tile data untouched — is buf.Write afterwards.
+
+// exchangeOnce builds a cluster over init, runs one iteration and closes it
+// with the test.
+func exchangeOnce(t *testing.T, op *stencil.Op2D[float64], init *grid.Grid[float64], ranksX, ranksY int) *Cluster[float64] {
+	t.Helper()
+	c, err := NewClusterGrid(op, init, ranksX, ranksY, strictOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	c.Run(1)
+	return c
+}
+
+// checkExtendedFrame requires every extended-frame cell of every rank —
+// halo columns, halo rows and the corner blocks threaded through the
+// full-width row messages — to hold the value the global domain has at that
+// coordinate, the domain border resolved by the boundary condition.
+func checkExtendedFrame(t *testing.T, c *Cluster[float64], init *grid.Grid[float64], bc grid.Boundary) {
+	t.Helper()
+	bg := grid.BoundedGrid[float64]{G: init, Cond: bc}
+	for i, r := range c.ranks {
+		for ey := 0; ey < r.nyLoc+2*r.hy; ey++ {
+			for ex := 0; ex < r.nxLoc+2*r.hx; ex++ {
+				gx, gy := r.tile.X0-r.hx+ex, r.tile.Y0-r.hy+ey
+				if got, want := r.buf.Write.At(ex, ey), bg.At(gx, gy); got != want {
+					t.Fatalf("rank %d (tile %v) extended cell (%d,%d) = global (%d,%d): got %g, want %g",
+						i, r.tile, ex, ey, gx, gy, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestFillEdgeHalo checks the ghost-row synthesis of the edge ranks for
 // each non-periodic boundary condition.
 func TestFillEdgeHalo(t *testing.T) {
@@ -27,18 +65,13 @@ func TestFillEdgeHalo(t *testing.T) {
 		op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: tc.bc, BCValue: 7}
 		init := grid.New[float64](nx, ny)
 		init.FillFunc(func(x, y int) float64 { return float64(10*y + x) })
-		c, err := NewCluster(op, init, 3, strictOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := exchangeOnce(t, op, init, 1, 3)
 		top, bot := c.ranks[0], c.ranks[2]
-		top.fillEdgeHalo(true)
-		bot.fillEdgeHalo(false)
 		for x := 0; x < nx; x++ {
-			if got := top.buf.Read.At(top.loX()+x, top.loY()-1); got != tc.wantTop(x) {
+			if got := top.buf.Write.At(top.loX()+x, top.loY()-1); got != tc.wantTop(x) {
 				t.Fatalf("%v top ghost at x=%d: got %g, want %g", tc.bc, x, got, tc.wantTop(x))
 			}
-			if got := bot.buf.Read.At(bot.loX()+x, bot.hiY()); got != tc.wantBot(x) {
+			if got := bot.buf.Write.At(bot.loX()+x, bot.hiY()); got != tc.wantBot(x) {
 				t.Fatalf("%v bottom ghost at x=%d: got %g, want %g", tc.bc, x, got, tc.wantBot(x))
 			}
 		}
@@ -65,58 +98,35 @@ func TestFillSideHalo(t *testing.T) {
 		op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: tc.bc, BCValue: 7}
 		init := grid.New[float64](nx, ny)
 		init.FillFunc(func(x, y int) float64 { return float64(10*y + x) })
-		c, err := NewClusterGrid(op, init, 3, 1, strictOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := exchangeOnce(t, op, init, 3, 1)
 		left, right := c.ranks[0], c.ranks[2]
-		left.fillSideHalo(true)
-		right.fillSideHalo(false)
 		for y := 0; y < ny; y++ {
-			if got := left.buf.Read.At(left.loX()-1, left.loY()+y); got != tc.wantLeft(y) {
+			if got := left.buf.Write.At(left.loX()-1, left.loY()+y); got != tc.wantLeft(y) {
 				t.Fatalf("%v left ghost at y=%d: got %g, want %g", tc.bc, y, got, tc.wantLeft(y))
 			}
-			if got := right.buf.Read.At(right.hiX(), right.loY()+y); got != tc.wantRight(y) {
+			if got := right.buf.Write.At(right.hiX(), right.loY()+y); got != tc.wantRight(y) {
 				t.Fatalf("%v right ghost at y=%d: got %g, want %g", tc.bc, y, got, tc.wantRight(y))
 			}
 		}
 	}
 }
 
-// exchangeAll runs one manual halo-exchange round on every rank
-// concurrently (the exchange is rendezvous-based, so it needs all ranks).
-func exchangeAll(c *Cluster[float64]) {
-	var wg sync.WaitGroup
-	for _, r := range c.ranks {
-		wg.Add(1)
-		go func(r *rank[float64]) {
-			defer wg.Done()
-			r.exchangeHalos()
-		}(r)
-	}
-	wg.Wait()
-}
-
-// TestExchangeHalos runs one manual exchange round on a band chain and
-// checks every rank sees its neighbours' boundary rows.
+// TestExchangeHalos runs one exchange iteration on a band chain and checks
+// every rank sees its neighbours' boundary rows.
 func TestExchangeHalos(t *testing.T) {
 	const nx, ny, ranks = 4, 12, 3
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
 	init := grid.New[float64](nx, ny)
 	init.FillFunc(func(x, y int) float64 { return float64(100*y + x) })
-	c, err := NewCluster(op, init, ranks, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exchangeAll(c)
+	c := exchangeOnce(t, op, init, 1, ranks)
 
 	// Rank 1 owns rows 4..7: its top halo is row 3, its bottom halo row 8.
 	mid := c.ranks[1]
 	for x := 0; x < nx; x++ {
-		if got := mid.buf.Read.At(mid.loX()+x, mid.loY()-1); got != float64(300+x) {
+		if got := mid.buf.Write.At(mid.loX()+x, mid.loY()-1); got != float64(300+x) {
 			t.Fatalf("top halo at x=%d: got %g", x, got)
 		}
-		if got := mid.buf.Read.At(mid.loX()+x, mid.hiY()); got != float64(800+x) {
+		if got := mid.buf.Write.At(mid.loX()+x, mid.hiY()); got != float64(800+x) {
 			t.Fatalf("bottom halo at x=%d: got %g", x, got)
 		}
 	}
@@ -128,7 +138,7 @@ func TestExchangeHalos(t *testing.T) {
 	}
 }
 
-// TestExchangeHalosGridCorners runs one manual exchange round on a 2x2 rank
+// TestExchangeHalosGridCorners runs one exchange iteration on a 2x2 rank
 // grid and checks that every halo strip — columns, rows, and crucially the
 // corner blocks threaded through the full-width row messages — holds
 // exactly the value the global domain has at that point, with the domain
@@ -138,27 +148,10 @@ func TestExchangeHalosGridCorners(t *testing.T) {
 	op := &stencil.Op2D[float64]{St: stencil.BoxBlur[float64](), BC: grid.Clamp}
 	init := grid.New[float64](nx, ny)
 	init.FillFunc(func(x, y int) float64 { return float64(100*y + x) })
-	c, err := NewClusterGrid(op, init, 2, 2, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exchangeAll(c)
+	c := exchangeOnce(t, op, init, 2, 2)
 
-	// Every extended-frame cell of every rank must equal the global
-	// boundary-resolved value at its global coordinate.
-	bg := grid.BoundedGrid[float64]{G: init, Cond: grid.Clamp}
+	checkExtendedFrame(t, c, init, grid.Clamp)
 	for i, r := range c.ranks {
-		for ey := 0; ey < r.nyLoc+2*r.hy; ey++ {
-			for ex := 0; ex < r.nxLoc+2*r.hx; ex++ {
-				gx := r.tile.X0 - r.hx + ex
-				gy := r.tile.Y0 - r.hy + ey
-				want := bg.At(gx, gy)
-				if got := r.buf.Read.At(ex, ey); got != want {
-					t.Fatalf("rank %d (tile %v) extended cell (%d,%d) = global (%d,%d): got %g, want %g",
-						i, r.tile, ex, ey, gx, gy, got, want)
-				}
-			}
-		}
 		if r.stats.HaloByDir[Up]+r.stats.HaloByDir[Down] != 1 || r.stats.HaloByDir[Left]+r.stats.HaloByDir[Right] != 1 {
 			t.Fatalf("rank %d of a 2x2 grid sent %v messages, want one per wired axis side", i, r.stats.HaloByDir)
 		}
@@ -173,22 +166,10 @@ func TestExchangeHalosPeriodicTorus(t *testing.T) {
 	op := &stencil.Op2D[float64]{St: stencil.BoxBlur[float64](), BC: grid.Periodic}
 	init := grid.New[float64](nx, ny)
 	init.FillFunc(func(x, y int) float64 { return float64(100*y + x) })
-	c, err := NewClusterGrid(op, init, 2, 2, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exchangeAll(c)
+	c := exchangeOnce(t, op, init, 2, 2)
 
-	bg := grid.BoundedGrid[float64]{G: init, Cond: grid.Periodic}
+	checkExtendedFrame(t, c, init, grid.Periodic)
 	for i, r := range c.ranks {
-		for ey := 0; ey < r.nyLoc+2*r.hy; ey++ {
-			for ex := 0; ex < r.nxLoc+2*r.hx; ex++ {
-				want := bg.At(r.tile.X0-r.hx+ex, r.tile.Y0-r.hy+ey)
-				if got := r.buf.Read.At(ex, ey); got != want {
-					t.Fatalf("rank %d extended cell (%d,%d): got %g, want %g", i, ex, ey, got, want)
-				}
-			}
-		}
 		if r.stats.HaloByDir != [4]int{1, 1, 1, 1} {
 			t.Fatalf("torus rank %d sent %v messages, want one per direction", i, r.stats.HaloByDir)
 		}

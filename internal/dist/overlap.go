@@ -9,20 +9,23 @@ import (
 	"stencilabft/internal/telemetry"
 )
 
-// This file is the overlap/depth-k rank schedule — the production
-// per-iteration path (rank.advance). It restructures the historical
-// exchange-then-sweep step (exchangeHalos + step, kept as the sequential
-// reference) around two ideas:
+// This file is the overlap/depth-k rank schedule — the one 2-D
+// per-iteration path (rank.advance), built around two ideas:
 //
 // Compute/communication overlap. On an exchange iteration the rank posts
 // its boundary strips first, sweeps the interior region — every point
 // whose dependencies are already local — while the strips travel, and
 // then sweeps each boundary strip as soon as that edge's halo lands
-// (Transport backends that implement EitherReceiver complete the two
-// x-edges in arrival order; others fall back to the deterministic ordered
-// receive). The two-phase corner protocol is preserved: y-phase sends go
-// out only after both x halos have been folded in, so each Up/Down
-// message still threads the corner data a 9-point box kernel needs.
+// (Transport.RecvEither completes the two edges of a phase in arrival
+// order). The exchange is two-phase: boundary columns go Left/Right
+// first, and the y-phase sends — full extended-width rows — go out only
+// after both x halos have been folded in, so each Up/Down message threads
+// the corner data a 9-point box kernel and the interpolation's beta terms
+// need to the diagonal neighbour without any diagonal channel. Edges
+// without a neighbour (the domain border under non-periodic boundaries)
+// synthesise their ghost strips from the global boundary condition in the
+// same order, which makes a corner ghost resolve each axis independently
+// exactly like grid.BoundedGrid does.
 //
 // Depth-k ghost zones (communication-avoiding). With halo depth k the
 // halo strips are k·radius wide and are exchanged only on iterations
@@ -35,7 +38,7 @@ import (
 // with the depth-1 run in fault-free executions.
 //
 // Progress polling rides on the same schedule: before committing to the
-// interior sweep the rank polls each x edge (TryReceiver), and a halo
+// interior sweep the rank polls each x edge (Transport.TryRecv), and a halo
 // that is already delivered — there is no latency left to hide — is
 // unpacked immediately so its strip is absorbed into the interior sweep,
 // full-width, fused and row-major, instead of being swept later as a
@@ -60,25 +63,14 @@ import (
 // of the tile (InterpolateBBand reads no deeper), so depth-k verification
 // sums just the ry rows adjacent to the tile.
 
-// bindTransport caches the rank's neighbour presence and the transport's
-// optional per-edge completion capability. Called once after r.tr is set;
-// a zero stencil radius in an axis disables that axis's exchange exactly
-// like the historical path.
+// bindTransport caches the rank's neighbour presence. Called once after
+// r.tr is set; a zero stencil radius in an axis disables that axis's
+// exchange.
 func (r *rank[T]) bindTransport() {
 	r.hasL = r.hx > 0 && r.tr.Neighbor(r.id, Left)
 	r.hasR = r.hx > 0 && r.tr.Neighbor(r.id, Right)
 	r.hasU = r.hy > 0 && r.tr.Neighbor(r.id, Up)
 	r.hasD = r.hy > 0 && r.tr.Neighbor(r.id, Down)
-	if e, ok := r.tr.(EitherReceiver[T]); ok {
-		r.either = e
-	} else {
-		r.either = nil
-	}
-	if p, ok := r.tr.(TryReceiver[T]); ok {
-		r.try = p
-	} else {
-		r.try = nil
-	}
 }
 
 // margins returns how far beyond the tile the sweep of sub-iteration s
@@ -205,7 +197,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	// their own sends before this rank commits to its interior sweep, so
 	// the progress polling below finds most halos already delivered. On a
 	// dedicated core the yield is a no-op.
-	if r.try != nil && (r.hasL || r.hasR || r.hasU || r.hasD) {
+	if r.hasL || r.hasR || r.hasU || r.hasD {
 		runtime.Gosched()
 	}
 
@@ -216,9 +208,9 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	// margin can be absorbed (the fused checksums must cover tile columns
 	// exclusively); thin tiles keep the merged-strip path.
 	gotL, gotR := false, false
-	if r.try != nil && !thinX {
+	if !thinX {
 		if r.hasL && sx0 == r.loX() {
-			if in, ok := r.try.TryRecv(r.id, Left); ok {
+			if in, ok := r.tr.TryRecv(r.id, Left); ok {
 				t0 = r.tel.Begin()
 				r.unpackCols(src, 0, in)
 				r.refreshEdgeRowCols(0, r.loX())
@@ -228,7 +220,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 			}
 		}
 		if r.hasR && sx1 == r.hiX() {
-			if in, ok := r.try.TryRecv(r.id, Right); ok {
+			if in, ok := r.tr.TryRecv(r.id, Right); ok {
 				t0 = r.tel.Begin()
 				r.unpackCols(src, r.hiX(), in)
 				r.refreshEdgeRowCols(r.hiX(), r.hiX()+r.hx)
@@ -262,9 +254,9 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	// x strips, each swept as its halo lands.
 	needL, needR := r.hasL && !gotL, r.hasR && !gotR
 	if needL || needR {
-		if needL && needR && !thinX && r.either != nil {
+		if needL && needR && !thinX {
 			t0 = r.tel.Begin()
-			d, in := r.either.RecvEither(r.id, Left, Right)
+			d, in := r.tr.RecvEither(r.id, Left, Right)
 			r.tel.End(telemetry.PhaseBoundaryWait, t0)
 			r.xStripLanded(dst, src, d, in, sx0, sx1, ix0, ix1, iy0, iy1, hook)
 			d = d.Opposite()
@@ -273,8 +265,8 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 			r.tel.End(telemetry.PhaseBoundaryWait, t0)
 			r.xStripLanded(dst, src, d, in, sx0, sx1, ix0, ix1, iy0, iy1, hook)
 		} else {
-			// Ordered fallback, also used when the tile is too thin for
-			// disjoint strips (each strip then needs both halos).
+			// One strip outstanding, or a tile too thin for disjoint
+			// strips (each strip then needs both halos): ordered receives.
 			var inL, inR []T
 			if needL {
 				t0 = r.tel.Begin()
@@ -349,25 +341,25 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 		// same core have had their interior sweeps to post these rows, so
 		// most y strips are already waiting and fold in without a block.
 		gotU, gotD := false, false
-		if r.try != nil && !thinY {
+		if !thinY {
 			runtime.Gosched()
 			if r.hasU {
-				if in, ok := r.try.TryRecv(r.id, Up); ok {
+				if in, ok := r.tr.TryRecv(r.id, Up); ok {
 					r.yStripLanded(dst, src, Up, in, sx0, sx1, sy0, sy1, iy0, iy1, hook)
 					gotU = true
 				}
 			}
 			if r.hasD {
-				if in, ok := r.try.TryRecv(r.id, Down); ok {
+				if in, ok := r.tr.TryRecv(r.id, Down); ok {
 					r.yStripLanded(dst, src, Down, in, sx0, sx1, sy0, sy1, iy0, iy1, hook)
 					gotD = true
 				}
 			}
 		}
 		needU, needD := r.hasU && !gotU, r.hasD && !gotD
-		if needU && needD && !thinY && r.either != nil {
+		if needU && needD && !thinY {
 			t0 = r.tel.Begin()
-			d, in := r.either.RecvEither(r.id, Up, Down)
+			d, in := r.tr.RecvEither(r.id, Up, Down)
 			r.tel.End(telemetry.PhaseBoundaryWait, t0)
 			r.yStripLanded(dst, src, d, in, sx0, sx1, sy0, sy1, iy0, iy1, hook)
 			d = d.Opposite()

@@ -117,31 +117,6 @@ func TestClusterDepthKTCP(t *testing.T) {
 	}
 }
 
-// TestClusterDepthKOrderedFallback hides the transport's EitherReceiver
-// behind a plain wrapper, forcing the deterministic ordered-receive
-// fallback, which must be just as bit-exact.
-func TestClusterDepthKOrderedFallback(t *testing.T) {
-	const nx, ny, iters = 33, 40, 8
-	op := &stencil.Op2D[float64]{St: stencil.BoxBlur[float64](), BC: grid.Periodic}
-	init := testInit(nx, ny)
-	want := reference(t, op, init, iters)
-
-	opt := strictOpts()
-	opt.HaloDepth = 2
-	opt.WrapTransport = func(tr Transport[float64], rx, ry int, ring bool) Transport[float64] {
-		return &countingTransport{inner: tr}
-	}
-	c, err := NewClusterGrid(op, init, 2, 2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Run(iters)
-	if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
-		t.Fatalf("ordered-fallback depth-2 cluster deviates by %g", diff)
-	}
-}
-
 // TestClusterDepthKCounters pins the communication-avoiding arithmetic:
 // with depth k, halo exchange rounds and barriers happen once every k
 // iterations instead of every iteration.
@@ -152,7 +127,7 @@ func TestClusterDepthKCounters(t *testing.T) {
 	opt := strictOpts()
 	opt.HaloDepth = depth
 	opt.WrapTransport = func(tr Transport[float64], rx, ry int, ring bool) Transport[float64] {
-		ct.inner = tr
+		ct.Transport = tr
 		return ct
 	}
 	c, err := NewClusterGrid(op, testInit(nx, ny), 2, 2, opt)

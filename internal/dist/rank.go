@@ -67,12 +67,9 @@ type rank[T num.Float] struct {
 	globalBC           grid.Boundary
 	globalNx, globalNy int
 
-	// Neighbour presence and the transport's optional per-edge completion
-	// capability, both resolved once at construction so the per-iteration
-	// overlap schedule never re-asks the transport (bindTransport).
+	// Neighbour presence, resolved once at construction so the
+	// per-iteration schedule never re-asks the transport (bindTransport).
 	hasL, hasR, hasU, hasD bool
-	either                 EitherReceiver[T]
-	try                    TryReceiver[T]
 
 	// sendL/sendR are the packed column strips posted Left/Right, owned by
 	// the rank and rewritten only after the iteration barrier, satisfying
@@ -195,54 +192,6 @@ func (r *rank[T]) loX() int { return r.hx }
 func (r *rank[T]) hiX() int { return r.hx + r.nxLoc }
 func (r *rank[T]) loY() int { return r.hy }
 func (r *rank[T]) hiY() int { return r.hy + r.nyLoc }
-
-// step advances the rank one iteration: fused sweep over the tile rect,
-// tile-aware checksum interpolation, detection, and local correction. The
-// halo strips of the read buffer must already hold iteration-t neighbour
-// data (exchangeHalos runs first).
-func (r *rank[T]) step(hook stencil.InjectFunc[T]) {
-	src, dst := r.buf.Read, r.buf.Write
-
-	// Halo checksums of iteration t: plain sums of the received halo rows
-	// over the tile's own columns — no checksum is ever communicated (the
-	// paper's zero-overhead distribution argument).
-	t0 := r.tel.Begin()
-	for j := 0; j < r.hy; j++ {
-		r.prevExtB[j] = num.Sum(src.Row(j)[r.loX():r.hiX()])
-		r.prevExtB[r.hiY()+j] = num.Sum(src.Row(r.hiY() + j)[r.loX():r.hiX()])
-	}
-	r.tel.End(telemetry.PhaseVerify, t0)
-
-	t0 = r.tel.Begin()
-	if r.pool != nil {
-		r.pool.ForEachChunk(r.nyLoc, func(lo, hi int) {
-			r.op.SweepRectFused(dst, src, r.loX(), r.loY()+lo, r.hiX(), r.loY()+hi, r.newExtB[r.loY()+lo:], hook)
-		})
-	} else {
-		r.op.SweepRectFused(dst, src, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newExtB[r.loY():], hook)
-	}
-	r.tel.End(telemetry.PhaseSweep, t0)
-
-	t0 = r.tel.Begin()
-	edges := r.edgeRead
-	r.ip.InterpolateBBand(r.prevExtB, r.hy, edges, r.interpB)
-	r.stats.Verifications++
-
-	newB := r.newExtB[r.loY():r.hiY()]
-	mismatch := r.det.AnyMismatch(newB, r.interpB)
-	r.tel.End(telemetry.PhaseVerify, t0)
-	if mismatch {
-		r.stats.Detections++
-		t0 = r.tel.Begin()
-		r.locateAndCorrect(src, dst, edges, newB)
-		r.tel.End(telemetry.PhaseRepair, t0)
-	}
-
-	r.prevExtB, r.newExtB = r.newExtB, r.prevExtB
-	r.buf.Swap()
-	r.edgeRead, r.edgeWrite = r.edgeWrite, r.edgeRead
-	r.stats.Iterations++
-}
 
 // locateAndCorrect is the detection slow path, tile-local throughout: lazy
 // row checksums over the extended x range (halo-column sums serve as the

@@ -272,12 +272,28 @@ func (b *edgeBox[T]) heartbeatGap(seq uint32) error {
 	return nil
 }
 
-// recvHalo returns the next halo strip, the poisoning error, or a timeout.
-func (b *edgeBox[T]) recvHalo(timeout time.Duration) ([]T, error) {
+// boxWait is the socket backend's one blocking wait, shared by halo,
+// checkpoint and barrier-token receives: c1 is the queue to drain on b1,
+// and c2 the same queue on b2 when the caller accepts whichever of two
+// edges delivers first (both nil otherwise). It returns the next queued
+// value — second reports that it came from b2 — or, naming the edge that
+// failed the same way, the error that poisoned it; a positive timeout
+// expiring is a ClassTimeout error naming what was awaited. A value
+// enqueued before its edge died is still delivered.
+func boxWait[T num.Float, V any](timeout time.Duration, what string, b1 *edgeBox[T], c1 <-chan V, b2 *edgeBox[T], c2 <-chan V) (v V, second bool, err error) {
 	select {
-	case d := <-b.halo:
-		return d, nil
+	case v = <-c1:
+		return v, false, nil
 	default:
+	}
+	var done2 <-chan struct{}
+	if b2 != nil {
+		select {
+		case v = <-c2:
+			return v, true, nil
+		default:
+		}
+		done2 = b2.done
 	}
 	var expire <-chan time.Time
 	if timeout > 0 {
@@ -286,79 +302,27 @@ func (b *edgeBox[T]) recvHalo(timeout time.Duration) ([]T, error) {
 		expire = t.C
 	}
 	select {
-	case d := <-b.halo:
-		return d, nil
-	case <-b.done:
-		// Drain anything enqueued before the connection died.
+	case v = <-c1:
+		return v, false, nil
+	case v = <-c2:
+		return v, true, nil
+	case <-b1.done:
 		select {
-		case d := <-b.halo:
-			return d, nil
+		case v = <-c1:
+			return v, false, nil
 		default:
+			return v, false, b1.cause()
 		}
-		return nil, b.cause()
-	case <-expire:
-		return nil, &classedError{class: ClassTimeout,
-			err: fmt.Errorf("timed out after %v waiting for the halo strip", timeout)}
-	}
-}
-
-// recvCkpt returns the next buddy snapshot, the poisoning error, or a
-// timeout.
-func (b *edgeBox[T]) recvCkpt(timeout time.Duration) (ckptParcel[T], error) {
-	select {
-	case p := <-b.ck:
-		return p, nil
-	default:
-	}
-	var expire <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expire = t.C
-	}
-	select {
-	case p := <-b.ck:
-		return p, nil
-	case <-b.done:
+	case <-done2:
 		select {
-		case p := <-b.ck:
-			return p, nil
+		case v = <-c2:
+			return v, true, nil
 		default:
+			return v, true, b2.cause()
 		}
-		return ckptParcel[T]{}, b.cause()
 	case <-expire:
-		return ckptParcel[T]{}, &classedError{class: ClassTimeout,
-			err: fmt.Errorf("timed out after %v waiting for the buddy checkpoint", timeout)}
-	}
-}
-
-// recvToken returns the next barrier token, the poisoning error, or a
-// timeout.
-func (b *edgeBox[T]) recvToken(timeout time.Duration) (tokenMsg, error) {
-	select {
-	case m := <-b.tok:
-		return m, nil
-	default:
-	}
-	var expire <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expire = t.C
-	}
-	select {
-	case m := <-b.tok:
-		return m, nil
-	case <-b.done:
-		select {
-		case m := <-b.tok:
-			return m, nil
-		default:
-		}
-		return tokenMsg{}, b.cause()
-	case <-expire:
-		return tokenMsg{}, &classedError{class: ClassTimeout,
-			err: fmt.Errorf("timed out after %v waiting for the barrier token", timeout)}
+		return v, false, &classedError{class: ClassTimeout,
+			err: fmt.Errorf("timed out after %v waiting for %s", timeout, what)}
 	}
 }
 
@@ -459,12 +423,7 @@ type TCPTransport[T num.Float] struct {
 	// Local-party cyclic barrier: the last hosted rank to arrive runs the
 	// cross-process token exchange on behalf of all hosted ranks, then
 	// releases the generation.
-	barMu    sync.Mutex
-	barCond  *sync.Cond
-	barN     int
-	barCount int
-	barGen   int
-	barErr   error // first barrier fault or Abort cause; sticky, fails every later Barrier
+	bar *barrier
 
 	dialRetries atomic.Int64 // bootstrap connect attempts beyond each first
 	poisoned    atomic.Int64 // edges killed by I/O faults (Close's deliberate poisons excluded)
@@ -512,13 +471,19 @@ func NewTCPTransport[T num.Float](cfg TCPConfig) (*TCPTransport[T], error) {
 		keepalive: cfg.KeepalivePeriod,
 		window:    cfg.ResendWindow,
 		wrapConn:  cfg.WrapConn,
-		barN:      len(local),
+		bar:       newBarrier(len(local)),
 		boxes:     make(map[edgeKey]*edgeBox[T]),
 		outs:      make(map[edgeKey]*outEdge),
 		quit:      make(chan struct{}),
 		flushq:    make(chan struct{}),
 	}
-	t.barCond = sync.NewCond(&t.barMu)
+	t.bar.full = func(gen int) error {
+		if err := t.exchangeTokens(uint32(gen)); err != nil {
+			return err
+		}
+		t.gen.Store(uint32(gen + 1))
+		return nil
+	}
 	t.ioWait.Store(int64(cfg.IOTimeout))
 
 	ln, err := net.Listen("tcp", cfg.Bind)
@@ -905,9 +870,6 @@ func (t *TCPTransport[T]) dispatch(oe *outEdge, buf []byte, closing bool) {
 	t.flush(oe, closing)
 }
 
-// flush writes every retained frame newer than the flushed watermark to
-// the connection, reconnecting (and rewinding the watermark to the
-// receiver's ack) on write errors. During Close's final drain reconnects
 // ioDur is the current I/O deadline; 0 means unbounded waits.
 func (t *TCPTransport[T]) ioDur() time.Duration { return time.Duration(t.ioWait.Load()) }
 
@@ -921,6 +883,9 @@ func (t *TCPTransport[T]) SetRecvTimeout(d time.Duration) {
 	t.ioWait.Store(int64(d))
 }
 
+// flush writes every retained frame newer than the flushed watermark to
+// the connection, reconnecting (and rewinding the watermark to the
+// receiver's ack) on write errors. During Close's final drain reconnects
 // are skipped — the peers are going away too.
 func (t *TCPTransport[T]) flush(oe *outEdge, closing bool) {
 	for oe.flushed < oe.seq && !oe.dead {
@@ -1299,17 +1264,28 @@ func (t *TCPTransport[T]) Neighbor(id int, d Dir) bool {
 // CRC sealing and resend-window bookkeeping) happens on the edge's writer
 // goroutine, so Send never blocks on the network.
 func (t *TCPTransport[T]) Send(from int, d Dir, data []T) {
-	oe, ok := t.outs[edgeKey{from, d}]
-	if !ok {
-		panic(fmt.Sprintf("dist: Send(%d, %v) without a neighbour", from, d))
-	}
-	nb, _ := t.geo.Neighbor(from, d, t.ring)
+	oe := t.out("Send", from, d)
 	var buf []byte
 	select {
 	case buf = <-oe.free:
 	default:
 	}
-	out := encodeHaloFrameInto(buf, uint16(from), uint16(nb), byte(d), t.gen.Load(), data)
+	t.post(oe, encodeHaloFrameInto(buf, uint16(from), uint16(oe.to), byte(d), t.gen.Load(), data))
+}
+
+// out returns rank from's outbound edge toward direction d; a missing
+// neighbour is a caller bug.
+func (t *TCPTransport[T]) out(call string, from int, d Dir) *outEdge {
+	oe, ok := t.outs[edgeKey{from, d}]
+	if !ok {
+		panic(fmt.Sprintf("dist: %s(%d, %v) without a neighbour", call, from, d))
+	}
+	return oe
+}
+
+// post hands one halo or checkpoint frame to the edge's writer goroutine and
+// counts its payload.
+func (t *TCPTransport[T]) post(oe *outEdge, out []byte) {
 	select {
 	case oe.ch <- out:
 		oe.framesSent.Add(1)
@@ -1317,6 +1293,23 @@ func (t *TCPTransport[T]) Send(from int, d Dir, data []T) {
 		oe.noteDepth()
 	case <-t.quit:
 	}
+}
+
+// box returns rank to's inbound box for direction d; a missing neighbour is
+// a caller bug.
+func (t *TCPTransport[T]) box(call string, to int, d Dir) *edgeBox[T] {
+	box, ok := t.boxes[edgeKey{to, d}]
+	if !ok {
+		panic(fmt.Sprintf("dist: %s(%d, %v) without a neighbour", call, to, d))
+	}
+	return box
+}
+
+// fault wraps the error that failed rank to's wait on edge d as a *Fault
+// naming the receiving rank, the direction, the suspect peer, the barrier
+// generation it happened in, and the failure class.
+func (t *TCPTransport[T]) fault(to int, d Dir, err error) *Fault {
+	return &Fault{Rank: to, Dir: d, Peer: t.peerOf(to, d), Gen: int(t.gen.Load()), Class: classOf(err), Err: err}
 }
 
 // Recv returns the strip the neighbour of rank to in direction d sent this
@@ -1330,18 +1323,12 @@ func (t *TCPTransport[T]) Recv(to int, d Dir) []T {
 	return data
 }
 
-// recv is Recv with the error surfaced: the returned error is a *Fault
-// wrapping the underlying cause and naming the receiving rank, the
-// direction, the suspect peer, the barrier generation it happened in, and
-// the failure class.
+// recv is Recv with the *Fault returned instead of raised.
 func (t *TCPTransport[T]) recv(to int, d Dir) ([]T, error) {
-	box, ok := t.boxes[edgeKey{to, d}]
-	if !ok {
-		panic(fmt.Sprintf("dist: Recv(%d, %v) without a neighbour", to, d))
-	}
-	data, err := box.recvHalo(t.ioDur())
+	box := t.box("Recv", to, d)
+	data, _, err := boxWait(t.ioDur(), "the halo strip", box, box.halo, nil, nil)
 	if err != nil {
-		return nil, &Fault{Rank: to, Dir: d, Peer: t.peerOf(to, d), Gen: int(t.gen.Load()), Class: classOf(err), Err: err}
+		return nil, t.fault(to, d, err)
 	}
 	return data, nil
 }
@@ -1352,12 +1339,8 @@ func (t *TCPTransport[T]) recv(to int, d Dir) ([]T, error) {
 // surfaces on the subsequent blocking Recv, keeping the fatal-fault path
 // in one place.
 func (t *TCPTransport[T]) TryRecv(to int, d Dir) ([]T, bool) {
-	box, ok := t.boxes[edgeKey{to, d}]
-	if !ok {
-		panic(fmt.Sprintf("dist: TryRecv(%d, %v) without a neighbour", to, d))
-	}
 	select {
-	case data := <-box.halo:
+	case data := <-t.box("TryRecv", to, d).halo:
 		return data, true
 	default:
 		return nil, false
@@ -1369,55 +1352,16 @@ func (t *TCPTransport[T]) TryRecv(to int, d Dir) ([]T, bool) {
 // sweeps boundary strips by. Like Recv, a transport fault is fatal and
 // panics with a *Fault naming the direction whose edge failed.
 func (t *TCPTransport[T]) RecvEither(to int, d1, d2 Dir) (Dir, []T) {
-	b1, ok1 := t.boxes[edgeKey{to, d1}]
-	b2, ok2 := t.boxes[edgeKey{to, d2}]
-	if !ok1 || !ok2 {
-		panic(fmt.Sprintf("dist: RecvEither(%d, %v, %v) without both neighbours", to, d1, d2))
+	b1, b2 := t.box("RecvEither", to, d1), t.box("RecvEither", to, d2)
+	data, second, err := boxWait(t.ioDur(), "either halo strip", b1, b1.halo, b2, b2.halo)
+	d := d1
+	if second {
+		d = d2
 	}
-	// Fast path: a strip already queued on either box.
-	select {
-	case data := <-b1.halo:
-		return d1, data
-	default:
+	if err != nil {
+		panic(t.fault(to, d, err))
 	}
-	select {
-	case data := <-b2.halo:
-		return d2, data
-	default:
-	}
-	var expire <-chan time.Time
-	if d := t.ioDur(); d > 0 {
-		tm := time.NewTimer(d)
-		defer tm.Stop()
-		expire = tm.C
-	}
-	select {
-	case data := <-b1.halo:
-		return d1, data
-	case data := <-b2.halo:
-		return d2, data
-	case <-b1.done:
-		// Drain anything enqueued before the edge died, then fault.
-		select {
-		case data := <-b1.halo:
-			return d1, data
-		default:
-		}
-		err := b1.cause()
-		panic(&Fault{Rank: to, Dir: d1, Peer: t.peerOf(to, d1), Gen: int(t.gen.Load()), Class: classOf(err), Err: err})
-	case <-b2.done:
-		select {
-		case data := <-b2.halo:
-			return d2, data
-		default:
-		}
-		err := b2.cause()
-		panic(&Fault{Rank: to, Dir: d2, Peer: t.peerOf(to, d2), Gen: int(t.gen.Load()), Class: classOf(err), Err: err})
-	case <-expire:
-		err := &classedError{class: ClassTimeout,
-			err: fmt.Errorf("timed out after %v waiting for a halo strip from %v or %v", t.ioDur(), d1, d2)}
-		panic(&Fault{Rank: to, Dir: d1, Peer: t.peerOf(to, d1), Gen: int(t.gen.Load()), Class: ClassTimeout, Err: err})
-	}
+	return d, data
 }
 
 // peerOf names the geometric neighbour behind rank to's inbound edge d, or
@@ -1435,22 +1379,11 @@ func (t *TCPTransport[T]) peerOf(to int, d Dir) int {
 // inbound queue, so overlapping a buddy save with the halo exchange never
 // perturbs the halo FIFO the lockstep relies on.
 func (t *TCPTransport[T]) SendCkpt(from int, d Dir, gen int, data []T) {
-	oe, ok := t.outs[edgeKey{from, d}]
-	if !ok {
-		panic(fmt.Sprintf("dist: SendCkpt(%d, %v) without a neighbour", from, d))
-	}
-	nb, _ := t.geo.Neighbor(from, d, t.ring)
+	oe := t.out("SendCkpt", from, d)
 	es := elemSize[T]()
 	out := make([]byte, wireHeaderSize, wireHeaderSize+len(data)*int(es))
-	putHeader(out, frame{kind: frameCkpt, from: uint16(from), to: uint16(nb), dir: byte(d), elem: es, gen: uint32(gen)})
-	out = AppendElems(out, data)
-	select {
-	case oe.ch <- out:
-		oe.framesSent.Add(1)
-		oe.bytesSent.Add(int64(len(out) - wireHeaderSize))
-		oe.noteDepth()
-	case <-t.quit:
-	}
+	putHeader(out, frame{kind: frameCkpt, from: uint16(from), to: uint16(oe.to), dir: byte(d), elem: es, gen: uint32(gen)})
+	t.post(oe, AppendElems(out, data))
 }
 
 // RecvCkpt returns the next buddy snapshot the neighbour of rank to in
@@ -1458,11 +1391,8 @@ func (t *TCPTransport[T]) SendCkpt(from int, d Dir, gen int, data []T) {
 // transport faults instead of panicking — checkpoint traffic belongs to the
 // resilience layer, which handles its own errors.
 func (t *TCPTransport[T]) RecvCkpt(to int, d Dir) ([]T, int, error) {
-	box, ok := t.boxes[edgeKey{to, d}]
-	if !ok {
-		panic(fmt.Sprintf("dist: RecvCkpt(%d, %v) without a neighbour", to, d))
-	}
-	p, err := box.recvCkpt(t.ioDur())
+	box := t.box("RecvCkpt", to, d)
+	p, _, err := boxWait(t.ioDur(), "the buddy checkpoint", box, box.ck, nil, nil)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: ckpt recv for rank %d from %v: %w", to, d, err)
 	}
@@ -1473,62 +1403,21 @@ func (t *TCPTransport[T]) RecvCkpt(to int, d Dir) ([]T, int, error) {
 // processes — has arrived at the current generation. The last hosted rank
 // to arrive runs the token exchange for all hosted ranks, then releases
 // them together.
-func (t *TCPTransport[T]) Barrier() {
-	t.barMu.Lock()
-	if t.barErr != nil {
-		err := t.barErr
-		t.barMu.Unlock()
-		panic(err)
-	}
-	gen := t.barGen
-	t.barCount++
-	if t.barCount == t.barN {
-		err := t.exchangeTokens(uint32(gen))
-		t.barCount = 0
-		if err != nil && t.barErr == nil {
-			t.barErr = err
-		}
-		fail := t.barErr
-		if fail == nil {
-			t.barGen++
-			t.gen.Store(uint32(t.barGen))
-		}
-		t.barCond.Broadcast()
-		t.barMu.Unlock()
-		if fail != nil {
-			panic(fail)
-		}
-		return
-	}
-	for gen == t.barGen && t.barErr == nil {
-		t.barCond.Wait()
-	}
-	released := gen != t.barGen
-	err := t.barErr
-	t.barMu.Unlock()
-	if !released && err != nil {
-		panic(err)
-	}
-}
+func (t *TCPTransport[T]) Barrier() { t.bar.await() }
 
 // Abort poisons every inbound edge and fails the local barrier with cause,
 // waking every hosted rank blocked in Recv, RecvCkpt or Barrier. It is how
 // one rank's transport fault unwinds its siblings in the same process so a
 // tolerant run (Cluster.RunRecover) can hand the fault to the resilience
 // layer instead of hanging on a barrier no one will complete. Idempotent;
-// the first cause wins. Boxes are poisoned before the barrier lock is taken
-// because the exchanging rank holds barMu while blocked in recvToken — the
-// poison is what wakes it.
+// the first cause wins. Boxes are poisoned before the barrier is failed
+// because the exchanging rank holds the barrier's lock while it waits for a
+// token — the poison is what wakes it.
 func (t *TCPTransport[T]) Abort(cause error) {
 	for _, box := range t.boxes {
 		box.poison(cause)
 	}
-	t.barMu.Lock()
-	if t.barErr == nil {
-		t.barErr = cause
-	}
-	t.barCond.Broadcast()
-	t.barMu.Unlock()
+	t.bar.abort(cause)
 }
 
 // exchangeTokens runs the neighbour token rounds of barrier generation gen
@@ -1562,7 +1451,7 @@ func (t *TCPTransport[T]) exchangeTokens(gen uint32) error {
 				if !ok {
 					continue
 				}
-				tok, err := box.recvToken(t.ioDur())
+				tok, _, err := boxWait(t.ioDur(), "the barrier token", box, box.tok, nil, nil)
 				if err != nil {
 					return &Fault{Rank: id, Dir: d, Peer: t.peerOf(id, d), Gen: int(gen), Barrier: true, Class: classOf(err),
 						Err: fmt.Errorf("round %d/%d: %w", round, t.rounds, err)}

@@ -59,71 +59,83 @@ func (d Dir) Opposite() Dir {
 // Transport is the cluster's communication seam: it carries halo payloads
 // between neighbouring ranks of a ranksX-by-ranksY Cartesian rank grid
 // (rank ids row-major, id = cy*ranksX + cx — the Decomp convention) and
-// separates iterations with a barrier — exactly the subset of MPI a
+// separates exchange rounds with a barrier — exactly the subset of MPI a
 // bulk-synchronous stencil code needs (MPI_Cart_create neighbours,
-// Isend/Irecv of boundary strips, MPI_Barrier). The default backend is
-// ChanTransport (in-process paired channels); a real MPI or socket backend
-// implements this interface and drops in via Options.NewTransport without
-// touching the protection logic. The disttest package is the conformance
-// harness any backend can run.
+// Isend/Irecv/Waitany of boundary strips, MPI_Barrier). This is the whole
+// contract, stated once: ChanTransport (the default) and TCPTransport
+// implement all of it, a wrapper (counting, chaos injection) embeds the
+// Transport it wraps and overrides only the calls it intercepts, disttest
+// is the conformance suite every implementation runs, and a backend drops
+// in via Options.NewTransport without touching the protection logic.
 //
-// Contract: within one iteration every rank performs at most one Send and
-// one Recv per direction, in two phases — first Left/Right (packed boundary
-// columns), then Up/Down (full extended-width boundary rows, which thread
-// the corner data received in the first phase to the diagonal neighbours).
-// Inside each phase a rank posts all its sends before its first Recv, and
-// Send must not block — the non-blocking Isend schedule that keeps the
-// exchange deadlock-free in any rank order. The payload slice passed to
-// Send remains valid until the sender's next Barrier; the receiver must
-// copy it out before passing its own Barrier.
+// Phase ordering. Within one exchange round a rank performs at most one
+// Send and one receive (Recv, a successful TryRecv, or its half of a
+// RecvEither) per direction, in two phases — first Left/Right (packed
+// boundary columns), then Up/Down (full extended-width boundary rows, which
+// thread the corner data received in the first phase to the diagonal
+// neighbours). Inside a phase a rank posts all its sends before its first
+// receive, and Send never blocks — the non-blocking Isend schedule that
+// keeps the exchange deadlock-free in any rank order. Barrier separates
+// rounds. Directional calls are only legal where Neighbor reports a
+// neighbour; elsewhere they panic with a plain string (a caller bug).
+//
+// Payload lifetime. The slice passed to Send or SendCkpt stays valid until
+// the sender's next Barrier; the slice a receive returns is only valid
+// until the receiver's next Barrier, so the receiver copies it out first.
+//
+// Failure. Halo traffic fails fatally, MPI_ERRORS_ARE_FATAL style, since no
+// iteration can complete without its neighbours: Recv and RecvEither panic
+// with a *Fault (abort cause, timeout or dead edge), Barrier panics with an
+// error, and Cluster.RunRecover turns either back into a returned error.
+// TryRecv never fails — a faulted edge reports (nil, false) and surfaces on
+// the blocking receive that follows. Checkpoint traffic belongs to the
+// resilience layer, which handles its own errors: RecvCkpt returns them.
 type Transport[T num.Float] interface {
-	// Send posts rank from's boundary strip toward its neighbour in
-	// direction d. Must only be called when Neighbor(from, d) is true.
-	Send(from int, d Dir, data []T)
-	// Recv returns the strip the neighbour of rank to in direction d sent
-	// this iteration. Must only be called when Neighbor(to, d) is true.
-	Recv(to int, d Dir) []T
 	// Neighbor reports whether rank id has a neighbour in direction d
 	// (false at the domain edge under non-periodic boundaries; the rank
 	// then synthesises its ghost strip from the boundary condition).
 	Neighbor(id int, d Dir) bool
-	// Barrier blocks until every rank has arrived — the per-iteration
-	// lockstep that keeps halo data exactly one iteration fresh.
-	Barrier()
-}
-
-// EitherReceiver is the optional transport extension behind the overlap
-// schedule: RecvEither blocks until the halo strip from *either* of two
-// directed edges arrives, returning whichever lands first. A rank that can
-// learn per-edge completion sweeps the corresponding boundary strip while
-// the other edge's strip is still in flight, instead of imposing an
-// arbitrary wait order. Both backends implement it; a transport that does
-// not is still correct — the rank falls back to receiving in a fixed order.
-//
-// Contract: d1 and d2 must be two distinct directions in which rank to has
-// neighbours, within the same exchange phase (Left/Right together, Up/Down
-// together, preserving the two-phase corner ordering). The caller must call
-// RecvEither once and then Recv the remaining direction (or call RecvEither
-// with the pair exactly once per phase per iteration); like Recv, the
-// returned slice is only valid until the receiver's next Barrier.
-type EitherReceiver[T num.Float] interface {
-	RecvEither(to int, d1, d2 Dir) (Dir, []T)
-}
-
-// TryReceiver is the optional progress-polling capability: a non-blocking
-// probe for a halo strip that has already been delivered. A strip that is
-// present when the rank would otherwise start hiding latency has no latency
-// left to hide — the overlap schedule folds it in immediately and sweeps
-// its boundary strip fused with the interior (row-major, cache-warm)
-// instead of as a separate cold column strip. Both built-in backends
-// implement it; a transport that does not simply never takes the fast path.
-//
-// Contract: TryRecv(to, d) returns (strip, true) only when the strip is
-// already queued, consuming it exactly as Recv would (same FIFO, same
-// payload lifetime); (nil, false) otherwise — including on a faulted edge,
-// whose failure surfaces on the subsequent blocking Recv.
-type TryReceiver[T num.Float] interface {
+	// Send posts rank from's boundary strip toward direction d.
+	Send(from int, d Dir, data []T)
+	// Recv blocks for the strip rank to's neighbour in direction d sent
+	// this round.
+	Recv(to int, d Dir) []T
+	// TryRecv is the non-blocking Recv: (strip, true) when the strip is
+	// already queued, consuming it exactly as Recv would (same FIFO);
+	// (nil, false) otherwise. A strip already present has no latency left
+	// to hide, so the overlap schedule folds it into the interior sweep.
 	TryRecv(to int, d Dir) ([]T, bool)
+	// RecvEither blocks for the strip from either of two distinct
+	// directions of one phase and returns whichever lands first, so the
+	// rank sweeps that boundary strip while the other is still in flight.
+	// The remaining direction is received with Recv.
+	RecvEither(to int, d1, d2 Dir) (Dir, []T)
+	// SendCkpt posts rank from's packed buddy snapshot, stamped with the
+	// checkpoint iteration gen, toward direction d. Snapshots ride the halo
+	// edges but queue apart from the strips, so they never perturb the halo
+	// FIFO; same non-blocking contract as Send.
+	SendCkpt(from int, d Dir, gen int, data []T)
+	// RecvCkpt blocks for the next snapshot rank to's neighbour in
+	// direction d sent and returns it with its iteration stamp.
+	RecvCkpt(to int, d Dir) (data []T, gen int, err error)
+	// Barrier blocks until every rank has arrived — the lockstep that keeps
+	// halo data exactly one exchange round fresh.
+	Barrier()
+	// Abort fails every pending and future Recv, RecvEither, RecvCkpt and
+	// Barrier with cause — how one rank's fault unwinds its siblings so a
+	// tolerant run returns instead of hanging. Idempotent; the first cause
+	// wins.
+	Abort(cause error)
+	// SetRecvTimeout bounds every subsequent blocking receive, so a stalled
+	// peer surfaces as a ClassTimeout fault instead of a hang; <= 0 waits
+	// forever. Call it before the ranks run.
+	SetRecvTimeout(d time.Duration)
+	// Metrics snapshots the frames and payload bytes counted per directed
+	// edge plus the backend's health counters. Safe while the ranks run.
+	Metrics() telemetry.TransportMetrics
+	// Close releases what the backend holds (sockets, goroutines).
+	// Idempotent.
+	Close() error
 }
 
 // ChanTransport is the default in-process Transport: adjacent ranks of the
@@ -244,26 +256,54 @@ func NewChanTransport[T num.Float](ranksX, ranksY int, ring bool) *ChanTransport
 	return t
 }
 
-// SetRecvTimeout bounds every subsequent Recv/RecvCkpt wait (<= 0 waits
-// forever, the default). Call before the cluster runs; a timeout expiring
-// surfaces as a panic with a *Fault of class ClassTimeout, the same stalled-
-// peer semantics as the TCP backend's IOTimeout.
+// SetRecvTimeout bounds every subsequent receive wait (<= 0 waits forever,
+// the default) — the channel backend's analogue of TCPConfig.IOTimeout.
 func (t *ChanTransport[T]) SetRecvTimeout(d time.Duration) { t.recvTimeout = d }
-
-// expiry returns a channel that fires after the configured receive timeout,
-// plus the timer to stop (both nil when unbounded).
-func (t *ChanTransport[T]) expiry() (<-chan time.Time, *time.Timer) {
-	if t.recvTimeout <= 0 {
-		return nil, nil
-	}
-	tm := time.NewTimer(t.recvTimeout)
-	return tm.C, tm
-}
 
 // Neighbor reports whether rank id has a neighbour in direction d.
 func (t *ChanTransport[T]) Neighbor(id int, d Dir) bool {
 	_, ok := t.geo.Neighbor(id, d, t.ring)
 	return ok
+}
+
+// peer returns the rank behind rank id's edge in direction d; a missing
+// neighbour is a caller bug.
+func (t *ChanTransport[T]) peer(call string, id int, d Dir) int {
+	nb, ok := t.geo.Neighbor(id, d, t.ring)
+	if !ok {
+		panic(fmt.Sprintf("dist: %s(%d, %v) without a neighbour", call, id, d))
+	}
+	return nb
+}
+
+// chanWait is the channel backend's one blocking wait, shared by every
+// receive: it returns the first value to arrive on c1 or c2 (c2 may be nil;
+// second reports which), the abort cause once the transport is aborted, or a
+// ClassTimeout error naming what it waited for after the receive timeout.
+func chanWait[T num.Float, V any](t *ChanTransport[T], what string, c1, c2 <-chan V) (v V, second bool, err error) {
+	var expire <-chan time.Time
+	if t.recvTimeout > 0 {
+		tm := time.NewTimer(t.recvTimeout)
+		defer tm.Stop()
+		expire = tm.C
+	}
+	select {
+	case v = <-c1:
+		return v, false, nil
+	case v = <-c2:
+		return v, true, nil
+	case <-t.quit:
+		return v, false, t.abortErr
+	case <-expire:
+		return v, false, &classedError{class: ClassTimeout,
+			err: fmt.Errorf("timed out after %v waiting for %s", t.recvTimeout, what)}
+	}
+}
+
+// fault wraps a failed halo wait of rank to on its edge d as the *Fault
+// Recv and RecvEither panic with.
+func (t *ChanTransport[T]) fault(to int, d Dir, nb int, err error) *Fault {
+	return &Fault{Rank: to, Dir: d, Peer: nb, Gen: t.bar.generation(), Class: classOf(err), Err: err}
 }
 
 // Send posts data on the channel toward rank from's neighbour in
@@ -277,39 +317,21 @@ func (t *ChanTransport[T]) Send(from int, d Dir, data []T) {
 }
 
 // Recv returns the strip sent toward rank to from direction d: the
-// d-neighbour's message posted toward the opposite direction. On an
-// aborted transport it panics with a *Fault carrying the abort cause, the
-// same fatal semantics as the TCP backend.
+// d-neighbour's message posted toward the opposite direction.
 func (t *ChanTransport[T]) Recv(to int, d Dir) []T {
-	nb, ok := t.geo.Neighbor(to, d, t.ring)
-	if !ok {
-		panic(fmt.Sprintf("dist: Recv(%d, %v) without a neighbour", to, d))
+	nb := t.peer("Recv", to, d)
+	data, _, err := chanWait(t, "the halo strip", t.ch[d.Opposite()][nb], nil)
+	if err != nil {
+		panic(t.fault(to, d, nb, err))
 	}
-	expire, tm := t.expiry()
-	if tm != nil {
-		defer tm.Stop()
-	}
-	select {
-	case data := <-t.ch[d.Opposite()][nb]:
-		t.em.recvd(d, to, len(data)*int(elemSize[T]()))
-		return data
-	case <-t.quit:
-		panic(&Fault{Rank: to, Dir: d, Peer: nb, Gen: t.bar.generation(), Err: t.abortErr})
-	case <-expire:
-		panic(&Fault{Rank: to, Dir: d, Peer: nb, Gen: t.bar.generation(), Class: ClassTimeout,
-			Err: fmt.Errorf("timed out after %v waiting for the halo strip", t.recvTimeout)})
-	}
+	t.em.recvd(d, to, len(data)*int(elemSize[T]()))
+	return data
 }
 
 // TryRecv returns the strip sent toward rank to from direction d if it has
-// already been delivered, without blocking; (nil, false) when nothing is
-// queued (or the transport is aborted — the fault surfaces on the blocking
-// Recv).
+// already been delivered.
 func (t *ChanTransport[T]) TryRecv(to int, d Dir) ([]T, bool) {
-	nb, ok := t.geo.Neighbor(to, d, t.ring)
-	if !ok {
-		panic(fmt.Sprintf("dist: TryRecv(%d, %v) without a neighbour", to, d))
-	}
+	nb := t.peer("TryRecv", to, d)
 	select {
 	case data := <-t.ch[d.Opposite()][nb]:
 		t.em.recvd(d, to, len(data)*int(elemSize[T]()))
@@ -320,36 +342,22 @@ func (t *ChanTransport[T]) TryRecv(to int, d Dir) ([]T, bool) {
 }
 
 // RecvEither returns the first strip to arrive from either direction d1 or
-// d2 — the per-edge completion notification the overlap schedule sweeps
-// boundary strips by. Panics with a *Fault (abort cause or timeout) exactly
-// like Recv.
+// d2.
 func (t *ChanTransport[T]) RecvEither(to int, d1, d2 Dir) (Dir, []T) {
-	nb1, ok1 := t.geo.Neighbor(to, d1, t.ring)
-	nb2, ok2 := t.geo.Neighbor(to, d2, t.ring)
-	if !ok1 || !ok2 {
-		panic(fmt.Sprintf("dist: RecvEither(%d, %v, %v) without both neighbours", to, d1, d2))
+	nb1, nb2 := t.peer("RecvEither", to, d1), t.peer("RecvEither", to, d2)
+	data, second, err := chanWait(t, "either halo strip", t.ch[d1.Opposite()][nb1], t.ch[d2.Opposite()][nb2])
+	if err != nil {
+		panic(t.fault(to, d1, nb1, err))
 	}
-	expire, tm := t.expiry()
-	if tm != nil {
-		defer tm.Stop()
+	d := d1
+	if second {
+		d = d2
 	}
-	select {
-	case data := <-t.ch[d1.Opposite()][nb1]:
-		t.em.recvd(d1, to, len(data)*int(elemSize[T]()))
-		return d1, data
-	case data := <-t.ch[d2.Opposite()][nb2]:
-		t.em.recvd(d2, to, len(data)*int(elemSize[T]()))
-		return d2, data
-	case <-t.quit:
-		panic(&Fault{Rank: to, Dir: d1, Peer: nb1, Gen: t.bar.generation(), Err: t.abortErr})
-	case <-expire:
-		panic(&Fault{Rank: to, Dir: d1, Peer: nb1, Gen: t.bar.generation(), Class: ClassTimeout,
-			Err: fmt.Errorf("timed out after %v waiting for a halo strip from %v or %v", t.recvTimeout, d1, d2)})
-	}
+	t.em.recvd(d, to, len(data)*int(elemSize[T]()))
+	return d, data
 }
 
-// SendCkpt posts rank from's buddy snapshot toward direction d — the
-// CkptCarrier seam of the resilience layer's buddy checkpointing.
+// SendCkpt posts rank from's buddy snapshot toward direction d.
 func (t *ChanTransport[T]) SendCkpt(from int, d Dir, gen int, data []T) {
 	t.em.sent(d, from, len(data)*int(elemSize[T]()))
 	select {
@@ -359,31 +367,18 @@ func (t *ChanTransport[T]) SendCkpt(from int, d Dir, gen int, data []T) {
 }
 
 // RecvCkpt returns the next buddy snapshot sent toward rank to from
-// direction d, with its iteration stamp; on an aborted transport it
-// returns the cause.
+// direction d, with its iteration stamp.
 func (t *ChanTransport[T]) RecvCkpt(to int, d Dir) ([]T, int, error) {
-	nb, ok := t.geo.Neighbor(to, d, t.ring)
-	if !ok {
-		panic(fmt.Sprintf("dist: RecvCkpt(%d, %v) without a neighbour", to, d))
+	nb := t.peer("RecvCkpt", to, d)
+	p, _, err := chanWait(t, "the buddy checkpoint", t.ck[d.Opposite()][nb], nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("dist: ckpt recv for rank %d from %v: %w", to, d, err)
 	}
-	expire, tm := t.expiry()
-	if tm != nil {
-		defer tm.Stop()
-	}
-	select {
-	case p := <-t.ck[d.Opposite()][nb]:
-		t.em.recvd(d, to, len(p.data)*int(elemSize[T]()))
-		return p.data, p.gen, nil
-	case <-t.quit:
-		return nil, 0, t.abortErr
-	case <-expire:
-		return nil, 0, fmt.Errorf("dist: ckpt recv for rank %d from %v: timed out after %v", to, d, t.recvTimeout)
-	}
+	t.em.recvd(d, to, len(p.data)*int(elemSize[T]()))
+	return p.data, p.gen, nil
 }
 
-// Abort wakes every blocked Send/Recv/Barrier with cause — how a tolerant
-// cluster run unwinds its surviving rank goroutines after one of them
-// faults. Idempotent; the first cause wins.
+// Abort wakes every blocked Send/Recv/Barrier with cause.
 func (t *ChanTransport[T]) Abort(cause error) {
 	t.abortOnce.Do(func() {
 		t.abortErr = cause
@@ -402,10 +397,13 @@ func (t *ChanTransport[T]) Metrics() telemetry.TransportMetrics {
 	return t.em.snapshot(t.geo, t.ring)
 }
 
+// Close is a no-op: the channel backend holds nothing but memory.
+func (t *ChanTransport[T]) Close() error { return nil }
+
 // barrier is a reusable cyclic barrier: await blocks until all n parties
 // have arrived, then releases the generation together — the per-iteration
-// lockstep of the cluster. An aborted barrier is permanently failed:
-// every pending and future await panics with the cause, so no party can
+// lockstep of the cluster. A failed barrier is permanently failed: every
+// pending and future await panics with the first cause, so no party can
 // hang waiting for one that died.
 type barrier struct {
 	mu    sync.Mutex
@@ -414,6 +412,11 @@ type barrier struct {
 	count int
 	gen   int
 	fail  error
+
+	// full, when set, runs on the last party to arrive, under the lock,
+	// before the generation is released; its error fails the barrier. The
+	// socket backend completes the cross-process half of its barrier here.
+	full func(gen int) error
 }
 
 func newBarrier(n int) *barrier {
@@ -423,7 +426,7 @@ func newBarrier(n int) *barrier {
 }
 
 // await blocks until every party has called await for the current
-// generation, or panics with the abort cause.
+// generation, or panics with the cause the barrier failed with.
 func (b *barrier) await() {
 	b.mu.Lock()
 	if b.fail != nil {
@@ -435,17 +438,26 @@ func (b *barrier) await() {
 	b.count++
 	if b.count == b.n {
 		b.count = 0
-		b.gen++
+		if b.full != nil {
+			b.fail = b.full(gen)
+		}
+		err := b.fail
+		if err == nil {
+			b.gen++
+		}
 		b.cond.Broadcast()
 		b.mu.Unlock()
+		if err != nil {
+			panic(err)
+		}
 		return
 	}
 	for gen == b.gen && b.fail == nil {
 		b.cond.Wait()
 	}
-	err := b.fail
+	released, err := gen != b.gen, b.fail
 	b.mu.Unlock()
-	if err != nil {
+	if !released {
 		panic(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"stencilabft/internal/chaos"
 	"stencilabft/internal/dist"
 	"stencilabft/internal/dist/disttest"
 )
@@ -29,6 +30,15 @@ func TestTCPTransportConformance(t *testing.T) {
 		}
 		t.Cleanup(func() { tr.Close() })
 		return tr
+	})
+}
+
+// TestChaosWrapperConformance runs the suite a third time through the chaos
+// seam wrapper with no fault scheduled: a wrapper is transparent when the
+// Transport it returns passes exactly what the backend it wraps passes.
+func TestChaosWrapperConformance(t *testing.T) {
+	disttest.Run(t, func(rx, ry int, ring bool) dist.Transport[float64] {
+		return chaos.Wrap[float64](dist.NewChanTransport[float64](rx, ry, ring), chaos.NewInjector(nil, 1), rx, ry, ring)
 	})
 }
 

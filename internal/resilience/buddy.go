@@ -28,7 +28,6 @@ type Buddy[T num.Float] struct {
 
 	mu    sync.Mutex
 	cl    *dist.Cluster[T]
-	car   dist.CkptCarrier[T]
 	tel   *telemetry.Collector
 	self  checkpoint.Bank2D[T] // own snapshots, keyed by hosted rank id
 	wards checkpoint.Bank2D[T] // guarded snapshots, keyed by ward rank id
@@ -47,10 +46,9 @@ func NewBuddy[T num.Float](period int, tel *telemetry.Collector) *Buddy[T] {
 	return &Buddy[T]{Period: period, tel: tel}
 }
 
-// Attach wires the engine onto a (re)built cluster. The transport must
-// implement dist.CkptCarrier (both built-in backends do); a cluster whose
-// grid has a single rank disables mirroring (nothing to mirror to) but
-// keeps the local bank, so disk checkpointing still has a source.
+// Attach wires the engine onto a (re)built cluster. A cluster whose grid
+// has a single rank disables mirroring (nothing to mirror to) but keeps the
+// local bank, so disk checkpointing still has a source.
 func (b *Buddy[T]) Attach(cl *dist.Cluster[T]) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -63,7 +61,6 @@ func (b *Buddy[T]) Attach(cl *dist.Cluster[T]) error {
 			b.Period, k, ((b.Period+k-1)/k)*k)
 	}
 	b.cl = cl
-	b.car, _ = cl.Transport().(dist.CkptCarrier[T])
 	d := cl.Decomp()
 	b.lens = make(map[int]int)
 	b.buddy = make(map[int]dist.Dir)
@@ -128,19 +125,17 @@ func (b *Buddy[T]) AfterStep(rank, iter int) {
 	}
 	rec.End(telemetry.PhaseCkptSave, t0)
 
-	if b.car == nil {
-		return
-	}
 	// Sharing the bank slot with the wire is safe on both backends: the tcp
-	// carrier serialises into its own frame before returning, and the chan
-	// carrier's receiver banks a copy before reaching the barrier this round
-	// — while the slot itself is not rewritten until two rounds later.
+	// transport serialises into its own frame before returning, and the chan
+	// transport's receiver banks a copy before reaching the barrier this
+	// round — while the slot itself is not rewritten until two rounds later.
 	t0 = rec.Begin()
+	tr := b.cl.Transport()
 	if dir, ok := b.buddy[rank]; ok {
-		b.car.SendCkpt(rank, dir, gen, pack)
+		tr.SendCkpt(rank, dir, gen, pack)
 	}
 	for _, w := range b.inward[rank] {
-		data, g, err := b.car.RecvCkpt(rank, w.Dir)
+		data, g, err := tr.RecvCkpt(rank, w.Dir)
 		if err != nil {
 			// The edge died mid-round: keep whatever generations the bank
 			// already holds and let the next halo exchange or barrier

@@ -251,11 +251,6 @@ func MergeAll(all []Stats) Stats {
 	return total
 }
 
-// Add is the historical name of Merge.
-//
-// Deprecated: use Merge.
-func (s Stats) Add(o Stats) Stats { return s.Merge(o) }
-
 // String renders the counters compactly for logs. The scheme-agnostic
 // counters are always printed; deployment-specific ones (flagged blocks,
 // halo exchanges) appear only when non-zero, keeping local-run logs short.

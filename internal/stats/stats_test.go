@@ -30,9 +30,6 @@ func TestMergeSumsEveryCounter(t *testing.T) {
 	if got := a.Merge(b); got != want {
 		t.Fatalf("Merge: %+v", got)
 	}
-	if got := a.Add(b); got != want {
-		t.Fatalf("Add: %+v", got)
-	}
 }
 
 // TestStringShowsRecoveryCounters pins the satellite fix: campaign logs must
