@@ -1,6 +1,7 @@
 package disttest
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -62,21 +63,8 @@ func seamDropFaults(t *testing.T, f Factory) {
 
 	tr.Send(0, dist.Down, []float64{1}) // suppressed by the drop
 	var fault *dist.Fault
-	func() {
-		defer func() {
-			p := recover()
-			if p == nil {
-				return
-			}
-			var ok bool
-			if fault, ok = p.(*dist.Fault); !ok {
-				panic(p)
-			}
-		}()
-		tr.Recv(1, dist.Up)
-	}()
-	if fault == nil {
-		t.Fatal("receiver of a seam-dropped message returned instead of faulting")
+	if err := recovered(func() { tr.Recv(1, dist.Up) }); !errors.As(err, &fault) {
+		t.Fatalf("receiver of a seam-dropped message ended with %v instead of a *dist.Fault", err)
 	}
 	if fault.Class != dist.ClassTimeout {
 		t.Fatalf("seam drop surfaced as class %v, want %v: %v", fault.Class, dist.ClassTimeout, fault)
