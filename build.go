@@ -154,8 +154,7 @@ func buildCluster[T Float](spec Spec[T]) (Protector[T], error) {
 		tr, err := dist.NewTCPTransport[T](dist.TCPConfig{
 			RanksX: rx, RanksY: ry, Ring: spec.Op2D.BC == Periodic,
 			LocalRanks: local, Rendezvous: spec.Rendezvous, Bind: spec.Bind,
-			IOTimeout: spec.RecvTimeout, DeathDeadline: spec.DeathDeadline,
-			WrapConn: spec.WrapConn,
+			DeathDeadline: spec.DeathDeadline, WrapConn: spec.WrapConn,
 		})
 		if err != nil {
 			return nil, err

@@ -1,83 +1,127 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
+	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	abft "stencilabft"
+	"stencilabft/internal/chaos"
 	"stencilabft/internal/dist"
 	"stencilabft/internal/metrics"
 	"stencilabft/internal/resilience"
-	"stencilabft/internal/stats"
+	"stencilabft/internal/serve"
 	"stencilabft/internal/telemetry"
 )
 
-// The -launch parent: fork one OS process per rank of the grid over
-// loopback TCP, merge the children's stats, reassemble the global domain
-// from their tile files, and verify the run — bit-identical to an
-// in-process single-process reference when error-free, detected-and-
-// repaired when -inject is on. Any child failure or verification miss is a
-// non-zero exit, which is what the CI multiprocess job gates on.
+// The -launch parent: fork one pool-worker process per rank of the grid
+// (this binary under -worker), send each the flags' document with its
+// placement, and read typed events back — checkpoint progress, then the
+// rank's stats, tile and trace. It gathers them and verifies the run:
+// bit-identical to an in-process single-process reference when error-free,
+// detected-and-repaired under -inject. Any child failure or verification
+// miss is a non-zero exit, which is what the CI multiprocess job gates on.
 
-// childStatsPrefix marks the machine-readable stats line a tcp rank
-// process prints for its -launch parent.
-const childStatsPrefix = "CHILDSTATS "
-
-// printChildStats emits this rank's counters for the parent to merge.
-func printChildStats(rank int, st abft.Stats) error {
-	b, err := json.Marshal(st)
-	if err != nil {
-		return err
+// launchWorkers starts rank k's worker: this binary in its -worker role.
+// Profiles are per-process by nature; each child gets the parent's paths
+// with a rank suffix so they don't clobber one file.
+func launchWorkers(c config) serve.StartWorker {
+	return func(rank int) (serve.Worker, error) {
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, err
+		}
+		args := []string{"-worker"}
+		if c.cpuProf != "" {
+			args = append(args, "-cpuprofile", fmt.Sprintf("%s.rank%d", c.cpuProf, rank))
+		}
+		if c.memProf != "" {
+			args = append(args, "-memprofile", fmt.Sprintf("%s.rank%d", c.memProf, rank))
+		}
+		return serve.ProcessWorkers(exe, nil, args...)(rank)
 	}
-	fmt.Printf("%s%d %s\n", childStatsPrefix, rank, b)
-	return nil
 }
 
-// runLaunch forks p.ranksX*p.ranksY rank processes of this same binary
-// over loopback, then verifies their merged result.
-func runLaunch(c config, p plan) error {
-	n := p.ranksX * p.ranksY
-	exe, err := os.Executable()
-	if err != nil {
+// child is one rank process as its parent sees it. The goroutine in run
+// owns the mutable fields until it sends the child on the exits channel.
+type child struct {
+	rank, epoch int
+	w           serve.Worker
+	ckpt        *serve.Checkpoint // the newest buddy checkpoint the rank reported
+	done        serve.WorkerEvent // its result, once finished
+	err         error             // why it ended without one
+}
+
+// run posts the rank's job and relays its events until the process is
+// gone. Nil means the rank delivered its result and exited cleanly; a dead
+// process is reported by how it exited, which says more than its pipe's EOF.
+func (ch *child) run(req serve.JobRequest) error {
+	if err := ch.w.Send(req); err != nil {
 		return err
 	}
-
-	// The rendezvous: an explicit -rendezvous wins (e.g. a fixed port an
-	// external observer knows); otherwise reserve a loopback port, then
-	// free it for rank 0's process to bind. The children retry their
-	// dial, so start order does not matter; the only race is another
-	// process stealing the port in the handover window, which the
-	// bit-identical check would surface.
-	rendezvous := c.rendezvous
-	if rendezvous == "" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for {
+		ev, err := ch.w.Recv()
 		if err != nil {
+			if exit := ch.w.Close(); exit != nil {
+				err = exit
+			}
 			return err
 		}
-		rendezvous = ln.Addr().String()
-		ln.Close()
+		switch ev.Event {
+		case "ckpt":
+			if ev.Ckpt != nil && ev.Ckpt.Rank == ch.rank {
+				ch.ckpt = ev.Ckpt
+			}
+		case "done":
+			ch.done = ev
+			return ch.w.Close()
+		case "error":
+			ch.w.Close()
+			return errors.New(ev.Error)
+		}
 	}
+}
 
-	tileDir, err := os.MkdirTemp("", "stencilrun-tiles-")
+// runLaunch runs p.ranksX*p.ranksY rank processes over loopback, each
+// started by start (launchWorkers; the tests re-exec the test binary
+// instead), and verifies their merged result.
+func runLaunch(c config, p plan, start serve.StartWorker) error {
+	n := p.ranksX * p.ranksY
+	w, err := c.wire(p)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(tileDir)
+	spec, err := abft.SpecFromWire[float32](w)
+	if err != nil {
+		return err
+	}
+	doc, err := json.Marshal(w)
+	if err != nil {
+		return err
+	}
+	var chaosPlan *chaos.Plan
+	if c.chaos != "" {
+		if chaosPlan, err = chaos.Load(c.chaos); err != nil {
+			return err
+		}
+	}
+
+	// An explicit -rendezvous wins (e.g. a fixed port an external observer
+	// knows); otherwise reserve a loopback port for rank 0 to bind.
+	rendezvous := c.rendezvous
+	if rendezvous == "" {
+		if rendezvous, err = serve.ReserveRendezvous(); err != nil {
+			return err
+		}
+	}
 
 	// Fail-stop recovery: the parent hosts the coordinator the children
 	// report rank deaths to, and its Respawn callback is how a replacement
-	// process for a dead rank gets forked — routed through a channel so the
+	// process for a dead rank gets started — routed through a channel so the
 	// wait loop below stays the single owner of the child bookkeeping.
 	var control string
 	respawns := make(chan resilience.Plan, 4)
@@ -114,28 +158,35 @@ func runLaunch(c config, p plan) error {
 		n, p.ranksY, p.ranksX, rendezvous)
 
 	timer := metrics.StartTimer()
-	type child struct {
-		rank, epoch int
-		cmd         *exec.Cmd
-		out         *bytes.Buffer
-	}
-	type exitMsg struct {
-		idx int
-		err error
-	}
 	var children []*child
-	exits := make(chan exitMsg, 2*n)
+	// Whatever way the launch ends, no rank process outlives it.
+	defer func() {
+		for _, ch := range children {
+			ch.w.Kill()
+		}
+	}()
+	exits := make(chan *child, 2*n) // every child of a run with up to n deaths reports without blocking
+	// spawn starts rank's process and posts its job. epoch > 0 marks a
+	// respawned claimant, which fetches its rendezvous, restart generation
+	// and tile state from the coordinator — so it gets neither the bootstrap
+	// rendezvous nor the -die drill.
 	spawn := func(rank, epoch int) error {
-		ch := &child{rank: rank, epoch: epoch, out: &bytes.Buffer{}}
-		ch.cmd = exec.Command(exe, childArgs(c, p, rendezvous, control, tileDir, rank, epoch)...)
-		ch.cmd.Stdout = ch.out
-		ch.cmd.Stderr = os.Stderr
-		if err := ch.cmd.Start(); err != nil {
+		wk, err := start(rank)
+		if err != nil {
 			return fmt.Errorf("starting rank %d (epoch %d): %w", rank, epoch, err)
 		}
-		idx := len(children)
+		ch := &child{rank: rank, epoch: epoch, w: wk}
 		children = append(children, ch)
-		go func() { exits <- exitMsg{idx, ch.cmd.Wait()} }()
+		place := &serve.Placement{Rank: rank, Epoch: epoch, Control: control, Buddy: c.buddy, CkptDir: c.ckptDir,
+			Chaos: chaosPlan, ChaosSeed: c.chaosSeed, Trace: c.trace != ""}
+		if epoch == 0 {
+			place.Rendezvous = rendezvous
+			if rank == p.dieRank {
+				place.DieAt = p.dieIter
+			}
+		}
+		req := serve.JobRequest{ID: fmt.Sprintf("rank%d-epoch%d", rank, epoch), Spec: doc, Iters: c.iters, Place: place}
+		go func() { ch.err = ch.run(req); exits <- ch }()
 		return nil
 	}
 	for k := 0; k < n; k++ {
@@ -148,21 +199,12 @@ func runLaunch(c config, p plan) error {
 	// process. Without -recover the first failure aborts the launch; with it
 	// a death is diagnosed and the loop keeps serving exits and respawns
 	// until the cluster completes (or nothing that could complete remains).
-	finished := make(map[int]*child, n)
-	running := n
-	deaths := 0
-	for len(finished) < n {
+	done := make([]serve.WorkerEvent, n)
+	finished, running, deaths := 0, n, 0
+	for finished < n {
+		var idle <-chan time.Time
 		if running == 0 {
-			select {
-			case plan := <-respawns:
-				if err := spawn(plan.Dead, plan.Epoch); err != nil {
-					return err
-				}
-				running++
-			case <-time.After(15 * time.Second):
-				return fmt.Errorf("no rank processes left and no respawn pending (%d of %d ranks finished)", len(finished), n)
-			}
-			continue
+			idle = time.After(15 * time.Second)
 		}
 		select {
 		case plan := <-respawns:
@@ -170,18 +212,20 @@ func runLaunch(c config, p plan) error {
 				return err
 			}
 			running++
-		case e := <-exits:
+		case <-idle:
+			return fmt.Errorf("no rank processes left and no respawn pending (%d of %d ranks finished)", finished, n)
+		case ch := <-exits:
 			running--
-			ch := children[e.idx]
-			if e.err == nil {
-				finished[ch.rank] = ch
+			if ch.err == nil {
+				done[ch.rank] = ch.done
+				finished++
 				continue
 			}
 			if !c.recover {
-				return fmt.Errorf("rank %d process failed: %w (its output follows)\n%s", ch.rank, e.err, ch.out.String())
+				return fmt.Errorf("rank %d process failed: %w", ch.rank, ch.err)
 			}
 			deaths++
-			fmt.Println(deathReport(ch.rank, ch.epoch, e.err, ch.out.Bytes()))
+			fmt.Println(deathReport(ch))
 			if deaths > n {
 				return fmt.Errorf("%d rank processes died — more than the cluster holds; giving up", deaths)
 			}
@@ -189,29 +233,16 @@ func runLaunch(c config, p plan) error {
 	}
 	wall := timer.Seconds()
 
-	// Merge the children's trace timelines onto one file. Every child
-	// stamped its spans with absolute wall-clock timestamps under its own
-	// global rank pid, so the merge is a concatenation plus a re-base of
-	// the time origin.
 	if c.trace != "" {
-		if err := mergeChildTraces(c.trace, tileDir, n); err != nil {
+		if err := mergeTraces(c.trace, done); err != nil {
 			return err
 		}
 	}
-
-	// Merge the children's counters. Every child reports the same
-	// lockstep Iterations, so the merge normalises it back to one global
-	// sweep count, the same convention Cluster.Stats uses in-process.
-	perRank := make([]abft.Stats, n)
-	for k := 0; k < n; k++ {
-		st, err := childStats(finished[k].out.Bytes(), k)
-		if err != nil {
-			return err
-		}
-		perRank[k] = st
+	res, err := serve.GatherRanks(done, serve.Layout{Nx: c.nx, Ny: c.ny}, w.Elem)
+	if err != nil {
+		return err
 	}
-	merged := stats.MergeAll(perRank)
-	merged.Iterations = perRank[0].Iterations
+	merged := res.Stats
 
 	// A scheduled fault drill that left no trace in the counters means the
 	// kill never landed or the survivors never recovered — either way the
@@ -225,30 +256,22 @@ func runLaunch(c config, p plan) error {
 		}
 	}
 
-	// Reassemble the global domain from the tile files.
-	op, init, _, err := c.domain()
+	cells, err := dist.DecodeElems[float32](4, res.Grid.Raw)
 	if err != nil {
 		return err
 	}
-	decomp := dist.Decomp{Nx: c.nx, Ny: c.ny, RanksX: p.ranksX, RanksY: p.ranksY}
 	global := abft.New[float32](c.nx, c.ny)
-	for k := 0; k < n; k++ {
-		if err := readTileInto(tilePath(tileDir, k), k, decomp.TileOf(k), global); err != nil {
-			return err
-		}
-	}
-
-	// The single-process reference: same operator, same seeded domain.
-	ref, err := abft.Build(abft.Spec[float32]{Op2D: op, Init: init})
+	copy(global.Data(), cells)
+	ref, err := reference(spec, c.iters)
 	if err != nil {
 		return err
 	}
-	ref.Run(c.iters)
 
+	decomp := dist.Decomp{Nx: c.nx, Ny: c.ny, RanksX: p.ranksX, RanksY: p.ranksY}
 	fmt.Printf("wall time:        %.4fs (%d processes)\n", wall, n)
 	fmt.Printf("merged stats:     %v\n", merged)
-	for k, st := range perRank {
-		fmt.Printf("  rank %d tile %v: %v\n", k, decomp.TileOf(k), st)
+	for k, ev := range done {
+		fmt.Printf("  rank %d tile %v: %v\n", k, decomp.TileOf(k), *ev.Stats)
 	}
 
 	if c.inject {
@@ -256,272 +279,54 @@ func runLaunch(c config, p plan) error {
 			return fmt.Errorf("the injected corruption was not detected/repaired by any rank process (merged stats: %v)", merged)
 		}
 		fmt.Printf("arithmetic error: %.6g (post-repair residual vs the error-free reference)\n",
-			metrics.L2Error(global, ref.Grid()))
+			metrics.L2Error(global, ref))
 		fmt.Printf("injection handled: detections=%d corrected=%d checksum-repairs=%d across %d processes\n",
 			merged.Detections, merged.CorrectedPoints, merged.ChecksumRepairs, n)
 		return nil
 	}
 
-	refGrid := ref.Grid()
-	for y := 0; y < c.ny; y++ {
-		for x := 0; x < c.nx; x++ {
-			if global.At(x, y) != refGrid.At(x, y) {
-				return fmt.Errorf("gathered grid differs from the single-process reference at (%d,%d): %v != %v (rank %d's tile)",
-					x, y, global.At(x, y), refGrid.At(x, y), decomp.OwnerOf(x, y))
-			}
-		}
+	if x, y, differ := firstDiff(global, ref); differ {
+		return fmt.Errorf("gathered grid differs from the single-process reference at (%d,%d): %v != %v (rank %d's tile)",
+			x, y, global.At(x, y), ref.At(x, y), decomp.OwnerOf(x, y))
 	}
 	fmt.Printf("gathered grid is bit-identical to the single-process reference (%dx%d points, %d processes)\n",
 		c.nx, c.ny, n)
 	return nil
 }
 
-// childArgs assembles a rank child's command line. epoch > 0 marks a
-// respawned claimant, which fetches its rendezvous, restart generation and
-// tile state from the coordinator (-control) instead of the original
-// bootstrap address — so it gets no -rendezvous and never a -die-at.
-func childArgs(c config, p plan, rendezvous, control, tileDir string, rank, epoch int) []string {
-	args := []string{
-		"-nx", fmt.Sprint(c.nx), "-ny", fmt.Sprint(c.ny), "-iters", fmt.Sprint(c.iters),
-		"-kernel", c.kernel, "-bc", c.bcName, "-bcvalue", fmt.Sprint(c.bcValue),
-		"-abft", c.mode, "-epsilon", fmt.Sprint(c.epsilon), "-seed", fmt.Sprint(c.seed),
-		"-rankgrid", fmt.Sprintf("%dx%d", p.ranksY, p.ranksX),
-		"-transport", "tcp", "-rank", fmt.Sprint(rank),
-		"-tileout", tilePath(tileDir, rank),
-	}
-	if epoch > 0 {
-		args = append(args, "-epoch", fmt.Sprint(epoch))
-	} else {
-		args = append(args, "-rendezvous", rendezvous)
-	}
-	if c.haloDepth > 1 {
-		args = append(args, "-halodepth", fmt.Sprint(c.haloDepth))
-	}
-	if c.buddy > 0 {
-		args = append(args, "-buddy", fmt.Sprint(c.buddy))
-	}
-	if control != "" {
-		args = append(args, "-control", control)
-	}
-	if epoch == 0 && p.dieIter > 0 && rank == p.dieRank {
-		args = append(args, "-die-at", fmt.Sprint(p.dieIter))
-	}
-	if c.inject {
-		args = append(args, "-inject")
-	}
-	if c.ckptDir != "" {
-		args = append(args, "-ckptdir", c.ckptDir)
-	}
-	if c.chaos != "" {
-		args = append(args, "-chaos", c.chaos, "-chaosseed", fmt.Sprint(c.chaosSeed))
-	}
-	if c.trace != "" {
-		args = append(args, "-trace", childTracePath(tileDir, rank))
-	}
-	// Profiles are per-process by nature; forward them with a rank suffix
-	// so the children don't clobber one file.
-	if c.cpuProf != "" {
-		args = append(args, "-cpuprofile", fmt.Sprintf("%s.rank%d", c.cpuProf, rank))
-	}
-	if c.memProf != "" {
-		args = append(args, "-memprofile", fmt.Sprintf("%s.rank%d", c.memProf, rank))
-	}
-	return args
-}
-
-// childGenPrefix marks the machine-readable progress line a -buddy rank
-// process prints at every completed buddy checkpoint:
-// "CHILDGEN rank gen reconnects resends" — the trailing pair is the
-// transport's healing counters at that point. It is what lets the parent
-// say how far a dead rank had gotten and how hard its connections fought.
-const childGenPrefix = "CHILDGEN "
-
-// lastChildGen scans a child's captured output for the newest buddy
-// checkpoint generation it reported for rank, plus the transport healing
-// counters (reconnects, resent frames) stamped on that line. Two-field
-// lines from older builds still parse, with zero counters.
-func lastChildGen(out []byte, rank int) (gen int, reconnects, resends int64, ok bool) {
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, childGenPrefix) {
-			continue
-		}
-		fields := strings.Fields(strings.TrimPrefix(line, childGenPrefix))
-		if len(fields) < 2 {
-			continue
-		}
-		r, errR := strconv.Atoi(fields[0])
-		g, errG := strconv.Atoi(fields[1])
-		if errR != nil || errG != nil || r != rank {
-			continue
-		}
-		var rc, rs int64
-		if len(fields) >= 4 {
-			rc, _ = strconv.ParseInt(fields[2], 10, 64)
-			rs, _ = strconv.ParseInt(fields[3], 10, 64)
-		}
-		if !ok || g > gen {
-			gen, reconnects, resends, ok = g, rc, rs, true
-		}
-	}
-	return gen, reconnects, resends, ok
-}
-
 // deathReport names a dead rank process, how it exited, the last buddy
 // checkpoint generation it had reported, and how much transport healing
 // (reconnects, resent frames) it had done by then — the launcher-side
 // diagnostic for a fail-stop event.
-func deathReport(rank, epoch int, err error, out []byte) string {
-	cause := err.Error()
-	var ee *exec.ExitError
-	if errors.As(err, &ee) && ee.ProcessState != nil {
-		cause = ee.ProcessState.String()
-	}
+func deathReport(ch *child) string {
 	progress := "no buddy checkpoint reported"
-	if gen, reconnects, resends, ok := lastChildGen(out, rank); ok {
-		progress = fmt.Sprintf("last buddy checkpoint at generation %d", gen)
-		if reconnects > 0 || resends > 0 {
-			progress += fmt.Sprintf(" after %d reconnects and %d resent frames", reconnects, resends)
+	if ck := ch.ckpt; ck != nil {
+		progress = fmt.Sprintf("last buddy checkpoint at generation %d", ck.Gen)
+		if ck.Reconnects > 0 || ck.Resends > 0 {
+			progress += fmt.Sprintf(" after %d reconnects and %d resent frames", ck.Reconnects, ck.Resends)
 		}
 	}
-	return fmt.Sprintf("rank %d process (epoch %d) died: %s; %s", rank, epoch, cause, progress)
+	return fmt.Sprintf("rank %d process (epoch %d) died: %v; %s", ch.rank, ch.epoch, ch.err, progress)
 }
 
-// childTracePath is where the -launch parent tells rank k to write its
-// per-process trace file, next to the tile files.
-func childTracePath(dir string, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("trace-%d.json", rank))
-}
-
-// mergeChildTraces concatenates the children's trace files onto one
-// re-based timeline and writes it to path.
-func mergeChildTraces(path, dir string, n int) error {
-	parts := make([]telemetry.TraceFile, 0, n)
-	for k := 0; k < n; k++ {
-		f, err := os.Open(childTracePath(dir, k))
-		if err != nil {
-			return fmt.Errorf("rank %d wrote no trace: %w", k, err)
-		}
-		tf, err := telemetry.ParseTrace(f)
-		f.Close()
+// mergeTraces concatenates the ranks' trace timelines onto one re-based
+// timeline and writes it to path. Every rank stamped its spans with
+// absolute wall-clock timestamps under its own global rank pid, so the
+// merge is a concatenation plus a re-base of the time origin.
+func mergeTraces(path string, done []serve.WorkerEvent) error {
+	parts := make([]telemetry.TraceFile, 0, len(done))
+	for k, ev := range done {
+		tf, err := telemetry.ParseTrace(bytes.NewReader(ev.Trace))
 		if err != nil {
 			return fmt.Errorf("rank %d trace: %w", k, err)
 		}
 		parts = append(parts, tf)
 	}
 	merged := telemetry.MergeTraces(parts)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(merged); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(merged) }); err != nil {
 		return err
 	}
 	fmt.Printf("trace: merged %d rank timelines (%d lanes) into %s\n",
-		n, len(merged.RankLanes()), path)
-	return nil
-}
-
-// childStats extracts the CHILDSTATS line rank k printed.
-func childStats(out []byte, k int) (abft.Stats, error) {
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, childStatsPrefix) {
-			continue
-		}
-		rankField, payload, ok := strings.Cut(strings.TrimPrefix(line, childStatsPrefix), " ")
-		if rank, err := strconv.Atoi(rankField); !ok || err != nil || rank != k {
-			continue
-		}
-		if !strings.HasPrefix(payload, "{") {
-			return abft.Stats{}, fmt.Errorf("rank %d stats line %q carries no JSON payload", k, line)
-		}
-		var st abft.Stats
-		if err := json.Unmarshal([]byte(payload), &st); err != nil {
-			return st, fmt.Errorf("rank %d stats line %q: %w", k, line, err)
-		}
-		return st, nil
-	}
-	return abft.Stats{}, fmt.Errorf("rank %d printed no %s line; its output:\n%s", k, strings.TrimSpace(childStatsPrefix), out)
-}
-
-// Tile files: how a rank process hands its final tile to the -launch
-// parent. A small sanity header guards against mixed-up runs, then the
-// tile's rows as raw little-endian float32 bits — bit-exact, which is the
-// whole point of the gather comparison.
-const tileMagic = uint32(0x5354544C) // "STTL"
-
-type tileHeader struct {
-	Magic          uint32
-	Version        uint32
-	Rank           uint32
-	X0, Y0, X1, Y1 uint32
-}
-
-func tilePath(dir string, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("tile-%d.bin", rank))
-}
-
-// writeTile saves rank's tile region of g (a full-size grid with only the
-// tile filled, as Cluster.Gather returns under LocalRanks).
-func writeTile(path string, rank int, t dist.Tile, g *abft.Grid[float32]) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	hdr := tileHeader{Magic: tileMagic, Version: 1, Rank: uint32(rank),
-		X0: uint32(t.X0), Y0: uint32(t.Y0), X1: uint32(t.X1), Y1: uint32(t.Y1)}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		f.Close()
-		return err
-	}
-	for y := t.Y0; y < t.Y1; y++ {
-		if err := binary.Write(w, binary.LittleEndian, g.Row(y)[t.X0:t.X1]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readTileInto loads rank k's tile file, validates it against the expected
-// geometry, and copies the rows into the global grid.
-func readTileInto(path string, k int, want dist.Tile, global *abft.Grid[float32]) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("rank %d wrote no tile: %w", k, err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var hdr tileHeader
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return fmt.Errorf("rank %d tile header: %w", k, err)
-	}
-	if hdr.Magic != tileMagic || hdr.Version != 1 {
-		return fmt.Errorf("rank %d tile file %s is not a version-1 stencilrun tile", k, path)
-	}
-	got := dist.Tile{X0: int(hdr.X0), Y0: int(hdr.Y0), X1: int(hdr.X1), Y1: int(hdr.Y1)}
-	if int(hdr.Rank) != k || got != want {
-		return fmt.Errorf("rank %d tile file claims rank %d tile %v, want tile %v", k, hdr.Rank, got, want)
-	}
-	for y := want.Y0; y < want.Y1; y++ {
-		if err := binary.Read(r, binary.LittleEndian, global.Row(y)[want.X0:want.X1]); err != nil {
-			return fmt.Errorf("rank %d tile row %d: %w", k, y, err)
-		}
-	}
+		len(done), len(merged.RankLanes()), path)
 	return nil
 }

@@ -1,8 +1,9 @@
 // Command stencilrun applies a named 2-D stencil kernel to a synthetic
 // domain under a selectable protection method — a debugging and
-// demonstration tool for the library's 2-D path. Every configuration routes
-// through the unified Spec/Build factory, so the flags map one-to-one onto
-// Spec fields.
+// demonstration tool for the library's 2-D path. The flags render as one
+// wire-form Spec document (config.wire) that every role — the reference
+// run, the local or chan-cluster run, every tcp rank — resolves through the
+// unified SpecFromWire/Build factory.
 //
 // Usage:
 //
@@ -24,8 +25,9 @@
 //	stencilrun -rankgrid 2x2 -transport tcp -rank 1 -rendezvous host:9777 &
 //	...
 //
-// The -launch parent merges the children's stats and verifies the gathered
-// grid is bit-identical to an in-process single-process reference run (or,
+// The -launch parent's children are pool workers (this binary under -worker,
+// speaking internal/serve's worker protocol); it merges their stats and
+// verifies the gathered grid is bit-identical to an in-process single-process reference run (or,
 // with -inject, that the corruption was detected and repaired); it exits
 // non-zero otherwise, which is what CI gates on.
 package main
@@ -33,21 +35,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	abft "stencilabft"
+	"stencilabft/internal/chaos"
 	"stencilabft/internal/fault"
-	"stencilabft/internal/grid"
 	"stencilabft/internal/metrics"
 	"stencilabft/internal/resilience"
-	"stencilabft/internal/stencil"
+	"stencilabft/internal/serve"
 )
 
 // config holds the raw flag values; plan (via config.resolve) is the
@@ -74,7 +75,7 @@ type config struct {
 	rendezvous string
 	bind       string
 	launch     int
-	tileOut    string
+	worker     bool // pool-worker role: serve jobs on stdin/stdout (the -launch children)
 
 	buddy    int    // buddy checkpoint period j for tcp clusters (0 = off)
 	control  string // recovery coordinator address (tcp rank processes)
@@ -262,8 +263,6 @@ func (c config) resolve() (plan, error) {
 			return p, fmt.Errorf("-rendezvous is the tcp cluster's meeting point; the chan transport needs none")
 		case c.bind != "":
 			return p, fmt.Errorf("-bind shapes a tcp rank process's data listener; the chan transport opens no sockets")
-		case c.tileOut != "":
-			return p, fmt.Errorf("-tileout is written by tcp rank processes for the -launch parent to gather; the chan transport gathers in-process")
 		}
 		return p, nil
 	}
@@ -311,9 +310,6 @@ func (c config) resolve() (plan, error) {
 			}
 			p.dieRank, p.dieIter = r, i
 		}
-		if c.tileOut != "" {
-			return p, fmt.Errorf("-tileout is set by the -launch parent on its children; don't set it yourself")
-		}
 		if c.bind != "" {
 			return p, fmt.Errorf("-launch forks its cluster over loopback; -bind is for hand-started rank processes spanning hosts")
 		}
@@ -357,100 +353,81 @@ func (c config) resolve() (plan, error) {
 	return p, nil
 }
 
-func kernelByName(name string) (*stencil.Stencil[float32], error) {
-	switch name {
-	case "laplace":
-		return stencil.Laplace5[float32](0.2), nil
-	case "jacobi4":
-		return stencil.Jacobi4[float32](), nil
-	case "blur":
-		return stencil.BoxBlur[float32](), nil
-	case "advect":
-		return stencil.Advect2D[float32](0.3, 0.2), nil
-	default:
-		return nil, fmt.Errorf("unknown kernel %q (want laplace|jacobi4|blur|advect)", name)
-	}
-}
+// kernelNames maps the -kernel names onto the wire stencil registry, whose
+// default args are the coefficients this tool has always run with.
+var kernelNames = map[string]string{"laplace": "laplace5", "jacobi4": "jacobi4", "blur": "box9", "advect": "advect2d"}
 
-func boundaryByName(name string) (grid.Boundary, error) {
-	switch name {
-	case "clamp":
-		return grid.Clamp, nil
-	case "periodic":
-		return grid.Periodic, nil
-	case "mirror":
-		return grid.Mirror, nil
-	case "constant":
-		return grid.Constant, nil
-	case "zero":
-		return grid.Zero, nil
-	default:
-		return 0, fmt.Errorf("unknown boundary %q (want clamp|periodic|mirror|constant|zero)", name)
+// wire renders the flags as the canonical wire-form Spec: the operator, the
+// seeded initial grid (generator "uniform"), the scheme and rank grid, and
+// the (optional) injection. Every process of a tcp cluster resolves the same
+// document, so every process derives identical state — which is what lets
+// each rank carve its tile locally and lets the whole cluster route one
+// global injection plan without communicating it.
+func (c config) wire(p plan) (*abft.WireSpec, error) {
+	name, ok := kernelNames[c.kernel]
+	if !ok {
+		return nil, fmt.Errorf("unknown kernel %q (want laplace|jacobi4|blur|advect)", c.kernel)
 	}
-}
-
-// domain builds the operator, the deterministically-seeded initial grid and
-// the (optional) injection plan. Every process of a tcp cluster calls this
-// with the same flags, so every process derives identical state — which is
-// what lets each rank carve its tile locally and lets the whole cluster
-// route one global injection plan without communicating it.
-func (c config) domain() (*abft.Op2D[float32], *abft.Grid[float32], *fault.Plan, error) {
-	st, err := kernelByName(c.kernel)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	bc, err := boundaryByName(c.bcName)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	op := &abft.Op2D[float32]{St: st, BC: bc, BCValue: float32(c.bcValue)}
-
-	rng := rand.New(rand.NewSource(c.seed))
-	init := abft.New[float32](c.nx, c.ny)
-	init.FillFunc(func(x, y int) float32 { return 100 + 50*rng.Float32() })
-
-	var plan *fault.Plan
-	if c.inject {
-		inj := fault.RandomSingle(rng, c.iters, c.nx, c.ny, 1, 32)
-		plan = fault.NewPlan(inj)
-		fmt.Printf("injection: %v\n", inj)
-	}
-	return op, init, plan, nil
-}
-
-// spec assembles the Build input for this process's protected run.
-func (c config) spec(p plan, op *abft.Op2D[float32], init *abft.Grid[float32], injectPlan *fault.Plan) abft.Spec[float32] {
-	spec := abft.Spec[float32]{
-		Scheme:     p.scheme,
-		Deployment: p.deployment,
-		Op2D:       op,
-		Init:       init,
-		Detector:   abft.Detector[float32]{Epsilon: float32(c.epsilon), AbsFloor: 1},
-		Pool:       abft.NewPool(),
+	w := &abft.WireSpec{
+		Elem:       "float32",
+		Scheme:     string(p.scheme),
+		Deployment: string(p.deployment),
+		Stencil:    &abft.WireStencil{Name: name},
+		BC:         c.bcName,
+		BCValue:    c.bcValue,
+		Grid:       &abft.WireGrid{Nx: c.nx, Ny: c.ny, Generator: "uniform", Seed: c.seed},
+		Epsilon:    c.epsilon,
+		AbsFloor:   1,
 		RanksX:     p.ranksX,
 		RanksY:     p.ranksY,
-		Inject:     injectPlan,
 	}
 	if p.deployment == abft.Clustered {
-		spec.HaloDepth = c.haloDepth
-	}
-	if p.transport == abft.TransportTCP {
-		spec.Transport = abft.TransportTCP
-		spec.Rank = c.rank
-		spec.Rendezvous = c.rendezvous
-		spec.Bind = c.bind
+		w.HaloDepth = c.haloDepth
 	}
 	if p.scheme == abft.Offline {
-		spec.Period = c.period
+		w.Period = c.period
 	}
 	if p.scheme == abft.Blocked {
 		bs := c.blockSize
 		if bs <= 0 {
 			bs = 64
 		}
-		spec.BlockX, spec.BlockY = bs, bs
+		w.BlockX, w.BlockY = bs, bs
 	}
-	return spec
+	if c.inject {
+		if c.iters < 1 || c.nx < 1 || c.ny < 1 {
+			return nil, fmt.Errorf("-inject needs a positive -iters and domain to draw the flip from")
+		}
+		// The flip is drawn from its own stream of the seed, not from
+		// whatever the grid fill left of one.
+		inj := fault.RandomSingle(rand.New(rand.NewSource(c.seed)), c.iters, c.nx, c.ny, 1, 32)
+		w.Inject = []abft.WireInjection{{Iteration: inj.Iteration, X: inj.X, Y: inj.Y, Bit: inj.Bit}}
+		fmt.Printf("injection: %v\n", inj)
+	}
+	return w, nil
+}
+
+// reference runs the single-process error-free trajectory of spec's operator
+// and seeded domain — what every protected or distributed run is compared
+// against.
+func reference(spec abft.Spec[float32], iters int) (*abft.Grid[float32], error) {
+	ref, err := abft.Build(abft.Spec[float32]{Op2D: spec.Op2D, Init: spec.Init})
+	if err != nil {
+		return nil, err
+	}
+	ref.Run(iters)
+	return ref.Grid(), nil
+}
+
+// firstDiff finds the first point where g and ref differ.
+func firstDiff(g, ref *abft.Grid[float32]) (x, y int, differ bool) {
+	for i, v := range g.Data() {
+		if v != ref.Data()[i] {
+			x, y = g.Coords(i)
+			return x, y, true
+		}
+	}
+	return 0, 0, false
 }
 
 func main() {
@@ -475,7 +452,7 @@ func main() {
 	flag.StringVar(&c.rendezvous, "rendezvous", "", "host:port the tcp cluster's processes meet at (rank 0's process serves it)")
 	flag.StringVar(&c.bind, "bind", "", "address this rank's tcp data listener binds and advertises (default 127.0.0.1:0; bind a routable interface, e.g. 10.0.0.5:0, for multi-host clusters)")
 	flag.IntVar(&c.launch, "launch", 0, "fork N rank processes over loopback, merge their stats and verify the gathered grid (implies -transport tcp)")
-	flag.StringVar(&c.tileOut, "tileout", "", "write this rank's final tile to a file (set by the -launch parent)")
+	flag.BoolVar(&c.worker, "worker", false, "run as a pool worker on stdin/stdout (internal: what the -launch parent forks)")
 	flag.IntVar(&c.buddy, "buddy", 0, "mirror each rank's state to a buddy rank every j iterations (tcp clusters; enables fail-stop recovery)")
 	flag.StringVar(&c.control, "control", "", "recovery coordinator address this tcp rank process reports faults to (requires -buddy)")
 	flag.BoolVar(&c.recover, "recover", false, "host a recovery coordinator and respawn dead rank processes (-launch parent; requires -buddy)")
@@ -495,6 +472,12 @@ func main() {
 	flag.StringVar(&c.metricsAddr, "metrics", "", "serve live observability on this address while the run executes: Prometheus text at /metrics, expvar at /debug/vars, pprof at /debug/pprof/")
 	flag.Parse()
 
+	if c.worker {
+		if err := runWorker(c); err != nil {
+			fail(err)
+		}
+		return
+	}
 	p, err := c.resolve()
 	if err != nil {
 		fail(err)
@@ -512,45 +495,57 @@ func main() {
 			fmt.Printf("soak: pass %d/%d (chaos seed %d)\n", s+1, passes, cc.chaosSeed)
 		}
 		if p.launch {
-			if err := runLaunch(cc, p); err != nil {
-				fail(err)
-			}
-			continue
+			err = runLaunch(cc, p, launchWorkers(cc))
+		} else {
+			err = runProcess(cc, p)
 		}
-		if err := runProcess(cc, p); err != nil {
+		if err != nil {
 			fail(err)
 		}
 	}
 }
 
+// runWorker is the -worker role: serve placed jobs from the -launch parent
+// until it closes stdin. Profiles cover the worker's whole life.
+func runWorker(c config) error {
+	if err := startCPUProfile(c.cpuProf); err != nil {
+		return err
+	}
+	if err := serve.WorkerMain(os.Stdin, os.Stdout); err != nil {
+		return err
+	}
+	flushCPUProfile()
+	return writeHeapProfile(c.memProf)
+}
+
 // runProcess runs this process's share of the computation: the whole
 // domain for local and chan-cluster deployments, or one rank's tile for a
-// tcp rank process.
+// hand-started tcp rank process.
 func runProcess(c config, p plan) error {
-	op, init, injectPlan, err := c.domain()
+	w, err := c.wire(p)
+	if err != nil {
+		return err
+	}
+	spec, err := abft.SpecFromWire[float32](w)
 	if err != nil {
 		return err
 	}
 	tcpRank := p.transport == abft.TransportTCP
 
 	// Error-free reference for the arithmetic-error report. A tcp rank
-	// process skips it: the -launch parent (or the operator) owns the
-	// cross-process comparison, and a full-domain run per rank would
-	// defeat the point of distributing.
-	var ref abft.Protector[float32]
+	// process skips it: the operator owns the cross-process comparison, and
+	// a full-domain run per rank would defeat the point of distributing.
+	var ref *abft.Grid[float32]
 	if !tcpRank {
-		ref, err = abft.Build(abft.Spec[float32]{Op2D: op, Init: init})
-		if err != nil {
+		if ref, err = reference(spec, c.iters); err != nil {
 			return err
 		}
-		ref.Run(c.iters)
 	}
 
 	// Restoring resumes the same trajectory the checkpoint was cut from, so
 	// the reference above (the full run from the seeded domain) is still the
 	// right comparison: a bit-exact resume converges to the same state.
 	startIter := 0
-	runInit := init
 	if c.restore != "" {
 		g, _, iter, err := resilience.LoadLatest[float32](c.restore)
 		if err != nil {
@@ -562,7 +557,7 @@ func runProcess(c config, p plan) error {
 		if iter > c.iters {
 			return fmt.Errorf("checkpoint under %s is at iteration %d, past -iters %d", c.restore, iter, c.iters)
 		}
-		runInit = g
+		spec.Init = g
 		startIter = iter
 		fmt.Printf("restored iteration %d from %s\n", iter, c.restore)
 	}
@@ -571,51 +566,47 @@ func runProcess(c config, p plan) error {
 	// not the reference run above or the reporting below, so profiles
 	// isolate the hot path under measurement. fail() flushes a started
 	// profile before exiting so an error never leaves a truncated file.
-	if c.cpuProf != "" {
-		f, err := os.Create(c.cpuProf)
+	if err := startCPUProfile(c.cpuProf); err != nil {
+		return err
+	}
+
+	// The process-local knobs the document excludes. Telemetry rides along
+	// whenever an observability sink wants it; runs without -trace/-metrics
+	// build with a nil collector and pay nothing.
+	spec.Pool = abft.NewPool()
+	if c.trace != "" || c.metricsAddr != "" {
+		spec.Telemetry = abft.NewTelemetry(0)
+	}
+	if tcpRank {
+		spec.Transport, spec.Rank, spec.Rendezvous, spec.Bind = abft.TransportTCP, c.rank, c.rendezvous, c.bind
+	}
+	var harness *serve.ChaosHarness
+	if c.chaos != "" {
+		cp, err := chaos.Load(c.chaos)
 		if err != nil {
 			return err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
+		if harness, err = serve.NewChaosHarness(cp, c.chaosSeed, tcpRank); err != nil {
 			return err
 		}
-		stopCPUProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-
-	// Telemetry rides along whenever an observability sink wants it; runs
-	// without -trace/-metrics build with a nil collector and pay nothing.
-	var tel *abft.Telemetry
-	if c.trace != "" || c.metricsAddr != "" {
-		tel = abft.NewTelemetry(0)
-	}
-
-	harness, err := newChaosHarness(c, p)
-	if err != nil {
-		return err
+		serve.ApplyChaos(harness, &spec)
 	}
 
 	timer := metrics.StartTimer()
 	var prot abft.Protector[float32]
 	var extra abft.Stats
 	if tcpRank && c.buddy > 0 {
-		prot, extra, err = runResilient(c, p, op, init, injectPlan, tel, harness)
-		if err != nil {
+		place := serve.Placement{Rank: c.rank, Rendezvous: c.rendezvous, Epoch: c.epoch,
+			Control: c.control, Buddy: c.buddy, CkptDir: c.ckptDir, DieAt: c.dieAt}
+		if prot, extra, err = serve.RunResilient(spec, place, c.iters, nil); err != nil {
 			return err
 		}
 	} else {
-		spec := c.spec(p, op, runInit, injectPlan)
-		spec.Telemetry = tel
-		harness.apply(&spec)
-		prot, err = abft.Build(spec)
-		if err != nil {
+		if prot, err = abft.Build(spec); err != nil {
 			return err
 		}
 		if c.metricsAddr != "" {
-			ln, err := serveMetrics(c.metricsAddr, tel, prot)
+			ln, err := serveMetrics(c.metricsAddr, spec.Telemetry, prot)
 			if err != nil {
 				return err
 			}
@@ -630,45 +621,31 @@ func runProcess(c config, p plan) error {
 	stats := prot.Stats().Merge(extra)
 
 	if c.trace != "" {
-		if err := writeTraceFile(c.trace, tel); err != nil {
+		if err := writeTraceFile(c.trace, spec.Telemetry); err != nil {
 			return err
 		}
 	}
-
-	if c.memProf != "" {
-		f, err := os.Create(c.memProf)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // settle allocations so the heap profile shows live + cumulative cleanly
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		f.Close()
+	if err := writeHeapProfile(c.memProf); err != nil {
+		return err
 	}
 
 	fmt.Printf("stencilrun %s on %dx%d (%s boundaries), %d iterations, scheme=%s deployment=%s transport=%s\n",
-		op.St.Name, c.nx, c.ny, op.BC, c.iters, p.scheme, p.deployment, p.transport)
+		spec.Op2D.St.Name, c.nx, c.ny, spec.Op2D.BC, c.iters, p.scheme, p.deployment, p.transport)
 	fmt.Printf("wall time:        %.4fs\n", timer.Seconds())
 	if ref != nil {
-		fmt.Printf("arithmetic error: %.6g\n", metrics.L2Error(prot.Grid(), ref.Grid()))
+		fmt.Printf("arithmetic error: %.6g\n", metrics.L2Error(prot.Grid(), ref))
 	}
 	fmt.Printf("protector stats:  %v\n", stats)
 	if harness != nil {
-		fmt.Printf("chaos: injected %s (plan %s, seed %d)\n", harness.summary(), c.chaos, c.chaosSeed)
-		if !tcpRank && ref != nil {
+		fmt.Printf("chaos: injected %s (plan %s, seed %d)\n", harness.Summary(), c.chaos, c.chaosSeed)
+		if ref != nil {
 			// Transport chaos must be invisible in the result: every absorbed
 			// or healed fault leaves the run bit-identical to the fault-free
-			// reference. (A tcp rank process leaves this gate to its -launch
-			// parent's cross-process gather comparison.)
-			g, rg := prot.Grid(), ref.Grid()
-			for y := 0; y < c.ny; y++ {
-				for x := 0; x < c.nx; x++ {
-					if g.At(x, y) != rg.At(x, y) {
-						return fmt.Errorf("chaos run deviates from the fault-free reference at (%d,%d): %v != %v", x, y, g.At(x, y), rg.At(x, y))
-					}
-				}
+			// reference. (A tcp rank process has no reference; the gate is
+			// its operator's cross-process gather comparison.)
+			g := prot.Grid()
+			if x, y, differ := firstDiff(g, ref); differ {
+				return fmt.Errorf("chaos run deviates from the fault-free reference at (%d,%d): %v != %v", x, y, g.At(x, y), ref.At(x, y))
 			}
 			fmt.Println("chaos: result is bit-identical to the fault-free reference")
 		}
@@ -679,17 +656,7 @@ func runProcess(c config, p plan) error {
 			fmt.Printf("  rank %d tile %v: %v\n", ids[i], cl.Tile(ids[i]), s)
 		}
 		if tcpRank {
-			if c.tileOut != "" {
-				if err := writeTile(c.tileOut, c.rank, cl.Tile(c.rank), prot.Grid()); err != nil {
-					return err
-				}
-			}
-			if err := printChildStats(c.rank, stats); err != nil {
-				return err
-			}
-			if err := cl.Close(); err != nil {
-				return err
-			}
+			return cl.Close()
 		}
 	}
 	return nil
@@ -733,95 +700,40 @@ func runChunked(prot abft.Protector[float32], c config, startIter int) error {
 	return nil
 }
 
-// runResilient is the tcp rank process's fault-tolerant path: the cluster is
-// built through a factory so fail-stop recovery can rebuild it per epoch,
-// buddy checkpoints flow every -buddy iterations, and with -control a peer
-// process's death rolls the run back instead of killing it.
-func runResilient(c config, p plan, op *abft.Op2D[float32], init *abft.Grid[float32], injectPlan *fault.Plan, tel *abft.Telemetry, harness *chaosHarness) (abft.Protector[float32], abft.Stats, error) {
-	var extra abft.Stats
-	// The live cluster, tracked across incarnations so progress lines can
-	// report its transport's healing counters.
-	var curMu sync.Mutex
-	var cur *abft.Cluster[float32]
-	factory := func(epoch int, rdv string, localRanks []int, after func(rank, iter int)) (*abft.Cluster[float32], error) {
-		hook := after
-		if c.dieAt > 0 && epoch == 0 {
-			hook = func(r, it int) {
-				after(r, it)
-				if r == c.rank && it+1 == c.dieAt {
-					killSelf()
-				}
-			}
-		}
-		spec := c.spec(p, op, init, injectPlan)
-		spec.Telemetry = tel
-		spec.Rendezvous = rdv
-		spec.LocalRanks = localRanks
-		spec.AfterStep = hook
-		harness.apply(&spec)
-		prot, err := abft.Build(spec)
-		if err != nil {
-			return nil, err
-		}
-		cl := prot.(*abft.Cluster[float32])
-		curMu.Lock()
-		cur = cl
-		curMu.Unlock()
-		return cl, nil
-	}
-	var genMu sync.Mutex
-	cfg := resilience.Config[float32]{
-		Total: c.iters, Period: c.buddy, Control: c.control,
-		LocalRanks: []int{c.rank}, Factory: factory, Telemetry: tel,
-		Rendezvous: c.rendezvous,
-		DiskDir:    c.ckptDir,
-		OnCheckpoint: func(rank, gen int) {
-			// "CHILDGEN rank gen reconnects resends": the healing counters
-			// ride each progress line, so a parent diagnosing a death can say
-			// how hard the transport fought before losing the process.
-			var reconnects, resends int64
-			curMu.Lock()
-			if cur != nil {
-				tm := cur.TransportMetrics()
-				reconnects, resends = tm.Reconnects, tm.Resends
-			}
-			curMu.Unlock()
-			genMu.Lock()
-			fmt.Printf("%s%d %d %d %d\n", childGenPrefix, rank, gen, reconnects, resends)
-			genMu.Unlock()
-		},
-	}
-	if c.epoch > 0 {
-		adoption, state, err := resilience.RequestAdoption[float32](c.control, c.rank, 30*time.Second)
-		if err != nil {
-			return nil, extra, fmt.Errorf("claiming rank %d from the coordinator: %w", c.rank, err)
-		}
-		cfg.Epoch, cfg.Rendezvous, cfg.StartIter = adoption.Epoch, adoption.Rendezvous, adoption.RestartGen
-		if state != nil {
-			cfg.InitialState = map[int][]float32{c.rank: state}
-		}
-		fmt.Printf("respawned as rank %d at epoch %d, resuming from generation %d\n", c.rank, adoption.Epoch, adoption.RestartGen)
-	}
-	cl, extra, err := resilience.Run(cfg)
-	if err != nil {
-		return nil, extra, err
-	}
-	return cl, extra, nil
-}
-
-// killSelf delivers an unconditional SIGKILL to this process — the fault
-// drill behind -die-at: no deferred cleanup, no goodbye on any socket;
-// exactly how a crashed or OOM-killed rank process looks to its peers.
-func killSelf() {
-	if p, err := os.FindProcess(os.Getpid()); err == nil {
-		p.Kill()
-	}
-	select {} // unreachable: SIGKILL is not catchable
-}
-
 // stopCPUProfile is set while a CPU profile is being collected;
 // flushCPUProfile runs it once (from the happy path or from fail).
 var stopCPUProfile func()
+
+// startCPUProfile starts profiling into path ("" = no profile).
+func startCPUProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	stopCPUProfile = func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}
+	return nil
+}
+
+// writeHeapProfile writes a heap profile to path ("" = none).
+func writeHeapProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	return writeFile(path, func(w io.Writer) error {
+		runtime.GC() // settle allocations so the heap profile shows live + cumulative cleanly
+		return pprof.WriteHeapProfile(w)
+	})
+}
 
 func flushCPUProfile() {
 	if stopCPUProfile != nil {

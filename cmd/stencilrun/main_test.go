@@ -2,14 +2,177 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	abft "stencilabft"
+	"stencilabft/internal/serve"
+	"stencilabft/internal/telemetry"
 )
+
+// TestMain lets this test binary double as a -launch child: re-exec'd with
+// STENCILRUN_WORKER=1 it serves the worker protocol on stdin/stdout, as
+// stencilrun -worker does.
+func TestMain(m *testing.M) {
+	if os.Getenv("STENCILRUN_WORKER") == "1" {
+		if err := serve.WorkerMain(os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestLaunch drives the -launch parent over real rank processes on a 2x2
+// grid. runLaunch's own gates are the assertions: it returns an error
+// unless the gathered grid is bit-identical to the single-process
+// reference, an injected flip was detected and repaired, or a -die drill
+// killed a process and the merged stats record a recovery.
+func TestLaunch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks rank processes")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := serve.ProcessWorkers(exe, []string{"STENCILRUN_WORKER=1"})
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	cases := []struct {
+		name string
+		mut  func(*config)
+	}{
+		{"clamp", func(c *config) {}},
+		{"periodic advection", func(c *config) { c.bcName = "periodic"; c.kernel = "advect" }},
+		{"constant boundary, depth-2 halos", func(c *config) { c.bcName = "constant"; c.bcValue = 25; c.haloDepth = 2 }},
+		{"injected flip detected and repaired", func(c *config) { c.inject = true; c.seed = 32 }},
+		{"merged trace", func(c *config) { c.trace = tracePath }},
+		{"rank 3 killed at iteration 20 and recovered", func(c *config) {
+			c.iters = 48
+			c.recover = true
+			c.buddy = 8
+			c.die = "3@20"
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := base()
+			c.nx, c.ny, c.iters = 96, 96, 40
+			c.rankGrid, c.launch = "2x2", 4
+			tc.mut(&c)
+			p, err := c.resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := runLaunch(c, p, start); err != nil {
+				t.Fatal(err)
+			}
+			if c.trace == "" {
+				return
+			}
+			f, err := os.Open(c.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			tf, err := telemetry.ParseTrace(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lanes := tf.RankLanes(); len(lanes) != 4 {
+				t.Fatalf("merged trace carries rank lanes %v, want 4", lanes)
+			}
+		})
+	}
+}
+
+// TestLaunchReportsAFailedRank: without -recover the first rank failure
+// ends the launch with that rank's error.
+func TestLaunchReportsAFailedRank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks rank processes")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := base()
+	c.nx, c.ny, c.iters = 6, 6, 4 // 3x3 tiles: too thin for the blur's halo exchange
+	c.rankGrid, c.launch, c.kernel, c.haloDepth = "2x2", 4, "blur", 4
+	p, err := c.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runLaunch(c, p, serve.ProcessWorkers(exe, []string{"STENCILRUN_WORKER=1"}))
+	if err == nil || !strings.Contains(err.Error(), "process failed") {
+		t.Fatalf("launch over thin tiles: %v, want a rank failure", err)
+	}
+}
+
+// TestWireMatchesTheFlags pins config.wire against what the flags have
+// always meant: for every kernel and boundary condition the resolved
+// document carries the kernel's historical coefficients and the domain
+// filled row-major with 100 + 50*rng.Float32() from the -seed stream.
+func TestWireMatchesTheFlags(t *testing.T) {
+	kernels := map[string]*abft.Stencil[float32]{
+		"laplace": abft.Laplace5[float32](0.2),
+		"jacobi4": abft.Jacobi4[float32](),
+		"blur":    abft.BoxBlur[float32](),
+		"advect":  abft.Advect2D[float32](0.3, 0.2),
+	}
+	bcs := map[string]abft.Boundary{"clamp": abft.Clamp, "periodic": abft.Periodic, "mirror": abft.Mirror,
+		"constant": abft.Constant, "zero": abft.Zero}
+	for kernel, st := range kernels {
+		for bcName, bc := range bcs {
+			c := base()
+			c.nx, c.ny, c.seed = 37, 23, 7
+			c.kernel, c.bcName, c.bcValue = kernel, bcName, 25
+			p, err := c.resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := c.wire(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := abft.SpecFromWire[float32](w)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kernel, bcName, err)
+			}
+			op := spec.Op2D
+			if op.BC != bc || op.BCValue != 25 || op.St.Name != st.Name || len(op.St.Points) != len(st.Points) {
+				t.Fatalf("%s/%s resolved to %s with %v boundaries (value %v)", kernel, bcName, op.St.Name, op.BC, op.BCValue)
+			}
+			for i, pt := range st.Points {
+				if got := op.St.Points[i]; got != pt {
+					t.Fatalf("%s/%s point %d: %+v, want %+v", kernel, bcName, i, got, pt)
+				}
+			}
+			rng := rand.New(rand.NewSource(c.seed))
+			for i, v := range spec.Init.Data() {
+				if want := 100 + 50*rng.Float32(); math.Float32bits(v) != math.Float32bits(want) {
+					t.Fatalf("%s/%s cell %d: %v, want %v", kernel, bcName, i, v, want)
+				}
+			}
+			if spec.Detector.Epsilon != 1e-5 || spec.Detector.AbsFloor != 1 {
+				t.Fatalf("%s/%s detector %+v", kernel, bcName, spec.Detector)
+			}
+		}
+	}
+	c := base()
+	c.kernel = "sobel"
+	if _, err := c.wire(plan{scheme: abft.Online, deployment: abft.Local}); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
+		t.Fatalf("unknown kernel: %v", err)
+	}
+}
 
 // base returns the flag defaults, as flag.Parse would leave them with no
 // arguments.
@@ -156,14 +319,10 @@ func TestResolveRejectsBadCombinations(t *testing.T) {
 			func(c *config) { c.rankGrid = "2x2"; c.launch = 3 }, "must match the rank grid"},
 		{"launch with metrics",
 			func(c *config) { c.rankGrid = "2x2"; c.launch = 4; c.metricsAddr = ":0" }, "-metrics"},
-		{"launch with tileout",
-			func(c *config) { c.rankGrid = "2x2"; c.launch = 4; c.tileOut = "t.bin" }, "-tileout"},
 		{"rank with explicit chan",
 			func(c *config) { c.rankGrid = "2x2"; c.transport = "chan"; c.rank = 1 }, "-rank"},
 		{"rendezvous with explicit chan",
 			func(c *config) { c.rankGrid = "2x2"; c.transport = "chan"; c.rendezvous = "h:1" }, "-rendezvous"},
-		{"tileout without tcp",
-			func(c *config) { c.rankGrid = "2x2"; c.tileOut = "t.bin" }, "-tileout"},
 		{"bind with explicit chan",
 			func(c *config) { c.rankGrid = "2x2"; c.transport = "chan"; c.bind = "10.0.0.5:0" }, "-bind"},
 		{"bind with launch",
@@ -266,27 +425,6 @@ func TestResolveRejectsBadCombinations(t *testing.T) {
 	}
 }
 
-// TestChildStatsMalformedLines pins the parent's stats-line parser against
-// truncated or corrupt child output: a diagnostic error, never a panic.
-func TestChildStatsMalformedLines(t *testing.T) {
-	good := []byte("noise\n" + childStatsPrefix + `2 {"Iterations":7}` + "\n")
-	st, err := childStats(good, 2)
-	if err != nil || st.Iterations != 7 {
-		t.Fatalf("good line: %+v, %v", st, err)
-	}
-	for name, out := range map[string][]byte{
-		"no stats line":     []byte("just logs\n"),
-		"payload without {": []byte(childStatsPrefix + "2 x\n"),
-		"wrong rank":        []byte(childStatsPrefix + `1 {"Iterations":7}` + "\n"),
-		"broken JSON":       []byte(childStatsPrefix + "2 {\n"),
-		"empty output":      nil,
-	} {
-		if _, err := childStats(out, 2); err == nil {
-			t.Errorf("%s: accepted %q", name, out)
-		}
-	}
-}
-
 // TestDiskCheckpointRoundTrip drives the CLI's disk-checkpoint path end to
 // end: checkpoint a run cut off at iteration 16, restore and finish it, and
 // require the resumed run's final checkpoint file to be byte-identical to an
@@ -335,58 +473,71 @@ func TestParseDie(t *testing.T) {
 	}
 }
 
-// TestLastChildGen pins the CHILDGEN progress-line scanner the death
-// diagnostics rely on: newest generation for the right rank with its
-// healing counters, noise, malformed and legacy two-field lines handled.
-func TestLastChildGen(t *testing.T) {
-	out := []byte("noise\n" +
-		childGenPrefix + "3 8 0 0\n" +
-		childGenPrefix + "2 40 9 9\n" + // another rank's line
-		childGenPrefix + "3 16 2 11\n" +
-		childGenPrefix + "bogus line\n" +
-		childGenPrefix + "3 x\n")
-	gen, reconnects, resends, ok := lastChildGen(out, 3)
-	if !ok || gen != 16 || reconnects != 2 || resends != 11 {
-		t.Fatalf("lastChildGen = %d, %d, %d, %v (want 16, 2, 11, true)", gen, reconnects, resends, ok)
-	}
-	if _, _, _, ok := lastChildGen(out, 0); ok {
-		t.Fatal("rank 0 never reported a checkpoint, but one was found")
-	}
-	if _, _, _, ok := lastChildGen(nil, 3); ok {
-		t.Fatal("empty output produced a generation")
-	}
-	// A two-field line from an older build parses with zero counters.
-	gen, reconnects, resends, ok = lastChildGen([]byte(childGenPrefix+"5 32\n"), 5)
-	if !ok || gen != 32 || reconnects != 0 || resends != 0 {
-		t.Fatalf("legacy line: %d, %d, %d, %v (want 32, 0, 0, true)", gen, reconnects, resends, ok)
-	}
+// scriptedWorker replays a fixed event stream, then reports exit as how its
+// process ended.
+type scriptedWorker struct {
+	serve.Worker // Send and Kill are never reached by these scripts
+	events       []serve.WorkerEvent
+	exit         error
 }
 
-// TestDeathReport pins the launcher's fail-stop diagnostic: it names the
-// rank, the exit cause, the last checkpointed generation, and any transport
-// healing the child had done before it died.
+func (w *scriptedWorker) Send(serve.JobRequest) error { return nil }
+func (w *scriptedWorker) Close() error                { return w.exit }
+func (w *scriptedWorker) Recv() (serve.WorkerEvent, error) {
+	if len(w.events) == 0 {
+		return serve.WorkerEvent{}, io.EOF
+	}
+	ev := w.events[0]
+	w.events = w.events[1:]
+	return ev, nil
+}
+
+// TestDeathReport pins the launcher's fail-stop diagnostic and the "ckpt"
+// event bookkeeping behind it: the report names the rank, how its process
+// exited, the last checkpoint generation the rank itself reported, and any
+// transport healing it had done before it died.
 func TestDeathReport(t *testing.T) {
-	out := []byte(childGenPrefix + "3 24 0 0\n")
-	got := deathReport(3, 0, fmt.Errorf("signal: killed"), out)
-	for _, want := range []string{"rank 3", "signal: killed", "generation 24"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("report %q does not mention %q", got, want)
-		}
+	ckpt := func(rank, gen int, reconnects, resends int64) serve.WorkerEvent {
+		return serve.WorkerEvent{Event: "ckpt", Ckpt: &serve.Checkpoint{Rank: rank, Gen: gen, Reconnects: reconnects, Resends: resends}}
 	}
-	if strings.Contains(got, "reconnects") {
-		t.Errorf("report %q mentions reconnects for a child that never healed", got)
+	cases := []struct {
+		name        string
+		rank, epoch int
+		events      []serve.WorkerEvent
+		exit        error
+		want, not   []string
+	}{
+		{"killed after two clean checkpoints", 3, 0,
+			[]serve.WorkerEvent{ckpt(3, 8, 0, 0), ckpt(2, 40, 9, 9), ckpt(3, 24, 0, 0), {Event: "ckpt"}},
+			errors.New("signal: killed"),
+			[]string{"rank 3", "epoch 0", "signal: killed", "generation 24"}, []string{"reconnects", "generation 40"}},
+		{"died before any checkpoint: the pipe's EOF stands in for a clean exit status", 1, 2, nil, nil,
+			[]string{"rank 1", "epoch 2", "EOF", "no buddy checkpoint"}, nil},
+		{"healed connections before dying", 2, 1,
+			[]serve.WorkerEvent{ckpt(2, 40, 3, 17)}, errors.New("exit status 1"),
+			[]string{"exit status 1", "generation 40", "3 reconnects", "17 resent frames"}, nil},
+		{"a job error is the cause", 0, 0,
+			[]serve.WorkerEvent{ckpt(0, 8, 0, 0), {Event: "error", Error: "rank 0 lost its Right neighbour"}}, nil,
+			[]string{"lost its Right neighbour", "generation 8"}, nil},
 	}
-	got = deathReport(1, 2, fmt.Errorf("exit status 1"), nil)
-	for _, want := range []string{"rank 1", "epoch 2", "exit status 1", "no buddy checkpoint"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("report %q does not mention %q", got, want)
-		}
-	}
-	got = deathReport(2, 1, fmt.Errorf("signal: killed"), []byte(childGenPrefix+"2 40 3 17\n"))
-	for _, want := range []string{"generation 40", "3 reconnects", "17 resent frames"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("report %q does not mention %q", got, want)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ch := &child{rank: tc.rank, epoch: tc.epoch, w: &scriptedWorker{events: tc.events, exit: tc.exit}}
+			if ch.err = ch.run(serve.JobRequest{}); ch.err == nil {
+				t.Fatal("a rank that never delivered a result ran clean")
+			}
+			got := deathReport(ch)
+			for _, want := range tc.want {
+				if !strings.Contains(got, want) {
+					t.Errorf("report %q does not mention %q", got, want)
+				}
+			}
+			for _, not := range tc.not {
+				if strings.Contains(got, not) {
+					t.Errorf("report %q mentions %q", got, not)
+				}
+			}
+		})
 	}
 }
 

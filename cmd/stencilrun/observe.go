@@ -3,6 +3,7 @@ package main
 import (
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -62,17 +63,22 @@ func serveMetrics(addr string, tel *abft.Telemetry, prot abft.Protector[float32]
 // writeTraceFile exports the collector's span timeline as a Chrome
 // trace-event JSON file.
 func writeTraceFile(path string, tel *abft.Telemetry) error {
+	err := writeFile(path, func(w io.Writer) error { return abft.WriteTrace(w, tel) })
+	if err == nil {
+		fmt.Printf("trace: wrote %s\n", path)
+	}
+	return err
+}
+
+// writeFile creates path and hands it to write, closing it either way.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := abft.WriteTrace(f, tel); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("trace: wrote %s\n", path)
-	return nil
+	return f.Close()
 }

@@ -16,8 +16,7 @@ import (
 // straggler. Delay and Stall are absorbed by the lockstep barrier and
 // must leave the result bit-identical; Drop and Partition must end in a
 // classified *dist.Fault, never a hang (configure a receive timeout:
-// dist.Options.RecvTimeout on the channel backend, TCPConfig.IOTimeout on
-// TCP). Faults act on the sending side only: the wrapper embeds the
+// dist.Options.RecvTimeout). Faults act on the sending side only: the wrapper embeds the
 // backend and overrides Send and SendCkpt, so every receive, the barrier
 // and the rest of the contract are the backend's own and a wrapped cluster
 // runs the same overlap schedule as an unwrapped one.

@@ -72,12 +72,12 @@ type Options[T num.Float] struct {
 	// applied during that rank's local sweep. Iteration numbers are
 	// absolute (compared against Iter), so plans survive split Run calls.
 	Inject *fault.Plan
-	// RecvTimeout bounds each halo/checkpoint receive of the default
-	// in-process channel transport, so a stalled sibling rank surfaces as a
-	// classified *Fault (ClassTimeout) instead of a hang — the analogue of
-	// TCPConfig.IOTimeout. Zero waits forever (the historical behaviour).
-	// Ignored when NewTransport is set: a custom backend configures its own
-	// timeouts.
+	// RecvTimeout bounds each blocking halo/checkpoint receive, so a stalled
+	// sibling rank surfaces as a classified *Fault (ClassTimeout) instead of
+	// a hang: it is applied through SetRecvTimeout to whichever backend
+	// NewTransport resolves to. Zero keeps the backend's default (the
+	// channel backend waits forever, the tcp backend its 2-minute bound);
+	// negative waits forever on either.
 	RecvTimeout time.Duration
 	// NewTransport overrides the communication backend. It receives the
 	// rank-grid shape (columns × rows; a 3-D layer cluster passes its slab
@@ -125,9 +125,12 @@ func (o Options[T]) withDefaults() Options[T] {
 		o.Detector.AbsFloor = 1
 	}
 	if o.NewTransport == nil {
-		timeout := o.RecvTimeout
+		o.NewTransport = func(rx, ry int, ring bool) Transport[T] { return NewChanTransport[T](rx, ry, ring) }
+	}
+	if o.RecvTimeout != 0 {
+		base, timeout := o.NewTransport, o.RecvTimeout
 		o.NewTransport = func(rx, ry int, ring bool) Transport[T] {
-			t := NewChanTransport[T](rx, ry, ring)
+			t := base(rx, ry, ring)
 			t.SetRecvTimeout(timeout)
 			return t
 		}

@@ -23,6 +23,8 @@ import (
 	"time"
 
 	"stencilabft/internal/dist"
+	"stencilabft/internal/grid"
+	"stencilabft/internal/stencil"
 )
 
 // Factory builds the Transport under test for a ranksX-by-ranksY rank grid
@@ -44,6 +46,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("BarrierOrdering", func(t *testing.T) { barrierOrdering(t, f) })
 	t.Run("Abort", func(t *testing.T) { abort(t, f) })
 	t.Run("RecvTimeout", func(t *testing.T) { recvTimeout(t, f) })
+	t.Run("OptionsRecvTimeout", func(t *testing.T) { optionsRecvTimeout(t, f) })
 	t.Run("Metrics", func(t *testing.T) { metrics(t, f) })
 	t.Run("Close", func(t *testing.T) { closeTwice(t, f) })
 }
@@ -392,6 +395,26 @@ func abort(t *testing.T, f Factory) {
 func recvTimeout(t *testing.T, f Factory) {
 	tr := f(3, 1, false)
 	tr.SetRecvTimeout(50 * time.Millisecond)
+	starve(t, tr)
+}
+
+// optionsRecvTimeout sets the same bound through dist.Options.RecvTimeout:
+// a cluster applies it to whichever backend its NewTransport resolves to.
+func optionsRecvTimeout(t *testing.T, f Factory) {
+	op := &stencil.Op2D[float64]{St: stencil.Laplace5[float64](0.2), BC: grid.Clamp}
+	cl, err := dist.NewClusterGrid(op, grid.New[float64](12, 4), 3, 1, dist.Options[float64]{
+		NewTransport: func(rx, ry int, ring bool) dist.Transport[float64] { return f(rx, ry, ring) },
+		RecvTimeout:  50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	starve(t, cl.Transport())
+}
+
+// starve blocks on rank 1's receives of a 3x1 chain nobody sends on.
+func starve(t *testing.T, tr dist.Transport[float64]) {
 	for name, fn := range map[string]func(){
 		"Recv":       func() { tr.Recv(1, dist.Left) },
 		"RecvEither": func() { tr.RecvEither(1, dist.Left, dist.Right) },

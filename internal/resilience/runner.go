@@ -51,9 +51,10 @@ type Config[T num.Float] struct {
 	// time per rank; nil disables instrumentation.
 	Telemetry *telemetry.Collector
 	// OnCheckpoint, when non-nil, observes every completed buddy checkpoint
-	// (rank, generation) — the launcher's liveness/progress feed. Called
-	// from rank goroutines; it must be safe for concurrent use.
-	OnCheckpoint func(rank, gen int)
+	// (rank, generation) of the live incarnation cl — a launcher's
+	// liveness/progress feed. Called from rank goroutines; it must be safe
+	// for concurrent use.
+	OnCheckpoint func(cl *dist.Cluster[T], rank, gen int)
 	// DiskDir, when set, persists every periodic checkpoint to per-rank
 	// rotations under it and restores from there when a plan's restart
 	// generation is in nobody's memory bank — the whole-cluster fallback a
@@ -95,10 +96,11 @@ func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 	diskRestores := 0
 
 	for {
+		var cl *dist.Cluster[T] // set before any rank steps, so before hook reads it
 		hook := func(rank, iter int) {
 			buddy.AfterStep(rank, iter)
 			if cfg.OnCheckpoint != nil && cfg.Period > 0 && (iter+1)%cfg.Period == 0 {
-				cfg.OnCheckpoint(rank, iter+1)
+				cfg.OnCheckpoint(cl, rank, iter+1)
 			}
 		}
 		cl, err := cfg.Factory(epoch, rdv, localRanks, hook)

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"sync"
 
 	"stencilabft/internal/stats"
+	"stencilabft/internal/telemetry"
 )
 
 // phaseRing bounds the per-job phase-time samples the /metrics endpoint
@@ -20,8 +20,8 @@ type phaseSample struct {
 }
 
 // Metrics is the service's counter set, exported in Prometheus text format
-// by WritePrometheus — hand-rolled, zero dependencies, same approach as
-// stencilrun's /metrics endpoint.
+// by WritePrometheus through the same telemetry.PromWriter as stencilrun's
+// /metrics endpoint.
 type Metrics struct {
 	mu        sync.Mutex
 	jobsTotal map[string]int64 // outcome: "done" | "failed" | "cached"
@@ -105,54 +105,53 @@ func (m *Metrics) JobDone(j *Job) {
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fmt.Fprintf(w, "# HELP stencilserve_jobs_total Terminal jobs by outcome.\n")
-	fmt.Fprintf(w, "# TYPE stencilserve_jobs_total counter\n")
+	p := telemetry.NewPromWriter(w)
+	p.Family("stencilserve_jobs_total", "Terminal jobs by outcome.", "counter")
 	for _, outcome := range []string{"done", "failed", "cached"} {
-		fmt.Fprintf(w, "stencilserve_jobs_total{outcome=%q} %d\n", outcome, m.jobsTotal[outcome])
+		p.Sample("stencilserve_jobs_total", m.jobsTotal[outcome], "outcome", outcome)
 	}
-	fmt.Fprintf(w, "# TYPE stencilserve_submitted_total counter\n")
-	fmt.Fprintf(w, "stencilserve_submitted_total %d\n", m.submitted)
-	fmt.Fprintf(w, "# TYPE stencilserve_cache_hits_total counter\n")
-	fmt.Fprintf(w, "stencilserve_cache_hits_total %d\n", m.cacheHits)
-	fmt.Fprintf(w, "# TYPE stencilserve_quota_rejections_total counter\n")
-	fmt.Fprintf(w, "stencilserve_quota_rejections_total %d\n", m.quota)
-	fmt.Fprintf(w, "# TYPE stencilserve_backlog_rejections_total counter\n")
-	fmt.Fprintf(w, "stencilserve_backlog_rejections_total %d\n", m.backlog)
-	fmt.Fprintf(w, "# TYPE stencilserve_workers gauge\n")
-	fmt.Fprintf(w, "stencilserve_workers %d\n", m.workers)
 	depth := 0
 	if m.queueDepth != nil {
 		depth = m.queueDepth()
 	}
-	fmt.Fprintf(w, "# TYPE stencilserve_queue_depth gauge\n")
-	fmt.Fprintf(w, "stencilserve_queue_depth %d\n", depth)
-
-	fmt.Fprintf(w, "# HELP stencilserve_job_seconds Wall-clock seconds of recent jobs.\n")
-	fmt.Fprintf(w, "# TYPE stencilserve_job_seconds gauge\n")
-	for _, p := range m.phases {
-		fmt.Fprintf(w, "stencilserve_job_seconds{job=%q,tenant=%q} %g\n", p.id, p.tenant, p.wall)
+	for _, c := range []struct {
+		name, typ string
+		v         int64
+	}{
+		{"stencilserve_submitted_total", "counter", m.submitted},
+		{"stencilserve_cache_hits_total", "counter", m.cacheHits},
+		{"stencilserve_quota_rejections_total", "counter", m.quota},
+		{"stencilserve_backlog_rejections_total", "counter", m.backlog},
+		{"stencilserve_workers", "gauge", int64(m.workers)},
+		{"stencilserve_queue_depth", "gauge", int64(depth)},
+	} {
+		p.Family(c.name, "", c.typ)
+		p.Sample(c.name, c.v)
 	}
-	fmt.Fprintf(w, "# HELP stencilserve_job_phase_seconds Telemetry phase breakdown of recent jobs.\n")
-	fmt.Fprintf(w, "# TYPE stencilserve_job_phase_seconds gauge\n")
-	sec := func(ns int64) float64 { return float64(ns) / 1e9 }
-	for _, p := range m.phases {
-		if p.timing.RanksTimed == 0 {
+
+	p.Family("stencilserve_job_seconds", "Wall-clock seconds of recent jobs.", "gauge")
+	for _, ps := range m.phases {
+		p.Sample("stencilserve_job_seconds", ps.wall, "job", ps.id, "tenant", ps.tenant)
+	}
+	p.Family("stencilserve_job_phase_seconds", "Telemetry phase breakdown of recent jobs.", "gauge")
+	for _, ps := range m.phases {
+		if ps.timing.RanksTimed == 0 {
 			continue
 		}
 		for _, ph := range []struct {
 			name string
 			ns   int64
 		}{
-			{"sweep", p.timing.SweepNs},
-			{"verify", p.timing.VerifyNs},
-			{"repair", p.timing.RepairNs},
-			{"pack", p.timing.PackNs},
-			{"send", p.timing.SendNs},
-			{"recv_wait", p.timing.RecvWaitNs},
-			{"unpack", p.timing.UnpackNs},
-			{"barrier", p.timing.BarrierNs},
+			{"sweep", ps.timing.SweepNs},
+			{"verify", ps.timing.VerifyNs},
+			{"repair", ps.timing.RepairNs},
+			{"pack", ps.timing.PackNs},
+			{"send", ps.timing.SendNs},
+			{"recv_wait", ps.timing.RecvWaitNs},
+			{"unpack", ps.timing.UnpackNs},
+			{"barrier", ps.timing.BarrierNs},
 		} {
-			fmt.Fprintf(w, "stencilserve_job_phase_seconds{job=%q,phase=%q} %g\n", p.id, ph.name, sec(ph.ns))
+			p.Sample("stencilserve_job_phase_seconds", float64(ph.ns)/1e9, "job", ps.id, "phase", ph.name)
 		}
 	}
 }

@@ -12,13 +12,16 @@ import (
 
 // Worker is the host end of the protocol WorkerMain speaks: Send posts a
 // JobRequest, Recv blocks for the next WorkerEvent, Kill tears the worker
-// down hard (mid-job if necessary). Implementations: a child process over
+// down hard (mid-job if necessary), Close ends its request stream, waits
+// for it to exit on its own and reports how it did (nil for an idle worker,
+// the exit status of one that died). Implementations: a child process over
 // stdin/stdout, or an in-process goroutine over pipes — both embed the one
 // stream codec and differ only in how they die.
 type Worker interface {
 	Send(req JobRequest) error
 	Recv() (WorkerEvent, error)
 	Kill()
+	Close() error
 }
 
 // StartWorker launches a fresh worker for a pool slot — called at pool
@@ -46,6 +49,14 @@ type pipeWorker struct {
 	*stream
 	reqW *io.PipeWriter
 	evR  *io.PipeReader
+}
+
+// Close drains the event pipe, which WorkerMain's return closes with its
+// result.
+func (w *pipeWorker) Close() error {
+	w.reqW.Close()
+	_, err := io.Copy(io.Discard, w.evR)
+	return err
 }
 
 func (w *pipeWorker) Kill() {
@@ -105,18 +116,21 @@ type procWorker struct {
 	once   sync.Once
 }
 
+// Kill is safe even under a concurrent Recv or Close: the pipes are
+// parent-owned, so reaping touches nothing a reader holds — the child's
+// death closes its stdout end and the blocked Recv observes EOF.
 func (w *procWorker) Kill() {
+	w.cmd.Process.Kill() // set: procWorker exists only once Start succeeded
+	w.Close()
+}
+
+func (w *procWorker) Close() (err error) {
 	w.once.Do(func() {
 		w.stdin.Close()
-		if w.cmd.Process != nil {
-			w.cmd.Process.Kill()
-		}
-		// Safe even under a concurrent Recv: the pipes are parent-owned,
-		// so Wait only reaps the process. The child's death closes its
-		// stdout end and the blocked Recv observes EOF.
-		w.cmd.Wait()
+		err = w.cmd.Wait()
 		w.stdout.Close()
 	})
+	return err
 }
 
 // Slot is one lane of the pool: at most one job runs on it at a time. The

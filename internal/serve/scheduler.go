@@ -346,7 +346,7 @@ func (s *Scheduler) runSingle(j *Job, slot *Slot) {
 				j.Fail("serve: worker returned no result", 500)
 				return
 			}
-			if g := ev.Grid; !tileFits(g, j) || g.Nx != j.Layout.Nx || g.Ny != j.Layout.Ny {
+			if g := ev.Grid; !tileFits(g, j.Layout, j.Elem) || g.Nx != j.Layout.Nx || g.Ny != j.Layout.Ny {
 				j.Fail(fmt.Sprintf("serve: worker returned a %dx%dx%d %s grid for a %dx%dx%d %s job",
 					g.Nx, g.Ny, g.Nz, g.Elem, j.Layout.Nx, j.Layout.Ny, j.Layout.Nz, j.Elem), 500)
 				return
@@ -365,40 +365,27 @@ func (s *Scheduler) runSingle(j *Job, slot *Slot) {
 	s.finish(j)
 }
 
-// runGang executes a cluster job across len(slots) workers, one TCP rank
-// each. The rendezvous endpoint is reserved by the listen-and-close trick
-// (grab a free port, hand the address to every rank); rank 0 streams the
-// stats events. Tiles are reassembled into the global domain and per-rank
-// counters merged exactly as the launcher merges CHILDSTATS.
+// runGang executes a cluster job across len(slots) workers, one placed
+// rank each, meeting at a reserved rendezvous; rank 0 streams the stats
+// events. GatherRanks reassembles the tiles and merges the counters.
 func (s *Scheduler) runGang(j *Job, slots []*Slot) {
 	defer s.wg.Done()
+	defer s.finish(j)
 	j.SetRunning()
 	n := len(slots)
-
-	releaseAll := func(healthy []bool) {
+	done := make([]WorkerEvent, n)
+	errs := make([]error, n) // a rank's worker failing, as opposed to its job
+	defer func() {
 		for k, sl := range slots {
-			s.pool.Release(sl, healthy == nil || healthy[k])
+			s.pool.Release(sl, errs[k] == nil)
 		}
-	}
+	}()
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	rdv, err := ReserveRendezvous()
 	if err != nil {
-		j.Fail(fmt.Sprintf("serve: cannot reserve a rendezvous port: %v", err), 500)
-		releaseAll(nil)
-		s.finish(j)
+		j.Fail(err.Error(), 500)
 		return
 	}
-	rdv := l.Addr().String()
-	l.Close()
-
-	type rankOut struct {
-		done    WorkerEvent
-		jobErr  string
-		status  int
-		procErr error
-	}
-	outs := make([]rankOut, n)
-	healthy := make([]bool, n)
 	// Arm every slot before any rank starts: the tokens scope both the
 	// watchdog and the error collapse to this gang's runs, so a late kill
 	// cannot hit a slot that finished and moved on to another job.
@@ -422,12 +409,12 @@ func (s *Scheduler) runGang(j *Job, slots []*Slot) {
 			defer wg.Done()
 			req := JobRequest{
 				ID: j.ID, Spec: spec, Iters: j.Iters,
-				TCP: true, Rank: k, Rendezvous: rdv,
+				Place: &Placement{Rank: k, Rendezvous: rdv},
 			}
 			if k == 0 {
 				req.StatsEvery = statsEvery(j.Iters)
 			}
-			err := slots[k].Run(req, func(ev WorkerEvent) {
+			errs[k] = slots[k].Run(req, func(ev WorkerEvent) {
 				switch ev.Event {
 				case "stats":
 					// Rank 0's view: progress plus its own tile's
@@ -437,74 +424,85 @@ func (s *Scheduler) runGang(j *Job, slots []*Slot) {
 						j.PublishStats(ev.Iter, *ev.Stats)
 					}
 				case "done":
-					outs[k].done = ev
+					done[k] = ev
 				case "error":
-					outs[k].jobErr, outs[k].status = ev.Error, ev.Status
-					// One rank down stalls the whole gang at the next
-					// halo exchange; collapse it instead of waiting for
-					// the watchdog.
+					// The first rank's error is the job's (Fail is
+					// idempotent). One rank down stalls the gang at the next
+					// halo exchange; collapse it, don't wait for the watchdog.
+					j.Fail(ev.Error, ev.Status)
 					collapse.Do(killAll)
 				}
 			})
-			outs[k].procErr = err
-			healthy[k] = err == nil
 		}(k)
 	}
 	wg.Wait()
 	watchdog.Stop()
-	releaseAll(healthy)
-	defer s.finish(j)
 
-	for k := range outs {
-		if outs[k].jobErr != "" {
-			j.Fail(outs[k].jobErr, outs[k].status)
+	for k, err := range errs {
+		if err != nil {
+			j.Fail(fmt.Sprintf("serve: rank %d worker failed: %v", k, err), 500)
 			return
 		}
 	}
-	for k := range outs {
-		if outs[k].procErr != nil {
-			j.Fail(fmt.Sprintf("serve: rank %d worker failed: %v", k, outs[k].procErr), 500)
-			return
-		}
-		if outs[k].done.Grid == nil || outs[k].done.Stats == nil {
-			j.Fail(fmt.Sprintf("serve: rank %d returned no result", k), 500)
-			return
-		}
+	// A rank that answered "error" left no tile, so a failed job never
+	// gathers.
+	res, err := GatherRanks(done, j.Layout, j.Elem)
+	if err != nil {
+		j.Fail(err.Error(), 500)
+		return
 	}
+	s.cache.Put(j.Key, res)
+	j.Finish(res.Grid, res.Stats, false)
+}
 
-	// Reassemble by copying tile rows of bytes into place: nothing is
-	// decoded on the way to the cache.
-	nx, ny, es := j.Layout.Nx, j.Layout.Ny, elemSize(j.Elem)
+// ReserveRendezvous reserves a loopback address for a cluster's ranks to
+// meet at: bind a free port, then free it for rank 0's process to bind.
+// The ranks retry their dial, so start order does not matter; another
+// process taking the port in the handover window fails the bootstrap loudly.
+func ReserveRendezvous() (string, error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", fmt.Errorf("serve: cannot reserve a rendezvous port: %w", err)
+	}
+	defer l.Close()
+	return l.Addr().String(), nil
+}
+
+// GatherRanks reassembles the "done" events of a cluster's placed ranks
+// (indexed by rank) into the global domain and the merged counters. Tile
+// rows are copied into place as bytes: nothing is decoded on the way.
+func GatherRanks(done []WorkerEvent, lay Layout, elem string) (Result, error) {
+	nx, ny, es := lay.Nx, lay.Ny, elemSize(elem)
 	raw := make([]byte, nx*ny*es)
-	perRank := make([]stats.Stats, 0, n)
-	for k := range outs {
-		gp := outs[k].done.Grid
-		if !tileFits(gp, j) {
-			j.Fail(fmt.Sprintf("serve: rank %d returned a %dx%d %s tile at (%d,%d) outside the %dx%d %s domain",
-				k, gp.Nx, gp.Ny, gp.Elem, gp.X0, gp.Y0, nx, ny, j.Elem), 500)
-			return
+	perRank := make([]stats.Stats, 0, len(done))
+	for k, ev := range done {
+		gp := ev.Grid
+		if gp == nil || ev.Stats == nil {
+			return Result{}, fmt.Errorf("serve: rank %d returned no result", k)
+		}
+		if !tileFits(gp, lay, elem) {
+			return Result{}, fmt.Errorf("serve: rank %d returned a %dx%d %s tile at (%d,%d) outside the %dx%d %s domain",
+				k, gp.Nx, gp.Ny, gp.Elem, gp.X0, gp.Y0, nx, ny, elem)
 		}
 		row := gp.Nx * es
 		for yy := 0; yy < gp.Ny; yy++ {
 			copy(raw[((gp.Y0+yy)*nx+gp.X0)*es:], gp.Raw[yy*row:(yy+1)*row])
 		}
-		perRank = append(perRank, *outs[k].done.Stats)
+		perRank = append(perRank, *ev.Stats)
 	}
-	// Each rank process already reports lockstep-normalised Iterations;
-	// merging sums them, so restore the lockstep count — the same
-	// normalisation the launcher applies to CHILDSTATS.
+	// Every rank process reports the same lockstep Iterations; merging sums
+	// them, so restore the one global sweep count — the convention
+	// Cluster.Stats uses in-process.
 	merged := stats.MergeAll(perRank)
 	merged.Iterations = perRank[0].Iterations
-	res := Result{Grid: &GridPayload{Nx: nx, Ny: ny, Elem: j.Elem, Raw: raw}, Stats: merged}
-	s.cache.Put(j.Key, res)
-	j.Finish(res.Grid, merged, false)
+	return Result{Grid: &GridPayload{Nx: nx, Ny: ny, Elem: elem, Raw: raw}, Stats: merged}, nil
 }
 
-// tileFits reports whether g is a well-formed payload of the job's element
-// type lying inside the job's domain. Worker is an interface, so the
-// scheduler checks what it is handed before indexing by it.
-func tileFits(g *GridPayload, j *Job) bool {
+// tileFits reports whether g is a well-formed payload of element type elem
+// lying inside the lay domain. Worker is an interface, so a host checks
+// what it is handed before indexing by it.
+func tileFits(g *GridPayload, lay Layout, elem string) bool {
 	want, err := g.byteLen()
-	return err == nil && len(g.Raw) == want && g.Elem == j.Elem && g.Nz == j.Layout.Nz &&
-		g.X0 >= 0 && g.Y0 >= 0 && g.Nx <= j.Layout.Nx-g.X0 && g.Ny <= j.Layout.Ny-g.Y0
+	return err == nil && len(g.Raw) == want && g.Elem == elem && g.Nz == lay.Nz &&
+		g.X0 >= 0 && g.Y0 >= 0 && g.Nx <= lay.Nx-g.X0 && g.Ny <= lay.Ny-g.Y0
 }

@@ -380,6 +380,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-j.Done():
+			// select picks among ready arms at random, so events published
+			// before the terminal one may still be queued: relay them first.
+			// (Nothing is published after Done, and only this loop receives.)
+			for len(live) > 0 {
+				if !send(<-live) {
+					return
+				}
+			}
 			// The subscriber channel is lossy; synthesise the terminal
 			// event from the job's settled state so the stream always
 			// closes correctly.

@@ -331,16 +331,14 @@ func TestServeCacheHit(t *testing.T) {
 // gatedWorkers wraps the in-process worker so jobs cannot start until the
 // gate opens — making quota tests deterministic.
 type gatedWorker struct {
-	inner serve.Worker
-	gate  <-chan struct{}
+	serve.Worker
+	gate <-chan struct{}
 }
 
 func (g *gatedWorker) Send(req serve.JobRequest) error {
 	<-g.gate
-	return g.inner.Send(req)
+	return g.Worker.Send(req)
 }
-func (g *gatedWorker) Recv() (serve.WorkerEvent, error) { return g.inner.Recv() }
-func (g *gatedWorker) Kill()                            { g.inner.Kill() }
 
 // TestServeQuota: with one worker and a quota of 2, a tenant's third
 // concurrent job is rejected 429 with Retry-After while another tenant
@@ -357,7 +355,7 @@ func TestServeQuota(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return &gatedWorker{inner: w, gate: gate}, nil
+			return &gatedWorker{Worker: w, gate: gate}, nil
 		},
 	}
 	_, ts := newTestServer(t, cfg)

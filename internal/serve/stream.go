@@ -12,8 +12,10 @@ import (
 // an attachment ("attach": n), and those n raw bytes follow the newline.
 // Anything grid-sized travels as an attachment, which encoding/json never
 // scans: the canonical spec document behind a request, the result grid (or
-// a TCP rank's tile) behind a "done" event, as little-endian IEEE-754 bits
-// at the job's native element width (the internal/dist codec).
+// a placed rank's tile) behind a "done" event, as little-endian IEEE-754
+// bits at the job's native element width (the internal/dist codec). A
+// placed rank asked for its trace appends it as a second attachment
+// ("traceAttach": m) after the tile.
 const (
 	// maxAttachment caps an announced attachment so a corrupt line cannot
 	// make the reader allocate without bound.
@@ -43,7 +45,8 @@ type requestLine struct {
 
 type eventLine struct {
 	WorkerEvent
-	Attach int `json:"attach,omitempty"`
+	Attach      int `json:"attach,omitempty"`
+	TraceAttach int `json:"traceAttach,omitempty"`
 }
 
 // Send posts req: its line, then the spec document.
@@ -52,7 +55,8 @@ func (s *stream) Send(req JobRequest) error {
 }
 
 // Recv blocks for the next event. A grid's bytes must be exactly what its
-// shape and element type announce; Grid.Raw is a buffer the caller owns.
+// shape and element type announce; Grid.Raw and Trace are buffers the
+// caller owns.
 func (s *stream) Recv() (WorkerEvent, error) {
 	var l eventLine
 	if err := s.readLine(&l); err != nil {
@@ -75,6 +79,12 @@ func (s *stream) Recv() (WorkerEvent, error) {
 		}
 		l.Grid.Raw = raw
 	}
+	if l.TraceAttach != 0 {
+		var err error
+		if l.Trace, err = s.readAttachment(l.TraceAttach); err != nil {
+			return WorkerEvent{}, err
+		}
+	}
 	return l.WorkerEvent, nil
 }
 
@@ -96,10 +106,10 @@ func (s *stream) writeEvent(ev WorkerEvent) error {
 	if ev.Grid != nil {
 		raw = ev.Grid.Raw
 	}
-	return s.write(eventLine{ev, len(raw)}, raw)
+	return s.write(eventLine{ev, len(raw), len(ev.Trace)}, raw, ev.Trace)
 }
 
-func (s *stream) write(line any, attach []byte) error {
+func (s *stream) write(line any, attach ...[]byte) error {
 	b, err := json.Marshal(line)
 	if err != nil {
 		return err
@@ -107,10 +117,14 @@ func (s *stream) write(line any, attach []byte) error {
 	if _, err := s.w.Write(append(b, '\n')); err != nil {
 		return err
 	}
-	if len(attach) > 0 {
-		_, err = s.w.Write(attach)
+	for _, a := range attach {
+		if len(a) > 0 {
+			if _, err := s.w.Write(a); err != nil {
+				return err
+			}
+		}
 	}
-	return err
+	return nil
 }
 
 // readLine reads one bounded line and decodes it into v. A clean end of

@@ -13,13 +13,15 @@ import (
 	"time"
 
 	abft "stencilabft"
+	"stencilabft/internal/chaos"
 	"stencilabft/internal/dist"
 	"stencilabft/internal/stats"
 )
 
 // protocolSamples is a worker conversation as bytes on the wire: what the
-// host writes (a request and its spec) and what the worker answers (stats,
-// a done event with a float32 grid, one with a float64 tile, an error).
+// host writes (a request and its spec, a placed one) and what the worker
+// answers (stats, a checkpoint, a done event with a float32 grid, one with
+// a float64 tile and a trace, an error).
 func protocolSamples(t testing.TB) (requests, events []byte) {
 	t.Helper()
 	var req, ev bytes.Buffer
@@ -28,16 +30,20 @@ func protocolSamples(t testing.TB) (requests, events []byte) {
 	if err := host.Send(JobRequest{ID: "j1", Spec: spec, Iters: 3, StatsEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := host.Send(JobRequest{ID: "j2", Spec: spec, Iters: 1, TCP: true, Rank: 1, Rendezvous: "127.0.0.1:9"}); err != nil {
+	place := &Placement{Rank: 1, Rendezvous: "127.0.0.1:9", Epoch: 2, Control: "127.0.0.1:10", Buddy: 8, CkptDir: "ck", DieAt: 20,
+		Chaos: &chaos.Plan{Faults: []chaos.Fault{{Type: chaos.Drop, Edge: &chaos.Edge{From: 0, To: 1}, At: 4}}}, ChaosSeed: 3, Trace: true}
+	if err := host.Send(JobRequest{ID: "j2", Spec: spec, Iters: 1, Place: place}); err != nil {
 		t.Fatal(err)
 	}
 	st := stats.Stats{Iterations: 3}
 	for _, e := range []WorkerEvent{
 		{ID: "j1", Event: "stats", Iter: 1, Stats: &st},
+		{ID: "j2", Event: "ckpt", Ckpt: &Checkpoint{Rank: 1, Gen: 8, Reconnects: 2, Resends: 11}},
 		{ID: "j1", Event: "done", Iter: 3, Stats: &st, Grid: &GridPayload{Nx: 4, Ny: 2, Elem: "float32",
 			Raw: dist.AppendElems(nil, []float32{1, 2, 3, 4, 5, 6, 7, float32(math.Inf(1))})}},
 		{ID: "j2", Event: "done", Iter: 1, Stats: &st, Grid: &GridPayload{Nx: 2, Ny: 1, Nz: 2, X0: 2, Y0: 1, Elem: "float64",
-			Raw: dist.AppendElems(nil, []float64{0.1, math.NaN(), math.Copysign(0, -1), 5e-324})}},
+			Raw: dist.AppendElems(nil, []float64{0.1, math.NaN(), math.Copysign(0, -1), 5e-324})},
+			Trace: []byte(`{"traceEvents":[]}` + "\n")},
 		{ID: "j3", Event: "error", Error: "serve: no", Status: 400},
 	} {
 		if err := worker.writeEvent(e); err != nil {
@@ -58,8 +64,13 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("request 1: %+v, %v", r1, err)
 	}
 	r2, err := w.readRequest()
-	if err != nil || !r2.TCP || r2.Rank != 1 || r2.Rendezvous != "127.0.0.1:9" || !bytes.Equal(r2.Spec, r1.Spec) {
+	if err != nil || r1.Place != nil || r2.Place == nil || !bytes.Equal(r2.Spec, r1.Spec) {
 		t.Fatalf("request 2: %+v, %v", r2, err)
+	}
+	if pl := r2.Place; pl.Rank != 1 || pl.Rendezvous != "127.0.0.1:9" || pl.Epoch != 2 || pl.Control != "127.0.0.1:10" ||
+		pl.Buddy != 8 || pl.CkptDir != "ck" || pl.DieAt != 20 || pl.ChaosSeed != 3 || !pl.Trace ||
+		len(pl.Chaos.Faults) != 1 || *pl.Chaos.Faults[0].Edge != (chaos.Edge{From: 0, To: 1}) {
+		t.Fatalf("placement: %+v", pl)
 	}
 	if _, err := w.readRequest(); err != io.EOF {
 		t.Fatalf("after the last request: %v, want io.EOF", err)
@@ -69,8 +80,11 @@ func TestStreamRoundTrip(t *testing.T) {
 	if ev, err := h.Recv(); err != nil || ev.Event != "stats" || ev.Stats.Iterations != 3 || ev.Grid != nil {
 		t.Fatalf("stats event: %+v, %v", ev, err)
 	}
+	if ev, err := h.Recv(); err != nil || ev.Event != "ckpt" || *ev.Ckpt != (Checkpoint{Rank: 1, Gen: 8, Reconnects: 2, Resends: 11}) {
+		t.Fatalf("ckpt event: %+v, %v", ev, err)
+	}
 	ev, err := h.Recv()
-	if err != nil || ev.Event != "done" || ev.Grid == nil {
+	if err != nil || ev.Event != "done" || ev.Grid == nil || ev.Trace != nil {
 		t.Fatalf("done event: %+v, %v", ev, err)
 	}
 	cells, err := dist.DecodeElems[float32](4, ev.Grid.Raw)
@@ -78,7 +92,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("float32 grid: %v, %v", cells, err)
 	}
 	ev, err = h.Recv()
-	if err != nil || ev.Grid == nil || ev.Grid.X0 != 2 || ev.Grid.Y0 != 1 || ev.Grid.Nz != 2 {
+	if err != nil || ev.Grid == nil || ev.Grid.X0 != 2 || ev.Grid.Y0 != 1 || ev.Grid.Nz != 2 || string(ev.Trace) != `{"traceEvents":[]}`+"\n" {
 		t.Fatalf("tile event: %+v, %v", ev, err)
 	}
 	c64, err := dist.DecodeElems[float64](8, ev.Grid.Raw)
@@ -104,6 +118,8 @@ func TestStreamRejectsBadAttachments(t *testing.T) {
 		{"shape overflows", `{"id":"j","event":"done","grid":{"nx":4611686018427387904,"ny":4,"elem":"float64"},"attach":0}` + "\n", "not a shape"},
 		{"shape beyond the cap", `{"id":"j","event":"done","grid":{"nx":65536,"ny":65536,"elem":"float64"},"attach":34359738368}` + "\n", "not a shape"},
 		{"truncated", `{"id":"j","event":"done","grid":{"nx":2,"ny":2,"elem":"float32"},"attach":16}` + "\nshort", "truncated"},
+		{"truncated trace", `{"id":"j","event":"done","grid":{"nx":1,"ny":1,"elem":"float32"},"attach":4,"traceAttach":9}` + "\n1234{}", "truncated"},
+		{"negative trace length", `{"id":"j","event":"done","traceAttach":-1}` + "\n", "outside"},
 		{"cut inside the line", `{"id":"j","event":"st`, "unexpected EOF"},
 		{"not json", "hello\n", "bad protocol line"},
 	}
@@ -119,12 +135,13 @@ func TestStreamRejectsBadAttachments(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := newStream(strings.NewReader(`{"id":"j","iters":1,"attach":1073741825}`+"\nspec"), io.Discard).readRequest()
+	_, err2 := newStream(strings.NewReader(`{"id":"j","event":"done","traceAttach":1073741825}`+"\ntrace"), io.Discard).Recv()
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "outside") {
-		t.Fatalf("oversize request attachment: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "outside") || err2 == nil || !strings.Contains(err2.Error(), "outside") {
+		t.Fatalf("oversize request attachment: %v; oversize trace attachment: %v", err, err2)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("refusing a 1 GiB announcement allocated %d bytes", grew)
+		t.Fatalf("refusing two 1 GiB announcements allocated %d bytes", grew)
 	}
 }
 
@@ -141,6 +158,8 @@ func FuzzWorkerStream(f *testing.F) {
 	f.Add([]byte(`{"id":"j","event":"done","grid":{"nx":1000000,"ny":1000000,"elem":"float64"},"attach":8000000000000}` + "\n"))
 	f.Add([]byte(`{"id":"j","iters":1,"attach":999999999999}` + "\nx"))
 	f.Add([]byte(`{"attach":-1}` + "\n"))
+	f.Add([]byte(`{"id":"j","event":"ckpt","ckpt":{"rank":3,"gen":16}}` + "\n"))
+	f.Add([]byte(`{"id":"j","event":"done","traceAttach":999999999999}` + "\n{}"))
 	f.Add(bytes.Repeat([]byte("x"), 5000))
 
 	const fuzzCap = 1 << 16
@@ -154,8 +173,8 @@ func FuzzWorkerStream(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if ev.Grid != nil && len(ev.Grid.Raw) > fuzzCap {
-				t.Fatalf("accepted a %d-byte attachment over a %d-byte cap", len(ev.Grid.Raw), fuzzCap)
+			if ev.Grid != nil && len(ev.Grid.Raw) > fuzzCap || len(ev.Trace) > fuzzCap {
+				t.Fatalf("accepted an attachment over a %d-byte cap: %+v", fuzzCap, ev)
 			}
 			if n > len(data) {
 				t.Fatal("more messages than input bytes")

@@ -25,30 +25,32 @@ import (
 
 // JobRequest is one unit of work sent to a worker: the canonical wire-form
 // spec plus the run length. Spec follows the request line as its attachment
-// (see stream.go), so the document is never re-scanned on the way in. A TCP
-// request additionally places the worker as one rank of a multi-process
-// cluster meeting at Rendezvous — the scheduler's gang fan-out (one rank per
-// pooled worker, the same layout stencilrun -launch produces).
+// (see stream.go), so the document is never re-scanned on the way in. A
+// placed request additionally seats the worker as one rank of a
+// multi-process cluster (see Placement) — the scheduler's gang fan-out and
+// stencilrun -launch both send these.
 type JobRequest struct {
 	ID         string `json:"id"`
 	Spec       []byte `json:"-"`
 	Iters      int    `json:"iters"`
 	StatsEvery int    `json:"statsEvery,omitempty"` // 0 disables the stats stream
 
-	TCP        bool   `json:"tcp,omitempty"`
-	Rank       int    `json:"rank,omitempty"`
-	Rendezvous string `json:"rendezvous,omitempty"`
+	Place *Placement `json:"place,omitempty"`
 }
 
 // WorkerEvent is one message of a worker's reply stream: zero or more
-// "stats" events followed by exactly one terminal "done" or "error" event.
-// ID echoes the request so a host can discard stale events after a kill.
+// "stats" and "ckpt" events followed by exactly one terminal "done" or
+// "error" event. ID echoes the request so a host can discard stale events
+// after a kill. A placed rank's "done" carries its tile as Grid and, if the
+// placement asked, its Chrome trace-event timeline as Trace.
 type WorkerEvent struct {
 	ID     string       `json:"id"`
-	Event  string       `json:"event"` // "stats" | "done" | "error"
+	Event  string       `json:"event"` // "stats" | "ckpt" | "done" | "error"
 	Iter   int          `json:"iter,omitempty"`
 	Stats  *stats.Stats `json:"stats,omitempty"`
 	Grid   *GridPayload `json:"grid,omitempty"`
+	Ckpt   *Checkpoint  `json:"ckpt,omitempty"`
+	Trace  []byte       `json:"-"`
 	Error  string       `json:"error,omitempty"`
 	Status int          `json:"status,omitempty"` // suggested HTTP status for "error"
 }
@@ -56,9 +58,8 @@ type WorkerEvent struct {
 // GridPayload is a result domain as the bits the run produced: Raw holds
 // the cells row-major at Elem's width, little-endian (dist.AppendElems), so
 // NaN and ±Inf travel like any other value and nothing is widened or parsed
-// between worker, scheduler, cache and the HTTP edge. A TCP rank returns
-// only its tile, placed at (X0, Y0) of the global domain; the scheduler
-// reassembles.
+// between worker, scheduler, cache and the HTTP edge. A placed rank returns
+// only its tile, at (X0, Y0) of the global domain; GatherRanks reassembles.
 type GridPayload struct {
 	Nx   int    `json:"nx"`
 	Ny   int    `json:"ny"`
@@ -114,20 +115,22 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 	}
 }
 
+// errorEvent is the terminal event of a job that failed with err.
+func errorEvent(err error) WorkerEvent {
+	return WorkerEvent{Event: "error", Error: err.Error(), Status: StatusFor(err)}
+}
+
 // runJob executes one request, translating every failure into a terminal
 // "error" event. The returned error is transport-level only (the host went
 // away); job-level problems never kill the worker.
 func runJob(req JobRequest, emit func(WorkerEvent) error) error {
-	fail := func(err error) error {
-		return emit(WorkerEvent{Event: "error", Error: err.Error(), Status: StatusFor(err)})
-	}
 	if req.Iters < 0 {
 		return emit(WorkerEvent{Event: "error", Status: http.StatusBadRequest,
 			Error: fmt.Sprintf("serve: negative iteration count %d", req.Iters)})
 	}
 	w, err := abft.ParseWireSpec(req.Spec)
 	if err != nil {
-		return fail(err)
+		return emit(errorEvent(err))
 	}
 	if w.Elem == "float64" {
 		return runTyped[float64](req, w, "float64", emit)
@@ -137,22 +140,19 @@ func runJob(req JobRequest, emit func(WorkerEvent) error) error {
 
 // runTyped is the element-typed job body: resolve the wire spec, attach the
 // process-local knobs the wire form deliberately excludes (pool,
-// telemetry, and — for gang members — the TCP placement), run, and return
-// stats plus the result domain.
+// telemetry), run, and return stats plus the result domain. A placed
+// request continues in runPlaced.
 func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, elem string, emit func(WorkerEvent) error) (err error) {
-	fail := func(ferr error) error {
-		return emit(WorkerEvent{Event: "error", Error: ferr.Error(), Status: StatusFor(ferr)})
-	}
 	// A transport fault mid-run panics (MPI_ERRORS_ARE_FATAL semantics);
 	// surface it as a job error instead of killing the worker loop.
 	defer func() {
 		if r := recover(); r != nil {
-			err = fail(fmt.Errorf("serve: job panicked: %v", r))
+			err = emit(errorEvent(fmt.Errorf("serve: job panicked: %v", r)))
 		}
 	}()
 	spec, err := abft.SpecFromWire[T](w)
 	if err != nil {
-		return fail(err)
+		return emit(errorEvent(err))
 	}
 	// The pool is job-local, and WorkerMain serves many jobs from one
 	// long-lived process: close it when the job ends or every job leaks
@@ -161,15 +161,35 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, elem string, emit 
 	defer pool.Close()
 	spec.Pool = pool
 	spec.Telemetry = abft.NewTelemetry(0)
-	if req.TCP {
-		spec.Transport = abft.TransportTCP
-		spec.Rank = req.Rank
-		spec.Rendezvous = req.Rendezvous
+	if req.Place != nil {
+		return runPlaced(req, spec, elem, emit)
 	}
 	p, err := abft.Build(spec)
 	if err != nil {
-		return fail(err)
+		return emit(errorEvent(err))
 	}
+	if err := stepAll(p, req, emit); err != nil {
+		return err
+	}
+	p.Finalize()
+	st := p.Stats()
+	ev := WorkerEvent{Event: "done", Iter: req.Iters, Stats: &st}
+	if g3 := p.Grid3D(); g3 != nil {
+		ev.Grid = &GridPayload{Nx: g3.Nx(), Ny: g3.Ny(), Nz: g3.Nz(), Elem: elem, Raw: rawElems(elem, g3.Data())}
+	} else if g := p.Grid(); g != nil {
+		ev.Grid = &GridPayload{Nx: g.Nx(), Ny: g.Ny(), Elem: elem, Raw: rawElems(elem, g.Data())}
+	} else {
+		return emit(errorEvent(errors.New("serve: protector exposed no result domain")))
+	}
+	if c, ok := p.(io.Closer); ok {
+		c.Close()
+	}
+	return emit(ev)
+}
+
+// stepAll advances p by req.Iters sweeps, streaming the stats events the
+// request asked for.
+func stepAll[T abft.Float](p abft.Protector[T], req JobRequest, emit func(WorkerEvent) error) error {
 	for i := 1; i <= req.Iters; i++ {
 		p.Step()
 		if req.StatsEvery > 0 && (i%req.StatsEvery == 0 || i == req.Iters) {
@@ -179,46 +199,10 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, elem string, emit 
 			}
 		}
 	}
-	p.Finalize()
-	st := p.Stats()
-	ev := WorkerEvent{Event: "done", Iter: req.Iters, Stats: &st}
-	if req.TCP {
-		cl, ok := p.(*abft.Cluster[T])
-		if !ok {
-			return fail(fmt.Errorf("serve: tcp placement built %T, want a 2-D cluster", p))
-		}
-		ev.Grid = rankTile(cl, req.Rank, elem)
-		cl.Close()
-		return emit(ev)
-	}
-	if g3 := p.Grid3D(); g3 != nil {
-		ev.Grid = &GridPayload{Nx: g3.Nx(), Ny: g3.Ny(), Nz: g3.Nz(), Elem: elem, Raw: rawElems(elem, g3.Data())}
-	} else if g := p.Grid(); g != nil {
-		ev.Grid = &GridPayload{Nx: g.Nx(), Ny: g.Ny(), Elem: elem, Raw: rawElems(elem, g.Data())}
-	} else {
-		return fail(errors.New("serve: protector exposed no result domain"))
-	}
-	if c, ok := p.(io.Closer); ok {
-		c.Close()
-	}
-	return emit(ev)
+	return nil
 }
 
 // rawElems encodes a whole domain into one exactly-sized buffer.
 func rawElems[T abft.Float](elem string, data []T) []byte {
 	return dist.AppendElems(make([]byte, 0, len(data)*elemSize(elem)), data)
-}
-
-// rankTile extracts the worker's own tile from a gathered grid. Under a
-// single hosted rank the gather fills only that tile (remote tiles stay
-// zero), so slicing the tile rectangle is exactly this rank's contribution.
-func rankTile[T abft.Float](cl *abft.Cluster[T], rank int, elem string) *GridPayload {
-	tile := cl.Tile(rank)
-	g := cl.Grid()
-	pay := &GridPayload{Nx: tile.Nx(), Ny: tile.Ny(), X0: tile.X0, Y0: tile.Y0, Elem: elem,
-		Raw: make([]byte, 0, tile.Nx()*tile.Ny()*elemSize(elem))}
-	for y := tile.Y0; y < tile.Y1; y++ {
-		pay.Raw = dist.AppendElems(pay.Raw, g.Row(y)[tile.X0:tile.X1])
-	}
-	return pay
 }

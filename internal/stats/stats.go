@@ -56,7 +56,7 @@ type Stats struct {
 // extremes of barrier-wait needed for the imbalance report. The phase
 // taxonomy (and the recording) lives in internal/telemetry; stats only
 // carries the numbers so they ride Stats through MergeAll — including
-// across process boundaries via the launcher's CHILDSTATS JSON.
+// across process boundaries on the worker protocol's "done" event.
 type Timing struct {
 	PackNs     int64 // packing halo strips into send buffers
 	SendNs     int64 // posting strips to the transport

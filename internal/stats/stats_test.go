@@ -183,7 +183,8 @@ func TestTransportMerge(t *testing.T) {
 }
 
 // TestTimingRidesStatsJSON pins that the phase breakdown and transport
-// counters survive the CHILDSTATS JSON hop a -launch parent relies on.
+// counters survive the JSON hop of a rank worker's "done" event, which a
+// -launch parent and the scheduler's gang merge rely on.
 func TestTimingRidesStatsJSON(t *testing.T) {
 	in := Stats{
 		Iterations: 5,

@@ -3,13 +3,62 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Prometheus text exposition. Hand-rolled rather than pulling in a client
 // library: the format is lines of `name{labels} value`, and the repo's
-// no-new-dependencies rule makes the 60 lines here cheaper than a module.
+// no-new-dependencies rule makes the lines here cheaper than a module.
 // The phase accumulators are atomic, so a live scrape during a run reads
 // consistent (if slightly torn across phases) counters.
+
+// PromWriter renders a scrape page — `# HELP`/`# TYPE` headers and
+// `name{labels} value` samples — and keeps the first write error, so a
+// caller emits a whole page and checks once. Every /metrics endpoint of the
+// repo (stencilrun's and stencilserve's) writes through it.
+type PromWriter struct {
+	w   io.Writer
+	err error
+}
+
+// NewPromWriter starts a page on w.
+func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{w: w} }
+
+// Family opens a metric family of type typ (counter, gauge); an empty help
+// omits the HELP line.
+func (p *PromWriter) Family(name, help, typ string) {
+	if help != "" {
+		p.printf("# HELP %s %s\n", name, help)
+	}
+	p.printf("# TYPE %s %s\n", name, typ)
+}
+
+// Sample writes one sample: value is an integer or a float64, labels are
+// alternating label names and values.
+func (p *PromWriter) Sample(name string, value any, labels ...string) {
+	line := []byte(name)
+	for i := 0; i+1 < len(labels); i += 2 {
+		sep := byte(',')
+		if i == 0 {
+			sep = '{'
+		}
+		line = append(append(append(line, sep), labels[i]...), '=')
+		line = strconv.AppendQuote(line, labels[i+1])
+	}
+	if len(labels) > 0 {
+		line = append(line, '}')
+	}
+	p.printf("%s %v\n", line, value)
+}
+
+// Err returns the first error any write hit.
+func (p *PromWriter) Err() error { return p.err }
+
+func (p *PromWriter) printf(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
+	}
+}
 
 // WritePrometheus renders every recorder's phase accumulators as
 // Prometheus counters:
@@ -24,38 +73,24 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	recs := c.Recorders()
-	if _, err := fmt.Fprintf(w, "# HELP stencilabft_phase_seconds_total Wall-clock accumulated per rank per phase.\n# TYPE stencilabft_phase_seconds_total counter\n"); err != nil {
-		return err
-	}
+	p := NewPromWriter(w)
+	p.Family("stencilabft_phase_seconds_total", "Wall-clock accumulated per rank per phase.", "counter")
 	for _, r := range recs {
-		for p := Phase(0); p < NumPhases; p++ {
-			if _, err := fmt.Fprintf(w, "stencilabft_phase_seconds_total{rank=%q,phase=%q} %g\n",
-				fmt.Sprint(r.rank), p.String(), float64(r.PhaseNs(p))/1e9); err != nil {
-				return err
-			}
+		for ph := Phase(0); ph < NumPhases; ph++ {
+			p.Sample("stencilabft_phase_seconds_total", float64(r.PhaseNs(ph))/1e9, "rank", strconv.Itoa(r.rank), "phase", ph.String())
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# HELP stencilabft_phase_intervals_total Timed intervals per rank per phase.\n# TYPE stencilabft_phase_intervals_total counter\n"); err != nil {
-		return err
-	}
+	p.Family("stencilabft_phase_intervals_total", "Timed intervals per rank per phase.", "counter")
 	for _, r := range recs {
-		for p := Phase(0); p < NumPhases; p++ {
-			if _, err := fmt.Fprintf(w, "stencilabft_phase_intervals_total{rank=%q,phase=%q} %d\n",
-				fmt.Sprint(r.rank), p.String(), r.PhaseCount(p)); err != nil {
-				return err
-			}
+		for ph := Phase(0); ph < NumPhases; ph++ {
+			p.Sample("stencilabft_phase_intervals_total", r.PhaseCount(ph), "rank", strconv.Itoa(r.rank), "phase", ph.String())
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# HELP stencilabft_spans_dropped_total Spans evicted by the fixed-capacity ring.\n# TYPE stencilabft_spans_dropped_total counter\n"); err != nil {
-		return err
-	}
+	p.Family("stencilabft_spans_dropped_total", "Spans evicted by the fixed-capacity ring.", "counter")
 	for _, r := range recs {
-		if _, err := fmt.Fprintf(w, "stencilabft_spans_dropped_total{rank=%q} %d\n",
-			fmt.Sprint(r.rank), r.Dropped()); err != nil {
-			return err
-		}
+		p.Sample("stencilabft_spans_dropped_total", r.Dropped(), "rank", strconv.Itoa(r.rank))
 	}
-	return nil
+	return p.Err()
 }
 
 // WritePrometheus renders the transport snapshot as per-edge counters:
@@ -66,37 +101,29 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 //	stencilabft_transport_dial_retries_total 2
 //	stencilabft_transport_poison_events_total 0
 func (m TransportMetrics) WritePrometheus(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP stencilabft_transport_frames_total Halo frames per directed edge.\n# TYPE stencilabft_transport_frames_total counter\n"); err != nil {
-		return err
+	p := NewPromWriter(w)
+	edge := func(name string, e EdgeStat, sent, recv int64) {
+		from, to := strconv.Itoa(e.From), strconv.Itoa(e.To)
+		p.Sample(name, sent, "from", from, "to", to, "dir", e.Dir, "op", "sent")
+		p.Sample(name, recv, "from", from, "to", to, "dir", e.Dir, "op", "recv")
 	}
+	p.Family("stencilabft_transport_frames_total", "Halo frames per directed edge.", "counter")
 	for _, e := range m.Edges {
-		if _, err := fmt.Fprintf(w, "stencilabft_transport_frames_total{from=\"%d\",to=\"%d\",dir=%q,op=\"sent\"} %d\nstencilabft_transport_frames_total{from=\"%d\",to=\"%d\",dir=%q,op=\"recv\"} %d\n",
-			e.From, e.To, e.Dir, e.FramesSent, e.From, e.To, e.Dir, e.FramesRecv); err != nil {
-			return err
-		}
+		edge("stencilabft_transport_frames_total", e, e.FramesSent, e.FramesRecv)
 	}
-	if _, err := fmt.Fprintf(w, "# HELP stencilabft_transport_bytes_total Halo payload bytes per directed edge.\n# TYPE stencilabft_transport_bytes_total counter\n"); err != nil {
-		return err
-	}
+	p.Family("stencilabft_transport_bytes_total", "Halo payload bytes per directed edge.", "counter")
 	for _, e := range m.Edges {
-		if _, err := fmt.Fprintf(w, "stencilabft_transport_bytes_total{from=\"%d\",to=\"%d\",dir=%q,op=\"sent\"} %d\nstencilabft_transport_bytes_total{from=\"%d\",to=\"%d\",dir=%q,op=\"recv\"} %d\n",
-			e.From, e.To, e.Dir, e.BytesSent, e.From, e.To, e.Dir, e.BytesRecv); err != nil {
-			return err
-		}
+		edge("stencilabft_transport_bytes_total", e, e.BytesSent, e.BytesRecv)
 	}
-	if _, err := fmt.Fprintf(w, "# HELP stencilabft_transport_queue_high_water Writer-queue depth high-water mark per edge.\n# TYPE stencilabft_transport_queue_high_water gauge\n"); err != nil {
-		return err
-	}
+	p.Family("stencilabft_transport_queue_high_water", "Writer-queue depth high-water mark per edge.", "gauge")
 	for _, e := range m.Edges {
-		if e.QueueHW == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "stencilabft_transport_queue_high_water{from=\"%d\",to=\"%d\",dir=%q} %d\n",
-			e.From, e.To, e.Dir, e.QueueHW); err != nil {
-			return err
+		if e.QueueHW != 0 {
+			p.Sample("stencilabft_transport_queue_high_water", e.QueueHW, "from", strconv.Itoa(e.From), "to", strconv.Itoa(e.To), "dir", e.Dir)
 		}
 	}
-	_, err := fmt.Fprintf(w, "# TYPE stencilabft_transport_dial_retries_total counter\nstencilabft_transport_dial_retries_total %d\n# TYPE stencilabft_transport_poison_events_total counter\nstencilabft_transport_poison_events_total %d\n",
-		m.DialRetries, m.Poisoned)
-	return err
+	p.Family("stencilabft_transport_dial_retries_total", "", "counter")
+	p.Sample("stencilabft_transport_dial_retries_total", m.DialRetries)
+	p.Family("stencilabft_transport_poison_events_total", "", "counter")
+	p.Sample("stencilabft_transport_poison_events_total", m.Poisoned)
+	return p.Err()
 }

@@ -2,9 +2,46 @@ package telemetry
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestPrometheusGolden holds both scrape pages to the bytes they had before
+// they were routed through PromWriter: dashboards and the CI grep gates
+// parse this text.
+func TestPrometheusGolden(t *testing.T) {
+	c := New(0)
+	for rank, ns := range []int64{1_500_000_000, 250_000, 0} {
+		r := c.Recorder(rank)
+		r.ns[PhaseSweep].Store(ns)
+		r.count[PhaseSweep].Store(int64(3 * rank))
+		r.ns[PhaseBarrierWait].Store(ns / 7)
+		r.count[PhaseBarrierWait].Store(40)
+		r.dropped = int64(rank)
+	}
+	m := TransportMetrics{
+		Edges: []EdgeStat{
+			{From: 0, To: 1, Dir: "right", FramesSent: 40, BytesSent: 163840, FramesRecv: 39, BytesRecv: 159744, QueueHW: 3},
+			{From: 1, To: 0, Dir: "left", FramesSent: 39, BytesSent: 159744, FramesRecv: 40, BytesRecv: 163840},
+		},
+		DialRetries: 2, Poisoned: 1,
+	}
+	var page bytes.Buffer
+	if err := c.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(page.Bytes(), want) {
+		t.Fatalf("scrape page changed:\n got:\n%s\nwant:\n%s", page.Bytes(), want)
+	}
+}
 
 // TestCollectorWritePrometheus pins the phase-counter exposition lines and
 // their label shape against hand-set accumulator values.

@@ -135,8 +135,8 @@ func (tf TraceFile) PhaseNames() []string {
 // MergeTraces concatenates per-process trace files onto one timeline and
 // re-bases it so the earliest duration event starts at ts 0. Rank lanes
 // stay distinct because each process emitted events under its own global
-// rank pid. This is what the -launch parent does with the per-child trace
-// files.
+// rank pid. This is what the -launch parent does with the timelines its
+// rank workers attach to their "done" events.
 func MergeTraces(parts []TraceFile) TraceFile {
 	var out TraceFile
 	out.DisplayTimeUnit = "ms"

@@ -240,11 +240,10 @@ type Spec[T Float] struct {
 	WrapTransport func(tr Transport[T], ranksX, ranksY int, ring bool) Transport[T]
 	// RecvTimeout bounds each blocking halo/checkpoint receive so a stalled
 	// or dead sibling rank surfaces as a classified fault instead of a
-	// hang: it sets the channel backend's receive timeout and the tcp
-	// backend's I/O deadline (TCPConfig.IOTimeout). Zero keeps the
-	// backend's default (the channel backend then waits forever, the tcp
-	// backend applies its 2-minute deadline). Clustered deployments only;
-	// ignored when NewTransport supplies a custom backend.
+	// hang, on whichever backend the cluster runs over (Transport,
+	// NewTransport). Zero keeps the backend's default (the channel backend
+	// then waits forever, the tcp backend applies its 2-minute deadline).
+	// Clustered deployments only.
 	RecvTimeout time.Duration
 	// DeathDeadline bounds the tcp transport's transient-fault healing:
 	// how long a broken edge connection may reconnect-and-replay before the
