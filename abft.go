@@ -206,10 +206,14 @@ const (
 type Cluster[T Float] = dist.Cluster[T]
 
 // Cluster3D is the 3-D distributed-memory deployment: the domain
-// decomposed into z-layer slabs over Spec.Ranks simulated ranks, each
-// running the per-layer online ABFT scheme on its own slab — structurally
-// the 1-D band cluster lifted one dimension. Built by Build from a 3-D
-// Clustered spec.
+// decomposed into z-layer slabs over Spec.Ranks simulated ranks — the 1-D
+// band cluster lifted one dimension. Each slab rank is the local Online
+// 3-D protector over its layers plus a halo exchange, so gathered grids are
+// bit-identical to the Local build's, and the cluster runs on the shell
+// Cluster runs on: Run and RunRecover, RankStats, Stats, TransportMetrics
+// and Close (which stops the rank goroutines) are the same code. Slabs
+// exchange every iteration and are all hosted in-process. Built by Build
+// from a 3-D Clustered spec.
 type Cluster3D[T Float] = dist.Cluster3D[T]
 
 // Calibration reports the error-free checksum noise floor of a

@@ -274,6 +274,9 @@ func TestBuildCluster3D(t *testing.T) {
 		if rs := c.RankStats(); len(rs) != 2 || rs[0].HaloByDir[1] != matrixIters {
 			t.Fatalf("per-rank stats: %+v", rs)
 		}
+		if err := c.Close(); err != nil { // slab ranks are persistent goroutines
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func runLaunch(c config, p plan, start serve.StartWorker) error {
 	// knows); otherwise reserve a loopback port for rank 0 to bind.
 	rendezvous := c.rendezvous
 	if rendezvous == "" {
-		if rendezvous, err = serve.ReserveRendezvous(); err != nil {
+		if rendezvous, err = resilience.ReserveAddr("127.0.0.1"); err != nil {
 			return err
 		}
 	}

@@ -303,18 +303,10 @@ func (p *Protector[T]) correctBlock(b *block[T], src, dst *grid.Grid[T]) {
 	newA := make([]T, b.w())
 	stencil.ChecksumARect(dst, b.x0, b.y0, b.x1, b.y1, newA)
 
-	bm := p.det.Compare(b.newB, b.interpB)
-	am := p.det.Compare(newA, interpA)
-	if len(am) == 0 || len(bm) == 0 {
+	n := checksum.RepairRect(p.det, p.pol, dst, b.x0, b.y0, b.x1, b.y1, newA, b.newB, interpA, b.interpB)
+	p.stats.CorrectedPoints += n
+	if n == 0 { // the corruption sat in a checksum
 		p.stats.ChecksumRepairs++
-		stencil.ChecksumBRect(dst, b.x0, b.y0, b.x1, b.y1, b.newB)
-		return
-	}
-	locs := checksum.Pair(am, bm, p.pol)
-	for _, loc := range locs {
-		checksum.CorrectRect(dst, b.x0, b.y0, b.x1, b.y1, loc,
-			newA, b.newB, interpA, b.interpB)
-		p.stats.CorrectedPoints++
 	}
 }
 

@@ -103,6 +103,7 @@ func ablationGridTopology(cfg TileConfig, w io.Writer) error {
 				local++
 			}
 			maxResid = num.Max(maxResid, metrics.L2Error(p.Grid(), ref.Grid()))
+			c.Close()
 		}
 		leakCell := "none"
 		if leaked > 0 {

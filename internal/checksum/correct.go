@@ -3,6 +3,7 @@ package checksum
 import (
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
+	"stencilabft/internal/stencil"
 )
 
 // Location is a corrupted domain point identified by intersecting the
@@ -159,6 +160,29 @@ func CorrectRect[T num.Float](g *grid.Grid[T], x0, y0, x1, y1 int, loc Location,
 	return old, fixed
 }
 
+// RepairRect is the tail of the detection slow path for the owner of
+// rectangle [x0,x1) x [y0,y1) of g (a dist tile, a blocks block), once it
+// holds the rectangle's direct and interpolated checksum pairs: locate by
+// intersecting the two mismatch lists, repair each located point with
+// CorrectRect, and return how many were repaired. A mismatch in one vector
+// only means the corruption sits in a checksum, not the rectangle (paper
+// Figure 5, scenario 2): the rectangle is trusted, directB is refreshed
+// from it and 0 is returned.
+func RepairRect[T num.Float](det Detector[T], pol PairPolicy, g *grid.Grid[T], x0, y0, x1, y1 int,
+	directA, directB, interpA, interpB []T) int {
+	bm := det.Compare(directB, interpB)
+	am := det.Compare(directA, interpA)
+	if len(am) == 0 || len(bm) == 0 {
+		stencil.ChecksumBRect(g, x0, y0, x1, y1, directB)
+		return 0
+	}
+	locs := Pair(am, bm, pol)
+	for _, loc := range locs {
+		CorrectRect(g, x0, y0, x1, y1, loc, directA, directB, interpA, interpB)
+	}
+	return len(locs)
+}
+
 // CorrectAll pairs the mismatch lists and corrects every located error,
 // returning the locations fixed. The same grid/checksum patching rules as
 // Correct apply per location.
@@ -169,4 +193,16 @@ func (c Corrector[T]) CorrectAll(g *grid.Grid[T], am, bm []Mismatch[T], policy P
 		c.Correct(g, loc, direct, interpA, interpB)
 	}
 	return locs
+}
+
+// Repair is RepairRect for the owner of a whole grid — the online
+// protectors' tail — repairing through the Corrector, so PaperExact applies.
+func (c Corrector[T]) Repair(det Detector[T], pol PairPolicy, g *grid.Grid[T], direct *Vectors[T], interpA, interpB []T) int {
+	bm := det.Compare(direct.B, interpB)
+	am := det.Compare(direct.A, interpA)
+	if len(am) == 0 || len(bm) == 0 {
+		stencil.ChecksumB(g, direct.B)
+		return 0
+	}
+	return len(c.CorrectAll(g, am, bm, pol, direct, interpA, interpB))
 }

@@ -228,3 +228,39 @@ func TestVectorsCloneAndCopy(t *testing.T) {
 	}()
 	NewVectors[float64](2, 2).CopyFrom(v)
 }
+
+// TestRepairTails covers the shared end of every owner's detection slow
+// path, in its rectangle form (dist tiles, blocks) and its whole-grid form
+// (the online protectors): a corrupted cell is located, repaired and
+// counted; a corrupted checksum entry repairs nothing, is reported as 0 and
+// leaves the column checksums refreshed from the trusted data; and over the
+// whole grid the two forms agree bit for bit.
+func TestRepairTails(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	det := NewDetector[float64]()
+	for trial := 0; trial < 20; trial++ {
+		nx, ny := 6+rng.Intn(8), 6+rng.Intn(8)
+		g, loc, direct, interpA, interpB := corruptAndDetect(rng, nx, ny, 50+100*rng.Float64())
+		g2 := g.Clone()
+		d2 := &Vectors[float64]{A: append([]float64(nil), direct.A...), B: append([]float64(nil), direct.B...)}
+
+		if n := RepairRect(det, PairByResidual, g, 0, 0, nx, ny, direct.A, direct.B, interpA, interpB); n != 1 {
+			t.Fatalf("trial %d: RepairRect repaired %d points, want 1", trial, n)
+		}
+		if n := (Corrector[float64]{}).Repair(det, PairByResidual, g2, d2, interpA, interpB); n != 1 {
+			t.Fatalf("trial %d: Repair repaired %d points, want 1", trial, n)
+		}
+		if got, want := g.At(loc.X, loc.Y), g2.At(loc.X, loc.Y); math.Float64bits(got) != math.Float64bits(want) || num.Abs(direct.B[loc.Y]-interpB[loc.Y]) > 1e-9 {
+			t.Fatalf("trial %d: rect form repaired to %v (b=%v), grid form to %v, clean b=%v", trial, got, direct.B[loc.Y], want, interpB[loc.Y])
+		}
+
+		// Now the data is clean again; corrupt one checksum entry instead.
+		direct.B[loc.Y] += 1e6
+		if n := RepairRect(det, PairByResidual, g, 0, 0, nx, ny, direct.A, direct.B, interpA, interpB); n != 0 {
+			t.Fatalf("trial %d: a corrupted checksum entry repaired %d points", trial, n)
+		}
+		if num.Abs(direct.B[loc.Y]-interpB[loc.Y]) > 1e-9 {
+			t.Fatalf("trial %d: column checksum %v not refreshed to %v", trial, direct.B[loc.Y], interpB[loc.Y])
+		}
+	}
+}

@@ -152,19 +152,13 @@ func (ip *Interp3D[T]) EdgeRadius() int {
 // be a LiveEdges view or an *EdgeSnapshot of its layer under the operator's
 // boundary condition; their cells are read directly, not through At.
 func (ip *Interp3D[T]) InterpolateB(z int, bPrev [][]T, edges []EdgeSource[T], bNext []T) {
-	if len(bPrev) != ip.nz || len(bNext) != ip.ny {
-		panic(fmt.Sprintf("checksum: InterpolateB layer %d: got %d layers, %d entries", z, len(bPrev), len(bNext)))
-	}
-	ip.interpolate(&ip.b, z, -1, bPrev, edges, bNext)
+	ip.InterpolateBSlab(z, bPrev, 0, edges, bNext)
 }
 
 // InterpolateA computes layer z's next row checksums, the x-axis analogue
 // of InterpolateB.
 func (ip *Interp3D[T]) InterpolateA(z int, aPrev [][]T, edges []EdgeSource[T], aNext []T) {
-	if len(aPrev) != ip.nz || len(aNext) != ip.nx {
-		panic(fmt.Sprintf("checksum: InterpolateA layer %d: got %d layers, %d entries", z, len(aPrev), len(aNext)))
-	}
-	ip.interpolate(&ip.a, z, -1, aPrev, edges, aNext)
+	ip.InterpolateASlab(z, aPrev, 0, edges, aNext)
 }
 
 // InterpolateBSlab interpolates layer z's column checksums for a z-slab of
@@ -180,7 +174,8 @@ func (ip *Interp3D[T]) InterpolateA(z int, aPrev [][]T, edges []EdgeSource[T], a
 // extra communication beyond the halo exchange itself. In-layer resolution
 // (the y lookups and the x-direction beta terms) uses the global boundary
 // condition exactly as in InterpolateB, since every slab spans the full
-// in-layer domain.
+// in-layer domain. h = 0 is the slab with no z-neighbour, the whole domain:
+// layers beyond it resolve through the boundary condition, as InterpolateB's.
 func (ip *Interp3D[T]) InterpolateBSlab(z int, bPrevExt [][]T, h int, edges []EdgeSource[T], bNext []T) {
 	ip.checkSlab("InterpolateBSlab", len(bPrevExt), len(edges), len(bNext), ip.ny, h)
 	ip.interpolate(&ip.b, z, h, bPrevExt, edges, bNext)
@@ -197,14 +192,14 @@ func (ip *Interp3D[T]) checkSlab(name string, nPrev, nEdges, nNext, want, h int)
 	if nPrev != ip.nz+2*h || nEdges != ip.nz+2*h || nNext != want {
 		panic(fmt.Sprintf("checksum: %s lengths %d/%d/%d for nz=%d h=%d", name, nPrev, nEdges, nNext, ip.nz, h))
 	}
-	if rz := ip.op.St.RadiusZ(); h < rz {
+	if rz := ip.op.St.RadiusZ(); h != 0 && h < rz {
 		panic(fmt.Sprintf("checksum: halo depth %d below stencil z-radius %d", h, rz))
 	}
 }
 
 // interpolate is the one routine behind the four entry points. The domain
 // and slab forms differ only in how a point's source layer z+dz is found:
-// through the boundary condition (h < 0), or in a vector set extended by h
+// through the boundary condition (h <= 0), or in a vector set extended by h
 // halo layers, which z+dz+h indexes directly.
 func (ip *Interp3D[T]) interpolate(ax *interpAxis[T], z, h int, prev [][]T, edges []EdgeSource[T], next []T) {
 	copy(next, ax.c[z])
@@ -212,7 +207,7 @@ func (ip *Interp3D[T]) interpolate(ax *interpAxis[T], z, h int, prev [][]T, edge
 	for i := range ax.terms {
 		t := &ax.terms[i]
 		zz := z + t.dz + h
-		if h < 0 { // domain form: z+dz goes through the boundary condition
+		if h <= 0 { // domain form: z+dz goes through the boundary condition
 			zz = z + t.dz
 			if zz < 0 || zz >= ip.nz {
 				var ok bool

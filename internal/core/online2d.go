@@ -145,17 +145,9 @@ func (p *Online2D[T]) locateAndCorrect(src, dst *grid.Grid[T], edges checksum.Ed
 	p.ip.InterpolateA(p.prevA, edges, p.interpA)
 	stencil.ChecksumA(dst, p.newA)
 
-	bm := p.det.Compare(p.newB, p.interpB)
-	am := p.det.Compare(p.newA, p.interpA)
-	if len(am) == 0 || len(bm) == 0 {
-		// Mismatch in one vector only: the corruption sits in a
-		// checksum, not the domain (paper Figure 5, scenario 2).
-		// The domain is trusted; refresh the column checksums from it.
+	n := p.corr.Repair(p.det, p.pol, dst, &checksum.Vectors[T]{A: p.newA, B: p.newB}, p.interpA, p.interpB)
+	p.stats.CorrectedPoints += n
+	if n == 0 { // the corruption sat in a checksum
 		p.stats.ChecksumRepairs++
-		stencil.ChecksumB(dst, p.newB)
-		return
 	}
-	direct := &checksum.Vectors[T]{A: p.newA, B: p.newB}
-	locs := p.corr.CorrectAll(dst, am, bm, p.pol, direct, p.interpA, p.interpB)
-	p.stats.CorrectedPoints += len(locs)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"stencilabft/internal/checksum"
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
@@ -14,8 +16,11 @@ import (
 // interpolation couples neighbouring layers' checksum vectors exactly as
 // the layer sums do, so detection remains exact for 3-D stencils.
 type Online3D[T num.Float] struct {
-	op   *stencil.Op3D[T]
-	buf  *grid.Buffer3D[T]
+	op  *stencil.Op3D[T]
+	buf *grid.Buffer3D[T]
+	// h ghost layers sit at each z end of buf (0 for a whole domain, see
+	// NewOnline3DSlab); layers [h, nz-h) are owned: swept and verified.
+	h    int
 	ip   *checksum.Interp3D[T]
 	det  checksum.Detector[T]
 	pool *stencil.Pool
@@ -50,16 +55,47 @@ type Online3D[T num.Float] struct {
 // NewOnline3D builds an online protector for op, starting from init
 // (copied).
 func NewOnline3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], opt Options[T]) (*Online3D[T], error) {
+	return newOnline3D(op, op, init, 0, init.Nz(), 0, opt)
+}
+
+// NewOnline3DSlab builds the protector of layers [z0, z1) of a domain
+// decomposed along z — internal/dist's slab rank. Its buffer, which Grid3D
+// returns whole, carries RadiusZ ghost layers at each z end; the owner
+// refills them before every step, and their checksums are plain sums of
+// what it put there, so no checksum is ever communicated. The interpolator
+// is built on the slab's shape and layers of the constant field, the sweep
+// operator on the extended one.
+func NewOnline3DSlab[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], z0, z1 int, opt Options[T]) (*Online3D[T], error) {
+	nx, ny, n, h := init.Nx(), init.Ny(), z1-z0, op.St.RadiusZ()
+	iop := &stencil.Op3D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}
+	sop := &stencil.Op3D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}
+	if op.C != nil {
+		iop.C, sop.C = grid.New3D[T](nx, ny, n), grid.New3D[T](nx, ny, n+2*h)
+		for z := 0; z < n; z++ {
+			iop.C.Layer(z).CopyFrom(op.C.Layer(z0 + z))
+			sop.C.Layer(h + z).CopyFrom(op.C.Layer(z0 + z))
+		}
+	}
+	return newOnline3D(sop, iop, init, z0, z1, h, opt)
+}
+
+// newOnline3D protects layers [z0, z1) of init, copied between h ghost
+// layers, sweeping with sop and interpolating with iop (one operator when
+// the slab is the whole domain).
+func newOnline3D[T num.Float](sop, iop *stencil.Op3D[T], init *grid.Grid3D[T], z0, z1, h int, opt Options[T]) (*Online3D[T], error) {
 	opt = opt.withDefaults()
-	nx, ny, nz := init.Nx(), init.Ny(), init.Nz()
-	ip, err := checksum.NewInterp3D(op, nx, ny, nz)
+	nx, ny, nz := init.Nx(), init.Ny(), z1-z0+2*h
+	ip, err := checksum.NewInterp3D(iop, nx, ny, z1-z0)
 	if err != nil {
 		return nil, err
 	}
 	ip.DropBoundaryTerms = opt.DropBoundaryTerms
+	buf := grid.NewBuffer3D[T](nx, ny, nz)
+	copy(buf.Read.Data()[h*nx*ny:], init.Data()[z0*nx*ny:z1*nx*ny])
 	p := &Online3D[T]{
-		op:       op,
-		buf:      grid.Buffer3DFrom(init),
+		op:       sop,
+		buf:      buf,
+		h:        h,
 		ip:       ip,
 		det:      opt.Detector,
 		pool:     opt.Pool,
@@ -76,9 +112,10 @@ func NewOnline3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], opt Opt
 	}
 	p.detectFn = p.detectLayers
 	for z := 0; z < nz; z++ {
-		p.edges[z] = checksum.LiveEdges(p.buf.Read.Layer(z), op.BC, op.BCValue)
-		p.edgesAlt[z] = checksum.LiveEdges(p.buf.Write.Layer(z), op.BC, op.BCValue)
-		stencil.ChecksumB(p.buf.Read.Layer(z), p.prevB[z])
+		p.edges[z] = checksum.LiveEdges(buf.Read.Layer(z), sop.BC, sop.BCValue)
+		p.edgesAlt[z] = checksum.LiveEdges(buf.Write.Layer(z), sop.BC, sop.BCValue)
+		// The initial data and checksums are assumed correct (Theorem 2).
+		stencil.ChecksumB(buf.Read.Layer(z), p.prevB[z])
 	}
 	return p, nil
 }
@@ -91,7 +128,7 @@ func makeLayers[T num.Float](nz, n int) [][]T {
 	return out
 }
 
-// Grid3D returns the current domain state.
+// Grid3D returns the current domain state (a slab's with its ghost layers).
 func (p *Online3D[T]) Grid3D() *grid.Grid3D[T] { return p.buf.Read }
 
 // Grid returns nil: Online3D protects a 3-D domain; use Grid3D.
@@ -100,27 +137,64 @@ func (p *Online3D[T]) Grid() *grid.Grid[T] { return nil }
 // Iter returns the number of completed sweeps.
 func (p *Online3D[T]) Iter() int { return p.iter }
 
+// SetIter rebases the sweep counter — the rollback half of RestoreState.
+func (p *Online3D[T]) SetIter(n int) { p.iter = n }
+
 // Stats returns the accumulated counters.
 func (p *Online3D[T]) Stats() Stats { return p.stats }
 
 // Finalize is a no-op: the online scheme verifies every sweep.
 func (p *Online3D[T]) Finalize() {}
 
+// StateLen is the length of a PackState snapshot: the owned layers' cells.
+func (p *Online3D[T]) StateLen() int { return len(p.owned()) }
+
+// PackState copies the owned layers into dst (len >= StateLen()); ghost
+// layers are refilled by the owner and checksums re-derived on restore, so
+// a run resumed from RestoreState + SetIter reproduces the uninterrupted
+// one's grids bit for bit. Call it between steps.
+func (p *Online3D[T]) PackState(dst []T) { copy(dst, p.owned()) }
+
+// RestoreState is PackState's inverse. As at construction, the restored
+// data and the checksums computed from it are assumed correct (Theorem 2).
+func (p *Online3D[T]) RestoreState(src []T) {
+	copy(p.owned(), src)
+	for z := p.h; z < len(p.prevB)-p.h; z++ {
+		stencil.ChecksumB(p.buf.Read.Layer(z), p.prevB[z])
+	}
+}
+
+// owned returns the cells of layers [h, nz-h) of the current state.
+func (p *Online3D[T]) owned() []T {
+	g := p.buf.Read
+	plane := g.Nx() * g.Ny()
+	return g.Data()[p.h*plane : (g.Nz()-p.h)*plane]
+}
+
 // Step advances one sweep applying the configured injection source; see
 // StepInject for the mechanics.
 func (p *Online3D[T]) Step() { p.StepInject(stencil.HookAt(p.inj, p.iter)) }
 
-// StepInject advances one sweep: fused per-layer checksums, per-layer
-// interpolation and comparison, correction in the rare mismatch case. All
+// StepInject advances one sweep: for a slab the ghost layers' checksums
+// first, then fused per-layer checksums, per-layer interpolation and
+// comparison, correction in the rare mismatch case. All
 // per-layer phases are partitioned over the pool; the correction slow path
 // runs inside the layer that flagged, with no cross-layer writes.
 func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
 	src, dst := p.buf.Read, p.buf.Write
-	nz := src.Nz()
+	h, nz := p.h, src.Nz()
 
 	p.tel.SetIter(p.iter)
+	if h > 0 {
+		t0 := p.tel.Begin()
+		for j := 0; j < h; j++ {
+			stencil.ChecksumB(src.Layer(j), p.prevB[j])
+			stencil.ChecksumB(src.Layer(nz-h+j), p.prevB[nz-h+j])
+		}
+		p.tel.End(telemetry.PhaseVerify, t0)
+	}
 	t0 := p.tel.Begin()
-	p.op.SweepParallelHook(p.pool, dst, src, p.newB, hook)
+	p.op.SweepLayersHook(p.pool, dst, src, h, nz-h, p.newB, hook)
 	p.tel.End(telemetry.PhaseSweep, t0)
 
 	// Interpolate and detect per layer. Mismatching layers are collected
@@ -130,26 +204,17 @@ func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
 	// outside the barrier keeps the memory model trivially racefree.
 	t0 = p.tel.Begin()
 	flagged := p.flagged
-	for z := range flagged {
-		flagged[z] = false
-	}
-	p.pool.ForEachChunk(nz, p.detectFn)
+	clear(flagged)
+	p.pool.ForEachChunk(nz-2*h, p.detectFn)
 	p.stats.Verifications++
-
-	anyFlagged := false
-	for z := 0; z < nz; z++ {
-		if flagged[z] {
-			anyFlagged = true
-			break
-		}
-	}
 	p.tel.End(telemetry.PhaseVerify, t0)
-	if anyFlagged {
+	if slices.Contains(flagged, true) {
 		p.stats.Detections++
 		t0 = p.tel.Begin()
 		// The row-checksum interpolation of layer z needs prevA of
-		// layers z+dz; compute prevA for every layer once (the slow
-		// path is rare and O(nx*ny*nz) total, the cost of one sweep).
+		// layers z+dz, ghost layers included; compute prevA for every
+		// layer once (the slow path is rare and O(nx*ny*nz) total, the
+		// cost of one sweep).
 		if p.prevA == nil {
 			nx := src.Nx()
 			p.prevA, p.interpA, p.newA = makeLayers[T](nz, nx), makeLayers[T](nz, nx), make([]T, nx)
@@ -157,7 +222,7 @@ func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
 		for z := 0; z < nz; z++ {
 			stencil.ChecksumA(src.Layer(z), p.prevA[z])
 		}
-		for z := 0; z < nz; z++ {
+		for z := h; z < nz-h; z++ {
 			if flagged[z] {
 				p.correctLayer(z, dst)
 			}
@@ -172,13 +237,15 @@ func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
 	p.stats.Iterations++
 }
 
-// detectLayers interpolates and compares layers [lo, hi), flagging the
-// mismatching ones; layers are independent, so chunks run concurrently.
+// detectLayers interpolates and compares owned layers [lo, hi) — layers
+// [h+lo, h+hi) of the buffer — flagging the mismatching ones; layers are
+// independent, so chunks run concurrently.
 func (p *Online3D[T]) detectLayers(lo, hi int) {
 	for z := lo; z < hi; z++ {
-		p.ip.InterpolateB(z, p.prevB, p.edges, p.interpB[z])
-		if p.det.AnyMismatch(p.newB[z], p.interpB[z]) {
-			p.flagged[z] = true
+		e := p.h + z
+		p.ip.InterpolateBSlab(z, p.prevB, p.h, p.edges, p.interpB[e])
+		if p.det.AnyMismatch(p.newB[e], p.interpB[e]) {
+			p.flagged[e] = true
 		}
 	}
 }
@@ -194,17 +261,12 @@ func (p *Online3D[T]) Run(count int) {
 // layer using the 2-D correction algebra on that layer's checksum pairs.
 func (p *Online3D[T]) correctLayer(z int, dst *grid.Grid3D[T]) {
 	layer := dst.Layer(z)
-	p.ip.InterpolateA(z, p.prevA, p.edges, p.interpA[z])
+	p.ip.InterpolateASlab(z-p.h, p.prevA, p.h, p.edges, p.interpA[z])
 	stencil.ChecksumA(layer, p.newA)
 
-	bm := p.det.Compare(p.newB[z], p.interpB[z])
-	am := p.det.Compare(p.newA, p.interpA[z])
-	if len(am) == 0 || len(bm) == 0 {
+	n := p.corr.Repair(p.det, p.pol, layer, &checksum.Vectors[T]{A: p.newA, B: p.newB[z]}, p.interpA[z], p.interpB[z])
+	p.stats.CorrectedPoints += n
+	if n == 0 { // the corruption sat in a checksum
 		p.stats.ChecksumRepairs++
-		stencil.ChecksumB(layer, p.newB[z])
-		return
 	}
-	direct := &checksum.Vectors[T]{A: p.newA, B: p.newB[z]}
-	locs := p.corr.CorrectAll(layer, am, bm, p.pol, direct, p.interpA[z], p.interpB[z])
-	p.stats.CorrectedPoints += len(locs)
 }

@@ -11,8 +11,9 @@
 // The decomposition is topology-neutral, described by Decomp: a 2-D domain
 // splits over a RanksX-by-RanksY Cartesian rank grid (NewClusterGrid; the
 // historical 1-D row bands are the RanksX == 1 column), and a 3-D domain
-// splits into z-layer slabs (NewCluster3D), which reuse the band structure
-// along z. Ranks are goroutines communicating through the Transport seam.
+// splits into z-layer slabs (NewCluster3D), each a core.Online3D plus a
+// halo exchange. Both run on one shell — rank goroutines, Run/RunRecover,
+// stats — and communicate through the Transport seam.
 // The default ChanTransport wires them with paired channels in the MPI
 // neighbour pattern and separates iterations with a cyclic barrier, so
 // every rank's halo data is always exactly one iteration fresh — the
@@ -164,11 +165,41 @@ type Stats = stats.Stats
 // remote ones through the transport's barrier, and Gather/Stats cover the
 // hosted tiles only.
 type Cluster[T num.Float] struct {
-	decomp    Decomp
-	local     []int      // materialised rank ids, sorted (all of them by default)
-	ranks     []*rank[T] // aligned with local
+	shell[T]
+	ranks []*rank[T] // the hosted tile ranks, aligned with shell.hosted
+}
+
+// engine is one rank as the cluster shell drives it. The 2-D tile rank
+// (rank.go, overlap.go) and the 3-D slab rank (rank3d.go) are the two.
+type engine[T num.Float] interface {
+	// advance runs iteration abs in full on the rank's goroutine: halo
+	// exchange, sweep, verification, repair, buffer swap.
+	advance(abs int, hook stencil.InjectFunc[T])
+	// counters returns the rank's ABFT and halo counters.
+	counters() Stats
+	// The restartable state, see shell.PackState.
+	StateLen() int
+	PackState(dst []T)
+	RestoreState(src []T)
+}
+
+// hostedRank is what the shell keeps per materialised rank.
+type hostedRank[T num.Float] struct {
+	id   int // global rank id
+	eng  engine[T]
+	tel  *telemetry.Recorder     // nil when telemetry is disabled
+	plan stencil.InjectSource[T] // routed Options.Inject (absolute iterations); nil when none lands here
+	cmds chan rankCmd
+}
+
+// shell is the part of a cluster that does not depend on what a rank
+// sweeps: the persistent rank goroutines and their run loop, fault capture,
+// the iteration counter, counters and state snapshots. Cluster and
+// Cluster3D embed it, so its methods are theirs.
+type shell[T num.Float] struct {
+	decomp    Decomp // a slab chain is the 1-by-nRanks grid over (1, nz)
+	hosted    []hostedRank[T]
 	tr        Transport[T]
-	plans     []*fault.Injector[T] // per-materialised-rank routed Options.Inject (absolute iterations)
 	afterStep func(rank, iter int)
 	iter      int
 	haloDepth int
@@ -178,7 +209,6 @@ type Cluster[T num.Float] struct {
 	// costs a channel send and a join per rank instead of a goroutine
 	// spawn, keeping the steady-state iteration path allocation-free.
 	// Close shuts them down.
-	cmds       []chan rankCmd
 	done       chan struct{}
 	faultMu    sync.Mutex
 	firstFault error
@@ -230,27 +260,101 @@ func NewClusterGrid[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], ranksX
 	opt = opt.withDefaults()
 	opt.HaloDepth = depth
 
-	c := &Cluster[T]{decomp: d, local: local, afterStep: opt.AfterStep, haloDepth: depth}
-	c.tr = opt.NewTransport(ranksX, ranksY, op.BC == grid.Periodic)
+	c := &Cluster[T]{}
+	tr := opt.NewTransport(ranksX, ranksY, op.BC == grid.Periodic)
 	for _, i := range local {
 		r, err := newRank(op, init, i, d.TileOf(i), hx, hy, opt)
 		if err != nil {
 			return nil, err
 		}
-		r.tr = c.tr
+		r.tr = tr
 		r.bindTransport()
 		r.stats.Topology = "grid " + d.String()
 		r.tel = opt.Telemetry.Recorder(i)
 		c.ranks = append(c.ranks, r)
+		c.hosted = append(c.hosted, hostedRank[T]{id: i, eng: r, tel: r.tel})
 	}
-	c.plans = c.routePlan(opt.Inject)
-	c.cmds = make([]chan rankCmd, len(c.ranks))
-	c.done = make(chan struct{}, len(c.ranks))
-	for i, r := range c.ranks {
-		c.cmds[i] = make(chan rankCmd, 1)
-		go c.rankLoop(r, c.plans[i], c.cmds[i])
-	}
+	// Injections with a non-zero Z or outside the domain are dropped; the
+	// rest land in the owning tile's extended frame.
+	c.start(d, depth, tr, opt, func(inj fault.Injection) (int, fault.Injection, bool) {
+		if inj.Z != 0 || inj.X < 0 || inj.X >= nx || inj.Y < 0 || inj.Y >= ny {
+			return 0, inj, false
+		}
+		id := d.OwnerOf(inj.X, inj.Y)
+		t := d.TileOf(id)
+		inj.X += hx - t.X0
+		inj.Y += hy - t.Y0
+		return id, inj, true
+	})
 	return c, nil
+}
+
+// Decomp returns the cluster's decomposition geometry.
+func (c *Cluster[T]) Decomp() Decomp { return c.decomp }
+
+// Tile returns the global sub-rectangle owned by rank i — pure geometry,
+// answerable for remote ranks too.
+func (c *Cluster[T]) Tile(i int) Tile { return c.decomp.TileOf(i) }
+
+// Gather reassembles the global domain from the ranks' current tile
+// states — the MPI_Gather at the end of a distributed run. Call it between
+// Run calls, never concurrently with one. Under LocalRanks only the hosted
+// tiles are filled (remote tiles stay zero): a multi-process deployment
+// gathers by collecting each process's tiles, as stencilrun -launch does.
+func (c *Cluster[T]) Gather() *grid.Grid[T] {
+	g := grid.New[T](c.decomp.Nx, c.decomp.Ny)
+	for _, r := range c.ranks {
+		for y := r.tile.Y0; y < r.tile.Y1; y++ {
+			copy(g.Row(y)[r.tile.X0:r.tile.X1], r.buf.Read.Row(r.loY() + y - r.tile.Y0)[r.loX():r.hiX()])
+		}
+	}
+	return g
+}
+
+// Grid gathers and returns the global domain state; an alias for Gather
+// that completes the unified protector contract. Each call reassembles the
+// domain from the rank tiles, so hoist it out of hot loops.
+func (c *Cluster[T]) Grid() *grid.Grid[T] { return c.Gather() }
+
+// Grid3D returns nil: this cluster decomposes 2-D domains (Cluster3D is
+// the z-layer deployment).
+func (c *Cluster[T]) Grid3D() *grid.Grid3D[T] { return nil }
+
+// start wires the ranks already listed in c.hosted (id, eng, tel) to tr and
+// spawns their goroutines. locate maps an injection of the global
+// Options.Inject plan to the rank owning its point and to that rank's
+// extended-grid frame — the coordinate the sweep hook sees — or reports
+// that it falls outside the domain. Injections owned by a rank another
+// process hosts are dropped: each process routes the same global plan, so
+// every injection is applied exactly once cluster-wide.
+func (c *shell[T]) start(d Decomp, depth int, tr Transport[T], opt Options[T], locate func(fault.Injection) (id int, local fault.Injection, ok bool)) {
+	c.decomp, c.haloDepth, c.tr, c.afterStep = d, depth, tr, opt.AfterStep
+	pos := make(map[int]int, len(c.hosted))
+	for p, h := range c.hosted {
+		pos[h.id] = p
+	}
+	perRank := make([][]fault.Injection, len(c.hosted))
+	if opt.Inject != nil {
+		for _, inj := range opt.Inject.Injections() {
+			id, local, ok := locate(inj)
+			if p, hosted := pos[id]; ok && hosted {
+				perRank[p] = append(perRank[p], local)
+			}
+		}
+	}
+	c.done = make(chan struct{}, len(c.hosted))
+	for p := range c.hosted {
+		h := &c.hosted[p]
+		if len(perRank[p]) > 0 {
+			h.plan = fault.NewInjector[T](fault.NewPlan(perRank[p]...))
+		}
+		h.cmds = make(chan rankCmd, 1)
+		go func() { // the rank's persistent goroutine: Run batches until Close
+			for cmd := range h.cmds {
+				c.runBatch(h, cmd)
+			}
+		}()
+	}
 }
 
 // resolveLocalRanks normalises an Options.LocalRanks list against an n-rank
@@ -282,38 +386,37 @@ func resolveLocalRanks(list []int, n int) ([]int, error) {
 
 // Ranks returns the number of ranks in the whole cluster — including, for
 // a LocalRanks deployment, the ranks hosted by peer processes.
-func (c *Cluster[T]) Ranks() int { return c.decomp.NumRanks() }
+func (c *shell[T]) Ranks() int { return c.decomp.NumRanks() }
 
 // LocalRanks returns the rank ids materialised in this process, sorted.
 // For a default (all-local) cluster this is 0..Ranks()-1.
-func (c *Cluster[T]) LocalRanks() []int { return append([]int(nil), c.local...) }
-
-// Decomp returns the cluster's decomposition geometry.
-func (c *Cluster[T]) Decomp() Decomp { return c.decomp }
-
-// Tile returns the global sub-rectangle owned by rank i — pure geometry,
-// answerable for remote ranks too.
-func (c *Cluster[T]) Tile(i int) Tile { return c.decomp.TileOf(i) }
+func (c *shell[T]) LocalRanks() []int {
+	ids := make([]int, len(c.hosted))
+	for p := range c.hosted {
+		ids[p] = c.hosted[p].id
+	}
+	return ids
+}
 
 // Iter returns the number of completed cluster iterations.
-func (c *Cluster[T]) Iter() int { return c.iter }
+func (c *shell[T]) Iter() int { return c.iter }
 
 // HaloDepth returns the cluster's ghost-zone depth k: halo exchanges
 // happen on iterations where Iter%k == 0, and checkpoint restores must
 // land on multiples of k. 1 is the classic exchange-every-iteration
 // schedule.
-func (c *Cluster[T]) HaloDepth() int { return c.haloDepth }
+func (c *shell[T]) HaloDepth() int { return c.haloDepth }
 
 // RankStats returns the materialised ranks' counters, aligned with
 // LocalRanks — for a default cluster, indexed by rank id. When telemetry
 // is enabled each entry carries that rank's phase-time breakdown.
-func (c *Cluster[T]) RankStats() []Stats {
-	out := make([]Stats, len(c.ranks))
+func (c *shell[T]) RankStats() []Stats {
+	out := make([]Stats, len(c.hosted))
 	m := c.tr.Metrics()
-	for i, r := range c.ranks {
-		out[i] = r.stats
-		out[i].Timing = r.tel.Timing()
-		out[i].Transport = m.PerRank(r.id)
+	for i, h := range c.hosted {
+		out[i] = h.eng.counters()
+		out[i].Timing = h.tel.Timing()
+		out[i].Transport = m.PerRank(h.id)
 	}
 	// The transport-global counters have no owning rank; park them on the
 	// first entry so merging RankStats reproduces the cluster totals.
@@ -335,7 +438,7 @@ func (c *Cluster[T]) RankStats() []Stats {
 // (Verifications, Detections, HaloExchanges, the per-direction HaloByDir, …)
 // remain per-rank sums, just as the blocked protector counts one
 // verification per block.
-func (c *Cluster[T]) Stats() Stats {
+func (c *shell[T]) Stats() Stats {
 	var total Stats
 	for _, s := range c.RankStats() {
 		total = total.Merge(s)
@@ -345,44 +448,20 @@ func (c *Cluster[T]) Stats() Stats {
 }
 
 // TransportMetrics returns the transport's per-edge traffic snapshot.
-func (c *Cluster[T]) TransportMetrics() telemetry.TransportMetrics { return c.tr.Metrics() }
-
-// Gather reassembles the global domain from the ranks' current tile
-// states — the MPI_Gather at the end of a distributed run. Call it between
-// Run calls, never concurrently with one. Under LocalRanks only the hosted
-// tiles are filled (remote tiles stay zero): a multi-process deployment
-// gathers by collecting each process's tiles, as stencilrun -launch does.
-func (c *Cluster[T]) Gather() *grid.Grid[T] {
-	g := grid.New[T](c.decomp.Nx, c.decomp.Ny)
-	for _, r := range c.ranks {
-		for y := r.tile.Y0; y < r.tile.Y1; y++ {
-			copy(g.Row(y)[r.tile.X0:r.tile.X1], r.buf.Read.Row(r.loY() + y - r.tile.Y0)[r.loX():r.hiX()])
-		}
-	}
-	return g
-}
-
-// Grid gathers and returns the global domain state; an alias for Gather
-// that completes the unified protector contract. Each call reassembles the
-// domain from the rank tiles, so hoist it out of hot loops.
-func (c *Cluster[T]) Grid() *grid.Grid[T] { return c.Gather() }
-
-// Grid3D returns nil: this cluster decomposes 2-D domains (Cluster3D is
-// the z-layer deployment).
-func (c *Cluster[T]) Grid3D() *grid.Grid3D[T] { return nil }
+func (c *shell[T]) TransportMetrics() telemetry.TransportMetrics { return c.tr.Metrics() }
 
 // Finalize is a no-op: every rank verifies every sweep, so nothing is
 // pending at the end of a run.
-func (c *Cluster[T]) Finalize() {}
+func (c *shell[T]) Finalize() {}
 
 // Close stops the persistent rank goroutines and closes the cluster's
 // transport (the TCP backend's sockets and goroutines; the in-process
 // channel backend has nothing to release). Call it after the final
 // Run/Gather, never concurrently with one.
-func (c *Cluster[T]) Close() error {
+func (c *shell[T]) Close() error {
 	c.closeOnce.Do(func() {
-		for _, ch := range c.cmds {
-			close(ch)
+		for _, h := range c.hosted {
+			close(h.cmds)
 		}
 	})
 	return c.tr.Close()
@@ -392,14 +471,14 @@ func (c *Cluster[T]) Close() error {
 // injection plan configured in Options. Each call dispatches to and joins
 // the persistent rank goroutines, so batch iterations through Run(count)
 // whenever the iteration count is known up front.
-func (c *Cluster[T]) Step() { c.Run(1) }
+func (c *shell[T]) Step() { c.Run(1) }
 
 // Run advances the cluster by count lockstep iterations, applying the
 // injection plan configured in Options (injections match on the absolute
 // iteration number, Iter-based). A transport fault is fatal, matching the
 // TCP backend's MPI_ERRORS_ARE_FATAL semantics; use RunRecover to survive
 // one.
-func (c *Cluster[T]) Run(count int) {
+func (c *shell[T]) Run(count int) {
 	if err := c.run(count); err != nil {
 		panic(err)
 	}
@@ -411,7 +490,7 @@ func (c *Cluster[T]) Run(count int) {
 // is NOT advanced — the hosted tiles are mid-iteration garbage and the
 // caller (the resilience layer) is expected to restore a checkpoint with
 // RestoreState/SetIter, or rebuild the cluster, before running again.
-func (c *Cluster[T]) RunRecover(count int) error { return c.run(count) }
+func (c *shell[T]) RunRecover(count int) error { return c.run(count) }
 
 // run advances iters lockstep iterations by handing each persistent rank
 // goroutine a command and joining them. Each rank's sweep hook applies the
@@ -423,7 +502,7 @@ func (c *Cluster[T]) RunRecover(count int) error { return c.run(count) }
 // further commands (the resilience layer restores state and reruns).
 // Non-error panics (programming bugs) abort the siblings too, then
 // re-panic, killing the process.
-func (c *Cluster[T]) run(iters int) error {
+func (c *shell[T]) run(iters int) error {
 	if iters <= 0 {
 		return nil
 	}
@@ -431,10 +510,10 @@ func (c *Cluster[T]) run(iters int) error {
 	c.firstFault = nil
 	c.faultMu.Unlock()
 	base := c.iter
-	for _, ch := range c.cmds {
-		ch <- rankCmd{iters: iters, base: base}
+	for _, h := range c.hosted {
+		h.cmds <- rankCmd{iters: iters, base: base}
 	}
-	for range c.ranks {
+	for range c.hosted {
 		<-c.done
 	}
 	c.faultMu.Lock()
@@ -446,23 +525,15 @@ func (c *Cluster[T]) run(iters int) error {
 	return err
 }
 
-// rankLoop is a materialised rank's persistent goroutine: it executes Run
-// batches from its command channel until Close closes it.
-func (c *Cluster[T]) rankLoop(r *rank[T], cfg *fault.Injector[T], cmds <-chan rankCmd) {
-	for cmd := range cmds {
-		c.runBatch(r, cfg, cmd)
-	}
-}
-
 // runBatch executes one Run batch on the rank's goroutine. The iteration
-// body is the overlap/depth-k schedule (rank.advance); the cluster-wide
+// body is the rank's own (engine.advance); the cluster-wide
 // barrier separates exchange rounds only — at halo depth k that is one
 // barrier every k iterations, since the intervening local iterations
 // touch no shared state. The barrier placed at the END of an exchange
 // iteration is also what fences the in-process transport's zero-copy y
 // payloads: a receiver has copied them before its barrier, so the sender
 // may overwrite the underlying rows on its next sweep.
-func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd) {
+func (c *shell[T]) runBatch(h *hostedRank[T], cmd rankCmd) {
 	defer func() {
 		p := recover()
 		if p != nil {
@@ -475,7 +546,7 @@ func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd) {
 				c.faultMu.Unlock()
 				p = nil
 			} else {
-				err = fmt.Errorf("dist: rank %d panic: %v", r.id, p)
+				err = fmt.Errorf("dist: rank %d panic: %v", h.id, p)
 			}
 			// Wake the sibling ranks blocked in the transport.
 			c.tr.Abort(err)
@@ -487,15 +558,15 @@ func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd) {
 	}()
 	for t := 0; t < cmd.iters; t++ {
 		abs := cmd.base + t
-		r.tel.SetIter(abs)
-		r.advance(abs, stencil.HookAt[T](injSource(cfg), abs))
+		h.tel.SetIter(abs)
+		h.eng.advance(abs, stencil.HookAt(h.plan, abs))
 		if c.afterStep != nil {
-			c.afterStep(r.id, abs)
+			c.afterStep(h.id, abs)
 		}
-		if r.depth == 1 || abs%r.depth == 0 {
-			tb := r.tel.Begin()
+		if c.haloDepth == 1 || abs%c.haloDepth == 0 {
+			tb := h.tel.Begin()
 			c.tr.Barrier()
-			r.tel.End(telemetry.PhaseBarrierWait, tb)
+			h.tel.End(telemetry.PhaseBarrierWait, tb)
 		}
 	}
 }
@@ -503,83 +574,36 @@ func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd) {
 // Transport exposes the cluster's communication backend — how the
 // resilience layer reaches the checkpoint and abort calls of the transport
 // it configured.
-func (c *Cluster[T]) Transport() Transport[T] { return c.tr }
+func (c *shell[T]) Transport() Transport[T] { return c.tr }
 
 // SetIter rebases the cluster's absolute iteration counter — the rollback
 // half of a checkpoint restore. Injection plans and telemetry keep working
 // across a rebase because both are keyed on absolute iterations.
-func (c *Cluster[T]) SetIter(n int) { c.iter = n }
+func (c *shell[T]) SetIter(n int) { c.iter = n }
 
 // rankByID returns the hosted rank with the given global id.
-func (c *Cluster[T]) rankByID(id int) *rank[T] {
-	for p, rid := range c.local {
-		if rid == id {
-			return c.ranks[p]
+func (c *shell[T]) rankByID(id int) engine[T] {
+	for _, h := range c.hosted {
+		if h.id == id {
+			return h.eng
 		}
 	}
 	panic(fmt.Sprintf("dist: rank %d is not hosted by this cluster", id))
 }
 
 // StateLen returns the packed resilience-snapshot length of hosted rank id
-// (tile points plus verified checksums), in elements.
-func (c *Cluster[T]) StateLen(id int) int { return c.rankByID(id).stateLen() }
+// (its tile's or slab's points plus their verified checksums), in elements.
+func (c *shell[T]) StateLen(id int) int { return c.rankByID(id).StateLen() }
 
 // PackState serialises hosted rank id's restartable state into dst (len >=
-// StateLen(id)): tile rows in row-major order, then the verified column
-// checksums. Bit-exact; see rank.packState. Call it only between
+// StateLen(id)): the tile's rows (the slab's layers) in storage order,
+// then the verified column checksums. Bit-exact; see rank.PackState and
+// core.Online3D.PackState. Call it only between
 // iterations — from Options.AfterStep (on the rank's own goroutine) or
 // while no Run is in flight.
-func (c *Cluster[T]) PackState(id int, dst []T) { c.rankByID(id).packState(dst) }
+func (c *shell[T]) PackState(id int, dst []T) { c.rankByID(id).PackState(dst) }
 
-// RestoreState overwrites hosted rank id's tile and verified checksums from
+// RestoreState overwrites hosted rank id's points and verified checksums from
 // a PackState snapshot. The rank's halo strips refresh at its next
 // exchange. Pair with SetIter to complete a rollback.
-func (c *Cluster[T]) RestoreState(id int, src []T) { c.rankByID(id).unpackState(src) }
-
-// injSource widens a possibly-nil concrete injector into the InjectSource
-// seam without producing a non-nil interface around a nil pointer.
-func injSource[T num.Float](inj *fault.Injector[T]) stencil.InjectSource[T] {
-	if inj == nil {
-		return nil
-	}
-	return inj
-}
-
-// routePlan splits a global fault plan into per-rank plans with the
-// injection point translated into the owning rank's extended-grid frame
-// (the coordinate the sweep hook sees). Injections outside the domain,
-// with a non-zero Z, or owned by a rank another process hosts are dropped —
-// each process routes the same global plan, so every injection is applied
-// exactly once cluster-wide. The returned slice aligns with c.ranks and
-// holds a nil injector for ranks with no scheduled injection.
-func (c *Cluster[T]) routePlan(plan *fault.Plan) []*fault.Injector[T] {
-	out := make([]*fault.Injector[T], len(c.ranks))
-	if plan == nil {
-		return out
-	}
-	pos := make(map[int]int, len(c.local))
-	for p, id := range c.local {
-		pos[id] = p
-	}
-	perRank := make([][]fault.Injection, len(c.ranks))
-	for _, inj := range plan.Injections() {
-		if inj.Z != 0 || inj.X < 0 || inj.X >= c.decomp.Nx || inj.Y < 0 || inj.Y >= c.decomp.Ny {
-			continue
-		}
-		p, hosted := pos[c.decomp.OwnerOf(inj.X, inj.Y)]
-		if !hosted {
-			continue
-		}
-		r := c.ranks[p]
-		local := inj
-		local.X = inj.X - r.tile.X0 + r.hx
-		local.Y = inj.Y - r.tile.Y0 + r.hy
-		perRank[p] = append(perRank[p], local)
-	}
-	for p, injs := range perRank {
-		if len(injs) > 0 {
-			out[p] = fault.NewInjector[T](fault.NewPlan(injs...))
-		}
-	}
-	return out
-}
+func (c *shell[T]) RestoreState(id int, src []T) { c.rankByID(id).RestoreState(src) }

@@ -399,18 +399,63 @@ func recvTimeout(t *testing.T, f Factory) {
 }
 
 // optionsRecvTimeout sets the same bound through dist.Options.RecvTimeout:
-// a cluster applies it to whichever backend its NewTransport resolves to.
+// a cluster applies it to whichever backend its NewTransport resolves to,
+// and a rank of that cluster starved of a halo — here by muting rank 0's
+// sends — ends the batch as a classified fault, for both cluster shapes:
+// RunRecover returns it once every rank has unwound, Run panics with it on
+// the caller's goroutine. No rank goroutine may take the process down.
 func optionsRecvTimeout(t *testing.T, f Factory) {
-	op := &stencil.Op2D[float64]{St: stencil.Laplace5[float64](0.2), BC: grid.Clamp}
-	cl, err := dist.NewClusterGrid(op, grid.New[float64](12, 4), 3, 1, dist.Options[float64]{
+	opt := dist.Options[float64]{
 		NewTransport: func(rx, ry int, ring bool) dist.Transport[float64] { return f(rx, ry, ring) },
 		RecvTimeout:  50 * time.Millisecond,
-	})
+	}
+	op := &stencil.Op2D[float64]{St: stencil.Laplace5[float64](0.2), BC: grid.Clamp}
+	cl, err := dist.NewClusterGrid(op, grid.New[float64](12, 4), 3, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	starve(t, cl.Transport())
+
+	opt.WrapTransport = func(tr dist.Transport[float64], _, _ int, _ bool) dist.Transport[float64] {
+		return muteRank0{tr}
+	}
+	tiles, err := dist.NewClusterGrid(op, grid.New[float64](4, 12), 1, 3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tiles.Close()
+	op3 := &stencil.Op3D[float64]{St: stencil.SevenPoint3D[float64](0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1), BC: grid.Clamp}
+	slabs, err := dist.NewCluster3D(op3, grid.New3D[float64](6, 5, 9), 3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slabs.Close()
+	for name, c := range map[string]interface {
+		Run(int)
+		RunRecover(int) error
+		Iter() int
+	}{"tiles": tiles, "slabs": slabs} {
+		var fault *dist.Fault
+		if err := c.RunRecover(2); !errors.As(err, &fault) || fault.Class != dist.ClassTimeout {
+			t.Fatalf("%s: RunRecover on a starved cluster = %v, want a ClassTimeout *dist.Fault", name, err)
+		}
+		if c.Iter() != 0 {
+			t.Fatalf("%s: the faulted batch advanced Iter to %d", name, c.Iter())
+		}
+		if err := recovered(func() { c.Run(1) }); !errors.As(err, &fault) {
+			t.Fatalf("%s: Run on the faulted cluster ended with %v, want a panic carrying the *dist.Fault", name, err)
+		}
+	}
+}
+
+// muteRank0 drops every halo strip rank 0 posts.
+type muteRank0 struct{ dist.Transport[float64] }
+
+func (m muteRank0) Send(from int, d dist.Dir, data []float64) {
+	if from != 0 {
+		m.Transport.Send(from, d, data)
+	}
 }
 
 // starve blocks on rank 1's receives of a 3x1 chain nobody sends on.

@@ -11,18 +11,20 @@ import (
 
 // TestClusterCloseReleasesGoroutines is the goroutine accounting of a
 // cluster's life: build, Run, Close must return the process to the
-// goroutine count it started from — the persistent rank goroutines on the
-// channel backend, plus the listener, per-edge readers and writers on the
+// goroutine count it started from — the persistent rank goroutines (tile
+// ranks and slab ranks alike) on the channel backend, plus the listener, per-edge readers and writers on the
 // socket backend, which Cluster.Close reaches through Transport.Close.
 func TestClusterCloseReleasesGoroutines(t *testing.T) {
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
+	op3 := &stencil.Op3D[float64]{St: star7(), BC: grid.Clamp}
 	for _, tc := range []struct {
 		name   string
-		rx, ry int
+		rx, ry int // ry slabs when rx is 0
 		tcp    bool
 	}{
 		{"chan2x2", 2, 2, false},
 		{"tcp2x1", 2, 1, true},
+		{"slabs3", 0, 3, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
@@ -36,7 +38,16 @@ func TestClusterCloseReleasesGoroutines(t *testing.T) {
 					return tr
 				}
 			}
-			c, err := NewClusterGrid(op, testInit(32, 32), tc.rx, tc.ry, opt)
+			var c interface {
+				Run(int)
+				Close() error
+			}
+			var err error
+			if tc.rx == 0 {
+				c, err = NewCluster3D(op3, testInit3D(8, 8, 9), tc.ry, opt)
+			} else {
+				c, err = NewClusterGrid(op, testInit(32, 32), tc.rx, tc.ry, opt)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

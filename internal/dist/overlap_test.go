@@ -241,4 +241,16 @@ func TestClusterRunAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, func() { c.Run(1) }); avg != 0 {
 		t.Errorf("steady-state Run(1) allocates %.1f times per call, want 0", avg)
 	}
+
+	// The slab cluster runs on the same shell and on core.Online3D's step.
+	op3 := &stencil.Op3D[float64]{St: star7(), BC: grid.Clamp}
+	s, err := NewCluster3D(op3, testInit3D(16, 16, 9), 3, strictOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Run(2)
+	if avg := testing.AllocsPerRun(10, func() { s.Run(1) }); avg != 0 {
+		t.Errorf("steady-state slab Run(1) allocates %.1f times per call, want 0", avg)
+	}
 }

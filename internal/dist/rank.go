@@ -92,7 +92,7 @@ type rank[T num.Float] struct {
 }
 
 // newRank builds rank id over the global tile t, copying the tile and its
-// initial halo data out of init.
+// initial halo data out of init. opt.HaloDepth is the resolved depth, >= 1.
 func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Tile, hx, hy int, opt Options[T]) (*rank[T], error) {
 	nxLoc, nyLoc := t.Nx(), t.Ny()
 
@@ -123,13 +123,9 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 		sop.C = cExt
 	}
 
-	depth := opt.HaloDepth
-	if depth < 1 {
-		depth = 1
-	}
 	r := &rank[T]{
 		id: id, tile: t, nxLoc: nxLoc, nyLoc: nyLoc, hx: hx, hy: hy,
-		rx: op.St.RadiusX(), ry: op.St.RadiusY(), depth: depth,
+		rx: op.St.RadiusX(), ry: op.St.RadiusY(), depth: opt.HaloDepth,
 		op:       sop,
 		buf:      grid.NewBuffer[T](extNx, extNy),
 		ip:       ip,
@@ -160,27 +156,29 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 	return r, nil
 }
 
-// stateLen is the size of the rank's packed resilience snapshot: the tile
+func (r *rank[T]) counters() Stats { return r.stats }
+
+// StateLen is the size of the rank's packed resilience snapshot: the tile
 // points plus the verified column checksums. Halo strips are excluded — a
 // restored rank refreshes them at its first exchange — and so is the row
 // checksum scratch, which the detection slow path recomputes on demand.
-func (r *rank[T]) stateLen() int { return r.nxLoc*r.nyLoc + r.nyLoc }
+func (r *rank[T]) StateLen() int { return r.nxLoc*r.nyLoc + r.nyLoc }
 
-// packState serialises the rank's restartable state into dst (len
-// stateLen()): tile rows in row-major order, then the verified checksums.
+// PackState serialises the rank's restartable state into dst (len
+// StateLen()): tile rows in row-major order, then the verified checksums.
 // Pure copies of IEEE-754 values — a pack/unpack round trip is bit-exact,
 // which is what makes recovery bit-identical to the uninterrupted run.
-func (r *rank[T]) packState(dst []T) {
+func (r *rank[T]) PackState(dst []T) {
 	for y := 0; y < r.nyLoc; y++ {
 		copy(dst[y*r.nxLoc:(y+1)*r.nxLoc], r.buf.Read.Row(r.loY() + y)[r.loX():r.hiX()])
 	}
 	copy(dst[r.nxLoc*r.nyLoc:], r.prevExtB[r.loY():r.hiY()])
 }
 
-// unpackState is packState's inverse: it overwrites the tile and its
+// RestoreState is PackState's inverse: it overwrites the tile and its
 // verified checksums from src, leaving the halo strips to the next
 // exchange.
-func (r *rank[T]) unpackState(src []T) {
+func (r *rank[T]) RestoreState(src []T) {
 	for y := 0; y < r.nyLoc; y++ {
 		copy(r.buf.Read.Row(r.loY() + y)[r.loX():r.hiX()], src[y*r.nxLoc:(y+1)*r.nxLoc])
 	}
@@ -203,19 +201,9 @@ func (r *rank[T]) locateAndCorrect(src, dst *grid.Grid[T], edges checksum.EdgeSo
 	r.ip.InterpolateABlock(r.prevExtA, r.hx, edges, r.interpA)
 	stencil.ChecksumARect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newA)
 
-	bm := r.det.Compare(newB, r.interpB)
-	am := r.det.Compare(r.newA, r.interpA)
-	if len(am) == 0 || len(bm) == 0 {
-		// Mismatch in one vector only: the corruption sits in a checksum,
-		// not the tile. The tile is trusted; refresh the column checksums.
+	n := checksum.RepairRect(r.det, r.pol, dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newA, newB, r.interpA, r.interpB)
+	r.stats.CorrectedPoints += n
+	if n == 0 { // the corruption sat in a checksum
 		r.stats.ChecksumRepairs++
-		stencil.ChecksumBRect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), newB)
-		return
-	}
-	locs := checksum.Pair(am, bm, r.pol)
-	for _, loc := range locs {
-		checksum.CorrectRect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), loc,
-			r.newA, newB, r.interpA, r.interpB)
-		r.stats.CorrectedPoints++
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"stencilabft/internal/num"
@@ -57,6 +58,10 @@ const (
 	// maxFramePayload caps a frame's declared payload so a corrupt or
 	// malicious header cannot make the receiver allocate unbounded memory.
 	maxFramePayload = 1 << 30
+	// payloadChunk is the most readFrame allocates before any payload byte
+	// has arrived; the buffer then doubles as reads complete. Every halo
+	// strip and most checkpoints fit in one chunk.
+	payloadChunk = 1 << 20
 )
 
 // crcTable is the Castagnoli polynomial table every frame checksum uses —
@@ -281,9 +286,11 @@ func readFrame(r io.Reader) (frame, error) {
 		round: binary.LittleEndian.Uint16(h[14:16]),
 		seq:   binary.LittleEndian.Uint32(h[16:20]),
 	}
-	if n > 0 {
-		f.payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.payload); err != nil {
+	// Allocate for what has arrived, not for what the header announces.
+	for got := 0; got < int(n); got = len(f.payload) {
+		k := min(int(n)-got, max(got, payloadChunk))
+		f.payload = slices.Grow(f.payload, k)[:got+k]
+		if _, err := io.ReadFull(r, f.payload[got:]); err != nil {
 			return frame{}, fmt.Errorf("dist: truncated frame payload (want %d bytes): %w", n, err)
 		}
 	}

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -106,4 +107,55 @@ func TestEncodeHaloFrameMatchesAppendFrame(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encodeHaloFrame:\n got %x\nwant %x", got, want)
 	}
+}
+
+// FuzzWireFrame feeds arbitrary bytes to the control-plane frame reader —
+// what a coordinator endpoint does with whatever connects to it. It must
+// never panic, never allocate on a header's say-so (the fuzz inputs are
+// small, so anything beyond a few payloadChunks was announced, not sent), and
+// whatever it accepts must survive a write/read round trip unchanged.
+func FuzzWireFrame(f *testing.F) {
+	f.Add(appendFrame(nil, frame{kind: frameToken, from: 3, to: 7, dir: byte(Left), elem: 8, gen: 0xDEADBEEF, round: 12, payload: []byte{1, 2, 3, 4, 5}}))
+	var state bytes.Buffer
+	if err := WriteStateFrame(&state, 16, []float64{1.5, -2.25, math.NaN()}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(state.Bytes())
+	f.Add(state.Bytes()[:state.Len()-8])             // payload cut short
+	f.Add(bytes.Repeat([]byte{'x'}, wireHeaderSize)) // foreign bytes
+	huge := appendFrame(nil, frame{kind: frameHalo}) // announces 1 GiB - 1, sends nothing
+	huge[20], huge[21], huge[22], huge[23] = 0xFF, 0xFF, 0xFF, 0x3F
+	f.Add(huge)
+	wrongVersion := appendFrame(nil, frame{kind: frameHalo})
+	wrongVersion[2] = wireVersion + 3
+	f.Add(wrongVersion)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fr, err := ReadWireFrame(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew, allow := after.TotalAlloc-before.TotalAlloc, uint64(4*payloadChunk+64*len(data)); grew > allow {
+			t.Fatalf("reading %d input bytes allocated %d (allowance %d)", len(data), grew, allow)
+		}
+		if err != nil {
+			return
+		}
+		if len(fr.Payload) > len(data)-wireHeaderSize {
+			t.Fatalf("a %d-byte input yielded a %d-byte payload", len(data), len(fr.Payload))
+		}
+		var out bytes.Buffer
+		if err := WriteWireFrame(&out, fr); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadWireFrame(&out)
+		if err != nil || back.Kind != fr.Kind || back.Gen != fr.Gen || back.Elem != fr.Elem || !bytes.Equal(back.Payload, fr.Payload) {
+			t.Fatalf("round trip of %+v came back as %+v, %v", fr, back, err)
+		}
+		if fr.Kind == FrameState { // the element decoder sees the same outside bytes
+			if _, _, err := DecodeStateFrame[float64](fr); err == nil && fr.Elem != 8 {
+				t.Fatalf("a width-%d state frame decoded as float64", fr.Elem)
+			}
+		}
+	})
 }

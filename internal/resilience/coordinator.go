@@ -286,7 +286,7 @@ func (c *Coordinator) decideDouble(round []reportConn, seen map[int]bool, epoch 
 		return
 	}
 	base.RestartGen = DiskRestartGen(c.cfg.DiskDir, c.n)
-	rdv, err := reserveAddr(c.cfg.RendezvousHost)
+	rdv, err := ReserveAddr(c.cfg.RendezvousHost)
 	if err != nil {
 		base.Err = fmt.Sprintf("reserving a fresh rendezvous: %v", err)
 		c.publish(round, base, -1)
@@ -370,7 +370,7 @@ func (c *Coordinator) decide(round []reportConn, seen map[int]bool, epoch int) {
 		return
 	}
 	base.RestartGen = restartGen(round, dead)
-	rdv, err := reserveAddr(c.cfg.RendezvousHost)
+	rdv, err := ReserveAddr(c.cfg.RendezvousHost)
 	if err != nil {
 		base.Err = fmt.Sprintf("reserving a fresh rendezvous: %v", err)
 		c.publish(round, base, -1)
@@ -559,14 +559,16 @@ func (c *Coordinator) guardIndex(round []reportConn, dead, gen int) int {
 	return -1
 }
 
-// reserveAddr reserves a free port on host by binding and immediately
-// releasing it — the same reserve-and-free pattern the launch bootstrap
-// uses. The tiny race window (another process grabbing the port before
-// the transport rebinds it) fails the rebuild loudly, not silently.
-func reserveAddr(host string) (string, error) {
+// ReserveAddr reserves a free port on host for a cluster's ranks to
+// rendezvous at, by binding and immediately releasing it for rank 0's
+// process to bind — at launch (stencilrun -launch, the serve scheduler) and
+// after every recovery. The ranks retry their dial, so start order does not
+// matter; another process taking the port in the handover window fails the
+// bootstrap loudly, not silently.
+func ReserveAddr(host string) (string, error) {
 	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("resilience: cannot reserve a rendezvous port on %s: %w", host, err)
 	}
 	addr := ln.Addr().String()
 	ln.Close()

@@ -2,7 +2,6 @@ package resilience_test
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -125,12 +124,10 @@ func testInit(nx, ny int) *grid.Grid[float64] {
 
 func reserveAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, err := resilience.ReserveAddr("127.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
 	return addr
 }
 

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
+	"stencilabft/internal/resilience"
 	"stencilabft/internal/stats"
 )
 
@@ -381,7 +381,7 @@ func (s *Scheduler) runGang(j *Job, slots []*Slot) {
 		}
 	}()
 
-	rdv, err := ReserveRendezvous()
+	rdv, err := resilience.ReserveAddr("127.0.0.1")
 	if err != nil {
 		j.Fail(err.Error(), 500)
 		return
@@ -453,19 +453,6 @@ func (s *Scheduler) runGang(j *Job, slots []*Slot) {
 	}
 	s.cache.Put(j.Key, res)
 	j.Finish(res.Grid, res.Stats, false)
-}
-
-// ReserveRendezvous reserves a loopback address for a cluster's ranks to
-// meet at: bind a free port, then free it for rank 0's process to bind.
-// The ranks retry their dial, so start order does not matter; another
-// process taking the port in the handover window fails the bootstrap loudly.
-func ReserveRendezvous() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", fmt.Errorf("serve: cannot reserve a rendezvous port: %w", err)
-	}
-	defer l.Close()
-	return l.Addr().String(), nil
 }
 
 // GatherRanks reassembles the "done" events of a cluster's placed ranks

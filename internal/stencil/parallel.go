@@ -177,33 +177,41 @@ func (op *Op3D[T]) SweepParallel(p *Pool, dst, src *grid.Grid3D[T], bs [][]T) {
 	op.SweepParallelHook(p, dst, src, bs, nil)
 }
 
-// SweepParallelHook is SweepParallel with a per-point injection hook. A
-// steady-state call allocates nothing: what the workers need travels in a
-// layerSweep the operator keeps between calls instead of in a fresh closure.
+// SweepParallelHook is SweepParallel with a per-point injection hook.
 func (op *Op3D[T]) SweepParallelHook(p *Pool, dst, src *grid.Grid3D[T], bs [][]T, hook InjectFunc[T]) {
+	op.SweepLayersHook(p, dst, src, 0, src.Nz(), bs, hook)
+}
+
+// SweepLayersHook sweeps layers [z0, z1) only, partitioned over the pool —
+// the sweep of a z-slab whose remaining layers are ghost layers holding a
+// neighbour's data. bs is indexed by layer of the grid, like SweepParallel's.
+// A steady-state call allocates nothing: what the workers need travels in a
+// layerSweep the operator keeps between calls instead of in a fresh closure.
+func (op *Op3D[T]) SweepLayersHook(p *Pool, dst, src *grid.Grid3D[T], z0, z1 int, bs [][]T, hook InjectFunc[T]) {
 	c := op.sweepc.Take() // nil on first use, or while a concurrent call holds it
 	if c == nil {
 		c = new(layerSweep[T])
 		c.run = c.layers
 	}
-	c.op, c.dst, c.src, c.bs, c.hook = op, dst, src, bs, hook
-	p.ForEachChunk(src.Nz(), c.run)
+	c.op, c.dst, c.src, c.z0, c.bs, c.hook = op, dst, src, z0, bs, hook
+	p.ForEachChunk(z1-z0, c.run)
 	*c = layerSweep[T]{run: c.run} // do not pin the caller's grids
 	op.sweepc.Store(c)
 }
 
-// layerSweep is the argument block of one SweepParallelHook call, with the
+// layerSweep is the argument block of one SweepLayersHook call, with the
 // chunk function the pool runs bound to it once.
 type layerSweep[T num.Float] struct {
 	op       *Op3D[T]
 	dst, src *grid.Grid3D[T]
+	z0       int
 	bs       [][]T
 	hook     InjectFunc[T]
 	run      func(lo, hi int)
 }
 
 func (c *layerSweep[T]) layers(lo, hi int) {
-	for z := lo; z < hi; z++ {
+	for z := c.z0 + lo; z < c.z0+hi; z++ {
 		var b []T
 		if c.bs != nil {
 			b = c.bs[z]

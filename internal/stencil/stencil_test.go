@@ -287,6 +287,30 @@ func TestSweep3DParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+
+	// The layer-range form (a slab between ghost layers) sweeps exactly
+	// layers [z0, z1), indexing bs by layer of the grid, and leaves the
+	// rest of dst and bs alone.
+	slab := grid.New3D[float64](nx, ny, nz)
+	slab.Fill(-1)
+	bSlab := make([][]float64, nz)
+	for z := range bSlab {
+		bSlab[z] = make([]float64, ny)
+	}
+	op.SweepLayersHook(&Pool{Workers: 3}, slab, src, 1, nz-1, bSlab, nil)
+	for z := 0; z < nz; z++ {
+		swept := z >= 1 && z < nz-1
+		for i, v := range slab.Layer(z).Data() {
+			if want := seq.Layer(z).Data()[i]; swept && v != want || !swept && v != -1 {
+				t.Fatalf("layer %d cell %d = %v after a sweep of layers [1,%d)", z, i, v, nz-1)
+			}
+		}
+		for y, v := range bSlab[z] {
+			if swept && v != bSeq[z][y] || !swept && v != 0 {
+				t.Fatalf("layer %d B[%d] = %v after a sweep of layers [1,%d)", z, y, v, nz-1)
+			}
+		}
+	}
 }
 
 func TestInjectHookAppliedBeforeStoreAndChecksum(t *testing.T) {

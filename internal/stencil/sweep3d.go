@@ -20,7 +20,7 @@ type Op3D[T num.Float] struct {
 	// planc caches the compiled sweep plan for the last-seen shape; see
 	// plan.go.
 	planc planCache[plan3d[T]]
-	// sweepc keeps SweepParallelHook's argument block between calls; see
+	// sweepc keeps SweepLayersHook's argument block between calls; see
 	// parallel.go.
 	sweepc planCache[layerSweep[T]]
 }

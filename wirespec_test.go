@@ -1,6 +1,7 @@
 package stencilabft_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -363,23 +364,17 @@ func TestSpecMarshalRefusesProcessLocal(t *testing.T) {
 	}
 }
 
-// TestParseWireSpecMalformed is the malformed-document table: every defect
-// is rejected with the matching typed sentinel.
-func TestParseWireSpecMalformed(t *testing.T) {
-	resolve := func(doc string) error {
-		w, err := abft.ParseWireSpec([]byte(doc))
-		if err != nil {
-			return err
-		}
-		_, err = abft.SpecFromWire[float32](w)
-		return err
-	}
+// malformedWireCase is one defective wire document and the typed sentinels
+// its rejection must match.
+type malformedWireCase struct {
+	name string
+	doc  string
+	want []error
+}
+
+func malformedWireCases() []malformedWireCase {
 	grid := `"grid":{"nx":8,"ny":8,"generator":"constant","value":1}`
-	cases := []struct {
-		name string
-		doc  string
-		want []error
-	}{
+	return []malformedWireCase{
 		{"syntax", `{"stencil":`, []error{abft.ErrBadWireSpec}},
 		{"unknown-field", `{"stencil":{"name":"laplace5"},"epsilonn":0.1,` + grid + `}`, []error{abft.ErrBadWireSpec}},
 		{"trailing", `{"stencil":{"name":"laplace5"},` + grid + `} {}`, []error{abft.ErrBadWireSpec}},
@@ -398,7 +393,20 @@ func TestParseWireSpecMalformed(t *testing.T) {
 		{"pair-policy", `{"stencil":{"name":"laplace5"},"pairPolicy":"random",` + grid + `}`, []error{abft.ErrBadWireSpec}},
 		{"recovery", `{"stencil":{"name":"laplace5"},"recovery":"forward",` + grid + `}`, []error{abft.ErrBadWireSpec}},
 	}
-	for _, c := range cases {
+}
+
+// TestParseWireSpecMalformed is the malformed-document table: every defect
+// is rejected with the matching typed sentinel.
+func TestParseWireSpecMalformed(t *testing.T) {
+	resolve := func(doc string) error {
+		w, err := abft.ParseWireSpec([]byte(doc))
+		if err != nil {
+			return err
+		}
+		_, err = abft.SpecFromWire[float32](w)
+		return err
+	}
+	for _, c := range malformedWireCases() {
 		err := resolve(c.doc)
 		if err == nil {
 			t.Fatalf("%s: accepted, want error", c.name)
@@ -409,6 +417,54 @@ func TestParseWireSpecMalformed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseWireSpec feeds arbitrary bytes to the wire-spec parser — what
+// POST /v1/jobs and the worker protocol do with a request body. It must
+// never panic; every rejection carries ErrBadWireSpec; what parses
+// re-marshals to a document that parses to the same thing; and resolving a
+// parsed document of small shape neither panics nor fails untyped.
+func FuzzParseWireSpec(f *testing.F) {
+	for _, c := range malformedWireCases() {
+		f.Add([]byte(c.doc))
+	}
+	f.Add([]byte(`{"scheme":"online","stencil":{"name":"laplace5","args":[0.2]},"grid":{"nx":8,"ny":6,"generator":"uniform","seed":3}}`))
+	f.Add([]byte(`{"elem":"float64","scheme":"online","deployment":"cluster","ranks":2,"bc":"constant","bcValue":1.5,` +
+		`"stencil":{"points":[{"dx":0,"dy":0,"w":0.5},{"dx":0,"dy":0,"dz":1,"w":0.25},{"dx":0,"dy":0,"dz":-1,"w":0.25}]},` +
+		`"grid":{"nx":4,"ny":4,"nz":6,"generator":"ramp"},"inject":[{"iteration":2,"x":1,"y":1,"z":3,"bit":30}]}`))
+	f.Add([]byte(`{"stencil":{"name":"laplace5"},"grid":{"nx":2,"ny":2,"data":[1,2,3,4]},"cfield":{"nx":2,"ny":2,"data":[0,0,0,0]}}`))
+
+	small := func(g *abft.WireGrid) bool {
+		return g == nil || (g.Nx <= 16 && g.Ny <= 16 && g.Nz <= 16)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := abft.ParseWireSpec(data)
+		if err != nil {
+			if !errors.Is(err, abft.ErrBadWireSpec) {
+				t.Fatalf("rejection is not an ErrBadWireSpec: %v", err)
+			}
+			return
+		}
+		out, err := json.Marshal(w)
+		if err != nil {
+			t.Fatalf("a parsed document does not marshal: %v", err)
+		}
+		back, err := abft.ParseWireSpec(out)
+		if err != nil {
+			t.Fatalf("re-marshalled document %s is rejected: %v", out, err)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(out, again) {
+			t.Fatalf("round trip changed the document:\n%s\n%s", out, again)
+		}
+		if small(w.Grid) && small(w.CField) {
+			if _, err := abft.SpecFromWire[float32](w); err != nil && !errors.Is(err, abft.ErrBadWireSpec) {
+				t.Fatalf("float32 resolution failed untyped: %v", err)
+			}
+			if _, err := abft.SpecFromWire[float64](w); err != nil && !errors.Is(err, abft.ErrBadWireSpec) {
+				t.Fatalf("float64 resolution failed untyped: %v", err)
+			}
+		}
+	})
 }
 
 // TestTypedSentinels pins the errors.Is surface of Build itself, the
