@@ -1,8 +1,6 @@
 package stencilabft
 
 import (
-	"sort"
-
 	"stencilabft/internal/blocks"
 	"stencilabft/internal/core"
 	"stencilabft/internal/dist"
@@ -51,40 +49,6 @@ var (
 	_ Protector[float64] = (*Cluster3D[float64])(nil)
 )
 
-// BuildFunc constructs a protector from a validated Spec — the entry type
-// of the Build registry.
-type BuildFunc[T Float] func(Spec[T]) (Protector[T], error)
-
-// BuildKey is the registry key for a scheme × deployment cell, e.g.
-// "online/cluster" — the string the CLIs' mode flags resolve to.
-func BuildKey(s Scheme, d Deployment) string { return string(s) + "/" + string(d) }
-
-// builders assembles the string-keyed scheme×deployment registry for
-// element type T. Go has no generic package-level variables, so the table
-// is materialised per call; the set of keys is fixed and mirrored by
-// BuildKeys.
-func builders[T Float]() map[string]BuildFunc[T] {
-	return map[string]BuildFunc[T]{
-		BuildKey(None, Local):       buildNone[T],
-		BuildKey(Online, Local):     buildOnline[T],
-		BuildKey(Offline, Local):    buildOffline[T],
-		BuildKey(Blocked, Local):    buildBlocked[T],
-		BuildKey(Online, Clustered): buildCluster[T],
-	}
-}
-
-// BuildKeys lists the registered scheme×deployment combinations, sorted —
-// what a CLI prints when asked for the supported matrix.
-func BuildKeys() []string {
-	m := builders[float32]()
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Build constructs the protector declared by spec — the single factory
 // behind every scheme × deployment × dimensionality combination. The
 // concrete type is the matching protector (e.g. *Online2D, *Cluster), so
@@ -95,12 +59,25 @@ func Build[T Float](spec Spec[T]) (Protector[T], error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	b, ok := builders[T]()[BuildKey(spec.Scheme, spec.Deployment)]
-	if !ok {
-		return nil, kindErrorf(ErrUnsupportedCombination, "stencilabft: unsupported combination %q (registered: %v)",
-			BuildKey(spec.Scheme, spec.Deployment), BuildKeys())
+	switch spec.Deployment {
+	case Local:
+		switch spec.Scheme {
+		case None:
+			return buildNone(spec)
+		case Online:
+			return buildOnline(spec)
+		case Offline:
+			return buildOffline(spec)
+		case Blocked:
+			return buildBlocked(spec)
+		}
+	case Clustered:
+		if spec.Scheme == Online {
+			return buildCluster(spec)
+		}
 	}
-	return b(spec)
+	return nil, kindErrorf(ErrUnsupportedCombination, "stencilabft: unsupported combination %s/%s (supported: none/local, online/local, offline/local, blocked/local, online/cluster)",
+		spec.Scheme, spec.Deployment)
 }
 
 func buildNone[T Float](spec Spec[T]) (Protector[T], error) {

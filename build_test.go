@@ -438,10 +438,6 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := abft.ParseDeployment("bogus"); err == nil {
 		t.Fatal("bogus deployment parsed")
 	}
-	keys := abft.BuildKeys()
-	if len(keys) != 5 {
-		t.Fatalf("registry keys %v", keys)
-	}
 	for _, name := range []string{"chan", "tcp"} {
 		k, err := abft.ParseTransport(name)
 		if err != nil || string(k) != name {

@@ -78,11 +78,8 @@ type config struct {
 	worker     bool // pool-worker role: serve jobs on stdin/stdout (the -launch children)
 
 	buddy    int    // buddy checkpoint period j for tcp clusters (0 = off)
-	control  string // recovery coordinator address (tcp rank processes)
 	recover  bool   // -launch parent: host a coordinator and respawn dead ranks
-	epoch    int    // incarnation a tcp rank process joins at (> 0: respawned claimant)
-	dieAt    int    // tcp rank process: kill own process after completing this iteration (fault drill)
-	die      string // -launch parent: "R@I" routes -die-at I to child rank R (fault drill)
+	die      string // -launch parent: "R@I" kills child rank R's process after iteration I (fault drill)
 	ckptPath string // disk checkpoint base path (local and chan deployments)
 	ckptEach int    // disk checkpoint interval (0 = one checkpoint at the end)
 	restore  string // resume from the newest checkpoint under this base path
@@ -222,12 +219,6 @@ func (c config) resolve() (plan, error) {
 		return p, fmt.Errorf("-buddy %d is not a multiple of -halodepth %d: restores must land on halo-exchange boundaries (use -buddy %d)",
 			c.buddy, k, ((c.buddy+k-1)/k)*k)
 	}
-	if c.dieAt < 0 {
-		return p, fmt.Errorf("-die-at %d: the kill iteration must be positive", c.dieAt)
-	}
-	if c.epoch < 0 {
-		return p, fmt.Errorf("-epoch %d: the incarnation number cannot be negative", c.epoch)
-	}
 	if c.soak < 0 {
 		return p, fmt.Errorf("-soak %d: the pass count must be positive", c.soak)
 	}
@@ -245,16 +236,12 @@ func (c config) resolve() (plan, error) {
 		switch {
 		case c.buddy > 0:
 			return p, fmt.Errorf("-buddy mirrors checkpoints between rank processes; the chan transport hosts every rank in one process (use -checkpoint for disk checkpoints)")
-		case c.control != "":
-			return p, fmt.Errorf("-control joins a tcp rank process to a recovery coordinator; the chan transport has no processes to lose")
 		case c.recover:
 			return p, fmt.Errorf("-recover respawns dead rank processes under -launch; the chan transport has none")
 		case c.ckptDir != "":
 			return p, fmt.Errorf("-ckptdir persists each rank process's buddy checkpoints; the chan transport hosts every rank in one process (use -checkpoint)")
-		case c.epoch > 0:
-			return p, fmt.Errorf("-epoch numbers a tcp rank process's incarnation; the chan transport has no respawns")
-		case c.dieAt > 0 || c.die != "":
-			return p, fmt.Errorf("-die/-die-at kill a tcp rank process mid-run; the chan transport hosts every rank in-process")
+		case c.die != "":
+			return p, fmt.Errorf("-die kills a tcp rank process mid-run; the chan transport hosts every rank in-process")
 		case c.launch > 0:
 			return p, fmt.Errorf("-launch forks a multi-process tcp cluster; it cannot run over the in-process chan transport (drop -transport chan, or drop -launch)")
 		case c.rank >= 0:
@@ -285,15 +272,6 @@ func (c config) resolve() (plan, error) {
 		if c.rank >= 0 {
 			return p, fmt.Errorf("-launch is the parent role (fork every rank); -rank is the child role (be one rank) — set one, not both")
 		}
-		if c.control != "" {
-			return p, fmt.Errorf("-control is wired onto the children by the -launch parent itself (add -recover); hand-started rank processes set it to the coordinator's address")
-		}
-		if c.epoch > 0 {
-			return p, fmt.Errorf("-epoch marks a respawned rank process; the -launch parent sets it when respawning")
-		}
-		if c.dieAt > 0 {
-			return p, fmt.Errorf("-die-at kills one rank process; under -launch name the victim with -die R@I")
-		}
 		if c.recover && c.buddy < 1 {
 			return p, fmt.Errorf("-recover rolls dead ranks back to a buddy checkpoint; set -buddy j to take them")
 		}
@@ -323,29 +301,19 @@ func (c config) resolve() (plan, error) {
 		return p, nil
 	}
 	if c.recover {
-		return p, fmt.Errorf("-recover is the -launch parent's job (host the coordinator, respawn the dead); a rank process just sets -control")
+		return p, fmt.Errorf("-recover is the -launch parent's job (host the coordinator, respawn the dead); a hand-started rank process has neither")
 	}
 	if c.soak > 0 {
 		return p, fmt.Errorf("-soak repeats whole clusters; run it on the -launch parent (or loop your own launcher), not on one rank process")
 	}
 	if c.die != "" {
-		return p, fmt.Errorf("-die routes a kill through the -launch parent; a rank process kills itself with -die-at I")
+		return p, fmt.Errorf("-die routes a kill through the -launch parent, whose coordinator recovers it (-launch N -recover -die R@I)")
 	}
-	respawned := c.epoch > 0
-	if respawned && c.control == "" {
-		return p, fmt.Errorf("-epoch %d marks a respawned rank process, which fetches its state and rendezvous from the coordinator: set -control addr", c.epoch)
-	}
-	if c.control != "" && c.buddy < 1 {
-		return p, fmt.Errorf("-control recovers by rolling back to buddy checkpoints; set -buddy j to take them")
-	}
-	if c.rank < 0 || (c.rendezvous == "" && !respawned) {
+	if c.rank < 0 || c.rendezvous == "" {
 		return p, fmt.Errorf("-transport tcp runs one rank per process: set -rank K and -rendezvous host:port (or -launch %d to fork the whole cluster over loopback)", n)
 	}
 	if c.rank >= n {
 		return p, fmt.Errorf("-rank %d outside the %d-rank cluster (-rankgrid %dx%d)", c.rank, n, p.ranksY, p.ranksX)
-	}
-	if c.dieAt > 0 && c.buddy < 1 {
-		return p, fmt.Errorf("-die-at drills a death mid-run; without -buddy checkpoints nothing can recover it")
 	}
 	if c.buddy > 0 && c.metricsAddr != "" {
 		return p, fmt.Errorf("-metrics pins one cluster's counters to an address; a -buddy run rebuilds its cluster across recovery epochs (drop one of them)")
@@ -454,10 +422,7 @@ func main() {
 	flag.IntVar(&c.launch, "launch", 0, "fork N rank processes over loopback, merge their stats and verify the gathered grid (implies -transport tcp)")
 	flag.BoolVar(&c.worker, "worker", false, "run as a pool worker on stdin/stdout (internal: what the -launch parent forks)")
 	flag.IntVar(&c.buddy, "buddy", 0, "mirror each rank's state to a buddy rank every j iterations (tcp clusters; enables fail-stop recovery)")
-	flag.StringVar(&c.control, "control", "", "recovery coordinator address this tcp rank process reports faults to (requires -buddy)")
 	flag.BoolVar(&c.recover, "recover", false, "host a recovery coordinator and respawn dead rank processes (-launch parent; requires -buddy)")
-	flag.IntVar(&c.epoch, "epoch", 0, "cluster incarnation this rank process joins at; > 0 marks a respawned claimant that fetches its state from -control")
-	flag.IntVar(&c.dieAt, "die-at", 0, "kill this rank's own process after completing iteration N — a fail-stop fault drill (tcp rank processes)")
 	flag.StringVar(&c.die, "die", "", "fault drill under -launch: R@I kills rank R's process after iteration I (pair with -recover to survive it)")
 	flag.StringVar(&c.ckptPath, "checkpoint", "", "write disk checkpoints of the whole domain under this base path (single-process runs; see -ckptperiod)")
 	flag.IntVar(&c.ckptEach, "ckptperiod", 0, "iterations between -checkpoint saves (default: one checkpoint when the run finishes)")
@@ -596,8 +561,7 @@ func runProcess(c config, p plan) error {
 	var prot abft.Protector[float32]
 	var extra abft.Stats
 	if tcpRank && c.buddy > 0 {
-		place := serve.Placement{Rank: c.rank, Rendezvous: c.rendezvous, Epoch: c.epoch,
-			Control: c.control, Buddy: c.buddy, CkptDir: c.ckptDir, DieAt: c.dieAt}
+		place := serve.Placement{Rank: c.rank, Rendezvous: c.rendezvous, Buddy: c.buddy, CkptDir: c.ckptDir}
 		if prot, extra, err = serve.RunResilient(spec, place, c.iters, nil); err != nil {
 			return err
 		}

@@ -223,21 +223,11 @@ func TestResolveValidCombinations(t *testing.T) {
 			c.trace = "t.json"
 		},
 			plan{scheme: abft.Online, deployment: abft.Clustered, ranksX: 2, ranksY: 2, transport: abft.TransportTCP, launch: true}},
-		{"tcp rank with buddy checkpointing and a coordinator", func(c *config) {
+		{"tcp rank with buddy checkpointing", func(c *config) {
 			c.rankGrid = "2x2"
 			c.rank = 1
 			c.rendezvous = "127.0.0.1:9777"
 			c.buddy = 16
-			c.control = "127.0.0.1:9900"
-		},
-			plan{scheme: abft.Online, deployment: abft.Clustered, ranksX: 2, ranksY: 2, transport: abft.TransportTCP}},
-		{"respawned claimant needs no rendezvous", func(c *config) {
-			c.rankGrid = "2x2"
-			c.transport = "tcp"
-			c.rank = 3
-			c.epoch = 2
-			c.buddy = 16
-			c.control = "127.0.0.1:9900"
 		},
 			plan{scheme: abft.Online, deployment: abft.Clustered, ranksX: 2, ranksY: 2, transport: abft.TransportTCP}},
 		{"launch with recovery and a fault drill", func(c *config) {
@@ -354,26 +344,16 @@ func TestResolveRejectsBadCombinations(t *testing.T) {
 			func(c *config) { c.restore = "ck/run"; c.inject = true }, "-inject"},
 		{"buddy on the chan transport",
 			func(c *config) { c.rankGrid = "2x2"; c.buddy = 16 }, "-buddy"},
-		{"control without buddy",
-			func(c *config) { c.rankGrid = "2x2"; c.rank = 1; c.rendezvous = "h:1"; c.control = "h:2" }, "-buddy"},
 		{"recover without launch",
 			func(c *config) { c.rankGrid = "2x2"; c.rank = 1; c.rendezvous = "h:1"; c.buddy = 8; c.recover = true }, "-launch"},
 		{"recover without buddy",
 			func(c *config) { c.rankGrid = "2x2"; c.launch = 4; c.recover = true }, "-buddy"},
-		{"control on the launch parent",
-			func(c *config) { c.rankGrid = "2x2"; c.launch = 4; c.buddy = 8; c.control = "h:2" }, "-control"},
-		{"epoch without control",
-			func(c *config) { c.rankGrid = "2x2"; c.transport = "tcp"; c.rank = 3; c.epoch = 1; c.buddy = 8 }, "-control"},
 		{"malformed die",
 			func(c *config) { c.rankGrid = "2x2"; c.launch = 4; c.recover = true; c.buddy = 8; c.die = "3-50" }, "invalid -die"},
 		{"die targeting a rank outside the grid",
 			func(c *config) { c.rankGrid = "2x2"; c.launch = 4; c.recover = true; c.buddy = 8; c.die = "4@50" }, "outside the 4-rank cluster"},
 		{"die on a rank process",
-			func(c *config) { c.rankGrid = "2x2"; c.rank = 1; c.rendezvous = "h:1"; c.buddy = 8; c.die = "3@50" }, "-die-at"},
-		{"die-at on the launch parent",
-			func(c *config) { c.rankGrid = "2x2"; c.launch = 4; c.buddy = 8; c.dieAt = 50 }, "-die R@I"},
-		{"die-at without buddy",
-			func(c *config) { c.rankGrid = "2x2"; c.rank = 1; c.rendezvous = "h:1"; c.dieAt = 50 }, "-buddy"},
+			func(c *config) { c.rankGrid = "2x2"; c.rank = 1; c.rendezvous = "h:1"; c.buddy = 8; c.die = "3@50" }, "-launch"},
 		{"disk checkpoint on a tcp rank",
 			func(c *config) { c.rankGrid = "2x2"; c.rank = 1; c.rendezvous = "h:1"; c.ckptPath = "ck/run" }, "-buddy"},
 		{"metrics with buddy recovery",

@@ -26,8 +26,8 @@ var (
 	ErrUnknownTopology = errors.New("stencilabft: unknown topology")
 	// ErrUnknownTransport classifies an unrecognised TransportKind name.
 	ErrUnknownTransport = errors.New("stencilabft: unknown transport")
-	// ErrUnsupportedCombination classifies a scheme × deployment cell with
-	// no registered builder (see BuildKeys).
+	// ErrUnsupportedCombination classifies a scheme × deployment cell Build
+	// has no constructor for; the error text lists the supported cells.
 	ErrUnsupportedCombination = errors.New("stencilabft: unsupported scheme/deployment combination")
 
 	// ErrThinTile classifies a cluster decomposition whose tiles are too

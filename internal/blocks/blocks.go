@@ -3,8 +3,8 @@
 // threshold "depends on the domain, chunk, or block size on which the
 // method is applied". Small blocks keep checksum magnitudes (and with them
 // the floating-point round-off floor) low, so a tighter epsilon detects
-// smaller corruptions; the ablation bench quantifies the floor-vs-size
-// trade-off.
+// smaller corruptions; the block-size ablation (campaign.Ablations)
+// quantifies the floor-vs-size trade-off.
 //
 // Each block owns its checksum pair and verifies independently. In shared
 // memory nothing needs to be exchanged: the window-shift sums a block's
@@ -91,18 +91,12 @@ func New[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], bx, by int, opt O
 	if bx < rx || by < ry {
 		return nil, fmt.Errorf("blocks: block size %dx%d below stencil radius %d/%d", bx, by, rx, ry)
 	}
-	if opt.Detector.Epsilon == 0 {
-		opt.Detector = checksum.NewDetector[T]()
-	}
-	if opt.Detector.AbsFloor == 0 {
-		opt.Detector.AbsFloor = 1
-	}
 
 	p := &Protector[T]{
 		op:   op,
 		buf:  grid.BufferFrom(init),
 		pool: opt.Pool,
-		det:  opt.Detector,
+		det:  opt.Detector.WithDefaults(),
 		pol:  opt.PairPolicy,
 		inj:  opt.Inject,
 		rx:   rx, ry: ry,

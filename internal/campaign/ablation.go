@@ -15,8 +15,8 @@ import (
 
 // Ablations runs the design-choice experiments called out in DESIGN.md
 // (A1, A2, A3, A5, A7) at the given configuration's in-layer size and
-// renders one table per question. A4 (parallel sweep scaling) lives in the
-// root bench suite where testing.B controls iteration counts.
+// renders one table per question. A4 (parallel sweep scaling) is a timing,
+// so the benchmark carries it (bench/: stencil.pool2_speedup).
 func Ablations(cfg TileConfig, w io.Writer) error {
 	ablationBoundaryTerms(cfg, w)
 	ablationFusedChecksum(cfg, w)

@@ -158,9 +158,6 @@ func NewRunner(cfg TileConfig) (*Runner, error) {
 	return r, nil
 }
 
-// Reference returns the cached error-free reference result.
-func (r *Runner) Reference() *grid.Grid3D[float32] { return r.ref }
-
 // spec assembles the factory input for one repetition under the given
 // method and fault plan.
 func (r *Runner) spec(m Method, plan *fault.Plan) abft.Spec[float32] {

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -94,33 +95,56 @@ func ReadFile[T num.Float](path string) (*grid.Grid[T], []T, int, error) {
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(raw) < 4 {
-		return nil, nil, 0, fmt.Errorf("checkpoint: %s: truncated", path)
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	wantCRC := binary.LittleEndian.Uint32(tail)
-	if got := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)); got != wantCRC {
-		return nil, nil, 0, fmt.Errorf("checkpoint: %s: CRC mismatch (corrupt checkpoint)", path)
-	}
-
-	r := &sliceReader{buf: body}
-	var hdr fileHeader
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
+	g, b, iter, err := decode[T](raw)
+	if err != nil {
 		return nil, nil, 0, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
-	switch {
-	case hdr.Magic != fileMagic:
-		return nil, nil, 0, fmt.Errorf("checkpoint: %s: not a checkpoint file", path)
-	case hdr.Version != fileVersion:
-		return nil, nil, 0, fmt.Errorf("checkpoint: %s: unsupported version %d", path, hdr.Version)
-	case hdr.ElemBits != uint32(num.BitWidth[T]()):
-		return nil, nil, 0, fmt.Errorf("checkpoint: %s: element width %d, want %d", path, hdr.ElemBits, num.BitWidth[T]())
-	case hdr.Nx <= 0 || hdr.Ny <= 0 || hdr.ChecksumN < 0:
-		return nil, nil, 0, fmt.Errorf("checkpoint: %s: invalid dimensions", path)
+	return g, b, iter, nil
+}
+
+// readHeader verifies the trailing CRC of a checkpoint file's bytes, then
+// its magic and version, and returns the header with a reader positioned
+// at the payload behind it.
+func readHeader(raw []byte) (fileHeader, *sliceReader, error) {
+	var hdr fileHeader
+	if len(raw) < 4 {
+		return hdr, nil, errors.New("truncated")
 	}
-	want := int(hdr.ChecksumN)*num.BitWidth[T]()/8 + int(hdr.Nx*hdr.Ny)*num.BitWidth[T]()/8
-	if r.remaining() != want {
-		return nil, nil, 0, fmt.Errorf("checkpoint: %s: payload %d bytes, want %d", path, r.remaining(), want)
+	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
+	if got := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)); got != binary.LittleEndian.Uint32(tail) {
+		return hdr, nil, errors.New("CRC mismatch (corrupt checkpoint)")
+	}
+	r := &sliceReader{buf: body}
+	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
+		return hdr, nil, err
+	}
+	if hdr.Magic != fileMagic {
+		return hdr, nil, errors.New("not a checkpoint file")
+	}
+	if hdr.Version != fileVersion {
+		return hdr, nil, fmt.Errorf("unsupported version %d", hdr.Version)
+	}
+	return hdr, r, nil
+}
+
+// decode parses the bytes of a checkpoint file. A CRC only proves the
+// bytes are the ones written, not that a checkpoint writer wrote them, so
+// the header's lengths are bounded by the payload that is actually there —
+// by division, before any of them is multiplied or allocated from.
+func decode[T num.Float](raw []byte) (*grid.Grid[T], []T, int, error) {
+	hdr, r, err := readHeader(raw)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	width := int64(num.BitWidth[T]() / 8)
+	if int64(hdr.ElemBits) != 8*width {
+		return nil, nil, 0, fmt.Errorf("element width %d, want %d", hdr.ElemBits, 8*width)
+	}
+	payload := int64(r.remaining())
+	cells := payload/width - hdr.ChecksumN
+	if hdr.Nx <= 0 || hdr.Ny <= 0 || hdr.ChecksumN < 0 ||
+		payload%width != 0 || cells%hdr.Nx != 0 || cells/hdr.Nx != hdr.Ny {
+		return nil, nil, 0, fmt.Errorf("payload %d bytes does not hold a %dx%d grid and %d checksums", payload, hdr.Nx, hdr.Ny, hdr.ChecksumN)
 	}
 
 	b := make([]T, hdr.ChecksumN)
@@ -143,29 +167,15 @@ func PeekIter(path string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(raw) < 4 {
-		return 0, fmt.Errorf("checkpoint: %s: truncated", path)
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)); got != binary.LittleEndian.Uint32(tail) {
-		return 0, fmt.Errorf("checkpoint: %s: CRC mismatch (corrupt checkpoint)", path)
-	}
-	var hdr fileHeader
-	if err := binary.Read(&sliceReader{buf: body}, binary.LittleEndian, &hdr); err != nil {
+	hdr, _, err := readHeader(raw)
+	if err != nil {
 		return 0, fmt.Errorf("checkpoint: %s: %w", path, err)
-	}
-	if hdr.Magic != fileMagic {
-		return 0, fmt.Errorf("checkpoint: %s: not a checkpoint file", path)
-	}
-	if hdr.Version != fileVersion {
-		return 0, fmt.Errorf("checkpoint: %s: unsupported version %d", path, hdr.Version)
 	}
 	return int(hdr.Iteration), nil
 }
 
 // sliceReader is a minimal io.Reader over a byte slice that tracks the
-// remaining length (bytes.Reader would work too; this avoids the import
-// for two call sites).
+// remaining length (bytes.Reader would work too; this avoids the import).
 type sliceReader struct{ buf []byte }
 
 func (r *sliceReader) Read(p []byte) (int, error) {

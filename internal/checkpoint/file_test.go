@@ -1,10 +1,14 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"stencilabft/internal/grid"
@@ -131,4 +135,102 @@ func TestFileOverwriteIsAtomicShape(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("stray files left behind: %v", entries)
 	}
+}
+
+// sealed appends the trailing CRC to a checkpoint body, so hand-built and
+// fuzzed bytes get past the integrity check to the header checks behind it.
+func sealed(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body[:len(body):len(body)], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// header is the body of a float32 checkpoint file with no payload.
+func header(nx, ny, checksumN int64) []byte {
+	var buf bytes.Buffer
+	binary.Write(&buf, binary.LittleEndian, fileHeader{Magic: fileMagic, Version: fileVersion, ElemBits: 32, Nx: nx, Ny: ny, ChecksumN: checksumN})
+	return buf.Bytes()
+}
+
+// TestFileRejectsLyingHeader: a CRC-valid file whose header announces more
+// than its payload holds is refused before anything is sized from it. The
+// first rows are products that wrap to the payload length actually present.
+func TestFileRejectsLyingHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		nx, ny, checksumN int64
+		payload           int
+	}{
+		{"nx*ny wraps int64 to 2^62", 1 << 31, 1 << 31, 0, 0},
+		{"nx*ny wraps int64 to 0", 1 << 32, 1 << 32, 0, 0},
+		{"checksumN*width wraps to 0", 1, 1, 1 << 62, 4},
+		{"grid larger than payload", 4, 4, 0, 4 * 15},
+		{"checksums larger than payload", 1, 1, 3, 4 * 3},
+		{"ragged payload", 2, 2, 1, 4*5 + 2},
+		{"columns do not divide cells", 3, 2, 0, 4 * 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ckpt.bin")
+			raw := sealed(append(header(tc.nx, tc.ny, tc.checksumN), make([]byte, tc.payload)...))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			g, b, _, err := ReadFile[float32](path)
+			if err == nil {
+				t.Fatalf("accepted as %v with %d checksums", g, len(b))
+			}
+		})
+	}
+}
+
+// FuzzReadFile feeds arbitrary CRC-sealed bytes to the checkpoint loader —
+// what `stencilrun -restore` and the recovery coordinator do with whatever
+// is on disk. It must never panic, never allocate on the header's say-so
+// (TotalAlloc is process-wide, hence the fixed slack for the fuzz worker's
+// own bookkeeping), and whatever it accepts must be written back byte for
+// byte.
+func FuzzReadFile(f *testing.F) {
+	dir := f.TempDir()
+	g := grid.New[float32](3, 2)
+	g.FillFunc(func(x, y int) float32 { return float32(x) - 1.5*float32(y) })
+	good := filepath.Join(dir, "good.bin")
+	if err := WriteFile(good, 7, g, []float32{1, float32(math.NaN())}); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := raw[:len(raw)-4]
+	f.Add(body)
+	f.Add(body[:len(body)-4]) // one cell short
+	f.Add(header(1<<31, 1<<31, 0))
+	f.Add(header(1<<32, 1<<32, 0))
+	f.Add(append(header(1, 1, 1<<62), 0, 0, 0, 0))
+	f.Add([]byte("not a checkpoint at all, definitely"))
+
+	in, out := filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.bin")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		raw := sealed(body)
+		if err := os.WriteFile(in, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, b, iter, err := ReadFile[float32](in)
+		runtime.ReadMemStats(&after)
+		if grew, allow := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+16*len(raw)); grew > allow {
+			t.Fatalf("reading %d input bytes allocated %d (allowance %d)", len(raw), grew, allow)
+		}
+		if peek, perr := PeekIter(in); err == nil && (perr != nil || peek != iter) {
+			t.Fatalf("ReadFile says iteration %d, PeekIter %d, %v", iter, peek, perr)
+		}
+		if err != nil {
+			return
+		}
+		if err := WriteFile(out, iter, g, b); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := os.ReadFile(out); err != nil || !bytes.Equal(back, raw) {
+			t.Fatalf("round trip changed the file (%v):\n got %x\nwant %x", err, back, raw)
+		}
+	})
 }

@@ -41,12 +41,6 @@ func (v *Vectors[T]) Compute(g *grid.Grid[T]) {
 	stencil.ChecksumB(g, v.B)
 }
 
-// ComputeB fills only the column vector from g.
-func (v *Vectors[T]) ComputeB(g *grid.Grid[T]) { stencil.ChecksumB(g, v.B) }
-
-// ComputeA fills only the row vector from g.
-func (v *Vectors[T]) ComputeA(g *grid.Grid[T]) { stencil.ChecksumA(g, v.A) }
-
 // ComputeKahan fills both vectors using compensated summation, lowering the
 // round-off floor at ~2x accumulation cost (ablation A3).
 func (v *Vectors[T]) ComputeKahan(g *grid.Grid[T]) {

@@ -25,6 +25,19 @@ func NewDetector[T num.Float]() Detector[T] {
 	return Detector[T]{Epsilon: 1e-5, AbsFloor: 1}
 }
 
+// WithDefaults resolves an options struct's Detector field: a zero Epsilon
+// means the field was left unset and selects NewDetector whole; a zero
+// AbsFloor beside a chosen Epsilon becomes the same floor of 1.
+func (d Detector[T]) WithDefaults() Detector[T] {
+	if d.Epsilon == 0 {
+		return NewDetector[T]()
+	}
+	if d.AbsFloor == 0 {
+		d.AbsFloor = 1
+	}
+	return d
+}
+
 // Mismatch is one flagged checksum entry.
 type Mismatch[T num.Float] struct {
 	Index    int // x for vector A, y for vector B

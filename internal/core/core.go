@@ -65,12 +65,7 @@ type Options[T num.Float] struct {
 
 // withDefaults returns a copy with zero fields replaced by defaults.
 func (o Options[T]) withDefaults() Options[T] {
-	if o.Detector.Epsilon == 0 {
-		o.Detector = checksum.NewDetector[T]()
-	}
-	if o.Detector.AbsFloor == 0 {
-		o.Detector.AbsFloor = 1
-	}
+	o.Detector = o.Detector.WithDefaults()
 	if o.Period <= 0 {
 		o.Period = 16
 	}

@@ -119,12 +119,7 @@ type Options[T num.Float] struct {
 
 // withDefaults returns a copy with zero fields replaced by defaults.
 func (o Options[T]) withDefaults() Options[T] {
-	if o.Detector.Epsilon == 0 {
-		o.Detector = checksum.NewDetector[T]()
-	}
-	if o.Detector.AbsFloor == 0 {
-		o.Detector.AbsFloor = 1
-	}
+	o.Detector = o.Detector.WithDefaults()
 	if o.NewTransport == nil {
 		o.NewTransport = func(rx, ry int, ring bool) Transport[T] { return NewChanTransport[T](rx, ry, ring) }
 	}

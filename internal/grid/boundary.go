@@ -119,8 +119,3 @@ func (bg BoundedGrid[T]) At(x, y int) T {
 	}
 	return bg.G.At(rx, ry)
 }
-
-// InDomain reports whether (x, y) lies inside the grid proper.
-func (bg BoundedGrid[T]) InDomain(x, y int) bool {
-	return x >= 0 && x < bg.G.nx && y >= 0 && y < bg.G.ny
-}

@@ -61,9 +61,6 @@ func (s *Sample) Add(x float64) {
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Values returns the raw observations (not a copy; do not mutate).
-func (s *Sample) Values() []float64 { return s.xs }
-
 // Mean returns the arithmetic mean. Observations of +Inf propagate, which
 // is intentional: a campaign whose mean error is +Inf had at least one
 // overflowed run, exactly what the paper's "mean arithmetic error" bars

@@ -461,21 +461,3 @@ func TestTerminalJobDropsItsInput(t *testing.T) {
 		t.Fatalf("events of the failed job: %d %.80s", code, body)
 	}
 }
-
-// BenchmarkResultJSON prices the one text encoding a result gets: a
-// 256x256 float32 grid (the benchmark's serve_grid job) to its JSON body.
-func BenchmarkResultJSON(b *testing.B) {
-	cells := make([]float32, 256*256)
-	for i := range cells {
-		cells[i] = 100 + 50*float32(i%977)/977
-	}
-	g := &GridPayload{Nx: 256, Ny: 256, Elem: "float32", Raw: dist.AppendElems(nil, cells)}
-	buf := make([]byte, 0, 20*len(cells)+1024)
-	b.SetBytes(int64(len(g.Raw)))
-	for b.Loop() {
-		out, err := appendResultJSON(buf[:0], "j0001-0123456789ab", false, g, stats.Stats{})
-		if err != nil || len(out) < len(cells) {
-			b.Fatal(err)
-		}
-	}
-}

@@ -13,6 +13,13 @@ import (
 //
 // Disjoint rectangles touch disjoint dst cells and disjoint b slices, so
 // concurrent calls over a block partition need no locking.
+//
+// The interior of each row runs through the operator's compiled plan
+// (plan.go): precomputed offsets/weights — no per-call allocation — and a
+// hand-unrolled kernel when the stencil matches one of the canonical
+// shapes. A non-nil hook pins the interior to the generic loop, which
+// applies the same operations in the same order, so the hook path stays
+// bit-identical to the hook-free one.
 func (op *Op2D[T]) SweepRectFused(dst, src *grid.Grid[T], x0, y0, x1, y1 int, b []T, hook InjectFunc[T]) {
 	nx, ny := src.Nx(), src.Ny()
 	if dst == src {

@@ -93,64 +93,14 @@ func (op *Op2D[T]) SweepFused(dst, src *grid.Grid[T], b []T) {
 // the fault injector build on; distinct row ranges touch disjoint rows of
 // dst and disjoint entries of b, so concurrent calls need no locking.
 //
-// The interior of each row runs through the operator's compiled plan
-// (plan.go): precomputed offsets/weights — no per-call allocation — and a
-// hand-unrolled kernel when the stencil matches one of the canonical
-// shapes. A non-nil hook pins the interior to the generic loop, which
-// applies the same operations in the same order, so the hook path stays
-// bit-identical to the hook-free one.
+// It is the full-width rectangle of SweepRectFused (rect.go), which holds
+// the one row-driver body; b is indexed by domain row here, by rectangle
+// row there.
 func (op *Op2D[T]) SweepRange(dst, src *grid.Grid[T], y0, y1 int, b []T, hook InjectFunc[T]) {
-	nx, ny := src.Nx(), src.Ny()
-	if dst == src {
-		panic("stencil: sweep destination aliases source")
+	if b != nil {
+		b = b[y0:y1]
 	}
-	if !dst.SameShape(src) {
-		panic("stencil: sweep shape mismatch")
-	}
-	pl := op.plan(nx, ny)
-	bg := grid.BoundedGrid[T]{G: src, Cond: op.BC, ConstVal: op.BCValue}
-	offs, ws := pl.offs, pl.ws
-	rx, ry := pl.rx, pl.ry
-	srcD, dstD := src.Data(), dst.Data()
-	var cD []T
-	if op.C != nil {
-		cD = op.C.Data()
-	}
-	for y := y0; y < y1; y++ {
-		var acc T
-		base := y * nx
-		yInterior := y >= ry && y < ny-ry
-		xlo, xhi := rx, nx-rx
-		if !yInterior {
-			// Every point of a border row needs ghost resolution in
-			// y; take the slow path across the whole row.
-			xlo, xhi = nx, nx
-		}
-		for x := 0; x < min(xlo, nx); x++ {
-			v := op.pointSlow(bg, cD, x, y, nx)
-			if hook != nil {
-				v = hook(x, y, 0, v)
-			}
-			dstD[base+x] = v
-			acc += v
-		}
-		if hook == nil {
-			acc = pl.sweepRow(dstD, srcD, cD, base, xlo, xhi, acc)
-		} else {
-			acc = genericRowHook(dstD, srcD, cD, offs, ws, base, xlo, xhi, y, 0, hook, acc)
-		}
-		for x := max(xhi, min(xlo, nx)); x < nx; x++ {
-			v := op.pointSlow(bg, cD, x, y, nx)
-			if hook != nil {
-				v = hook(x, y, 0, v)
-			}
-			dstD[base+x] = v
-			acc += v
-		}
-		if b != nil {
-			b[y] = acc
-		}
-	}
+	op.SweepRectFused(dst, src, 0, y0, src.Nx(), y1, b, hook)
 }
 
 // pointSlow evaluates one point with full boundary resolution.
@@ -166,8 +116,8 @@ func (op *Op2D[T]) pointSlow(bg grid.BoundedGrid[T], cD []T, x, y, nx int) T {
 }
 
 // ChecksumB computes the column checksum vector of g directly:
-// b[y] = Σ_x g(x,y). It is the unfused reference the ablation bench
-// compares the fused loop against.
+// b[y] = Σ_x g(x,y). It is the unfused reference ablation A2
+// (campaign.Ablations) compares the fused loop against.
 func ChecksumB[T num.Float](g *grid.Grid[T], b []T) {
 	nx, ny := g.Nx(), g.Ny()
 	d := g.Data()
