@@ -107,7 +107,6 @@ func buildBlocked[T Float](spec Spec[T]) (Protector[T], error) {
 
 func buildCluster[T Float](spec Spec[T]) (Protector[T], error) {
 	if spec.is3D() {
-		// Validation pinned the topology to layers: z-slab decomposition.
 		return dist.NewCluster3D(spec.Op3D, spec.Init3D, spec.Ranks, spec.distOptions())
 	}
 	rx, ry := spec.rankGrid()
@@ -124,14 +123,11 @@ func buildCluster[T Float](spec Spec[T]) (Protector[T], error) {
 		if err := d.ValidateDepth(spec.Op2D.St.RadiusX(), spec.Op2D.St.RadiusY(), depth); err != nil {
 			return nil, err
 		}
-		local := spec.LocalRanks
-		if len(local) == 0 {
-			local = []int{spec.Rank}
-		}
+		local := []int{spec.Rank}
 		tr, err := dist.NewTCPTransport[T](dist.TCPConfig{
 			RanksX: rx, RanksY: ry, Ring: spec.Op2D.BC == Periodic,
 			LocalRanks: local, Rendezvous: spec.Rendezvous, Bind: spec.Bind,
-			DeathDeadline: spec.DeathDeadline, WrapConn: spec.WrapConn,
+			WrapConn: spec.WrapConn,
 		})
 		if err != nil {
 			return nil, err

@@ -198,10 +198,6 @@ func TestBuildClusterTopologies(t *testing.T) {
 	if diff := shorthand.MaxAbsDiff(ref.Grid()); diff != 0 {
 		t.Fatalf("Ranks shorthand deviates from reference by %g", diff)
 	}
-	bands := build(t, abft.Spec[float64]{Ranks: matrixRanks, Topology: abft.TopoBands})
-	if diff := bands.MaxAbsDiff(shorthand); diff != 0 {
-		t.Fatalf("explicit bands topology deviates from the Ranks shorthand by %g", diff)
-	}
 	column := build(t, abft.Spec[float64]{RanksX: 1, RanksY: matrixRanks})
 	if diff := column.MaxAbsDiff(shorthand); diff != 0 {
 		t.Fatalf("1-column grid deviates from the Ranks shorthand by %g", diff)
@@ -233,7 +229,7 @@ func TestBuildClusterTopologies(t *testing.T) {
 // TestBuildCluster3D covers the 3-D face of the cluster deployment: a
 // layer-decomposed run built from a Spec must match the single-process 3-D
 // reference bit for bit, expose per-rank stats through the concrete
-// Cluster3D type, and default its topology to layers.
+// Cluster3D type, and report its topology as layers.
 func TestBuildCluster3D(t *testing.T) {
 	op3 := func() *abft.Op3D[float64] {
 		return &abft.Op3D[float64]{
@@ -252,31 +248,29 @@ func TestBuildCluster3D(t *testing.T) {
 	}
 	ref.Run(matrixIters)
 
-	for _, topo := range []abft.Topology{"", abft.TopoLayers} {
-		p, err := abft.Build(abft.Spec[float64]{
-			Scheme: abft.Online, Deployment: abft.Clustered, Topology: topo,
-			Op3D: op3(), Init3D: init3(), Ranks: 2, Detector: strictDetector(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Run(matrixIters)
-		if st := p.Stats(); st.Detections != 0 || st.Topology != "layers 2" {
-			t.Fatalf("3-D cluster stats: %+v", st)
-		}
-		if diff := p.Grid3D().MaxAbsDiff(ref.Grid3D()); diff != 0 {
-			t.Fatalf("3-D cluster deviates from reference by %g", diff)
-		}
-		c, ok := p.(*abft.Cluster3D[float64])
-		if !ok {
-			t.Fatalf("3-D cluster built %T", p)
-		}
-		if rs := c.RankStats(); len(rs) != 2 || rs[0].HaloByDir[1] != matrixIters {
-			t.Fatalf("per-rank stats: %+v", rs)
-		}
-		if err := c.Close(); err != nil { // slab ranks are persistent goroutines
-			t.Fatal(err)
-		}
+	p, err := abft.Build(abft.Spec[float64]{
+		Scheme: abft.Online, Deployment: abft.Clustered,
+		Op3D: op3(), Init3D: init3(), Ranks: 2, Detector: strictDetector(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(matrixIters)
+	if st := p.Stats(); st.Detections != 0 || st.Topology != "layers 2" {
+		t.Fatalf("3-D cluster stats: %+v", st)
+	}
+	if diff := p.Grid3D().MaxAbsDiff(ref.Grid3D()); diff != 0 {
+		t.Fatalf("3-D cluster deviates from reference by %g", diff)
+	}
+	c, ok := p.(*abft.Cluster3D[float64])
+	if !ok {
+		t.Fatalf("3-D cluster built %T", p)
+	}
+	if rs := c.RankStats(); len(rs) != 2 || rs[0].HaloByDir[1] != matrixIters {
+		t.Fatalf("per-rank stats: %+v", rs)
+	}
+	if err := c.Close(); err != nil { // slab ranks are persistent goroutines
+		t.Fatal(err)
 	}
 }
 
@@ -291,28 +285,14 @@ func TestBuildInvalidSpecs(t *testing.T) {
 		name string
 		spec abft.Spec[float64]
 	}{
-		{"cluster+3D with a 2-D topology", abft.Spec[float64]{
-			Scheme: abft.Online, Deployment: abft.Clustered, Op3D: op3, Init3D: init3, Ranks: 2,
-			Topology: abft.TopoGrid}},
 		{"cluster+3D with a rank grid (layer clusters take Ranks)", abft.Spec[float64]{
 			Scheme: abft.Online, Deployment: abft.Clustered, Op3D: op3, Init3D: init3,
 			RanksX: 1, RanksY: 2}},
-		{"cluster+2D with the layers topology", abft.Spec[float64]{
-			Scheme: abft.Online, Deployment: abft.Clustered, Op2D: op, Init: init, Ranks: 2,
-			Topology: abft.TopoLayers}},
 		{"ranks and rank grid both set", abft.Spec[float64]{
 			Scheme: abft.Online, Deployment: abft.Clustered, Op2D: op, Init: init, Ranks: 2,
 			RanksX: 2, RanksY: 2}},
 		{"rank grid with a zero factor", abft.Spec[float64]{
 			Scheme: abft.Online, Deployment: abft.Clustered, Op2D: op, Init: init, RanksX: 2}},
-		{"bands topology with rank columns", abft.Spec[float64]{
-			Scheme: abft.Online, Deployment: abft.Clustered, Op2D: op, Init: init,
-			RanksX: 2, RanksY: 2, Topology: abft.TopoBands}},
-		{"unknown topology", abft.Spec[float64]{
-			Scheme: abft.Online, Deployment: abft.Clustered, Op2D: op, Init: init, Ranks: 2,
-			Topology: "hypercube"}},
-		{"topology on local", abft.Spec[float64]{
-			Scheme: abft.Online, Op2D: op, Init: init, Topology: abft.TopoGrid}},
 		{"rank grid too fine for the stencil", abft.Spec[float64]{
 			Scheme: abft.Online, Deployment: abft.Clustered, Op2D: op, Init: init,
 			RanksX: matrixNx, RanksY: 1}},
@@ -393,9 +373,6 @@ func TestBuildInvalidSpecs(t *testing.T) {
 		{"bind without tcp", abft.Spec[float64]{
 			Scheme: abft.Online, Deployment: abft.Clustered, Op2D: op, Init: init, Ranks: 2,
 			Bind: "10.0.0.5:0"}},
-		{"death deadline without tcp", abft.Spec[float64]{
-			Scheme: abft.Online, Deployment: abft.Clustered, Op2D: op, Init: init, Ranks: 2,
-			DeathDeadline: time.Second}},
 		{"conn hook without tcp", abft.Spec[float64]{
 			Scheme: abft.Online, Deployment: abft.Clustered, Op2D: op, Init: init, Ranks: 2,
 			WrapConn: func(c net.Conn, from, to int, d abft.Dir) net.Conn { return c }}},
@@ -406,8 +383,9 @@ func TestBuildInvalidSpecs(t *testing.T) {
 			WrapTransport: func(tr abft.Transport[float64], rx, ry int, ring bool) abft.Transport[float64] {
 				return tr
 			}}},
-		{"death deadline on local", abft.Spec[float64]{
-			Scheme: abft.Online, Op2D: op, Init: init, DeathDeadline: time.Second}},
+		{"conn hook on local", abft.Spec[float64]{
+			Scheme: abft.Online, Op2D: op, Init: init,
+			WrapConn: func(c net.Conn, from, to int, d abft.Dir) net.Conn { return c }}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

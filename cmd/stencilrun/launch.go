@@ -56,21 +56,13 @@ type child struct {
 	err         error             // why it ended without one
 }
 
-// run posts the rank's job and relays its events until the process is
-// gone. Nil means the rank delivered its result and exited cleanly; a dead
-// process is reported by how it exited, which says more than its pipe's EOF.
+// run drives the rank's job to its terminal event, remembering the newest
+// checkpoint on the way. Nil means the rank delivered its result and exited
+// cleanly; a dead process is reported by how it exited, which says more
+// than its pipe's EOF.
 func (ch *child) run(req serve.JobRequest) error {
-	if err := ch.w.Send(req); err != nil {
-		return err
-	}
-	for {
-		ev, err := ch.w.Recv()
-		if err != nil {
-			if exit := ch.w.Close(); exit != nil {
-				err = exit
-			}
-			return err
-		}
+	var failed error
+	err := serve.RunJob(ch.w, req, func(ev serve.WorkerEvent) {
 		switch ev.Event {
 		case "ckpt":
 			if ev.Ckpt != nil && ev.Ckpt.Rank == ch.rank {
@@ -78,12 +70,20 @@ func (ch *child) run(req serve.JobRequest) error {
 			}
 		case "done":
 			ch.done = ev
-			return ch.w.Close()
 		case "error":
-			ch.w.Close()
-			return errors.New(ev.Error)
+			failed = errors.New(ev.Error)
 		}
+	})
+	exit := ch.w.Close()
+	switch {
+	case err != nil && exit != nil:
+		return exit
+	case err != nil:
+		return err
+	case failed != nil:
+		return failed
 	}
+	return exit
 }
 
 // runLaunch runs p.ranksX*p.ranksY rank processes over loopback, each

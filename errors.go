@@ -22,8 +22,6 @@ var (
 	ErrUnknownScheme = errors.New("stencilabft: unknown scheme")
 	// ErrUnknownDeployment classifies an unrecognised Deployment name.
 	ErrUnknownDeployment = errors.New("stencilabft: unknown deployment")
-	// ErrUnknownTopology classifies an unrecognised Topology name.
-	ErrUnknownTopology = errors.New("stencilabft: unknown topology")
 	// ErrUnknownTransport classifies an unrecognised TransportKind name.
 	ErrUnknownTransport = errors.New("stencilabft: unknown transport")
 	// ErrUnsupportedCombination classifies a scheme × deployment cell Build

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,62 @@ func TestPlanParseAndValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The fault plans the CI chaos job writes (plan-wire, plan-seam, plan-drop),
+// verbatim: FuzzChaosParse's seed corpus.
+var ciPlans = []string{
+	`{"faults":[
+		{"type":"drop",     "edge":{"from":0,"to":1}, "at":4, "count":2},
+		{"type":"corrupt",  "edge":{"from":2,"to":3}, "at":6},
+		{"type":"dup",      "edge":{"from":1,"to":0}, "at":3},
+		{"type":"reorder",  "edge":{"from":3,"to":2}, "at":8},
+		{"type":"killconn", "edge":{"from":0,"to":2}, "at":10},
+		{"type":"partition","edge":{"from":1,"to":3}, "at":5, "ms":400},
+		{"type":"delay",    "edge":{"from":2,"to":0}, "at":7, "ms":50},
+		{"type":"stall",    "rank":3, "at":12, "ms":60}
+	]}`,
+	`{"faults":[
+		{"type":"delay","edge":{"from":0,"to":1},"at":3,"count":2,"ms":40},
+		{"type":"delay","edge":{"from":3,"to":2},"at":9,"ms":60},
+		{"type":"stall","rank":2,"at":5,"ms":50},
+		{"type":"stall","rank":1,"at":11,"ms":40}
+	]}`,
+	`{"faults":[{"type":"drop","edge":{"from":0,"to":1},"at":5}]}`,
+}
+
+// FuzzChaosParse feeds arbitrary bytes to the fault-plan parser — what
+// stencilrun -chaos reads from a file and a placed worker from its request.
+// It must never panic, and a plan it accepts re-marshals to a document that
+// parses back to the same plan (so a plan survives the trip from the launch
+// parent to its rank processes).
+func FuzzChaosParse(f *testing.F) {
+	for _, doc := range ciPlans {
+		f.Add([]byte(doc))
+	}
+	f.Add([]byte(`{"faults":[{"type":"corrupt","prob":0.01},{"type":"stall","rank":0,"ms":1,"prob":1}]}`))
+	f.Add([]byte(`{"faults":[{"type":"drop","at":3}]}`))
+	f.Add([]byte(`{"faults":[`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(data)
+		if err != nil {
+			if p != nil {
+				t.Fatalf("a rejected plan was returned anyway: %+v", p)
+			}
+			return
+		}
+		out, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("an accepted plan does not marshal: %v", err)
+		}
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("re-marshalled plan %s is rejected: %v", out, err)
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("round trip changed the plan:\n%+v\n%+v", p, back)
+		}
+	})
 }
 
 // TestPlanSplit checks the fault-to-seam routing for both backends: wire

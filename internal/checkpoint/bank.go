@@ -113,10 +113,6 @@ func (b *Bank2D[T]) Data(key, iter int) []T {
 	return nil
 }
 
-// Drop forgets every snapshot retained under key — called when a ward's
-// ownership moves during recovery.
-func (b *Bank2D[T]) Drop(key int) { delete(b.slots, key) }
-
 // Trim invalidates every snapshot newer than maxIter, across all keys.
 // Recovery calls it after agreeing on a rollback iteration: a snapshot
 // taken past the rollback point describes a timeline that no longer exists

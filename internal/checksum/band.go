@@ -21,9 +21,9 @@ import (
 // The x-direction boundary terms beta are evaluated exactly as in
 // InterpolateB; edges must serve y values across the extended range
 // [-h, ny+h) and resolve x outside [0, nx) to whatever the chunk's
-// x-neighbour data is: the global boundary condition for a full-width band
-// (BandEdges), or the materialised halo columns of a tile (TileEdges) —
-// that is how halo columns enter the beta terms of the 2-D decomposition.
+// x-neighbour data is — the materialised halo columns of a tile
+// (TileEdges), which is how halo columns enter the beta terms of the 2-D
+// decomposition.
 func (ip *Interp2D[T]) InterpolateBBand(bPrevExt []T, h int, edges EdgeSource[T], bNext []T) {
 	if len(bPrevExt) != ip.ny+2*h || len(bNext) != ip.ny {
 		panic(fmt.Sprintf("checksum: InterpolateBBand lengths %d/%d for ny=%d h=%d",
@@ -209,33 +209,6 @@ func (ip *Interp2D[T]) fillBetaRows(te TileEdges[T], j0, j1 int) {
 	}
 }
 
-// InterpolateABand interpolates the band's row checksums
-// (a[x] = Σ_{y in band} u(x,y)). The y-window shift terms alpha read actual
-// halo rows through edges (which must cover y in [-h, ny+h)); the
-// x-resolution of ã uses the global boundary condition, exactly as in the
-// full-domain case.
-func (ip *Interp2D[T]) InterpolateABand(aPrev []T, edges EdgeSource[T], aNext []T) {
-	if len(aPrev) != ip.nx || len(aNext) != ip.nx {
-		panic(fmt.Sprintf("checksum: InterpolateABand length %d/%d, want %d", len(aPrev), len(aNext), ip.nx))
-	}
-	bc := ip.op.BC
-	for x := 0; x < ip.nx; x++ {
-		v := ip.cA[x]
-		for _, p := range ip.op.St.Points {
-			xx := x + p.DX
-			term := resolve1D(aPrev, xx, bc, ip.ghostSumA)
-			if p.DY != 0 {
-				// The window-shift rows are real halo data, never a
-				// boundary artefact, so the terms are always needed
-				// (and DropBoundaryTerms does not apply).
-				term += ip.alpha(edges, p.DY, xx)
-			}
-			v += p.W * term
-		}
-		aNext[x] = v
-	}
-}
-
 // InterpolateABlock interpolates the row checksums of a block whose
 // x-neighbour data comes from horizontally adjacent blocks rather than a
 // boundary condition: aPrevExt carries [0,h) halo entries on the left,
@@ -298,27 +271,3 @@ type TileEdges[T num.Float] struct {
 // At returns ũ(x, y) of the tile, with x in [-HX, nxLocal+HX) and y in
 // [-HY, nyLocal+HY) mapped into the extended storage.
 func (te TileEdges[T]) At(x, y int) T { return te.Ext.At(x+te.HX, y+te.HY) }
-
-// BandEdges adapts an extended band grid (ny+2h rows with the halo rows in
-// storage) to the EdgeSource contract of the band interpolators: y is
-// offset by the halo width and never boundary-resolved (halo rows are real
-// data), while x resolves with the global domain's boundary condition.
-type BandEdges[T num.Float] struct {
-	Ext      *grid.Grid[T] // extended band: nx columns, nyLocal+2H rows
-	H        int           // halo width
-	BC       grid.Boundary // global boundary condition in x
-	ConstVal T             // ghost value for BC == grid.Constant
-}
-
-// At returns ũ(x, y) of the band, with y in [-H, nyLocal+H) mapped into
-// the extended storage and x resolved by the global boundary condition.
-func (be BandEdges[T]) At(x, y int) T {
-	rx, ok := be.BC.ResolveIndex(x, be.Ext.Nx())
-	if !ok {
-		if be.BC == grid.Constant {
-			return be.ConstVal
-		}
-		return 0
-	}
-	return be.Ext.At(rx, y+be.H)
-}

@@ -42,8 +42,9 @@ var (
 )
 
 // New2D constructs a protector by mode name ("none", "online", "offline").
-// The root package's registry-backed Build is the public entry point; this
-// remains the internal dynamic constructor it delegates to.
+// The root package's Build is the public entry point and calls the typed
+// constructors directly; this by-name form is what the tests compare Build
+// against.
 func New2D[T num.Float](mode string, op *stencil.Op2D[T], init *grid.Grid[T], opt Options[T]) (Protector[T], error) {
 	switch mode {
 	case "none":

@@ -116,7 +116,7 @@ func ReadWireFrame(r io.Reader) (WireFrame, error) {
 }
 
 // WriteWireFrame re-emits a decoded control-plane frame verbatim — how the
-// recovery coordinator relays a state frame from the guard to the adopter
+// recovery coordinator relays a state frame from the guard to the replacement
 // without knowing the element type.
 func WriteWireFrame(w io.Writer, f WireFrame) error {
 	_, err := w.Write(appendFrame(nil, frame{kind: f.Kind, elem: f.Elem, gen: f.Gen, payload: f.Payload}))

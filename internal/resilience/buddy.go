@@ -207,23 +207,9 @@ func (b *Buddy[T]) WardState(id, gen int) []T {
 	return b.wards.Data(id, gen)
 }
 
-// AdoptWard moves ward id's snapshot at gen into the self bank — the
-// bank-side half of adopting a dead rank into this process. Returns the
-// adopted state (still bank-owned, read-only) or nil if not retained.
-func (b *Buddy[T]) AdoptWard(id, gen int) []T {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	data := b.wards.Data(id, gen)
-	if data != nil {
-		b.self.Save(id, gen, data)
-	}
-	b.wards.Drop(id)
-	return b.self.Data(id, gen)
-}
-
 // Seed banks data as hosted rank id's own snapshot at gen without going
-// through a checkpoint round — how a restored or adopted state becomes
-// restorable again before the next periodic save.
+// through a checkpoint round — how a restored state becomes restorable
+// again before the next periodic save.
 func (b *Buddy[T]) Seed(id, gen int, data []T) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -25,13 +25,11 @@ type CoordinatorConfig struct {
 	// reserved on (default "127.0.0.1"). Single-host clusters only; a
 	// multi-host deployment must make this routable from every rank host.
 	RendezvousHost string
-	// Timeout bounds each control connection's I/O and a respawned
-	// process's window to claim its plan. Default 30s.
+	// Timeout bounds each control connection's I/O. Default 30s.
 	Timeout time.Duration
-	// Respawn, when non-nil, is called once per recovery round to start a
-	// replacement process for the dead rank (the plan describes what the
-	// newcomer must claim via RequestAdoption). Nil selects adopt mode: the
-	// dead rank's guard process absorbs the rank instead.
+	// Respawn (required) is called once per dead rank of a recovery round to
+	// start its replacement process; the plan names the rank (Plan.Dead) the
+	// newcomer must claim via RequestAdoption.
 	Respawn func(Plan) error
 	// MaxRounds caps recovery rounds before the coordinator starts
 	// answering reports with an error plan (default 3) — the backstop
@@ -62,20 +60,19 @@ type CoordinatorConfig struct {
 // Coordinator runs the rendezvous-led recovery protocol's deciding side:
 // it collects fault reports from surviving processes, declares the missing
 // rank dead by elimination once every other rank is accounted for, agrees
-// the rollback generation, places the dead rank (respawn or adoption),
-// relays the buddy snapshot where needed, and issues the fresh rendezvous
-// the rebuilt transport bootstraps through.
+// the rollback generation, respawns the dead rank, relays its buddy
+// snapshot to the replacement, and issues the fresh rendezvous the rebuilt
+// transport bootstraps through.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	n   int
 	ln  net.Listener
 
-	mu          sync.Mutex
-	epoch       int
-	reports     []reportConn
-	adoptCh     chan pendingAdoption
-	stall       *time.Timer  // armed while a partial round waits (DiskDir set)
-	diskPending map[int]Plan // escalation plans parked for respawned ranks
+	mu      sync.Mutex
+	epoch   int
+	reports []reportConn
+	stall   *time.Timer   // armed while a partial round waits (DiskDir set)
+	claims  map[int]claim // dead rank -> what its replacement will claim
 
 	wg sync.WaitGroup
 }
@@ -85,9 +82,10 @@ type reportConn struct {
 	rep  Report
 }
 
-type pendingAdoption struct {
+// claim is what a recovery round parks for one dead rank's replacement.
+type claim struct {
 	plan  Plan
-	state dist.WireFrame // valid when plan.RestartGen > 0
+	state *dist.WireFrame // the guard's relayed snapshot; nil when the replacement restores from disk or generation 0
 }
 
 // StartCoordinator binds the control listener and begins serving.
@@ -95,6 +93,9 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	d := dist.Decomp{RanksX: cfg.RanksX, RanksY: cfg.RanksY}
 	if d.NumRanks() < 2 {
 		return nil, fmt.Errorf("resilience: a %s grid cannot lose a rank and keep running", d)
+	}
+	if respawn := cfg.Respawn; respawn == nil {
+		return nil, fmt.Errorf("resilience: CoordinatorConfig.Respawn is required: a dead rank is only ever replaced by a fresh process")
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -119,7 +120,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, fmt.Errorf("resilience: control listener %s: %w", cfg.Addr, err)
 		}
 	}
-	c := &Coordinator{cfg: cfg, n: d.NumRanks(), ln: ln, adoptCh: make(chan pendingAdoption, 1)}
+	c := &Coordinator{cfg: cfg, n: d.NumRanks(), ln: ln, claims: make(map[int]claim)}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -180,7 +181,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		c.serveAdoption(conn, req)
+		c.serveClaim(conn, req)
 	default:
 		conn.Close()
 	}
@@ -193,12 +194,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 func (c *Coordinator) addReport(conn net.Conn, rep Report) {
 	c.mu.Lock()
 	c.reports = append(c.reports, reportConn{conn, rep})
-	seen := map[int]bool{}
-	for _, rc := range c.reports {
-		for _, id := range rc.rep.Ranks {
-			seen[id] = true
-		}
-	}
+	seen := c.reported()
 	if len(seen) < c.n-1 {
 		// Keep the connection parked until the round completes. With the
 		// disk escalation armed, (re)start the stall clock: if the round
@@ -227,21 +223,28 @@ func (c *Coordinator) addReport(conn net.Conn, rep Report) {
 	c.decide(round, seen, epoch)
 }
 
-// escalate fires when a partial round stalls: two or more ranks are
-// missing, so no single-death decision can ever complete. The survivors on
-// hand get a whole-cluster disk-restore plan instead of waiting forever.
-func (c *Coordinator) escalate() {
-	c.mu.Lock()
-	if len(c.reports) == 0 {
-		c.mu.Unlock()
-		return // the round completed (or was taken) before the timer ran
-	}
+// reported is the set of ranks the open round's reports account for. The
+// caller holds c.mu.
+func (c *Coordinator) reported() map[int]bool {
 	seen := map[int]bool{}
 	for _, rc := range c.reports {
 		for _, id := range rc.rep.Ranks {
 			seen[id] = true
 		}
 	}
+	return seen
+}
+
+// escalate fires when a partial round stalls: two or more ranks are
+// missing, so the round can never complete by elimination. The survivors on
+// hand are decided as they stand instead of waiting forever.
+func (c *Coordinator) escalate() {
+	c.mu.Lock()
+	if len(c.reports) == 0 {
+		c.mu.Unlock()
+		return // the round completed (or was taken) before the timer ran
+	}
+	seen := c.reported()
 	if c.n-len(seen) < 2 {
 		// Exactly one rank missing means a normal round is about to
 		// complete; this firing raced the final report. Re-arm and wait.
@@ -258,15 +261,18 @@ func (c *Coordinator) escalate() {
 	epoch := c.epoch
 	c.mu.Unlock()
 
-	c.decideDouble(round, seen, epoch)
+	c.decide(round, seen, epoch)
 }
 
-// decideDouble runs the escalation round: every unreported rank is
-// declared dead at once, the restart generation is the newest every rank
-// holds on disk, and the dead tiles are either dealt out to survivors
-// (adopt mode) or respawned. No state crosses the control plane — each
-// process restores its ranks from the shared checkpoint directory.
-func (c *Coordinator) decideDouble(round []reportConn, seen map[int]bool, epoch int) {
+// decide runs one recovery round for the k >= 1 ranks that never reported:
+// declare them dead, agree the restart generation, hand every survivor its
+// plan, park one claim per dead rank and respawn each. A lone dead rank
+// restarts from the newest generation its guard's memory bank holds, and
+// the guard's copy rides the control plane to the replacement; two or more
+// (a buddy pair died together, so no bank covers them) restart from the
+// newest generation every rank holds on disk, which each process reads from
+// the shared checkpoint directory itself.
+func (c *Coordinator) decide(round []reportConn, seen map[int]bool, epoch int) {
 	defer func() {
 		for _, rc := range round {
 			rc.conn.Close()
@@ -278,220 +284,99 @@ func (c *Coordinator) decideDouble(round []reportConn, seen map[int]bool, epoch 
 			missing = append(missing, id)
 		}
 	}
-
-	base := Plan{Dead: -1, DeadRanks: missing, Epoch: epoch, Disk: c.cfg.DiskDir}
-	if epoch > c.cfg.MaxRounds {
-		base.Err = fmt.Sprintf("recovery round %d exceeds the %d-round cap", epoch, c.cfg.MaxRounds)
-		c.publish(round, base, -1)
-		return
-	}
-	base.RestartGen = DiskRestartGen(c.cfg.DiskDir, c.n)
-	rdv, err := ReserveAddr(c.cfg.RendezvousHost)
-	if err != nil {
-		base.Err = fmt.Sprintf("reserving a fresh rendezvous: %v", err)
-		c.publish(round, base, -1)
-		return
-	}
-	base.Rendezvous = rdv
-
-	if c.cfg.Respawn == nil {
-		// Adopt mode: deal the dead ranks round-robin across the surviving
-		// processes; each adopter restores its new wards from disk.
-		for i, rc := range round {
-			p := base
-			for j, id := range missing {
-				if j%len(round) == i {
-					p.AdoptRanks = append(p.AdoptRanks, id)
-				}
-			}
-			dist.WriteJSONFrame(rc.conn, dist.FrameAdopt, p)
-		}
-		if c.cfg.OnDecision != nil {
-			c.cfg.OnDecision(base)
-		}
-		return
-	}
-
-	// Respawn mode: survivors get the base plan; each dead rank's personal
-	// plan is parked before its replacement starts, so a claim can never
-	// race an empty slot.
-	plans := make([]Plan, 0, len(missing))
-	c.mu.Lock()
-	if c.diskPending == nil {
-		c.diskPending = make(map[int]Plan)
-	}
-	for _, id := range missing {
-		p := base
-		p.Dead = id
-		p.DeadRanks = nil
-		p.AdoptRanks = nil
-		p.Adopt = true
-		c.diskPending[id] = p
-		plans = append(plans, p)
-	}
-	c.mu.Unlock()
-	for _, rc := range round {
-		dist.WriteJSONFrame(rc.conn, dist.FrameAdopt, base)
-	}
-	for _, p := range plans {
-		if err := c.cfg.Respawn(p); err != nil {
-			if c.cfg.OnDecision != nil {
-				base.Err = fmt.Sprintf("respawn of rank %d failed: %v", p.Dead, err)
-				c.cfg.OnDecision(base)
-			}
-			return
-		}
-	}
-	if c.cfg.OnDecision != nil {
-		c.cfg.OnDecision(base)
-	}
-}
-
-// decide runs one recovery round: declare the dead rank, agree the restart
-// generation, place the tile, publish the plans, relay state.
-func (c *Coordinator) decide(round []reportConn, seen map[int]bool, epoch int) {
-	defer func() {
+	base := Plan{Dead: -1, Epoch: epoch}
+	abort := func(format string, args ...any) {
+		base.Err = fmt.Sprintf(format, args...)
 		for _, rc := range round {
-			rc.conn.Close()
-		}
-	}()
-	dead := -1
-	for id := 0; id < c.n; id++ {
-		if !seen[id] {
-			dead = id
-			break
+			dist.WriteJSONFrame(rc.conn, dist.FrameAdopt, base)
 		}
 	}
-
-	base := Plan{Dead: dead, Epoch: epoch}
-	if epoch > c.cfg.MaxRounds {
-		base.Err = fmt.Sprintf("recovery round %d exceeds the %d-round cap", epoch, c.cfg.MaxRounds)
-		c.publish(round, base, -1)
+	guard := -1 // the report whose ward bank sources a lone dead rank's state
+	switch {
+	case epoch > c.cfg.MaxRounds:
+		abort("recovery round %d exceeds the %d-round cap", epoch, c.cfg.MaxRounds)
 		return
+	case len(missing) == 0:
+		abort("every rank reported the fault, so none is dead to replace")
+		return
+	case len(missing) == 1:
+		base.Dead = missing[0]
+		base.RestartGen, guard = restartGen(round, base.Dead)
+	default:
+		base.DeadRanks, base.Disk = missing, c.cfg.DiskDir
+		base.RestartGen = DiskRestartGen(c.cfg.DiskDir, c.n)
 	}
-	base.RestartGen = restartGen(round, dead)
 	rdv, err := ReserveAddr(c.cfg.RendezvousHost)
 	if err != nil {
-		base.Err = fmt.Sprintf("reserving a fresh rendezvous: %v", err)
-		c.publish(round, base, -1)
+		abort("reserving a fresh rendezvous: %v", err)
 		return
 	}
 	base.Rendezvous = rdv
 
-	guard := c.guardIndex(round, dead, base.RestartGen)
-	if guard < 0 {
-		base.Err = fmt.Sprintf("no survivor guards rank %d at generation %d", dead, base.RestartGen)
-		c.publish(round, base, -1)
-		return
-	}
-
-	if c.cfg.Respawn == nil {
-		// Adopt mode: the guard absorbs the dead rank; its buddy copy is
-		// already in the guard's ward bank, so no state crosses the wire.
-		c.publish(round, base, guard)
-		if c.cfg.OnDecision != nil {
-			c.cfg.OnDecision(base)
-		}
-		return
-	}
-
-	// Respawn mode: everyone gets the base plan; the guard also uploads the
-	// dead rank's snapshot, which the coordinator parks for the replacement
-	// process to claim.
-	guardPlan := base
-	guardPlan.SendState = base.RestartGen > 0
 	for i, rc := range round {
 		p := base
-		if i == guard {
-			p = guardPlan
-		}
+		p.SendState = i == guard
 		dist.WriteJSONFrame(rc.conn, dist.FrameAdopt, p)
 	}
-	pending := pendingAdoption{plan: base}
-	pending.plan.Adopt = true
-	if guardPlan.SendState {
+	parked := claim{plan: base}
+	parked.plan.DeadRanks = nil
+	if guard >= 0 {
 		f, err := dist.ReadWireFrame(round[guard].conn)
 		if err != nil || f.Kind != dist.FrameState {
-			if c.cfg.OnDecision != nil {
-				base.Err = fmt.Sprintf("guard upload failed: %v", err)
-				c.cfg.OnDecision(base)
-			}
-			return
+			base.Err = fmt.Sprintf("guard upload failed: %v", err)
+		} else {
+			parked.state = &f
+			// Acknowledge so the guard can close its connection and rebuild.
+			dist.WriteJSONFrame(round[guard].conn, dist.FrameAdopt, struct{}{})
 		}
-		pending.state = f
-		// Acknowledge so the guard can close its connection and rebuild.
-		dist.WriteJSONFrame(round[guard].conn, dist.FrameAdopt, struct{}{})
 	}
-	// Park the adoption before starting the replacement, so the claim can
-	// never race an empty slot.
-	select {
-	case <-c.adoptCh: // drop a stale unclaimed round
-	default:
-	}
-	c.adoptCh <- pending
-	if err := c.cfg.Respawn(pending.plan); err != nil && c.cfg.OnDecision != nil {
-		base.Err = fmt.Sprintf("respawn failed: %v", err)
-		c.cfg.OnDecision(base)
-		return
+	for i := 0; i < len(missing) && base.Err == ""; i++ {
+		// Park the claim before starting the replacement, so it can never
+		// race an empty slot.
+		parked.plan.Dead = missing[i]
+		c.mu.Lock()
+		c.claims[missing[i]] = parked
+		c.mu.Unlock()
+		if err := c.cfg.Respawn(parked.plan); err != nil {
+			base.Err = fmt.Sprintf("respawn of rank %d failed: %v", missing[i], err)
+		}
 	}
 	if c.cfg.OnDecision != nil {
 		c.cfg.OnDecision(base)
 	}
 }
 
-// publish sends every survivor its plan; round[adopter] (when >= 0) gets
-// the adopt bit.
-func (c *Coordinator) publish(round []reportConn, base Plan, adopter int) {
-	for i, rc := range round {
-		p := base
-		p.Adopt = i == adopter
-		dist.WriteJSONFrame(rc.conn, dist.FrameAdopt, p)
-	}
-}
-
-// serveAdoption answers a replacement process's claim with the parked plan
-// and snapshot.
-func (c *Coordinator) serveAdoption(conn net.Conn, req AdoptRequest) {
+// serveClaim answers a replacement process's claim with the plan parked for
+// its rank and, when a guard's memory bank sourced the restart generation,
+// the relayed snapshot.
+func (c *Coordinator) serveClaim(conn net.Conn, req AdoptRequest) {
 	defer conn.Close()
-	// An escalation plan parked for this rank wins: the replacement restores
-	// from disk, so there is no state frame to relay.
 	c.mu.Lock()
-	if p, ok := c.diskPending[req.Rank]; ok {
-		delete(c.diskPending, req.Rank)
-		c.mu.Unlock()
-		dist.WriteJSONFrame(conn, dist.FrameAdopt, p)
-		return
-	}
+	parked, ok := c.claims[req.Rank]
+	delete(c.claims, req.Rank)
 	c.mu.Unlock()
-	var pending pendingAdoption
-	select {
-	case pending = <-c.adoptCh:
-	case <-time.After(c.cfg.Timeout):
+	if !ok {
 		dist.WriteJSONFrame(conn, dist.FrameAdopt, Plan{Err: fmt.Sprintf("no recovery round is waiting for rank %d", req.Rank)})
 		return
 	}
-	if pending.plan.Dead != req.Rank {
-		c.adoptCh <- pending
-		dist.WriteJSONFrame(conn, dist.FrameAdopt, Plan{Err: fmt.Sprintf("pending recovery is for rank %d, not rank %d", pending.plan.Dead, req.Rank)})
+	if err := dist.WriteJSONFrame(conn, dist.FrameAdopt, parked.plan); err != nil {
 		return
 	}
-	if err := dist.WriteJSONFrame(conn, dist.FrameAdopt, pending.plan); err != nil {
-		return
-	}
-	if pending.plan.RestartGen > 0 {
-		dist.WriteWireFrame(conn, pending.state)
+	if parked.state != nil {
+		dist.WriteWireFrame(conn, *parked.state)
 	}
 }
 
 // restartGen picks the newest generation that every surviving rank has
-// banked for itself and some survivor guards for the dead rank.
-// Generation 0 — rebuild from the deterministic initial state — is always
-// feasible, so recovery never gets stuck; it just recomputes more.
-func restartGen(round []reportConn, dead int) int {
+// banked for itself and some survivor guards for the dead rank, and the
+// index of that guard's report. Generation 0 — rebuild from the
+// deterministic initial state, no guard needed (-1) — is always feasible,
+// so recovery never gets stuck; it just recomputes more.
+func restartGen(round []reportConn, dead int) (gen, guard int) {
 	selfGens := map[int]map[int]bool{} // rank -> set of banked gens
-	deadGens := map[int]bool{}
+	guardOf := map[int]int{}           // gen -> a report guarding dead at it
 	survivors := []int{}
-	for _, rc := range round {
+	for i, rc := range round {
 		for id, gens := range rc.rep.SelfGens {
 			if selfGens[id] == nil {
 				selfGens[id] = map[int]bool{}
@@ -501,21 +386,19 @@ func restartGen(round []reportConn, dead int) int {
 			}
 		}
 		for _, g := range rc.rep.WardGens[dead] {
-			deadGens[g] = true
+			if _, ok := guardOf[g]; !ok {
+				guardOf[g] = i
+			}
 		}
 		survivors = append(survivors, rc.rep.Ranks...)
 	}
-	candidates := map[int]bool{}
-	for g := range deadGens {
-		candidates[g] = true
-	}
-	sorted := make([]int, 0, len(candidates))
-	for g := range candidates {
+	sorted := make([]int, 0, len(guardOf))
+	for g := range guardOf {
 		sorted = append(sorted, g)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
 	for _, g := range sorted {
-		ok := true
+		ok := g > 0
 		for _, id := range survivors {
 			if !selfGens[id][g] {
 				ok = false
@@ -523,40 +406,10 @@ func restartGen(round []reportConn, dead int) int {
 			}
 		}
 		if ok {
-			return g
+			return g, guardOf[g]
 		}
 	}
-	return 0
-}
-
-// guardIndex finds the report that can source the dead rank's state: for a
-// non-zero restart generation, the process whose ward bank holds it; for
-// generation 0, the process hosting the dead rank's buddy (adoption
-// placement still wants the geometric guard).
-func (c *Coordinator) guardIndex(round []reportConn, dead, gen int) int {
-	if gen > 0 {
-		for i, rc := range round {
-			for _, g := range rc.rep.WardGens[dead] {
-				if g == gen {
-					return i
-				}
-			}
-		}
-		return -1
-	}
-	d := dist.Decomp{RanksX: c.cfg.RanksX, RanksY: c.cfg.RanksY}
-	buddy, _, err := BuddyOf(d, dead)
-	if err != nil {
-		return -1
-	}
-	for i, rc := range round {
-		for _, id := range rc.rep.Ranks {
-			if id == buddy {
-				return i
-			}
-		}
-	}
-	return -1
+	return 0, -1
 }
 
 // ReserveAddr reserves a free port on host for a cluster's ranks to

@@ -17,16 +17,16 @@ import (
 // coordinator answers with a Plan. The coordinator identifies the dead
 // rank by elimination once all survivors have reported, picks the newest
 // checkpoint generation every survivor can restore and some survivor
-// guards for the dead rank, decides where the dead rank's tile will live
-// next (a respawned process or a surviving adopter), streams the buddy
-// copy there, and hands everyone a fresh rendezvous address for the
-// rebuilt transport. Messages ride the dist wire format (FrameDead
-// reports, FrameAdopt plans/requests, FrameState snapshots), so the
-// control endpoint rejects foreign traffic exactly like a halo edge.
+// guards for the dead rank, respawns the dead rank as a fresh process,
+// streams the buddy copy there, and hands everyone a fresh rendezvous
+// address for the rebuilt transport. Messages ride the dist wire format
+// (FrameDead reports, FrameAdopt plans/requests, FrameState snapshots), so
+// the control endpoint rejects foreign traffic exactly like a halo edge.
 
 // Report is a surviving process's fault report.
 type Report struct {
-	// Ranks are the ranks this process hosts (all alive).
+	// Ranks are the ranks this process hosts (all alive) — one, for every
+	// process resilience.Run drives.
 	Ranks []int `json:"ranks"`
 	// Suspect is the peer rank the observed fault points at, -1 if the
 	// fault did not name one. Corroborating only — the coordinator decides
@@ -41,9 +41,10 @@ type Report struct {
 }
 
 // Plan is the coordinator's recovery decision, sent to every survivor and
-// to a respawned adopter.
+// to each dead rank's replacement.
 type Plan struct {
-	// Dead is the rank declared dead this round.
+	// Dead is the rank declared dead this round; in the plan a replacement
+	// claims, the rank it must host.
 	Dead int `json:"dead"`
 	// RestartGen is the iteration every rank rolls back to (0 = rebuild
 	// from the deterministic initial state).
@@ -52,21 +53,15 @@ type Plan struct {
 	// Rendezvous is the fresh bootstrap address its transport meets at.
 	Epoch      int    `json:"epoch"`
 	Rendezvous string `json:"rendezvous"`
-	// Adopt instructs the receiving process to host Dead from now on (it is
-	// the dead rank's guard, so the buddy copy is already local). False for
-	// everyone else; respawned processes always adopt.
-	Adopt bool `json:"adopt,omitempty"`
 	// SendState instructs the receiving process to upload its guarded copy
-	// of Dead at RestartGen — the respawn path, where the coordinator
-	// relays it to the new process.
+	// of Dead at RestartGen, which the coordinator relays to the
+	// replacement process.
 	SendState bool `json:"sendState,omitempty"`
 	// DeadRanks lists every rank declared dead this round when more than one
 	// died — the double-death escalation, where buddy banks cannot cover the
-	// loss and the cluster restores from disk. Dead is -1 in such plans.
+	// loss and the cluster restores from disk. Dead is -1 in the survivors'
+	// copy of such a plan.
 	DeadRanks []int `json:"deadRanks,omitempty"`
-	// AdoptRanks lists the dead ranks this process must host from now on
-	// (escalation in adopt mode deals the dead ranks out to survivors).
-	AdoptRanks []int `json:"adoptRanks,omitempty"`
 	// Disk is the shared checkpoint directory every rank restores
 	// RestartGen from (see RankBase) — set only on escalation plans. No
 	// state frames ride the control plane when Disk is set.
@@ -76,7 +71,7 @@ type Plan struct {
 }
 
 // AdoptRequest is what a respawned process sends the coordinator to claim
-// the dead rank's plan and state.
+// the plan (and relayed state) parked for its rank.
 type AdoptRequest struct {
 	Rank int `json:"rank"`
 }

@@ -2,6 +2,7 @@ package resilience_test
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -122,152 +123,376 @@ func testInit(nx, ny int) *grid.Grid[float64] {
 	return g
 }
 
-func reserveAddr(t *testing.T) string {
+// Every drill runs 24 iterations of a 40x36 domain on a 2x2 rank grid with
+// buddy period 4 and kills its victims at generation 10 — so recovery must
+// roll back to generation 8 and replay.
+const (
+	drillNx, drillNy                      = 40, 36
+	drillTotal, drillPeriod, drillKillGen = 24, 4, 10
+	drillRestartGen                       = 8
+)
+
+type runResult struct {
+	rank    int
+	cl      *dist.Cluster[float64]
+	extra   stats.Stats
+	err     error
+	claimed *resilience.Plan // the plan a replacement claimed; nil for a survivor
+}
+
+// drill is one fail-stop scenario wired the way stencilrun -launch -recover
+// wires it: one-rank virtual processes (goroutines) over real TCP, and a
+// coordinator whose Respawn starts a fresh virtual process that claims the
+// dead rank's plan — the only placement there is.
+type drill struct {
+	op      *stencil.Op2D[float64]
+	init    *grid.Grid[float64]
+	depth   int           // > 1 runs the depth-k ghost-zone schedule
+	death   time.Duration // the tcp transport's death deadline; 0 keeps the default
+	diskDir string        // also persist checkpoints here; "" keeps the memory banks only
+	ctrl    string        // the coordinator's control address
+	rdv     net.Listener  // epoch 0's rendezvous, pre-bound: rank 0 serves it without a handover window
+	results chan runResult
+
+	mu    sync.Mutex
+	plans []resilience.Plan // every decision the coordinator published
+}
+
+// startDrill builds the scenario and its coordinator. stallWait only matters
+// with a diskDir (it arms the double-death escalation).
+func startDrill(t *testing.T, bc grid.Boundary, depth int, death time.Duration, diskDir string, stallWait time.Duration) *drill {
 	t.Helper()
-	addr, err := resilience.ReserveAddr("127.0.0.1")
+	// The control listener is bound first so Respawn can capture its address.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return addr
+	rdv, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rdv.Close() })
+	d := &drill{
+		op:    &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: bc, BCValue: 42},
+		init:  testInit(drillNx, drillNy),
+		depth: depth, death: death, diskDir: diskDir,
+		ctrl: ln.Addr().String(), rdv: rdv,
+		results: make(chan runResult, 8), // four ranks plus a replacement for each could report; none may block
+	}
+	co, err := resilience.StartCoordinator(resilience.CoordinatorConfig{
+		RanksX: 2, RanksY: 2, Listener: ln, Timeout: 20 * time.Second,
+		DiskDir: diskDir, StallWait: stallWait,
+		Respawn: d.respawn,
+		OnDecision: func(p resilience.Plan) {
+			d.mu.Lock()
+			d.plans = append(d.plans, p)
+			d.mu.Unlock()
+		},
+	})
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close() })
+	return d
 }
 
-// tcpFactory builds one process's cluster incarnation over a real TCP
-// transport, exactly as a stencilrun child would. depth > 1 runs the
-// communication-avoiding depth-k ghost-zone schedule.
-func tcpFactory(op *stencil.Op2D[float64], init *grid.Grid[float64], rx, ry, depth int) resilience.Factory[float64] {
-	return func(epoch int, rdv string, localRanks []int, after func(int, int)) (*dist.Cluster[float64], error) {
-		tr, err := dist.NewTCPTransport[float64](dist.TCPConfig{
-			RanksX: rx, RanksY: ry, Ring: op.BC == grid.Periodic,
-			LocalRanks: localRanks, Rendezvous: rdv,
+// config is rank's resilience.Run configuration at epoch 0: its cluster is
+// built over a real TCP transport, exactly as a stencilrun rank process
+// builds it.
+func (d *drill) config(rank int) resilience.Config[float64] {
+	factory := func(epoch int, rdv string, after func(int, int)) (*dist.Cluster[float64], error) {
+		cfg := dist.TCPConfig{
+			RanksX: 2, RanksY: 2, Ring: d.op.BC == grid.Periodic,
+			LocalRanks: []int{rank}, Rendezvous: rdv,
 			DialTimeout: 20 * time.Second, IOTimeout: 10 * time.Second,
-		})
+			DeathDeadline: d.death,
+		}
+		if epoch == 0 && rank == 0 {
+			cfg.RendezvousListener = d.rdv
+		}
+		tr, err := dist.NewTCPTransport[float64](cfg)
 		if err != nil {
 			return nil, err
 		}
 		opt := strictOpts()
-		opt.LocalRanks = localRanks
+		opt.LocalRanks = []int{rank}
 		opt.AfterStep = after
-		opt.HaloDepth = depth
+		opt.HaloDepth = d.depth
 		opt.NewTransport = func(int, int, bool) dist.Transport[float64] { return tr }
-		cl, err := dist.NewClusterGrid(op, init, rx, ry, opt)
+		cl, err := dist.NewClusterGrid(d.op, d.init, 2, 2, opt)
 		if err != nil {
 			tr.Close()
 			return nil, err
 		}
 		return cl, nil
 	}
-}
-
-// tcpFactoryHealing is tcpFactory with the transport's failure detector
-// tightened: a short death deadline so a vanished peer is classified
-// permanent (and reported) quickly instead of after the default grace.
-func tcpFactoryHealing(op *stencil.Op2D[float64], init *grid.Grid[float64], rx, ry int, deathDeadline time.Duration) resilience.Factory[float64] {
-	return func(epoch int, rdv string, localRanks []int, after func(int, int)) (*dist.Cluster[float64], error) {
-		tr, err := dist.NewTCPTransport[float64](dist.TCPConfig{
-			RanksX: rx, RanksY: ry, Ring: op.BC == grid.Periodic,
-			LocalRanks: localRanks, Rendezvous: rdv,
-			DialTimeout: 20 * time.Second, IOTimeout: 10 * time.Second,
-			DeathDeadline: deathDeadline,
-		})
-		if err != nil {
-			return nil, err
-		}
-		opt := strictOpts()
-		opt.LocalRanks = localRanks
-		opt.AfterStep = after
-		opt.NewTransport = func(int, int, bool) dist.Transport[float64] { return tr }
-		cl, err := dist.NewClusterGrid(op, init, rx, ry, opt)
-		if err != nil {
-			tr.Close()
-			return nil, err
-		}
-		return cl, nil
+	return resilience.Config[float64]{
+		Total: drillTotal, Period: drillPeriod, Control: d.ctrl, Rank: rank,
+		Factory: factory, Rendezvous: d.rdv.Addr().String(), Timeout: 20 * time.Second, DiskDir: d.diskDir,
 	}
 }
 
-// killAtFactory wraps a factory so the hosting "virtual process" drops
-// dead — transport torn down, goroutine gone, no goodbye to anyone — once
-// the rank completes the given absolute iteration count.
-func killAtFactory(inner resilience.Factory[float64], killGen int) resilience.Factory[float64] {
-	return func(epoch int, rdv string, localRanks []int, after func(int, int)) (*dist.Cluster[float64], error) {
-		var cl *dist.Cluster[float64]
-		var once sync.Once
-		wrapped := func(r, it int) {
-			after(r, it)
-			if it+1 == killGen {
-				once.Do(func() {
-					cl.Close()
-					runtime.Goexit()
-				})
+// launch starts rank's virtual process. A victim drops dead — transport
+// torn down, goroutine gone, no goodbye to anyone — once it completes
+// iteration drillKillGen, and like any dead process reports nothing: it gets
+// no control address, so even if a sibling victim's closed transport faults
+// it before its own kill lands it cannot pose as a survivor.
+func (d *drill) launch(rank int, victim bool) {
+	cfg := d.config(rank)
+	if victim {
+		cfg.Control = ""
+		inner := cfg.Factory
+		cfg.Factory = func(epoch int, rdv string, after func(int, int)) (*dist.Cluster[float64], error) {
+			var cl *dist.Cluster[float64]
+			var once sync.Once
+			c, err := inner(epoch, rdv, func(r, it int) {
+				after(r, it)
+				if it+1 == drillKillGen {
+					once.Do(func() {
+						cl.Close()
+						runtime.Goexit()
+					})
+				}
+			})
+			cl = c
+			return c, err
+		}
+	}
+	go func() {
+		cl, extra, err := resilience.Run(cfg)
+		if victim {
+			// Goexit unwound the rank goroutine, so Run returns "success" at
+			// the kill generation (or a fault on the closed transport). Either
+			// way this incarnation is dead; drop it.
+			if cl != nil {
+				cl.Close()
+			}
+			return
+		}
+		d.results <- runResult{rank: rank, cl: cl, extra: extra, err: err}
+	}()
+}
+
+// respawn is the coordinator's Respawn: a fresh virtual process claims the
+// dead rank's plan (and relayed snapshot) and rejoins the lockstep, as a
+// stencilrun replacement child does through serve.RunResilient.
+func (d *drill) respawn(plan resilience.Plan) error {
+	go func() {
+		p, st, err := resilience.RequestAdoption[float64](d.ctrl, plan.Dead, 20*time.Second)
+		if err != nil {
+			d.results <- runResult{rank: plan.Dead, err: err}
+			return
+		}
+		cfg := d.config(plan.Dead)
+		cfg.Epoch, cfg.Rendezvous = p.Epoch, p.Rendezvous
+		cfg.StartIter, cfg.InitialState = p.RestartGen, st
+		cl, extra, err := resilience.Run(cfg)
+		d.results <- runResult{rank: plan.Dead, cl: cl, extra: extra, err: err, claimed: &p}
+	}()
+	return nil
+}
+
+// finish waits for all four ranks' terminal processes, requires the
+// assembled domain to be bit-identical to an undisturbed in-process run
+// (itself pinned to the single-process sweep by the dist tests; always the
+// classic depth-1 schedule, so a depth-k drill is a depth-k bit-identity
+// pin too) and non-zero recovery counters, and returns the results by rank
+// and the decision that was published.
+func (d *drill) finish(t *testing.T) ([4]runResult, resilience.Plan) {
+	t.Helper()
+	ref, err := dist.NewClusterGrid(d.op, d.init, 2, 2, strictOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	ref.Run(drillTotal)
+	want := ref.Gather()
+
+	got := grid.New[float64](drillNx, drillNy)
+	var byRank [4]runResult
+	var merged stats.Stats
+	deadline := time.After(90 * time.Second)
+	for n := 0; n < 4; n++ {
+		select {
+		case r := <-d.results:
+			if r.err != nil {
+				t.Fatalf("rank %d: %v", r.rank, r.err)
+			}
+			if byRank[r.rank].cl != nil {
+				t.Fatalf("rank %d finished twice", r.rank)
+			}
+			g := r.cl.Gather()
+			tile := r.cl.Tile(r.rank)
+			for y := tile.Y0; y < tile.Y1; y++ {
+				copy(got.Row(y)[tile.X0:tile.X1], g.Row(y)[tile.X0:tile.X1])
+			}
+			merged = merged.Merge(r.extra)
+			r.cl.Close()
+			byRank[r.rank] = r
+		case <-deadline:
+			t.Fatalf("recovery did not complete; %d of 4 ranks finished", n)
+		}
+	}
+	if diff := got.MaxAbsDiff(want); diff != 0 {
+		t.Fatalf("recovered run deviates from the undisturbed run by %g", diff)
+	}
+	if merged.Recoveries == 0 || merged.Rollbacks == 0 {
+		t.Fatalf("recovery counters empty: %+v", merged)
+	}
+	if merged.RecomputedIters == 0 {
+		t.Fatalf("rollback recorded no recomputed iterations: %+v", merged)
+	}
+	if merged.Checkpoint.Saves == 0 {
+		t.Fatalf("no buddy checkpoints counted: %+v", merged.Checkpoint)
+	}
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.plans) != 1 {
+		t.Fatalf("coordinator published %d decisions, want 1: %+v", len(d.plans), d.plans)
+	}
+	plan := d.plans[0]
+	if plan.Err != "" {
+		t.Fatalf("recovery plan aborted: %s", plan.Err)
+	}
+	if plan.RestartGen != drillRestartGen {
+		t.Fatalf("recovery restarts at generation %d, want %d (the newest common checkpoint before the kill)", plan.RestartGen, drillRestartGen)
+	}
+	return byRank, plan
+}
+
+// runFailStop kills rank 3 of a live 2x2 TCP cluster mid-run and checks the
+// recovery end to end: the survivors report, the coordinator relays the
+// guard's buddy snapshot to a freshly started replacement which claims the
+// dead rank, every rank rolls back to the newest common buddy checkpoint,
+// and the finished run is bit-identical to an undisturbed in-process run.
+func runFailStop(t *testing.T, bc grid.Boundary, depth int) {
+	const victim = 3
+	d := startDrill(t, bc, depth, 0, "", 0)
+	for rank := 0; rank < 4; rank++ {
+		d.launch(rank, rank == victim)
+	}
+	byRank, plan := d.finish(t)
+	if plan.Dead != victim || len(plan.DeadRanks) != 0 || plan.Disk != "" {
+		t.Fatalf("decision %+v, want the lone rank %d declared dead and restored from its guard's bank", plan, victim)
+	}
+	for rank, r := range byRank {
+		if (r.claimed != nil) != (rank == victim) {
+			t.Fatalf("rank %d: claimed plan %+v; only rank %d's terminal process is a replacement", rank, r.claimed, victim)
+		}
+	}
+	if c := byRank[victim].claimed; c.Dead != victim || c.RestartGen != drillRestartGen || c.Epoch != plan.Epoch {
+		t.Fatalf("the replacement claimed %+v, want rank %d at generation %d of epoch %d", *c, victim, drillRestartGen, plan.Epoch)
+	}
+}
+
+// TestFailStopRecovery runs the single-death drill for three boundary
+// conditions (the periodic one closes the rank grid into a torus) and under
+// depth-2 ghost zones. There rank 3 dies mid-cycle (generation 10, between
+// exchange rounds), and because the buddy period 4 is a multiple of the
+// depth, the rollback generation 8 lands on a halo-exchange boundary — the
+// restored ranks resume at the top of a depth-k cycle.
+func TestFailStopRecovery(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bc    grid.Boundary
+		depth int
+	}{
+		{"clamp", grid.Clamp, 1},
+		{"periodic", grid.Periodic, 1},
+		{"mirror", grid.Mirror, 1},
+		{"clamp-depth2", grid.Clamp, 2},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			runFailStop(t, tc.bc, tc.depth)
+		})
+	}
+}
+
+// TestDoubleDeathDiskEscalation kills a whole buddy pair at once: the
+// one-rank processes of ranks 2 and 3 — each other's guard on a 2x2 grid —
+// both drop dead at generation 10. Neither rank's snapshot survives in any
+// memory bank, so the round can never complete by elimination (it stalls at
+// two reports). The coordinator's stall timer must escalate: declare both
+// ranks dead, respawn each, and restart the whole cluster at generation 8 —
+// the replacements from the per-rank disk rotations — finishing
+// bit-identical to an undisturbed run.
+func TestDoubleDeathDiskEscalation(t *testing.T) {
+	dir := t.TempDir()
+	d := startDrill(t, grid.Clamp, 1, 2*time.Second, dir, 3*time.Second)
+	for rank := 0; rank < 4; rank++ {
+		d.launch(rank, rank >= 2)
+	}
+	byRank, esc := d.finish(t)
+	if esc.Dead != -1 || len(esc.DeadRanks) != 2 || esc.DeadRanks[0] != 2 || esc.DeadRanks[1] != 3 {
+		t.Fatalf("escalation declared %d / %v dead, want -1 / [2 3]", esc.Dead, esc.DeadRanks)
+	}
+	if esc.Disk != dir {
+		t.Fatalf("escalation plan names disk %q, want %q", esc.Disk, dir)
+	}
+	for rank, r := range byRank {
+		if rank < 2 {
+			if r.claimed != nil {
+				t.Fatalf("survivor rank %d finished as a replacement: %+v", rank, *r.claimed)
+			}
+			continue
+		}
+		c := r.claimed
+		if c == nil {
+			t.Fatalf("rank %d finished without a replacement claiming its plan", rank)
+		}
+		if c.Dead != rank || c.Disk != dir || c.RestartGen != drillRestartGen || c.Epoch != esc.Epoch || c.Rendezvous != esc.Rendezvous {
+			t.Fatalf("rank %d's replacement claimed %+v, want its own rank at generation %d of the escalation %+v", rank, *c, drillRestartGen, esc)
+		}
+		if r.extra.Checkpoint.Restores == 0 {
+			t.Fatalf("rank %d's replacement counted no disk restore — its tile did not come from the rotations: %+v", rank, r.extra.Checkpoint)
+		}
+	}
+}
+
+// TestRunRejectsWrongSizeState plants a CRC-valid rotation file of the
+// right generation but another run's size under the checkpoint directory —
+// what a reused -ckptdir leaves behind. The restore must refuse it by
+// length, naming rank, generation, got and want, instead of slicing the
+// tile out of it (a short vector panicked, a long one was accepted).
+func TestRunRejectsWrongSizeState(t *testing.T) {
+	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
+	init := testInit(8, 6)
+	for _, n := range []int{3, 8*6 + 6 + 100} { // the tile packs 8*6 cells + 6 checksums
+		dir := t.TempDir()
+		if err := resilience.NewDiskSaver[float64](resilience.RankBase(dir, 0)).Save(8, grid.New[float64](n, 1), nil); err != nil {
+			t.Fatal(err)
+		}
+		cl, _, err := resilience.Run(resilience.Config[float64]{
+			Total: 12, Period: 4, Rank: 0, StartIter: 8, DiskDir: dir,
+			Factory: func(_ int, _ string, after func(int, int)) (*dist.Cluster[float64], error) {
+				opt := strictOpts()
+				opt.AfterStep = after
+				return dist.NewClusterGrid(op, init, 1, 1, opt)
+			},
+		})
+		if err == nil {
+			cl.Close()
+			t.Fatalf("a %d-value rotation file restored into a 54-value tile", n)
+		}
+		for _, want := range []string{"rank 0", "generation 8", fmt.Sprintf("holds %d values", n), "packs 54"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
 			}
 		}
-		c, err := inner(epoch, rdv, localRanks, wrapped)
-		cl = c
-		return c, err
 	}
 }
 
-type runResult struct {
-	rank  int
-	cl    *dist.Cluster[float64]
-	extra stats.Stats
-	err   error
-}
-
-// TestFailStopRecoveryAdopt kills one rank of a live 2x2 TCP cluster
-// mid-run and checks the adopt-mode recovery end to end: the survivors
-// report, the dead rank's guard absorbs it, every rank rolls back to the
-// newest common buddy checkpoint, and the finished run is bit-identical to
-// an undisturbed in-process run — for several boundary conditions.
-func TestFailStopRecoveryAdopt(t *testing.T) {
-	for _, bc := range []grid.Boundary{grid.Clamp, grid.Periodic} {
-		bc := bc
-		t.Run(fmt.Sprint(bc), func(t *testing.T) {
-			t.Parallel()
-			runFailStop(t, bc, 1, nil)
-		})
+// TestCoordinatorRequiresRespawn pins the one placement: there is no mode
+// in which a dead rank is not replaced by a fresh process.
+func TestCoordinatorRequiresRespawn(t *testing.T) {
+	if co, err := resilience.StartCoordinator(resilience.CoordinatorConfig{RanksX: 2, RanksY: 2}); err == nil {
+		co.Close()
+		t.Fatal("StartCoordinator accepted a nil Respawn")
 	}
-}
-
-// TestFailStopRecoveryRespawn runs the same kill but in respawn mode: the
-// coordinator relays the buddy snapshot to a freshly started replacement
-// process which claims the dead rank and rejoins the lockstep.
-func TestFailStopRecoveryRespawn(t *testing.T) {
-	runFailStop(t, grid.Mirror, 1, func(ctrl string, op *stencil.Op2D[float64], init *grid.Grid[float64], total, period int, results chan<- runResult) func(resilience.Plan) error {
-		return func(plan resilience.Plan) error {
-			go func() {
-				p, st, err := resilience.RequestAdoption[float64](ctrl, plan.Dead, 20*time.Second)
-				if err != nil {
-					results <- runResult{rank: plan.Dead, err: err}
-					return
-				}
-				var initial map[int][]float64
-				if st != nil {
-					initial = map[int][]float64{plan.Dead: st}
-				}
-				cl, extra, err := resilience.Run(resilience.Config[float64]{
-					Total: total, Period: period, Control: ctrl,
-					LocalRanks: []int{plan.Dead},
-					Factory:    tcpFactory(op, init, 2, 2, 1),
-					Epoch:      p.Epoch, Rendezvous: p.Rendezvous,
-					StartIter: p.RestartGen, InitialState: initial,
-					Timeout: 20 * time.Second,
-				})
-				results <- runResult{rank: plan.Dead, cl: cl, extra: extra, err: err}
-			}()
-			return nil
-		}
-	})
-}
-
-// TestFailStopRecoveryDepthK runs the adopt-mode kill under depth-2 ghost
-// zones: rank 3 dies mid-cycle (generation 10, between exchange rounds),
-// and because the buddy period 4 is a multiple of the depth, the rollback
-// generation 8 lands on a halo-exchange boundary — the restored ranks
-// resume at the top of a depth-k cycle and the replayed run must finish
-// bit-identical to an undisturbed classic depth-1 run.
-func TestFailStopRecoveryDepthK(t *testing.T) {
-	runFailStop(t, grid.Clamp, 2, nil)
 }
 
 // TestBuddyAttachRejectsOffCadencePeriod pins the period/depth coupling:
@@ -289,282 +514,5 @@ func TestBuddyAttachRejectsOffCadencePeriod(t *testing.T) {
 	}
 	if err := resilience.NewBuddy[float64](6, nil).Attach(cl); err != nil {
 		t.Fatalf("Attach with the aligned period 6: %v", err)
-	}
-}
-
-// runFailStop is the shared harness: 4 virtual processes (goroutines) on a
-// 2x2 grid, rank 3 killed at generation 10, buddy period 4, 24 total
-// iterations — so recovery must roll back to generation 8 and replay.
-// depth > 1 runs the cluster under depth-k ghost zones (period 4 stays a
-// multiple, so the rollback generation lands on an exchange boundary); the
-// reference stays the classic depth-1 cluster, making the comparison also
-// a depth-k bit-identity pin.
-func runFailStop(t *testing.T, bc grid.Boundary, depth int, respawn func(ctrl string, op *stencil.Op2D[float64], init *grid.Grid[float64], total, period int, results chan<- runResult) func(resilience.Plan) error) {
-	const nx, ny, total, period, killGen, victim = 40, 36, 24, 4, 10, 3
-	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: bc, BCValue: 42}
-	init := testInit(nx, ny)
-
-	// Undisturbed reference: the in-process channel cluster (itself pinned
-	// bit-identical to the single-process sweep by the dist tests).
-	ref, err := dist.NewClusterGrid(op, init, 2, 2, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Run(total)
-	want := ref.Gather()
-
-	results := make(chan runResult, 5)
-	ccfg := resilience.CoordinatorConfig{RanksX: 2, RanksY: 2, Timeout: 20 * time.Second}
-	if respawn != nil {
-		// The coordinator's respawn callback is built after the coordinator
-		// so it can capture the control address; wire it via indirection.
-		var mu sync.Mutex
-		var cb func(resilience.Plan) error
-		ccfg.Respawn = func(p resilience.Plan) error {
-			mu.Lock()
-			f := cb
-			mu.Unlock()
-			return f(p)
-		}
-		defer func() { mu.Lock(); cb = nil; mu.Unlock() }()
-		co, err := resilience.StartCoordinator(ccfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer co.Close()
-		mu.Lock()
-		cb = respawn(co.Addr(), op, init, total, period, results)
-		mu.Unlock()
-		launchRanks(t, co.Addr(), op, init, total, period, killGen, victim, depth, results)
-		collectAndCompare(t, want, results, 4, victim)
-		return
-	}
-	co, err := resilience.StartCoordinator(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	launchRanks(t, co.Addr(), op, init, total, period, killGen, victim, depth, results)
-	collectAndCompare(t, want, results, 3, victim)
-}
-
-// launchRanks starts the four virtual processes.
-func launchRanks(t *testing.T, ctrl string, op *stencil.Op2D[float64], init *grid.Grid[float64], total, period, killGen, victim, depth int, results chan<- runResult) {
-	t.Helper()
-	rdv := reserveAddr(t)
-	for rank := 0; rank < 4; rank++ {
-		rank := rank
-		factory := tcpFactory(op, init, 2, 2, depth)
-		if rank == victim {
-			factory = killAtFactory(factory, killGen)
-		}
-		go func() {
-			cl, extra, err := resilience.Run(resilience.Config[float64]{
-				Total: total, Period: period, Control: ctrl,
-				LocalRanks: []int{rank},
-				Factory:    factory,
-				Rendezvous: rdv,
-				Timeout:    20 * time.Second,
-			})
-			if rank == victim && err == nil {
-				// The killed virtual process: Goexit unwound its rank
-				// goroutine, so its Run returns "success" at the kill
-				// generation. That incarnation is dead; drop it.
-				if cl != nil {
-					cl.Close()
-				}
-				return
-			}
-			results <- runResult{rank: rank, cl: cl, extra: extra, err: err}
-		}()
-	}
-}
-
-// TestDoubleDeathDiskEscalation kills a whole buddy pair at once: one
-// virtual process hosts ranks 2 and 3 — each other's guard on a 2x2 grid —
-// and drops dead at generation 10 of a 24-iteration run. Neither rank's
-// snapshot survives in any memory bank, so the single-death protocol can
-// never complete (the recovery round stalls at two reports). The
-// coordinator's stall timer must escalate: declare both ranks dead, deal
-// them to the survivors, and restart the whole cluster from the per-rank
-// disk rotations at generation 8, finishing bit-identical to an
-// undisturbed run.
-func TestDoubleDeathDiskEscalation(t *testing.T) {
-	const nx, ny, total, period, killGen = 40, 36, 24, 4, 10
-	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp, BCValue: 42}
-	init := testInit(nx, ny)
-	dir := t.TempDir()
-
-	ref, err := dist.NewClusterGrid(op, init, 2, 2, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Run(total)
-	want := ref.Gather()
-
-	var decisions struct {
-		sync.Mutex
-		plans []resilience.Plan
-	}
-	co, err := resilience.StartCoordinator(resilience.CoordinatorConfig{
-		RanksX: 2, RanksY: 2, Timeout: 20 * time.Second,
-		DiskDir: dir, StallWait: 3 * time.Second,
-		OnDecision: func(p resilience.Plan) {
-			decisions.Lock()
-			decisions.plans = append(decisions.plans, p)
-			decisions.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	rdv := reserveAddr(t)
-	results := make(chan runResult, 3)
-	launch := func(localRanks []int, control string, factory resilience.Factory[float64], victim bool) {
-		go func() {
-			cl, extra, err := resilience.Run(resilience.Config[float64]{
-				Total: total, Period: period, Control: control,
-				LocalRanks: localRanks,
-				Factory:    factory,
-				Rendezvous: rdv,
-				Timeout:    20 * time.Second,
-				DiskDir:    dir,
-			})
-			if victim {
-				// The killed virtual process: whether its ranks unwound via
-				// Goexit (err == nil) or faulted on the closed transport, it
-				// is dead and reports nothing.
-				if cl != nil {
-					cl.Close()
-				}
-				return
-			}
-			results <- runResult{rank: localRanks[0], cl: cl, extra: extra, err: err}
-		}()
-	}
-	launch([]int{0}, co.Addr(), tcpFactoryHealing(op, init, 2, 2, 2*time.Second), false)
-	launch([]int{1}, co.Addr(), tcpFactoryHealing(op, init, 2, 2, 2*time.Second), false)
-	// The doomed pair gets no control address: a dead process makes no
-	// fault reports (Goexit only unwinds one rank's goroutine; the hosted
-	// sibling rank faults on the closed transport and must not "survive").
-	launch([]int{2, 3}, "", killAtFactory(tcpFactoryHealing(op, init, 2, 2, 2*time.Second), killGen), true)
-
-	got := grid.New[float64](nx, ny)
-	covered := map[int]bool{}
-	var merged stats.Stats
-	deadline := time.After(90 * time.Second)
-	for n := 0; n < 2; {
-		select {
-		case r := <-results:
-			if r.err != nil {
-				t.Fatalf("survivor hosting rank %d: %v", r.rank, r.err)
-			}
-			g := r.cl.Gather()
-			for _, id := range r.cl.LocalRanks() {
-				tile := r.cl.Tile(id)
-				for y := tile.Y0; y < tile.Y1; y++ {
-					copy(got.Row(y)[tile.X0:tile.X1], g.Row(y)[tile.X0:tile.X1])
-				}
-				covered[id] = true
-			}
-			merged = merged.Merge(r.extra)
-			r.cl.Close()
-			n++
-		case <-deadline:
-			t.Fatalf("escalation did not complete; tiles %v", covered)
-		}
-	}
-	for id := 0; id < 4; id++ {
-		if !covered[id] {
-			t.Fatalf("no survivor hosts rank %d's tile (covered %v)", id, covered)
-		}
-	}
-	if diff := got.MaxAbsDiff(want); diff != 0 {
-		t.Fatalf("disk-restored run deviates from the undisturbed run by %g", diff)
-	}
-	if merged.Recoveries == 0 {
-		t.Fatalf("no recoveries counted: %+v", merged)
-	}
-	if merged.Checkpoint.Restores == 0 {
-		t.Fatalf("no disk restores counted — the adopted tiles did not come from the rotations: %+v", merged.Checkpoint)
-	}
-
-	decisions.Lock()
-	plans := append([]resilience.Plan(nil), decisions.plans...)
-	decisions.Unlock()
-	var esc *resilience.Plan
-	for i := range plans {
-		if len(plans[i].DeadRanks) > 0 {
-			esc = &plans[i]
-		}
-	}
-	if esc == nil {
-		t.Fatalf("no escalation plan was published (decisions: %+v)", plans)
-	}
-	if len(esc.DeadRanks) != 2 || esc.DeadRanks[0] != 2 || esc.DeadRanks[1] != 3 {
-		t.Fatalf("escalation declared %v dead, want [2 3]", esc.DeadRanks)
-	}
-	if esc.Disk != dir {
-		t.Fatalf("escalation plan names disk %q, want %q", esc.Disk, dir)
-	}
-	if esc.RestartGen != 8 {
-		t.Fatalf("escalation restarts at generation %d, want 8 (newest common disk checkpoint before the kill)", esc.RestartGen)
-	}
-	if esc.Err != "" {
-		t.Fatalf("escalation plan aborted: %s", esc.Err)
-	}
-}
-
-// collectAndCompare waits for the expected finishers, assembles the global
-// domain from their hosted tiles, and requires bit-identity plus non-zero
-// recovery counters.
-func collectAndCompare(t *testing.T, want *grid.Grid[float64], results <-chan runResult, finishers, victim int) {
-	t.Helper()
-	got := grid.New[float64](want.Nx(), want.Ny())
-	covered := map[int]bool{}
-	var merged stats.Stats
-	deadline := time.After(90 * time.Second)
-	for n := 0; n < finishers; {
-		select {
-		case r := <-results:
-			if r.rank == victim && r.cl == nil && r.err == nil {
-				continue // the killed virtual process's own (ignored) exit
-			}
-			if r.err != nil {
-				t.Fatalf("rank %d: %v", r.rank, r.err)
-			}
-			g := r.cl.Gather()
-			for _, id := range r.cl.LocalRanks() {
-				tile := r.cl.Tile(id)
-				for y := tile.Y0; y < tile.Y1; y++ {
-					copy(got.Row(y)[tile.X0:tile.X1], g.Row(y)[tile.X0:tile.X1])
-				}
-				covered[id] = true
-			}
-			merged = merged.Merge(r.extra)
-			r.cl.Close()
-			n++
-		case <-deadline:
-			t.Fatalf("recovery did not complete; %d of %d finishers, tiles %v", len(covered), finishers, covered)
-		}
-	}
-	for id := 0; id < 4; id++ {
-		if !covered[id] {
-			t.Fatalf("no finisher hosts rank %d's tile (covered %v)", id, covered)
-		}
-	}
-	if diff := got.MaxAbsDiff(want); diff != 0 {
-		t.Fatalf("recovered run deviates from the undisturbed run by %g", diff)
-	}
-	if merged.Recoveries == 0 || merged.Rollbacks == 0 {
-		t.Fatalf("recovery counters empty: %+v", merged)
-	}
-	if merged.RecomputedIters == 0 {
-		t.Fatalf("rollback recorded no recomputed iterations: %+v", merged)
-	}
-	if merged.Checkpoint.Saves == 0 {
-		t.Fatalf("no buddy checkpoints counted: %+v", merged.Checkpoint)
 	}
 }

@@ -3,7 +3,6 @@ package resilience
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"stencilabft/internal/dist"
@@ -12,15 +11,14 @@ import (
 	"stencilabft/internal/telemetry"
 )
 
-// Factory builds one incarnation of this process's cluster: the epoch
-// numbers the incarnation (0 before any failure), rendezvous is the
-// transport bootstrap address for that epoch, localRanks the ranks to
-// host (it grows when this process adopts a dead rank), and afterStep must
-// be installed as dist.Options.AfterStep — it is the runner's buddy
-// checkpointing hook.
-type Factory[T num.Float] func(epoch int, rendezvous string, localRanks []int, afterStep func(rank, iter int)) (*dist.Cluster[T], error)
+// Factory builds one incarnation of this process's cluster, hosting
+// Config.Rank: the epoch numbers the incarnation (0 before any failure),
+// rendezvous is the transport bootstrap address for that epoch, and
+// afterStep must be installed as dist.Options.AfterStep — it is the
+// runner's buddy checkpointing hook.
+type Factory[T num.Float] func(epoch int, rendezvous string, afterStep func(rank, iter int)) (*dist.Cluster[T], error)
 
-// Config configures a fault-tolerant run of one process's ranks.
+// Config configures a fault-tolerant run of one process's rank.
 type Config[T num.Float] struct {
 	// Total is the absolute iteration count the run must reach.
 	Total int
@@ -32,21 +30,21 @@ type Config[T num.Float] struct {
 	Control string
 	// Timeout bounds each control-plane exchange (default 30s).
 	Timeout time.Duration
-	// LocalRanks are the ranks this process hosts initially.
-	LocalRanks []int
+	// Rank is the rank this process hosts, for the whole run.
+	Rank int
 	// Factory builds each cluster incarnation.
 	Factory Factory[T]
 	// Epoch and Rendezvous identify the first incarnation (nonzero for a
-	// respawned process joining mid-recovery, from its adoption plan).
+	// respawned process joining mid-recovery, from the plan it claimed).
 	Epoch      int
 	Rendezvous string
 	// StartIter is the absolute iteration the first incarnation starts at;
-	// InitialState carries pre-restored rank states to install (a respawned
-	// process's adopted snapshot, or a disk checkpoint). Ranks without an
-	// entry start from the built cluster's deterministic initial state,
-	// which is only sound when StartIter is 0.
+	// InitialState is the rank's packed state to install there (a respawned
+	// process's relayed snapshot). Nil falls back to the disk rotation under
+	// DiskDir, and at StartIter 0 to the built cluster's deterministic
+	// initial state.
 	StartIter    int
-	InitialState map[int][]T
+	InitialState []T
 	// Telemetry attributes ckpt-save/ckpt-send/recover-wait/restore phase
 	// time per rank; nil disables instrumentation.
 	Telemetry *telemetry.Collector
@@ -65,11 +63,11 @@ type Config[T num.Float] struct {
 	MaxRecoveries int
 }
 
-// Run drives this process's ranks to Config.Total iterations, surviving
-// rank-process deaths along the way: on a transport fault it reports to
+// Run drives this process's rank to Config.Total iterations, surviving
+// peer-process deaths along the way: on a transport fault it reports to
 // the coordinator, rolls back to the agreed checkpoint generation, rebuilds
-// the cluster for the new epoch (adopting the dead rank when told to), and
-// resumes. It returns the final cluster — its tiles hold the converged
+// the cluster for the new epoch (the dead rank rejoins as a fresh process),
+// and resumes. It returns the final cluster — its tiles hold the converged
 // state for gathering — plus the resilience counters (recoveries,
 // rollbacks, recomputed iterations, checkpoint costs) for the caller to
 // merge into the run's stats.
@@ -81,17 +79,13 @@ func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 	if cfg.MaxRecoveries <= 0 {
 		cfg.MaxRecoveries = 3
 	}
-	if len(cfg.LocalRanks) == 0 {
-		return nil, extra, fmt.Errorf("resilience: Config.LocalRanks is empty")
-	}
 	buddy := NewBuddy[T](cfg.Period, cfg.Telemetry)
 	if cfg.DiskDir != "" {
 		buddy.EnableDisk(cfg.DiskDir)
 	}
-	localRanks := append([]int(nil), cfg.LocalRanks...)
 	epoch, rdv := cfg.Epoch, cfg.Rendezvous
 	startIter := cfg.StartIter
-	pending := cfg.InitialState
+	state := cfg.InitialState
 	recoveries := 0
 	diskRestores := 0
 
@@ -103,7 +97,7 @@ func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 				cfg.OnCheckpoint(cl, rank, iter+1)
 			}
 		}
-		cl, err := cfg.Factory(epoch, rdv, localRanks, hook)
+		cl, err := cfg.Factory(epoch, rdv, hook)
 		if err != nil {
 			return nil, extra, fmt.Errorf("resilience: building epoch %d: %w", epoch, err)
 		}
@@ -111,35 +105,39 @@ func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 			cl.Close()
 			return nil, extra, err
 		}
-		rec := cfg.Telemetry.Recorder(localRanks[0])
+		rec := cfg.Telemetry.Recorder(cfg.Rank)
 
 		if startIter > 0 {
 			t0 := rec.Begin()
-			for _, id := range localRanks {
-				st := pending[id]
-				if st == nil {
-					st = buddy.SelfState(id, startIter)
-				}
-				if st == nil && cfg.DiskDir != "" {
-					// Third rung: neither a relayed snapshot nor a memory bank
-					// covers this rank (a double death took both copies) —
-					// restore from the shared disk rotation.
-					if ds, err := LoadRankState[T](cfg.DiskDir, id, startIter); err == nil {
-						st = ds
-						diskRestores++
-					}
-				}
-				if st == nil {
-					cl.Close()
-					return nil, extra, fmt.Errorf("resilience: rank %d has no state banked at generation %d", id, startIter)
-				}
-				cl.RestoreState(id, st)
-				buddy.Seed(id, startIter, st)
+			if state == nil {
+				state = buddy.SelfState(cfg.Rank, startIter)
 			}
+			if state == nil && cfg.DiskDir != "" {
+				// Third rung: neither a relayed snapshot nor a memory bank
+				// covers this rank (a double death took both copies) —
+				// restore from the shared disk rotation.
+				if ds, err := LoadRankState[T](cfg.DiskDir, cfg.Rank, startIter); err == nil {
+					state = ds
+					diskRestores++
+				}
+			}
+			if state == nil {
+				cl.Close()
+				return nil, extra, fmt.Errorf("resilience: rank %d has no state banked at generation %d", cfg.Rank, startIter)
+			}
+			// The vector came from outside this incarnation — a rotation file
+			// under DiskDir, or a frame the coordinator relayed — so its length
+			// is checked here, not trusted: RestoreState indexes by the tile's.
+			if want := cl.StateLen(cfg.Rank); len(state) != want {
+				cl.Close()
+				return nil, extra, fmt.Errorf("resilience: rank %d's state at generation %d holds %d values, its tile packs %d (a checkpoint of another run or domain size?)", cfg.Rank, startIter, len(state), want)
+			}
+			cl.RestoreState(cfg.Rank, state)
+			buddy.Seed(cfg.Rank, startIter, state)
 			cl.SetIter(startIter)
 			rec.End(telemetry.PhaseRestore, t0)
 		}
-		pending = nil
+		state = nil
 
 		runErr := cl.RunRecover(cfg.Total - startIter)
 		if runErr == nil {
@@ -153,7 +151,7 @@ func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 			return nil, extra, runErr
 		}
 
-		rep := Report{Ranks: localRanks, Suspect: -1, SelfGens: buddy.SelfGens(), WardGens: buddy.WardGens()}
+		rep := Report{Ranks: []int{cfg.Rank}, Suspect: -1, SelfGens: buddy.SelfGens(), WardGens: buddy.WardGens()}
 		var f *dist.Fault
 		if errors.As(runErr, &f) {
 			rep.Suspect = f.Peer
@@ -175,29 +173,12 @@ func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 			extra.RecomputedIters += lost
 		}
 		buddy.Rollback(plan.RestartGen)
-		if len(plan.DeadRanks) > 0 {
-			// Escalation plan: a buddy pair died together, the whole cluster
-			// restarts from disk. Any ranks dealt to this process restore
-			// from the shared rotation in the next incarnation's restore
-			// loop; no buddy copy exists to adopt.
-			if plan.Disk != "" {
-				cfg.DiskDir = plan.Disk
-				buddy.EnableDisk(plan.Disk)
-			}
-			if len(plan.AdoptRanks) > 0 {
-				localRanks = append(localRanks, plan.AdoptRanks...)
-				sort.Ints(localRanks)
-			}
-		} else if plan.Adopt {
-			if plan.RestartGen > 0 {
-				st := buddy.AdoptWard(plan.Dead, plan.RestartGen)
-				if st == nil {
-					return nil, extra, fmt.Errorf("resilience: told to adopt rank %d at generation %d without its buddy copy", plan.Dead, plan.RestartGen)
-				}
-				pending = map[int][]T{plan.Dead: append([]T(nil), st...)}
-			}
-			localRanks = append(localRanks, plan.Dead)
-			sort.Ints(localRanks)
+		if plan.Disk != "" {
+			// Escalation plan: a buddy pair died together, so the whole
+			// cluster restarts from the shared disk rotations — read in the
+			// next incarnation's restore step.
+			cfg.DiskDir = plan.Disk
+			buddy.EnableDisk(plan.Disk)
 		}
 		epoch, rdv = plan.Epoch, plan.Rendezvous
 		startIter = plan.RestartGen

@@ -57,7 +57,7 @@ func layoutOf(w *abft.WireSpec) Layout {
 		return Layout{}
 	}
 	l := Layout{Nx: w.Grid.Nx, Ny: w.Grid.Ny, Nz: w.Grid.Nz}
-	if w.Deployment == string(abft.Clustered) && l.Nz == 0 && w.Topology != string(abft.TopoLayers) {
+	if w.Deployment == string(abft.Clustered) && l.Nz == 0 {
 		if l.GangRanks = w.RanksX * w.RanksY; l.GangRanks == 0 {
 			l.GangRanks = w.Ranks
 		}

@@ -180,25 +180,19 @@ func (s *Slot) disarm() {
 	s.mu.Unlock()
 }
 
-// Run sends req to the slot's worker and pumps events into onEvent until
-// the terminal event for this request arrives. A non-nil return means the
-// worker itself failed (died, was killed, spoke garbage) — the caller must
-// release the slot unhealthy so the pool respawns it.
-func (s *Slot) Run(req JobRequest, onEvent func(WorkerEvent)) error {
-	defer s.disarm()
-	s.mu.Lock()
-	w := s.w
-	s.mu.Unlock()
-	if w == nil {
-		return fmt.Errorf("serve: slot %d has no live worker", s.ID)
-	}
+// RunJob sends req to w and pumps the events that answer it into onEvent
+// until its terminal event ("done" or "error") has been delivered — the one
+// loop every host of a worker runs (a pool Slot, the stencilrun -launch
+// parent). A non-nil return means the worker itself failed: it refused the
+// request, died, or spoke garbage.
+func RunJob(w Worker, req JobRequest, onEvent func(WorkerEvent)) error {
 	if err := w.Send(req); err != nil {
-		return fmt.Errorf("serve: slot %d rejected the job: %w", s.ID, err)
+		return fmt.Errorf("worker rejected the job: %w", err)
 	}
 	for {
 		ev, err := w.Recv()
 		if err != nil {
-			return fmt.Errorf("serve: worker on slot %d died mid-job: %w", s.ID, err)
+			return fmt.Errorf("worker died mid-job: %w", err)
 		}
 		if ev.ID != req.ID {
 			continue // stale event from a previously killed job
@@ -208,6 +202,22 @@ func (s *Slot) Run(req JobRequest, onEvent func(WorkerEvent)) error {
 			return nil
 		}
 	}
+}
+
+// Run is RunJob on the slot's worker. A non-nil return means the caller
+// must release the slot unhealthy so the pool respawns it.
+func (s *Slot) Run(req JobRequest, onEvent func(WorkerEvent)) error {
+	defer s.disarm()
+	s.mu.Lock()
+	w := s.w
+	s.mu.Unlock()
+	if w == nil {
+		return fmt.Errorf("serve: slot %d has no live worker", s.ID)
+	}
+	if err := RunJob(w, req, onEvent); err != nil {
+		return fmt.Errorf("serve: slot %d: %w", s.ID, err)
+	}
+	return nil
 }
 
 // KillWorker tears down the slot's current worker immediately — the

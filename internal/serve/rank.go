@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	abft "stencilabft"
@@ -64,12 +63,8 @@ func runPlaced[T abft.Float](req JobRequest, spec abft.Spec[T], elem string, emi
 	}()
 	var extra stats.Stats
 	if pl.Buddy > 0 {
-		// Checkpoints complete on rank goroutines; an adopting process
-		// hosts several.
-		var mu sync.Mutex
+		// Checkpoints complete on the one rank goroutine this process hosts.
 		cl, extra, err = RunResilient(spec, *pl, req.Iters, func(ck Checkpoint) {
-			mu.Lock()
-			defer mu.Unlock()
 			emit(WorkerEvent{Event: "ckpt", Ckpt: &ck}) // a vanished host fails the next emit too
 		})
 		if err != nil {
@@ -120,13 +115,13 @@ func rankTile[T abft.Float](cl *abft.Cluster[T], rank int, elem string) *GridPay
 // every completed buddy checkpoint from the rank goroutines. It returns the
 // final cluster plus the resilience counters to merge into its stats.
 func RunResilient[T abft.Float](spec abft.Spec[T], pl Placement, iters int, onCkpt func(Checkpoint)) (*abft.Cluster[T], stats.Stats, error) {
-	factory := func(epoch int, rdv string, localRanks []int, after func(rank, iter int)) (*abft.Cluster[T], error) {
+	factory := func(epoch int, rdv string, after func(rank, iter int)) (*abft.Cluster[T], error) {
 		s := spec
-		s.Rendezvous, s.LocalRanks, s.AfterStep = rdv, localRanks, after
+		s.Rendezvous, s.AfterStep = rdv, after
 		if pl.DieAt > 0 && epoch == 0 {
 			s.AfterStep = func(r, it int) {
 				after(r, it)
-				if r == pl.Rank && it+1 == pl.DieAt {
+				if it+1 == pl.DieAt {
 					killSelf()
 				}
 			}
@@ -139,7 +134,7 @@ func RunResilient[T abft.Float](spec abft.Spec[T], pl Placement, iters int, onCk
 	}
 	cfg := resilience.Config[T]{
 		Total: iters, Period: pl.Buddy, Control: pl.Control,
-		LocalRanks: []int{pl.Rank}, Factory: factory, Telemetry: spec.Telemetry,
+		Rank: pl.Rank, Factory: factory, Telemetry: spec.Telemetry,
 		Rendezvous: pl.Rendezvous, DiskDir: pl.CkptDir,
 	}
 	if onCkpt != nil {
@@ -153,10 +148,8 @@ func RunResilient[T abft.Float](spec abft.Spec[T], pl Placement, iters int, onCk
 		if err != nil {
 			return nil, stats.Stats{}, fmt.Errorf("claiming rank %d from the coordinator: %w", pl.Rank, err)
 		}
-		cfg.Epoch, cfg.Rendezvous, cfg.StartIter = adoption.Epoch, adoption.Rendezvous, adoption.RestartGen
-		if state != nil {
-			cfg.InitialState = map[int][]T{pl.Rank: state}
-		}
+		cfg.Epoch, cfg.Rendezvous = adoption.Epoch, adoption.Rendezvous
+		cfg.StartIter, cfg.InitialState = adoption.RestartGen, state
 		// stderr: a worker's stdout is its protocol stream.
 		fmt.Fprintf(os.Stderr, "respawned as rank %d at epoch %d, resuming from generation %d\n", pl.Rank, adoption.Epoch, adoption.RestartGen)
 	}

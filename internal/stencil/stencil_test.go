@@ -359,11 +359,3 @@ func TestPoolForEachChunkCoversAll(t *testing.T) {
 		}
 	}
 }
-
-func TestLayerOpGroups(t *testing.T) {
-	op := &Op3D[float64]{St: SevenPoint3D(0.4, 0.1, 0.1, 0.1, 0.1, 0.05, 0.15), BC: grid.Clamp}
-	groups := op.LayerOp()
-	if len(groups[0]) != 5 || len(groups[-1]) != 1 || len(groups[1]) != 1 {
-		t.Fatalf("layer groups wrong: %v", groups)
-	}
-}

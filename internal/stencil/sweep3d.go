@@ -114,16 +114,3 @@ func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, hook Injec
 		}
 	}
 }
-
-// LayerOp projects the 3-D operator onto layer z as a set of per-source-
-// layer 2-D stencils: the returned map groups the points of S by their z
-// offset. The checksum interpolation of layer z combines the checksum
-// vectors of layers z+dz with the 2-D offsets in each group — this is how
-// the per-layer scheme accounts for cross-layer coupling exactly.
-func (op *Op3D[T]) LayerOp() map[int][]Point[T] {
-	groups := make(map[int][]Point[T])
-	for _, p := range op.St.Points {
-		groups[p.DZ] = append(groups[p.DZ], Point[T]{DX: p.DX, DY: p.DY, W: p.W})
-	}
-	return groups
-}

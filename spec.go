@@ -56,8 +56,8 @@ const (
 	// Clustered decomposes the domain over simulated ranks exchanging halo
 	// strips through the Transport seam, each rank running the online
 	// scheme independently — the paper's distributed-memory setting. The
-	// decomposition shape is chosen by Topology: a Cartesian rank grid
-	// (2-D domains) or z-layer slabs (3-D domains).
+	// decomposition shape follows the domain: a Cartesian rank grid (2-D;
+	// its 1-column case is the paper's row bands) or z-layer slabs (3-D).
 	Clustered Deployment = "cluster"
 )
 
@@ -68,36 +68,6 @@ func ParseDeployment(name string) (Deployment, error) {
 		return Deployment(name), nil
 	default:
 		return "", kindErrorf(ErrUnknownDeployment, "stencilabft: unknown deployment %q (want local|cluster)", name)
-	}
-}
-
-// Topology selects how a Clustered deployment decomposes its domain over
-// the ranks — the shape knob of the topology-neutral decomposition layer.
-type Topology string
-
-// Topologies.
-const (
-	// TopoGrid decomposes a 2-D domain over a RanksX-by-RanksY Cartesian
-	// rank grid (the default for 2-D clustered runs). The historical row
-	// bands are its RanksX == 1 column; production stencil codes prefer
-	// squarer grids for their lower surface-to-volume ratio.
-	TopoGrid Topology = "grid"
-	// TopoBands decomposes a 2-D domain into horizontal row bands — an
-	// explicit alias for the Nx1 grid, kept because it is the paper's
-	// presentation of the distributed setting.
-	TopoBands Topology = "bands"
-	// TopoLayers decomposes a 3-D domain into z-layer slabs of Ranks ranks
-	// (the default, and only, topology for 3-D clustered runs).
-	TopoLayers Topology = "layers"
-)
-
-// ParseTopology converts a CLI-style topology name into a Topology.
-func ParseTopology(name string) (Topology, error) {
-	switch Topology(name) {
-	case TopoGrid, TopoBands, TopoLayers:
-		return Topology(name), nil
-	default:
-		return "", kindErrorf(ErrUnknownTopology, "stencilabft: unknown topology %q (want grid|bands|layers)", name)
 	}
 }
 
@@ -140,7 +110,7 @@ func ParseTransport(name string) (TransportKind, error) {
 // use them, so one Spec can sweep Scheme across a campaign while holding
 // every other knob fixed — the pattern the paper's evaluation harness
 // relies on. Deployment-mismatched knobs, by contrast, are hard Build
-// errors (Topology, Ranks/RanksX/RanksY or Transport on a Local run,
+// errors (Ranks/RanksX/RanksY or Transport on a Local run,
 // Period/Recovery/PaperExactCorrection or BlockX/BlockY on a Clustered
 // one): there is no seam for them, and silently dropping them would run a
 // different experiment than the spec declares.
@@ -168,9 +138,6 @@ type Spec[T Float] struct {
 	// Recovery selects the offline repair strategy (FullRollback or
 	// ConeRecovery). Offline 2-D only.
 	Recovery RecoveryMode
-	// Topology selects the Clustered decomposition shape; the zero value
-	// resolves to TopoGrid for 2-D domains and TopoLayers for 3-D ones.
-	Topology Topology
 	// Ranks is the Nx1 shorthand of a Clustered deployment's rank count:
 	// for a 2-D domain it declares Ranks row bands (a Ranks-by-1 grid),
 	// for a 3-D domain the number of z-layer slabs. Mutually exclusive
@@ -206,17 +173,13 @@ type Spec[T Float] struct {
 	// Transport selects a Clustered deployment's communication backend by
 	// name: TransportChan (the default — simulated ranks as goroutines) or
 	// TransportTCP (each rank a real OS process; requires Rank and
-	// Rendezvous, 2-D grid topologies only).
+	// Rendezvous, 2-D domains only).
 	Transport TransportKind
 	// Rank is the single rank of the grid this process hosts under
 	// TransportTCP; the other ranks live in peer processes built from the
 	// same Spec with their own Rank. Grid, Gather and Stats then cover
 	// this rank's tile only.
 	Rank int
-	// LocalRanks widens a TransportTCP process's hosting beyond the single
-	// Rank — the seam fail-stop recovery uses when a survivor adopts a dead
-	// rank's tile. When set it must contain Rank; empty means {Rank}.
-	LocalRanks []int
 	// Rendezvous is the host:port the TCP cluster's processes meet at to
 	// exchange data-listener addresses. The process with Rank 0 binds and
 	// serves it; the others dial it with retry.
@@ -245,11 +208,6 @@ type Spec[T Float] struct {
 	// then waits forever, the tcp backend applies its 2-minute deadline).
 	// Clustered deployments only.
 	RecvTimeout time.Duration
-	// DeathDeadline bounds the tcp transport's transient-fault healing:
-	// how long a broken edge connection may reconnect-and-replay before the
-	// peer is declared dead (TCPConfig.DeathDeadline; zero keeps the
-	// 15-second default, negative disables healing). TransportTCP only.
-	DeathDeadline time.Duration
 	// WrapConn hooks every outbound tcp data connection as it is
 	// established — bootstrap dials and healing reconnects alike — the
 	// seam wire-level chaos injection rides (TCPConfig.WrapConn).
@@ -325,22 +283,12 @@ func (s Spec[T]) validate() error {
 		if s.Scheme != Online {
 			return specErrorf("stencilabft: the cluster deployment protects with the online scheme only (got %q)", s.Scheme)
 		}
-		topo := s.topology()
-		if _, err := ParseTopology(string(topo)); err != nil {
-			return err
-		}
-		if has3D && topo != TopoLayers {
-			return specErrorf("stencilabft: a 3-D cluster decomposes into z-layer slabs; topology %q is 2-D-only (use TopoLayers or leave Topology empty)", topo)
-		}
-		if !has3D && topo == TopoLayers {
-			return specErrorf("stencilabft: the layers topology decomposes 3-D domains (this spec is 2-D; use TopoGrid or TopoBands)")
-		}
 		hasGrid := s.RanksX != 0 || s.RanksY != 0
 		if s.Ranks != 0 && hasGrid {
 			return specErrorf("stencilabft: set either Ranks (the Nx1 shorthand) or RanksX/RanksY, not both (got Ranks %d with grid %dx%d)",
 				s.Ranks, s.RanksY, s.RanksX)
 		}
-		if topo == TopoLayers {
+		if has3D {
 			if hasGrid {
 				return specErrorf("stencilabft: RanksX/RanksY shape 2-D rank grids; a layer cluster takes its slab count from Ranks")
 			}
@@ -353,9 +301,6 @@ func (s Spec[T]) validate() error {
 				return specErrorf("stencilabft: cluster deployment needs Ranks >= 1 or a RanksX x RanksY grid with both factors >= 1 (got Ranks %d, grid %dx%d)",
 					s.Ranks, s.RanksY, s.RanksX)
 			}
-			if topo == TopoBands && rx != 1 {
-				return specErrorf("stencilabft: the bands topology is the 1-column grid; got %d rank columns (use TopoGrid)", rx)
-			}
 		}
 		if s.InjectSource != nil {
 			return specErrorf("stencilabft: InjectSource is local-only; cluster injection routes a Plan (set Inject)")
@@ -363,8 +308,8 @@ func (s Spec[T]) validate() error {
 		if s.HaloDepth < 0 {
 			return specErrorf("stencilabft: HaloDepth %d is invalid; use 0 or 1 for the classic exchange-every-iteration schedule, k > 1 for depth-k ghost zones", s.HaloDepth)
 		}
-		if s.HaloDepth > 1 && topo == TopoLayers {
-			return specErrorf("stencilabft: HaloDepth %d (depth-k ghost zones) supports 2-D grid topologies only; the 3-D layer cluster exchanges every iteration", s.HaloDepth)
+		if s.HaloDepth > 1 && has3D {
+			return specErrorf("stencilabft: HaloDepth %d (depth-k ghost zones) supports 2-D rank grids only; the 3-D layer cluster exchanges every iteration", s.HaloDepth)
 		}
 		if s.Transport != "" {
 			if _, err := ParseTransport(string(s.Transport)); err != nil {
@@ -375,8 +320,8 @@ func (s Spec[T]) validate() error {
 			}
 		}
 		if s.Transport == TransportTCP {
-			if s.topology() == TopoLayers {
-				return specErrorf("stencilabft: the tcp transport hosts one rank per process and supports 2-D grid topologies only (the 3-D layer cluster runs in-process)")
+			if has3D {
+				return specErrorf("stencilabft: the tcp transport hosts one rank per process and supports 2-D rank grids only (the 3-D layer cluster runs in-process)")
 			}
 			if s.Rendezvous == "" {
 				return specErrorf("stencilabft: the tcp transport needs Rendezvous (host:port every rank process meets at)")
@@ -385,27 +330,9 @@ func (s Spec[T]) validate() error {
 			if s.Rank < 0 || s.Rank >= rx*ry {
 				return specErrorf("stencilabft: Rank %d outside the %d-rank tcp cluster (grid %dx%d)", s.Rank, rx*ry, ry, rx)
 			}
-			if len(s.LocalRanks) > 0 {
-				hasRank := false
-				for _, id := range s.LocalRanks {
-					if id < 0 || id >= rx*ry {
-						return specErrorf("stencilabft: LocalRanks entry %d outside the %d-rank tcp cluster (grid %dx%d)", id, rx*ry, ry, rx)
-					}
-					hasRank = hasRank || id == s.Rank
-				}
-				if !hasRank {
-					return specErrorf("stencilabft: LocalRanks %v does not contain Rank %d", s.LocalRanks, s.Rank)
-				}
-			}
 		} else {
-			if s.DeathDeadline != 0 {
-				return specErrorf("stencilabft: DeathDeadline tunes the tcp transport's healing only (set Transport: TransportTCP)")
-			}
 			if s.WrapConn != nil {
 				return specErrorf("stencilabft: WrapConn hooks the tcp transport's connections only (set Transport: TransportTCP)")
-			}
-			if len(s.LocalRanks) > 0 {
-				return specErrorf("stencilabft: LocalRanks widens the tcp transport's hosting only (set Transport: TransportTCP)")
 			}
 			if s.Rendezvous != "" {
 				return specErrorf("stencilabft: Rendezvous applies to the tcp transport only (set Transport: TransportTCP)")
@@ -433,15 +360,9 @@ func (s Spec[T]) validate() error {
 		if s.AfterStep != nil {
 			return specErrorf("stencilabft: AfterStep hooks the cluster deployment's rank loop only")
 		}
-		if len(s.LocalRanks) > 0 {
-			return specErrorf("stencilabft: LocalRanks apply to the cluster deployment's tcp transport only")
-		}
 		if s.Ranks != 0 || s.RanksX != 0 || s.RanksY != 0 {
 			return specErrorf("stencilabft: Ranks/RanksX/RanksY apply to the cluster deployment only (deployment %q with %d/%d/%d)",
 				s.Deployment, s.Ranks, s.RanksX, s.RanksY)
-		}
-		if s.Topology != "" {
-			return specErrorf("stencilabft: Topology applies to the cluster deployment only")
 		}
 		if s.HaloDepth != 0 {
 			return specErrorf("stencilabft: HaloDepth applies to the cluster deployment only (deployment %q with depth %d)", s.Deployment, s.HaloDepth)
@@ -452,8 +373,8 @@ func (s Spec[T]) validate() error {
 		if s.WrapTransport != nil || s.RecvTimeout != 0 {
 			return specErrorf("stencilabft: WrapTransport/RecvTimeout apply to the cluster deployment only")
 		}
-		if s.DeathDeadline != 0 || s.WrapConn != nil {
-			return specErrorf("stencilabft: DeathDeadline/WrapConn apply to the cluster deployment's tcp transport only")
+		if s.WrapConn != nil {
+			return specErrorf("stencilabft: WrapConn applies to the cluster deployment's tcp transport only")
 		}
 		if s.Rendezvous != "" || s.Rank != 0 || s.Bind != "" {
 			return specErrorf("stencilabft: Rank/Rendezvous/Bind apply to the cluster deployment's tcp transport only")
@@ -482,18 +403,6 @@ func (s Spec[T]) validate() error {
 func (s Spec[T]) Validate() error {
 	s = s.withDefaults()
 	return s.validate()
-}
-
-// topology resolves the spec's Topology with its dimensionality-dependent
-// default: grid for 2-D clustered runs, layers for 3-D ones.
-func (s Spec[T]) topology() Topology {
-	if s.Topology != "" {
-		return s.Topology
-	}
-	if s.is3D() {
-		return TopoLayers
-	}
-	return TopoGrid
 }
 
 // rankGrid resolves the 2-D rank-grid shape (columns, rows): RanksX/RanksY
@@ -545,7 +454,7 @@ func (s Spec[T]) blocksOptions() blocks.Options[T] {
 }
 
 // distOptions maps the shared knobs onto the cluster's options. The tcp
-// transport and its LocalRanks hosting are filled in by Build, which owns
+// transport and its one-rank hosting are filled in by Build, which owns
 // the socket bootstrap.
 func (s Spec[T]) distOptions() dist.Options[T] {
 	return dist.Options[T]{

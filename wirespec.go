@@ -57,7 +57,6 @@ type WireSpec struct {
 	// Recovery selects the offline repair strategy: "rollback" (default)
 	// or "cone".
 	Recovery  string `json:"recovery,omitempty"`
-	Topology  string `json:"topology,omitempty"`
 	Ranks     int    `json:"ranks,omitempty"`
 	RanksX    int    `json:"ranksX,omitempty"`
 	RanksY    int    `json:"ranksY,omitempty"`
@@ -468,7 +467,6 @@ func SpecFromWire[T Float](w *WireSpec) (Spec[T], error) {
 	default:
 		return Spec[T]{}, wireErrorf(nil, "stencilabft: unknown recovery mode %q (want rollback|cone)", w.Recovery)
 	}
-	spec.Topology = Topology(w.Topology)
 	spec.Ranks = w.Ranks
 	spec.RanksX, spec.RanksY = w.RanksX, w.RanksY
 	spec.HaloDepth = w.HaloDepth
@@ -509,18 +507,15 @@ func (s Spec[T]) Wire() (*WireSpec, error) {
 		return nil, notSerializablef("stencilabft: AfterStep is a function hook and cannot travel; checkpointing hooks are host-side configuration")
 	case s.Telemetry != nil:
 		return nil, notSerializablef("stencilabft: Telemetry is process-local; the executing worker attaches its own collector and reports Stats.Timing back")
-	case s.Transport == TransportTCP || s.Rendezvous != "" || s.Bind != "" || s.Rank != 0 || len(s.LocalRanks) != 0:
-		return nil, notSerializablef("stencilabft: tcp endpoints (Transport: \"tcp\", Rank, LocalRanks, Rendezvous, Bind) are process placement, not experiment description; the service assigns ranks and rendezvous itself")
+	case s.Transport == TransportTCP || s.Rendezvous != "" || s.Bind != "" || s.Rank != 0:
+		return nil, notSerializablef("stencilabft: tcp endpoints (Transport: \"tcp\", Rank, Rendezvous, Bind) are process placement, not experiment description; the service assigns ranks and rendezvous itself")
 	case s.RecvTimeout != 0:
 		return nil, notSerializablef("stencilabft: RecvTimeout is a process-local liveness bound; the executing host sets its own deadlines")
-	case s.DeathDeadline != 0:
-		return nil, notSerializablef("stencilabft: DeathDeadline is a process-local healing bound; the executing host sets its own deadlines")
 	}
 	w := &WireSpec{
 		Elem:       elemName[T](),
 		Scheme:     string(s.Scheme),
 		Deployment: string(s.Deployment),
-		Topology:   string(s.Topology),
 		Ranks:      s.Ranks, RanksX: s.RanksX, RanksY: s.RanksY,
 		HaloDepth: s.HaloDepth,
 		BlockX:    s.BlockX, BlockY: s.BlockY,
