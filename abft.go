@@ -41,7 +41,8 @@
 // seam) — changes nothing else about the calling code: every protector
 // satisfies the unified Protector interface. Fault-injection campaigns set
 // Spec.Inject (a declarative bit-flip Plan) or Spec.InjectSource (a custom
-// hook); Step then applies them with no per-call plumbing.
+// source of per-iteration Sites); Step then applies them with no per-call
+// plumbing.
 //
 // See examples/ for complete programs and DESIGN.md for the architecture
 // and the Unified API section for the Build registry. Build + Spec is the

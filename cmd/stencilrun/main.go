@@ -27,9 +27,11 @@
 //
 // The -launch parent's children are pool workers (this binary under -worker,
 // speaking internal/serve's worker protocol); it merges their stats and
-// verifies the gathered grid is bit-identical to an in-process single-process reference run (or,
-// with -inject, that the corruption was detected and repaired); it exits
-// non-zero otherwise, which is what CI gates on.
+// verifies the gathered grid is bit-identical to an in-process
+// single-process reference run — with -inject, first that the corruption
+// was detected and repaired, and then the same: a repaired point is
+// recomputed from the intact previous iteration. It exits non-zero
+// otherwise, which is what CI gates on.
 package main
 
 import (
@@ -387,6 +389,16 @@ func reference(spec abft.Spec[float32], iters int) (*abft.Grid[float32], error) 
 	return ref.Grid(), nil
 }
 
+// sameAsReference is the single-process bit-identity gate: it reports the
+// first point where the run's grid deviates from the fault-free reference.
+func sameAsReference(what string, g, ref *abft.Grid[float32]) error {
+	if x, y, differ := firstDiff(g, ref); differ {
+		return fmt.Errorf("%s: run deviates from the fault-free reference at (%d,%d): %v != %v", what, x, y, g.At(x, y), ref.At(x, y))
+	}
+	fmt.Printf("%s: result is bit-identical to the fault-free reference\n", what)
+	return nil
+}
+
 // firstDiff finds the first point where g and ref differ.
 func firstDiff(g, ref *abft.Grid[float32]) (x, y int, differ bool) {
 	for i, v := range g.Data() {
@@ -607,11 +619,16 @@ func runProcess(c config, p plan) error {
 			// or healed fault leaves the run bit-identical to the fault-free
 			// reference. (A tcp rank process has no reference; the gate is
 			// its operator's cross-process gather comparison.)
-			g := prot.Grid()
-			if x, y, differ := firstDiff(g, ref); differ {
-				return fmt.Errorf("chaos run deviates from the fault-free reference at (%d,%d): %v != %v", x, y, g.At(x, y), ref.At(x, y))
+			if err := sameAsReference("chaos", prot.Grid(), ref); err != nil {
+				return err
 			}
-			fmt.Println("chaos: result is bit-identical to the fault-free reference")
+		}
+	}
+	// So must a repaired flip be: the point is recomputed from the intact
+	// previous iteration, not estimated.
+	if c.inject && ref != nil && stats.CorrectedPoints > 0 {
+		if err := sameAsReference("injection repaired", prot.Grid(), ref); err != nil {
+			return err
 		}
 	}
 	if cl, ok := prot.(*abft.Cluster[float32]); ok {

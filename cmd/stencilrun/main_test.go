@@ -34,8 +34,8 @@ func TestMain(m *testing.M) {
 // TestLaunch drives the -launch parent over real rank processes on a 2x2
 // grid. runLaunch's own gates are the assertions: it returns an error
 // unless the gathered grid is bit-identical to the single-process
-// reference, an injected flip was detected and repaired, or a -die drill
-// killed a process and the merged stats record a recovery.
+// reference — after an injected flip was detected and repaired, too — and
+// a -die drill killed a process and the merged stats record a recovery.
 func TestLaunch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks rank processes")
@@ -53,7 +53,7 @@ func TestLaunch(t *testing.T) {
 		{"clamp", func(c *config) {}},
 		{"periodic advection", func(c *config) { c.bcName = "periodic"; c.kernel = "advect" }},
 		{"constant boundary, depth-2 halos", func(c *config) { c.bcName = "constant"; c.bcValue = 25; c.haloDepth = 2 }},
-		{"injected flip detected and repaired", func(c *config) { c.inject = true; c.seed = 32 }},
+		{"injected flip detected and repaired bit-identically", func(c *config) { c.inject = true; c.seed = 32 }},
 		{"merged trace", func(c *config) { c.trace = tracePath }},
 		{"rank 3 killed at iteration 20 and recovered", func(c *config) {
 			c.iters = 48

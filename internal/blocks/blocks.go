@@ -37,7 +37,11 @@ type block[T num.Float] struct {
 	newB           []T // fused partial column checksums at t+1
 	interpB        []T
 	bExt           []T // scratch: prevB plus halo row sums
-	flagged        bool
+	// Scratch of the repair path, allocated the first time the block is
+	// flagged: newA, which doubles as the saved row of the re-evaluation,
+	// and the Equation-(10) path's extended and interpolated row checksums.
+	newA, aExt, interpA []T
+	flagged             bool
 }
 
 func (b *block[T]) w() int { return b.x1 - b.x0 }
@@ -171,17 +175,17 @@ func (p *Protector[T]) Blocks() int { return len(p.blocks) }
 
 // Step advances one sweep with per-block fused checksums, verification and
 // correction, applying the configured injection source.
-func (p *Protector[T]) Step() { p.StepInject(stencil.HookAt(p.inj, p.iter)) }
+func (p *Protector[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
 
-// StepInject is Step with an explicit per-call injection hook (domain
-// coordinates), applied during the sweep when non-nil.
-func (p *Protector[T]) StepInject(hook stencil.InjectFunc[T]) {
+// StepInject is Step with explicit per-call injection sites (domain
+// coordinates); each is applied by the sweep of the block that holds it.
+func (p *Protector[T]) StepInject(sites []stencil.Site[T]) {
 	src, dst := p.buf.Read, p.buf.Write
 	p.tel.SetIter(p.iter)
 
 	sweep := func(i int) {
 		b := p.blocks[i]
-		p.op.SweepRectFused(dst, src, b.x0, b.y0, b.x1, b.y1, b.newB, hook)
+		p.op.SweepRectFused(dst, src, b.x0, b.y0, b.x1, b.y1, b.newB, sites)
 	}
 	verify := func(i int) {
 		b := p.blocks[i]
@@ -276,32 +280,42 @@ func (p *Protector[T]) partialRowSum(bg grid.BoundedGrid[T], b *block[T], y int)
 	return s
 }
 
-// correctBlock runs the block-local slow path: lazy row checksums with
-// x-halos from the horizontal neighbours, localisation, and stable
-// Equation-(10) repair in the write buffer.
+// correctBlock runs the block-local slow path: the flagged rows of the
+// block are re-evaluated (checksum.RepairRows); what that cannot serve takes
+// the two-vector path — lazy row checksums with x-halos from the horizontal
+// neighbours, localisation, and stable Equation-(10) repair in the write
+// buffer.
 func (p *Protector[T]) correctBlock(b *block[T], src, dst *grid.Grid[T]) {
 	rx := p.rx
+	if b.newA == nil {
+		b.newA, b.aExt, b.interpA = make([]T, b.w()), make([]T, b.w()+2*rx), make([]T, b.w())
+	}
+	cells, ok := checksum.RepairRows(p.det, b.newB, b.interpB, b.newA,
+		func(j int) []T { return dst.Row(b.y0 + j)[b.x0:b.x1] },
+		func(j int) T {
+			p.op.SweepRectFused(dst, src, b.x0, b.y0+j, b.x1, b.y0+j+1, b.newB[j:], nil)
+			return b.newB[j]
+		})
+	if ok {
+		p.stats.Repaired(cells)
+		return
+	}
+	p.stats.CorrectedPoints += cells
+
 	bg := grid.BoundedGrid[T]{G: src, Cond: p.op.BC, ConstVal: p.op.BCValue}
-
-	aExt := make([]T, b.w()+2*rx)
 	for i := 0; i < rx; i++ {
-		aExt[i] = p.partialColSum(bg, b, b.x0-rx+i)
-		aExt[rx+b.w()+i] = p.partialColSum(bg, b, b.x1+i)
+		b.aExt[i] = p.partialColSum(bg, b, b.x0-rx+i)
+		b.aExt[rx+b.w()+i] = p.partialColSum(bg, b, b.x1+i)
 	}
-	stencil.ChecksumARect(src, b.x0, b.y0, b.x1, b.y1, aExt[rx:rx+b.w()])
+	stencil.ChecksumARect(src, b.x0, b.y0, b.x1, b.y1, b.aExt[rx:rx+b.w()])
 
-	interpA := make([]T, b.w())
 	edges := checksum.OffsetEdges[T]{Src: bg, X0: b.x0, Y0: b.y0}
-	b.ip.InterpolateABlock(aExt, rx, edges, interpA)
+	b.ip.InterpolateABlock(b.aExt, rx, edges, b.interpA)
 
-	newA := make([]T, b.w())
-	stencil.ChecksumARect(dst, b.x0, b.y0, b.x1, b.y1, newA)
+	stencil.ChecksumARect(dst, b.x0, b.y0, b.x1, b.y1, b.newA)
 
-	n := checksum.RepairRect(p.det, p.pol, dst, b.x0, b.y0, b.x1, b.y1, newA, b.newB, interpA, b.interpB)
-	p.stats.CorrectedPoints += n
-	if n == 0 { // the corruption sat in a checksum
-		p.stats.ChecksumRepairs++
-	}
+	// No located point means the corruption sat in a checksum.
+	p.stats.Repaired(checksum.RepairRect(p.det, p.pol, dst, b.x0, b.y0, b.x1, b.y1, b.newA, b.newB, b.interpA, b.interpB))
 }
 
 // partialColSum sums ũ(x, y) over the block's rows for a (possibly ghost)

@@ -8,6 +8,7 @@ import (
 	"stencilabft/internal/core"
 	"stencilabft/internal/fault"
 	"stencilabft/internal/grid"
+	"stencilabft/internal/num"
 	"stencilabft/internal/stencil"
 )
 
@@ -119,7 +120,7 @@ func TestBlockedDetectsAndCorrects(t *testing.T) {
 		}
 		injector := fault.NewInjector[float64](fault.NewPlan(inj))
 		for i := 0; i < iters; i++ {
-			p.StepInject(injector.HookFor(i))
+			p.StepInject(injector.SitesFor(i))
 		}
 		st := p.Stats()
 		if st.Detections == 0 || st.CorrectedPoints == 0 {
@@ -146,7 +147,7 @@ func TestBlockedLocalisesToOneBlock(t *testing.T) {
 	inj := fault.Injection{Iteration: 5, X: 20, Y: 12, Bit: 58}
 	injector := fault.NewInjector[float64](fault.NewPlan(inj))
 	for i := 0; i < 10; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	st := p.Stats()
 	if st.FlaggedBlocks != 1 {
@@ -224,7 +225,7 @@ func TestBlockGranularityImprovesSensitivity(t *testing.T) {
 	}
 	injW := fault.NewInjector[float32](fault.NewPlan(inj))
 	for i := 0; i < 10; i++ {
-		whole.StepInject(injW.HookFor(i))
+		whole.StepInject(injW.SitesFor(i))
 	}
 	if len(injW.Hits()) != 1 {
 		t.Fatal("injection did not land in whole-domain run")
@@ -239,7 +240,7 @@ func TestBlockGranularityImprovesSensitivity(t *testing.T) {
 	}
 	injB := fault.NewInjector[float32](fault.NewPlan(inj))
 	for i := 0; i < 10; i++ {
-		blocked.StepInject(injB.HookFor(i))
+		blocked.StepInject(injB.SitesFor(i))
 	}
 	st := blocked.Stats()
 	if st.Detections == 0 || st.CorrectedPoints == 0 {
@@ -276,5 +277,100 @@ func TestDropBoundaryTermsPlumbed(t *testing.T) {
 	}
 	if st := run(true); st.Detections == 0 {
 		t.Fatal("dropped boundary terms should misfire on an asymmetric stencil")
+	}
+}
+
+// tookTwoVectorPath reports whether any block has interpolated row
+// checksums, which only the Equation-(10) path computes.
+func tookTwoVectorPath(p *Protector[float64]) bool {
+	for _, b := range p.blocks {
+		for _, v := range b.interpA {
+			if v != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestBlockedRepairIsBitwise is the repair contract on the tiled deployment:
+// for every bit position the detector flags, the flagged block re-evaluates
+// the row from the intact previous iteration and the run ends bit-identical
+// to the fault-free one — grid and every block's verified checksums. A flip
+// written into the read buffer between steps is what re-evaluation cannot
+// serve; the block-local two-vector path takes it, as it took everything
+// before, and the checksums track the domain afterwards.
+func TestBlockedRepairIsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const nx, ny, iters = 30, 26, 12
+	op := makeOp(nx, ny, rand.New(rand.NewSource(22)), grid.Mirror)
+	init := makeInit(nx, ny, rng)
+	clean, err := New(op, init, 8, 7, blockOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean.Run(iters)
+
+	detected := 0
+	for bit := 0; bit < 64; bit++ {
+		opt := blockOpts()
+		// Cells walk over block interiors, block edges and the domain border.
+		inj := fault.Injection{Iteration: 3 + bit%5, X: (7 * bit) % nx, Y: (5 * bit) % ny, Bit: bit}
+		opt.Inject = fault.NewInjector[float64](fault.NewPlan(inj))
+		if bit%2 == 1 {
+			opt.Pool = &stencil.Pool{Workers: 3}
+		}
+		p, err := New(op, init, 8, 7, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Run(iters)
+		opt.Pool.Close()
+		st := p.Stats()
+		if st.Detections == 0 {
+			continue
+		}
+		detected++
+		if st.Detections != 1 || st.FlaggedBlocks != 1 || st.CorrectedPoints != 1 || st.ChecksumRepairs != 0 {
+			t.Fatalf("%v: %+v", inj, st)
+		}
+		for i, v := range p.Grid().Data() {
+			if !num.SameBits(v, clean.Grid().Data()[i]) {
+				t.Fatalf("%v: repaired run is not bitwise the fault-free run (max diff %g)", inj, p.Grid().MaxAbsDiff(clean.Grid()))
+			}
+		}
+		for k, b := range p.blocks {
+			for j, v := range b.prevB {
+				if !num.SameBits(v, clean.blocks[k].prevB[j]) {
+					t.Fatalf("%v: block %d checksum %d differs from the fault-free run's", inj, k, j)
+				}
+			}
+		}
+		if tookTwoVectorPath(p) {
+			t.Fatalf("%v: a located flip took the two-vector path", inj)
+		}
+	}
+	if detected < 20 {
+		t.Fatalf("only %d of 64 bit positions were detected", detected)
+	}
+
+	p, err := New(op, init, 8, 7, blockOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(4)
+	g := p.buf.Read
+	g.Set(12, 9, g.At(12, 9)+500)
+	p.Step()
+	st := p.Stats()
+	if st.Detections != 1 || st.FlaggedBlocks == 0 {
+		t.Fatalf("read-buffer flip: %+v", st)
+	}
+	if !tookTwoVectorPath(p) {
+		t.Fatal("read-buffer flip: no block took the two-vector path")
+	}
+	p.Run(iters)
+	if p.Stats().Detections != 1 {
+		t.Fatalf("read-buffer flip: detections after the repair: %+v", p.Stats())
 	}
 }

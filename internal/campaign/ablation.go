@@ -14,7 +14,7 @@ import (
 )
 
 // Ablations runs the design-choice experiments called out in DESIGN.md
-// (A1, A2, A3, A5, A7) at the given configuration's in-layer size and
+// (A1, A2, A3, A5, A7, A8) at the given configuration's in-layer size and
 // renders one table per question. A4 (parallel sweep scaling) is a timing,
 // so the benchmark carries it (bench/: stencil.pool2_speedup).
 func Ablations(cfg TileConfig, w io.Writer) error {
@@ -22,11 +22,92 @@ func Ablations(cfg TileConfig, w io.Writer) error {
 	ablationFusedChecksum(cfg, w)
 	ablationKahan(cfg, w)
 	ablationPairing(cfg, w)
+	ablationLocate(cfg, w)
 	ablationBlockSize(cfg, w)
 	if err := ablationGridTopology(cfg, w); err != nil {
 		return err
 	}
 	return nil
+}
+
+// ablationLocate (A8): what is left in a repaired cell, and what the repair
+// touched, when a flagged flip is located by re-evaluating its row from the
+// previous iteration against the two-vector Equation-(10) repair in its
+// stable and paper-exact forms — the package-level functions the protectors
+// call, on one float32 sweep with real interpolated checksums, per bit
+// position over a set of random cells. Re-evaluation recomputes the cell, so
+// its residual is zero at every bit; Equation (10) leaves the rounding of a
+// line checksum there, and the literal form loses the cell outright once the
+// flip dwarfs its row (Section 5.3).
+func ablationLocate(cfg TileConfig, w io.Writer) {
+	nx, ny := cfg.Nx, cfg.Ny
+	rng := rand.New(rand.NewSource(cfg.Seed + 7))
+	op := &stencil.Op2D[float32]{St: stencil.BoxBlur[float32](), BC: grid.Clamp}
+	src := grid.New[float32](nx, ny)
+	src.FillFunc(func(x, y int) float32 { return float32(80 + 40*rng.Float64()) })
+	clean := grid.New[float32](nx, ny)
+	cleanB := make([]float32, ny)
+	op.SweepFused(clean, src, cleanB)
+	ip, err := checksum.NewInterp2D(op, nx, ny)
+	if err != nil {
+		panic(err)
+	}
+	prev := checksum.NewVectors[float32](nx, ny)
+	prev.Compute(src)
+	edges := checksum.LiveEdges(src, grid.Clamp, 0)
+	interpA, interpB := make([]float32, nx), make([]float32, ny)
+	ip.InterpolateA(prev.A, edges, interpA)
+	ip.InterpolateB(prev.B, edges, interpB)
+	det := checksum.NewDetector[float32]()
+
+	const cells = 16
+	dst := grid.New[float32](nx, ny)
+	direct := checksum.NewVectors[float32](nx, ny)
+	saved := make([]float32, nx)
+	t := metrics.NewTable(
+		fmt.Sprintf("Ablation A8: locate a flagged flip, %dx%d float32 box9, %d cells a bit; cells touched a fault: row re-evaluation %d updated, Equation (10) %d summed",
+			nx, ny, cells, nx, 2*nx*ny+nx+ny),
+		"Bit", "Field", "Flagged", "Row re-evaluation", "Eq. (10) stable", "Eq. (10) paper-exact")
+	for bit := 0; bit < 32; bit++ {
+		var flagged int
+		var resid [3]float64 // max |repaired - clean| / |clean| per method
+		for c := 0; c < cells; c++ {
+			x, y := rng.Intn(nx), rng.Intn(ny)
+			want := clean.At(x, y)
+			// corrupt plants the flip in a fresh copy of the swept state.
+			corrupt := func() bool {
+				dst.CopyFrom(clean)
+				dst.Set(x, y, num.FlipBit(want, bit))
+				copy(direct.B, cleanB)
+				direct.B[y] = num.Sum(dst.Row(y))
+				return det.Exceeds(direct.B[y], interpB[y])
+			}
+			left := func(m int) {
+				resid[m] = num.Max(resid[m], num.RelErr(float64(dst.At(x, y)), float64(want), 1))
+			}
+			if !corrupt() {
+				continue
+			}
+			flagged++
+			checksum.RepairRows(det, direct.B, interpB, saved, dst.Row, func(y int) float32 {
+				op.SweepRange(dst, src, y, y+1, direct.B, nil)
+				return direct.B[y]
+			})
+			left(0)
+			for m, paperExact := range []bool{false, true} {
+				corrupt()
+				stencil.ChecksumA(dst, direct.A)
+				checksum.Corrector[float32]{PaperExact: paperExact}.Repair(det, checksum.PairByResidual, dst, direct, interpA, interpB)
+				left(1 + m)
+			}
+		}
+		if flagged == 0 {
+			continue
+		}
+		t.AddRow(bit, num.ClassifyBit[float32](bit).String(), fmt.Sprintf("%d/%d", flagged, cells), resid[0], resid[1], resid[2])
+	}
+	t.Render(w)
+	fmt.Fprintln(w)
 }
 
 // ablationGridTopology (A7): the paper's single-bit-flip fault sweep run on

@@ -51,7 +51,7 @@ func TestAblationsRender(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"Ablation A1", "Ablation A2", "Ablation A3", "Ablation A5", "Ablation A7",
+		"Ablation A1", "Ablation A2", "Ablation A3", "Ablation A5", "Ablation A7", "Ablation A8",
 		"noise floor vs chunk width",
 		"dropped (paper listing)",
 		"Kahan compensated",

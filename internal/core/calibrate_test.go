@@ -51,7 +51,7 @@ func TestCalibrateEpsilonFloat32(t *testing.T) {
 	inj := fault.Injection{Iteration: 2, X: 20, Y: 30, Bit: 30}
 	injector := fault.NewInjector[float32](fault.NewPlan(inj))
 	for i := 0; i < 8; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	if p.Stats().Detections == 0 {
 		t.Fatalf("suggested epsilon too loose to catch an exponent flip: %+v", p.Stats())

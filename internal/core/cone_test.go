@@ -35,7 +35,7 @@ func TestConeRecoveryRepairsInteriorError(t *testing.T) {
 	}
 	injector := fault.NewInjector[float64](fault.NewPlan(inj))
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	p.Finalize()
 	st := p.Stats()
@@ -75,7 +75,7 @@ func TestConeRecoveryFallsBackNearEdges(t *testing.T) {
 	}
 	injector := fault.NewInjector[float64](fault.NewPlan(inj))
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	p.Finalize()
 	st := p.Stats()
@@ -109,7 +109,7 @@ func TestConeRecoveryRandomCampaign(t *testing.T) {
 		}
 		injector := fault.NewInjector[float64](fault.NewPlan(inj))
 		for i := 0; i < iters; i++ {
-			p.StepInject(injector.HookFor(i))
+			p.StepInject(injector.SitesFor(i))
 		}
 		p.Finalize()
 		st := p.Stats()

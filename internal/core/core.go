@@ -52,7 +52,7 @@ type Options[T num.Float] struct {
 	// algebraically and Offline3D always uses the full rollback.
 	Recovery RecoveryMode
 	// Inject schedules fault injection: Step and Run consult it each
-	// iteration for the hook to apply during the sweep. Nil runs clean.
+	// iteration for the sites the sweep applies. Nil runs clean.
 	// fault.NewInjector adapts a fault.Plan to this seam.
 	Inject stencil.InjectSource[T]
 	// Telemetry, when non-nil, attributes the protector's wall-clock to

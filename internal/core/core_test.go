@@ -98,7 +98,7 @@ func TestOnline2DDetectsAndCorrects(t *testing.T) {
 		}
 		injector := fault.NewInjector[float64](fault.NewPlan(inj))
 		for i := 0; i < iters; i++ {
-			p.StepInject(injector.HookFor(i))
+			p.StepInject(injector.SitesFor(i))
 		}
 		if len(injector.Hits()) != 1 {
 			t.Fatalf("trial %d: injection %v did not land", trial, inj)
@@ -138,7 +138,7 @@ func TestOnline2DBelowThresholdHarmless(t *testing.T) {
 	}
 	injector := fault.NewInjector[float64](fault.NewPlan(inj))
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	if d := p.Grid().MaxAbsDiff(want); d > 1e-9 {
 		t.Fatalf("1-ULP flip propagated to %g", d)
@@ -193,7 +193,7 @@ func TestOffline2DDetectsAndErasesError(t *testing.T) {
 		}
 		injector := fault.NewInjector[float64](fault.NewPlan(inj))
 		for i := 0; i < iters; i++ {
-			p.StepInject(injector.HookFor(i))
+			p.StepInject(injector.SitesFor(i))
 		}
 		p.Finalize()
 		st := p.Stats()
@@ -231,7 +231,7 @@ func TestOnline2DTwoErrorsSameIteration(t *testing.T) {
 	}
 	injector := fault.NewInjector[float64](plan)
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	if len(injector.Hits()) != 2 {
 		t.Fatalf("wanted 2 hits, got %d", len(injector.Hits()))
@@ -303,7 +303,7 @@ func TestOnline3DDetectsAndCorrects(t *testing.T) {
 		}
 		injector := fault.NewInjector[float64](fault.NewPlan(inj))
 		for i := 0; i < iters; i++ {
-			p.StepInject(injector.HookFor(i))
+			p.StepInject(injector.SitesFor(i))
 		}
 		if len(injector.Hits()) != 1 {
 			t.Fatalf("trial %d: injection %v did not land", trial, inj)
@@ -344,7 +344,7 @@ func TestOffline3DDetectsAndErases(t *testing.T) {
 		}
 		injector := fault.NewInjector[float64](fault.NewPlan(inj))
 		for i := 0; i < iters; i++ {
-			p.StepInject(injector.HookFor(i))
+			p.StepInject(injector.SitesFor(i))
 		}
 		p.Finalize()
 		st := p.Stats()
@@ -380,7 +380,7 @@ func TestOnlineFloat32(t *testing.T) {
 	}
 	injector := fault.NewInjector[float32](fault.NewPlan(inj))
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	st := p.Stats()
 	if st.Detections == 0 || st.CorrectedPoints == 0 {

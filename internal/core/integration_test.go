@@ -46,7 +46,7 @@ func TestOfflineAcrossBoundaryConditions(t *testing.T) {
 		}
 		injector := fault.NewInjector[float64](fault.NewPlan(inj))
 		for i := 0; i < iters; i++ {
-			p2.StepInject(injector.HookFor(i))
+			p2.StepInject(injector.SitesFor(i))
 		}
 		p2.Finalize()
 		if st := p2.Stats(); st.Detections == 0 || st.Rollbacks == 0 {
@@ -89,7 +89,7 @@ func TestOnlineAcrossBoundaryConditions(t *testing.T) {
 		}
 		injector := fault.NewInjector[float64](fault.NewPlan(inj))
 		for i := 0; i < iters; i++ {
-			p2.StepInject(injector.HookFor(i))
+			p2.StepInject(injector.SitesFor(i))
 		}
 		if st := p2.Stats(); st.CorrectedPoints == 0 {
 			t.Fatalf("bc=%s: flip not corrected: %+v", bc, st)

@@ -6,15 +6,19 @@ import (
 
 	"stencilabft/internal/fault"
 	"stencilabft/internal/num"
+	"stencilabft/internal/stencil"
 )
 
-// The ABFT method's localisation intersects one mismatching row with one
+// The paper's localisation intersects one mismatching row with one
 // mismatching column, so multiple simultaneous errors sharing a row (or a
 // column) are only partially locatable — an inherent property of the
-// paper's scheme, not an implementation defect. These tests pin the
-// library's behaviour in that corner: detection always fires, the run
-// never crashes or corrupts further, and the final error stays bounded by
-// the injected magnitudes (no amplification).
+// two-vector scheme, not an implementation defect. Re-evaluating the flagged
+// row has no such limit (TestOnline2DSameRowErrorsRepaired), so the corner
+// is reached through PaperExactCorrection, which asks for the paper's
+// algebra and gets all of it; checksum's RepairRect tests pin the pairing
+// itself. These tests pin the library's behaviour in that corner: detection
+// always fires, the run never crashes or corrupts further, and the final
+// error stays bounded by the injected magnitudes (no amplification).
 
 func TestOnline2DTwoErrorsSameRowIsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
@@ -30,17 +34,22 @@ func TestOnline2DTwoErrorsSameRowIsBounded(t *testing.T) {
 		fault.Injection{Iteration: 12, X: 3, Y: 7, Bit: 52},
 		fault.Injection{Iteration: 12, X: 15, Y: 7, Bit: 53},
 	)
-	p, err := NewOnline2D(op, init, opts64())
+	o := opts64()
+	o.PaperExactCorrection = true
+	p, err := NewOnline2D(op, init, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	injector := fault.NewInjector[float64](plan)
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	st := p.Stats()
 	if st.Detections == 0 {
 		t.Fatalf("same-row double error not detected at all: %+v", st)
+	}
+	if st.CorrectedPoints != 1 {
+		t.Fatalf("one row against two columns locates one point, corrected %d: %+v", st.CorrectedPoints, st)
 	}
 	// Bit 52 flips the lowest exponent bit: the corrupted values change
 	// by a factor of ~2, i.e. |delta| is on the order of the state
@@ -81,7 +90,7 @@ func TestOffline2DTwoErrorsSameRowStillErased(t *testing.T) {
 	}
 	injector := fault.NewInjector[float64](plan)
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	p.Finalize()
 	st := p.Stats()
@@ -111,16 +120,10 @@ func TestOnline2DCancellingErrorsEscape(t *testing.T) {
 	// where the column checksum cancels and only the row checksum can
 	// see them.
 	const delta = 50.0
-	hook := func(x, y, z int, v float64) float64 {
-		if y == 5 && x == 3 {
-			return v + delta
-		}
-		if y == 5 && x == 9 {
-			return v - delta
-		}
-		return v
-	}
-	p.StepInject(hook)
+	p.StepInject([]stencil.Site[float64]{
+		{X: 3, Y: 5, Mutate: func(v float64) float64 { return v + delta }},
+		{X: 9, Y: 5, Mutate: func(v float64) float64 { return v - delta }},
+	})
 	// The fused column checksum of row 5 is unchanged (+delta-delta), so
 	// the cheap per-iteration detector cannot fire — by design, only the
 	// lazily computed row checksum could see this pattern, and it is

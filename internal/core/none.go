@@ -42,15 +42,15 @@ func (p *None2D[T]) Grid3D() *grid.Grid3D[T] { return nil }
 func (p *None2D[T]) Finalize() {}
 
 // Step advances one sweep, applying the configured injection source.
-func (p *None2D[T]) Step() { p.StepInject(stencil.HookAt(p.inj, p.iter)) }
+func (p *None2D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
 
-// StepInject advances one sweep with no checksum work, applying hook (when
-// non-nil) during the sweep.
-func (p *None2D[T]) StepInject(hook stencil.InjectFunc[T]) {
+// StepInject advances one sweep with no checksum work, applying the given
+// injection sites.
+func (p *None2D[T]) StepInject(sites []stencil.Site[T]) {
 	if p.pool != nil {
-		p.op.SweepParallelHook(p.pool, p.buf.Write, p.buf.Read, nil, hook)
+		p.op.SweepParallelInject(p.pool, p.buf.Write, p.buf.Read, nil, sites)
 	} else {
-		p.op.SweepRange(p.buf.Write, p.buf.Read, 0, p.buf.Read.Ny(), nil, hook)
+		p.op.SweepRange(p.buf.Write, p.buf.Read, 0, p.buf.Read.Ny(), nil, sites)
 	}
 	p.buf.Swap()
 	p.iter++
@@ -98,12 +98,12 @@ func (p *None3D[T]) Stats() Stats { return p.stats }
 func (p *None3D[T]) Finalize() {}
 
 // Step advances one sweep, applying the configured injection source.
-func (p *None3D[T]) Step() { p.StepInject(stencil.HookAt(p.inj, p.iter)) }
+func (p *None3D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
 
-// StepInject advances one sweep with no checksum work, applying hook (when
-// non-nil) during the sweep.
-func (p *None3D[T]) StepInject(hook stencil.InjectFunc[T]) {
-	p.op.SweepParallelHook(p.pool, p.buf.Write, p.buf.Read, nil, hook)
+// StepInject advances one sweep with no checksum work, applying the given
+// injection sites.
+func (p *None3D[T]) StepInject(sites []stencil.Site[T]) {
+	p.op.SweepLayersInject(p.pool, p.buf.Write, p.buf.Read, 0, p.buf.Read.Nz(), nil, sites)
 	p.buf.Swap()
 	p.iter++
 	p.stats.Iterations++

@@ -111,11 +111,11 @@ func (p *Offline2D[T]) Grid3D() *grid.Grid3D[T] { return nil }
 
 // Step advances one sweep applying the configured injection source,
 // verifying (and recovering) when the detection period elapses.
-func (p *Offline2D[T]) Step() { p.StepInject(stencil.HookAt(p.inj, p.iter)) }
+func (p *Offline2D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
 
-// StepInject is Step with an explicit per-call injection hook.
-func (p *Offline2D[T]) StepInject(hook stencil.InjectFunc[T]) {
-	p.sweep(hook)
+// StepInject is Step with explicit per-call injection sites.
+func (p *Offline2D[T]) StepInject(sites []stencil.Site[T]) {
+	p.sweep(sites)
 	if p.iter-p.lastSafe >= p.period {
 		p.verify(p.iter - p.lastSafe)
 	}
@@ -139,15 +139,15 @@ func (p *Offline2D[T]) Finalize() {
 
 // sweep runs one fused sweep, capturing the pre-sweep edge strips the
 // interpolation chain will need.
-func (p *Offline2D[T]) sweep(hook stencil.InjectFunc[T]) {
+func (p *Offline2D[T]) sweep(sites []stencil.Site[T]) {
 	src, dst := p.buf.Read, p.buf.Write
 	p.tel.SetIter(p.iter)
 	t0 := p.tel.Begin()
 	p.ring[(p.iter-p.lastSafe)%p.period].Capture(src)
 	if p.pool != nil {
-		p.op.SweepParallelHook(p.pool, dst, src, p.curB, hook)
+		p.op.SweepParallelInject(p.pool, dst, src, p.curB, sites)
 	} else {
-		p.op.SweepRange(dst, src, 0, src.Ny(), p.curB, hook)
+		p.op.SweepRange(dst, src, 0, src.Ny(), p.curB, sites)
 	}
 	p.tel.End(telemetry.PhaseSweep, t0)
 	p.buf.Swap()

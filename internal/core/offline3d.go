@@ -33,10 +33,10 @@ type Offline3D[T num.Float] struct {
 	store checkpoint.Store3D[T]
 
 	// sweepFn and interpFn are sweepLayers and interpLayers bound once, so
-	// handing them to the pool does not allocate a closure every step; hook
+	// handing them to the pool does not allocate a closure every step; sites
 	// and ringStep carry the current step's arguments to them.
 	sweepFn, interpFn func(lo, hi int)
-	hook              stencil.InjectFunc[T]
+	sites             []stencil.Site[T]
 	ringStep          int
 
 	iter     int
@@ -106,11 +106,11 @@ func (p *Offline3D[T]) Stats() Stats {
 
 // Step advances one sweep applying the configured injection source,
 // verifying (and recovering) when the detection period elapses.
-func (p *Offline3D[T]) Step() { p.StepInject(stencil.HookAt(p.inj, p.iter)) }
+func (p *Offline3D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
 
-// StepInject is Step with an explicit per-call injection hook.
-func (p *Offline3D[T]) StepInject(hook stencil.InjectFunc[T]) {
-	p.sweep(hook)
+// StepInject is Step with explicit per-call injection sites.
+func (p *Offline3D[T]) StepInject(sites []stencil.Site[T]) {
+	p.sweep(sites)
 	if p.iter-p.lastSafe >= p.period {
 		p.verify(p.iter - p.lastSafe)
 	}
@@ -131,13 +131,13 @@ func (p *Offline3D[T]) Finalize() {
 	}
 }
 
-func (p *Offline3D[T]) sweep(hook stencil.InjectFunc[T]) {
-	p.hook, p.ringStep = hook, (p.iter-p.lastSafe)%p.period
+func (p *Offline3D[T]) sweep(sites []stencil.Site[T]) {
+	p.sites, p.ringStep = sites, (p.iter-p.lastSafe)%p.period
 	p.tel.SetIter(p.iter)
 	t0 := p.tel.Begin()
 	p.pool.ForEachChunk(p.buf.Read.Nz(), p.sweepFn)
 	p.tel.End(telemetry.PhaseSweep, t0)
-	p.hook = nil
+	p.sites = nil
 	p.buf.Swap()
 	p.iter++
 	p.stats.Iterations++
@@ -150,7 +150,7 @@ func (p *Offline3D[T]) sweepLayers(lo, hi int) {
 	src, dst := p.buf.Read, p.buf.Write
 	for z := lo; z < hi; z++ {
 		p.ring[p.ringStep][z].Capture(src.Layer(z))
-		p.op.SweepLayer(dst, src, z, p.curB[z], p.hook)
+		p.op.SweepLayer(dst, src, z, p.curB[z], p.sites)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestOffline2DTwoFaultsInDistinctPeriods(t *testing.T) {
 	}
 	injector := fault.NewInjector[float64](plan)
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	p.Finalize()
 	st := p.Stats()
@@ -76,7 +76,7 @@ func TestOffline2DFaultInFinalPartialPeriod(t *testing.T) {
 	}
 	injector := fault.NewInjector[float64](plan)
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	if p.Stats().Detections != 0 {
 		t.Fatalf("error detected before Finalize: %+v", p.Stats())
@@ -133,7 +133,7 @@ func TestOnline2DSignBitFlip(t *testing.T) {
 	}
 	injector := fault.NewInjector[float64](plan)
 	for i := 0; i < iters; i++ {
-		p.StepInject(injector.HookFor(i))
+		p.StepInject(injector.SitesFor(i))
 	}
 	st := p.Stats()
 	if st.Detections != 1 || st.CorrectedPoints != 1 {

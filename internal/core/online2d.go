@@ -10,8 +10,9 @@ import (
 
 // Online2D protects a 2-D stencil run with the paper's online ABFT scheme
 // (Section 3). Per iteration it pays one fused checksum accumulation and
-// one O(ny·k·(1+r)) interpolation; the O(nx·ny) row-checksum pass and the
-// correction machinery run only after a detection.
+// one O(ny·k·(1+r)) interpolation; a detection re-evaluates the flagged
+// rows, and the O(nx·ny) row-checksum passes of the Equation-(10) repair
+// run only when that cannot serve.
 type Online2D[T num.Float] struct {
 	op   *stencil.Op2D[T]
 	buf  *grid.Buffer[T]
@@ -31,7 +32,8 @@ type Online2D[T num.Float] struct {
 	// path stays allocation-free. edgeRead always views buf.Read.
 	edgeRead, edgeWrite checksum.EdgeSource[T]
 
-	// scratch for the detection/correction slow path
+	// scratch for the detection/correction slow path; newA doubles as the
+	// saved row of the re-evaluation
 	prevA, newA, interpA []T
 
 	corr  checksum.Corrector[T]
@@ -92,18 +94,18 @@ func (p *Online2D[T]) Finalize() {}
 
 // Step advances the domain by one sweep, verifying and (when needed)
 // correcting afterwards, applying the configured injection source.
-func (p *Online2D[T]) Step() { p.StepInject(stencil.HookAt(p.inj, p.iter)) }
+func (p *Online2D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
 
-// StepInject is Step with an explicit per-call injection hook, applied
-// during the sweep when non-nil.
-func (p *Online2D[T]) StepInject(hook stencil.InjectFunc[T]) {
+// StepInject is Step with explicit per-call injection sites, applied by the
+// sweep.
+func (p *Online2D[T]) StepInject(sites []stencil.Site[T]) {
 	src, dst := p.buf.Read, p.buf.Write
 	p.tel.SetIter(p.iter)
 	t0 := p.tel.Begin()
 	if p.pool != nil {
-		p.op.SweepParallelHook(p.pool, dst, src, p.newB, hook)
+		p.op.SweepParallelInject(p.pool, dst, src, p.newB, sites)
 	} else {
-		p.op.SweepRange(dst, src, 0, src.Ny(), p.newB, hook)
+		p.op.SweepRange(dst, src, 0, src.Ny(), p.newB, sites)
 	}
 	p.tel.End(telemetry.PhaseSweep, t0)
 
@@ -135,19 +137,30 @@ func (p *Online2D[T]) Run(count int) {
 	}
 }
 
-// locateAndCorrect is the detection slow path: compute the row-checksum
-// pair lazily (the t-buffer still holds iteration t, so the previous row
-// checksum is recomputable on demand — the property that lets the fast
-// path maintain only one vector), intersect the mismatch lists and apply
+// locateAndCorrect is the detection slow path. The B mismatch names the
+// rows and the t-buffer still holds iteration t, so the flagged rows are
+// re-evaluated (checksum.RepairRows). What that cannot serve — and all of
+// it under PaperExactCorrection — takes the paper's two-vector path:
+// compute the row-checksum pair lazily (the previous one is recomputable
+// from the t-buffer on demand — the property that lets the fast path
+// maintain only one vector), intersect the mismatch lists and apply
 // Equation (10).
 func (p *Online2D[T]) locateAndCorrect(src, dst *grid.Grid[T], edges checksum.EdgeSource[T]) {
+	if !p.corr.PaperExact {
+		cells, ok := checksum.RepairRows(p.det, p.newB, p.interpB, p.newA, dst.Row, func(y int) T {
+			p.op.SweepRange(dst, src, y, y+1, p.newB, nil)
+			return p.newB[y]
+		})
+		if ok {
+			p.stats.Repaired(cells)
+			return
+		}
+		p.stats.CorrectedPoints += cells
+	}
 	stencil.ChecksumA(src, p.prevA)
 	p.ip.InterpolateA(p.prevA, edges, p.interpA)
 	stencil.ChecksumA(dst, p.newA)
 
-	n := p.corr.Repair(p.det, p.pol, dst, &checksum.Vectors[T]{A: p.newA, B: p.newB}, p.interpA, p.interpB)
-	p.stats.CorrectedPoints += n
-	if n == 0 { // the corruption sat in a checksum
-		p.stats.ChecksumRepairs++
-	}
+	// No located point means the corruption sat in a checksum.
+	p.stats.Repaired(p.corr.Repair(p.det, p.pol, dst, &checksum.Vectors[T]{A: p.newA, B: p.newB}, p.interpA, p.interpB))
 }

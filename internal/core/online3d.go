@@ -31,7 +31,9 @@ type Online3D[T num.Float] struct {
 	newB    [][]T // fused per-layer column checksums of iteration t+1
 	interpB [][]T // interpolated per-layer column checksums
 
-	// Row-checksum scratch of the repair path, allocated on first detection.
+	// Scratch of the repair path: newA, which doubles as the saved row of
+	// the re-evaluation, is allocated on the first detection, the per-layer
+	// vectors the first time the Equation-(10) path runs.
 	prevA, interpA [][]T
 	newA           []T
 
@@ -173,14 +175,14 @@ func (p *Online3D[T]) owned() []T {
 
 // Step advances one sweep applying the configured injection source; see
 // StepInject for the mechanics.
-func (p *Online3D[T]) Step() { p.StepInject(stencil.HookAt(p.inj, p.iter)) }
+func (p *Online3D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
 
 // StepInject advances one sweep: for a slab the ghost layers' checksums
 // first, then fused per-layer checksums, per-layer interpolation and
 // comparison, correction in the rare mismatch case. All
 // per-layer phases are partitioned over the pool; the correction slow path
 // runs inside the layer that flagged, with no cross-layer writes.
-func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
+func (p *Online3D[T]) StepInject(sites []stencil.Site[T]) {
 	src, dst := p.buf.Read, p.buf.Write
 	h, nz := p.h, src.Nz()
 
@@ -194,39 +196,24 @@ func (p *Online3D[T]) StepInject(hook stencil.InjectFunc[T]) {
 		p.tel.End(telemetry.PhaseVerify, t0)
 	}
 	t0 := p.tel.Begin()
-	p.op.SweepLayersHook(p.pool, dst, src, h, nz-h, p.newB, hook)
+	p.op.SweepLayersInject(p.pool, dst, src, h, nz-h, p.newB, sites)
 	p.tel.End(telemetry.PhaseSweep, t0)
 
 	// Interpolate and detect per layer. Mismatching layers are collected
-	// and corrected after the parallel phase: corrections mutate the
-	// write buffer and checksums of the flagged layer only, but the
-	// row-checksum interpolation reads neighbouring layers, so doing it
-	// outside the barrier keeps the memory model trivially racefree.
+	// and repaired after the parallel phase: a repair mutates the write
+	// buffer and checksums of the flagged layer only, but the row-checksum
+	// interpolation of the Equation-(10) path reads neighbouring layers, so
+	// doing it outside the barrier keeps the memory model trivially
+	// racefree.
 	t0 = p.tel.Begin()
-	flagged := p.flagged
-	clear(flagged)
+	clear(p.flagged)
 	p.pool.ForEachChunk(nz-2*h, p.detectFn)
 	p.stats.Verifications++
 	p.tel.End(telemetry.PhaseVerify, t0)
-	if slices.Contains(flagged, true) {
+	if slices.Contains(p.flagged, true) {
 		p.stats.Detections++
 		t0 = p.tel.Begin()
-		// The row-checksum interpolation of layer z needs prevA of
-		// layers z+dz, ghost layers included; compute prevA for every
-		// layer once (the slow path is rare and O(nx*ny*nz) total, the
-		// cost of one sweep).
-		if p.prevA == nil {
-			nx := src.Nx()
-			p.prevA, p.interpA, p.newA = makeLayers[T](nz, nx), makeLayers[T](nz, nx), make([]T, nx)
-		}
-		for z := 0; z < nz; z++ {
-			stencil.ChecksumA(src.Layer(z), p.prevA[z])
-		}
-		for z := h; z < nz-h; z++ {
-			if flagged[z] {
-				p.correctLayer(z, dst)
-			}
-		}
+		p.repair(src, dst)
 		p.tel.End(telemetry.PhaseRepair, t0)
 	}
 
@@ -257,6 +244,64 @@ func (p *Online3D[T]) Run(count int) {
 	}
 }
 
+// repair is the detection slow path, per flagged layer what Online2D's is
+// for a domain: re-evaluate the flagged rows (checksum.RepairRows), and take
+// the layers that cannot serve — all of them under PaperExactCorrection —
+// through the two-vector Equation-(10) path.
+func (p *Online3D[T]) repair(src, dst *grid.Grid3D[T]) {
+	nx, nz, h := src.Nx(), src.Nz(), p.h
+	if p.newA == nil {
+		p.newA = make([]T, nx)
+	}
+	pending := false
+	for z := h; z < nz-h; z++ {
+		if !p.flagged[z] {
+			continue
+		}
+		if !p.corr.PaperExact {
+			b := p.newB[z]
+			cells, ok := checksum.RepairRows(p.det, b, p.interpB[z], p.newA, dst.Layer(z).Row, func(y int) T {
+				p.op.SweepRows(dst, src, z, y, y+1, b)
+				return b[y]
+			})
+			if ok {
+				p.stats.Repaired(cells)
+				p.flagged[z] = false
+				continue
+			}
+			p.stats.CorrectedPoints += cells
+		}
+		pending = true
+	}
+	if !pending {
+		return
+	}
+	// The row-checksum interpolation of layer z reads prevA of the layers
+	// its stencil reaches, z-rz..z+rz, ghost layers included and, for a
+	// whole domain, through the boundary condition.
+	if p.prevA == nil {
+		p.prevA, p.interpA = makeLayers[T](nz, nx), makeLayers[T](nz, nx)
+	}
+	have := make([]bool, nz)
+	rz := p.op.St.RadiusZ()
+	for z := h; z < nz-h; z++ {
+		if !p.flagged[z] {
+			continue
+		}
+		for zz := z - rz; zz <= z+rz; zz++ {
+			l, ok := zz, true
+			if l < 0 || l >= nz {
+				l, ok = p.op.BC.ResolveIndex(l, nz)
+			}
+			if ok && !have[l] {
+				stencil.ChecksumA(src.Layer(l), p.prevA[l])
+				have[l] = true
+			}
+		}
+		p.correctLayer(z, dst) // mutates dst only; prevA sums src
+	}
+}
+
 // correctLayer locates and repairs the corrupted points of one flagged
 // layer using the 2-D correction algebra on that layer's checksum pairs.
 func (p *Online3D[T]) correctLayer(z int, dst *grid.Grid3D[T]) {
@@ -264,9 +309,6 @@ func (p *Online3D[T]) correctLayer(z int, dst *grid.Grid3D[T]) {
 	p.ip.InterpolateASlab(z-p.h, p.prevA, p.h, p.edges, p.interpA[z])
 	stencil.ChecksumA(layer, p.newA)
 
-	n := p.corr.Repair(p.det, p.pol, layer, &checksum.Vectors[T]{A: p.newA, B: p.newB[z]}, p.interpA[z], p.interpB[z])
-	p.stats.CorrectedPoints += n
-	if n == 0 { // the corruption sat in a checksum
-		p.stats.ChecksumRepairs++
-	}
+	// No located point means the corruption sat in a checksum.
+	p.stats.Repaired(p.corr.Repair(p.det, p.pol, layer, &checksum.Vectors[T]{A: p.newA, B: p.newB[z]}, p.interpA[z], p.interpB[z]))
 }

@@ -1,0 +1,366 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"stencilabft/internal/checksum"
+	"stencilabft/internal/fault"
+	"stencilabft/internal/grid"
+	"stencilabft/internal/num"
+	"stencilabft/internal/stencil"
+)
+
+// The repair contract: a flip the detector flags is located by
+// re-evaluating its row from the intact previous iteration, so the repaired
+// run continues bitwise equal to the fault-free one — grids and verified
+// checksums. What re-evaluation cannot serve takes the two-vector
+// Equation-(10) path, which behaves as it did when every detection took it.
+
+func sameBitsAll[T num.Float](a, b []T) bool {
+	for i, v := range a {
+		if !num.SameBits(v, b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// flipEveryBit runs one protected run per bit position with a single flip
+// of that bit and hands each run's outcome to check; it fails unless a fair
+// share of the positions were detected.
+func flipEveryBit[T num.Float](t *testing.T, run func(inj fault.Injection) (detected bool)) {
+	t.Helper()
+	bits, detected := num.BitWidth[T](), 0
+	for bit := 0; bit < bits; bit++ {
+		if run(fault.Injection{Iteration: 4 + bit%3, Bit: bit}) {
+			detected++
+		}
+	}
+	if detected < bits/3 {
+		t.Fatalf("only %d of %d bit positions were detected", detected, bits)
+	}
+}
+
+func online2DRepairIsBitwise[T num.Float](t *testing.T, eps T) {
+	rng := rand.New(rand.NewSource(61))
+	const nx, ny, iters = 21, 17, 12
+	op := &stencil.Op2D[T]{St: stencil.NinePoint[T]([9]T{0.05, 0.1, 0.05, 0.1, 0.4, 0.1, 0.05, 0.1, 0.05}), BC: grid.Mirror}
+	init := grid.New[T](nx, ny)
+	init.FillFunc(func(x, y int) T { return T(300 + 10*rng.Float64()) })
+	opt := Options[T]{Detector: checksum.Detector[T]{Epsilon: eps, AbsFloor: 1}}
+	clean, err := NewOnline2D(op, init, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean.Run(iters)
+	cells := [][2]int{{0, 0}, {nx - 1, 5}, {7, ny - 1}, {nx / 2, ny / 2}}
+	flipEveryBit[T](t, func(inj fault.Injection) bool {
+		inj.X, inj.Y = cells[inj.Bit%len(cells)][0], cells[inj.Bit%len(cells)][1]
+		o := opt
+		o.Inject = fault.NewInjector[T](fault.NewPlan(inj))
+		if inj.Bit%2 == 1 {
+			o.Pool = &stencil.Pool{Workers: 3}
+			defer o.Pool.Close()
+		}
+		p, err := NewOnline2D(op, init, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Run(iters)
+		st := p.Stats()
+		if st.Detections == 0 {
+			return false
+		}
+		if st.Detections != 1 || st.CorrectedPoints != 1 || st.ChecksumRepairs != 0 {
+			t.Fatalf("%v: %+v", inj, st)
+		}
+		if !sameBitsAll(p.Grid().Data(), clean.Grid().Data()) || !sameBitsAll(p.prevB, clean.prevB) {
+			t.Fatalf("%v: repaired run is not bitwise the fault-free run (max diff %g)", inj, p.Grid().MaxAbsDiff(clean.Grid()))
+		}
+		return true
+	})
+}
+
+func TestOnline2DRepairIsBitwise(t *testing.T) {
+	t.Run("float32", func(t *testing.T) { online2DRepairIsBitwise[float32](t, 1e-5) })
+	t.Run("float64", func(t *testing.T) { online2DRepairIsBitwise[float64](t, 1e-9) })
+}
+
+func online3DRepairIsBitwise[T num.Float](t *testing.T, eps T) {
+	rng := rand.New(rand.NewSource(62))
+	const nx, ny, nz, iters = 13, 11, 5, 10
+	op := &stencil.Op3D[T]{St: stencil.SevenPoint3D[T](0.5, 0.08, 0.08, 0.09, 0.09, 0.06, 0.10), BC: grid.Clamp}
+	init := grid.New3D[T](nx, ny, nz)
+	init.FillFunc(func(x, y, z int) T { return T(300 + 15*rng.Float64()) })
+	opt := Options[T]{Detector: checksum.Detector[T]{Epsilon: eps, AbsFloor: 1}}
+	clean, err := NewOnline3D(op, init, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean.Run(iters)
+	flipEveryBit[T](t, func(inj fault.Injection) bool {
+		inj.X, inj.Y, inj.Z = (3*inj.Bit)%nx, (5*inj.Bit)%ny, inj.Bit%nz
+		o := opt
+		o.Inject = fault.NewInjector[T](fault.NewPlan(inj))
+		if inj.Bit%2 == 1 {
+			o.Pool = &stencil.Pool{Workers: 3}
+			defer o.Pool.Close()
+		}
+		p, err := NewOnline3D(op, init, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Run(iters)
+		st := p.Stats()
+		if st.Detections == 0 {
+			return false
+		}
+		if st.Detections != 1 || st.CorrectedPoints != 1 || st.ChecksumRepairs != 0 {
+			t.Fatalf("%v: %+v", inj, st)
+		}
+		if !sameBitsAll(p.Grid3D().Data(), clean.Grid3D().Data()) {
+			t.Fatalf("%v: repaired run is not bitwise the fault-free run", inj)
+		}
+		for z := range p.prevB {
+			if !sameBitsAll(p.prevB[z], clean.prevB[z]) {
+				t.Fatalf("%v: layer %d checksums differ from the fault-free run's", inj, z)
+			}
+		}
+		if p.prevA != nil {
+			t.Fatalf("%v: a located flip took the two-vector path", inj)
+		}
+		return true
+	})
+}
+
+func TestOnline3DRepairIsBitwise(t *testing.T) {
+	t.Run("float32", func(t *testing.T) { online3DRepairIsBitwise[float32](t, 1e-5) })
+	t.Run("float64", func(t *testing.T) { online3DRepairIsBitwise[float64](t, 1e-9) })
+}
+
+// twoVector2D is the online step with the two-vector locate on every
+// detection — Online2D as it was before rows were re-evaluated, assembled
+// from the same package-level pieces. The fallback tests run it beside the
+// protector.
+type twoVector2D struct {
+	op                    *stencil.Op2D[float64]
+	buf                   *grid.Buffer[float64]
+	ip                    *checksum.Interp2D[float64]
+	det                   checksum.Detector[float64]
+	corr                  checksum.Corrector[float64]
+	prevB, newB, interpB  []float64
+	prevA, newA, interpA  []float64
+	detections, corrected int
+	checksumRepairs       int
+}
+
+func newTwoVector2D(t *testing.T, op *stencil.Op2D[float64], init *grid.Grid[float64], opt Options[float64]) *twoVector2D {
+	nx, ny := init.Nx(), init.Ny()
+	ip, err := checksum.NewInterp2D(op, nx, ny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &twoVector2D{op: op, buf: grid.BufferFrom(init), ip: ip, det: opt.Detector,
+		corr:  checksum.Corrector[float64]{PaperExact: opt.PaperExactCorrection},
+		prevB: make([]float64, ny), newB: make([]float64, ny), interpB: make([]float64, ny),
+		prevA: make([]float64, nx), newA: make([]float64, nx), interpA: make([]float64, nx)}
+	stencil.ChecksumB(q.buf.Read, q.prevB)
+	return q
+}
+
+func (q *twoVector2D) step(sites []stencil.Site[float64]) {
+	src, dst := q.buf.Read, q.buf.Write
+	q.op.SweepRange(dst, src, 0, src.Ny(), q.newB, sites)
+	edges := checksum.LiveEdges(src, q.op.BC, q.op.BCValue)
+	q.ip.InterpolateB(q.prevB, edges, q.interpB)
+	if q.det.AnyMismatch(q.newB, q.interpB) {
+		q.detections++
+		stencil.ChecksumA(src, q.prevA)
+		q.ip.InterpolateA(q.prevA, edges, q.interpA)
+		stencil.ChecksumA(dst, q.newA)
+		n := q.corr.Repair(q.det, checksum.PairByResidual, dst, &checksum.Vectors[float64]{A: q.newA, B: q.newB}, q.interpA, q.interpB)
+		q.corrected += n
+		if n == 0 {
+			q.checksumRepairs++
+		}
+	}
+	q.prevB, q.newB = q.newB, q.prevB
+	q.buf.Swap()
+}
+
+// sameAsTwoVector fails unless the protector and the two-vector reference
+// are in the same state, bit for bit, with the same repair counters.
+func sameAsTwoVector(t *testing.T, what string, p *Online2D[float64], q *twoVector2D) {
+	t.Helper()
+	st := p.Stats()
+	if st.Detections != q.detections || st.CorrectedPoints != q.corrected || st.ChecksumRepairs != q.checksumRepairs {
+		t.Fatalf("%s: stats %+v, two-vector reference detections=%d corrected=%d checksum-repairs=%d",
+			what, st, q.detections, q.corrected, q.checksumRepairs)
+	}
+	if !sameBitsAll(p.Grid().Data(), q.buf.Read.Data()) {
+		t.Fatalf("%s: grid differs from the two-vector reference by %g", what, p.Grid().MaxAbsDiff(q.buf.Read))
+	}
+	if !sameBitsAll(p.prevB, q.prevB) {
+		t.Fatalf("%s: verified checksums differ from the two-vector reference", what)
+	}
+}
+
+// TestOnline2DFallbackIsTheTwoVectorPath covers the inputs re-evaluation
+// cannot serve. Each must end exactly where the two-vector locate alone
+// would have ended.
+func TestOnline2DFallbackIsTheTwoVectorPath(t *testing.T) {
+	const nx, ny, iters = 24, 20, 14
+	rng := rand.New(rand.NewSource(63))
+	op := testOp(nx, ny)
+	init := testInit(rng, nx, ny)
+	pair := func(opt Options[float64]) (*Online2D[float64], *twoVector2D) {
+		p, err := NewOnline2D(op, init, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, newTwoVector2D(t, op, init, opt)
+	}
+
+	t.Run("flip in the read buffer between steps", func(t *testing.T) {
+		// The sweep reads the corrupted cell, so re-evaluating the rows it
+		// spoiled reproduces them: nothing changes and the fresh entries
+		// still disagree.
+		for _, bit := range []int{40, 51, 55, 62} {
+			p, q := pair(opts64())
+			for i := 0; i < iters; i++ {
+				if i == 6 {
+					for _, g := range []*grid.Grid[float64]{p.buf.Read, q.buf.Read} {
+						g.Set(9, 11, num.FlipBit(g.At(9, 11), bit))
+					}
+				}
+				p.Step()
+				q.step(nil)
+			}
+			if p.Stats().Detections == 0 {
+				t.Fatalf("bit %d: not detected", bit)
+			}
+			sameAsTwoVector(t, fmt.Sprintf("bit %d", bit), p, q)
+		}
+	})
+
+	t.Run("corrupted checksum entry", func(t *testing.T) {
+		// A site that leaves its cell alone and spoils the fused entry of
+		// another row instead: the domain is intact, re-evaluating the row
+		// changes no cell and refreshes the entry.
+		p, q := pair(opts64())
+		for i := 0; i < iters; i++ {
+			var ps, qs []stencil.Site[float64]
+			if i == 5 {
+				ps = []stencil.Site[float64]{{X: 2, Y: 3, Mutate: func(v float64) float64 { p.newB[12] += 1e3; return v }}}
+				qs = []stencil.Site[float64]{{X: 2, Y: 3, Mutate: func(v float64) float64 { q.newB[12] += 1e3; return v }}}
+			}
+			p.StepInject(ps)
+			q.step(qs)
+		}
+		if st := p.Stats(); st.Detections != 1 || st.CorrectedPoints != 0 || st.ChecksumRepairs != 1 {
+			t.Fatalf("stats %+v", st)
+		}
+		sameAsTwoVector(t, "corrupted entry", p, q)
+		if want := referenceRun(op, init, iters); !sameBitsAll(p.Grid().Data(), want.Data()) {
+			t.Fatal("a corrupted checksum entry changed the domain")
+		}
+	})
+
+	t.Run("PaperExactCorrection", func(t *testing.T) {
+		// The paper's algebra is asked for and all of it is given: no row
+		// is re-evaluated, every detection is an Equation-(10) repair.
+		opt := opts64()
+		opt.PaperExactCorrection = true
+		for bit := 30; bit < 64; bit++ {
+			p, q := pair(opt)
+			inj := fault.NewInjector[float64](fault.NewPlan(fault.Injection{Iteration: 3, X: bit % nx, Y: (7 * bit) % ny, Bit: bit}))
+			for i := 0; i < iters; i++ {
+				p.StepInject(inj.SitesFor(i))
+				q.step(inj.SitesFor(i))
+			}
+			sameAsTwoVector(t, fmt.Sprintf("bit %d", bit), p, q)
+		}
+	})
+}
+
+// TestOnline3DFallback drives a 3-D detection down the two-vector path (a
+// flip in the read buffer) and checks the one thing that path does
+// differently from a full pass: it sums prevA only for the layers the
+// flagged layers' interpolation reads. The interpolated row checksums it
+// built must be those a full set of prevA vectors gives.
+func TestOnline3DFallback(t *testing.T) {
+	const nx, ny, nz, iters = 12, 10, 6, 9
+	st := &stencil.Stencil[float64]{Name: "reach2", Points: []stencil.Point[float64]{
+		{W: 0.5}, {DX: -1, W: 0.1}, {DX: 1, W: 0.1}, {DY: -1, W: 0.1}, {DY: 1, W: 0.1}, {DZ: -2, W: 0.05}, {DZ: 1, W: 0.05},
+	}}
+	for _, bc := range []grid.Boundary{grid.Clamp, grid.Periodic, grid.Mirror, grid.Constant, grid.Zero} {
+		for _, z := range []int{0, 3, nz - 1} {
+			rng := rand.New(rand.NewSource(64))
+			op := &stencil.Op3D[float64]{St: st, BC: bc, BCValue: 280}
+			init := grid.New3D[float64](nx, ny, nz)
+			init.FillFunc(func(x, y, z int) float64 { return 300 + 15*rng.Float64() })
+			p, err := NewOnline3D(op, init, opts64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Run(4)
+			g := p.buf.Read
+			g.Set(5, 4, z, num.FlipBit(g.At(5, 4, z), 55))
+			flaggedBefore := p.Stats().Detections
+			p.Step()
+			if p.Stats().Detections != flaggedBefore+1 || p.prevA == nil {
+				t.Fatalf("%s z=%d: the read-buffer flip did not reach the two-vector path: %+v", bc, z, p.Stats())
+			}
+			// After the swap the write half still holds the step's source.
+			src := p.buf.Write
+			full := makeLayers[float64](nz, nx)
+			for l := 0; l < nz; l++ {
+				stencil.ChecksumA(src.Layer(l), full[l])
+			}
+			want := make([]float64, nx)
+			for l := 0; l < nz; l++ {
+				if !p.flagged[l] {
+					continue
+				}
+				p.ip.InterpolateASlab(l, full, 0, p.edgesAlt, want)
+				if !sameBitsAll(p.interpA[l], want) {
+					t.Fatalf("%s z=%d: layer %d interpolated from a partial prevA set", bc, z, l)
+				}
+			}
+			// The checksums track the domain afterwards: no further detection.
+			p.Run(iters)
+			if p.Stats().Detections != flaggedBefore+1 {
+				t.Fatalf("%s z=%d: detections after the repair: %+v", bc, z, p.Stats())
+			}
+		}
+	}
+}
+
+// TestOnline2DSameRowErrorsRepaired: two flips sharing a row defeat the
+// intersection of one mismatching row with two mismatching columns (see
+// limitations_test.go), but not the re-evaluation of that row.
+func TestOnline2DSameRowErrorsRepaired(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	nx, ny := 24, 20
+	op := testOp(nx, ny)
+	init := testInit(rng, nx, ny)
+	const iters = 30
+	o := opts64()
+	o.Inject = fault.NewInjector[float64](fault.NewPlan(
+		fault.Injection{Iteration: 12, X: 3, Y: 7, Bit: 52},
+		fault.Injection{Iteration: 12, X: 15, Y: 7, Bit: 53},
+	))
+	p, err := NewOnline2D(op, init, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(iters)
+	if st := p.Stats(); st.Detections != 1 || st.CorrectedPoints != 2 {
+		t.Fatalf("stats %+v", st)
+	}
+	if !sameBitsAll(p.Grid().Data(), referenceRun(op, init, iters).Data()) {
+		t.Fatal("same-row double error not repaired exactly")
+	}
+}

@@ -169,7 +169,7 @@ type Cluster[T num.Float] struct {
 type engine[T num.Float] interface {
 	// advance runs iteration abs in full on the rank's goroutine: halo
 	// exchange, sweep, verification, repair, buffer swap.
-	advance(abs int, hook stencil.InjectFunc[T])
+	advance(abs int, sites []stencil.Site[T])
 	// counters returns the rank's ABFT and halo counters.
 	counters() Stats
 	// The restartable state, see shell.PackState.
@@ -318,7 +318,7 @@ func (c *Cluster[T]) Grid3D() *grid.Grid3D[T] { return nil }
 // start wires the ranks already listed in c.hosted (id, eng, tel) to tr and
 // spawns their goroutines. locate maps an injection of the global
 // Options.Inject plan to the rank owning its point and to that rank's
-// extended-grid frame — the coordinate the sweep hook sees — or reports
+// extended-grid frame — the coordinates its sweep's sites are in — or reports
 // that it falls outside the domain. Injections owned by a rank another
 // process hosts are dropped: each process routes the same global plan, so
 // every injection is applied exactly once cluster-wide.
@@ -488,7 +488,7 @@ func (c *shell[T]) Run(count int) {
 func (c *shell[T]) RunRecover(count int) error { return c.run(count) }
 
 // run advances iters lockstep iterations by handing each persistent rank
-// goroutine a command and joining them. Each rank's sweep hook applies the
+// goroutine a command and joining them. Each rank's sweep applies the
 // configured Options.Inject plan, looked up at the absolute iteration. A
 // rank that panics with an error (the transport fault path) aborts
 // the transport so its sibling ranks unwind from their own blocked
@@ -554,7 +554,7 @@ func (c *shell[T]) runBatch(h *hostedRank[T], cmd rankCmd) {
 	for t := 0; t < cmd.iters; t++ {
 		abs := cmd.base + t
 		h.tel.SetIter(abs)
-		h.eng.advance(abs, stencil.HookAt(h.plan, abs))
+		h.eng.advance(abs, stencil.SitesAt(h.plan, abs))
 		if c.afterStep != nil {
 			c.afterStep(h.id, abs)
 		}

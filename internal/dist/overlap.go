@@ -101,19 +101,20 @@ func (r *rank[T]) margins(s int) (exL, exR, exU, exD int) {
 // absolute iteration number; halo exchanges happen when abs%depth == 0,
 // so a restored rank must resume on a multiple of depth (checkpoint
 // periods are validated to be multiples of the halo depth).
-func (r *rank[T]) advance(abs int, hook stencil.InjectFunc[T]) {
+func (r *rank[T]) advance(abs int, sites []stencil.Site[T]) {
 	s := 0
 	if r.depth > 1 {
 		s = abs % r.depth
 	}
 	src, dst := r.buf.Read, r.buf.Write
+	r.segY0, r.segY1 = 0, 0
 	exL, exR, exU, exD := r.margins(s)
 	sx0, sx1 := r.loX()-exL, r.hiX()+exR
 	sy0, sy1 := r.loY()-exU, r.hiY()+exD
 	if s == 0 {
-		r.sweepExchange(src, dst, sx0, sx1, sy0, sy1, hook)
+		r.sweepExchange(src, dst, sx0, sx1, sy0, sy1, sites)
 	} else {
-		r.sweepLocal(src, dst, sx0, sx1, sy0, sy1, hook)
+		r.sweepLocal(src, dst, sx0, sx1, sy0, sy1, sites)
 	}
 	r.finishStep(src, dst)
 }
@@ -123,7 +124,7 @@ func (r *rank[T]) advance(abs int, hook stencil.InjectFunc[T]) {
 // lands, then post y sends (corners now threaded) and do the same for the
 // y strips. The sweep rectangle [sx0,sx1)x[sy0,sy1) extends beyond the
 // tile by the depth-k margin on neighbour sides.
-func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, hook stencil.InjectFunc[T]) {
+func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, sites []stencil.Site[T]) {
 	// Ghost synthesis that does not depend on inbound halos: BC side
 	// columns over the tile rows, then full-width BC edge rows. The edge
 	// rows' halo-column segments may still be stale when a real x
@@ -248,7 +249,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 		r.tel.End(telemetry.PhaseVerify, t0)
 	}
 	t0 = r.tel.Begin()
-	r.sweepChunked(dst, src, ix0, iy0, ix1, iy1, true, hook)
+	r.sweepChunked(dst, src, ix0, iy0, ix1, iy1, true, sites)
 	r.tel.End(telemetry.PhaseInteriorSweep, t0)
 
 	// x strips, each swept as its halo lands.
@@ -258,12 +259,12 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 			t0 = r.tel.Begin()
 			d, in := r.tr.RecvEither(r.id, Left, Right)
 			r.tel.End(telemetry.PhaseBoundaryWait, t0)
-			r.xStripLanded(dst, src, d, in, sx0, sx1, ix0, ix1, iy0, iy1, hook)
+			r.xStripLanded(dst, src, d, in, sx0, sx1, ix0, ix1, iy0, iy1, sites)
 			d = d.Opposite()
 			t0 = r.tel.Begin()
 			in = r.tr.Recv(r.id, d)
 			r.tel.End(telemetry.PhaseBoundaryWait, t0)
-			r.xStripLanded(dst, src, d, in, sx0, sx1, ix0, ix1, iy0, iy1, hook)
+			r.xStripLanded(dst, src, d, in, sx0, sx1, ix0, ix1, iy0, iy1, sites)
 		} else {
 			// One strip outstanding, or a tile too thin for disjoint
 			// strips (each strip then needs both halos): ordered receives.
@@ -286,14 +287,14 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 				r.refreshEdgeRowCols(r.hiX(), r.hiX()+r.hx)
 				t1 := r.tel.Begin()
 				r.tel.End(telemetry.PhaseUnpack, t0)
-				r.sweepRect(dst, src, sx0, iy0, sx1, iy1, false, hook)
+				r.sweepRect(dst, src, sx0, iy0, sx1, iy1, false, sites)
 				r.tel.End(telemetry.PhaseBoundarySweep, t1)
 			} else {
 				if inL != nil {
-					r.xStripLanded(dst, src, Left, inL, sx0, sx1, ix0, ix1, iy0, iy1, hook)
+					r.xStripLanded(dst, src, Left, inL, sx0, sx1, ix0, ix1, iy0, iy1, sites)
 				}
 				if inR != nil {
-					r.xStripLanded(dst, src, Right, inR, sx0, sx1, ix0, ix1, iy0, iy1, hook)
+					r.xStripLanded(dst, src, Right, inR, sx0, sx1, ix0, ix1, iy0, iy1, sites)
 				}
 			}
 		}
@@ -315,6 +316,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 			stencil.ChecksumBRect(dst, r.loX(), iy0, r.hiX(), iy1, r.newExtB[iy0:])
 		} else {
 			r.combineRowChecksums(dst, iy0, iy1, ix0, ix1, sx0 == r.loX(), sx1 == r.hiX())
+			r.segX0, r.segX1, r.segY0, r.segY1 = ix0, ix1, iy0, iy1
 		}
 		r.tel.End(telemetry.PhaseBoundarySweep, t0)
 	}
@@ -345,13 +347,13 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 			runtime.Gosched()
 			if r.hasU {
 				if in, ok := r.tr.TryRecv(r.id, Up); ok {
-					r.yStripLanded(dst, src, Up, in, sx0, sx1, sy0, sy1, iy0, iy1, hook)
+					r.yStripLanded(dst, src, Up, in, sx0, sx1, sy0, sy1, iy0, iy1, sites)
 					gotU = true
 				}
 			}
 			if r.hasD {
 				if in, ok := r.tr.TryRecv(r.id, Down); ok {
-					r.yStripLanded(dst, src, Down, in, sx0, sx1, sy0, sy1, iy0, iy1, hook)
+					r.yStripLanded(dst, src, Down, in, sx0, sx1, sy0, sy1, iy0, iy1, sites)
 					gotD = true
 				}
 			}
@@ -361,12 +363,12 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 			t0 = r.tel.Begin()
 			d, in := r.tr.RecvEither(r.id, Up, Down)
 			r.tel.End(telemetry.PhaseBoundaryWait, t0)
-			r.yStripLanded(dst, src, d, in, sx0, sx1, sy0, sy1, iy0, iy1, hook)
+			r.yStripLanded(dst, src, d, in, sx0, sx1, sy0, sy1, iy0, iy1, sites)
 			d = d.Opposite()
 			t0 = r.tel.Begin()
 			in = r.tr.Recv(r.id, d)
 			r.tel.End(telemetry.PhaseBoundaryWait, t0)
-			r.yStripLanded(dst, src, d, in, sx0, sx1, sy0, sy1, iy0, iy1, hook)
+			r.yStripLanded(dst, src, d, in, sx0, sx1, sy0, sy1, iy0, iy1, sites)
 		} else if needU || needD {
 			var inU, inD []T
 			if needU {
@@ -386,17 +388,17 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 				t1 := r.tel.Begin()
 				r.tel.End(telemetry.PhaseUnpack, t0)
 				fusedY := sx0 == r.loX() && sx1 == r.hiX()
-				r.sweepRect(dst, src, sx0, sy0, sx1, sy1, fusedY, hook)
+				r.sweepRect(dst, src, sx0, sy0, sx1, sy1, fusedY, sites)
 				if !fusedY {
 					stencil.ChecksumBRect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newExtB[r.loY():])
 				}
 				r.tel.End(telemetry.PhaseBoundarySweep, t1)
 			} else {
 				if inU != nil {
-					r.yStripLanded(dst, src, Up, inU, sx0, sx1, sy0, sy1, iy0, iy1, hook)
+					r.yStripLanded(dst, src, Up, inU, sx0, sx1, sy0, sy1, iy0, iy1, sites)
 				}
 				if inD != nil {
-					r.yStripLanded(dst, src, Down, inD, sx0, sx1, sy0, sy1, iy0, iy1, hook)
+					r.yStripLanded(dst, src, Down, inD, sx0, sx1, sy0, sy1, iy0, iy1, sites)
 				}
 			}
 		}
@@ -415,7 +417,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 // unblocks: unpack the columns, refresh the BC ghost rows' now-stale
 // column segments on that side, then sweep the boundary strip between the
 // sweep rectangle's edge and the interior.
-func (r *rank[T]) xStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, ix0, ix1, iy0, iy1 int, hook stencil.InjectFunc[T]) {
+func (r *rank[T]) xStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, ix0, ix1, iy0, iy1 int, sites []stencil.Site[T]) {
 	t0 := r.tel.Begin()
 	if d == Left {
 		r.unpackCols(src, 0, in)
@@ -434,13 +436,13 @@ func (r *rank[T]) xStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, 
 		if sx0 == r.loX() {
 			b = r.stripBL[iy0:]
 		}
-		r.op.SweepRectFused(dst, src, sx0, iy0, ix0, iy1, b, hook)
+		r.op.SweepRectFused(dst, src, sx0, iy0, ix0, iy1, b, sites)
 	} else {
 		var b []T
 		if sx1 == r.hiX() {
 			b = r.stripBR[iy0:]
 		}
-		r.op.SweepRectFused(dst, src, ix1, iy0, sx1, iy1, b, hook)
+		r.op.SweepRectFused(dst, src, ix1, iy0, sx1, iy1, b, sites)
 	}
 	r.tel.End(telemetry.PhaseBoundarySweep, t1)
 }
@@ -450,7 +452,7 @@ func (r *rank[T]) xStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, 
 // edge and the interior. When the x margins are zero the strip spans
 // exactly the tile width and the checksum fusion holds; otherwise the
 // strip's tile rows get the ChecksumBRect post-pass.
-func (r *rank[T]) yStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, sy0, sy1, iy0, iy1 int, hook stencil.InjectFunc[T]) {
+func (r *rank[T]) yStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, sy0, sy1, iy0, iy1 int, sites []stencil.Site[T]) {
 	nxExt := r.nxLoc + 2*r.hx
 	data := src.Data()
 	t0 := r.tel.Begin()
@@ -468,7 +470,7 @@ func (r *rank[T]) yStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, 
 		y0, y1 = iy1, sy1
 	}
 	fusedY := sx0 == r.loX() && sx1 == r.hiX()
-	r.sweepRect(dst, src, sx0, y0, sx1, y1, fusedY, hook)
+	r.sweepRect(dst, src, sx0, y0, sx1, y1, fusedY, sites)
 	if !fusedY {
 		ty0, ty1 := max(y0, r.loY()), min(y1, r.hiY())
 		if ty1 > ty0 {
@@ -509,6 +511,26 @@ func (r *rank[T]) combineRowChecksums(dst *grid.Grid[T], y0, y1, ix0, ix1 int, u
 	}
 }
 
+// rowChecksum is the tile-width column checksum of row y of dst, summed the
+// way this iteration's sweep composed the row's entry: left + interior +
+// right for the rows combineRowChecksums folded, one left-to-right pass for
+// every other. It is what the repair path refreshes a re-evaluated row's
+// entry with, so a repaired step leaves the checksums a clean one would.
+func (r *rank[T]) rowChecksum(dst *grid.Grid[T], y int) T {
+	row, lo, hi := dst.Row(y), r.loX(), r.hiX()
+	if y < r.segY0 || y >= r.segY1 {
+		return num.Sum(row[lo:hi])
+	}
+	b := num.Sum(row[r.segX0:r.segX1])
+	if r.segX0 > lo {
+		b = num.Sum(row[lo:r.segX0]) + b
+	}
+	if r.segX1 < hi {
+		b += num.Sum(row[r.segX1:hi])
+	}
+	return b
+}
+
 // refreshEdgeRowCols re-synthesises the [x0,x1) column segment of any
 // BC-synthesised ghost rows after an inbound x strip rewrote the halo
 // columns the full-width edge fill copied from. Rows with a real y
@@ -527,7 +549,7 @@ func (r *rank[T]) refreshEdgeRowCols(x0, x1 int) {
 // the shrinking shell of redundantly recomputed neighbour points — the
 // same kernel over bit-identical inputs the owners sweep, so the shell
 // stays bit-exact with the communicated run.
-func (r *rank[T]) sweepLocal(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, hook stencil.InjectFunc[T]) {
+func (r *rank[T]) sweepLocal(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, sites []stencil.Site[T]) {
 	// BC ghosts are re-synthesised from current shell data every
 	// iteration: side columns over every row the shell sweeps read, then
 	// full-width edge rows (whose corner segments pick up the fresh side
@@ -551,19 +573,19 @@ func (r *rank[T]) sweepLocal(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, hoo
 	// Shell rects around the tile (no checksum fusion — checksums only
 	// ever cover the tile's own rows and columns).
 	if sy0 < r.loY() {
-		r.sweepRect(dst, src, sx0, sy0, sx1, r.loY(), false, hook)
+		r.sweepRect(dst, src, sx0, sy0, sx1, r.loY(), false, sites)
 	}
 	if sy1 > r.hiY() {
-		r.sweepRect(dst, src, sx0, r.hiY(), sx1, sy1, false, hook)
+		r.sweepRect(dst, src, sx0, r.hiY(), sx1, sy1, false, sites)
 	}
 	if sx0 < r.loX() {
-		r.sweepRect(dst, src, sx0, r.loY(), r.loX(), r.hiY(), false, hook)
+		r.sweepRect(dst, src, sx0, r.loY(), r.loX(), r.hiY(), false, sites)
 	}
 	if sx1 > r.hiX() {
-		r.sweepRect(dst, src, r.hiX(), r.loY(), sx1, r.hiY(), false, hook)
+		r.sweepRect(dst, src, r.hiX(), r.loY(), sx1, r.hiY(), false, sites)
 	}
 	// The tile itself, fused.
-	r.sweepChunked(dst, src, r.loX(), r.loY(), r.hiX(), r.hiY(), true, hook)
+	r.sweepChunked(dst, src, r.loX(), r.loY(), r.hiX(), r.hiY(), true, sites)
 	r.tel.End(telemetry.PhaseSweep, t0)
 }
 
@@ -599,7 +621,7 @@ func (r *rank[T]) finishStep(src, dst *grid.Grid[T]) {
 // sweepRect sweeps [x0,x1)x[y0,y1) on the rank goroutine, fusing the tile
 // column checksums when fuse is set (the rect must then span the full
 // tile width). Empty rects are no-ops.
-func (r *rank[T]) sweepRect(dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse bool, hook stencil.InjectFunc[T]) {
+func (r *rank[T]) sweepRect(dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse bool, sites []stencil.Site[T]) {
 	if x1 <= x0 || y1 <= y0 {
 		return
 	}
@@ -607,18 +629,18 @@ func (r *rank[T]) sweepRect(dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse boo
 	if fuse {
 		b = r.newExtB[y0:]
 	}
-	r.op.SweepRectFused(dst, src, x0, y0, x1, y1, b, hook)
+	r.op.SweepRectFused(dst, src, x0, y0, x1, y1, b, sites)
 }
 
 // sweepChunked is sweepRect with the rows split over the worker pool when
 // one is attached — used for the large rects (interior, tile middle)
 // where the parallelism pays for the chunking.
-func (r *rank[T]) sweepChunked(dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse bool, hook stencil.InjectFunc[T]) {
+func (r *rank[T]) sweepChunked(dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse bool, sites []stencil.Site[T]) {
 	if x1 <= x0 || y1 <= y0 {
 		return
 	}
 	if r.pool == nil {
-		r.sweepRect(dst, src, x0, y0, x1, y1, fuse, hook)
+		r.sweepRect(dst, src, x0, y0, x1, y1, fuse, sites)
 		return
 	}
 	r.pool.ForEachChunk(y1-y0, func(lo, hi int) {
@@ -626,6 +648,6 @@ func (r *rank[T]) sweepChunked(dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse 
 		if fuse {
 			b = r.newExtB[y0+lo:]
 		}
-		r.op.SweepRectFused(dst, src, x0, y0+lo, x1, y0+hi, b, hook)
+		r.op.SweepRectFused(dst, src, x0, y0+lo, x1, y0+hi, b, sites)
 	})
 }

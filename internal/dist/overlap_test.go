@@ -192,10 +192,10 @@ func TestClusterThinTileStrips(t *testing.T) {
 
 // TestClusterDepthKFaultCorrected injects a bit flip mid-tile under
 // depth-2 ghost zones: the owning rank must detect and correct it with
-// the depth-k interpolators. Correction is Equation (10), exact only to
-// rounding, and under depth-k the corrected point's residual also rides
-// the redundantly recomputed shells — so the run must end within a tight
-// numerical envelope of the reference rather than bit-identical.
+// the depth-k interpolators. The corrupted row is re-evaluated from the
+// read buffer before the neighbours' shells or the next exchange can see
+// it, so the run ends bit-identical to the reference
+// (TestClusterGridRepairIsBitwise covers every bit position).
 func TestClusterDepthKFaultCorrected(t *testing.T) {
 	const nx, ny, iters = 33, 40, 8
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5[float64](0.2), BC: grid.Clamp}
@@ -219,7 +219,7 @@ func TestClusterDepthKFaultCorrected(t *testing.T) {
 	if ts.CorrectedPoints == 0 && ts.ChecksumRepairs == 0 {
 		t.Fatalf("injected fault not corrected under depth-2: %+v", ts)
 	}
-	if diff := c.Gather().MaxAbsDiff(want); diff > 1e-9 {
+	if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
 		t.Fatalf("corrected depth-2 run deviates from reference by %g", diff)
 	}
 }
@@ -227,7 +227,7 @@ func TestClusterDepthKFaultCorrected(t *testing.T) {
 // TestClusterRunAllocs pins the tentpole allocation property: once a
 // cluster is warm, a steady-state Run performs zero heap allocations per
 // iteration — persistent rank goroutines, preallocated pack buffers,
-// nil-hook sweep paths.
+// site-free sweep paths.
 func TestClusterRunAllocs(t *testing.T) {
 	const nx, ny = 64, 64
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5[float64](0.2), BC: grid.Clamp}

@@ -51,8 +51,13 @@ type rank[T num.Float] struct {
 	// prevExtA covers the extended x range [-hx, nxLoc+hx) — the halo
 	// entries are halo-column sums over the tile's rows, the tile
 	// generalisation of the band's ã resolution — newA/interpA are
-	// tile-only.
+	// tile-only. newA doubles as the saved row of the re-evaluation.
 	prevExtA, newA, interpA []T
+
+	// Rows [segY0, segY1) of this iteration's newExtB were composed from
+	// the x segments split at segX0 and segX1 (combineRowChecksums); every
+	// other row was summed in one pass. See rowChecksum.
+	segX0, segX1, segY0, segY1 int
 
 	// edgeRead/edgeWrite are the TileEdges views of the two buffer halves,
 	// boxed into the EdgeSource interface once at construction and swapped
@@ -191,19 +196,32 @@ func (r *rank[T]) hiX() int { return r.hx + r.nxLoc }
 func (r *rank[T]) loY() int { return r.hy }
 func (r *rank[T]) hiY() int { return r.hy + r.nyLoc }
 
-// locateAndCorrect is the detection slow path, tile-local throughout: lazy
-// row checksums over the extended x range (halo-column sums serve as the
-// out-of-tile ã values), tile-aware A interpolation (the y-window-shift
-// terms read real halo rows), mismatch intersection, and the numerically
-// stable Equation-(10) repair on the tile's partial sums.
+// locateAndCorrect is the detection slow path, tile-local throughout. The
+// flagged rows of the tile are re-evaluated from the read buffer, whose
+// halos still hold iteration t (checksum.RepairRows). What that cannot
+// serve takes the two-vector path: lazy row checksums over the extended x
+// range (halo-column sums serve as the out-of-tile ã values), tile-aware A
+// interpolation (the y-window-shift terms read real halo rows), mismatch
+// intersection, and the numerically stable Equation-(10) repair on the
+// tile's partial sums.
 func (r *rank[T]) locateAndCorrect(src, dst *grid.Grid[T], edges checksum.EdgeSource[T], newB []T) {
+	cells, ok := checksum.RepairRows(r.det, newB, r.interpB, r.newA,
+		func(j int) []T { return dst.Row(r.loY() + j)[r.loX():r.hiX()] },
+		func(j int) T {
+			y := r.loY() + j
+			r.op.SweepRectFused(dst, src, r.loX(), y, r.hiX(), y+1, nil, nil)
+			return r.rowChecksum(dst, y)
+		})
+	if ok {
+		r.stats.Repaired(cells)
+		return
+	}
+	r.stats.CorrectedPoints += cells
+
 	stencil.ChecksumARect(src, 0, r.loY(), r.loX()+r.hiX(), r.hiY(), r.prevExtA)
 	r.ip.InterpolateABlock(r.prevExtA, r.hx, edges, r.interpA)
 	stencil.ChecksumARect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newA)
 
-	n := checksum.RepairRect(r.det, r.pol, dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newA, newB, r.interpA, r.interpB)
-	r.stats.CorrectedPoints += n
-	if n == 0 { // the corruption sat in a checksum
-		r.stats.ChecksumRepairs++
-	}
+	// No located point means the corruption sat in a checksum.
+	r.stats.Repaired(checksum.RepairRect(r.det, r.pol, dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newA, newB, r.interpA, r.interpB))
 }

@@ -132,10 +132,10 @@ type rank3d[T num.Float] struct {
 	tel  *telemetry.Recorder // nil when telemetry is disabled
 }
 
-func (r *rank3d[T]) advance(abs int, hook stencil.InjectFunc[T]) {
+func (r *rank3d[T]) advance(abs int, sites []stencil.Site[T]) {
 	r.exchangeHalos()
 	r.SetIter(abs) // keeps the protector's span labels absolute across rebases
-	r.StepInject(hook)
+	r.StepInject(sites)
 }
 
 func (r *rank3d[T]) counters() Stats { return r.Stats().Merge(r.halo) }

@@ -49,7 +49,7 @@ func NewPlan(injs ...Injection) *Plan {
 func (p *Plan) Injections() []Injection { return p.all }
 
 // ForIteration returns the injections scheduled for the given iteration
-// (nil for most iterations, keeping the sweep hook-free on the fast path).
+// (nil for most iterations).
 func (p *Plan) ForIteration(iter int) []Injection {
 	if p == nil {
 		return nil
@@ -84,11 +84,12 @@ func FixedBit(rng *rand.Rand, iters, nx, ny, nz, bit int) Injection {
 	}
 }
 
-// Injector adapts a plan to the sweep engines' InjectFunc. It counts hits
-// so tests and campaigns can assert the planned flips actually landed
-// (e.g. an injection aimed at an out-of-range iteration never fires).
-// The hit log is mutex-guarded because the parallel sweep engines invoke
-// one hook from every worker of a row/layer partition concurrently.
+// Injector adapts a plan to the sweep engines' injection seam
+// (stencil.InjectSource). It logs a hit when a site is applied, so tests and
+// campaigns can assert the planned flips actually landed (an injection aimed
+// at an out-of-range iteration or cell never fires). The hit log is
+// mutex-guarded because the parallel sweep engines apply an iteration's
+// sites from whichever workers own their rows or layers.
 type Injector[T num.Float] struct {
 	plan *Plan
 	mu   sync.Mutex
@@ -109,23 +110,21 @@ func NewInjector[T num.Float](plan *Plan) *Injector[T] {
 	return &Injector[T]{plan: plan}
 }
 
-// HookFor returns the InjectFunc for the given iteration, or nil when the
-// iteration has no scheduled injection — the nil lets the sweep engines
-// skip the per-point hook branch entirely on clean iterations.
-func (in *Injector[T]) HookFor(iter int) stencil.InjectFunc[T] {
+// SitesFor returns the sites of the given iteration: one bit flip per
+// planned injection, nil for the iterations that have none.
+func (in *Injector[T]) SitesFor(iter int) []stencil.Site[T] {
 	injs := in.plan.ForIteration(iter)
 	if len(injs) == 0 {
 		return nil
 	}
-	return func(x, y, z int, v T) T {
-		for _, j := range injs {
-			if j.X == x && j.Y == y && j.Z == z {
-				in.mu.Lock()
-				in.hits = append(in.hits, j)
-				in.mu.Unlock()
-				return num.FlipBit(v, j.Bit)
-			}
-		}
-		return v
+	sites := make([]stencil.Site[T], len(injs))
+	for i, j := range injs {
+		sites[i] = stencil.Site[T]{X: j.X, Y: j.Y, Z: j.Z, Mutate: func(v T) T {
+			in.mu.Lock()
+			in.hits = append(in.hits, j)
+			in.mu.Unlock()
+			return num.FlipBit(v, j.Bit)
+		}}
 	}
+	return sites
 }

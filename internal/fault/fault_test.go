@@ -58,25 +58,23 @@ func TestFixedBitHoldsBit(t *testing.T) {
 	}
 }
 
-func TestInjectorHooksOnlyTargetIteration(t *testing.T) {
+func TestInjectorSitesOnlyTargetIteration(t *testing.T) {
 	plan := NewPlan(Injection{Iteration: 5, X: 2, Y: 3, Bit: 31})
 	in := NewInjector[float32](plan)
-	if in.HookFor(4) != nil || in.HookFor(6) != nil {
-		t.Fatal("hook returned for wrong iteration")
+	if in.SitesFor(4) != nil || in.SitesFor(6) != nil {
+		t.Fatal("sites returned for wrong iteration")
 	}
-	hook := in.HookFor(5)
-	if hook == nil {
-		t.Fatal("no hook for target iteration")
+	sites := in.SitesFor(5)
+	if len(sites) != 1 || sites[0].X != 2 || sites[0].Y != 3 || sites[0].Z != 0 {
+		t.Fatalf("sites for target iteration: %+v", sites)
 	}
-	// Wrong point: value passes through.
-	if got := hook(0, 0, 0, 1.5); got != 1.5 {
-		t.Fatalf("non-target point modified: %g", got)
-	}
+	// A site that is never applied (its cell outside what was swept) is
+	// never logged.
 	if len(in.Hits()) != 0 {
-		t.Fatal("hit recorded for non-target point")
+		t.Fatal("hit recorded before the site was applied")
 	}
-	// Target point: sign bit flipped, hit recorded.
-	if got := hook(2, 3, 0, 1.5); got != -1.5 {
+	// Applied: sign bit flipped, hit recorded.
+	if got := sites[0].Mutate(1.5); got != -1.5 {
 		t.Fatalf("target point not flipped: %g", got)
 	}
 	if len(in.Hits()) != 1 {
@@ -87,10 +85,9 @@ func TestInjectorHooksOnlyTargetIteration(t *testing.T) {
 func TestInjectorFlipMatchesNumFlipBit(t *testing.T) {
 	plan := NewPlan(Injection{Iteration: 0, X: 0, Y: 0, Z: 0, Bit: 30})
 	in := NewInjector[float64](plan)
-	hook := in.HookFor(0)
 	v := 3.25
-	if got, want := hook(0, 0, 0, v), num.FlipBit(v, 30); got != want {
-		t.Fatalf("hook flip %g, FlipBit %g", got, want)
+	if got, want := in.SitesFor(0)[0].Mutate(v), num.FlipBit(v, 30); got != want {
+		t.Fatalf("site flip %g, FlipBit %g", got, want)
 	}
 }
 

@@ -74,6 +74,15 @@ func FlipBit[T Float](v T, bit int) T {
 	}
 }
 
+// SameBits reports whether a and b have the same IEEE-754 representation —
+// equality that tells +0 from -0 and holds between identical NaNs.
+func SameBits[T Float](a, b T) bool {
+	if BitWidth[T]() == 32 {
+		return math.Float32bits(float32(a)) == math.Float32bits(float32(b))
+	}
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
 // BitWidth returns the number of bits in the IEEE-754 representation of T:
 // 32 for float32, 64 for float64.
 func BitWidth[T Float]() int {

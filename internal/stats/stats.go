@@ -51,6 +51,16 @@ type Stats struct {
 	Transport Transport
 }
 
+// Repaired books the outcome of one online repair: the domain points
+// corrected in place, or — when the domain needed none — a repair of the
+// checksum the corruption sat in.
+func (s *Stats) Repaired(points int) {
+	s.CorrectedPoints += points
+	if points == 0 {
+		s.ChecksumRepairs++
+	}
+}
+
 // Timing is the wall-clock phase breakdown of a telemetry-enabled run:
 // nanoseconds accumulated per phase, summed across ranks, plus the
 // extremes of barrier-wait needed for the imbalance report. The phase

@@ -126,7 +126,7 @@ func (f *rowFold[T]) rows(rows [][]T, src []T, st []int, lo, n int) {
 // per cell C first, then the points in declaration order, a ghost
 // contributing w*ghostVal in its slot — the order of the row kernels and of
 // the per-point reference they are pinned against.
-func (f *rowFold[T]) sweepEdges(dst, src, c, ws []T, st []int, base, e0, e1, y, z int, hook InjectFunc[T], acc T) T {
+func (f *rowFold[T]) sweepEdges(dst, src, c, ws []T, st []int, base, e0, e1 int, acc T) T {
 	k := len(st)
 	for e := e0; e < e1; e++ {
 		x := f.edgeX[e]
@@ -140,9 +140,6 @@ func (f *rowFold[T]) sweepEdges(dst, src, c, ws []T, st []int, base, e0, e1, y, 
 				val = src[s+col]
 			}
 			v += ws[i] * val
-		}
-		if hook != nil {
-			v = hook(x, y, z, v)
 		}
 		dst[base+x] = v
 		acc += v

@@ -36,30 +36,6 @@ func genericRow[T num.Float](dst, src, c []T, offs []int, ws []T, base, xlo, xhi
 	return acc
 }
 
-// genericRowHook is genericRow with the fault-injection hook applied to
-// each value before it is stored and accumulated. It is the one hook-path
-// interior loop shared by SweepRange, SweepLayer and SweepRectFused, kept
-// next to genericRow so the pairing — same operations, same order, so the
-// hook path stays bit-identical to the hook-free path — is structural
-// rather than three hand-synchronised copies.
-func genericRowHook[T num.Float](dst, src, c []T, offs []int, ws []T, base, xlo, xhi, y, z int, hook InjectFunc[T], acc T) T {
-	k := len(offs)
-	for x := xlo; x < xhi; x++ {
-		idx := base + x
-		var v T
-		if c != nil {
-			v = c[idx]
-		}
-		for i := 0; i < k; i++ {
-			v += ws[i] * src[idx+offs[i]]
-		}
-		v = hook(x, y, z, v)
-		dst[idx] = v
-		acc += v
-	}
-	return acc
-}
-
 // star5Row applies the five-point star (centre, west, east, north, south)
 // with weights kw[0..4] in that order.
 func star5Row[T num.Float](dst, src, c []T, base, xlo, xhi, nx int, kw *[9]T, acc T) T {

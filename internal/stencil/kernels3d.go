@@ -19,7 +19,7 @@ import "stencilabft/internal/num"
 // len(dst) up front, which also lets the compiler drop the bounds checks
 // from the loop bodies.
 //
-// star5Slices, box9Slices, genericSlices and genericSlicesHook are the
+// star5Slices, box9Slices and genericSlices are the
 // slice-form twins of the 2-D kernels. The 2-D drivers stay on the indexed
 // form until they move onto the fold themselves: the slice form runs their
 // interior 20-25 % faster, which the benchmark's cluster and serve ratios
@@ -38,27 +38,6 @@ func genericSlices[T num.Float](dst, c []T, rows [][]T, ws []T, acc T) T {
 		for i, r := range rows {
 			v += ws[i] * r[j]
 		}
-		dst[j] = v
-		acc += v
-	}
-	return acc
-}
-
-// genericSlicesHook is genericSlices with the fault-injection hook applied
-// to each value before it is stored and accumulated; dst[0] is the point
-// (x0, y, z). Same operations, same order, so the hook path stays
-// bit-identical to the hook-free one.
-func genericSlicesHook[T num.Float](dst, c []T, rows [][]T, ws []T, x0, y, z int, hook InjectFunc[T], acc T) T {
-	ws = ws[:len(rows)]
-	for j := range dst {
-		var v T
-		if c != nil {
-			v = c[j]
-		}
-		for i, r := range rows {
-			v += ws[i] * r[j]
-		}
-		v = hook(x0+j, y, z, v)
 		dst[j] = v
 		acc += v
 	}

@@ -2,7 +2,6 @@ package stencil
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,8 +12,8 @@ import (
 
 // The pin tests: every specialized kernel must be bit-identical to the
 // generic SweepRange across all five boundary conditions, odd and tiny
-// sizes (down to 2*radius+1), a non-nil constant field C, and a non-nil
-// inject hook. Specialization must never change results — the README's
+// sizes (down to 2*radius+1), a non-nil constant field C, and injection
+// sites. Specialization must never change results — the README's
 // guarantee points here. The 3-D sweep, whose boundary rows run through the
 // same kernels as its interior, is pinned against a naive per-point sweep
 // instead, down to the smallest domain Validate allows.
@@ -66,17 +65,12 @@ func sweepPair2D[T num.Float](t *testing.T, st *Stencil[T], bc grid.Boundary, nx
 	bFast := make([]T, ny)
 	bGen := make([]T, ny)
 
-	var hook InjectFunc[T]
+	var sites []Site[T]
 	if withHook {
-		hook = func(x, y, z int, v T) T {
-			if x == nx/2 && y == ny/2 {
-				return num.FlipBit(v, 12)
-			}
-			return v
-		}
+		sites = []Site[T]{{X: nx / 2, Y: ny / 2, Mutate: func(v T) T { return num.FlipBit(v, 12) }}}
 	}
-	fast.SweepRange(dstFast, src, 0, ny, bFast, hook)
-	gen.SweepRange(dstGen, src, 0, ny, bGen, hook)
+	fast.SweepRange(dstFast, src, 0, ny, bFast, sites)
+	gen.SweepRange(dstGen, src, 0, ny, bGen, sites)
 
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
@@ -125,10 +119,11 @@ func TestKernelPin2DFloat64(t *testing.T) { pinKernels2D[float64](t, "float64") 
 // naiveSweepLayer is the reference the row-folded 3-D sweep is pinned
 // against, and shares no code with it: BoundedGrid3D.At per stencil point in
 // declaration order, C first, hook before the store, b accumulated in x
-// order. Until the sweep folded boundaries per row, this was its own border
+// order — with the hook, the per-point injection loop the sweeps ran before
+// an injection became a site list (inject_test.go holds the 2-D one). Until the sweep folded boundaries per row, this was its own border
 // path (Op3D.pointSlow), which is why fast-against-ForceGeneric alone would
 // now compare the new code with itself.
-func naiveSweepLayer[T num.Float](op *Op3D[T], dst, src *grid.Grid3D[T], z int, b []T, hook InjectFunc[T]) {
+func naiveSweepLayer[T num.Float](op *Op3D[T], dst, src *grid.Grid3D[T], z int, b []T, hook pointHook[T]) {
 	bg := grid.BoundedGrid3D[T]{G: src, Cond: op.BC, ConstVal: op.BCValue}
 	for y := 0; y < src.Ny(); y++ {
 		var acc T
@@ -148,11 +143,6 @@ func naiveSweepLayer[T num.Float](op *Op3D[T], dst, src *grid.Grid3D[T], z int, 
 		}
 		b[y] = acc
 	}
-}
-
-// sameBits compares by bit pattern, so a flipped sign of zero counts.
-func sameBits[T num.Float](a, b T) bool {
-	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 }
 
 func pinKernels3D[T num.Float](t *testing.T, typ string) {
@@ -208,29 +198,26 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 
 							src := grid.New3D[T](nx, ny, nz)
 							src.FillFunc(func(x, y, z int) T { return T(rng.Float64()*200 - 100) })
-							var hook InjectFunc[T]
+							var sites []Site[T]
 							if withHook {
-								hook = func(x, y, z int, v T) T {
-									if (x == nx/2 || x == 0) && y == ny/2 && z == nz/2 {
-										return num.FlipBit(v, 9)
-									}
-									return v
-								}
+								flip := func(v T) T { return num.FlipBit(v, 9) }
+								sites = []Site[T]{{X: nx / 2, Y: ny / 2, Z: nz / 2, Mutate: flip}, {X: 0, Y: ny / 2, Z: nz / 2, Mutate: flip}}
 							}
+							hook := hookOf(sites)
 							want := grid.New3D[T](nx, ny, nz)
 							bWant := make([]T, ny)
 							for _, op := range []*Op3D[T]{fast, gen} {
 								got := grid.New3D[T](nx, ny, nz)
 								bGot := make([]T, ny)
 								for z := 0; z < nz; z++ {
-									op.SweepLayer(got, src, z, bGot, hook)
+									op.SweepLayer(got, src, z, bGot, sites)
 									naiveSweepLayer(op, want, src, z, bWant, hook)
 									for y := 0; y < ny; y++ {
-										if !sameBits(bGot[y], bWant[y]) {
+										if !num.SameBits(bGot[y], bWant[y]) {
 											t.Fatalf("generic=%v z=%d b[%d]: got %v, naive %v", op.ForceGeneric, z, y, bGot[y], bWant[y])
 										}
 										for x := 0; x < nx; x++ {
-											if g, w := got.At(x, y, z), want.At(x, y, z); !sameBits(g, w) {
+											if g, w := got.At(x, y, z), want.At(x, y, z); !num.SameBits(g, w) {
 												t.Fatalf("generic=%v (%d,%d,%d): got %v, naive %v", op.ForceGeneric, x, y, z, g, w)
 											}
 										}
@@ -371,7 +358,7 @@ func TestSweepParallel3DAllocFree(t *testing.T) {
 	}
 	pool := &Pool{Workers: 2}
 	defer pool.Close()
-	if n := testing.AllocsPerRun(20, func() { op.SweepParallelHook(pool, dst, src, bs, nil) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { op.SweepParallel(pool, dst, src, bs) }); n != 0 {
 		t.Fatalf("parallel 3-D sweep allocates %v times a call", n)
 	}
 }

@@ -158,13 +158,14 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 // entries of b, so no synchronisation beyond the final join is needed —
 // the "up to nx threads" independence the paper relies on.
 func (op *Op2D[T]) SweepParallel(p *Pool, dst, src *grid.Grid[T], b []T) {
-	op.SweepParallelHook(p, dst, src, b, nil)
+	op.SweepParallelInject(p, dst, src, b, nil)
 }
 
-// SweepParallelHook is SweepParallel with a per-point injection hook.
-func (op *Op2D[T]) SweepParallelHook(p *Pool, dst, src *grid.Grid[T], b []T, hook InjectFunc[T]) {
+// SweepParallelInject is SweepParallel with the iteration's injection
+// sites; each lands in exactly one worker's row range.
+func (op *Op2D[T]) SweepParallelInject(p *Pool, dst, src *grid.Grid[T], b []T, sites []Site[T]) {
 	p.ForEachChunk(src.Ny(), func(lo, hi int) {
-		op.SweepRange(dst, src, lo, hi, b, hook)
+		op.SweepRange(dst, src, lo, hi, b, sites)
 	})
 }
 
@@ -174,39 +175,35 @@ func (op *Op2D[T]) SweepParallelHook(p *Pool, dst, src *grid.Grid[T], b []T, hoo
 // worker that owns the layer, mirroring the paper's per-thread-per-layer
 // checksum ownership.
 func (op *Op3D[T]) SweepParallel(p *Pool, dst, src *grid.Grid3D[T], bs [][]T) {
-	op.SweepParallelHook(p, dst, src, bs, nil)
+	op.SweepLayersInject(p, dst, src, 0, src.Nz(), bs, nil)
 }
 
-// SweepParallelHook is SweepParallel with a per-point injection hook.
-func (op *Op3D[T]) SweepParallelHook(p *Pool, dst, src *grid.Grid3D[T], bs [][]T, hook InjectFunc[T]) {
-	op.SweepLayersHook(p, dst, src, 0, src.Nz(), bs, hook)
-}
-
-// SweepLayersHook sweeps layers [z0, z1) only, partitioned over the pool —
+// SweepLayersInject sweeps layers [z0, z1) only, partitioned over the pool —
 // the sweep of a z-slab whose remaining layers are ghost layers holding a
-// neighbour's data. bs is indexed by layer of the grid, like SweepParallel's.
+// neighbour's data — applying the iteration's injection sites, each in its
+// layer's worker. bs is indexed by layer of the grid, like SweepParallel's.
 // A steady-state call allocates nothing: what the workers need travels in a
 // layerSweep the operator keeps between calls instead of in a fresh closure.
-func (op *Op3D[T]) SweepLayersHook(p *Pool, dst, src *grid.Grid3D[T], z0, z1 int, bs [][]T, hook InjectFunc[T]) {
+func (op *Op3D[T]) SweepLayersInject(p *Pool, dst, src *grid.Grid3D[T], z0, z1 int, bs [][]T, sites []Site[T]) {
 	c := op.sweepc.Take() // nil on first use, or while a concurrent call holds it
 	if c == nil {
 		c = new(layerSweep[T])
 		c.run = c.layers
 	}
-	c.op, c.dst, c.src, c.z0, c.bs, c.hook = op, dst, src, z0, bs, hook
+	c.op, c.dst, c.src, c.z0, c.bs, c.sites = op, dst, src, z0, bs, sites
 	p.ForEachChunk(z1-z0, c.run)
 	*c = layerSweep[T]{run: c.run} // do not pin the caller's grids
 	op.sweepc.Store(c)
 }
 
-// layerSweep is the argument block of one SweepLayersHook call, with the
+// layerSweep is the argument block of one SweepLayersInject call, with the
 // chunk function the pool runs bound to it once.
 type layerSweep[T num.Float] struct {
 	op       *Op3D[T]
 	dst, src *grid.Grid3D[T]
 	z0       int
 	bs       [][]T
-	hook     InjectFunc[T]
+	sites    []Site[T]
 	run      func(lo, hi int)
 }
 
@@ -216,6 +213,6 @@ func (c *layerSweep[T]) layers(lo, hi int) {
 		if c.bs != nil {
 			b = c.bs[z]
 		}
-		c.op.SweepLayer(c.dst, c.src, z, b, c.hook)
+		c.op.SweepLayer(c.dst, c.src, z, b, c.sites)
 	}
 }

@@ -9,7 +9,8 @@ import (
 // accumulating the block's partial column checksums: b[j] = Σ_{x in
 // [x0,x1)} dst(x, y0+j) for j in [0, y1-y0). It is the per-block analogue
 // of SweepFused — the unit the paper's tiled deployment runs per chunk.
-// b may be nil; hook, when non-nil, receives domain coordinates.
+// b may be nil; sites are in domain coordinates and those outside the
+// rectangle are ignored.
 //
 // Disjoint rectangles touch disjoint dst cells and disjoint b slices, so
 // concurrent calls over a block partition need no locking.
@@ -17,10 +18,8 @@ import (
 // The interior of each row runs through the operator's compiled plan
 // (plan.go): precomputed offsets/weights — no per-call allocation — and a
 // hand-unrolled kernel when the stencil matches one of the canonical
-// shapes. A non-nil hook pins the interior to the generic loop, which
-// applies the same operations in the same order, so the hook path stays
-// bit-identical to the hook-free one.
-func (op *Op2D[T]) SweepRectFused(dst, src *grid.Grid[T], x0, y0, x1, y1 int, b []T, hook InjectFunc[T]) {
+// shapes.
+func (op *Op2D[T]) SweepRectFused(dst, src *grid.Grid[T], x0, y0, x1, y1 int, b []T, sites []Site[T]) {
 	nx, ny := src.Nx(), src.Ny()
 	if dst == src {
 		panic("stencil: sweep destination aliases source")
@@ -33,7 +32,6 @@ func (op *Op2D[T]) SweepRectFused(dst, src *grid.Grid[T], x0, y0, x1, y1 int, b 
 	}
 	pl := op.plan(nx, ny)
 	bg := grid.BoundedGrid[T]{G: src, Cond: op.BC, ConstVal: op.BCValue}
-	offs, ws := pl.offs, pl.ws
 	rx, ry := pl.rx, pl.ry
 	srcD, dstD := src.Data(), dst.Data()
 	var cD []T
@@ -52,22 +50,12 @@ func (op *Op2D[T]) SweepRectFused(dst, src *grid.Grid[T], x0, y0, x1, y1 int, b 
 		}
 		for x := x0; x < min(xlo, x1); x++ {
 			v := op.pointSlow(bg, cD, x, y, nx)
-			if hook != nil {
-				v = hook(x, y, 0, v)
-			}
 			dstD[base+x] = v
 			acc += v
 		}
-		if hook == nil {
-			acc = pl.sweepRow(dstD, srcD, cD, base, xlo, xhi, acc)
-		} else {
-			acc = genericRowHook(dstD, srcD, cD, offs, ws, base, xlo, xhi, y, 0, hook, acc)
-		}
+		acc = pl.sweepRow(dstD, srcD, cD, base, xlo, xhi, acc)
 		for x := max(xhi, min(xlo, x1)); x < x1; x++ {
 			v := op.pointSlow(bg, cD, x, y, nx)
-			if hook != nil {
-				v = hook(x, y, 0, v)
-			}
 			dstD[base+x] = v
 			acc += v
 		}
@@ -75,6 +63,7 @@ func (op *Op2D[T]) SweepRectFused(dst, src *grid.Grid[T], x0, y0, x1, y1 int, b 
 			b[y-y0] = acc
 		}
 	}
+	applySites(sites, dstD, nx, 0, x0, y0, x1, y1, 0, b)
 }
 
 // ChecksumBRect computes the block's partial column checksums directly:

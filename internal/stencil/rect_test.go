@@ -45,7 +45,7 @@ func TestSweepRectFusedMatchesFullSweep(t *testing.T) {
 	}
 }
 
-func TestSweepRectFusedHook(t *testing.T) {
+func TestSweepRectFusedSite(t *testing.T) {
 	nx, ny := 8, 8
 	op := &Op2D[float64]{St: Laplace5(0.2), BC: grid.Clamp}
 	src := grid.New[float64](nx, ny)
@@ -53,25 +53,22 @@ func TestSweepRectFusedHook(t *testing.T) {
 	dst := grid.New[float64](nx, ny)
 	b := make([]float64, 4)
 	hit := false
-	hook := func(x, y, z int, v float64) float64 {
-		if x == 5 && y == 3 {
-			hit = true
-			return v + 7
-		}
-		return v
-	}
-	op.SweepRectFused(dst, src, 4, 2, 8, 6, b, hook)
+	sites := []Site[float64]{{X: 5, Y: 3, Mutate: func(v float64) float64 {
+		hit = true
+		return v + 7
+	}}}
+	op.SweepRectFused(dst, src, 4, 2, 8, 6, b, sites)
 	if !hit {
-		t.Fatal("hook did not fire inside the rectangle")
+		t.Fatal("site not applied inside the rectangle")
 	}
 	if dst.At(5, 3) != 1+7 {
-		t.Fatalf("hooked value %g", dst.At(5, 3))
+		t.Fatalf("injected value %g", dst.At(5, 3))
 	}
 	// Fused checksum includes the corruption.
 	direct := make([]float64, 4)
 	ChecksumBRect(dst, 4, 2, 8, 6, direct)
 	if b[1] != direct[1] {
-		t.Fatal("fused checksum missed the hooked value")
+		t.Fatal("fused checksum missed the injected value")
 	}
 }
 

@@ -297,7 +297,7 @@ func TestSweep3DParallelMatchesSequential(t *testing.T) {
 	for z := range bSlab {
 		bSlab[z] = make([]float64, ny)
 	}
-	op.SweepLayersHook(&Pool{Workers: 3}, slab, src, 1, nz-1, bSlab, nil)
+	op.SweepLayersInject(&Pool{Workers: 3}, slab, src, 1, nz-1, bSlab, nil)
 	for z := 0; z < nz; z++ {
 		swept := z >= 1 && z < nz-1
 		for i, v := range slab.Layer(z).Data() {
@@ -313,22 +313,17 @@ func TestSweep3DParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestInjectHookAppliedBeforeStoreAndChecksum(t *testing.T) {
+func TestInjectSiteAppliedToStoreAndChecksum(t *testing.T) {
 	nx, ny := 5, 4
 	op := &Op2D[float64]{St: Laplace5(0.2), BC: grid.Clamp}
 	src := grid.New[float64](nx, ny)
 	src.Fill(1)
 	dst := grid.New[float64](nx, ny)
 	b := make([]float64, ny)
-	hook := func(x, y, z int, v float64) float64 {
-		if x == 2 && y == 1 {
-			return v + 100
-		}
-		return v
-	}
-	op.SweepRange(dst, src, 0, ny, b, hook)
+	sites := []Site[float64]{{X: 2, Y: 1, Mutate: func(v float64) float64 { return v + 100 }}}
+	op.SweepRange(dst, src, 0, ny, b, sites)
 	if dst.At(2, 1) != 1+100 {
-		t.Fatalf("hook not applied to stored value: %g", dst.At(2, 1))
+		t.Fatalf("site not applied to stored value: %g", dst.At(2, 1))
 	}
 	// The fused checksum must include the corrupted value (the paper's
 	// injection semantics: corrupt before store, checksum reads the

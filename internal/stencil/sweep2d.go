@@ -5,31 +5,55 @@ import (
 	"stencilabft/internal/num"
 )
 
-// InjectFunc mutates a freshly computed point value before it is stored into
-// the destination grid — exactly the paper's fault-injection site ("after
-// the stencil point ... has been updated and before it is stored"). The
-// fused checksum accumulates the returned (possibly corrupted) value, so the
-// direct checksum stays consistent with the corrupted domain while the
-// interpolated checksum reflects the clean computation; their mismatch is
-// what detection keys on.
-type InjectFunc[T num.Float] func(x, y, z int, v T) T
-
-// InjectSource yields the injection hook for each iteration — the pluggable
-// fault seam a protector consults when it owns its own stepping (Step with
-// no arguments). Returning a nil InjectFunc for an iteration keeps that
-// sweep entirely hook-free on the fast path. fault.Injector is the standard
-// implementation; tests and campaigns may supply their own.
-type InjectSource[T num.Float] interface {
-	HookFor(iter int) InjectFunc[T]
+// Site is one injected fault of a sweep: a cell, in the coordinates of the
+// grids being swept (Z = 0 for a 2-D sweep), and the mutation of the value
+// the sweep stored there — the paper's fault-injection site ("after the
+// stencil point ... has been updated and before it is stored"). A sweep
+// always runs its compiled kernel; the leaf drivers (SweepRectFused,
+// SweepLayer) then apply each site inside what they swept: the cell of dst
+// is mutated and, when a checksum is being fused, that row segment is
+// re-summed left to right from zero into its b entry. The kernels fuse b by
+// exactly that sum (acc += v in x order), so the direct checksum covers the
+// corrupted value bit for bit as if it had been corrupted before the store,
+// while the interpolated checksum reflects the clean computation; their
+// mismatch is what detection keys on. An injected sweep therefore costs one
+// row more than a clean one, not a per-cell callback.
+type Site[T num.Float] struct {
+	X, Y, Z int
+	Mutate  func(v T) T
 }
 
-// HookAt resolves an injection source to the hook for one iteration; a nil
-// source yields a nil hook, keeping the sweep's fast path branch-free.
-func HookAt[T num.Float](src InjectSource[T], iter int) InjectFunc[T] {
+// InjectSource yields the sites of each iteration — the pluggable fault seam
+// a protector consults when it owns its own stepping (Step with no
+// arguments). Most iterations have none. fault.Injector is the standard
+// implementation; tests and campaigns may supply their own.
+type InjectSource[T num.Float] interface {
+	SitesFor(iter int) []Site[T]
+}
+
+// SitesAt resolves an injection source to one iteration's sites; a nil
+// source has none.
+func SitesAt[T num.Float](src InjectSource[T], iter int) []Site[T] {
 	if src == nil {
 		return nil
 	}
-	return src.HookFor(iter)
+	return src.SitesFor(iter)
+}
+
+// applySites applies the sites that fall in [x0,x1) x [y0,y1) of layer z of
+// dst (nx columns a row, layer z starting at base) and re-sums each hit
+// row's segment into b, which is indexed from y0; b may be nil.
+func applySites[T num.Float](sites []Site[T], dst []T, nx, base, x0, y0, x1, y1, z int, b []T) {
+	for _, s := range sites {
+		if s.Z != z || s.X < x0 || s.X >= x1 || s.Y < y0 || s.Y >= y1 {
+			continue
+		}
+		row := dst[base+s.Y*nx:][:nx]
+		row[s.X] = s.Mutate(row[s.X])
+		if b != nil {
+			b[s.Y-y0] = num.Sum(row[x0:x1])
+		}
+	}
 }
 
 // Op2D binds a stencil to the context a sweep needs: the boundary
@@ -88,19 +112,19 @@ func (op *Op2D[T]) SweepFused(dst, src *grid.Grid[T], b []T) {
 }
 
 // SweepRange sweeps rows y0 <= y < y1 only, accumulating b[y] for those
-// rows when b is non-nil and applying hook to each freshly computed value
-// when hook is non-nil. It is the primitive both the parallel engine and
-// the fault injector build on; distinct row ranges touch disjoint rows of
-// dst and disjoint entries of b, so concurrent calls need no locking.
+// rows when b is non-nil and applying the sites that fall in them. It is
+// the primitive the parallel engine builds on; distinct row ranges touch
+// disjoint rows of dst and disjoint entries of b, so concurrent calls need
+// no locking.
 //
 // It is the full-width rectangle of SweepRectFused (rect.go), which holds
 // the one row-driver body; b is indexed by domain row here, by rectangle
 // row there.
-func (op *Op2D[T]) SweepRange(dst, src *grid.Grid[T], y0, y1 int, b []T, hook InjectFunc[T]) {
+func (op *Op2D[T]) SweepRange(dst, src *grid.Grid[T], y0, y1 int, b []T, sites []Site[T]) {
 	if b != nil {
 		b = b[y0:y1]
 	}
-	op.SweepRectFused(dst, src, 0, y0, src.Nx(), y1, b, hook)
+	op.SweepRectFused(dst, src, 0, y0, src.Nx(), y1, b, sites)
 }
 
 // pointSlow evaluates one point with full boundary resolution.

@@ -20,7 +20,7 @@ type Op3D[T num.Float] struct {
 	// planc caches the compiled sweep plan for the last-seen shape; see
 	// plan.go.
 	planc planCache[plan3d[T]]
-	// sweepc keeps SweepLayersHook's argument block between calls; see
+	// sweepc keeps SweepLayersInject's argument block between calls; see
 	// parallel.go.
 	sweepc planCache[layerSweep[T]]
 }
@@ -52,18 +52,25 @@ func (op *Op3D[T]) Sweep(dst, src *grid.Grid3D[T]) {
 }
 
 // SweepLayer sweeps layer z only, optionally accumulating that layer's
-// column checksum vector b (b[y] = Σ_x dst(x,y,z), len ny) and applying
-// hook to each fresh value. Distinct layers write disjoint storage, so the
-// parallel engine calls SweepLayer concurrently without locks.
+// column checksum vector b (b[y] = Σ_x dst(x,y,z), len ny) and applying the
+// sites that fall in the layer. Distinct layers write disjoint storage, so
+// the parallel engine calls SweepLayer concurrently without locks.
+func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, sites []Site[T]) {
+	nx, ny := src.Nx(), src.Ny()
+	op.SweepRows(dst, src, z, 0, ny, b)
+	applySites(sites, dst.Data(), nx, z*nx*ny, 0, 0, nx, ny, z, b)
+}
+
+// SweepRows sweeps rows [y0, y1) of layer z, accumulating b[y] for those
+// rows when b is non-nil — SweepLayer's body, and what the repair path
+// re-evaluates a flagged row with.
 //
 // Every row takes the same path: the plan's fold resolves the row's source
 // rows through the boundary condition once (fold.go), the row kernel runs
 // over [rx, nx-rx) on those rows, and the 2*rx edge columns come from the
 // fold's column table. Boundary rows and boundary layers cost what interior
-// ones do. A non-nil hook pins the interior to the generic loop, which
-// applies the same operations in the same order, so the hook path stays
-// bit-identical to the hook-free one.
-func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, hook InjectFunc[T]) {
+// ones do.
+func (op *Op3D[T]) SweepRows(dst, src *grid.Grid3D[T], z, y0, y1 int, b []T) {
 	nx, ny, nz := src.Nx(), src.Ny(), src.Nz()
 	if dst == src {
 		panic("stencil: sweep destination aliases source")
@@ -90,11 +97,11 @@ func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, hook Injec
 	rx := f.rx
 	nLeft := min(rx, nx) // edge columns left of the kernel segment
 	n := max(nx-2*rx, 0) // width of the kernel segment [rx, nx-rx)
-	for y := 0; y < ny; y++ {
+	for y := y0; y < y1; y++ {
 		var acc T
 		base := z*f.plane + y*nx
 		f.starts(y, z, st)
-		acc = f.sweepEdges(dstD, srcD, cD, pl.ws, st, base, 0, nLeft, y, z, hook, acc)
+		acc = f.sweepEdges(dstD, srcD, cD, pl.ws, st, base, 0, nLeft, acc)
 		if n > 0 {
 			f.rows(rows, srcD, st, rx, n)
 			lo := base + rx
@@ -102,13 +109,9 @@ func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, hook Injec
 			if cD != nil {
 				cRow = cD[lo : lo+n]
 			}
-			if hook == nil {
-				acc = pl.sweepRow(dstD[lo:lo+n], cRow, rows, acc)
-			} else {
-				acc = genericSlicesHook(dstD[lo:lo+n], cRow, rows, pl.ws, rx, y, z, hook, acc)
-			}
+			acc = pl.sweepRow(dstD[lo:lo+n], cRow, rows, acc)
 		}
-		acc = f.sweepEdges(dstD, srcD, cD, pl.ws, st, base, nLeft, len(f.edgeX), y, z, hook, acc)
+		acc = f.sweepEdges(dstD, srcD, cD, pl.ws, st, base, nLeft, len(f.edgeX), acc)
 		if b != nil {
 			b[y] = acc
 		}

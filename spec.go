@@ -165,7 +165,7 @@ type Spec[T Float] struct {
 	// deployment each injection is routed to the rank owning its tile (or
 	// z-layer slab).
 	Inject *Plan
-	// InjectSource plugs a custom per-iteration fault hook instead of a
+	// InjectSource plugs a custom per-iteration fault source instead of a
 	// declarative plan (Local deployments only — a Clustered run needs
 	// routable coordinates, use Inject). Takes precedence over Inject.
 	InjectSource InjectSource[T]
@@ -415,7 +415,7 @@ func (s Spec[T]) rankGrid() (ranksX, ranksY int) {
 }
 
 // injectSource resolves the spec's fault configuration to the per-iteration
-// hook seam local protectors consume.
+// site seam local protectors consume.
 func (s Spec[T]) injectSource() InjectSource[T] {
 	if s.InjectSource != nil {
 		return s.InjectSource
@@ -505,10 +505,16 @@ const (
 	PairByIndex    = checksum.PairByIndex
 )
 
-// InjectSource yields the per-iteration fault-injection hook a protector
-// consults when stepping — the pluggable seam behind Spec.InjectSource and
-// Options.Inject. An Injector (NewInjector) is the standard implementation.
+// InjectSource yields the fault-injection sites a protector's sweep applies
+// each iteration (SitesFor(iter) []Site[T]) — the pluggable seam behind
+// Spec.InjectSource and Options.Inject. An Injector (NewInjector) is the
+// standard implementation.
 type InjectSource[T Float] = stencil.InjectSource[T]
+
+// Site is one injected fault: a cell (Z = 0 in 2-D) and the mutation of the
+// value the sweep stored there. The fused checksum covers the mutated value,
+// exactly as if it had been corrupted before the store.
+type Site[T Float] = stencil.Site[T]
 
 // Transport is the cluster's communication seam: send/recv of halo strips
 // in all four directions plus the iteration barrier. The in-process

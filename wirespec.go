@@ -10,7 +10,7 @@ import (
 
 // WireSpec is the wire-serializable JSON form of Spec — the job description
 // a service client POSTs. A Spec carries function pointers (the stencil's
-// compiled operator, injection hooks, transport factories) and process-local
+// compiled operator, injection sources, transport factories) and process-local
 // state (worker pools, socket endpoints, telemetry collectors); the wire
 // form replaces each with data: stencils are named registry entries or
 // inline point lists, initial grids are inline values, a generator name or
@@ -496,7 +496,7 @@ func (s Spec[T]) Wire() (*WireSpec, error) {
 	case s.Pool != nil:
 		return nil, notSerializablef("stencilabft: Pool is process-local; the executing worker chooses its own pool (leave Pool nil — parallelism does not change results)")
 	case s.InjectSource != nil:
-		return nil, notSerializablef("stencilabft: InjectSource is a function hook and cannot travel; declare the faults as a Plan on Inject instead")
+		return nil, notSerializablef("stencilabft: InjectSource is a Go value and cannot travel; declare the faults as a Plan on Inject instead")
 	case s.NewTransport != nil:
 		return nil, notSerializablef("stencilabft: NewTransport is a function hook and cannot travel; name a backend on Transport, or leave it empty for the default")
 	case s.WrapTransport != nil:
