@@ -28,9 +28,9 @@ type edgeID struct {
 }
 
 // edgeState is one edge's (or, for stalls, one rank's) running injection
-// state. Each edge is driven by a single goroutine (the TCP writer, or the
-// rank goroutine at the transport seam), but the state is mutex-guarded
-// anyway: chaos runs off the hot path by definition, and the lock makes
+// state. Each edge is driven by one goroutine at a time (whoever holds the
+// TCP edge's lock, or the rank goroutine at the transport seam), but the
+// state is mutex-guarded anyway: chaos runs off the hot path by definition, and the lock makes
 // the injector safe under any backend's threading.
 type edgeState struct {
 	mu      sync.Mutex

@@ -170,6 +170,13 @@ type engine[T num.Float] interface {
 	// advance runs iteration abs in full on the rank's goroutine: halo
 	// exchange, sweep, verification, repair, buffer swap.
 	advance(abs int, sites []stencil.Site[T])
+	// prePost posts, ahead of the barrier, whatever strips of the next
+	// exchange iteration are final once advance has returned; dropPosted
+	// discards the ones pre-posted to this rank when that iteration will
+	// not run on the state they were cut from. The slab rank posts inside
+	// advance, so both are no-ops there.
+	prePost()
+	dropPosted()
 	// counters returns the rank's ABFT and halo counters.
 	counters() Stats
 	// The restartable state, see shell.PackState.
@@ -528,6 +535,17 @@ func (c *shell[T]) run(iters int) error {
 // iteration is also what fences the in-process transport's zero-copy y
 // payloads: a receiver has copied them before its barrier, so the sender
 // may overwrite the underlying rows on its next sweep.
+//
+// The x strips of the next iteration are posted ahead of that barrier
+// (engine.prePost) exactly when the barrier follows at once and the next
+// iteration exchanges — at depth 1 every iteration, the last of a batch
+// included, so a strip is in flight between Run calls; the barrier behind
+// it is what guarantees it has landed by the time Run returns, which is
+// what lets RestoreState and SetIter discard it with a poll. At depth
+// k > 1 the iteration before an exchange is a local one with no barrier
+// behind it — no latency to hide the strip behind, and nothing that would
+// land it before a batch end — so depth-k ranks never pre-post and post at
+// the top of their exchange iteration instead.
 func (c *shell[T]) runBatch(h *hostedRank[T], cmd rankCmd) {
 	defer func() {
 		p := recover()
@@ -558,6 +576,9 @@ func (c *shell[T]) runBatch(h *hostedRank[T], cmd rankCmd) {
 		if c.afterStep != nil {
 			c.afterStep(h.id, abs)
 		}
+		if c.haloDepth == 1 {
+			h.eng.prePost()
+		}
 		if c.haloDepth == 1 || abs%c.haloDepth == 0 {
 			tb := h.tel.Begin()
 			c.tr.Barrier()
@@ -573,8 +594,22 @@ func (c *shell[T]) Transport() Transport[T] { return c.tr }
 
 // SetIter rebases the cluster's absolute iteration counter — the rollback
 // half of a checkpoint restore. Injection plans and telemetry keep working
-// across a rebase because both are keyed on absolute iterations.
-func (c *shell[T]) SetIter(n int) { c.iter = n }
+// across a rebase because both are keyed on absolute iterations. The strips
+// pre-posted for the iteration the counter pointed at are discarded on every
+// hosted rank: the next Run re-posts from the state it finds.
+func (c *shell[T]) SetIter(n int) {
+	c.dropPosted()
+	c.iter = n
+}
+
+// dropPosted discards the pre-posted strips of every hosted rank — all of
+// them, because a strip cut from the state one rank is about to lose sits
+// in its neighbour's inbox, not its own.
+func (c *shell[T]) dropPosted() {
+	for _, h := range c.hosted {
+		h.eng.dropPosted()
+	}
+}
 
 // rankByID returns the hosted rank with the given global id.
 func (c *shell[T]) rankByID(id int) engine[T] {
@@ -599,6 +634,12 @@ func (c *shell[T]) StateLen(id int) int { return c.rankByID(id).StateLen() }
 func (c *shell[T]) PackState(id int, dst []T) { c.rankByID(id).PackState(dst) }
 
 // RestoreState overwrites hosted rank id's points and verified checksums from
-// a PackState snapshot. The rank's halo strips refresh at its next
-// exchange. Pair with SetIter to complete a rollback.
-func (c *shell[T]) RestoreState(id int, src []T) { c.rankByID(id).RestoreState(src) }
+// a PackState snapshot, between Run calls. Strips pre-posted from the state
+// being replaced are discarded on every hosted rank, and every rank's halo
+// strips refresh at its next exchange. Pair with SetIter to complete a
+// rollback; in a multi-process cluster every process restores or rebases
+// before any runs again, as a rollback already requires.
+func (c *shell[T]) RestoreState(id int, src []T) {
+	c.dropPosted()
+	c.rankByID(id).RestoreState(src)
+}

@@ -5,6 +5,7 @@
 // over 1-D chains and 2-D rank grids, message routing and payload integrity
 // in all four directions, torus wrap-around and self-exchange degeneracies,
 // the two-phase send-before-receive ordering the halo exchange relies on,
+// the x strip posted one round ahead of the barrier that delivers it,
 // non-blocking and first-of-two receives, the checkpoint side channel,
 // barrier generation ordering, abort, receive timeouts, traffic counters
 // and close.
@@ -40,6 +41,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("Routing2D", func(t *testing.T) { routing2D(t, f) })
 	t.Run("SelfExchange", func(t *testing.T) { selfExchange(t, f) })
 	t.Run("ExchangeOrdering", func(t *testing.T) { exchangeOrdering(t, f) })
+	t.Run("PipelinedSend", func(t *testing.T) { pipelinedSend(t, f) })
 	t.Run("EitherCompletion", func(t *testing.T) { eitherCompletion(t, f) })
 	t.Run("TryRecv", func(t *testing.T) { tryRecv(t, f) })
 	t.Run("Checkpoint", func(t *testing.T) { checkpoint(t, f) })
@@ -217,6 +219,52 @@ func exchangeOrdering(t *testing.T, f Factory) {
 				tr.Barrier()
 			}
 		}(id)
+	}
+	wg.Wait()
+}
+
+// pipelinedSend checks the pipelined x-phase: each rank of a 2x1 chain
+// posts its strip of round g and then — ahead of Barrier g — its strip of
+// round g+1, with nobody receiving. Both Sends must return (two strips
+// outstanding per edge), round g's strip must come out first, and round
+// g+1's must be in the inbox the moment Barrier g releases: a poll right
+// after the barrier finds it, which is what lets the next exchange absorb
+// it into its interior sweep.
+func pipelinedSend(t *testing.T, f Factory) {
+	tr := f(2, 1, false)
+	posted := make(chan struct{})
+	go func() {
+		defer close(posted)
+		tr.Send(0, dist.Right, []float64{0, 0})
+		tr.Send(0, dist.Right, []float64{0, 1})
+		tr.Send(1, dist.Left, []float64{1, 0})
+		tr.Send(1, dist.Left, []float64{1, 1})
+	}()
+	select {
+	case <-posted:
+	case <-time.After(deliveryDeadline):
+		t.Fatalf("Send still blocked after %v with two strips outstanding on the edge and no receiver", deliveryDeadline)
+	}
+
+	var wg sync.WaitGroup
+	for id, d := range []dist.Dir{dist.Right, dist.Left} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			peer := float64(1 - id)
+			if got := tr.Recv(id, d); len(got) != 2 || got[0] != peer || got[1] != 0 {
+				t.Errorf("rank %d received %v first, want the peer's round-0 strip [%v 0]", id, got, peer)
+			}
+			tr.Barrier()
+			got, ok := tr.TryRecv(id, d)
+			if !ok {
+				t.Errorf("rank %d: the strip posted ahead of the barrier had not landed when the barrier released", id)
+				return
+			}
+			if len(got) != 2 || got[0] != peer || got[1] != 1 {
+				t.Errorf("rank %d polled %v after the barrier, want the peer's round-1 strip [%v 1]", id, got, peer)
+			}
+		}()
 	}
 	wg.Wait()
 }

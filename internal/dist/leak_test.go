@@ -12,8 +12,11 @@ import (
 // TestClusterCloseReleasesGoroutines is the goroutine accounting of a
 // cluster's life: build, Run, Close must return the process to the
 // goroutine count it started from — the persistent rank goroutines (tile
-// ranks and slab ranks alike) on the channel backend, plus the listener, per-edge readers and writers on the
-// socket backend, which Cluster.Close reaches through Transport.Close.
+// ranks and slab ranks alike) on the channel backend, plus the listener,
+// per-edge readers and keepalive tickers on the socket backend, which
+// Cluster.Close reaches through Transport.Close. Run leaves the next
+// iteration's x strips posted (the pipelined exchange), so Close is
+// exercised with strips in the inboxes.
 func TestClusterCloseReleasesGoroutines(t *testing.T) {
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
 	op3 := &stencil.Op3D[float64]{St: star7(), BC: grid.Clamp}

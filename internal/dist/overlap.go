@@ -12,16 +12,20 @@ import (
 // This file is the overlap/depth-k rank schedule — the one 2-D
 // per-iteration path (rank.advance), built around two ideas:
 //
-// Compute/communication overlap. On an exchange iteration the rank posts
-// its boundary strips first, sweeps the interior region — every point
-// whose dependencies are already local — while the strips travel, and
-// then sweeps each boundary strip as soon as that edge's halo lands
-// (Transport.RecvEither completes the two edges of a phase in arrival
-// order). The exchange is two-phase: boundary columns go Left/Right
-// first, and the y-phase sends — full extended-width rows — go out only
-// after both x halos have been folded in, so each Up/Down message threads
-// the corner data a 9-point box kernel and the interpolation's beta terms
-// need to the diagonal neighbour without any diagonal channel. Edges
+// Compute/communication overlap. The x-phase of the exchange is software
+// pipelined: a rank posts the boundary columns of iteration i+1 as soon as
+// iteration i's verify, repair and swap have made them final — before
+// iteration i's barrier, which then delivers them (runBatch, prePost). On
+// the exchange iteration itself the rank sweeps the interior region —
+// every point whose dependencies are already local — while any strip not
+// yet delivered travels, and then sweeps each boundary strip as soon as
+// that edge's halo lands (Transport.RecvEither completes the two edges of
+// a phase in arrival order). The exchange is two-phase: boundary columns
+// go Left/Right first, and the y-phase sends — full extended-width rows —
+// go out only after both x halos have been folded in, so each Up/Down
+// message threads the corner data a 9-point box kernel and the
+// interpolation's beta terms need to the diagonal neighbour without any
+// diagonal channel. Edges
 // without a neighbour (the domain border under non-periodic boundaries)
 // synthesise their ghost strips from the global boundary condition in the
 // same order, which makes a corner ghost resolve each axis independently
@@ -42,10 +46,11 @@ import (
 // that is already delivered — there is no latency left to hide — is
 // unpacked immediately so its strip is absorbed into the interior sweep,
 // full-width, fused and row-major, instead of being swept later as a
-// cache-cold column strip. A yield after posting sends lets sibling ranks
-// hosted on the same core post theirs first, which on an oversubscribed
-// host makes absorption the common case. The y phase polls the same way
-// after its sends.
+// cache-cold column strip. Pre-posted x strips make absorption the rule on
+// every backend; where a rank posts at the top of its exchange iteration
+// (the pipeline's prologue, depth k > 1) a yield after the sends lets
+// sibling ranks hosted on the same core post theirs first. The y phase
+// yields and polls the same way after its sends.
 //
 // Checksum integrity across all of this: the fused column checksums b
 // cover exactly the tile's own columns. Sweeping the tile in several
@@ -119,11 +124,11 @@ func (r *rank[T]) advance(abs int, sites []stencil.Site[T]) {
 	r.finishStep(src, dst)
 }
 
-// sweepExchange is the overlapped exchange iteration: post x sends, sweep
-// the interior while they travel, sweep each boundary strip as its halo
-// lands, then post y sends (corners now threaded) and do the same for the
-// y strips. The sweep rectangle [sx0,sx1)x[sy0,sy1) extends beyond the
-// tile by the depth-k margin on neighbour sides.
+// sweepExchange is the overlapped exchange iteration: with the x strips
+// out (postX), sweep the interior while they travel, sweep each boundary
+// strip as its halo lands, then post y sends (corners now threaded) and do
+// the same for the y strips. The sweep rectangle [sx0,sx1)x[sy0,sy1)
+// extends beyond the tile by the depth-k margin on neighbour sides.
 func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, sites []stencil.Site[T]) {
 	// Ghost synthesis that does not depend on inbound halos: BC side
 	// columns over the tile rows, then full-width BC edge rows. The edge
@@ -145,24 +150,27 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	}
 	r.tel.End(telemetry.PhaseUnpack, t0)
 
-	// Post the x-phase sends before any compute so the strips travel
-	// while the interior sweeps.
+	// The x strips of this iteration normally left before the previous
+	// iteration's barrier (prePost) and are waiting in the neighbours'
+	// inboxes. What is left here is the pipeline's prologue — the first
+	// exchange of a cluster's life, the first after a restore, and every
+	// exchange at depth k > 1 (see runBatch) — followed by one yield: on an
+	// oversubscribed host (several ranks per core) it lets sibling rank
+	// goroutines post their own strips before this rank commits to its
+	// interior sweep, so the polling below still finds most of them
+	// delivered. The messages are charged to the iteration that consumes
+	// them, whichever iteration posted them.
+	if !r.posted {
+		r.postX()
+		if r.hasL || r.hasR {
+			runtime.Gosched()
+		}
+	}
+	r.posted = false
 	if r.hasL {
-		t0 = r.tel.Begin()
-		r.packCols(src, r.loX(), r.sendL)
-		t1 := r.tel.Begin()
-		r.tel.End(telemetry.PhasePack, t0)
-		r.tr.Send(r.id, Left, r.sendL)
-		r.tel.End(telemetry.PhaseSend, t1)
 		r.stats.HaloByDir[Left]++
 	}
 	if r.hasR {
-		t0 = r.tel.Begin()
-		r.packCols(src, r.hiX()-r.hx, r.sendR)
-		t1 := r.tel.Begin()
-		r.tel.End(telemetry.PhasePack, t0)
-		r.tr.Send(r.id, Right, r.sendR)
-		r.tel.End(telemetry.PhaseSend, t1)
 		r.stats.HaloByDir[Right]++
 	}
 
@@ -191,15 +199,6 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	}
 	if thinY {
 		iy0, iy1 = r.loY(), r.loY()
-	}
-
-	// With every send posted, yield once: on an oversubscribed host
-	// (several ranks per core) this lets sibling rank goroutines post
-	// their own sends before this rank commits to its interior sweep, so
-	// the progress polling below finds most halos already delivered. On a
-	// dedicated core the yield is a no-op.
-	if r.hasL || r.hasR || r.hasU || r.hasD {
-		runtime.Gosched()
 	}
 
 	// Progress polling: an x halo that has already been delivered has no
@@ -411,6 +410,58 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	r.ip.PrimeBetaTables(r.edgeRead)
 	r.tel.End(telemetry.PhaseVerify, t0)
 	r.stats.HaloExchanges++
+}
+
+// postX packs the boundary columns of the read buffer and posts them
+// Left/Right: the x-phase sends of the exchange iteration that sweeps that
+// buffer next, and the one place x strips are posted. The y-phase sends
+// cannot move here with them — they carry the folded-in x halos that
+// thread corner data to the diagonal neighbours.
+func (r *rank[T]) postX() {
+	slot := r.sendSlot
+	r.sendSlot ^= 1
+	if r.hasL {
+		r.postCols(Left, r.loX(), r.sendL[slot])
+	}
+	if r.hasR {
+		r.postCols(Right, r.hiX()-r.hx, r.sendR[slot])
+	}
+}
+
+// postCols packs the hx columns of the read buffer starting at x0 into buf
+// and posts it toward d.
+func (r *rank[T]) postCols(d Dir, x0 int, buf []T) {
+	t0 := r.tel.Begin()
+	r.packCols(r.buf.Read, x0, buf)
+	t1 := r.tel.Begin()
+	r.tel.End(telemetry.PhasePack, t0)
+	r.tr.Send(r.id, d, buf)
+	r.tel.End(telemetry.PhaseSend, t1)
+}
+
+// prePost posts the next exchange iteration's x strips now that the step's
+// verify, repair and swap have made them final. The barrier that follows
+// delivers them: the next step's poll finds them and absorbs both strips
+// into one fused full-width sweep, on sockets as on channels.
+func (r *rank[T]) prePost() {
+	r.postX()
+	r.posted = true
+}
+
+// dropPosted discards the x strips the neighbours pre-posted for an
+// iteration that will now not run on this state (a restore, a rebase). They
+// have landed — the barrier behind them has released — so a poll takes them.
+func (r *rank[T]) dropPosted() {
+	if !r.posted {
+		return
+	}
+	r.posted = false
+	if r.hasL {
+		r.tr.TryRecv(r.id, Left)
+	}
+	if r.hasR {
+		r.tr.TryRecv(r.id, Right)
+	}
 }
 
 // xStripLanded folds an arrived x halo in and sweeps the strip it

@@ -119,39 +119,55 @@ func TestClusterDepthKTCP(t *testing.T) {
 
 // TestClusterDepthKCounters pins the communication-avoiding arithmetic:
 // with depth k, halo exchange rounds and barriers happen once every k
-// iterations instead of every iteration.
+// iterations instead of every iteration. It also pins what the pipelined
+// x-phase leaves between Run calls: at depth 1 every rank has posted the
+// next iteration's strip to its one x neighbour ahead of the last barrier,
+// so the transport has seen exactly that many more sends than receives; at
+// depth k > 1 nothing is pre-posted and the two agree. The ranks' own
+// HaloByDir counters charge a strip to the iteration that consumes it and
+// stay exact either way.
 func TestClusterDepthKCounters(t *testing.T) {
-	const nx, ny, iters, depth = 33, 40, 8, 2
+	const nx, ny, iters, ranks = 33, 40, 8, 4
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5[float64](0.2), BC: grid.Clamp}
-	ct := &countingTransport{}
-	opt := strictOpts()
-	opt.HaloDepth = depth
-	opt.WrapTransport = func(tr Transport[float64], rx, ry int, ring bool) Transport[float64] {
-		ct.Transport = tr
-		return ct
-	}
-	c, err := NewClusterGrid(op, testInit(nx, ny), 2, 2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Run(iters)
-
-	const ranks = 4
-	rounds := iters / depth // every iteration with iter%depth == 0
-	if wantB := ranks * rounds; ct.barriers != wantB {
-		t.Errorf("barriers = %d, want %d (one per rank per exchange round)", ct.barriers, wantB)
-	}
-	// Each rank of a 2x2 grid has exactly two neighbours.
-	if wantS := 2 * ranks * rounds; ct.sends != wantS || ct.recvs != wantS {
-		t.Errorf("sends/recvs = %d/%d, want %d", ct.sends, ct.recvs, wantS)
-	}
-	for _, s := range c.RankStats() {
-		if s.HaloExchanges != rounds {
-			t.Errorf("rank HaloExchanges = %d, want %d", s.HaloExchanges, rounds)
+	for _, tc := range []struct{ depth, inFlight int }{{1, ranks}, {2, 0}} {
+		ct := &countingTransport{}
+		opt := strictOpts()
+		opt.HaloDepth = tc.depth
+		opt.WrapTransport = func(tr Transport[float64], rx, ry int, ring bool) Transport[float64] {
+			ct.Transport = tr
+			return ct
 		}
-		if s.Iterations != iters {
-			t.Errorf("rank Iterations = %d, want %d", s.Iterations, iters)
+		c, err := NewClusterGrid(op, testInit(nx, ny), 2, 2, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.Run(iters)
+
+		rounds := iters / tc.depth // every iteration with iter%depth == 0
+		if wantB := ranks * rounds; ct.barriers != wantB {
+			t.Errorf("depth %d: barriers = %d, want %d (one per rank per exchange round)", tc.depth, ct.barriers, wantB)
+		}
+		// Each rank of a 2x2 grid has exactly two neighbours.
+		wantR := 2 * ranks * rounds
+		if ct.sends != wantR+tc.inFlight || ct.recvs != wantR {
+			t.Errorf("depth %d: sends/recvs = %d/%d, want %d/%d (%d strips in flight between Runs)",
+				tc.depth, ct.sends, ct.recvs, wantR+tc.inFlight, wantR, tc.inFlight)
+		}
+		byDir := 0
+		for _, n := range c.Stats().HaloByDir {
+			byDir += n
+		}
+		if byDir != wantR {
+			t.Errorf("depth %d: HaloByDir sums to %d, want the %d strips consumed", tc.depth, byDir, wantR)
+		}
+		for _, s := range c.RankStats() {
+			if s.HaloExchanges != rounds {
+				t.Errorf("depth %d: rank HaloExchanges = %d, want %d", tc.depth, s.HaloExchanges, rounds)
+			}
+			if s.Iterations != iters {
+				t.Errorf("depth %d: rank Iterations = %d, want %d", tc.depth, s.Iterations, iters)
+			}
 		}
 	}
 }
@@ -240,6 +256,29 @@ func TestClusterRunAllocs(t *testing.T) {
 
 	if avg := testing.AllocsPerRun(10, func() { c.Run(1) }); avg != 0 {
 		t.Errorf("steady-state Run(1) allocates %.1f times per call, want 0", avg)
+	}
+
+	// The same cluster over loopback sockets: wire buffers recycle through
+	// each edge's resend window (so the warm-up must fill it: 64 frames, a
+	// strip and a token per step), decoded strips through the reader's
+	// rotation, receive deadlines through one timer a box. The target is 0;
+	// the bound leaves room for a timer the runtime re-allocates.
+	opt := strictOpts()
+	opt.NewTransport = func(rx, ry int, ring bool) Transport[float64] {
+		tr, err := NewTCPTransport[float64](TCPConfig{RanksX: rx, RanksY: ry, Ring: ring})
+		if err != nil {
+			t.Fatalf("NewTCPTransport: %v", err)
+		}
+		return tr
+	}
+	ct, err := NewClusterGrid(op, testInit(nx, ny), 2, 2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct.Close()
+	ct.Run(defaultResendWindow)
+	if avg := testing.AllocsPerRun(10, func() { ct.Run(1) }); avg > 2 {
+		t.Errorf("steady-state Run(1) over tcp allocates %.1f times per call, want 0 and at most 2", avg)
 	}
 
 	// The slab cluster runs on the same shell and on core.Online3D's step.

@@ -76,10 +76,17 @@ type rank[T num.Float] struct {
 	// per-iteration schedule never re-asks the transport (bindTransport).
 	hasL, hasR, hasU, hasD bool
 
-	// sendL/sendR are the packed column strips posted Left/Right, owned by
-	// the rank and rewritten only after the iteration barrier, satisfying
-	// the transport's payload-lifetime contract.
-	sendL, sendR []T
+	// sendL/sendR are the packed column strips posted Left/Right, double
+	// buffered: the strip of exchange round g+2 is packed before the
+	// receiver's barrier of round g+1, while it may still be reading strip
+	// g+1 (the transport's payload-lifetime contract), so postX alternates
+	// between the two and rewrites a buffer only two rounds later.
+	sendL, sendR [2][]T
+	sendSlot     int
+	// posted reports that the x strips of the rank's next exchange iteration
+	// are already out (prePost) — and, every rank deciding alike, that its
+	// neighbours' are in its inbox — so that iteration must not post again.
+	posted bool
 
 	// stripBL/stripBR hold the boundary strips' per-row checksum segments,
 	// fused by the strip sweeps in the extended y frame so
@@ -146,8 +153,8 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 		globalBC: op.BC,
 		globalNx: init.Nx(),
 		globalNy: init.Ny(),
-		sendL:    make([]T, hx*nyLoc),
-		sendR:    make([]T, hx*nyLoc),
+		sendL:    [2][]T{make([]T, hx*nyLoc), make([]T, hx*nyLoc)},
+		sendR:    [2][]T{make([]T, hx*nyLoc), make([]T, hx*nyLoc)},
 		stripBL:  make([]T, extNy),
 		stripBR:  make([]T, extNy),
 	}
@@ -182,7 +189,7 @@ func (r *rank[T]) PackState(dst []T) {
 
 // RestoreState is PackState's inverse: it overwrites the tile and its
 // verified checksums from src, leaving the halo strips to the next
-// exchange.
+// exchange (shell.RestoreState has discarded any strip already posted).
 func (r *rank[T]) RestoreState(src []T) {
 	for y := 0; y < r.nyLoc; y++ {
 		copy(r.buf.Read.Row(r.loY() + y)[r.loX():r.hiX()], src[y*r.nxLoc:(y+1)*r.nxLoc])

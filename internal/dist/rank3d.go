@@ -140,6 +140,10 @@ func (r *rank3d[T]) advance(abs int, sites []stencil.Site[T]) {
 
 func (r *rank3d[T]) counters() Stats { return r.Stats().Merge(r.halo) }
 
+// A slab posts its layers inside advance: nothing is out between iterations.
+func (r *rank3d[T]) prePost()    {}
+func (r *rank3d[T]) dropPosted() {}
+
 // exchangeHalos refreshes the ghost layers with iteration-t data: boundary
 // layers are posted to both z-neighbours first, then the inbound layers are
 // copied in. Layers are contiguous in storage, so no packing is needed —

@@ -3,10 +3,7 @@ package dist
 // The socket backend's barrier: generation-tagged tokens exchanged with the
 // neighbours over the halo edges.
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // tokenMsg is a decoded barrier token.
 type tokenMsg struct {
@@ -32,17 +29,7 @@ func (t *TCPTransport[T]) exchangeTokens(gen uint32) error {
 				if !ok {
 					continue
 				}
-				f := frame{kind: frameToken, from: uint16(id), dir: byte(d), gen: gen, round: uint16(round)}
-				if nb, ok := t.geo.Neighbor(id, d, t.ring); ok {
-					f.to = uint16(nb)
-				}
-				buf := appendFrame(make([]byte, 0, wireHeaderSize), f)
-				select {
-				case oe.ch <- buf:
-					oe.noteDepth() // tokens count toward backlog, not halo frames
-				case <-t.quit:
-					return errors.New("dist: transport closed during barrier")
-				}
+				t.post(oe, frame{kind: frameToken, from: uint16(id), to: uint16(oe.to), dir: byte(d), gen: gen, round: uint16(round)}, nil)
 			}
 		}
 		for _, id := range t.local {

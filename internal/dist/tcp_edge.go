@@ -1,10 +1,11 @@
 package dist
 
 // Edge lifecycle and healing of the socket backend: the inbound box and
-// outbound writer of one directed edge, the connection reader, and the
+// outbound connection of one directed edge, the connection reader, and the
 // reconnect-and-replay path that absorbs transient wire faults.
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -38,6 +39,12 @@ type edgeBox[T num.Float] struct {
 	tok  chan tokenMsg
 	ck   chan ckptParcel[T] // buddy snapshots; at most one in flight per period
 
+	// expire bounds the box's blocking waits (boxWait). One timer serves
+	// them all, re-armed per wait, because a box has one waiter at a time:
+	// its rank, or the barrier on the rank's behalf while the rank is parked
+	// in it.
+	expire *time.Timer
+
 	// Halo and checkpoint traffic received on this edge (frames and
 	// payload bytes), counted by the connection reader as frames land in
 	// the box; dupFrames counts replayed data frames dropped by the
@@ -56,13 +63,16 @@ type edgeBox[T num.Float] struct {
 }
 
 func newEdgeBox[T num.Float](tokCap int) *edgeBox[T] {
-	return &edgeBox[T]{
+	b := &edgeBox[T]{
 		halo:    make(chan []T, 4),
 		tok:     make(chan tokenMsg, tokCap),
 		ck:      make(chan ckptParcel[T], 2),
 		done:    make(chan struct{}),
 		nextSeq: 1,
+		expire:  time.NewTimer(time.Hour),
 	}
+	b.expire.Stop()
+	return b
 }
 
 // poison records the first error and wakes every blocked receiver. It
@@ -152,9 +162,11 @@ func boxWait[T num.Float, V any](timeout time.Duration, what string, b1 *edgeBox
 	}
 	var expire <-chan time.Time
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expire = t.C
+		// Re-arming is clean: go.mod's go 1.24 selects the timer channels
+		// that hold no stale tick after Stop or Reset.
+		b1.expire.Reset(timeout)
+		defer b1.expire.Stop()
+		expire = b1.expire.C
 	}
 	select {
 	case v = <-c1:
@@ -182,54 +194,69 @@ func boxWait[T num.Float, V any](timeout time.Duration, what string, b1 *edgeBox
 }
 
 // outEdge is the outbound half of one directed edge: a persistent
-// connection fed by a writer goroutine, so Send never blocks on the
-// socket. The writer owns the edge's sequence counter and resend window —
-// every data frame is stamped, sealed and retained before it hits the
-// wire, so after a reconnect the writer can replay exactly the frames the
-// receiver names in its hello acknowledgement.
+// connection its users write to directly. Send, SendCkpt and the barrier's
+// token stamp, seal, retain and write their frame on the calling goroutine
+// under mu — a frame is in the kernel's socket buffer when the call returns,
+// so the strip a rank posts and the barrier token it sends next reach the
+// peer's reader back to back, with no goroutine hand-off in between. Every
+// data frame is stamped, sealed and retained before it hits the wire, so
+// after a reconnect the edge can replay exactly the frames the receiver
+// names in its hello acknowledgement. The edge's keepalive goroutine takes
+// the same lock to probe an idle connection; rebuilding a broken one is the
+// one thing that leaves the caller's goroutine (heal).
 type outEdge struct {
-	ch       chan []byte
 	conn     net.Conn
 	addr     string
 	from, to int
 	dir      Dir
 	hello    []byte // sealed hello frame, re-sent on every reconnect
 
-	// Writer-goroutine-owned reliability state (no locks needed).
+	// mu guards the connection and the reliability state below.
+	mu      sync.Mutex
 	seq     uint32   // last data sequence assigned
 	flushed uint32   // last sequence successfully written to the current conn
 	ring    [][]byte // sealed frames (seq-len(ring)+1 .. seq], oldest first
+	healing bool     // the connection is being rebuilt (heal); frames wait in the ring
 	dead    bool     // edge declared unhealable; frames are dropped
 
-	// free recycles sealed frames evicted from the resend window back to
-	// Send: once a frame falls out of the window it can never be replayed
-	// again, so its buffer is fenced off from the writer goroutine and a
-	// steady-state halo cadence reuses wire buffers instead of allocating
-	// one per frame. Push and pop are both non-blocking — a full list drops
-	// the buffer (GC takes it), an empty list makes Send allocate.
-	free chan []byte
+	// free holds the wire buffers evicted from the resend window: once a
+	// frame falls out of the window it can never be replayed again, so a
+	// steady halo-and-token cadence reuses its buffers instead of
+	// allocating one per frame. Bounded — a full list drops the buffer (GC
+	// takes it), an empty one makes the next frame allocate.
+	free [][]byte
 
-	// framesSent/bytesSent count halo traffic enqueued on the edge (payload
-	// bytes, headers and tokens excluded, so counts compare across
-	// backends); queueHW is the deepest writer-queue backlog observed at
-	// any enqueue — tokens included, since backlog is a property of the
-	// socket, not of what is queued. A non-trivial queueHW means the halo
-	// cadence outran this socket. reconnects counts connections rebuilt
-	// after an I/O fault, resends data frames replayed from the window.
-	framesSent, bytesSent, queueHW atomic.Int64
-	reconnects, resends            atomic.Int64
+	// framesSent/bytesSent count halo and checkpoint traffic written to the
+	// edge (payload bytes, headers and tokens excluded, so counts compare
+	// across backends). reconnects counts connections rebuilt after an I/O
+	// fault, resends data frames replayed from the window.
+	framesSent, bytesSent atomic.Int64
+	reconnects, resends   atomic.Int64
 }
 
-// noteDepth records the writer queue's depth after an enqueue, keeping the
-// high-water mark.
-func (oe *outEdge) noteDepth() {
-	d := int64(len(oe.ch))
-	for {
-		cur := oe.queueHW.Load()
-		if d <= cur || oe.queueHW.CompareAndSwap(cur, d) {
-			return
+// readBufSize is a connection reader's buffer: a depth-1 column strip of a
+// few thousand rows and the token behind it in one read. Larger frames
+// bypass it.
+const readBufSize = 16 << 10
+
+// maxFreeBufs bounds an edge's list of recycled wire buffers: a strip, a
+// token and a checkpoint frame in rotation, with slack.
+const maxFreeBufs = 8
+
+// takeBuf returns a wire buffer of length wireHeaderSize with room for
+// need bytes in all, recycled when the free list holds one of a fitting
+// size — not one several times too large, or tokens would take the strips'
+// buffers. Call with mu held.
+func (oe *outEdge) takeBuf(need int) []byte {
+	for i, b := range oe.free {
+		if cap(b) >= need && cap(b) <= 4*need {
+			last := len(oe.free) - 1
+			oe.free[i], oe.free[last] = oe.free[last], nil
+			oe.free = oe.free[:last]
+			return b[:wireHeaderSize]
 		}
 	}
+	return make([]byte, wireHeaderSize, need)
 }
 
 // wrap applies the chaos-injection hook (when configured) to a freshly
@@ -265,76 +292,64 @@ func (t *TCPTransport[T]) handshake(conn net.Conn, oe *outEdge, deadline time.Du
 	return f.seq, nil
 }
 
-// writeLoop drains one outbound edge's frame queue onto its socket. The
-// loop owns the edge's sequence counter and resend window: every data
-// frame is stamped and retained before the write, a write error triggers
-// reconnect-with-backoff and replay, and only a reconnect that cannot
-// complete within the death deadline (or a replay the window no longer
-// covers) declares the edge dead — after which frames are dropped and the
-// peer's receive side classifies the failure. When the queue idles, a
-// keepalive heartbeat probes the connection so silent severance is healed
-// before the next halo exchange needs the edge. On Close the loop first
-// flushes everything already queued — the last iteration's barrier tokens
-// must reach the peers that are still completing that barrier — and only
-// then exits, letting Close take the connections down.
-func (t *TCPTransport[T]) writeLoop(oe *outEdge) {
-	var hb <-chan time.Time
-	if t.keepalive > 0 {
-		ticker := time.NewTicker(t.keepalive)
-		defer ticker.Stop()
-		hb = ticker.C
-	}
-	for {
-		select {
-		case buf := <-oe.ch:
-			t.dispatch(oe, buf, false)
-		case <-hb:
-			t.heartbeat(oe)
-		case <-t.flushq:
-			for {
-				select {
-				case buf := <-oe.ch:
-					t.dispatch(oe, buf, true)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// dispatch stamps one data frame with the edge's next sequence number,
-// seals it (length + CRC), retains it in the resend window, and flushes.
-func (t *TCPTransport[T]) dispatch(oe *outEdge, buf []byte, closing bool) {
+// post serialises one data frame — a halo strip, a checkpoint or a barrier
+// token (data nil) — into a buffer the edge owns and writes it on the
+// caller's goroutine: stamped with the edge's next sequence number, sealed
+// (length + CRC) and retained in the resend window first. A write error
+// triggers reconnect-with-backoff and replay (heal), and only a reconnect
+// that cannot complete within the death deadline (or a replay the window no
+// longer covers) declares the edge dead — after which frames are dropped
+// and the peer's receive side classifies the failure.
+func (t *TCPTransport[T]) post(oe *outEdge, f frame, data []T) {
+	oe.mu.Lock()
+	buf := oe.takeBuf(wireHeaderSize + len(data)*int(f.elem))
+	putHeader(buf, f)
+	buf = AppendElems(buf, data)
 	oe.seq++
 	sealFrame(buf, oe.seq)
 	oe.ring = append(oe.ring, buf)
 	if len(oe.ring) > t.window {
-		evict := len(oe.ring) - t.window
-		for i := 0; i < evict; i++ {
-			if oe.flushed >= oe.seq-uint32(len(oe.ring)-1-i) {
-				// Written and past the window: safe to hand back to Send.
-				select {
-				case oe.free <- oe.ring[i]:
-				default:
-				}
-			}
+		// Written and past the window: the buffer can carry a later frame.
+		if old := oe.ring[0]; oe.flushed >= frameSeq(old) && len(oe.free) < maxFreeBufs {
+			oe.free = append(oe.free, old)
 		}
-		n := copy(oe.ring, oe.ring[evict:])
-		for i := n; i < len(oe.ring); i++ {
-			oe.ring[i] = nil
-		}
+		n := copy(oe.ring, oe.ring[1:])
+		oe.ring[n] = nil
 		oe.ring = oe.ring[:n]
 	}
-	t.flush(oe, closing)
+	t.flush(oe)
+	oe.mu.Unlock()
+	if f.kind != frameToken {
+		oe.framesSent.Add(1)
+		oe.bytesSent.Add(int64(len(buf) - wireHeaderSize))
+	}
+}
+
+// keepaliveLoop probes one outbound edge whenever a keepalive period passes,
+// so silent severance is healed before the next halo exchange needs the
+// edge. It is the edge's one standing goroutine and exits when the transport
+// closes.
+func (t *TCPTransport[T]) keepaliveLoop(oe *outEdge) {
+	ticker := time.NewTicker(t.keepalive)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ticker.C:
+			oe.mu.Lock()
+			t.heartbeat(oe)
+			oe.mu.Unlock()
+		case <-t.quit:
+			return
+		}
+	}
 }
 
 // flush writes every retained frame newer than the flushed watermark to
-// the connection, reconnecting (and rewinding the watermark to the
-// receiver's ack) on write errors. During Close's final drain reconnects
-// are skipped — the peers are going away too.
-func (t *TCPTransport[T]) flush(oe *outEdge, closing bool) {
-	for oe.flushed < oe.seq && !oe.dead {
+// the connection. A write error hands the edge to heal and returns: the
+// frames stay in the window and go out when the connection is back. Call
+// with oe.mu held.
+func (t *TCPTransport[T]) flush(oe *outEdge) {
+	for oe.flushed < oe.seq && !oe.dead && !oe.healing {
 		idx := len(oe.ring) - int(oe.seq-oe.flushed)
 		if idx < 0 {
 			// Frames past the window were never written — the receiver can
@@ -342,31 +357,28 @@ func (t *TCPTransport[T]) flush(oe *outEdge, closing bool) {
 			oe.dead = true
 			return
 		}
-		buf := oe.ring[idx]
 		if d := t.ioDur(); d > 0 {
 			oe.conn.SetWriteDeadline(time.Now().Add(d))
 		}
-		if _, err := oe.conn.Write(buf); err == nil {
-			oe.flushed++
-			continue
-		}
-		if closing || !t.reconnect(oe) {
-			oe.dead = true
+		if _, err := oe.conn.Write(oe.ring[idx]); err != nil {
+			t.heal(oe)
 			return
 		}
+		oe.flushed++
 	}
 }
 
 // heartbeat writes an unsequenced keepalive frame on an idle edge; a
 // failure is the early discovery of a severed connection, healed by the
-// same reconnect-and-replay path a halo write would take.
+// same reconnect-and-replay path a halo write would take. Call with oe.mu
+// held.
 func (t *TCPTransport[T]) heartbeat(oe *outEdge) {
-	if oe.dead {
+	if oe.dead || oe.healing {
 		return
 	}
 	if oe.flushed < oe.seq {
 		// Data is pending; flushing it probes the connection anyway.
-		t.flush(oe, false)
+		t.flush(oe)
 		return
 	}
 	// The keepalive carries the last sealed sequence number so the receiver
@@ -376,68 +388,86 @@ func (t *TCPTransport[T]) heartbeat(oe *outEdge) {
 		oe.conn.SetWriteDeadline(time.Now().Add(d))
 	}
 	if _, err := oe.conn.Write(buf); err != nil {
-		if !t.reconnect(oe) {
-			oe.dead = true
-			return
-		}
-		t.flush(oe, false)
+		t.heal(oe)
 	}
 }
 
-// reconnect rebuilds a broken edge connection with bounded exponential
-// backoff inside the death deadline: dial, re-wrap (the chaos hook applies
-// to reconnects too), re-handshake, and rewind the flush watermark to the
-// receiver's acknowledged resume point so flush replays what was lost.
-// Returns false when the edge cannot be healed — deadline exhausted,
-// transport closing, or the receiver needs frames the window no longer
-// retains.
-func (t *TCPTransport[T]) reconnect(oe *outEdge) bool {
+// heal takes a broken edge off its users' hands: the connection is rebuilt
+// on a goroutine of its own, so the Send, token or keepalive that found it
+// broken returns at once — a rank never sits in a dial back-off, and the
+// edges a dead peer breaks heal (or expire) side by side, not one death
+// deadline after another. Until the goroutine is done, frames posted to
+// the edge are stamped and retained but not written. It ends in one of two
+// ways: the watermark rewound to the receiver's acknowledged resume point
+// and everything after it replayed, or the edge declared dead — deadline
+// exhausted, transport closing, or the receiver needing frames the window
+// no longer retains. Call with oe.mu held.
+func (t *TCPTransport[T]) heal(oe *outEdge) {
 	if t.deadline <= 0 {
-		return false
+		oe.dead = true
+		return
 	}
+	oe.healing = true
 	oe.conn.Close()
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		conn, ack := t.redial(oe)
+		oe.mu.Lock()
+		defer oe.mu.Unlock()
+		oe.healing = false
+		if conn != nil && len(oe.ring) > 0 && ack < oe.seq-uint32(len(oe.ring))+1 {
+			// The receiver lost frames older than the resend window
+			// retains; the edge cannot be made whole.
+			conn.Close()
+			conn = nil
+		}
+		if conn == nil {
+			oe.dead = true
+			return
+		}
+		if ack > oe.seq+1 {
+			ack = oe.seq + 1
+		}
+		if ack-1 < oe.flushed {
+			oe.resends.Add(int64(oe.flushed - (ack - 1)))
+		}
+		oe.flushed = ack - 1
+		oe.conn = conn
+		t.track(conn)
+		oe.reconnects.Add(1)
+		t.flush(oe)
+	}()
+}
+
+// redial dials a broken edge's peer with bounded exponential backoff inside
+// the death deadline: dial, re-wrap (the chaos hook applies to reconnects
+// too), re-handshake. It returns the new connection and the next sequence
+// the receiver expects, or nil when the deadline ran out or the transport
+// is closing. It touches only what never changes about the edge, so it
+// runs without oe.mu.
+func (t *TCPTransport[T]) redial(oe *outEdge) (net.Conn, uint32) {
 	expire := time.Now().Add(t.deadline)
 	backoff := reconnectBackoffMin
 	for {
 		if t.closed.Load() {
-			return false
+			return nil, 0
 		}
 		remain := time.Until(expire)
 		if remain <= 0 {
-			return false
+			return nil, 0
 		}
 		if conn, err := net.DialTimeout("tcp", oe.addr, remain); err == nil {
 			conn = t.wrap(conn, oe)
-			hsDeadline := t.deadline
-			if remain < hsDeadline {
-				hsDeadline = remain
-			}
-			ack, herr := t.handshake(conn, oe, hsDeadline)
+			ack, herr := t.handshake(conn, oe, min(remain, t.deadline))
 			if herr == nil {
-				ringBase := oe.seq - uint32(len(oe.ring)) + 1
-				if len(oe.ring) > 0 && ack < ringBase {
-					// The receiver lost frames older than the resend window
-					// retains; the edge cannot be made whole.
-					conn.Close()
-					return false
-				}
-				if ack > oe.seq+1 {
-					ack = oe.seq + 1
-				}
-				if ack-1 < oe.flushed {
-					oe.resends.Add(int64(oe.flushed - (ack - 1)))
-				}
-				oe.flushed = ack - 1
-				oe.conn = conn
-				t.track(conn)
-				oe.reconnects.Add(1)
-				return true
+				return conn, ack
 			}
 			conn.Close()
 		}
 		select {
 		case <-t.quit:
-			return false
+			return nil, 0
 		case <-time.After(backoff):
 		}
 		if backoff < reconnectBackoffMax {
@@ -541,7 +571,10 @@ func (t *TCPTransport[T]) edgeDown(box *edgeBox[T], from int, cause error) {
 // into the box until the connection dies — at which point the box enters
 // its reconnect grace period (or is poisoned, when healing is off).
 func (t *TCPTransport[T]) serveConn(conn net.Conn) {
-	hello, err := readFrame(conn)
+	// Buffered, so a strip and the barrier token written behind it cost the
+	// reader one syscall and one wake-up; sized for a strip plus its token.
+	fr := &frameReader{r: bufio.NewReaderSize(conn, readBufSize)}
+	hello, err := fr.next()
 	if err != nil || hello.kind != frameHello {
 		// Unidentifiable peer: nothing to poison. Drop the connection.
 		conn.Close()
@@ -587,8 +620,15 @@ func (t *TCPTransport[T]) serveConn(conn net.Conn) {
 		return
 	}
 	conn.SetWriteDeadline(time.Time{})
+	// Decoded strips rotate through buffers the reader owns. When a buffer
+	// comes round again its last strip is at least cap(box.halo)+2 strips
+	// old: the box can hold back cap of the newer ones and the rank one
+	// more, and the rank took that one after the barrier that ended the
+	// older strip's life (Transport, payload lifetime).
+	strips := make([][]T, cap(box.halo)+2)
+	next := 0
 	for {
-		f, err := readFrame(conn)
+		f, err := fr.next()
 		if err != nil {
 			if isCorruptFrame(err) {
 				// A corrupted frame: reject the stream and let the sender
@@ -626,13 +666,15 @@ func (t *TCPTransport[T]) serveConn(conn net.Conn) {
 		}
 		switch f.kind {
 		case frameHalo:
-			data, err := DecodeElems[T](f.elem, f.payload)
+			data, err := decodeElemsInto(strips[next], f.elem, f.payload)
 			if err != nil {
 				t.poisonEdge(box, &classedError{class: ClassCorrupt,
 					err: fmt.Errorf("dist: halo frame from rank %d: %w", from, err)})
 				conn.Close()
 				return
 			}
+			strips[next] = data
+			next = (next + 1) % len(strips)
 			box.framesRecv.Add(1)
 			box.bytesRecv.Add(int64(len(f.payload)))
 			select {

@@ -209,7 +209,7 @@ func dialRetry(addr string, deadline time.Duration, retries *atomic.Int64) (net.
 
 // dialEdges opens one persistent connection per outbound directed edge of
 // the hosted ranks, performs the hello/ack handshake, and starts its
-// writer goroutine.
+// keepalive goroutine.
 func (t *TCPTransport[T]) dialEdges(cfg TCPConfig, book map[int]string) error {
 	for _, id := range t.local {
 		for d := Dir(0); d < NumDirs; d++ {
@@ -222,8 +222,6 @@ func (t *TCPTransport[T]) dialEdges(cfg TCPConfig, book map[int]string) error {
 				return fmt.Errorf("dist: address book has no entry for rank %d (neighbour %v of rank %d)", nb, d, id)
 			}
 			oe := &outEdge{
-				ch:    make(chan []byte, 64),
-				free:  make(chan []byte, 64),
 				addr:  addr,
 				from:  id,
 				to:    nb,
@@ -245,11 +243,13 @@ func (t *TCPTransport[T]) dialEdges(cfg TCPConfig, book map[int]string) error {
 			oe.flushed = ack - 1
 			t.outs[edgeKey{id, d}] = oe
 			t.track(conn)
-			t.wgW.Add(1)
-			go func() {
-				defer t.wgW.Done()
-				t.writeLoop(oe)
-			}()
+			if t.keepalive > 0 {
+				t.wg.Add(1)
+				go func() {
+					defer t.wg.Done()
+					t.keepaliveLoop(oe)
+				}()
+			}
 		}
 	}
 	return nil

@@ -206,10 +206,8 @@ type TCPTransport[T num.Float] struct {
 
 	gen    atomic.Uint32 // completed barrier generations, for error reports
 	quit   chan struct{}
-	flushq chan struct{} // closed first on Close: writers drain their queues
 	closed atomic.Bool
-	wg     sync.WaitGroup
-	wgW    sync.WaitGroup // writer goroutines, joined before connections close
+	wg     sync.WaitGroup // the accept loop, connection readers and keepalive loops
 
 	connMu sync.Mutex
 	conns  []net.Conn
@@ -251,7 +249,6 @@ func NewTCPTransport[T num.Float](cfg TCPConfig) (*TCPTransport[T], error) {
 		boxes:     make(map[edgeKey]*edgeBox[T]),
 		outs:      make(map[edgeKey]*outEdge),
 		quit:      make(chan struct{}),
-		flushq:    make(chan struct{}),
 	}
 	t.bar.full = func(gen int) error {
 		if err := t.exchangeTokens(uint32(gen)); err != nil {
@@ -327,19 +324,16 @@ func (t *TCPTransport[T]) Neighbor(id int, d Dir) bool {
 }
 
 // Send posts rank from's boundary strip toward its neighbour in direction
-// d. The strip is serialised into a fresh wire buffer before Send returns,
-// so the caller may reuse the slice after its next Barrier exactly as the
-// Transport contract allows; the socket write (and the sequence stamping,
-// CRC sealing and resend-window bookkeeping) happens on the edge's writer
-// goroutine, so Send never blocks on the network.
+// d. The strip is serialised into a wire buffer the edge owns, stamped,
+// sealed, retained for replay and written to the socket before Send
+// returns, so the caller may reuse the slice at once — well inside what the
+// Transport contract allows. The write is into the kernel's socket buffer:
+// it waits for the network only when the peer's reader has fallen a whole
+// buffer behind, and a broken connection is rebuilt off this goroutine
+// (heal) while the frame waits in the resend window.
 func (t *TCPTransport[T]) Send(from int, d Dir, data []T) {
 	oe := t.out("Send", from, d)
-	var buf []byte
-	select {
-	case buf = <-oe.free:
-	default:
-	}
-	t.post(oe, encodeHaloFrameInto(buf, uint16(from), uint16(oe.to), byte(d), t.gen.Load(), data))
+	t.post(oe, frame{kind: frameHalo, from: uint16(from), to: uint16(oe.to), dir: byte(d), elem: elemSize[T](), gen: t.gen.Load()}, data)
 }
 
 // out returns rank from's outbound edge toward direction d; a missing
@@ -350,18 +344,6 @@ func (t *TCPTransport[T]) out(call string, from int, d Dir) *outEdge {
 		panic(fmt.Sprintf("dist: %s(%d, %v) without a neighbour", call, from, d))
 	}
 	return oe
-}
-
-// post hands one halo or checkpoint frame to the edge's writer goroutine and
-// counts its payload.
-func (t *TCPTransport[T]) post(oe *outEdge, out []byte) {
-	select {
-	case oe.ch <- out:
-		oe.framesSent.Add(1)
-		oe.bytesSent.Add(int64(len(out) - wireHeaderSize))
-		oe.noteDepth()
-	case <-t.quit:
-	}
 }
 
 // box returns rank to's inbound box for direction d; a missing neighbour is
@@ -449,10 +431,7 @@ func (t *TCPTransport[T]) peerOf(to int, d Dir) int {
 // perturbs the halo FIFO the lockstep relies on.
 func (t *TCPTransport[T]) SendCkpt(from int, d Dir, gen int, data []T) {
 	oe := t.out("SendCkpt", from, d)
-	es := elemSize[T]()
-	out := make([]byte, wireHeaderSize, wireHeaderSize+len(data)*int(es))
-	putHeader(out, frame{kind: frameCkpt, from: uint16(from), to: uint16(oe.to), dir: byte(d), elem: es, gen: uint32(gen)})
-	t.post(oe, AppendElems(out, data))
+	t.post(oe, frame{kind: frameCkpt, from: uint16(from), to: uint16(oe.to), dir: byte(d), elem: elemSize[T](), gen: uint32(gen)}, data)
 }
 
 // RecvCkpt returns the next buddy snapshot the neighbour of rank to in
@@ -484,18 +463,16 @@ func (t *TCPTransport[T]) Abort(cause error) {
 }
 
 // Close tears the transport down: listener, every edge connection, and all
-// reader/writer goroutines. Safe to call more than once. Ranks blocked in
+// reader and keepalive goroutines. Safe to call more than once. Ranks blocked in
 // Recv or Barrier when their peer's transport closes observe a poisoned
 // edge, not a hang.
 func (t *TCPTransport[T]) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Flush before teardown: tokens of the final barrier may still sit in
-	// the outbound queues, and neighbours completing that barrier need
-	// them before their connection reads EOF.
-	close(t.flushq)
-	t.wgW.Wait()
+	// Nothing to flush: every frame was written by the call that posted it,
+	// so the final barrier's tokens are in the socket buffers already and
+	// reach the neighbours still completing that barrier ahead of the EOF.
 	close(t.quit)
 	t.ln.Close()
 	t.connMu.Lock()
@@ -538,7 +515,6 @@ func (t *TCPTransport[T]) Metrics() telemetry.TransportMetrics {
 			if oe, ok := t.outs[edgeKey{id, d}]; ok {
 				e.FramesSent = oe.framesSent.Load()
 				e.BytesSent = oe.bytesSent.Load()
-				e.QueueHW = oe.queueHW.Load()
 				m.Reconnects += oe.reconnects.Load()
 				m.Resends += oe.resends.Load()
 			}

@@ -68,20 +68,32 @@ func (d Dir) Opposite() Dir {
 // is the conformance suite every implementation runs, and a backend drops
 // in via Options.NewTransport without touching the protection logic.
 //
-// Phase ordering. Within one exchange round a rank performs at most one
-// Send and one receive (Recv, a successful TryRecv, or its half of a
-// RecvEither) per direction, in two phases — first Left/Right (packed
+// Phase ordering. An exchange round is the traffic of one exchange
+// iteration, and Barrier g closes round g. For each round a rank performs
+// at most one Send and one receive (Recv, a successful TryRecv, or its half
+// of a RecvEither) per direction, in two phases — first Left/Right (packed
 // boundary columns), then Up/Down (full extended-width boundary rows, which
 // thread the corner data received in the first phase to the diagonal
-// neighbours). Inside a phase a rank posts all its sends before its first
-// receive, and Send never blocks — the non-blocking Isend schedule that
-// keeps the exchange deadlock-free in any rank order. Barrier separates
-// rounds. Directional calls are only legal where Neighbor reports a
-// neighbour; elsewhere they panic with a plain string (a caller bug).
+// neighbours). The x-phase is pipelined: a rank may post its Left/Right
+// strips of round g+1 before it enters Barrier g, as soon as they are final,
+// and the neighbour receives them after that barrier, FIFO behind round g's
+// strip on the same edge. So up to two strips are outstanding on an x edge —
+// round g+1's, and round g+2's from a neighbour already through round g+1 —
+// and Send blocks on neither: the non-blocking Isend schedule that keeps the
+// exchange deadlock-free in any rank order. The Up/Down sends of a round
+// happen inside it, after both x strips are in. A strip posted before
+// Barrier g has been delivered to its receiver's inbox by the time that
+// receiver's Barrier g returns, so a TryRecv after the barrier finds it.
+// Directional calls are only legal where Neighbor reports a neighbour;
+// elsewhere they panic with a plain string (a caller bug).
 //
-// Payload lifetime. The slice passed to Send or SendCkpt stays valid until
-// the sender's next Barrier; the slice a receive returns is only valid
-// until the receiver's next Barrier, so the receiver copies it out first.
+// Payload lifetime. The slice passed to Send stays valid until the sender's
+// Barrier that closes the round the strip belongs to — for a strip posted
+// ahead of Barrier g that is Barrier g+1, which is why a sender keeps two
+// pack buffers per x edge; the slice passed to SendCkpt until the sender's
+// next Barrier. The slice a receive returns is valid until the receiver's
+// Barrier closing the round it belongs to — its next one — so the receiver
+// copies it out first.
 //
 // Failure. Halo traffic fails fatally, MPI_ERRORS_ARE_FATAL style, since no
 // iteration can complete without its neighbours: Recv and RecvEither panic
@@ -140,12 +152,14 @@ type Transport[T num.Float] interface {
 
 // ChanTransport is the default in-process Transport: adjacent ranks of the
 // Cartesian grid are wired with paired channels in the MPI neighbour
-// pattern. Each channel carries one message per iteration per direction: a
+// pattern. Each channel carries one message per round per direction: a
 // boundary strip, either as a view into the sender's read buffer (row
 // strips, immutable until the iteration barrier) or as a sender-owned pack
-// buffer (column strips, rewritten only after the barrier); the receiver
-// copies before reaching its own barrier. Capacity 1 lets every rank post
-// its phase's sends before either receive.
+// buffer (column strips, rewritten two rounds later); the receiver copies
+// before reaching its own barrier. Capacity 2 is the contract's two strips
+// outstanding per edge: a rank posts its phase's sends before either
+// receive, and its next round's x strips before the barrier, without
+// blocking.
 //
 // Under a ring (periodic global boundaries) both axes close into a torus,
 // so wrap-around halos are real remote data; a single rank on an axis
@@ -248,7 +262,7 @@ func NewChanTransport[T num.Float](ranksX, ranksY int, ring bool) *ChanTransport
 		t.ch[d] = make([]chan []T, n)
 		t.ck[d] = make([]chan ckptParcel[T], n)
 		for i := 0; i < n; i++ {
-			t.ch[d][i] = make(chan []T, 1)
+			t.ch[d][i] = make(chan []T, 2) // two strips outstanding per edge, see the type comment
 			t.ck[d][i] = make(chan ckptParcel[T], 1)
 		}
 	}
@@ -392,7 +406,7 @@ func (t *ChanTransport[T]) Abort(cause error) {
 func (t *ChanTransport[T]) Barrier() { t.bar.await() }
 
 // Metrics returns the per-edge halo traffic counted so far. The channel
-// backend has no writer queues, dials or poison — those stay zero.
+// backend has no dials or poison — those stay zero.
 func (t *ChanTransport[T]) Metrics() telemetry.TransportMetrics {
 	return t.em.snapshot(t.geo, t.ring)
 }

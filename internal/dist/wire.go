@@ -218,31 +218,6 @@ func appendFrame(dst []byte, f frame) []byte {
 	return dst
 }
 
-// encodeHaloFrame serialises one halo strip into a single wire buffer —
-// header reserved up front, elements appended in place, then sealed —
-// avoiding the intermediate payload buffer appendFrame would need. This
-// is the per-edge-per-iteration hot path of Send. The frame is returned
-// unsealed: the edge's writer goroutine owns the per-edge sequence counter
-// and seals (seq + length + CRC) at dispatch, so the checksum is computed
-// exactly once per frame.
-func encodeHaloFrame[T num.Float](from, to uint16, dir byte, gen uint32, data []T) []byte {
-	return encodeHaloFrameInto[T](nil, from, to, dir, gen, data)
-}
-
-// encodeHaloFrameInto is encodeHaloFrame writing into a recycled wire
-// buffer when its capacity suffices (allocating a fresh one otherwise) —
-// the reuse path fed by the resend window's evictions.
-func encodeHaloFrameInto[T num.Float](buf []byte, from, to uint16, dir byte, gen uint32, data []T) []byte {
-	es := elemSize[T]()
-	if need := wireHeaderSize + len(data)*int(es); cap(buf) < need {
-		buf = make([]byte, wireHeaderSize, need)
-	} else {
-		buf = buf[:wireHeaderSize]
-	}
-	putHeader(buf, frame{kind: frameHalo, from: from, to: to, dir: dir, elem: es, gen: gen})
-	return AppendElems(buf, data)
-}
-
 // wireCorruptError marks a frame rejected by the CRC check — the receiver
 // classifies it as corruption (and heals by forcing the sender to
 // reconnect and replay) rather than as a protocol error.
@@ -256,14 +231,29 @@ func isCorruptFrame(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// readFrame reads and validates one frame from r. It checks the magic and
-// the wire version before trusting any other header field, then verifies
-// the CRC-32C over header and payload, so a version-mismatched peer or a
+// readFrame reads and validates one frame from r, into fresh memory — the
+// one-shot form the handshakes, the rendezvous and the control plane use.
+func readFrame(r io.Reader) (frame, error) {
+	return (&frameReader{r: r}).next()
+}
+
+// frameReader reads a stream of frames through buffers it owns, so a
+// connection's steady halo-and-token traffic allocates nothing: the frame
+// next returns — its payload included — is valid until the next call.
+type frameReader struct {
+	r       io.Reader
+	hdr     [wireHeaderSize]byte
+	payload []byte
+}
+
+// next reads and validates one frame. It checks the magic and the wire
+// version before trusting any other header field, then verifies the
+// CRC-32C over header and payload, so a version-mismatched peer or a
 // corrupted frame is rejected with an actionable error instead of being
 // misparsed.
-func readFrame(r io.Reader) (frame, error) {
-	var h [wireHeaderSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
+func (fr *frameReader) next() (frame, error) {
+	h := fr.hdr[:]
+	if _, err := io.ReadFull(fr.r, h); err != nil {
 		return frame{}, err
 	}
 	if h[0] != wireMagic0 || h[1] != wireMagic1 {
@@ -277,22 +267,26 @@ func readFrame(r io.Reader) (frame, error) {
 		return frame{}, fmt.Errorf("dist: frame payload length %d exceeds the %d-byte cap (corrupt header?)", n, maxFramePayload)
 	}
 	f := frame{
-		kind:  h[3],
-		from:  binary.LittleEndian.Uint16(h[4:6]),
-		to:    binary.LittleEndian.Uint16(h[6:8]),
-		dir:   h[8],
-		elem:  h[9],
-		gen:   binary.LittleEndian.Uint32(h[10:14]),
-		round: binary.LittleEndian.Uint16(h[14:16]),
-		seq:   binary.LittleEndian.Uint32(h[16:20]),
+		kind:    h[3],
+		from:    binary.LittleEndian.Uint16(h[4:6]),
+		to:      binary.LittleEndian.Uint16(h[6:8]),
+		dir:     h[8],
+		elem:    h[9],
+		gen:     binary.LittleEndian.Uint32(h[10:14]),
+		round:   binary.LittleEndian.Uint16(h[14:16]),
+		seq:     binary.LittleEndian.Uint32(h[16:20]),
+		payload: fr.payload[:0],
 	}
-	// Allocate for what has arrived, not for what the header announces.
+	// Grow for what has arrived, not for what the header announces.
 	for got := 0; got < int(n); got = len(f.payload) {
 		k := min(int(n)-got, max(got, payloadChunk))
 		f.payload = slices.Grow(f.payload, k)[:got+k]
-		if _, err := io.ReadFull(r, f.payload[got:]); err != nil {
+		if _, err := io.ReadFull(fr.r, f.payload[got:]); err != nil {
 			return frame{}, fmt.Errorf("dist: truncated frame payload (want %d bytes): %w", n, err)
 		}
+	}
+	if cap(f.payload) <= payloadChunk {
+		fr.payload = f.payload // strips recycle; a tile-sized checkpoint is left to the GC
 	}
 	crc := crc32.Update(0, crcTable, h[:24])
 	crc = crc32.Update(crc, crcTable, f.payload)
@@ -328,9 +322,16 @@ func AppendElems[T num.Float](dst []byte, data []T) []byte {
 }
 
 // DecodeElems parses a payload of raw element bits (a halo strip, a served
-// result grid) back into elements, validating the declared element width
-// against T and the payload length against it.
+// result grid) back into freshly allocated elements, validating the
+// declared element width against T and the payload length against it.
 func DecodeElems[T num.Float](elem byte, payload []byte) ([]T, error) {
+	return decodeElemsInto[T](nil, elem, payload)
+}
+
+// decodeElemsInto is DecodeElems decoding into buf when its capacity
+// suffices (allocating otherwise) — how a connection reader recycles the
+// strips it hands its rank.
+func decodeElemsInto[T num.Float](buf []T, elem byte, payload []byte) ([]T, error) {
 	want := elemSize[T]()
 	if elem != want {
 		return nil, fmt.Errorf("dist: halo element width %d bytes, this rank runs %d-byte elements (mixed float32/float64 cluster?)", elem, want)
@@ -338,7 +339,11 @@ func DecodeElems[T num.Float](elem byte, payload []byte) ([]T, error) {
 	if len(payload)%int(want) != 0 {
 		return nil, fmt.Errorf("dist: halo payload of %d bytes is not a whole number of %d-byte elements", len(payload), want)
 	}
-	out := make([]T, len(payload)/int(want))
+	n := len(payload) / int(want)
+	if cap(buf) < n {
+		buf = make([]T, n)
+	}
+	out := buf[:n]
 	if want == 4 {
 		for i := range out {
 			out[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:])))

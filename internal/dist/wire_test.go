@@ -94,18 +94,21 @@ func TestWireElems(t *testing.T) {
 	}
 }
 
-// TestEncodeHaloFrameMatchesAppendFrame pins the single-allocation halo
-// encoder against the general frame serialiser byte for byte.
+// TestEncodeHaloFrameMatchesAppendFrame pins the in-place encoding of an
+// edge's data frames — header, elements appended, sealed last (post) —
+// against the general frame serialiser byte for byte.
 func TestEncodeHaloFrameMatchesAppendFrame(t *testing.T) {
 	data := []float64{1.5, -2.25, 3.125}
 	want := appendFrame(nil, frame{
 		kind: frameHalo, from: 3, to: 5, dir: byte(Up), elem: 8, gen: 17, seq: 9,
 		payload: AppendElems(nil, data),
 	})
-	got := encodeHaloFrame(3, 5, byte(Up), 17, data)
-	sealFrame(got, 9) // the writer goroutine's final step
+	got := make([]byte, wireHeaderSize)
+	putHeader(got, frame{kind: frameHalo, from: 3, to: 5, dir: byte(Up), elem: 8, gen: 17})
+	got = AppendElems(got, data)
+	sealFrame(got, 9)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("encodeHaloFrame:\n got %x\nwant %x", got, want)
+		t.Fatalf("in-place halo frame:\n got %x\nwant %x", got, want)
 	}
 }
 

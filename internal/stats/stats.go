@@ -154,28 +154,24 @@ func (t Timing) Straggler() (rank int, maxOverMean float64, ok bool) {
 // Transport is the communication-backend counter roll-up: halo frames and
 // payload bytes over all edges, plus the TCP backend's health counters.
 type Transport struct {
-	FramesSent     int64 // halo frames enqueued to neighbours
-	FramesRecv     int64 // halo frames received from neighbours
-	BytesSent      int64 // halo payload bytes sent (headers excluded)
-	BytesRecv      int64 // halo payload bytes received
-	QueueHighWater int64 // deepest writer-queue backlog seen on any edge (TCP)
-	DialRetries    int64 // bootstrap connection retries (TCP)
-	PoisonEvents   int64 // edges torn down by I/O errors (TCP; Close excluded)
-	Reconnects     int64 // edge connections rebuilt after transient faults (TCP)
-	Resends        int64 // data frames replayed from resend windows (TCP)
-	CrcErrors      int64 // frames rejected by the wire checksum (TCP)
-	DupFrames      int64 // replay duplicates dropped by sequence dedup (TCP)
+	FramesSent   int64 // halo frames sent to neighbours
+	FramesRecv   int64 // halo frames received from neighbours
+	BytesSent    int64 // halo payload bytes sent (headers excluded)
+	BytesRecv    int64 // halo payload bytes received
+	DialRetries  int64 // bootstrap connection retries (TCP)
+	PoisonEvents int64 // edges torn down by I/O errors (TCP; Close excluded)
+	Reconnects   int64 // edge connections rebuilt after transient faults (TCP)
+	Resends      int64 // data frames replayed from resend windows (TCP)
+	CrcErrors    int64 // frames rejected by the wire checksum (TCP)
+	DupFrames    int64 // replay duplicates dropped by sequence dedup (TCP)
 }
 
-// Merge sums the counters; QueueHighWater, a high-water mark, takes max.
+// Merge sums the counters.
 func (t Transport) Merge(o Transport) Transport {
 	t.FramesSent += o.FramesSent
 	t.FramesRecv += o.FramesRecv
 	t.BytesSent += o.BytesSent
 	t.BytesRecv += o.BytesRecv
-	if o.QueueHighWater > t.QueueHighWater {
-		t.QueueHighWater = o.QueueHighWater
-	}
 	t.DialRetries += o.DialRetries
 	t.PoisonEvents += o.PoisonEvents
 	t.Reconnects += o.Reconnects
@@ -322,9 +318,6 @@ func (t Timing) String() string {
 func (t Transport) String() string {
 	out := fmt.Sprintf("transport frames[sent/recv]=%d/%d bytes[sent/recv]=%d/%d",
 		t.FramesSent, t.FramesRecv, t.BytesSent, t.BytesRecv)
-	if t.QueueHighWater > 0 {
-		out += fmt.Sprintf(" queue-hw=%d", t.QueueHighWater)
-	}
 	if t.DialRetries > 0 {
 		out += fmt.Sprintf(" dial-retries=%d", t.DialRetries)
 	}

@@ -162,22 +162,21 @@ func TestStragglerReport(t *testing.T) {
 	}
 }
 
-// TestTransportMerge pins the counter roll-up: sums everywhere except the
-// high-water mark, which takes max.
+// TestTransportMerge pins the counter roll-up: sums everywhere.
 func TestTransportMerge(t *testing.T) {
 	a := Transport{FramesSent: 1, FramesRecv: 2, BytesSent: 3, BytesRecv: 4,
-		QueueHighWater: 5, DialRetries: 6, PoisonEvents: 7}
+		DialRetries: 6, PoisonEvents: 7}
 	b := Transport{FramesSent: 10, FramesRecv: 20, BytesSent: 30, BytesRecv: 40,
-		QueueHighWater: 2, DialRetries: 60, PoisonEvents: 70}
+		DialRetries: 60, PoisonEvents: 70}
 	want := Transport{FramesSent: 11, FramesRecv: 22, BytesSent: 33, BytesRecv: 44,
-		QueueHighWater: 5, DialRetries: 66, PoisonEvents: 77}
+		DialRetries: 66, PoisonEvents: 77}
 	if got := a.Merge(b); got != want {
 		t.Fatalf("Merge = %+v, want %+v", got, want)
 	}
 	if got := b.Merge(a); got != want {
 		t.Fatalf("Merge not symmetric: %+v", got)
 	}
-	if s := want.String(); !strings.Contains(s, "frames[sent/recv]=11/22") || !strings.Contains(s, "queue-hw=5") {
+	if s := want.String(); !strings.Contains(s, "frames[sent/recv]=11/22") || !strings.Contains(s, "dial-retries=66") {
 		t.Fatalf("Transport.String = %q", s)
 	}
 }

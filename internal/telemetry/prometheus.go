@@ -97,7 +97,6 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 //
 //	stencilabft_transport_frames_total{from="0",to="1",dir="right",op="sent"} 40
 //	stencilabft_transport_bytes_total{from="0",to="1",dir="right",op="sent"} 163840
-//	stencilabft_transport_queue_high_water{from="0",to="1",dir="right"} 3
 //	stencilabft_transport_dial_retries_total 2
 //	stencilabft_transport_poison_events_total 0
 func (m TransportMetrics) WritePrometheus(w io.Writer) error {
@@ -114,12 +113,6 @@ func (m TransportMetrics) WritePrometheus(w io.Writer) error {
 	p.Family("stencilabft_transport_bytes_total", "Halo payload bytes per directed edge.", "counter")
 	for _, e := range m.Edges {
 		edge("stencilabft_transport_bytes_total", e, e.BytesSent, e.BytesRecv)
-	}
-	p.Family("stencilabft_transport_queue_high_water", "Writer-queue depth high-water mark per edge.", "gauge")
-	for _, e := range m.Edges {
-		if e.QueueHW != 0 {
-			p.Sample("stencilabft_transport_queue_high_water", e.QueueHW, "from", strconv.Itoa(e.From), "to", strconv.Itoa(e.To), "dir", e.Dir)
-		}
 	}
 	p.Family("stencilabft_transport_dial_retries_total", "", "counter")
 	p.Sample("stencilabft_transport_dial_retries_total", m.DialRetries)

@@ -22,7 +22,7 @@ func TestPrometheusGolden(t *testing.T) {
 	}
 	m := TransportMetrics{
 		Edges: []EdgeStat{
-			{From: 0, To: 1, Dir: "right", FramesSent: 40, BytesSent: 163840, FramesRecv: 39, BytesRecv: 159744, QueueHW: 3},
+			{From: 0, To: 1, Dir: "right", FramesSent: 40, BytesSent: 163840, FramesRecv: 39, BytesRecv: 159744},
 			{From: 1, To: 0, Dir: "left", FramesSent: 39, BytesSent: 159744, FramesRecv: 40, BytesRecv: 163840},
 		},
 		DialRetries: 2, Poisoned: 1,
@@ -77,12 +77,11 @@ func TestCollectorWritePrometheus(t *testing.T) {
 }
 
 // TestTransportWritePrometheus pins the per-edge exposition: sent/recv
-// lines per edge, the zero-suppressed queue high-water gauge, and the
-// transport-global counters.
+// lines per edge and the transport-global counters.
 func TestTransportWritePrometheus(t *testing.T) {
 	m := TransportMetrics{
 		Edges: []EdgeStat{
-			{From: 0, To: 1, Dir: "right", FramesSent: 40, BytesSent: 163840, FramesRecv: 40, BytesRecv: 163840, QueueHW: 3},
+			{From: 0, To: 1, Dir: "right", FramesSent: 40, BytesSent: 163840, FramesRecv: 40, BytesRecv: 163840},
 			{From: 1, To: 0, Dir: "left", FramesSent: 40, BytesSent: 163840, FramesRecv: 40, BytesRecv: 163840},
 		},
 		DialRetries: 2,
@@ -96,15 +95,11 @@ func TestTransportWritePrometheus(t *testing.T) {
 		`stencilabft_transport_frames_total{from="0",to="1",dir="right",op="sent"} 40`,
 		`stencilabft_transport_frames_total{from="0",to="1",dir="right",op="recv"} 40`,
 		`stencilabft_transport_bytes_total{from="1",to="0",dir="left",op="sent"} 163840`,
-		`stencilabft_transport_queue_high_water{from="0",to="1",dir="right"} 3`,
 		"stencilabft_transport_dial_retries_total 2",
 		"stencilabft_transport_poison_events_total 0",
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("exposition lacks %q:\n%s", want, out)
 		}
-	}
-	if strings.Contains(out, `stencilabft_transport_queue_high_water{from="1"`) {
-		t.Errorf("zero queue high-water not suppressed:\n%s", out)
 	}
 }

@@ -44,8 +44,10 @@ const (
 	// column-strip copies of the 2-D halo exchange).
 	PhasePack Phase = iota
 	// PhaseSend is posting halo strips to the transport. With the TCP
-	// backend this is serialisation only — the socket write happens on the
-	// writer goroutine — so a large Send time means encoding, not network.
+	// backend this is encoding, the CRC and the write into the socket
+	// buffer, all on the rank's goroutine; it grows past that only when the
+	// peer's reader has fallen a socket buffer behind, or while a broken
+	// connection is being rebuilt.
 	PhaseSend
 	// PhaseRecvWait is blocking until a neighbour's halo strip arrives —
 	// the direct reading of the paper's communication bottleneck.
@@ -68,9 +70,10 @@ const (
 	// buddy-checkpoint snapshot (the fail-stop resilience layer's periodic
 	// memory copy).
 	PhaseCkptSave
-	// PhaseCkptSend is posting the snapshot to the buddy rank's edge. Like
-	// PhaseSend this is serialisation only on the TCP backend; the socket
-	// write overlaps the following iterations.
+	// PhaseCkptSend is posting the snapshot to the buddy rank's edge and
+	// banking the wards' snapshots. Like PhaseSend it includes the socket
+	// write on the TCP backend, and a snapshot outgrows the socket buffer,
+	// so the write paces itself to the buddy's reader.
 	PhaseCkptSend
 	// PhaseRecoverWait is the fail-stop recovery stall: from detecting a
 	// dead neighbour until the coordinator's recovery plan arrives.

@@ -9,10 +9,9 @@ import (
 // Transport-metrics model. Both communication backends (in-process
 // channels and TCP) count the same things so runs are comparable across
 // transports: halo frames and payload bytes per directed edge, in each
-// direction. The TCP backend additionally reports writer-queue depth
-// high-water marks (how far a slow socket let frames pile up), dial
-// retries during bootstrap, and poison events (edges torn down by an I/O
-// error — excluding the deliberate poisons of Close).
+// direction. The TCP backend additionally reports dial retries during
+// bootstrap and poison events (edges torn down by an I/O error — excluding
+// the deliberate poisons of Close).
 
 // EdgeStat is the traffic of one directed halo edge as observed by rank
 // From: FramesSent/BytesSent count what From sent toward To in direction
@@ -26,7 +25,6 @@ type EdgeStat struct {
 	BytesSent  int64 // payload element bytes (headers excluded)
 	FramesRecv int64
 	BytesRecv  int64
-	QueueHW    int64 // writer-queue depth high-water mark (TCP only)
 }
 
 // TransportMetrics is one transport's full counter snapshot.
@@ -70,9 +68,6 @@ func (m TransportMetrics) Totals() stats.Transport {
 		t.BytesSent += e.BytesSent
 		t.FramesRecv += e.FramesRecv
 		t.BytesRecv += e.BytesRecv
-		if e.QueueHW > t.QueueHighWater {
-			t.QueueHighWater = e.QueueHW
-		}
 	}
 	t.DialRetries = m.DialRetries
 	t.PoisonEvents = m.Poisoned
@@ -99,9 +94,6 @@ func (m TransportMetrics) PerRank(rank int) stats.Transport {
 		t.BytesSent += e.BytesSent
 		t.FramesRecv += e.FramesRecv
 		t.BytesRecv += e.BytesRecv
-		if e.QueueHW > t.QueueHighWater {
-			t.QueueHighWater = e.QueueHW
-		}
 	}
 	return t
 }

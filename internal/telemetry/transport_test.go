@@ -12,8 +12,8 @@ import (
 func fourEdges() TransportMetrics {
 	return TransportMetrics{
 		Edges: []EdgeStat{
-			{From: 1, To: 0, Dir: "left", FramesSent: 10, BytesSent: 100, FramesRecv: 20, BytesRecv: 200, QueueHW: 5},
-			{From: 0, To: 1, Dir: "right", FramesSent: 20, BytesSent: 200, FramesRecv: 10, BytesRecv: 100, QueueHW: 2},
+			{From: 1, To: 0, Dir: "left", FramesSent: 10, BytesSent: 100, FramesRecv: 20, BytesRecv: 200},
+			{From: 0, To: 1, Dir: "right", FramesSent: 20, BytesSent: 200, FramesRecv: 10, BytesRecv: 100},
 		},
 		DialRetries: 3,
 		Poisoned:    1,
@@ -37,7 +37,7 @@ func TestTotalsAndPerRankIdentity(t *testing.T) {
 	total := m.Totals()
 	want := stats.Transport{
 		FramesSent: 30, BytesSent: 300, FramesRecv: 30, BytesRecv: 300,
-		QueueHighWater: 5, DialRetries: 3, PoisonEvents: 1,
+		DialRetries: 3, PoisonEvents: 1,
 	}
 	if total != want {
 		t.Fatalf("Totals = %+v, want %+v", total, want)
