@@ -68,7 +68,6 @@
 package stencilabft
 
 import (
-	"stencilabft/internal/blocks"
 	"stencilabft/internal/checksum"
 	"stencilabft/internal/core"
 	"stencilabft/internal/dist"
@@ -164,7 +163,9 @@ type Detector[T Float] = checksum.Detector[T]
 // parallel structs.
 type Stats = core.Stats
 
-// Online2D is the per-iteration detect-and-correct protector (Section 3).
+// Online2D is the per-iteration detect-and-correct protector (Section 3),
+// applied per chunk of the domain; the Online scheme's one chunk is the
+// domain itself.
 type Online2D[T Float] = core.Online2D[T]
 
 // Offline2D is the periodic-detection protector with checkpoint/rollback
@@ -231,8 +232,9 @@ func CalibrateEpsilon[T Float](op *Op2D[T], init *Grid[T], iters int) (Calibrati
 
 // Blocked2D applies the online scheme per chunk of a tiled 2-D domain
 // (paper Section 3.4): each block owns its checksums, keeping magnitudes —
-// and with them the floating-point detection floor — low.
-type Blocked2D[T Float] = blocks.Protector[T]
+// and with them the floating-point detection floor — low. It is Online2D
+// built over BlockX-by-BlockY chunks.
+type Blocked2D[T Float] = core.Online2D[T]
 
 // Injection describes one planned bit-flip for fault-injection campaigns.
 type Injection = fault.Injection

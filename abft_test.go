@@ -1,6 +1,7 @@
 package stencilabft_test
 
 import (
+	"math"
 	"testing"
 
 	abft "stencilabft"
@@ -133,6 +134,39 @@ func TestPublicBlockedFlow(t *testing.T) {
 	// 48x48 over 16x16 tiles = 9 blocks, each compared every iteration.
 	if st.Verifications != 9*16 {
 		t.Fatalf("blocked verifications %d, want one per block per iteration (%d)", st.Verifications, 9*16)
+	}
+}
+
+// TestBlockedOneChunkIsOnline: Online2D and Blocked2D name one type, and the
+// Blocked spec whose block is the domain is the Online spec — same grid to
+// the bit, same counters, a repaired flip included.
+func TestBlockedOneChunkIsOnline(t *testing.T) {
+	var _ *abft.Online2D[float64] = (*abft.Blocked2D[float64])(nil)
+	spec := abft.Spec[float64]{
+		Scheme: abft.Online,
+		Op2D:   &abft.Op2D[float64]{St: abft.BoxBlur[float64](), BC: abft.Mirror},
+		Init:   abft.New[float64](37, 29),
+		Inject: abft.NewPlan(abft.Injection{Iteration: 5, X: 36, Y: 0, Bit: 57}),
+	}
+	spec.Init.FillFunc(func(x, y int) float64 { return 200 + float64((x*13+y)%11) })
+	online, err := abft.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Scheme, spec.BlockX, spec.BlockY = abft.Blocked, 37, 29
+	blocked, err := abft.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online.Run(12)
+	blocked.Run(12)
+	if st := online.Stats(); st != blocked.Stats() || st.Detections != 1 || st.CorrectedPoints != 1 || st.FlaggedBlocks != 0 {
+		t.Fatalf("online %+v, one-chunk blocked %+v", st, blocked.Stats())
+	}
+	for i, v := range online.Grid().Data() {
+		if math.Float64bits(v) != math.Float64bits(blocked.Grid().Data()[i]) {
+			t.Fatalf("cell %d: online %v, one-chunk blocked %v", i, v, blocked.Grid().Data()[i])
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package stencilabft
 
 import (
-	"stencilabft/internal/blocks"
 	"stencilabft/internal/core"
 	"stencilabft/internal/dist"
 )
@@ -25,9 +24,9 @@ type Protector[T Float] interface {
 	Finalize()
 }
 
-// Compile-time conformance checks: all six core protectors, the tiled
-// protector and the cluster satisfy the unified contract for both element
-// types.
+// Compile-time conformance checks: all six core protectors and the clusters
+// satisfy the unified contract for both element types (Blocked2D is
+// Online2D).
 var (
 	_ Protector[float32] = (*None2D[float32])(nil)
 	_ Protector[float32] = (*Online2D[float32])(nil)
@@ -35,7 +34,6 @@ var (
 	_ Protector[float32] = (*None3D[float32])(nil)
 	_ Protector[float32] = (*Online3D[float32])(nil)
 	_ Protector[float32] = (*Offline3D[float32])(nil)
-	_ Protector[float32] = (*Blocked2D[float32])(nil)
 	_ Protector[float32] = (*Cluster[float32])(nil)
 	_ Protector[float32] = (*Cluster3D[float32])(nil)
 	_ Protector[float64] = (*None2D[float64])(nil)
@@ -44,7 +42,6 @@ var (
 	_ Protector[float64] = (*None3D[float64])(nil)
 	_ Protector[float64] = (*Online3D[float64])(nil)
 	_ Protector[float64] = (*Offline3D[float64])(nil)
-	_ Protector[float64] = (*Blocked2D[float64])(nil)
 	_ Protector[float64] = (*Cluster[float64])(nil)
 	_ Protector[float64] = (*Cluster3D[float64])(nil)
 )
@@ -102,7 +99,7 @@ func buildOffline[T Float](spec Spec[T]) (Protector[T], error) {
 }
 
 func buildBlocked[T Float](spec Spec[T]) (Protector[T], error) {
-	return blocks.New(spec.Op2D, spec.Init, spec.BlockX, spec.BlockY, spec.blocksOptions())
+	return core.NewBlocked2D(spec.Op2D, spec.Init, spec.BlockX, spec.BlockY, spec.coreOptions())
 }
 
 func buildCluster[T Float](spec Spec[T]) (Protector[T], error) {

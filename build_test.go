@@ -8,7 +8,6 @@ import (
 	"time"
 
 	abft "stencilabft"
-	"stencilabft/internal/blocks"
 	"stencilabft/internal/core"
 	"stencilabft/internal/dist"
 	"stencilabft/internal/grid"
@@ -56,15 +55,19 @@ func legacyRun(t *testing.T, s abft.Scheme, d abft.Deployment, bc grid.Boundary)
 		}
 		c.Run(matrixIters)
 		return c.Gather()
-	case s == abft.Blocked:
-		p, err := blocks.New(op, init, matrixBlock, matrixBlock, blocks.Options[float64]{Detector: strictDetector()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Run(matrixIters)
-		return p.Grid()
 	default:
-		p, err := core.New2D(string(s), op, init, copt)
+		var p abft.Protector[float64]
+		var err error
+		switch s {
+		case abft.None:
+			p, err = core.NewNone2D(op, init, copt)
+		case abft.Online:
+			p, err = core.NewOnline2D(op, init, copt)
+		case abft.Offline:
+			p, err = core.NewOffline2D(op, init, copt)
+		case abft.Blocked:
+			p, err = core.NewBlocked2D(op, init, matrixBlock, matrixBlock, copt)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +126,7 @@ func TestBuildMatrixMatchesLegacy(t *testing.T) {
 }
 
 // TestBuildMatrix3D covers the 3-D cells of the local deployment against
-// the internal New3D constructor.
+// the internal 3-D constructors.
 func TestBuildMatrix3D(t *testing.T) {
 	op3 := func(bc grid.Boundary) *abft.Op3D[float64] {
 		return &abft.Op3D[float64]{
@@ -151,7 +154,16 @@ func TestBuildMatrix3D(t *testing.T) {
 				p.Run(matrixIters)
 				p.Finalize()
 
-				want, err := core.New3D(string(s), op3(bc), init3(), core.Options[float64]{Detector: strictDetector()})
+				var want abft.Protector[float64]
+				copt := core.Options[float64]{Detector: strictDetector()}
+				switch s {
+				case abft.None:
+					want, err = core.NewNone3D(op3(bc), init3(), copt)
+				case abft.Online:
+					want, err = core.NewOnline3D(op3(bc), init3(), copt)
+				case abft.Offline:
+					want, err = core.NewOffline3D(op3(bc), init3(), copt)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,7 +3,6 @@ package stencilabft
 import (
 	"errors"
 
-	"stencilabft/internal/dist"
 	"stencilabft/internal/errs"
 	"stencilabft/internal/stencil"
 )
@@ -17,7 +16,7 @@ import (
 var (
 	// ErrInvalidSpec is the umbrella class: the Spec (or wire form) as
 	// declared cannot be built. Every narrower sentinel below implies it.
-	ErrInvalidSpec = errors.New("stencilabft: invalid spec")
+	ErrInvalidSpec = errs.ErrInvalidSpec
 	// ErrUnknownScheme classifies an unrecognised Scheme name.
 	ErrUnknownScheme = errors.New("stencilabft: unknown scheme")
 	// ErrUnknownDeployment classifies an unrecognised Deployment name.
@@ -28,10 +27,11 @@ var (
 	// has no constructor for; the error text lists the supported cells.
 	ErrUnsupportedCombination = errors.New("stencilabft: unsupported scheme/deployment combination")
 
-	// ErrThinTile classifies a cluster decomposition whose tiles are too
-	// thin for the stencil's halo — re-exported from the dist package,
-	// which owns the geometry check.
-	ErrThinTile = dist.ErrThinTile
+	// ErrThinTile classifies a rectangle too thin for the stencil that is
+	// to sweep it: a cluster decomposition's tile (dist.Decomp rejects the
+	// rank grid) or a Blocked scheme's block (the chunk constructor names
+	// it, and tags ErrInvalidSpec as well).
+	ErrThinTile = errs.ErrThinTile
 	// ErrInvalidOp classifies an operator that fails validation against
 	// its domain (bad stencil, invalid boundary condition, radius exceeding
 	// the domain, mis-shaped constant field) — re-exported from the stencil

@@ -97,7 +97,7 @@ func ablationLocate(cfg TileConfig, w io.Writer) {
 			for m, paperExact := range []bool{false, true} {
 				corrupt()
 				stencil.ChecksumA(dst, direct.A)
-				checksum.Corrector[float32]{PaperExact: paperExact}.Repair(det, checksum.PairByResidual, dst, direct, interpA, interpB)
+				checksum.Corrector[float32]{PaperExact: paperExact}.RepairRect(det, checksum.PairByResidual, dst, 0, 0, nx, ny, direct.A, direct.B, interpA, interpB)
 				left(1 + m)
 			}
 		}

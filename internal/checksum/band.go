@@ -241,17 +241,17 @@ func (ip *Interp2D[T]) InterpolateABlock(aPrevExt []T, h int, edges EdgeSource[T
 	}
 }
 
-// OffsetEdges translates an EdgeSource into a sub-rectangle's local
-// coordinate frame: local (x, y) reads the parent source at
-// (x+X0, y+Y0). A block's interpolator (built with the block's dimensions)
-// evaluates its alpha/beta terms in block-local coordinates; wrapping the
-// global domain's live edges in an OffsetEdges hands it the right window.
+// OffsetEdges views a boundary-resolved grid in a sub-rectangle's local
+// coordinate frame: local (x, y) reads the grid at (x+X0, y+Y0), resolving
+// what lies outside it through the boundary condition. A chunk's
+// interpolator (built with the chunk's dimensions) evaluates its alpha/beta
+// terms in chunk-local coordinates; this hands it the right window.
 type OffsetEdges[T num.Float] struct {
-	Src    EdgeSource[T]
+	Src    grid.BoundedGrid[T]
 	X0, Y0 int
 }
 
-// At reads the parent source at the translated coordinates.
+// At reads the grid at the translated coordinates.
 func (oe OffsetEdges[T]) At(x, y int) T { return oe.Src.At(x+oe.X0, y+oe.Y0) }
 
 // TileEdges adapts a fully extended tile grid — halo columns and halo rows

@@ -60,23 +60,6 @@ func (v *Vectors[T]) ComputeKahan(g *grid.Grid[T]) {
 	}
 }
 
-// Clone returns a deep copy.
-func (v *Vectors[T]) Clone() *Vectors[T] {
-	c := &Vectors[T]{A: make([]T, len(v.A)), B: make([]T, len(v.B))}
-	copy(c.A, v.A)
-	copy(c.B, v.B)
-	return c
-}
-
-// CopyFrom copies src into v; lengths must match.
-func (v *Vectors[T]) CopyFrom(src *Vectors[T]) {
-	if len(v.A) != len(src.A) || len(v.B) != len(src.B) {
-		panic(fmt.Sprintf("checksum: copy %d/%d from %d/%d", len(v.A), len(v.B), len(src.A), len(src.B)))
-	}
-	copy(v.A, src.A)
-	copy(v.B, src.B)
-}
-
 // resolve1D looks up vec[i] with the 1-D projection of the boundary
 // condition: Clamp, Periodic and Mirror resolve to an in-domain index,
 // Constant substitutes ghostSum (the whole-line sum of the constant ghost

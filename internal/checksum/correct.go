@@ -82,15 +82,19 @@ type Corrector[T num.Float] struct {
 	PaperExact bool
 }
 
-// Correct recovers the value at loc in g, writes it back, and patches the
-// direct checksum vectors. direct holds the checksums computed from the
-// (corrupted) domain; interpA/interpB are the interpolated (clean)
-// checksums. It returns the old and new values.
-func (c Corrector[T]) Correct(g *grid.Grid[T], loc Location, direct *Vectors[T], interpA, interpB []T) (old, fixed T) {
-	old = g.At(loc.X, loc.Y)
+// CorrectRect recovers the value of one located error of the rectangle
+// [x0,x1) x [y0,y1) of g — a whole grid is the rectangle (0, 0, nx, ny) —
+// writes it back and patches the direct checksums so later iterations stay
+// verifiable. loc is rect-local; directA/directB are the rectangle's partial
+// row/column checksums computed from the (corrupted) cells, interpA/interpB
+// the interpolated (clean) ones. It returns the old and new values.
+func (c Corrector[T]) CorrectRect(g *grid.Grid[T], x0, y0, x1, y1 int, loc Location,
+	directA, directB, interpA, interpB []T) (old, fixed T) {
+	gx, gy := x0+loc.X, y0+loc.Y
+	old = g.At(gx, gy)
 	if c.PaperExact {
-		vx := interpA[loc.X] - (direct.A[loc.X] - old)
-		vy := interpB[loc.Y] - (direct.B[loc.Y] - old)
+		vx := interpA[loc.X] - (directA[loc.X] - old)
+		vy := interpB[loc.Y] - (directB[loc.Y] - old)
 		fixed = (vx + vy) / 2
 		switch {
 		case num.IsFinite(fixed):
@@ -102,44 +106,14 @@ func (c Corrector[T]) Correct(g *grid.Grid[T], loc Location, direct *Vectors[T],
 		default:
 			fixed = 0
 		}
-		g.Set(loc.X, loc.Y, fixed)
-		delta := fixed - old
-		if num.IsFinite(delta) {
-			direct.A[loc.X] += delta
-			direct.B[loc.Y] += delta
+		g.Set(gx, gy, fixed)
+		if delta := fixed - old; num.IsFinite(delta) {
+			directA[loc.X] += delta
+			directB[loc.Y] += delta
 			return old, fixed
 		}
-		// The direct checksums are non-finite; fall through to the
-		// exact recomputation below after the repair.
-	} else {
-		// Stable evaluation: the whole grid is the rectangle.
-		return CorrectRect(g, 0, 0, g.Nx(), g.Ny(), loc, direct.A, direct.B, interpA, interpB)
+		// The direct checksums are non-finite: re-sum the two lines below.
 	}
-	g.Set(loc.X, loc.Y, fixed)
-	var sa, sb T
-	for y := 0; y < g.Ny(); y++ {
-		sa += g.At(loc.X, y)
-	}
-	for x := 0; x < g.Nx(); x++ {
-		sb += g.At(x, loc.Y)
-	}
-	direct.A[loc.X] = sa
-	direct.B[loc.Y] = sb
-	return old, fixed
-}
-
-// CorrectRect applies the numerically stable Equation-(10) repair to one
-// located error of the rectangle [x0,x1) x [y0,y1) of g — the unit both
-// the tiled (blocks) and the distributed (dist) deployments share. loc is
-// rect-local; directA/directB are the rectangle's partial row/column
-// checksums (patched in place so later iterations stay verifiable), and
-// interpA/interpB the interpolated ones. The corrupted value is recovered
-// as interp minus the sum of the line's other cells, which stays accurate
-// for corruption of any magnitude, then the two estimates are averaged.
-func CorrectRect[T num.Float](g *grid.Grid[T], x0, y0, x1, y1 int, loc Location,
-	directA, directB, interpA, interpB []T) (old, fixed T) {
-	gx, gy := x0+loc.X, y0+loc.Y
-	old = g.At(gx, gy)
 	var restA, restB T
 	for y := y0; y < y1; y++ {
 		if y != gy {
@@ -151,24 +125,26 @@ func CorrectRect[T num.Float](g *grid.Grid[T], x0, y0, x1, y1 int, loc Location,
 			restB += g.At(x, gy)
 		}
 	}
-	vx := interpA[loc.X] - restA
-	vy := interpB[loc.Y] - restB
-	fixed = (vx + vy) / 2
-	g.Set(gx, gy, fixed)
+	if !c.PaperExact {
+		// Stable evaluation: interp minus the sum of the line's other
+		// cells, the two estimates averaged.
+		fixed = ((interpA[loc.X] - restA) + (interpB[loc.Y] - restB)) / 2
+		g.Set(gx, gy, fixed)
+	}
 	directA[loc.X] = restA + fixed
 	directB[loc.Y] = restB + fixed
 	return old, fixed
 }
 
 // RepairRect is the tail of the detection slow path for the owner of
-// rectangle [x0,x1) x [y0,y1) of g (a dist tile, a blocks block), once it
-// holds the rectangle's direct and interpolated checksum pairs: locate by
-// intersecting the two mismatch lists, repair each located point with
-// CorrectRect, and return how many were repaired. A mismatch in one vector
-// only means the corruption sits in a checksum, not the rectangle (paper
-// Figure 5, scenario 2): the rectangle is trusted, directB is refreshed
-// from it and 0 is returned.
-func RepairRect[T num.Float](det Detector[T], pol PairPolicy, g *grid.Grid[T], x0, y0, x1, y1 int,
+// rectangle [x0,x1) x [y0,y1) of g (a chunk of a frame, a layer of a 3-D
+// domain), once it holds the rectangle's direct and interpolated checksum
+// pairs: locate by intersecting the two mismatch lists, repair each located
+// point with CorrectRect, and return how many were repaired. A mismatch in
+// one vector only means the corruption sits in a checksum, not the rectangle
+// (paper Figure 5, scenario 2): the rectangle is trusted, directB is
+// refreshed from it and 0 is returned.
+func (c Corrector[T]) RepairRect(det Detector[T], pol PairPolicy, g *grid.Grid[T], x0, y0, x1, y1 int,
 	directA, directB, interpA, interpB []T) int {
 	bm := det.Compare(directB, interpB)
 	am := det.Compare(directA, interpA)
@@ -178,31 +154,18 @@ func RepairRect[T num.Float](det Detector[T], pol PairPolicy, g *grid.Grid[T], x
 	}
 	locs := Pair(am, bm, pol)
 	for _, loc := range locs {
-		CorrectRect(g, x0, y0, x1, y1, loc, directA, directB, interpA, interpB)
+		c.CorrectRect(g, x0, y0, x1, y1, loc, directA, directB, interpA, interpB)
 	}
 	return len(locs)
 }
 
-// CorrectAll pairs the mismatch lists and corrects every located error,
-// returning the locations fixed. The same grid/checksum patching rules as
-// Correct apply per location.
+// CorrectAll pairs the mismatch lists of a whole grid and corrects every
+// located error, returning the locations fixed.
 func (c Corrector[T]) CorrectAll(g *grid.Grid[T], am, bm []Mismatch[T], policy PairPolicy,
 	direct *Vectors[T], interpA, interpB []T) []Location {
 	locs := Pair(am, bm, policy)
 	for _, loc := range locs {
-		c.Correct(g, loc, direct, interpA, interpB)
+		c.CorrectRect(g, 0, 0, g.Nx(), g.Ny(), loc, direct.A, direct.B, interpA, interpB)
 	}
 	return locs
-}
-
-// Repair is RepairRect for the owner of a whole grid — the online
-// protectors' tail — repairing through the Corrector, so PaperExact applies.
-func (c Corrector[T]) Repair(det Detector[T], pol PairPolicy, g *grid.Grid[T], direct *Vectors[T], interpA, interpB []T) int {
-	bm := det.Compare(direct.B, interpB)
-	am := det.Compare(direct.A, interpA)
-	if len(am) == 0 || len(bm) == 0 {
-		stencil.ChecksumB(g, direct.B)
-		return 0
-	}
-	return len(c.CorrectAll(g, am, bm, pol, direct, interpA, interpB))
 }

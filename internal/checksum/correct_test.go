@@ -34,7 +34,7 @@ func TestCorrectRestoresValue(t *testing.T) {
 		want := g.At(loc.X, loc.Y) - delta
 
 		var c Corrector[float64]
-		old, fixed := c.Correct(g, loc, direct, interpA, interpB)
+		old, fixed := c.CorrectRect(g, 0, 0, nx, ny, loc, direct.A, direct.B, interpA, interpB)
 		if old != want+delta {
 			t.Fatalf("old value reported wrong")
 		}
@@ -67,7 +67,7 @@ func TestCorrectStableSurvivesOverflow(t *testing.T) {
 	direct.Compute(g)
 
 	c := Corrector[float64]{}
-	_, fixed := c.Correct(g, loc, direct, clean.A, clean.B)
+	_, fixed := c.CorrectRect(g, 0, 0, nx, ny, loc, direct.A, direct.B, clean.A, clean.B)
 	if num.Abs(fixed-want) > 1e-9 {
 		t.Fatalf("stable correction of Inf: got %g want %g", fixed, want)
 	}
@@ -94,7 +94,7 @@ func TestCorrectPaperExactLosesPrecisionOnHugeCorruption(t *testing.T) {
 		direct := NewVectors[float64](nx, ny)
 		direct.Compute(gg)
 		c := Corrector[float64]{PaperExact: paperExact}
-		_, fixed := c.Correct(gg, loc, direct, clean.A, clean.B)
+		_, fixed := c.CorrectRect(gg, 0, 0, nx, ny, loc, direct.A, direct.B, clean.A, clean.B)
 		return num.Abs(fixed - want)
 	}
 	stableErr := run(false)
@@ -204,59 +204,44 @@ func TestVectorsComputeKahanMatchesPlainOnSmall(t *testing.T) {
 	}
 }
 
-func TestVectorsCloneAndCopy(t *testing.T) {
-	v := NewVectors[float64](3, 2)
-	v.A[1] = 5
-	v.B[0] = 7
-	c := v.Clone()
-	if c.A[1] != 5 || c.B[0] != 7 {
-		t.Fatal("clone lost data")
-	}
-	c.A[1] = 9
-	if v.A[1] == 9 {
-		t.Fatal("clone shares storage")
-	}
-	w := NewVectors[float64](3, 2)
-	w.CopyFrom(v)
-	if w.A[1] != 5 {
-		t.Fatal("CopyFrom lost data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CopyFrom length mismatch did not panic")
-		}
-	}()
-	NewVectors[float64](2, 2).CopyFrom(v)
-}
-
 // TestRepairTails covers the shared end of every owner's detection slow
-// path, in its rectangle form (dist tiles, blocks) and its whole-grid form
-// (the online protectors): a corrupted cell is located, repaired and
-// counted; a corrupted checksum entry repairs nothing, is reported as 0 and
-// leaves the column checksums refreshed from the trusted data; and over the
-// whole grid the two forms agree bit for bit.
+// path, over a whole grid (a layer of a 3-D domain) and over the same cells
+// as a rectangle of a larger frame (a chunk): a corrupted cell is located,
+// repaired and counted, to the same bits either way and under both
+// evaluations of Equation (10); a corrupted checksum entry repairs nothing,
+// is reported as 0 and leaves the column checksums refreshed from the
+// trusted data.
 func TestRepairTails(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	det := NewDetector[float64]()
 	for trial := 0; trial < 20; trial++ {
 		nx, ny := 6+rng.Intn(8), 6+rng.Intn(8)
+		c := Corrector[float64]{PaperExact: trial%2 == 1}
 		g, loc, direct, interpA, interpB := corruptAndDetect(rng, nx, ny, 50+100*rng.Float64())
-		g2 := g.Clone()
+		const x0, y0 = 3, 2
+		frame := grid.New[float64](nx+7, ny+5)
+		frame.Fill(1e3)
+		for y := 0; y < ny; y++ {
+			copy(frame.Row(y0 + y)[x0:x0+nx], g.Row(y))
+		}
 		d2 := &Vectors[float64]{A: append([]float64(nil), direct.A...), B: append([]float64(nil), direct.B...)}
 
-		if n := RepairRect(det, PairByResidual, g, 0, 0, nx, ny, direct.A, direct.B, interpA, interpB); n != 1 {
-			t.Fatalf("trial %d: RepairRect repaired %d points, want 1", trial, n)
+		if n := c.RepairRect(det, PairByResidual, g, 0, 0, nx, ny, direct.A, direct.B, interpA, interpB); n != 1 {
+			t.Fatalf("trial %d: whole grid repaired %d points, want 1", trial, n)
 		}
-		if n := (Corrector[float64]{}).Repair(det, PairByResidual, g2, d2, interpA, interpB); n != 1 {
-			t.Fatalf("trial %d: Repair repaired %d points, want 1", trial, n)
+		if n := c.RepairRect(det, PairByResidual, frame, x0, y0, x0+nx, y0+ny, d2.A, d2.B, interpA, interpB); n != 1 {
+			t.Fatalf("trial %d: rectangle repaired %d points, want 1", trial, n)
 		}
-		if got, want := g.At(loc.X, loc.Y), g2.At(loc.X, loc.Y); math.Float64bits(got) != math.Float64bits(want) || num.Abs(direct.B[loc.Y]-interpB[loc.Y]) > 1e-9 {
-			t.Fatalf("trial %d: rect form repaired to %v (b=%v), grid form to %v, clean b=%v", trial, got, direct.B[loc.Y], want, interpB[loc.Y])
+		if got, want := frame.At(x0+loc.X, y0+loc.Y), g.At(loc.X, loc.Y); math.Float64bits(got) != math.Float64bits(want) || num.Abs(direct.B[loc.Y]-interpB[loc.Y]) > 1e-9 {
+			t.Fatalf("trial %d: rectangle repaired to %v, the whole grid to %v (b=%v, clean b=%v)", trial, got, want, direct.B[loc.Y], interpB[loc.Y])
+		}
+		if math.Float64bits(d2.A[loc.X]) != math.Float64bits(direct.A[loc.X]) || math.Float64bits(d2.B[loc.Y]) != math.Float64bits(direct.B[loc.Y]) {
+			t.Fatalf("trial %d: the two forms patched the checksums differently", trial)
 		}
 
 		// Now the data is clean again; corrupt one checksum entry instead.
 		direct.B[loc.Y] += 1e6
-		if n := RepairRect(det, PairByResidual, g, 0, 0, nx, ny, direct.A, direct.B, interpA, interpB); n != 0 {
+		if n := c.RepairRect(det, PairByResidual, g, 0, 0, nx, ny, direct.A, direct.B, interpA, interpB); n != 0 {
 			t.Fatalf("trial %d: a corrupted checksum entry repaired %d points", trial, n)
 		}
 		if num.Abs(direct.B[loc.Y]-interpB[loc.Y]) > 1e-9 {

@@ -57,12 +57,23 @@ func NewInterp2D[T num.Float](op *stencil.Op2D[T], nx, ny int) (*Interp2D[T], er
 	if err := op.Validate(nx, ny); err != nil {
 		return nil, err
 	}
+	return NewInterp2DRect(op, 0, 0, nx, ny)
+}
+
+// NewInterp2DRect precomputes an interpolator for the rectangle [x0,x1) x
+// [y0,y1) of op's domain — a chunk of it, whose neighbour data the band and
+// block forms (InterpolateBBand, InterpolateABlock) take in place of a
+// boundary condition. The constant-field line sums are the rectangle's, read
+// from op's domain-shaped field in place.
+func NewInterp2DRect[T num.Float](op *stencil.Op2D[T], x0, y0, x1, y1 int) (*Interp2D[T], error) {
+	nx, ny := x1-x0, y1-y0
+	if err := (&stencil.Op2D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}).Validate(nx, ny); err != nil {
+		return nil, err
+	}
 	ip := &Interp2D[T]{op: op, nx: nx, ny: ny, cA: make([]T, nx), cB: make([]T, ny)}
 	if op.C != nil {
-		v := NewVectors[T](nx, ny)
-		v.Compute(op.C)
-		copy(ip.cA, v.A)
-		copy(ip.cB, v.B)
+		stencil.ChecksumARect(op.C, x0, y0, x1, y1, ip.cA)
+		stencil.ChecksumBRect(op.C, x0, y0, x1, y1, ip.cB)
 	}
 	if op.BC == grid.Constant {
 		ip.ghostSumA = T(ny) * op.BCValue
@@ -70,12 +81,6 @@ func NewInterp2D[T num.Float](op *stencil.Op2D[T], nx, ny int) (*Interp2D[T], er
 	}
 	return ip, nil
 }
-
-// Nx returns the domain width the interpolator was built for.
-func (ip *Interp2D[T]) Nx() int { return ip.nx }
-
-// Ny returns the domain height the interpolator was built for.
-func (ip *Interp2D[T]) Ny() int { return ip.ny }
 
 // InterpolateB computes bNext[y] for every y from bPrev (the column
 // checksums of iteration t) and the edge values of iteration t. bNext and

@@ -118,7 +118,7 @@ func TestRepairRectSameRowLocatesOne(t *testing.T) {
 	g.Set(x2, loc.Y, clean2+80)
 	direct := NewVectors[float64](nx, ny)
 	direct.Compute(g)
-	if n := RepairRect(NewDetector[float64](), PairByResidual, g, 0, 0, nx, ny, direct.A, direct.B, interpA, interpB); n != 1 {
+	if n := (Corrector[float64]{}).RepairRect(NewDetector[float64](), PairByResidual, g, 0, 0, nx, ny, direct.A, direct.B, interpA, interpB); n != 1 {
 		t.Fatalf("located %d points of a same-row pair, want 1", n)
 	}
 	if g.At(x2, loc.Y) == clean2 {

@@ -68,7 +68,7 @@ func TestTheorem2SingleErrorLocalised(t *testing.T) {
 		}
 		// And the correction restores the clean value.
 		var c Corrector[float64]
-		_, fixed := c.Correct(dst, Location{X: ex, Y: ey}, direct, interpA, interpB)
+		_, fixed := c.CorrectRect(dst, 0, 0, dst.Nx(), dst.Ny(), Location{X: ex, Y: ey}, direct.A, direct.B, interpA, interpB)
 		return num.Abs(fixed-clean) <= 1e-9*num.Max(1, num.Abs(clean))
 	}
 	cfg := &quick.Config{MaxCount: 150, Rand: rng}

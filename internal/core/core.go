@@ -2,7 +2,10 @@
 //
 //   - Online2D / Online3D — Section 3: fused checksum every sweep,
 //     interpolation + comparison every iteration, on-the-fly localisation
-//     and algebraic correction.
+//     and correction. In 2-D the method is applied per Chunk — a rectangle
+//     of a frame: Online2D is one chunk (the domain) or N (the Blocked
+//     scheme's tiles), and a dist rank's tile is a chunk of its extended
+//     frame.
 //   - Offline2D / Offline3D — Section 4: fused checksum every sweep,
 //     Δ-step interpolation chain verified every Δ iterations, in-memory
 //     checkpoint/rollback recovery.
@@ -73,5 +76,5 @@ func (o Options[T]) withDefaults() Options[T] {
 }
 
 // Stats aggregates what a protector observed over a run — the unified
-// counter model shared with the blocks and dist deployments.
+// counter model shared with the dist deployments.
 type Stats = stats.Stats

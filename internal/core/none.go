@@ -47,11 +47,7 @@ func (p *None2D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
 // StepInject advances one sweep with no checksum work, applying the given
 // injection sites.
 func (p *None2D[T]) StepInject(sites []stencil.Site[T]) {
-	if p.pool != nil {
-		p.op.SweepParallelInject(p.pool, p.buf.Write, p.buf.Read, nil, sites)
-	} else {
-		p.op.SweepRange(p.buf.Write, p.buf.Read, 0, p.buf.Read.Ny(), nil, sites)
-	}
+	p.op.SweepParallelInject(p.pool, p.buf.Write, p.buf.Read, nil, sites)
 	p.buf.Swap()
 	p.iter++
 	p.stats.Iterations++

@@ -144,11 +144,7 @@ func (p *Offline2D[T]) sweep(sites []stencil.Site[T]) {
 	p.tel.SetIter(p.iter)
 	t0 := p.tel.Begin()
 	p.ring[(p.iter-p.lastSafe)%p.period].Capture(src)
-	if p.pool != nil {
-		p.op.SweepParallelInject(p.pool, dst, src, p.curB, sites)
-	} else {
-		p.op.SweepRange(dst, src, 0, src.Ny(), p.curB, sites)
-	}
+	p.op.SweepParallelInject(p.pool, dst, src, p.curB, sites)
 	p.tel.End(telemetry.PhaseSweep, t0)
 	p.buf.Swap()
 	p.iter++

@@ -144,46 +144,45 @@ func TestOnline2DSignBitFlip(t *testing.T) {
 	}
 }
 
-// TestNew2DFactory covers the dynamic constructor used by the CLIs.
-func TestNew2DFactory(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	op := testOp(8, 8)
-	init := testInit(rng, 8, 8)
-	for _, mode := range []string{"none", "online", "offline"} {
-		p, err := New2D(mode, op, init, opts64())
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		p.Run(3)
-		if p.Iter() != 3 {
-			t.Fatalf("%s: iter %d", mode, p.Iter())
-		}
-		p.Finalize() // part of the unified contract: no-op for none/online
-		if p.Iter() != 3 {
-			t.Fatalf("%s: Finalize changed a clean run's iteration count", mode)
-		}
-	}
-	if _, err := New2D("bogus", op, init, opts64()); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
+// protector is the contract the root package's Protector states, which all
+// six runners satisfy (the compile-time checks are build.go's).
+type protector interface {
+	Run(count int)
+	Finalize()
+	Iter() int
+	Stats() Stats
+	Grid() *grid.Grid[float64]
+	Grid3D() *grid.Grid3D[float64]
 }
 
-// TestNew3DFactory mirrors TestNew2DFactory for the 3-D constructors.
-func TestNew3DFactory(t *testing.T) {
-	op := hotspotLikeOp3D()
-	init := init3D(16, 14, 4)
-	for _, mode := range []string{"none", "online", "offline"} {
-		p, err := New3D(mode, op, init, opts64())
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		p.Run(2)
-		if p.Iter() != 2 {
-			t.Fatalf("%s: iter %d", mode, p.Iter())
-		}
+// TestProtectorContract runs the lifecycle every runner shares — Run, Iter,
+// Finalize — over the six constructors: Finalize after a clean run changes
+// nothing (a no-op for none/online, a clean partial-period check offline).
+func TestProtectorContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	op, init := testOp(8, 8), testInit(rng, 8, 8)
+	op3, init3 := hotspotLikeOp3D(), init3D(16, 14, 4)
+	build := map[string]func() (protector, error){
+		"none2d":    func() (protector, error) { return NewNone2D(op, init, opts64()) },
+		"online2d":  func() (protector, error) { return NewOnline2D(op, init, opts64()) },
+		"offline2d": func() (protector, error) { return NewOffline2D(op, init, opts64()) },
+		"none3d":    func() (protector, error) { return NewNone3D(op3, init3, opts64()) },
+		"online3d":  func() (protector, error) { return NewOnline3D(op3, init3, opts64()) },
+		"offline3d": func() (protector, error) { return NewOffline3D(op3, init3, opts64()) },
 	}
-	if _, err := New3D("bogus", op, init, opts64()); err == nil {
-		t.Fatal("bogus mode accepted")
+	for name, b := range build {
+		p, err := b()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p.Run(3)
+		p.Finalize()
+		if p.Iter() != 3 || p.Stats().Detections != 0 {
+			t.Fatalf("%s: iter %d after Run(3) and Finalize, stats %+v", name, p.Iter(), p.Stats())
+		}
+		if (p.Grid() == nil) == (p.Grid3D() == nil) {
+			t.Fatalf("%s: exactly one of Grid and Grid3D answers", name)
+		}
 	}
 }
 

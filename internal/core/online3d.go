@@ -244,8 +244,8 @@ func (p *Online3D[T]) Run(count int) {
 	}
 }
 
-// repair is the detection slow path, per flagged layer what Online2D's is
-// for a domain: re-evaluate the flagged rows (checksum.RepairRows), and take
+// repair is the detection slow path, per flagged layer what Chunk.Repair is
+// for a rectangle: re-evaluate the flagged rows (checksum.RepairRows), and take
 // the layers that cannot serve — all of them under PaperExactCorrection —
 // through the two-vector Equation-(10) path.
 func (p *Online3D[T]) repair(src, dst *grid.Grid3D[T]) {
@@ -310,5 +310,5 @@ func (p *Online3D[T]) correctLayer(z int, dst *grid.Grid3D[T]) {
 	stencil.ChecksumA(layer, p.newA)
 
 	// No located point means the corruption sat in a checksum.
-	p.stats.Repaired(p.corr.Repair(p.det, p.pol, layer, &checksum.Vectors[T]{A: p.newA, B: p.newB[z]}, p.interpA[z], p.interpB[z]))
+	p.stats.Repaired(p.corr.RepairRect(p.det, p.pol, layer, 0, 0, layer.Nx(), layer.Ny(), p.newA, p.newB[z], p.interpA[z], p.interpB[z]))
 }

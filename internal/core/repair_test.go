@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,51 +40,6 @@ func flipEveryBit[T num.Float](t *testing.T, run func(inj fault.Injection) (dete
 	if detected < bits/3 {
 		t.Fatalf("only %d of %d bit positions were detected", detected, bits)
 	}
-}
-
-func online2DRepairIsBitwise[T num.Float](t *testing.T, eps T) {
-	rng := rand.New(rand.NewSource(61))
-	const nx, ny, iters = 21, 17, 12
-	op := &stencil.Op2D[T]{St: stencil.NinePoint[T]([9]T{0.05, 0.1, 0.05, 0.1, 0.4, 0.1, 0.05, 0.1, 0.05}), BC: grid.Mirror}
-	init := grid.New[T](nx, ny)
-	init.FillFunc(func(x, y int) T { return T(300 + 10*rng.Float64()) })
-	opt := Options[T]{Detector: checksum.Detector[T]{Epsilon: eps, AbsFloor: 1}}
-	clean, err := NewOnline2D(op, init, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean.Run(iters)
-	cells := [][2]int{{0, 0}, {nx - 1, 5}, {7, ny - 1}, {nx / 2, ny / 2}}
-	flipEveryBit[T](t, func(inj fault.Injection) bool {
-		inj.X, inj.Y = cells[inj.Bit%len(cells)][0], cells[inj.Bit%len(cells)][1]
-		o := opt
-		o.Inject = fault.NewInjector[T](fault.NewPlan(inj))
-		if inj.Bit%2 == 1 {
-			o.Pool = &stencil.Pool{Workers: 3}
-			defer o.Pool.Close()
-		}
-		p, err := NewOnline2D(op, init, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Run(iters)
-		st := p.Stats()
-		if st.Detections == 0 {
-			return false
-		}
-		if st.Detections != 1 || st.CorrectedPoints != 1 || st.ChecksumRepairs != 0 {
-			t.Fatalf("%v: %+v", inj, st)
-		}
-		if !sameBitsAll(p.Grid().Data(), clean.Grid().Data()) || !sameBitsAll(p.prevB, clean.prevB) {
-			t.Fatalf("%v: repaired run is not bitwise the fault-free run (max diff %g)", inj, p.Grid().MaxAbsDiff(clean.Grid()))
-		}
-		return true
-	})
-}
-
-func TestOnline2DRepairIsBitwise(t *testing.T) {
-	t.Run("float32", func(t *testing.T) { online2DRepairIsBitwise[float32](t, 1e-5) })
-	t.Run("float64", func(t *testing.T) { online2DRepairIsBitwise[float64](t, 1e-9) })
 }
 
 func online3DRepairIsBitwise[T num.Float](t *testing.T, eps T) {
@@ -138,151 +92,6 @@ func online3DRepairIsBitwise[T num.Float](t *testing.T, eps T) {
 func TestOnline3DRepairIsBitwise(t *testing.T) {
 	t.Run("float32", func(t *testing.T) { online3DRepairIsBitwise[float32](t, 1e-5) })
 	t.Run("float64", func(t *testing.T) { online3DRepairIsBitwise[float64](t, 1e-9) })
-}
-
-// twoVector2D is the online step with the two-vector locate on every
-// detection — Online2D as it was before rows were re-evaluated, assembled
-// from the same package-level pieces. The fallback tests run it beside the
-// protector.
-type twoVector2D struct {
-	op                    *stencil.Op2D[float64]
-	buf                   *grid.Buffer[float64]
-	ip                    *checksum.Interp2D[float64]
-	det                   checksum.Detector[float64]
-	corr                  checksum.Corrector[float64]
-	prevB, newB, interpB  []float64
-	prevA, newA, interpA  []float64
-	detections, corrected int
-	checksumRepairs       int
-}
-
-func newTwoVector2D(t *testing.T, op *stencil.Op2D[float64], init *grid.Grid[float64], opt Options[float64]) *twoVector2D {
-	nx, ny := init.Nx(), init.Ny()
-	ip, err := checksum.NewInterp2D(op, nx, ny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := &twoVector2D{op: op, buf: grid.BufferFrom(init), ip: ip, det: opt.Detector,
-		corr:  checksum.Corrector[float64]{PaperExact: opt.PaperExactCorrection},
-		prevB: make([]float64, ny), newB: make([]float64, ny), interpB: make([]float64, ny),
-		prevA: make([]float64, nx), newA: make([]float64, nx), interpA: make([]float64, nx)}
-	stencil.ChecksumB(q.buf.Read, q.prevB)
-	return q
-}
-
-func (q *twoVector2D) step(sites []stencil.Site[float64]) {
-	src, dst := q.buf.Read, q.buf.Write
-	q.op.SweepRange(dst, src, 0, src.Ny(), q.newB, sites)
-	edges := checksum.LiveEdges(src, q.op.BC, q.op.BCValue)
-	q.ip.InterpolateB(q.prevB, edges, q.interpB)
-	if q.det.AnyMismatch(q.newB, q.interpB) {
-		q.detections++
-		stencil.ChecksumA(src, q.prevA)
-		q.ip.InterpolateA(q.prevA, edges, q.interpA)
-		stencil.ChecksumA(dst, q.newA)
-		n := q.corr.Repair(q.det, checksum.PairByResidual, dst, &checksum.Vectors[float64]{A: q.newA, B: q.newB}, q.interpA, q.interpB)
-		q.corrected += n
-		if n == 0 {
-			q.checksumRepairs++
-		}
-	}
-	q.prevB, q.newB = q.newB, q.prevB
-	q.buf.Swap()
-}
-
-// sameAsTwoVector fails unless the protector and the two-vector reference
-// are in the same state, bit for bit, with the same repair counters.
-func sameAsTwoVector(t *testing.T, what string, p *Online2D[float64], q *twoVector2D) {
-	t.Helper()
-	st := p.Stats()
-	if st.Detections != q.detections || st.CorrectedPoints != q.corrected || st.ChecksumRepairs != q.checksumRepairs {
-		t.Fatalf("%s: stats %+v, two-vector reference detections=%d corrected=%d checksum-repairs=%d",
-			what, st, q.detections, q.corrected, q.checksumRepairs)
-	}
-	if !sameBitsAll(p.Grid().Data(), q.buf.Read.Data()) {
-		t.Fatalf("%s: grid differs from the two-vector reference by %g", what, p.Grid().MaxAbsDiff(q.buf.Read))
-	}
-	if !sameBitsAll(p.prevB, q.prevB) {
-		t.Fatalf("%s: verified checksums differ from the two-vector reference", what)
-	}
-}
-
-// TestOnline2DFallbackIsTheTwoVectorPath covers the inputs re-evaluation
-// cannot serve. Each must end exactly where the two-vector locate alone
-// would have ended.
-func TestOnline2DFallbackIsTheTwoVectorPath(t *testing.T) {
-	const nx, ny, iters = 24, 20, 14
-	rng := rand.New(rand.NewSource(63))
-	op := testOp(nx, ny)
-	init := testInit(rng, nx, ny)
-	pair := func(opt Options[float64]) (*Online2D[float64], *twoVector2D) {
-		p, err := NewOnline2D(op, init, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p, newTwoVector2D(t, op, init, opt)
-	}
-
-	t.Run("flip in the read buffer between steps", func(t *testing.T) {
-		// The sweep reads the corrupted cell, so re-evaluating the rows it
-		// spoiled reproduces them: nothing changes and the fresh entries
-		// still disagree.
-		for _, bit := range []int{40, 51, 55, 62} {
-			p, q := pair(opts64())
-			for i := 0; i < iters; i++ {
-				if i == 6 {
-					for _, g := range []*grid.Grid[float64]{p.buf.Read, q.buf.Read} {
-						g.Set(9, 11, num.FlipBit(g.At(9, 11), bit))
-					}
-				}
-				p.Step()
-				q.step(nil)
-			}
-			if p.Stats().Detections == 0 {
-				t.Fatalf("bit %d: not detected", bit)
-			}
-			sameAsTwoVector(t, fmt.Sprintf("bit %d", bit), p, q)
-		}
-	})
-
-	t.Run("corrupted checksum entry", func(t *testing.T) {
-		// A site that leaves its cell alone and spoils the fused entry of
-		// another row instead: the domain is intact, re-evaluating the row
-		// changes no cell and refreshes the entry.
-		p, q := pair(opts64())
-		for i := 0; i < iters; i++ {
-			var ps, qs []stencil.Site[float64]
-			if i == 5 {
-				ps = []stencil.Site[float64]{{X: 2, Y: 3, Mutate: func(v float64) float64 { p.newB[12] += 1e3; return v }}}
-				qs = []stencil.Site[float64]{{X: 2, Y: 3, Mutate: func(v float64) float64 { q.newB[12] += 1e3; return v }}}
-			}
-			p.StepInject(ps)
-			q.step(qs)
-		}
-		if st := p.Stats(); st.Detections != 1 || st.CorrectedPoints != 0 || st.ChecksumRepairs != 1 {
-			t.Fatalf("stats %+v", st)
-		}
-		sameAsTwoVector(t, "corrupted entry", p, q)
-		if want := referenceRun(op, init, iters); !sameBitsAll(p.Grid().Data(), want.Data()) {
-			t.Fatal("a corrupted checksum entry changed the domain")
-		}
-	})
-
-	t.Run("PaperExactCorrection", func(t *testing.T) {
-		// The paper's algebra is asked for and all of it is given: no row
-		// is re-evaluated, every detection is an Equation-(10) repair.
-		opt := opts64()
-		opt.PaperExactCorrection = true
-		for bit := 30; bit < 64; bit++ {
-			p, q := pair(opt)
-			inj := fault.NewInjector[float64](fault.NewPlan(fault.Injection{Iteration: 3, X: bit % nx, Y: (7 * bit) % ny, Bit: bit}))
-			for i := 0; i < iters; i++ {
-				p.StepInject(inj.SitesFor(i))
-				q.step(inj.SitesFor(i))
-			}
-			sameAsTwoVector(t, fmt.Sprintf("bit %d", bit), p, q)
-		}
-	})
 }
 
 // TestOnline3DFallback drives a 3-D detection down the two-vector path (a

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 
 	"stencilabft/internal/errs"
@@ -11,7 +10,7 @@ import (
 // stencil's halo: errors.Is(err, ErrThinTile) is true for every
 // Validate/ValidateDepth rejection on tile-size grounds, while the error
 // text keeps naming the offending axis and the largest grid that would fit.
-var ErrThinTile = errors.New("dist: tile too thin for the stencil halo")
+var ErrThinTile = errs.ErrThinTile
 
 // Decomp is the topology-neutral decomposition of an Nx-by-Ny domain over a
 // RanksX-by-RanksY Cartesian rank grid — the geometry every deployment of

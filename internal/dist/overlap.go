@@ -244,11 +244,11 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	xPrimed := (!r.hasL || gotL) && (!r.hasR || gotR)
 	if xPrimed {
 		t0 = r.tel.Begin()
-		r.ip.PrimeBetaTablesMid(r.edgeRead)
+		r.ch.PrimeBetaTablesMid()
 		r.tel.End(telemetry.PhaseVerify, t0)
 	}
 	t0 = r.tel.Begin()
-	r.sweepChunked(dst, src, ix0, iy0, ix1, iy1, true, sites)
+	r.sweepRect(r.pool, dst, src, ix0, iy0, ix1, iy1, true, sites)
 	r.tel.End(telemetry.PhaseInteriorSweep, t0)
 
 	// x strips, each swept as its halo lands.
@@ -286,7 +286,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 				r.refreshEdgeRowCols(r.hiX(), r.hiX()+r.hx)
 				t1 := r.tel.Begin()
 				r.tel.End(telemetry.PhaseUnpack, t0)
-				r.sweepRect(dst, src, sx0, iy0, sx1, iy1, false, sites)
+				r.sweepRect(nil, dst, src, sx0, iy0, sx1, iy1, false, sites)
 				r.tel.End(telemetry.PhaseBoundarySweep, t1)
 			} else {
 				if inL != nil {
@@ -301,7 +301,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 
 	if !xPrimed {
 		t0 = r.tel.Begin()
-		r.ip.PrimeBetaTablesMid(r.edgeRead)
+		r.ch.PrimeBetaTablesMid()
 		r.tel.End(telemetry.PhaseVerify, t0)
 	}
 
@@ -312,7 +312,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	if !fusedX && iy1 > iy0 {
 		t0 = r.tel.Begin()
 		if thinX {
-			stencil.ChecksumBRect(dst, r.loX(), iy0, r.hiX(), iy1, r.newExtB[iy0:])
+			stencil.ChecksumBRect(dst, r.loX(), iy0, r.hiX(), iy1, r.ch.NewB[iy0:])
 		} else {
 			r.combineRowChecksums(dst, iy0, iy1, ix0, ix1, sx0 == r.loX(), sx1 == r.hiX())
 			r.segX0, r.segX1, r.segY0, r.segY1 = ix0, ix1, iy0, iy1
@@ -387,9 +387,9 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 				t1 := r.tel.Begin()
 				r.tel.End(telemetry.PhaseUnpack, t0)
 				fusedY := sx0 == r.loX() && sx1 == r.hiX()
-				r.sweepRect(dst, src, sx0, sy0, sx1, sy1, fusedY, sites)
+				r.sweepRect(nil, dst, src, sx0, sy0, sx1, sy1, fusedY, sites)
 				if !fusedY {
-					stencil.ChecksumBRect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newExtB[r.loY():])
+					stencil.ChecksumBRect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.ch.NewB[r.loY():])
 				}
 				r.tel.End(telemetry.PhaseBoundarySweep, t1)
 			} else {
@@ -407,7 +407,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	// tables (the tile rows were primed mid-phase) before the verification
 	// tail needs them.
 	t0 = r.tel.Begin()
-	r.ip.PrimeBetaTables(r.edgeRead)
+	r.ch.PrimeBetaTables()
 	r.tel.End(telemetry.PhaseVerify, t0)
 	r.stats.HaloExchanges++
 }
@@ -521,11 +521,11 @@ func (r *rank[T]) yStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, 
 		y0, y1 = iy1, sy1
 	}
 	fusedY := sx0 == r.loX() && sx1 == r.hiX()
-	r.sweepRect(dst, src, sx0, y0, sx1, y1, fusedY, sites)
+	r.sweepRect(nil, dst, src, sx0, y0, sx1, y1, fusedY, sites)
 	if !fusedY {
 		ty0, ty1 := max(y0, r.loY()), min(y1, r.hiY())
 		if ty1 > ty0 {
-			stencil.ChecksumBRect(dst, r.loX(), ty0, r.hiX(), ty1, r.newExtB[ty0:])
+			stencil.ChecksumBRect(dst, r.loX(), ty0, r.hiX(), ty1, r.ch.NewB[ty0:])
 		}
 	}
 	r.tel.End(telemetry.PhaseBoundarySweep, t1)
@@ -543,7 +543,7 @@ func (r *rank[T]) yStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, 
 func (r *rank[T]) combineRowChecksums(dst *grid.Grid[T], y0, y1, ix0, ix1 int, useL, useR bool) {
 	lo, hi := r.loX(), r.hiX()
 	for y := y0; y < y1; y++ {
-		b := r.newExtB[y]
+		b := r.ch.NewB[y]
 		if ix0 > lo {
 			if useL {
 				b = r.stripBL[y] + b
@@ -558,7 +558,7 @@ func (r *rank[T]) combineRowChecksums(dst *grid.Grid[T], y0, y1, ix0, ix1 int, u
 				b += num.Sum(dst.Row(y)[ix1:hi])
 			}
 		}
-		r.newExtB[y] = b
+		r.ch.NewB[y] = b
 	}
 }
 
@@ -624,81 +624,60 @@ func (r *rank[T]) sweepLocal(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, sit
 	// Shell rects around the tile (no checksum fusion — checksums only
 	// ever cover the tile's own rows and columns).
 	if sy0 < r.loY() {
-		r.sweepRect(dst, src, sx0, sy0, sx1, r.loY(), false, sites)
+		r.sweepRect(nil, dst, src, sx0, sy0, sx1, r.loY(), false, sites)
 	}
 	if sy1 > r.hiY() {
-		r.sweepRect(dst, src, sx0, r.hiY(), sx1, sy1, false, sites)
+		r.sweepRect(nil, dst, src, sx0, r.hiY(), sx1, sy1, false, sites)
 	}
 	if sx0 < r.loX() {
-		r.sweepRect(dst, src, sx0, r.loY(), r.loX(), r.hiY(), false, sites)
+		r.sweepRect(nil, dst, src, sx0, r.loY(), r.loX(), r.hiY(), false, sites)
 	}
 	if sx1 > r.hiX() {
-		r.sweepRect(dst, src, r.hiX(), r.loY(), sx1, r.hiY(), false, sites)
+		r.sweepRect(nil, dst, src, r.hiX(), r.loY(), sx1, r.hiY(), false, sites)
 	}
 	// The tile itself, fused.
-	r.sweepChunked(dst, src, r.loX(), r.loY(), r.hiX(), r.hiY(), true, sites)
+	r.sweepRect(r.pool, dst, src, r.loX(), r.loY(), r.hiX(), r.hiY(), true, sites)
 	r.tel.End(telemetry.PhaseSweep, t0)
 }
 
-// finishStep is the verification tail shared by both schedules: halo
-// checksum sums, interpolation, detection, correction, swaps. The halo
-// sums cover only the ry rows adjacent to the tile — all the
-// interpolation reads at any halo depth — and are plain sums of local
-// data: no checksum ever crosses a rank.
+// finishStep is the tail shared by both schedules: the chunk verifies the
+// tile — halo checksum sums over the ry rows adjacent to it, all the
+// interpolation reads at any halo depth, plain sums of local data, so no
+// checksum ever crosses a rank — and on a mismatch repairs it, re-evaluating
+// a flagged row through the rank's own sweep and rowChecksum so a repaired
+// step leaves the checksums a clean one would; then the swaps.
 func (r *rank[T]) finishStep(src, dst *grid.Grid[T]) {
 	t0 := r.tel.Begin()
-	for j := 1; j <= r.ry; j++ {
-		r.prevExtB[r.loY()-j] = num.Sum(src.Row(r.loY() - j)[r.loX():r.hiX()])
-		r.prevExtB[r.hiY()+j-1] = num.Sum(src.Row(r.hiY() + j - 1)[r.loX():r.hiX()])
-	}
-	edges := r.edgeRead
-	r.ip.InterpolateBBand(r.prevExtB, r.hy, edges, r.interpB)
+	mismatch := r.ch.Verify(src)
 	r.stats.Verifications++
-	newB := r.newExtB[r.loY():r.hiY()]
-	mismatch := r.det.AnyMismatch(newB, r.interpB)
 	r.tel.End(telemetry.PhaseVerify, t0)
 	if mismatch {
 		r.stats.Detections++
 		t0 = r.tel.Begin()
-		r.locateAndCorrect(src, dst, edges, newB)
+		r.ch.Repair(src, dst, func(y int) T {
+			r.op.SweepRectFused(dst, src, r.loX(), y, r.hiX(), y+1, nil, nil)
+			return r.rowChecksum(dst, y)
+		}, &r.stats)
 		r.tel.End(telemetry.PhaseRepair, t0)
 	}
-	r.prevExtB, r.newExtB = r.newExtB, r.prevExtB
+	r.ch.Swap()
 	r.buf.Swap()
-	r.edgeRead, r.edgeWrite = r.edgeWrite, r.edgeRead
 	r.stats.Iterations++
 }
 
-// sweepRect sweeps [x0,x1)x[y0,y1) on the rank goroutine, fusing the tile
-// column checksums when fuse is set (the rect must then span the full
-// tile width). Empty rects are no-ops.
-func (r *rank[T]) sweepRect(dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse bool, sites []stencil.Site[T]) {
+// sweepRect sweeps [x0,x1)x[y0,y1), fusing the tile column checksums when
+// fuse is set (the rect must then span the full tile width). Strips and
+// shells pass a nil pool and are swept on the rank goroutine; the large
+// rects (interior, tile middle), where the parallelism pays for the
+// chunking, pass the rank's and have their rows split over it when one is
+// attached. Empty rects are no-ops.
+func (r *rank[T]) sweepRect(pool *stencil.Pool, dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse bool, sites []stencil.Site[T]) {
 	if x1 <= x0 || y1 <= y0 {
 		return
 	}
 	var b []T
 	if fuse {
-		b = r.newExtB[y0:]
+		b = r.ch.NewB[y0:]
 	}
-	r.op.SweepRectFused(dst, src, x0, y0, x1, y1, b, sites)
-}
-
-// sweepChunked is sweepRect with the rows split over the worker pool when
-// one is attached — used for the large rects (interior, tile middle)
-// where the parallelism pays for the chunking.
-func (r *rank[T]) sweepChunked(dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse bool, sites []stencil.Site[T]) {
-	if x1 <= x0 || y1 <= y0 {
-		return
-	}
-	if r.pool == nil {
-		r.sweepRect(dst, src, x0, y0, x1, y1, fuse, sites)
-		return
-	}
-	r.pool.ForEachChunk(y1-y0, func(lo, hi int) {
-		var b []T
-		if fuse {
-			b = r.newExtB[y0+lo:]
-		}
-		r.op.SweepRectFused(dst, src, x0, y0+lo, x1, y0+hi, b, sites)
-	})
+	r.op.SweepRectParallel(pool, dst, src, x0, y0, x1, y1, b, sites)
 }

@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"stencilabft/internal/checksum"
+	"stencilabft/internal/core"
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
 	"stencilabft/internal/stencil"
@@ -11,11 +11,12 @@ import (
 // rank is one simulated MPI rank: an arbitrary tile [x0,x1) × [y0,y1) of
 // the global domain stored in a ghost-padded local double buffer (hx halo
 // columns left and right, hy halo rows above and below, corners included),
-// protected by the online ABFT scheme with tile-aware checksum
-// interpolation. The historical row band is the full-width tile of a 1-D
-// (RanksX == 1) rank grid — same code path. All of a rank's state is
-// touched only by its own goroutine; neighbour data arrives as copies
-// through channels.
+// protected by the online ABFT scheme: the tile is a core.Chunk of the
+// extended frame, and the rank is that chunk plus the exchange and the
+// sweep schedule (overlap.go). The historical row band is the full-width
+// tile of a 1-D (RanksX == 1) rank grid — same code path. All of a rank's
+// state is touched only by its own goroutine; neighbour data arrives as
+// copies through channels.
 type rank[T num.Float] struct {
 	id   int
 	tile Tile // global sub-rectangle owned
@@ -34,36 +35,17 @@ type rank[T num.Float] struct {
 	op  *stencil.Op2D[T]
 	buf *grid.Buffer[T] // extended grids: (nxLoc+2hx) by (nyLoc+2hy)
 
-	ip   *checksum.Interp2D[T] // built for the nxLoc-by-nyLoc tile
-	det  checksum.Detector[T]
-	pol  checksum.PairPolicy
+	// ch is the tile as a chunk of the extended frame: the column checksums
+	// in the extended y frame (entries [0, hy) and [hy+nyLoc, nyLoc+2hy) of
+	// ch.PrevB/ch.NewB belong to halo rows, [hy, hy+nyLoc) to the tile), the
+	// interpolator, and the verify-and-repair tail of every step.
+	ch   *core.Chunk[T]
 	pool *stencil.Pool
 
-	// Column-checksum state in the extended y frame: entries [0, hy) and
-	// [hy+nyLoc, nyLoc+2hy) are halo-row sums over the tile's own columns,
-	// refreshed every iteration; entries [hy, hy+nyLoc) are the tile's
-	// verified/fused checksums.
-	prevExtB []T
-	newExtB  []T
-	interpB  []T // tile-only, len nyLoc
-
-	// Row-checksum scratch for the detection/correction slow path:
-	// prevExtA covers the extended x range [-hx, nxLoc+hx) — the halo
-	// entries are halo-column sums over the tile's rows, the tile
-	// generalisation of the band's ã resolution — newA/interpA are
-	// tile-only. newA doubles as the saved row of the re-evaluation.
-	prevExtA, newA, interpA []T
-
-	// Rows [segY0, segY1) of this iteration's newExtB were composed from
+	// Rows [segY0, segY1) of this iteration's ch.NewB were composed from
 	// the x segments split at segX0 and segX1 (combineRowChecksums); every
 	// other row was summed in one pass. See rowChecksum.
 	segX0, segX1, segY0, segY1 int
-
-	// edgeRead/edgeWrite are the TileEdges views of the two buffer halves,
-	// boxed into the EdgeSource interface once at construction and swapped
-	// alongside the buffer so the per-iteration path stays allocation-free.
-	// edgeRead always views buf.Read.
-	edgeRead, edgeWrite checksum.EdgeSource[T]
 
 	// halo plumbing: the cluster's transport; a missing neighbour (domain
 	// edge under non-periodic boundaries) is resolved from the global
@@ -107,24 +89,6 @@ type rank[T num.Float] struct {
 // initial halo data out of init. opt.HaloDepth is the resolved depth, >= 1.
 func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Tile, hx, hy int, opt Options[T]) (*rank[T], error) {
 	nxLoc, nyLoc := t.Nx(), t.Ny()
-
-	// The interpolator is built on the tile's shape with the tile's slice
-	// of the constant field; x and y halos are supplied at interpolation
-	// time.
-	iop := &stencil.Op2D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}
-	if op.C != nil {
-		cTile := grid.New[T](nxLoc, nyLoc)
-		for y := 0; y < nyLoc; y++ {
-			copy(cTile.Row(y), op.C.Row(t.Y0 + y)[t.X0:t.X1])
-		}
-		iop.C = cTile
-	}
-	ip, err := checksum.NewInterp2D(iop, nxLoc, nyLoc)
-	if err != nil {
-		return nil, err
-	}
-	ip.DropBoundaryTerms = opt.DropBoundaryTerms
-
 	extNx, extNy := nxLoc+2*hx, nyLoc+2*hy
 	sop := &stencil.Op2D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}
 	if op.C != nil {
@@ -140,16 +104,7 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 		rx: op.St.RadiusX(), ry: op.St.RadiusY(), depth: opt.HaloDepth,
 		op:       sop,
 		buf:      grid.NewBuffer[T](extNx, extNy),
-		ip:       ip,
-		det:      opt.Detector,
-		pol:      opt.PairPolicy,
 		pool:     opt.Pool,
-		prevExtB: make([]T, extNy),
-		newExtB:  make([]T, extNy),
-		interpB:  make([]T, nyLoc),
-		prevExtA: make([]T, extNx),
-		newA:     make([]T, nxLoc),
-		interpA:  make([]T, nxLoc),
 		globalBC: op.BC,
 		globalNx: init.Nx(),
 		globalNy: init.Ny(),
@@ -158,13 +113,18 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 		stripBL:  make([]T, extNy),
 		stripBR:  make([]T, extNy),
 	}
-	r.edgeRead = checksum.TileEdges[T]{Ext: r.buf.Read, HX: hx, HY: hy}
-	r.edgeWrite = checksum.TileEdges[T]{Ext: r.buf.Write, HX: hx, HY: hy}
 	for y := 0; y < nyLoc; y++ {
 		copy(r.buf.Read.Row(hy + y)[hx:hx+nxLoc], init.Row(t.Y0 + y)[t.X0:t.X1])
 	}
-	// The initial tile data and checksums are assumed correct (Theorem 2).
-	stencil.ChecksumBRect(r.buf.Read, hx, hy, hx+nxLoc, hy+nyLoc, r.prevExtB[hy:hy+nyLoc])
+	// The chunk takes the tile's initial checksums from the frame; tile data
+	// and checksums are assumed correct (Theorem 2).
+	var err error
+	r.ch, err = core.NewChunk(sop, r.buf, hx, hy, hx+nxLoc, hy+nyLoc, hy, core.Options[T]{
+		Detector: opt.Detector, PairPolicy: opt.PairPolicy, DropBoundaryTerms: opt.DropBoundaryTerms,
+	})
+	if err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -184,7 +144,7 @@ func (r *rank[T]) PackState(dst []T) {
 	for y := 0; y < r.nyLoc; y++ {
 		copy(dst[y*r.nxLoc:(y+1)*r.nxLoc], r.buf.Read.Row(r.loY() + y)[r.loX():r.hiX()])
 	}
-	copy(dst[r.nxLoc*r.nyLoc:], r.prevExtB[r.loY():r.hiY()])
+	copy(dst[r.nxLoc*r.nyLoc:], r.ch.PrevB[r.loY():r.hiY()])
 }
 
 // RestoreState is PackState's inverse: it overwrites the tile and its
@@ -194,7 +154,7 @@ func (r *rank[T]) RestoreState(src []T) {
 	for y := 0; y < r.nyLoc; y++ {
 		copy(r.buf.Read.Row(r.loY() + y)[r.loX():r.hiX()], src[y*r.nxLoc:(y+1)*r.nxLoc])
 	}
-	copy(r.prevExtB[r.loY():r.hiY()], src[r.nxLoc*r.nyLoc:])
+	copy(r.ch.PrevB[r.loY():r.hiY()], src[r.nxLoc*r.nyLoc:])
 }
 
 // loX/hiX and loY/hiY bound the tile in the extended grid.
@@ -202,33 +162,3 @@ func (r *rank[T]) loX() int { return r.hx }
 func (r *rank[T]) hiX() int { return r.hx + r.nxLoc }
 func (r *rank[T]) loY() int { return r.hy }
 func (r *rank[T]) hiY() int { return r.hy + r.nyLoc }
-
-// locateAndCorrect is the detection slow path, tile-local throughout. The
-// flagged rows of the tile are re-evaluated from the read buffer, whose
-// halos still hold iteration t (checksum.RepairRows). What that cannot
-// serve takes the two-vector path: lazy row checksums over the extended x
-// range (halo-column sums serve as the out-of-tile ã values), tile-aware A
-// interpolation (the y-window-shift terms read real halo rows), mismatch
-// intersection, and the numerically stable Equation-(10) repair on the
-// tile's partial sums.
-func (r *rank[T]) locateAndCorrect(src, dst *grid.Grid[T], edges checksum.EdgeSource[T], newB []T) {
-	cells, ok := checksum.RepairRows(r.det, newB, r.interpB, r.newA,
-		func(j int) []T { return dst.Row(r.loY() + j)[r.loX():r.hiX()] },
-		func(j int) T {
-			y := r.loY() + j
-			r.op.SweepRectFused(dst, src, r.loX(), y, r.hiX(), y+1, nil, nil)
-			return r.rowChecksum(dst, y)
-		})
-	if ok {
-		r.stats.Repaired(cells)
-		return
-	}
-	r.stats.CorrectedPoints += cells
-
-	stencil.ChecksumARect(src, 0, r.loY(), r.loX()+r.hiX(), r.hiY(), r.prevExtA)
-	r.ip.InterpolateABlock(r.prevExtA, r.hx, edges, r.interpA)
-	stencil.ChecksumARect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newA)
-
-	// No located point means the corruption sat in a checksum.
-	r.stats.Repaired(checksum.RepairRect(r.det, r.pol, dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newA, newB, r.interpA, r.interpB))
-}

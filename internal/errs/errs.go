@@ -11,7 +11,10 @@
 // (ErrUnknownScheme) and its umbrella class (ErrInvalidSpec).
 package errs
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // tagged is an error carrying sentinel kinds for errors.Is classification;
 // its message is free of the sentinels' own text.
@@ -39,3 +42,15 @@ func (e *tagged) Is(target error) bool {
 func Tagf(kinds []error, format string, args ...any) error {
 	return &tagged{kinds: kinds, msg: fmt.Sprintf(format, args...)}
 }
+
+// Sentinels more than one layer tags: the root package re-exports both, and
+// the geometry checks below it (core's chunk constructor, dist's Decomp)
+// classify with them directly.
+var (
+	// ErrInvalidSpec is the umbrella class: the Spec (or wire form) as
+	// declared cannot be built.
+	ErrInvalidSpec = errors.New("stencilabft: invalid spec")
+	// ErrThinTile classifies a rectangle — a rank's tile, a block — too
+	// thin for the stencil that is to sweep it.
+	ErrThinTile = errors.New("stencilabft: tile too thin for the stencil halo")
+)

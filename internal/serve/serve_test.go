@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -484,6 +485,28 @@ func TestServeThinTileJob(t *testing.T) {
 	}
 	if code := getJSON(t, ts, "/v1/jobs/"+st.ID+"/result", nil); code != 400 {
 		t.Fatalf("GET result of thin-tile job: status %d, want the recorded 400", code)
+	}
+}
+
+// TestStatusForThinBlock: a Blocked spec whose block is no wider than the
+// stencil radius is the client's mistake — Build names the chunk and tags it
+// ErrThinTile and ErrInvalidSpec, so the service answers 400 where it used
+// to answer an untyped error with 500.
+func TestStatusForThinBlock(t *testing.T) {
+	wide := abft.NewStencil("wide", abft.Point[float32]{W: 0.6},
+		abft.Point[float32]{DX: -2, W: 0.1}, abft.Point[float32]{DX: 2, W: 0.1},
+		abft.Point[float32]{DY: -1, W: 0.1}, abft.Point[float32]{DY: 1, W: 0.1})
+	for _, bx := range []int{1, 2} {
+		_, err := abft.Build(abft.Spec[float32]{
+			Scheme: abft.Blocked, BlockX: bx, BlockY: 4,
+			Op2D: &abft.Op2D[float32]{St: wide, BC: abft.Clamp}, Init: abft.New[float32](16, 16),
+		})
+		if !errors.Is(err, abft.ErrThinTile) || !errors.Is(err, abft.ErrInvalidSpec) || serve.StatusFor(err) != http.StatusBadRequest {
+			t.Errorf("BlockX %d under x-radius 2: error %v, status %d", bx, err, serve.StatusFor(err))
+		}
+		if err == nil || !strings.Contains(err.Error(), "need more than the stencil x-radius 2") {
+			t.Errorf("BlockX %d: error does not name the geometry: %v", bx, err)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package stats defines the one Stats model every protector reports
-// through. The core, blocks and dist deployments historically each carried
+// through. The local and the dist deployments historically each carried
 // their own counter struct; unifying them lets per-rank and per-block
 // counters roll up into a single aggregate with Merge instead of living in
 // parallel types that cannot be compared or summed. Counters a deployment

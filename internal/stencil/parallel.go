@@ -164,9 +164,43 @@ func (op *Op2D[T]) SweepParallel(p *Pool, dst, src *grid.Grid[T], b []T) {
 // SweepParallelInject is SweepParallel with the iteration's injection
 // sites; each lands in exactly one worker's row range.
 func (op *Op2D[T]) SweepParallelInject(p *Pool, dst, src *grid.Grid[T], b []T, sites []Site[T]) {
-	p.ForEachChunk(src.Ny(), func(lo, hi int) {
-		op.SweepRange(dst, src, lo, hi, b, sites)
-	})
+	op.SweepRectParallel(p, dst, src, 0, 0, src.Nx(), src.Ny(), b, sites)
+}
+
+// SweepRectParallel is SweepRectFused with the rectangle's rows partitioned
+// over the pool (a nil pool sweeps on the calling goroutine): b, indexed by
+// rectangle row, is written by the worker that owns the row. A steady-state
+// call allocates nothing: what the workers need travels in a rectSweep the
+// operator keeps between calls instead of in a fresh closure.
+func (op *Op2D[T]) SweepRectParallel(p *Pool, dst, src *grid.Grid[T], x0, y0, x1, y1 int, b []T, sites []Site[T]) {
+	c := op.sweepc.Take() // nil on first use, or while a concurrent call holds it
+	if c == nil {
+		c = new(rectSweep[T])
+		c.run = c.rows
+	}
+	c.op, c.dst, c.src, c.x0, c.y0, c.x1, c.b, c.sites = op, dst, src, x0, y0, x1, b, sites
+	p.ForEachChunk(y1-y0, c.run)
+	*c = rectSweep[T]{run: c.run} // do not pin the caller's grids
+	op.sweepc.Store(c)
+}
+
+// rectSweep is the argument block of one SweepRectParallel call, with the
+// chunk function the pool runs bound to it once.
+type rectSweep[T num.Float] struct {
+	op         *Op2D[T]
+	dst, src   *grid.Grid[T]
+	x0, y0, x1 int
+	b          []T
+	sites      []Site[T]
+	run        func(lo, hi int)
+}
+
+func (c *rectSweep[T]) rows(lo, hi int) {
+	var b []T
+	if c.b != nil {
+		b = c.b[lo:]
+	}
+	c.op.SweepRectFused(c.dst, c.src, c.x0, c.y0+lo, c.x1, c.y0+hi, b, c.sites)
 }
 
 // SweepParallel computes one full 3-D iteration with layers partitioned

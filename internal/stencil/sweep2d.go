@@ -74,6 +74,9 @@ type Op2D[T num.Float] struct {
 	// planc caches the compiled sweep plan (offsets, weights, interior
 	// bounds, kernel choice) for the last-seen shape; see plan.go.
 	planc planCache[plan2d[T]]
+	// sweepc keeps SweepRectParallel's argument block between calls; see
+	// parallel.go.
+	sweepc planCache[rectSweep[T]]
 }
 
 // Validate checks the operator against a domain of the given shape.

@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"stencilabft/internal/blocks"
 	"stencilabft/internal/checksum"
 	"stencilabft/internal/core"
 	"stencilabft/internal/dist"
@@ -218,8 +217,10 @@ type Spec[T Float] struct {
 	// (ablation A1); leave false for exact interpolation.
 	DropBoundaryTerms bool
 	// PaperExactCorrection uses the paper's literal Equation (10)
-	// evaluation (Section 5.3's overflow-scale caveat); the default is
-	// the numerically stable equivalent.
+	// evaluation (Section 5.3's overflow-scale caveat) for every online
+	// detection of a Local run — Online and, through the chunk's shared
+	// repair tail, Blocked; the default is the numerically stable
+	// equivalent after re-evaluating the flagged rows.
 	PaperExactCorrection bool
 
 	// AfterStep, when non-nil, runs on each rank's goroutine after its
@@ -426,7 +427,8 @@ func (s Spec[T]) injectSource() InjectSource[T] {
 	return nil
 }
 
-// coreOptions maps the shared knobs onto the core protectors' options.
+// coreOptions maps the shared knobs onto the core protectors' options — every
+// Local scheme's, Blocked included.
 func (s Spec[T]) coreOptions() core.Options[T] {
 	return core.Options[T]{
 		Detector:             s.Detector,
@@ -438,18 +440,6 @@ func (s Spec[T]) coreOptions() core.Options[T] {
 		Recovery:             s.Recovery,
 		Inject:               s.injectSource(),
 		Telemetry:            s.Telemetry.Recorder(0),
-	}
-}
-
-// blocksOptions maps the shared knobs onto the tiled protector's options.
-func (s Spec[T]) blocksOptions() blocks.Options[T] {
-	return blocks.Options[T]{
-		Detector:          s.Detector,
-		Pool:              s.Pool,
-		PairPolicy:        s.PairPolicy,
-		Inject:            s.injectSource(),
-		DropBoundaryTerms: s.DropBoundaryTerms,
-		Telemetry:         s.Telemetry.Recorder(0),
 	}
 }
 
