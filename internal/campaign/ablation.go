@@ -52,12 +52,9 @@ func ablationLocate(cfg TileConfig, w io.Writer) {
 	if err != nil {
 		panic(err)
 	}
-	prev := checksum.NewVectors[float32](nx, ny)
-	prev.Compute(src)
-	edges := checksum.LiveEdges(src, grid.Clamp, 0)
 	interpA, interpB := make([]float32, nx), make([]float32, ny)
-	ip.InterpolateA(prev.A, edges, interpA)
-	ip.InterpolateB(prev.B, edges, interpB)
+	interpolateDomain(ip, checksum.VecA, src, interpA)
+	interpolateDomain(ip, checksum.VecB, src, interpB)
 	det := checksum.NewDetector[float32]()
 
 	const cells = 16
@@ -226,20 +223,18 @@ func ablationBlockSize(cfg TileConfig, w io.Writer) {
 			stencil.ChecksumBRect(src, x0, 0, x1, n, prev)
 			stencil.ChecksumBRect(dst, x0, 0, x1, n, direct)
 
-			iop := &stencil.Op2D[float32]{St: op.St, BC: op.BC}
-			ip, err := checksum.NewInterp2D(iop, bw, n)
+			ip, err := checksum.NewInterp2DRect(op, n, n, x0, 0, x1, n)
 			if err != nil {
 				panic(err)
 			}
-			bg := grid.BoundedGrid[float32]{G: src, Cond: grid.Clamp}
-			// Extended vector: the domain spans full height, so the
-			// y-halos resolve via the boundary condition (clamp).
+			// The chunk spans the domain's height, so its column
+			// checksums' halo is their own entries projected through the
+			// boundary condition.
 			ext := make([]float32, n+2)
-			ext[0] = prev[0]
 			copy(ext[1:n+1], prev)
-			ext[n+1] = prev[n-1]
+			ip.FillHalo(checksum.VecB, ext)
 			interp := make([]float32, n)
-			ip.InterpolateBBand(ext, 1, checksum.OffsetEdges[float32]{Src: bg, X0: x0}, interp)
+			ip.Interpolate(checksum.VecB, ext, checksum.LiveEdges(src, op.BC, 0), interp)
 			for y := range interp {
 				maxErr = num.Max(maxErr, num.RelErr(float64(interp[y]), float64(direct[y]), 1))
 			}
@@ -272,8 +267,6 @@ func ablationBoundaryTerms(cfg TileConfig, w io.Writer) {
 		src := grid.New[float64](nx, ny)
 		src.FillFunc(func(x, y int) float64 { return 50 + 10*rng.Float64() })
 		dst := grid.New[float64](nx, ny)
-		prev := checksum.NewVectors[float64](nx, ny)
-		prev.Compute(src)
 		op.Sweep(dst, src)
 		direct := checksum.NewVectors[float64](nx, ny)
 		direct.Compute(dst)
@@ -287,7 +280,7 @@ func ablationBoundaryTerms(cfg TileConfig, w io.Writer) {
 			}
 			ip.DropBoundaryTerms = variant.drop
 			interp := make([]float64, ny)
-			ip.InterpolateB(prev.B, checksum.LiveEdges(src, grid.Clamp, 0), interp)
+			interpolateDomain(ip, checksum.VecB, src, interp)
 			var maxErr float64
 			for y := range interp {
 				maxErr = num.Max(maxErr, num.RelErr(interp[y], direct.B[y], 1e-9))
@@ -297,6 +290,21 @@ func ablationBoundaryTerms(cfg TileConfig, w io.Writer) {
 	}
 	t.Render(w)
 	fmt.Fprintln(w)
+}
+
+// interpolateDomain interpolates vector v of a domain interpolator from the
+// checksums of src, iteration t, extended by the projection of the boundary
+// condition.
+func interpolateDomain[T num.Float](ip *checksum.Interp2D[T], v checksum.Vec, src *grid.Grid[T], out []T) {
+	h := ip.EdgeRadius()
+	prev := make([]T, len(out)+2*h)
+	if v == checksum.VecA {
+		stencil.ChecksumA(src, prev[h:h+len(out)])
+	} else {
+		stencil.ChecksumB(src, prev[h:h+len(out)])
+	}
+	ip.FillHalo(v, prev)
+	ip.Interpolate(v, prev, checksum.LiveEdges(src, grid.Clamp, 0), out)
 }
 
 // ablationFusedChecksum (A2): cost of the fused checksum accumulation

@@ -60,30 +60,33 @@ func (v *Vectors[T]) ComputeKahan(g *grid.Grid[T]) {
 	}
 }
 
-// resolve1D looks up vec[i] with the 1-D projection of the boundary
-// condition: Clamp, Periodic and Mirror resolve to an in-domain index,
-// Constant substitutes ghostSum (the whole-line sum of the constant ghost
-// value, i.e. n*K), and Zero substitutes 0. This is the b̃/ã resolution of
-// DESIGN.md Section 6.
-func resolve1D[T num.Float](vec []T, i int, bc grid.Boundary, ghostSum T) T {
-	ri, ok := bc.ResolveIndex(i, len(vec))
-	if !ok {
-		if bc == grid.Constant {
-			return ghostSum
+// FillHalo fills the h halo entries at each end of ext from its own entries
+// by the 1-D projection of the boundary condition — DESIGN.md Section 6's
+// b̃/ã resolution, for a vector of checksums or a stack of layers. Entry i
+// outside the n = len(ext)-2h entries between the halos takes the entry its
+// index resolves to under Clamp, Periodic and Mirror, and ghost, the value a
+// whole ghost line carries (n'·K for a checksum under Constant, 0 under
+// Zero), where the condition has no entry to give.
+func FillHalo[E any](ext []E, h int, bc grid.Boundary, ghost E) {
+	n := len(ext) - 2*h
+	for i := range h {
+		for _, e := range [2]int{i - h, n + i} {
+			if r, ok := bc.ResolveIndex(e, n); ok {
+				ext[h+e] = ext[h+r]
+			} else {
+				ext[h+e] = ghost
+			}
 		}
-		return 0
 	}
-	return vec[ri]
 }
 
-// EdgeSource supplies boundary-resolved domain values ũ(x,y) of iteration t
-// for the alpha/beta boundary-term evaluation. Queries are guaranteed to
-// stay within the stencil radius of a domain edge (in at least one axis);
-// interior points far from every edge are never requested.
-//
-// Two implementations exist: grid.BoundedGrid (the live t-buffer, used by
-// the online protector) and EdgeSnapshot (a stored copy of the edge strips,
-// used by the offline protector's Δ-step interpolation chain).
+// EdgeSource supplies domain values ũ(x,y) of iteration t for the alpha/beta
+// boundary terms. Two implementations exist: grid.BoundedGrid (a live grid —
+// a domain, a 3-D layer, or the frame a chunk is a rectangle of) and
+// EdgeSnapshot (a stored copy of a domain's edge strips, used by the offline
+// protectors' Δ-step interpolation chains). The interpolator reads their
+// cells in place at lines and rows it resolved at construction; At, with
+// full boundary resolution, is for per-entry readers.
 type EdgeSource[T num.Float] interface {
 	At(x, y int) T
 }
@@ -169,8 +172,8 @@ func (e *EdgeSnapshot[T]) At(x, y int) T {
 }
 
 // line returns the stored in-domain column c (cols) or row c as a slice
-// over y or x — the direct read behind Interp3D's boundary terms. Like At,
-// it panics on a line outside the strips.
+// over y or x — the direct read behind the interpolator's window-shift
+// terms. Like At, it panics on a line outside the strips.
 func (e *EdgeSnapshot[T]) line(cols bool, c int) []T {
 	lo, hi, r, n, m := e.top, e.bottom, min(e.r, e.ny), e.nx, e.ny
 	if cols {

@@ -2,54 +2,354 @@ package checksum
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
 	"stencilabft/internal/stencil"
 )
 
-// Interp2D interpolates the checksum vectors of iteration t+1 from those of
-// iteration t for a fixed 2-D stencil operator (Theorem 1). The constant-
-// field line sums cA, cB are precomputed once (the paper notes c_x "is
-// constant and can be pre-computed").
-//
-// Unlike the paper's example listings, the boundary terms alpha/beta are
-// evaluated exactly from an EdgeSource, so the interpolation matches the
-// direct checksums up to floating-point round-off for arbitrary weights and
-// every supported boundary condition. Under Periodic boundaries the terms
-// vanish and are skipped (paper Eqs. 8-9).
-type Interp2D[T num.Float] struct {
-	op     *stencil.Op2D[T]
-	nx, ny int
-	cA     []T // cA[x] = Σ_y C(x,y)
-	cB     []T // cB[y] = Σ_x C(x,y)
-	// ghostSumA/B are the 1-D Constant-boundary substitutes: a whole
-	// ghost line sums to n*K.
-	ghostSumA T // substitute for ã at out-of-range x: ny*K
-	ghostSumB T // substitute for b̃ at out-of-range y: nx*K
-	// DropBoundaryTerms reproduces the paper's simplified listings
-	// (Figures 3 and 7), which omit alpha/beta. Exact only for Periodic
-	// boundaries or weight-symmetric stencils; exposed for ablation A1.
-	DropBoundaryTerms bool
+// Vec names one of a rectangle's two checksum vectors.
+type Vec int
 
-	// betaDxs/betaLookup/betaTab back the TileEdges fast path of
-	// InterpolateBBand: the distinct nonzero stencil DX offsets, a per-dx
-	// view into the scratch table (indexed dx+RadiusX), and the table
-	// itself — beta terms for yy in [-ry, ny+ry). Built lazily on first
-	// use, so steady-state calls allocate nothing. betaPrimed marks tables
-	// filled ahead of time by PrimeBetaTables, consumed by exactly the
-	// next InterpolateBBand call; betaMidPrimed marks the tile-row entries
-	// filled early by PrimeBetaTablesMid, leaving only the ghost rows.
-	betaDxs       []int
-	betaLookup    [][]T
-	betaTab       []T
-	betaPrimed    bool
-	betaMidPrimed bool
-	// betaLoJ/betaHiJ bound the table rows any interpolation actually
-	// reads — [minDY, ny+maxDY) over the DX≠0 points, shifted by ry. A
-	// star stencil's x-offset points all sit at DY=0, so its ghost-row
-	// entries are never read and never filled.
-	betaLoJ, betaHiJ int
+const (
+	// VecA is the row checksum vector, A[x] = Σ_y u(x,y): one entry per
+	// column, summed along y.
+	VecA Vec = iota
+	// VecB is the column checksum vector, B[y] = Σ_x u(x,y).
+	VecB
+)
+
+// noSource marks a frame line or row that lies in the ghost region of a
+// Constant or Zero boundary.
+const noSource = math.MinInt
+
+// interp is the one interpolation engine (Theorem 1) behind Interp2D and
+// Interp3D: a rectangle [x0,x1) x [y0,y1) of a frame of fnx-by-fny cells —
+// the whole frame for a domain or a 3-D layer — repeated over nz layers.
+//
+// The previous vectors it reads are extended: a vector of n entries carries
+// h >= radius halo entries each side, and a stack of nz layers carries hz >=
+// RadiusZ halo layers each side, so every entry a stencil point shifts to is
+// data the owner provided — neighbour sums (a chunk, a rank tile, a z-slab)
+// or FillHalo's projection of the boundary condition (a domain). The
+// boundary condition enters the engine once, at construction, where the
+// window-shift terms α/β (DESIGN.md Section 6) are compiled to the frame
+// lines entering and leaving the summation window and to the frame row each
+// extended entry reads them at. A call fills one table per distinct window
+// shift from the edge source, one pass per frame line, and makes one pass
+// per stencil point over the output.
+// Per entry the operations and their order are those of evaluating entry by
+// entry: start from the constant-field sum, add w·(prev + α/β) point by
+// point in declaration order, each α/β summed from zero over its entering
+// lines and then its leaving ones.
+type interp[T num.Float] struct {
+	nz, rz int
+	fnx    int // frame width: the row stride of a grid edge source
+	bc     grid.Boundary
+	ghost  [1]T // the ghost cell: BCValue under Constant, else 0
+	a, b   interpAxis[T]
+	// DropBoundaryTerms reproduces the paper's simplified listings (Figures
+	// 3 and 7), which omit alpha/beta from both vectors. Exact only for
+	// Periodic boundaries or weight-symmetric stencils; exposed for
+	// ablation A1.
+	DropBoundaryTerms bool
+}
+
+// interpAxis is one checksum vector's compiled interpolation. B has an
+// entry per frame row of the rectangle and sums along x, so its window
+// shifts move frame columns; A is the transpose.
+type interpAxis[T num.Float] struct {
+	cols bool  // B: the window-shift lines are frame columns
+	n, r int   // entries; stencil radius along them
+	m    int   // the summed extent: a ghost line sums to m ghost cells
+	c    [][]T // per layer: line sums of the constant field
+	// rows[e+r] is the frame row (a column for A) extended entry e in
+	// [-r, n+r) lies on, where the window-shift lines are read; noSource is
+	// a ghost row.
+	rows   []int
+	terms  []interpTerm[T]
+	shifts []windowShift
+	// lo, hi bound the table entries [lo, hi) any term reads: a star
+	// stencil's x-offset points all sit at DY=0, so B's ghost-row entries
+	// are never filled.
+	lo, hi int
+	tabs   []shiftTables[T] // per layer; filled by the call for that layer only
+}
+
+// interpTerm is one stencil point compiled for one axis.
+type interpTerm[T num.Float] struct {
+	w     T
+	dz    int
+	shift int // offset along the vector: dy for B, dx for A
+	win   int // index into shifts; -1 when the point's window does not move
+}
+
+// windowShift is the α/β term of the points with one (dz, cross) offset:
+// when the summation window shifts by cross, the lines entering it, added,
+// and the rectangle's lines leaving it, subtracted, in the order the sums
+// are taken; noSource is a ghost line. A shift whose entering lines are its
+// leaving ones (a rectangle spanning a periodic frame: paper Eqs. 8-9)
+// cancels and is not compiled.
+type windowShift struct {
+	dz         int
+	cross      int
+	adds, subs []int
+}
+
+// shiftTables holds one layer's window-shift tables, n+2r entries each, and
+// which of them PrimeBetaTablesMid/PrimeBetaTables filled ahead of the call.
+type shiftTables[T num.Float] struct {
+	tab      []T
+	mid, all bool
+}
+
+// edgeLine is one frame line of an edge source: its cell at frame row r is
+// cells[r*stride].
+type edgeLine[T num.Float] struct {
+	cells  []T
+	stride int
+}
+
+// compile builds the engine for op's points over rectangle [x0,x1) x
+// [y0,y1) of an fnx-by-fny frame; cA and cB hold each layer's
+// constant-field sums.
+func (ip *interp[T]) compile(pts []stencil.Point[T], bc grid.Boundary, bcValue T, fnx, fny, x0, y0, x1, y1 int, cA, cB [][]T) {
+	ip.nz, ip.fnx, ip.bc = len(cA), fnx, bc
+	for _, p := range pts {
+		ip.rz = max(ip.rz, p.DZ, -p.DZ)
+	}
+	if bc == grid.Constant {
+		ip.ghost[0] = bcValue
+	}
+	ip.a = compileAxis(pts, false, bc, x0, x1, fnx, y0, y1, fny, cA)
+	ip.b = compileAxis(pts, true, bc, y0, y1, fny, x0, x1, fnx, cB)
+}
+
+// compileAxis compiles one vector: entries [e0, e1) of a frame extent fe,
+// each the sum over [s0, s1) of a frame extent fs.
+func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundary, e0, e1, fe, s0, s1, fs int, c [][]T) interpAxis[T] {
+	ax := interpAxis[T]{cols: cols, n: e1 - e0, m: s1 - s0, c: c, tabs: make([]shiftTables[T], len(c))}
+	resolve := func(i, n int) int {
+		if r, ok := bc.ResolveIndex(i, n); ok {
+			return r
+		}
+		return noSource
+	}
+	offsets := func(p stencil.Point[T]) (shift, cross int) {
+		if cols {
+			return p.DY, p.DX
+		}
+		return p.DX, p.DY
+	}
+	for _, p := range pts {
+		shift, _ := offsets(p)
+		ax.r = max(ax.r, shift, -shift)
+	}
+	for e := -ax.r; e < ax.n+ax.r; e++ {
+		ax.rows = append(ax.rows, resolve(e0+e, fe))
+	}
+	ax.lo, ax.hi = ax.n+2*ax.r, 0
+	for _, p := range pts {
+		shift, cross := offsets(p)
+		t := interpTerm[T]{w: p.W, dz: p.DZ, shift: shift, win: -1}
+		ws := windowShift{dz: p.DZ, cross: cross}
+		if cross < 0 {
+			for i := cross; i < 0; i++ {
+				ws.adds = append(ws.adds, resolve(s0+i, fs)) // entering on the low side
+				ws.subs = append(ws.subs, s1+i)              // leaving on the high side
+			}
+		} else {
+			for i := 0; i < cross; i++ {
+				ws.adds = append(ws.adds, resolve(s1+i, fs)) // entering on the high side
+				ws.subs = append(ws.subs, s0+i)              // leaving on the low side
+			}
+		}
+		if cross != 0 && !slices.Equal(ws.adds, ws.subs) {
+			t.win = slices.IndexFunc(ax.shifts, func(o windowShift) bool { return o.dz == ws.dz && o.cross == ws.cross })
+			if t.win < 0 {
+				t.win = len(ax.shifts)
+				ax.shifts = append(ax.shifts, ws)
+			}
+			ax.lo, ax.hi = min(ax.lo, ax.r+shift), max(ax.hi, ax.r+shift+ax.n)
+		}
+		ax.terms = append(ax.terms, t)
+	}
+	return ax
+}
+
+func (ip *interp[T]) axis(v Vec) *interpAxis[T] {
+	if v == VecB {
+		return &ip.b
+	}
+	return &ip.a
+}
+
+// EdgeRadius returns the snapshot radius the window-shift terms need:
+// max(RadiusX, RadiusY) of the stencil.
+func (ip *interp[T]) EdgeRadius() int { return max(ip.a.r, ip.b.r) }
+
+// FillHalo fills the halo entries of ext, an extended vector v of the
+// interpolator's rectangle, from its own entries by the 1-D projection of
+// the boundary condition — the rectangle must span its frame along v's
+// entries (a domain, a layer, a full-height column block).
+func (ip *interp[T]) FillHalo(v Vec, ext []T) {
+	ax := ip.axis(v)
+	FillHalo(ext, (len(ext)-ax.n)/2, ip.bc, T(ax.m)*ip.ghost[0])
+}
+
+// interpolate is the one routine that computes interpolated entries: next,
+// vector ax of layer z, from prev — nz layers between hz halo layers each
+// side, each an extended vector with h halo entries each side (hz and h
+// read off the lengths) — and one edge source per layer of prev, nil for a
+// ghost layer (whose every cell is the ghost value, so no window shift
+// moves anything). next must not alias prev.
+func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []EdgeSource[T], next []T) {
+	hz := (len(prev) - ip.nz) / 2
+	if len(next) != ax.n || len(edges) != len(prev) || hz < ip.rz || len(prev) != ip.nz+2*hz {
+		panic(fmt.Sprintf("checksum: interpolate lengths %d/%d/%d for %d entries over %d layers (z-radius %d)",
+			len(prev), len(edges), len(next), ax.n, ip.nz, ip.rz))
+	}
+	h := (len(prev[z+hz]) - ax.n) / 2
+	if h < ax.r || len(prev[z+hz]) != ax.n+2*h {
+		panic(fmt.Sprintf("checksum: extended vector of %d entries for %d entries and radius %d", len(prev[z+hz]), ax.n, ax.r))
+	}
+	shifted := len(ax.shifts) > 0 && !ip.DropBoundaryTerms
+	var tab []T
+	if shifted {
+		lt := ip.tables(ax, z)
+		switch {
+		case lt.all:
+		case lt.mid: // the rectangle's own rows were primed: the ghost rows are left
+			ip.fill(ax, z, hz, edges, 0, ax.r)
+			ip.fill(ax, z, hz, edges, ax.r+ax.n, ax.n+2*ax.r)
+		default:
+			ip.fill(ax, z, hz, edges, 0, ax.n+2*ax.r)
+		}
+		lt.mid, lt.all = false, false
+		tab = lt.tab
+	}
+	span := ax.n + 2*ax.r
+	copy(next, ax.c[z])
+	for _, t := range ax.terms {
+		zz := z + t.dz + hz
+		in := prev[zz][h+t.shift:][:ax.n]
+		out, w := next[:len(in)], t.w
+		if t.win < 0 || !shifted || edges[zz] == nil {
+			for e, s := range in {
+				out[e] += w * s
+			}
+			continue
+		}
+		bnd := tab[t.win*span+ax.r+t.shift:][:len(in)]
+		for e, s := range in {
+			out[e] += w * (s + bnd[e])
+		}
+	}
+}
+
+// tables returns layer z's window-shift tables, allocating them on first
+// use.
+func (ip *interp[T]) tables(ax *interpAxis[T], z int) *shiftTables[T] {
+	lt := &ax.tabs[z]
+	if lt.tab == nil {
+		lt.tab = make([]T, len(ax.shifts)*(ax.n+2*ax.r))
+	}
+	return lt
+}
+
+// fill computes layer z's window-shift table entries [j0, j1) (entry j at
+// extended entry j-r) from the edge sources: each table from zero, its
+// entering lines added and then its leaving lines subtracted, one pass per
+// line — a constant stride through the frame the prefetcher can follow.
+func (ip *interp[T]) fill(ax *interpAxis[T], z, hz int, edges []EdgeSource[T], j0, j1 int) {
+	j0, j1 = max(j0, ax.lo), min(j1, ax.hi)
+	if j0 >= j1 {
+		return
+	}
+	span, rows := ax.n+2*ax.r, ax.rows[j0:j1]
+	for i, ws := range ax.shifts {
+		tab := ax.tabs[z].tab[i*span+j0 : i*span+j1]
+		src := edges[z+ws.dz+hz]
+		if len(ws.adds) == 1 { // a one-line shift, the common case, in one pass
+			ip.shiftLine(tab, rows, ip.edgeLine(ax, src, ws.adds[0]), ip.edgeLine(ax, src, ws.subs[0]))
+			continue
+		}
+		clear(tab)
+		for _, c := range ws.adds {
+			ip.addLine(tab, rows, ip.edgeLine(ax, src, c), false)
+		}
+		for _, c := range ws.subs {
+			ip.addLine(tab, rows, ip.edgeLine(ax, src, c), true)
+		}
+	}
+}
+
+// shiftLine sets tab to line a's cells at rows minus line b's, summed from
+// zero; a ghost row's cells are the ghost value.
+func (ip *interp[T]) shiftLine(tab []T, rows []int, a, b edgeLine[T]) {
+	tab, g := tab[:len(rows)], ip.ghost[0]
+	for j, r := range rows {
+		var v T
+		if r == noSource {
+			v += g
+			v -= g
+		} else {
+			v += a.cells[r*a.stride]
+			v -= b.cells[r*b.stride]
+		}
+		tab[j] = v
+	}
+}
+
+// addLine adds (or with sub, subtracts) line l's cells at rows to tab; a
+// ghost row's cell is the ghost value.
+func (ip *interp[T]) addLine(tab []T, rows []int, l edgeLine[T], sub bool) {
+	tab, g := tab[:len(rows)], ip.ghost[0]
+	for j, r := range rows {
+		v := g
+		if r != noSource {
+			v = l.cells[r*l.stride]
+		}
+		if sub {
+			tab[j] -= v
+		} else {
+			tab[j] += v
+		}
+	}
+}
+
+// edgeLine returns frame line c of one layer's edge source; a ghost line,
+// and every line of a ghost layer (nil), is the ghost cell repeated.
+func (ip *interp[T]) edgeLine(ax *interpAxis[T], src EdgeSource[T], c int) edgeLine[T] {
+	if c == noSource || src == nil {
+		return edgeLine[T]{ip.ghost[:], 0}
+	}
+	switch s := src.(type) {
+	case grid.BoundedGrid[T]:
+		if s.G.Nx() != ip.fnx {
+			panic(fmt.Sprintf("checksum: edge source %d wide, frame %d", s.G.Nx(), ip.fnx))
+		}
+		d := s.G.Data()
+		if ax.cols {
+			return edgeLine[T]{d[c:], ip.fnx}
+		}
+		return edgeLine[T]{d[c*ip.fnx : (c+1)*ip.fnx], 1}
+	case *EdgeSnapshot[T]:
+		return edgeLine[T]{s.line(ax.cols, c), 1}
+	default:
+		panic(fmt.Sprintf("checksum: cannot read edge cells of a %T", src))
+	}
+}
+
+// Interp2D interpolates the checksum vectors of iteration t+1 from those of
+// iteration t for a fixed 2-D stencil operator over a rectangle of a frame:
+// the engine with one layer. The constant-field line sums are precomputed
+// once (the paper notes c_x "is constant and can be pre-computed").
+type Interp2D[T num.Float] struct {
+	interp[T]
+	zero []T // InterpolateB's halo scratch
 }
 
 // NewInterp2D precomputes an interpolator for op over an nx-by-ny domain.
@@ -57,125 +357,178 @@ func NewInterp2D[T num.Float](op *stencil.Op2D[T], nx, ny int) (*Interp2D[T], er
 	if err := op.Validate(nx, ny); err != nil {
 		return nil, err
 	}
-	return NewInterp2DRect(op, 0, 0, nx, ny)
+	return NewInterp2DRect(op, nx, ny, 0, 0, nx, ny)
 }
 
 // NewInterp2DRect precomputes an interpolator for the rectangle [x0,x1) x
-// [y0,y1) of op's domain — a chunk of it, whose neighbour data the band and
-// block forms (InterpolateBBand, InterpolateABlock) take in place of a
-// boundary condition. The constant-field line sums are the rectangle's, read
-// from op's domain-shaped field in place.
-func NewInterp2DRect[T num.Float](op *stencil.Op2D[T], x0, y0, x1, y1 int) (*Interp2D[T], error) {
+// [y0,y1) of an fnx-by-fny frame — a chunk of a domain or a rank's tile in
+// its extended frame. The window-shift terms read the frame's cells as they
+// stand and resolve only what lies outside the frame through op's boundary
+// condition. The constant-field line sums are the rectangle's, read from
+// op's frame-shaped field in place.
+func NewInterp2DRect[T num.Float](op *stencil.Op2D[T], fnx, fny, x0, y0, x1, y1 int) (*Interp2D[T], error) {
 	nx, ny := x1-x0, y1-y0
 	if err := (&stencil.Op2D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}).Validate(nx, ny); err != nil {
 		return nil, err
 	}
-	ip := &Interp2D[T]{op: op, nx: nx, ny: ny, cA: make([]T, nx), cB: make([]T, ny)}
+	cA, cB := make([]T, nx), make([]T, ny)
 	if op.C != nil {
-		stencil.ChecksumARect(op.C, x0, y0, x1, y1, ip.cA)
-		stencil.ChecksumBRect(op.C, x0, y0, x1, y1, ip.cB)
+		stencil.ChecksumARect(op.C, x0, y0, x1, y1, cA)
+		stencil.ChecksumBRect(op.C, x0, y0, x1, y1, cB)
 	}
-	if op.BC == grid.Constant {
-		ip.ghostSumA = T(ny) * op.BCValue
-		ip.ghostSumB = T(nx) * op.BCValue
-	}
+	ip := &Interp2D[T]{}
+	ip.compile(op.St.Points, op.BC, op.BCValue, fnx, fny, x0, y0, x1, y1, [][]T{cA}, [][]T{cB})
 	return ip, nil
 }
 
-// InterpolateB computes bNext[y] for every y from bPrev (the column
-// checksums of iteration t) and the edge values of iteration t. bNext and
-// bPrev must both have length ny and must not alias.
+// Interpolate computes next, vector v of iteration t+1, from prev — the
+// vector of iteration t extended by at least the stencil radius along it
+// each side — and the frame of iteration t.
 //
-// Cost: O(ny * k * (1+r)) where k = |S| and r = RadiusX — the paper's
-// O(k^2 * ny) with the alpha/beta inner loop made explicit.
+// Cost: O(n·k) plus O(n·r) table entries, k = |S| and r the radius across
+// the vector — the paper's O(k²·n) with the alpha/beta inner loop explicit.
+func (ip *Interp2D[T]) Interpolate(v Vec, prev []T, edges EdgeSource[T], next []T) {
+	p, e := [1][]T{prev}, [1]EdgeSource[T]{edges}
+	ip.interpolate(ip.axis(v), 0, p[:], e[:], next)
+}
+
+// InterpolateB computes bNext from bPrev for a domain interpolator with no
+// halo: both have length ny. It extends bPrev into scratch the interpolator
+// owns, so it is not safe for concurrent use — the benchmark's entry point;
+// protectors keep extended vectors and call Interpolate.
 func (ip *Interp2D[T]) InterpolateB(bPrev []T, edges EdgeSource[T], bNext []T) {
-	if len(bPrev) != ip.ny || len(bNext) != ip.ny {
-		panic(fmt.Sprintf("checksum: InterpolateB length %d/%d, want %d", len(bPrev), len(bNext), ip.ny))
+	r := ip.b.r
+	if ip.zero == nil {
+		ip.zero = make([]T, ip.b.n+2*r)
 	}
-	bc := ip.op.BC
-	for y := 0; y < ip.ny; y++ {
-		v := ip.cB[y]
-		for _, p := range ip.op.St.Points {
-			yy := y + p.DY
-			term := resolve1D(bPrev, yy, bc, ip.ghostSumB)
-			if p.DX != 0 && bc != grid.Periodic && !ip.DropBoundaryTerms {
-				term += ip.beta(edges, p.DX, yy)
-			}
-			v += p.W * term
-		}
-		bNext[y] = v
-	}
+	copy(ip.zero[r:r+ip.b.n], bPrev)
+	ip.FillHalo(VecB, ip.zero)
+	ip.Interpolate(VecB, ip.zero, edges, bNext)
 }
 
-// InterpolateA computes aNext[x] for every x from aPrev (the row checksums
-// of iteration t) and the edge values of iteration t.
-func (ip *Interp2D[T]) InterpolateA(aPrev []T, edges EdgeSource[T], aNext []T) {
-	if len(aPrev) != ip.nx || len(aNext) != ip.nx {
-		panic(fmt.Sprintf("checksum: InterpolateA length %d/%d, want %d", len(aPrev), len(aNext), ip.nx))
+// PrimeBetaTablesMid fills the B tables' entries of the rectangle's own rows
+// — callable as soon as the frame's columns beside the rectangle are final,
+// while their cache lines are warm, before a sweep evicts them. The entries
+// of the ghost rows read halo rows that may not have arrived yet;
+// PrimeBetaTables or the interpolation fills those. The rectangle's rows and
+// the columns beside them must not change before the interpolation that
+// consumes the tables.
+func (ip *Interp2D[T]) PrimeBetaTablesMid(edges EdgeSource[T]) {
+	if ip.DropBoundaryTerms || len(ip.b.shifts) == 0 {
+		return
 	}
-	bc := ip.op.BC
-	for x := 0; x < ip.nx; x++ {
-		v := ip.cA[x]
-		for _, p := range ip.op.St.Points {
-			xx := x + p.DX
-			term := resolve1D(aPrev, xx, bc, ip.ghostSumA)
-			if p.DY != 0 && bc != grid.Periodic && !ip.DropBoundaryTerms {
-				term += ip.alpha(edges, p.DY, xx)
-			}
-			v += p.W * term
-		}
-		aNext[x] = v
-	}
+	e := [1]EdgeSource[T]{edges}
+	ip.tables(&ip.b, 0)
+	ip.fill(&ip.b, 0, 0, e[:], ip.b.r, ip.b.r+ip.b.n)
+	ip.b.tabs[0].mid = true
 }
 
-// beta evaluates the paper's β_{dx,yy} boundary term: the difference
-// between the ghost columns that enter the x-summation window when it
-// shifts by dx and the domain columns that leave it. All values are from
-// iteration t via the EdgeSource.
-func (ip *Interp2D[T]) beta(edges EdgeSource[T], dx, yy int) T {
-	var v T
-	if dx < 0 {
-		for x := dx; x < 0; x++ { // ghost columns entering on the left
-			v += edges.At(x, yy)
-		}
-		for x := ip.nx + dx; x < ip.nx; x++ { // domain columns leaving on the right
-			v -= edges.At(x, yy)
-		}
+// PrimeBetaTables fills the B tables the next interpolation would fill
+// itself — after PrimeBetaTablesMid just the ghost rows — letting the caller
+// schedule the edge reads while the halo exchange has them warm. The edge
+// values must not change before the interpolation that consumes them.
+func (ip *Interp2D[T]) PrimeBetaTables(edges EdgeSource[T]) {
+	if ip.DropBoundaryTerms || len(ip.b.shifts) == 0 {
+		return
+	}
+	ax, e := &ip.b, [1]EdgeSource[T]{edges}
+	lt := ip.tables(ax, 0)
+	if lt.mid {
+		ip.fill(ax, 0, 0, e[:], 0, ax.r)
+		ip.fill(ax, 0, 0, e[:], ax.r+ax.n, ax.n+2*ax.r)
 	} else {
-		for x := ip.nx; x < ip.nx+dx; x++ { // ghost columns entering on the right
-			v += edges.At(x, yy)
-		}
-		for x := 0; x < dx; x++ { // domain columns leaving on the left
-			v -= edges.At(x, yy)
-		}
+		ip.fill(ax, 0, 0, e[:], 0, ax.n+2*ax.r)
 	}
-	return v
+	lt.mid, lt.all = false, true
 }
 
-// alpha evaluates the paper's α_{xx,dy} boundary term, the y-axis analogue
-// of beta.
-func (ip *Interp2D[T]) alpha(edges EdgeSource[T], dy, xx int) T {
-	var v T
-	if dy < 0 {
-		for y := dy; y < 0; y++ {
-			v += edges.At(xx, y)
-		}
-		for y := ip.ny + dy; y < ip.ny; y++ {
-			v -= edges.At(xx, y)
-		}
-	} else {
-		for y := ip.ny; y < ip.ny+dy; y++ {
-			v += edges.At(xx, y)
-		}
-		for y := 0; y < dy; y++ {
-			v -= edges.At(xx, y)
-		}
-	}
-	return v
+// Interp3D interpolates the per-layer checksum vectors of a 3-D domain or
+// z-slab: the engine over nz layers of whole nx-by-ny frames. The paper
+// applies the 2-D scheme on every z-layer; a stencil point with dz != 0
+// couples layer z's checksum to layer z+dz's of the previous iteration,
+// because the layer sum telescopes exactly like the in-layer sums do. Calls
+// for distinct layers touch disjoint state, so layers interpolate
+// concurrently against one interpolator.
+type Interp3D[T num.Float] struct {
+	interp[T]
+	// InterpolateB's halo scratch: a stack, its edge sources, and the
+	// domain layer each entry of them holds (-1: a ghost layer).
+	zeroPrev  [][]T
+	zeroEdges []EdgeSource[T]
+	zeroLayer []int
 }
 
-// EdgeRadius returns the snapshot radius the interpolator needs:
-// max(RadiusX, RadiusY) of the stencil.
-func (ip *Interp2D[T]) EdgeRadius() int {
-	return max(ip.op.St.RadiusX(), ip.op.St.RadiusY())
+// NewInterp3D precomputes an interpolator for op over an nx*ny*nz domain
+// (or slab: op's constant field is then the slab's layers).
+func NewInterp3D[T num.Float](op *stencil.Op3D[T], nx, ny, nz int) (*Interp3D[T], error) {
+	if err := op.Validate(nx, ny, nz); err != nil {
+		return nil, err
+	}
+	cA, cB := make([][]T, nz), make([][]T, nz)
+	for z := 0; z < nz; z++ {
+		cA[z], cB[z] = make([]T, nx), make([]T, ny)
+		if op.C != nil {
+			stencil.ChecksumA(op.C.Layer(z), cA[z])
+			stencil.ChecksumB(op.C.Layer(z), cB[z])
+		}
+	}
+	ip := &Interp3D[T]{}
+	ip.compile(op.St.Points, op.BC, op.BCValue, nx, ny, 0, 0, nx, ny, cA, cB)
+	return ip, nil
+}
+
+// Interpolate computes next, vector v of layer z in [0, nz) at iteration
+// t+1, from prev — the layers' vectors of iteration t between hz >= RadiusZ
+// halo layers each side, each extended by at least the in-layer radius each
+// side — and one edge source per layer of prev (nil for a ghost layer of a
+// Constant or Zero boundary). Every edge source must be a LiveEdges view or
+// an *EdgeSnapshot of its layer; their cells are read directly, not
+// through At.
+func (ip *Interp3D[T]) Interpolate(v Vec, z int, prev [][]T, edges []EdgeSource[T], next []T) {
+	ip.interpolate(ip.axis(v), z, prev, edges, next)
+}
+
+// NewStack allocates what an interpolation over a whole domain's layers
+// reads as vector v: nz+2·RadiusZ extended vectors (radius halo entries each
+// side), the halo layers filled by FillHalo's projection along z — each
+// aliases the layer it resolves to, or one ghost vector under Constant and
+// Zero — so only the layers' own entries and in-layer halos need writing.
+func (ip *Interp3D[T]) NewStack(v Vec) [][]T {
+	ax := ip.axis(v)
+	stack := make([][]T, ip.nz+2*ip.rz)
+	for z := range ip.nz {
+		stack[ip.rz+z] = make([]T, ax.n+2*ax.r)
+	}
+	ghost := make([]T, ax.n+2*ax.r)
+	for i := range ghost {
+		ghost[i] = T(ax.m) * ip.ghost[0]
+	}
+	FillHalo(stack, ip.rz, ip.bc, ghost)
+	return stack
+}
+
+// InterpolateB computes layer z's bNext from the domain's per-layer column
+// checksums bPrev (nz vectors of length ny, no halo) and per-layer edge
+// sources. It extends what the layer reads into scratch the interpolator
+// owns, so it is not safe for concurrent use — the benchmark's entry point;
+// protectors keep extended stacks and call Interpolate.
+func (ip *Interp3D[T]) InterpolateB(z int, bPrev [][]T, edges []EdgeSource[T], bNext []T) {
+	if ip.zeroPrev == nil {
+		ip.zeroPrev = ip.NewStack(VecB)
+		ip.zeroEdges = make([]EdgeSource[T], len(ip.zeroPrev))
+		ip.zeroLayer = make([]int, len(ip.zeroPrev))
+		for i := range ip.zeroLayer {
+			ip.zeroLayer[i] = i - ip.rz
+		}
+		FillHalo(ip.zeroLayer, ip.rz, ip.bc, -1)
+	}
+	for zz := z; zz <= z+2*ip.rz; zz++ {
+		if l := ip.zeroLayer[zz]; l >= 0 {
+			copy(ip.zeroPrev[ip.rz+l][ip.b.r:], bPrev[l])
+			ip.FillHalo(VecB, ip.zeroPrev[ip.rz+l])
+		}
+	}
+	copy(ip.zeroEdges[ip.rz:], edges)
+	FillHalo(ip.zeroEdges, ip.rz, ip.bc, nil)
+	ip.Interpolate(VecB, z, ip.zeroPrev, ip.zeroEdges, bNext)
 }

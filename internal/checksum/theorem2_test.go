@@ -50,8 +50,8 @@ func TestTheorem2SingleErrorLocalised(t *testing.T) {
 		edges := LiveEdges(src, bc, op.BCValue)
 		interpA := make([]float64, nx)
 		interpB := make([]float64, ny)
-		ip.InterpolateA(prev.A, edges, interpA)
-		ip.InterpolateB(prev.B, edges, interpB)
+		interpDomain(ip, VecA, prev.A, edges, interpA)
+		interpDomain(ip, VecB, prev.B, edges, interpB)
 
 		det := Detector[float64]{Epsilon: 1e-7, AbsFloor: 1}
 		am := det.Compare(direct.A, interpA)

@@ -36,20 +36,25 @@ func CalibrateEpsilon[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], iter
 		return Calibration[T]{}, err
 	}
 	buf := grid.BufferFrom(init)
-	prevB := make([]T, ny)
-	newB := make([]T, ny)
+	// The column checksums, extended by RadiusY entries the projection of
+	// the boundary condition fills.
+	ry := op.St.RadiusY()
+	prevB, newB := make([]T, ny+2*ry), make([]T, ny+2*ry)
 	interpB := make([]T, ny)
-	stencil.ChecksumB(buf.Read, prevB)
+	stencil.ChecksumB(buf.Read, prevB[ry:ry+ny])
+	edges, edgesAlt := checksum.LiveEdges(buf.Read, op.BC, op.BCValue), checksum.LiveEdges(buf.Write, op.BC, op.BCValue)
 
 	det := checksum.Detector[T]{AbsFloor: 1}
 	var cal Calibration[T]
 	for i := 0; i < iters; i++ {
-		op.SweepFused(buf.Write, buf.Read, newB)
-		ip.InterpolateB(prevB, checksum.LiveEdges(buf.Read, op.BC, op.BCValue), interpB)
-		if e := det.MaxRelErr(newB, interpB); e > cal.MaxRelErr {
+		op.SweepFused(buf.Write, buf.Read, newB[ry:ry+ny])
+		ip.FillHalo(checksum.VecB, prevB)
+		ip.Interpolate(checksum.VecB, prevB, edges, interpB)
+		if e := det.MaxRelErr(newB[ry:ry+ny], interpB); e > cal.MaxRelErr {
 			cal.MaxRelErr = e
 		}
 		prevB, newB = newB, prevB
+		edges, edgesAlt = edgesAlt, edges
 		buf.Swap()
 		cal.Iterations++
 	}

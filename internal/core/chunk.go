@@ -48,9 +48,9 @@ type Chunk[T num.Float] struct {
 	PrevB, NewB []T
 	interpB     []T
 
-	// edgeRead/edgeWrite view the frame's two grids in the rectangle's
-	// coordinates, boxed into the EdgeSource interface once (boxing
-	// allocates) and swapped alongside the grids. edgeRead views iteration t.
+	// edgeRead/edgeWrite are the frame's two grids as edge sources, boxed
+	// into the EdgeSource interface once (boxing allocates) and swapped
+	// alongside the grids. edgeRead views iteration t.
 	edgeRead, edgeWrite checksum.EdgeSource[T]
 
 	// Scratch of the repair path, allocated the first time the chunk is
@@ -73,7 +73,7 @@ func NewChunk[T num.Float](op *stencil.Op2D[T], frame *grid.Buffer[T], x0, y0, x
 	if h <= ry {
 		return nil, thinErrorf("core: chunk [%d,%d)x[%d,%d) is only %d row(s) tall, need more than the stencil y-radius %d", x0, x1, y0, y1, h, ry)
 	}
-	ip, err := checksum.NewInterp2DRect(op, x0, y0, x1, y1)
+	ip, err := checksum.NewInterp2DRect(op, frame.Read.Nx(), frame.Read.Ny(), x0, y0, x1, y1)
 	if err != nil {
 		return nil, err
 	}
@@ -99,16 +99,9 @@ func thinErrorf(format string, args ...any) error {
 	return errs.Tagf([]error{errs.ErrThinTile, errs.ErrInvalidSpec}, format, args...)
 }
 
-// edges views g from the rectangle's origin. When the frame materialises
-// everything within a stencil radius of the rectangle — an interior block,
-// a rank's tile — the view is the direct one, which also unlocks the
-// interpolator's tabulated beta terms; otherwise out-of-frame reads resolve
-// through the boundary condition.
+// edges boxes a grid of the frame as the interpolator's edge source.
 func (c *Chunk[T]) edges(g *grid.Grid[T]) checksum.EdgeSource[T] {
-	if c.x0 >= c.rx && c.y0 >= c.ry && c.x1+c.rx <= g.Nx() && c.y1+c.ry <= g.Ny() {
-		return checksum.TileEdges[T]{Ext: g, HX: c.x0, HY: c.y0}
-	}
-	return checksum.OffsetEdges[T]{Src: grid.BoundedGrid[T]{G: g, Cond: c.op.BC, ConstVal: c.op.BCValue}, X0: c.x0, Y0: c.y0}
+	return checksum.LiveEdges(g, c.op.BC, c.op.BCValue)
 }
 
 // PrimeBetaTablesMid and PrimeBetaTables fill the interpolator's beta tables
@@ -152,7 +145,7 @@ func (c *Chunk[T]) Verify(src *grid.Grid[T]) bool {
 		c.PrevB[c.hy-j] = c.lineSum(src, c.y0-j, false)
 		c.PrevB[c.hy+h+j-1] = c.lineSum(src, c.y1+j-1, false)
 	}
-	c.ip.InterpolateBBand(c.PrevB, c.hy, c.edgeRead, c.interpB)
+	c.ip.Interpolate(checksum.VecB, c.PrevB, c.edgeRead, c.interpB)
 	return c.det.AnyMismatch(c.NewB[c.hy:c.hy+h], c.interpB)
 }
 
@@ -190,7 +183,7 @@ func (c *Chunk[T]) Repair(src, dst *grid.Grid[T], resweep func(y int) T, st *Sta
 		c.aExt[rx+w+i-1] = c.lineSum(src, c.x1+i-1, true)
 	}
 	stencil.ChecksumARect(src, c.x0, c.y0, c.x1, c.y1, c.aExt[rx:rx+w])
-	c.ip.InterpolateABlock(c.aExt, rx, c.edgeRead, c.InterpA)
+	c.ip.Interpolate(checksum.VecA, c.aExt, c.edgeRead, c.InterpA)
 	stencil.ChecksumARect(dst, c.x0, c.y0, c.x1, c.y1, c.newA)
 
 	// No located point means the corruption sat in a checksum.

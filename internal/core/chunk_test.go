@@ -203,8 +203,8 @@ func chunkedRepairIsBitwise[T num.Float](t *testing.T, ck chunking, eps T) {
 // twoVectorRef is the online step with the two-vector locate on every
 // detection — the method as it was before rows were re-evaluated and before
 // there was a chunk: per rectangle, assembled from the package-level pieces,
-// every value outside the rectangle read one cell at a time through the
-// boundary condition. The fallback tests run it beside the protector.
+// every halo sum read one cell at a time through the boundary condition. The
+// fallback tests run it beside the protector.
 type twoVectorRef struct {
 	op                    *stencil.Op2D[float64]
 	buf                   *grid.Buffer[float64]
@@ -229,14 +229,7 @@ func newTwoVectorRef(t *testing.T, p *Online2D[float64], op *stencil.Op2D[float6
 	rx, ry := op.St.RadiusX(), op.St.RadiusY()
 	for _, c := range p.chunks {
 		w, h := c.x1-c.x0, c.y1-c.y0
-		iop := &stencil.Op2D[float64]{St: op.St, BC: op.BC, BCValue: op.BCValue}
-		if op.C != nil {
-			iop.C = grid.New[float64](w, h)
-			for y := 0; y < h; y++ {
-				copy(iop.C.Row(y), op.C.Row(c.y0 + y)[c.x0:c.x1])
-			}
-		}
-		ip, err := checksum.NewInterp2D(iop, w, h)
+		ip, err := checksum.NewInterp2DRect(op, init.Nx(), init.Ny(), c.x0, c.y0, c.x1, c.y1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +265,7 @@ func (q *twoVectorRef) step(sites []stencil.Site[float64]) {
 			b.bExt[ry+h+j] = span(b.x0, b.y1+j, b.x1, b.y1+j+1)
 		}
 		copy(b.bExt[ry:], b.prevB)
-		b.ip.InterpolateBBand(b.bExt, ry, checksum.OffsetEdges[float64]{Src: bg, X0: b.x0, Y0: b.y0}, b.interpB)
+		b.ip.Interpolate(checksum.VecB, b.bExt, bg, b.interpB)
 		b.flagged = q.det.AnyMismatch(b.newB, b.interpB)
 		any = any || b.flagged
 	}
@@ -287,7 +280,7 @@ func (q *twoVectorRef) step(sites []stencil.Site[float64]) {
 				b.aExt[rx+w+i] = span(b.x1+i, b.y0, b.x1+i+1, b.y1)
 			}
 			stencil.ChecksumARect(src, b.x0, b.y0, b.x1, b.y1, b.aExt[rx:rx+w])
-			b.ip.InterpolateABlock(b.aExt, rx, checksum.OffsetEdges[float64]{Src: bg, X0: b.x0, Y0: b.y0}, b.interpA)
+			b.ip.Interpolate(checksum.VecA, b.aExt, bg, b.interpA)
 			stencil.ChecksumARect(dst, b.x0, b.y0, b.x1, b.y1, b.newA)
 			n := q.corr.RepairRect(q.det, checksum.PairByResidual, dst, b.x0, b.y0, b.x1, b.y1, b.newA, b.newB, b.interpA, b.interpB)
 			q.corrected += n
@@ -616,6 +609,44 @@ func TestDropBoundaryTermsPlumbed(t *testing.T) {
 	}
 	if st := run(true); st.Detections == 0 {
 		t.Fatal("dropped boundary terms should misfire on an asymmetric stencil")
+	}
+}
+
+// TestDropBoundaryTermsDropsAlpha: the A1 knob drops the window-shift terms
+// from both vectors, as its doc says — the row checksums of the
+// Equation-(10) path included, which used to interpolate alpha exactly while
+// the column checksums and Offline2D's cone chain dropped it. A flagged flip
+// under PaperExactCorrection takes the one-chunk Online2D down that path; its
+// interpolated row checksums must be the per-entry dropped-alpha form, bit
+// for bit.
+func TestDropBoundaryTermsDropsAlpha(t *testing.T) {
+	const nx, ny = 24, 20
+	op := &stencil.Op2D[float64]{St: stencil.Advect2D(0.3, 0.15), BC: grid.Clamp}
+	init := testInit(rand.New(rand.NewSource(65)), nx, ny)
+	o := opts64()
+	o.DropBoundaryTerms, o.PaperExactCorrection = true, true
+	p, err := NewOnline2D(op, init, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.StepInject([]stencil.Site[float64]{{X: 7, Y: 9, Mutate: func(v float64) float64 { return num.FlipBit(v, 60) }}})
+	c := p.chunks[0]
+	if c.InterpA == nil {
+		t.Fatalf("the flagged flip did not take the two-vector path: %+v", p.Stats())
+	}
+	bg := grid.BoundedGrid[float64]{G: init, Cond: op.BC}
+	for x := 0; x < nx; x++ {
+		var want float64 // no constant field
+		for _, pt := range op.St.Points {
+			var a float64
+			for y := 0; y < ny; y++ {
+				a += bg.At(x+pt.DX, y)
+			}
+			want += pt.W * a
+		}
+		if !num.SameBits(c.InterpA[x], want) {
+			t.Fatalf("A[%d] = %v, the dropped-alpha interpolation %v", x, c.InterpA[x], want)
+		}
 	}
 }
 

@@ -31,14 +31,16 @@ type Offline2D[T num.Float] struct {
 
 	curB     []T // fused column checksums of the current iteration
 	verified []T // column checksums at the last verified iteration
-	chain    []T // scratch for the interpolation chain
-	chainNxt []T
+	// chainB is the interpolation chain's scratch pair: column checksums
+	// extended by RadiusY halo entries; interpB views the chain's result.
+	chainB  [2][]T
+	interpB []T
 
-	// Cone-recovery state (allocated only in ConeRecovery mode).
+	// Cone-recovery state (allocated only in ConeRecovery mode): the row
+	// checksums at the last verified iteration and their chain's pair.
 	recovery  RecoveryMode
-	verifiedA []T // row checksums at the last verified iteration
-	chainA    []T
-	chainANxt []T
+	verifiedA []T
+	chainA    [2][]T
 
 	ring  []*checksum.EdgeSnapshot[T] // edge strips of the last Δ pre-sweep states
 	store checkpoint.Store2D[T]
@@ -60,6 +62,7 @@ func NewOffline2D[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], opt Opti
 		return nil, err
 	}
 	ip.DropBoundaryTerms = opt.DropBoundaryTerms
+	rx, ry := op.St.RadiusX(), op.St.RadiusY()
 	p := &Offline2D[T]{
 		op:       op,
 		buf:      grid.BufferFrom(init),
@@ -70,8 +73,7 @@ func NewOffline2D[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], opt Opti
 		inj:      opt.Inject,
 		curB:     make([]T, ny),
 		verified: make([]T, ny),
-		chain:    make([]T, ny),
-		chainNxt: make([]T, ny),
+		chainB:   [2][]T{make([]T, ny+2*ry), make([]T, ny+2*ry)},
 		ring:     make([]*checksum.EdgeSnapshot[T], opt.Period),
 		tel:      opt.Telemetry,
 	}
@@ -82,8 +84,7 @@ func NewOffline2D[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], opt Opti
 	p.recovery = opt.Recovery
 	if p.recovery == ConeRecovery {
 		p.verifiedA = make([]T, nx)
-		p.chainA = make([]T, nx)
-		p.chainANxt = make([]T, nx)
+		p.chainA = [2][]T{make([]T, nx+2*rx), make([]T, nx+2*rx)}
 		stencil.ChecksumA(p.buf.Read, p.verifiedA)
 	}
 	stencil.ChecksumB(p.buf.Read, p.curB)
@@ -161,12 +162,8 @@ func (p *Offline2D[T]) sweep(sites []stencil.Site[T]) {
 func (p *Offline2D[T]) verify(steps int) {
 	p.stats.Verifications++
 	t0 := p.tel.Begin()
-	copy(p.chain, p.verified)
-	for s := 0; s < steps; s++ {
-		p.ip.InterpolateB(p.chain, p.ring[s], p.chainNxt)
-		p.chain, p.chainNxt = p.chainNxt, p.chain
-	}
-	mismatch := p.det.AnyMismatch(p.curB, p.chain)
+	p.interpB = p.chain(checksum.VecB, p.verified, p.chainB, steps)
+	mismatch := p.det.AnyMismatch(p.curB, p.interpB)
 	p.tel.End(telemetry.PhaseVerify, t0)
 	if !mismatch {
 		p.markVerified()
@@ -204,6 +201,22 @@ func (p *Offline2D[T]) verify(steps int) {
 	p.verify(target - p.lastSafe)
 }
 
+// chain interpolates vector v of the last verified iteration, from, steps
+// iterations forward through the ring of edge snapshots, in the extended
+// scratch pair, and returns the result's own entries. Each step refills the
+// halo from the vector's own entries: the chain spans the domain.
+func (p *Offline2D[T]) chain(v checksum.Vec, from []T, pair [2][]T, steps int) []T {
+	cur, next := pair[0], pair[1]
+	h := (len(cur) - len(from)) / 2
+	copy(cur[h:], from)
+	for s := 0; s < steps; s++ {
+		p.ip.FillHalo(v, cur)
+		p.ip.Interpolate(v, cur, p.ring[s], next[h:h+len(from)])
+		cur, next = next, cur
+	}
+	return cur[h : h+len(from)]
+}
+
 // markVerified promotes the current state to the verification baseline:
 // checksums become the chain origin and the domain is checkpointed.
 func (p *Offline2D[T]) markVerified() {
@@ -216,7 +229,7 @@ func (p *Offline2D[T]) markVerified() {
 }
 
 // coneRecover attempts a light-cone repair of the corruption detected by
-// the chain comparison (p.chain holds the interpolated column checksums of
+// the chain comparison (p.interpB holds the interpolated column checksums of
 // the current iteration). It returns true when the repair succeeded and
 // the checksums reconcile; the caller then re-baselines. On any doubt it
 // returns false and the caller performs a full rollback.
@@ -225,16 +238,12 @@ func (p *Offline2D[T]) coneRecover(steps int) bool {
 
 	// Locate the corrupted columns with the A-vector chain, mirroring
 	// the B-vector detection.
-	copy(p.chainA, p.verifiedA)
-	for s := 0; s < steps; s++ {
-		p.ip.InterpolateA(p.chainA, p.ring[s], p.chainANxt)
-		p.chainA, p.chainANxt = p.chainANxt, p.chainA
-	}
+	interpA := p.chain(checksum.VecA, p.verifiedA, p.chainA, steps)
 	directA := make([]T, nx)
 	stencil.ChecksumA(p.buf.Read, directA)
 
-	bm := p.det.Compare(p.curB, p.chain)
-	am := p.det.Compare(directA, p.chainA)
+	bm := p.det.Compare(p.curB, p.interpB)
+	am := p.det.Compare(directA, interpA)
 	if len(am) == 0 || len(bm) == 0 {
 		return false // unlocatable (checksum corruption or cancellation)
 	}
@@ -271,5 +280,5 @@ func (p *Offline2D[T]) coneRecover(steps int) bool {
 	// Reconcile: recompute the fused checksums from the repaired domain
 	// and re-compare against the already-interpolated chain.
 	stencil.ChecksumB(p.buf.Read, p.curB)
-	return !p.det.AnyMismatch(p.curB, p.chain)
+	return !p.det.AnyMismatch(p.curB, p.interpB)
 }

@@ -25,11 +25,13 @@ type Offline3D[T num.Float] struct {
 
 	curB     [][]T // fused per-layer checksums of the current iteration
 	verified [][]T // per-layer checksums at the last verified iteration
-	chain    [][]T // interpolation chain state, per layer
-	chainNxt [][]T
+	// chain and chainNxt are the interpolation chain's state: stacks of the
+	// layers' column checksums extended by RadiusY entries, between RadiusZ
+	// halo layers that alias the layers they resolve to (Interp3D.NewStack).
+	chain, chainNxt [][]T
 
 	ring  [][]*checksum.EdgeSnapshot[T] // [step][layer] edge strips
-	edges []checksum.EdgeSource[T]      // scratch: per-layer sources for one step
+	edges []checksum.EdgeSource[T]      // scratch: one step's sources, a stack like chain's
 	store checkpoint.Store3D[T]
 
 	// sweepFn and interpFn are sweepLayers and interpLayers bound once, so
@@ -66,10 +68,10 @@ func NewOffline3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], opt Op
 		inj:      opt.Inject,
 		curB:     makeLayers[T](nz, ny),
 		verified: makeLayers[T](nz, ny),
-		chain:    makeLayers[T](nz, ny),
-		chainNxt: makeLayers[T](nz, ny),
+		chain:    ip.NewStack(checksum.VecB),
+		chainNxt: ip.NewStack(checksum.VecB),
 		ring:     make([][]*checksum.EdgeSnapshot[T], opt.Period),
-		edges:    make([]checksum.EdgeSource[T], nz),
+		edges:    make([]checksum.EdgeSource[T], nz+2*op.St.RadiusZ()),
 		tel:      opt.Telemetry,
 	}
 	p.sweepFn, p.interpFn = p.sweepLayers, p.interpLayers
@@ -157,8 +159,9 @@ func (p *Offline3D[T]) sweepLayers(lo, hi int) {
 // interpLayers advances the interpolation chain of layers [lo, hi) by one
 // step, reading the edge strips verify placed in p.edges.
 func (p *Offline3D[T]) interpLayers(lo, hi int) {
+	rz, ry, ny := p.op.St.RadiusZ(), p.op.St.RadiusY(), p.buf.Read.Ny()
 	for z := lo; z < hi; z++ {
-		p.ip.InterpolateB(z, p.chain, p.edges, p.chainNxt[z])
+		p.ip.Interpolate(checksum.VecB, z, p.chain, p.edges, p.chainNxt[rz+z][ry:ry+ny])
 	}
 }
 
@@ -169,20 +172,23 @@ func (p *Offline3D[T]) interpLayers(lo, hi int) {
 func (p *Offline3D[T]) verify(steps int) {
 	p.stats.Verifications++
 	t0 := p.tel.Begin()
-	nz := p.buf.Read.Nz()
+	nz, ny := p.buf.Read.Nz(), p.buf.Read.Ny()
+	rz, ry := p.op.St.RadiusZ(), p.op.St.RadiusY()
 	for z := 0; z < nz; z++ {
-		copy(p.chain[z], p.verified[z])
+		copy(p.chain[rz+z][ry:], p.verified[z])
 	}
 	for s := 0; s < steps; s++ {
 		for z := 0; z < nz; z++ {
-			p.edges[z] = p.ring[s][z]
+			p.ip.FillHalo(checksum.VecB, p.chain[rz+z])
+			p.edges[rz+z] = p.ring[s][z]
 		}
+		checksum.FillHalo(p.edges, rz, p.op.BC, nil)
 		p.pool.ForEachChunk(nz, p.interpFn)
 		p.chain, p.chainNxt = p.chainNxt, p.chain
 	}
 	dirty := false
 	for z := 0; z < nz; z++ {
-		if p.det.AnyMismatch(p.curB[z], p.chain[z]) {
+		if p.det.AnyMismatch(p.curB[z], p.chain[rz+z][ry:ry+ny]) {
 			dirty = true
 			break
 		}

@@ -20,20 +20,32 @@ type Online3D[T num.Float] struct {
 	buf *grid.Buffer3D[T]
 	// h ghost layers sit at each z end of buf (0 for a whole domain, see
 	// NewOnline3DSlab); layers [h, nz-h) are owned: swept and verified.
-	h    int
-	ip   *checksum.Interp3D[T]
-	det  checksum.Detector[T]
-	pool *stencil.Pool
-	pol  checksum.PairPolicy
-	inj  stencil.InjectSource[T]
+	h int
+	// g = RadiusZ - h is how many halo layers each side the interpolator's
+	// stacks hold beyond buf's: for a whole domain, FillHalo's projection of
+	// the boundary condition along z (layerOf says which buffer layer each
+	// stack entry holds, -1 for a ghost layer); none for a slab, whose ghost
+	// layers are its own. Stack entry v holds buffer layer v-g.
+	g       int
+	layerOf []int
+	ip      *checksum.Interp3D[T]
+	det     checksum.Detector[T]
+	pool    *stencil.Pool
+	pol     checksum.PairPolicy
+	inj     stencil.InjectSource[T]
 
-	prevB   [][]T // verified per-layer column checksums of iteration t
-	newB    [][]T // fused per-layer column checksums of iteration t+1
-	interpB [][]T // interpolated per-layer column checksums
+	// prevB and newB are the per-layer column checksums of iterations t and
+	// t+1 as the interpolator reads them: stacks of vectors extended by
+	// RadiusY entries each side. prevOwn and newOwn view their own entries
+	// by buffer layer — where the sweep fuses.
+	prevB, newB     [][]T
+	prevOwn, newOwn [][]T
+	interpB         [][]T // interpolated per-layer column checksums
 
 	// Scratch of the repair path: newA, which doubles as the saved row of
-	// the re-evaluation, is allocated on the first detection, the per-layer
-	// vectors the first time the Equation-(10) path runs.
+	// the re-evaluation, is allocated on the first detection, the row
+	// checksum stack and interpolated vectors the first time the
+	// Equation-(10) path runs.
 	prevA, interpA [][]T
 	newA           []T
 
@@ -42,10 +54,10 @@ type Online3D[T num.Float] struct {
 	// not allocate a closure every step.
 	detectFn func(lo, hi int)
 
-	// edges are per-layer live views of the current t-buffer (edges[z]
-	// views buf.Read.Layer(z)); edgesAlt views the other half. Boxing a
-	// layer view into the EdgeSource interface allocates, so both sets are
-	// built once and swapped alongside the buffer.
+	// edges are per-stack-entry live views of the current t-buffer's layers
+	// (nil for a ghost layer); edgesAlt views the other half. Boxing a layer
+	// view into the EdgeSource interface allocates, so both sets are built
+	// once and swapped alongside the buffer.
 	edges, edgesAlt []checksum.EdgeSource[T]
 
 	corr  checksum.Corrector[T]
@@ -94,32 +106,68 @@ func newOnline3D[T num.Float](sop, iop *stencil.Op3D[T], init *grid.Grid3D[T], z
 	ip.DropBoundaryTerms = opt.DropBoundaryTerms
 	buf := grid.NewBuffer3D[T](nx, ny, nz)
 	copy(buf.Read.Data()[h*nx*ny:], init.Data()[z0*nx*ny:z1*nx*ny])
+	g := sop.St.RadiusZ() - h
 	p := &Online3D[T]{
 		op:       sop,
 		buf:      buf,
 		h:        h,
+		g:        g,
+		layerOf:  make([]int, nz+2*g),
 		ip:       ip,
 		det:      opt.Detector,
 		pool:     opt.Pool,
 		pol:      opt.PairPolicy,
 		inj:      opt.Inject,
-		prevB:    makeLayers[T](nz, ny),
-		newB:     makeLayers[T](nz, ny),
 		interpB:  makeLayers[T](nz, ny),
 		flagged:  make([]bool, nz),
-		edges:    make([]checksum.EdgeSource[T], nz),
-		edgesAlt: make([]checksum.EdgeSource[T], nz),
+		edges:    make([]checksum.EdgeSource[T], nz+2*g),
+		edgesAlt: make([]checksum.EdgeSource[T], nz+2*g),
 		corr:     checksum.Corrector[T]{PaperExact: opt.PaperExactCorrection},
 		tel:      opt.Telemetry,
 	}
 	p.detectFn = p.detectLayers
+	for v := range p.layerOf {
+		p.layerOf[v] = v - g
+	}
+	checksum.FillHalo(p.layerOf, g, sop.BC, -1)
+	p.prevB, p.newB = p.stack(checksum.VecB), p.stack(checksum.VecB)
+	p.prevOwn, p.newOwn = p.own(p.prevB), p.own(p.newB)
+	for v, l := range p.layerOf {
+		if l >= 0 {
+			p.edges[v] = checksum.LiveEdges(buf.Read.Layer(l), sop.BC, sop.BCValue)
+			p.edgesAlt[v] = checksum.LiveEdges(buf.Write.Layer(l), sop.BC, sop.BCValue)
+		}
+	}
 	for z := 0; z < nz; z++ {
-		p.edges[z] = checksum.LiveEdges(buf.Read.Layer(z), sop.BC, sop.BCValue)
-		p.edgesAlt[z] = checksum.LiveEdges(buf.Write.Layer(z), sop.BC, sop.BCValue)
 		// The initial data and checksums are assumed correct (Theorem 2).
-		stencil.ChecksumB(buf.Read.Layer(z), p.prevB[z])
+		stencil.ChecksumB(buf.Read.Layer(z), p.prevOwn[z])
 	}
 	return p, nil
+}
+
+// stack allocates the interpolator's per-layer vectors v, one per entry of
+// layerOf: a whole domain's halo layers alias the layers they resolve to
+// (Interp3D.NewStack); a slab's are its ghost layers' own.
+func (p *Online3D[T]) stack(v checksum.Vec) [][]T {
+	if p.g > 0 {
+		return p.ip.NewStack(v)
+	}
+	g := p.buf.Read
+	n, r := g.Nx(), p.op.St.RadiusX()
+	if v == checksum.VecB {
+		n, r = g.Ny(), p.op.St.RadiusY()
+	}
+	return makeLayers[T](len(p.layerOf), n+2*r)
+}
+
+// own views the own entries of a B stack by buffer layer.
+func (p *Online3D[T]) own(stack [][]T) [][]T {
+	ny, ry := p.buf.Read.Ny(), p.op.St.RadiusY()
+	out := make([][]T, p.buf.Read.Nz())
+	for z := range out {
+		out[z] = stack[z+p.g][ry : ry+ny]
+	}
+	return out
 }
 
 func makeLayers[T num.Float](nz, n int) [][]T {
@@ -161,8 +209,8 @@ func (p *Online3D[T]) PackState(dst []T) { copy(dst, p.owned()) }
 // data and the checksums computed from it are assumed correct (Theorem 2).
 func (p *Online3D[T]) RestoreState(src []T) {
 	copy(p.owned(), src)
-	for z := p.h; z < len(p.prevB)-p.h; z++ {
-		stencil.ChecksumB(p.buf.Read.Layer(z), p.prevB[z])
+	for z := p.h; z < len(p.prevOwn)-p.h; z++ {
+		stencil.ChecksumB(p.buf.Read.Layer(z), p.prevOwn[z])
 	}
 }
 
@@ -178,8 +226,9 @@ func (p *Online3D[T]) owned() []T {
 func (p *Online3D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
 
 // StepInject advances one sweep: for a slab the ghost layers' checksums
-// first, then fused per-layer checksums, per-layer interpolation and
-// comparison, correction in the rare mismatch case. All
+// first, then fused per-layer checksums, the previous checksums' in-layer
+// halos, per-layer interpolation and comparison, correction in the rare
+// mismatch case. All
 // per-layer phases are partitioned over the pool; the correction slow path
 // runs inside the layer that flagged, with no cross-layer writes.
 func (p *Online3D[T]) StepInject(sites []stencil.Site[T]) {
@@ -190,13 +239,13 @@ func (p *Online3D[T]) StepInject(sites []stencil.Site[T]) {
 	if h > 0 {
 		t0 := p.tel.Begin()
 		for j := 0; j < h; j++ {
-			stencil.ChecksumB(src.Layer(j), p.prevB[j])
-			stencil.ChecksumB(src.Layer(nz-h+j), p.prevB[nz-h+j])
+			stencil.ChecksumB(src.Layer(j), p.prevOwn[j])
+			stencil.ChecksumB(src.Layer(nz-h+j), p.prevOwn[nz-h+j])
 		}
 		p.tel.End(telemetry.PhaseVerify, t0)
 	}
 	t0 := p.tel.Begin()
-	p.op.SweepLayersInject(p.pool, dst, src, h, nz-h, p.newB, sites)
+	p.op.SweepLayersInject(p.pool, dst, src, h, nz-h, p.newOwn, sites)
 	p.tel.End(telemetry.PhaseSweep, t0)
 
 	// Interpolate and detect per layer. Mismatching layers are collected
@@ -206,6 +255,9 @@ func (p *Online3D[T]) StepInject(sites []stencil.Site[T]) {
 	// doing it outside the barrier keeps the memory model trivially
 	// racefree.
 	t0 = p.tel.Begin()
+	for z := range nz {
+		p.ip.FillHalo(checksum.VecB, p.prevB[z+p.g])
+	}
 	clear(p.flagged)
 	p.pool.ForEachChunk(nz-2*h, p.detectFn)
 	p.stats.Verifications++
@@ -218,6 +270,7 @@ func (p *Online3D[T]) StepInject(sites []stencil.Site[T]) {
 	}
 
 	p.prevB, p.newB = p.newB, p.prevB
+	p.prevOwn, p.newOwn = p.newOwn, p.prevOwn
 	p.buf.Swap()
 	p.edges, p.edgesAlt = p.edgesAlt, p.edges
 	p.iter++
@@ -230,8 +283,8 @@ func (p *Online3D[T]) StepInject(sites []stencil.Site[T]) {
 func (p *Online3D[T]) detectLayers(lo, hi int) {
 	for z := lo; z < hi; z++ {
 		e := p.h + z
-		p.ip.InterpolateBSlab(z, p.prevB, p.h, p.edges, p.interpB[e])
-		if p.det.AnyMismatch(p.newB[e], p.interpB[e]) {
+		p.ip.Interpolate(checksum.VecB, z, p.prevB, p.edges, p.interpB[e])
+		if p.det.AnyMismatch(p.newOwn[e], p.interpB[e]) {
 			p.flagged[e] = true
 		}
 	}
@@ -259,7 +312,7 @@ func (p *Online3D[T]) repair(src, dst *grid.Grid3D[T]) {
 			continue
 		}
 		if !p.corr.PaperExact {
-			b := p.newB[z]
+			b := p.newOwn[z]
 			cells, ok := checksum.RepairRows(p.det, b, p.interpB[z], p.newA, dst.Layer(z).Row, func(y int) T {
 				p.op.SweepRows(dst, src, z, y, y+1, b)
 				return b[y]
@@ -276,25 +329,22 @@ func (p *Online3D[T]) repair(src, dst *grid.Grid3D[T]) {
 	if !pending {
 		return
 	}
-	// The row-checksum interpolation of layer z reads prevA of the layers
-	// its stencil reaches, z-rz..z+rz, ghost layers included and, for a
-	// whole domain, through the boundary condition.
+	// The row-checksum interpolation of layer z reads the prevA stack at the
+	// layers its stencil reaches, z-rz..z+rz: ghost layers included and, for
+	// a whole domain, the layers its halo entries hold.
+	rx, rz := p.op.St.RadiusX(), p.op.St.RadiusZ()
 	if p.prevA == nil {
-		p.prevA, p.interpA = makeLayers[T](nz, nx), makeLayers[T](nz, nx)
+		p.prevA, p.interpA = p.stack(checksum.VecA), makeLayers[T](nz, nx)
 	}
 	have := make([]bool, nz)
-	rz := p.op.St.RadiusZ()
 	for z := h; z < nz-h; z++ {
 		if !p.flagged[z] {
 			continue
 		}
-		for zz := z - rz; zz <= z+rz; zz++ {
-			l, ok := zz, true
-			if l < 0 || l >= nz {
-				l, ok = p.op.BC.ResolveIndex(l, nz)
-			}
-			if ok && !have[l] {
-				stencil.ChecksumA(src.Layer(l), p.prevA[l])
+		for v := z + p.g - rz; v <= z+p.g+rz; v++ {
+			if l := p.layerOf[v]; l >= 0 && !have[l] {
+				stencil.ChecksumA(src.Layer(l), p.prevA[l+p.g][rx:rx+nx])
+				p.ip.FillHalo(checksum.VecA, p.prevA[l+p.g])
 				have[l] = true
 			}
 		}
@@ -306,9 +356,9 @@ func (p *Online3D[T]) repair(src, dst *grid.Grid3D[T]) {
 // layer using the 2-D correction algebra on that layer's checksum pairs.
 func (p *Online3D[T]) correctLayer(z int, dst *grid.Grid3D[T]) {
 	layer := dst.Layer(z)
-	p.ip.InterpolateASlab(z-p.h, p.prevA, p.h, p.edges, p.interpA[z])
+	p.ip.Interpolate(checksum.VecA, z-p.h, p.prevA, p.edges, p.interpA[z])
 	stencil.ChecksumA(layer, p.newA)
 
 	// No located point means the corruption sat in a checksum.
-	p.stats.Repaired(p.corr.RepairRect(p.det, p.pol, layer, 0, 0, layer.Nx(), layer.Ny(), p.newA, p.newB[z], p.interpA[z], p.interpB[z]))
+	p.stats.Repaired(p.corr.RepairRect(p.det, p.pol, layer, 0, 0, layer.Nx(), layer.Ny(), p.newA, p.newOwn[z], p.interpA[z], p.interpB[z]))
 }

@@ -124,16 +124,17 @@ func TestOnline3DFallback(t *testing.T) {
 			}
 			// After the swap the write half still holds the step's source.
 			src := p.buf.Write
-			full := makeLayers[float64](nz, nx)
+			full, rz := p.ip.NewStack(checksum.VecA), st.RadiusZ()
 			for l := 0; l < nz; l++ {
-				stencil.ChecksumA(src.Layer(l), full[l])
+				stencil.ChecksumA(src.Layer(l), full[rz+l][1:nx+1])
+				p.ip.FillHalo(checksum.VecA, full[rz+l])
 			}
 			want := make([]float64, nx)
 			for l := 0; l < nz; l++ {
 				if !p.flagged[l] {
 					continue
 				}
-				p.ip.InterpolateASlab(l, full, 0, p.edgesAlt, want)
+				p.ip.Interpolate(checksum.VecA, l, full, p.edgesAlt, want)
 				if !sameBitsAll(p.interpA[l], want) {
 					t.Fatalf("%s z=%d: layer %d interpolated from a partial prevA set", bc, z, l)
 				}

@@ -65,7 +65,7 @@ import (
 // bit-identical under every arrival order. Degenerate thin tiles keep the
 // ChecksumBRect full-width repass — their rows are only a few points
 // wide. Halo checksum entries are only needed within one stencil y-radius
-// of the tile (InterpolateBBand reads no deeper), so depth-k verification
+// of the tile (the interpolation reads no deeper), so depth-k verification
 // sums just the ry rows adjacent to the tile.
 
 // bindTransport caches the rank's neighbour presence. Called once after

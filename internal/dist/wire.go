@@ -78,7 +78,7 @@ const (
 	frameNack                       // rendezvous rejection: JSON {error}
 	frameCkpt                       // buddy checkpoint: gen = iteration, payload = packed rank state
 	frameDead                       // recovery control: JSON fault report / death notice
-	frameAdopt                      // recovery control: JSON plan / adoption request
+	frameClaim                      // recovery control: JSON plan / a replacement's claim
 	frameState                      // recovery control: gen = iteration, payload = dead rank's packed state
 	frameHelloAck                   // edge handshake reply: seq = next sequence the receiver expects
 	frameHeartbeat                  // idle keepalive; unsequenced, receiver discards it
@@ -91,13 +91,13 @@ const (
 const (
 	FrameCkpt  = frameCkpt
 	FrameDead  = frameDead
-	FrameAdopt = frameAdopt
+	FrameClaim = frameClaim
 	FrameState = frameState
 )
 
 // WireFrame is the decoded form of one control-plane message: the kind,
 // the iteration stamp carried in the header's generation field, and the
-// raw payload (JSON for FrameDead/FrameAdopt, packed elements for
+// raw payload (JSON for FrameDead/FrameClaim, packed elements for
 // FrameState).
 type WireFrame struct {
 	Kind    byte

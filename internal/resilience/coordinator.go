@@ -29,7 +29,7 @@ type CoordinatorConfig struct {
 	Timeout time.Duration
 	// Respawn (required) is called once per dead rank of a recovery round to
 	// start its replacement process; the plan names the rank (Plan.Dead) the
-	// newcomer must claim via RequestAdoption.
+	// newcomer must claim via RequestClaim.
 	Respawn func(Plan) error
 	// MaxRounds caps recovery rounds before the coordinator starts
 	// answering reports with an error plan (default 3) — the backstop
@@ -175,8 +175,8 @@ func (c *Coordinator) handle(conn net.Conn) {
 			return
 		}
 		c.addReport(conn, rep)
-	case dist.FrameAdopt:
-		var req AdoptRequest
+	case dist.FrameClaim:
+		var req ClaimRequest
 		if json.Unmarshal(f.Payload, &req) != nil {
 			conn.Close()
 			return
@@ -228,9 +228,7 @@ func (c *Coordinator) addReport(conn net.Conn, rep Report) {
 func (c *Coordinator) reported() map[int]bool {
 	seen := map[int]bool{}
 	for _, rc := range c.reports {
-		for _, id := range rc.rep.Ranks {
-			seen[id] = true
-		}
+		seen[rc.rep.Rank] = true
 	}
 	return seen
 }
@@ -288,7 +286,7 @@ func (c *Coordinator) decide(round []reportConn, seen map[int]bool, epoch int) {
 	abort := func(format string, args ...any) {
 		base.Err = fmt.Sprintf(format, args...)
 		for _, rc := range round {
-			dist.WriteJSONFrame(rc.conn, dist.FrameAdopt, base)
+			dist.WriteJSONFrame(rc.conn, dist.FrameClaim, base)
 		}
 	}
 	guard := -1 // the report whose ward bank sources a lone dead rank's state
@@ -316,7 +314,7 @@ func (c *Coordinator) decide(round []reportConn, seen map[int]bool, epoch int) {
 	for i, rc := range round {
 		p := base
 		p.SendState = i == guard
-		dist.WriteJSONFrame(rc.conn, dist.FrameAdopt, p)
+		dist.WriteJSONFrame(rc.conn, dist.FrameClaim, p)
 	}
 	parked := claim{plan: base}
 	parked.plan.DeadRanks = nil
@@ -327,7 +325,7 @@ func (c *Coordinator) decide(round []reportConn, seen map[int]bool, epoch int) {
 		} else {
 			parked.state = &f
 			// Acknowledge so the guard can close its connection and rebuild.
-			dist.WriteJSONFrame(round[guard].conn, dist.FrameAdopt, struct{}{})
+			dist.WriteJSONFrame(round[guard].conn, dist.FrameClaim, struct{}{})
 		}
 	}
 	for i := 0; i < len(missing) && base.Err == ""; i++ {
@@ -349,17 +347,17 @@ func (c *Coordinator) decide(round []reportConn, seen map[int]bool, epoch int) {
 // serveClaim answers a replacement process's claim with the plan parked for
 // its rank and, when a guard's memory bank sourced the restart generation,
 // the relayed snapshot.
-func (c *Coordinator) serveClaim(conn net.Conn, req AdoptRequest) {
+func (c *Coordinator) serveClaim(conn net.Conn, req ClaimRequest) {
 	defer conn.Close()
 	c.mu.Lock()
 	parked, ok := c.claims[req.Rank]
 	delete(c.claims, req.Rank)
 	c.mu.Unlock()
 	if !ok {
-		dist.WriteJSONFrame(conn, dist.FrameAdopt, Plan{Err: fmt.Sprintf("no recovery round is waiting for rank %d", req.Rank)})
+		dist.WriteJSONFrame(conn, dist.FrameClaim, Plan{Err: fmt.Sprintf("no recovery round is waiting for rank %d", req.Rank)})
 		return
 	}
-	if err := dist.WriteJSONFrame(conn, dist.FrameAdopt, parked.plan); err != nil {
+	if err := dist.WriteJSONFrame(conn, dist.FrameClaim, parked.plan); err != nil {
 		return
 	}
 	if parked.state != nil {
@@ -390,7 +388,7 @@ func restartGen(round []reportConn, dead int) (gen, guard int) {
 				guardOf[g] = i
 			}
 		}
-		survivors = append(survivors, rc.rep.Ranks...)
+		survivors = append(survivors, rc.rep.Rank)
 	}
 	sorted := make([]int, 0, len(guardOf))
 	for g := range guardOf {

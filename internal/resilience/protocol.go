@@ -20,14 +20,13 @@ import (
 // guards for the dead rank, respawns the dead rank as a fresh process,
 // streams the buddy copy there, and hands everyone a fresh rendezvous
 // address for the rebuilt transport. Messages ride the dist wire format
-// (FrameDead reports, FrameAdopt plans/requests, FrameState snapshots), so
+// (FrameDead reports, FrameClaim plans/requests, FrameState snapshots), so
 // the control endpoint rejects foreign traffic exactly like a halo edge.
 
 // Report is a surviving process's fault report.
 type Report struct {
-	// Ranks are the ranks this process hosts (all alive) — one, for every
-	// process resilience.Run drives.
-	Ranks []int `json:"ranks"`
+	// Rank is the rank this process hosts.
+	Rank int `json:"rank"`
 	// Suspect is the peer rank the observed fault points at, -1 if the
 	// fault did not name one. Corroborating only — the coordinator decides
 	// by elimination, which also covers faults first observed as timeouts.
@@ -70,9 +69,9 @@ type Plan struct {
 	Err string `json:"err,omitempty"`
 }
 
-// AdoptRequest is what a respawned process sends the coordinator to claim
+// ClaimRequest is what a respawned process sends the coordinator to claim
 // the plan (and relayed state) parked for its rank.
-type AdoptRequest struct {
+type ClaimRequest struct {
 	Rank int `json:"rank"`
 }
 
@@ -134,25 +133,25 @@ func ReportFault[T num.Float](addr string, rep Report, stateOf func(rank, gen in
 	return plan, nil
 }
 
-// RequestAdoption is the respawned process's entry: it claims rank's
+// RequestClaim is the respawned process's entry: it claims rank's
 // recovery plan from the coordinator and, for a non-zero restart
 // generation, the dead rank's snapshot.
-func RequestAdoption[T num.Float](addr string, rank int, timeout time.Duration) (Plan, []T, error) {
+func RequestClaim[T num.Float](addr string, rank int, timeout time.Duration) (Plan, []T, error) {
 	conn, err := dialControl(addr, timeout)
 	if err != nil {
 		return Plan{}, nil, err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	if err := dist.WriteJSONFrame(conn, dist.FrameAdopt, AdoptRequest{Rank: rank}); err != nil {
-		return Plan{}, nil, fmt.Errorf("resilience: sending the adoption request: %w", err)
+	if err := dist.WriteJSONFrame(conn, dist.FrameClaim, ClaimRequest{Rank: rank}); err != nil {
+		return Plan{}, nil, fmt.Errorf("resilience: sending the claim: %w", err)
 	}
 	plan, err := readPlan(conn)
 	if err != nil {
 		return Plan{}, nil, err
 	}
 	if plan.Err != "" {
-		return plan, nil, fmt.Errorf("resilience: coordinator rejected adoption: %s", plan.Err)
+		return plan, nil, fmt.Errorf("resilience: coordinator rejected the claim: %s", plan.Err)
 	}
 	if plan.RestartGen == 0 || plan.Disk != "" {
 		// Nothing to stream: the process rebuilds from the initial state, or
@@ -173,13 +172,13 @@ func RequestAdoption[T num.Float](addr string, rank int, timeout time.Duration) 
 	return plan, data, nil
 }
 
-// readPlan reads one FrameAdopt plan frame.
+// readPlan reads one FrameClaim plan frame.
 func readPlan(conn net.Conn) (Plan, error) {
 	f, err := dist.ReadWireFrame(conn)
 	if err != nil {
 		return Plan{}, fmt.Errorf("resilience: waiting for the recovery plan: %w", err)
 	}
-	if f.Kind != dist.FrameAdopt {
+	if f.Kind != dist.FrameClaim {
 		return Plan{}, fmt.Errorf("resilience: coordinator answered with frame kind %d, want a plan", f.Kind)
 	}
 	var plan Plan

@@ -279,7 +279,7 @@ func (d *drill) launch(rank int, victim bool) {
 // stencilrun replacement child does through serve.RunResilient.
 func (d *drill) respawn(plan resilience.Plan) error {
 	go func() {
-		p, st, err := resilience.RequestAdoption[float64](d.ctrl, plan.Dead, 20*time.Second)
+		p, st, err := resilience.RequestClaim[float64](d.ctrl, plan.Dead, 20*time.Second)
 		if err != nil {
 			d.results <- runResult{rank: plan.Dead, err: err}
 			return

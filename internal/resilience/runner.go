@@ -151,7 +151,7 @@ func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 			return nil, extra, runErr
 		}
 
-		rep := Report{Ranks: []int{cfg.Rank}, Suspect: -1, SelfGens: buddy.SelfGens(), WardGens: buddy.WardGens()}
+		rep := Report{Rank: cfg.Rank, Suspect: -1, SelfGens: buddy.SelfGens(), WardGens: buddy.WardGens()}
 		var f *dist.Fault
 		if errors.As(runErr, &f) {
 			rep.Suspect = f.Peer

@@ -144,14 +144,14 @@ func RunResilient[T abft.Float](spec abft.Spec[T], pl Placement, iters int, onCk
 		}
 	}
 	if pl.Epoch > 0 {
-		adoption, state, err := resilience.RequestAdoption[T](pl.Control, pl.Rank, 30*time.Second)
+		claim, state, err := resilience.RequestClaim[T](pl.Control, pl.Rank, 30*time.Second)
 		if err != nil {
 			return nil, stats.Stats{}, fmt.Errorf("claiming rank %d from the coordinator: %w", pl.Rank, err)
 		}
-		cfg.Epoch, cfg.Rendezvous = adoption.Epoch, adoption.Rendezvous
-		cfg.StartIter, cfg.InitialState = adoption.RestartGen, state
+		cfg.Epoch, cfg.Rendezvous = claim.Epoch, claim.Rendezvous
+		cfg.StartIter, cfg.InitialState = claim.RestartGen, state
 		// stderr: a worker's stdout is its protocol stream.
-		fmt.Fprintf(os.Stderr, "respawned as rank %d at epoch %d, resuming from generation %d\n", pl.Rank, adoption.Epoch, adoption.RestartGen)
+		fmt.Fprintf(os.Stderr, "respawned as rank %d at epoch %d, resuming from generation %d\n", pl.Rank, claim.Epoch, claim.RestartGen)
 	}
 	return resilience.Run(cfg)
 }
