@@ -53,8 +53,8 @@ func ablationLocate(cfg TileConfig, w io.Writer) {
 		panic(err)
 	}
 	interpA, interpB := make([]float32, nx), make([]float32, ny)
-	interpolateDomain(ip, checksum.VecA, src, interpA)
-	interpolateDomain(ip, checksum.VecB, src, interpB)
+	interpolateDomain(ip, op, checksum.VecA, src, interpA)
+	interpolateDomain(ip, op, checksum.VecB, src, interpB)
 	det := checksum.NewDetector[float32]()
 
 	const cells = 16
@@ -234,7 +234,7 @@ func ablationBlockSize(cfg TileConfig, w io.Writer) {
 			copy(ext[1:n+1], prev)
 			ip.FillHalo(checksum.VecB, ext)
 			interp := make([]float32, n)
-			ip.Interpolate(checksum.VecB, ext, checksum.LiveEdges(src, op.BC, 0), interp)
+			ip.Interpolate(checksum.VecB, ext, checksum.LiveEdges(src, op.BC, op.BCValue), interp)
 			for y := range interp {
 				maxErr = num.Max(maxErr, num.RelErr(float64(interp[y]), float64(direct[y]), 1))
 			}
@@ -280,7 +280,7 @@ func ablationBoundaryTerms(cfg TileConfig, w io.Writer) {
 			}
 			ip.DropBoundaryTerms = variant.drop
 			interp := make([]float64, ny)
-			interpolateDomain(ip, checksum.VecB, src, interp)
+			interpolateDomain(ip, op, checksum.VecB, src, interp)
 			var maxErr float64
 			for y := range interp {
 				maxErr = num.Max(maxErr, num.RelErr(interp[y], direct.B[y], 1e-9))
@@ -292,10 +292,10 @@ func ablationBoundaryTerms(cfg TileConfig, w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// interpolateDomain interpolates vector v of a domain interpolator from the
-// checksums of src, iteration t, extended by the projection of the boundary
-// condition.
-func interpolateDomain[T num.Float](ip *checksum.Interp2D[T], v checksum.Vec, src *grid.Grid[T], out []T) {
+// interpolateDomain interpolates vector v of op's domain interpolator from
+// the checksums of src, iteration t, extended by the projection of the
+// boundary condition.
+func interpolateDomain[T num.Float](ip *checksum.Interp2D[T], op *stencil.Op2D[T], v checksum.Vec, src *grid.Grid[T], out []T) {
 	h := ip.EdgeRadius()
 	prev := make([]T, len(out)+2*h)
 	if v == checksum.VecA {
@@ -304,7 +304,7 @@ func interpolateDomain[T num.Float](ip *checksum.Interp2D[T], v checksum.Vec, sr
 		stencil.ChecksumB(src, prev[h:h+len(out)])
 	}
 	ip.FillHalo(v, prev)
-	ip.Interpolate(v, prev, checksum.LiveEdges(src, grid.Clamp, 0), out)
+	ip.Interpolate(v, prev, checksum.LiveEdges(src, op.BC, op.BCValue), out)
 }
 
 // ablationFusedChecksum (A2): cost of the fused checksum accumulation

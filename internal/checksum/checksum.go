@@ -81,12 +81,14 @@ func FillHalo[E any](ext []E, h int, bc grid.Boundary, ghost E) {
 }
 
 // EdgeSource supplies domain values ũ(x,y) of iteration t for the alpha/beta
-// boundary terms. Two implementations exist: grid.BoundedGrid (a live grid —
-// a domain, a 3-D layer, or the frame a chunk is a rectangle of) and
-// EdgeSnapshot (a stored copy of a domain's edge strips, used by the offline
-// protectors' Δ-step interpolation chains). The interpolator reads their
-// cells in place at lines and rows it resolved at construction; At, with
-// full boundary resolution, is for per-entry readers.
+// boundary terms. The interpolator reads two implementations:
+// grid.BoundedGrid (a live grid — a domain, a 3-D layer, or the frame a chunk
+// is a rectangle of) and EdgeSnapshot (a stored copy of a domain's edge
+// strips, used by the offline protectors' Δ-step interpolation chains). It
+// reads their cells in place at lines and rows it resolved at construction,
+// so it panics on any other implementation (a bare *grid.Grid has the
+// method) and on a source whose shape or boundary differs from its own; At,
+// with full boundary resolution, is for per-entry readers.
 type EdgeSource[T num.Float] interface {
 	At(x, y int) T
 }

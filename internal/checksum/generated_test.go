@@ -358,28 +358,20 @@ func interpGenerated3D[T num.Float](t *testing.T, rng *rand.Rand, tol float64) {
 			edges[z] = s
 		}
 	}
-	// What the engine reads: for a domain, NewStack's projected halo layers
-	// and nil edge sources for ghost layers; for a slab, every layer real.
-	stackEdges := edges
-	if !slab {
-		stackEdges = make([]EdgeSource[T], nz+2*rz)
-		copy(stackEdges[rz:], edges)
-		FillHalo(stackEdges, rz, bc, nil)
-	}
+	// What the engine reads (NewStack, EdgeStack): for a domain, halo layers
+	// projected along z and nil edge sources for ghost layers; for a slab,
+	// every layer real.
+	stackEdges := ip.EdgeStack(nil, edges)
 	for _, axisB := range []bool{false, true} {
 		v, plain, n, r := VecA, plainA, nx, rx
 		if axisB {
 			v, plain, n, r = VecB, plainB, ny, ry
 		}
-		stack := make([][]T, nzG)
-		off := 0
+		stack, off := ip.NewStack(v, hz), 0
 		if !slab {
-			stack, off = ip.NewStack(v), rz
+			off = rz
 		}
 		for z := range nzG {
-			if stack[off+z] == nil {
-				stack[off+z] = make([]T, n+2*r)
-			}
 			copy(stack[off+z][r:], plain[z])
 			ip.FillHalo(v, stack[off+z])
 		}
@@ -420,6 +412,17 @@ func interpGenerated3D[T num.Float](t *testing.T, rng *rand.Rand, tol float64) {
 	}
 }
 
+// mustPanic fails unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
 // TestInterpolatePanicsOnShortHalo: an extended vector whose halo is
 // narrower than the stencil radius, or a stack short of the z-radius, is a
 // caller's bug the engine refuses rather than reads past.
@@ -430,10 +433,55 @@ func TestInterpolatePanicsOnShortHalo(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := grid.New[float64](8, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("halo below radius did not panic")
-		}
-	}()
-	ip.Interpolate(VecB, make([]float64, 8), LiveEdges(g, grid.Clamp, 0), make([]float64, 8))
+	mustPanic(t, "a halo below the radius", func() {
+		ip.Interpolate(VecB, make([]float64, 8), LiveEdges(g, grid.Clamp, 0), make([]float64, 8))
+	})
+
+	op3 := &stencil.Op3D[float64]{St: stencil.SevenPoint3D(0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1), BC: grid.Clamp}
+	ip3, err := NewInterp3D(op3, 8, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g3 := grid.New3D[float64](8, 8, 4)
+	short, edges := make([][]float64, 4), make([]EdgeSource[float64], 4)
+	for z := range short {
+		short[z], edges[z] = make([]float64, 10), LiveEdges(g3.Layer(z), grid.Clamp, 0)
+	}
+	mustPanic(t, "a stack without its z-radius of halo layers", func() {
+		ip3.Interpolate(VecB, 1, short, edges, make([]float64, 8))
+	})
+}
+
+// TestInterpolatePanicsOnForeignEdges: the engine reads an edge source's
+// cells in place and resolves what lies outside through its own boundary,
+// so a source of another shape or under another boundary is refused rather
+// than silently read as if it were the frame.
+func TestInterpolatePanicsOnForeignEdges(t *testing.T) {
+	op := &stencil.Op2D[float64]{St: stencil.BoxBlur[float64](), BC: grid.Constant, BCValue: 2}
+	ip, err := NewInterp2D(op, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := make([]float64, 10)
+	snap := func(nx, ny int, bc grid.Boundary, k float64) EdgeSource[float64] {
+		s := NewEdgeSnapshot[float64](nx, ny, 1, bc, k)
+		s.Capture(grid.New[float64](nx, ny))
+		return s
+	}
+	for _, c := range []struct {
+		what  string
+		edges EdgeSource[float64]
+	}{
+		{"a grid under another boundary", LiveEdges(grid.New[float64](8, 8), grid.Clamp, 2)},
+		{"a grid under another constant", LiveEdges(grid.New[float64](8, 8), grid.Constant, 3)},
+		{"a grid of another height", LiveEdges(grid.New[float64](8, 9), grid.Constant, 2)},
+		{"a snapshot under another boundary", snap(8, 8, grid.Mirror, 2)},
+		{"a snapshot of another width", snap(9, 8, grid.Constant, 2)},
+		{"a bare grid", grid.New[float64](8, 8)},
+	} {
+		mustPanic(t, c.what, func() { ip.Interpolate(VecB, prev, c.edges, make([]float64, 8)) })
+	}
+	// The matching sources interpolate.
+	ip.Interpolate(VecB, prev, LiveEdges(grid.New[float64](8, 8), grid.Constant, 2), make([]float64, 8))
+	ip.Interpolate(VecB, prev, snap(8, 8, grid.Constant, 2), make([]float64, 8))
 }

@@ -38,18 +38,18 @@ const noSource = math.MinInt
 // window-shift terms α/β (DESIGN.md Section 6) are compiled to the frame
 // lines entering and leaving the summation window and to the frame row each
 // extended entry reads them at. A call fills one table per distinct window
-// shift from the edge source, one pass per frame line, and makes one pass
-// per stencil point over the output.
+// shift from the edge source, one pass over the rows reading every line of
+// the shift, and makes one pass per stencil point over the output.
 // Per entry the operations and their order are those of evaluating entry by
 // entry: start from the constant-field sum, add w·(prev + α/β) point by
 // point in declaration order, each α/β summed from zero over its entering
 // lines and then its leaving ones.
 type interp[T num.Float] struct {
-	nz, rz int
-	fnx    int // frame width: the row stride of a grid edge source
-	bc     grid.Boundary
-	ghost  [1]T // the ghost cell: BCValue under Constant, else 0
-	a, b   interpAxis[T]
+	nz, rz   int
+	fnx, fny int // frame shape; fnx is the row stride of a grid edge source
+	bc       grid.Boundary
+	ghost    [1]T // the ghost cell: BCValue under Constant, else 0
+	a, b     interpAxis[T]
 	// DropBoundaryTerms reproduces the paper's simplified listings (Figures
 	// 3 and 7), which omit alpha/beta from both vectors. Exact only for
 	// Periodic boundaries or weight-symmetric stencils; exposed for
@@ -116,7 +116,7 @@ type edgeLine[T num.Float] struct {
 // [y0,y1) of an fnx-by-fny frame; cA and cB hold each layer's
 // constant-field sums.
 func (ip *interp[T]) compile(pts []stencil.Point[T], bc grid.Boundary, bcValue T, fnx, fny, x0, y0, x1, y1 int, cA, cB [][]T) {
-	ip.nz, ip.fnx, ip.bc = len(cA), fnx, bc
+	ip.nz, ip.fnx, ip.fny, ip.bc = len(cA), fnx, fny, bc
 	for _, p := range pts {
 		ip.rz = max(ip.rz, p.DZ, -p.DZ)
 	}
@@ -130,7 +130,7 @@ func (ip *interp[T]) compile(pts []stencil.Point[T], bc grid.Boundary, bcValue T
 // compileAxis compiles one vector: entries [e0, e1) of a frame extent fe,
 // each the sum over [s0, s1) of a frame extent fs.
 func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundary, e0, e1, fe, s0, s1, fs int, c [][]T) interpAxis[T] {
-	ax := interpAxis[T]{cols: cols, n: e1 - e0, m: s1 - s0, c: c, tabs: make([]shiftTables[T], len(c))}
+	ax := interpAxis[T]{cols: cols, n: e1 - e0, m: s1 - s0, c: c, tabs: make([]shiftTables[T], len(c)), terms: make([]interpTerm[T], 0, len(pts))}
 	resolve := func(i, n int) int {
 		if r, ok := bc.ResolveIndex(i, n); ok {
 			return r
@@ -147,8 +147,9 @@ func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundar
 		shift, _ := offsets(p)
 		ax.r = max(ax.r, shift, -shift)
 	}
-	for e := -ax.r; e < ax.n+ax.r; e++ {
-		ax.rows = append(ax.rows, resolve(e0+e, fe))
+	ax.rows = make([]int, ax.n+2*ax.r)
+	for j := range ax.rows {
+		ax.rows[j] = resolve(e0+j-ax.r, fe)
 	}
 	ax.lo, ax.hi = ax.n+2*ax.r, 0
 	for _, p := range pts {
@@ -260,9 +261,8 @@ func (ip *interp[T]) tables(ax *interpAxis[T], z int) *shiftTables[T] {
 }
 
 // fill computes layer z's window-shift table entries [j0, j1) (entry j at
-// extended entry j-r) from the edge sources: each table from zero, its
-// entering lines added and then its leaving lines subtracted, one pass per
-// line — a constant stride through the frame the prefetcher can follow.
+// extended entry j-r) from the edge sources, one pass over the rows per
+// shift (shiftRows).
 func (ip *interp[T]) fill(ax *interpAxis[T], z, hz int, edges []EdgeSource[T], j0, j1 int) {
 	j0, j1 = max(j0, ax.lo), min(j1, ax.hi)
 	if j0 >= j1 {
@@ -272,51 +272,48 @@ func (ip *interp[T]) fill(ax *interpAxis[T], z, hz int, edges []EdgeSource[T], j
 	for i, ws := range ax.shifts {
 		tab := ax.tabs[z].tab[i*span+j0 : i*span+j1]
 		src := edges[z+ws.dz+hz]
-		if len(ws.adds) == 1 { // a one-line shift, the common case, in one pass
-			ip.shiftLine(tab, rows, ip.edgeLine(ax, src, ws.adds[0]), ip.edgeLine(ax, src, ws.subs[0]))
-			continue
-		}
-		clear(tab)
+		var buf [8]edgeLine[T] // radius 4; a wider shift's lines go to the heap
+		lines := buf[:0]
 		for _, c := range ws.adds {
-			ip.addLine(tab, rows, ip.edgeLine(ax, src, c), false)
+			lines = append(lines, ip.edgeLine(ax, src, c))
 		}
 		for _, c := range ws.subs {
-			ip.addLine(tab, rows, ip.edgeLine(ax, src, c), true)
+			lines = append(lines, ip.edgeLine(ax, src, c))
 		}
+		shiftRows(tab, rows, ip.ghost[0], lines[:len(ws.adds)], lines[len(ws.adds):])
 	}
 }
 
-// shiftLine sets tab to line a's cells at rows minus line b's, summed from
-// zero; a ghost row's cells are the ghost value.
-func (ip *interp[T]) shiftLine(tab []T, rows []int, a, b edgeLine[T]) {
-	tab, g := tab[:len(rows)], ip.ghost[0]
+// shiftRows sets tab[j] to the cells at frame row rows[j] of the entering
+// lines, summed from zero, minus those of the leaving lines, in order; a
+// ghost row's cells are the ghost value g. Each line is a constant stride
+// through the frame, so the pass is a few streams the prefetcher follows,
+// and each entry is written once. The first line of each kind is held out
+// of the inner loops, which a radius-1 shift leaves empty: per-line passes
+// made local2d's interpolation 1.7x slower, a loop over every line 1.2x.
+func shiftRows[T num.Float](tab []T, rows []int, g T, adds, subs []edgeLine[T]) {
+	tab = tab[:len(rows)]
+	a, moreAdds, b, moreSubs := adds[0], adds[1:], subs[0], subs[1:]
 	for j, r := range rows {
 		var v T
 		if r == noSource {
-			v += g
-			v -= g
+			for range adds {
+				v += g
+			}
+			for range subs {
+				v -= g
+			}
 		} else {
 			v += a.cells[r*a.stride]
+			for _, l := range moreAdds {
+				v += l.cells[r*l.stride]
+			}
 			v -= b.cells[r*b.stride]
+			for _, l := range moreSubs {
+				v -= l.cells[r*l.stride]
+			}
 		}
 		tab[j] = v
-	}
-}
-
-// addLine adds (or with sub, subtracts) line l's cells at rows to tab; a
-// ghost row's cell is the ghost value.
-func (ip *interp[T]) addLine(tab []T, rows []int, l edgeLine[T], sub bool) {
-	tab, g := tab[:len(rows)], ip.ghost[0]
-	for j, r := range rows {
-		v := g
-		if r != noSource {
-			v = l.cells[r*l.stride]
-		}
-		if sub {
-			tab[j] -= v
-		} else {
-			tab[j] += v
-		}
 	}
 }
 
@@ -328,18 +325,28 @@ func (ip *interp[T]) edgeLine(ax *interpAxis[T], src EdgeSource[T], c int) edgeL
 	}
 	switch s := src.(type) {
 	case grid.BoundedGrid[T]:
-		if s.G.Nx() != ip.fnx {
-			panic(fmt.Sprintf("checksum: edge source %d wide, frame %d", s.G.Nx(), ip.fnx))
-		}
+		ip.checkEdges(s.G.Nx(), s.G.Ny(), s.Cond, s.ConstVal)
 		d := s.G.Data()
 		if ax.cols {
 			return edgeLine[T]{d[c:], ip.fnx}
 		}
 		return edgeLine[T]{d[c*ip.fnx : (c+1)*ip.fnx], 1}
 	case *EdgeSnapshot[T]:
+		ip.checkEdges(s.nx, s.ny, s.bc, s.constVal)
 		return edgeLine[T]{s.line(ax.cols, c), 1}
 	default:
 		panic(fmt.Sprintf("checksum: cannot read edge cells of a %T", src))
+	}
+}
+
+// checkEdges panics unless an nx-by-ny edge source under bc and constVal is
+// a layer of the frame under the interpolator's own boundary: the engine
+// reads its cells in place and resolves what lies outside by the lines and
+// rows it compiled, never by the source's condition.
+func (ip *interp[T]) checkEdges(nx, ny int, bc grid.Boundary, constVal T) {
+	if nx != ip.fnx || ny != ip.fny || bc != ip.bc || bc == grid.Constant && constVal != ip.ghost[0] {
+		panic(fmt.Sprintf("checksum: a %dx%d edge source under %s (value %v) for a %dx%d frame under %s (value %v)",
+			nx, ny, bc, constVal, ip.fnx, ip.fny, ip.bc, ip.ghost[0]))
 	}
 }
 
@@ -451,11 +458,12 @@ func (ip *Interp2D[T]) PrimeBetaTables(edges EdgeSource[T]) {
 // concurrently against one interpolator.
 type Interp3D[T num.Float] struct {
 	interp[T]
-	// InterpolateB's halo scratch: a stack, its edge sources, and the
-	// domain layer each entry of them holds (-1: a ghost layer).
+	// layers[v] is the domain layer entry v of a domain's stack holds
+	// (LayerOf).
+	layers []int
+	// InterpolateB's halo scratch: a stack and its edge sources.
 	zeroPrev  [][]T
 	zeroEdges []EdgeSource[T]
-	zeroLayer []int
 }
 
 // NewInterp3D precomputes an interpolator for op over an nx*ny*nz domain
@@ -474,36 +482,83 @@ func NewInterp3D[T num.Float](op *stencil.Op3D[T], nx, ny, nz int) (*Interp3D[T]
 	}
 	ip := &Interp3D[T]{}
 	ip.compile(op.St.Points, op.BC, op.BCValue, nx, ny, 0, 0, nx, ny, cA, cB)
+	ip.layers = make([]int, nz+2*ip.rz)
+	for v := range ip.layers {
+		ip.layers[v] = v - ip.rz
+	}
+	FillHalo(ip.layers, ip.rz, ip.bc, -1)
 	return ip, nil
 }
 
 // Interpolate computes next, vector v of layer z in [0, nz) at iteration
 // t+1, from prev — the layers' vectors of iteration t between hz >= RadiusZ
 // halo layers each side, each extended by at least the in-layer radius each
-// side — and one edge source per layer of prev (nil for a ghost layer of a
-// Constant or Zero boundary). Every edge source must be a LiveEdges view or
-// an *EdgeSnapshot of its layer; their cells are read directly, not
+// side (NewStack) — and one edge source per layer of prev (EdgeStack). Every
+// edge source must be a LiveEdges view or an *EdgeSnapshot of its layer
+// under the interpolator's boundary; their cells are read directly, not
 // through At.
 func (ip *Interp3D[T]) Interpolate(v Vec, z int, prev [][]T, edges []EdgeSource[T], next []T) {
 	ip.interpolate(ip.axis(v), z, prev, edges, next)
 }
 
-// NewStack allocates what an interpolation over a whole domain's layers
-// reads as vector v: nz+2·RadiusZ extended vectors (radius halo entries each
-// side), the halo layers filled by FillHalo's projection along z — each
-// aliases the layer it resolves to, or one ghost vector under Constant and
-// Zero — so only the layers' own entries and in-layer halos need writing.
-func (ip *Interp3D[T]) NewStack(v Vec) [][]T {
+// LayerOf returns which of its owner's layers entry v of a stack holds. A
+// z-slab's stack (hz > 0: its layers between hz >= RadiusZ ghost layers the
+// owner fills) is its layers, entry v layer v. A domain's (hz = 0) holds its
+// nz layers between RadiusZ halo layers FillHalo projects along z: entry v is
+// the layer v-RadiusZ resolves to, -1 for a ghost layer of a Constant or Zero
+// boundary.
+func (ip *Interp3D[T]) LayerOf(v, hz int) int {
+	if hz > 0 {
+		return v
+	}
+	return ip.layers[v]
+}
+
+// NewStack allocates the stack an interpolation of vector v reads over nz
+// layers between hz halo layers each side (LayerOf): one extended vector per
+// layer (radius halo entries each side) and, for a domain, the halo entries
+// aliasing the layers they resolve to, or one ghost vector under Constant
+// and Zero — so only the layers' own entries and in-layer halos need
+// writing.
+func (ip *Interp3D[T]) NewStack(v Vec, hz int) [][]T {
 	ax := ip.axis(v)
-	stack := make([][]T, ip.nz+2*ip.rz)
-	for z := range ip.nz {
-		stack[ip.rz+z] = make([]T, ax.n+2*ax.r)
+	own := make([][]T, ip.nz+2*hz)
+	for l := range own {
+		own[l] = make([]T, ax.n+2*ax.r)
+	}
+	if hz > 0 {
+		return own
 	}
 	ghost := make([]T, ax.n+2*ax.r)
 	for i := range ghost {
 		ghost[i] = T(ax.m) * ip.ghost[0]
 	}
-	FillHalo(stack, ip.rz, ip.bc, ghost)
+	stack := make([][]T, len(ip.layers))
+	for e, l := range ip.layers {
+		stack[e] = ghost
+		if l >= 0 {
+			stack[e] = own[l]
+		}
+	}
+	return stack
+}
+
+// EdgeStack returns the edge sources an interpolation over a NewStack stack
+// reads, reusing stack's storage: layers holds one per layer as the stack's
+// vectors do (nz+2·hz), and entry v is layers[LayerOf(v, hz)], nil for a
+// ghost layer.
+func (ip *Interp3D[T]) EdgeStack(stack, layers []EdgeSource[T]) []EdgeSource[T] {
+	hz, n := (len(layers)-ip.nz)/2, len(layers)
+	if hz == 0 {
+		n = len(ip.layers)
+	}
+	stack = slices.Grow(stack[:0], n)[:n]
+	for e := range stack {
+		stack[e] = nil
+		if l := ip.LayerOf(e, hz); l >= 0 {
+			stack[e] = layers[l]
+		}
+	}
 	return stack
 }
 
@@ -514,21 +569,14 @@ func (ip *Interp3D[T]) NewStack(v Vec) [][]T {
 // protectors keep extended stacks and call Interpolate.
 func (ip *Interp3D[T]) InterpolateB(z int, bPrev [][]T, edges []EdgeSource[T], bNext []T) {
 	if ip.zeroPrev == nil {
-		ip.zeroPrev = ip.NewStack(VecB)
-		ip.zeroEdges = make([]EdgeSource[T], len(ip.zeroPrev))
-		ip.zeroLayer = make([]int, len(ip.zeroPrev))
-		for i := range ip.zeroLayer {
-			ip.zeroLayer[i] = i - ip.rz
-		}
-		FillHalo(ip.zeroLayer, ip.rz, ip.bc, -1)
+		ip.zeroPrev = ip.NewStack(VecB, 0)
 	}
-	for zz := z; zz <= z+2*ip.rz; zz++ {
-		if l := ip.zeroLayer[zz]; l >= 0 {
+	for e := z; e <= z+2*ip.rz; e++ {
+		if l := ip.LayerOf(e, 0); l >= 0 {
 			copy(ip.zeroPrev[ip.rz+l][ip.b.r:], bPrev[l])
 			ip.FillHalo(VecB, ip.zeroPrev[ip.rz+l])
 		}
 	}
-	copy(ip.zeroEdges[ip.rz:], edges)
-	FillHalo(ip.zeroEdges, ip.rz, ip.bc, nil)
+	ip.zeroEdges = ip.EdgeStack(ip.zeroEdges, edges)
 	ip.Interpolate(VecB, z, ip.zeroPrev, ip.zeroEdges, bNext)
 }

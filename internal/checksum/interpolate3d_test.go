@@ -65,16 +65,16 @@ func TestTheorem1Invariance3D(t *testing.T) {
 		// Previous-iteration state: the layers' checksum stacks, halos
 		// projected through the boundary condition, and edges.
 		rz, rx, ry := st.RadiusZ(), st.RadiusX(), st.RadiusY()
-		prevA, prevB := ip.NewStack(VecA), ip.NewStack(VecB)
-		edges := make([]EdgeSource[float64], nz+2*rz)
+		prevA, prevB := ip.NewStack(VecA, 0), ip.NewStack(VecB, 0)
+		layers := make([]EdgeSource[float64], nz)
 		for z := 0; z < nz; z++ {
 			stencil.ChecksumA(src.Layer(z), prevA[rz+z][rx:rx+nx])
 			stencil.ChecksumB(src.Layer(z), prevB[rz+z][ry:ry+ny])
 			ip.FillHalo(VecA, prevA[rz+z])
 			ip.FillHalo(VecB, prevB[rz+z])
-			edges[rz+z] = LiveEdges(src.Layer(z), bc, op.BCValue)
+			layers[z] = LiveEdges(src.Layer(z), bc, op.BCValue)
 		}
-		FillHalo(edges, rz, bc, nil)
+		edges := ip.EdgeStack(nil, layers)
 
 		op.Sweep(dst, src)
 		const tol = 1e-9

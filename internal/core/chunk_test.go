@@ -204,7 +204,10 @@ func chunkedRepairIsBitwise[T num.Float](t *testing.T, ck chunking, eps T) {
 // detection — the method as it was before rows were re-evaluated and before
 // there was a chunk: per rectangle, assembled from the package-level pieces,
 // every halo sum read one cell at a time through the boundary condition. The
-// fallback tests run it beside the protector.
+// fallback tests run it beside the protector. Its interpolation is the
+// engine's own (Interp2D.Interpolate, as Chunk.Repair calls it), so these
+// rows check the chunk's bookkeeping, not the interpolation:
+// checksum.TestInterpolateGenerated holds that to a per-entry reference.
 type twoVectorRef struct {
 	op                    *stencil.Op2D[float64]
 	buf                   *grid.Buffer[float64]

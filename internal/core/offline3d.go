@@ -30,9 +30,12 @@ type Offline3D[T num.Float] struct {
 	// halo layers that alias the layers they resolve to (Interp3D.NewStack).
 	chain, chainNxt [][]T
 
-	ring  [][]*checksum.EdgeSnapshot[T] // [step][layer] edge strips
-	edges []checksum.EdgeSource[T]      // scratch: one step's sources, a stack like chain's
-	store checkpoint.Store3D[T]
+	ring [][]*checksum.EdgeSnapshot[T] // [step][layer] edge strips
+	// ringEdges[s] is step s's strips as the stack the chain reads
+	// (Interp3D.EdgeStack); edges is the step being interpolated.
+	ringEdges [][]checksum.EdgeSource[T]
+	edges     []checksum.EdgeSource[T]
+	store     checkpoint.Store3D[T]
 
 	// sweepFn and interpFn are sweepLayers and interpLayers bound once, so
 	// handing them to the pool does not allocate a closure every step; sites
@@ -59,28 +62,31 @@ func NewOffline3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], opt Op
 	}
 	ip.DropBoundaryTerms = opt.DropBoundaryTerms
 	p := &Offline3D[T]{
-		op:       op,
-		buf:      grid.Buffer3DFrom(init),
-		ip:       ip,
-		det:      opt.Detector,
-		pool:     opt.Pool,
-		period:   opt.Period,
-		inj:      opt.Inject,
-		curB:     makeLayers[T](nz, ny),
-		verified: makeLayers[T](nz, ny),
-		chain:    ip.NewStack(checksum.VecB),
-		chainNxt: ip.NewStack(checksum.VecB),
-		ring:     make([][]*checksum.EdgeSnapshot[T], opt.Period),
-		edges:    make([]checksum.EdgeSource[T], nz+2*op.St.RadiusZ()),
-		tel:      opt.Telemetry,
+		op:        op,
+		buf:       grid.Buffer3DFrom(init),
+		ip:        ip,
+		det:       opt.Detector,
+		pool:      opt.Pool,
+		period:    opt.Period,
+		inj:       opt.Inject,
+		curB:      makeLayers[T](nz, ny),
+		verified:  makeLayers[T](nz, ny),
+		chain:     ip.NewStack(checksum.VecB, 0),
+		chainNxt:  ip.NewStack(checksum.VecB, 0),
+		ring:      make([][]*checksum.EdgeSnapshot[T], opt.Period),
+		ringEdges: make([][]checksum.EdgeSource[T], opt.Period),
+		tel:       opt.Telemetry,
 	}
 	p.sweepFn, p.interpFn = p.sweepLayers, p.interpLayers
 	r := ip.EdgeRadius()
 	for s := range p.ring {
 		p.ring[s] = make([]*checksum.EdgeSnapshot[T], nz)
+		layers := make([]checksum.EdgeSource[T], nz)
 		for z := 0; z < nz; z++ {
 			p.ring[s][z] = checksum.NewEdgeSnapshot[T](nx, ny, r, op.BC, op.BCValue)
+			layers[z] = p.ring[s][z]
 		}
+		p.ringEdges[s] = ip.EdgeStack(nil, layers)
 	}
 	for z := 0; z < nz; z++ {
 		stencil.ChecksumB(p.buf.Read.Layer(z), p.curB[z])
@@ -180,9 +186,8 @@ func (p *Offline3D[T]) verify(steps int) {
 	for s := 0; s < steps; s++ {
 		for z := 0; z < nz; z++ {
 			p.ip.FillHalo(checksum.VecB, p.chain[rz+z])
-			p.edges[rz+z] = p.ring[s][z]
 		}
-		checksum.FillHalo(p.edges, rz, p.op.BC, nil)
+		p.edges = p.ringEdges[s]
 		p.pool.ForEachChunk(nz, p.interpFn)
 		p.chain, p.chainNxt = p.chainNxt, p.chain
 	}

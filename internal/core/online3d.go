@@ -22,17 +22,15 @@ type Online3D[T num.Float] struct {
 	// NewOnline3DSlab); layers [h, nz-h) are owned: swept and verified.
 	h int
 	// g = RadiusZ - h is how many halo layers each side the interpolator's
-	// stacks hold beyond buf's: for a whole domain, FillHalo's projection of
-	// the boundary condition along z (layerOf says which buffer layer each
-	// stack entry holds, -1 for a ghost layer); none for a slab, whose ghost
-	// layers are its own. Stack entry v holds buffer layer v-g.
-	g       int
-	layerOf []int
-	ip      *checksum.Interp3D[T]
-	det     checksum.Detector[T]
-	pool    *stencil.Pool
-	pol     checksum.PairPolicy
-	inj     stencil.InjectSource[T]
+	// stacks hold beyond buf's: for a whole domain, the projection of the
+	// boundary condition along z; none for a slab, whose ghost layers are
+	// its own. Buffer layer l is stack entry l+g; ip.LayerOf(v, h) maps back.
+	g    int
+	ip   *checksum.Interp3D[T]
+	det  checksum.Detector[T]
+	pool *stencil.Pool
+	pol  checksum.PairPolicy
+	inj  stencil.InjectSource[T]
 
 	// prevB and newB are the per-layer column checksums of iterations t and
 	// t+1 as the interpolator reads them: stacks of vectors extended by
@@ -55,7 +53,7 @@ type Online3D[T num.Float] struct {
 	detectFn func(lo, hi int)
 
 	// edges are per-stack-entry live views of the current t-buffer's layers
-	// (nil for a ghost layer); edgesAlt views the other half. Boxing a layer
+	// (Interp3D.EdgeStack); edgesAlt views the other half. Boxing a layer
 	// view into the EdgeSource interface allocates, so both sets are built
 	// once and swapped alongside the buffer.
 	edges, edgesAlt []checksum.EdgeSource[T]
@@ -106,58 +104,38 @@ func newOnline3D[T num.Float](sop, iop *stencil.Op3D[T], init *grid.Grid3D[T], z
 	ip.DropBoundaryTerms = opt.DropBoundaryTerms
 	buf := grid.NewBuffer3D[T](nx, ny, nz)
 	copy(buf.Read.Data()[h*nx*ny:], init.Data()[z0*nx*ny:z1*nx*ny])
-	g := sop.St.RadiusZ() - h
 	p := &Online3D[T]{
-		op:       sop,
-		buf:      buf,
-		h:        h,
-		g:        g,
-		layerOf:  make([]int, nz+2*g),
-		ip:       ip,
-		det:      opt.Detector,
-		pool:     opt.Pool,
-		pol:      opt.PairPolicy,
-		inj:      opt.Inject,
-		interpB:  makeLayers[T](nz, ny),
-		flagged:  make([]bool, nz),
-		edges:    make([]checksum.EdgeSource[T], nz+2*g),
-		edgesAlt: make([]checksum.EdgeSource[T], nz+2*g),
-		corr:     checksum.Corrector[T]{PaperExact: opt.PaperExactCorrection},
-		tel:      opt.Telemetry,
+		op:      sop,
+		buf:     buf,
+		h:       h,
+		g:       sop.St.RadiusZ() - h,
+		ip:      ip,
+		det:     opt.Detector,
+		pool:    opt.Pool,
+		pol:     opt.PairPolicy,
+		inj:     opt.Inject,
+		prevB:   ip.NewStack(checksum.VecB, h),
+		newB:    ip.NewStack(checksum.VecB, h),
+		interpB: makeLayers[T](nz, ny),
+		flagged: make([]bool, nz),
+		corr:    checksum.Corrector[T]{PaperExact: opt.PaperExactCorrection},
+		tel:     opt.Telemetry,
 	}
 	p.detectFn = p.detectLayers
-	for v := range p.layerOf {
-		p.layerOf[v] = v - g
-	}
-	checksum.FillHalo(p.layerOf, g, sop.BC, -1)
-	p.prevB, p.newB = p.stack(checksum.VecB), p.stack(checksum.VecB)
 	p.prevOwn, p.newOwn = p.own(p.prevB), p.own(p.newB)
-	for v, l := range p.layerOf {
-		if l >= 0 {
-			p.edges[v] = checksum.LiveEdges(buf.Read.Layer(l), sop.BC, sop.BCValue)
-			p.edgesAlt[v] = checksum.LiveEdges(buf.Write.Layer(l), sop.BC, sop.BCValue)
+	views := func(g *grid.Grid3D[T]) []checksum.EdgeSource[T] {
+		e := make([]checksum.EdgeSource[T], nz)
+		for z := range e {
+			e[z] = checksum.LiveEdges(g.Layer(z), sop.BC, sop.BCValue)
 		}
+		return ip.EdgeStack(nil, e)
 	}
+	p.edges, p.edgesAlt = views(buf.Read), views(buf.Write)
 	for z := 0; z < nz; z++ {
 		// The initial data and checksums are assumed correct (Theorem 2).
 		stencil.ChecksumB(buf.Read.Layer(z), p.prevOwn[z])
 	}
 	return p, nil
-}
-
-// stack allocates the interpolator's per-layer vectors v, one per entry of
-// layerOf: a whole domain's halo layers alias the layers they resolve to
-// (Interp3D.NewStack); a slab's are its ghost layers' own.
-func (p *Online3D[T]) stack(v checksum.Vec) [][]T {
-	if p.g > 0 {
-		return p.ip.NewStack(v)
-	}
-	g := p.buf.Read
-	n, r := g.Nx(), p.op.St.RadiusX()
-	if v == checksum.VecB {
-		n, r = g.Ny(), p.op.St.RadiusY()
-	}
-	return makeLayers[T](len(p.layerOf), n+2*r)
 }
 
 // own views the own entries of a B stack by buffer layer.
@@ -334,7 +312,7 @@ func (p *Online3D[T]) repair(src, dst *grid.Grid3D[T]) {
 	// a whole domain, the layers its halo entries hold.
 	rx, rz := p.op.St.RadiusX(), p.op.St.RadiusZ()
 	if p.prevA == nil {
-		p.prevA, p.interpA = p.stack(checksum.VecA), makeLayers[T](nz, nx)
+		p.prevA, p.interpA = p.ip.NewStack(checksum.VecA, h), makeLayers[T](nz, nx)
 	}
 	have := make([]bool, nz)
 	for z := h; z < nz-h; z++ {
@@ -342,7 +320,7 @@ func (p *Online3D[T]) repair(src, dst *grid.Grid3D[T]) {
 			continue
 		}
 		for v := z + p.g - rz; v <= z+p.g+rz; v++ {
-			if l := p.layerOf[v]; l >= 0 && !have[l] {
+			if l := p.ip.LayerOf(v, h); l >= 0 && !have[l] {
 				stencil.ChecksumA(src.Layer(l), p.prevA[l+p.g][rx:rx+nx])
 				p.ip.FillHalo(checksum.VecA, p.prevA[l+p.g])
 				have[l] = true

@@ -124,7 +124,7 @@ func TestOnline3DFallback(t *testing.T) {
 			}
 			// After the swap the write half still holds the step's source.
 			src := p.buf.Write
-			full, rz := p.ip.NewStack(checksum.VecA), st.RadiusZ()
+			full, rz := p.ip.NewStack(checksum.VecA, 0), st.RadiusZ()
 			for l := 0; l < nz; l++ {
 				stencil.ChecksumA(src.Layer(l), full[rz+l][1:nx+1])
 				p.ip.FillHalo(checksum.VecA, full[rz+l])
