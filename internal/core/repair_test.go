@@ -42,10 +42,10 @@ func flipEveryBit[T num.Float](t *testing.T, run func(inj fault.Injection) (dete
 	}
 }
 
-func online3DRepairIsBitwise[T num.Float](t *testing.T, eps T) {
+func online3DRepairIsBitwise[T num.Float](t *testing.T, bc grid.Boundary, eps T) {
 	rng := rand.New(rand.NewSource(62))
 	const nx, ny, nz, iters = 13, 11, 5, 10
-	op := &stencil.Op3D[T]{St: stencil.SevenPoint3D[T](0.5, 0.08, 0.08, 0.09, 0.09, 0.06, 0.10), BC: grid.Clamp}
+	op := &stencil.Op3D[T]{St: stencil.SevenPoint3D[T](0.5, 0.08, 0.08, 0.09, 0.09, 0.06, 0.10), BC: bc, BCValue: 290}
 	init := grid.New3D[T](nx, ny, nz)
 	init.FillFunc(func(x, y, z int) T { return T(300 + 15*rng.Float64()) })
 	opt := Options[T]{Detector: checksum.Detector[T]{Epsilon: eps, AbsFloor: 1}}
@@ -89,9 +89,21 @@ func online3DRepairIsBitwise[T num.Float](t *testing.T, eps T) {
 	})
 }
 
+// TestOnline3DRepairIsBitwise runs under every boundary condition: the
+// injection sites include edge cells of boundary rows and layers, whose
+// re-evaluation reads BC-resolved columns or the ghost value.
 func TestOnline3DRepairIsBitwise(t *testing.T) {
-	t.Run("float32", func(t *testing.T) { online3DRepairIsBitwise[float32](t, 1e-5) })
-	t.Run("float64", func(t *testing.T) { online3DRepairIsBitwise[float64](t, 1e-9) })
+	bcs := []grid.Boundary{grid.Clamp, grid.Periodic, grid.Mirror, grid.Constant, grid.Zero}
+	t.Run("float32", func(t *testing.T) {
+		for _, bc := range bcs {
+			t.Run(bc.String(), func(t *testing.T) { online3DRepairIsBitwise[float32](t, bc, 1e-5) })
+		}
+	})
+	t.Run("float64", func(t *testing.T) {
+		for _, bc := range bcs {
+			t.Run(bc.String(), func(t *testing.T) { online3DRepairIsBitwise[float64](t, bc, 1e-9) })
+		}
+	})
 }
 
 // TestOnline3DFallback drives a 3-D detection down the two-vector path (a

@@ -1,48 +1,43 @@
 package stencil
 
 import (
-	"math"
-
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
 )
 
 // Boundary folding: instead of resolving the boundary condition per stencil
-// point per cell, a sweep resolves it once per row. For the row (y, z) every
-// stencil point reads one source row — (y+dy, z+dz) pushed through the BC —
-// and that is either another row of the domain (Clamp, Periodic, Mirror;
-// possibly the row itself) or, under Constant and Zero, a ghost row the fold
-// owns. The row kernels take per-point source slices, so a folded neighbour
-// costs the same as an interior one and all five BCs are one code path. Only
-// the 2*rx columns at the ends of a row still need a per-point x lookup, and
-// that comes from a table built with the fold.
+// point per cell, a sweep resolves it once per row and once per plan. For the
+// row (y, z) every stencil point reads one source row — (y+dy, z+dz) pushed
+// through the BC — and that is either another row of the domain (Clamp,
+// Periodic, Mirror; possibly the row itself) or, under Constant and Zero, a
+// ghost row the fold owns. Past the ends of a row, column x+dx resolves the
+// same way for every row, so the plan resolves those 2*rx columns once: to a
+// column of the source row, or to the ghost value. A row kernel gets the
+// whole source row of each point and computes all nx cells, edge columns
+// included, so a folded neighbour costs the same as an interior one and all
+// five BCs are one code path.
 //
 // Nothing here knows the dimension: a 2-D domain is nz = 1 with every dz = 0.
 
-// noSource marks, in a fold's tables and start lists, a stencil point whose
-// source lies in the ghost region of a Constant or Zero boundary.
-const noSource = math.MinInt
-
-// stackPoints is how many stencil points SweepLayer's per-row scratch holds
-// on the stack; larger stencils take two allocations per call.
+// stackPoints is how many stencil points SweepRows' per-row scratch holds on
+// the stack; larger stencils take one allocation per call.
 const stackPoints = 32
 
-// rowFold holds what is resolved per plan: the flat offsets, the ghost row
-// and the edge-column table. It is immutable and shared by all workers.
+// rowFold holds what is resolved per plan: the row offsets, the ghost row and
+// the columns past the row ends. It is immutable and shared by all workers.
 type rowFold[T num.Float] struct {
 	bc         grid.Boundary
 	nx, ny, nz int
 	plane      int // nx*ny
 	rx, ry, rz int
 	pts        []Point[T]
-	offs       []int // per point: dx + dy*nx + dz*plane
+	offs       []int // per point: dy*nx + dz*plane, the source row's offset
 	ghost      []T   // nx copies of ghostVal; nil unless bc is Constant or Zero
 	ghostVal   T     // BCValue under Constant, 0 under Zero
-	edgeX      []int // x of each edge column: [0, rx) then [nx-rx, nx), ascending
-	// edgeCol[e*k+i] is what to add to point i's row start (which already
-	// includes dx, see starts) to reach its BC-resolved source column at
-	// edge column e; noSource when that column is a ghost.
-	edgeCol []int
+	// xcol[d] is the column x = d-rx resolves to for d < rx, and x = nx+d-rx
+	// for d >= rx; -1 when that column is a ghost. Under Constant and Zero
+	// every entry is -1, under the other BCs none is.
+	xcol []int
 }
 
 func newRowFold[T num.Float](pts []Point[T], bc grid.Boundary, bcValue T, nx, ny, nz, rx, ry, rz int) rowFold[T] {
@@ -50,9 +45,10 @@ func newRowFold[T num.Float](pts []Point[T], bc grid.Boundary, bcValue T, nx, ny
 		bc: bc, nx: nx, ny: ny, nz: nz, plane: nx * ny, rx: rx, ry: ry, rz: rz,
 		pts:  pts,
 		offs: make([]int, len(pts)),
+		xcol: make([]int, 2*rx),
 	}
 	for i, p := range pts {
-		f.offs[i] = p.DX + p.DY*nx + p.DZ*f.plane
+		f.offs[i] = p.DY*nx + p.DZ*f.plane
 	}
 	if bc == grid.Constant || bc == grid.Zero {
 		if bc == grid.Constant {
@@ -63,32 +59,29 @@ func newRowFold[T num.Float](pts []Point[T], bc grid.Boundary, bcValue T, nx, ny
 			f.ghost[i] = f.ghostVal
 		}
 	}
-	for x := 0; x < nx; x++ {
-		if x >= rx && x < nx-rx {
-			continue
+	for d := range f.xcol {
+		x := d - rx
+		if d >= rx {
+			x = nx + d - rx
 		}
-		f.edgeX = append(f.edgeX, x)
-		for _, p := range pts {
-			col, ok := bc.ResolveIndex(x+p.DX, nx)
-			if !ok {
-				col = noSource
-			} else {
-				col -= p.DX
-			}
-			f.edgeCol = append(f.edgeCol, col)
+		col, ok := bc.ResolveIndex(x, nx)
+		if !ok {
+			col = -1
 		}
+		f.xcol[d] = col
 	}
 	return f
 }
 
-// starts resolves row (y, z): st[i] becomes the flat index of the value
-// point i reads for x = 0 — its source row's start plus dx — or noSource
-// when the row is a ghost. This is the only per-row boundary work.
-func (f *rowFold[T]) starts(y, z int, st []int) {
+// sources points rows[i] at the whole source row stencil point i reads for
+// row (y, z) — nx values, x = 0 first, dx not applied — or at the ghost row.
+// This is the only per-row boundary work.
+func (f *rowFold[T]) sources(rows [][]T, src []T, y, z int) {
+	nx := f.nx
 	if y >= f.ry && y < f.ny-f.ry && z >= f.rz && z < f.nz-f.rz {
-		base := z*f.plane + y*f.nx
+		base := z*f.plane + y*nx
 		for i, o := range f.offs {
-			st[i] = base + o
+			rows[i] = src[base+o : base+o+nx]
 		}
 		return
 	}
@@ -102,47 +95,26 @@ func (f *rowFold[T]) starts(y, z int, st []int) {
 			zz, okz = f.bc.ResolveIndex(zz, f.nz)
 		}
 		if oky && okz {
-			st[i] = zz*f.plane + yy*f.nx + p.DX
+			s := zz*f.plane + yy*nx
+			rows[i] = src[s : s+nx]
 		} else {
-			st[i] = noSource
+			rows[i] = f.ghost
 		}
 	}
 }
 
-// rows turns resolved starts into the kernels' per-point source slices for
-// the n destination columns from lo on. Columns [lo, lo+n) must be interior
-// in x, so lo+dx stays inside the source row.
-func (f *rowFold[T]) rows(rows [][]T, src []T, st []int, lo, n int) {
-	for i, s := range st {
-		if s == noSource {
-			rows[i] = f.ghost[:n]
-		} else {
-			rows[i] = src[s+lo : s+lo+n]
-		}
+// at is the value a point whose source row is r reads at column x, which
+// lies within rx of the row: r[x] inside the row, else the plan-resolved
+// column of r or the ghost value.
+func (f *rowFold[T]) at(r []T, x int) T {
+	switch {
+	case x < 0:
+		x = f.xcol[x+f.rx]
+	case x >= f.nx:
+		x = f.xcol[x-f.nx+f.rx]
 	}
-}
-
-// sweepEdges computes edge columns [e0, e1) of the row at flat index base:
-// per cell C first, then the points in declaration order, a ghost
-// contributing w*ghostVal in its slot — the order of the row kernels and of
-// the per-point reference they are pinned against.
-func (f *rowFold[T]) sweepEdges(dst, src, c, ws []T, st []int, base, e0, e1 int, acc T) T {
-	k := len(st)
-	for e := e0; e < e1; e++ {
-		x := f.edgeX[e]
-		var v T
-		if c != nil {
-			v = c[base+x]
-		}
-		for i, col := range f.edgeCol[e*k : (e+1)*k] {
-			val := f.ghostVal
-			if s := st[i]; s != noSource && col != noSource {
-				val = src[s+col]
-			}
-			v += ws[i] * val
-		}
-		dst[base+x] = v
-		acc += v
+	if x < 0 {
+		return f.ghostVal
 	}
-	return acc
+	return r[x]
 }

@@ -3,21 +3,26 @@ package stencil
 import "stencilabft/internal/num"
 
 // Row kernels of the 3-D sweep. Unlike the 2-D kernels in kernels2d.go, which
-// index one source array at base ± nx, these take one source slice per
-// stencil point: rows[i][j] is the value point i reads for dst[j], so the x
-// offset is already folded into where rows[i] starts and a y or z neighbour
-// is just a different slice. That is what lets SweepLayer hand a boundary
-// row its BC-resolved neighbours (or the plan's ghost row) and run the same
-// kernel as everywhere else; see fold.go. c is the matching segment of the
-// constant field, nil when the operator has none.
+// index one source array at base ± nx, these take one source row per stencil
+// point: rows[i] is the whole row (nx values, x = 0 first) point i reads, so
+// a y or z neighbour is just a different slice, and a boundary row's
+// BC-resolved neighbour or the plan's ghost row is handed over like any
+// other (see fold.go). Each kernel computes all nx cells of dst: the interior
+// segment [rx, nx-rx) from rows[i] shifted by dx, and the 2*rx edge columns
+// in the same per-cell form, reading the columns past the row ends through
+// the fold. c is the matching row of the constant field, nil when the
+// operator has none.
 //
-// The contract is that of the 2-D kernels: acc += value per point in x
-// order, additions weight by weight in canonical order, no reassociation,
-// the constant field by a hoisted branch — so domain values and checksums
-// are bit-identical to the generic loop for a stencil declared in the
-// canonical order (pin tests in kernels_test.go). Every row is re-sliced to
-// len(dst) up front, which also lets the compiler drop the bounds checks
-// from the loop bodies.
+// The contract is that of the 2-D kernels: per cell C first, then the points
+// weight by weight in canonical order, a ghost as w*K in its slot, no
+// reassociation, the constant field by a hoisted branch, and acc += value in
+// x order — left edges, interior segment, right edges — so domain values
+// and checksums are bit-identical to a per-point reference for a stencil
+// declared in the canonical order (pin tests in kernels_test.go). Every row
+// is re-sliced to its segment up front, which also lets the compiler drop
+// the bounds checks from the loop bodies. The specialised kernels have
+// radius 1 in x, and Validate keeps nx > rx, so nx >= 2: x = 0 and x = nx-1
+// are the edge columns and column 1 and nx-2 are inside the row.
 //
 // star5Slices, box9Slices and genericSlices are the
 // slice-form twins of the 2-D kernels. The 2-D drivers stay on the indexed
@@ -26,136 +31,243 @@ import "stencilabft/internal/num"
 // (something ÷ a local 2-D run) would book as regressions, so that move
 // needs its own baseline.
 
-// genericSlices is the dynamic k-point loop — the fallback for arbitrary
-// stencils, and the body the specialized kernels must match bit for bit.
-func genericSlices[T num.Float](dst, c []T, rows [][]T, ws []T, acc T) T {
-	ws = ws[:len(rows)]
-	for j := range dst {
-		var v T
-		if c != nil {
-			v = c[j]
+// genericSlices is the dynamic k-point row — the fallback for arbitrary
+// stencils, and the body the specialized kernels must match bit for bit. It
+// runs point by point over the row, so every cell still adds C first and
+// then the points in declaration order; the checksum is summed in x order
+// afterwards.
+func genericSlices[T num.Float](dst, c []T, rows [][]T, f *rowFold[T]) T {
+	nx, rx := len(dst), f.rx
+	hi := max(nx-rx, rx) // right edge columns are [hi, nx)
+	if c != nil {
+		copy(dst, c[:nx])
+	} else {
+		clear(dst) // start from zero like the kernels: 0 + (-0.0) is +0.0
+	}
+	for i, r := range rows {
+		w, dx := f.pts[i].W, f.pts[i].DX
+		for x := range rx {
+			dst[x] += w * f.at(r, x+dx)
 		}
-		for i, r := range rows {
-			v += ws[i] * r[j]
+		if hi > rx {
+			d := dst[rx:hi]
+			s := r[rx+dx:][:len(d)]
+			for j := range d {
+				d[j] += w * s[j]
+			}
 		}
-		dst[j] = v
+		for x := hi; x < nx; x++ {
+			dst[x] += w * f.at(r, x+dx)
+		}
+	}
+	var acc T
+	for _, v := range dst {
 		acc += v
 	}
 	return acc
+}
+
+// star7Cell is one cell of star7Row from its seven source values, in the
+// SevenPoint3D order; v enters as the constant field's value, or zero.
+func star7Cell[T num.Float](v, vc, vw, ve, vn, vs, vb, va T, kw *[9]T) T {
+	v += kw[0] * vc
+	v += kw[1] * vw
+	v += kw[2] * ve
+	v += kw[3] * vn
+	v += kw[4] * vs
+	v += kw[5] * vb
+	v += kw[6] * va
+	return v
 }
 
 // star7Row applies the 3-D seven-point star (centre, west, east, north,
 // south, below, above — the SevenPoint3D order) with weights kw[0..6].
-func star7Row[T num.Float](dst, c []T, rows [][]T, kw *[9]T, acc T) T {
-	n := len(dst)
-	rc, rw, re := rows[0][:n], rows[1][:n], rows[2][:n]
-	rn, rs, rb, ra := rows[3][:n], rows[4][:n], rows[5][:n], rows[6][:n]
+func star7Row[T num.Float](dst, c []T, rows [][]T, kw *[9]T, f *rowFold[T]) T {
+	var acc T
+	nx := len(dst)
+	m, n := nx-1, nx-2
+	rc, rw, re := rows[0][:nx], rows[1][:nx], rows[2][:nx]
+	rn, rs, rb, ra := rows[3][:nx], rows[4][:nx], rows[5][:nx], rows[6][:nx]
+	var c0, cm T
+	if c != nil {
+		c = c[:nx]
+		c0, cm = c[0], c[m]
+	}
+	v := star7Cell(c0, rc[0], f.at(rw, -1), re[1], rn[0], rs[0], rb[0], ra[0], kw)
+	dst[0] = v
+	acc += v
+
+	d := dst[1:m]
+	sc, sw, se := rc[1:m], rw[:n], re[2:]
+	sn, ss, sb, sa := rn[1:m], rs[1:m], rb[1:m], ra[1:m]
 	wc, ww, we, wn, ws, wb, wa := kw[0], kw[1], kw[2], kw[3], kw[4], kw[5], kw[6]
 	if c != nil {
-		c = c[:n]
-		for j := range dst {
-			v := c[j]
-			v += wc * rc[j]
-			v += ww * rw[j]
-			v += we * re[j]
-			v += wn * rn[j]
-			v += ws * rs[j]
-			v += wb * rb[j]
-			v += wa * ra[j]
-			dst[j] = v
+		cs := c[1:m]
+		for j := range d {
+			v := cs[j]
+			v += wc * sc[j]
+			v += ww * sw[j]
+			v += we * se[j]
+			v += wn * sn[j]
+			v += ws * ss[j]
+			v += wb * sb[j]
+			v += wa * sa[j]
+			d[j] = v
 			acc += v
 		}
-		return acc
+	} else {
+		for j := range d {
+			var v T // start from zero like the generic loop: 0 + (-0.0) is +0.0
+			v += wc * sc[j]
+			v += ww * sw[j]
+			v += we * se[j]
+			v += wn * sn[j]
+			v += ws * ss[j]
+			v += wb * sb[j]
+			v += wa * sa[j]
+			d[j] = v
+			acc += v
+		}
 	}
-	for j := range dst {
-		var v T // start from zero like the generic loop: 0 + (-0.0) is +0.0
-		v += wc * rc[j]
-		v += ww * rw[j]
-		v += we * re[j]
-		v += wn * rn[j]
-		v += ws * rs[j]
-		v += wb * rb[j]
-		v += wa * ra[j]
-		dst[j] = v
-		acc += v
-	}
-	return acc
+
+	v = star7Cell(cm, rc[m], rw[m-1], f.at(re, nx), rn[m], rs[m], rb[m], ra[m], kw)
+	dst[m] = v
+	return acc + v
+}
+
+// star5Cell is one cell of star5Slices from its five source values.
+func star5Cell[T num.Float](v, vc, vw, ve, vn, vs T, kw *[9]T) T {
+	v += kw[0] * vc
+	v += kw[1] * vw
+	v += kw[2] * ve
+	v += kw[3] * vn
+	v += kw[4] * vs
+	return v
 }
 
 // star5Slices applies the five-point star (centre, west, east, north,
 // south) with weights kw[0..4] — a 2-D stencil swept layer-wise.
-func star5Slices[T num.Float](dst, c []T, rows [][]T, kw *[9]T, acc T) T {
-	n := len(dst)
-	rc, rw, re, rn, rs := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n], rows[4][:n]
+func star5Slices[T num.Float](dst, c []T, rows [][]T, kw *[9]T, f *rowFold[T]) T {
+	var acc T
+	nx := len(dst)
+	m, n := nx-1, nx-2
+	rc, rw, re, rn, rs := rows[0][:nx], rows[1][:nx], rows[2][:nx], rows[3][:nx], rows[4][:nx]
+	var c0, cm T
+	if c != nil {
+		c = c[:nx]
+		c0, cm = c[0], c[m]
+	}
+	v := star5Cell(c0, rc[0], f.at(rw, -1), re[1], rn[0], rs[0], kw)
+	dst[0] = v
+	acc += v
+
+	d := dst[1:m]
+	sc, sw, se, sn, ss := rc[1:m], rw[:n], re[2:], rn[1:m], rs[1:m]
 	wc, ww, we, wn, ws := kw[0], kw[1], kw[2], kw[3], kw[4]
 	if c != nil {
-		c = c[:n]
-		for j := range dst {
-			v := c[j]
-			v += wc * rc[j]
-			v += ww * rw[j]
-			v += we * re[j]
-			v += wn * rn[j]
-			v += ws * rs[j]
-			dst[j] = v
+		cs := c[1:m]
+		for j := range d {
+			v := cs[j]
+			v += wc * sc[j]
+			v += ww * sw[j]
+			v += we * se[j]
+			v += wn * sn[j]
+			v += ws * ss[j]
+			d[j] = v
 			acc += v
 		}
-		return acc
+	} else {
+		for j := range d {
+			var v T
+			v += wc * sc[j]
+			v += ww * sw[j]
+			v += we * se[j]
+			v += wn * sn[j]
+			v += ws * ss[j]
+			d[j] = v
+			acc += v
+		}
 	}
-	for j := range dst {
-		var v T
-		v += wc * rc[j]
-		v += ww * rw[j]
-		v += we * re[j]
-		v += wn * rn[j]
-		v += ws * rs[j]
-		dst[j] = v
-		acc += v
-	}
-	return acc
+
+	v = star5Cell(cm, rc[m], rw[m-1], f.at(re, nx), rn[m], rs[m], kw)
+	dst[m] = v
+	return acc + v
+}
+
+// box9Cell is one cell of box9Slices from its nine source values, in
+// NinePoint's row-major order.
+func box9Cell[T num.Float](v, v0, v1, v2, v3, v4, v5, v6, v7, v8 T, kw *[9]T) T {
+	v += kw[0] * v0
+	v += kw[1] * v1
+	v += kw[2] * v2
+	v += kw[3] * v3
+	v += kw[4] * v4
+	v += kw[5] * v5
+	v += kw[6] * v6
+	v += kw[7] * v7
+	v += kw[8] * v8
+	return v
 }
 
 // box9Slices applies the full 3x3 box in NinePoint's row-major order with
 // weights kw[0..8] — a 2-D stencil swept layer-wise.
-func box9Slices[T num.Float](dst, c []T, rows [][]T, kw *[9]T, acc T) T {
-	n := len(dst)
-	r0, r1, r2 := rows[0][:n], rows[1][:n], rows[2][:n]
-	r3, r4, r5 := rows[3][:n], rows[4][:n], rows[5][:n]
-	r6, r7, r8 := rows[6][:n], rows[7][:n], rows[8][:n]
+func box9Slices[T num.Float](dst, c []T, rows [][]T, kw *[9]T, f *rowFold[T]) T {
+	var acc T
+	nx := len(dst)
+	m, n := nx-1, nx-2
+	r0, r1, r2 := rows[0][:nx], rows[1][:nx], rows[2][:nx]
+	r3, r4, r5 := rows[3][:nx], rows[4][:nx], rows[5][:nx]
+	r6, r7, r8 := rows[6][:nx], rows[7][:nx], rows[8][:nx]
+	var c0, cm T
+	if c != nil {
+		c = c[:nx]
+		c0, cm = c[0], c[m]
+	}
+	v := box9Cell(c0, f.at(r0, -1), r1[0], r2[1], f.at(r3, -1), r4[0], r5[1], f.at(r6, -1), r7[0], r8[1], kw)
+	dst[0] = v
+	acc += v
+
+	d := dst[1:m]
+	s0, s1, s2 := r0[:n], r1[1:m], r2[2:]
+	s3, s4, s5 := r3[:n], r4[1:m], r5[2:]
+	s6, s7, s8 := r6[:n], r7[1:m], r8[2:]
 	w0, w1, w2 := kw[0], kw[1], kw[2]
 	w3, w4, w5 := kw[3], kw[4], kw[5]
 	w6, w7, w8 := kw[6], kw[7], kw[8]
 	if c != nil {
-		c = c[:n]
-		for j := range dst {
-			v := c[j]
-			v += w0 * r0[j]
-			v += w1 * r1[j]
-			v += w2 * r2[j]
-			v += w3 * r3[j]
-			v += w4 * r4[j]
-			v += w5 * r5[j]
-			v += w6 * r6[j]
-			v += w7 * r7[j]
-			v += w8 * r8[j]
-			dst[j] = v
+		cs := c[1:m]
+		for j := range d {
+			v := cs[j]
+			v += w0 * s0[j]
+			v += w1 * s1[j]
+			v += w2 * s2[j]
+			v += w3 * s3[j]
+			v += w4 * s4[j]
+			v += w5 * s5[j]
+			v += w6 * s6[j]
+			v += w7 * s7[j]
+			v += w8 * s8[j]
+			d[j] = v
 			acc += v
 		}
-		return acc
+	} else {
+		for j := range d {
+			var v T
+			v += w0 * s0[j]
+			v += w1 * s1[j]
+			v += w2 * s2[j]
+			v += w3 * s3[j]
+			v += w4 * s4[j]
+			v += w5 * s5[j]
+			v += w6 * s6[j]
+			v += w7 * s7[j]
+			v += w8 * s8[j]
+			d[j] = v
+			acc += v
+		}
 	}
-	for j := range dst {
-		var v T
-		v += w0 * r0[j]
-		v += w1 * r1[j]
-		v += w2 * r2[j]
-		v += w3 * r3[j]
-		v += w4 * r4[j]
-		v += w5 * r5[j]
-		v += w6 * r6[j]
-		v += w7 * r7[j]
-		v += w8 * r8[j]
-		dst[j] = v
-		acc += v
-	}
-	return acc
+
+	v = box9Cell(cm, r0[m-1], r1[m], f.at(r2, nx), r3[m-1], r4[m], f.at(r5, nx), r6[m-1], r7[m], f.at(r8, nx), kw)
+	dst[m] = v
+	return acc + v
 }

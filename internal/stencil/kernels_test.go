@@ -154,6 +154,7 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 	}{
 		{"star7", SevenPoint3D[T](0.31, 0.07, -0.05, 0.11, 0.13, 0.17, -0.19), kernStar7},
 		{"star5-per-layer", FivePoint[T](0.37, 0.11, -0.13, 0.21, 0.29), kernStar5}, // 2-D stencil swept layer-wise still specializes
+		{"box9-per-layer", NinePoint[T]([9]T{0.01, -0.02, 0.03, 0.05, 0.81, -0.07, 0.11, 0.13, -0.17}), kernBox9},
 		{"far3d", &Stencil[T]{Name: "far3d", Points: []Point[T]{ // radius 2/1/2, nothing symmetric
 			{DX: 0, DY: 0, DZ: 0, W: 0.41}, {DX: -2, DY: 0, DZ: 0, W: 0.07}, {DX: 1, DY: -1, DZ: 0, W: -0.05},
 			{DX: 0, DY: 1, DZ: -2, W: 0.11}, {DX: 2, DY: 0, DZ: 1, W: 0.13}, {DX: -1, DY: 1, DZ: 2, W: -0.17},
@@ -213,14 +214,18 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 									op.SweepLayer(got, src, z, bGot, sites)
 									naiveSweepLayer(op, want, src, z, bWant, hook)
 									for y := 0; y < ny; y++ {
-										if !num.SameBits(bGot[y], bWant[y]) {
-											t.Fatalf("generic=%v z=%d b[%d]: got %v, naive %v", op.ForceGeneric, z, y, bGot[y], bWant[y])
-										}
-										for x := 0; x < nx; x++ {
-											if g, w := got.At(x, y, z), want.At(x, y, z); !num.SameBits(g, w) {
-												t.Fatalf("generic=%v (%d,%d,%d): got %v, naive %v", op.ForceGeneric, x, y, z, g, w)
-											}
-										}
+										sameRow3D(t, op, got, want, bGot, bWant, y, z)
+									}
+								}
+								// Single-row calls, the way Online3D's repair re-evaluates a
+								// flagged row, on the corner rows of the domain.
+								got = grid.New3D[T](nx, ny, nz)
+								clear(bGot)
+								for _, z := range []int{0, nz - 1} {
+									naiveSweepLayer(op, want, src, z, bWant, nil)
+									for _, y := range []int{0, ny - 1} {
+										op.SweepRows(got, src, z, y, y+1, bGot)
+										sameRow3D(t, op, got, want, bGot, bWant, y, z)
 									}
 								}
 							}
@@ -228,6 +233,20 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// sameRow3D fails the test unless row (y, z) and its checksum b[y] match the
+// naive sweep's bit for bit.
+func sameRow3D[T num.Float](t *testing.T, op *Op3D[T], got, want *grid.Grid3D[T], bGot, bWant []T, y, z int) {
+	t.Helper()
+	if !num.SameBits(bGot[y], bWant[y]) {
+		t.Fatalf("generic=%v z=%d b[%d]: got %v, naive %v", op.ForceGeneric, z, y, bGot[y], bWant[y])
+	}
+	for x := 0; x < got.Nx(); x++ {
+		if g, w := got.At(x, y, z), want.At(x, y, z); !num.SameBits(g, w) {
+			t.Fatalf("generic=%v (%d,%d,%d): got %v, naive %v", op.ForceGeneric, x, y, z, g, w)
 		}
 	}
 }

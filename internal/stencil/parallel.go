@@ -143,16 +143,6 @@ func (p *Pool) join() *sync.WaitGroup {
 	return new(sync.WaitGroup)
 }
 
-// ForEach invokes fn(i) for each i in [0, n), distributing indices over the
-// pool. Used for per-layer 3-D work where each index is one z-layer.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	p.ForEachChunk(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // SweepParallel computes one full 2-D iteration with rows partitioned over
 // the pool. Each worker owns a disjoint y-range of dst and the matching
 // entries of b, so no synchronisation beyond the final join is needed —

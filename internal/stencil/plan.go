@@ -188,7 +188,6 @@ type plan3d[T num.Float] struct {
 	pts     []Point[T] // private copy, for cache validation and the fold
 	force   bool
 	bcValue T
-	ws      []T
 	kern    kernel
 	kw      [9]T
 	fold    rowFold[T]
@@ -227,11 +226,7 @@ func (op *Op3D[T]) plan(nx, ny, nz int) *plan3d[T] {
 		pts:     pts,
 		force:   op.ForceGeneric,
 		bcValue: op.BCValue,
-		ws:      make([]T, len(pts)),
 		fold:    newRowFold(pts, op.BC, op.BCValue, nx, ny, nz, op.St.RadiusX(), op.St.RadiusY(), op.St.RadiusZ()),
-	}
-	for i, p := range pts {
-		pl.ws[i] = p.W
 	}
 	if !op.ForceGeneric {
 		pl.kern = detectKernel(pts, &pl.kw)
@@ -240,19 +235,19 @@ func (op *Op3D[T]) plan(nx, ny, nz int) *plan3d[T] {
 	return pl
 }
 
-// sweepRow computes one destination segment from its per-point source rows
-// (kernels3d.go), dispatching like plan2d.sweepRow and threading the fused
-// checksum through in the same order.
-func (pl *plan3d[T]) sweepRow(dst, c []T, rows [][]T, acc T) T {
+// sweepRow computes one whole destination row, edge columns included, from
+// its per-point source rows (kernels3d.go), dispatching like plan2d.sweepRow,
+// and returns the row's fused checksum, summed in x order.
+func (pl *plan3d[T]) sweepRow(dst, c []T, rows [][]T) T {
 	switch pl.kern {
 	case kernStar7:
-		return star7Row(dst, c, rows, &pl.kw, acc)
+		return star7Row(dst, c, rows, &pl.kw, &pl.fold)
 	case kernStar5:
-		return star5Slices(dst, c, rows, &pl.kw, acc)
+		return star5Slices(dst, c, rows, &pl.kw, &pl.fold)
 	case kernBox9:
-		return box9Slices(dst, c, rows, &pl.kw, acc)
+		return box9Slices(dst, c, rows, &pl.kw, &pl.fold)
 	default:
-		return genericSlices(dst, c, rows, pl.ws, acc)
+		return genericSlices(dst, c, rows, &pl.fold)
 	}
 }
 

@@ -8,7 +8,6 @@ package stencil
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"stencilabft/internal/errs"
 	"stencilabft/internal/num"
@@ -94,43 +93,6 @@ func (s *Stencil[T]) radius(axis func(Point[T]) int) int {
 		}
 	}
 	return r
-}
-
-// WeightSum returns the sum of all weights. Diffusive kernels with
-// WeightSum == 1 preserve the domain average, a property several tests use.
-func (s *Stencil[T]) WeightSum() T {
-	var w T
-	for _, p := range s.Points {
-		w += p.W
-	}
-	return w
-}
-
-// Size returns |S|, the number of stencil points (the paper's k).
-func (s *Stencil[T]) Size() int { return len(s.Points) }
-
-// Clone returns a deep copy of the stencil.
-func (s *Stencil[T]) Clone() *Stencil[T] {
-	c := &Stencil[T]{Name: s.Name, Points: make([]Point[T], len(s.Points))}
-	copy(c.Points, s.Points)
-	return c
-}
-
-// Sorted returns a copy with points ordered by (DZ, DY, DX), giving
-// deterministic iteration order in tests and goldens.
-func (s *Stencil[T]) Sorted() *Stencil[T] {
-	c := s.Clone()
-	sort.Slice(c.Points, func(i, j int) bool {
-		a, b := c.Points[i], c.Points[j]
-		if a.DZ != b.DZ {
-			return a.DZ < b.DZ
-		}
-		if a.DY != b.DY {
-			return a.DY < b.DY
-		}
-		return a.DX < b.DX
-	})
-	return c
 }
 
 // String summarises the stencil for diagnostics.

@@ -65,11 +65,10 @@ func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, sites []Si
 // rows when b is non-nil — SweepLayer's body, and what the repair path
 // re-evaluates a flagged row with.
 //
-// Every row takes the same path: the plan's fold resolves the row's source
-// rows through the boundary condition once (fold.go), the row kernel runs
-// over [rx, nx-rx) on those rows, and the 2*rx edge columns come from the
-// fold's column table. Boundary rows and boundary layers cost what interior
-// ones do.
+// Every row takes the same path: the plan's fold points each stencil point at
+// its BC-resolved source row (fold.go), and one row kernel computes all nx
+// cells, edge columns included. Boundary rows and boundary layers cost what
+// interior ones do.
 func (op *Op3D[T]) SweepRows(dst, src *grid.Grid3D[T], z, y0, y1 int, b []T) {
 	nx, ny, nz := src.Nx(), src.Ny(), src.Nz()
 	if dst == src {
@@ -85,33 +84,22 @@ func (op *Op3D[T]) SweepRows(dst, src *grid.Grid3D[T], z, y0, y1 int, b []T) {
 	if op.C != nil {
 		cD = op.C.Data()
 	}
-	// Per-row scratch: each point's resolved start and source slice.
-	var stBuf [stackPoints]int
+	// Per-row scratch: each point's source row.
 	var rowBuf [stackPoints][]T
-	st, rows := stBuf[:], rowBuf[:]
-	if k := len(pl.ws); k > stackPoints {
-		st, rows = make([]int, k), make([][]T, k)
+	rows := rowBuf[:]
+	if k := len(pl.pts); k > stackPoints {
+		rows = make([][]T, k)
 	} else {
-		st, rows = st[:k], rows[:k]
+		rows = rows[:k]
 	}
-	rx := f.rx
-	nLeft := min(rx, nx) // edge columns left of the kernel segment
-	n := max(nx-2*rx, 0) // width of the kernel segment [rx, nx-rx)
 	for y := y0; y < y1; y++ {
-		var acc T
+		f.sources(rows, srcD, y, z)
 		base := z*f.plane + y*nx
-		f.starts(y, z, st)
-		acc = f.sweepEdges(dstD, srcD, cD, pl.ws, st, base, 0, nLeft, acc)
-		if n > 0 {
-			f.rows(rows, srcD, st, rx, n)
-			lo := base + rx
-			var cRow []T
-			if cD != nil {
-				cRow = cD[lo : lo+n]
-			}
-			acc = pl.sweepRow(dstD[lo:lo+n], cRow, rows, acc)
+		var cRow []T
+		if cD != nil {
+			cRow = cD[base : base+nx]
 		}
-		acc = f.sweepEdges(dstD, srcD, cD, pl.ws, st, base, nLeft, len(f.edgeX), acc)
+		acc := pl.sweepRow(dstD[base:base+nx], cRow, rows)
 		if b != nil {
 			b[y] = acc
 		}
