@@ -64,7 +64,8 @@
 //   - None: the unprotected baseline.
 //
 // All protectors run the same sweep engine and accept a worker Pool for
-// row-partitioned (2-D) or layer-partitioned (3-D) parallel execution.
+// row-partitioned parallel execution (a 3-D stack's rows counted layer by
+// layer).
 package stencilabft
 
 import (
@@ -168,19 +169,12 @@ type Stats = core.Stats
 // domain itself.
 type Online2D[T Float] = core.Online2D[T]
 
-// Offline2D is the periodic-detection protector with checkpoint/rollback
-// recovery (Section 4).
-type Offline2D[T Float] = core.Offline2D[T]
-
 // None2D is the unprotected baseline runner.
 type None2D[T Float] = core.None2D[T]
 
 // Online3D applies the online scheme per z-layer with exact cross-layer
 // checksum coupling.
 type Online3D[T Float] = core.Online3D[T]
-
-// Offline3D applies the offline scheme to 3-D domains.
-type Offline3D[T Float] = core.Offline3D[T]
 
 // None3D is the unprotected 3-D baseline runner.
 type None3D[T Float] = core.None3D[T]

@@ -24,24 +24,24 @@ type Protector[T Float] interface {
 	Finalize()
 }
 
-// Compile-time conformance checks: all six core protectors and the clusters
+// Compile-time conformance checks: all five core protectors and the clusters
 // satisfy the unified contract for both element types (Blocked2D is
-// Online2D).
+// Online2D; core.Offline, which the Offline scheme builds, serves both
+// dimensionalities and has no root alias because the Scheme constant holds
+// the name).
 var (
 	_ Protector[float32] = (*None2D[float32])(nil)
 	_ Protector[float32] = (*Online2D[float32])(nil)
-	_ Protector[float32] = (*Offline2D[float32])(nil)
+	_ Protector[float32] = (*core.Offline[float32])(nil)
 	_ Protector[float32] = (*None3D[float32])(nil)
 	_ Protector[float32] = (*Online3D[float32])(nil)
-	_ Protector[float32] = (*Offline3D[float32])(nil)
 	_ Protector[float32] = (*Cluster[float32])(nil)
 	_ Protector[float32] = (*Cluster3D[float32])(nil)
 	_ Protector[float64] = (*None2D[float64])(nil)
 	_ Protector[float64] = (*Online2D[float64])(nil)
-	_ Protector[float64] = (*Offline2D[float64])(nil)
+	_ Protector[float64] = (*core.Offline[float64])(nil)
 	_ Protector[float64] = (*None3D[float64])(nil)
 	_ Protector[float64] = (*Online3D[float64])(nil)
-	_ Protector[float64] = (*Offline3D[float64])(nil)
 	_ Protector[float64] = (*Cluster[float64])(nil)
 	_ Protector[float64] = (*Cluster3D[float64])(nil)
 )

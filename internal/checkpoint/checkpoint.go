@@ -19,71 +19,10 @@ type Stats struct {
 	PointsCopied int64
 }
 
-// Store2D checkpoints one 2-D domain together with its per-iteration
-// metadata (iteration number and the verified column checksum). The zero
-// value is empty; Save initialises it.
-type Store2D[T num.Float] struct {
-	stats     Stats
-	valid     bool
-	iteration int
-	domain    *grid.Grid[T]
-	b         []T
-}
-
-// Save records the domain, its verified column checksum and the iteration
-// number, replacing any previous checkpoint.
-func (s *Store2D[T]) Save(iter int, g *grid.Grid[T], b []T) {
-	if s.domain == nil || !s.domain.SameShape(g) {
-		s.domain = g.Clone()
-	} else {
-		s.domain.CopyFrom(g)
-	}
-	if len(s.b) != len(b) {
-		s.b = make([]T, len(b))
-	}
-	copy(s.b, b)
-	s.iteration = iter
-	s.valid = true
-	s.stats.Saves++
-	s.stats.PointsCopied += int64(g.Len())
-}
-
-// Valid reports whether a checkpoint is available.
-func (s *Store2D[T]) Valid() bool { return s.valid }
-
-// Iteration returns the iteration number of the stored checkpoint.
-func (s *Store2D[T]) Iteration() int { return s.iteration }
-
-// Restore copies the checkpointed domain into g and the stored checksum
-// into b, returning the checkpoint's iteration number. It panics if no
-// checkpoint has been saved — recovering without a checkpoint is a
-// protocol violation the caller must prevent.
-func (s *Store2D[T]) Restore(g *grid.Grid[T], b []T) int {
-	if !s.valid {
-		panic("checkpoint: restore without a saved checkpoint")
-	}
-	g.CopyFrom(s.domain)
-	copy(b, s.b)
-	s.stats.Restores++
-	s.stats.PointsCopied += int64(g.Len())
-	return s.iteration
-}
-
-// Stats returns the accumulated cost counters.
-func (s *Store2D[T]) Stats() Stats { return s.stats }
-
-// Domain exposes the checkpointed grid for region-local recovery (cone
-// recomputation reads a window of the saved state without a full restore).
-// Callers must treat it as read-only; it panics if nothing was saved.
-func (s *Store2D[T]) Domain() *grid.Grid[T] {
-	if !s.valid {
-		panic("checkpoint: Domain without a saved checkpoint")
-	}
-	return s.domain
-}
-
-// Store3D checkpoints a 3-D domain with per-layer column checksums.
-type Store3D[T num.Float] struct {
+// Store checkpoints a domain — a stack of nz layers, a 2-D domain being the
+// one-layer stack — with its per-layer verified column checksums and the
+// iteration number. The zero value is empty; Save initialises it.
+type Store[T num.Float] struct {
 	stats     Stats
 	valid     bool
 	iteration int
@@ -92,8 +31,8 @@ type Store3D[T num.Float] struct {
 }
 
 // Save records the domain, the per-layer verified checksums and the
-// iteration number.
-func (s *Store3D[T]) Save(iter int, g *grid.Grid3D[T], b [][]T) {
+// iteration number, replacing any previous checkpoint.
+func (s *Store[T]) Save(iter int, g *grid.Grid3D[T], b [][]T) {
 	if s.domain == nil || !s.domain.SameShape(g) {
 		s.domain = g.Clone()
 	} else {
@@ -115,14 +54,16 @@ func (s *Store3D[T]) Save(iter int, g *grid.Grid3D[T], b [][]T) {
 }
 
 // Valid reports whether a checkpoint is available.
-func (s *Store3D[T]) Valid() bool { return s.valid }
+func (s *Store[T]) Valid() bool { return s.valid }
 
 // Iteration returns the iteration number of the stored checkpoint.
-func (s *Store3D[T]) Iteration() int { return s.iteration }
+func (s *Store[T]) Iteration() int { return s.iteration }
 
 // Restore copies the checkpointed domain into g and the stored per-layer
-// checksums into b, returning the checkpoint's iteration number.
-func (s *Store3D[T]) Restore(g *grid.Grid3D[T], b [][]T) int {
+// checksums into b, returning the checkpoint's iteration number. It panics if
+// no checkpoint has been saved — recovering without a checkpoint is a
+// protocol violation the caller must prevent.
+func (s *Store[T]) Restore(g *grid.Grid3D[T], b [][]T) int {
 	if !s.valid {
 		panic("checkpoint: restore without a saved checkpoint")
 	}
@@ -139,4 +80,14 @@ func (s *Store3D[T]) Restore(g *grid.Grid3D[T], b [][]T) int {
 }
 
 // Stats returns the accumulated cost counters.
-func (s *Store3D[T]) Stats() Stats { return s.stats }
+func (s *Store[T]) Stats() Stats { return s.stats }
+
+// Domain exposes the checkpointed domain for region-local recovery (cone
+// recomputation reads a window of the saved state without a full restore).
+// Callers must treat it as read-only; it panics if nothing was saved.
+func (s *Store[T]) Domain() *grid.Grid3D[T] {
+	if !s.valid {
+		panic("checkpoint: Domain without a saved checkpoint")
+	}
+	return s.domain
+}

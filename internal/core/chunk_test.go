@@ -618,7 +618,7 @@ func TestDropBoundaryTermsPlumbed(t *testing.T) {
 // TestDropBoundaryTermsDropsAlpha: the A1 knob drops the window-shift terms
 // from both vectors, as its doc says — the row checksums of the
 // Equation-(10) path included, which used to interpolate alpha exactly while
-// the column checksums and Offline2D's cone chain dropped it. A flagged flip
+// the column checksums and the offline cone chain dropped it. A flagged flip
 // under PaperExactCorrection takes the one-chunk Online2D down that path; its
 // interpolated row checksums must be the per-entry dropped-alpha form, bit
 // for bit.
@@ -657,8 +657,8 @@ func TestDropBoundaryTermsDropsAlpha(t *testing.T) {
 // heap allocations, sequentially and on a pool of 2: no per-step closures,
 // no edge view boxed per verification, no escaping WaitGroup. On the pool
 // the one-chunk Online protector partitions rows and the 16x16 chunking
-// partitions chunks. Offline2D is measured between verifications (its
-// checkpoint save may allocate).
+// partitions chunks. The offline protector is measured between
+// verifications (its checkpoint save may allocate).
 func TestStep2DAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	op, init := testOp(48, 40), testInit(rng, 48, 40)

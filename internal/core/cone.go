@@ -19,32 +19,33 @@ const (
 	// Cavelan, Robert & Chien cited by the paper as a cost reducer):
 	// only the error's backward light cone is recomputed from the
 	// checkpoint. The region to recompute at step s shrinks by the
-	// stencil radius per step, so the work is O(Δ·(rΔ)²) instead of
-	// O(Δ·nx·ny). When the cone cannot be bounded (corruption reaching
-	// the edge strips the interpolation chain depends on, or checksum
-	// corruption with no located column), the protector falls back to a
-	// full rollback, so ConeRecovery is always at least as safe.
+	// stencil radius per step, on every axis, so the work is O(Δ·(rΔ)²)
+	// a layer instead of O(Δ·nx·ny). When the cone cannot be bounded
+	// (corruption reaching the edge strips the interpolation chain depends
+	// on, a periodic window reaching one z end but not the other, or
+	// checksum corruption with no located column), the protector falls back
+	// to a full rollback, so ConeRecovery is always at least as safe.
 	ConeRecovery
 )
 
-// rect is a half-open region [x0,x1) x [y0,y1) in domain coordinates.
-type rect struct {
-	x0, y0, x1, y1 int
+// box is a half-open region [x0,x1) x [y0,y1) x [z0,z1) in domain
+// coordinates; a 2-D domain's boxes are the one layer [0, 1).
+type box struct {
+	x0, y0, z0, x1, y1, z1 int
 }
 
-func (r rect) empty() bool { return r.x0 >= r.x1 || r.y0 >= r.y1 }
-func (r rect) width() int  { return r.x1 - r.x0 }
-func (r rect) height() int { return r.y1 - r.y0 }
-func (r rect) area() int   { return r.width() * r.height() }
-func (r rect) contains(x, y int) bool {
-	return x >= r.x0 && x < r.x1 && y >= r.y0 && y < r.y1
+func (b box) width() int  { return b.x1 - b.x0 }
+func (b box) height() int { return b.y1 - b.y0 }
+func (b box) volume() int { return b.width() * b.height() * (b.z1 - b.z0) }
+func (b box) contains(x, y, z int) bool {
+	return x >= b.x0 && x < b.x1 && y >= b.y0 && y < b.y1 && z >= b.z0 && z < b.z1
 }
 
 // expand grows the region by d on every side, clamped to the domain.
-func (r rect) expand(d, nx, ny int) rect {
-	return rect{
-		x0: max(0, r.x0-d), y0: max(0, r.y0-d),
-		x1: min(nx, r.x1+d), y1: min(ny, r.y1+d),
+func (b box) expand(d, nx, ny, nz int) box {
+	return box{
+		x0: max(0, b.x0-d), y0: max(0, b.y0-d), z0: max(0, b.z0-d),
+		x1: min(nx, b.x1+d), y1: min(ny, b.y1+d), z1: min(nz, b.z1+d),
 	}
 }
 
@@ -52,10 +53,10 @@ func (r rect) expand(d, nx, ny int) rect {
 // written at recompute step s (state time t0+s+1) and must equal the final
 // target F expanded by (steps-1-s)·radius, so that every read of step s+1
 // falls inside regions[s].
-func coneRegions(final rect, steps, radius, nx, ny int) []rect {
-	regions := make([]rect, steps)
+func coneRegions(final box, steps, radius, nx, ny, nz int) []box {
+	regions := make([]box, steps)
 	for s := 0; s < steps; s++ {
-		regions[s] = final.expand((steps-1-s)*radius, nx, ny)
+		regions[s] = final.expand((steps-1-s)*radius, nx, ny, nz)
 	}
 	return regions
 }
@@ -65,63 +66,71 @@ func coneRegions(final rect, steps, radius, nx, ny int) []rect {
 // the underlying domain; by the shrinking-region construction they only
 // occur for out-of-domain ghosts.
 type coneWindow[T num.Float] struct {
-	r        rect
-	bc       grid.Boundary
-	bcValue  T
-	nx, ny   int // domain dimensions
-	cur, nxt []T // region-local storage, row-major over r
+	b          box
+	bc         grid.Boundary
+	bcValue    T
+	nx, ny, nz int // domain dimensions
+	cur, nxt   []T // region-local storage, x fastest, then y, then z, over b
 }
 
-func newConeWindow[T num.Float](r rect, bc grid.Boundary, bcValue T, nx, ny int) *coneWindow[T] {
+func newConeWindow[T num.Float](b box, bc grid.Boundary, bcValue T, nx, ny, nz int) *coneWindow[T] {
 	return &coneWindow[T]{
-		r: r, bc: bc, bcValue: bcValue, nx: nx, ny: ny,
-		cur: make([]T, r.area()),
-		nxt: make([]T, r.area()),
+		b: b, bc: bc, bcValue: bcValue, nx: nx, ny: ny, nz: nz,
+		cur: make([]T, b.volume()),
+		nxt: make([]T, b.volume()),
 	}
+}
+
+// index returns the window-local index of global (x, y, z).
+func (w *coneWindow[T]) index(x, y, z int) int {
+	return (x - w.b.x0) + ((y-w.b.y0)+(z-w.b.z0)*w.b.height())*w.b.width()
 }
 
 // load fills the window's current state from g (global coordinates).
-func (w *coneWindow[T]) load(g *grid.Grid[T]) {
-	i := 0
-	for y := w.r.y0; y < w.r.y1; y++ {
-		copy(w.cur[i:i+w.r.width()], g.Row(y)[w.r.x0:w.r.x1])
-		i += w.r.width()
+func (w *coneWindow[T]) load(g *grid.Grid3D[T]) {
+	for z := w.b.z0; z < w.b.z1; z++ {
+		for y := w.b.y0; y < w.b.y1; y++ {
+			i := w.index(w.b.x0, y, z)
+			copy(w.cur[i:i+w.b.width()], g.Layer(z).Row(y)[w.b.x0:w.b.x1])
+		}
 	}
 }
 
-// at reads the current state at global (x, y), resolving domain ghosts by
-// the boundary condition. It panics if an in-domain point outside the
+// at reads the current state at global (x, y, z), resolving domain ghosts
+// by the boundary condition. It panics if an in-domain point outside the
 // window is requested — that would break the shrinking-region invariant.
-func (w *coneWindow[T]) at(x, y int) T {
+func (w *coneWindow[T]) at(x, y, z int) T {
 	rx, okx := w.bc.ResolveIndex(x, w.nx)
 	ry, oky := w.bc.ResolveIndex(y, w.ny)
-	if !okx || !oky {
+	rz, okz := w.bc.ResolveIndex(z, w.nz)
+	if !okx || !oky || !okz {
 		if w.bc == grid.Constant {
 			return w.bcValue
 		}
 		return 0
 	}
-	if !w.r.contains(rx, ry) {
+	if !w.b.contains(rx, ry, rz) {
 		panic("core: cone recompute read outside its window")
 	}
-	return w.cur[(rx-w.r.x0)+(ry-w.r.y0)*w.r.width()]
+	return w.cur[w.index(rx, ry, rz)]
 }
 
 // sweepRegion computes one stencil step for every cell of region into the
 // window's next buffer and swaps. region must satisfy region ⊕ radius ⊆
-// current window rect (up to domain clamping).
-func (w *coneWindow[T]) sweepRegion(op *stencil.Op2D[T], region rect) {
-	width := w.r.width()
-	for y := region.y0; y < region.y1; y++ {
-		for x := region.x0; x < region.x1; x++ {
-			var v T
-			if op.C != nil {
-				v = op.C.At(x, y)
+// current window box (up to domain clamping).
+func (w *coneWindow[T]) sweepRegion(op *stencil.Op3D[T], region box) {
+	for z := region.z0; z < region.z1; z++ {
+		for y := region.y0; y < region.y1; y++ {
+			for x := region.x0; x < region.x1; x++ {
+				var v T
+				if op.C != nil {
+					v = op.C.At(x, y, z)
+				}
+				for _, p := range op.St.Points {
+					v += p.W * w.at(x+p.DX, y+p.DY, z+p.DZ)
+				}
+				w.nxt[w.index(x, y, z)] = v
 			}
-			for _, p := range op.St.Points {
-				v += p.W * w.at(x+p.DX, y+p.DY)
-			}
-			w.nxt[(x-w.r.x0)+(y-w.r.y0)*width] = v
 		}
 	}
 	// Cells outside `region` are not copied forward: the next step's
@@ -130,10 +139,11 @@ func (w *coneWindow[T]) sweepRegion(op *stencil.Op2D[T], region rect) {
 }
 
 // store writes the window's current values of region into g.
-func (w *coneWindow[T]) store(g *grid.Grid[T], region rect) {
-	width := w.r.width()
-	for y := region.y0; y < region.y1; y++ {
-		srcOff := (region.x0 - w.r.x0) + (y-w.r.y0)*width
-		copy(g.Row(y)[region.x0:region.x1], w.cur[srcOff:srcOff+region.width()])
+func (w *coneWindow[T]) store(g *grid.Grid3D[T], region box) {
+	for z := region.z0; z < region.z1; z++ {
+		for y := region.y0; y < region.y1; y++ {
+			i := w.index(region.x0, y, z)
+			copy(g.Layer(z).Row(y)[region.x0:region.x1], w.cur[i:i+region.width()])
+		}
 	}
 }

@@ -6,16 +6,17 @@
 //     of a frame: Online2D is one chunk (the domain) or N (the Blocked
 //     scheme's tiles), and a dist rank's tile is a chunk of its extended
 //     frame.
-//   - Offline2D / Offline3D — Section 4: fused checksum every sweep,
-//     Δ-step interpolation chain verified every Δ iterations, in-memory
-//     checkpoint/rollback recovery.
+//   - Offline — Section 4: fused checksum every sweep, Δ-step
+//     interpolation chain verified every Δ iterations, light-cone or
+//     in-memory checkpoint/rollback recovery. It protects a stack of nz
+//     layers; a 2-D domain is the one-layer stack.
 //   - None2D / None3D — the unprotected baseline every experiment
 //     compares against.
 //
 // The 3-D protectors apply the 2-D scheme per z-layer with exact
-// cross-layer checksum coupling, layers partitioned over a worker pool —
-// the paper's "intrinsically parallel" property (each worker owns its
-// layer's checksum vectors; iterations are separated by a single barrier).
+// cross-layer checksum coupling, work partitioned over a worker pool — the
+// paper's "intrinsically parallel" property (each worker owns its rows'
+// checksum entries; iterations are separated by a single barrier).
 package core
 
 import (
@@ -51,8 +52,8 @@ type Options[T num.Float] struct {
 	// Recovery selects the offline repair strategy: FullRollback
 	// (default, the paper's scheme) or ConeRecovery (recompute only the
 	// error's light cone; falls back to a full rollback when the cone
-	// cannot be bounded). Offline2D only: the online protectors repair
-	// algebraically and Offline3D always uses the full rollback.
+	// cannot be bounded). Offline only: the online protectors repair
+	// algebraically.
 	Recovery RecoveryMode
 	// Inject schedules fault injection: Step and Run consult it each
 	// iteration for the sites the sweep applies. Nil runs clean.

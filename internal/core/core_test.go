@@ -86,7 +86,7 @@ func TestOffline2DErrorFreeMatchesBaseline(t *testing.T) {
 	init := testInit(rng, nx, ny)
 	want := referenceRun(op, init, 50)
 
-	p, err := func() (*Offline2D[float64], error) { o := opts64(); o.Period = 8; return NewOffline2D(op, init, o) }()
+	p, err := func() (*Offline[float64], error) { o := opts64(); o.Period = 8; return NewOffline2D(op, init, o) }()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,16 @@ func TestOffline2DDetectsAndErasesError(t *testing.T) {
 		if inj.Bit < 30 {
 			inj.Bit = 30 + rng.Intn(34)
 		}
-		p, err := func() (*Offline2D[float64], error) { o := opts64(); o.Period = 16; return NewOffline2D(op, init, o) }()
+		p, err := func() (*Offline[float64], error) {
+			o := opts64()
+			o.Period = 16
+			o.Inject = fault.NewInjector[float64](fault.NewPlan(inj))
+			return NewOffline2D(op, init, o)
+		}()
 		if err != nil {
 			t.Fatal(err)
 		}
-		injector := fault.NewInjector[float64](fault.NewPlan(inj))
-		for i := 0; i < iters; i++ {
-			p.StepInject(injector.SitesFor(i))
-		}
+		p.Run(iters)
 		p.Finalize()
 		st := p.Stats()
 		if st.Detections == 0 {
@@ -244,14 +246,16 @@ func TestOffline3DDetectsAndErases(t *testing.T) {
 		if inj.Bit < 30 {
 			inj.Bit = 30 + rng.Intn(34)
 		}
-		p, err := func() (*Offline3D[float64], error) { o := opts64(); o.Period = 16; return NewOffline3D(op, init, o) }()
+		p, err := func() (*Offline[float64], error) {
+			o := opts64()
+			o.Period = 16
+			o.Inject = fault.NewInjector[float64](fault.NewPlan(inj))
+			return NewOffline3D(op, init, o)
+		}()
 		if err != nil {
 			t.Fatal(err)
 		}
-		injector := fault.NewInjector[float64](fault.NewPlan(inj))
-		for i := 0; i < iters; i++ {
-			p.StepInject(injector.SitesFor(i))
-		}
+		p.Run(iters)
 		p.Finalize()
 		st := p.Stats()
 		if st.Detections == 0 || st.Rollbacks == 0 {

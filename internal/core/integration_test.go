@@ -40,14 +40,12 @@ func TestOfflineAcrossBoundaryConditions(t *testing.T) {
 
 		// With one exponent flip: detected, erased.
 		inj := fault.Injection{Iteration: 11, X: 7, Y: 9, Bit: 58}
+		o.Inject = fault.NewInjector[float64](fault.NewPlan(inj))
 		p2, err := NewOffline2D(op, init, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		injector := fault.NewInjector[float64](fault.NewPlan(inj))
-		for i := 0; i < iters; i++ {
-			p2.StepInject(injector.SitesFor(i))
-		}
+		p2.Run(iters)
 		p2.Finalize()
 		if st := p2.Stats(); st.Detections == 0 || st.Rollbacks == 0 {
 			t.Fatalf("bc=%s: injected flip not recovered: %+v", bc, st)

@@ -84,14 +84,12 @@ func TestOffline2DTwoErrorsSameRowStillErased(t *testing.T) {
 	)
 	o := opts64()
 	o.Period = 16
+	o.Inject = fault.NewInjector[float64](plan)
 	p, err := NewOffline2D(op, init, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injector := fault.NewInjector[float64](plan)
-	for i := 0; i < iters; i++ {
-		p.StepInject(injector.SitesFor(i))
-	}
+	p.Run(iters)
 	p.Finalize()
 	st := p.Stats()
 	if st.Detections == 0 || st.Rollbacks == 0 {

@@ -36,14 +36,12 @@ func TestOffline2DTwoFaultsInDistinctPeriods(t *testing.T) {
 	)
 	o := opts64()
 	o.Period = 16
+	o.Inject = fault.NewInjector[float64](plan)
 	p, err := NewOffline2D(op, init, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injector := fault.NewInjector[float64](plan)
-	for i := 0; i < iters; i++ {
-		p.StepInject(injector.SitesFor(i))
-	}
+	p.Run(iters)
 	p.Finalize()
 	st := p.Stats()
 	if st.Detections != 2 || st.Rollbacks != 2 {
@@ -70,14 +68,12 @@ func TestOffline2DFaultInFinalPartialPeriod(t *testing.T) {
 	plan := fault.NewPlan(fault.Injection{Iteration: 36, X: 9, Y: 9, Bit: 58})
 	o := opts64()
 	o.Period = 16
+	o.Inject = fault.NewInjector[float64](plan)
 	p, err := NewOffline2D(op, init, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injector := fault.NewInjector[float64](plan)
-	for i := 0; i < iters; i++ {
-		p.StepInject(injector.SitesFor(i))
-	}
+	p.Run(iters)
 	if p.Stats().Detections != 0 {
 		t.Fatalf("error detected before Finalize: %+v", p.Stats())
 	}
@@ -188,8 +184,8 @@ func TestProtectorContract(t *testing.T) {
 
 // TestStep3DAllocFree pins the steady-state step of the three 3-D runners at
 // zero heap allocations, sequentially and on a pool of 2: no per-step
-// closures, no escaping WaitGroup, no per-row scratch. Offline3D is measured
-// between verifications (its checkpoint save may allocate).
+// closures, no escaping WaitGroup, no per-row scratch. The offline protector
+// is measured between verifications (its checkpoint save may allocate).
 func TestStep3DAllocFree(t *testing.T) {
 	op, init := hotspotLikeOp3D(), init3D(12, 10, 6)
 	for _, workers := range []int{0, 2} {

@@ -28,6 +28,12 @@ func New3D[T num.Float](nx, ny, nz int) *Grid3D[T] {
 	return g
 }
 
+// Stack views g as the one-layer 3-D grid: layer 0 is g itself, so the two
+// share storage and a write through either shows in both.
+func Stack[T num.Float](g *Grid[T]) *Grid3D[T] {
+	return &Grid3D[T]{nx: g.nx, ny: g.ny, nz: 1, data: g.data, layers: []*Grid[T]{g}}
+}
+
 // Nx returns the number of columns.
 func (g *Grid3D[T]) Nx() int { return g.nx }
 

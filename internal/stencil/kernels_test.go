@@ -254,6 +254,81 @@ func sameRow3D[T num.Float](t *testing.T, op *Op3D[T], got, want *grid.Grid3D[T]
 func TestKernelPin3DFloat32(t *testing.T) { pinKernels3D[float32](t, "float32") }
 func TestKernelPin3DFloat64(t *testing.T) { pinKernels3D[float64](t, "float64") }
 
+// pinStack pins the fact a 2-D domain protected as the one-layer stack rests
+// on: Op2D.Stack's sweep of grid.Stack's view equals the 2-D sweep bit for
+// bit, grid and fused column checksum, sweep after sweep — on one goroutine
+// and with the stack's rows split over a pool.
+func pinStack[T num.Float](t *testing.T, typ string) {
+	rng := rand.New(rand.NewSource(31))
+	stencils := []struct {
+		name string
+		st   *Stencil[T]
+	}{
+		{"star5", Laplace5[T](0.2)},
+		{"box9", BoxBlur[T]()},
+		{"jacobi4", Jacobi4[T]()},
+		{"advect2d", Advect2D[T](0.25, 0.1)},
+		{"r2asym", &Stencil[T]{Name: "r2asym", Points: []Point[T]{
+			{DX: 0, DY: 0, W: 0.41}, {DX: -2, DY: 0, W: 0.07}, {DX: 1, DY: -1, W: -0.05},
+			{DX: 0, DY: 2, W: 0.11}, {DX: 2, DY: 1, W: 0.13},
+		}}},
+	}
+	pool := &Pool{Workers: 3}
+	defer pool.Close()
+	for _, k := range stencils {
+		for _, bc := range pinBoundaries {
+			for _, sz := range [][2]int{{5, 4}, {7, 6}, {16, 11}} {
+				for _, withC := range []bool{false, true} {
+					for _, generic := range []bool{false, true} {
+						nx, ny := sz[0], sz[1]
+						t.Run(fmt.Sprintf("%s/%s/%s/%dx%d/C=%v/generic=%v", typ, k.name, bc, nx, ny, withC, generic), func(t *testing.T) {
+							op := &Op2D[T]{St: k.st, BC: bc, BCValue: 2.5, ForceGeneric: generic}
+							if withC {
+								op.C = grid.New[T](nx, ny)
+								fillRandom2D(op.C, rng)
+							}
+							if err := op.Validate(nx, ny); err != nil {
+								t.Fatal(err)
+							}
+							stack := op.Stack()
+							want := grid.NewBuffer[T](nx, ny)
+							fillRandom2D(want.Read, rng)
+							seq, par := grid.BufferFrom(want.Read), grid.BufferFrom(want.Read)
+							bWant, bSeq, bPar := make([]T, ny), [][]T{make([]T, ny)}, [][]T{make([]T, ny)}
+							for sweep := 0; sweep < 5; sweep++ {
+								op.SweepFused(want.Write, want.Read, bWant)
+								stack.SweepLayer(grid.Stack(seq.Write), grid.Stack(seq.Read), 0, bSeq[0], nil)
+								stack.SweepParallel(pool, grid.Stack(par.Write), grid.Stack(par.Read), bPar)
+								want.Swap()
+								seq.Swap()
+								par.Swap()
+								for _, got := range []struct {
+									g *grid.Grid[T]
+									b []T
+								}{{seq.Read, bSeq[0]}, {par.Read, bPar[0]}} {
+									for i, v := range want.Read.Data() {
+										if !num.SameBits(got.g.Data()[i], v) {
+											t.Fatalf("sweep %d cell %d: stack %v, 2-D %v", sweep, i, got.g.Data()[i], v)
+										}
+									}
+									for y, v := range bWant {
+										if !num.SameBits(got.b[y], v) {
+											t.Fatalf("sweep %d b[%d]: stack %v, 2-D %v", sweep, y, got.b[y], v)
+										}
+									}
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestStackSweepMatches2DFloat32(t *testing.T) { pinStack[float32](t, "float32") }
+func TestStackSweepMatches2DFloat64(t *testing.T) { pinStack[float64](t, "float64") }
+
 // TestKernelPinRect pins SweepRectFused's specialized interior against the
 // generic one over an interior tile, a border-straddling tile and the full
 // domain — the blocked deployment's unit.

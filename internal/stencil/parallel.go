@@ -193,29 +193,31 @@ func (c *rectSweep[T]) rows(lo, hi int) {
 	c.op.SweepRectFused(c.dst, c.src, c.x0, c.y0+lo, c.x1, c.y0+hi, b, c.sites)
 }
 
-// SweepParallel computes one full 3-D iteration with layers partitioned
-// over the pool. bs, when non-nil, must hold one checksum slice per layer
-// (bs[z] of length ny); each layer's fused checksum is written by the
-// worker that owns the layer, mirroring the paper's per-thread-per-layer
-// checksum ownership.
+// SweepParallel computes one full 3-D iteration with the stack's rows
+// partitioned over the pool. bs, when non-nil, must hold one checksum slice
+// per layer (bs[z] of length ny); each row's fused checksum entry is written
+// by the worker that owns the row.
 func (op *Op3D[T]) SweepParallel(p *Pool, dst, src *grid.Grid3D[T], bs [][]T) {
 	op.SweepLayersInject(p, dst, src, 0, src.Nz(), bs, nil)
 }
 
-// SweepLayersInject sweeps layers [z0, z1) only, partitioned over the pool —
-// the sweep of a z-slab whose remaining layers are ghost layers holding a
-// neighbour's data — applying the iteration's injection sites, each in its
-// layer's worker. bs is indexed by layer of the grid, like SweepParallel's.
-// A steady-state call allocates nothing: what the workers need travels in a
-// layerSweep the operator keeps between calls instead of in a fresh closure.
+// SweepLayersInject sweeps layers [z0, z1) only — the sweep of a z-slab whose
+// remaining layers are ghost layers holding a neighbour's data — applying the
+// iteration's injection sites, each in the worker that owns its row. The
+// pool partitions the layers' rows counted layer by layer, not whole layers,
+// so a one-layer stack (a 2-D domain) still splits, and a stack whose layer
+// count the workers divide splits at layer boundaries. bs is indexed by
+// layer of the grid, like SweepParallel's. A steady-state call allocates
+// nothing: what the workers need travels in a layerSweep the operator keeps
+// between calls instead of in a fresh closure.
 func (op *Op3D[T]) SweepLayersInject(p *Pool, dst, src *grid.Grid3D[T], z0, z1 int, bs [][]T, sites []Site[T]) {
 	c := op.sweepc.Take() // nil on first use, or while a concurrent call holds it
 	if c == nil {
 		c = new(layerSweep[T])
-		c.run = c.layers
+		c.run = c.rows
 	}
 	c.op, c.dst, c.src, c.z0, c.bs, c.sites = op, dst, src, z0, bs, sites
-	p.ForEachChunk(z1-z0, c.run)
+	p.ForEachChunk((z1-z0)*src.Ny(), c.run)
 	*c = layerSweep[T]{run: c.run} // do not pin the caller's grids
 	op.sweepc.Store(c)
 }
@@ -231,12 +233,18 @@ type layerSweep[T num.Float] struct {
 	run      func(lo, hi int)
 }
 
-func (c *layerSweep[T]) layers(lo, hi int) {
-	for z := c.z0 + lo; z < c.z0+hi; z++ {
+// rows sweeps rows [lo, hi) of the call's layers counted layer by layer: row
+// r is row r mod ny of layer z0 + r/ny.
+func (c *layerSweep[T]) rows(lo, hi int) {
+	ny := c.src.Ny()
+	for r := lo; r < hi; {
+		z, y0 := c.z0+r/ny, r%ny
+		y1 := min(ny, y0+hi-r)
 		var b []T
 		if c.bs != nil {
 			b = c.bs[z]
 		}
-		c.op.SweepLayer(c.dst, c.src, z, b, c.sites)
+		c.op.sweepRowsInject(c.dst, c.src, z, y0, y1, b, c.sites)
+		r += y1 - y0
 	}
 }

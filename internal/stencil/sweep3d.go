@@ -25,6 +25,18 @@ type Op3D[T num.Float] struct {
 	sweepc planCache[layerSweep[T]]
 }
 
+// Stack views op as the operator of its domain's one-layer stack
+// (grid.Stack): the same stencil, boundary and ForceGeneric, and the constant
+// field's storage shared, not copied. A one-layer Op3D sweep is op's sweep bit
+// for bit, grid and fused column checksum (kernels_test.go's pinStack).
+func (op *Op2D[T]) Stack() *Op3D[T] {
+	s := &Op3D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue, ForceGeneric: op.ForceGeneric}
+	if op.C != nil {
+		s.C = grid.Stack(op.C)
+	}
+	return s
+}
+
 // Validate checks the operator against a domain of the given shape.
 func (op *Op3D[T]) Validate(nx, ny, nz int) error {
 	if err := op.St.Validate(); err != nil {
@@ -53,12 +65,21 @@ func (op *Op3D[T]) Sweep(dst, src *grid.Grid3D[T]) {
 
 // SweepLayer sweeps layer z only, optionally accumulating that layer's
 // column checksum vector b (b[y] = Σ_x dst(x,y,z), len ny) and applying the
-// sites that fall in the layer. Distinct layers write disjoint storage, so
-// the parallel engine calls SweepLayer concurrently without locks.
+// sites that fall in the layer.
 func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, sites []Site[T]) {
-	nx, ny := src.Nx(), src.Ny()
-	op.SweepRows(dst, src, z, 0, ny, b)
-	applySites(sites, dst.Data(), nx, z*nx*ny, 0, 0, nx, ny, z, b)
+	op.sweepRowsInject(dst, src, z, 0, src.Ny(), b, sites)
+}
+
+// sweepRowsInject is SweepRows followed by the sites that fall in rows
+// [y0, y1) of layer z — the leaf of the parallel engine, whose distinct row
+// ranges write disjoint storage, so it runs them concurrently without locks.
+func (op *Op3D[T]) sweepRowsInject(dst, src *grid.Grid3D[T], z, y0, y1 int, b []T, sites []Site[T]) {
+	op.SweepRows(dst, src, z, y0, y1, b)
+	if b != nil {
+		b = b[y0:]
+	}
+	nx := src.Nx()
+	applySites(sites, dst.Data(), nx, z*nx*src.Ny(), 0, y0, nx, y1, z, b)
 }
 
 // SweepRows sweeps rows [y0, y1) of layer z, accumulating b[y] for those

@@ -135,7 +135,7 @@ type Spec[T Float] struct {
 	// Period is the offline detection/checkpoint period Δ (default 16).
 	Period int
 	// Recovery selects the offline repair strategy (FullRollback or
-	// ConeRecovery). Offline 2-D only.
+	// ConeRecovery), for 2-D and 3-D domains alike.
 	Recovery RecoveryMode
 	// Ranks is the Nx1 shorthand of a Clustered deployment's rank count:
 	// for a 2-D domain it declares Ranks row bands (a Ranks-by-1 grid),

@@ -147,6 +147,31 @@ func TestWireSpecRoundTrip3D(t *testing.T) {
 	}, 6)
 }
 
+// TestWireSpec3DConeRecovery: "recovery":"cone" reaches a 3-D offline run —
+// one interior flip in the paper's HotSpot3D shape is repaired by its light
+// cone, not by a rollback.
+func TestWireSpec3DConeRecovery(t *testing.T) {
+	w, err := abft.ParseWireSpec([]byte(`{"scheme":"offline","recovery":"cone","period":8,
+		"stencil":{"name":"star7"},"grid":{"nx":48,"ny":48,"nz":8,"generator":"uniform","seed":5},
+		"inject":[{"iteration":12,"x":24,"y":23,"z":4,"bit":29}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := abft.SpecFromWire[float32](w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := abft.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(24)
+	p.Finalize()
+	if st := p.Stats(); st.Detections != 1 || st.ConeRecoveries != 1 || st.Rollbacks != 0 {
+		t.Fatalf("3-D cone spec: %+v", st)
+	}
+}
+
 // TestWireSpecNamedStencils checks each registry entry resolves to exactly
 // the stencil its constructor builds.
 func TestWireSpecNamedStencils(t *testing.T) {
