@@ -173,7 +173,7 @@ type Online2D[T Float] = core.Online2D[T]
 type None2D[T Float] = core.None2D[T]
 
 // Online3D applies the online scheme per z-layer with exact cross-layer
-// checksum coupling.
+// checksum coupling: the sweep plus one chunk that is the whole domain.
 type Online3D[T Float] = core.Online3D[T]
 
 // None3D is the unprotected 3-D baseline runner.
@@ -203,9 +203,10 @@ type Cluster[T Float] = dist.Cluster[T]
 
 // Cluster3D is the 3-D distributed-memory deployment: the domain
 // decomposed into z-layer slabs over Spec.Ranks simulated ranks — the 1-D
-// band cluster lifted one dimension. Each slab rank is the local Online
-// 3-D protector over its layers plus a halo exchange, so gathered grids are
-// bit-identical to the Local build's, and the cluster runs on the shell
+// band cluster lifted one dimension. Each slab rank is the chunk the local
+// Online 3-D protector is one of, inset by ghost layers in a frame of its
+// layers, plus a halo exchange, so gathered grids are bit-identical to the
+// Local build's, and the cluster runs on the shell
 // Cluster runs on: Run and RunRecover, RankStats, Stats, TransportMetrics
 // and Close (which stops the rank goroutines) are the same code. Slabs
 // exchange every iteration and are all hosted in-process. Built by Build

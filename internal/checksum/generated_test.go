@@ -311,8 +311,8 @@ func interpGenerated3D[T num.Float](t *testing.T, rng *rand.Rand, tol float64) {
 	rx, ry, rz := st.RadiusX(), st.RadiusY(), st.RadiusZ()
 	bc := allBoundaries[rng.Intn(len(allBoundaries))]
 	nx, ny, nz := oddIn(rng, 5, 13), oddIn(rng, 5, 13), oddIn(rng, 3, 7)
-	// A slab is nz layers of a domain with hz more each side, whose halo
-	// layers it reads as neighbour data; the domain form reads nz layers.
+	// A slab is the box of nz layers of a frame with hz more each side, whose
+	// halo layers it reads as the frame's; the domain is its whole frame.
 	slab := rng.Intn(2) == 0
 	hz := 0
 	if slab {
@@ -320,14 +320,9 @@ func interpGenerated3D[T num.Float](t *testing.T, rng *rand.Rand, tol float64) {
 	}
 	nzG := nz + 2*hz
 	op := &stencil.Op3D[T]{St: st, BC: bc, BCValue: T(1 + rng.Float64())}
-	iop := &stencil.Op3D[T]{St: st, BC: bc, BCValue: op.BCValue}
 	if rng.Intn(2) == 0 {
 		op.C = grid.New3D[T](nx, ny, nzG)
 		op.C.FillFunc(func(x, y, z int) T { return T(0.1 * rng.Float64()) })
-		iop.C = grid.New3D[T](nx, ny, nz)
-		for z := range nz {
-			iop.C.Layer(z).CopyFrom(op.C.Layer(hz + z))
-		}
 	}
 	src, dst := grid.New3D[T](nx, ny, nzG), grid.New3D[T](nx, ny, nzG)
 	src.FillFunc(func(x, y, z int) T { return T(1 + rng.Float64()) })
@@ -337,12 +332,15 @@ func interpGenerated3D[T num.Float](t *testing.T, rng *rand.Rand, tol float64) {
 	what := fmt.Sprintf("3-D %dx%dx%d slab=%v hz=%d bc=%s %d points radius %d/%d/%d drop=%v snapshots=%v",
 		nx, ny, nz, slab, hz, bc, len(st.Points), rx, ry, rz, drop, snapshots)
 
-	ip, err := NewInterp3D(iop, nx, ny, nz)
+	ip, err := NewInterp3D(op, nx, ny, nz)
+	if slab {
+		ip, err = NewInterp3DRect(op, nx, ny, nzG, 0, 0, hz, nx, ny, hz+nz)
+	}
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	ip.DropBoundaryTerms = drop
-	ref := refInterp3D[T]{op: iop, nx: nx, ny: ny, nz: nz, drop: drop}
+	ref := refInterp3D[T]{op: op, nx: nx, ny: ny, nz: nz, drop: drop}
 
 	// Per domain layer: its checksum pair and edge source.
 	plainA, plainB := make([][]T, nzG), make([][]T, nzG)
@@ -360,33 +358,31 @@ func interpGenerated3D[T num.Float](t *testing.T, rng *rand.Rand, tol float64) {
 	}
 	// What the engine reads (NewStack, EdgeStack): for a domain, halo layers
 	// projected along z and nil edge sources for ghost layers; for a slab,
-	// every layer real.
+	// the frame's layers.
 	stackEdges := ip.EdgeStack(nil, edges)
 	for _, axisB := range []bool{false, true} {
 		v, plain, n, r := VecA, plainA, nx, rx
 		if axisB {
 			v, plain, n, r = VecB, plainB, ny, ry
 		}
-		stack, off := ip.NewStack(v, hz), 0
-		if !slab {
-			off = rz
-		}
-		for z := range nzG {
-			copy(stack[off+z][r:], plain[z])
-			ip.FillHalo(v, stack[off+z])
+		stack := ip.NewStack(v, r)
+		for e := range stack {
+			if f := ip.LayerOf(e); f >= 0 {
+				copy(stack[e][r:], plain[f])
+				ip.FillHalo(v, stack[e])
+			}
 		}
 		h := -1
 		if slab {
 			h = hz
 		}
 		for z := range nz {
-			c := iop.C
 			cz := make([]T, n)
-			if c != nil {
+			if op.C != nil {
 				if axisB {
-					stencil.ChecksumB(c.Layer(z), cz)
+					stencil.ChecksumB(op.C.Layer(hz+z), cz)
 				} else {
-					stencil.ChecksumA(c.Layer(z), cz)
+					stencil.ChecksumA(op.C.Layer(hz+z), cz)
 				}
 			}
 			got, want := make([]T, n), make([]T, n)

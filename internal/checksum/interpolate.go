@@ -30,7 +30,7 @@ const noSource = math.MinInt
 // the whole frame for a domain or a 3-D layer — repeated over nz layers.
 //
 // The previous vectors it reads are extended: a vector of n entries carries
-// h >= radius halo entries each side, and a stack of nz layers carries hz >=
+// h >= radius halo entries each side, and a stack of nz layers carries
 // RadiusZ halo layers each side, so every entry a stencil point shifts to is
 // data the owner provided — neighbour sums (a chunk, a rank tile, a z-slab)
 // or FillHalo's projection of the boundary condition (a domain). The
@@ -50,6 +50,10 @@ type interp[T num.Float] struct {
 	bc       grid.Boundary
 	ghost    [1]T // the ghost cell: BCValue under Constant, else 0
 	a, b     interpAxis[T]
+	// cf is the frame-shaped constant field (nil: none) whose layers z0..
+	// the box's layers are, read by constant.
+	cf *grid.Grid3D[T]
+	z0 int
 	// DropBoundaryTerms reproduces the paper's simplified listings (Figures
 	// 3 and 7), which omit alpha/beta from both vectors. Exact only for
 	// Periodic boundaries or weight-symmetric stencils; exposed for
@@ -61,10 +65,14 @@ type interp[T num.Float] struct {
 // entry per frame row of the rectangle and sums along x, so its window
 // shifts move frame columns; A is the transpose.
 type interpAxis[T num.Float] struct {
-	cols bool  // B: the window-shift lines are frame columns
-	n, r int   // entries; stencil radius along them
-	m    int   // the summed extent: a ghost line sums to m ghost cells
-	c    [][]T // per layer: line sums of the constant field
+	cols bool // B: the window-shift lines are frame columns
+	n, r int  // entries; stencil radius along them
+	m    int  // the summed extent: a ghost line sums to m ghost cells
+	// The vector's entries are the frame lines e0 .. e0+n, each summed over
+	// s0 .. s0+m; c[z] holds layer z's line sums of the constant field once
+	// constant has taken them.
+	e0, s0 int
+	c      [][]T
 	// rows[e+r] is the frame row (a column for A) extended entry e in
 	// [-r, n+r) lies on, where the window-shift lines are read; noSource is
 	// a ghost row.
@@ -113,24 +121,24 @@ type edgeLine[T num.Float] struct {
 }
 
 // compile builds the engine for op's points over rectangle [x0,x1) x
-// [y0,y1) of an fnx-by-fny frame; cA and cB hold each layer's
-// constant-field sums.
-func (ip *interp[T]) compile(pts []stencil.Point[T], bc grid.Boundary, bcValue T, fnx, fny, x0, y0, x1, y1 int, cA, cB [][]T) {
-	ip.nz, ip.fnx, ip.fny, ip.bc = len(cA), fnx, fny, bc
+// [y0,y1) of an fnx-by-fny frame, repeated over nz layers.
+func (ip *interp[T]) compile(pts []stencil.Point[T], bc grid.Boundary, bcValue T, fnx, fny, x0, y0, x1, y1, nz int) {
+	ip.nz, ip.fnx, ip.fny, ip.bc = nz, fnx, fny, bc
 	for _, p := range pts {
 		ip.rz = max(ip.rz, p.DZ, -p.DZ)
 	}
 	if bc == grid.Constant {
 		ip.ghost[0] = bcValue
 	}
-	ip.a = compileAxis(pts, false, bc, x0, x1, fnx, y0, y1, fny, cA)
-	ip.b = compileAxis(pts, true, bc, y0, y1, fny, x0, x1, fnx, cB)
+	ip.a = compileAxis(pts, false, bc, x0, x1, fnx, y0, y1, fny, nz)
+	ip.b = compileAxis(pts, true, bc, y0, y1, fny, x0, x1, fnx, nz)
 }
 
-// compileAxis compiles one vector: entries [e0, e1) of a frame extent fe,
-// each the sum over [s0, s1) of a frame extent fs.
-func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundary, e0, e1, fe, s0, s1, fs int, c [][]T) interpAxis[T] {
-	ax := interpAxis[T]{cols: cols, n: e1 - e0, m: s1 - s0, c: c, tabs: make([]shiftTables[T], len(c)), terms: make([]interpTerm[T], 0, len(pts))}
+// compileAxis compiles one vector of nz layers: entries [e0, e1) of a frame
+// extent fe, each the sum over [s0, s1) of a frame extent fs.
+func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundary, e0, e1, fe, s0, s1, fs, nz int) interpAxis[T] {
+	ax := interpAxis[T]{cols: cols, n: e1 - e0, m: s1 - s0, e0: e0, s0: s0, c: make([][]T, nz),
+		tabs: make([]shiftTables[T], nz), terms: make([]interpTerm[T], 0, len(pts))}
 	resolve := func(i, n int) int {
 		if r, ok := bc.ResolveIndex(i, n); ok {
 			return r
@@ -180,6 +188,26 @@ func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundar
 	return ax
 }
 
+// constant returns layer z's line sums of the constant field along ax,
+// taken the first time a call needs them — a clean online run never
+// interpolates A, so it never sums the field's columns. Layers are distinct
+// slots, so layers take theirs concurrently.
+func (ip *interp[T]) constant(ax *interpAxis[T], z int) []T {
+	if ax.c[z] == nil {
+		c := make([]T, ax.n)
+		if ip.cf != nil {
+			l := ip.cf.Layer(ip.z0 + z)
+			if ax.cols {
+				stencil.ChecksumBRect(l, ax.s0, ax.e0, ax.s0+ax.m, ax.e0+ax.n, c)
+			} else {
+				stencil.ChecksumARect(l, ax.e0, ax.s0, ax.e0+ax.n, ax.s0+ax.m, c)
+			}
+		}
+		ax.c[z] = c
+	}
+	return ax.c[z]
+}
+
 func (ip *interp[T]) axis(v Vec) *interpAxis[T] {
 	if v == VecB {
 		return &ip.b
@@ -201,20 +229,19 @@ func (ip *interp[T]) FillHalo(v Vec, ext []T) {
 }
 
 // interpolate is the one routine that computes interpolated entries: next,
-// vector ax of layer z, from prev — nz layers between hz halo layers each
-// side, each an extended vector with h halo entries each side (hz and h
+// vector ax of layer z, from prev — nz layers between RadiusZ halo layers
+// each side, each an extended vector with h halo entries each side (h
 // read off the lengths) — and one edge source per layer of prev, nil for a
 // ghost layer (whose every cell is the ghost value, so no window shift
 // moves anything). next must not alias prev.
 func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []EdgeSource[T], next []T) {
-	hz := (len(prev) - ip.nz) / 2
-	if len(next) != ax.n || len(edges) != len(prev) || hz < ip.rz || len(prev) != ip.nz+2*hz {
+	if len(next) != ax.n || len(edges) != len(prev) || len(prev) != ip.nz+2*ip.rz {
 		panic(fmt.Sprintf("checksum: interpolate lengths %d/%d/%d for %d entries over %d layers (z-radius %d)",
 			len(prev), len(edges), len(next), ax.n, ip.nz, ip.rz))
 	}
-	h := (len(prev[z+hz]) - ax.n) / 2
-	if h < ax.r || len(prev[z+hz]) != ax.n+2*h {
-		panic(fmt.Sprintf("checksum: extended vector of %d entries for %d entries and radius %d", len(prev[z+hz]), ax.n, ax.r))
+	h := (len(prev[z+ip.rz]) - ax.n) / 2
+	if h < ax.r || len(prev[z+ip.rz]) != ax.n+2*h {
+		panic(fmt.Sprintf("checksum: extended vector of %d entries for %d entries and radius %d", len(prev[z+ip.rz]), ax.n, ax.r))
 	}
 	shifted := len(ax.shifts) > 0 && !ip.DropBoundaryTerms
 	var tab []T
@@ -223,18 +250,18 @@ func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []E
 		switch {
 		case lt.all:
 		case lt.mid: // the rectangle's own rows were primed: the ghost rows are left
-			ip.fill(ax, z, hz, edges, 0, ax.r)
-			ip.fill(ax, z, hz, edges, ax.r+ax.n, ax.n+2*ax.r)
+			ip.fill(ax, z, edges, 0, ax.r)
+			ip.fill(ax, z, edges, ax.r+ax.n, ax.n+2*ax.r)
 		default:
-			ip.fill(ax, z, hz, edges, 0, ax.n+2*ax.r)
+			ip.fill(ax, z, edges, 0, ax.n+2*ax.r)
 		}
 		lt.mid, lt.all = false, false
 		tab = lt.tab
 	}
 	span := ax.n + 2*ax.r
-	copy(next, ax.c[z])
+	copy(next, ip.constant(ax, z))
 	for _, t := range ax.terms {
-		zz := z + t.dz + hz
+		zz := z + t.dz + ip.rz
 		in := prev[zz][h+t.shift:][:ax.n]
 		out, w := next[:len(in)], t.w
 		if t.win < 0 || !shifted || edges[zz] == nil {
@@ -263,7 +290,7 @@ func (ip *interp[T]) tables(ax *interpAxis[T], z int) *shiftTables[T] {
 // fill computes layer z's window-shift table entries [j0, j1) (entry j at
 // extended entry j-r) from the edge sources, one pass over the rows per
 // shift (shiftRows).
-func (ip *interp[T]) fill(ax *interpAxis[T], z, hz int, edges []EdgeSource[T], j0, j1 int) {
+func (ip *interp[T]) fill(ax *interpAxis[T], z int, edges []EdgeSource[T], j0, j1 int) {
 	j0, j1 = max(j0, ax.lo), min(j1, ax.hi)
 	if j0 >= j1 {
 		return
@@ -271,7 +298,7 @@ func (ip *interp[T]) fill(ax *interpAxis[T], z, hz int, edges []EdgeSource[T], j
 	span, rows := ax.n+2*ax.r, ax.rows[j0:j1]
 	for i, ws := range ax.shifts {
 		tab := ax.tabs[z].tab[i*span+j0 : i*span+j1]
-		src := edges[z+ws.dz+hz]
+		src := edges[z+ws.dz+ip.rz]
 		var buf [8]edgeLine[T] // radius 4; a wider shift's lines go to the heap
 		lines := buf[:0]
 		for _, c := range ws.adds {
@@ -352,8 +379,9 @@ func (ip *interp[T]) checkEdges(nx, ny int, bc grid.Boundary, constVal T) {
 
 // Interp2D interpolates the checksum vectors of iteration t+1 from those of
 // iteration t for a fixed 2-D stencil operator over a rectangle of a frame:
-// the engine with one layer. The constant-field line sums are precomputed
-// once (the paper notes c_x "is constant and can be pre-computed").
+// the engine with one layer. The constant-field line sums are computed once
+// (the paper notes c_x "is constant and can be pre-computed"), when first
+// needed.
 type Interp2D[T num.Float] struct {
 	interp[T]
 	zero []T // InterpolateB's halo scratch
@@ -372,20 +400,17 @@ func NewInterp2D[T num.Float](op *stencil.Op2D[T], nx, ny int) (*Interp2D[T], er
 // its extended frame. The window-shift terms read the frame's cells as they
 // stand and resolve only what lies outside the frame through op's boundary
 // condition. The constant-field line sums are the rectangle's, read from
-// op's frame-shaped field in place.
+// op's frame-shaped field in place: the engine is Interp3DRect's over the
+// frame's one-layer stack.
 func NewInterp2DRect[T num.Float](op *stencil.Op2D[T], fnx, fny, x0, y0, x1, y1 int) (*Interp2D[T], error) {
-	nx, ny := x1-x0, y1-y0
-	if err := (&stencil.Op2D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}).Validate(nx, ny); err != nil {
+	if err := (&stencil.Op2D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}).Validate(x1-x0, y1-y0); err != nil {
 		return nil, err
 	}
-	cA, cB := make([]T, nx), make([]T, ny)
-	if op.C != nil {
-		stencil.ChecksumARect(op.C, x0, y0, x1, y1, cA)
-		stencil.ChecksumBRect(op.C, x0, y0, x1, y1, cB)
+	ip, err := NewInterp3DRect(op.Stack(), fnx, fny, 1, x0, y0, 0, x1, y1, 1)
+	if err != nil {
+		return nil, err
 	}
-	ip := &Interp2D[T]{}
-	ip.compile(op.St.Points, op.BC, op.BCValue, fnx, fny, x0, y0, x1, y1, [][]T{cA}, [][]T{cB})
-	return ip, nil
+	return &Interp2D[T]{interp: ip.interp}, nil
 }
 
 // Interpolate computes next, vector v of iteration t+1, from prev — the
@@ -413,44 +438,10 @@ func (ip *Interp2D[T]) InterpolateB(bPrev []T, edges EdgeSource[T], bNext []T) {
 	ip.Interpolate(VecB, ip.zero, edges, bNext)
 }
 
-// PrimeBetaTablesMid fills the B tables' entries of the rectangle's own rows
-// — callable as soon as the frame's columns beside the rectangle are final,
-// while their cache lines are warm, before a sweep evicts them. The entries
-// of the ghost rows read halo rows that may not have arrived yet;
-// PrimeBetaTables or the interpolation fills those. The rectangle's rows and
-// the columns beside them must not change before the interpolation that
-// consumes the tables.
-func (ip *Interp2D[T]) PrimeBetaTablesMid(edges EdgeSource[T]) {
-	if ip.DropBoundaryTerms || len(ip.b.shifts) == 0 {
-		return
-	}
-	e := [1]EdgeSource[T]{edges}
-	ip.tables(&ip.b, 0)
-	ip.fill(&ip.b, 0, 0, e[:], ip.b.r, ip.b.r+ip.b.n)
-	ip.b.tabs[0].mid = true
-}
-
-// PrimeBetaTables fills the B tables the next interpolation would fill
-// itself — after PrimeBetaTablesMid just the ghost rows — letting the caller
-// schedule the edge reads while the halo exchange has them warm. The edge
-// values must not change before the interpolation that consumes them.
-func (ip *Interp2D[T]) PrimeBetaTables(edges EdgeSource[T]) {
-	if ip.DropBoundaryTerms || len(ip.b.shifts) == 0 {
-		return
-	}
-	ax, e := &ip.b, [1]EdgeSource[T]{edges}
-	lt := ip.tables(ax, 0)
-	if lt.mid {
-		ip.fill(ax, 0, 0, e[:], 0, ax.r)
-		ip.fill(ax, 0, 0, e[:], ax.r+ax.n, ax.n+2*ax.r)
-	} else {
-		ip.fill(ax, 0, 0, e[:], 0, ax.n+2*ax.r)
-	}
-	lt.mid, lt.all = false, true
-}
-
-// Interp3D interpolates the per-layer checksum vectors of a 3-D domain or
-// z-slab: the engine over nz layers of whole nx-by-ny frames. The paper
+// Interp3D interpolates the per-layer checksum vectors of a box [x0,x1) x
+// [y0,y1) x [z0,z1) of a frame of layers: the engine over the box's nz
+// layers, each the rectangle of a 2-D frame — a 3-D domain, a z-slab between
+// its ghost layers, or a 2-D domain or tile as the one-layer stack. The paper
 // applies the 2-D scheme on every z-layer; a stencil point with dz != 0
 // couples layer z's checksum to layer z+dz's of the previous iteration,
 // because the layer sum telescopes exactly like the in-layer sums do. Calls
@@ -458,108 +449,134 @@ func (ip *Interp2D[T]) PrimeBetaTables(edges EdgeSource[T]) {
 // concurrently against one interpolator.
 type Interp3D[T num.Float] struct {
 	interp[T]
-	// layers[v] is the domain layer entry v of a domain's stack holds
-	// (LayerOf).
+	// layers[v] is the frame layer entry v of a stack holds (LayerOf).
 	layers []int
 	// InterpolateB's halo scratch: a stack and its edge sources.
 	zeroPrev  [][]T
 	zeroEdges []EdgeSource[T]
 }
 
-// NewInterp3D precomputes an interpolator for op over an nx*ny*nz domain
-// (or slab: op's constant field is then the slab's layers).
+// NewInterp3D precomputes an interpolator for op over an nx*ny*nz domain,
+// the box that is its whole frame.
 func NewInterp3D[T num.Float](op *stencil.Op3D[T], nx, ny, nz int) (*Interp3D[T], error) {
 	if err := op.Validate(nx, ny, nz); err != nil {
 		return nil, err
 	}
-	cA, cB := make([][]T, nz), make([][]T, nz)
-	for z := 0; z < nz; z++ {
-		cA[z], cB[z] = make([]T, nx), make([]T, ny)
-		if op.C != nil {
-			stencil.ChecksumA(op.C.Layer(z), cA[z])
-			stencil.ChecksumB(op.C.Layer(z), cB[z])
-		}
+	return NewInterp3DRect(op, nx, ny, nz, 0, 0, 0, nx, ny, nz)
+}
+
+// NewInterp3DRect precomputes an interpolator for the box [x0,x1) x [y0,y1) x
+// [z0,z1) of an fnx-by-fny-by-fnz frame — Interp2DRect's rectangle on each of
+// the box's layers. The window-shift terms read the frame's cells as they
+// stand and resolve only what lies outside the frame through op's boundary
+// condition. The constant-field line sums are the box's, read from op's
+// frame-shaped field in place the first time an interpolation needs them, so
+// the field must not change once the interpolator is built.
+func NewInterp3DRect[T num.Float](op *stencil.Op3D[T], fnx, fny, fnz, x0, y0, z0, x1, y1, z1 int) (*Interp3D[T], error) {
+	nx, ny, nz := x1-x0, y1-y0, z1-z0
+	if err := (&stencil.Op3D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}).Validate(nx, ny, nz); err != nil {
+		return nil, err
 	}
 	ip := &Interp3D[T]{}
-	ip.compile(op.St.Points, op.BC, op.BCValue, nx, ny, 0, 0, nx, ny, cA, cB)
+	ip.cf, ip.z0 = op.C, z0
+	ip.compile(op.St.Points, op.BC, op.BCValue, fnx, fny, x0, y0, x1, y1, nz)
 	ip.layers = make([]int, nz+2*ip.rz)
 	for v := range ip.layers {
-		ip.layers[v] = v - ip.rz
+		ip.layers[v] = -1
+		if f, ok := op.BC.ResolveIndex(z0-ip.rz+v, fnz); ok {
+			ip.layers[v] = f
+		}
 	}
-	FillHalo(ip.layers, ip.rz, ip.bc, -1)
 	return ip, nil
 }
 
-// Interpolate computes next, vector v of layer z in [0, nz) at iteration
-// t+1, from prev — the layers' vectors of iteration t between hz >= RadiusZ
-// halo layers each side, each extended by at least the in-layer radius each
-// side (NewStack) — and one edge source per layer of prev (EdgeStack). Every
-// edge source must be a LiveEdges view or an *EdgeSnapshot of its layer
-// under the interpolator's boundary; their cells are read directly, not
-// through At.
+// Interpolate computes next, vector v of box layer z in [0, nz) at iteration
+// t+1, from prev — the stack of iteration t's vectors (NewStack) — and one
+// edge source per stack entry (EdgeStack). Every edge source must be a
+// LiveEdges view or an *EdgeSnapshot of its frame layer under the
+// interpolator's boundary; their cells are read directly, not through At.
 func (ip *Interp3D[T]) Interpolate(v Vec, z int, prev [][]T, edges []EdgeSource[T], next []T) {
 	ip.interpolate(ip.axis(v), z, prev, edges, next)
 }
 
-// LayerOf returns which of its owner's layers entry v of a stack holds. A
-// z-slab's stack (hz > 0: its layers between hz >= RadiusZ ghost layers the
-// owner fills) is its layers, entry v layer v. A domain's (hz = 0) holds its
-// nz layers between RadiusZ halo layers FillHalo projects along z: entry v is
-// the layer v-RadiusZ resolves to, -1 for a ghost layer of a Constant or Zero
-// boundary.
-func (ip *Interp3D[T]) LayerOf(v, hz int) int {
-	if hz > 0 {
-		return v
-	}
-	return ip.layers[v]
-}
+// LayerOf returns the frame layer entry v of a stack holds. A stack is the
+// box's nz layers between RadiusZ halo layers each side, entry v frame layer
+// z0-RadiusZ+v: a halo layer inside the frame is the frame's (a slab's ghost
+// layer), one beyond it the layer the boundary condition projects it onto,
+// and -1 a ghost layer of a Constant or Zero boundary.
+func (ip *Interp3D[T]) LayerOf(v int) int { return ip.layers[v] }
 
-// NewStack allocates the stack an interpolation of vector v reads over nz
-// layers between hz halo layers each side (LayerOf): one extended vector per
-// layer (radius halo entries each side) and, for a domain, the halo entries
-// aliasing the layers they resolve to, or one ghost vector under Constant
-// and Zero — so only the layers' own entries and in-layer halos need
-// writing.
-func (ip *Interp3D[T]) NewStack(v Vec, hz int) [][]T {
+// NewStack allocates a stack of vector v (LayerOf): one vector per frame
+// layer, extended by h >= radius halo entries each side, shared by the
+// entries that hold that layer, and one ghost vector shared by the ghost
+// entries — so only one vector per frame layer needs writing.
+func (ip *Interp3D[T]) NewStack(v Vec, h int) [][]T {
 	ax := ip.axis(v)
-	own := make([][]T, ip.nz+2*hz)
-	for l := range own {
-		own[l] = make([]T, ax.n+2*ax.r)
-	}
-	if hz > 0 {
-		return own
-	}
-	ghost := make([]T, ax.n+2*ax.r)
-	for i := range ghost {
-		ghost[i] = T(ax.m) * ip.ghost[0]
-	}
 	stack := make([][]T, len(ip.layers))
-	for e, l := range ip.layers {
-		stack[e] = ghost
-		if l >= 0 {
-			stack[e] = own[l]
+	for e, f := range ip.layers {
+		if i := slices.Index(ip.layers, f); i < e {
+			stack[e] = stack[i] // the layer's, or the ghost, vector
+			continue
+		}
+		stack[e] = make([]T, ax.n+2*h)
+		if f < 0 {
+			for i := range stack[e] {
+				stack[e][i] = T(ax.m) * ip.ghost[0]
+			}
 		}
 	}
 	return stack
 }
 
 // EdgeStack returns the edge sources an interpolation over a NewStack stack
-// reads, reusing stack's storage: layers holds one per layer as the stack's
-// vectors do (nz+2·hz), and entry v is layers[LayerOf(v, hz)], nil for a
-// ghost layer.
+// reads, reusing stack's storage: layers holds one per frame layer, and entry
+// v is layers[LayerOf(v)], nil for a ghost layer.
 func (ip *Interp3D[T]) EdgeStack(stack, layers []EdgeSource[T]) []EdgeSource[T] {
-	hz, n := (len(layers)-ip.nz)/2, len(layers)
-	if hz == 0 {
-		n = len(ip.layers)
-	}
+	n := len(ip.layers)
 	stack = slices.Grow(stack[:0], n)[:n]
 	for e := range stack {
 		stack[e] = nil
-		if l := ip.LayerOf(e, hz); l >= 0 {
-			stack[e] = layers[l]
+		if f := ip.LayerOf(e); f >= 0 {
+			stack[e] = layers[f]
 		}
 	}
 	return stack
+}
+
+// PrimeBetaTablesMid fills layer z's B tables' entries of the rectangle's own
+// rows — callable as soon as the frame's columns beside the rectangle are
+// final, while their cache lines are warm, before a sweep evicts them. The
+// entries of the ghost rows read halo rows that may not have arrived yet;
+// PrimeBetaTables or the interpolation fills those. The rectangle's rows and
+// the columns beside them must not change before the interpolation that
+// consumes the tables. edges is the stack Interpolate will read.
+func (ip *Interp3D[T]) PrimeBetaTablesMid(z int, edges []EdgeSource[T]) {
+	if ip.DropBoundaryTerms || len(ip.b.shifts) == 0 {
+		return
+	}
+	ax := &ip.b
+	ip.tables(ax, z)
+	ip.fill(ax, z, edges, ax.r, ax.r+ax.n)
+	ax.tabs[z].mid = true
+}
+
+// PrimeBetaTables fills layer z's B tables the next interpolation would fill
+// itself — after PrimeBetaTablesMid just the ghost rows — letting the caller
+// schedule the edge reads while the halo exchange has them warm. The edge
+// values must not change before the interpolation that consumes them.
+func (ip *Interp3D[T]) PrimeBetaTables(z int, edges []EdgeSource[T]) {
+	if ip.DropBoundaryTerms || len(ip.b.shifts) == 0 {
+		return
+	}
+	ax := &ip.b
+	lt := ip.tables(ax, z)
+	if lt.mid {
+		ip.fill(ax, z, edges, 0, ax.r)
+		ip.fill(ax, z, edges, ax.r+ax.n, ax.n+2*ax.r)
+	} else {
+		ip.fill(ax, z, edges, 0, ax.n+2*ax.r)
+	}
+	lt.mid, lt.all = false, true
 }
 
 // InterpolateB computes layer z's bNext from the domain's per-layer column
@@ -569,12 +586,12 @@ func (ip *Interp3D[T]) EdgeStack(stack, layers []EdgeSource[T]) []EdgeSource[T] 
 // protectors keep extended stacks and call Interpolate.
 func (ip *Interp3D[T]) InterpolateB(z int, bPrev [][]T, edges []EdgeSource[T], bNext []T) {
 	if ip.zeroPrev == nil {
-		ip.zeroPrev = ip.NewStack(VecB, 0)
+		ip.zeroPrev = ip.NewStack(VecB, ip.b.r)
 	}
 	for e := z; e <= z+2*ip.rz; e++ {
-		if l := ip.LayerOf(e, 0); l >= 0 {
-			copy(ip.zeroPrev[ip.rz+l][ip.b.r:], bPrev[l])
-			ip.FillHalo(VecB, ip.zeroPrev[ip.rz+l])
+		if l := ip.LayerOf(e); l >= 0 {
+			copy(ip.zeroPrev[e][ip.b.r:], bPrev[l])
+			ip.FillHalo(VecB, ip.zeroPrev[e])
 		}
 	}
 	ip.zeroEdges = ip.EdgeStack(ip.zeroEdges, edges)

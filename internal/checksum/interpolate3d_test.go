@@ -65,7 +65,7 @@ func TestTheorem1Invariance3D(t *testing.T) {
 		// Previous-iteration state: the layers' checksum stacks, halos
 		// projected through the boundary condition, and edges.
 		rz, rx, ry := st.RadiusZ(), st.RadiusX(), st.RadiusY()
-		prevA, prevB := ip.NewStack(VecA, 0), ip.NewStack(VecB, 0)
+		prevA, prevB := ip.NewStack(VecA, rx), ip.NewStack(VecB, ry)
 		layers := make([]EdgeSource[float64], nz)
 		for z := 0; z < nz; z++ {
 			stencil.ChecksumA(src.Layer(z), prevA[rz+z][rx:rx+nx])

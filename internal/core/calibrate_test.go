@@ -38,8 +38,10 @@ func TestCalibrateEpsilonFloat32(t *testing.T) {
 
 	// Acid test: a protector configured with the suggestion raises no
 	// false positives and still catches a real corruption.
+	inj := fault.Injection{Iteration: 32 + 2, X: 20, Y: 30, Bit: 30}
 	p, err := NewOnline2D(opF, init, Options[float32]{
 		Detector: checksum.Detector[float32]{Epsilon: cal.SuggestedEpsilon, AbsFloor: 1},
+		Inject:   fault.NewInjector[float32](fault.NewPlan(inj)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,11 +50,7 @@ func TestCalibrateEpsilonFloat32(t *testing.T) {
 	if p.Stats().Detections != 0 {
 		t.Fatalf("false positives at suggested epsilon: %+v", p.Stats())
 	}
-	inj := fault.Injection{Iteration: 2, X: 20, Y: 30, Bit: 30}
-	injector := fault.NewInjector[float32](fault.NewPlan(inj))
-	for i := 0; i < 8; i++ {
-		p.StepInject(injector.SitesFor(i))
-	}
+	p.Run(8)
 	if p.Stats().Detections == 0 {
 		t.Fatalf("suggested epsilon too loose to catch an exponent flip: %+v", p.Stats())
 	}

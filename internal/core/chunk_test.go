@@ -100,7 +100,7 @@ func chunkedParallelMatchesSequential(t *testing.T, ck chunking) {
 		t.Fatalf("pool run diverged from the sequential one: %+v vs %+v", par.Stats(), seq.Stats())
 	}
 	for k, c := range par.chunks {
-		if !sameBitsAll(c.PrevB, seq.chunks[k].PrevB) {
+		if !sameBitsAll(c.PrevB[0], seq.chunks[k].PrevB[0]) {
 			t.Fatalf("chunk %d: pool run's checksums differ from the sequential run's", k)
 		}
 	}
@@ -127,14 +127,14 @@ func chunkedDetectsAndCorrects(t *testing.T, ck chunking) {
 		if inj.Bit < 30 {
 			inj.Bit = 30 + rng.Intn(34)
 		}
-		p, err := NewBlocked2D(op, init, ck.bx, ck.by, opts64())
+		o := opts64()
+		injector := fault.NewInjector[float64](fault.NewPlan(inj))
+		o.Inject = injector
+		p, err := NewBlocked2D(op, init, ck.bx, ck.by, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		injector := fault.NewInjector[float64](fault.NewPlan(inj))
-		for i := 0; i < iters; i++ {
-			p.StepInject(injector.SitesFor(i))
-		}
+		p.Run(iters)
 		if len(injector.Hits()) != 1 {
 			t.Fatalf("trial %d: injection %v did not land", trial, inj)
 		}
@@ -189,7 +189,7 @@ func chunkedRepairIsBitwise[T num.Float](t *testing.T, ck chunking, eps T) {
 			t.Fatalf("%v: repaired run is not bitwise the fault-free run (max diff %g)", inj, p.Grid().MaxAbsDiff(clean.Grid()))
 		}
 		for k, c := range p.chunks {
-			if h := c.y1 - c.y0; !sameBitsAll(c.PrevB[c.hy:c.hy+h], clean.chunks[k].PrevB[c.hy:c.hy+h]) {
+			if h := c.y1 - c.y0; !sameBitsAll(c.PrevB[0][c.hy:c.hy+h], clean.chunks[k].PrevB[0][c.hy:c.hy+h]) {
 				t.Fatalf("%v: chunk %d checksums differ from the fault-free run's", inj, k)
 			}
 			if c.InterpA != nil {
@@ -205,8 +205,9 @@ func chunkedRepairIsBitwise[T num.Float](t *testing.T, ck chunking, eps T) {
 // there was a chunk: per rectangle, assembled from the package-level pieces,
 // every halo sum read one cell at a time through the boundary condition. The
 // fallback tests run it beside the protector. Its interpolation is the
-// engine's own (Interp2D.Interpolate, as Chunk.Repair calls it), so these
-// rows check the chunk's bookkeeping, not the interpolation:
+// engine's own (Interp2D.Interpolate, the routine the chunk's repair calls
+// through Interp3D), so these rows check the chunk's bookkeeping, not the
+// interpolation:
 // checksum.TestInterpolateGenerated holds that to a per-entry reference.
 type twoVectorRef struct {
 	op                    *stencil.Op2D[float64]
@@ -309,7 +310,7 @@ func sameAsTwoVector(t *testing.T, what string, p *Online2D[float64], q *twoVect
 		t.Fatalf("%s: grid differs from the two-vector reference by %g", what, p.Grid().MaxAbsDiff(q.buf.Read))
 	}
 	for k, c := range p.chunks {
-		if !sameBitsAll(c.PrevB[c.hy:c.hy+c.y1-c.y0], q.blocks[k].prevB) {
+		if !sameBitsAll(c.PrevB[0][c.hy:c.hy+c.y1-c.y0], q.blocks[k].prevB) {
 			t.Fatalf("%s: chunk %d's verified checksums differ from the two-vector reference", what, k)
 		}
 	}
@@ -365,15 +366,17 @@ func chunkedFallback(t *testing.T, ck chunking) {
 		// spoils the fused entry of a row of the first chunk instead: the
 		// domain is intact, re-evaluating the row changes no cell and
 		// refreshes the entry.
-		p, q := pair(opts64())
+		opt, ps := opts64(), siteList[float64]{}
+		opt.Inject = ps
+		p, q := pair(opt)
+		c := p.chunks[0]
+		ps[5] = []stencil.Site[float64]{{X: nx - 1, Y: ny - 1, Mutate: func(v float64) float64 { c.NewB[0][c.hy+1] += 1e3; return v }}}
 		for i := 0; i < iters; i++ {
-			var ps, qs []stencil.Site[float64]
+			var qs []stencil.Site[float64]
 			if i == 5 {
-				c := p.chunks[0]
-				ps = []stencil.Site[float64]{{X: nx - 1, Y: ny - 1, Mutate: func(v float64) float64 { c.NewB[c.hy+1] += 1e3; return v }}}
 				qs = []stencil.Site[float64]{{X: nx - 1, Y: ny - 1, Mutate: func(v float64) float64 { q.blocks[0].newB[1] += 1e3; return v }}}
 			}
-			p.StepInject(ps)
+			p.Step()
 			q.step(qs)
 		}
 		if st := p.Stats(); st.Detections != 1 || st.CorrectedPoints != 0 || st.ChecksumRepairs != 1 {
@@ -391,10 +394,12 @@ func chunkedFallback(t *testing.T, ck chunking) {
 		opt := opts64()
 		opt.PaperExactCorrection = true
 		for bit := 30; bit < 64; bit++ {
-			p, q := pair(opt)
+			o := opt
 			inj := fault.NewInjector[float64](fault.NewPlan(fault.Injection{Iteration: 3, X: bit % nx, Y: (7 * bit) % ny, Bit: bit}))
+			o.Inject = inj
+			p, q := pair(o)
 			for i := 0; i < iters; i++ {
-				p.StepInject(inj.SitesFor(i))
+				p.Step()
 				q.step(inj.SitesFor(i))
 			}
 			sameAsTwoVector(t, fmt.Sprintf("bit %d", bit), p, q)
@@ -409,7 +414,8 @@ func chunkedFallback(t *testing.T, ck chunking) {
 // random cells. The protected run ends bitwise equal to the unprotected one,
 // every flip is repaired by the chunk that owns it and flags no other, and
 // the chunking that is the whole domain reports what the Online protector
-// reports. A failing case is named by its seed.
+// reports. Its 3-D axis holds the chunk of a layer stack to the same
+// contract (chunkedGenerated3D). A failing case is named by its seed.
 func TestChunkedGenerated(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -419,6 +425,191 @@ func TestChunkedGenerated(t *testing.T) {
 				chunkedGenerated[float64](t, seed)
 			}
 		})
+		t.Run(fmt.Sprintf("3d/%d", seed), func(t *testing.T) {
+			if seed%2 == 0 {
+				chunkedGenerated3D[float32](t, seed)
+			} else {
+				chunkedGenerated3D[float64](t, seed)
+			}
+		})
+	}
+}
+
+// chunkedGenerated3D is the contract's 3-D axis: 1, 2 or 5 layers, stencil
+// points within radius 2 that reach across layers wherever there are layers
+// to reach, the five boundary conditions, odd sizes, both element types, with
+// and without a pool and a constant field, and 0-2 flips of a high bit on the
+// faces of the layers and slabs. Two frames: the whole domain (Online3D's one
+// chunk), and the domain cut into z-slabs, each a frame of its layers between
+// RadiusZ ghost layers with the chunk inset by them — the frames the test
+// refills every step, from the neighbouring slab or through the boundary
+// condition, as a slab rank does. Both end bitwise equal to None3D, with
+// exact stats: every flip is repaired by the chunk that owns it and flags no
+// other.
+func chunkedGenerated3D[T num.Float](t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	const iters = 8
+	nz, r := []int{1, 2, 5}[rng.Intn(3)], 1+rng.Intn(2)
+	rz := min(r, nz-1)
+	if rng.Intn(4) == 0 {
+		rz = 0
+	}
+	st := &stencil.Stencil[T]{Name: "generated", Points: []stencil.Point[T]{{W: 0.4}}}
+	used := map[[3]int]bool{{}: true}
+	if rz > 0 { // a point at the z-radius, on either side
+		d := rz * (1 - 2*rng.Intn(2))
+		st.Points = append(st.Points, stencil.Point[T]{DZ: d, W: 0.05})
+		used[[3]int{0, 0, d}] = true
+	}
+	for k := 2 + rng.Intn(7); k > 0; k-- {
+		d := [3]int{rng.Intn(2*r+1) - r, rng.Intn(2*r+1) - r, rng.Intn(2*rz+1) - rz}
+		if !used[d] {
+			used[d] = true
+			st.Points = append(st.Points, stencil.Point[T]{DX: d[0], DY: d[1], DZ: d[2], W: T(0.02 + 0.05*rng.Float64())})
+		}
+	}
+	nx, ny := 2*(3+rng.Intn(6))+1, 2*(3+rng.Intn(6))+1
+	op := &stencil.Op3D[T]{St: st, BC: grid.Boundary(seed % 5), BCValue: 280}
+	if rng.Intn(2) == 0 {
+		op.C = grid.New3D[T](nx, ny, nz)
+		op.C.FillFunc(func(x, y, z int) T { return T(0.5 * rng.Float64()) })
+	}
+	init := grid.New3D[T](nx, ny, nz)
+	init.FillFunc(func(x, y, z int) T { return T(300 + 10*rng.Float64()) })
+	opt := Options[T]{}
+	if rng.Intn(3) == 0 {
+		opt.Pool = &stencil.Pool{Workers: 3}
+		defer opt.Pool.Close()
+	}
+	// The slabs: mostly as many as are thicker than the z-radius, else fewer.
+	ns := nz / (rz + 1)
+	if rng.Intn(3) == 0 {
+		ns = 1 + rng.Intn(ns)
+	}
+	bounds := make([]int, ns+1)
+	for i := range bounds {
+		bounds[i] = i*(nz/ns) + min(i, nz%ns)
+	}
+	what := fmt.Sprintf("%dx%dx%d %s %d points radius %d/%d/%d, %d slab(s)", nx, ny, nz, op.BC, len(st.Points), st.RadiusX(), st.RadiusY(), rz, ns)
+
+	none, err := NewNone3D(op, init, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	none.Run(iters)
+
+	// Flips of a sign, exponent or top fraction bit at distinct cells of a
+	// face layer of a slab, on the layer's edges or anywhere in it.
+	var injs []fault.Injection
+	var whole Stats                 // what the whole domain's chunk must report
+	owned := make([]Stats, ns)      // and each slab's
+	iterations := map[[2]int]bool{} // (slab or -1 for the whole domain, iteration)
+	top := num.BitWidth[T]() - 1
+	for n := rng.Intn(3); n > 0; n-- {
+		s := rng.Intn(ns)
+		inj := fault.Injection{Iteration: 1 + rng.Intn(iters-1),
+			X: []int{0, nx - 1, rng.Intn(nx)}[rng.Intn(3)], Y: []int{0, ny - 1, rng.Intn(ny)}[rng.Intn(3)],
+			Z: []int{bounds[s], bounds[s+1] - 1}[rng.Intn(2)], Bit: top - rng.Intn(top/6)}
+		if len(injs) == 1 && injs[0].X == inj.X && injs[0].Y == inj.Y && injs[0].Z == inj.Z {
+			continue
+		}
+		injs = append(injs, inj)
+		for k, st := range map[int]*Stats{-1: &whole, s: &owned[s]} {
+			st.CorrectedPoints++
+			if !iterations[[2]int{k, inj.Iteration}] {
+				iterations[[2]int{k, inj.Iteration}] = true
+				st.Detections++
+			}
+		}
+	}
+	check := func(frame string, got *grid.Grid3D[T], st, want Stats) {
+		t.Helper()
+		if !sameBitsAll(got.Data(), none.Grid3D().Data()) {
+			t.Fatalf("%s, %s, flips %v: protected run differs from the unprotected one by %g", what, frame, injs, got.MaxAbsDiff(none.Grid3D()))
+		}
+		want.Iterations, want.Verifications = iters, iters
+		if st != want {
+			t.Fatalf("%s, %s, flips %v: stats %+v, want %+v", what, frame, injs, st, want)
+		}
+	}
+
+	o := opt
+	o.Inject = fault.NewInjector[T](fault.NewPlan(injs...))
+	p, err := NewOnline3D(op, init, o)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	p.Run(iters)
+	check("whole domain", p.Grid3D(), p.Stats(), whole)
+
+	// The slab frames, stepped in lockstep: every ghost layer refilled from
+	// iteration t before any slab sweeps.
+	type slab struct {
+		z0, z1 int
+		buf    *grid.Buffer3D[T]
+		ch     *Chunk[T]
+		inj    *fault.Injector[T]
+		stats  Stats
+	}
+	plane := nx * ny
+	slabs := make([]*slab, ns)
+	for i := range slabs {
+		s := &slab{z0: bounds[i], z1: bounds[i+1]}
+		fnz := s.z1 - s.z0 + 2*rz
+		fop := &stencil.Op3D[T]{St: st, BC: op.BC, BCValue: op.BCValue}
+		if op.C != nil {
+			fop.C = grid.New3D[T](nx, ny, fnz)
+			copy(fop.C.Data()[rz*plane:], op.C.Data()[s.z0*plane:s.z1*plane])
+		}
+		s.buf = grid.NewBuffer3D[T](nx, ny, fnz)
+		copy(s.buf.Read.Data()[rz*plane:], init.Data()[s.z0*plane:s.z1*plane])
+		var local []fault.Injection
+		for _, inj := range injs {
+			if s.z0 <= inj.Z && inj.Z < s.z1 {
+				inj.Z += rz - s.z0
+				local = append(local, inj)
+			}
+		}
+		s.inj = fault.NewInjector[T](fault.NewPlan(local...))
+		if s.ch, err = NewChunk(fop, s.buf, 0, 0, rz, nx, ny, fnz-rz, st.RadiusY(), opt); err != nil {
+			t.Fatalf("%s: slab %d: %v", what, i, err)
+		}
+		slabs[i] = s
+	}
+	ghost := func(dst *grid.Grid[T], gz int) {
+		z, ok := op.BC.ResolveIndex(gz, nz)
+		switch {
+		case !ok && op.BC == grid.Constant:
+			dst.Fill(op.BCValue)
+		case !ok:
+			dst.Fill(0)
+		default:
+			for _, o := range slabs {
+				if o.z0 <= z && z < o.z1 {
+					dst.CopyFrom(o.buf.Read.Layer(rz + z - o.z0))
+				}
+			}
+		}
+	}
+	for i := 0; i < iters; i++ {
+		for _, s := range slabs {
+			for j := range rz {
+				ghost(s.buf.Read.Layer(j), s.z0-rz+j)
+				ghost(s.buf.Read.Layer(rz+s.z1-s.z0+j), s.z1+j)
+			}
+		}
+		for _, s := range slabs {
+			s.ch.Step(opt.Pool, s.inj.SitesFor(i), &s.stats, nil)
+			s.buf.Swap()
+			s.stats.Iterations++
+		}
+	}
+	got := grid.New3D[T](nx, ny, nz)
+	for _, s := range slabs {
+		copy(got.Data()[s.z0*plane:s.z1*plane], s.buf.Read.Data()[rz*plane:])
+	}
+	for k, s := range slabs {
+		check(fmt.Sprintf("slab %d of %d", k, ns), got, s.stats, owned[k])
 	}
 }
 
@@ -628,11 +819,12 @@ func TestDropBoundaryTermsDropsAlpha(t *testing.T) {
 	init := testInit(rand.New(rand.NewSource(65)), nx, ny)
 	o := opts64()
 	o.DropBoundaryTerms, o.PaperExactCorrection = true, true
+	o.Inject = siteList[float64]{0: {{X: 7, Y: 9, Mutate: func(v float64) float64 { return num.FlipBit(v, 60) }}}}
 	p, err := NewOnline2D(op, init, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.StepInject([]stencil.Site[float64]{{X: 7, Y: 9, Mutate: func(v float64) float64 { return num.FlipBit(v, 60) }}})
+	p.Step()
 	c := p.chunks[0]
 	if c.InterpA == nil {
 		t.Fatalf("the flagged flip did not take the two-vector path: %+v", p.Stats())
@@ -647,8 +839,8 @@ func TestDropBoundaryTermsDropsAlpha(t *testing.T) {
 			}
 			want += pt.W * a
 		}
-		if !num.SameBits(c.InterpA[x], want) {
-			t.Fatalf("A[%d] = %v, the dropped-alpha interpolation %v", x, c.InterpA[x], want)
+		if !num.SameBits(c.InterpA[0][x], want) {
+			t.Fatalf("A[%d] = %v, the dropped-alpha interpolation %v", x, c.InterpA[0][x], want)
 		}
 	}
 }

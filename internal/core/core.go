@@ -2,10 +2,10 @@
 //
 //   - Online2D / Online3D — Section 3: fused checksum every sweep,
 //     interpolation + comparison every iteration, on-the-fly localisation
-//     and correction. In 2-D the method is applied per Chunk — a rectangle
-//     of a frame: Online2D is one chunk (the domain) or N (the Blocked
-//     scheme's tiles), and a dist rank's tile is a chunk of its extended
-//     frame.
+//     and correction. The method is applied per Chunk — a box of a frame
+//     of layers, a 2-D frame the one-layer stack: Online2D is one chunk
+//     (the domain) or N (the Blocked scheme's tiles), Online3D is one, and
+//     a dist rank's tile or slab is a chunk inset by its halo.
 //   - Offline — Section 4: fused checksum every sweep, Δ-step
 //     interpolation chain verified every Δ iterations, light-cone or
 //     in-memory checkpoint/rollback recovery. It protects a stack of nz

@@ -66,14 +66,13 @@ func TestOnline2DBelowThresholdHarmless(t *testing.T) {
 	want := referenceRun(op, init, iters)
 
 	inj := fault.Injection{Iteration: 10, X: 5, Y: 6, Bit: 0}
-	p, err := NewOnline2D(op, init, opts64())
+	o := opts64()
+	o.Inject = fault.NewInjector[float64](fault.NewPlan(inj))
+	p, err := NewOnline2D(op, init, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injector := fault.NewInjector[float64](fault.NewPlan(inj))
-	for i := 0; i < iters; i++ {
-		p.StepInject(injector.SitesFor(i))
-	}
+	p.Run(iters)
 	if d := p.Grid().MaxAbsDiff(want); d > 1e-9 {
 		t.Fatalf("1-ULP flip propagated to %g", d)
 	}
@@ -161,14 +160,14 @@ func TestOnline2DTwoErrorsSameIteration(t *testing.T) {
 		fault.Injection{Iteration: 12, X: 3, Y: 4, Bit: 58},
 		fault.Injection{Iteration: 12, X: 15, Y: 11, Bit: 56},
 	)
-	p, err := NewOnline2D(op, init, opts64())
+	o := opts64()
+	injector := fault.NewInjector[float64](plan)
+	o.Inject = injector
+	p, err := NewOnline2D(op, init, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injector := fault.NewInjector[float64](plan)
-	for i := 0; i < iters; i++ {
-		p.StepInject(injector.SitesFor(i))
-	}
+	p.Run(iters)
 	if len(injector.Hits()) != 2 {
 		t.Fatalf("wanted 2 hits, got %d", len(injector.Hits()))
 	}
@@ -201,18 +200,17 @@ func TestOnline3DDetectsAndCorrects(t *testing.T) {
 		if inj.Bit < 30 {
 			inj.Bit = 30 + rng.Intn(34)
 		}
+		injector := fault.NewInjector[float64](fault.NewPlan(inj))
 		p, err := func() (*Online3D[float64], error) {
 			o := opts64()
 			o.Pool = &stencil.Pool{Workers: 3}
+			o.Inject = injector
 			return NewOnline3D(op, init, o)
 		}()
 		if err != nil {
 			t.Fatal(err)
 		}
-		injector := fault.NewInjector[float64](fault.NewPlan(inj))
-		for i := 0; i < iters; i++ {
-			p.StepInject(injector.SitesFor(i))
-		}
+		p.Run(iters)
 		if len(injector.Hits()) != 1 {
 			t.Fatalf("trial %d: injection %v did not land", trial, inj)
 		}
@@ -284,14 +282,11 @@ func TestOnlineFloat32(t *testing.T) {
 	ref.Run(iters)
 
 	inj := fault.Injection{Iteration: 20, X: 9, Y: 17, Bit: 30} // high exponent bit
-	p, err := NewOnline2D(op, init, Options[float32]{})
+	p, err := NewOnline2D(op, init, Options[float32]{Inject: fault.NewInjector[float32](fault.NewPlan(inj))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	injector := fault.NewInjector[float32](fault.NewPlan(inj))
-	for i := 0; i < iters; i++ {
-		p.StepInject(injector.SitesFor(i))
-	}
+	p.Run(iters)
 	st := p.Stats()
 	if st.Detections == 0 || st.CorrectedPoints == 0 {
 		t.Fatalf("float32 injection not handled: %+v", st)

@@ -81,14 +81,13 @@ func TestOnlineAcrossBoundaryConditions(t *testing.T) {
 		}
 
 		inj := fault.Injection{Iteration: 13, X: 11, Y: 5, Bit: 59}
-		p2, err := NewOnline2D(op, init, opts64())
+		o := opts64()
+		o.Inject = fault.NewInjector[float64](fault.NewPlan(inj))
+		p2, err := NewOnline2D(op, init, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		injector := fault.NewInjector[float64](fault.NewPlan(inj))
-		for i := 0; i < iters; i++ {
-			p2.StepInject(injector.SitesFor(i))
-		}
+		p2.Run(iters)
 		if st := p2.Stats(); st.CorrectedPoints == 0 {
 			t.Fatalf("bc=%s: flip not corrected: %+v", bc, st)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"stencilabft/internal/fault"
 	"stencilabft/internal/num"
-	"stencilabft/internal/stencil"
 )
 
 // The paper's localisation intersects one mismatching row with one
@@ -36,14 +35,12 @@ func TestOnline2DTwoErrorsSameRowIsBounded(t *testing.T) {
 	)
 	o := opts64()
 	o.PaperExactCorrection = true
+	o.Inject = fault.NewInjector[float64](plan)
 	p, err := NewOnline2D(op, init, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injector := fault.NewInjector[float64](plan)
-	for i := 0; i < iters; i++ {
-		p.StepInject(injector.SitesFor(i))
-	}
+	p.Run(iters)
 	st := p.Stats()
 	if st.Detections == 0 {
 		t.Fatalf("same-row double error not detected at all: %+v", st)
@@ -108,20 +105,22 @@ func TestOnline2DCancellingErrorsEscape(t *testing.T) {
 	op := testOp(nx, ny)
 	init := testInit(rng, nx, ny)
 
-	p, err := NewOnline2D(op, init, opts64())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// +delta and -delta at the same row AND... cancellation in both
 	// vectors needs the errors to cancel per-row and per-column, which
 	// two errors can only do in the same cell; use the same-row case
 	// where the column checksum cancels and only the row checksum can
 	// see them.
 	const delta = 50.0
-	p.StepInject([]stencil.Site[float64]{
+	o := opts64()
+	o.Inject = siteList[float64]{0: {
 		{X: 3, Y: 5, Mutate: func(v float64) float64 { return v + delta }},
 		{X: 9, Y: 5, Mutate: func(v float64) float64 { return v - delta }},
-	})
+	}}
+	p, err := NewOnline2D(op, init, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Step()
 	// The fused column checksum of row 5 is unchanged (+delta-delta), so
 	// the cheap per-iteration detector cannot fire — by design, only the
 	// lazily computed row checksum could see this pattern, and it is

@@ -41,13 +41,10 @@ func (p *None2D[T]) Grid3D() *grid.Grid3D[T] { return nil }
 // Finalize is a no-op: the unprotected runner has no end-of-run obligations.
 func (p *None2D[T]) Finalize() {}
 
-// Step advances one sweep, applying the configured injection source.
-func (p *None2D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
-
-// StepInject advances one sweep with no checksum work, applying the given
-// injection sites.
-func (p *None2D[T]) StepInject(sites []stencil.Site[T]) {
-	p.op.SweepParallelInject(p.pool, p.buf.Write, p.buf.Read, nil, sites)
+// Step advances one sweep with no checksum work, applying the configured
+// injection source.
+func (p *None2D[T]) Step() {
+	p.op.SweepParallelInject(p.pool, p.buf.Write, p.buf.Read, nil, stencil.SitesAt(p.inj, p.iter))
 	p.buf.Swap()
 	p.iter++
 	p.stats.Iterations++
@@ -93,13 +90,10 @@ func (p *None3D[T]) Stats() Stats { return p.stats }
 // Finalize is a no-op: the unprotected runner has no end-of-run obligations.
 func (p *None3D[T]) Finalize() {}
 
-// Step advances one sweep, applying the configured injection source.
-func (p *None3D[T]) Step() { p.StepInject(stencil.SitesAt(p.inj, p.iter)) }
-
-// StepInject advances one sweep with no checksum work, applying the given
-// injection sites.
-func (p *None3D[T]) StepInject(sites []stencil.Site[T]) {
-	p.op.SweepLayersInject(p.pool, p.buf.Write, p.buf.Read, 0, p.buf.Read.Nz(), nil, sites)
+// Step advances one sweep with no checksum work, applying the configured
+// injection source.
+func (p *None3D[T]) Step() {
+	p.op.SweepLayersInject(p.pool, p.buf.Write, p.buf.Read, 0, p.buf.Read.Nz(), nil, stencil.SitesAt(p.inj, p.iter))
 	p.buf.Swap()
 	p.iter++
 	p.stats.Iterations++

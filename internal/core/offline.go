@@ -108,7 +108,7 @@ func newOffline[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], flat boo
 		inj:       opt.Inject,
 		curB:      makeLayers[T](nz, ny),
 		verified:  makeLayers[T](nz, ny),
-		chainB:    [2][][]T{ip.NewStack(checksum.VecB, 0), ip.NewStack(checksum.VecB, 0)},
+		chainB:    [2][][]T{ip.NewStack(checksum.VecB, op.St.RadiusY()), ip.NewStack(checksum.VecB, op.St.RadiusY())},
 		recovery:  opt.Recovery,
 		ring:      make([][]*checksum.EdgeSnapshot[T], opt.Period),
 		ringEdges: make([][]checksum.EdgeSource[T], opt.Period),
@@ -127,7 +127,7 @@ func newOffline[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], flat boo
 	}
 	if p.recovery == ConeRecovery {
 		p.verifiedA = makeLayers[T](nz, nx)
-		p.chainA = [2][][]T{ip.NewStack(checksum.VecA, 0), ip.NewStack(checksum.VecA, 0)}
+		p.chainA = [2][][]T{ip.NewStack(checksum.VecA, op.St.RadiusX()), ip.NewStack(checksum.VecA, op.St.RadiusX())}
 		p.directA = make([]T, nx)
 	}
 	for z, b := range p.curB {

@@ -123,14 +123,13 @@ func TestOnline2DSignBitFlip(t *testing.T) {
 	want := referenceRun(op, init, iters)
 
 	plan := fault.NewPlan(fault.Injection{Iteration: 11, X: 4, Y: 15, Bit: 63})
-	p, err := NewOnline2D(op, init, opts64())
+	o := opts64()
+	o.Inject = fault.NewInjector[float64](plan)
+	p, err := NewOnline2D(op, init, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injector := fault.NewInjector[float64](plan)
-	for i := 0; i < iters; i++ {
-		p.StepInject(injector.SitesFor(i))
-	}
+	p.Run(iters)
 	st := p.Stats()
 	if st.Detections != 1 || st.CorrectedPoints != 1 {
 		t.Fatalf("sign flip not handled: %+v", st)

@@ -26,6 +26,12 @@ func sameBitsAll[T num.Float](a, b []T) bool {
 	return len(a) == len(b)
 }
 
+// siteList is an injection source of hand-built sites by iteration, for the
+// tests that plant what a fault.Plan cannot express.
+type siteList[T num.Float] map[int][]stencil.Site[T]
+
+func (s siteList[T]) SitesFor(iter int) []stencil.Site[T] { return s[iter] }
+
 // flipEveryBit runs one protected run per bit position with a single flip
 // of that bit and hands each run's outcome to check; it fails unless a fair
 // share of the positions were detected.
@@ -77,12 +83,12 @@ func online3DRepairIsBitwise[T num.Float](t *testing.T, bc grid.Boundary, eps T)
 		if !sameBitsAll(p.Grid3D().Data(), clean.Grid3D().Data()) {
 			t.Fatalf("%v: repaired run is not bitwise the fault-free run", inj)
 		}
-		for z := range p.prevB {
-			if !sameBitsAll(p.prevB[z], clean.prevB[z]) {
+		for z := range p.ch.PrevB {
+			if !sameBitsAll(p.ch.PrevB[z], clean.ch.PrevB[z]) {
 				t.Fatalf("%v: layer %d checksums differ from the fault-free run's", inj, z)
 			}
 		}
-		if p.prevA != nil {
+		if p.ch.InterpA != nil {
 			t.Fatalf("%v: a located flip took the two-vector path", inj)
 		}
 		return true
@@ -131,23 +137,26 @@ func TestOnline3DFallback(t *testing.T) {
 			g.Set(5, 4, z, num.FlipBit(g.At(5, 4, z), 55))
 			flaggedBefore := p.Stats().Detections
 			p.Step()
-			if p.Stats().Detections != flaggedBefore+1 || p.prevA == nil {
+			c := p.ch
+			if p.Stats().Detections != flaggedBefore+1 || c.InterpA == nil {
 				t.Fatalf("%s z=%d: the read-buffer flip did not reach the two-vector path: %+v", bc, z, p.Stats())
 			}
 			// After the swap the write half still holds the step's source.
 			src := p.buf.Write
-			full, rz := p.ip.NewStack(checksum.VecA, 0), st.RadiusZ()
-			for l := 0; l < nz; l++ {
-				stencil.ChecksumA(src.Layer(l), full[rz+l][1:nx+1])
-				p.ip.FillHalo(checksum.VecA, full[rz+l])
+			full := c.ip.NewStack(checksum.VecA, 1)
+			for e := range full {
+				if l := c.ip.LayerOf(e); l >= 0 {
+					stencil.ChecksumA(src.Layer(l), full[e][1:nx+1])
+					c.ip.FillHalo(checksum.VecA, full[e])
+				}
 			}
 			want := make([]float64, nx)
 			for l := 0; l < nz; l++ {
-				if !p.flagged[l] {
+				if !c.flagged[l] {
 					continue
 				}
-				p.ip.Interpolate(checksum.VecA, l, full, p.edgesAlt, want)
-				if !sameBitsAll(p.interpA[l], want) {
+				c.ip.Interpolate(checksum.VecA, l, full, c.edgeWrite, want)
+				if !sameBitsAll(c.InterpA[l], want) {
 					t.Fatalf("%s z=%d: layer %d interpolated from a partial prevA set", bc, z, l)
 				}
 			}

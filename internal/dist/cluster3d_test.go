@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"stencilabft/internal/core"
+	"stencilabft/internal/errs"
 	"stencilabft/internal/fault"
 	"stencilabft/internal/grid"
 	"stencilabft/internal/stencil"
@@ -231,7 +233,8 @@ func TestCluster3DSlabsAndStats(t *testing.T) {
 	}
 }
 
-// TestCluster3DValidation covers the constructor's error paths.
+// TestCluster3DValidation covers the constructor's error paths. A slab no
+// thicker than the z-radius is a thin tile, the client's mistake.
 func TestCluster3DValidation(t *testing.T) {
 	op := &stencil.Op3D[float64]{St: star7(), BC: grid.Clamp}
 	init := testInit3D(10, 8, 6)
@@ -243,11 +246,11 @@ func TestCluster3DValidation(t *testing.T) {
 		t.Fatal("negative nRanks accepted")
 	}
 	// 6 layers over 6 ranks leaves 1-layer slabs at z-radius 1.
-	if _, err := NewCluster3D(op, init, 6, Options[float64]{}); err == nil {
-		t.Fatal("slabs at the stencil z-radius accepted")
+	if _, err := NewCluster3D(op, init, 6, Options[float64]{}); !errors.Is(err, ErrThinTile) || !errors.Is(err, errs.ErrInvalidSpec) {
+		t.Fatalf("slabs at the stencil z-radius: error %v is not a thin tile", err)
 	}
-	if _, err := NewCluster3D(op, init, 7, Options[float64]{}); err == nil {
-		t.Fatal("more ranks than layers accepted")
+	if _, err := NewCluster3D(op, init, 7, Options[float64]{}); !errors.Is(err, ErrThinTile) || !errors.Is(err, errs.ErrInvalidSpec) {
+		t.Fatalf("more ranks than layers: error %v is not a thin tile", err)
 	}
 	// 3 ranks over 6 layers leaves 2-layer slabs: the thinnest radius-1 fit.
 	c, err := NewCluster3D(op, init, 3, Options[float64]{})

@@ -11,9 +11,10 @@
 // The decomposition is topology-neutral, described by Decomp: a 2-D domain
 // splits over a RanksX-by-RanksY Cartesian rank grid (NewClusterGrid; the
 // historical 1-D row bands are the RanksX == 1 column), and a 3-D domain
-// splits into z-layer slabs (NewCluster3D), each a core.Online3D plus a
-// halo exchange. Both run on one shell — rank goroutines, Run/RunRecover,
-// stats — and communicate through the Transport seam.
+// splits into z-layer slabs (NewCluster3D). Either rank is a frame — the
+// owned tile or slab between its halo — plus a core.Chunk inset by the halo,
+// and a halo exchange. Both run on one shell — rank goroutines,
+// Run/RunRecover, stats — and communicate through the Transport seam.
 // The default ChanTransport wires them with paired channels in the MPI
 // neighbour pattern and separates iterations with a cyclic barrier, so
 // every rank's halo data is always exactly one iteration fresh — the
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"stencilabft/internal/checksum"
+	"stencilabft/internal/core"
 	"stencilabft/internal/fault"
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
@@ -179,10 +181,9 @@ type engine[T num.Float] interface {
 	dropPosted()
 	// counters returns the rank's ABFT and halo counters.
 	counters() Stats
-	// The restartable state, see shell.PackState.
-	StateLen() int
-	PackState(dst []T)
-	RestoreState(src []T)
+	// chunk is the rank's owned box as a core.Chunk of its frame, whose
+	// snapshot is the rank's restartable state (see shell.PackState).
+	chunk() *core.Chunk[T]
 }
 
 // hostedRank is what the shell keeps per materialised rank.
@@ -623,15 +624,15 @@ func (c *shell[T]) rankByID(id int) engine[T] {
 
 // StateLen returns the packed resilience-snapshot length of hosted rank id
 // (its tile's or slab's points plus their verified checksums), in elements.
-func (c *shell[T]) StateLen(id int) int { return c.rankByID(id).StateLen() }
+func (c *shell[T]) StateLen(id int) int { return c.rankByID(id).chunk().StateLen() }
 
 // PackState serialises hosted rank id's restartable state into dst (len >=
 // StateLen(id)): the tile's rows (the slab's layers) in storage order,
-// then the verified column checksums. Bit-exact; see rank.PackState and
-// core.Online3D.PackState. Call it only between
-// iterations — from Options.AfterStep (on the rank's own goroutine) or
-// while no Run is in flight.
-func (c *shell[T]) PackState(id int, dst []T) { c.rankByID(id).PackState(dst) }
+// then the verified column checksums — one layout for both rank shapes,
+// core.Chunk.PackState's. Bit-exact. Call it only between iterations — from
+// Options.AfterStep (on the rank's own goroutine) or while no Run is in
+// flight.
+func (c *shell[T]) PackState(id int, dst []T) { c.rankByID(id).chunk().PackState(dst) }
 
 // RestoreState overwrites hosted rank id's points and verified checksums from
 // a PackState snapshot, between Run calls. Strips pre-posted from the state
@@ -641,5 +642,5 @@ func (c *shell[T]) PackState(id int, dst []T) { c.rankByID(id).PackState(dst) }
 // before any runs again, as a rollback already requires.
 func (c *shell[T]) RestoreState(id int, src []T) {
 	c.dropPosted()
-	c.rankByID(id).RestoreState(src)
+	c.rankByID(id).chunk().RestoreState(src)
 }

@@ -121,7 +121,7 @@ func (r *rank[T]) advance(abs int, sites []stencil.Site[T]) {
 	} else {
 		r.sweepLocal(src, dst, sx0, sx1, sy0, sy1, sites)
 	}
-	r.finishStep(src, dst)
+	r.finishStep()
 }
 
 // sweepExchange is the overlapped exchange iteration: with the x strips
@@ -312,7 +312,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 	if !fusedX && iy1 > iy0 {
 		t0 = r.tel.Begin()
 		if thinX {
-			stencil.ChecksumBRect(dst, r.loX(), iy0, r.hiX(), iy1, r.ch.NewB[iy0:])
+			stencil.ChecksumBRect(dst, r.loX(), iy0, r.hiX(), iy1, r.ch.NewB[0][iy0:])
 		} else {
 			r.combineRowChecksums(dst, iy0, iy1, ix0, ix1, sx0 == r.loX(), sx1 == r.hiX())
 			r.segX0, r.segX1, r.segY0, r.segY1 = ix0, ix1, iy0, iy1
@@ -389,7 +389,7 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 				fusedY := sx0 == r.loX() && sx1 == r.hiX()
 				r.sweepRect(nil, dst, src, sx0, sy0, sx1, sy1, fusedY, sites)
 				if !fusedY {
-					stencil.ChecksumBRect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.ch.NewB[r.loY():])
+					stencil.ChecksumBRect(dst, r.loX(), r.loY(), r.hiX(), r.hiY(), r.ch.NewB[0][r.loY():])
 				}
 				r.tel.End(telemetry.PhaseBoundarySweep, t1)
 			} else {
@@ -525,7 +525,7 @@ func (r *rank[T]) yStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, 
 	if !fusedY {
 		ty0, ty1 := max(y0, r.loY()), min(y1, r.hiY())
 		if ty1 > ty0 {
-			stencil.ChecksumBRect(dst, r.loX(), ty0, r.hiX(), ty1, r.ch.NewB[ty0:])
+			stencil.ChecksumBRect(dst, r.loX(), ty0, r.hiX(), ty1, r.ch.NewB[0][ty0:])
 		}
 	}
 	r.tel.End(telemetry.PhaseBoundarySweep, t1)
@@ -543,7 +543,7 @@ func (r *rank[T]) yStripLanded(dst, src *grid.Grid[T], d Dir, in []T, sx0, sx1, 
 func (r *rank[T]) combineRowChecksums(dst *grid.Grid[T], y0, y1, ix0, ix1 int, useL, useR bool) {
 	lo, hi := r.loX(), r.hiX()
 	for y := y0; y < y1; y++ {
-		b := r.ch.NewB[y]
+		b := r.ch.NewB[0][y]
 		if ix0 > lo {
 			if useL {
 				b = r.stripBL[y] + b
@@ -558,7 +558,7 @@ func (r *rank[T]) combineRowChecksums(dst *grid.Grid[T], y0, y1, ix0, ix1 int, u
 				b += num.Sum(dst.Row(y)[ix1:hi])
 			}
 		}
-		r.ch.NewB[y] = b
+		r.ch.NewB[0][y] = b
 	}
 }
 
@@ -640,29 +640,25 @@ func (r *rank[T]) sweepLocal(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, sit
 	r.tel.End(telemetry.PhaseSweep, t0)
 }
 
-// finishStep is the tail shared by both schedules: the chunk verifies the
-// tile — halo checksum sums over the ry rows adjacent to it, all the
-// interpolation reads at any halo depth, plain sums of local data, so no
+// finishStep is the tail shared by both schedules: the chunk's Finish
+// verifies the tile — halo checksum sums over the ry rows adjacent to it, all
+// the interpolation reads at any halo depth, plain sums of local data, so no
 // checksum ever crosses a rank — and on a mismatch repairs it, re-evaluating
-// a flagged row through the rank's own sweep and rowChecksum so a repaired
-// step leaves the checksums a clean one would; then the swaps.
-func (r *rank[T]) finishStep(src, dst *grid.Grid[T]) {
-	t0 := r.tel.Begin()
-	mismatch := r.ch.Verify(src)
-	r.stats.Verifications++
-	r.tel.End(telemetry.PhaseVerify, t0)
-	if mismatch {
-		r.stats.Detections++
-		t0 = r.tel.Begin()
-		r.ch.Repair(src, dst, func(y int) T {
-			r.op.SweepRectFused(dst, src, r.loX(), y, r.hiX(), y+1, nil, nil)
-			return r.rowChecksum(dst, y)
-		}, &r.stats)
-		r.tel.End(telemetry.PhaseRepair, t0)
-	}
-	r.ch.Swap()
+// a flagged row through resweep so a repaired step leaves the checksums a
+// clean one would; then the swaps.
+func (r *rank[T]) finishStep() {
+	r.ch.Finish(nil, r.resweepFn, &r.stats, r.tel)
 	r.buf.Swap()
 	r.stats.Iterations++
+}
+
+// resweep re-evaluates row y of the tile from the read buffer into the write
+// buffer through the rank's own sweep and returns its entry as rowChecksum
+// composes it.
+func (r *rank[T]) resweep(_, y int) T {
+	dst := r.buf.Write
+	r.op.SweepRectFused(dst, r.buf.Read, r.loX(), y, r.hiX(), y+1, nil, nil)
+	return r.rowChecksum(dst, y)
 }
 
 // sweepRect sweeps [x0,x1)x[y0,y1), fusing the tile column checksums when
@@ -677,7 +673,7 @@ func (r *rank[T]) sweepRect(pool *stencil.Pool, dst, src *grid.Grid[T], x0, y0, 
 	}
 	var b []T
 	if fuse {
-		b = r.ch.NewB[y0:]
+		b = r.ch.NewB[0][y0:]
 	}
 	r.op.SweepRectParallel(pool, dst, src, x0, y0, x1, y1, b, sites)
 }

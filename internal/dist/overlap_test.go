@@ -281,7 +281,8 @@ func TestClusterRunAllocs(t *testing.T) {
 		t.Errorf("steady-state Run(1) over tcp allocates %.1f times per call, want 0 and at most 2", avg)
 	}
 
-	// The slab cluster runs on the same shell and on core.Online3D's step.
+	// The slab cluster runs on the same shell and on the chunk's step, as
+	// core.Online3D does.
 	op3 := &stencil.Op3D[float64]{St: star7(), BC: grid.Clamp}
 	s, err := NewCluster3D(op3, testInit3D(16, 16, 9), 3, strictOpts())
 	if err != nil {

@@ -35,12 +35,15 @@ type rank[T num.Float] struct {
 	op  *stencil.Op2D[T]
 	buf *grid.Buffer[T] // extended grids: (nxLoc+2hx) by (nyLoc+2hy)
 
-	// ch is the tile as a chunk of the extended frame: the column checksums
-	// in the extended y frame (entries [0, hy) and [hy+nyLoc, nyLoc+2hy) of
-	// ch.PrevB/ch.NewB belong to halo rows, [hy, hy+nyLoc) to the tile), the
-	// interpolator, and the verify-and-repair tail of every step.
-	ch   *core.Chunk[T]
-	pool *stencil.Pool
+	// ch is the tile as a chunk of the extended frame's one-layer stack: the
+	// column checksums in the extended y frame (entries [0, hy) and
+	// [hy+nyLoc, nyLoc+2hy) of ch.PrevB[0]/ch.NewB[0] belong to halo rows,
+	// [hy, hy+nyLoc) to the tile), the interpolator, and the
+	// verify-and-repair tail of every step, which re-evaluates a flagged row
+	// through resweepFn (resweep, bound once).
+	ch        *core.Chunk[T]
+	resweepFn func(z, y int) T
+	pool      *stencil.Pool
 
 	// Rows [segY0, segY1) of this iteration's ch.NewB were composed from
 	// the x segments split at segX0 and segX1 (combineRowChecksums); every
@@ -116,46 +119,28 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 	for y := 0; y < nyLoc; y++ {
 		copy(r.buf.Read.Row(hy + y)[hx:hx+nxLoc], init.Row(t.Y0 + y)[t.X0:t.X1])
 	}
-	// The chunk takes the tile's initial checksums from the frame; tile data
-	// and checksums are assumed correct (Theorem 2).
+	// The chunk takes the tile's initial checksums from the frame, the tile as
+	// its one-layer stack; tile data and checksums are assumed correct
+	// (Theorem 2).
 	var err error
-	r.ch, err = core.NewChunk(sop, r.buf, hx, hy, hx+nxLoc, hy+nyLoc, hy, core.Options[T]{
+	r.ch, err = core.NewChunk(sop.Stack(), r.buf.Stack(), hx, hy, 0, hx+nxLoc, hy+nyLoc, 1, hy, core.Options[T]{
 		Detector: opt.Detector, PairPolicy: opt.PairPolicy, DropBoundaryTerms: opt.DropBoundaryTerms,
 	})
 	if err != nil {
 		return nil, err
 	}
+	r.resweepFn = r.resweep
 	return r, nil
 }
 
 func (r *rank[T]) counters() Stats { return r.stats }
 
-// StateLen is the size of the rank's packed resilience snapshot: the tile
-// points plus the verified column checksums. Halo strips are excluded — a
-// restored rank refreshes them at its first exchange — and so is the row
-// checksum scratch, which the detection slow path recomputes on demand.
-func (r *rank[T]) StateLen() int { return r.nxLoc*r.nyLoc + r.nyLoc }
-
-// PackState serialises the rank's restartable state into dst (len
-// StateLen()): tile rows in row-major order, then the verified checksums.
-// Pure copies of IEEE-754 values — a pack/unpack round trip is bit-exact,
-// which is what makes recovery bit-identical to the uninterrupted run.
-func (r *rank[T]) PackState(dst []T) {
-	for y := 0; y < r.nyLoc; y++ {
-		copy(dst[y*r.nxLoc:(y+1)*r.nxLoc], r.buf.Read.Row(r.loY() + y)[r.loX():r.hiX()])
-	}
-	copy(dst[r.nxLoc*r.nyLoc:], r.ch.PrevB[r.loY():r.hiY()])
-}
-
-// RestoreState is PackState's inverse: it overwrites the tile and its
-// verified checksums from src, leaving the halo strips to the next
-// exchange (shell.RestoreState has discarded any strip already posted).
-func (r *rank[T]) RestoreState(src []T) {
-	for y := 0; y < r.nyLoc; y++ {
-		copy(r.buf.Read.Row(r.loY() + y)[r.loX():r.hiX()], src[y*r.nxLoc:(y+1)*r.nxLoc])
-	}
-	copy(r.ch.PrevB[r.loY():r.hiY()], src[r.nxLoc*r.nyLoc:])
-}
+// chunk is the tile's chunk: its PackState snapshot is the tile's points and
+// verified column checksums. Halo strips are excluded — a restored rank
+// refreshes them at its first exchange (shell.RestoreState has discarded any
+// strip already posted) — and so is the row checksum scratch, which the
+// detection slow path recomputes on demand.
+func (r *rank[T]) chunk() *core.Chunk[T] { return r.ch }
 
 // loX/hiX and loY/hiY bound the tile in the extended grid.
 func (r *rank[T]) loX() int { return r.hx }

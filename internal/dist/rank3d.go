@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stencilabft/internal/core"
+	"stencilabft/internal/errs"
 	"stencilabft/internal/fault"
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
@@ -39,15 +40,16 @@ func NewCluster3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], nRanks
 	}
 	// The z chain reuses the band geometry: a 1-by-nRanks rank grid whose
 	// "rows" are layer slabs. Decomp.Validate supplies the thin-slab
-	// invariant (slabs strictly thicker than the z-radius); only the error
-	// wording is re-phrased in layer terms.
+	// invariant (slabs strictly thicker than the z-radius, as every chunk
+	// must be); the error is re-phrased in layer terms, a client's mistake
+	// like a thin tile.
 	d := Decomp{Nx: 1, Ny: nz, RanksX: 1, RanksY: nRanks}
 	h := op.St.RadiusZ()
 	if d.RanksY < 1 {
-		return nil, fmt.Errorf("dist: invalid rank count %d", nRanks)
+		return nil, errs.Tagf([]error{errs.ErrInvalidSpec}, "dist: invalid rank count %d", nRanks)
 	}
 	if err := d.Validate(0, h); err != nil {
-		return nil, fmt.Errorf("dist: %d ranks over %d layers leaves slabs of %d layer(s), need more than the stencil z-radius %d (at most %d rank(s) fit)",
+		return nil, errs.Tagf([]error{ErrThinTile, errs.ErrInvalidSpec}, "dist: %d ranks over %d layers leaves slabs of %d layer(s), need more than the stencil z-radius %d (at most %d rank(s) fit)",
 			nRanks, nz, nz/nRanks, h, maxParts(nz, h))
 	}
 	if opt.LocalRanks != nil {
@@ -61,17 +63,13 @@ func NewCluster3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], nRanks
 	c := &Cluster3D[T]{nx: nx, ny: ny, nz: nz}
 	tr := opt.NewTransport(1, nRanks, op.BC == grid.Periodic)
 	for i := 0; i < nRanks; i++ {
-		t, tel := d.TileOf(i), opt.Telemetry.Recorder(i) // Y axis carries the layer range
-		p, err := core.NewOnline3DSlab(op, init, t.Y0, t.Y1, core.Options[T]{
-			Detector: opt.Detector, PairPolicy: opt.PairPolicy, Pool: opt.Pool,
-			DropBoundaryTerms: opt.DropBoundaryTerms, Telemetry: tel,
-		})
+		t := d.TileOf(i) // Y axis carries the layer range
+		r, err := newRank3D(op, init, i, t.Y0, t.Y1, opt)
 		if err != nil {
 			return nil, err
 		}
-		r := &rank3d[T]{id: i, z0: t.Y0, z1: t.Y1, h: h, Online3D: p, tr: tr,
-			bc: op.BC, bcValue: op.BCValue, globalNz: nz, tel: tel}
-		r.halo.Topology = fmt.Sprintf("layers %d", nRanks)
+		r.tr, r.tel = tr, opt.Telemetry.Recorder(i)
+		r.stats.Topology = fmt.Sprintf("layers %d", nRanks)
 		c.slabs = append(c.slabs, r)
 		c.hosted = append(c.hosted, hostedRank[T]{id: i, eng: r, tel: r.tel})
 	}
@@ -95,8 +93,9 @@ func (c *Cluster3D[T]) Slab(i int) (z0, z1 int) { return c.slabs[i].z0, c.slabs[
 // Call it between Run calls, never concurrently with one.
 func (c *Cluster3D[T]) Gather() *grid.Grid3D[T] {
 	g := grid.New3D[T](c.nx, c.ny, c.nz)
+	plane := c.nx * c.ny
 	for _, r := range c.slabs {
-		r.PackState(g.Data()[r.z0*c.nx*c.ny:]) // the slab's cells, ghost layers excluded
+		copy(g.Data()[r.z0*plane:r.z1*plane], r.buf.Read.Data()[r.h*plane:]) // ghost layers excluded
 	}
 	return g
 }
@@ -110,35 +109,68 @@ func (c *Cluster3D[T]) Grid3D() *grid.Grid3D[T] { return c.Gather() }
 func (c *Cluster3D[T]) Grid() *grid.Grid[T] { return nil }
 
 // rank3d is one rank of the 3-D layer-decomposed cluster: the slab of full
-// nx-by-ny z-layers [z0, z1) of the global domain. Sweep, verification and
-// repair are core.Online3D's, built over the slab with h ghost layers below
-// and above it (core.NewOnline3DSlab); the rank adds what is distributed —
-// refilling those ghost layers every iteration, from its z-neighbours or
-// from the global boundary condition. All of a rank's state is touched only
-// by its own goroutine; neighbour layers arrive as copies through the
-// transport.
+// nx-by-ny z-layers [z0, z1) of the global domain, what the tile rank is
+// along z — a frame, the slab between h ghost layers below and above it, plus
+// a core.Chunk inset by them, which sweeps, verifies and repairs the slab
+// (the ghost layers' checksums are plain sums of what the rank put there, so
+// no checksum is ever communicated). The rank adds what is distributed:
+// refilling those ghost layers every iteration, from its z-neighbours or from
+// the global boundary condition. All of a rank's state is touched only by its
+// own goroutine; neighbour layers arrive as copies through the transport.
 type rank3d[T num.Float] struct {
-	id                int
-	z0, z1            int // global layers owned, [z0, z1)
-	h                 int // ghost layers per side = stencil z-radius
-	*core.Online3D[T]     // the slab's protector; its PackState/RestoreState are the rank's
+	id     int
+	z0, z1 int // global layers owned, [z0, z1)
+	h      int // ghost layers per side = stencil z-radius
+
+	buf  *grid.Buffer3D[T] // the frame: nx by ny by z1-z0+2h
+	ch   *core.Chunk[T]    // the slab, layers [h, h+z1-z0) of the frame
+	pool *stencil.Pool
 
 	tr       Transport[T]
 	bc       grid.Boundary // of the global domain
 	bcValue  T
 	globalNz int
 
-	halo Stats               // Topology, HaloExchanges, HaloByDir; the rest is the protector's
-	tel  *telemetry.Recorder // nil when telemetry is disabled
+	stats Stats               // ABFT and halo counters
+	tel   *telemetry.Recorder // nil when telemetry is disabled
 }
 
-func (r *rank3d[T]) advance(abs int, sites []stencil.Site[T]) {
+// newRank3D builds rank id over global layers [z0, z1), copying them and the
+// operator's constant field out of init and op into the frame between empty
+// ghost layers.
+func newRank3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], id, z0, z1 int, opt Options[T]) (*rank3d[T], error) {
+	nx, ny, h := init.Nx(), init.Ny(), op.St.RadiusZ()
+	plane, fnz := nx*ny, z1-z0+2*h
+	fop := &stencil.Op3D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}
+	if op.C != nil {
+		fop.C = grid.New3D[T](nx, ny, fnz)
+		copy(fop.C.Data()[h*plane:], op.C.Data()[z0*plane:z1*plane])
+	}
+	r := &rank3d[T]{id: id, z0: z0, z1: z1, h: h, buf: grid.NewBuffer3D[T](nx, ny, fnz), pool: opt.Pool,
+		bc: op.BC, bcValue: op.BCValue, globalNz: init.Nz()}
+	copy(r.buf.Read.Data()[h*plane:], init.Data()[z0*plane:z1*plane])
+	var err error
+	r.ch, err = core.NewChunk(fop, r.buf, 0, 0, h, nx, ny, fnz-h, op.St.RadiusY(), core.Options[T]{
+		Detector: opt.Detector, PairPolicy: opt.PairPolicy, DropBoundaryTerms: opt.DropBoundaryTerms,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// advance runs one iteration: the ghost layers refreshed with iteration-t
+// data, then the chunk's step — the same Verify → Repair → Swap tail the tile
+// rank ends in.
+func (r *rank3d[T]) advance(_ int, sites []stencil.Site[T]) {
 	r.exchangeHalos()
-	r.SetIter(abs) // keeps the protector's span labels absolute across rebases
-	r.StepInject(sites)
+	r.ch.Step(r.pool, sites, &r.stats, r.tel)
+	r.buf.Swap()
+	r.stats.Iterations++
 }
 
-func (r *rank3d[T]) counters() Stats { return r.Stats().Merge(r.halo) }
+func (r *rank3d[T]) counters() Stats       { return r.stats }
+func (r *rank3d[T]) chunk() *core.Chunk[T] { return r.ch }
 
 // A slab posts its layers inside advance: nothing is out between iterations.
 func (r *rank3d[T]) prePost()    {}
@@ -154,7 +186,7 @@ func (r *rank3d[T]) exchangeHalos() {
 	if r.h == 0 {
 		return
 	}
-	g := r.Grid3D()
+	g := r.buf.Read
 	plane, data := g.Nx()*g.Ny(), g.Data()
 	lo, hi := r.h*plane, (g.Nz()-r.h)*plane // the slab's own cells
 	ghost := r.h * plane
@@ -167,14 +199,14 @@ func (r *rank3d[T]) exchangeHalos() {
 	}
 	r.fill(Up, hasUp, data[:lo])
 	r.fill(Down, hasDn, data[hi:])
-	r.halo.HaloExchanges++
+	r.stats.HaloExchanges++
 }
 
 func (r *rank3d[T]) send(d Dir, layers []T) {
 	t0 := r.tel.Begin()
 	r.tr.Send(r.id, d, layers)
 	r.tel.End(telemetry.PhaseSend, t0)
-	r.halo.HaloByDir[d]++
+	r.stats.HaloByDir[d]++
 }
 
 // fill refreshes the ghost layers on side d from the neighbour there, or
@@ -197,7 +229,7 @@ func (r *rank3d[T]) fill(d Dir, has bool, ghost []T) {
 // Mirror resolve to layers this rank owns (a slab is strictly thicker than
 // the radius); Constant and Zero substitute the fixed ghost value.
 func (r *rank3d[T]) fillEdgeHalo(low bool) {
-	ext := r.Grid3D()
+	ext := r.buf.Read
 	for j := 0; j < r.h; j++ {
 		gz, layer := r.z1+j, ext.Nz()-r.h+j // global ghost layer and its index in ext
 		if low {

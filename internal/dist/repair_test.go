@@ -27,7 +27,7 @@ import (
 
 func checkRowChecksums(r *rank[float64]) error {
 	for y := r.loY(); y < r.hiY(); y++ {
-		if got, want := r.ch.PrevB[y], r.rowChecksum(r.buf.Read, y); !num.SameBits(got, want) {
+		if got, want := r.ch.PrevB[0][y], r.rowChecksum(r.buf.Read, y); !num.SameBits(got, want) {
 			return fmt.Errorf("rank %d row %d: verified checksum %v, the row as the sweep composed it sums to %v", r.id, y, got, want)
 		}
 	}
@@ -123,7 +123,7 @@ func TestClusterGridFallback(t *testing.T) {
 			t.Fatalf("rank %d: %+v", i, s)
 		}
 	}
-	if r := c.ranks[3]; num.Sum(r.ch.InterpA) == 0 {
+	if r := c.ranks[3]; r.ch.InterpA == nil || num.Sum(r.ch.InterpA[0]) == 0 {
 		t.Fatal("the read-buffer flip did not reach the two-vector path")
 	}
 }

@@ -25,6 +25,13 @@ func BufferFrom[T num.Float](init *Grid[T]) *Buffer[T] {
 // Swap exchanges the read and write halves.
 func (b *Buffer[T]) Swap() { b.Read, b.Write = b.Write, b.Read }
 
+// Stack views b as the double buffer of its halves' one-layer stacks
+// (Stack), sharing their storage. The views are b's halves as they stand:
+// whoever holds them swaps them alongside b.
+func (b *Buffer[T]) Stack() *Buffer3D[T] {
+	return &Buffer3D[T]{Read: Stack(b.Read), Write: Stack(b.Write)}
+}
+
 // Buffer3D is the 3-D double buffer, with layer views kept in sync.
 type Buffer3D[T num.Float] struct {
 	Read, Write *Grid3D[T]

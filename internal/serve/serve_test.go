@@ -510,6 +510,20 @@ func TestStatusForThinBlock(t *testing.T) {
 	}
 }
 
+// TestStatusForThinSlab: a 3-D cluster whose slabs are no thicker than the
+// stencil's z-radius is the client's mistake too — 400, where the untagged
+// error it used to be answered 500.
+func TestStatusForThinSlab(t *testing.T) {
+	_, err := abft.Build(abft.Spec[float32]{
+		Scheme: abft.Online, Deployment: abft.Clustered, Ranks: 8,
+		Op3D:   &abft.Op3D[float32]{St: abft.SevenPoint3D[float32](0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1), BC: abft.Clamp},
+		Init3D: abft.New3D[float32](8, 8, 8),
+	})
+	if !errors.Is(err, abft.ErrThinTile) || !errors.Is(err, abft.ErrInvalidSpec) || serve.StatusFor(err) != http.StatusBadRequest {
+		t.Errorf("8 ranks over 8 layers under z-radius 1: error %v, status %d", err, serve.StatusFor(err))
+	}
+}
+
 // TestServeUploadFlow: upload a grid, reference it from a job, and require
 // the canonical form to hit the cache of the equivalent inline submission.
 func TestServeUploadFlow(t *testing.T) {

@@ -143,42 +143,10 @@ func (op *Op2D[T]) pointSlow(bg grid.BoundedGrid[T], cD []T, x, y, nx int) T {
 }
 
 // ChecksumB computes the column checksum vector of g directly:
-// b[y] = Σ_x g(x,y). It is the unfused reference ablation A2
-// (campaign.Ablations) compares the fused loop against.
-func ChecksumB[T num.Float](g *grid.Grid[T], b []T) {
-	nx, ny := g.Nx(), g.Ny()
-	d := g.Data()
-	for y := 0; y < ny; y++ {
-		var acc T
-		row := d[y*nx : (y+1)*nx]
-		// Four adds a trip, in the same order: the one-add loop is 20
-		// bytes and ran at half speed (every constructor's set-up with it)
-		// whenever the linker happened to lay it across a cache line.
-		for ; len(row) >= 4; row = row[4:] {
-			acc += row[0]
-			acc += row[1]
-			acc += row[2]
-			acc += row[3]
-		}
-		for _, v := range row {
-			acc += v
-		}
-		b[y] = acc
-	}
-}
+// b[y] = Σ_x g(x,y) — ChecksumBRect over the whole grid. It is the unfused
+// reference ablation A2 (campaign.Ablations) compares the fused loop against.
+func ChecksumB[T num.Float](g *grid.Grid[T], b []T) { ChecksumBRect(g, 0, 0, g.Nx(), g.Ny(), b) }
 
 // ChecksumA computes the row checksum vector of g directly:
-// a[x] = Σ_y g(x,y).
-func ChecksumA[T num.Float](g *grid.Grid[T], a []T) {
-	nx, ny := g.Nx(), g.Ny()
-	d := g.Data()
-	for x := range a[:nx] {
-		a[x] = 0
-	}
-	for y := 0; y < ny; y++ {
-		row := d[y*nx : (y+1)*nx]
-		for x, v := range row {
-			a[x] += v
-		}
-	}
-}
+// a[x] = Σ_y g(x,y) — ChecksumARect over the whole grid.
+func ChecksumA[T num.Float](g *grid.Grid[T], a []T) { ChecksumARect(g, 0, 0, g.Nx(), g.Ny(), a) }
