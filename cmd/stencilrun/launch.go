@@ -3,11 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	abft "stencilabft"
 	"stencilabft/internal/chaos"
@@ -46,44 +44,27 @@ func launchWorkers(c config) serve.StartWorker {
 	}
 }
 
-// child is one rank process as its parent sees it. The goroutine in run
-// owns the mutable fields until it sends the child on the exits channel.
-type child struct {
-	rank, epoch int
-	w           serve.Worker
-	ckpt        *serve.Checkpoint // the newest buddy checkpoint the rank reported
-	done        serve.WorkerEvent // its result, once finished
-	err         error             // why it ended without one
+// rankLog is what the -launch parent keeps of its ranks' events: the
+// newest buddy checkpoint each reported (its death report's progress) and
+// its result.
+type rankLog struct {
+	ckpt []*serve.Checkpoint
+	done []serve.WorkerEvent
 }
 
-// run drives the rank's job to its terminal event, remembering the newest
-// checkpoint on the way. Nil means the rank delivered its result and exited
-// cleanly; a dead process is reported by how it exited, which says more
-// than its pipe's EOF.
-func (ch *child) run(req serve.JobRequest) error {
-	var failed error
-	err := serve.RunJob(ch.w, req, func(ev serve.WorkerEvent) {
-		switch ev.Event {
-		case "ckpt":
-			if ev.Ckpt != nil && ev.Ckpt.Rank == ch.rank {
-				ch.ckpt = ev.Ckpt
-			}
-		case "done":
-			ch.done = ev
-		case "error":
-			failed = errors.New(ev.Error)
+func newRankLog(n int) *rankLog {
+	return &rankLog{ckpt: make([]*serve.Checkpoint, n), done: make([]serve.WorkerEvent, n)}
+}
+
+func (l *rankLog) observe(rank int, ev serve.WorkerEvent) {
+	switch ev.Event {
+	case "ckpt":
+		if ev.Ckpt != nil && ev.Ckpt.Rank == rank {
+			l.ckpt[rank] = ev.Ckpt
 		}
-	})
-	exit := ch.w.Close()
-	switch {
-	case err != nil && exit != nil:
-		return exit
-	case err != nil:
-		return err
-	case failed != nil:
-		return failed
+	case "done":
+		l.done[rank] = ev
 	}
-	return exit
 }
 
 // runLaunch runs p.ranksX*p.ranksY rank processes over loopback, each
@@ -109,23 +90,29 @@ func runLaunch(c config, p plan, start serve.StartWorker) error {
 			return err
 		}
 	}
-
-	// An explicit -rendezvous wins (e.g. a fixed port an external observer
-	// knows); otherwise reserve a loopback port for rank 0 to bind.
-	rendezvous := c.rendezvous
-	if rendezvous == "" {
-		if rendezvous, err = resilience.ReserveAddr("127.0.0.1"); err != nil {
-			return err
-		}
+	pool, err := serve.NewPool(n, start)
+	if err != nil {
+		return err
 	}
+	// Whatever way the launch ends, no rank process outlives it.
+	defer pool.Close()
 
+	ranks := newRankLog(n)
+	deaths := 0
+	// An explicit -rendezvous wins (e.g. a fixed port an external observer
+	// knows); otherwise the gang reserves a loopback port for rank 0.
+	g := serve.Gang{
+		Req:        serve.JobRequest{ID: "launch", Spec: doc, Iters: c.iters},
+		Layout:     serve.Layout{Nx: c.nx, Ny: c.ny},
+		Elem:       w.Elem,
+		Rendezvous: c.rendezvous,
+	}
 	// Fail-stop recovery: the parent hosts the coordinator the children
-	// report rank deaths to, and its Respawn callback is how a replacement
-	// process for a dead rank gets started — routed through a channel so the
-	// wait loop below stays the single owner of the child bookkeeping.
+	// report rank deaths to, and its Respawn callback hands the gang the
+	// plan on which it restarts the dead rank's worker.
 	var control string
-	respawns := make(chan resilience.Plan, 4)
 	if c.recover {
+		respawns := make(chan resilience.Plan, n) // a recovery round plans at most one claimant a rank
 		co, err := resilience.StartCoordinator(resilience.CoordinatorConfig{
 			RanksX: p.ranksX, RanksY: p.ranksY,
 			DiskDir: c.ckptDir,
@@ -151,96 +138,40 @@ func runLaunch(c config, p plan, start serve.StartWorker) error {
 		}
 		defer co.Close()
 		control = co.Addr()
+		g.Respawns = respawns
+		g.OnDeath = func(e *serve.RankError) {
+			deaths++
+			fmt.Println(ranks.deathReport(e))
+		}
 		fmt.Printf("stencilrun -launch: recovery coordinator at %s (buddy period %d)\n", control, c.buddy)
 	}
+	// A respawned claimant's placement carries the -die drill too; it
+	// fires only in epoch 0 (serve.RunResilient).
+	g.Place = func(rank int) serve.Placement {
+		pl := serve.Placement{Control: control, Buddy: c.buddy, CkptDir: c.ckptDir,
+			Chaos: chaosPlan, ChaosSeed: c.chaosSeed, Trace: c.trace != ""}
+		if rank == p.dieRank {
+			pl.DieAt = p.dieIter
+		}
+		return pl
+	}
 
-	fmt.Printf("stencilrun -launch: %d rank processes over a %dx%d grid, rendezvous %s\n",
-		n, p.ranksY, p.ranksX, rendezvous)
+	fmt.Printf("stencilrun -launch: %d rank processes over a %dx%d grid\n", n, p.ranksY, p.ranksX)
 
 	timer := metrics.StartTimer()
-	var children []*child
-	// Whatever way the launch ends, no rank process outlives it.
-	defer func() {
-		for _, ch := range children {
-			ch.w.Kill()
+	res, err := pool.RunGang(g, ranks.observe)
+	if err != nil {
+		if e, ok := err.(*serve.RankError); ok {
+			return fmt.Errorf("rank %d process failed: %w", e.Rank, e.Err)
 		}
-	}()
-	exits := make(chan *child, 2*n) // every child of a run with up to n deaths reports without blocking
-	// spawn starts rank's process and posts its job. epoch > 0 marks a
-	// respawned claimant, which fetches its rendezvous, restart generation
-	// and tile state from the coordinator — so it gets neither the bootstrap
-	// rendezvous nor the -die drill.
-	spawn := func(rank, epoch int) error {
-		wk, err := start(rank)
-		if err != nil {
-			return fmt.Errorf("starting rank %d (epoch %d): %w", rank, epoch, err)
-		}
-		ch := &child{rank: rank, epoch: epoch, w: wk}
-		children = append(children, ch)
-		place := &serve.Placement{Rank: rank, Epoch: epoch, Control: control, Buddy: c.buddy, CkptDir: c.ckptDir,
-			Chaos: chaosPlan, ChaosSeed: c.chaosSeed, Trace: c.trace != ""}
-		if epoch == 0 {
-			place.Rendezvous = rendezvous
-			if rank == p.dieRank {
-				place.DieAt = p.dieIter
-			}
-		}
-		req := serve.JobRequest{ID: fmt.Sprintf("rank%d-epoch%d", rank, epoch), Spec: doc, Iters: c.iters, Place: place}
-		go func() { ch.err = ch.run(req); exits <- ch }()
-		return nil
-	}
-	for k := 0; k < n; k++ {
-		if err := spawn(k, 0); err != nil {
-			return err
-		}
-	}
-
-	// The wait loop: every rank must end with one successful terminal
-	// process. Without -recover the first failure aborts the launch; with it
-	// a death is diagnosed and the loop keeps serving exits and respawns
-	// until the cluster completes (or nothing that could complete remains).
-	done := make([]serve.WorkerEvent, n)
-	finished, running, deaths := 0, n, 0
-	for finished < n {
-		var idle <-chan time.Time
-		if running == 0 {
-			idle = time.After(15 * time.Second)
-		}
-		select {
-		case plan := <-respawns:
-			if err := spawn(plan.Dead, plan.Epoch); err != nil {
-				return err
-			}
-			running++
-		case <-idle:
-			return fmt.Errorf("no rank processes left and no respawn pending (%d of %d ranks finished)", finished, n)
-		case ch := <-exits:
-			running--
-			if ch.err == nil {
-				done[ch.rank] = ch.done
-				finished++
-				continue
-			}
-			if !c.recover {
-				return fmt.Errorf("rank %d process failed: %w", ch.rank, ch.err)
-			}
-			deaths++
-			fmt.Println(deathReport(ch))
-			if deaths > n {
-				return fmt.Errorf("%d rank processes died — more than the cluster holds; giving up", deaths)
-			}
-		}
+		return err
 	}
 	wall := timer.Seconds()
 
 	if c.trace != "" {
-		if err := mergeTraces(c.trace, done); err != nil {
+		if err := mergeTraces(c.trace, ranks.done); err != nil {
 			return err
 		}
-	}
-	res, err := serve.GatherRanks(done, serve.Layout{Nx: c.nx, Ny: c.ny}, w.Elem)
-	if err != nil {
-		return err
 	}
 	merged := res.Stats
 
@@ -270,7 +201,7 @@ func runLaunch(c config, p plan, start serve.StartWorker) error {
 	decomp := dist.Decomp{Nx: c.nx, Ny: c.ny, RanksX: p.ranksX, RanksY: p.ranksY}
 	fmt.Printf("wall time:        %.4fs (%d processes)\n", wall, n)
 	fmt.Printf("merged stats:     %v\n", merged)
-	for k, ev := range done {
+	for k, ev := range ranks.done {
 		fmt.Printf("  rank %d tile %v: %v\n", k, decomp.TileOf(k), *ev.Stats)
 	}
 
@@ -300,15 +231,15 @@ func runLaunch(c config, p plan, start serve.StartWorker) error {
 // checkpoint generation it had reported, and how much transport healing
 // (reconnects, resent frames) it had done by then — the launcher-side
 // diagnostic for a fail-stop event.
-func deathReport(ch *child) string {
+func (l *rankLog) deathReport(e *serve.RankError) string {
 	progress := "no buddy checkpoint reported"
-	if ck := ch.ckpt; ck != nil {
+	if ck := l.ckpt[e.Rank]; ck != nil {
 		progress = fmt.Sprintf("last buddy checkpoint at generation %d", ck.Gen)
 		if ck.Reconnects > 0 || ck.Resends > 0 {
 			progress += fmt.Sprintf(" after %d reconnects and %d resent frames", ck.Reconnects, ck.Resends)
 		}
 	}
-	return fmt.Sprintf("rank %d process (epoch %d) died: %v; %s", ch.rank, ch.epoch, ch.err, progress)
+	return fmt.Sprintf("rank %d process (epoch %d) died: %v; %s", e.Rank, e.Epoch, e.Err, progress)
 }
 
 // mergeTraces concatenates the ranks' trace timelines onto one re-based

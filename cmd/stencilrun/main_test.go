@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	abft "stencilabft"
@@ -472,10 +473,25 @@ func (w *scriptedWorker) Recv() (serve.WorkerEvent, error) {
 	return ev, nil
 }
 
+// idleWorker is a rank that never answers: its Recv blocks until Kill.
+type idleWorker struct {
+	serve.Worker // Close is never reached: the collapse kills the rank
+	killed       chan struct{}
+	once         sync.Once
+}
+
+func (w *idleWorker) Send(serve.JobRequest) error { return nil }
+func (w *idleWorker) Kill()                       { w.once.Do(func() { close(w.killed) }) }
+func (w *idleWorker) Recv() (serve.WorkerEvent, error) {
+	<-w.killed
+	return serve.WorkerEvent{}, io.EOF
+}
+
 // TestDeathReport pins the launcher's fail-stop diagnostic and the "ckpt"
 // event bookkeeping behind it: the report names the rank, how its process
 // exited, the last checkpoint generation the rank itself reported, and any
-// transport healing it had done before it died.
+// transport healing it had done before it died. The scripted rank runs in
+// a gang whose other ranks idle until its failure collapses the gang.
 func TestDeathReport(t *testing.T) {
 	ckpt := func(rank, gen int, reconnects, resends int64) serve.WorkerEvent {
 		return serve.WorkerEvent{Event: "ckpt", Ckpt: &serve.Checkpoint{Rank: rank, Gen: gen, Reconnects: reconnects, Resends: resends}}
@@ -502,11 +518,26 @@ func TestDeathReport(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ch := &child{rank: tc.rank, epoch: tc.epoch, w: &scriptedWorker{events: tc.events, exit: tc.exit}}
-			if ch.err = ch.run(serve.JobRequest{}); ch.err == nil {
-				t.Fatal("a rank that never delivered a result ran clean")
+			pool, err := serve.NewPool(tc.rank+1, func(slot int) (serve.Worker, error) {
+				if slot == tc.rank {
+					return &scriptedWorker{events: tc.events, exit: tc.exit}, nil
+				}
+				return &idleWorker{killed: make(chan struct{})}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := deathReport(ch)
+			defer pool.Close()
+			ranks := newRankLog(tc.rank + 1)
+			_, err = pool.RunGang(serve.Gang{
+				Rendezvous: "127.0.0.1:1", // no scripted or idle worker binds it
+				Place:      func(int) serve.Placement { return serve.Placement{Epoch: tc.epoch} },
+			}, ranks.observe)
+			e, ok := err.(*serve.RankError)
+			if !ok || e.Rank != tc.rank {
+				t.Fatalf("a rank that never delivered a result ran clean: %v", err)
+			}
+			got := ranks.deathReport(e)
 			for _, want := range tc.want {
 				if !strings.Contains(got, want) {
 					t.Errorf("report %q does not mention %q", got, want)

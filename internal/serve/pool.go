@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"sync"
+	"time"
 )
 
 // Worker is the host end of the protocol WorkerMain speaks: Send posts a
@@ -114,6 +115,7 @@ type procWorker struct {
 	stdin  io.WriteCloser
 	stdout io.ReadCloser
 	once   sync.Once
+	exit   error
 }
 
 // Kill is safe even under a concurrent Recv or Close: the pipes are
@@ -124,13 +126,15 @@ func (w *procWorker) Kill() {
 	w.Close()
 }
 
-func (w *procWorker) Close() (err error) {
+// Close reports how the child exited on every call, a killed child's
+// included: a child that had already died keeps its own exit status.
+func (w *procWorker) Close() error {
 	w.once.Do(func() {
 		w.stdin.Close()
-		err = w.cmd.Wait()
+		w.exit = w.cmd.Wait()
 		w.stdout.Close()
 	})
-	return err
+	return w.exit
 }
 
 // Slot is one lane of the pool: at most one job runs on it at a time. The
@@ -141,15 +145,16 @@ type Slot struct {
 
 	mu    sync.Mutex
 	w     Worker
-	gen   uint64 // bumped by every Arm; identifies the current run
+	gen   uint64 // bumped by every arm; identifies the current run
 	armed bool   // an armed run has not returned from Run yet
 }
 
-// Arm binds the slot's next Run to a kill token. KillIf with that token
+// arm binds the slot's next Run to a kill token. killIf with that token
 // tears the worker down only while the armed run is still in flight, so a
-// watchdog timer that fires concurrently with job completion cannot shoot a
-// respawned worker or a later job that re-acquired the slot.
-func (s *Slot) Arm() uint64 {
+// watchdog timer or a gang collapse that fires concurrently with job
+// completion cannot shoot a respawned worker or a later job that
+// re-acquired the slot.
+func (s *Slot) arm() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
@@ -157,10 +162,10 @@ func (s *Slot) Arm() uint64 {
 	return s.gen
 }
 
-// KillIf kills the slot's worker iff the run armed with token is still in
+// killIf kills the slot's worker iff the run armed with token is still in
 // flight; a stale token (the run returned, or the slot was re-armed for a
 // newer job) makes it a no-op.
-func (s *Slot) KillIf(token uint64) {
+func (s *Slot) killIf(token uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.armed || s.gen != token {
@@ -173,26 +178,33 @@ func (s *Slot) KillIf(token uint64) {
 	}
 }
 
-// disarm retires the current kill token; late KillIf calls become no-ops.
+// disarm retires the current kill token; late killIf calls become no-ops.
 func (s *Slot) disarm() {
 	s.mu.Lock()
 	s.armed = false
 	s.mu.Unlock()
 }
 
-// RunJob sends req to w and pumps the events that answer it into onEvent
-// until its terminal event ("done" or "error") has been delivered — the one
-// loop every host of a worker runs (a pool Slot, the stencilrun -launch
-// parent). A non-nil return means the worker itself failed: it refused the
-// request, died, or spoke garbage.
-func RunJob(w Worker, req JobRequest, onEvent func(WorkerEvent)) error {
+// Run sends req to the slot's worker and pumps the events that answer it
+// into onEvent until its terminal event ("done" or "error") has been
+// delivered. A non-nil return means the worker itself failed: it refused
+// the request, died, or spoke garbage; the gang runner stops it, any other
+// caller releases the slot unhealthy.
+func (s *Slot) Run(req JobRequest, onEvent func(WorkerEvent)) error {
+	defer s.disarm()
+	s.mu.Lock()
+	w := s.w
+	s.mu.Unlock()
+	if w == nil {
+		return fmt.Errorf("serve: slot %d has no live worker", s.ID)
+	}
 	if err := w.Send(req); err != nil {
-		return fmt.Errorf("worker rejected the job: %w", err)
+		return fmt.Errorf("serve: slot %d: worker rejected the job: %w", s.ID, err)
 	}
 	for {
 		ev, err := w.Recv()
 		if err != nil {
-			return fmt.Errorf("worker died mid-job: %w", err)
+			return fmt.Errorf("serve: slot %d: worker died mid-job: %w", s.ID, err)
 		}
 		if ev.ID != req.ID {
 			continue // stale event from a previously killed job
@@ -204,36 +216,34 @@ func RunJob(w Worker, req JobRequest, onEvent func(WorkerEvent)) error {
 	}
 }
 
-// Run is RunJob on the slot's worker. A non-nil return means the caller
-// must release the slot unhealthy so the pool respawns it.
-func (s *Slot) Run(req JobRequest, onEvent func(WorkerEvent)) error {
-	defer s.disarm()
+// stopGrace bounds how long stop waits for a worker to exit on its own
+// before killing it: one that failed its run may still be running.
+const stopGrace = time.Second
+
+// stop takes the slot's worker away and ends it, reporting how it exited
+// (Worker.Close; nil if there was none). A worker in an armed run is
+// killed at once; any other is closed, so it exits on its own and flushes
+// what it writes at exit (a -worker's profiles), within stopGrace. The
+// slot is left workerless, which the pool respawns on release.
+func (s *Slot) stop() error {
 	s.mu.Lock()
-	w := s.w
+	w, busy := s.w, s.armed
+	s.w = nil
 	s.mu.Unlock()
 	if w == nil {
-		return fmt.Errorf("serve: slot %d has no live worker", s.ID)
+		return nil
 	}
-	if err := RunJob(w, req, onEvent); err != nil {
-		return fmt.Errorf("serve: slot %d: %w", s.ID, err)
+	if busy {
+		w.Kill()
+		return nil
 	}
-	return nil
-}
-
-// KillWorker tears down the slot's current worker immediately — the
-// watchdog path for jobs that exceed their deadline. A Run in flight
-// returns with an error; Release then respawns.
-func (s *Slot) KillWorker() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w != nil {
-		s.w.Kill()
-		s.w = nil
-	}
+	t := time.AfterFunc(stopGrace, w.Kill)
+	defer t.Stop()
+	return w.Close()
 }
 
 // Pool owns a fixed set of worker slots. Acquire hands out exclusive slots,
-// Release returns them (respawning dead workers), Close kills everything.
+// Release returns them (respawning dead workers), Close ends everything.
 type Pool struct {
 	start StartWorker
 	free  chan *Slot
@@ -263,9 +273,6 @@ func NewPool(n int, start StartWorker) (*Pool, error) {
 	return p, nil
 }
 
-// Size returns the number of slots.
-func (p *Pool) Size() int { return len(p.slots) }
-
 // Acquire blocks for a free slot or the context's end.
 func (p *Pool) Acquire(ctx context.Context) (*Slot, error) {
 	select {
@@ -276,29 +283,58 @@ func (p *Pool) Acquire(ctx context.Context) (*Slot, error) {
 	}
 }
 
+// acquire blocks until n slots are held, in the order they come free
+// (slot order in a fresh pool). The scheduler's dispatcher is its only
+// caller in a service, so waiting for a whole gang cannot deadlock
+// against another acquirer — running jobs always release.
+func (p *Pool) acquire(ctx context.Context, n int) ([]*Slot, error) {
+	slots := make([]*Slot, 0, n)
+	for len(slots) < n {
+		sl, err := p.Acquire(ctx)
+		if err != nil {
+			for _, held := range slots {
+				p.Release(held, true)
+			}
+			return nil, err
+		}
+		slots = append(slots, sl)
+	}
+	return slots, nil
+}
+
 // Release returns a slot to the pool. An unhealthy release (the worker
 // failed the job at the protocol level) kills and respawns the worker; a
 // slot whose worker is gone for any reason is respawned too, so one crash
 // never permanently shrinks the pool.
 func (p *Pool) Release(s *Slot, healthy bool) {
 	s.mu.Lock()
-	if !healthy && s.w != nil {
-		s.w.Kill()
-		s.w = nil
-	}
-	if s.w == nil && !p.isClosed() {
-		if w, err := p.start(s.ID); err == nil {
-			s.w = w
-		}
+	dead := !healthy || s.w == nil
+	s.mu.Unlock()
+	if dead && !p.isClosed() {
 		// On failure the slot stays workerless; the next Run on it fails
 		// fast and the release after that retries the spawn.
+		p.respawn(s)
 	}
-	s.mu.Unlock()
 	if p.isClosed() {
-		s.KillWorker()
+		s.stop()
 		return
 	}
 	p.free <- s
+}
+
+// respawn ends whatever worker slot s still has and starts a fresh one:
+// how a released slot whose worker failed, and a gang rank's claimant,
+// get one.
+func (p *Pool) respawn(s *Slot) error {
+	s.stop()
+	w, err := p.start(s.ID)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.w = w
+	s.mu.Unlock()
+	return nil
 }
 
 func (p *Pool) isClosed() bool {
@@ -307,8 +343,9 @@ func (p *Pool) isClosed() bool {
 	return p.closed
 }
 
-// Close kills every worker, including ones mid-job: their Runs return
-// errors and the jobs fail. Idempotent.
+// Close ends every worker; idempotent. A worker mid-run is killed, so its
+// Run returns an error and the job fails; an idle one has its request
+// stream closed and exits on its own.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -318,7 +355,7 @@ func (p *Pool) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	for _, s := range p.slots {
-		s.KillWorker()
+		s.stop()
 	}
 	// Drain the free list so no released slot lingers in the channel.
 	for {

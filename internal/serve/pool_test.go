@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +109,54 @@ func TestProcessWorkerGang(t *testing.T) {
 			t.Fatalf("process gang diverges at %d: %v != %v", i, grid.Data[i], v)
 		}
 	}
+}
+
+// dyingRank kills its own worker 300 ms after the worker is seated as rank 1.
+type dyingRank struct{ serve.Worker }
+
+func (w dyingRank) Send(req serve.JobRequest) error {
+	if req.Place != nil && req.Place.Rank == 1 {
+		time.AfterFunc(300*time.Millisecond, w.Kill)
+	}
+	return w.Worker.Send(req)
+}
+
+// TestGangWorkerDeath: a gang rank whose worker dies mid-run fails the job
+// at once and in that rank's name — not after the survivor's transport
+// gives up on it (the 15 s death deadline), blaming the survivor.
+func TestGangWorkerDeath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks worker processes")
+	}
+	start := processStart(t)
+	_, ts := newTestServer(t, serve.Config{Workers: 2, Start: func(slot int) (serve.Worker, error) {
+		w, err := start(slot)
+		if err != nil {
+			return nil, err
+		}
+		return dyingRank{w}, nil
+	}})
+
+	spec := onlineSpec(70)
+	spec.Deployment = abft.Clustered
+	spec.Ranks = 2
+	t0 := time.Now()
+	id, code, _, _ := submitSpec(t, ts, "alice", spec, 900_000)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: status %d", code)
+	}
+	st := waitTerminal(t, ts, id)
+	took := time.Since(t0)
+	if st.State != serve.StateFailed || st.Status != 500 {
+		t.Fatalf("gang job settled %s/%d, want failed/500 (%s)", st.State, st.Status, st.Error)
+	}
+	if took > 3*time.Second {
+		t.Fatalf("gang job took %v to fail after its rank 1 worker died, want under 3s (%s)", took, st.Error)
+	}
+	if !strings.Contains(st.Error, "rank 1") {
+		t.Fatalf("gang job error %q does not name the dead rank 1", st.Error)
+	}
+	t.Logf("failed after %v: %s", took, st.Error)
 }
 
 // TestWorkerRespawnAfterTimeout: a job overrunning its deadline gets its

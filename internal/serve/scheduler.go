@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"stencilabft/internal/resilience"
-	"stencilabft/internal/stats"
 )
 
 // Backpressure sentinels — both map to 429 with a Retry-After hint.
@@ -129,7 +126,7 @@ func NewScheduler(cfg Config, met *Metrics) (*Scheduler, error) {
 		jobs:   make(map[string]*Job),
 		active: make(map[string]int),
 	}
-	met.SetWorkers(pool.Size())
+	met.SetWorkers(len(pool.slots))
 	met.SetQueueProbe(func() int { return len(s.queue) })
 	s.wg.Add(1)
 	go s.dispatch()
@@ -255,7 +252,7 @@ func (s *Scheduler) dispatch() {
 		case j = <-s.queue:
 		}
 		n := s.gangSize(j)
-		slots, err := s.acquireGang(n)
+		slots, err := s.pool.acquire(s.ctx, n)
 		if err != nil {
 			j.Fail("server shutting down", 503)
 			s.finish(j)
@@ -263,11 +260,7 @@ func (s *Scheduler) dispatch() {
 			return
 		}
 		s.wg.Add(1)
-		if len(slots) > 1 {
-			go s.runGang(j, slots)
-		} else {
-			go s.runSingle(j, slots[0])
-		}
+		go s.run(j, slots)
 	}
 }
 
@@ -292,28 +285,10 @@ func (s *Scheduler) drainQueue() {
 // layouts are bit-identical by the transport contract.
 func (s *Scheduler) gangSize(j *Job) int {
 	n := j.Layout.GangRanks
-	if s.cfg.DisableFanOut || n < 2 || n > s.pool.Size() {
+	if s.cfg.DisableFanOut || n < 2 || n > len(s.pool.slots) {
 		return 1
 	}
 	return n
-}
-
-// acquireGang blocks until n slots are held. Only the dispatcher acquires,
-// so waiting for the full gang cannot deadlock against another acquirer —
-// running jobs always release.
-func (s *Scheduler) acquireGang(n int) ([]*Slot, error) {
-	slots := make([]*Slot, 0, n)
-	for len(slots) < n {
-		sl, err := s.pool.Acquire(s.ctx)
-		if err != nil {
-			for _, held := range slots {
-				s.pool.Release(held, true)
-			}
-			return nil, err
-		}
-		slots = append(slots, sl)
-	}
-	return slots, nil
 }
 
 // statsEvery picks the stats-stream cadence: every iteration up to 256,
@@ -325,171 +300,33 @@ func statsEvery(iters int) int {
 	return (iters + 255) / 256
 }
 
-// runSingle executes a job on one worker.
-func (s *Scheduler) runSingle(j *Job, slot *Slot) {
+// run executes a job on its held slots through the gang runner and settles
+// it. Rank 0 streams the stats events: for a gang, its view is progress
+// plus its own tile's counters — indicative; the final stats are the
+// merged gang totals.
+func (s *Scheduler) run(j *Job, slots []*Slot) {
 	defer s.wg.Done()
 	j.SetRunning()
-	req := JobRequest{ID: j.ID, Spec: j.spec(), Iters: j.Iters, StatsEvery: statsEvery(j.Iters)}
-	// The kill token scopes the watchdog to this run: if the timer fires
-	// concurrently with completion, the late callback is a no-op instead of
-	// shooting a respawned worker or the slot's next tenant.
-	token := slot.Arm()
-	watchdog := time.AfterFunc(s.cfg.JobTimeout, func() { slot.KillIf(token) })
-	err := slot.Run(req, func(ev WorkerEvent) {
-		switch ev.Event {
-		case "stats":
-			if ev.Stats != nil {
-				j.PublishStats(ev.Iter, *ev.Stats)
-			}
-		case "done":
-			if ev.Grid == nil || ev.Stats == nil {
-				j.Fail("serve: worker returned no result", 500)
-				return
-			}
-			if g := ev.Grid; !tileFits(g, j.Layout, j.Elem) || g.Nx != j.Layout.Nx || g.Ny != j.Layout.Ny {
-				j.Fail(fmt.Sprintf("serve: worker returned a %dx%dx%d %s grid for a %dx%dx%d %s job",
-					g.Nx, g.Ny, g.Nz, g.Elem, j.Layout.Nx, j.Layout.Ny, j.Layout.Nz, j.Elem), 500)
-				return
-			}
-			s.cache.Put(j.Key, Result{Grid: ev.Grid, Stats: *ev.Stats})
-			j.Finish(ev.Grid, *ev.Stats, false)
-		case "error":
-			j.Fail(ev.Error, ev.Status)
+	g := Gang{
+		Req:    JobRequest{ID: j.ID, Spec: j.spec(), Iters: j.Iters, StatsEvery: statsEvery(j.Iters)},
+		Layout: j.Layout, Elem: j.Elem, Timeout: s.cfg.JobTimeout,
+	}
+	res, err := s.pool.runGang(slots, &g, func(rank int, ev WorkerEvent) {
+		if rank == 0 && ev.Event == "stats" && ev.Stats != nil {
+			j.PublishStats(ev.Iter, *ev.Stats)
 		}
 	})
-	watchdog.Stop()
-	if err != nil {
-		j.Fail(fmt.Sprintf("serve: worker failed (killed or crashed): %v", err), 500)
+	switch e := err.(type) {
+	case nil:
+		s.cache.Put(j.Key, res)
+		j.Finish(res.Grid, res.Stats, false)
+	case *RankError:
+		j.Fail(e.Error(), e.Status)
+	default:
+		j.Fail(err.Error(), 500)
 	}
-	s.pool.Release(slot, err == nil)
+	for _, sl := range slots {
+		s.pool.Release(sl, true)
+	}
 	s.finish(j)
-}
-
-// runGang executes a cluster job across len(slots) workers, one placed
-// rank each, meeting at a reserved rendezvous; rank 0 streams the stats
-// events. GatherRanks reassembles the tiles and merges the counters.
-func (s *Scheduler) runGang(j *Job, slots []*Slot) {
-	defer s.wg.Done()
-	defer s.finish(j)
-	j.SetRunning()
-	n := len(slots)
-	done := make([]WorkerEvent, n)
-	errs := make([]error, n) // a rank's worker failing, as opposed to its job
-	defer func() {
-		for k, sl := range slots {
-			s.pool.Release(sl, errs[k] == nil)
-		}
-	}()
-
-	rdv, err := resilience.ReserveAddr("127.0.0.1")
-	if err != nil {
-		j.Fail(err.Error(), 500)
-		return
-	}
-	// Arm every slot before any rank starts: the tokens scope both the
-	// watchdog and the error collapse to this gang's runs, so a late kill
-	// cannot hit a slot that finished and moved on to another job.
-	tokens := make([]uint64, n)
-	for k, sl := range slots {
-		tokens[k] = sl.Arm()
-	}
-	killAll := func() {
-		for k, sl := range slots {
-			sl.KillIf(tokens[k])
-		}
-	}
-	watchdog := time.AfterFunc(s.cfg.JobTimeout, killAll)
-	var collapse sync.Once
-
-	spec := j.spec()
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			req := JobRequest{
-				ID: j.ID, Spec: spec, Iters: j.Iters,
-				Place: &Placement{Rank: k, Rendezvous: rdv},
-			}
-			if k == 0 {
-				req.StatsEvery = statsEvery(j.Iters)
-			}
-			errs[k] = slots[k].Run(req, func(ev WorkerEvent) {
-				switch ev.Event {
-				case "stats":
-					// Rank 0's view: progress plus its own tile's
-					// counters — documented as indicative, the final
-					// stats are the merged gang totals.
-					if k == 0 && ev.Stats != nil {
-						j.PublishStats(ev.Iter, *ev.Stats)
-					}
-				case "done":
-					done[k] = ev
-				case "error":
-					// The first rank's error is the job's (Fail is
-					// idempotent). One rank down stalls the gang at the next
-					// halo exchange; collapse it, don't wait for the watchdog.
-					j.Fail(ev.Error, ev.Status)
-					collapse.Do(killAll)
-				}
-			})
-		}(k)
-	}
-	wg.Wait()
-	watchdog.Stop()
-
-	for k, err := range errs {
-		if err != nil {
-			j.Fail(fmt.Sprintf("serve: rank %d worker failed: %v", k, err), 500)
-			return
-		}
-	}
-	// A rank that answered "error" left no tile, so a failed job never
-	// gathers.
-	res, err := GatherRanks(done, j.Layout, j.Elem)
-	if err != nil {
-		j.Fail(err.Error(), 500)
-		return
-	}
-	s.cache.Put(j.Key, res)
-	j.Finish(res.Grid, res.Stats, false)
-}
-
-// GatherRanks reassembles the "done" events of a cluster's placed ranks
-// (indexed by rank) into the global domain and the merged counters. Tile
-// rows are copied into place as bytes: nothing is decoded on the way.
-func GatherRanks(done []WorkerEvent, lay Layout, elem string) (Result, error) {
-	nx, ny, es := lay.Nx, lay.Ny, elemSize(elem)
-	raw := make([]byte, nx*ny*es)
-	perRank := make([]stats.Stats, 0, len(done))
-	for k, ev := range done {
-		gp := ev.Grid
-		if gp == nil || ev.Stats == nil {
-			return Result{}, fmt.Errorf("serve: rank %d returned no result", k)
-		}
-		if !tileFits(gp, lay, elem) {
-			return Result{}, fmt.Errorf("serve: rank %d returned a %dx%d %s tile at (%d,%d) outside the %dx%d %s domain",
-				k, gp.Nx, gp.Ny, gp.Elem, gp.X0, gp.Y0, nx, ny, elem)
-		}
-		row := gp.Nx * es
-		for yy := 0; yy < gp.Ny; yy++ {
-			copy(raw[((gp.Y0+yy)*nx+gp.X0)*es:], gp.Raw[yy*row:(yy+1)*row])
-		}
-		perRank = append(perRank, *ev.Stats)
-	}
-	// Every rank process reports the same lockstep Iterations; merging sums
-	// them, so restore the one global sweep count — the convention
-	// Cluster.Stats uses in-process.
-	merged := stats.MergeAll(perRank)
-	merged.Iterations = perRank[0].Iterations
-	return Result{Grid: &GridPayload{Nx: nx, Ny: ny, Elem: elem, Raw: raw}, Stats: merged}, nil
-}
-
-// tileFits reports whether g is a well-formed payload of element type elem
-// lying inside the lay domain. Worker is an interface, so a host checks
-// what it is handed before indexing by it.
-func tileFits(g *GridPayload, lay Layout, elem string) bool {
-	want, err := g.byteLen()
-	return err == nil && len(g.Raw) == want && g.Elem == elem && g.Nz == lay.Nz &&
-		g.X0 >= 0 && g.Y0 >= 0 && g.Nx <= lay.Nx-g.X0 && g.Ny <= lay.Ny-g.Y0
 }

@@ -118,7 +118,7 @@ func tenantOf(r *http.Request) string {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":      true,
-		"workers": s.sched.pool.Size(),
+		"workers": len(s.sched.pool.slots),
 	})
 }
 

@@ -59,7 +59,8 @@ type WorkerEvent struct {
 // the cells row-major at Elem's width, little-endian (dist.AppendElems), so
 // NaN and ±Inf travel like any other value and nothing is widened or parsed
 // between worker, scheduler, cache and the HTTP edge. A placed rank returns
-// only its tile, at (X0, Y0) of the global domain; GatherRanks reassembles.
+// only its tile, at (X0, Y0) of the global domain; the gang runner
+// reassembles.
 type GridPayload struct {
 	Nx   int    `json:"nx"`
 	Ny   int    `json:"ny"`
