@@ -232,6 +232,12 @@ func TestResultJSONMatchesEncodingJSON(t *testing.T) {
 		math.MaxFloat32, math.SmallestNonzeroFloat32, math.MaxFloat64, math.SmallestNonzeroFloat64,
 		float64(float32(0.1)), float64(float32(1e-6)), float64(float32(1e21)), float64(float32(123456.789)),
 		149.99999, 100.00000000000001,
+		// The float32 kernel's edges: 2⁻⁸ and its neighbours, 2²³, the
+		// largest float32 below 2⁵³ and 2⁵³ itself, negatives, and a cell
+		// whose shortest form has 17 fractional digits.
+		f32bits(0x3b7fffff), f32bits(0x3b800000), f32bits(0x3b800001), 1 << 23,
+		f32bits(0x59ffffff), 1 << 53, -f32bits(0x3b800000), -256.75, -float64(float32(0.1)),
+		f32bits(0x3b80901b),
 	}
 	st := stats.Stats{Iterations: 16, Detections: 2}
 	shapes := []struct{ nx, ny, nz int }{{len(values), 1, 0}, {1, len(values), 0}, {len(values) / 3, 1, 3}, {5, 2, 0}, {2, 2, 2}}
@@ -274,6 +280,38 @@ func TestResultJSONMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 
+	// A real serve_grid job's cells: a uniform 256² grid after 16 online sweeps.
+	var done *GridPayload
+	spec := []byte(`{"stencil":{"name":"laplace5"},"bc":"clamp","scheme":"online","grid":{"nx":256,"ny":256,"generator":"uniform","seed":1}}`)
+	if err := runJob(JobRequest{ID: "j", Spec: spec, Iters: 16}, func(ev WorkerEvent) error {
+		if ev.Event != "done" {
+			t.Fatalf("job event %q: %s", ev.Event, ev.Error)
+		}
+		done = ev.Grid
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cells32, err := dist.DecodeElems[float32](4, done.Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]float64, len(cells32))
+	for i, c := range cells32 {
+		cells[i] = float64(c)
+	}
+	got, err := appendResultJSON(nil, "j", false, done, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	if err := json.NewEncoder(&ref).Encode(legacyBody{ID: "j", Grid: &legacyGrid{Nx: 256, Ny: 256, Data: cells}, Stats: st}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref.Bytes()) {
+		t.Fatal("a 256x256 uniform job's result differs from encoding/json's")
+	}
+
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		g := &GridPayload{Nx: 2, Ny: 1, Elem: "float64", Raw: dist.AppendElems(nil, []float64{1, bad})}
 		if _, err := appendResultJSON(nil, "j", false, g, st); err != errNonFinite {
@@ -281,6 +319,9 @@ func TestResultJSONMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// f32bits is the float32 with bits b, widened.
+func f32bits(b uint32) float64 { return float64(math.Float32frombits(b)) }
 
 // TestCanonicalGeneratorStaysSmall: a generator-backed job's canonical
 // document is a reference, not 64k numbers, and spelling the defaults out
