@@ -215,26 +215,6 @@ type submitBody struct {
 	Iters int             `json:"iters"`
 }
 
-// canonicalize resolves the wire document for element type T and re-emits
-// it in canonical form: named stencils expanded to points, elem explicit,
-// inline and uploaded grids as inline data, a generator-backed grid as its
-// resolved generator reference (Spec.Wire keeps it: the generators are
-// deterministic, so the worker regenerates the same bits and the document
-// stays small however large the domain). The canonical bytes are both the
-// cache key input and exactly what workers execute, so a cache hit and a
-// fresh run see the same document. Validation runs here too, so a spec
-// Build would reject never reaches the queue.
-func canonicalize[T abft.Float](w *abft.WireSpec) ([]byte, error) {
-	spec, err := abft.SpecFromWire[T](w)
-	if err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(spec)
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -271,22 +251,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	elem := wire.Elem
-	if elem == "" {
-		elem = "float32"
-	}
-	var canonical []byte
-	switch elem {
-	case "float64":
-		canonical, err = canonicalize[float64](wire)
-	default:
-		// float32 is the default; an unknown elem fails inside
-		// SpecFromWire with the typed wire error.
-		canonical, err = canonicalize[float32](wire)
-	}
+	// The canonical bytes are both the cache key input and exactly what
+	// workers execute, so a cache hit and a fresh run see the same
+	// document; validation runs here too, so a spec Build would reject
+	// never reaches the queue. A generator grid stays its reference: the
+	// generators are deterministic, so the worker builds the same bits.
+	canonical, err := wire.Canonical()
 	if err != nil {
 		s.writeError(w, err)
 		return
+	}
+	elem := wire.Elem
+	if elem == "" {
+		elem = "float32"
 	}
 	// wire is the only parse of this submission: its layout rides on the
 	// job, so the dispatcher never opens the canonical document.
@@ -295,10 +272,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	// A fresh job may already be done by now — the dispatcher runs it as
+	// soon as it is queued — so only a cache hit is answered 200.
 	st := j.Status()
 	status := http.StatusAccepted
-	if st.State == StateDone {
-		status = http.StatusOK // answered from cache
+	if st.Cached {
+		status = http.StatusOK
 	}
 	writeJSON(w, status, st)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -67,4 +68,101 @@ func TestSSERelaysQueuedEventsBeforeDone(t *testing.T) {
 	if n := strings.Count(body, "event: done\n"); n != 1 {
 		t.Errorf("SSE relayed %d done events, want 1:\n%s", n, body)
 	}
+}
+
+// parentEvent is the Event the SSE stream has always encoded: its data
+// lines must stay exactly json.Marshal of this shape, whatever carries the
+// stats from the worker to the job.
+type parentEvent struct {
+	Type   string       `json:"type"`
+	State  JobState     `json:"state,omitempty"`
+	Iter   int          `json:"iter,omitempty"`
+	Stats  *stats.Stats `json:"stats,omitempty"`
+	Error  string       `json:"error,omitempty"`
+	Status int          `json:"status,omitempty"`
+	Cached bool         `json:"cached,omitempty"`
+}
+
+// TestSSEBytesMatchParentEvent: the SSE data of state, stats, done and
+// error events are byte for byte json.Marshal of the parent's Event — for
+// a job whose stats crossed a worker pipe, and for events carrying every
+// Stats field set.
+func TestSSEBytesMatchParentEvent(t *testing.T) {
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	events := func(j *Job) [][2]string {
+		t.Helper()
+		<-j.Done()
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID+"/events", nil)
+		r.SetPathValue("id", j.ID)
+		srv.handleJobEvents(rec, r)
+		var out [][2]string
+		for _, block := range strings.Split(strings.TrimSuffix(rec.Body.String(), "\n\n"), "\n\n") {
+			typ, data, ok := strings.Cut(block, "\ndata: ")
+			typ, ok2 := strings.CutPrefix(typ, "event: ")
+			if !ok || !ok2 {
+				t.Fatalf("malformed SSE block %q", block)
+			}
+			out = append(out, [2]string{typ, data})
+		}
+		return out
+	}
+	check := func(j *Job, wantTypes string) []parentEvent {
+		t.Helper()
+		var types []string
+		var decoded []parentEvent
+		for _, ev := range events(j) {
+			var pe parentEvent
+			dec := json.NewDecoder(strings.NewReader(ev[1]))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&pe); err != nil {
+				t.Fatalf("%s data %s: %v", ev[0], ev[1], err)
+			}
+			again, err := json.Marshal(pe)
+			if err != nil || string(again) != ev[1] || pe.Type != ev[0] {
+				t.Fatalf("%s data is not json.Marshal of the parent's Event:\n got %s\nwant %s", ev[0], ev[1], again)
+			}
+			types = append(types, ev[0])
+			decoded = append(decoded, pe)
+		}
+		if got := strings.Join(types, " "); got != wantTypes {
+			t.Fatalf("event types %q, want %q", got, wantTypes)
+		}
+		return decoded
+	}
+
+	// Through a worker: stats every iteration, then done with the totals.
+	canon, err := mustParse(t, `{"scheme":"online","stencil":{"name":"laplace5"},"grid":{"nx":12,"ny":9,"generator":"uniform","seed":4}}`).Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, err := srv.Scheduler().Submit("t", "float32", canon, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ran, "state state stats stats stats done")
+	if _, st, _ := ran.Result(); st.Iterations != 3 || st.Verifications == 0 {
+		t.Fatalf("the worker's stats did not reach the job: %+v", st)
+	}
+
+	// Every Stats field set, on stats and done events, and an error.
+	full := fullStats()
+	j := newJob("j-full", "t", "k", "float32", 2, nil, Layout{Nx: 1, Ny: 1})
+	srv.sched.register(j)
+	j.SetRunning()
+	j.PublishStats(1, full)
+	j.Finish(&GridPayload{Nx: 1, Ny: 1, Elem: "float32", Raw: make([]byte, 4)}, full, true)
+	for _, pe := range check(j, "state state stats done")[2:] {
+		if *pe.Stats != full {
+			t.Fatalf("%s event carries\n%+v\nwant\n%+v", pe.Type, *pe.Stats, full)
+		}
+	}
+	failed := newJob("j-failed", "t", "k", "float32", 2, nil, Layout{Nx: 1, Ny: 1})
+	srv.sched.register(failed)
+	failed.Fail(`serve: "quoted" <failure>`, 400)
+	check(failed, "state error")
 }

@@ -6,22 +6,32 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"stencilabft/internal/stats"
 )
 
-// Worker protocol v2. Every message is one JSON line; a line may announce
-// an attachment ("attach": n), and those n raw bytes follow the newline.
-// Anything grid-sized travels as an attachment, which encoding/json never
-// scans: the canonical spec document behind a request, the result grid (or
-// a placed rank's tile) behind a "done" event, as little-endian IEEE-754
-// bits at the job's native element width (the internal/dist codec). A
-// placed rank asked for its trace appends it as a second attachment
-// ("traceAttach": m) after the tile.
+// Worker protocol v3. Every message is one JSON line; a line may announce
+// attachments, and those raw bytes follow the newline in a fixed order:
+//
+//	{"id":…,"event":"done","iter":…,"grid":{…},"attach":n,"statsAttach":s,"traceAttach":m}\n
+//	<s bytes: stats.Stats, binary form> <n bytes: grid cells> <m bytes: trace>
+//
+// What the host only relays travels as an attachment, which encoding/json
+// never scans: the canonical spec document behind a request; the counters
+// behind a "stats" or "done" event (stats.Stats.AppendBinary, tens of bytes
+// where their JSON is hundreds, and decoded without a text scan); the
+// result grid (or a placed rank's tile) behind a "done" event, as
+// little-endian IEEE-754 bits at the job's native element width (the
+// internal/dist codec); and, for a placed rank asked for it, its trace.
 const (
 	// maxAttachment caps an announced attachment so a corrupt line cannot
 	// make the reader allocate without bound.
 	maxAttachment = 1 << 30
-	// maxLine caps a message line; the longest real one is a stats event
-	// of a few kilobytes.
+	// maxStatsAttach caps a stats attachment, which is tens of bytes plus
+	// the topology name.
+	maxStatsAttach = 1 << 16
+	// maxLine caps a message line; real ones are at most a few
+	// kilobytes.
 	maxLine = 1 << 20
 )
 
@@ -31,7 +41,8 @@ const (
 type stream struct {
 	r         *bufio.Reader
 	w         io.Writer
-	maxAttach int // maxAttachment; the fuzz target lowers it
+	maxAttach int    // maxAttachment; the fuzz target lowers it
+	statsBuf  []byte // a stats attachment, decoded as soon as it is read
 }
 
 func newStream(r io.Reader, w io.Writer) *stream {
@@ -46,6 +57,7 @@ type requestLine struct {
 type eventLine struct {
 	WorkerEvent
 	Attach      int `json:"attach,omitempty"`
+	StatsAttach int `json:"statsAttach,omitempty"`
 	TraceAttach int `json:"traceAttach,omitempty"`
 }
 
@@ -55,8 +67,8 @@ func (s *stream) Send(req JobRequest) error {
 }
 
 // Recv blocks for the next event. A grid's bytes must be exactly what its
-// shape and element type announce; Grid.Raw and Trace are buffers the
-// caller owns.
+// shape and element type announce; Stats, Grid.Raw and Trace are fresh
+// values the caller owns.
 func (s *stream) Recv() (WorkerEvent, error) {
 	var l eventLine
 	if err := s.readLine(&l); err != nil {
@@ -71,6 +83,13 @@ func (s *stream) Recv() (WorkerEvent, error) {
 	}
 	if l.Attach != want {
 		return WorkerEvent{}, fmt.Errorf("serve: event announces %d attached bytes, its grid needs %d", l.Attach, want)
+	}
+	if l.StatsAttach != 0 {
+		st, err := s.readStats(l.StatsAttach)
+		if err != nil {
+			return WorkerEvent{}, err
+		}
+		l.Stats = st
 	}
 	if l.Grid != nil {
 		raw, err := s.readAttachment(want)
@@ -88,6 +107,27 @@ func (s *stream) Recv() (WorkerEvent, error) {
 	return l.WorkerEvent, nil
 }
 
+// readStats reads and decodes an n-byte stats attachment through the
+// stream's reused buffer, refusing a length beyond its cap before
+// allocating anything.
+func (s *stream) readStats(n int) (*stats.Stats, error) {
+	if n < 1 || n > maxStatsAttach {
+		return nil, fmt.Errorf("serve: announced stats attachment of %d bytes is outside [1, %d]", n, maxStatsAttach)
+	}
+	if cap(s.statsBuf) < n {
+		s.statsBuf = make([]byte, n)
+	}
+	buf := s.statsBuf[:n]
+	if _, err := io.ReadFull(s.r, buf); err != nil {
+		return nil, fmt.Errorf("serve: truncated stats attachment (want %d bytes): %w", n, err)
+	}
+	st := new(stats.Stats)
+	if err := st.UnmarshalBinary(buf); err != nil {
+		return nil, fmt.Errorf("serve: bad stats attachment: %w", err)
+	}
+	return st, nil
+}
+
 func (s *stream) readRequest() (JobRequest, error) {
 	var l requestLine
 	if err := s.readLine(&l); err != nil {
@@ -102,11 +142,17 @@ func (s *stream) readRequest() (JobRequest, error) {
 }
 
 func (s *stream) writeEvent(ev WorkerEvent) error {
-	var raw []byte
+	var st, raw []byte
+	if ev.Stats != nil {
+		var err error
+		if st, err = ev.Stats.AppendBinary(nil); err != nil {
+			return err
+		}
+	}
 	if ev.Grid != nil {
 		raw = ev.Grid.Raw
 	}
-	return s.write(eventLine{ev, len(raw), len(ev.Trace)}, raw, ev.Trace)
+	return s.write(eventLine{ev, len(raw), len(st), len(ev.Trace)}, st, raw, ev.Trace)
 }
 
 func (s *stream) write(line any, attach ...[]byte) error {

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -35,7 +37,7 @@ func protocolSamples(t testing.TB) (requests, events []byte) {
 	if err := host.Send(JobRequest{ID: "j2", Spec: spec, Iters: 1, Place: place}); err != nil {
 		t.Fatal(err)
 	}
-	st := stats.Stats{Iterations: 3}
+	st := fullStats()
 	for _, e := range []WorkerEvent{
 		{ID: "j1", Event: "stats", Iter: 1, Stats: &st},
 		{ID: "j2", Event: "ckpt", Ckpt: &Checkpoint{Rank: 1, Gen: 8, Reconnects: 2, Resends: 11}},
@@ -53,8 +55,37 @@ func protocolSamples(t testing.TB) (requests, events []byte) {
 	return req.Bytes(), ev.Bytes()
 }
 
-// TestStreamRoundTrip: every message survives the wire with its attachment
-// bit for bit, and the stream ends on a clean io.EOF.
+// fullStats is a stats.Stats with every leaf field, found by reflection,
+// set to its own value.
+func fullStats() stats.Stats {
+	var st stats.Stats
+	n := int64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := range v.NumField() {
+				fill(v.Field(i))
+			}
+		case reflect.Array:
+			for i := range v.Len() {
+				fill(v.Index(i))
+			}
+		case reflect.String:
+			v.SetString(`mixed(grid 2x2; "layers" 4)`)
+		default:
+			n++
+			v.SetInt(-n * 7919)
+		}
+	}
+	fill(reflect.ValueOf(&st).Elem())
+	return st
+}
+
+// TestStreamRoundTrip: every message survives the wire with its attachments
+// bit for bit — the stats of "stats" and "done" events as a binary
+// attachment, never in the JSON line — and the stream ends on a clean
+// io.EOF.
 func TestStreamRoundTrip(t *testing.T) {
 	reqs, evs := protocolSamples(t)
 
@@ -76,15 +107,19 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("after the last request: %v, want io.EOF", err)
 	}
 
+	if bytes.Contains(evs, []byte(`"stats":`)) || bytes.Count(evs, []byte(`"statsAttach":`)) != 3 {
+		t.Fatalf("stats do not travel as attachments:\n%s", evs)
+	}
+	want := fullStats()
 	h := newStream(bytes.NewReader(evs), io.Discard)
-	if ev, err := h.Recv(); err != nil || ev.Event != "stats" || ev.Stats.Iterations != 3 || ev.Grid != nil {
+	if ev, err := h.Recv(); err != nil || ev.Event != "stats" || ev.Iter != 1 || ev.Stats == nil || *ev.Stats != want || ev.Grid != nil {
 		t.Fatalf("stats event: %+v, %v", ev, err)
 	}
 	if ev, err := h.Recv(); err != nil || ev.Event != "ckpt" || *ev.Ckpt != (Checkpoint{Rank: 1, Gen: 8, Reconnects: 2, Resends: 11}) {
 		t.Fatalf("ckpt event: %+v, %v", ev, err)
 	}
 	ev, err := h.Recv()
-	if err != nil || ev.Event != "done" || ev.Grid == nil || ev.Trace != nil {
+	if err != nil || ev.Event != "done" || ev.Grid == nil || ev.Trace != nil || ev.Stats == nil || *ev.Stats != want {
 		t.Fatalf("done event: %+v, %v", ev, err)
 	}
 	cells, err := dist.DecodeElems[float32](4, ev.Grid.Raw)
@@ -92,14 +127,15 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("float32 grid: %v, %v", cells, err)
 	}
 	ev, err = h.Recv()
-	if err != nil || ev.Grid == nil || ev.Grid.X0 != 2 || ev.Grid.Y0 != 1 || ev.Grid.Nz != 2 || string(ev.Trace) != `{"traceEvents":[]}`+"\n" {
+	if err != nil || ev.Grid == nil || ev.Grid.X0 != 2 || ev.Grid.Y0 != 1 || ev.Grid.Nz != 2 || string(ev.Trace) != `{"traceEvents":[]}`+"\n" ||
+		ev.Stats == nil || *ev.Stats != want {
 		t.Fatalf("tile event: %+v, %v", ev, err)
 	}
 	c64, err := dist.DecodeElems[float64](8, ev.Grid.Raw)
 	if err != nil || c64[0] != 0.1 || !math.IsNaN(c64[1]) || !math.Signbit(c64[2]) || c64[3] != 5e-324 {
 		t.Fatalf("float64 tile: %v, %v", c64, err)
 	}
-	if ev, err := h.Recv(); err != nil || ev.Event != "error" || ev.Status != 400 {
+	if ev, err := h.Recv(); err != nil || ev.Event != "error" || ev.Status != 400 || ev.Stats != nil {
 		t.Fatalf("error event: %+v, %v", ev, err)
 	}
 	if _, err := h.Recv(); err != io.EOF {
@@ -120,6 +156,12 @@ func TestStreamRejectsBadAttachments(t *testing.T) {
 		{"truncated", `{"id":"j","event":"done","grid":{"nx":2,"ny":2,"elem":"float32"},"attach":16}` + "\nshort", "truncated"},
 		{"truncated trace", `{"id":"j","event":"done","grid":{"nx":1,"ny":1,"elem":"float32"},"attach":4,"traceAttach":9}` + "\n1234{}", "truncated"},
 		{"negative trace length", `{"id":"j","event":"done","traceAttach":-1}` + "\n", "outside"},
+		{"negative stats length", `{"id":"j","event":"stats","statsAttach":-1}` + "\n", "outside"},
+		{"stats beyond the cap", `{"id":"j","event":"stats","statsAttach":65537}` + "\n" + strings.Repeat("\x00", 65537), "outside"},
+		{"truncated stats", `{"id":"j","event":"stats","statsAttach":40}` + "\n\x00\x00", "truncated stats"},
+		{"short stats", `{"id":"j","event":"stats","statsAttach":3}` + "\n\x02\x04\x06", "bad stats"},
+		{"stats with trailing bytes", `{"id":"j","event":"stats","statsAttach":` + statsPlus(1) + "\x00", "trail"},
+		{"stats string past its end", `{"id":"j","event":"stats","statsAttach":17}` + "\n" + strings.Repeat("\x00", 16) + "\x7f", "bad stats"},
 		{"cut inside the line", `{"id":"j","event":"st`, "unexpected EOF"},
 		{"not json", "hello\n", "bad protocol line"},
 	}
@@ -136,13 +178,26 @@ func TestStreamRejectsBadAttachments(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := newStream(strings.NewReader(`{"id":"j","iters":1,"attach":1073741825}`+"\nspec"), io.Discard).readRequest()
 	_, err2 := newStream(strings.NewReader(`{"id":"j","event":"done","traceAttach":1073741825}`+"\ntrace"), io.Discard).Recv()
+	_, err3 := newStream(strings.NewReader(`{"id":"j","event":"stats","statsAttach":1073741825}`+"\nstats"), io.Discard).Recv()
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "outside") || err2 == nil || !strings.Contains(err2.Error(), "outside") {
-		t.Fatalf("oversize request attachment: %v; oversize trace attachment: %v", err, err2)
+	for _, e := range []error{err, err2, err3} {
+		if e == nil || !strings.Contains(e.Error(), "outside") {
+			t.Fatalf("oversize request, trace and stats attachments: %v; %v; %v", err, err2, err3)
+		}
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("refusing two 1 GiB announcements allocated %d bytes", grew)
+		t.Fatalf("refusing three 1 GiB announcements allocated %d bytes", grew)
 	}
+}
+
+// statsPlus is the rest of a stats event line whose attachment is a whole
+// stats.Stats followed by extra more bytes, which the test appends.
+func statsPlus(extra int) string {
+	b, err := fullStats().AppendBinary(nil)
+	if err != nil {
+		panic(err)
+	}
+	return fmt.Sprintf("%d}\n%s", len(b)+extra, b)
 }
 
 // FuzzWorkerStream feeds arbitrary bytes to both ends of the protocol
@@ -160,6 +215,10 @@ func FuzzWorkerStream(f *testing.F) {
 	f.Add([]byte(`{"attach":-1}` + "\n"))
 	f.Add([]byte(`{"id":"j","event":"ckpt","ckpt":{"rank":3,"gen":16}}` + "\n"))
 	f.Add([]byte(`{"id":"j","event":"done","traceAttach":999999999999}` + "\n{}"))
+	f.Add([]byte(`{"id":"j","event":"stats","iter":2,"statsAttach":` + statsPlus(0)))
+	f.Add([]byte(`{"id":"j","event":"stats","iter":2,"statsAttach":` + statsPlus(-5)))
+	f.Add([]byte(`{"id":"j","event":"done","grid":{"nx":1,"ny":1,"elem":"float32"},"attach":4,"statsAttach":` + statsPlus(0) + "abcd"))
+	f.Add([]byte(`{"id":"j","event":"stats","statsAttach":999999999999}` + "\n\x00"))
 	f.Add(bytes.Repeat([]byte("x"), 5000))
 
 	const fuzzCap = 1 << 16
@@ -334,7 +393,7 @@ func TestCanonicalGeneratorStaysSmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := canonicalize[float32](w)
+		c, err := w.Canonical()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,8 +487,8 @@ func TestDispatcherParsesNothing(t *testing.T) {
 	}
 
 	// Submit takes bytes alone, so it derives the layout itself: one more.
-	canonical, err := canonicalize[float32](mustParse(t, `{"scheme":"online","deployment":"cluster","ranksX":2,"ranksY":1,`+
-		`"stencil":{"name":"laplace5"},"grid":{"nx":16,"ny":16,"generator":"ramp"}}`))
+	canonical, err := mustParse(t, `{"scheme":"online","deployment":"cluster","ranksX":2,"ranksY":1,`+
+		`"stencil":{"name":"laplace5"},"grid":{"nx":16,"ny":16,"generator":"ramp"}}`).Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,13 +41,15 @@ type JobRequest struct {
 // WorkerEvent is one message of a worker's reply stream: zero or more
 // "stats" and "ckpt" events followed by exactly one terminal "done" or
 // "error" event. ID echoes the request so a host can discard stale events
-// after a kill. A placed rank's "done" carries its tile as Grid and, if the
-// placement asked, its Chrome trace-event timeline as Trace.
+// after a kill. Stats, on "stats" and "done", travels as a binary
+// attachment (see stream.go). A placed rank's "done" carries its tile as
+// Grid and, if the placement asked, its Chrome trace-event timeline as
+// Trace.
 type WorkerEvent struct {
 	ID     string       `json:"id"`
 	Event  string       `json:"event"` // "stats" | "ckpt" | "done" | "error"
 	Iter   int          `json:"iter,omitempty"`
-	Stats  *stats.Stats `json:"stats,omitempty"`
+	Stats  *stats.Stats `json:"-"`
 	Grid   *GridPayload `json:"grid,omitempty"`
 	Ckpt   *Checkpoint  `json:"ckpt,omitempty"`
 	Trace  []byte       `json:"-"`

@@ -241,6 +241,9 @@ type Spec[T Float] struct {
 	// Init/Init3D from, or nil. Wire re-emits it in place of the inline
 	// values while the grid still holds exactly the generator's bits.
 	generated *WireGrid
+	// unbuilt marks a spec WireSpec.Canonical resolved without building
+	// its generated domain: Init/Init3D are nil and generated stands in.
+	unbuilt bool
 }
 
 // withDefaults returns a copy with the zero Scheme and Deployment resolved.
@@ -274,10 +277,10 @@ func (s Spec[T]) validate() error {
 	if !has2D && !has3D {
 		return specErrorf("stencilabft: spec needs an operator and an initial grid (Op2D/Init or Op3D/Init3D)")
 	}
-	if has2D && (s.Op2D == nil || s.Init == nil) {
+	if has2D && (s.Op2D == nil || s.Init == nil && !s.unbuilt) {
 		return specErrorf("stencilabft: 2-D spec needs both Op2D and Init")
 	}
-	if has3D && (s.Op3D == nil || s.Init3D == nil) {
+	if has3D && (s.Op3D == nil || s.Init3D == nil && !s.unbuilt) {
 		return specErrorf("stencilabft: 3-D spec needs both Op3D and Init3D")
 	}
 	if s.Deployment == Clustered {

@@ -260,11 +260,12 @@ func stencilFromWire[T Float](w *WireStencil) (*Stencil[T], error) {
 	}
 }
 
-// fillGenerated writes generator g's values into data (row-major over an
-// nx×ny×nz box; nz is 1 for 2-D domains). Every generator is deterministic:
-// "uniform" draws from a rand.Source seeded with g.Seed, per element type,
-// so the same wire document always yields the same bits.
-func fillGenerated[T Float](data []T, g *WireGrid, nx, ny, nz int) error {
+// fillGenerated writes the values of resolved generator reference g into
+// data (row-major over an nx×ny×nz box; nz is 1 for 2-D domains). Every
+// generator is deterministic: "uniform" draws from a rand.Source seeded
+// with g.Seed, per element type, so the same wire document always yields
+// the same bits.
+func fillGenerated[T Float](data []T, g *WireGrid, nx, ny, nz int) {
 	switch g.Generator {
 	case "uniform":
 		rng := rand.New(rand.NewSource(g.Seed))
@@ -292,26 +293,26 @@ func fillGenerated[T Float](data []T, g *WireGrid, nx, ny, nz int) error {
 				}
 			}
 		}
-	default:
-		return wireErrorf(ErrUnknownGenerator, "stencilabft: unknown grid generator %q (want uniform|constant|ramp, or supply inline data)", g.Generator)
 	}
-	return nil
 }
 
 // resolvedGenerator returns the canonical reference to generator grid g for
 // element type T: the shape, the generator name and only the parameter that
 // generator reads, with the value rounded to T — so every spelling of one
 // generated grid (defaults omitted or explicit, an ignored seed or value
-// set) is one document.
-func resolvedGenerator[T Float](g *WireGrid) *WireGrid {
+// set) is one document. An unknown generator is a typed wire error.
+func resolvedGenerator[T Float](g *WireGrid) (*WireGrid, error) {
 	ref := &WireGrid{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz, Generator: g.Generator}
 	switch g.Generator {
 	case "uniform":
 		ref.Seed = g.Seed
 	case "constant":
 		ref.Value = float64(T(g.Value))
+	case "ramp": // reads no parameter
+	default:
+		return nil, wireErrorf(ErrUnknownGenerator, "stencilabft: unknown grid generator %q (want uniform|constant|ramp, or supply inline data)", g.Generator)
 	}
-	return ref
+	return ref, nil
 }
 
 // regenerates reports whether data still holds, bit for bit, what generator
@@ -322,9 +323,7 @@ func regenerates[T Float](ref *WireGrid, nx, ny, nz int, data []T) bool {
 		return false
 	}
 	want := make([]T, len(data))
-	if fillGenerated(want, ref, nx, ny, max(nz, 1)) != nil {
-		return false
-	}
+	fillGenerated(want, ref, nx, ny, max(nz, 1))
 	for i, v := range data {
 		if math.Float64bits(float64(v)) != math.Float64bits(float64(want[i])) {
 			return false
@@ -334,23 +333,25 @@ func regenerates[T Float](ref *WireGrid, nx, ny, nz int, data []T) bool {
 }
 
 // gridFromWire materialises a WireGrid into the matching dimensionality's
-// domain. Upload references must have been resolved to inline data first —
-// that is the service layer's job (POST /v1/grids), and leaving one
-// unresolved is an error here, not a silent zero grid.
-func gridFromWire[T Float](g *WireGrid, what string) (*Grid[T], *Grid3D[T], error) {
+// domain. A generator grid also yields its resolved reference; with build
+// false it yields only that — checked exactly as a built one is, but never
+// allocated or filled. Upload references must have been resolved to
+// inline data first — that is the service layer's job (POST /v1/grids),
+// and leaving one unresolved is an error here, not a silent zero grid.
+func gridFromWire[T Float](g *WireGrid, what string, build bool) (*Grid[T], *Grid3D[T], *WireGrid, error) {
 	if g == nil {
-		return nil, nil, wireErrorf(nil, "stencilabft: wire spec needs a %s (inline data, a generator, or a resolved upload)", what)
+		return nil, nil, nil, wireErrorf(nil, "stencilabft: wire spec needs a %s (inline data, a generator, or a resolved upload)", what)
 	}
 	nz := g.Nz
 	if nz < 0 {
-		return nil, nil, wireErrorf(nil, "stencilabft: %s has negative nz %d (use nz >= 1 for 3-D, omit it or set 0 for 2-D)", what, g.Nz)
+		return nil, nil, nil, wireErrorf(nil, "stencilabft: %s has negative nz %d (use nz >= 1 for 3-D, omit it or set 0 for 2-D)", what, g.Nz)
 	}
 	is3D := nz > 0
 	if !is3D {
 		nz = 1
 	}
 	if g.Nx < 1 || g.Ny < 1 {
-		return nil, nil, wireErrorf(nil, "stencilabft: %s shape %dx%dx%d is invalid (each set axis must be >= 1)", what, g.Nx, g.Ny, g.Nz)
+		return nil, nil, nil, wireErrorf(nil, "stencilabft: %s shape %dx%dx%d is invalid (each set axis must be >= 1)", what, g.Nx, g.Ny, g.Nz)
 	}
 	sources := 0
 	for _, set := range []bool{g.Upload != "", g.Generator != "", g.Data != nil} {
@@ -359,35 +360,41 @@ func gridFromWire[T Float](g *WireGrid, what string) (*Grid[T], *Grid3D[T], erro
 		}
 	}
 	if sources != 1 {
-		return nil, nil, wireErrorf(nil, "stencilabft: %s needs exactly one source — inline data, a generator name, or an upload reference (got %d)", what, sources)
+		return nil, nil, nil, wireErrorf(nil, "stencilabft: %s needs exactly one source — inline data, a generator name, or an upload reference (got %d)", what, sources)
 	}
 	if g.Upload != "" {
-		return nil, nil, wireErrorf(ErrUnresolvedUpload, "stencilabft: %s references upload %q, which must be resolved to inline data before building (the service splices uploads in; see POST /v1/grids)", what, g.Upload)
+		return nil, nil, nil, wireErrorf(ErrUnresolvedUpload, "stencilabft: %s references upload %q, which must be resolved to inline data before building (the service splices uploads in; see POST /v1/grids)", what, g.Upload)
 	}
 	n := g.Nx * g.Ny * nz
 	var data []T
+	var ref *WireGrid
 	if g.Data != nil {
 		if len(g.Data) != n {
-			return nil, nil, wireErrorf(nil, "stencilabft: %s carries %d inline values, want nx*ny*max(nz,1) = %d", what, len(g.Data), n)
+			return nil, nil, nil, wireErrorf(nil, "stencilabft: %s carries %d inline values, want nx*ny*max(nz,1) = %d", what, len(g.Data), n)
 		}
 		data = make([]T, n)
 		for i, v := range g.Data {
 			data[i] = T(v)
 		}
 	} else {
-		data = make([]T, n)
-		if err := fillGenerated(data, g, g.Nx, g.Ny, nz); err != nil {
-			return nil, nil, err
+		var err error
+		if ref, err = resolvedGenerator[T](g); err != nil {
+			return nil, nil, nil, err
 		}
+		if !build {
+			return nil, nil, ref, nil
+		}
+		data = make([]T, n)
+		fillGenerated(data, ref, g.Nx, g.Ny, nz)
 	}
 	if is3D {
 		gd := New3D[T](g.Nx, g.Ny, g.Nz)
 		copy(gd.Data(), data)
-		return nil, gd, nil
+		return nil, gd, ref, nil
 	}
 	gd := New[T](g.Nx, g.Ny)
 	copy(gd.Data(), data)
-	return gd, nil, nil
+	return gd, nil, ref, nil
 }
 
 // SpecFromWire resolves a parsed WireSpec into a buildable Spec for element
@@ -397,6 +404,41 @@ func gridFromWire[T Float](g *WireGrid, what string) (*Grid[T], *Grid3D[T], erro
 // Validation beyond resolution is left to Build, whose errors are typed
 // (ErrInvalidSpec and friends) just like the wire errors here.
 func SpecFromWire[T Float](w *WireSpec) (Spec[T], error) {
+	return specFromWire[T](w, true)
+}
+
+// Canonical validates w and returns its canonical document: byte for byte
+// json.Marshal of the Spec SpecFromWire resolves for w's elem, once
+// Validate accepts it, and refused with the same typed errors. Named
+// stencils are expanded to points, elem is explicit, inline grids are their
+// values rounded to the element type, and a generator grid is its resolved
+// generator reference — which Canonical emits without ever allocating or
+// filling the domain. The canonical bytes are what a service hashes for its
+// cache key and hands its workers to run.
+func (w *WireSpec) Canonical() ([]byte, error) {
+	if w != nil && w.Elem == "float64" {
+		return canonical[float64](w)
+	}
+	// float32 is the default; an unknown elem fails inside specFromWire
+	// with the typed wire error.
+	return canonical[float32](w)
+}
+
+func canonical[T Float](w *WireSpec) ([]byte, error) {
+	spec, err := specFromWire[T](w, false)
+	if err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return json.Marshal(spec)
+}
+
+// specFromWire is the one WireSpec resolver. With build false a generator
+// grid stays unbuilt: the spec holds its resolved reference alone, enough to
+// validate and emit the canonical document but not to Build.
+func specFromWire[T Float](w *WireSpec, build bool) (Spec[T], error) {
 	var spec Spec[T]
 	if w == nil {
 		return spec, wireErrorf(nil, "stencilabft: nil wire spec")
@@ -419,36 +461,35 @@ func SpecFromWire[T Float](w *WireSpec) (Spec[T], error) {
 	if err != nil {
 		return spec, err
 	}
-	init, init3, err := gridFromWire[T](w.Grid, "grid")
+	init, init3, generated, err := gridFromWire[T](w.Grid, "grid", build)
 	if err != nil {
 		return spec, err
 	}
+	is3D := w.Grid.Nz > 0
 	var cf *Grid[T]
 	var cf3 *Grid3D[T]
 	if w.CField != nil {
 		if w.CField.Data == nil {
 			return spec, wireErrorf(nil, "stencilabft: cfield carries the operator's constant term and must be inline data")
 		}
-		cf, cf3, err = gridFromWire[T](w.CField, "cfield")
+		cf, cf3, _, err = gridFromWire[T](w.CField, "cfield", true)
 		if err != nil {
 			return spec, err
 		}
-		if (cf3 != nil) != (init3 != nil) {
+		if (cf3 != nil) != is3D {
 			return spec, wireErrorf(nil, "stencilabft: cfield dimensionality must match the grid's (set nz on both or neither)")
 		}
 	}
 	spec.Scheme = Scheme(w.Scheme)
 	spec.Deployment = Deployment(w.Deployment)
-	if init3 != nil {
+	if is3D {
 		spec.Op3D = &Op3D[T]{St: st, BC: bc, BCValue: T(w.BCValue), C: cf3, ForceGeneric: w.ForceGeneric}
 		spec.Init3D = init3
 	} else {
 		spec.Op2D = &Op2D[T]{St: st, BC: bc, BCValue: T(w.BCValue), C: cf, ForceGeneric: w.ForceGeneric}
 		spec.Init = init
 	}
-	if w.Grid.Generator != "" {
-		spec.generated = resolvedGenerator[T](w.Grid)
-	}
+	spec.generated, spec.unbuilt = generated, !build && generated != nil
 	spec.Detector = Detector[T]{Epsilon: T(w.Epsilon), AbsFloor: T(w.AbsFloor)}
 	switch w.PairPolicy {
 	case "", "residual":
@@ -534,12 +575,12 @@ func (s Spec[T]) Wire() (*WireSpec, error) {
 	}
 	var st *Stencil[T]
 	switch {
-	case s.Op2D != nil && s.Init != nil:
+	case s.Op2D != nil && (s.Init != nil || s.unbuilt):
 		st = s.Op2D.St
 		w.BC = s.Op2D.BC.String()
 		w.BCValue = float64(s.Op2D.BCValue)
 		w.ForceGeneric = s.Op2D.ForceGeneric
-		if regenerates(s.generated, s.Init.Nx(), s.Init.Ny(), 0, s.Init.Data()) {
+		if s.unbuilt || regenerates(s.generated, s.Init.Nx(), s.Init.Ny(), 0, s.Init.Data()) {
 			ref := *s.generated
 			w.Grid = &ref
 		} else {
@@ -548,12 +589,12 @@ func (s Spec[T]) Wire() (*WireSpec, error) {
 		if s.Op2D.C != nil {
 			w.CField = wireGrid2D(s.Op2D.C)
 		}
-	case s.Op3D != nil && s.Init3D != nil:
+	case s.Op3D != nil && (s.Init3D != nil || s.unbuilt):
 		st = s.Op3D.St
 		w.BC = s.Op3D.BC.String()
 		w.BCValue = float64(s.Op3D.BCValue)
 		w.ForceGeneric = s.Op3D.ForceGeneric
-		if regenerates(s.generated, s.Init3D.Nx(), s.Init3D.Ny(), s.Init3D.Nz(), s.Init3D.Data()) {
+		if s.unbuilt || regenerates(s.generated, s.Init3D.Nx(), s.Init3D.Ny(), s.Init3D.Nz(), s.Init3D.Data()) {
 			ref := *s.generated
 			w.Grid = &ref
 		} else {

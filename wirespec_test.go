@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -447,7 +449,8 @@ func TestParseWireSpecMalformed(t *testing.T) {
 // POST /v1/jobs and the worker protocol do with a request body. It must
 // never panic; every rejection carries ErrBadWireSpec; what parses
 // re-marshals to a document that parses to the same thing; and resolving a
-// parsed document of small shape neither panics nor fails untyped.
+// parsed document of small shape neither panics nor fails untyped, and
+// canonicalises exactly as the built spec does.
 func FuzzParseWireSpec(f *testing.F) {
 	for _, c := range malformedWireCases() {
 		f.Add([]byte(c.doc))
@@ -487,6 +490,7 @@ func FuzzParseWireSpec(f *testing.F) {
 			if _, err := abft.SpecFromWire[float64](w); err != nil && !errors.Is(err, abft.ErrBadWireSpec) {
 				t.Fatalf("float64 resolution failed untyped: %v", err)
 			}
+			sameCanonical(t, data)
 		}
 	})
 }
@@ -535,5 +539,246 @@ func TestTypedSentinels(t *testing.T) {
 	_, err = abft.Build(abft.Spec[float32]{Scheme: abft.Online, Op2D: op, Init: tiny})
 	if !errors.Is(err, abft.ErrInvalidOp) {
 		t.Fatalf("invalid op: %v", err)
+	}
+}
+
+// canonicalReference is the canonical document by way of a built Spec:
+// SpecFromWire for the document's elem, Validate, json.Marshal — the path
+// WireSpec.Canonical must equal without building a generator grid.
+func canonicalReference(w *abft.WireSpec) ([]byte, error) {
+	resolve := func() (json.Marshaler, error) {
+		if w.Elem == "float64" {
+			spec, err := abft.SpecFromWire[float64](w)
+			if err == nil {
+				err = spec.Validate()
+			}
+			return spec, err
+		}
+		spec, err := abft.SpecFromWire[float32](w)
+		if err == nil {
+			err = spec.Validate()
+		}
+		return spec, err
+	}
+	spec, err := resolve()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(spec)
+}
+
+// wireSentinels is every typed class a wire or validation error can carry.
+var wireSentinels = []error{
+	abft.ErrBadWireSpec, abft.ErrInvalidSpec, abft.ErrUnknownStencil, abft.ErrUnknownGenerator,
+	abft.ErrUnresolvedUpload, abft.ErrUnknownScheme, abft.ErrUnknownDeployment, abft.ErrNotSerializable,
+}
+
+// sameCanonical fails unless Canonical and the reference agree on doc: the
+// same bytes, or the same error message and typed classes.
+func sameCanonical(t testing.TB, doc []byte) (accepted bool) {
+	t.Helper()
+	w1, err1 := abft.ParseWireSpec(doc)
+	w2, err2 := abft.ParseWireSpec(doc)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("corpus document does not parse: %v\n%s", err1, doc)
+	}
+	got, gotErr := w1.Canonical()
+	want, wantErr := canonicalReference(w2)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%s\nCanonical: %v\nreference: %v", doc, gotErr, wantErr)
+	}
+	for _, s := range wireSentinels {
+		if errors.Is(gotErr, s) != errors.Is(wantErr, s) {
+			t.Fatalf("%s\nCanonical's error %v and the reference's %v differ in errors.Is(%v)", doc, gotErr, wantErr, s)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s\nCanonical: %s\nreference: %s", doc, got, want)
+	}
+	return gotErr == nil
+}
+
+// wireCorpus returns n seeded wire documents over uniform, constant and ramp
+// generators, inline grids, 2-D and 3-D, both element types, registry and
+// inline stencils, constant fields, injections, and the scheme and
+// deployment knobs — some of them combinations Validate refuses.
+func wireCorpus(seed int64, n int) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
+	var docs [][]byte
+	for range n {
+		w := map[string]any{}
+		if e := pick("", "float32", "float64"); e != "" {
+			w["elem"] = e
+		}
+		is3D := rng.Intn(3) == 0
+		nx, ny, nz := 4+rng.Intn(9), 4+rng.Intn(9), 0
+		if is3D {
+			nz = 3 + rng.Intn(4)
+		}
+		cells := nx * ny * max(nz, 1)
+		inline := func() []float64 {
+			d := make([]float64, cells)
+			for i := range d {
+				d[i] = 100 + rng.NormFloat64()*7
+			}
+			return d
+		}
+		grid := map[string]any{"nx": nx, "ny": ny}
+		if is3D {
+			grid["nz"] = nz
+		}
+		switch pick("uniform", "constant", "ramp", "inline") {
+		case "uniform":
+			grid["generator"], grid["seed"] = "uniform", rng.Int63n(1<<40)-1<<39
+			if rng.Intn(3) == 0 {
+				grid["value"] = 2.5 // ignored by uniform
+			}
+		case "constant":
+			grid["generator"], grid["value"] = "constant", rng.NormFloat64()*1e3
+			if rng.Intn(3) == 0 {
+				grid["seed"] = 9 // ignored by constant
+			}
+		case "ramp":
+			grid["generator"] = "ramp"
+		case "inline":
+			grid["data"] = inline()
+		}
+		w["grid"] = grid
+		if rng.Intn(4) == 0 {
+			cf := map[string]any{"nx": nx, "ny": ny, "data": inline()}
+			if is3D {
+				cf["nz"] = nz
+			}
+			w["cfield"] = cf
+		}
+		switch {
+		case rng.Intn(3) == 0:
+			pts := []map[string]any{{"dx": 0, "dy": 0, "w": 0.5}}
+			for _, d := range [][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
+				if d[2] != 0 && !is3D {
+					continue
+				}
+				pts = append(pts, map[string]any{"dx": d[0], "dy": d[1], "dz": d[2], "w": rng.Float64() / 10})
+			}
+			w["stencil"] = map[string]any{"name": pick("", "mine"), "points": pts}
+		case is3D:
+			w["stencil"] = map[string]any{"name": "star7"}
+		default:
+			st := map[string]any{"name": pick("laplace5", "jacobi4", "box9", "five-point", "advect2d")}
+			if st["name"] == "laplace5" && rng.Intn(2) == 0 {
+				st["args"] = []float64{rng.Float64() / 4}
+			}
+			w["stencil"] = st
+		}
+		w["bc"] = pick("", "clamp", "periodic", "mirror", "constant", "zero")
+		if w["bc"] == "constant" {
+			w["bcValue"] = rng.Float64() * 10
+		}
+		switch pick("none", "online", "offline", "blocked", "cluster") {
+		case "none":
+			w["scheme"] = "none"
+		case "online":
+			w["scheme"] = "online"
+			if rng.Intn(3) == 0 {
+				w["paperExactCorrection"] = true
+			}
+		case "offline":
+			w["scheme"], w["period"] = "offline", 1+rng.Intn(4)
+			w["recovery"] = pick("", "rollback", "cone")
+		case "blocked":
+			w["scheme"], w["blockX"], w["blockY"] = "blocked", 1+rng.Intn(4), 1+rng.Intn(4)
+		case "cluster":
+			w["scheme"], w["deployment"] = "online", "cluster"
+			if is3D || rng.Intn(2) == 0 {
+				w["ranks"] = 1 + rng.Intn(3)
+			} else {
+				w["ranksX"], w["ranksY"] = 1+rng.Intn(2), 1+rng.Intn(2)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			w["epsilon"], w["absFloor"] = rng.Float64()*1e-4, rng.Float64()
+			w["pairPolicy"] = pick("residual", "index")
+		}
+		if rng.Intn(3) == 0 {
+			inj := map[string]any{"iteration": 1 + rng.Intn(3), "x": rng.Intn(nx), "y": rng.Intn(ny), "bit": rng.Intn(31)}
+			if is3D {
+				inj["z"] = rng.Intn(nz)
+			}
+			w["inject"] = []any{inj}
+		}
+		doc, err := json.Marshal(w)
+		if err != nil {
+			panic(err)
+		}
+		docs = append(docs, doc)
+	}
+	return docs
+}
+
+// TestCanonicalMatchesSpecFromWire: over a seeded corpus, Canonical's bytes
+// equal json.Marshal of the validated SpecFromWire spec byte for byte (so
+// cache keys are unchanged), and every document the built path refuses it
+// refuses with the same message and typed classes.
+func TestCanonicalMatchesSpecFromWire(t *testing.T) {
+	accepted, generated := 0, 0
+	for _, doc := range wireCorpus(33, 600) {
+		if sameCanonical(t, doc) {
+			accepted++
+			if bytes.Contains(doc, []byte(`"generator"`)) {
+				generated++
+			}
+		}
+	}
+	for _, c := range malformedWireCases() {
+		if _, err := abft.ParseWireSpec([]byte(c.doc)); err == nil {
+			sameCanonical(t, []byte(c.doc))
+		}
+	}
+	for _, doc := range []string{
+		`{"elem":"float64","stencil":{"name":"laplace5"},"grid":{"nx":8,"ny":8,"nz":2,"generator":"ramp"},"cfield":{"nx":8,"ny":8,"data":[]}}`,
+		`{"stencil":{"name":"laplace5"},"grid":{"nx":8,"ny":8,"nz":2,"generator":"ramp"},"cfield":{"nx":8,"ny":8,"generator":"ramp"}}`,
+		`{"stencil":{"name":"laplace5"},"grid":{"nx":0,"ny":8,"generator":"uniform"}}`,
+		`{"stencil":{"name":"laplace5"},"scheme":"blocked","blockX":2,"blockY":2,"grid":{"nx":8,"ny":8,"nz":2,"generator":"ramp"}}`,
+		`{"stencil":{"name":"star7"},"scheme":"online","deployment":"cluster","ranksX":2,"ranksY":1,"grid":{"nx":8,"ny":8,"nz":4,"generator":"uniform"}}`,
+		`{"stencil":{"name":"laplace5"},"scheme":"online","deployment":"cluster","ranks":2,"period":3,"grid":{"nx":8,"ny":8,"generator":"constant","value":1}}`,
+		`{"stencil":{"name":"laplace5"},"deployment":"moon","grid":{"nx":8,"ny":8,"generator":"constant","value":1}}`,
+		`{"stencil":{"name":"laplace5"},"scheme":"offline","grid":{"nx":8,"ny":8,"generator":"constant","value":1e300}}`,
+	} {
+		sameCanonical(t, []byte(doc))
+	}
+	if accepted < 150 || generated < 80 {
+		t.Fatalf("the corpus exercised %d accepted documents, %d of them generated; widen it", accepted, generated)
+	}
+}
+
+// TestCanonicalBuildsNoGrid: a 1024x1024 generator document canonicalises
+// without allocating its domain — where the built path allocates it three
+// times over (the generated values, the grid, and the regeneration check
+// that lets Wire emit the reference).
+func TestCanonicalBuildsNoGrid(t *testing.T) {
+	doc := []byte(`{"scheme":"online","stencil":{"name":"laplace5"},"grid":{"nx":1024,"ny":1024,"generator":"uniform","seed":5}}`)
+	allocated := func(f func(*abft.WireSpec) ([]byte, error)) ([]byte, uint64) {
+		w, err := abft.ParseWireSpec(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := f(w)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, after.TotalAlloc - before.TotalAlloc
+	}
+	got, gotBytes := allocated((*abft.WireSpec).Canonical)
+	want, refBytes := allocated(canonicalReference)
+	t.Logf("canonicalising a 1024x1024 generator document: %d bytes allocated; through a built spec: %d", gotBytes, refBytes)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Canonical %s, reference %s", got, want)
+	}
+	if gotBytes > 64<<10 || refBytes < 8<<20 {
+		t.Fatalf("Canonical allocated %d bytes (want under 64 KiB), the built path %d (want over 8 MiB)", gotBytes, refBytes)
 	}
 }
