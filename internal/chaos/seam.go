@@ -10,7 +10,9 @@ import (
 // Transport-seam injection: a dist.Transport wrapper that works on any
 // backend. Faults here act on whole messages, above the wire: a Drop
 // suppresses the Send entirely (the receiver's timeout turns it into a
-// clean classified fault — there is no wire layer to heal it), a
+// clean classified fault — there is no wire layer to heal it; on the
+// channel backend the next round's strip arriving in its place fails the
+// receive at once), a
 // Partition drops a window of consecutive messages on the edge, a Delay
 // holds the sending rank before the Send, and a Stall sleeps a rank — the
 // straggler. Delay and Stall are absorbed by the lockstep barrier and
@@ -89,6 +91,12 @@ func (t *Transport[T]) stall(rank int) {
 func (t *Transport[T]) Send(from int, d dist.Dir, data []T) {
 	to, _ := t.geo.Neighbor(from, d, t.ring)
 	if t.apply(from, to) {
+		// A backend that stamps strips with their round (the channel
+		// backend) is told the strip was lost, so its receiver fails on the
+		// next round's strip instead of taking it for this round's.
+		if l, ok := t.Transport.(interface{ Lose(from int, d dist.Dir) }); ok {
+			l.Lose(from, d)
+		}
 		return
 	}
 	t.Transport.Send(from, d, data)

@@ -1,8 +1,11 @@
 package chaos
 
 import (
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"stencilabft/internal/checksum"
 	"stencilabft/internal/core"
@@ -89,5 +92,49 @@ func TestWrappedClusterRunsOverlapSchedule(t *testing.T) {
 	if got := probe.hits.Load() + probe.blocking.Load(); got != strips {
 		t.Errorf("%d strips taken by polls and %d by blocking receives, want %d in all",
 			probe.hits.Load(), probe.blocking.Load(), strips)
+	}
+}
+
+// TestSeamDropOnChannelsFailsTheRound pins the channel backend's answer to
+// a seam drop (the CI chaos job's plan-drop.json): the x strip the sender
+// posts for the next round ahead of the barrier would otherwise stand in for
+// the lost one, and the run would end on a wrong halo with nothing timed
+// out. Stamped with its round, it fails the receive at once as a classified
+// timeout naming the edge — long before the receive timeout, which is there
+// for a strip that never comes at all.
+func TestSeamDropOnChannelsFailsTheRound(t *testing.T) {
+	const nx, ny, iters = 64, 64, 40
+	op := &stencil.Op2D[float64]{St: stencil.Laplace5[float64](0.2), BC: grid.Clamp}
+	init := grid.New[float64](nx, ny)
+	init.FillFunc(func(x, y int) float64 { return 80 + float64((x*31+y*17)%23) })
+	in := NewInjector([]Fault{{Type: Drop, Edge: &Edge{From: 0, To: 1}, At: 5}}, 1)
+	c, err := dist.NewClusterGrid(op, init, 2, 2, dist.Options[float64]{
+		RecvTimeout: 10 * time.Second,
+		WrapTransport: func(tr dist.Transport[float64], rx, ry int, ring bool) dist.Transport[float64] {
+			return Wrap(tr, in, rx, ry, ring)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	t0 := time.Now()
+	err = c.RunRecover(iters)
+	took := time.Since(t0)
+	var f *dist.Fault
+	if !errors.As(err, &f) {
+		t.Fatalf("a dropped strip ended the run with %v, want a *dist.Fault", err)
+	}
+	if f.Rank != 1 || f.Dir != dist.Left || f.Peer != 0 || f.Class != dist.ClassTimeout || f.Barrier {
+		t.Fatalf("fault %+v does not name rank 1's receive from rank 0 on its left as a timeout", f)
+	}
+	if !strings.Contains(f.Error(), "timeout") {
+		t.Fatalf("fault %q does not say timeout", f)
+	}
+	if took > 5*time.Second {
+		t.Fatalf("the dropped strip took %v to surface, want it found by the next round's", took)
+	}
+	if got := in.Stats()[Drop]; got != 1 {
+		t.Fatalf("injector fired %d drops, want 1", got)
 	}
 }

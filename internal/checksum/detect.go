@@ -83,28 +83,30 @@ func (d Detector[T]) Exceeds(direct, interp T) bool {
 // AnyMismatch reports whether any entry trips the threshold without
 // materialising the mismatch list — the per-iteration hot path of the
 // online protector. Entries whose absolute residual sits comfortably under
-// half the scaled threshold are cleared by a division-free screen; only
-// borderline or non-finite entries (a NaN residual fails the screen's
-// comparison) pay the exact Exceeds evaluation, so the error-free steady
-// state never divides.
+// half the scaled threshold are cleared by a division-free screen, ordered so
+// that a clean entry costs one predictable compare: the scale's floor almost
+// never applies, and the screen almost always clears. Only borderline or
+// non-finite entries (a NaN residual fails the screen's comparison) pay the
+// exact Exceeds evaluation, so the error-free steady state never divides.
 func (d Detector[T]) AnyMismatch(direct, interp []T) bool {
 	if len(direct) != len(interp) {
 		panic(fmt.Sprintf("checksum: compare length %d vs %d", len(direct), len(interp)))
 	}
+	interp = interp[:len(direct)]
 	halfEps := d.Epsilon / 2
-	for i := range direct {
-		w := direct[i]
-		diff, scale := num.Abs(interp[i]-w), num.Abs(w)
+	for i, w := range direct {
+		v := interp[i]
+		scale := num.Abs(w)
 		if scale < d.AbsFloor {
 			scale = d.AbsFloor
 		}
-		// diff == 0 needs both values finite (Inf-Inf and NaN residuals are
-		// NaN); the strict < keeps an infinite scale (w = ±Inf) from
-		// clearing the entry, since Inf < Inf is false.
-		if diff == 0 || diff < halfEps*scale {
+		// The strict < keeps an infinite scale (w = ±Inf) from clearing the
+		// entry, since Inf < Inf is false; diff == 0 needs both values
+		// finite (Inf-Inf and NaN residuals are NaN).
+		if diff := num.Abs(v - w); diff < halfEps*scale || diff == 0 {
 			continue
 		}
-		if d.Exceeds(w, interp[i]) {
+		if d.Exceeds(w, v) {
 			return true
 		}
 	}

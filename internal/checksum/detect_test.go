@@ -2,6 +2,7 @@ package checksum
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -33,6 +34,41 @@ func TestAnyMismatch(t *testing.T) {
 	}
 	if !d.AnyMismatch([]float64{5, 5}, []float64{5, 6}) {
 		t.Fatal("missed mismatch")
+	}
+}
+
+// TestAnyMismatchIsExceeds holds the screened scan to the exact test entry
+// by entry, seeded and generated: clean, borderline and flagged residuals of
+// either sign, zero and sub-floor checksums, non-finite entries, and
+// detectors with and without a floor.
+func TestAnyMismatchIsExceeds(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 0.5, -0.5}
+	for trial := 0; trial < 4000; trial++ {
+		d := Detector[float64]{Epsilon: []float64{1e-5, 1e-9, 0.3}[rng.Intn(3)], AbsFloor: []float64{1, 0, 1e-3}[rng.Intn(3)]}
+		n := 1 + rng.Intn(4)
+		direct, interp := make([]float64, n), make([]float64, n)
+		for i := range direct {
+			w := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(8)-2))
+			if rng.Intn(8) == 0 {
+				w = special[rng.Intn(len(special))]
+			}
+			v := w * (1 + d.Epsilon*(4*rng.Float64()-2))
+			switch rng.Intn(8) {
+			case 0:
+				v = w
+			case 1:
+				v = special[rng.Intn(len(special))]
+			}
+			direct[i], interp[i] = w, v
+		}
+		want := false
+		for i := range direct {
+			want = want || d.Exceeds(direct[i], interp[i])
+		}
+		if got := d.AnyMismatch(direct, interp); got != want {
+			t.Fatalf("%+v: AnyMismatch(%v, %v) = %v, the entries' Exceeds say %v", d, direct, interp, got, want)
+		}
 	}
 }
 

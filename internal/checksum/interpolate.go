@@ -75,10 +75,12 @@ type interpAxis[T num.Float] struct {
 	c      [][]T
 	// rows[e+r] is the frame row (a column for A) extended entry e in
 	// [-r, n+r) lies on, where the window-shift lines are read; noSource is
-	// a ghost row.
-	rows   []int
-	terms  []interpTerm[T]
-	shifts []windowShift
+	// a ghost row. Over entries [runLo, runHi), which take in the vector's
+	// own, the frame rows run consecutively from rows[runLo].
+	rows         []int
+	runLo, runHi int
+	terms        []interpTerm[T]
+	shifts       []windowShift
 	// lo, hi bound the table entries [lo, hi) any term reads: a star
 	// stencil's x-offset points all sit at DY=0, so B's ghost-row entries
 	// are never filled.
@@ -158,6 +160,13 @@ func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundar
 	ax.rows = make([]int, ax.n+2*ax.r)
 	for j := range ax.rows {
 		ax.rows[j] = resolve(e0+j-ax.r, fe)
+	}
+	ax.runLo, ax.runHi = ax.r, ax.r+ax.n
+	for ax.runLo > 0 && ax.rows[ax.runLo-1] != noSource && ax.rows[ax.runLo-1] == ax.rows[ax.runLo]-1 {
+		ax.runLo--
+	}
+	for ax.runHi < len(ax.rows) && ax.rows[ax.runHi] != noSource && ax.rows[ax.runHi] == ax.rows[ax.runHi-1]+1 {
+		ax.runHi++
 	}
 	ax.lo, ax.hi = ax.n+2*ax.r, 0
 	for _, p := range pts {
@@ -259,21 +268,65 @@ func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []E
 		tab = lt.tab
 	}
 	span := ax.n + 2*ax.r
-	copy(next, ip.constant(ax, z))
-	for _, t := range ax.terms {
+	// term returns what term i adds to each entry: w·(in + bnd), bnd nil
+	// when the term's window does not move.
+	term := func(i int) (w T, in, bnd []T) {
+		t := ax.terms[i]
 		zz := z + t.dz + ip.rz
-		in := prev[zz][h+t.shift:][:ax.n]
-		out, w := next[:len(in)], t.w
-		if t.win < 0 || !shifted || edges[zz] == nil {
+		in = prev[zz][h+t.shift:][:ax.n]
+		if t.win >= 0 && shifted && edges[zz] != nil {
+			bnd = tab[t.win*span+ax.r+t.shift:][:ax.n]
+		}
+		return t.w, in, bnd
+	}
+	out := next[:ax.n]
+	copy(out, ip.constant(ax, z))
+	// Consecutive terms of the same kind go two to a pass, which adds them
+	// to each entry in the same order as two passes would.
+	for i := 0; i < len(ax.terms); i++ {
+		w, in, bnd := term(i)
+		if i+1 < len(ax.terms) {
+			if w2, in2, bnd2 := term(i + 1); (bnd == nil) == (bnd2 == nil) {
+				if bnd == nil {
+					addTerms2(out, w, in, w2, in2)
+				} else {
+					addShiftedTerms2(out, w, in, bnd, w2, in2, bnd2)
+				}
+				i++
+				continue
+			}
+		}
+		if bnd == nil {
 			for e, s := range in {
 				out[e] += w * s
 			}
-			continue
+		} else {
+			for e, s := range in {
+				out[e] += w * (s + bnd[e])
+			}
 		}
-		bnd := tab[t.win*span+ax.r+t.shift:][:len(in)]
-		for e, s := range in {
-			out[e] += w * (s + bnd[e])
-		}
+	}
+}
+
+// addTerms2 adds w·a and then w2·b to each entry of out.
+func addTerms2[T num.Float](out []T, w T, a []T, w2 T, b []T) {
+	a, b = a[:len(out)], b[:len(out)]
+	for e := range out {
+		v := out[e]
+		v += w * a[e]
+		v += w2 * b[e]
+		out[e] = v
+	}
+}
+
+// addShiftedTerms2 adds w·(a + ba) and then w2·(b + bb) to each entry of out.
+func addShiftedTerms2[T num.Float](out []T, w T, a, ba []T, w2 T, b, bb []T) {
+	a, ba, b, bb = a[:len(out)], ba[:len(out)], b[:len(out)], bb[:len(out)]
+	for e := range out {
+		v := out[e]
+		v += w * (a[e] + ba[e])
+		v += w2 * (b[e] + bb[e])
+		out[e] = v
 	}
 }
 
@@ -307,7 +360,44 @@ func (ip *interp[T]) fill(ax *interpAxis[T], z int, edges []EdgeSource[T], j0, j
 		for _, c := range ws.subs {
 			lines = append(lines, ip.edgeLine(ax, src, c))
 		}
-		shiftRows(tab, rows, ip.ghost[0], lines[:len(ws.adds)], lines[len(ws.adds):])
+		adds, subs := lines[:len(ws.adds)], lines[len(ws.adds):]
+		if len(adds) != 1 || len(subs) != 1 {
+			shiftRows(tab, rows, ip.ghost[0], adds, subs)
+			continue
+		}
+		// One line of each kind: the consecutive rows in the middle are two
+		// streams, the rest the resolved rows around them.
+		lo, hi := min(max(ax.runLo, j0), j1), max(min(ax.runHi, j1), j0)
+		shiftRows(tab[:lo-j0], rows[:lo-j0], ip.ghost[0], adds, subs)
+		if lo < hi {
+			shiftRun(tab[lo-j0:hi-j0], ax.rows[lo], adds[0], subs[0])
+		}
+		shiftRows(tab[hi-j0:], rows[hi-j0:], ip.ghost[0], adds, subs)
+	}
+}
+
+// shiftRun sets tab[j] to line a's cell at frame row r0+j minus line b's,
+// summed from zero like shiftRows: the rows are consecutive, so each line is
+// read as one stream, a contiguous one when the line is stored as a vector.
+func shiftRun[T num.Float](tab []T, r0 int, a, b edgeLine[T]) {
+	if a.stride == 1 && b.stride == 1 {
+		as, bs := a.cells[r0:][:len(tab)], b.cells[r0:][:len(tab)]
+		for j := range tab {
+			var v T
+			v += as[j]
+			v -= bs[j]
+			tab[j] = v
+		}
+		return
+	}
+	ia, ib := r0*a.stride, r0*b.stride
+	for j := range tab {
+		var v T
+		v += a.cells[ia]
+		v -= b.cells[ib]
+		tab[j] = v
+		ia += a.stride
+		ib += b.stride
 	}
 }
 
@@ -562,8 +652,10 @@ func (ip *Interp3D[T]) PrimeBetaTablesMid(z int, edges []EdgeSource[T]) {
 
 // PrimeBetaTables fills layer z's B tables the next interpolation would fill
 // itself — after PrimeBetaTablesMid just the ghost rows — letting the caller
-// schedule the edge reads while the halo exchange has them warm. The edge
-// values must not change before the interpolation that consumes them.
+// schedule the edge reads while they are warm: a rank's halo exchange has
+// just brought them in, or a sweep has just read the layer. Calls for
+// distinct layers may run concurrently. The edge values must not change
+// before the interpolation that consumes them.
 func (ip *Interp3D[T]) PrimeBetaTables(z int, edges []EdgeSource[T]) {
 	if ip.DropBoundaryTerms || len(ip.b.shifts) == 0 {
 		return

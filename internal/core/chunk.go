@@ -71,9 +71,11 @@ type Chunk[T num.Float] struct {
 	// the 3-D sweep fuses (fused[z][y] is row y of frame layer z) — for a
 	// box of whole layers, which Step sweeps; nil otherwise.
 	fused, fusedAlt [][]T
-	// verifyLayers and resweep, bound once so a step allocates nothing.
+	// verifyLayers, resweep and prime, bound once so a step allocates
+	// nothing.
 	verifyFn  func(lo, hi int)
 	resweepFn func(z, y int) T
+	primeFn   func(z int)
 
 	// Scratch of the repair path, allocated the first time the chunk is
 	// flagged: newA, which doubles as the saved row of the re-evaluation;
@@ -82,7 +84,7 @@ type Chunk[T num.Float] struct {
 	// frame layers of the stack a repair has summed.
 	newA    []T
 	prevA   [][]T
-	InterpA [][]T
+	interpA [][]T
 	have    []bool
 }
 
@@ -123,7 +125,7 @@ func NewChunk[T num.Float](op *stencil.Op3D[T], frame *grid.Buffer3D[T], x0, y0,
 		interpB: makeLayers[T](d, h),
 		flagged: make([]bool, d),
 	}
-	c.verifyFn, c.resweepFn = c.verifyLayers, c.resweep
+	c.verifyFn, c.resweepFn, c.primeFn = c.verifyLayers, c.resweep, c.prime
 	c.edgeRead, c.edgeWrite = c.edges(frame.Read), c.edges(frame.Write)
 	seen := make([]bool, src.Nz())
 	for v := range c.PrevB {
@@ -290,8 +292,8 @@ func (c *Chunk[T]) repair(resweep func(z, y int) T, st *Stats) {
 	if !pending {
 		return
 	}
-	if c.InterpA == nil {
-		c.prevA, c.InterpA, c.have = c.ip.NewStack(checksum.VecA, c.rx), makeLayers[T](c.z1-c.z0, w), make([]bool, c.src.Nz())
+	if c.interpA == nil {
+		c.prevA, c.interpA, c.have = c.ip.NewStack(checksum.VecA, c.rx), makeLayers[T](c.z1-c.z0, w), make([]bool, c.src.Nz())
 	}
 	clear(c.have)
 	for l, f := range c.flagged {
@@ -308,10 +310,10 @@ func (c *Chunk[T]) repair(resweep func(z, y int) T, st *Stats) {
 			}
 		}
 		dst := c.dst.Layer(c.z0 + l)
-		c.ip.Interpolate(checksum.VecA, l, c.prevA, c.edgeRead, c.InterpA[l])
+		c.ip.Interpolate(checksum.VecA, l, c.prevA, c.edgeRead, c.interpA[l])
 		stencil.ChecksumARect(dst, c.x0, c.y0, c.x1, c.y1, c.newA)
 		// No located point means the corruption sat in a checksum.
-		st.Repaired(c.corr.RepairRect(c.det, c.pol, dst, c.x0, c.y0, c.x1, c.y1, c.newA, c.own(c.NewB, l), c.InterpA[l], c.interpB[l]))
+		st.Repaired(c.corr.RepairRect(c.det, c.pol, dst, c.x0, c.y0, c.x1, c.y1, c.newA, c.own(c.NewB, l), c.interpA[l], c.interpB[l]))
 	}
 }
 
@@ -344,13 +346,19 @@ func (c *Chunk[T]) Finish(pool *stencil.Pool, resweep func(z, y int) T, st *Stat
 // Step is the whole step of a chunk of whole layers: the 3-D sweep of the
 // box's layers, their rows partitioned over pool, fusing NewB and applying
 // sites (frame coordinates), then Finish, a flagged row re-evaluated through
-// the same sweep.
+// the same sweep. The worker that sweeps a layer's rows fills the layer's
+// window-shift tables right after them (PrimeBetaTables), from edge columns
+// it has just read, instead of the verify reading them back at stride nx
+// once the whole box has gone through the cache.
 func (c *Chunk[T]) Step(pool *stencil.Pool, sites []stencil.Site[T], st *Stats, tel *telemetry.Recorder) {
 	t0 := tel.Begin()
-	c.op.SweepLayersInject(pool, c.dst, c.src, c.z0, c.z1, c.fused, sites)
+	c.op.SweepLayersInject(pool, c.dst, c.src, c.z0, c.z1, c.fused, sites, c.primeFn)
 	tel.End(telemetry.PhaseSweep, t0)
 	c.Finish(pool, c.resweepFn, st, tel)
 }
+
+// prime fills the beta tables of frame layer z, a layer of the box.
+func (c *Chunk[T]) prime(z int) { c.ip.PrimeBetaTables(z-c.z0, c.edgeRead) }
 
 func (c *Chunk[T]) resweep(z, y int) T {
 	b := c.fused[z]

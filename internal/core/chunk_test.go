@@ -192,7 +192,7 @@ func chunkedRepairIsBitwise[T num.Float](t *testing.T, ck chunking, eps T) {
 			if h := c.y1 - c.y0; !sameBitsAll(c.PrevB[0][c.hy:c.hy+h], clean.chunks[k].PrevB[0][c.hy:c.hy+h]) {
 				t.Fatalf("%v: chunk %d checksums differ from the fault-free run's", inj, k)
 			}
-			if c.InterpA != nil {
+			if c.interpA != nil {
 				t.Fatalf("%v: a located flip took the two-vector path in chunk %d", inj, k)
 			}
 		}
@@ -350,7 +350,7 @@ func chunkedFallback(t *testing.T, ck chunking) {
 			}
 			took := 0
 			for _, c := range p.chunks {
-				if c.InterpA != nil {
+				if c.interpA != nil {
 					took++
 				}
 			}
@@ -826,7 +826,7 @@ func TestDropBoundaryTermsDropsAlpha(t *testing.T) {
 	}
 	p.Step()
 	c := p.chunks[0]
-	if c.InterpA == nil {
+	if c.interpA == nil {
 		t.Fatalf("the flagged flip did not take the two-vector path: %+v", p.Stats())
 	}
 	bg := grid.BoundedGrid[float64]{G: init, Cond: op.BC}
@@ -839,8 +839,8 @@ func TestDropBoundaryTermsDropsAlpha(t *testing.T) {
 			}
 			want += pt.W * a
 		}
-		if !num.SameBits(c.InterpA[0][x], want) {
-			t.Fatalf("A[%d] = %v, the dropped-alpha interpolation %v", x, c.InterpA[0][x], want)
+		if !num.SameBits(c.interpA[0][x], want) {
+			t.Fatalf("A[%d] = %v, the dropped-alpha interpolation %v", x, c.interpA[0][x], want)
 		}
 	}
 }
@@ -883,5 +883,98 @@ func TestStep2DAllocFree(t *testing.T) {
 				t.Errorf("%s, %d workers: %v allocations a step", name, workers, n)
 			}
 		}
+	}
+}
+
+// TestSweepFedTablesGenerated holds the window-shift tables the sweeping
+// worker fills right after each layer's rows (Step) to the ones the verify
+// fills itself once the sweep is done (Finish after a plain sweep), bit for
+// bit: seeded and generated over all five boundaries (Constant with a
+// non-zero ghost), radius 1 or 2 on each axis or the star's 1, odd and even
+// extents, nz from 2*RadiusZ+1 up, whole stacks and slabs between ghost
+// layers, no pool and a pool of 2, and flips on the z-face rows, which the
+// repair re-evaluates — interpolations, fused checksums, grids and stats,
+// step after step.
+func TestSweepFedTablesGenerated(t *testing.T) {
+	pool := &stencil.Pool{Workers: 2}
+	defer pool.Close()
+	for seed := int64(1); seed <= 60; seed++ {
+		sweepFedTablesGenerated(t, seed, pool)
+	}
+}
+
+func sweepFedTablesGenerated(t *testing.T, seed int64, pool *stencil.Pool) {
+	rng := rand.New(rand.NewSource(seed))
+	w := func() float64 { return 0.02 + 0.12*rng.Float64() }
+	st := stencil.SevenPoint3D(0.3, w(), w(), w(), w(), w(), w())
+	if rng.Intn(3) > 0 {
+		r := [3]int{1 + rng.Intn(2), 1 + rng.Intn(2), 1 + rng.Intn(2)}
+		st = &stencil.Stencil[float64]{Name: "generated", Points: []stencil.Point[float64]{{W: 0.3}}}
+		used := map[[3]int]bool{{}: true}
+		for _, d := range [][3]int{{r[0], 0, 0}, {0, -r[1], 0}, {0, 0, r[2]}, {-1, 1, -1}, {rng.Intn(3) - 1, rng.Intn(3) - 1, rng.Intn(3) - 1}} {
+			if !used[d] {
+				used[d] = true
+				st.Points = append(st.Points, stencil.Point[float64]{DX: d[0], DY: d[1], DZ: d[2], W: w()})
+			}
+		}
+	}
+	rx, ry, rz := st.RadiusX(), st.RadiusY(), st.RadiusZ()
+	nx, ny, nz := rx+2+rng.Intn(9), ry+2+rng.Intn(9), 2*rz+1+rng.Intn(4)
+	op := &stencil.Op3D[float64]{St: st, BC: grid.Boundary(rng.Intn(5)), BCValue: 40 + 10*rng.Float64()}
+	h := 0 // ghost layers of a slab's frame
+	if rng.Intn(3) == 0 {
+		h = rz
+	}
+	fnz := nz + 2*h
+	if rng.Intn(2) == 0 {
+		op.C = grid.New3D[float64](nx, ny, fnz)
+		op.C.FillFunc(func(x, y, z int) float64 { return rng.Float64() })
+	}
+	init := grid.New3D[float64](nx, ny, fnz)
+	init.FillFunc(func(x, y, z int) float64 { return 80 + 20*rng.Float64() })
+	var p *stencil.Pool
+	if rng.Intn(2) == 0 {
+		p = pool
+	}
+	what := fmt.Sprintf("seed %d: %q radius %d/%d/%d %s %dx%dx%d between %d ghost layers, pool=%v",
+		seed, st.Name, rx, ry, rz, op.BC, nx, ny, nz, h, p != nil)
+	build := func() (*grid.Buffer3D[float64], *Chunk[float64]) {
+		frame := grid.Buffer3DFrom(init)
+		c, err := NewChunk(op, frame, 0, 0, h, nx, ny, h+nz, ry, Options[float64]{Pool: p})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return frame, c
+	}
+	fed, fedCh := build()
+	own, ownCh := build()
+	var fedSt, ownSt Stats
+	for step := 0; step < 6; step++ {
+		var sites []stencil.Site[float64]
+		if step%2 == 1 { // a flip on a z-face row of the box
+			z, bit := h+[]int{0, nz - 1}[rng.Intn(2)], 50+rng.Intn(12)
+			sites = []stencil.Site[float64]{{X: rng.Intn(nx), Y: rng.Intn(ny), Z: z,
+				Mutate: func(v float64) float64 { return num.FlipBit(v, bit) }}}
+		}
+		fedCh.Step(p, sites, &fedSt, nil)
+		op.SweepLayersInject(p, own.Write, own.Read, h, h+nz, ownCh.fused, sites, nil)
+		ownCh.Finish(p, ownCh.resweepFn, &ownSt, nil)
+		for l := range nz {
+			if !sameBitsAll(fedCh.interpB[l], ownCh.interpB[l]) {
+				t.Fatalf("%s, step %d: layer %d interpolates %v from the sweep's tables, %v from its own",
+					what, step, l, fedCh.interpB[l], ownCh.interpB[l])
+			}
+			if !sameBitsAll(fedCh.own(fedCh.PrevB, l), ownCh.own(ownCh.PrevB, l)) {
+				t.Fatalf("%s, step %d: layer %d's verified checksums differ", what, step, l)
+			}
+		}
+		fed.Swap()
+		own.Swap()
+		if !sameBitsAll(fed.Read.Data(), own.Read.Data()) || fedSt != ownSt {
+			t.Fatalf("%s, step %d: grids or stats differ (%+v, %+v)", what, step, fedSt, ownSt)
+		}
+	}
+	if fedSt.Detections == 0 {
+		t.Fatalf("%s: no flip was detected (%+v)", what, fedSt)
 	}
 }

@@ -88,7 +88,7 @@ func online3DRepairIsBitwise[T num.Float](t *testing.T, bc grid.Boundary, eps T)
 				t.Fatalf("%v: layer %d checksums differ from the fault-free run's", inj, z)
 			}
 		}
-		if p.ch.InterpA != nil {
+		if p.ch.interpA != nil {
 			t.Fatalf("%v: a located flip took the two-vector path", inj)
 		}
 		return true
@@ -138,7 +138,7 @@ func TestOnline3DFallback(t *testing.T) {
 			flaggedBefore := p.Stats().Detections
 			p.Step()
 			c := p.ch
-			if p.Stats().Detections != flaggedBefore+1 || c.InterpA == nil {
+			if p.Stats().Detections != flaggedBefore+1 || c.interpA == nil {
 				t.Fatalf("%s z=%d: the read-buffer flip did not reach the two-vector path: %+v", bc, z, p.Stats())
 			}
 			// After the swap the write half still holds the step's source.
@@ -156,7 +156,7 @@ func TestOnline3DFallback(t *testing.T) {
 					continue
 				}
 				c.ip.Interpolate(checksum.VecA, l, full, c.edgeWrite, want)
-				if !sameBitsAll(c.InterpA[l], want) {
+				if !sameBitsAll(c.interpA[l], want) {
 					t.Fatalf("%s z=%d: layer %d interpolated from a partial prevA set", bc, z, l)
 				}
 			}

@@ -15,9 +15,10 @@ const (
 	// protocol violations, legacy error paths).
 	ClassUnknown FaultClass = iota
 	// ClassTimeout: the peer stayed silent past the configured IO timeout
-	// — a stuck or stalled rank. The process is alive as far as anyone
-	// knows; recovery treats it like a death because lockstep cannot
-	// continue without it.
+	// — a stuck or stalled rank — or, on the channel backend, a round's
+	// strip never arrived and the next round's came in its place. The
+	// process is alive as far as anyone knows; recovery treats it like a
+	// death because lockstep cannot continue without it.
 	ClassTimeout
 	// ClassCorrupt: a payload failed validation after the wire-level CRC
 	// had already passed (element-width mismatch, malformed control
@@ -78,9 +79,9 @@ type Fault struct {
 // operators and tests keep seeing rank, direction and generation; a
 // classified fault names its class so logs show which recovery rung fired.
 func (f *Fault) Error() string {
-	what := "tcp recv"
+	what := "recv"
 	if f.Barrier {
-		what = "tcp barrier"
+		what = "barrier"
 	}
 	if f.Class != ClassUnknown {
 		what += " (" + f.Class.String() + ")"

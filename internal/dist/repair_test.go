@@ -123,8 +123,14 @@ func TestClusterGridFallback(t *testing.T) {
 			t.Fatalf("rank %d: %+v", i, s)
 		}
 	}
-	if r := c.ranks[3]; r.ch.InterpA == nil || num.Sum(r.ch.InterpA[0]) == 0 {
-		t.Fatal("the read-buffer flip did not reach the two-vector path")
+	// Re-evaluating a row from a corrupted read buffer reproduces the
+	// mismatch, so the rows are put back and the two-vector path runs: its
+	// row checksums are summed from the same corrupted buffer, so only B
+	// mismatches, and Equation (10)'s rule books the detection as a checksum
+	// repair with no point corrected. A row re-evaluation could only have
+	// booked it with the row's changed cells.
+	if s := c.RankStats()[3]; s.CorrectedPoints != 0 || s.ChecksumRepairs != 1 {
+		t.Fatalf("the read-buffer flip did not reach the two-vector path: %+v", s)
 	}
 }
 

@@ -164,13 +164,27 @@ type Transport[T num.Float] interface {
 // Under a ring (periodic global boundaries) both axes close into a torus,
 // so wrap-around halos are real remote data; a single rank on an axis
 // degenerates to a self-exchange through the same channels.
+//
+// Every strip travels stamped with its round on its edge: one strip per
+// round per direction means the n-th strip a rank sends toward a direction
+// belongs to the edge's n-th round, and the n-th receive on the edge wants
+// exactly it. A strip lost on the way (Lose) still takes its round, so the
+// receiver, finding the next round's strip in its place, fails with a
+// classified fault naming the edge instead of absorbing a wrong halo —
+// which, with the next round's x strip posted ahead of the barrier, it
+// otherwise would, with nothing to time out on.
 type ChanTransport[T num.Float] struct {
 	geo  Decomp // rank-grid shape only (Nx/Ny unused)
 	ring bool
-	ch   [NumDirs][]chan []T           // ch[d][i] carries rank i's strip toward direction d
+	ch   [NumDirs][]chan strip[T]      // ch[d][i] carries rank i's strip toward direction d
 	ck   [NumDirs][]chan ckptParcel[T] // ck[d][i] carries rank i's buddy snapshot toward d
 	bar  *barrier
 	em   *edgeCounters
+
+	// rounds[i] is rank i's side of its edges' round stamps; only rank i
+	// touches it, and a rank's counters sit together, apart from the
+	// others' (the ranks run on different cores).
+	rounds []edgeRounds
 
 	// recvTimeout, when positive, bounds every Recv/RecvCkpt wait so a
 	// stalled sibling rank surfaces as a classified timeout fault instead
@@ -182,6 +196,20 @@ type ChanTransport[T num.Float] struct {
 	abortOnce sync.Once
 	abortErr  error
 	quit      chan struct{}
+}
+
+// edgeRounds is one rank's round accounting per direction: the strips it
+// has sent, lost ones included, the strips it has received, and the fault a
+// TryRecv found on the edge, for the blocking receive after it to raise.
+type edgeRounds struct {
+	sent, got [NumDirs]int
+	lost      [NumDirs]error
+}
+
+// strip is one halo strip in flight and its round on the edge.
+type strip[T num.Float] struct {
+	round int
+	data  []T
 }
 
 // ckptParcel is one buddy-checkpoint snapshot in flight: the packed rank
@@ -259,13 +287,14 @@ func NewChanTransport[T num.Float](ranksX, ranksY int, ring bool) *ChanTransport
 		quit: make(chan struct{}),
 	}
 	for d := range t.ch {
-		t.ch[d] = make([]chan []T, n)
+		t.ch[d] = make([]chan strip[T], n)
 		t.ck[d] = make([]chan ckptParcel[T], n)
 		for i := 0; i < n; i++ {
-			t.ch[d][i] = make(chan []T, 2) // two strips outstanding per edge, see the type comment
+			t.ch[d][i] = make(chan strip[T], 2) // two strips outstanding per edge, see the type comment
 			t.ck[d][i] = make(chan ckptParcel[T], 1)
 		}
 	}
+	t.rounds = make([]edgeRounds, n)
 	t.em = newEdgeCounters(n)
 	return t
 }
@@ -321,35 +350,68 @@ func (t *ChanTransport[T]) fault(to int, d Dir, nb int, err error) *Fault {
 }
 
 // Send posts data on the channel toward rank from's neighbour in
-// direction d.
+// direction d, stamped with its round on the edge.
 func (t *ChanTransport[T]) Send(from int, d Dir, data []T) {
 	t.em.sent(d, from, len(data)*int(elemSize[T]()))
+	s := strip[T]{round: t.rounds[from].sent[d], data: data}
+	t.rounds[from].sent[d]++
 	select {
-	case t.ch[d][from] <- data:
+	case t.ch[d][from] <- s:
 	case <-t.quit:
 	}
 }
+
+// Lose is Send for a strip lost on the way: it takes its round on the edge
+// and never arrives. A transport wrapper that drops messages calls it in
+// place of Send.
+func (t *ChanTransport[T]) Lose(from int, d Dir) { t.rounds[from].sent[d]++ }
 
 // Recv returns the strip sent toward rank to from direction d: the
 // d-neighbour's message posted toward the opposite direction.
 func (t *ChanTransport[T]) Recv(to int, d Dir) []T {
 	nb := t.peer("Recv", to, d)
-	data, _, err := chanWait(t, "the halo strip", t.ch[d.Opposite()][nb], nil)
+	if err := t.rounds[to].lost[d]; err != nil {
+		panic(t.fault(to, d, nb, err))
+	}
+	s, _, err := chanWait(t, "the halo strip", t.ch[d.Opposite()][nb], nil)
+	if err == nil {
+		err = t.take(to, d, s)
+	}
 	if err != nil {
 		panic(t.fault(to, d, nb, err))
 	}
-	t.em.recvd(d, to, len(data)*int(elemSize[T]()))
-	return data
+	return s.data
+}
+
+// take books strip s as received by rank to from direction d, or returns
+// the fault of a strip that is not the edge's next: the round it was due
+// in lost its own.
+func (t *ChanTransport[T]) take(to int, d Dir, s strip[T]) error {
+	want := t.rounds[to].got[d]
+	t.rounds[to].got[d]++
+	if s.round != want {
+		return &classedError{class: ClassTimeout,
+			err: fmt.Errorf("the round-%d halo strip never arrived: the edge delivered round %d's in its place", want, s.round)}
+	}
+	t.em.recvd(d, to, len(s.data)*int(elemSize[T]()))
+	return nil
 }
 
 // TryRecv returns the strip sent toward rank to from direction d if it has
-// already been delivered.
+// already been delivered. A strip out of its round is consumed and kept as
+// the fault the next blocking receive on the edge raises.
 func (t *ChanTransport[T]) TryRecv(to int, d Dir) ([]T, bool) {
 	nb := t.peer("TryRecv", to, d)
+	if t.rounds[to].lost[d] != nil {
+		return nil, false
+	}
 	select {
-	case data := <-t.ch[d.Opposite()][nb]:
-		t.em.recvd(d, to, len(data)*int(elemSize[T]()))
-		return data, true
+	case s := <-t.ch[d.Opposite()][nb]:
+		if err := t.take(to, d, s); err != nil {
+			t.rounds[to].lost[d] = err
+			return nil, false
+		}
+		return s.data, true
 	default:
 		return nil, false
 	}
@@ -359,16 +421,26 @@ func (t *ChanTransport[T]) TryRecv(to int, d Dir) ([]T, bool) {
 // d2.
 func (t *ChanTransport[T]) RecvEither(to int, d1, d2 Dir) (Dir, []T) {
 	nb1, nb2 := t.peer("RecvEither", to, d1), t.peer("RecvEither", to, d2)
-	data, second, err := chanWait(t, "either halo strip", t.ch[d1.Opposite()][nb1], t.ch[d2.Opposite()][nb2])
+	for _, e := range [2]struct {
+		d  Dir
+		nb int
+	}{{d1, nb1}, {d2, nb2}} {
+		if err := t.rounds[to].lost[e.d]; err != nil {
+			panic(t.fault(to, e.d, e.nb, err))
+		}
+	}
+	s, second, err := chanWait(t, "either halo strip", t.ch[d1.Opposite()][nb1], t.ch[d2.Opposite()][nb2])
 	if err != nil {
 		panic(t.fault(to, d1, nb1, err))
 	}
-	d := d1
+	d, nb := d1, nb1
 	if second {
-		d = d2
+		d, nb = d2, nb2
 	}
-	t.em.recvd(d, to, len(data)*int(elemSize[T]()))
-	return d, data
+	if err := t.take(to, d, s); err != nil {
+		panic(t.fault(to, d, nb, err))
+	}
+	return d, s.data
 }
 
 // SendCkpt posts rank from's buddy snapshot toward direction d.

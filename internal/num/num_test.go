@@ -7,6 +7,22 @@ import (
 	"testing/quick"
 )
 
+// TestAbsClearsTheSignBit: Abs is the sign bit cleared and nothing else, at
+// both widths — negative zero, infinities, subnormals and NaN payloads
+// included.
+func TestAbsClearsTheSignBit(t *testing.T) {
+	for _, v := range []float64{-0.0, math.Copysign(0, -1), 1, -1, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.Inf(-1), math.Inf(1), -math.NaN(), math.Float64frombits(0xfff8_0000_0000_1234)} {
+		if got, want := math.Float64bits(Abs(v)), math.Float64bits(v)&^(1<<63); got != want {
+			t.Errorf("Abs(float64 %v) = %#x, want %#x", v, got, want)
+		}
+		f := float32(v)
+		if got, want := math.Float32bits(Abs(f)), math.Float32bits(f)&^(1<<31); got != want {
+			t.Errorf("Abs(float32 %v) = %#x, want %#x", f, got, want)
+		}
+	}
+}
+
 func TestAbsMinMax(t *testing.T) {
 	if Abs(float32(-2.5)) != 2.5 || Abs(float64(3)) != 3 || Abs(0.0) != 0 {
 		t.Fatal("Abs wrong")

@@ -163,7 +163,7 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, elem string, emit 
 	pool := abft.NewPool()
 	defer pool.Close()
 	spec.Pool = pool
-	spec.Telemetry = abft.NewTelemetry(0)
+	spec.Telemetry = jobTelemetry(req.Place)
 	if req.Place != nil {
 		return runPlaced(req, spec, elem, emit)
 	}
@@ -188,6 +188,17 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, elem string, emit 
 		c.Close()
 	}
 	return emit(ev)
+}
+
+// jobTelemetry is a job's telemetry: the phase accumulators Stats.Timing is
+// rolled up from, and a span ring only for a placement that ships its rank's
+// timeline back (Trace). No other job reads the ring, and on a small job the
+// default 4096 spans are a third of the bytes the job allocates.
+func jobTelemetry(pl *Placement) *abft.Telemetry {
+	if pl != nil && pl.Trace {
+		return abft.NewTelemetry(0)
+	}
+	return abft.NewTelemetry(-1)
 }
 
 // stepAll advances p by req.Iters sweeps, streaming the stats events the

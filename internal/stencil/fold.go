@@ -1,54 +1,97 @@
 package stencil
 
 import (
+	"slices"
+
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
 )
 
 // Boundary folding: instead of resolving the boundary condition per stencil
-// point per cell, a sweep resolves it once per row and once per plan. For the
-// row (y, z) every stencil point reads one source row — (y+dy, z+dz) pushed
-// through the BC — and that is either another row of the domain (Clamp,
-// Periodic, Mirror; possibly the row itself) or, under Constant and Zero, a
-// ghost row the fold owns. Past the ends of a row, column x+dx resolves the
-// same way for every row, so the plan resolves those 2*rx columns once: to a
-// column of the source row, or to the ghost value. A row kernel gets the
-// whole source row of each point and computes all nx cells, edge columns
-// included, so a folded neighbour costs the same as an interior one and all
-// five BCs are one code path.
+// point per cell, a sweep resolves it once per plan. For the row (y, z) every
+// stencil point reads one source row — (y+dy, z+dz) pushed through the BC —
+// and that is either another row of the domain (Clamp, Periodic, Mirror;
+// possibly the row itself) or, under Constant and Zero, a ghost row the fold
+// owns. Points that differ only in dx read the same source row, so the plan
+// numbers the distinct (dy, dz) offsets — a star's centre, west and east
+// share one — and resolves each one's source row offset once per row index
+// and its source layer offset once per layer index: every row, interior,
+// boundary row or z-face alike, finds its sources by two table reads per
+// distinct offset. Past the ends of a row, column x+dx resolves the same way
+// for every row, so the plan resolves those 2*rx columns once: to a column of
+// the source row, or to the ghost value. A row kernel gets the whole source
+// row of each point and computes all nx cells, edge columns included, so a
+// folded neighbour costs the same as an interior one and all five BCs are one
+// code path.
 //
 // Nothing here knows the dimension: a 2-D domain is nz = 1 with every dz = 0.
 
-// stackPoints is how many stencil points SweepRows' per-row scratch holds on
-// the stack; larger stencils take one allocation per call.
+// stackPoints is how many source rows SweepRows' per-row scratch holds on the
+// stack; a stencil with more distinct (dy, dz) offsets takes one allocation
+// per call.
 const stackPoints = 32
 
-// rowFold holds what is resolved per plan: the row offsets, the ghost row and
-// the columns past the row ends. It is immutable and shared by all workers.
+// rowFold holds what is resolved per plan: the source row tables, the ghost
+// row and the columns past the row ends. It is immutable and shared by all
+// workers.
 type rowFold[T num.Float] struct {
 	bc         grid.Boundary
 	nx, ny, nz int
-	plane      int // nx*ny
-	rx, ry, rz int
+	rx         int
 	pts        []Point[T]
-	offs       []int // per point: dy*nx + dz*plane, the source row's offset
-	ghost      []T   // nx copies of ghostVal; nil unless bc is Constant or Zero
-	ghostVal   T     // BCValue under Constant, 0 under Zero
+	// slot[i] numbers point i's (dy, dz) offset among the distinct ones, in
+	// order of first appearance; nrows is how many there are. A row's
+	// sources hold one row per slot, and point i reads rows[slot[i]].
+	slot  []int
+	nrows int
+	// yoff[y*nrows+s] is the offset of the row slot s reads for a row at y,
+	// (y+dy)*nx resolved, and zoff[z*nrows+s] that of its layer,
+	// (z+dz)*nx*ny resolved: slot s of row (y, z) reads the nx values at
+	// yoff+zoff. A ghost row or layer is ghostOff, so negative enough that
+	// the sum is negative whatever the other table holds.
+	yoff, zoff []int
+	ghost      []T // nx copies of ghostVal; nil unless bc is Constant or Zero
+	ghostVal   T   // BCValue under Constant, 0 under Zero
 	// xcol[d] is the column x = d-rx resolves to for d < rx, and x = nx+d-rx
 	// for d >= rx; -1 when that column is a ghost. Under Constant and Zero
 	// every entry is -1, under the other BCs none is.
 	xcol []int
 }
 
-func newRowFold[T num.Float](pts []Point[T], bc grid.Boundary, bcValue T, nx, ny, nz, rx, ry, rz int) rowFold[T] {
+func newRowFold[T num.Float](pts []Point[T], bc grid.Boundary, bcValue T, nx, ny, nz, rx int) rowFold[T] {
 	f := rowFold[T]{
-		bc: bc, nx: nx, ny: ny, nz: nz, plane: nx * ny, rx: rx, ry: ry, rz: rz,
+		bc: bc, nx: nx, ny: ny, nz: nz, rx: rx,
 		pts:  pts,
-		offs: make([]int, len(pts)),
+		slot: make([]int, len(pts)),
 		xcol: make([]int, 2*rx),
 	}
+	var rowOffs [][2]int // the distinct (dy, dz), by slot
 	for i, p := range pts {
-		f.offs[i] = p.DY*nx + p.DZ*f.plane
+		o := [2]int{p.DY, p.DZ}
+		s := slices.Index(rowOffs, o)
+		if s < 0 {
+			s = len(rowOffs)
+			rowOffs = append(rowOffs, o)
+		}
+		f.slot[i] = s
+	}
+	f.nrows = len(rowOffs)
+	ghostOff := -nx*ny*nz - 1
+	resolve := func(i, n, stride int) int {
+		if r, ok := bc.ResolveIndex(i, n); ok {
+			return r * stride
+		}
+		return ghostOff
+	}
+	k := f.nrows
+	f.yoff, f.zoff = make([]int, ny*k), make([]int, nz*k)
+	for s, o := range rowOffs {
+		for y := range ny {
+			f.yoff[y*k+s] = resolve(y+o[0], ny, nx)
+		}
+		for z := range nz {
+			f.zoff[z*k+s] = resolve(z+o[1], nz, nx*ny)
+		}
 	}
 	if bc == grid.Constant || bc == grid.Zero {
 		if bc == grid.Constant {
@@ -73,32 +116,17 @@ func newRowFold[T num.Float](pts []Point[T], bc grid.Boundary, bcValue T, nx, ny
 	return f
 }
 
-// sources points rows[i] at the whole source row stencil point i reads for
-// row (y, z) — nx values, x = 0 first, dx not applied — or at the ghost row.
-// This is the only per-row boundary work.
+// sources points rows[s] (len(rows) = nrows) at the whole source row slot s
+// reads for row (y, z) — nx values, x = 0 first, dx not applied — or at the
+// ghost row: two table reads per slot, the same for every row.
 func (f *rowFold[T]) sources(rows [][]T, src []T, y, z int) {
-	nx := f.nx
-	if y >= f.ry && y < f.ny-f.ry && z >= f.rz && z < f.nz-f.rz {
-		base := z*f.plane + y*nx
-		for i, o := range f.offs {
-			rows[i] = src[base+o : base+o+nx]
-		}
-		return
-	}
-	for i, p := range f.pts {
-		yy, zz := y+p.DY, z+p.DZ
-		oky, okz := true, true
-		if yy < 0 || yy >= f.ny {
-			yy, oky = f.bc.ResolveIndex(yy, f.ny)
-		}
-		if zz < 0 || zz >= f.nz {
-			zz, okz = f.bc.ResolveIndex(zz, f.nz)
-		}
-		if oky && okz {
-			s := zz*f.plane + yy*nx
-			rows[i] = src[s : s+nx]
+	k, nx := len(rows), f.nx
+	ys, zs := f.yoff[y*k:][:k], f.zoff[z*k:][:k]
+	for s := range rows {
+		if o := ys[s] + zs[s]; o >= 0 {
+			rows[s] = src[o : o+nx]
 		} else {
-			rows[i] = f.ghost
+			rows[s] = f.ghost
 		}
 	}
 }

@@ -3,15 +3,18 @@ package stencil
 import "stencilabft/internal/num"
 
 // Row kernels of the 3-D sweep. Unlike the 2-D kernels in kernels2d.go, which
-// index one source array at base ± nx, these take one source row per stencil
-// point: rows[i] is the whole row (nx values, x = 0 first) point i reads, so
-// a y or z neighbour is just a different slice, and a boundary row's
-// BC-resolved neighbour or the plan's ghost row is handed over like any
-// other (see fold.go). Each kernel computes all nx cells of dst: the interior
-// segment [rx, nx-rx) from rows[i] shifted by dx, and the 2*rx edge columns
-// in the same per-cell form, reading the columns past the row ends through
-// the fold. c is the matching row of the constant field, nil when the
-// operator has none.
+// index one source array at base ± nx, these take one source row per distinct
+// (dy, dz) offset: rows[f.slot[i]] is the whole row (nx values, x = 0 first)
+// point i reads, so a y or z neighbour is just a different slice, points
+// that differ only in dx share theirs, and a boundary row's BC-resolved
+// neighbour or the plan's ghost row is handed over like any other (see
+// fold.go). The specialised kernels know their canonical slots: the star's
+// centre, west and east read slot 0, then one slot per remaining point; the
+// box reads one slot per dy. Each kernel computes all nx cells of dst: the
+// interior segment [rx, nx-rx) from each point's row shifted by dx, and the
+// 2*rx edge columns in the same per-cell form, reading the columns past the
+// row ends through the fold. c is the matching row of the constant field,
+// nil when the operator has none.
 //
 // The contract is that of the 2-D kernels: per cell C first, then the points
 // weight by weight in canonical order, a ghost as w*K in its slot, no
@@ -44,8 +47,8 @@ func genericSlices[T num.Float](dst, c []T, rows [][]T, f *rowFold[T]) T {
 	} else {
 		clear(dst) // start from zero like the kernels: 0 + (-0.0) is +0.0
 	}
-	for i, r := range rows {
-		w, dx := f.pts[i].W, f.pts[i].DX
+	for i, p := range f.pts {
+		r, w, dx := rows[f.slot[i]], p.W, p.DX
 		for x := range rx {
 			dst[x] += w * f.at(r, x+dx)
 		}
@@ -67,40 +70,42 @@ func genericSlices[T num.Float](dst, c []T, rows [][]T, f *rowFold[T]) T {
 	return acc
 }
 
-// star7Cell is one cell of star7Row from its seven source values, in the
-// SevenPoint3D order; v enters as the constant field's value, or zero.
-func star7Cell[T num.Float](v, vc, vw, ve, vn, vs, vb, va T, kw *[9]T) T {
-	v += kw[0] * vc
-	v += kw[1] * vw
-	v += kw[2] * ve
-	v += kw[3] * vn
-	v += kw[4] * vs
-	v += kw[5] * vb
-	v += kw[6] * va
+// star7Cell is one cell of star7Row from its seven source values and
+// weights, in the SevenPoint3D order; v enters as the constant field's value,
+// or zero.
+func star7Cell[T num.Float](v, vc, vw, ve, vn, vs, vb, va, wc, ww, we, wn, ws, wb, wa T) T {
+	v += wc * vc
+	v += ww * vw
+	v += we * ve
+	v += wn * vn
+	v += ws * vs
+	v += wb * vb
+	v += wa * va
 	return v
 }
 
 // star7Row applies the 3-D seven-point star (centre, west, east, north,
-// south, below, above — the SevenPoint3D order) with weights kw[0..6].
+// south, below, above — the SevenPoint3D order) with weights kw[0..6]. The
+// centre, west and east read slot 0.
 func star7Row[T num.Float](dst, c []T, rows [][]T, kw *[9]T, f *rowFold[T]) T {
 	var acc T
 	nx := len(dst)
 	m, n := nx-1, nx-2
-	rc, rw, re := rows[0][:nx], rows[1][:nx], rows[2][:nx]
-	rn, rs, rb, ra := rows[3][:nx], rows[4][:nx], rows[5][:nx], rows[6][:nx]
+	rc := rows[0][:nx]
+	rn, rs, rb, ra := rows[1][:nx], rows[2][:nx], rows[3][:nx], rows[4][:nx]
+	wc, ww, we, wn, ws, wb, wa := kw[0], kw[1], kw[2], kw[3], kw[4], kw[5], kw[6]
 	var c0, cm T
 	if c != nil {
 		c = c[:nx]
 		c0, cm = c[0], c[m]
 	}
-	v := star7Cell(c0, rc[0], f.at(rw, -1), re[1], rn[0], rs[0], rb[0], ra[0], kw)
+	v := star7Cell(c0, rc[0], f.at(rc, -1), rc[1], rn[0], rs[0], rb[0], ra[0], wc, ww, we, wn, ws, wb, wa)
 	dst[0] = v
 	acc += v
 
 	d := dst[1:m]
-	sc, sw, se := rc[1:m], rw[:n], re[2:]
+	sc, sw, se := rc[1:m], rc[:n], rc[2:]
 	sn, ss, sb, sa := rn[1:m], rs[1:m], rb[1:m], ra[1:m]
-	wc, ww, we, wn, ws, wb, wa := kw[0], kw[1], kw[2], kw[3], kw[4], kw[5], kw[6]
 	if c != nil {
 		cs := c[1:m]
 		for j := range d {
@@ -130,7 +135,7 @@ func star7Row[T num.Float](dst, c []T, rows [][]T, kw *[9]T, f *rowFold[T]) T {
 		}
 	}
 
-	v = star7Cell(cm, rc[m], rw[m-1], f.at(re, nx), rn[m], rs[m], rb[m], ra[m], kw)
+	v = star7Cell(cm, rc[m], rc[m-1], f.at(rc, nx), rn[m], rs[m], rb[m], ra[m], wc, ww, we, wn, ws, wb, wa)
 	dst[m] = v
 	return acc + v
 }
@@ -151,18 +156,18 @@ func star5Slices[T num.Float](dst, c []T, rows [][]T, kw *[9]T, f *rowFold[T]) T
 	var acc T
 	nx := len(dst)
 	m, n := nx-1, nx-2
-	rc, rw, re, rn, rs := rows[0][:nx], rows[1][:nx], rows[2][:nx], rows[3][:nx], rows[4][:nx]
+	rc, rn, rs := rows[0][:nx], rows[1][:nx], rows[2][:nx] // rc: centre, west and east
 	var c0, cm T
 	if c != nil {
 		c = c[:nx]
 		c0, cm = c[0], c[m]
 	}
-	v := star5Cell(c0, rc[0], f.at(rw, -1), re[1], rn[0], rs[0], kw)
+	v := star5Cell(c0, rc[0], f.at(rc, -1), rc[1], rn[0], rs[0], kw)
 	dst[0] = v
 	acc += v
 
 	d := dst[1:m]
-	sc, sw, se, sn, ss := rc[1:m], rw[:n], re[2:], rn[1:m], rs[1:m]
+	sc, sw, se, sn, ss := rc[1:m], rc[:n], rc[2:], rn[1:m], rs[1:m]
 	wc, ww, we, wn, ws := kw[0], kw[1], kw[2], kw[3], kw[4]
 	if c != nil {
 		cs := c[1:m]
@@ -189,7 +194,7 @@ func star5Slices[T num.Float](dst, c []T, rows [][]T, kw *[9]T, f *rowFold[T]) T
 		}
 	}
 
-	v = star5Cell(cm, rc[m], rw[m-1], f.at(re, nx), rn[m], rs[m], kw)
+	v = star5Cell(cm, rc[m], rc[m-1], f.at(rc, nx), rn[m], rs[m], kw)
 	dst[m] = v
 	return acc + v
 }
@@ -215,9 +220,11 @@ func box9Slices[T num.Float](dst, c []T, rows [][]T, kw *[9]T, f *rowFold[T]) T 
 	var acc T
 	nx := len(dst)
 	m, n := nx-1, nx-2
-	r0, r1, r2 := rows[0][:nx], rows[1][:nx], rows[2][:nx]
-	r3, r4, r5 := rows[3][:nx], rows[4][:nx], rows[5][:nx]
-	r6, r7, r8 := rows[6][:nx], rows[7][:nx], rows[8][:nx]
+	// One source row per dy; point i reads row i/3 at dx = i%3-1.
+	r0 := rows[0][:nx]
+	r3 := rows[1][:nx]
+	r6 := rows[2][:nx]
+	r1, r2, r4, r5, r7, r8 := r0, r0, r3, r3, r6, r6
 	var c0, cm T
 	if c != nil {
 		c = c[:nx]

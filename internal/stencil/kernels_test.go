@@ -3,6 +3,7 @@ package stencil
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -234,6 +235,137 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 				}
 			}
 		}
+	}
+}
+
+// TestSweepLayersHookGenerated holds the row-table sources and the
+// per-layer hand-off to the per-point reference, seeded and generated: all
+// five boundaries (Constant with a non-zero ghost), radius 1 or 2 on each
+// axis or a specialised kernel's radius 1, odd and even extents, nz from
+// 2*RadiusZ+1 up, whole stacks and slabs between ghost layers, no pool and
+// a pool of 2, with and without a constant field, and injection sites on
+// the z-face rows. Every layer the hook reports must hold its final rows and
+// checksums when the hook runs, and it must report exactly the layers one
+// worker swept whole.
+func TestSweepLayersHookGenerated(t *testing.T) {
+	pool := &Pool{Workers: 2}
+	defer pool.Close()
+	for seed := int64(1); seed <= 160; seed++ {
+		sweepLayersHookGenerated(t, seed, pool)
+	}
+}
+
+func sweepLayersHookGenerated(t *testing.T, seed int64, pool *Pool) {
+	rng := rand.New(rand.NewSource(seed))
+	w := func() float64 { return 0.02 + 0.2*rng.Float64() }
+	var st *Stencil[float64]
+	switch rng.Intn(8) {
+	case 0:
+		st = SevenPoint3D(w(), w(), w(), w(), w(), w(), w())
+	case 1:
+		st = FivePoint(w(), w(), w(), w(), w())
+	case 2:
+		st = NinePoint([9]float64{w(), w(), w(), w(), w(), w(), w(), w(), w()})
+	default:
+		r := [3]int{1 + rng.Intn(2), 1 + rng.Intn(2), 1 + rng.Intn(2)}
+		used := map[[3]int]bool{}
+		st = &Stencil[float64]{Name: "generated"}
+		add := func(d [3]int) {
+			if !used[d] {
+				used[d] = true
+				st.Points = append(st.Points, Point[float64]{DX: d[0], DY: d[1], DZ: d[2], W: w()})
+			}
+		}
+		// The reach of each axis, in a random order with random others.
+		reach := [][3]int{{0, 0, 0}, {r[0] * (1 - 2*rng.Intn(2)), 0, 0}, {0, r[1] * (1 - 2*rng.Intn(2)), 0}, {0, 0, r[2] * (1 - 2*rng.Intn(2))}}
+		for k := 3 + rng.Intn(6); k > 0; k-- {
+			reach = append(reach, [3]int{rng.Intn(2*r[0]+1) - r[0], rng.Intn(2*r[1]+1) - r[1], rng.Intn(2*r[2]+1) - r[2]})
+		}
+		rng.Shuffle(len(reach), func(i, j int) { reach[i], reach[j] = reach[j], reach[i] })
+		for _, d := range reach {
+			add(d)
+		}
+	}
+	rx, ry, rz := st.RadiusX(), st.RadiusY(), st.RadiusZ()
+	bc := grid.Boundary(rng.Intn(5))
+	nx, ny := rx+1+rng.Intn(8), ry+1+rng.Intn(8)
+	// A slab sweeps the layers between rz ghost layers each side.
+	slab := rng.Intn(3) == 0
+	nz := 2*rz + 1 + rng.Intn(4)
+	z0, z1 := 0, nz
+	if slab {
+		nz += 2 * rz
+		z0, z1 = rz, nz-rz
+	}
+	var c *grid.Grid3D[float64]
+	if rng.Intn(2) == 0 {
+		c = grid.New3D[float64](nx, ny, nz)
+		c.FillFunc(func(x, y, z int) float64 { return rng.Float64() - 0.5 })
+	}
+	op := &Op3D[float64]{St: st, BC: bc, BCValue: -2.5 + rng.Float64(), C: c}
+	var p *Pool
+	if rng.Intn(2) == 0 {
+		p = pool
+	}
+	what := fmt.Sprintf("seed %d: %q (%d points, radius %d/%d/%d) %s %dx%dx%d layers [%d,%d) pool=%v",
+		seed, st.Name, len(st.Points), rx, ry, rz, bc, nx, ny, nz, z0, z1, p != nil)
+	if err := op.Validate(nx, ny, nz); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+
+	src := grid.New3D[float64](nx, ny, nz)
+	src.FillFunc(func(x, y, z int) float64 { return 50 + 100*rng.Float64() })
+	var sites []Site[float64]
+	for _, z := range []int{z0, z1 - 1, z0 + rng.Intn(z1-z0)} {
+		bit := 40 + rng.Intn(20)
+		sites = append(sites, Site[float64]{X: rng.Intn(nx), Y: rng.Intn(ny), Z: z,
+			Mutate: func(v float64) float64 { return num.FlipBit(v, bit) }})
+	}
+	hook := hookOf(sites)
+	want := grid.New3D[float64](nx, ny, nz)
+	bWant := make([][]float64, nz)
+	for z := z0; z < z1; z++ {
+		bWant[z] = make([]float64, ny)
+		naiveSweepLayer(op, want, src, z, bWant[z], hook)
+	}
+
+	got := grid.New3D[float64](nx, ny, nz)
+	bs := make([][]float64, nz)
+	for z := range bs {
+		bs[z] = make([]float64, ny)
+	}
+	var mu sync.Mutex
+	var reported []int
+	op.SweepLayersInject(p, got, src, z0, z1, bs, sites, func(z int) {
+		for y := 0; y < ny; y++ {
+			if !num.SameBits(bs[z][y], bWant[z][y]) || !slices.EqualFunc(got.Layer(z).Row(y), want.Layer(z).Row(y), num.SameBits[float64]) {
+				t.Errorf("%s: layer %d row %d is not final when its hook runs", what, z, y)
+				return
+			}
+		}
+		mu.Lock()
+		reported = append(reported, z)
+		mu.Unlock()
+	})
+	for z := z0; z < z1; z++ {
+		for y := 0; y < ny; y++ {
+			sameRow3D(t, op, got, want, bs[z], bWant[z], y, z)
+		}
+	}
+	// One worker sweeps a layer whole unless the pool's cut between its
+	// row ranges falls inside the layer.
+	var whole []int
+	n := (z1 - z0) * ny
+	cut := n - n/2 // the first of two chunks takes the odd row
+	for z := z0; z < z1; z++ {
+		lo := (z - z0) * ny
+		if p == nil || n < 2 || cut <= lo || cut >= lo+ny {
+			whole = append(whole, z)
+		}
+	}
+	slices.Sort(reported)
+	if !slices.Equal(reported, whole) {
+		t.Fatalf("%s: hook reported layers %v, want %v", what, reported, whole)
 	}
 }
 

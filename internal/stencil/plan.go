@@ -226,29 +226,13 @@ func (op *Op3D[T]) plan(nx, ny, nz int) *plan3d[T] {
 		pts:     pts,
 		force:   op.ForceGeneric,
 		bcValue: op.BCValue,
-		fold:    newRowFold(pts, op.BC, op.BCValue, nx, ny, nz, op.St.RadiusX(), op.St.RadiusY(), op.St.RadiusZ()),
+		fold:    newRowFold(pts, op.BC, op.BCValue, nx, ny, nz, op.St.RadiusX()),
 	}
 	if !op.ForceGeneric {
 		pl.kern = detectKernel(pts, &pl.kw)
 	}
 	op.planc.Store(pl)
 	return pl
-}
-
-// sweepRow computes one whole destination row, edge columns included, from
-// its per-point source rows (kernels3d.go), dispatching like plan2d.sweepRow,
-// and returns the row's fused checksum, summed in x order.
-func (pl *plan3d[T]) sweepRow(dst, c []T, rows [][]T) T {
-	switch pl.kern {
-	case kernStar7:
-		return star7Row(dst, c, rows, &pl.kw, &pl.fold)
-	case kernStar5:
-		return star5Slices(dst, c, rows, &pl.kw, &pl.fold)
-	case kernBox9:
-		return box9Slices(dst, c, rows, &pl.kw, &pl.fold)
-	default:
-		return genericSlices(dst, c, rows, &pl.fold)
-	}
 }
 
 // planCache is the one-slot atomic cache embedded in Op2D/Op3D: the compiled

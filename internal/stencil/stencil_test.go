@@ -290,7 +290,7 @@ func TestSweep3DParallelMatchesSequential(t *testing.T) {
 	for z := range bSlab {
 		bSlab[z] = make([]float64, ny)
 	}
-	op.SweepLayersInject(&Pool{Workers: 3}, slab, src, 1, nz-1, bSlab, nil)
+	op.SweepLayersInject(&Pool{Workers: 3}, slab, src, 1, nz-1, bSlab, nil, nil)
 	for z := 0; z < nz; z++ {
 		swept := z >= 1 && z < nz-1
 		for i, v := range slab.Layer(z).Data() {

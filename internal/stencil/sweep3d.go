@@ -105,22 +105,35 @@ func (op *Op3D[T]) SweepRows(dst, src *grid.Grid3D[T], z, y0, y1 int, b []T) {
 	if op.C != nil {
 		cD = op.C.Data()
 	}
-	// Per-row scratch: each point's source row.
+	// Per-row scratch: each distinct (dy, dz) offset's source row.
 	var rowBuf [stackPoints][]T
 	rows := rowBuf[:]
-	if k := len(pl.pts); k > stackPoints {
+	if k := f.nrows; k > stackPoints {
 		rows = make([][]T, k)
 	} else {
 		rows = rows[:k]
 	}
 	for y := y0; y < y1; y++ {
 		f.sources(rows, srcD, y, z)
-		base := z*f.plane + y*nx
+		base := (z*ny + y) * nx
 		var cRow []T
 		if cD != nil {
 			cRow = cD[base : base+nx]
 		}
-		acc := pl.sweepRow(dstD[base:base+nx], cRow, rows)
+		// One whole destination row, edge columns included, from its source
+		// rows (kernels3d.go), and its fused checksum, summed in x order.
+		d := dstD[base : base+nx]
+		var acc T
+		switch pl.kern {
+		case kernStar7:
+			acc = star7Row(d, cRow, rows, &pl.kw, f)
+		case kernStar5:
+			acc = star5Slices(d, cRow, rows, &pl.kw, f)
+		case kernBox9:
+			acc = box9Slices(d, cRow, rows, &pl.kw, f)
+		default:
+			acc = genericSlices(d, cRow, rows, f)
+		}
 		if b != nil {
 			b[y] = acc
 		}
