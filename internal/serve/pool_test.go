@@ -2,10 +2,13 @@ package serve_test
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +22,11 @@ import (
 // STENCILSERVE_WORKER=1 it speaks the worker protocol on stdin/stdout
 // instead of running tests — the same shape cmd/stencilserve uses with its
 // -worker flag, but without needing a separate binary on disk.
+//
+// After the tests it accounts for goroutines: every one a test started —
+// servers, workers, clusters, pools — must be gone within 3 s, or the run
+// fails with every stack printed. A fuzzing run is exempt: its coordinator
+// starts os/signal's loop, which never exits, and it runs no test.
 func TestMain(m *testing.M) {
 	if os.Getenv("STENCILSERVE_WORKER") == "1" {
 		if err := serve.WorkerMain(os.Stdin, os.Stdout); err != nil {
@@ -27,7 +35,22 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	}
-	os.Exit(m.Run())
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	if flag.Lookup("test.fuzz").Value.String() != "" {
+		os.Exit(code)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		fmt.Fprintf(os.Stderr, "goroutines: %d before the tests, %d after\n%s\n", before, n, buf)
+		code = 1
+	}
+	os.Exit(code)
 }
 
 // processStart returns a StartWorker forking this test binary into worker
@@ -94,6 +117,7 @@ func TestProcessWorkerGang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ref.(io.Closer).Close() })
 	ref.Run(iters)
 
 	id, code, _, _ := submitSpec(t, ts, "alice", spec, iters)
@@ -192,6 +216,47 @@ func TestWorkerRespawnAfterTimeout(t *testing.T) {
 	if st := waitTerminal(t, ts, id); st.State != serve.StateDone {
 		t.Fatalf("job after respawn settled %s: %s", st.State, st.Error)
 	}
+}
+
+// TestTimeoutClosesInWorkerCluster: a clustered job run whole by one
+// in-process worker and killed by its deadline closes its cluster. The kill
+// fails the worker's next stats emit; the cluster's rank goroutines used to
+// stay parked for the life of the process.
+func TestTimeoutClosesInWorkerCluster(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{Workers: 1, DisableFanOut: true, JobTimeout: 150 * time.Millisecond})
+	before := distGoroutines()
+
+	spec := onlineSpec(30)
+	spec.Deployment = abft.Clustered
+	spec.Ranks = 2
+	id, code, _, _ := submitSpec(t, ts, "alice", spec, 900_000)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: status %d", code)
+	}
+	if st := waitTerminal(t, ts, id); st.State != serve.StateFailed || st.Status != 500 {
+		t.Fatalf("job settled %s/%d, want failed/500 (%s)", st.State, st.Status, st.Error)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for distGoroutines() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := distGoroutines(); after > before {
+		t.Fatalf("goroutines in internal/dist: %d before the job, %d after", before, after)
+	}
+}
+
+// distGoroutines counts the goroutines with an internal/dist frame on their
+// stack: a cluster's ranks, and a worker stepping one.
+func distGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "stencilabft/internal/dist.") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestNonFiniteResultKeepsTheWorker: a result holding +Inf used to kill the

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -48,8 +49,8 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, j *Job) {
 		writeBody(w, "application/octet-stream", append(head, '\n'), grid.Raw)
 		return
 	}
-	// ≈ 19 bytes of text a cell; append grows the rare longer body.
-	body := make([]byte, 0, 20*len(grid.Raw)/elemSize(grid.Elem)+1024)
+	// Append grows the rare body with longer cells.
+	body := make([]byte, 0, cellText*len(grid.Raw)/elemSize(grid.Elem)+1024)
 	body, err := appendResultJSON(body, j.ID, cached, grid, st)
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -75,6 +76,10 @@ func writeBody(w http.ResponseWriter, contentType string, parts ...[]byte) {
 		w.Write(p)
 	}
 }
+
+// cellText is the bytes of JSON text a result cell takes, comma included,
+// that the result buffer is sized for: ≈ 19 on the service's float32 grids.
+const cellText = 20
 
 // errNonFinite marks a result JSON cannot carry.
 var errNonFinite = errors.New("serve: the result holds NaN or ±Inf, which JSON cannot carry; " +
@@ -123,6 +128,9 @@ func appendCells(dst []byte, width int, raw []byte) ([]byte, error) {
 	if width == 0 || len(raw)%width != 0 {
 		return nil, fmt.Errorf("serve: a %d-byte grid is not a whole number of %d-byte cells", len(raw), width)
 	}
+	// appendCell32 stores into the spare capacity: reserve it once here, so
+	// that its own grow stays cold.
+	dst = slices.Grow(dst, cellText*len(raw)/width+32)
 	for i := 0; i < len(raw); i += width {
 		if i > 0 {
 			dst = append(dst, ',')
@@ -157,92 +165,127 @@ func appendCells(dst []byte, width int, raw []byte) ([]byte, error) {
 // appendCell32 appends the float32 with bits b, widened to float64, byte for
 // byte as strconv.AppendFloat(v, 'f', -1, 64) does, for a normal float32 v
 // with 2⁻⁸ ≤ |v| < 2⁵³; for any other v it returns dst unchanged and false.
+// It writes straight into dst's spare capacity, eight digits a store, and
+// grows dst first when fewer than 32 bytes are spare.
 //
-// Write |v| = m·2⁻ᵏ with 2²³ ≤ m < 2²⁴. As a float64 its mantissa m·2²⁹ is
-// even, so its round-trip interval is the closed [v − 2⁻ᵏ⁻³⁰, v + 2⁻ᵏ⁻³⁰].
-// (Its lower half-width halves when m = 2²³, which changes nothing here:
-// such a v is an integer or 2⁻ⁱ with i ≤ 8, whose exact expansion of at
-// most 8 digits is the shortest form.) Scaled by 10ʲ its bounds are
-// (m·2³¹ ± 2)·5ʲ / 2ᵏ⁻ʲ⁺³¹: one 64×64→128 product and a shift each. At the
-// first j with 10ʲ > 2ᵏ⁺³⁰ the scaled interval is wider than 1 and holds an
-// integer; integer division by 10 then trims j to the least count of
-// fractional digits at which it still does, which fixes the shortest form.
-// Its digits are m·5ʲ / 2ᵏ⁻ʲ rounded half to even — what strconv's Ryu
-// search picks; the interval being centred on v, an integer nearest v·10ʲ
-// lies in it. Integers (k ≤ 0) are exact.
+// Write |v| = m·2⁻ᵏ with 2²³ ≤ m < 2²⁴. Integers (k ≤ 0, or m's low k bits
+// zero) are exact: the integer part m >> k, no fraction. Otherwise v's
+// float64 mantissa m·2²⁹ is even, so its round-trip interval is the
+// closed [v − 2⁻ᵏ⁻³⁰, v + 2⁻ᵏ⁻³⁰]. (Its lower half-width halves when
+// m = 2²³, which changes nothing here: such a v is 2⁻ⁱ with i ≤ 8, whose
+// exact expansion of at most 8 digits is the shortest form.) A non-integer
+// v is at least 2⁻ᵏ from every integer, so the interval holds none: the
+// integer part of every number in it is m >> k, and the digits after the
+// point come from r = m mod 2ᵏ alone. Scaled by 10ʲ the interval is
+// centred on r·5ʲ/2ˢ (plus an integer), s = k − j, with half-width
+// 5ʲ/2ˢ⁺³⁰; it holds an integer iff the distance g from r·5ʲ to the
+// nearest multiple of 2ˢ has g·2³⁰ ≤ 5ʲ — the low s ≤ 31 bits of one
+// wrapping multiply. If it holds one at j it holds one at j + 1, so the
+// shortest form has the least such j, which the walk finds by stepping
+// down from a j known to hold one: the first j with 10ʲ > 2ᵏ⁺³⁰ (the
+// interval is then wider than 2) or the exact expansion's k − tz(m) digits,
+// whichever is less. The fraction's digits are r·5ʲ/2ˢ rounded half to
+// even — what strconv's Ryu search picks; the interval being centred on
+// v, an integer nearest v·10ʲ lies in it, so rounding never carries into
+// the integer part and never leaves a trailing zero.
 func appendCell32(dst []byte, b uint32) ([]byte, bool) {
 	exp := int(b>>23) & 0xff
 	k := 150 - exp
 	if exp == 0 || k > 31 || k < -29 { // zero, subnormal, |v| < 2⁻⁸, |v| ≥ 2⁵³, NaN, ±Inf
 		return dst, false
 	}
+	dst = slices.Grow(dst, 32)
 	m := uint64(b&(1<<23-1) | 1<<23)
-	var d uint64 // the digits: v = d·10⁻ʲ
+	var ip, frac uint64 // v = ip + frac·10⁻ʲ
 	j := 0
 	if k <= 0 {
-		d = m << -k
+		ip = m << (-k & 63)
 	} else {
-		j = (k+30)*78913>>18 + 1 // ⌊(k+30)·log₁₀2⌋ + 1
-		p, s := pow5[j], uint(k-j+31)
-		hi, lo := bits.Mul64(m<<31-2, p)
-		l := hi<<(64-s) | lo>>s
-		if lo&(1<<s-1) != 0 {
-			l++
-		}
-		hi, lo = bits.Mul64(m<<31+2, p)
-		u := hi<<(64-s) | lo>>s
-		for j > 0 && (l+9)/10 <= u/10 {
-			l, u, j = (l+9)/10, u/10, j-1
-		}
-		hi, lo = bits.Mul64(m, pow5[j])
-		if r := uint(k - j); r == 0 {
-			d = lo
-		} else {
-			d = hi<<(64-r) | lo>>r
-			if rem, half := lo&(1<<r-1), uint64(1)<<(r-1); rem > half || rem == half && d&1 == 1 {
-				d++
+		ip = m >> (k & 63)
+		if tz := bits.TrailingZeros64(m); tz < k {
+			r := m & (1<<(k&63) - 1)
+			j = min((k+30)*78913>>18+1, k-tz) // ⌊(k+30)·log₁₀2⌋ + 1 or k − tz(m)
+			for {
+				t := j - 1 // the interval at j = 0 holds no integer: t ≥ 0
+				s := uint(k-t) & 63
+				f := r * pow5[t] & (1<<s - 1)
+				if min(f, 1<<s-f)<<30 > pow5[t] {
+					break
+				}
+				j = t
 			}
+			s := uint(k-j) & 63 // frac < 2⁵⁸, so at s ≤ 6 the high word is 0
+			hi, lo := bits.Mul64(r, pow5[j])
+			frac = hi<<(64-s&63) | lo>>s
+			// Half to even: up iff 2·rem + (frac&1) > 2ˢ, never at s = 0.
+			frac += (1<<s - (lo&(1<<s-1))<<1 - frac&1) >> 63
 		}
 	}
 
-	// d < 2⁵⁸ < 10¹⁸, as v·10ʲ < 2²⁴⁻ᵏ·10·2ᵏ⁺³⁰: its 18 digits, zero-padded,
-	// end buf; two more zeros before them give 0.000… room for j ≤ 19, and
-	// two slots before those take the decimal point's shift and the sign.
-	var buf [22]byte
-	buf[2], buf[3] = '0', '0'
-	hi := d / 1e8
-	lo := uint32(d - hi*1e8)
-	top := uint32(hi / 1e8)
-	mid := uint32(hi) - top*1e8
-	buf[4], buf[5] = digitPairs[2*top], digitPairs[2*top+1]
-	put4((*[4]byte)(buf[6:]), mid/1e4)
-	put4((*[4]byte)(buf[10:]), mid%1e4)
-	put4((*[4]byte)(buf[14:]), lo/1e4)
-	put4((*[4]byte)(buf[18:]), lo%1e4)
-	point := len(buf) - j
-	i := 2
-	for i < point-1 && buf[i] == '0' {
+	// The sign is written always and kept only when set; digits go out in
+	// 8-byte stores whose tails the next store overwrites. The cell is 28
+	// bytes at most (sign, 7 integer digits, point, 19 fraction digits),
+	// and no store reaches past it by more than 7.
+	out := dst[len(dst) : len(dst)+32]
+	out[0] = '-'
+	i := int(b >> 31)
+	if ip >= 1e8 { // then k ≤ 0 and ip < 2⁵³ < 10¹⁶
+		i = putDigits(out, i, ip/1e8)
+		ip %= 1e8
+		binary.LittleEndian.PutUint64(out[i:], ascii8(ip))
+		i += 8
+	} else {
+		i = putDigits(out, i, ip)
+	}
+	if j > 0 { // frac < 10ʲ, j ≤ 19, as exactly j digits
+		out[i] = '.'
 		i++
-	}
-	if j > 0 { // then |v| < 2²⁴: an integer part of at most 8 digits moves left
-		for x := i; x < point; x++ {
-			buf[x-1] = buf[x]
+		switch {
+		case j <= 8:
+			binary.LittleEndian.PutUint64(out[i:], ascii8(frac)>>(8*(8-j)&63))
+		case j <= 16:
+			hi := frac / 1e8
+			binary.LittleEndian.PutUint64(out[i:], ascii8(hi)>>(8*(16-j)&63))
+			binary.LittleEndian.PutUint64(out[i+j-8:], ascii8(frac-hi*1e8))
+		default:
+			top := frac / 1e16
+			frac -= top * 1e16
+			mid := frac / 1e8
+			binary.LittleEndian.PutUint64(out[i:], ascii8(top)>>(8*(24-j)&63))
+			binary.LittleEndian.PutUint64(out[i+j-16:], ascii8(mid))
+			binary.LittleEndian.PutUint64(out[i+j-8:], ascii8(frac-mid*1e8))
 		}
-		i--
-		buf[point-1] = '.'
+		i += j
 	}
-	if b>>31 != 0 {
-		i--
-		buf[i] = '-'
-	}
-	return append(dst, buf[i:]...), true
+	return dst[:len(dst)+i], true
 }
 
-// put4 writes x < 10⁴ as four digits.
-func put4(b *[4]byte, x uint32) {
-	q := x / 100
-	r := x - 100*q
-	b[0], b[1], b[2], b[3] = digitPairs[2*q], digitPairs[2*q+1], digitPairs[2*r], digitPairs[2*r+1]
+// putDigits stores x < 10⁸ at out[i:] without leading zeros ("0" for 0) and
+// returns the index after its last digit; up to 8 bytes past it are written.
+func putDigits(out []byte, i int, x uint64) int {
+	d := digits8(x)
+	z := bits.TrailingZeros64(d|1<<56) >> 3 // leading zero digits, at most 7
+	binary.LittleEndian.PutUint64(out[i:], (d|ascii)>>(8*z&63))
+	return i + 8 - z
+}
+
+// ascii8 is x < 10⁸ as eight ASCII digits, the first in the low byte: one
+// little-endian store writes them in reading order.
+func ascii8(x uint64) uint64 { return digits8(x) | ascii }
+
+const ascii = 0x3030303030303030
+
+// digits8 is x < 10⁸ as eight digit values 0–9, the first in the low byte.
+// Each step splits every lane in two by a multiply-shift quotient that is
+// exact in its range: 10⁴ into two 32-bit lanes, 10² into four 16-bit
+// lanes, 10 into eight bytes. No lane's product reaches the next lane.
+func digits8(x uint64) uint64 {
+	hi := x * 109951163 >> 40 // x / 10⁴
+	v := hi | (x-hi*1e4)<<32
+	q := v * 10486 >> 20 & 0x0000007f0000007f // each lane / 100
+	v = (v-100*q)<<16 | q
+	q = v * 103 >> 10 & 0x000f000f000f000f // each lane / 10
+	return (v-10*q)<<8 | q
 }
 
 // pow5[j] is 5ʲ for every j appendCell32 uses: k ≤ 31 starts it at most at
@@ -250,14 +293,3 @@ func put4(b *[4]byte, x uint32) {
 var pow5 = [20]uint64{1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125,
 	9765625, 48828125, 244140625, 1220703125, 6103515625, 30517578125,
 	152587890625, 762939453125, 3814697265625, 19073486328125}
-
-const digitPairs = "00010203040506070809" +
-	"10111213141516171819" +
-	"20212223242526272829" +
-	"30313233343536373839" +
-	"40414243444546474849" +
-	"50515253545556575859" +
-	"60616263646566676869" +
-	"70717273747576777879" +
-	"80818283848586878889" +
-	"90919293949596979899"

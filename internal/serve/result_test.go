@@ -15,7 +15,7 @@ import (
 // TestAppendCell32MatchesStrconv: the float32 kernel writes what
 // strconv.AppendFloat(v, 'f', -1, 64) writes, byte for byte, at every binary
 // exponent it takes and one beyond each end — the first and last 512
-// mantissas, every one-bit mantissa and 4096 seeded random ones, both signs —
+// mantissas, every one-bit mantissa and 16384 seeded random ones, both signs —
 // and declines exactly the exponents outside [2⁻⁸, 2⁵³).
 func TestAppendCell32MatchesStrconv(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
@@ -26,7 +26,7 @@ func TestAppendCell32MatchesStrconv(t *testing.T) {
 	for i := 0; i < 23; i++ {
 		mants = append(mants, 1<<i)
 	}
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < 16384; i++ {
 		mants = append(mants, rng.Uint32()&(1<<23-1))
 	}
 	const first, last = 119, 179 // biased exponents of 2⁻⁸ and 2⁵²
@@ -52,11 +52,46 @@ func TestAppendCell32MatchesStrconv(t *testing.T) {
 	}
 }
 
+// TestAppendCell32SpareCapacity: the kernel stores straight into dst's spare
+// capacity, eight bytes at a time. Whatever the slack — from none, which
+// makes it grow, to more than it ever writes — and whatever the spare bytes
+// held, the cell it appends is strconv's, and nothing before len(dst) moves.
+func TestAppendCell32SpareCapacity(t *testing.T) {
+	prefix := []byte(`{"data":[1.5,`)
+	for _, b := range []uint32{
+		0x3b800005, // 0.0039062523283064365: 19 fraction digits, the most taken
+		0xbb800005, // its negative
+		0x42c8490f, // 100.14269256591797: serve_grid's shape
+		0x3f800000, // 1: an integer with k > 0
+		0x3f000000, // 0.5
+		0xcb7fffff, // -16777215: an integer with k = 0
+		0x59ffffff, // 9007198717870080: 16 integer digits, the largest taken
+		0xc7f1203f, // -123456.4921875
+	} {
+		want := strconv.AppendFloat(append([]byte(nil), prefix...), float64(math.Float32frombits(b)), 'f', -1, 64)
+		for slack := 0; slack <= 40; slack++ {
+			dst := make([]byte, len(prefix), len(prefix)+slack)
+			copy(dst, prefix)
+			spare := dst[len(dst):cap(dst)]
+			for i := range spare {
+				spare[i] = 0xAA
+			}
+			got, ok := appendCell32(dst, b)
+			if !ok || !bytes.Equal(got, want) {
+				t.Fatalf("bits %08x, %d spare bytes: got %q (%v), want %q", b, slack, got, ok, want)
+			}
+			if !bytes.Equal(dst, prefix) {
+				t.Fatalf("bits %08x, %d spare bytes: the bytes before len(dst) became %q", b, slack, dst)
+			}
+		}
+	}
+}
+
 // FuzzResultCell32: a one-cell float32 grid's text is encoding/json's for the
 // widened value, whichever path formats it, and a non-finite cell is refused.
 func FuzzResultCell32(f *testing.F) {
 	for _, b := range []uint32{0, 1 << 31, 1, 0x007fffff, 0x00800000, 0x3b7fffff, 0x3b800000, 0x3b80901b,
-		0x3dcccccd, 0xbdcccccd, 0x4b000000, 0x59ffffff, 0x5a000000, 0x7f7fffff, 0x7f800000, 0xff800000, 0x7fc00000} {
+		0x3dcccccd, 0xbdcccccd, 0x3f800000, 0x42c80000, 0x4b000000, 0x59ffffff, 0x5a000000, 0x7f7fffff, 0x7f800000, 0xff800000, 0x7fc00000} {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b uint32) {

@@ -253,6 +253,7 @@ func TestServeClusterGang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ref.(io.Closer).Close() })
 	ref.Run(iters)
 	refStats := ref.Stats()
 

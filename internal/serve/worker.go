@@ -171,6 +171,11 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, elem string, emit 
 	if err != nil {
 		return emit(errorEvent(err))
 	}
+	// An in-process cluster holds rank goroutines: closed however the job
+	// ends, a failed emit (the job killed by its deadline) included.
+	if c, ok := p.(io.Closer); ok {
+		defer c.Close()
+	}
 	if err := stepAll(p, req, emit); err != nil {
 		return err
 	}
@@ -183,9 +188,6 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, elem string, emit 
 		ev.Grid = &GridPayload{Nx: g.Nx(), Ny: g.Ny(), Elem: elem, Raw: rawElems(elem, g.Data())}
 	} else {
 		return emit(errorEvent(errors.New("serve: protector exposed no result domain")))
-	}
-	if c, ok := p.(io.Closer); ok {
-		c.Close()
 	}
 	return emit(ev)
 }
