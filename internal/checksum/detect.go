@@ -81,36 +81,40 @@ func (d Detector[T]) Exceeds(direct, interp T) bool {
 }
 
 // AnyMismatch reports whether any entry trips the threshold without
-// materialising the mismatch list — the per-iteration hot path of the
-// online protector. Entries whose absolute residual sits comfortably under
-// half the scaled threshold are cleared by a division-free screen, ordered so
-// that a clean entry costs one predictable compare: the scale's floor almost
-// never applies, and the screen almost always clears. Only borderline or
-// non-finite entries (a NaN residual fails the screen's comparison) pay the
-// exact Exceeds evaluation, so the error-free steady state never divides.
+// materialising the mismatch list. Entries the division-free screen clears
+// (clears) cost one predictable compare; only borderline or non-finite
+// entries pay the exact Exceeds evaluation, so the error-free steady state
+// never divides. Interp3D.Verify applies the same test to each entry as it
+// interpolates it.
 func (d Detector[T]) AnyMismatch(direct, interp []T) bool {
 	if len(direct) != len(interp) {
 		panic(fmt.Sprintf("checksum: compare length %d vs %d", len(direct), len(interp)))
 	}
 	interp = interp[:len(direct)]
-	halfEps := d.Epsilon / 2
+	half := d.Epsilon / 2
 	for i, w := range direct {
-		v := interp[i]
-		scale := num.Abs(w)
-		if scale < d.AbsFloor {
-			scale = d.AbsFloor
-		}
-		// The strict < keeps an infinite scale (w = ±Inf) from clearing the
-		// entry, since Inf < Inf is false; diff == 0 needs both values
-		// finite (Inf-Inf and NaN residuals are NaN).
-		if diff := num.Abs(v - w); diff < halfEps*scale || diff == 0 {
-			continue
-		}
-		if d.Exceeds(w, v) {
+		if !d.clears(w, interp[i], half) && d.Exceeds(w, interp[i]) {
 			return true
 		}
 	}
 	return false
+}
+
+// clears is the screen: it reports whether v sits comfortably within the
+// threshold of w — an absolute residual under half (ε/2) the scaled
+// threshold — so Exceeds would not flag it. It is ordered so that a clean
+// entry costs one predictable compare: the scale's floor almost never
+// applies, and the screen almost always clears. The strict < keeps an
+// infinite scale (w = ±Inf) from clearing the entry, since Inf < Inf is
+// false; diff == 0 needs both values finite (Inf-Inf and NaN residuals are
+// NaN, and fail both comparisons).
+func (d Detector[T]) clears(w, v, half T) bool {
+	scale := num.Abs(w)
+	if scale < d.AbsFloor {
+		scale = d.AbsFloor
+	}
+	diff := num.Abs(v - w)
+	return diff < half*scale || diff == 0
 }
 
 // MaxRelErr returns the largest relative error over the vector pair, a

@@ -37,10 +37,14 @@ func TestAnyMismatch(t *testing.T) {
 	}
 }
 
-// TestAnyMismatchIsExceeds holds the screened scan to the exact test entry
-// by entry, seeded and generated: clean, borderline and flagged residuals of
-// either sign, zero and sub-floor checksums, non-finite entries, and
-// detectors with and without a floor.
+// TestAnyMismatchIsExceeds holds both screens — the scan and the last
+// interpolation pass, which screens each entry as it produces it — to the
+// exact test entry by entry, seeded and generated: clean, borderline (at
+// the screen's ε/2 and at ε itself, a few ulps either side) and flagged
+// residuals of either sign, zero and sub-floor checksums, NaN and ±Inf on
+// either side, and detectors with and without a floor. The pass adds 1·v
+// and then 0·0 to a zero entry, which is v (a -0 becomes +0, which no test
+// tells apart).
 func TestAnyMismatchIsExceeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 0.5, -0.5}
@@ -59,6 +63,13 @@ func TestAnyMismatchIsExceeds(t *testing.T) {
 				v = w
 			case 1:
 				v = special[rng.Intn(len(special))]
+			case 2: // borderline: the residual at the screen's or the threshold's edge
+				scale := max(math.Abs(w), d.AbsFloor)
+				edge := []float64{d.Epsilon / 2, d.Epsilon}[rng.Intn(2)] * scale
+				v = w + math.Copysign(edge, rng.Float64()-0.5)
+				for to := math.Inf(2*rng.Intn(2) - 1); rng.Intn(3) > 0; {
+					v = math.Nextafter(v, to)
+				}
 			}
 			direct[i], interp[i] = w, v
 		}
@@ -68,6 +79,15 @@ func TestAnyMismatchIsExceeds(t *testing.T) {
 		}
 		if got := d.AnyMismatch(direct, interp); got != want {
 			t.Fatalf("%+v: AnyMismatch(%v, %v) = %v, the entries' Exceeds say %v", d, direct, interp, got, want)
+		}
+		out, zero := make([]float64, n), make([]float64, n)
+		if got := screenTerms2(out, 1, interp, 0, zero, direct, d); got != want {
+			t.Fatalf("%+v: the screened pass over (%v, %v) says %v, the entries' Exceeds say %v", d, direct, interp, got, want)
+		}
+		for i, v := range out {
+			if v != interp[i] && !(math.IsNaN(v) && math.IsNaN(interp[i])) {
+				t.Fatalf("the screened pass stored %v for %v", v, interp[i])
+			}
 		}
 	}
 }

@@ -39,7 +39,9 @@ const noSource = math.MinInt
 // lines entering and leaving the summation window and to the frame row each
 // extended entry reads them at. A call fills one table per distinct window
 // shift from the edge source, one pass over the rows reading every line of
-// the shift, and makes one pass per stencil point over the output.
+// the shift — but for a mirror pair's two shifts (interpTerm), whose
+// entries the pass adding the pair computes — and makes one pass per
+// stencil point over the output.
 // Per entry the operations and their order are those of evaluating entry by
 // entry: start from the constant-field sum, add w·(prev + α/β) point by
 // point in declaration order, each α/β summed from zero over its entering
@@ -88,12 +90,19 @@ type interpAxis[T num.Float] struct {
 	tabs   []shiftTables[T] // per layer; filled by the call for that layer only
 }
 
-// interpTerm is one stencil point compiled for one axis.
+// interpTerm is one stencil point compiled for one axis. pair marks the
+// first of two consecutive terms at one offset whose window shifts mirror
+// each other — the two sides of a radius-1 star or box under Clamp or
+// Mirror, one shift entering the line the other leaves and leaving the one
+// it enters — over rows in the run: a call that fills its own tables adds
+// both in one pass and computes their entries there, each edge cell loaded
+// once, instead of writing and reading back two tables.
 type interpTerm[T num.Float] struct {
 	w     T
 	dz    int
-	shift int // offset along the vector: dy for B, dx for A
-	win   int // index into shifts; -1 when the point's window does not move
+	shift int  // offset along the vector: dy for B, dx for A
+	win   int  // index into shifts; -1 when the point's window does not move
+	pair  bool // this term and the next are a mirror pair
 }
 
 // windowShift is the α/β term of the points with one (dz, cross) offset:
@@ -101,18 +110,20 @@ type interpTerm[T num.Float] struct {
 // and the rectangle's lines leaving it, subtracted, in the order the sums
 // are taken; noSource is a ghost line. A shift whose entering lines are its
 // leaving ones (a rectangle spanning a periodic frame: paper Eqs. 8-9)
-// cancels and is not compiled.
+// cancels and is not compiled. table says whether a term outside the
+// mirror pairs reads its table.
 type windowShift struct {
 	dz         int
 	cross      int
 	adds, subs []int
+	table      bool
 }
 
 // shiftTables holds one layer's window-shift tables, n+2r entries each, and
-// which of them PrimeBetaTablesMid/PrimeBetaTables filled ahead of the call.
+// whether PrimeBetaTablesMid filled the rectangle's rows ahead of the call.
 type shiftTables[T num.Float] struct {
-	tab      []T
-	mid, all bool
+	tab []T
+	mid bool
 }
 
 // edgeLine is one frame line of an edge source: its cell at frame row r is
@@ -194,7 +205,24 @@ func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundar
 		}
 		ax.terms = append(ax.terms, t)
 	}
+	for i := 0; i < len(ax.terms); i++ {
+		if t := &ax.terms[i]; i+1 < len(ax.terms) && ax.mirrors(*t, ax.terms[i+1]) {
+			t.pair = true
+			i++
+		} else if t.win >= 0 {
+			ax.shifts[t.win].table = true
+		}
+	}
 	return ax
+}
+
+// mirrors reports whether terms t and u are a mirror pair (interpTerm).
+func (ax *interpAxis[T]) mirrors(t, u interpTerm[T]) bool {
+	if t.win < 0 || u.win < 0 || t.shift != u.shift || ax.r+t.shift < ax.runLo || ax.r+t.shift+ax.n > ax.runHi {
+		return false
+	}
+	a, b := ax.shifts[t.win], ax.shifts[u.win]
+	return a.dz == b.dz && len(a.adds) == 1 && len(a.subs) == 1 && slices.Equal(a.adds, b.subs) && slices.Equal(a.subs, b.adds)
 }
 
 // constant returns layer z's line sums of the constant field along ax,
@@ -242,8 +270,10 @@ func (ip *interp[T]) FillHalo(v Vec, ext []T) {
 // each side, each an extended vector with h halo entries each side (h
 // read off the lengths) — and one edge source per layer of prev, nil for a
 // ghost layer (whose every cell is the ghost value, so no window shift
-// moves anything). next must not alias prev.
-func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []EdgeSource[T], next []T) {
+// moves anything). next must not alias prev. With fused non-nil the last
+// pass screens each entry against fused's as it produces it, and the call
+// reports whether any trips d; without, it reports false.
+func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []EdgeSource[T], next, fused []T, d Detector[T]) bool {
 	if len(next) != ax.n || len(edges) != len(prev) || len(prev) != ip.nz+2*ip.rz {
 		panic(fmt.Sprintf("checksum: interpolate lengths %d/%d/%d for %d entries over %d layers (z-radius %d)",
 			len(prev), len(edges), len(next), ax.n, ip.nz, ip.rz))
@@ -253,18 +283,18 @@ func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []E
 		panic(fmt.Sprintf("checksum: extended vector of %d entries for %d entries and radius %d", len(prev[z+ip.rz]), ax.n, ax.r))
 	}
 	shifted := len(ax.shifts) > 0 && !ip.DropBoundaryTerms
+	inline := false
 	var tab []T
 	if shifted {
 		lt := ip.tables(ax, z)
-		switch {
-		case lt.all:
-		case lt.mid: // the rectangle's own rows were primed: the ghost rows are left
-			ip.fill(ax, z, edges, 0, ax.r)
-			ip.fill(ax, z, edges, ax.r+ax.n, ax.n+2*ax.r)
-		default:
-			ip.fill(ax, z, edges, 0, ax.n+2*ax.r)
+		if lt.mid { // the rectangle's own rows were primed: the ghost rows are left
+			ip.fill(ax, z, edges, 0, ax.r, true)
+			ip.fill(ax, z, edges, ax.r+ax.n, ax.n+2*ax.r, true)
+		} else {
+			ip.fill(ax, z, edges, 0, ax.n+2*ax.r, false)
+			inline = true
 		}
-		lt.mid, lt.all = false, false
+		lt.mid = false
 		tab = lt.tab
 	}
 	span := ax.n + 2*ax.r
@@ -282,10 +312,26 @@ func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []E
 	out := next[:ax.n]
 	copy(out, ip.constant(ax, z))
 	// Consecutive terms of the same kind go two to a pass, which adds them
-	// to each entry in the same order as two passes would.
-	for i := 0; i < len(ax.terms); i++ {
+	// to each entry in the same order as two passes would; so does a mirror
+	// pair, whose entries the pass computes when the call fills its own
+	// tables (inline). A screened call whose last two terms are plain leaves
+	// them to screenTerms2, which screens each entry as it produces it; any
+	// other screens the vector once it is done.
+	last := len(ax.terms)
+	screened := fused != nil && last > 1 && ax.terms[last-2].win < 0 && ax.terms[last-1].win < 0
+	if screened {
+		last -= 2
+	}
+	for i := 0; i < last; i++ {
 		w, in, bnd := term(i)
-		if i+1 < len(ax.terms) {
+		if t := ax.terms[i]; inline && t.pair && bnd != nil {
+			w2, in2, _ := term(i + 1)
+			ws, src := &ax.shifts[t.win], edges[z+t.dz+ip.rz]
+			addMirrorTerms2(out, w, in, w2, in2, ip.edgeLine(ax, src, ws.adds[0]), ip.edgeLine(ax, src, ws.subs[0]), ax.rows[ax.r+t.shift])
+			i++
+			continue
+		}
+		if i+1 < last && !(inline && ax.terms[i+1].pair) {
 			if w2, in2, bnd2 := term(i + 1); (bnd == nil) == (bnd2 == nil) {
 				if bnd == nil {
 					addTerms2(out, w, in, w2, in2)
@@ -305,6 +351,55 @@ func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []E
 				out[e] += w * (s + bnd[e])
 			}
 		}
+	}
+	switch {
+	case screened:
+		w, in, _ := term(last)
+		w2, in2, _ := term(last + 1)
+		return screenTerms2(out, w, in, w2, in2, fused, d)
+	case fused != nil:
+		return d.AnyMismatch(fused, out)
+	}
+	return false
+}
+
+// screenTerms2 is addTerms2 checking each entry against fused's as it
+// produces it, the way Detector.AnyMismatch does; it reports whether any
+// trips d.
+func screenTerms2[T num.Float](out []T, w T, a []T, w2 T, b, fused []T, d Detector[T]) bool {
+	a, b, fused = a[:len(out)], b[:len(out)], fused[:len(out)]
+	half, hit := d.Epsilon/2, false
+	for e, v := range out {
+		v += w * a[e]
+		v += w2 * b[e]
+		out[e] = v
+		if !d.clears(fused[e], v, half) && d.Exceeds(fused[e], v) {
+			hit = true
+		}
+	}
+	return hit
+}
+
+// addMirrorTerms2 adds w·(a + α) and then w2·(b + β) to each entry of out,
+// α and β a mirror pair's window-shift entries computed as a fill computes
+// them — line la's cell minus lb's, and lb's minus la's, each summed from
+// zero — from one load of each line at consecutive frame rows from r0.
+func addMirrorTerms2[T num.Float](out []T, w T, a []T, w2 T, b []T, la, lb edgeLine[T], r0 int) {
+	a, b = a[:len(out)], b[:len(out)]
+	ia, ib := r0*la.stride, r0*lb.stride
+	for e := range out {
+		x, y := la.cells[ia], lb.cells[ib]
+		var al, be T
+		al += x
+		al -= y
+		be += y
+		be -= x
+		v := out[e]
+		v += w * (a[e] + al)
+		v += w2 * (b[e] + be)
+		out[e] = v
+		ia += la.stride
+		ib += lb.stride
 	}
 }
 
@@ -342,14 +437,18 @@ func (ip *interp[T]) tables(ax *interpAxis[T], z int) *shiftTables[T] {
 
 // fill computes layer z's window-shift table entries [j0, j1) (entry j at
 // extended entry j-r) from the edge sources, one pass over the rows per
-// shift (shiftRows).
-func (ip *interp[T]) fill(ax *interpAxis[T], z int, edges []EdgeSource[T], j0, j1 int) {
+// shift (shiftRows): every shift's, or only those a term outside the mirror
+// pairs reads.
+func (ip *interp[T]) fill(ax *interpAxis[T], z int, edges []EdgeSource[T], j0, j1 int, every bool) {
 	j0, j1 = max(j0, ax.lo), min(j1, ax.hi)
 	if j0 >= j1 {
 		return
 	}
 	span, rows := ax.n+2*ax.r, ax.rows[j0:j1]
 	for i, ws := range ax.shifts {
+		if !every && !ws.table {
+			continue
+		}
 		tab := ax.tabs[z].tab[i*span+j0 : i*span+j1]
 		src := edges[z+ws.dz+ip.rz]
 		var buf [8]edgeLine[T] // radius 4; a wider shift's lines go to the heap
@@ -511,7 +610,7 @@ func NewInterp2DRect[T num.Float](op *stencil.Op2D[T], fnx, fny, x0, y0, x1, y1 
 // the vector — the paper's O(k²·n) with the alpha/beta inner loop explicit.
 func (ip *Interp2D[T]) Interpolate(v Vec, prev []T, edges EdgeSource[T], next []T) {
 	p, e := [1][]T{prev}, [1]EdgeSource[T]{edges}
-	ip.interpolate(ip.axis(v), 0, p[:], e[:], next)
+	ip.interpolate(ip.axis(v), 0, p[:], e[:], next, nil, Detector[T]{})
 }
 
 // InterpolateB computes bNext from bPrev for a domain interpolator with no
@@ -586,7 +685,16 @@ func NewInterp3DRect[T num.Float](op *stencil.Op3D[T], fnx, fny, fnz, x0, y0, z0
 // LiveEdges view or an *EdgeSnapshot of its frame layer under the
 // interpolator's boundary; their cells are read directly, not through At.
 func (ip *Interp3D[T]) Interpolate(v Vec, z int, prev [][]T, edges []EdgeSource[T], next []T) {
-	ip.interpolate(ip.axis(v), z, prev, edges, next)
+	ip.interpolate(ip.axis(v), z, prev, edges, next, nil, Detector[T]{})
+}
+
+// Verify is Interpolate(VecB, z, prev, edges, next) screening each entry
+// against fused, layer z's fused column checksums, as the last pass produces
+// it: it reports d.AnyMismatch(fused, next) without a second pass over the
+// vectors. next still receives the interpolated entries, which a repair
+// reads.
+func (ip *Interp3D[T]) Verify(z int, prev [][]T, edges []EdgeSource[T], fused, next []T, d Detector[T]) bool {
+	return ip.interpolate(&ip.b, z, prev, edges, next, fused, d)
 }
 
 // LayerOf returns the frame layer entry v of a stack holds. A stack is the
@@ -637,7 +745,7 @@ func (ip *Interp3D[T]) EdgeStack(stack, layers []EdgeSource[T]) []EdgeSource[T] 
 // rows — callable as soon as the frame's columns beside the rectangle are
 // final, while their cache lines are warm, before a sweep evicts them. The
 // entries of the ghost rows read halo rows that may not have arrived yet;
-// PrimeBetaTables or the interpolation fills those. The rectangle's rows and
+// the interpolation fills those. The rectangle's rows and
 // the columns beside them must not change before the interpolation that
 // consumes the tables. edges is the stack Interpolate will read.
 func (ip *Interp3D[T]) PrimeBetaTablesMid(z int, edges []EdgeSource[T]) {
@@ -646,29 +754,8 @@ func (ip *Interp3D[T]) PrimeBetaTablesMid(z int, edges []EdgeSource[T]) {
 	}
 	ax := &ip.b
 	ip.tables(ax, z)
-	ip.fill(ax, z, edges, ax.r, ax.r+ax.n)
+	ip.fill(ax, z, edges, ax.r, ax.r+ax.n, true)
 	ax.tabs[z].mid = true
-}
-
-// PrimeBetaTables fills layer z's B tables the next interpolation would fill
-// itself — after PrimeBetaTablesMid just the ghost rows — letting the caller
-// schedule the edge reads while they are warm: a rank's halo exchange has
-// just brought them in, or a sweep has just read the layer. Calls for
-// distinct layers may run concurrently. The edge values must not change
-// before the interpolation that consumes them.
-func (ip *Interp3D[T]) PrimeBetaTables(z int, edges []EdgeSource[T]) {
-	if ip.DropBoundaryTerms || len(ip.b.shifts) == 0 {
-		return
-	}
-	ax := &ip.b
-	lt := ip.tables(ax, z)
-	if lt.mid {
-		ip.fill(ax, z, edges, 0, ax.r)
-		ip.fill(ax, z, edges, ax.r+ax.n, ax.n+2*ax.r)
-	} else {
-		ip.fill(ax, z, edges, 0, ax.n+2*ax.r)
-	}
-	lt.mid, lt.all = false, true
 }
 
 // InterpolateB computes layer z's bNext from the domain's per-layer column

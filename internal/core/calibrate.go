@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"stencilabft/internal/checksum"
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
@@ -30,32 +32,19 @@ type Calibration[T num.Float] struct {
 // threshold. The run is a measurement only; the caller's grid is not
 // modified.
 func CalibrateEpsilon[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], iters int) (Calibration[T], error) {
-	nx, ny := init.Nx(), init.Ny()
-	ip, err := checksum.NewInterp2D(op, nx, ny)
+	// The online protector under a threshold no finite residual trips: its
+	// verify interpolates every step, and no repair touches the run.
+	p, err := NewOnline2D(op, init, Options[T]{Detector: checksum.Detector[T]{Epsilon: T(math.Inf(1))}})
 	if err != nil {
 		return Calibration[T]{}, err
 	}
-	buf := grid.BufferFrom(init)
-	// The column checksums, extended by RadiusY entries the projection of
-	// the boundary condition fills.
-	ry := op.St.RadiusY()
-	prevB, newB := make([]T, ny+2*ry), make([]T, ny+2*ry)
-	interpB := make([]T, ny)
-	stencil.ChecksumB(buf.Read, prevB[ry:ry+ny])
-	edges, edgesAlt := checksum.LiveEdges(buf.Read, op.BC, op.BCValue), checksum.LiveEdges(buf.Write, op.BC, op.BCValue)
-
-	det := checksum.Detector[T]{AbsFloor: 1}
+	c, det := p.chunks[0], checksum.Detector[T]{AbsFloor: 1}
 	var cal Calibration[T]
 	for i := 0; i < iters; i++ {
-		op.SweepFused(buf.Write, buf.Read, newB[ry:ry+ny])
-		ip.FillHalo(checksum.VecB, prevB)
-		ip.Interpolate(checksum.VecB, prevB, edges, interpB)
-		if e := det.MaxRelErr(newB[ry:ry+ny], interpB); e > cal.MaxRelErr {
+		p.Step() // which swaps the fused checksums into PrevB
+		if e := det.MaxRelErr(c.own(c.PrevB, 0), c.interpB[0]); e > cal.MaxRelErr {
 			cal.MaxRelErr = e
 		}
-		prevB, newB = newB, prevB
-		edges, edgesAlt = edgesAlt, edges
-		buf.Swap()
 		cal.Iterations++
 	}
 	cal.SuggestedEpsilon = num.Max(cal.MaxRelErr*16, num.EpsilonFor[T]())

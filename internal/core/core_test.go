@@ -204,6 +204,7 @@ func TestOnline3DDetectsAndCorrects(t *testing.T) {
 		p, err := func() (*Online3D[float64], error) {
 			o := opts64()
 			o.Pool = &stencil.Pool{Workers: 3}
+			t.Cleanup(o.Pool.Close)
 			o.Inject = injector
 			return NewOnline3D(op, init, o)
 		}()

@@ -402,13 +402,6 @@ func (r *rank[T]) sweepExchange(src, dst *grid.Grid[T], sx0, sx1, sy0, sy1 int, 
 			}
 		}
 	}
-	// Every halo is folded in, so the frame's ghost rows are final for this
-	// iteration and still warm from the y strip copies — complete the beta
-	// tables (the tile rows were primed mid-phase) before the verification
-	// tail needs them.
-	t0 = r.tel.Begin()
-	r.ch.PrimeBetaTables()
-	r.tel.End(telemetry.PhaseVerify, t0)
 	r.stats.HaloExchanges++
 }
 

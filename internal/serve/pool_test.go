@@ -2,7 +2,6 @@ package serve_test
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -15,6 +14,7 @@ import (
 
 	abft "stencilabft"
 	"stencilabft/internal/dist"
+	"stencilabft/internal/leakcheck"
 	"stencilabft/internal/serve"
 )
 
@@ -23,10 +23,8 @@ import (
 // instead of running tests — the same shape cmd/stencilserve uses with its
 // -worker flag, but without needing a separate binary on disk.
 //
-// After the tests it accounts for goroutines: every one a test started —
-// servers, workers, clusters, pools — must be gone within 3 s, or the run
-// fails with every stack printed. A fuzzing run is exempt: its coordinator
-// starts os/signal's loop, which never exits, and it runs no test.
+// After the tests it accounts for goroutines (leakcheck): every one a test
+// started — servers, workers, clusters, pools — must be gone within 3 s.
 func TestMain(m *testing.M) {
 	if os.Getenv("STENCILSERVE_WORKER") == "1" {
 		if err := serve.WorkerMain(os.Stdin, os.Stdout); err != nil {
@@ -35,22 +33,7 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	}
-	before := runtime.NumGoroutine()
-	code := m.Run()
-	if flag.Lookup("test.fuzz").Value.String() != "" {
-		os.Exit(code)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		fmt.Fprintf(os.Stderr, "goroutines: %d before the tests, %d after\n%s\n", before, n, buf)
-		code = 1
-	}
-	os.Exit(code)
+	leakcheck.Main(m)
 }
 
 // processStart returns a StartWorker forking this test binary into worker

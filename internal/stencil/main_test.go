@@ -1,0 +1,11 @@
+package stencil
+
+import (
+	"testing"
+
+	"stencilabft/internal/leakcheck"
+)
+
+// TestMain accounts for goroutines after the tests (leakcheck): a test
+// closes every pool it starts.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

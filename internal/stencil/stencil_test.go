@@ -207,6 +207,7 @@ func TestSweepParallelMatchesSequentialProperty(t *testing.T) {
 		bPar := make([]float64, ny)
 		op.SweepFused(seq, src, bSeq)
 		pool := &Pool{Workers: 1 + int(wRaw%8)}
+		defer pool.Close()
 		op.SweepParallel(pool, par, src, bPar)
 		if seq.MaxAbsDiff(par) != 0 {
 			return false
@@ -269,7 +270,9 @@ func TestSweep3DParallelMatchesSequential(t *testing.T) {
 	for z := 0; z < nz; z++ {
 		op.SweepLayer(seq, src, z, bSeq[z], nil)
 	}
-	op.SweepParallel(&Pool{Workers: 4}, par, src, bPar)
+	pool := &Pool{Workers: 4}
+	t.Cleanup(pool.Close)
+	op.SweepParallel(pool, par, src, bPar)
 	if seq.MaxAbsDiff(par) != 0 {
 		t.Fatal("3-D parallel sweep differs")
 	}
@@ -290,7 +293,9 @@ func TestSweep3DParallelMatchesSequential(t *testing.T) {
 	for z := range bSlab {
 		bSlab[z] = make([]float64, ny)
 	}
-	op.SweepLayersInject(&Pool{Workers: 3}, slab, src, 1, nz-1, bSlab, nil, nil)
+	pool3 := &Pool{Workers: 3}
+	t.Cleanup(pool3.Close)
+	op.SweepLayersInject(pool3, slab, src, 1, nz-1, bSlab, nil, nil)
 	for z := 0; z < nz; z++ {
 		swept := z >= 1 && z < nz-1
 		for i, v := range slab.Layer(z).Data() {
@@ -331,6 +336,7 @@ func TestInjectSiteAppliedToStoreAndChecksum(t *testing.T) {
 func TestPoolForEachChunkCoversAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		p := &Pool{Workers: workers}
+		t.Cleanup(p.Close)
 		covered := make([]int32, 57)
 		var mu sync.Mutex
 		p.ForEachChunk(len(covered), func(lo, hi int) {
