@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"time"
 
 	"stencilabft/internal/checksum"
 	"stencilabft/internal/errs"
@@ -58,15 +57,12 @@ type Chunk[T num.Float] struct {
 	// the fused ones of t+1: stacks (Interp3D.NewStack) of the box's layers
 	// between RadiusZ halo layers, each vector extended by hy entries each
 	// side — entry hy+j of stack entry RadiusZ+l belongs to row y0+j of frame
-	// layer z0+l. halos fills the halo layers and the ry entries next to
+	// layer z0+l. Verify fills the halo layers and the ry entries next to
 	// each vector's own; the rest of the extension is the owner's (a rank
 	// fuses the rows of its depth-k shell there).
 	PrevB, NewB [][]T
 	interpB     [][]T  // per box layer
 	flagged     []bool // per box layer, the verdicts of the last verify
-	// checked marks the box layers Step's sweep has verified in the worker
-	// that swept them; verify does the rest and clears the marks.
-	checked []bool
 	// vecs holds one stack entry per frame layer the stacks hold, halo the
 	// ones outside the box, whose vectors verify sums from the frame.
 	vecs, halo []int
@@ -75,11 +71,9 @@ type Chunk[T num.Float] struct {
 	// the 3-D sweep fuses (fused[z][y] is row y of frame layer z) — for a
 	// box of whole layers, which Step sweeps; nil otherwise.
 	fused, fusedAlt [][]T
-	// verifyLayers, resweep and check, bound once so a step allocates
-	// nothing.
+	// verifyLayers and resweep, bound once so a step allocates nothing.
 	verifyFn  func(lo, hi int)
 	resweepFn func(z, y int) T
-	checkFn   func(z int)
 
 	// Scratch of the repair path, allocated the first time the chunk is
 	// flagged: newA, which doubles as the saved row of the re-evaluation;
@@ -128,9 +122,8 @@ func NewChunk[T num.Float](op *stencil.Op3D[T], frame *grid.Buffer3D[T], x0, y0,
 		NewB:    ip.NewStack(checksum.VecB, hy),
 		interpB: makeLayers[T](d, h),
 		flagged: make([]bool, d),
-		checked: make([]bool, d),
 	}
-	c.verifyFn, c.resweepFn, c.checkFn = c.verifyLayers, c.resweep, c.check
+	c.verifyFn, c.resweepFn = c.verifyLayers, c.resweep
 	c.edgeRead, c.edgeWrite = c.edges(frame.Read), c.edges(frame.Write)
 	seen := make([]bool, src.Nz())
 	for v := range c.PrevB {
@@ -226,46 +219,28 @@ func (c *Chunk[T]) lineSum(ext []T, h int, g *grid.Grid[T], i int, cols bool) T 
 	return s
 }
 
-// halos fills what the verify reads beyond the own entries of PrevB: the
-// halo layers' vectors summed from the frame, then every vector's ry entries
-// next to its own. It reads iteration t only, so it may run before the
-// sweep.
-func (c *Chunk[T]) halos() {
+// verify interpolates the box's column checksums of iteration t+1 from the
+// read stack and reports whether the fused ones in NewB disagree: first the
+// halo — the halo layers' vectors summed from the frame, then every vector's
+// ry entries next to its own — and then the layers, partitioned over pool.
+func (c *Chunk[T]) verify(pool *stencil.Pool) bool {
 	for _, v := range c.halo {
 		stencil.ChecksumBRect(c.src.Layer(c.ip.LayerOf(v)), c.x0, c.y0, c.x1, c.y1, c.PrevB[v][c.hy:])
 	}
 	for _, v := range c.vecs {
 		c.extend(c.PrevB[v], c.hy, c.src.Layer(c.ip.LayerOf(v)), false)
 	}
-}
-
-// verify interpolates the column checksums of iteration t+1 of the box
-// layers the sweep has not checked from the read stack (their halos filled),
-// partitioned over pool, and reports whether any layer's fused ones in NewB
-// disagree.
-func (c *Chunk[T]) verify(pool *stencil.Pool) bool {
 	pool.ForEachChunk(c.z1-c.z0, c.verifyFn)
 	return slices.Contains(c.flagged, true)
 }
 
-// verifyLayers verifies box layers [lo, hi) but those checked, and clears
-// their marks; layers are independent, so ranges run concurrently.
+// verifyLayers verifies box layers [lo, hi), each interpolated and screened
+// against its fused checksums in one pass; layers are independent, so ranges
+// run concurrently.
 func (c *Chunk[T]) verifyLayers(lo, hi int) {
 	for l := lo; l < hi; l++ {
-		if !c.checked[l] {
-			c.check(c.z0 + l)
-		}
-		c.checked[l] = false
+		c.flagged[l] = c.ip.Verify(l, c.PrevB, c.edgeRead, c.own(c.NewB, l), c.interpB[l], c.det)
 	}
-}
-
-// check verifies frame layer z, a layer of the box — its column checksums
-// interpolated and screened against the fused ones in one pass — and marks
-// it checked.
-func (c *Chunk[T]) check(z int) {
-	l := z - c.z0
-	c.flagged[l] = c.ip.Verify(l, c.PrevB, c.edgeRead, c.own(c.NewB, l), c.interpB[l], c.det)
-	c.checked[l] = true
 }
 
 // repair is the detection slow path. The mismatching entries name the rows
@@ -347,12 +322,6 @@ func (c *Chunk[T]) swap() {
 // then swap. The outcome is booked to st and the phases timed on tel.
 func (c *Chunk[T]) Finish(pool *stencil.Pool, resweep func(z, y int) T, st *Stats, tel *telemetry.Recorder) {
 	t0 := tel.Begin()
-	c.halos()
-	c.finish(pool, t0, resweep, st, tel)
-}
-
-// finish is Finish once the halos are in, its verify phase begun at t0.
-func (c *Chunk[T]) finish(pool *stencil.Pool, t0 time.Time, resweep func(z, y int) T, st *Stats, tel *telemetry.Recorder) {
 	mismatch := c.verify(pool)
 	st.Verifications++
 	tel.End(telemetry.PhaseVerify, t0)
@@ -367,25 +336,13 @@ func (c *Chunk[T]) finish(pool *stencil.Pool, t0 time.Time, resweep func(z, y in
 
 // Step is the whole step of a chunk of whole layers: the 3-D sweep of the
 // box's layers, their rows partitioned over pool, fusing NewB and applying
-// sites (frame coordinates), then Finish, a flagged row re-evaluated through
-// the same sweep. The halos go first, from iteration t. On a pool the worker
-// that sweeps a layer's rows verifies the layer right after them (check),
-// from the edge columns it has just read, and Finish verifies only the
-// layers the pool split between workers — no second dispatch. Without one
-// Finish verifies every layer once the sweep is done: one loop over the
-// layers keeps the verify's code and the stacks' vectors warm, where a verify
-// between the layers of a sweep reloads them each time.
+// sites (frame coordinates), then Finish, its layers partitioned over the
+// same pool and a flagged row re-evaluated through the same sweep.
 func (c *Chunk[T]) Step(pool *stencil.Pool, sites []stencil.Site[T], st *Stats, tel *telemetry.Recorder) {
 	t0 := tel.Begin()
-	c.halos()
-	var then func(z int)
-	if pool != nil && pool.Workers > 1 {
-		then = c.checkFn
-	}
-	c.op.SweepLayersInject(pool, c.dst, c.src, c.z0, c.z1, c.fused, sites, then)
-	t1 := tel.Begin()
+	c.op.SweepLayersInject(pool, c.dst, c.src, c.z0, c.z1, c.fused, sites, nil)
 	tel.End(telemetry.PhaseSweep, t0)
-	c.finish(nil, t1, c.resweepFn, st, tel)
+	c.Finish(pool, c.resweepFn, st, tel)
 }
 
 func (c *Chunk[T]) resweep(z, y int) T {
@@ -510,7 +467,6 @@ func NewBlocked2D[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], bx, by i
 	}
 	p.verifyChunks = func(lo, hi int) {
 		for i, c := range p.chunks[lo:hi] {
-			c.halos()
 			p.flagged[lo+i] = c.verify(nil)
 		}
 	}

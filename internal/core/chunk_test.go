@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"stencilabft/internal/checksum"
 	"stencilabft/internal/errs"
@@ -887,10 +886,11 @@ func TestStep2DAllocFree(t *testing.T) {
 	}
 }
 
-// TestSweepFedTablesGenerated holds the layers verified in the worker that
-// has just swept them — by Step, and by the sweep's hook on either pool — to
-// the ones the verify checks itself once the sweep is done (Finish after a
-// plain sweep), bit for bit: seeded and generated over all five boundaries
+// TestSweepFedTablesGenerated holds the layers Step verifies in one pass —
+// mirror pairs computed in their pass, the screen fused into the last — and
+// the ones verified from window-shift tables primed before the sweep
+// (PrimeBetaTablesMid) to the ones Finish verifies after a plain sweep, bit
+// for bit: seeded and generated over all five boundaries
 // (Constant with a non-zero ghost), radius 1 or 2 on each axis or the star's
 // 1, odd and even extents, nz from 2*RadiusZ+1 up, whole stacks and slabs
 // between ghost layers, no pool and a pool of 2, and flips on the z-face
@@ -899,19 +899,21 @@ func TestStep2DAllocFree(t *testing.T) {
 func TestSweepFedTablesGenerated(t *testing.T) {
 	pool := &stencil.Pool{Workers: 2}
 	defer pool.Close()
-	for seed := int64(1); seed <= 90; seed++ {
+	for seed := int64(1); seed <= 100; seed++ {
 		sweepFedTablesGenerated[float64](t, seed, pool)
 		sweepFedTablesGenerated[float32](t, seed, pool)
 	}
 }
 
 // sweepFedTablesGenerated runs one seeded configuration: star7 or generated
-// points up to seed 60, a 27-point box beyond.
+// points up to seed 60, a 27-point box up to 90, and beyond star7 under each
+// boundary in turn — the seeds before draw no star7 under Clamp, where its
+// west and east points are a mirror pair.
 func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stencil.Pool) {
 	rng := rand.New(rand.NewSource(seed))
 	w := func() T { return T(0.02 + 0.12*rng.Float64()) }
 	st := stencil.SevenPoint3D(0.3, w(), w(), w(), w(), w(), w())
-	if rng.Intn(3) > 0 {
+	if seed <= 90 && rng.Intn(3) > 0 {
 		r := [3]int{1 + rng.Intn(2), 1 + rng.Intn(2), 1 + rng.Intn(2)}
 		st = &stencil.Stencil[T]{Name: "generated", Points: []stencil.Point[T]{{W: 0.3}}}
 		used := map[[3]int]bool{{}: true}
@@ -922,7 +924,7 @@ func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stenci
 			}
 		}
 	}
-	if seed > 60 {
+	if seed > 60 && seed <= 90 {
 		st = &stencil.Stencil[T]{Name: "box27"}
 		for i := range 27 {
 			st.Points = append(st.Points, stencil.Point[T]{DX: i%3 - 1, DY: i/3%3 - 1, DZ: i/9 - 1, W: w() / 4})
@@ -931,6 +933,9 @@ func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stenci
 	rx, ry, rz := st.RadiusX(), st.RadiusY(), st.RadiusZ()
 	nx, ny, nz := rx+2+rng.Intn(9), ry+2+rng.Intn(9), 2*rz+1+rng.Intn(4)
 	op := &stencil.Op3D[T]{St: st, BC: grid.Boundary(rng.Intn(5)), BCValue: T(40 + 10*rng.Float64())}
+	if seed > 90 {
+		op.BC = grid.Boundary(seed % 5)
+	}
 	h := 0 // ghost layers of a slab's frame
 	if rng.Intn(3) == 0 {
 		h = rz
@@ -957,9 +962,9 @@ func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stenci
 		return frame, c
 	}
 	fed, fedCh := build()
-	hooked, hookCh := build()
+	primed, primedCh := build()
 	own, ownCh := build()
-	var fedSt, hookSt, ownSt Stats
+	var fedSt, primedSt, ownSt Stats
 	for step := 0; step < 6; step++ {
 		var sites []stencil.Site[T]
 		if step%2 == 1 { // a flip on a z-face row of the box
@@ -968,12 +973,12 @@ func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stenci
 				Mutate: func(v T) T { return num.FlipBit(v, bit) }}}
 		}
 		fedCh.Step(p, sites, &fedSt, nil)
-		hookCh.halos()
-		op.SweepLayersInject(p, hooked.Write, hooked.Read, h, h+nz, hookCh.fused, sites, hookCh.checkFn)
-		hookCh.finish(p, time.Time{}, hookCh.resweepFn, &hookSt, nil)
+		primedCh.PrimeBetaTablesMid()
+		op.SweepLayersInject(p, primed.Write, primed.Read, h, h+nz, primedCh.fused, sites, nil)
+		primedCh.Finish(p, primedCh.resweepFn, &primedSt, nil)
 		op.SweepLayersInject(p, own.Write, own.Read, h, h+nz, ownCh.fused, sites, nil)
 		ownCh.Finish(p, ownCh.resweepFn, &ownSt, nil)
-		for path, ch := range map[string]*Chunk[T]{"Step": fedCh, "the sweep's hook": hookCh} {
+		for path, ch := range map[string]*Chunk[T]{"Step": fedCh, "primed tables": primedCh} {
 			for l := range nz {
 				if !sameBitsAll(ch.interpB[l], ownCh.interpB[l]) || ch.flagged[l] != ownCh.flagged[l] {
 					t.Fatalf("%s, step %d: layer %d interpolates %v (flagged %v) verified by %s, %v (%v) after the sweep",
@@ -985,13 +990,13 @@ func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stenci
 			}
 		}
 		fed.Swap()
-		hooked.Swap()
+		primed.Swap()
 		own.Swap()
 		if !sameBitsAll(fed.Read.Data(), own.Read.Data()) || fedSt != ownSt {
 			t.Fatalf("%s, step %d: grids or stats differ (%+v, %+v)", what, step, fedSt, ownSt)
 		}
-		if !sameBitsAll(hooked.Read.Data(), own.Read.Data()) || hookSt != ownSt {
-			t.Fatalf("%s, step %d: grids or stats differ verified by the sweep's hook (%+v, %+v)", what, step, hookSt, ownSt)
+		if !sameBitsAll(primed.Read.Data(), own.Read.Data()) || primedSt != ownSt {
+			t.Fatalf("%s, step %d: grids or stats differ verified from primed tables (%+v, %+v)", what, step, primedSt, ownSt)
 		}
 	}
 	if fedSt.Detections == 0 {
