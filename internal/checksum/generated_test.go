@@ -3,6 +3,7 @@ package checksum
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stencilabft/internal/grid"
@@ -83,6 +84,13 @@ func genStencil[T num.Float](rng *rand.Rand, is3D bool) *stencil.Stencil[T] {
 // reference bit for bit (the domains' zero-halo InterpolateB included), and
 // on the clean data each case is built from, the swept grid's direct
 // checksums to round-off. A failing case is named by its seed.
+//
+// The mirror cases draw what compiles a mirror pair (interpTerm), which the
+// drawn stencils almost never do: FivePoint or NinePoint with random weights
+// under Clamp or Mirror, over a rectangle whose sums span the frame along
+// one axis or both. FivePoint under Clamp must compile a pair; NinePoint,
+// whose points at one offset are not consecutive, and Mirror, which enters
+// line 1 where the other side leaves line 0, must not.
 func TestInterpolateGenerated(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -92,11 +100,21 @@ func TestInterpolateGenerated(t *testing.T) {
 			case seed%2 == 0 && is3D:
 				interpGenerated3D[float32](t, rng, 1e-5)
 			case seed%2 == 0:
-				interpGenerated2D[float32](t, rng, 1e-5)
+				interpGenerated2D[float32](t, rng, 1e-5, false)
 			case is3D:
 				interpGenerated3D[float64](t, rng, 1e-12)
 			default:
-				interpGenerated2D[float64](t, rng, 1e-12)
+				interpGenerated2D[float64](t, rng, 1e-12, false)
+			}
+		})
+	}
+	for seed := int64(0); seed < 160; seed++ {
+		t.Run(fmt.Sprint("mirror/", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			if seed%2 == 0 {
+				interpGenerated2D[float32](t, rng, 1e-5, true)
+			} else {
+				interpGenerated2D[float64](t, rng, 1e-12, true)
 			}
 		})
 	}
@@ -144,10 +162,18 @@ func span(rng *rand.Rand, n, r int, where string) (lo, hi int) {
 	return lo, lo + w
 }
 
-func interpGenerated2D[T num.Float](t *testing.T, rng *rand.Rand, tol float64) {
+func interpGenerated2D[T num.Float](t *testing.T, rng *rand.Rand, tol float64, mirror bool) {
 	st := genStencil[T](rng, false)
-	rx, ry := st.RadiusX(), st.RadiusY()
 	bc := allBoundaries[rng.Intn(len(allBoundaries))]
+	if mirror {
+		w := func() T { return T(0.05 + 0.2*rng.Float64() - 0.1*float64(rng.Intn(2))) }
+		st = stencil.FivePoint(w(), w(), w(), w(), w())
+		if rng.Intn(2) == 0 {
+			st = stencil.NinePoint([9]T{w(), w(), w(), w(), w(), w(), w(), w(), w()})
+		}
+		bc = []grid.Boundary{grid.Clamp, grid.Mirror}[rng.Intn(2)]
+	}
+	rx, ry := st.RadiusX(), st.RadiusY()
 	nx, ny := oddIn(rng, 5, 17), oddIn(rng, 5, 17)
 	op := &stencil.Op2D[T]{St: st, BC: bc, BCValue: T(1 + rng.Float64())}
 	if rng.Intn(2) == 0 {
@@ -162,9 +188,20 @@ func interpGenerated2D[T num.Float](t *testing.T, rng *rand.Rand, tol float64) {
 	// The geometry: a rectangle [x0,x1) x [y0,y1) of frame, whose [gx, gy)
 	// origin lies at global cell (gx, gy) of the swept domain.
 	geometry := []string{"domain", "interior block", "edge block", "tile in a frame"}[rng.Intn(4)]
+	if mirror {
+		geometry, drop = "spanning block", false
+	}
 	frame, fop := src, op
 	x0, y0, x1, y1, gx, gy := 0, 0, nx, ny, 0, 0
 	switch geometry {
+	case "spanning block":
+		// B's sums span the rows, A's the columns, or both.
+		switch rng.Intn(3) {
+		case 0:
+			y0, y1 = span(rng, ny, ry, "")
+		case 1:
+			x0, x1 = span(rng, nx, rx, "")
+		}
 	case "interior block":
 		if nx <= 3*rx || ny <= 3*ry {
 			geometry = "edge block"
@@ -216,6 +253,12 @@ func interpGenerated2D[T num.Float](t *testing.T, rng *rand.Rand, tol float64) {
 		t.Fatalf("%s: %v", what, err)
 	}
 	ip.DropBoundaryTerms = drop
+	if mirror {
+		paired := slices.ContainsFunc(append(ip.a.terms, ip.b.terms...), func(t interpTerm[T]) bool { return t.pair })
+		if want := len(st.Points) == 5 && bc == grid.Clamp; paired != want {
+			t.Fatalf("%s: mirror pair compiled %v, want %v", what, paired, want)
+		}
+	}
 	ref := refInterp2D[T]{pts: st.Points, bc: bc, fnx: fnx, fny: fny, x0: x0, y0: y0, x1: x1, y1: y1, drop: drop}
 
 	// The edge source: the frame itself, or for a domain a snapshot of it.

@@ -92,9 +92,11 @@ type interpAxis[T num.Float] struct {
 
 // interpTerm is one stencil point compiled for one axis. pair marks the
 // first of two consecutive terms at one offset whose window shifts mirror
-// each other — the two sides of a radius-1 star or box under Clamp or
-// Mirror, one shift entering the line the other leaves and leaving the one
-// it enters — over rows in the run: a call that fills its own tables adds
+// each other — the two sides of a radius-1 star under Clamp, one shift
+// entering the line the other leaves and leaving the one it enters (Mirror
+// enters line 1 where the other side leaves line 0, and a box's points at
+// one offset are not consecutive) — over rows in the run, the sums spanning
+// the frame: a call that fills its own tables adds
 // both in one pass and computes their entries there, each edge cell loaded
 // once, instead of writing and reading back two tables.
 type interpTerm[T num.Float] struct {

@@ -340,7 +340,7 @@ func (c *Chunk[T]) Finish(pool *stencil.Pool, resweep func(z, y int) T, st *Stat
 // same pool and a flagged row re-evaluated through the same sweep.
 func (c *Chunk[T]) Step(pool *stencil.Pool, sites []stencil.Site[T], st *Stats, tel *telemetry.Recorder) {
 	t0 := tel.Begin()
-	c.op.SweepLayersInject(pool, c.dst, c.src, c.z0, c.z1, c.fused, sites, nil)
+	c.op.SweepLayersInject(pool, c.dst, c.src, c.z0, c.z1, c.fused, sites)
 	tel.End(telemetry.PhaseSweep, t0)
 	c.Finish(pool, c.resweepFn, st, tel)
 }

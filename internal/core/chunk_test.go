@@ -974,9 +974,9 @@ func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stenci
 		}
 		fedCh.Step(p, sites, &fedSt, nil)
 		primedCh.PrimeBetaTablesMid()
-		op.SweepLayersInject(p, primed.Write, primed.Read, h, h+nz, primedCh.fused, sites, nil)
+		op.SweepLayersInject(p, primed.Write, primed.Read, h, h+nz, primedCh.fused, sites)
 		primedCh.Finish(p, primedCh.resweepFn, &primedSt, nil)
-		op.SweepLayersInject(p, own.Write, own.Read, h, h+nz, ownCh.fused, sites, nil)
+		op.SweepLayersInject(p, own.Write, own.Read, h, h+nz, ownCh.fused, sites)
 		ownCh.Finish(p, ownCh.resweepFn, &ownSt, nil)
 		for path, ch := range map[string]*Chunk[T]{"Step": fedCh, "primed tables": primedCh} {
 			for l := range nz {

@@ -14,7 +14,7 @@ import "stencilabft/internal/num"
 // exactly the sequence the generic loop performs for the canonical
 // constructors; no reassociation, no explicit FMA. The constant field c is
 // handled by a hoisted branch: two loop bodies instead of a per-point nil
-// check.
+// check. The box's bodies are the 3-D sweep's (box9Seg, kernels3d.go).
 
 // genericRow is the dynamic k-point interior loop over the plan's
 // precomputed offsets and weights — the fallback for arbitrary stencils,
@@ -69,45 +69,19 @@ func star5Row[T num.Float](dst, src, c []T, base, xlo, xhi, nx int, kw *[9]T, ac
 }
 
 // box9Row applies the full 3x3 box in NinePoint's row-major order
-// (dy = -1..1 outer, dx = -1..1 inner) with weights kw[0..8].
+// (dy = -1..1 outer, dx = -1..1 inner) with weights kw[0..8], through the
+// loop body the 3-D sweep runs (box9Seg): dst and c re-sliced to the
+// segment, src to the three rows around it from one column left of xlo. An
+// empty segment returns before slicing: on a boundary row the rows above or
+// below need not exist.
 func box9Row[T num.Float](dst, src, c []T, base, xlo, xhi, nx int, kw *[9]T, acc T) T {
-	w0, w1, w2 := kw[0], kw[1], kw[2]
-	w3, w4, w5 := kw[3], kw[4], kw[5]
-	w6, w7, w8 := kw[6], kw[7], kw[8]
-	if c != nil {
-		for x := xlo; x < xhi; x++ {
-			idx := base + x
-			up, dn := idx-nx, idx+nx
-			v := c[idx]
-			v += w0 * src[up-1]
-			v += w1 * src[up]
-			v += w2 * src[up+1]
-			v += w3 * src[idx-1]
-			v += w4 * src[idx]
-			v += w5 * src[idx+1]
-			v += w6 * src[dn-1]
-			v += w7 * src[dn]
-			v += w8 * src[dn+1]
-			dst[idx] = v
-			acc += v
-		}
+	if xlo >= xhi {
 		return acc
 	}
-	for x := xlo; x < xhi; x++ {
-		idx := base + x
-		up, dn := idx-nx, idx+nx
-		var v T // start from zero like the generic loop: 0 + (-0.0) is +0.0
-		v += w0 * src[up-1]
-		v += w1 * src[up]
-		v += w2 * src[up+1]
-		v += w3 * src[idx-1]
-		v += w4 * src[idx]
-		v += w5 * src[idx+1]
-		v += w6 * src[dn-1]
-		v += w7 * src[dn]
-		v += w8 * src[dn+1]
-		dst[idx] = v
-		acc += v
+	lo, n := base+xlo, xhi-xlo
+	var cs []T
+	if c != nil {
+		cs = c[lo:][:n]
 	}
-	return acc
+	return box9Seg(dst[lo:][:n], cs, src[lo-nx-1:][:n+2], src[lo-1:][:n+2], src[lo+nx-1:][:n+2], kw, acc)
 }

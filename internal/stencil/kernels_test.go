@@ -3,7 +3,6 @@ package stencil
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -238,24 +237,21 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 	}
 }
 
-// TestSweepLayersHookGenerated holds the row-table sources and the
-// per-layer hand-off to the per-point reference, seeded and generated: all
-// five boundaries (Constant with a non-zero ghost), radius 1 or 2 on each
-// axis or a specialised kernel's radius 1, odd and even extents, nz from
-// 2*RadiusZ+1 up, whole stacks and slabs between ghost layers, no pool and
-// a pool of 2, with and without a constant field, and injection sites on
-// the z-face rows. Every layer the hook reports must hold its final rows and
-// checksums when the hook runs, and it must report exactly the layers one
-// worker swept whole.
-func TestSweepLayersHookGenerated(t *testing.T) {
+// TestSweepLayersGenerated holds the row-table sources and the pool's
+// row partition to the per-point reference, seeded and generated: all five
+// boundaries (Constant with a non-zero ghost), radius 1 or 2 on each axis or
+// a specialised kernel's radius 1, odd and even extents, nz from 2*RadiusZ+1
+// up, whole stacks and slabs between ghost layers, no pool and a pool of 2,
+// with and without a constant field, and injection sites on the z-face rows.
+func TestSweepLayersGenerated(t *testing.T) {
 	pool := &Pool{Workers: 2}
 	defer pool.Close()
 	for seed := int64(1); seed <= 160; seed++ {
-		sweepLayersHookGenerated(t, seed, pool)
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { sweepLayersGenerated(t, seed, pool) })
 	}
 }
 
-func sweepLayersHookGenerated(t *testing.T, seed int64, pool *Pool) {
+func sweepLayersGenerated(t *testing.T, seed int64, pool *Pool) {
 	rng := rand.New(rand.NewSource(seed))
 	w := func() float64 { return 0.02 + 0.2*rng.Float64() }
 	var st *Stencil[float64]
@@ -312,6 +308,11 @@ func sweepLayersHookGenerated(t *testing.T, seed int64, pool *Pool) {
 	if err := op.Validate(nx, ny, nz); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
+	defer func() {
+		if t.Failed() {
+			t.Log(what)
+		}
+	}()
 
 	src := grid.New3D[float64](nx, ny, nz)
 	src.FillFunc(func(x, y, z int) float64 { return 50 + 100*rng.Float64() })
@@ -334,38 +335,11 @@ func sweepLayersHookGenerated(t *testing.T, seed int64, pool *Pool) {
 	for z := range bs {
 		bs[z] = make([]float64, ny)
 	}
-	var mu sync.Mutex
-	var reported []int
-	op.SweepLayersInject(p, got, src, z0, z1, bs, sites, func(z int) {
-		for y := 0; y < ny; y++ {
-			if !num.SameBits(bs[z][y], bWant[z][y]) || !slices.EqualFunc(got.Layer(z).Row(y), want.Layer(z).Row(y), num.SameBits[float64]) {
-				t.Errorf("%s: layer %d row %d is not final when its hook runs", what, z, y)
-				return
-			}
-		}
-		mu.Lock()
-		reported = append(reported, z)
-		mu.Unlock()
-	})
+	op.SweepLayersInject(p, got, src, z0, z1, bs, sites)
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			sameRow3D(t, op, got, want, bs[z], bWant[z], y, z)
 		}
-	}
-	// One worker sweeps a layer whole unless the pool's cut between its
-	// row ranges falls inside the layer.
-	var whole []int
-	n := (z1 - z0) * ny
-	cut := n - n/2 // the first of two chunks takes the odd row
-	for z := z0; z < z1; z++ {
-		lo := (z - z0) * ny
-		if p == nil || n < 2 || cut <= lo || cut >= lo+ny {
-			whole = append(whole, z)
-		}
-	}
-	slices.Sort(reported)
-	if !slices.Equal(reported, whole) {
-		t.Fatalf("%s: hook reported layers %v, want %v", what, reported, whole)
 	}
 }
 

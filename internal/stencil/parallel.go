@@ -198,7 +198,7 @@ func (c *rectSweep[T]) rows(lo, hi int) {
 // per layer (bs[z] of length ny); each row's fused checksum entry is written
 // by the worker that owns the row.
 func (op *Op3D[T]) SweepParallel(p *Pool, dst, src *grid.Grid3D[T], bs [][]T) {
-	op.SweepLayersInject(p, dst, src, 0, src.Nz(), bs, nil, nil)
+	op.SweepLayersInject(p, dst, src, 0, src.Nz(), bs, nil)
 }
 
 // SweepLayersInject sweeps layers [z0, z1) only — the sweep of a z-slab whose
@@ -207,20 +207,16 @@ func (op *Op3D[T]) SweepParallel(p *Pool, dst, src *grid.Grid3D[T], bs [][]T) {
 // pool partitions the layers' rows counted layer by layer, not whole layers,
 // so a one-layer stack (a 2-D domain) still splits, and a stack whose layer
 // count the workers divide splits at layer boundaries. bs is indexed by
-// layer of the grid, like SweepParallel's. With then non-nil, then(z) runs
-// for each layer z whose rows one worker swept whole, in that worker, right
-// after the layer's last row — while the layer and its neighbours are the
-// data the worker has just read; a layer whose rows the pool split between
-// workers gets no call, and calls for distinct layers run concurrently. A
-// steady-state call allocates nothing: what the workers need travels in a
-// layerSweep the operator keeps between calls instead of in a fresh closure.
-func (op *Op3D[T]) SweepLayersInject(p *Pool, dst, src *grid.Grid3D[T], z0, z1 int, bs [][]T, sites []Site[T], then func(z int)) {
+// layer of the grid, like SweepParallel's. A steady-state call allocates
+// nothing: what the workers need travels in a layerSweep the operator keeps
+// between calls instead of in a fresh closure.
+func (op *Op3D[T]) SweepLayersInject(p *Pool, dst, src *grid.Grid3D[T], z0, z1 int, bs [][]T, sites []Site[T]) {
 	c := op.sweepc.Take() // nil on first use, or while a concurrent call holds it
 	if c == nil {
 		c = new(layerSweep[T])
 		c.run = c.rows
 	}
-	c.op, c.dst, c.src, c.z0, c.bs, c.sites, c.then = op, dst, src, z0, bs, sites, then
+	c.op, c.dst, c.src, c.z0, c.bs, c.sites = op, dst, src, z0, bs, sites
 	p.ForEachChunk((z1-z0)*src.Ny(), c.run)
 	*c = layerSweep[T]{run: c.run} // do not pin the caller's grids
 	op.sweepc.Store(c)
@@ -234,7 +230,6 @@ type layerSweep[T num.Float] struct {
 	z0       int
 	bs       [][]T
 	sites    []Site[T]
-	then     func(z int)
 	run      func(lo, hi int)
 }
 
@@ -250,9 +245,6 @@ func (c *layerSweep[T]) rows(lo, hi int) {
 			b = c.bs[z]
 		}
 		c.op.sweepRowsInject(c.dst, c.src, z, y0, y1, b, c.sites)
-		if c.then != nil && y0 == 0 && y1 == ny {
-			c.then(z)
-		}
 		r += y1 - y0
 	}
 }

@@ -1,10 +1,12 @@
 package stencil
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"stencilabft/internal/grid"
+	"stencilabft/internal/num"
 )
 
 // TestSweepRectFusedMatchesFullSweep: tiling the domain with rectangles and
@@ -96,5 +98,135 @@ func TestChecksumARect(t *testing.T) {
 	// Columns 1,2 over rows 1,2: (11+21)=32, (12+22)=34.
 	if a[0] != 32 || a[1] != 34 {
 		t.Fatalf("ARect = %v", a)
+	}
+}
+
+// TestSweepRectGenerated holds SweepRectFused, the 2-D row sweep, to the
+// per-point reference (naiveSweepRect) bit for bit, grid and fused checksums,
+// over generated cases: star5, box9 and generic stencils (radius 1 or 2, the
+// canonical ones also under ForceGeneric), all five boundaries, both element
+// types, with and without a constant field and sites, and rectangles whose
+// interior segment is empty or one cell wide — edge columns and edge rows
+// alone, nx = 3 — beside whole domains and arbitrary ones. Cells outside the
+// rectangle must be left as they were. A failing case is named by its seed.
+func TestSweepRectGenerated(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			if seed%2 == 0 {
+				sweepRectGenerated[float32](t, rng)
+			} else {
+				sweepRectGenerated[float64](t, rng)
+			}
+		})
+	}
+}
+
+func sweepRectGenerated[T num.Float](t *testing.T, rng *rand.Rand) {
+	w := func() T { return T(0.02 + 0.2*rng.Float64() - 0.1*float64(rng.Intn(2))) }
+	var st *Stencil[T]
+	want := kernGeneric
+	switch rng.Intn(4) {
+	case 0:
+		st, want = FivePoint(w(), w(), w(), w(), w()), kernStar5
+	case 1:
+		st, want = NinePoint([9]T{w(), w(), w(), w(), w(), w(), w(), w(), w()}), kernBox9
+	default:
+		r := [2]int{1 + rng.Intn(2), 1 + rng.Intn(2)}
+		st = &Stencil[T]{Name: "generated"}
+		used := map[[2]int]bool{}
+		// The reach of each axis, in a random order with random others.
+		reach := [][2]int{{0, 0}, {r[0] * (1 - 2*rng.Intn(2)), 0}, {0, r[1] * (1 - 2*rng.Intn(2))}}
+		for k := 2 + rng.Intn(6); k > 0; k-- {
+			reach = append(reach, [2]int{rng.Intn(2*r[0]+1) - r[0], rng.Intn(2*r[1]+1) - r[1]})
+		}
+		rng.Shuffle(len(reach), func(i, j int) { reach[i], reach[j] = reach[j], reach[i] })
+		for _, d := range reach {
+			if !used[d] {
+				used[d] = true
+				st.Points = append(st.Points, Point[T]{DX: d[0], DY: d[1], W: w()})
+			}
+		}
+	}
+	rx, ry := st.RadiusX(), st.RadiusY()
+	bc := grid.Boundary(rng.Intn(5))
+	nx, ny := rx+1+rng.Intn(9), ry+1+rng.Intn(8)
+	if rng.Intn(4) == 0 {
+		nx = 3 // one interior column at radius 1, none at radius 2
+	}
+	op := &Op2D[T]{St: st, BC: bc, BCValue: T(-2.5 + rng.Float64()), ForceGeneric: rng.Intn(4) == 0}
+	if op.ForceGeneric {
+		want = kernGeneric
+	}
+	if rng.Intn(2) == 0 {
+		op.C = grid.New[T](nx, ny)
+		op.C.FillFunc(func(x, y int) T { return T(rng.Float64() - 0.5) })
+	}
+	if err := op.Validate(nx, ny); err != nil {
+		t.Fatal(err)
+	}
+	if got := op.plan(nx, ny).kern; got != want {
+		t.Fatalf("%q dispatched %v, want %v", st.Name, got, want)
+	}
+
+	// spanOf draws a non-empty [lo, hi) of n cells.
+	spanOf := func(n int) (lo, hi int) {
+		lo = rng.Intn(n)
+		return lo, lo + 1 + rng.Intn(n-lo)
+	}
+	x0, x1 := spanOf(nx)
+	y0, y1 := spanOf(ny)
+	shape := "rectangle"
+	switch rng.Intn(5) {
+	case 0:
+		shape, x0, y0, x1, y1 = "domain", 0, 0, nx, ny
+	case 1:
+		shape = "edge column"
+		x0 = (nx - 1) * rng.Intn(2)
+		x1 = x0 + 1
+	case 2:
+		shape = "edge row"
+		y0 = (ny - 1) * rng.Intn(2)
+		y1 = y0 + 1
+	case 3:
+		if nx <= 2*rx {
+			break // no interior column
+		}
+		// The rows' interior segment is the one column xi.
+		shape = "one interior column"
+		xi := rx + rng.Intn(nx-2*rx)
+		x0, x1 = xi, xi+1
+		if xi == rx {
+			x0 = rng.Intn(rx + 1)
+		}
+		if xi == nx-rx-1 {
+			x1 = nx - rng.Intn(rx+1)
+		}
+	}
+	var sites []Site[T]
+	mantissa := 23
+	if num.BitWidth[T]() == 64 {
+		mantissa = 52
+	}
+	for k := rng.Intn(4); k > 0; k-- { // anywhere in the domain: those outside the rectangle are ignored
+		bit := rng.Intn(mantissa)
+		sites = append(sites, Site[T]{X: rng.Intn(nx), Y: rng.Intn(ny), Mutate: func(v T) T { return num.FlipBit(v, bit) }})
+	}
+	what := fmt.Sprintf("%q (%d points, radius %d/%d) generic=%v %s %dx%d C=%v %s [%d,%d)x[%d,%d) %d sites",
+		st.Name, len(st.Points), rx, ry, op.ForceGeneric, bc, nx, ny, op.C != nil, shape, x0, x1, y0, y1, len(sites))
+
+	src := grid.New[T](nx, ny)
+	fillRandom2D(src, rng)
+	ref, got := grid.New[T](nx, ny), grid.New[T](nx, ny)
+	ref.Fill(-7)
+	got.Fill(-7)
+	bRef, bGot := make([]T, y1-y0), make([]T, y1-y0)
+	naiveSweepRect(op, ref, src, x0, y0, x1, y1, bRef, hookOf(sites))
+	op.SweepRectFused(got, src, x0, y0, x1, y1, bGot, sites)
+	sameRect(t, what, got, ref, 0, y0, nx, y1, bGot, bRef)
+	for i, v := range ref.Data() {
+		if !num.SameBits(got.Data()[i], v) {
+			t.Fatalf("%s: cell %d = %v outside the rectangle, want %v", what, i, got.Data()[i], v)
+		}
 	}
 }
