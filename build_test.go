@@ -49,7 +49,7 @@ func legacyRun(t *testing.T, s abft.Scheme, d abft.Deployment, bc grid.Boundary)
 	copt := core.Options[float64]{Detector: strictDetector()}
 	switch {
 	case d == abft.Clustered:
-		c, err := dist.NewCluster(op, init, matrixRanks, dist.Options[float64]{Detector: strictDetector()})
+		c, err := dist.NewClusterGrid(op, init, 1, matrixRanks, dist.Options[float64]{Detector: strictDetector()})
 		if err != nil {
 			t.Fatal(err)
 		}

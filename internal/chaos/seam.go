@@ -21,7 +21,7 @@ import (
 // dist.Options.RecvTimeout). Faults act on the sending side only: the wrapper embeds the
 // backend and overrides Send and SendCkpt, so every receive, the barrier
 // and the rest of the contract are the backend's own and a wrapped cluster
-// runs the same overlap schedule as an unwrapped one.
+// runs the same rank step as an unwrapped one.
 type Transport[T num.Float] struct {
 	dist.Transport[T] // the wrapped backend
 	in                *Injector

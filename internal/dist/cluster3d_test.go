@@ -167,7 +167,7 @@ func TestCluster3DMatchesOnline3D(t *testing.T) {
 			owned := make([]int, tc.ranks)
 			for _, f := range tc.flips {
 				for r := range owned {
-					if z0, z1 := c.Slab(r); z0 <= f.Z && f.Z < z1 {
+					if s := c.decomp.TileOf(r); s.Y0 <= f.Z && f.Z < s.Y1 {
 						owned[r]++
 					}
 				}
@@ -193,7 +193,8 @@ func TestCluster3DSlabsAndStats(t *testing.T) {
 	defer c.Close()
 	prevEnd := 0
 	for i := 0; i < c.Ranks(); i++ {
-		z0, z1 := c.Slab(i)
+		s := c.decomp.TileOf(i) // the Y axis carries the layer range
+		z0, z1 := s.Y0, s.Y1
 		if z0 != prevEnd {
 			t.Fatalf("slab %d starts at %d, want %d", i, z0, prevEnd)
 		}

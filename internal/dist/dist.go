@@ -224,13 +224,6 @@ type rankCmd struct {
 	iters, base int
 }
 
-// NewCluster decomposes init into nRanks horizontal row bands — the Nx1
-// shorthand for NewClusterGrid(op, init, 1, nRanks, opt), kept because row
-// bands are the paper's presentation of the distributed setting.
-func NewCluster[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], nRanks int, opt Options[T]) (*Cluster[T], error) {
-	return NewClusterGrid(op, init, 1, nRanks, opt)
-}
-
 // NewClusterGrid decomposes init over a ranksX-by-ranksY Cartesian rank
 // grid wired through the transport. Remainder points are distributed one
 // per rank from the low end of each axis, so tile edges differ by at most

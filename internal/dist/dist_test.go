@@ -39,7 +39,7 @@ func injectedCluster(t *testing.T, op *stencil.Op2D[float64], init *grid.Grid[fl
 	t.Helper()
 	opt := strictOpts()
 	opt.Inject = fault.NewPlan(injs...)
-	c, err := NewCluster(op, init, ranks, opt)
+	c, err := NewClusterGrid(op, init, 1, ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestClusterMatchesReference(t *testing.T) {
 				init := testInit(nx, ny)
 				want := reference(t, op, init, iters)
 
-				c, err := NewCluster(op, init, ranks, strictOpts())
+				c, err := NewClusterGrid(op, init, 1, ranks, strictOpts())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func TestClusterAsymmetricStencil(t *testing.T) {
 	init := testInit(nx, ny)
 	want := reference(t, op, init, iters)
 
-	c, err := NewCluster(op, init, 4, strictOpts())
+	c, err := NewClusterGrid(op, init, 1, 4, strictOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestClusterConstantField(t *testing.T) {
 	init := testInit(nx, ny)
 	want := reference(t, op, init, iters)
 
-	c, err := NewCluster(op, init, 3, strictOpts())
+	c, err := NewClusterGrid(op, init, 1, 3, strictOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestClusterUnevenBands(t *testing.T) {
 	init := testInit(nx, ny)
 	want := reference(t, op, init, iters)
 
-	c, err := NewCluster(op, init, ranks, strictOpts())
+	c, err := NewClusterGrid(op, init, 1, ranks, strictOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,26 +274,26 @@ func TestClusterValidation(t *testing.T) {
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
 	init := testInit(16, 8)
 
-	if _, err := NewCluster(op, init, 0, Options[float64]{}); err == nil {
+	if _, err := NewClusterGrid(op, init, 1, 0, Options[float64]{}); err == nil {
 		t.Fatal("nRanks=0 accepted")
 	}
-	if _, err := NewCluster(op, init, -2, Options[float64]{}); err == nil {
+	if _, err := NewClusterGrid(op, init, 1, -2, Options[float64]{}); err == nil {
 		t.Fatal("negative nRanks accepted")
 	}
 	// 8 rows over 8 ranks leaves 1-row bands, not taller than radius 1.
-	if _, err := NewCluster(op, init, 8, Options[float64]{}); err == nil {
+	if _, err := NewClusterGrid(op, init, 1, 8, Options[float64]{}); err == nil {
 		t.Fatal("bands at stencil radius accepted")
 	}
-	if _, err := NewCluster(op, init, 9, Options[float64]{}); err == nil {
+	if _, err := NewClusterGrid(op, init, 1, 9, Options[float64]{}); err == nil {
 		t.Fatal("more ranks than rows accepted")
 	}
 	// 4 ranks over 8 rows leaves 2-row bands: the tallest radius-1 fit.
-	if _, err := NewCluster(op, init, 4, Options[float64]{}); err != nil {
+	if _, err := NewClusterGrid(op, init, 1, 4, Options[float64]{}); err != nil {
 		t.Fatalf("4 ranks over 8 rows rejected: %v", err)
 	}
 	// Operator errors surface before decomposition.
 	bad := &stencil.Op2D[float64]{St: &stencil.Stencil[float64]{Name: "empty"}, BC: grid.Clamp}
-	if _, err := NewCluster(bad, init, 2, Options[float64]{}); err == nil {
+	if _, err := NewClusterGrid(bad, init, 1, 2, Options[float64]{}); err == nil {
 		t.Fatal("invalid stencil accepted")
 	}
 }
@@ -308,7 +308,7 @@ func TestClusterPool(t *testing.T) {
 
 	opt := strictOpts()
 	opt.Pool = &stencil.Pool{Workers: 4}
-	c, err := NewCluster(op, init, ranks, opt)
+	c, err := NewClusterGrid(op, init, 1, ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestClusterPoolInjection(t *testing.T) {
 		fault.Injection{Iteration: 3, X: 5, Y: 2, Bit: 60},
 		fault.Injection{Iteration: 3, X: 60, Y: 29, Bit: 59},
 	)
-	c, err := NewCluster(op, init, 1, opt)
+	c, err := NewClusterGrid(op, init, 1, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,11 +449,6 @@ func (t *countingTransport) TryRecv(to int, d Dir) ([]float64, bool) {
 	return data, ok
 }
 
-func (t *countingTransport) RecvEither(to int, d1, d2 Dir) (Dir, []float64) {
-	t.count(&t.recvs)
-	return t.Transport.RecvEither(to, d1, d2)
-}
-
 func (t *countingTransport) Barrier() {
 	t.count(&t.barriers)
 	t.Transport.Barrier()
@@ -477,7 +472,7 @@ func TestClusterCustomTransport(t *testing.T) {
 		ct = &countingTransport{Transport: NewChanTransport[float64](rx, ry, ring)}
 		return ct
 	}
-	c, err := NewCluster(op, init, ranks, opt)
+	c, err := NewClusterGrid(op, init, 1, ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +501,7 @@ func TestClusterOptionsInject(t *testing.T) {
 	opt := strictOpts()
 	// Absolute iteration 7: lands inside the second Run call below.
 	opt.Inject = fault.NewPlan(fault.Injection{Iteration: 7, X: 8, Y: 12, Bit: 60})
-	c, err := NewCluster(op, init, ranks, opt)
+	c, err := NewClusterGrid(op, init, 1, ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

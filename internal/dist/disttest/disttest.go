@@ -6,7 +6,7 @@
 // in all four directions, torus wrap-around and self-exchange degeneracies,
 // the two-phase send-before-receive ordering the halo exchange relies on,
 // the x strip posted one round ahead of the barrier that delivers it,
-// non-blocking and first-of-two receives, the checkpoint side channel,
+// non-blocking receives, the checkpoint side channel,
 // barrier generation ordering, abort, receive timeouts, traffic counters
 // and close.
 //
@@ -42,7 +42,6 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SelfExchange", func(t *testing.T) { selfExchange(t, f) })
 	t.Run("ExchangeOrdering", func(t *testing.T) { exchangeOrdering(t, f) })
 	t.Run("PipelinedSend", func(t *testing.T) { pipelinedSend(t, f) })
-	t.Run("EitherCompletion", func(t *testing.T) { eitherCompletion(t, f) })
 	t.Run("TryRecv", func(t *testing.T) { tryRecv(t, f) })
 	t.Run("Checkpoint", func(t *testing.T) { checkpoint(t, f) })
 	t.Run("BarrierOrdering", func(t *testing.T) { barrierOrdering(t, f) })
@@ -228,8 +227,8 @@ func exchangeOrdering(t *testing.T, f Factory) {
 // round g+1, with nobody receiving. Both Sends must return (two strips
 // outstanding per edge), round g's strip must come out first, and round
 // g+1's must be in the inbox the moment Barrier g releases: a poll right
-// after the barrier finds it, which is what lets the next exchange absorb
-// it into its interior sweep.
+// after the barrier finds it, which is what lets a restore discard it
+// before the next exchange would take it.
 func pipelinedSend(t *testing.T, f Factory) {
 	tr := f(2, 1, false)
 	posted := make(chan struct{})
@@ -267,51 +266,6 @@ func pipelinedSend(t *testing.T, f Factory) {
 		}()
 	}
 	wg.Wait()
-}
-
-// eitherCompletion checks the per-edge completion contract of RecvEither —
-// the overlap schedule's boundary-strip feed: when only one of two
-// directed edges has a pending payload, RecvEither must complete on that
-// edge (not block waiting for the other), and when both are pending, two
-// calls must drain both edges exactly once with each payload arriving
-// under its own direction.
-func eitherCompletion(t *testing.T, f Factory) {
-	tr := f(3, 1, false)
-	// Only the left neighbour has posted: the call must complete on Left.
-	tr.Send(0, dist.Right, []float64{1})
-	if d, got := tr.RecvEither(1, dist.Left, dist.Right); d != dist.Left || len(got) != 1 || got[0] != 1 {
-		t.Fatalf("RecvEither = (%v, %v), want the pending Left edge with payload [1]", d, got)
-	}
-	// The other edge still drains through a plain Recv afterwards.
-	tr.Send(2, dist.Left, []float64{2})
-	if got := tr.Recv(1, dist.Right); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Right edge after RecvEither: %v", got)
-	}
-
-	// Both edges pending: two calls drain both exactly once, payloads
-	// matched to their directions.
-	tr.Send(0, dist.Right, []float64{10})
-	tr.Send(2, dist.Left, []float64{20})
-	want := map[dist.Dir]float64{dist.Left: 10, dist.Right: 20}
-	for i := 0; i < 2; i++ {
-		d, got := tr.RecvEither(1, dist.Left, dist.Right)
-		w, pending := want[d]
-		if !pending || len(got) != 1 || got[0] != w {
-			t.Fatalf("drain call %d: RecvEither = (%v, %v), want one undrained edge of %v", i, d, got, want)
-		}
-		delete(want, d)
-	}
-
-	// The y axis, on a fresh 1x3 chain.
-	trY := f(1, 3, false)
-	trY.Send(2, dist.Up, []float64{3})
-	if d, got := trY.RecvEither(1, dist.Up, dist.Down); d != dist.Down || len(got) != 1 || got[0] != 3 {
-		t.Fatalf("RecvEither = (%v, %v), want the pending Down edge", d, got)
-	}
-	trY.Send(0, dist.Down, []float64{4})
-	if d, got := trY.RecvEither(1, dist.Up, dist.Down); d != dist.Up || len(got) != 1 || got[0] != 4 {
-		t.Fatalf("RecvEither = (%v, %v), want the remaining Up edge", d, got)
-	}
 }
 
 // deliveryDeadline bounds how long a test polls for a strip that a backend
@@ -393,9 +347,9 @@ func recovered(fn func()) (err error) {
 }
 
 // abort parks one rank in each blocking call of a 3x1 chain — Recv,
-// RecvEither, RecvCkpt and Barrier, none of which can complete — and
-// requires Abort to wake all four with the cause: the halo receives and the
-// barrier by panicking with it, the checkpoint receive by returning it.
+// RecvCkpt and Barrier, none of which can complete — and requires Abort to
+// wake all three with the cause: the halo receive and the barrier by
+// panicking with it, the checkpoint receive by returning it.
 // Later calls fail the same way, and a second Abort does not replace the
 // cause.
 func abort(t *testing.T, f Factory) {
@@ -406,7 +360,6 @@ func abort(t *testing.T, f Factory) {
 		fn   func() error
 	}{
 		{"Recv", func() error { return recovered(func() { tr.Recv(0, dist.Right) }) }},
-		{"RecvEither", func() error { return recovered(func() { tr.RecvEither(1, dist.Left, dist.Right) }) }},
 		{"RecvCkpt", func() error { _, _, err := tr.RecvCkpt(2, dist.Left); return err }},
 		{"Barrier", func() error { return recovered(tr.Barrier) }},
 	}
@@ -437,7 +390,7 @@ func abort(t *testing.T, f Factory) {
 }
 
 // recvTimeout starves each blocking receive under a short receive timeout:
-// the halo receives must panic with a *dist.Fault of class ClassTimeout
+// the halo receive must panic with a *dist.Fault of class ClassTimeout
 // naming the starved rank, the checkpoint receive must return an error —
 // never a hang.
 func recvTimeout(t *testing.T, f Factory) {
@@ -508,17 +461,12 @@ func (m muteRank0) Send(from int, d dist.Dir, data []float64) {
 
 // starve blocks on rank 1's receives of a 3x1 chain nobody sends on.
 func starve(t *testing.T, tr dist.Transport[float64]) {
-	for name, fn := range map[string]func(){
-		"Recv":       func() { tr.Recv(1, dist.Left) },
-		"RecvEither": func() { tr.RecvEither(1, dist.Left, dist.Right) },
-	} {
-		var fault *dist.Fault
-		if err := recovered(fn); !errors.As(err, &fault) {
-			t.Fatalf("starved %s ended with %v, want a *dist.Fault", name, err)
-		}
-		if fault.Class != dist.ClassTimeout || fault.Rank != 1 {
-			t.Fatalf("starved %s classified as %v for rank %d, want %v for rank 1: %v", name, fault.Class, fault.Rank, dist.ClassTimeout, fault)
-		}
+	var fault *dist.Fault
+	if err := recovered(func() { tr.Recv(1, dist.Left) }); !errors.As(err, &fault) {
+		t.Fatalf("starved Recv ended with %v, want a *dist.Fault", err)
+	}
+	if fault.Class != dist.ClassTimeout || fault.Rank != 1 {
+		t.Fatalf("starved Recv classified as %v for rank %d, want %v for rank 1: %v", fault.Class, fault.Rank, dist.ClassTimeout, fault)
 	}
 	if _, _, err := tr.RecvCkpt(1, dist.Left); err == nil {
 		t.Fatal("starved RecvCkpt returned no error")

@@ -28,17 +28,17 @@ func TestEdgeBoxPoisonConcurrentDeath(t *testing.T) {
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			_, _, err := boxWait(5*time.Second, "the halo strip", box, box.halo, nil, nil)
+			_, err := boxWait(5*time.Second, "the halo strip", box, box.halo)
 			errs <- err
 		}()
 		go func() {
 			defer wg.Done()
-			_, _, err := boxWait(5*time.Second, "the barrier token", box, box.tok, nil, nil)
+			_, err := boxWait(5*time.Second, "the barrier token", box, box.tok)
 			errs <- err
 		}()
 		go func() {
 			defer wg.Done()
-			_, _, err := boxWait(5*time.Second, "the buddy checkpoint", box, box.ck, nil, nil)
+			_, err := boxWait(5*time.Second, "the buddy checkpoint", box, box.ck)
 			errs <- err
 		}()
 	}

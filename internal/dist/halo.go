@@ -81,19 +81,12 @@ func (r *rank[T]) fillSideHaloRows(left bool, y0, y1 int) {
 // fillEdgeHalo synthesises the ghost rows beyond the global domain's y edge
 // at full extended width by applying the global boundary condition
 // row-wise. Copying the whole extended source row — x halos included — is
-// what keeps the corner ghosts exact: the value at (ghost x, ghost y) becomes the x-resolved value of the y-resolved row,
-// i.e. both axes resolve independently, matching grid.BoundedGrid.
-// Refreshing these rows every iteration is what keeps the tile
-// interpolation exact at the domain edge.
+// what keeps the corner ghosts exact: the value at (ghost x, ghost y)
+// becomes the x-resolved value of the y-resolved row, i.e. both axes
+// resolve independently, matching grid.BoundedGrid. Refreshing these rows
+// every iteration is what keeps the tile interpolation exact at the domain
+// edge.
 func (r *rank[T]) fillEdgeHalo(top bool) {
-	r.fillEdgeHaloCols(top, 0, r.nxLoc+2*r.hx)
-}
-
-// fillEdgeHaloCols is fillEdgeHalo restricted to the extended-frame
-// column segment [x0, x1) — the overlap schedule uses it to refresh just
-// the halo-column corners of the ghost rows after an inbound x strip
-// rewrites the columns the full-width fill copied from.
-func (r *rank[T]) fillEdgeHaloCols(top bool, x0, x1 int) {
 	ext := r.buf.Read
 	for j := 0; j < r.hy; j++ {
 		var gy, row int // global ghost row and its extended-frame index
@@ -104,7 +97,7 @@ func (r *rank[T]) fillEdgeHaloCols(top bool, x0, x1 int) {
 			gy = r.tile.Y1 + j
 			row = r.hiY() + j
 		}
-		dst := ext.Row(row)[x0:x1]
+		dst := ext.Row(row)
 		ry, ok := r.globalBC.ResolveIndex(gy, r.globalNy)
 		if !ok {
 			v := T(0)
@@ -116,6 +109,6 @@ func (r *rank[T]) fillEdgeHaloCols(top bool, x0, x1 int) {
 			}
 			continue
 		}
-		copy(dst, ext.Row(r.loY() + ry - r.tile.Y0)[x0:x1])
+		copy(dst, ext.Row(r.loY()+ry-r.tile.Y0))
 	}
 }

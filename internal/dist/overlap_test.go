@@ -2,7 +2,9 @@ package dist
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"stencilabft/internal/fault"
 	"stencilabft/internal/grid"
@@ -85,9 +87,8 @@ func TestClusterDepthKSplitRuns(t *testing.T) {
 }
 
 // TestClusterDepthKTCP runs the depth-k schedule over the real TCP
-// backend (single-process loopback) — the per-edge completion path of
-// TCPTransport.RecvEither feeding the boundary-strip sweeps — and demands
-// bit-identity with the reference.
+// backend (single-process loopback) and demands bit-identity with the
+// reference.
 func TestClusterDepthKTCP(t *testing.T) {
 	const nx, ny, iters = 33, 40, 8
 	op := &stencil.Op2D[float64]{St: stencil.BoxBlur[float64](), BC: grid.Clamp}
@@ -172,10 +173,9 @@ func TestClusterDepthKCounters(t *testing.T) {
 	}
 }
 
-// TestClusterThinTileStrips forces the degenerate strip geometry: a
-// radius-2 star kernel over tiles only 3 points wide, where left and
-// right boundary strips would overlap and the schedule must fall back to
-// receiving both halos before sweeping the merged strip. Still bit-exact.
+// TestClusterThinTileStrips runs a radius-2 star kernel over tiles only 3
+// points wide, narrower than the two halo strips that feed them. Still
+// bit-exact.
 func TestClusterThinTileStrips(t *testing.T) {
 	st := &stencil.Stencil[float64]{Name: "star-r2", Points: []stencil.Point[float64]{
 		{DX: 0, DY: 0, W: 0.4},
@@ -191,8 +191,7 @@ func TestClusterThinTileStrips(t *testing.T) {
 			init := testInit(nx, ny)
 			want := reference(t, op, init, iters)
 
-			// 4 columns x 4 rows of 3-wide, 3-tall tiles: 3 < 2*radius,
-			// so both axes take the merged-strip path.
+			// 4 columns x 4 rows of 3-wide, 3-tall tiles: 3 < 2*radius.
 			c, err := NewClusterGrid(op, init, 4, 4, strictOpts())
 			if err != nil {
 				t.Fatal(err)
@@ -203,6 +202,60 @@ func TestClusterThinTileStrips(t *testing.T) {
 				t.Fatalf("thin-tile cluster deviates from reference by %g", diff)
 			}
 		})
+	}
+}
+
+// lateRecv delays every halo receive before it reaches the backend, so
+// senders run ahead of their receivers.
+type lateRecv struct{ Transport[float64] }
+
+func (l lateRecv) Recv(to int, d Dir) []float64 {
+	time.Sleep(200 * time.Microsecond)
+	return l.Transport.Recv(to, d)
+}
+
+// TestClusterLateStrips runs a 2x2 box-kernel grid whose tiles are one
+// column wider than the halo, so a tile's two x strips overlap in all but
+// one column, with each receive held back: the gathered grid must be bit-identical to
+// the single-process reference and every counter equal to the prompt run's,
+// at depth 1 and 2, on both backends.
+func TestClusterLateStrips(t *testing.T) {
+	const ny, iters = 10, 9
+	op := &stencil.Op2D[float64]{St: stencil.BoxBlur[float64](), BC: grid.Clamp}
+	for _, tcp := range []bool{false, true} {
+		for _, depth := range []int{1, 2} {
+			t.Run(fmt.Sprintf("tcp=%v/depth=%d", tcp, depth), func(t *testing.T) {
+				init := testInit(2*(depth*op.St.RadiusX()+1), ny)
+				want := reference(t, op, init, iters)
+				run := func(late bool) Stats {
+					opt := strictOpts()
+					opt.HaloDepth = depth
+					if tcp {
+						opt.NewTransport = func(rx, ry int, ring bool) Transport[float64] {
+							return newLoopbackTCP(t, rx, ry, ring)
+						}
+					}
+					if late {
+						opt.WrapTransport = func(tr Transport[float64], _, _ int, _ bool) Transport[float64] {
+							return lateRecv{tr}
+						}
+					}
+					c, err := NewClusterGrid(op, init, 2, 2, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					c.Run(iters)
+					if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
+						t.Fatalf("late=%v: cluster deviates from the reference by %g", late, diff)
+					}
+					return c.Stats()
+				}
+				if prompt, late := run(false), run(true); !reflect.DeepEqual(prompt, late) {
+					t.Fatalf("late strips changed the counters:\nprompt %+v\nlate   %+v", prompt, late)
+				}
+			})
+		}
 	}
 }
 
@@ -258,12 +311,26 @@ func TestClusterRunAllocs(t *testing.T) {
 		t.Errorf("steady-state Run(1) allocates %.1f times per call, want 0", avg)
 	}
 
+	// With a receive timeout set, a Recv whose strip has already arrived
+	// arms no timer, and one that waits re-arms its rank's.
+	opt := strictOpts()
+	opt.RecvTimeout = time.Minute
+	cto, err := NewClusterGrid(op, testInit(nx, ny), 2, 2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cto.Close()
+	cto.Run(2)
+	if avg := testing.AllocsPerRun(10, func() { cto.Run(1) }); avg != 0 {
+		t.Errorf("steady-state Run(1) with a receive timeout allocates %.1f times per call, want 0", avg)
+	}
+
 	// The same cluster over loopback sockets: wire buffers recycle through
 	// each edge's resend window (so the warm-up must fill it: 64 frames, a
 	// strip and a token per step), decoded strips through the reader's
 	// rotation, receive deadlines through one timer a box. The target is 0;
 	// the bound leaves room for a timer the runtime re-allocates.
-	opt := strictOpts()
+	opt = strictOpts()
 	opt.NewTransport = func(rx, ry int, ring bool) Transport[float64] {
 		tr, err := NewTCPTransport[float64](TCPConfig{RanksX: rx, RanksY: ry, Ring: ring})
 		if err != nil {

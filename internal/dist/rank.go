@@ -12,8 +12,8 @@ import (
 // the global domain stored in a ghost-padded local double buffer (hx halo
 // columns left and right, hy halo rows above and below, corners included),
 // protected by the online ABFT scheme: the tile is a core.Chunk of the
-// extended frame, and the rank is that chunk plus the exchange and the
-// sweep schedule (overlap.go). The historical row band is the full-width
+// extended frame, and the rank is that chunk plus the halo exchange and the
+// sweep (overlap.go). The historical row band is the full-width
 // tile of a 1-D (RanksX == 1) rank grid — same code path. All of a rank's
 // state is touched only by its own goroutine; neighbour data arrives as
 // copies through channels.
@@ -45,11 +45,6 @@ type rank[T num.Float] struct {
 	resweepFn func(z, y int) T
 	pool      *stencil.Pool
 
-	// Rows [segY0, segY1) of this iteration's ch.NewB were composed from
-	// the x segments split at segX0 and segX1 (combineRowChecksums); every
-	// other row was summed in one pass. See rowChecksum.
-	segX0, segX1, segY0, segY1 int
-
 	// halo plumbing: the cluster's transport; a missing neighbour (domain
 	// edge under non-periodic boundaries) is resolved from the global
 	// boundary condition instead.
@@ -72,14 +67,6 @@ type rank[T num.Float] struct {
 	// are already out (prePost) — and, every rank deciding alike, that its
 	// neighbours' are in its inbox — so that iteration must not post again.
 	posted bool
-
-	// stripBL/stripBR hold the boundary strips' per-row checksum segments,
-	// fused by the strip sweeps in the extended y frame so
-	// combineRowChecksums folds contiguous scratch instead of re-reading
-	// the strided edge columns of dst. Only valid for rows the current
-	// iteration's strip sweeps covered, and only when the strip spanned
-	// tile columns exclusively (zero depth-k margin on that side).
-	stripBL, stripBR []T
 
 	stats Stats
 	// tel times the rank's phases; nil (telemetry disabled) makes every
@@ -113,8 +100,6 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 		globalNy: init.Ny(),
 		sendL:    [2][]T{make([]T, hx*nyLoc), make([]T, hx*nyLoc)},
 		sendR:    [2][]T{make([]T, hx*nyLoc), make([]T, hx*nyLoc)},
-		stripBL:  make([]T, extNy),
-		stripBR:  make([]T, extNy),
 	}
 	for y := 0; y < nyLoc; y++ {
 		copy(r.buf.Read.Row(hy + y)[hx:hx+nxLoc], init.Row(t.Y0 + y)[t.X0:t.X1])

@@ -86,9 +86,6 @@ func NewCluster3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], nRanks
 	return c, nil
 }
 
-// Slab returns the global layer range [z0, z1) owned by rank i.
-func (c *Cluster3D[T]) Slab(i int) (z0, z1 int) { return c.slabs[i].z0, c.slabs[i].z1 }
-
 // Gather reassembles the global domain from the ranks' current slab states.
 // Call it between Run calls, never concurrently with one.
 func (c *Cluster3D[T]) Gather() *grid.Grid3D[T] {

@@ -16,19 +16,15 @@ import (
 // read buffer, whose halos still hold iteration t, so the cluster ends
 // bit-identical to the fault-free run.
 //
-// The verified checksums need care to state. A tile rank's entry for a row
-// is a sum of the row's x segments, and which rows were segmented in an
-// iteration depends on which halos had already arrived — round-off that
-// never reaches the grid and differs between two fault-free runs. What is
-// fixed is that every entry is the row of the (bit-identical) grid summed
-// the way that iteration's sweep composed it; checkRowChecksums holds every
-// rank to that after every step, clean or repaired, which also pins
-// rowChecksum to combineRowChecksums.
+// The verified checksums are pinned as tightly: every entry is its row of
+// the (bit-identical) grid summed left to right, the way the fused sweep
+// sums it; checkRowChecksums holds every rank to that after every step,
+// clean or repaired.
 
 func checkRowChecksums(r *rank[float64]) error {
 	for y := r.loY(); y < r.hiY(); y++ {
 		if got, want := r.ch.PrevB[0][y], r.rowChecksum(r.buf.Read, y); !num.SameBits(got, want) {
-			return fmt.Errorf("rank %d row %d: verified checksum %v, the row as the sweep composed it sums to %v", r.id, y, got, want)
+			return fmt.Errorf("rank %d row %d: verified checksum %v, the row sums to %v", r.id, y, got, want)
 		}
 	}
 	return nil

@@ -38,7 +38,7 @@ func (t *TCPTransport[T]) exchangeTokens(gen uint32) error {
 				if !ok {
 					continue
 				}
-				tok, _, err := boxWait(t.ioDur(), "the barrier token", box, box.tok, nil, nil)
+				tok, err := boxWait(t.ioDur(), "the barrier token", box, box.tok)
 				if err != nil {
 					return &Fault{Rank: id, Dir: d, Peer: t.peerOf(id, d), Gen: int(gen), Barrier: true, Class: classOf(err),
 						Err: fmt.Errorf("round %d/%d: %w", round, t.rounds, err)}

@@ -138,57 +138,36 @@ func (b *edgeBox[T]) heartbeatGap(seq uint32) error {
 }
 
 // boxWait is the socket backend's one blocking wait, shared by halo,
-// checkpoint and barrier-token receives: c1 is the queue to drain on b1,
-// and c2 the same queue on b2 when the caller accepts whichever of two
-// edges delivers first (both nil otherwise). It returns the next queued
-// value — second reports that it came from b2 — or, naming the edge that
-// failed the same way, the error that poisoned it; a positive timeout
-// expiring is a ClassTimeout error naming what was awaited. A value
-// enqueued before its edge died is still delivered.
-func boxWait[T num.Float, V any](timeout time.Duration, what string, b1 *edgeBox[T], c1 <-chan V, b2 *edgeBox[T], c2 <-chan V) (v V, second bool, err error) {
+// checkpoint and barrier-token receives: c is the queue to drain on b. It
+// returns the next queued value or the error that poisoned the edge; a
+// positive timeout expiring is a ClassTimeout error naming what was
+// awaited. A value enqueued before its edge died is still delivered.
+func boxWait[T num.Float, V any](timeout time.Duration, what string, b *edgeBox[T], c <-chan V) (v V, err error) {
 	select {
-	case v = <-c1:
-		return v, false, nil
+	case v = <-c:
+		return v, nil
 	default:
-	}
-	var done2 <-chan struct{}
-	if b2 != nil {
-		select {
-		case v = <-c2:
-			return v, true, nil
-		default:
-		}
-		done2 = b2.done
 	}
 	var expire <-chan time.Time
 	if timeout > 0 {
 		// Re-arming is clean: go.mod's go 1.24 selects the timer channels
 		// that hold no stale tick after Stop or Reset.
-		b1.expire.Reset(timeout)
-		defer b1.expire.Stop()
-		expire = b1.expire.C
+		b.expire.Reset(timeout)
+		defer b.expire.Stop()
+		expire = b.expire.C
 	}
 	select {
-	case v = <-c1:
-		return v, false, nil
-	case v = <-c2:
-		return v, true, nil
-	case <-b1.done:
+	case v = <-c:
+		return v, nil
+	case <-b.done:
 		select {
-		case v = <-c1:
-			return v, false, nil
+		case v = <-c:
+			return v, nil
 		default:
-			return v, false, b1.cause()
-		}
-	case <-done2:
-		select {
-		case v = <-c2:
-			return v, true, nil
-		default:
-			return v, true, b2.cause()
+			return v, b.cause()
 		}
 	case <-expire:
-		return v, false, &classedError{class: ClassTimeout,
+		return v, &classedError{class: ClassTimeout,
 			err: fmt.Errorf("timed out after %v waiting for %s", timeout, what)}
 	}
 }

@@ -377,7 +377,7 @@ func (t *TCPTransport[T]) Recv(to int, d Dir) []T {
 // recv is Recv with the *Fault returned instead of raised.
 func (t *TCPTransport[T]) recv(to int, d Dir) ([]T, error) {
 	box := t.box("Recv", to, d)
-	data, _, err := boxWait(t.ioDur(), "the halo strip", box, box.halo, nil, nil)
+	data, err := boxWait(t.ioDur(), "the halo strip", box, box.halo)
 	if err != nil {
 		return nil, t.fault(to, d, err)
 	}
@@ -396,23 +396,6 @@ func (t *TCPTransport[T]) TryRecv(to int, d Dir) ([]T, bool) {
 	default:
 		return nil, false
 	}
-}
-
-// RecvEither returns the first halo strip to arrive from either direction
-// d1 or d2 — the per-edge completion notification the overlap schedule
-// sweeps boundary strips by. Like Recv, a transport fault is fatal and
-// panics with a *Fault naming the direction whose edge failed.
-func (t *TCPTransport[T]) RecvEither(to int, d1, d2 Dir) (Dir, []T) {
-	b1, b2 := t.box("RecvEither", to, d1), t.box("RecvEither", to, d2)
-	data, second, err := boxWait(t.ioDur(), "either halo strip", b1, b1.halo, b2, b2.halo)
-	d := d1
-	if second {
-		d = d2
-	}
-	if err != nil {
-		panic(t.fault(to, d, err))
-	}
-	return d, data
 }
 
 // peerOf names the geometric neighbour behind rank to's inbound edge d, or
@@ -440,7 +423,7 @@ func (t *TCPTransport[T]) SendCkpt(from int, d Dir, gen int, data []T) {
 // resilience layer, which handles its own errors.
 func (t *TCPTransport[T]) RecvCkpt(to int, d Dir) ([]T, int, error) {
 	box := t.box("RecvCkpt", to, d)
-	p, _, err := boxWait(t.ioDur(), "the buddy checkpoint", box, box.ck, nil, nil)
+	p, err := boxWait(t.ioDur(), "the buddy checkpoint", box, box.ck)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: ckpt recv for rank %d from %v: %w", to, d, err)
 	}

@@ -61,7 +61,7 @@ func (d Dir) Opposite() Dir {
 // (rank ids row-major, id = cy*ranksX + cx — the Decomp convention) and
 // separates exchange rounds with a barrier — exactly the subset of MPI a
 // bulk-synchronous stencil code needs (MPI_Cart_create neighbours,
-// Isend/Irecv/Waitany of boundary strips, MPI_Barrier). This is the whole
+// Isend/Irecv of boundary strips, MPI_Barrier). This is the whole
 // contract, stated once: ChanTransport (the default) and TCPTransport
 // implement all of it, a wrapper (counting, chaos injection) embeds the
 // Transport it wraps and overrides only the calls it intercepts, disttest
@@ -70,14 +70,14 @@ func (d Dir) Opposite() Dir {
 //
 // Phase ordering. An exchange round is the traffic of one exchange
 // iteration, and Barrier g closes round g. For each round a rank performs
-// at most one Send and one receive (Recv, a successful TryRecv, or its half
-// of a RecvEither) per direction, in two phases — first Left/Right (packed
-// boundary columns), then Up/Down (full extended-width boundary rows, which
-// thread the corner data received in the first phase to the diagonal
-// neighbours). The x-phase is pipelined: a rank may post its Left/Right
-// strips of round g+1 before it enters Barrier g, as soon as they are final,
-// and the neighbour receives them after that barrier, FIFO behind round g's
-// strip on the same edge. So up to two strips are outstanding on an x edge —
+// at most one Send and one receive (Recv, or a successful TryRecv) per
+// direction, in two phases — first Left/Right (packed boundary columns),
+// then Up/Down (full extended-width boundary rows, which thread the corner
+// data received in the first phase to the diagonal neighbours). The
+// x-phase is pipelined: a rank may post its Left/Right strips of round g+1
+// before it enters Barrier g, as soon as they are final, and the
+// neighbour receives them after that barrier, FIFO behind round g's strip
+// on the same edge. So up to two strips are outstanding on an x edge —
 // round g+1's, and round g+2's from a neighbour already through round g+1 —
 // and Send blocks on neither: the non-blocking Isend schedule that keeps the
 // exchange deadlock-free in any rank order. The Up/Down sends of a round
@@ -96,9 +96,9 @@ func (d Dir) Opposite() Dir {
 // copies it out first.
 //
 // Failure. Halo traffic fails fatally, MPI_ERRORS_ARE_FATAL style, since no
-// iteration can complete without its neighbours: Recv and RecvEither panic
-// with a *Fault (abort cause, timeout or dead edge), Barrier panics with an
-// error, and Cluster.RunRecover turns either back into a returned error.
+// iteration can complete without its neighbours: Recv panics with a *Fault
+// (abort cause, timeout or dead edge), Barrier panics with an error, and
+// Cluster.RunRecover turns either back into a returned error.
 // TryRecv never fails — a faulted edge reports (nil, false) and surfaces on
 // the blocking receive that follows. Checkpoint traffic belongs to the
 // resilience layer, which handles its own errors: RecvCkpt returns them.
@@ -114,14 +114,10 @@ type Transport[T num.Float] interface {
 	Recv(to int, d Dir) []T
 	// TryRecv is the non-blocking Recv: (strip, true) when the strip is
 	// already queued, consuming it exactly as Recv would (same FIFO);
-	// (nil, false) otherwise. A strip already present has no latency left
-	// to hide, so the overlap schedule folds it into the interior sweep.
+	// (nil, false) otherwise. A rank that restores or rebases its state
+	// discards with it the strips its neighbours pre-posted for an
+	// iteration that will not run (dropPosted).
 	TryRecv(to int, d Dir) ([]T, bool)
-	// RecvEither blocks for the strip from either of two distinct
-	// directions of one phase and returns whichever lands first, so the
-	// rank sweeps that boundary strip while the other is still in flight.
-	// The remaining direction is received with Recv.
-	RecvEither(to int, d1, d2 Dir) (Dir, []T)
 	// SendCkpt posts rank from's packed buddy snapshot, stamped with the
 	// checkpoint iteration gen, toward direction d. Snapshots ride the halo
 	// edges but queue apart from the strips, so they never perturb the halo
@@ -133,10 +129,9 @@ type Transport[T num.Float] interface {
 	// Barrier blocks until every rank has arrived — the lockstep that keeps
 	// halo data exactly one exchange round fresh.
 	Barrier()
-	// Abort fails every pending and future Recv, RecvEither, RecvCkpt and
-	// Barrier with cause — how one rank's fault unwinds its siblings so a
-	// tolerant run returns instead of hanging. Idempotent; the first cause
-	// wins.
+	// Abort fails every pending and future Recv, RecvCkpt and Barrier
+	// with cause — how one rank's fault unwinds its siblings so a tolerant
+	// run returns instead of hanging. Idempotent; the first cause wins.
 	Abort(cause error)
 	// SetRecvTimeout bounds every subsequent blocking receive, so a stalled
 	// peer surfaces as a ClassTimeout fault instead of a hang; <= 0 waits
@@ -201,9 +196,13 @@ type ChanTransport[T num.Float] struct {
 // edgeRounds is one rank's round accounting per direction: the strips it
 // has sent, lost ones included, the strips it has received, and the fault a
 // TryRecv found on the edge, for the blocking receive after it to raise.
+// expire bounds the rank's blocking waits (chanWait): a rank waits on one
+// edge at a time, so one timer, re-armed per wait, serves them all without
+// an allocation; nil until SetRecvTimeout sets a positive timeout.
 type edgeRounds struct {
 	sent, got [NumDirs]int
 	lost      [NumDirs]error
+	expire    *time.Timer
 }
 
 // strip is one halo strip in flight and its round on the edge.
@@ -301,7 +300,15 @@ func NewChanTransport[T num.Float](ranksX, ranksY int, ring bool) *ChanTransport
 
 // SetRecvTimeout bounds every subsequent receive wait (<= 0 waits forever,
 // the default) — the channel backend's analogue of TCPConfig.IOTimeout.
-func (t *ChanTransport[T]) SetRecvTimeout(d time.Duration) { t.recvTimeout = d }
+func (t *ChanTransport[T]) SetRecvTimeout(d time.Duration) {
+	t.recvTimeout = d
+	for i := range t.rounds {
+		if d > 0 && t.rounds[i].expire == nil {
+			t.rounds[i].expire = time.NewTimer(d)
+			t.rounds[i].expire.Stop()
+		}
+	}
+}
 
 // Neighbor reports whether rank id has a neighbour in direction d.
 func (t *ChanTransport[T]) Neighbor(id int, d Dir) bool {
@@ -319,32 +326,38 @@ func (t *ChanTransport[T]) peer(call string, id int, d Dir) int {
 	return nb
 }
 
-// chanWait is the channel backend's one blocking wait, shared by every
-// receive: it returns the first value to arrive on c1 or c2 (c2 may be nil;
-// second reports which), the abort cause once the transport is aborted, or a
-// ClassTimeout error naming what it waited for after the receive timeout.
-func chanWait[T num.Float, V any](t *ChanTransport[T], what string, c1, c2 <-chan V) (v V, second bool, err error) {
+// chanWait is the channel backend's one blocking wait, shared by rank to's
+// receives: it returns the next value on c, the abort cause once the
+// transport is aborted, or a ClassTimeout error naming what it waited for
+// after the receive timeout. A value already queued is taken before the
+// rank's timer is armed.
+func chanWait[T num.Float, V any](t *ChanTransport[T], to int, what string, c <-chan V) (v V, err error) {
+	select {
+	case v = <-c:
+		return v, nil
+	default:
+	}
 	var expire <-chan time.Time
-	if t.recvTimeout > 0 {
-		tm := time.NewTimer(t.recvTimeout)
+	if tm := t.rounds[to].expire; t.recvTimeout > 0 {
+		// Re-arming is clean: go.mod's go 1.24 selects the timer channels
+		// that hold no stale tick after Stop or Reset.
+		tm.Reset(t.recvTimeout)
 		defer tm.Stop()
 		expire = tm.C
 	}
 	select {
-	case v = <-c1:
-		return v, false, nil
-	case v = <-c2:
-		return v, true, nil
+	case v = <-c:
+		return v, nil
 	case <-t.quit:
-		return v, false, t.abortErr
+		return v, t.abortErr
 	case <-expire:
-		return v, false, &classedError{class: ClassTimeout,
+		return v, &classedError{class: ClassTimeout,
 			err: fmt.Errorf("timed out after %v waiting for %s", t.recvTimeout, what)}
 	}
 }
 
 // fault wraps a failed halo wait of rank to on its edge d as the *Fault
-// Recv and RecvEither panic with.
+// Recv panics with.
 func (t *ChanTransport[T]) fault(to int, d Dir, nb int, err error) *Fault {
 	return &Fault{Rank: to, Dir: d, Peer: nb, Gen: t.bar.generation(), Class: classOf(err), Err: err}
 }
@@ -373,7 +386,7 @@ func (t *ChanTransport[T]) Recv(to int, d Dir) []T {
 	if err := t.rounds[to].lost[d]; err != nil {
 		panic(t.fault(to, d, nb, err))
 	}
-	s, _, err := chanWait(t, "the halo strip", t.ch[d.Opposite()][nb], nil)
+	s, err := chanWait(t, to, "the halo strip", t.ch[d.Opposite()][nb])
 	if err == nil {
 		err = t.take(to, d, s)
 	}
@@ -417,32 +430,6 @@ func (t *ChanTransport[T]) TryRecv(to int, d Dir) ([]T, bool) {
 	}
 }
 
-// RecvEither returns the first strip to arrive from either direction d1 or
-// d2.
-func (t *ChanTransport[T]) RecvEither(to int, d1, d2 Dir) (Dir, []T) {
-	nb1, nb2 := t.peer("RecvEither", to, d1), t.peer("RecvEither", to, d2)
-	for _, e := range [2]struct {
-		d  Dir
-		nb int
-	}{{d1, nb1}, {d2, nb2}} {
-		if err := t.rounds[to].lost[e.d]; err != nil {
-			panic(t.fault(to, e.d, e.nb, err))
-		}
-	}
-	s, second, err := chanWait(t, "either halo strip", t.ch[d1.Opposite()][nb1], t.ch[d2.Opposite()][nb2])
-	if err != nil {
-		panic(t.fault(to, d1, nb1, err))
-	}
-	d, nb := d1, nb1
-	if second {
-		d, nb = d2, nb2
-	}
-	if err := t.take(to, d, s); err != nil {
-		panic(t.fault(to, d, nb, err))
-	}
-	return d, s.data
-}
-
 // SendCkpt posts rank from's buddy snapshot toward direction d.
 func (t *ChanTransport[T]) SendCkpt(from int, d Dir, gen int, data []T) {
 	t.em.sent(d, from, len(data)*int(elemSize[T]()))
@@ -456,7 +443,7 @@ func (t *ChanTransport[T]) SendCkpt(from int, d Dir, gen int, data []T) {
 // direction d, with its iteration stamp.
 func (t *ChanTransport[T]) RecvCkpt(to int, d Dir) ([]T, int, error) {
 	nb := t.peer("RecvCkpt", to, d)
-	p, _, err := chanWait(t, "the buddy checkpoint", t.ck[d.Opposite()][nb], nil)
+	p, err := chanWait(t, to, "the buddy checkpoint", t.ck[d.Opposite()][nb])
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: ckpt recv for rank %d from %v: %w", to, d, err)
 	}

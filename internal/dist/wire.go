@@ -89,7 +89,6 @@ const (
 // traffic with the same magic/version checks. These exports are that
 // package's surface; the halo data path keeps using the unexported kinds.
 const (
-	FrameCkpt  = frameCkpt
 	FrameDead  = frameDead
 	FrameClaim = frameClaim
 	FrameState = frameState

@@ -84,8 +84,9 @@ type Timing struct {
 	RecoverWaitNs int64 // stalled between fault detection and the recovery plan
 	RestoreNs     int64 // rebuilding transport and restoring checkpointed state
 
-	// Overlap-schedule phases; all zero on deployments that run the
-	// sequential exchange-then-sweep schedule.
+	// The retired overlap schedule's phases: no rank records them any
+	// more, so they read zero (telemetry.PhaseInteriorSweep has why they
+	// are still here).
 	InteriorSweepNs int64 // halo-independent interior swept while halos are in flight
 	BoundaryWaitNs  int64 // blocked waiting for the next boundary strip's halo
 	BoundarySweepNs int64 // sweeping boundary strips after their halos landed

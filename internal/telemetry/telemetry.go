@@ -83,18 +83,14 @@ const (
 	// counter back.
 	PhaseRestore
 
-	// PhaseInteriorSweep is the overlap schedule's interior sweep: the
-	// halo-independent region swept while halo strips are still in
-	// flight. Time here is computation successfully hidden behind
-	// communication.
+	// PhaseInteriorSweep, PhaseBoundaryWait and PhaseBoundarySweep timed
+	// the retired overlap schedule's interior sweep, its waits for a
+	// boundary strip's halo and its boundary-strip sweeps. No rank records
+	// them any more — a tile rank takes every halo in (PhaseRecvWait) and
+	// then sweeps once (PhaseSweep) — so they always read zero; they stay
+	// declared only because the benchmark still reads their Timing fields.
 	PhaseInteriorSweep
-	// PhaseBoundaryWait is blocking until the next boundary strip's halo
-	// lands under the overlap schedule — the residual, un-hidden part of
-	// PhaseRecvWait. A rank whose interior sweep outlasts its halo
-	// round-trips shows ~zero here.
 	PhaseBoundaryWait
-	// PhaseBoundarySweep is sweeping a boundary strip after its halo
-	// landed (including the checksum post-pass that re-fuses split rows).
 	PhaseBoundarySweep
 
 	// NumPhases sizes per-phase tables.
