@@ -551,6 +551,7 @@ func runProcess(c config, p plan) error {
 	// whenever an observability sink wants it; runs without -trace/-metrics
 	// build with a nil collector and pay nothing.
 	spec.Pool = abft.NewPool()
+	defer spec.Pool.Close()
 	if c.trace != "" || c.metricsAddr != "" {
 		spec.Telemetry = abft.NewTelemetry(0)
 	}

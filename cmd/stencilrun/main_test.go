@@ -14,13 +14,14 @@ import (
 	"testing"
 
 	abft "stencilabft"
+	"stencilabft/internal/leakcheck"
 	"stencilabft/internal/serve"
 	"stencilabft/internal/telemetry"
 )
 
 // TestMain lets this test binary double as a -launch child: re-exec'd with
 // STENCILRUN_WORKER=1 it serves the worker protocol on stdin/stdout, as
-// stencilrun -worker does.
+// stencilrun -worker does. Otherwise it runs the tests under leakcheck.
 func TestMain(m *testing.M) {
 	if os.Getenv("STENCILRUN_WORKER") == "1" {
 		if err := serve.WorkerMain(os.Stdin, os.Stdout); err != nil {
@@ -29,7 +30,7 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	}
-	os.Exit(m.Run())
+	leakcheck.Main(m)
 }
 
 // TestLaunch drives the -launch parent over real rank processes on a 2x2

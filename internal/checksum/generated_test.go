@@ -88,9 +88,12 @@ func genStencil[T num.Float](rng *rand.Rand, is3D bool) *stencil.Stencil[T] {
 // The mirror cases draw what compiles a mirror pair (interpTerm), which the
 // drawn stencils almost never do: FivePoint or NinePoint with random weights
 // under Clamp or Mirror, over a rectangle whose sums span the frame along
-// one axis or both. FivePoint under Clamp must compile a pair; NinePoint,
-// whose points at one offset are not consecutive, and Mirror, which enters
-// line 1 where the other side leaves line 0, must not.
+// one axis or both. FivePoint under Clamp must compile a pair on each axis
+// whose sums span the frame; NinePoint, whose points at one offset are not
+// consecutive, and Mirror, which enters line 1 where the other side leaves
+// line 0, must not. The same stencils over a tile in a frame, where α reads
+// halo lines, and over an edge block, whose run ends at resolved rows, hold
+// the terms that do not pair to the same reference.
 func TestInterpolateGenerated(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -100,21 +103,25 @@ func TestInterpolateGenerated(t *testing.T) {
 			case seed%2 == 0 && is3D:
 				interpGenerated3D[float32](t, rng, 1e-5)
 			case seed%2 == 0:
-				interpGenerated2D[float32](t, rng, 1e-5, false)
+				interpGenerated2D[float32](t, rng, 1e-5, "")
 			case is3D:
 				interpGenerated3D[float64](t, rng, 1e-12)
 			default:
-				interpGenerated2D[float64](t, rng, 1e-12, false)
+				interpGenerated2D[float64](t, rng, 1e-12, "")
 			}
 		})
 	}
-	for seed := int64(0); seed < 160; seed++ {
+	for seed := int64(0); seed < 320; seed++ {
 		t.Run(fmt.Sprint("mirror/", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
+			geometry := "spanning block"
+			if seed >= 160 {
+				geometry = []string{"tile in a frame", "edge block"}[seed%4/2]
+			}
 			if seed%2 == 0 {
-				interpGenerated2D[float32](t, rng, 1e-5, true)
+				interpGenerated2D[float32](t, rng, 1e-5, geometry)
 			} else {
-				interpGenerated2D[float64](t, rng, 1e-12, true)
+				interpGenerated2D[float64](t, rng, 1e-12, geometry)
 			}
 		})
 	}
@@ -162,10 +169,12 @@ func span(rng *rand.Rand, n, r int, where string) (lo, hi int) {
 	return lo, lo + w
 }
 
-func interpGenerated2D[T num.Float](t *testing.T, rng *rand.Rand, tol float64, mirror bool) {
+// interpGenerated2D runs one 2-D case; mirror, when not empty, is the
+// geometry of a mirror case.
+func interpGenerated2D[T num.Float](t *testing.T, rng *rand.Rand, tol float64, mirror string) {
 	st := genStencil[T](rng, false)
 	bc := allBoundaries[rng.Intn(len(allBoundaries))]
-	if mirror {
+	if mirror != "" {
 		w := func() T { return T(0.05 + 0.2*rng.Float64() - 0.1*float64(rng.Intn(2))) }
 		st = stencil.FivePoint(w(), w(), w(), w(), w())
 		if rng.Intn(2) == 0 {
@@ -188,8 +197,8 @@ func interpGenerated2D[T num.Float](t *testing.T, rng *rand.Rand, tol float64, m
 	// The geometry: a rectangle [x0,x1) x [y0,y1) of frame, whose [gx, gy)
 	// origin lies at global cell (gx, gy) of the swept domain.
 	geometry := []string{"domain", "interior block", "edge block", "tile in a frame"}[rng.Intn(4)]
-	if mirror {
-		geometry, drop = "spanning block", false
+	if mirror != "" {
+		geometry, drop = mirror, false
 	}
 	frame, fop := src, op
 	x0, y0, x1, y1, gx, gy := 0, 0, nx, ny, 0, 0
@@ -253,10 +262,13 @@ func interpGenerated2D[T num.Float](t *testing.T, rng *rand.Rand, tol float64, m
 		t.Fatalf("%s: %v", what, err)
 	}
 	ip.DropBoundaryTerms = drop
-	if mirror {
-		paired := slices.ContainsFunc(append(ip.a.terms, ip.b.terms...), func(t interpTerm[T]) bool { return t.pair })
-		if want := len(st.Points) == 5 && bc == grid.Clamp; paired != want {
-			t.Fatalf("%s: mirror pair compiled %v, want %v", what, paired, want)
+	if mirror != "" {
+		// A's sums run along y, B's along x: a pair needs them to span the frame.
+		isPair := func(t interpTerm[T]) bool { return t.pair }
+		star := len(st.Points) == 5 && bc == grid.Clamp
+		a, b := slices.ContainsFunc(ip.a.terms, isPair), slices.ContainsFunc(ip.b.terms, isPair)
+		if a != (star && y0 == 0 && y1 == fny) || b != (star && x0 == 0 && x1 == fnx) {
+			t.Fatalf("%s: mirror pair compiled on A %v, on B %v", what, a, b)
 		}
 	}
 	ref := refInterp2D[T]{pts: st.Points, bc: bc, fnx: fnx, fny: fny, x0: x0, y0: y0, x1: x1, y1: y1, drop: drop}

@@ -37,11 +37,10 @@ const noSource = math.MinInt
 // boundary condition enters the engine once, at construction, where the
 // window-shift terms α/β (DESIGN.md Section 6) are compiled to the frame
 // lines entering and leaving the summation window and to the frame row each
-// extended entry reads them at. A call fills one table per distinct window
-// shift from the edge source, one pass over the rows reading every line of
-// the shift — but for a mirror pair's two shifts (interpTerm), whose
-// entries the pass adding the pair computes — and makes one pass per
-// stencil point over the output.
+// extended entry reads them at. A call makes one pass per stencil point
+// over the output — consecutive points may share one — and a point whose
+// window moves computes its α/β entries in that pass from the edge source's
+// lines; there are no tables.
 // Per entry the operations and their order are those of evaluating entry by
 // entry: start from the constant-field sum, add w·(prev + α/β) point by
 // point in declaration order, each α/β summed from zero over its entering
@@ -83,22 +82,17 @@ type interpAxis[T num.Float] struct {
 	runLo, runHi int
 	terms        []interpTerm[T]
 	shifts       []windowShift
-	// lo, hi bound the table entries [lo, hi) any term reads: a star
-	// stencil's x-offset points all sit at DY=0, so B's ghost-row entries
-	// are never filled.
-	lo, hi int
-	tabs   []shiftTables[T] // per layer; filled by the call for that layer only
 }
 
-// interpTerm is one stencil point compiled for one axis. pair marks the
-// first of two consecutive terms at one offset whose window shifts mirror
-// each other — the two sides of a radius-1 star under Clamp, one shift
-// entering the line the other leaves and leaving the one it enters (Mirror
-// enters line 1 where the other side leaves line 0, and a box's points at
-// one offset are not consecutive) — over rows in the run, the sums spanning
-// the frame: a call that fills its own tables adds
-// both in one pass and computes their entries there, each edge cell loaded
-// once, instead of writing and reading back two tables.
+// interpTerm is one stencil point compiled for one axis; its pass computes
+// its window shift's α/β entry by entry (addShifted). pair marks the first
+// of two consecutive terms at one offset whose window shifts mirror each
+// other — the two sides of a radius-1 star under Clamp, one shift entering
+// the line the other leaves and leaving the one it enters (Mirror enters
+// line 1 where the other side leaves line 0, and a box's points at one
+// offset are not consecutive) — over rows in the run, the sums spanning the
+// frame: one pass adds both and computes both entries from one load of
+// each edge cell (addMirrorTerms2).
 type interpTerm[T num.Float] struct {
 	w     T
 	dz    int
@@ -112,20 +106,11 @@ type interpTerm[T num.Float] struct {
 // and the rectangle's lines leaving it, subtracted, in the order the sums
 // are taken; noSource is a ghost line. A shift whose entering lines are its
 // leaving ones (a rectangle spanning a periodic frame: paper Eqs. 8-9)
-// cancels and is not compiled. table says whether a term outside the
-// mirror pairs reads its table.
+// cancels and is not compiled.
 type windowShift struct {
 	dz         int
 	cross      int
 	adds, subs []int
-	table      bool
-}
-
-// shiftTables holds one layer's window-shift tables, n+2r entries each, and
-// whether PrimeBetaTablesMid filled the rectangle's rows ahead of the call.
-type shiftTables[T num.Float] struct {
-	tab []T
-	mid bool
 }
 
 // edgeLine is one frame line of an edge source: its cell at frame row r is
@@ -153,7 +138,7 @@ func (ip *interp[T]) compile(pts []stencil.Point[T], bc grid.Boundary, bcValue T
 // extent fe, each the sum over [s0, s1) of a frame extent fs.
 func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundary, e0, e1, fe, s0, s1, fs, nz int) interpAxis[T] {
 	ax := interpAxis[T]{cols: cols, n: e1 - e0, m: s1 - s0, e0: e0, s0: s0, c: make([][]T, nz),
-		tabs: make([]shiftTables[T], nz), terms: make([]interpTerm[T], 0, len(pts))}
+		terms: make([]interpTerm[T], 0, len(pts))}
 	resolve := func(i, n int) int {
 		if r, ok := bc.ResolveIndex(i, n); ok {
 			return r
@@ -181,7 +166,6 @@ func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundar
 	for ax.runHi < len(ax.rows) && ax.rows[ax.runHi] != noSource && ax.rows[ax.runHi] == ax.rows[ax.runHi-1]+1 {
 		ax.runHi++
 	}
-	ax.lo, ax.hi = ax.n+2*ax.r, 0
 	for _, p := range pts {
 		shift, cross := offsets(p)
 		t := interpTerm[T]{w: p.W, dz: p.DZ, shift: shift, win: -1}
@@ -203,16 +187,13 @@ func compileAxis[T num.Float](pts []stencil.Point[T], cols bool, bc grid.Boundar
 				t.win = len(ax.shifts)
 				ax.shifts = append(ax.shifts, ws)
 			}
-			ax.lo, ax.hi = min(ax.lo, ax.r+shift), max(ax.hi, ax.r+shift+ax.n)
 		}
 		ax.terms = append(ax.terms, t)
 	}
-	for i := 0; i < len(ax.terms); i++ {
-		if t := &ax.terms[i]; i+1 < len(ax.terms) && ax.mirrors(*t, ax.terms[i+1]) {
-			t.pair = true
+	for i := 0; i+1 < len(ax.terms); i++ {
+		if ax.mirrors(ax.terms[i], ax.terms[i+1]) {
+			ax.terms[i].pair = true
 			i++
-		} else if t.win >= 0 {
-			ax.shifts[t.win].table = true
 		}
 	}
 	return ax
@@ -285,73 +266,53 @@ func (ip *interp[T]) interpolate(ax *interpAxis[T], z int, prev [][]T, edges []E
 		panic(fmt.Sprintf("checksum: extended vector of %d entries for %d entries and radius %d", len(prev[z+ip.rz]), ax.n, ax.r))
 	}
 	shifted := len(ax.shifts) > 0 && !ip.DropBoundaryTerms
-	inline := false
-	var tab []T
-	if shifted {
-		lt := ip.tables(ax, z)
-		if lt.mid { // the rectangle's own rows were primed: the ghost rows are left
-			ip.fill(ax, z, edges, 0, ax.r, true)
-			ip.fill(ax, z, edges, ax.r+ax.n, ax.n+2*ax.r, true)
-		} else {
-			ip.fill(ax, z, edges, 0, ax.n+2*ax.r, false)
-			inline = true
-		}
-		lt.mid = false
-		tab = lt.tab
-	}
-	span := ax.n + 2*ax.r
-	// term returns what term i adds to each entry: w·(in + bnd), bnd nil
-	// when the term's window does not move.
-	term := func(i int) (w T, in, bnd []T) {
+	// term returns what term i adds to each entry — w·in, plus w·α/β from
+	// src's lines when its window moves — and src, nil when it does not: a
+	// ghost layer's lines are all ghost cells, so its window moves nothing.
+	term := func(i int) (w T, in []T, src EdgeSource[T]) {
 		t := ax.terms[i]
 		zz := z + t.dz + ip.rz
-		in = prev[zz][h+t.shift:][:ax.n]
-		if t.win >= 0 && shifted && edges[zz] != nil {
-			bnd = tab[t.win*span+ax.r+t.shift:][:ax.n]
+		if t.win >= 0 && shifted {
+			src = edges[zz]
 		}
-		return t.w, in, bnd
+		return t.w, prev[zz][h+t.shift:][:ax.n], src
 	}
 	out := next[:ax.n]
 	copy(out, ip.constant(ax, z))
-	// Consecutive terms of the same kind go two to a pass, which adds them
-	// to each entry in the same order as two passes would; so does a mirror
-	// pair, whose entries the pass computes when the call fills its own
-	// tables (inline). A screened call whose last two terms are plain leaves
-	// them to screenTerms2, which screens each entry as it produces it; any
-	// other screens the vector once it is done.
+	// Consecutive terms whose windows do not move go two to a pass, which
+	// adds them to each entry in the same order as two passes would; so
+	// does a mirror pair, and any other term whose window moves goes in its
+	// own. A screened call whose last two terms are plain leaves them to
+	// screenTerms2, which screens each entry as it produces it; any other
+	// screens the vector once it is done.
 	last := len(ax.terms)
 	screened := fused != nil && last > 1 && ax.terms[last-2].win < 0 && ax.terms[last-1].win < 0
 	if screened {
 		last -= 2
 	}
 	for i := 0; i < last; i++ {
-		w, in, bnd := term(i)
-		if t := ax.terms[i]; inline && t.pair && bnd != nil {
+		t := ax.terms[i]
+		w, in, src := term(i)
+		if src != nil && t.pair {
 			w2, in2, _ := term(i + 1)
-			ws, src := &ax.shifts[t.win], edges[z+t.dz+ip.rz]
+			ws := &ax.shifts[t.win]
 			addMirrorTerms2(out, w, in, w2, in2, ip.edgeLine(ax, src, ws.adds[0]), ip.edgeLine(ax, src, ws.subs[0]), ax.rows[ax.r+t.shift])
 			i++
 			continue
 		}
-		if i+1 < last && !(inline && ax.terms[i+1].pair) {
-			if w2, in2, bnd2 := term(i + 1); (bnd == nil) == (bnd2 == nil) {
-				if bnd == nil {
-					addTerms2(out, w, in, w2, in2)
-				} else {
-					addShiftedTerms2(out, w, in, bnd, w2, in2, bnd2)
-				}
+		if src != nil {
+			ip.addShifted(ax, out, w, in, &ax.shifts[t.win], src, ax.r+t.shift)
+			continue
+		}
+		if i+1 < last {
+			if w2, in2, src2 := term(i + 1); src2 == nil {
+				addTerms2(out, w, in, w2, in2)
 				i++
 				continue
 			}
 		}
-		if bnd == nil {
-			for e, s := range in {
-				out[e] += w * s
-			}
-		} else {
-			for e, s := range in {
-				out[e] += w * (s + bnd[e])
-			}
+		for e, s := range in {
+			out[e] += w * s
 		}
 	}
 	switch {
@@ -383,9 +344,10 @@ func screenTerms2[T num.Float](out []T, w T, a []T, w2 T, b, fused []T, d Detect
 }
 
 // addMirrorTerms2 adds w·(a + α) and then w2·(b + β) to each entry of out,
-// α and β a mirror pair's window-shift entries computed as a fill computes
-// them — line la's cell minus lb's, and lb's minus la's, each summed from
-// zero — from one load of each line at consecutive frame rows from r0.
+// α and β a mirror pair's window-shift entries computed as addShifted
+// computes them — line la's cell minus lb's, and lb's minus la's, each
+// summed from zero — from one load of each line at consecutive frame rows
+// from r0.
 func addMirrorTerms2[T num.Float](out []T, w T, a []T, w2 T, b []T, la, lb edgeLine[T], r0 int) {
 	a, b = a[:len(out)], b[:len(out)]
 	ia, ib := r0*la.stride, r0*lb.stride
@@ -416,103 +378,60 @@ func addTerms2[T num.Float](out []T, w T, a []T, w2 T, b []T) {
 	}
 }
 
-// addShiftedTerms2 adds w·(a + ba) and then w2·(b + bb) to each entry of out.
-func addShiftedTerms2[T num.Float](out []T, w T, a, ba []T, w2 T, b, bb []T) {
-	a, ba, b, bb = a[:len(out)], ba[:len(out)], b[:len(out)], bb[:len(out)]
+// addShifted adds w·(a[e] + α) to each entry e of out, α window shift ws's
+// entering lines' cells at frame row ax.rows[j0+e] summed from zero, minus
+// its leaving lines', in order. Over the consecutive run each line is read
+// as a constant-stride stream (addShiftedRun); the at most r entries at
+// each end read the rows they resolve to, or the ghost value at a ghost row
+// (addShiftedRows).
+func (ip *interp[T]) addShifted(ax *interpAxis[T], out []T, w T, a []T, ws *windowShift, src EdgeSource[T], j0 int) {
+	var buf [8]edgeLine[T] // radius 4; a wider shift's lines go to the heap
+	lines := buf[:0]
+	for _, c := range ws.adds {
+		lines = append(lines, ip.edgeLine(ax, src, c))
+	}
+	for _, c := range ws.subs {
+		lines = append(lines, ip.edgeLine(ax, src, c))
+	}
+	adds, subs := lines[:len(ws.adds)], lines[len(ws.adds):]
+	n, rows := len(out), ax.rows[j0:]
+	lo := min(max(ax.runLo-j0, 0), n)
+	hi := max(min(ax.runHi-j0, n), lo)
+	addShiftedRows(out[:lo], w, a, rows, ip.ghost[0], adds, subs)
+	if lo < hi {
+		addShiftedRun(out[lo:hi], w, a[lo:], rows[lo], adds, subs)
+	}
+	addShiftedRows(out[hi:], w, a[hi:], rows[hi:], ip.ghost[0], adds, subs)
+}
+
+// addShiftedRun is addShifted over consecutive frame rows from r0. The
+// first line of each kind is a stream held out of the inner loops, which a
+// radius-1 shift leaves empty.
+func addShiftedRun[T num.Float](out []T, w T, a []T, r0 int, adds, subs []edgeLine[T]) {
+	a = a[:len(out)]
+	la, moreAdds, lb, moreSubs := adds[0], adds[1:], subs[0], subs[1:]
+	ia, ib := r0*la.stride, r0*lb.stride
 	for e := range out {
-		v := out[e]
-		v += w * (a[e] + ba[e])
-		v += w2 * (b[e] + bb[e])
-		out[e] = v
-	}
-}
-
-// tables returns layer z's window-shift tables, allocating them on first
-// use.
-func (ip *interp[T]) tables(ax *interpAxis[T], z int) *shiftTables[T] {
-	lt := &ax.tabs[z]
-	if lt.tab == nil {
-		lt.tab = make([]T, len(ax.shifts)*(ax.n+2*ax.r))
-	}
-	return lt
-}
-
-// fill computes layer z's window-shift table entries [j0, j1) (entry j at
-// extended entry j-r) from the edge sources, one pass over the rows per
-// shift (shiftRows): every shift's, or only those a term outside the mirror
-// pairs reads.
-func (ip *interp[T]) fill(ax *interpAxis[T], z int, edges []EdgeSource[T], j0, j1 int, every bool) {
-	j0, j1 = max(j0, ax.lo), min(j1, ax.hi)
-	if j0 >= j1 {
-		return
-	}
-	span, rows := ax.n+2*ax.r, ax.rows[j0:j1]
-	for i, ws := range ax.shifts {
-		if !every && !ws.table {
-			continue
-		}
-		tab := ax.tabs[z].tab[i*span+j0 : i*span+j1]
-		src := edges[z+ws.dz+ip.rz]
-		var buf [8]edgeLine[T] // radius 4; a wider shift's lines go to the heap
-		lines := buf[:0]
-		for _, c := range ws.adds {
-			lines = append(lines, ip.edgeLine(ax, src, c))
-		}
-		for _, c := range ws.subs {
-			lines = append(lines, ip.edgeLine(ax, src, c))
-		}
-		adds, subs := lines[:len(ws.adds)], lines[len(ws.adds):]
-		if len(adds) != 1 || len(subs) != 1 {
-			shiftRows(tab, rows, ip.ghost[0], adds, subs)
-			continue
-		}
-		// One line of each kind: the consecutive rows in the middle are two
-		// streams, the rest the resolved rows around them.
-		lo, hi := min(max(ax.runLo, j0), j1), max(min(ax.runHi, j1), j0)
-		shiftRows(tab[:lo-j0], rows[:lo-j0], ip.ghost[0], adds, subs)
-		if lo < hi {
-			shiftRun(tab[lo-j0:hi-j0], ax.rows[lo], adds[0], subs[0])
-		}
-		shiftRows(tab[hi-j0:], rows[hi-j0:], ip.ghost[0], adds, subs)
-	}
-}
-
-// shiftRun sets tab[j] to line a's cell at frame row r0+j minus line b's,
-// summed from zero like shiftRows: the rows are consecutive, so each line is
-// read as one stream, a contiguous one when the line is stored as a vector.
-func shiftRun[T num.Float](tab []T, r0 int, a, b edgeLine[T]) {
-	if a.stride == 1 && b.stride == 1 {
-		as, bs := a.cells[r0:][:len(tab)], b.cells[r0:][:len(tab)]
-		for j := range tab {
-			var v T
-			v += as[j]
-			v -= bs[j]
-			tab[j] = v
-		}
-		return
-	}
-	ia, ib := r0*a.stride, r0*b.stride
-	for j := range tab {
 		var v T
-		v += a.cells[ia]
-		v -= b.cells[ib]
-		tab[j] = v
-		ia += a.stride
-		ib += b.stride
+		v += la.cells[ia]
+		for _, l := range moreAdds {
+			v += l.cells[(r0+e)*l.stride]
+		}
+		v -= lb.cells[ib]
+		for _, l := range moreSubs {
+			v -= l.cells[(r0+e)*l.stride]
+		}
+		out[e] += w * (a[e] + v)
+		ia += la.stride
+		ib += lb.stride
 	}
 }
 
-// shiftRows sets tab[j] to the cells at frame row rows[j] of the entering
-// lines, summed from zero, minus those of the leaving lines, in order; a
-// ghost row's cells are the ghost value g. Each line is a constant stride
-// through the frame, so the pass is a few streams the prefetcher follows,
-// and each entry is written once. The first line of each kind is held out
-// of the inner loops, which a radius-1 shift leaves empty: per-line passes
-// made local2d's interpolation 1.7x slower, a loop over every line 1.2x.
-func shiftRows[T num.Float](tab []T, rows []int, g T, adds, subs []edgeLine[T]) {
-	tab = tab[:len(rows)]
-	a, moreAdds, b, moreSubs := adds[0], adds[1:], subs[0], subs[1:]
-	for j, r := range rows {
+// addShiftedRows is addShifted at frame rows rows[e]; a ghost row's cells
+// are the ghost value g.
+func addShiftedRows[T num.Float](out []T, w T, a []T, rows []int, g T, adds, subs []edgeLine[T]) {
+	a, rows = a[:len(out)], rows[:len(out)]
+	for e, r := range rows {
 		var v T
 		if r == noSource {
 			for range adds {
@@ -522,16 +441,14 @@ func shiftRows[T num.Float](tab []T, rows []int, g T, adds, subs []edgeLine[T]) 
 				v -= g
 			}
 		} else {
-			v += a.cells[r*a.stride]
-			for _, l := range moreAdds {
+			for _, l := range adds {
 				v += l.cells[r*l.stride]
 			}
-			v -= b.cells[r*b.stride]
-			for _, l := range moreSubs {
+			for _, l := range subs {
 				v -= l.cells[r*l.stride]
 			}
 		}
-		tab[j] = v
+		out[e] += w * (a[e] + v)
 	}
 }
 
@@ -608,8 +525,9 @@ func NewInterp2DRect[T num.Float](op *stencil.Op2D[T], fnx, fny, x0, y0, x1, y1 
 // vector of iteration t extended by at least the stencil radius along it
 // each side — and the frame of iteration t.
 //
-// Cost: O(n·k) plus O(n·r) table entries, k = |S| and r the radius across
-// the vector — the paper's O(k²·n) with the alpha/beta inner loop explicit.
+// Cost: O(n·k·r), k = |S| and r the radius across the vector: each term
+// whose window moves reads its r entering and r leaving lines per entry in
+// its own pass — the paper's O(k²·n) with the alpha/beta inner loop explicit.
 func (ip *Interp2D[T]) Interpolate(v Vec, prev []T, edges EdgeSource[T], next []T) {
 	p, e := [1][]T{prev}, [1]EdgeSource[T]{edges}
 	ip.interpolate(ip.axis(v), 0, p[:], e[:], next, nil, Detector[T]{})
@@ -741,23 +659,6 @@ func (ip *Interp3D[T]) EdgeStack(stack, layers []EdgeSource[T]) []EdgeSource[T] 
 		}
 	}
 	return stack
-}
-
-// PrimeBetaTablesMid fills layer z's B tables' entries of the rectangle's own
-// rows — callable as soon as the frame's columns beside the rectangle are
-// final, while their cache lines are warm, before a sweep evicts them. The
-// entries of the ghost rows read halo rows that may not have arrived yet;
-// the interpolation fills those. The rectangle's rows and
-// the columns beside them must not change before the interpolation that
-// consumes the tables. edges is the stack Interpolate will read.
-func (ip *Interp3D[T]) PrimeBetaTablesMid(z int, edges []EdgeSource[T]) {
-	if ip.DropBoundaryTerms || len(ip.b.shifts) == 0 {
-		return
-	}
-	ax := &ip.b
-	ip.tables(ax, z)
-	ip.fill(ax, z, edges, ax.r, ax.r+ax.n, true)
-	ax.tabs[z].mid = true
 }
 
 // InterpolateB computes layer z's bNext from the domain's per-layer column

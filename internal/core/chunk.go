@@ -166,15 +166,6 @@ func (c *Chunk[T]) byLayer(stack [][]T) [][]T {
 // own returns box layer l's own entries of a B stack.
 func (c *Chunk[T]) own(stack [][]T, l int) []T { return stack[c.rz+l][c.hy : c.hy+c.y1-c.y0] }
 
-// PrimeBetaTablesMid fills the interpolator's beta tables of the box's
-// layers' own rows ahead of Finish, for an owner whose schedule knows when
-// the edge columns are warm (checksum.Interp3D has the contract).
-func (c *Chunk[T]) PrimeBetaTablesMid() {
-	for l := range c.z1 - c.z0 {
-		c.ip.PrimeBetaTablesMid(l, c.edgeRead)
-	}
-}
-
 // extend fills the r entries each side of ext's own — ext a column checksum
 // vector of frame layer g extended by h entries each side or, with cols, a
 // row checksum vector — by the halo rule: a line inside the frame is summed

@@ -878,7 +878,7 @@ func TestStep2DAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, step := range map[string]func(){"none": none.Step, "online": online.Step, "offline": offline.Step, "blocked 16x16": blocked.Step} {
-			step() // first step builds the sweep plan and the beta tables
+			step() // first step builds the sweep plan and the constant-field sums
 			if n := testing.AllocsPerRun(20, step); n != 0 {
 				t.Errorf("%s, %d workers: %v allocations a step", name, workers, n)
 			}
@@ -886,30 +886,29 @@ func TestStep2DAllocFree(t *testing.T) {
 	}
 }
 
-// TestSweepFedTablesGenerated holds the layers Step verifies in one pass —
-// mirror pairs computed in their pass, the screen fused into the last — and
-// the ones verified from window-shift tables primed before the sweep
-// (PrimeBetaTablesMid) to the ones Finish verifies after a plain sweep, bit
-// for bit: seeded and generated over all five boundaries
+// TestSweepFedGenerated holds the layers Step verifies in one pass — every
+// window-shift term computed in its pass, the screen fused into the last —
+// to the ones Finish verifies after a plain sweep, bit for bit: seeded and
+// generated over all five boundaries
 // (Constant with a non-zero ghost), radius 1 or 2 on each axis or the star's
 // 1, odd and even extents, nz from 2*RadiusZ+1 up, whole stacks and slabs
 // between ghost layers, no pool and a pool of 2, and flips on the z-face
 // rows, which the repair re-evaluates — interpolations, verdicts, fused
 // checksums, grids and stats, step after step.
-func TestSweepFedTablesGenerated(t *testing.T) {
+func TestSweepFedGenerated(t *testing.T) {
 	pool := &stencil.Pool{Workers: 2}
 	defer pool.Close()
 	for seed := int64(1); seed <= 100; seed++ {
-		sweepFedTablesGenerated[float64](t, seed, pool)
-		sweepFedTablesGenerated[float32](t, seed, pool)
+		sweepFedGenerated[float64](t, seed, pool)
+		sweepFedGenerated[float32](t, seed, pool)
 	}
 }
 
-// sweepFedTablesGenerated runs one seeded configuration: star7 or generated
+// sweepFedGenerated runs one seeded configuration: star7 or generated
 // points up to seed 60, a 27-point box up to 90, and beyond star7 under each
 // boundary in turn — the seeds before draw no star7 under Clamp, where its
 // west and east points are a mirror pair.
-func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stencil.Pool) {
+func sweepFedGenerated[T num.Float](t *testing.T, seed int64, pool *stencil.Pool) {
 	rng := rand.New(rand.NewSource(seed))
 	w := func() T { return T(0.02 + 0.12*rng.Float64()) }
 	st := stencil.SevenPoint3D(0.3, w(), w(), w(), w(), w(), w())
@@ -962,9 +961,8 @@ func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stenci
 		return frame, c
 	}
 	fed, fedCh := build()
-	primed, primedCh := build()
 	own, ownCh := build()
-	var fedSt, primedSt, ownSt Stats
+	var fedSt, ownSt Stats
 	for step := 0; step < 6; step++ {
 		var sites []stencil.Site[T]
 		if step%2 == 1 { // a flip on a z-face row of the box
@@ -973,30 +971,21 @@ func sweepFedTablesGenerated[T num.Float](t *testing.T, seed int64, pool *stenci
 				Mutate: func(v T) T { return num.FlipBit(v, bit) }}}
 		}
 		fedCh.Step(p, sites, &fedSt, nil)
-		primedCh.PrimeBetaTablesMid()
-		op.SweepLayersInject(p, primed.Write, primed.Read, h, h+nz, primedCh.fused, sites)
-		primedCh.Finish(p, primedCh.resweepFn, &primedSt, nil)
 		op.SweepLayersInject(p, own.Write, own.Read, h, h+nz, ownCh.fused, sites)
 		ownCh.Finish(p, ownCh.resweepFn, &ownSt, nil)
-		for path, ch := range map[string]*Chunk[T]{"Step": fedCh, "primed tables": primedCh} {
-			for l := range nz {
-				if !sameBitsAll(ch.interpB[l], ownCh.interpB[l]) || ch.flagged[l] != ownCh.flagged[l] {
-					t.Fatalf("%s, step %d: layer %d interpolates %v (flagged %v) verified by %s, %v (%v) after the sweep",
-						what, step, l, ch.interpB[l], ch.flagged[l], path, ownCh.interpB[l], ownCh.flagged[l])
-				}
-				if !sameBitsAll(ch.own(ch.PrevB, l), ownCh.own(ownCh.PrevB, l)) {
-					t.Fatalf("%s, step %d: layer %d's verified checksums differ (%s)", what, step, l, path)
-				}
+		for l := range nz {
+			if !sameBitsAll(fedCh.interpB[l], ownCh.interpB[l]) || fedCh.flagged[l] != ownCh.flagged[l] {
+				t.Fatalf("%s, step %d: layer %d interpolates %v (flagged %v) verified by Step, %v (%v) after the sweep",
+					what, step, l, fedCh.interpB[l], fedCh.flagged[l], ownCh.interpB[l], ownCh.flagged[l])
+			}
+			if !sameBitsAll(fedCh.own(fedCh.PrevB, l), ownCh.own(ownCh.PrevB, l)) {
+				t.Fatalf("%s, step %d: layer %d's verified checksums differ", what, step, l)
 			}
 		}
 		fed.Swap()
-		primed.Swap()
 		own.Swap()
 		if !sameBitsAll(fed.Read.Data(), own.Read.Data()) || fedSt != ownSt {
 			t.Fatalf("%s, step %d: grids or stats differ (%+v, %+v)", what, step, fedSt, ownSt)
-		}
-		if !sameBitsAll(primed.Read.Data(), own.Read.Data()) || primedSt != ownSt {
-			t.Fatalf("%s, step %d: grids or stats differ verified from primed tables (%+v, %+v)", what, step, primedSt, ownSt)
 		}
 	}
 	if fedSt.Detections == 0 {

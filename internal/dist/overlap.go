@@ -106,8 +106,6 @@ func (r *rank[T]) advance(abs int, sites []stencil.Site[T]) {
 // exchange refreshes every halo of the read buffer with iteration-t data:
 // the x strips (posted here unless prePost already did), the BC ghosts,
 // then the y strips, which carry the x halos to the diagonal neighbours.
-// With the tile's edge columns final it primes the tile rows' beta terms
-// while they are warm.
 func (r *rank[T]) exchange() {
 	if !r.posted {
 		r.postX()
@@ -134,10 +132,6 @@ func (r *rank[T]) exchange() {
 		r.recv(Down)
 	}
 	r.stats.HaloExchanges++
-
-	t0 := r.tel.Begin()
-	r.ch.PrimeBetaTablesMid()
-	r.tel.End(telemetry.PhaseVerify, t0)
 }
 
 // postX packs the boundary columns of the read buffer and posts them
