@@ -331,14 +331,14 @@ func (c *Chunk[T]) Finish(pool *stencil.Pool, resweep func(z, y int) T, st *Stat
 // same pool and a flagged row re-evaluated through the same sweep.
 func (c *Chunk[T]) Step(pool *stencil.Pool, sites []stencil.Site[T], st *Stats, tel *telemetry.Recorder) {
 	t0 := tel.Begin()
-	c.op.SweepLayersInject(pool, c.dst, c.src, c.z0, c.z1, c.fused, sites)
+	c.op.SweepLayersInject(pool, c.dst, c.src, c.x0, c.y0, c.z0, c.x1, c.y1, c.z1, c.fused, sites)
 	tel.End(telemetry.PhaseSweep, t0)
 	c.Finish(pool, c.resweepFn, st, tel)
 }
 
 func (c *Chunk[T]) resweep(z, y int) T {
 	b := c.fused[z]
-	c.op.SweepRows(c.dst, c.src, z, y, y+1, b)
+	c.op.SweepRows(c.dst, c.src, z, c.x0, y, c.x1, y+1, b)
 	return b[y]
 }
 

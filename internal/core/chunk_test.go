@@ -971,7 +971,7 @@ func sweepFedGenerated[T num.Float](t *testing.T, seed int64, pool *stencil.Pool
 				Mutate: func(v T) T { return num.FlipBit(v, bit) }}}
 		}
 		fedCh.Step(p, sites, &fedSt, nil)
-		op.SweepLayersInject(p, own.Write, own.Read, h, h+nz, ownCh.fused, sites)
+		op.SweepLayersInject(p, own.Write, own.Read, 0, 0, h, nx, ny, h+nz, ownCh.fused, sites)
 		ownCh.Finish(p, ownCh.resweepFn, &ownSt, nil)
 		for l := range nz {
 			if !sameBitsAll(fedCh.interpB[l], ownCh.interpB[l]) || fedCh.flagged[l] != ownCh.flagged[l] {

@@ -93,7 +93,8 @@ func (p *None3D[T]) Finalize() {}
 // Step advances one sweep with no checksum work, applying the configured
 // injection source.
 func (p *None3D[T]) Step() {
-	p.op.SweepLayersInject(p.pool, p.buf.Write, p.buf.Read, 0, p.buf.Read.Nz(), nil, stencil.SitesAt(p.inj, p.iter))
+	src := p.buf.Read
+	p.op.SweepLayersInject(p.pool, p.buf.Write, src, 0, 0, 0, src.Nx(), src.Ny(), src.Nz(), nil, stencil.SitesAt(p.inj, p.iter))
 	p.buf.Swap()
 	p.iter++
 	p.stats.Iterations++

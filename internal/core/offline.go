@@ -198,7 +198,7 @@ func (p *Offline[T]) sweep(sites []stencil.Site[T]) {
 	for z, e := range p.ring[(p.iter-p.lastSafe)%p.period] {
 		e.Capture(src.Layer(z))
 	}
-	p.op.SweepLayersInject(p.pool, p.buf.Write, src, 0, src.Nz(), p.curB, sites)
+	p.op.SweepLayersInject(p.pool, p.buf.Write, src, 0, 0, 0, src.Nx(), src.Ny(), src.Nz(), p.curB, sites)
 	p.tel.End(telemetry.PhaseSweep, t0)
 	p.buf.Swap()
 	p.iter++

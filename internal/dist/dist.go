@@ -64,7 +64,9 @@ type Options[T num.Float] struct {
 	// points instead of communicating — trading O(k·radius) extra compute
 	// per boundary for a k-fold cut in message rounds and barriers.
 	// 0 and 1 both mean the classic exchange-every-iteration schedule.
-	// Fault-free results are bit-identical to depth 1 at every depth.
+	// Fault-free results are bit-identical to depth 1 at every depth, a
+	// constant field included: a shell cell adds the global field's value
+	// at that cell, as its owner does.
 	// Exchanges happen on iterations where Iter%k == 0, so checkpoint
 	// restores must land on multiples of k (resilience.Buddy validates its
 	// Period against this). Tiles must be strictly wider than k·radius in

@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"stencilabft/internal/grid"
-	"stencilabft/internal/num"
 	"stencilabft/internal/stencil"
 	"stencilabft/internal/telemetry"
 )
@@ -36,10 +34,13 @@ import (
 // side that has a real neighbour: the rank redundantly recomputes its
 // neighbours' boundary shells from the wide halo instead of
 // communicating. Because every recomputed point applies the same kernel
-// to bit-identical inputs its owner applies, the schedule is bit-exact
-// with the depth-1 run in fault-free executions.
+// to bit-identical inputs its owner applies — the constant field included,
+// which newRank fills over the shells from the global one — the schedule is
+// bit-exact with the depth-1 run in fault-free executions.
 //
-// Checksums. The sweep fuses the column checksums b over exactly the tile's
+// The sweep. The tile, its depth-k shells and a flagged row all go through
+// the chunk's one-layer Op3D (the fold's slice kernels) over the extended
+// frame's stacks. It fuses the column checksums b over exactly the tile's
 // own rows and columns — each entry its row summed left to right in one
 // pass — and leaves the depth-k shell unfused. Halo checksum entries are
 // only needed within one stencil y-radius of the tile (the interpolation
@@ -240,15 +241,17 @@ func (r *rank[T]) fillGhosts(y0, y1 int) {
 // depth-k shell around the tile — redundantly recomputed neighbour points,
 // the same kernel over bit-identical inputs the owners sweep, and unfused,
 // since checksums only ever cover the tile's own rows and columns — then
-// the tile itself, fused and split over the rank's pool.
+// the tile itself, fused into ch.NewB (a 2-D stack has no halo layers, so it
+// is indexed like the frame's one layer) and its rows split over the rank's
+// pool. Shell rects may be empty.
 func (r *rank[T]) sweep(sx0, sx1, sy0, sy1 int, sites []stencil.Site[T]) {
-	src, dst := r.buf.Read, r.buf.Write
+	src, dst := r.stk.Read, r.stk.Write
 	t0 := r.tel.Begin()
-	r.sweepRect(nil, dst, src, sx0, sy0, sx1, r.loY(), false, sites)
-	r.sweepRect(nil, dst, src, sx0, r.hiY(), sx1, sy1, false, sites)
-	r.sweepRect(nil, dst, src, sx0, r.loY(), r.loX(), r.hiY(), false, sites)
-	r.sweepRect(nil, dst, src, r.hiX(), r.loY(), sx1, r.hiY(), false, sites)
-	r.sweepRect(r.pool, dst, src, r.loX(), r.loY(), r.hiX(), r.hiY(), true, sites)
+	r.op.SweepRows(dst, src, 0, sx0, sy0, sx1, r.loY(), nil)
+	r.op.SweepRows(dst, src, 0, sx0, r.hiY(), sx1, sy1, nil)
+	r.op.SweepRows(dst, src, 0, sx0, r.loY(), r.loX(), r.hiY(), nil)
+	r.op.SweepRows(dst, src, 0, r.hiX(), r.loY(), sx1, r.hiY(), nil)
+	r.op.SweepLayersInject(r.pool, dst, src, r.loX(), r.loY(), 0, r.hiX(), r.hiY(), 1, r.ch.NewB, sites)
 	r.tel.End(telemetry.PhaseSweep, t0)
 }
 
@@ -261,35 +264,15 @@ func (r *rank[T]) sweep(sx0, sx1, sy0, sy1 int, sites []stencil.Site[T]) {
 func (r *rank[T]) finishStep() {
 	r.ch.Finish(nil, r.resweepFn, &r.stats, r.tel)
 	r.buf.Swap()
+	r.stk.Swap()
 	r.stats.Iterations++
 }
 
-// resweep re-evaluates row y of the tile from the read buffer into the write
-// buffer through the rank's own sweep and returns its checksum entry.
+// resweep re-evaluates row y of the tile from the read stack into the write
+// stack through the tile's sweep, fusing its checksum entry into ch.NewB[0],
+// and returns it.
 func (r *rank[T]) resweep(_, y int) T {
-	dst := r.buf.Write
-	r.op.SweepRectFused(dst, r.buf.Read, r.loX(), y, r.hiX(), y+1, nil, nil)
-	return r.rowChecksum(dst, y)
-}
-
-// rowChecksum is the tile-width column checksum of row y of dst, summed left
-// to right in one pass as the fused sweep sums it.
-func (r *rank[T]) rowChecksum(dst *grid.Grid[T], y int) T {
-	return num.Sum(dst.Row(y)[r.loX():r.hiX()])
-}
-
-// sweepRect sweeps [x0,x1)x[y0,y1), fusing the tile column checksums when
-// fuse is set (the rect must then span the full tile width). Shells pass a
-// nil pool and are swept on the rank goroutine; the tile passes the rank's
-// and has its rows split over it when one is attached. Empty rects are
-// no-ops.
-func (r *rank[T]) sweepRect(pool *stencil.Pool, dst, src *grid.Grid[T], x0, y0, x1, y1 int, fuse bool, sites []stencil.Site[T]) {
-	if x1 <= x0 || y1 <= y0 {
-		return
-	}
-	var b []T
-	if fuse {
-		b = r.ch.NewB[0][y0:]
-	}
-	r.op.SweepRectParallel(pool, dst, src, x0, y0, x1, y1, b, sites)
+	b := r.ch.NewB[0]
+	r.op.SweepRows(r.stk.Write, r.stk.Read, 0, r.loX(), y, r.hiX(), y+1, b)
+	return b[y]
 }

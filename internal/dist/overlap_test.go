@@ -17,17 +17,20 @@ import (
 // result must STILL be bit-identical to the single-process reference —
 // for every boundary condition, for row-band / column-band / 2-D grid
 // topologies, for star and full-box kernels (the box exercises the corner
-// threading through the two-phase exchange), and for iteration counts
+// threading through the two-phase exchange), with a constant field (which
+// the shells read beyond the tile), and for iteration counts
 // both on and off an exchange boundary (a gather mid-cycle reads tiles
 // whose shells are valid but unexchanged).
 func TestClusterDepthKMatchesReference(t *testing.T) {
 	const nx, ny = 33, 40
 	kernels := []struct {
-		name string
-		st   *stencil.Stencil[float64]
+		name  string
+		st    *stencil.Stencil[float64]
+		withC bool // a constant field, which the shells sweep too
 	}{
-		{"laplace5", stencil.Laplace5[float64](0.2)},
-		{"boxblur", stencil.BoxBlur[float64]()},
+		{"laplace5", stencil.Laplace5[float64](0.2), false},
+		{"boxblur", stencil.BoxBlur[float64](), false},
+		{"laplace5+C", stencil.Laplace5[float64](0.15), true},
 	}
 	topos := []struct{ rx, ry int }{{1, 4}, {4, 1}, {2, 2}}
 	for _, bc := range []grid.Boundary{grid.Clamp, grid.Periodic, grid.Mirror, grid.Constant, grid.Zero} {
@@ -38,6 +41,10 @@ func TestClusterDepthKMatchesReference(t *testing.T) {
 						name := fmt.Sprintf("%s/%s/%dx%d/k%d/iters%d", bc, kr.name, topo.ry, topo.rx, depth, iters)
 						t.Run(name, func(t *testing.T) {
 							op := &stencil.Op2D[float64]{St: kr.st, BC: bc, BCValue: 42}
+							if kr.withC {
+								op.C = grid.New[float64](nx, ny)
+								op.C.FillFunc(func(x, y int) float64 { return 0.01 * float64(x-y) })
+							}
 							init := testInit(nx, ny)
 							want := reference(t, op, init, iters)
 

@@ -26,21 +26,21 @@ type rank[T num.Float] struct {
 	depth        int // ghost-zone depth k: halos exchange once every k iterations
 	hx, hy       int // halo widths = depth * stencil x/y radii
 
-	// op sweeps the extended local grid. Every point of the tile rect is
-	// interior to the extended frame (hx >= RadiusX, hy >= RadiusY), so
-	// the sweep reads only materialised storage — real neighbour halos or
-	// BC-synthesised ghosts — and never resolves a boundary itself. Its C
-	// field, when present, is the tile's slice of the global constant
-	// field padded to the extended shape.
-	op  *stencil.Op2D[T]
+	// op sweeps the extended frame's one-layer stacks stk, which view buf
+	// and swap with it: the global stencil and boundary, and the global
+	// constant field over the frame. It is ch's operator. Every cell it
+	// sweeps lies at least a stencil radius inside the frame (hx >= RadiusX,
+	// hy >= RadiusY), so it reads only real neighbour halos or BC-synthesised
+	// ghosts and never resolves a boundary itself.
+	op  *stencil.Op3D[T]
 	buf *grid.Buffer[T] // extended grids: (nxLoc+2hx) by (nyLoc+2hy)
+	stk *grid.Buffer3D[T]
 
-	// ch is the tile as a chunk of the extended frame's one-layer stack: the
-	// column checksums in the extended y frame (entries [0, hy) and
-	// [hy+nyLoc, nyLoc+2hy) of ch.PrevB[0]/ch.NewB[0] belong to halo rows,
-	// [hy, hy+nyLoc) to the tile), the interpolator, and the
-	// verify-and-repair tail of every step, which re-evaluates a flagged row
-	// through resweepFn (resweep, bound once).
+	// ch is the tile as a chunk of stk: the column checksums in the extended
+	// y frame (entry y of ch.PrevB[0]/ch.NewB[0] is frame row y; [hy,
+	// hy+nyLoc) are the tile's), the interpolator, and the verify-and-repair
+	// tail of every step, which re-evaluates a flagged row through resweepFn
+	// (resweep, bound once).
 	ch        *core.Chunk[T]
 	resweepFn func(z, y int) T
 	pool      *stencil.Pool
@@ -80,13 +80,22 @@ type rank[T num.Float] struct {
 func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Tile, hx, hy int, opt Options[T]) (*rank[T], error) {
 	nxLoc, nyLoc := t.Nx(), t.Ny()
 	extNx, extNy := nxLoc+2*hx, nyLoc+2*hy
-	sop := &stencil.Op2D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue}
+	sop := &stencil.Op3D[T]{St: op.St, BC: op.BC, BCValue: op.BCValue, ForceGeneric: op.ForceGeneric}
 	if op.C != nil {
+		// The depth-k shells reach into the neighbours' tiles — across the
+		// wrap under Periodic — so every frame cell takes the global field's
+		// value at the cell the boundary condition resolves it to; the ones
+		// past a non-periodic domain edge are never swept.
 		cExt := grid.New[T](extNx, extNy)
-		for y := 0; y < nyLoc; y++ {
-			copy(cExt.Row(hy + y)[hx:hx+nxLoc], op.C.Row(t.Y0 + y)[t.X0:t.X1])
+		for y := range extNy {
+			gy, oky := op.BC.ResolveIndex(t.Y0-hy+y, init.Ny())
+			for x := range extNx {
+				if gx, okx := op.BC.ResolveIndex(t.X0-hx+x, init.Nx()); oky && okx {
+					cExt.Row(y)[x] = op.C.Row(gy)[gx]
+				}
+			}
 		}
-		sop.C = cExt
+		sop.C = grid.Stack(cExt)
 	}
 
 	r := &rank[T]{
@@ -101,6 +110,7 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 		sendL:    [2][]T{make([]T, hx*nyLoc), make([]T, hx*nyLoc)},
 		sendR:    [2][]T{make([]T, hx*nyLoc), make([]T, hx*nyLoc)},
 	}
+	r.stk = r.buf.Stack()
 	for y := 0; y < nyLoc; y++ {
 		copy(r.buf.Read.Row(hy + y)[hx:hx+nxLoc], init.Row(t.Y0 + y)[t.X0:t.X1])
 	}
@@ -108,7 +118,7 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 	// its one-layer stack; tile data and checksums are assumed correct
 	// (Theorem 2).
 	var err error
-	r.ch, err = core.NewChunk(sop.Stack(), r.buf.Stack(), hx, hy, 0, hx+nxLoc, hy+nyLoc, 1, hy, core.Options[T]{
+	r.ch, err = core.NewChunk(sop, r.stk, hx, hy, 0, hx+nxLoc, hy+nyLoc, 1, hy, core.Options[T]{
 		Detector: opt.Detector, PairPolicy: opt.PairPolicy, DropBoundaryTerms: opt.DropBoundaryTerms,
 	})
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 
 func checkRowChecksums(r *rank[float64]) error {
 	for y := r.loY(); y < r.hiY(); y++ {
-		if got, want := r.ch.PrevB[0][y], r.rowChecksum(r.buf.Read, y); !num.SameBits(got, want) {
+		if got, want := r.ch.PrevB[0][y], num.Sum(r.buf.Read.Row(y)[r.loX():r.hiX()]); !num.SameBits(got, want) {
 			return fmt.Errorf("rank %d row %d: verified checksum %v, the row sums to %v", r.id, y, got, want)
 		}
 	}

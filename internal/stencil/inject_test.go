@@ -245,7 +245,7 @@ func oracle3D[T num.Float](t *testing.T, typ string) {
 					check("layer by layer")
 					got.Fill(0)
 					pool := &Pool{Workers: 3}
-					op.SweepLayersInject(pool, got, src, 0, nz, bGot, sites)
+					op.SweepLayersInject(pool, got, src, 0, 0, 0, nx, ny, nz, bGot, sites)
 					pool.Close()
 					check("layers over the pool")
 				})

@@ -224,7 +224,7 @@ func pinKernels3D[T num.Float](t *testing.T, typ string) {
 								for _, z := range []int{0, nz - 1} {
 									naiveSweepLayer(op, want, src, z, bWant, nil)
 									for _, y := range []int{0, ny - 1} {
-										op.SweepRows(got, src, z, y, y+1, bGot)
+										op.SweepRows(got, src, z, 0, y, nx, y+1, bGot)
 										sameRow3D(t, op, got, want, bGot, bWant, y, z)
 									}
 								}
@@ -335,7 +335,7 @@ func sweepLayersGenerated(t *testing.T, seed int64, pool *Pool) {
 	for z := range bs {
 		bs[z] = make([]float64, ny)
 	}
-	op.SweepLayersInject(p, got, src, z0, z1, bs, sites)
+	op.SweepLayersInject(p, got, src, 0, 0, z0, nx, ny, z1, bs, sites)
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			sameRow3D(t, op, got, want, bs[z], bWant[z], y, z)

@@ -198,26 +198,27 @@ func (c *rectSweep[T]) rows(lo, hi int) {
 // per layer (bs[z] of length ny); each row's fused checksum entry is written
 // by the worker that owns the row.
 func (op *Op3D[T]) SweepParallel(p *Pool, dst, src *grid.Grid3D[T], bs [][]T) {
-	op.SweepLayersInject(p, dst, src, 0, src.Nz(), bs, nil)
+	op.SweepLayersInject(p, dst, src, 0, 0, 0, src.Nx(), src.Ny(), src.Nz(), bs, nil)
 }
 
-// SweepLayersInject sweeps layers [z0, z1) only — the sweep of a z-slab whose
-// remaining layers are ghost layers holding a neighbour's data — applying the
-// iteration's injection sites, each in the worker that owns its row. The
-// pool partitions the layers' rows counted layer by layer, not whole layers,
-// so a one-layer stack (a 2-D domain) still splits, and a stack whose layer
-// count the workers divide splits at layer boundaries. bs is indexed by
-// layer of the grid, like SweepParallel's. A steady-state call allocates
-// nothing: what the workers need travels in a layerSweep the operator keeps
-// between calls instead of in a fresh closure.
-func (op *Op3D[T]) SweepLayersInject(p *Pool, dst, src *grid.Grid3D[T], z0, z1 int, bs [][]T, sites []Site[T]) {
+// SweepLayersInject sweeps the box [x0,x1) x [y0,y1) x [z0,z1) only — a whole
+// stack, the layers of a z-slab between its ghost layers, or a tile of a
+// rank's extended frame — applying the iteration's injection sites, each in
+// the worker that owns its row. The pool partitions the box's rows counted
+// layer by layer, not whole layers, so a one-layer stack (a 2-D domain) still
+// splits, and a box whose layer count the workers divide splits at layer
+// boundaries. bs is indexed by layer of the grid and bs[z] by row, like
+// SweepParallel's; bs[z][y] is row y's sum over [x0, x1). A steady-state call
+// allocates nothing: what the workers need travels in a layerSweep the
+// operator keeps between calls instead of in a fresh closure.
+func (op *Op3D[T]) SweepLayersInject(p *Pool, dst, src *grid.Grid3D[T], x0, y0, z0, x1, y1, z1 int, bs [][]T, sites []Site[T]) {
 	c := op.sweepc.Take() // nil on first use, or while a concurrent call holds it
 	if c == nil {
 		c = new(layerSweep[T])
 		c.run = c.rows
 	}
-	c.op, c.dst, c.src, c.z0, c.bs, c.sites = op, dst, src, z0, bs, sites
-	p.ForEachChunk((z1-z0)*src.Ny(), c.run)
+	c.op, c.dst, c.src, c.x0, c.y0, c.z0, c.x1, c.y1, c.bs, c.sites = op, dst, src, x0, y0, z0, x1, y1, bs, sites
+	p.ForEachChunk((z1-z0)*(y1-y0), c.run)
 	*c = layerSweep[T]{run: c.run} // do not pin the caller's grids
 	op.sweepc.Store(c)
 }
@@ -225,26 +226,26 @@ func (op *Op3D[T]) SweepLayersInject(p *Pool, dst, src *grid.Grid3D[T], z0, z1 i
 // layerSweep is the argument block of one SweepLayersInject call, with the
 // chunk function the pool runs bound to it once.
 type layerSweep[T num.Float] struct {
-	op       *Op3D[T]
-	dst, src *grid.Grid3D[T]
-	z0       int
-	bs       [][]T
-	sites    []Site[T]
-	run      func(lo, hi int)
+	op                 *Op3D[T]
+	dst, src           *grid.Grid3D[T]
+	x0, y0, z0, x1, y1 int
+	bs                 [][]T
+	sites              []Site[T]
+	run                func(lo, hi int)
 }
 
-// rows sweeps rows [lo, hi) of the call's layers counted layer by layer: row
-// r is row r mod ny of layer z0 + r/ny.
+// rows sweeps rows [lo, hi) of the call's box counted layer by layer: row r
+// is row y0 + r mod h of layer z0 + r/h, h = y1-y0.
 func (c *layerSweep[T]) rows(lo, hi int) {
-	ny := c.src.Ny()
+	h := c.y1 - c.y0
 	for r := lo; r < hi; {
-		z, y0 := c.z0+r/ny, r%ny
-		y1 := min(ny, y0+hi-r)
+		z, y0 := c.z0+r/h, c.y0+r%h
+		y1 := min(c.y1, y0+hi-r)
 		var b []T
 		if c.bs != nil {
 			b = c.bs[z]
 		}
-		c.op.sweepRowsInject(c.dst, c.src, z, y0, y1, b, c.sites)
+		c.op.sweepRowsInject(c.dst, c.src, z, c.x0, y0, c.x1, y1, b, c.sites)
 		r += y1 - y0
 	}
 }

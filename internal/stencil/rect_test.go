@@ -123,6 +123,35 @@ func TestSweepRectGenerated(t *testing.T) {
 }
 
 func sweepRectGenerated[T num.Float](t *testing.T, rng *rand.Rand) {
+	rc := genRectCase[T](t, rng)
+	op, src, x0, y0, x1, y1, sites, what := rc.op, rc.src, rc.x0, rc.y0, rc.x1, rc.y1, rc.sites, rc.what
+	nx, ny := src.Nx(), src.Ny()
+	ref, got := grid.New[T](nx, ny), grid.New[T](nx, ny)
+	ref.Fill(-7)
+	got.Fill(-7)
+	bRef, bGot := make([]T, y1-y0), make([]T, y1-y0)
+	naiveSweepRect(op, ref, src, x0, y0, x1, y1, bRef, hookOf(sites))
+	op.SweepRectFused(got, src, x0, y0, x1, y1, bGot, sites)
+	sameRect(t, what, got, ref, 0, y0, nx, y1, bGot, bRef)
+	for i, v := range ref.Data() {
+		if !num.SameBits(got.Data()[i], v) {
+			t.Fatalf("%s: cell %d = %v outside the rectangle, want %v", what, i, got.Data()[i], v)
+		}
+	}
+}
+
+// rectCase is one generated rectangle sweep: the operator, its source grid,
+// the rectangle, the sites and a description of the case.
+type rectCase[T num.Float] struct {
+	op             *Op2D[T]
+	src            *grid.Grid[T]
+	x0, y0, x1, y1 int
+	sites          []Site[T]
+	what           string
+}
+
+// genRectCase draws the cases TestSweepRectGenerated describes.
+func genRectCase[T num.Float](t *testing.T, rng *rand.Rand) rectCase[T] {
 	w := func() T { return T(0.02 + 0.2*rng.Float64() - 0.1*float64(rng.Intn(2))) }
 	var st *Stencil[T]
 	want := kernGeneric
@@ -217,16 +246,106 @@ func sweepRectGenerated[T num.Float](t *testing.T, rng *rand.Rand) {
 
 	src := grid.New[T](nx, ny)
 	fillRandom2D(src, rng)
-	ref, got := grid.New[T](nx, ny), grid.New[T](nx, ny)
-	ref.Fill(-7)
+	return rectCase[T]{op: op, src: src, x0: x0, y0: y0, x1: x1, y1: y1, sites: sites, what: what}
+}
+
+// TestSweepBoxGenerated pins Op3D's box sweep, the one a 2-D tile rank runs
+// over its extended frame: on a one-layer stack (Op2D.Stack, grid.Stack) a
+// box [x0,x1) x [y0,y1) x [0,1) equals Op2D.SweepRectFused of the rectangle
+// bit for bit — its cells, the cells outside it left as they were, and b,
+// whose entries outside the rectangle's rows are left alone too — over
+// TestSweepRectGenerated's cases: star5, box9 and generic stencils, the
+// canonical ones also under ForceGeneric, all five boundaries, both element
+// types, with and without a constant field and sites, rectangles touching
+// the row ends, edge columns alone and one-cell interior segments; on the
+// calling goroutine and split over a pool of 2. The star7 kernel, which no
+// 2-D sweep has, is held on a three-layer stack to the whole-layer sweep
+// over the same box. A failing case is named by its seed.
+func TestSweepBoxGenerated(t *testing.T) {
+	pool := &Pool{Workers: 2}
+	t.Cleanup(pool.Close)
+	for seed := int64(1); seed <= 400; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			var p *Pool
+			if seed%3 == 0 {
+				p = pool
+			}
+			if seed%2 == 0 {
+				sweepBoxGenerated[float32](t, rng, p)
+			} else {
+				sweepBoxGenerated[float64](t, rng, p)
+			}
+		})
+	}
+}
+
+func sweepBoxGenerated[T num.Float](t *testing.T, rng *rand.Rand, p *Pool) {
+	rc := genRectCase[T](t, rng)
+	op, src, x0, y0, x1, y1 := rc.op, rc.src, rc.x0, rc.y0, rc.x1, rc.y1
+	nx, ny := src.Nx(), src.Ny()
+	want, got := grid.New[T](nx, ny), grid.New[T](nx, ny)
+	want.Fill(-7)
 	got.Fill(-7)
-	bRef, bGot := make([]T, y1-y0), make([]T, y1-y0)
-	naiveSweepRect(op, ref, src, x0, y0, x1, y1, bRef, hookOf(sites))
-	op.SweepRectFused(got, src, x0, y0, x1, y1, bGot, sites)
-	sameRect(t, what, got, ref, 0, y0, nx, y1, bGot, bRef)
-	for i, v := range ref.Data() {
-		if !num.SameBits(got.Data()[i], v) {
-			t.Fatalf("%s: cell %d = %v outside the rectangle, want %v", what, i, got.Data()[i], v)
+	bWant, bGot := make([]T, y1-y0), make([]T, ny)
+	for y := range bGot {
+		bGot[y] = -7
+	}
+	op.SweepRectFused(want, src, x0, y0, x1, y1, bWant, rc.sites)
+	op.Stack().SweepLayersInject(p, grid.Stack(got), grid.Stack(src), x0, y0, 0, x1, y1, 1, [][]T{bGot}, rc.sites)
+	what := fmt.Sprintf("%s pool=%v", rc.what, p != nil)
+	for i, v := range want.Data() {
+		if g := got.Data()[i]; !num.SameBits(g, v) {
+			x, y := want.Coords(i)
+			t.Fatalf("%s: box cell (%d,%d) = %v, SweepRectFused %v", what, x, y, g, v)
+		}
+	}
+	for y, v := range bGot {
+		w := T(-7)
+		if y >= y0 && y < y1 {
+			w = bWant[y-y0]
+		}
+		if !num.SameBits(v, w) {
+			t.Fatalf("%s: b[%d] = %v, want %v", what, y, v, w)
+		}
+	}
+	sweepBoxStar7[T](t, rng, p, x0, y0, x1, y1, nx, ny)
+}
+
+// sweepBoxStar7 holds a star7 box over the middle layer of a three-layer
+// stack, from x0 to x1 and y0 to y1, to the whole-layer sweep: the box's
+// cells equal it, the rest keep their old value, and b[y] is the box's
+// share of each row summed in x order.
+func sweepBoxStar7[T num.Float](t *testing.T, rng *rand.Rand, p *Pool, x0, y0, x1, y1, nx, ny int) {
+	w := func() T { return T(0.02 + 0.2*rng.Float64()) }
+	op := &Op3D[T]{St: SevenPoint3D(w(), w(), w(), w(), w(), w(), w()), BC: grid.Boundary(rng.Intn(5)), BCValue: 1.5}
+	if rng.Intn(2) == 0 {
+		op.C = grid.New3D[T](nx, ny, 3)
+		op.C.FillFunc(func(x, y, z int) T { return T(rng.Float64() - 0.5) })
+	}
+	src := grid.New3D[T](nx, ny, 3)
+	src.FillFunc(func(x, y, z int) T { return T(rng.Float64()*200 - 100) })
+	full, got := grid.New3D[T](nx, ny, 3), grid.New3D[T](nx, ny, 3)
+	got.Fill(-7)
+	op.SweepLayer(full, src, 1, nil, nil)
+	bs := [][]T{nil, make([]T, ny), nil}
+	op.SweepLayersInject(p, got, src, x0, y0, 1, x1, y1, 2, bs, nil)
+	for z := range 3 {
+		for y := range ny {
+			for x := range nx {
+				want := T(-7)
+				if z == 1 && x >= x0 && x < x1 && y >= y0 && y < y1 {
+					want = full.At(x, y, z)
+				}
+				if g := got.At(x, y, z); !num.SameBits(g, want) {
+					t.Fatalf("star7 %s %dx%dx3 box [%d,%d)x[%d,%d): (%d,%d,%d) = %v, want %v", op.BC, nx, ny, x0, x1, y0, y1, x, y, z, g, want)
+				}
+			}
+		}
+	}
+	for y := y0; y < y1; y++ {
+		if want := num.Sum(full.Layer(1).Row(y)[x0:x1]); !num.SameBits(bs[1][y], want) {
+			t.Fatalf("star7 %s box [%d,%d)x[%d,%d): b[%d] = %v, the row sums to %v", op.BC, x0, x1, y0, y1, y, bs[1][y], want)
 		}
 	}
 }

@@ -295,7 +295,7 @@ func TestSweep3DParallelMatchesSequential(t *testing.T) {
 	}
 	pool3 := &Pool{Workers: 3}
 	t.Cleanup(pool3.Close)
-	op.SweepLayersInject(pool3, slab, src, 1, nz-1, bSlab, nil)
+	op.SweepLayersInject(pool3, slab, src, 0, 0, 1, nx, ny, nz-1, bSlab, nil)
 	for z := 0; z < nz; z++ {
 		swept := z >= 1 && z < nz-1
 		for i, v := range slab.Layer(z).Data() {

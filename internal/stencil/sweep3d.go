@@ -67,36 +67,44 @@ func (op *Op3D[T]) Sweep(dst, src *grid.Grid3D[T]) {
 // column checksum vector b (b[y] = Σ_x dst(x,y,z), len ny) and applying the
 // sites that fall in the layer.
 func (op *Op3D[T]) SweepLayer(dst, src *grid.Grid3D[T], z int, b []T, sites []Site[T]) {
-	op.sweepRowsInject(dst, src, z, 0, src.Ny(), b, sites)
+	op.sweepRowsInject(dst, src, z, 0, 0, src.Nx(), src.Ny(), b, sites)
 }
 
-// sweepRowsInject is SweepRows followed by the sites that fall in rows
-// [y0, y1) of layer z — the leaf of the parallel engine, whose distinct row
-// ranges write disjoint storage, so it runs them concurrently without locks.
-func (op *Op3D[T]) sweepRowsInject(dst, src *grid.Grid3D[T], z, y0, y1 int, b []T, sites []Site[T]) {
-	op.SweepRows(dst, src, z, y0, y1, b)
+// sweepRowsInject is SweepRows followed by the sites that fall in its
+// rectangle — the leaf of the parallel engine, whose distinct row ranges
+// write disjoint storage, so it runs them concurrently without locks.
+func (op *Op3D[T]) sweepRowsInject(dst, src *grid.Grid3D[T], z, x0, y0, x1, y1 int, b []T, sites []Site[T]) {
+	op.SweepRows(dst, src, z, x0, y0, x1, y1, b)
 	if b != nil {
 		b = b[y0:]
 	}
 	nx := src.Nx()
-	applySites(sites, dst.Data(), nx, z*nx*src.Ny(), 0, y0, nx, y1, z, b)
+	applySites(sites, dst.Data(), nx, z*nx*src.Ny(), x0, y0, x1, y1, z, b)
 }
 
-// SweepRows sweeps rows [y0, y1) of layer z, accumulating b[y] for those
-// rows when b is non-nil — SweepLayer's body, and what the repair path
-// re-evaluates a flagged row with.
+// SweepRows sweeps the rectangle [x0, x1) x [y0, y1) of layer z,
+// accumulating b[y] = Σ_{x in [x0,x1)} dst(x,y,z), in x order, for those rows
+// when b is non-nil — SweepLayer's body, the leaf of the box sweep, and what
+// the repair path re-evaluates a flagged row with. An empty rectangle is a
+// no-op.
 //
 // Every row takes the same path: the plan's fold points each stencil point at
-// its BC-resolved source row (fold.go), and one row kernel computes all nx
-// cells, edge columns included. Boundary rows and boundary layers cost what
-// interior ones do.
-func (op *Op3D[T]) SweepRows(dst, src *grid.Grid3D[T], z, y0, y1 int, b []T) {
+// its BC-resolved source row (fold.go), and one row kernel computes the cells,
+// the columns within rx of a row end included. Boundary rows and boundary
+// layers cost what interior ones do.
+func (op *Op3D[T]) SweepRows(dst, src *grid.Grid3D[T], z, x0, y0, x1, y1 int, b []T) {
 	nx, ny, nz := src.Nx(), src.Ny(), src.Nz()
 	if dst == src {
 		panic("stencil: sweep destination aliases source")
 	}
 	if !dst.SameShape(src) {
 		panic("stencil: sweep shape mismatch")
+	}
+	if x0 < 0 || y0 < 0 || x1 > nx || y1 > ny || x0 > x1 || y0 > y1 || z < 0 || z >= nz {
+		panic("stencil: SweepRows rectangle out of range")
+	}
+	if x0 == x1 {
+		return
 	}
 	pl := op.plan(nx, ny, nz)
 	f := &pl.fold
@@ -120,19 +128,19 @@ func (op *Op3D[T]) SweepRows(dst, src *grid.Grid3D[T], z, y0, y1 int, b []T) {
 		if cD != nil {
 			cRow = cD[base : base+nx]
 		}
-		// One whole destination row, edge columns included, from its source
-		// rows (kernels3d.go), and its fused checksum, summed in x order.
+		// Cells [x0, x1) of one destination row from its source rows
+		// (kernels3d.go), and their fused checksum, summed in x order.
 		d := dstD[base : base+nx]
 		var acc T
 		switch pl.kern {
 		case kernStar7:
-			acc = star7Row(d, cRow, rows, &pl.kw, f)
+			acc = star7Row(d, cRow, rows, &pl.kw, f, x0, x1)
 		case kernStar5:
-			acc = star5Slices(d, cRow, rows, &pl.kw, f)
+			acc = star5Slices(d, cRow, rows, &pl.kw, f, x0, x1)
 		case kernBox9:
-			acc = box9Slices(d, cRow, rows, &pl.kw, f)
+			acc = box9Slices(d, cRow, rows, &pl.kw, f, x0, x1)
 		default:
-			acc = genericSlices(d, cRow, rows, f)
+			acc = genericSlices(d, cRow, rows, f, x0, x1)
 		}
 		if b != nil {
 			b[y] = acc
