@@ -131,8 +131,8 @@ func (j *Job) spec() []byte {
 }
 
 // publish appends to the history and fans out to subscribers; j.mu held.
-// Slow subscribers drop intermediate events (their SSE stream self-heals on
-// the terminal event, which the handler derives from Done()).
+// A subscriber whose channel is full drops the event (its SSE stream
+// self-heals on the terminal event, which the handler derives from Done()).
 func (j *Job) publish(ev Event) {
 	if ev.Type == "stats" {
 		j.nStats++
@@ -227,12 +227,14 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Subscribe atomically snapshots the history (the replay) and registers a
 // live channel, so no event falls between replay and stream. cancel
-// unregisters; the channel is buffered and lossy for slow consumers.
+// unregisters. The channel has room for every event a scheduled job can
+// still publish (its stats events, running and the terminal event), so a
+// consumer slower than the worker misses none; past that it is lossy.
 func (j *Job) Subscribe() (replay []Event, ch chan Event, cancel func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	replay = append([]Event(nil), j.history...)
-	ch = make(chan Event, 64)
+	ch = make(chan Event, min(j.Iters, maxStatsEvents)+2)
 	j.subs[ch] = struct{}{}
 	return replay, ch, func() {
 		j.mu.Lock()

@@ -291,13 +291,16 @@ func (s *Scheduler) gangSize(j *Job) int {
 	return n
 }
 
-// statsEvery picks the stats-stream cadence: every iteration up to 256,
-// then thinned to ~256 events per run.
+// maxStatsEvents bounds the stats events a job streams.
+const maxStatsEvents = 256
+
+// statsEvery picks the stats-stream cadence: every iteration up to
+// maxStatsEvents, then thinned to at most maxStatsEvents events per run.
 func statsEvery(iters int) int {
-	if iters <= 256 {
+	if iters <= maxStatsEvents {
 		return 1
 	}
-	return (iters + 255) / 256
+	return (iters + maxStatsEvents - 1) / maxStatsEvents
 }
 
 // run executes a job on its held slots through the gang runner and settles

@@ -319,7 +319,10 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 
 // handleJobEvents streams the job's event history and live events as SSE:
 // each event is `event: <type>` + `data: <json>`. The stream closes after
-// the terminal done/error event or when the client goes away.
+// the terminal done/error event or when the client goes away. Events are
+// flushed to the client a burst at a time: the replay once, a live event
+// only when no other is queued behind it, the terminal one by the end of
+// the response.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -336,34 +339,46 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 	replay, live, cancel := j.Subscribe()
 	defer cancel()
-	send := func(ev Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	// write sends ev unflushed and reports whether the stream goes on. A
+	// terminal event is never flushed here: the handler returns, and the
+	// end of the response writes it out with the closing chunk.
+	write := func(ev Event) bool {
+		buf.Reset()
+		buf.WriteString("event: ")
+		buf.WriteString(ev.Type)
+		buf.WriteString("\ndata: ")
+		if enc.Encode(ev) != nil { // the line and its newline
 			return false
 		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-		fl.Flush()
+		buf.WriteByte('\n')
+		w.Write(buf.Bytes())
 		return !ev.Terminal()
 	}
 	for _, ev := range replay {
-		if !send(ev) {
+		if !write(ev) {
 			return
 		}
 	}
+	fl.Flush()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case ev := <-live:
-			if !send(ev) {
+			if !write(ev) {
 				return
+			}
+			if len(live) == 0 {
+				fl.Flush()
 			}
 		case <-j.Done():
 			// select picks among ready arms at random, so events published
 			// before the terminal one may still be queued: relay them first.
 			// (Nothing is published after Done, and only this loop receives.)
 			for len(live) > 0 {
-				if !send(<-live) {
+				if !write(<-live) {
 					return
 				}
 			}
@@ -372,10 +387,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			// closes correctly.
 			st := j.Status()
 			if st.State == StateFailed {
-				send(Event{Type: "error", State: StateFailed, Error: st.Error, Status: st.Status})
+				write(Event{Type: "error", State: StateFailed, Error: st.Error, Status: st.Status})
 			} else {
 				_, stat, _ := j.Result()
-				send(Event{Type: "done", State: StateDone, Iter: j.Iters, Stats: &stat, Cached: st.Cached})
+				write(Event{Type: "done", State: StateDone, Iter: j.Iters, Stats: &stat, Cached: st.Cached})
 			}
 			return
 		}

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"stencilabft/internal/stats"
 )
@@ -165,4 +168,88 @@ func TestSSEBytesMatchParentEvent(t *testing.T) {
 	srv.sched.register(failed)
 	failed.Fail(`serve: "quoted" <failure>`, 400)
 	check(failed, "state error")
+}
+
+// TestSSELiveStreamOf256Iterations: a 256-iteration job watched live — the
+// subscriber is in before the job runs — streams exactly one stats event
+// per iteration, in order, then done. The worker writes its stats events
+// in bursts; a burst must fit the subscriber's lossy live channel.
+func TestSSELiveStreamOf256Iterations(t *testing.T) {
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Hold the only worker so the job stays queued until the stream is open.
+	slot, err := srv.sched.pool.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := mustParse(t, `{"scheme":"online","stencil":{"name":"laplace5"},"grid":{"nx":32,"ny":24,"generator":"uniform","seed":9}}`).Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 256
+	j, err := srv.Scheduler().Submit("t", "float32", canon, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+j.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	next := func() (string, Event) {
+		t.Helper()
+		var typ string
+		for sc.Scan() {
+			if name, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+				typ = name
+			} else if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+				var ev Event
+				if err := json.Unmarshal([]byte(data), &ev); err != nil {
+					t.Fatalf("bad SSE data line %q: %v", data, err)
+				}
+				return typ, ev
+			}
+		}
+		t.Fatalf("SSE stream ended early: %v", sc.Err())
+		return "", Event{}
+	}
+	if typ, ev := next(); typ != "state" || ev.State != StateQueued {
+		t.Fatalf("first event %s %+v, want the queued state", typ, ev)
+	}
+	srv.sched.pool.Release(slot, true)
+
+	nStats := 0
+	for {
+		typ, ev := next()
+		if typ == "state" {
+			continue
+		}
+		if typ != "stats" {
+			if typ != "done" {
+				t.Fatalf("job ended with %s: %s", typ, ev.Error)
+			}
+			break
+		}
+		nStats++
+		if ev.Iter != nStats || ev.Stats == nil || ev.Stats.Iterations != nStats {
+			t.Fatalf("stats event %d carries iteration %d (%+v)", nStats, ev.Iter, ev.Stats)
+		}
+	}
+	if nStats != iters {
+		t.Fatalf("the live stream carried %d stats events, want one per iteration (%d)", nStats, iters)
+	}
 }

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"stencilabft/internal/stats"
 )
@@ -35,6 +37,23 @@ const (
 	maxLine = 1 << 20
 )
 
+// The write side sends each message, line and attachments, as one write
+// through the stream's reused buffer; an attachment over directAttach (a
+// large result grid, a trace) goes straight from its own slice after the
+// buffered bytes, so the buffer never grows to hold it. A worker holds its
+// "stats" events and writes them out in bursts: a held event goes out with
+// the first message of the job that finds holdFor passed since the request
+// arrived or the last write-out, maxHeld events held, or is any other event
+// (done, error, ckpt), which every job ends with. So a job still streams
+// one stats event per iteration, in bursts at most maxHeld events or
+// holdFor (plus the iteration in flight) apart, and none is held once the
+// job has ended. A host's Send always writes at once.
+const (
+	directAttach = 4 << 10
+	holdFor      = 10 * time.Millisecond
+	maxHeld      = 32
+)
+
 // stream is one end of the protocol over a byte pipe. The host side calls
 // Send and Recv (both Worker implementations embed it); WorkerMain calls
 // readRequest and writeEvent.
@@ -43,10 +62,19 @@ type stream struct {
 	w         io.Writer
 	maxAttach int    // maxAttachment; the fuzz target lowers it
 	statsBuf  []byte // a stats attachment, decoded as soon as it is read
+
+	out     bytes.Buffer     // messages not yet written: the held stats events, then the one being sent
+	enc     *json.Encoder    // encodes message lines into out
+	statsW  []byte           // a stats attachment being encoded
+	held    int              // stats events in out
+	lastOut time.Time        // when the current request arrived or out was last written
+	now     func() time.Time // the clock: time.Now
 }
 
 func newStream(r io.Reader, w io.Writer) *stream {
-	return &stream{r: bufio.NewReader(r), w: w, maxAttach: maxAttachment}
+	s := &stream{r: bufio.NewReader(r), w: w, maxAttach: maxAttachment, now: time.Now}
+	s.enc = json.NewEncoder(&s.out)
+	return s
 }
 
 type requestLine struct {
@@ -63,7 +91,10 @@ type eventLine struct {
 
 // Send posts req: its line, then the spec document.
 func (s *stream) Send(req JobRequest) error {
-	return s.write(requestLine{req, len(req.Spec)}, req.Spec)
+	if err := s.put(requestLine{req, len(req.Spec)}, req.Spec); err != nil {
+		return err
+	}
+	return s.flush()
 }
 
 // Recv blocks for the next event. A grid's bytes must be exactly what its
@@ -138,39 +169,66 @@ func (s *stream) readRequest() (JobRequest, error) {
 		return JobRequest{}, err
 	}
 	l.Spec = spec
+	s.lastOut = s.now()
 	return l.JobRequest, nil
 }
 
+// writeEvent sends ev, or holds it if it is a stats event the hold rule
+// lets wait (see holdFor).
 func (s *stream) writeEvent(ev WorkerEvent) error {
 	var st, raw []byte
 	if ev.Stats != nil {
 		var err error
-		if st, err = ev.Stats.AppendBinary(nil); err != nil {
+		if s.statsW, err = ev.Stats.AppendBinary(s.statsW[:0]); err != nil {
 			return err
 		}
+		st = s.statsW
 	}
 	if ev.Grid != nil {
 		raw = ev.Grid.Raw
 	}
-	return s.write(eventLine{ev, len(raw), len(st), len(ev.Trace)}, st, raw, ev.Trace)
-}
-
-func (s *stream) write(line any, attach ...[]byte) error {
-	b, err := json.Marshal(line)
-	if err != nil {
+	if err := s.put(eventLine{ev, len(raw), len(st), len(ev.Trace)}, st, raw, ev.Trace); err != nil {
 		return err
 	}
-	if _, err := s.w.Write(append(b, '\n')); err != nil {
+	if ev.Event == "stats" {
+		if s.held++; s.held < maxHeld && s.now().Sub(s.lastOut) < holdFor {
+			return nil
+		}
+	}
+	return s.flush()
+}
+
+// put appends one message to out. An attachment over directAttach is
+// written straight after out's bytes, so a message carrying one takes more
+// than one write.
+func (s *stream) put(line any, attach ...[]byte) error {
+	if err := s.enc.Encode(line); err != nil {
 		return err
 	}
 	for _, a := range attach {
-		if len(a) > 0 {
-			if _, err := s.w.Write(a); err != nil {
-				return err
-			}
+		if len(a) <= directAttach {
+			s.out.Write(a)
+			continue
+		}
+		if err := s.flush(); err != nil {
+			return err
+		}
+		if _, err := s.w.Write(a); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// flush writes out everything pending, held events included.
+func (s *stream) flush() error {
+	s.held, s.lastOut = 0, s.now()
+	if s.out.Len() == 0 {
+		return nil
+	}
+	_, err := s.w.Write(s.out.Bytes())
+	s.out.Reset()
+	return err
 }
 
 // readLine reads one bounded line and decodes it into v. A clean end of

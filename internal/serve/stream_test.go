@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -559,5 +560,164 @@ func TestTerminalJobDropsItsInput(t *testing.T) {
 	}
 	if code, body := get("/v1/jobs/" + failed.ID + "/events"); code != 200 || !strings.Contains(body, "event: error") {
 		t.Fatalf("events of the failed job: %d %.80s", code, body)
+	}
+}
+
+// countingWriter counts the writes it takes and keeps their bytes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// legacyEvent is an event as the protocol has always encoded it: its line,
+// then its stats, grid and trace attachments.
+func legacyEvent(t *testing.T, ev WorkerEvent) []byte {
+	t.Helper()
+	var st, raw []byte
+	if ev.Stats != nil {
+		var err error
+		if st, err = ev.Stats.AppendBinary(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ev.Grid != nil {
+		raw = ev.Grid.Raw
+	}
+	line, err := json.Marshal(eventLine{ev, len(raw), len(st), len(ev.Trace)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.Concat(line, []byte("\n"), st, raw, ev.Trace)
+}
+
+// TestStreamWritesBursts: a request, and an event with small attachments,
+// is one write; a stats event is held until 10 ms have passed since the
+// request arrived or the last write-out, 32 are held, or any other event is
+// sent, and then everything held goes out in one write, in order, byte for
+// byte as the events encode one by one.
+func TestStreamWritesBursts(t *testing.T) {
+	var reqs countingWriter
+	host := newStream(nil, &reqs)
+	spec := []byte(`{"stencil":{"name":"laplace5"},"grid":{"nx":4,"ny":2,"generator":"ramp"}}`)
+	for i := range 3 {
+		if err := host.Send(JobRequest{ID: fmt.Sprint("j", i), Spec: spec, Iters: 2, StatsEvery: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if reqs.writes != i+1 {
+			t.Fatalf("%d requests took %d writes, want one each", i+1, reqs.writes)
+		}
+	}
+
+	var out countingWriter
+	clock := time.Unix(1000, 0)
+	worker := newStream(bytes.NewReader(reqs.Bytes()), &out)
+	if worker.now == nil {
+		t.Fatal("newStream left the clock unset")
+	}
+	worker.now = func() time.Time { return clock }
+	if _, err := worker.readRequest(); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	writes := 0
+	send := func(ev WorkerEvent, wantWrite bool) {
+		t.Helper()
+		if err := worker.writeEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, legacyEvent(t, ev)...)
+		if wantWrite {
+			writes++
+		}
+		if out.writes != writes {
+			t.Fatalf("%s event %d: %d writes so far, want %d", ev.Event, ev.Iter, out.writes, writes)
+		}
+		if wantWrite && !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("%s event %d: the stream wrote\n%q\nwant\n%q", ev.Event, ev.Iter, out.Bytes(), want)
+		}
+	}
+	st := fullStats()
+	stat := func(i int) WorkerEvent { return WorkerEvent{ID: "j0", Event: "stats", Iter: i, Stats: &st} }
+
+	// The 32-event rule: 31 held, the 32nd writes all of them.
+	for i := 1; i < maxHeld; i++ {
+		send(stat(i), false)
+	}
+	send(stat(maxHeld), true)
+	// The 10 ms rule, counted from the last write-out.
+	clock = clock.Add(holdFor - time.Nanosecond)
+	send(stat(33), false)
+	clock = clock.Add(time.Nanosecond)
+	send(stat(34), true)
+	// Any other event writes what is held ahead of itself.
+	send(stat(35), false)
+	send(WorkerEvent{ID: "j0", Event: "ckpt", Ckpt: &Checkpoint{Rank: 1, Gen: 35}}, true)
+	send(stat(36), false)
+	send(WorkerEvent{ID: "j0", Event: "error", Error: "serve: no", Status: 400}, true)
+
+	// The 10 ms count restarts when a request arrives.
+	clock = clock.Add(time.Hour)
+	if _, err := worker.readRequest(); err != nil {
+		t.Fatal(err)
+	}
+	send(stat(1), false)
+	grid := &GridPayload{Nx: 4, Ny: 2, Elem: "float32", Raw: dist.AppendElems(nil, []float32{1, 2, 3, 4, 5, 6, 7, 8})}
+	send(WorkerEvent{ID: "j1", Event: "done", Iter: 2, Stats: &st, Grid: grid}, true)
+
+	// A grid over the buffer goes straight through after the held bytes.
+	if _, err := worker.readRequest(); err != nil {
+		t.Fatal(err)
+	}
+	send(stat(1), false)
+	big := &GridPayload{Nx: directAttach, Ny: 1, Elem: "float32", Raw: dist.AppendElems(nil, make([]float32, directAttach))}
+	if err := worker.writeEvent(WorkerEvent{ID: "j2", Event: "done", Iter: 2, Stats: &st, Grid: big}); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, legacyEvent(t, WorkerEvent{ID: "j2", Event: "done", Iter: 2, Stats: &st, Grid: big})...)
+	if out.writes != writes+2 || !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("a done event with a %d-byte grid took %d writes, want 2, or changed its bytes", len(big.Raw), out.writes-writes)
+	}
+}
+
+// TestStreamHoldsNothingAfterWorkerMain: every event of every job is
+// written by the time WorkerMain returns — a job's held stats events go out
+// with its done or error event.
+func TestStreamHoldsNothingAfterWorkerMain(t *testing.T) {
+	var reqs bytes.Buffer
+	host := newStream(nil, &reqs)
+	spec := []byte(`{"stencil":{"name":"laplace5"},"grid":{"nx":8,"ny":6,"generator":"ramp"}}`)
+	for _, req := range []JobRequest{
+		{ID: "ok", Spec: spec, Iters: 5, StatsEvery: 1},
+		{ID: "bad", Spec: []byte(`{"stencil":{"name":"nope"}}`), Iters: 5, StatsEvery: 1},
+		{ID: "again", Spec: spec, Iters: 3, StatsEvery: 2},
+	} {
+		if err := host.Send(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	if err := WorkerMain(&reqs, &out); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	h := newStream(&out, io.Discard)
+	for {
+		ev, err := h.Recv()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%s:%s:%d", ev.ID, ev.Event, ev.Iter))
+	}
+	want := "ok:stats:1 ok:stats:2 ok:stats:3 ok:stats:4 ok:stats:5 ok:done:5 bad:error:0 again:stats:2 again:stats:3 again:done:3"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("WorkerMain wrote\n%s\nwant\n%s", strings.Join(got, " "), want)
 	}
 }
