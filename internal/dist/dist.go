@@ -260,17 +260,18 @@ func NewClusterGrid[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], ranksX
 
 	c := &Cluster[T]{}
 	tr := opt.NewTransport(ranksX, ranksY, op.BC == grid.Periodic)
-	for _, i := range local {
-		r, err := newRank(op, init, i, d.TileOf(i), hx, hy, opt)
-		if err != nil {
-			return nil, err
-		}
+	c.ranks, err = buildRanks(len(local), func(p int) (*rank[T], error) {
+		return newRank(op, init, local[p], d.TileOf(local[p]), hx, hy, opt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range c.ranks {
 		r.tr = tr
 		r.bindTransport()
 		r.stats.Topology = "grid " + d.String()
-		r.tel = opt.Telemetry.Recorder(i)
-		c.ranks = append(c.ranks, r)
-		c.hosted = append(c.hosted, hostedRank[T]{id: i, eng: r, tel: r.tel})
+		r.tel = opt.Telemetry.Recorder(r.id)
+		c.hosted = append(c.hosted, hostedRank[T]{id: r.id, eng: r, tel: r.tel})
 	}
 	// Injections with a non-zero Z or outside the domain are dropped; the
 	// rest land in the owning tile's extended frame.
@@ -301,11 +302,12 @@ func (c *Cluster[T]) Tile(i int) Tile { return c.decomp.TileOf(i) }
 // gathers by collecting each process's tiles, as stencilrun -launch does.
 func (c *Cluster[T]) Gather() *grid.Grid[T] {
 	g := grid.New[T](c.decomp.Nx, c.decomp.Ny)
-	for _, r := range c.ranks {
+	fanOut(len(c.ranks), func(p int) { // the tiles are disjoint
+		r := c.ranks[p]
 		for y := r.tile.Y0; y < r.tile.Y1; y++ {
 			copy(g.Row(y)[r.tile.X0:r.tile.X1], r.buf.Read.Row(r.loY() + y - r.tile.Y0)[r.loX():r.hiX()])
 		}
-	}
+	})
 	return g
 }
 
@@ -353,6 +355,40 @@ func (c *shell[T]) start(d Decomp, depth int, tr Transport[T], opt Options[T], l
 			}
 		}()
 	}
+}
+
+// buildRanks builds the n hosted ranks build(0) … build(n-1), each on its
+// own goroutine — a rank's frame, tile copy and initial checksums are its
+// own — and returns them in that order, or the error of the first that
+// failed. Whatever the ranks share (transport, telemetry, the hosted list)
+// the caller wires after the join.
+func buildRanks[R any](n int, build func(p int) (R, error)) ([]R, error) {
+	out, errs := make([]R, n), make([]error, n)
+	fanOut(n, func(p int) { out[p], errs[p] = build(p) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// fanOut runs f(0) … f(n-1) concurrently, f(0) on the calling goroutine and
+// each other on its own, and returns when all have: one call (a process
+// hosting one rank) spawns nothing.
+func fanOut(n int, f func(p int)) {
+	var wg sync.WaitGroup
+	wg.Add(max(n-1, 0))
+	for p := 1; p < n; p++ {
+		go func() {
+			defer wg.Done()
+			f(p)
+		}()
+	}
+	if n > 0 {
+		f(0)
+	}
+	wg.Wait()
 }
 
 // resolveLocalRanks normalises an Options.LocalRanks list against an n-rank

@@ -85,13 +85,25 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 		// The depth-k shells reach into the neighbours' tiles — across the
 		// wrap under Periodic — so every frame cell takes the global field's
 		// value at the cell the boundary condition resolves it to; the ones
-		// past a non-periodic domain edge are never swept.
+		// past a non-periodic domain edge are never swept. Each frame column
+		// resolves once (-1: past the edge), and each row once.
+		cols := make([]int, extNx)
+		for x := range cols {
+			cols[x] = -1
+			if gx, ok := op.BC.ResolveIndex(t.X0-hx+x, init.Nx()); ok {
+				cols[x] = gx
+			}
+		}
 		cExt := grid.New[T](extNx, extNy)
 		for y := range extNy {
-			gy, oky := op.BC.ResolveIndex(t.Y0-hy+y, init.Ny())
-			for x := range extNx {
-				if gx, okx := op.BC.ResolveIndex(t.X0-hx+x, init.Nx()); oky && okx {
-					cExt.Row(y)[x] = op.C.Row(gy)[gx]
+			gy, ok := op.BC.ResolveIndex(t.Y0-hy+y, init.Ny())
+			if !ok {
+				continue
+			}
+			src, dst := op.C.Row(gy), cExt.Row(y)
+			for x, gx := range cols {
+				if gx >= 0 {
+					dst[x] = src[gx]
 				}
 			}
 		}

@@ -62,15 +62,17 @@ func NewCluster3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], nRanks
 
 	c := &Cluster3D[T]{nx: nx, ny: ny, nz: nz}
 	tr := opt.NewTransport(1, nRanks, op.BC == grid.Periodic)
-	for i := 0; i < nRanks; i++ {
+	var err error
+	c.slabs, err = buildRanks(nRanks, func(i int) (*rank3d[T], error) {
 		t := d.TileOf(i) // Y axis carries the layer range
-		r, err := newRank3D(op, init, i, t.Y0, t.Y1, opt)
-		if err != nil {
-			return nil, err
-		}
+		return newRank3D(op, init, i, t.Y0, t.Y1, opt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range c.slabs {
 		r.tr, r.tel = tr, opt.Telemetry.Recorder(i)
 		r.stats.Topology = fmt.Sprintf("layers %d", nRanks)
-		c.slabs = append(c.slabs, r)
 		c.hosted = append(c.hosted, hostedRank[T]{id: i, eng: r, tel: r.tel})
 	}
 	// Injections outside the domain are dropped; the rest land on the
@@ -91,9 +93,10 @@ func NewCluster3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], nRanks
 func (c *Cluster3D[T]) Gather() *grid.Grid3D[T] {
 	g := grid.New3D[T](c.nx, c.ny, c.nz)
 	plane := c.nx * c.ny
-	for _, r := range c.slabs {
+	fanOut(len(c.slabs), func(p int) {
+		r := c.slabs[p]
 		copy(g.Data()[r.z0*plane:r.z1*plane], r.buf.Read.Data()[r.h*plane:]) // ghost layers excluded
-	}
+	})
 	return g
 }
 

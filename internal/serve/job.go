@@ -177,14 +177,15 @@ func (j *Job) SetRunning() {
 	j.publish(Event{Type: "state", State: StateRunning})
 }
 
-// PublishStats streams one mid-run counter snapshot.
-func (j *Job) PublishStats(iter int, st stats.Stats) {
+// PublishStats streams one mid-run counter snapshot. The job keeps st, so
+// the caller hands over a snapshot it no longer writes.
+func (j *Job) PublishStats(iter int, st *stats.Stats) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == StateDone || j.state == StateFailed {
 		return
 	}
-	j.publish(Event{Type: "stats", Iter: iter, Stats: &st})
+	j.publish(Event{Type: "stats", Iter: iter, Stats: st})
 }
 
 // Finish records a successful outcome. Idempotent once terminal.

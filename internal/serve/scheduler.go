@@ -316,7 +316,7 @@ func (s *Scheduler) run(j *Job, slots []*Slot) {
 	}
 	res, err := s.pool.runGang(slots, &g, func(rank int, ev WorkerEvent) {
 		if rank == 0 && ev.Event == "stats" && ev.Stats != nil {
-			j.PublishStats(ev.Iter, *ev.Stats)
+			j.PublishStats(ev.Iter, ev.Stats) // decoded afresh for each event
 		}
 	})
 	switch e := err.(type) {

@@ -58,7 +58,7 @@ func TestSSERelaysQueuedEventsBeforeDone(t *testing.T) {
 	<-w.entered // subscribed, stuck replaying the "queued" state event
 	j.SetRunning()
 	for i := 1; i <= iters; i++ {
-		j.PublishStats(i, stats.Stats{Iterations: i})
+		j.PublishStats(i, &stats.Stats{Iterations: i})
 	}
 	j.Finish(&GridPayload{Nx: 1, Ny: 1, Elem: "float32", Raw: make([]byte, 4)}, stats.Stats{Iterations: iters}, false)
 	close(w.release)
@@ -157,7 +157,7 @@ func TestSSEBytesMatchParentEvent(t *testing.T) {
 	j := newJob("j-full", "t", "k", "float32", 2, nil, Layout{Nx: 1, Ny: 1})
 	srv.sched.register(j)
 	j.SetRunning()
-	j.PublishStats(1, full)
+	j.PublishStats(1, &full)
 	j.Finish(&GridPayload{Nx: 1, Ny: 1, Elem: "float32", Raw: make([]byte, 4)}, full, true)
 	for _, pe := range check(j, "state state stats done")[2:] {
 		if *pe.Stats != full {
