@@ -138,9 +138,13 @@ func NewChunk[T num.Float](op *stencil.Op3D[T], frame *grid.Buffer3D[T], x0, y0,
 	if x0 == 0 && y0 == 0 && x1 == src.Nx() && y1 == src.Ny() {
 		c.fused, c.fusedAlt = c.byLayer(c.NewB), c.byLayer(c.PrevB)
 	}
-	for l := range d {
-		stencil.ChecksumBRect(src.Layer(z0+l), x0, y0, x1, y1, c.own(c.PrevB, l))
-	}
+	// The layers' sums are independent: a stack's go over the pool, a 2-D
+	// frame's one layer on the caller.
+	opt.Pool.ForEachChunk(d, func(lo, hi int) {
+		for l := lo; l < hi; l++ {
+			stencil.ChecksumBRect(src.Layer(z0+l), x0, y0, x1, y1, c.own(c.PrevB, l))
+		}
+	})
 	return c, nil
 }
 

@@ -42,6 +42,62 @@ func TestClusterBuildGenerated(t *testing.T) {
 	}
 }
 
+// TestClusterBuildOwnsInit: a 2×1 cluster built from a generated init, with
+// no pool and with a pool of 2, owns copies of its tiles. Once init is
+// overwritten, the cluster still gathers the saved copy bit for bit, and each
+// rank's verified column checksums (its PackState tail) are its tile's rows
+// of that copy summed left to right from zero.
+func TestClusterBuildOwnsInit(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, workers := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%d/workers%d", seed, workers), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				var pool *stencil.Pool
+				if workers > 0 {
+					pool = &stencil.Pool{Workers: workers}
+					t.Cleanup(pool.Close)
+				}
+				if seed%2 == 0 {
+					clusterOwnsInit[float32](t, rng, pool)
+				} else {
+					clusterOwnsInit[float64](t, rng, pool)
+				}
+			})
+		}
+	}
+}
+
+func clusterOwnsInit[T num.Float](t *testing.T, rng *rand.Rand, pool *stencil.Pool) {
+	nx, ny := 8+rng.Intn(30), 5+rng.Intn(20)
+	bcs := []grid.Boundary{grid.Clamp, grid.Periodic, grid.Mirror, grid.Constant, grid.Zero}
+	op := &stencil.Op2D[T]{St: stencil.Laplace5[T](0.2), BC: bcs[rng.Intn(len(bcs))], BCValue: 3}
+	init := grid.New[T](nx, ny)
+	init.FillFunc(func(int, int) T { return T(rng.Float64()*200 - 100) })
+	want := append([]T(nil), init.Data()...)
+	c, err := NewClusterGrid(op, init, 2, 1, Options[T]{Detector: checksum.NewDetector[T](), Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	init.Fill(-1)
+	requireSameData(t, c.Gather().Data(), want)
+	for id := range c.Ranks() {
+		tl := c.decomp.TileOf(id)
+		st := make([]T, c.StateLen(id))
+		c.PackState(id, st)
+		sums := st[tl.Nx()*tl.Ny():]
+		for y := tl.Y0; y < tl.Y1; y++ {
+			var s T
+			for x := tl.X0; x < tl.X1; x++ {
+				s += want[x+y*nx]
+			}
+			if got := sums[y-tl.Y0]; !num.SameBits(got, s) {
+				t.Fatalf("rank %d: verified checksum of row %d = %v, want %v", id, y, got, s)
+			}
+		}
+	}
+}
+
 // sharedBuildOpts returns options whose pool, detector and telemetry
 // collector every rank of a build shares.
 func sharedBuildOpts[T num.Float](t *testing.T, depth int) Options[T] {

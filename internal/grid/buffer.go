@@ -42,11 +42,10 @@ func NewBuffer3D[T num.Float](nx, ny, nz int) *Buffer3D[T] {
 	return &Buffer3D[T]{Read: New3D[T](nx, ny, nz), Write: New3D[T](nx, ny, nz)}
 }
 
-// Buffer3DFrom allocates a 3-D double buffer whose read half copies init.
+// Buffer3DFrom allocates a 3-D double buffer whose read half copies init
+// (Clone: written once, never zeroed first) and whose write half is zeroed.
 func Buffer3DFrom[T num.Float](init *Grid3D[T]) *Buffer3D[T] {
-	b := NewBuffer3D[T](init.Nx(), init.Ny(), init.Nz())
-	b.Read.CopyFrom(init)
-	return b
+	return &Buffer3D[T]{Read: init.Clone(), Write: New3D[T](init.Nx(), init.Ny(), init.Nz())}
 }
 
 // Swap exchanges the read and write halves.

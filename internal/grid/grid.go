@@ -9,6 +9,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 
 	"stencilabft/internal/num"
 )
@@ -85,11 +86,11 @@ func (g *Grid[T]) FillFunc(f func(x, y int) T) {
 	}
 }
 
-// Clone returns a deep copy of the grid.
+// Clone returns a deep copy of the grid. The copy is appended into fresh
+// storage, which the runtime does not zero first as it does a make's: the
+// cells are written once, not cleared and then overwritten.
 func (g *Grid[T]) Clone() *Grid[T] {
-	c := New[T](g.nx, g.ny)
-	copy(c.data, g.data)
-	return c
+	return &Grid[T]{nx: g.nx, ny: g.ny, data: slices.Clone(g.data)}
 }
 
 // CopyFrom copies src's contents into g. The dimensions must match.

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 
 	"stencilabft/internal/num"
 )
@@ -20,10 +21,14 @@ func New3D[T num.Float](nx, ny, nz int) *Grid3D[T] {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		panic(fmt.Sprintf("grid: invalid dimensions %dx%dx%d", nx, ny, nz))
 	}
-	g := &Grid3D[T]{nx: nx, ny: ny, nz: nz, data: make([]T, nx*ny*nz)}
-	g.layers = make([]*Grid[T], nz)
-	for z := 0; z < nz; z++ {
-		g.layers[z] = FromSlice(nx, ny, g.data[z*nx*ny:(z+1)*nx*ny])
+	return layered(nx, ny, nz, make([]T, nx*ny*nz))
+}
+
+// layered wraps data, nx*ny*nz cells, as a grid with its layer views.
+func layered[T num.Float](nx, ny, nz int, data []T) *Grid3D[T] {
+	g := &Grid3D[T]{nx: nx, ny: ny, nz: nz, data: data, layers: make([]*Grid[T], nz)}
+	for z := range nz {
+		g.layers[z] = FromSlice(nx, ny, data[z*nx*ny:(z+1)*nx*ny])
 	}
 	return g
 }
@@ -89,11 +94,10 @@ func (g *Grid3D[T]) FillFunc(f func(x, y, z int) T) {
 	}
 }
 
-// Clone returns a deep copy of the grid.
+// Clone returns a deep copy of the grid, appended into fresh storage that
+// is never zeroed first (Grid.Clone).
 func (g *Grid3D[T]) Clone() *Grid3D[T] {
-	c := New3D[T](g.nx, g.ny, g.nz)
-	copy(c.data, g.data)
-	return c
+	return layered(g.nx, g.ny, g.nz, slices.Clone(g.data))
 }
 
 // CopyFrom copies src's contents into g. The dimensions must match.

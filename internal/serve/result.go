@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"stencilabft/internal/stats"
 )
@@ -49,8 +50,13 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, j *Job) {
 		writeBody(w, "application/octet-stream", append(head, '\n'), grid.Raw)
 		return
 	}
+	bp, _ := resultBodies.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer resultBodies.Put(bp)
 	// Append grows the rare body with longer cells.
-	body := make([]byte, 0, cellText*len(grid.Raw)/elemSize(grid.Elem)+1024)
+	body := slices.Grow((*bp)[:0], cellText*len(grid.Raw)/elemSize(grid.Elem)+1024)
 	body, err := appendResultJSON(body, j.ID, cached, grid, st)
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -61,7 +67,14 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, j *Job) {
 		return
 	}
 	writeBody(w, "application/json", body)
+	*bp = body[:0]
 }
+
+// resultBodies holds JSON result bodies between GETs (*[]byte): a body is
+// cellText bytes a cell, ≈ 1.3 MB for a 256² grid, which a fresh buffer
+// would zero and drop on every request. A body goes back once writeBody has
+// written it, and the response writer keeps none of it.
+var resultBodies sync.Pool
 
 // writeBody sends a fully built 200 response with its length declared.
 func writeBody(w http.ResponseWriter, contentType string, parts ...[]byte) {

@@ -68,8 +68,29 @@ func (op *Op2D[T]) SweepRectFused(dst, src *grid.Grid[T], x0, y0, x1, y1 int, b 
 
 // ChecksumBRect computes the block's partial column checksums directly:
 // b[j] = Σ_{x in [x0,x1)} g(x, y0+j), each summed left to right from zero.
+//
+// One row's sum is a chain of dependent adds, bound by the add's latency, so
+// rows go four a trip, each into its own accumulator: the four chains
+// overlap, and each row still adds its cells in x order from zero, so every
+// entry has the bits of the one-row loop's.
 func ChecksumBRect[T num.Float](g *grid.Grid[T], x0, y0, x1, y1 int, b []T) {
-	for y := y0; y < y1; y++ {
+	y := y0
+	for ; y+4 <= y1; y += 4 {
+		r0 := g.Row(y)[x0:x1]
+		r1 := g.Row(y + 1)[x0:x1][:len(r0)]
+		r2 := g.Row(y + 2)[x0:x1][:len(r0)]
+		r3 := g.Row(y + 3)[x0:x1][:len(r0)]
+		var s0, s1, s2, s3 T
+		for x, v := range r0 {
+			s0 += v
+			s1 += r1[x]
+			s2 += r2[x]
+			s3 += r3[x]
+		}
+		j := y - y0
+		b[j], b[j+1], b[j+2], b[j+3] = s0, s1, s2, s3
+	}
+	for ; y < y1; y++ {
 		var acc T
 		row := g.Row(y)[x0:x1]
 		// Four adds a trip, in the same order: the one-add loop is 20

@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -99,6 +100,103 @@ func TestChecksumARect(t *testing.T) {
 	if a[0] != 32 || a[1] != 34 {
 		t.Fatalf("ARect = %v", a)
 	}
+}
+
+// TestChecksumBRectGenerated holds ChecksumBRect, which sums four rows a
+// trip, to a plain left-to-right sum from zero of each row, bit for bit, over
+// generated boxes of both element types: x0/y0 offsets, widths from 0 to the
+// whole row, heights 1–9 (four-row trips and every tail length), and cells
+// drawn from ±0, subnormals, ±Inf, NaN and magnitudes 1e-30…1e30 of either
+// sign, so an entry that is not the row's own ordered sum — two partial sums
+// of a row, a row added to its neighbour's accumulator — shows in its bits.
+// The entries of b past the box's height must be left alone. A failing case
+// is named by its seed.
+func TestChecksumBRectGenerated(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			if seed%2 == 0 {
+				checksumBRectGenerated[float32](t, rng)
+			} else {
+				checksumBRectGenerated[float64](t, rng)
+			}
+		})
+	}
+}
+
+func checksumBRectGenerated[T num.Float](t *testing.T, rng *rand.Rand) {
+	nx, ny := 1+rng.Intn(40), 1+rng.Intn(24)
+	x0, y0 := rng.Intn(nx), rng.Intn(ny)
+	x1 := x0 + rng.Intn(nx-x0+1)
+	if rng.Intn(4) == 0 {
+		x0, x1 = 0, nx
+	}
+	h := min(1+rng.Intn(9), ny-y0)
+	y1 := y0 + h
+	inf := T(math.Inf(1))
+	// The one NaN in play is the one the hardware makes, so that the
+	// payload of a sum does not depend on which operand carried it.
+	nan := inf - inf
+	// One row in a few carries a non-finite cell in most cases; in a third
+	// of them none does, so most sums are finite and order-sensitive.
+	nonFinite := []int{0, 1, 4}[rng.Intn(3)]
+	// Finite magnitudes come from a decade window of the case inside
+	// 1e-30…1e30: a narrow one keeps a row's cells comparable, so that a
+	// sum in another order rounds differently; the widest spans it all.
+	span := []float64{0.5, 3, 60}[rng.Intn(3)]
+	lo := -30 + (60-span)*rng.Float64()
+	g := grid.New[T](nx, ny)
+	g.FillFunc(func(x, y int) T {
+		switch k := rng.Intn(100); {
+		case k < 5:
+			return T(math.Copysign(0, -1))
+		case k < 10:
+			// Subnormal in either type: float32's smallest normal is ≈ 1.2e-38.
+			return T(float64(1+rng.Intn(1<<20)) * 1e-45)
+		case k < 10+nonFinite:
+			switch rng.Intn(3) {
+			case 0:
+				return -inf
+			case 1:
+				return inf
+			}
+			return nan
+		}
+		v := T(math.Pow(10, lo+span*rng.Float64()))
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	})
+	const sentinel = -12345
+	b := make([]T, h+3)
+	for j := range b {
+		b[j] = sentinel
+	}
+	ChecksumBRect(g, x0, y0, x1, y1, b)
+	for j := range h {
+		var want T
+		for x := x0; x < x1; x++ {
+			want += g.At(x, y0+j)
+		}
+		if !num.SameBits(b[j], want) {
+			t.Fatalf("%dx%d grid, box [%d,%d)x[%d,%d): b[%d] = %v (%#x), want %v (%#x)",
+				nx, ny, x0, x1, y0, y1, j, b[j], bitsOf(b[j]), want, bitsOf(want))
+		}
+	}
+	for j := h; j < len(b); j++ {
+		if b[j] != sentinel {
+			t.Fatalf("%dx%d grid, box [%d,%d)x[%d,%d): b[%d] = %v past the box's %d rows", nx, ny, x0, x1, y0, y1, j, b[j], h)
+		}
+	}
+}
+
+// bitsOf is v's IEEE-754 representation, for failure messages.
+func bitsOf[T num.Float](v T) uint64 {
+	if num.BitWidth[T]() == 32 {
+		return uint64(math.Float32bits(float32(v)))
+	}
+	return math.Float64bits(float64(v))
 }
 
 // TestSweepRectGenerated holds SweepRectFused, the 2-D row sweep, to the
