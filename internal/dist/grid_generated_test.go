@@ -123,6 +123,19 @@ func TestClusterGridMatchesOnline2D(t *testing.T) {
 	}
 }
 
+// TestClusterGridMatchesOnline2DAboveGrain: tiles large enough that their
+// box sweeps split over the shared pool (the generated cases' tiles all
+// sweep on their rank's goroutine, under the pool's grain) match the
+// single-process run too, a flip in each of two ranks' tiles included.
+func TestClusterGridMatchesOnline2DAboveGrain(t *testing.T) {
+	clusterGridMatchesOnline2D(t, gridCase[float32]{nx: 512, ny: 208, iters: 4, ranksX: 2, ranksY: 1, depth: 1,
+		st: stencil.Laplace5[float32](0.2), bc: grid.Clamp, pool: true,
+		flips: []fault.Injection{{Iteration: 1, X: 17, Y: 100, Bit: 27}, {Iteration: 2, X: 400, Y: 5, Bit: 28}}})
+	clusterGridMatchesOnline2D(t, gridCase[float64]{nx: 200, ny: 520, iters: 3, ranksX: 1, ranksY: 2, depth: 2,
+		st: stencil.BoxBlur[float64](), bc: grid.Periodic, pool: true,
+		flips: []fault.Injection{{Iteration: 1, X: 150, Y: 300, Bit: 58}}})
+}
+
 func clusterGridMatchesOnline2D[T num.Float](t *testing.T, tc gridCase[T]) {
 	t.Logf("case: %v", tc) // shown when the sub-test fails
 	op := &stencil.Op2D[T]{St: tc.st, BC: tc.bc, BCValue: 42, ForceGeneric: tc.generic}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strconv"
 	"sync"
 	"time"
 
@@ -31,6 +32,36 @@ type Event struct {
 	Error  string       `json:"error,omitempty"`
 	Status int          `json:"status,omitempty"`
 	Cached bool         `json:"cached,omitempty"`
+}
+
+// AppendJSON appends ev as json.Marshal encodes it, byte for byte — the
+// SSE data of every event — writing its Stats through Stats.AppendJSON. A
+// field added to Event must be added here too (TestSSEEventAppendJSON fails
+// until it is).
+func (e Event) AppendJSON(b []byte) []byte {
+	b = append(b, `{"type":`...)
+	b = stats.AppendJSONString(b, e.Type)
+	if e.State != "" {
+		b = append(b, `,"state":`...)
+		b = stats.AppendJSONString(b, string(e.State))
+	}
+	if e.Iter != 0 {
+		b = strconv.AppendInt(append(b, `,"iter":`...), int64(e.Iter), 10)
+	}
+	if e.Stats != nil {
+		b = e.Stats.AppendJSON(append(b, `,"stats":`...))
+	}
+	if e.Error != "" {
+		b = append(b, `,"error":`...)
+		b = stats.AppendJSONString(b, e.Error)
+	}
+	if e.Status != 0 {
+		b = strconv.AppendInt(append(b, `,"status":`...), int64(e.Status), 10)
+	}
+	if e.Cached {
+		b = append(b, `,"cached":true`...)
+	}
+	return append(b, '}')
 }
 
 // Terminal reports whether the event closes the stream.

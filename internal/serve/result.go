@@ -123,12 +123,7 @@ func appendResultJSON(dst []byte, id string, cached bool, g *GridPayload, st sta
 	if err != nil {
 		return nil, err
 	}
-	dst = append(dst, `]},"stats":`...)
-	sj, err := json.Marshal(st)
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, sj...)
+	dst = st.AppendJSON(append(dst, `]},"stats":`...))
 	return append(dst, '}', '\n'), nil
 }
 

@@ -339,21 +339,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 	replay, live, cancel := j.Subscribe()
 	defer cancel()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var buf []byte
 	// write sends ev unflushed and reports whether the stream goes on. A
 	// terminal event is never flushed here: the handler returns, and the
 	// end of the response writes it out with the closing chunk.
 	write := func(ev Event) bool {
-		buf.Reset()
-		buf.WriteString("event: ")
-		buf.WriteString(ev.Type)
-		buf.WriteString("\ndata: ")
-		if enc.Encode(ev) != nil { // the line and its newline
-			return false
-		}
-		buf.WriteByte('\n')
-		w.Write(buf.Bytes())
+		buf = append(append(buf[:0], "event: "...), ev.Type...)
+		buf = append(ev.AppendJSON(append(buf, "\ndata: "...)), '\n', '\n')
+		w.Write(buf)
 		return !ev.Terminal()
 	}
 	for _, ev := range replay {

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -251,5 +253,48 @@ func TestSSELiveStreamOf256Iterations(t *testing.T) {
 	}
 	if nStats != iters {
 		t.Fatalf("the live stream carried %d stats events, want one per iteration (%d)", nStats, iters)
+	}
+}
+
+// TestSSEEventAppendJSON: Event.AppendJSON is json.Marshal of the Event, byte
+// for byte, over generated events with every field — found by reflection,
+// so a field added to Event fails here until it is appended — set and
+// unset in every combination, strings drawn from every escaping case.
+func TestSSEEventAppendJSON(t *testing.T) {
+	strs := []string{"stats", "done", "", `serve: "quoted" <failure> & more`, "a\\b\x00\x1f\x7f", "\xff\u2028é", string(StateRunning)}
+	full := fullStats()
+	rng := rand.New(rand.NewPCG(47, 1))
+	nf := reflect.TypeFor[Event]().NumField()
+	for mask := range 1 << nf {
+		for range 8 {
+			var ev Event
+			v := reflect.ValueOf(&ev).Elem()
+			for i := range nf {
+				if mask&(1<<i) == 0 {
+					continue
+				}
+				switch f := v.Field(i); f.Kind() {
+				case reflect.String:
+					f.SetString(strs[rng.IntN(len(strs))])
+				case reflect.Int:
+					f.SetInt(rng.Int64N(1<<40) - 1<<39)
+				case reflect.Bool:
+					f.SetBool(true)
+				case reflect.Pointer:
+					st := full
+					st.Iterations = rng.IntN(1000)
+					f.Set(reflect.ValueOf(&st))
+				default:
+					t.Fatalf("Event field %s is of a kind this test cannot set", v.Type().Field(i).Name)
+				}
+			}
+			want, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ev.AppendJSON([]byte("data: ")); string(got) != "data: "+string(want) {
+				t.Fatalf("AppendJSON of %+v:\n got %s\nwant data: %s", ev, got, want)
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,32 +12,40 @@ import (
 	"stencilabft/internal/stats"
 )
 
-// Worker protocol v3. Every message is one JSON line; a line may announce
-// attachments, and those raw bytes follow the newline in a fixed order:
+// Worker protocol v4. A message is a kind byte, its header's length as a
+// uvarint, the header, and the attachments the header announces, in a
+// fixed order:
 //
-//	{"id":…,"event":"done","iter":…,"grid":{…},"attach":n,"statsAttach":s,"traceAttach":m}\n
-//	<s bytes: stats.Stats, binary form> <n bytes: grid cells> <m bytes: trace>
+//	'E' n <n bytes: eventHeader>  <s bytes: stats.Stats> <g bytes: grid cells> <m bytes: trace>
+//	'Q' n <n bytes: request JSON> <k bytes: the spec document>
 //
-// What the host only relays travels as an attachment, which encoding/json
-// never scans: the canonical spec document behind a request; the counters
-// behind a "stats" or "done" event (stats.Stats.AppendBinary, tens of bytes
-// where their JSON is hundreds, and decoded without a text scan); the
-// result grid (or a placed rank's tile) behind a "done" event, as
-// little-endian IEEE-754 bits at the job's native element width (the
-// internal/dist codec); and, for a placed rank asked for it, its trace.
+// An event's header is a binary record, written and read by the field walk
+// stats.Stats' own binary form uses (stats.AppendFields): a few tens of
+// bytes the host decodes without a text scan, one event at a time. The
+// request header, one a job and carrying a placement's chaos plan, stays a
+// JSON document. What the
+// host only relays travels as an attachment: the canonical spec document
+// behind a request; the counters behind a "stats" or "done" event
+// (stats.Stats.AppendBinary); the result grid (or a placed rank's tile)
+// behind a "done" event, as little-endian IEEE-754 bits at the job's native
+// element width (the internal/dist codec); and, for a placed rank asked for
+// it, its trace.
 const (
-	// maxAttachment caps an announced attachment so a corrupt line cannot
+	msgEvent   = 'E'
+	msgRequest = 'Q'
+
+	// maxAttachment caps an announced attachment so a corrupt header cannot
 	// make the reader allocate without bound.
 	maxAttachment = 1 << 30
 	// maxStatsAttach caps a stats attachment, which is tens of bytes plus
 	// the topology name.
 	maxStatsAttach = 1 << 16
-	// maxLine caps a message line; real ones are at most a few
-	// kilobytes.
-	maxLine = 1 << 20
+	// maxHeader caps a header; an event's is tens of bytes plus its error
+	// text, a request's a few kilobytes at most.
+	maxHeader = 1 << 20
 )
 
-// The write side sends each message, line and attachments, as one write
+// The write side sends each message, header and attachments, as one write
 // through the stream's reused buffer; an attachment over directAttach (a
 // large result grid, a trace) goes straight from its own slice after the
 // buffered bytes, so the buffer never grows to hold it. A worker holds its
@@ -60,11 +68,13 @@ const (
 type stream struct {
 	r         *bufio.Reader
 	w         io.Writer
-	maxAttach int    // maxAttachment; the fuzz target lowers it
-	statsBuf  []byte // a stats attachment, decoded as soon as it is read
+	maxAttach int         // maxAttachment; the fuzz target lowers it
+	statsBuf  []byte      // a stats attachment, decoded as soon as it is read
+	hdrR      eventHeader // the event header being decoded
 
-	out     bytes.Buffer     // messages not yet written: the held stats events, then the one being sent
-	enc     *json.Encoder    // encodes message lines into out
+	out     []byte           // messages not yet written: the held stats events, then the one being sent
+	hdrW    eventHeader      // the event header being encoded
+	head    []byte           // an encoded header, before its length prefix
 	statsW  []byte           // a stats attachment being encoded
 	held    int              // stats events in out
 	lastOut time.Time        // when the current request arrived or out was last written
@@ -72,26 +82,50 @@ type stream struct {
 }
 
 func newStream(r io.Reader, w io.Writer) *stream {
-	s := &stream{r: bufio.NewReader(r), w: w, maxAttach: maxAttachment, now: time.Now}
-	s.enc = json.NewEncoder(&s.out)
-	return s
+	return &stream{r: bufio.NewReader(r), w: w, maxAttach: maxAttachment, now: time.Now}
 }
 
-type requestLine struct {
+type requestHeader struct {
 	JobRequest
 	Attach int `json:"attach"`
 }
 
-type eventLine struct {
-	WorkerEvent
-	Attach      int `json:"attach,omitempty"`
-	StatsAttach int `json:"statsAttach,omitempty"`
-	TraceAttach int `json:"traceAttach,omitempty"`
+// eventHeader is a WorkerEvent as its header carries it, in the field
+// walk's declaration order: the event's scalars, which of its optional
+// parts are present, the grid's shape and the checkpoint, and the lengths
+// of the attachments that follow.
+type eventHeader struct {
+	ID, Event string
+	Iter      int
+	Error     string
+	Status    int
+	Has       int // hasGrid | hasCkpt
+	Grid      gridShape
+	Ckpt      Checkpoint
+	// StatsAttach, Attach and TraceAttach are the byte lengths of the
+	// stats, grid and trace attachments.
+	StatsAttach, Attach, TraceAttach int
 }
 
-// Send posts req: its line, then the spec document.
+// gridShape is a GridPayload without its cells.
+type gridShape struct {
+	Nx, Ny, Nz, X0, Y0 int
+	Elem               string
+}
+
+// The bits of eventHeader.Has.
+const (
+	hasGrid = 1 << iota
+	hasCkpt
+)
+
+// Send posts req: its header, then the spec document.
 func (s *stream) Send(req JobRequest) error {
-	if err := s.put(requestLine{req, len(req.Spec)}, req.Spec); err != nil {
+	head, err := json.Marshal(requestHeader{req, len(req.Spec)})
+	if err != nil {
+		return err
+	}
+	if err := s.put(msgRequest, head, req.Spec); err != nil {
 		return err
 	}
 	return s.flush()
@@ -101,41 +135,49 @@ func (s *stream) Send(req JobRequest) error {
 // shape and element type announce; Stats, Grid.Raw and Trace are fresh
 // values the caller owns.
 func (s *stream) Recv() (WorkerEvent, error) {
-	var l eventLine
-	if err := s.readLine(&l); err != nil {
+	head, err := s.readHeader(msgEvent)
+	if err != nil {
 		return WorkerEvent{}, err
 	}
+	h := &s.hdrR
+	if err := stats.UnmarshalFields(head, h); err != nil {
+		return WorkerEvent{}, fmt.Errorf("serve: bad event header: %w", err)
+	}
+	if h.Has&^(hasGrid|hasCkpt) != 0 {
+		return WorkerEvent{}, fmt.Errorf("serve: event header marks unknown parts %#x", h.Has)
+	}
+	ev := WorkerEvent{ID: h.ID, Event: h.Event, Iter: h.Iter, Error: h.Error, Status: h.Status}
 	want := 0
-	if l.Grid != nil {
-		var err error
-		if want, err = l.Grid.byteLen(); err != nil {
+	if h.Has&hasGrid != 0 {
+		g := h.Grid
+		ev.Grid = &GridPayload{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz, X0: g.X0, Y0: g.Y0, Elem: g.Elem}
+		if want, err = ev.Grid.byteLen(); err != nil {
 			return WorkerEvent{}, err
 		}
 	}
-	if l.Attach != want {
-		return WorkerEvent{}, fmt.Errorf("serve: event announces %d attached bytes, its grid needs %d", l.Attach, want)
+	if h.Attach != want {
+		return WorkerEvent{}, fmt.Errorf("serve: event announces %d attached bytes, its grid needs %d", h.Attach, want)
 	}
-	if l.StatsAttach != 0 {
-		st, err := s.readStats(l.StatsAttach)
-		if err != nil {
-			return WorkerEvent{}, err
-		}
-		l.Stats = st
+	if h.Has&hasCkpt != 0 {
+		ck := h.Ckpt
+		ev.Ckpt = &ck
 	}
-	if l.Grid != nil {
-		raw, err := s.readAttachment(want)
-		if err != nil {
-			return WorkerEvent{}, err
-		}
-		l.Grid.Raw = raw
-	}
-	if l.TraceAttach != 0 {
-		var err error
-		if l.Trace, err = s.readAttachment(l.TraceAttach); err != nil {
+	if h.StatsAttach != 0 {
+		if ev.Stats, err = s.readStats(h.StatsAttach); err != nil {
 			return WorkerEvent{}, err
 		}
 	}
-	return l.WorkerEvent, nil
+	if ev.Grid != nil {
+		if ev.Grid.Raw, err = s.readAttachment(want); err != nil {
+			return WorkerEvent{}, err
+		}
+	}
+	if h.TraceAttach != 0 {
+		if ev.Trace, err = s.readAttachment(h.TraceAttach); err != nil {
+			return WorkerEvent{}, err
+		}
+	}
+	return ev, nil
 }
 
 // readStats reads and decodes an n-byte stats attachment through the
@@ -160,22 +202,26 @@ func (s *stream) readStats(n int) (*stats.Stats, error) {
 }
 
 func (s *stream) readRequest() (JobRequest, error) {
-	var l requestLine
-	if err := s.readLine(&l); err != nil {
-		return JobRequest{}, err
-	}
-	spec, err := s.readAttachment(l.Attach)
+	head, err := s.readHeader(msgRequest)
 	if err != nil {
 		return JobRequest{}, err
 	}
-	l.Spec = spec
+	var h requestHeader
+	if err := json.Unmarshal(head, &h); err != nil {
+		return JobRequest{}, fmt.Errorf("serve: bad request header: %w", err)
+	}
+	if h.Spec, err = s.readAttachment(h.Attach); err != nil {
+		return JobRequest{}, err
+	}
 	s.lastOut = s.now()
-	return l.JobRequest, nil
+	return h.JobRequest, nil
 }
 
 // writeEvent sends ev, or holds it if it is a stats event the hold rule
 // lets wait (see holdFor).
 func (s *stream) writeEvent(ev WorkerEvent) error {
+	h := &s.hdrW
+	*h = eventHeader{ID: ev.ID, Event: ev.Event, Iter: ev.Iter, Error: ev.Error, Status: ev.Status, TraceAttach: len(ev.Trace)}
 	var st, raw []byte
 	if ev.Stats != nil {
 		var err error
@@ -183,11 +229,23 @@ func (s *stream) writeEvent(ev WorkerEvent) error {
 			return err
 		}
 		st = s.statsW
+		h.StatsAttach = len(st)
 	}
-	if ev.Grid != nil {
-		raw = ev.Grid.Raw
+	if g := ev.Grid; g != nil {
+		raw = g.Raw
+		h.Has |= hasGrid
+		h.Grid = gridShape{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz, X0: g.X0, Y0: g.Y0, Elem: g.Elem}
+		h.Attach = len(raw)
 	}
-	if err := s.put(eventLine{ev, len(raw), len(st), len(ev.Trace)}, st, raw, ev.Trace); err != nil {
+	if ev.Ckpt != nil {
+		h.Has |= hasCkpt
+		h.Ckpt = *ev.Ckpt
+	}
+	var err error
+	if s.head, err = stats.AppendFields(s.head[:0], h); err != nil {
+		return err
+	}
+	if err := s.put(msgEvent, s.head, st, raw, ev.Trace); err != nil {
 		return err
 	}
 	if ev.Event == "stats" {
@@ -201,13 +259,11 @@ func (s *stream) writeEvent(ev WorkerEvent) error {
 // put appends one message to out. An attachment over directAttach is
 // written straight after out's bytes, so a message carrying one takes more
 // than one write.
-func (s *stream) put(line any, attach ...[]byte) error {
-	if err := s.enc.Encode(line); err != nil {
-		return err
-	}
+func (s *stream) put(kind byte, head []byte, attach ...[]byte) error {
+	s.out = append(binary.AppendUvarint(append(s.out, kind), uint64(len(head))), head...)
 	for _, a := range attach {
 		if len(a) <= directAttach {
-			s.out.Write(a)
+			s.out = append(s.out, a...)
 			continue
 		}
 		if err := s.flush(); err != nil {
@@ -223,45 +279,59 @@ func (s *stream) put(line any, attach ...[]byte) error {
 // flush writes out everything pending, held events included.
 func (s *stream) flush() error {
 	s.held, s.lastOut = 0, s.now()
-	if s.out.Len() == 0 {
+	if len(s.out) == 0 {
 		return nil
 	}
-	_, err := s.w.Write(s.out.Bytes())
-	s.out.Reset()
+	_, err := s.w.Write(s.out)
+	s.out = s.out[:0]
 	return err
 }
 
-// readLine reads one bounded line and decodes it into v. A clean end of
-// stream between messages is io.EOF; inside a line it is an error.
-func (s *stream) readLine(v any) error {
-	var line []byte
-	for {
-		part, err := s.r.ReadSlice('\n')
-		if err == nil && line == nil {
-			line = part // the usual case: the whole line sits in the buffer
-			break
-		}
-		line = append(line, part...)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, io.EOF) && len(line) > 0 {
+// readHeader reads the next message's kind and header. A clean end of
+// stream between messages is io.EOF; inside one it is an error. The header
+// is read straight out of the reader's buffer when it fits, and is valid
+// until the next read; a length beyond maxHeader is refused before
+// anything of that size is allocated.
+func (s *stream) readHeader(kind byte) ([]byte, error) {
+	k, err := s.r.ReadByte()
+	if err != nil {
+		return nil, err
+	}
+	if k != kind {
+		return nil, fmt.Errorf("serve: unknown message kind %#02x (want %q)", k, kind)
+	}
+	n, err := binary.ReadUvarint(s.r)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		if !errors.Is(err, bufio.ErrBufferFull) {
-			return err
+		return nil, fmt.Errorf("serve: truncated header length: %w", err)
+	}
+	if n > maxHeader {
+		return nil, fmt.Errorf("serve: announced header of %d bytes exceeds %d", n, maxHeader)
+	}
+	var head []byte
+	if int(n) <= s.r.Size() {
+		if head, err = s.r.Peek(int(n)); err == nil {
+			s.r.Discard(int(n))
 		}
-		if len(line) > maxLine {
-			return fmt.Errorf("serve: protocol line exceeds %d bytes", maxLine)
+	} else {
+		// Grown as the bytes arrive, so a lying length costs what the
+		// input holds, not what it announced.
+		if head, err = io.ReadAll(io.LimitReader(s.r, int64(n))); err == nil && len(head) < int(n) {
+			err = io.ErrUnexpectedEOF
 		}
 	}
-	if err := json.Unmarshal(line, v); err != nil {
-		return fmt.Errorf("serve: bad protocol line: %w", err)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("serve: truncated header (want %d bytes): %w", n, err)
 	}
-	return nil
+	return head, nil
 }
 
-// readAttachment reads the n bytes a line announced, refusing a length
+// readAttachment reads the n bytes a header announced, refusing a length
 // beyond the cap before allocating anything.
 func (s *stream) readAttachment(n int) ([]byte, error) {
 	if n < 0 || n > s.maxAttach {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -108,8 +109,16 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("after the last request: %v, want io.EOF", err)
 	}
 
-	if bytes.Contains(evs, []byte(`"stats":`)) || bytes.Count(evs, []byte(`"statsAttach":`)) != 3 {
-		t.Fatalf("stats do not travel as attachments:\n%s", evs)
+	// The event headers are binary records, not JSON lines, and the stats
+	// of the three stats and done events travel as attachments.
+	withStats := 0
+	for _, h := range eventHeaders(t, evs) {
+		if h.StatsAttach > 0 {
+			withStats++
+		}
+	}
+	if bytes.Contains(evs, []byte(`"event":`)) || bytes.Contains(evs, []byte(`"stats":`)) || withStats != 3 {
+		t.Fatalf("%d events carry a stats attachment, want 3; or JSON crossed the pipe:\n%q", withStats, evs)
 	}
 	want := fullStats()
 	h := newStream(bytes.NewReader(evs), io.Discard)
@@ -144,27 +153,88 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// eventHeaders decodes the header of every event in a recorded stream,
+// stepping over the attachments each announces.
+func eventHeaders(t *testing.T, evs []byte) []eventHeader {
+	t.Helper()
+	var out []eventHeader
+	for len(evs) > 0 {
+		if evs[0] != msgEvent {
+			t.Fatalf("message kind %#x in an event stream", evs[0])
+		}
+		n, k := binary.Uvarint(evs[1:])
+		var h eventHeader
+		if k <= 0 || stats.UnmarshalFields(evs[1+k:1+k+int(n)], &h) != nil {
+			t.Fatalf("undecodable event header in %q", evs)
+		}
+		out = append(out, h)
+		evs = evs[1+k+int(n)+h.StatsAttach+h.Attach+h.TraceAttach:]
+	}
+	return out
+}
+
+// rawMessage is a message as bytes: its kind, its header's length, the
+// header, then tail.
+func rawMessage(kind byte, head []byte, tail string) string {
+	return string(binary.AppendUvarint([]byte{kind}, uint64(len(head)))) + string(head) + tail
+}
+
+// rawEvent is an event message with header h, followed by tail.
+func rawEvent(h eventHeader, tail string) string {
+	head, err := stats.AppendFields(nil, &h)
+	if err != nil {
+		panic(err)
+	}
+	return rawMessage(msgEvent, head, tail)
+}
+
+// rawRequest is a request message with JSON header head, followed by tail.
+func rawRequest(head, tail string) string { return rawMessage(msgRequest, []byte(head), tail) }
+
+// grid2x2 is the header of a done event announcing a 2x2 float32 grid of
+// attach bytes.
+func grid2x2(attach int) eventHeader {
+	return eventHeader{ID: "j", Event: "done", Has: hasGrid, Grid: gridShape{Nx: 2, Ny: 2, Elem: "float32"}, Attach: attach}
+}
+
 // TestStreamRejectsBadAttachments: a length that disagrees with the grid's
-// shape, a length beyond the cap, and a cut-off attachment are errors — and
-// the oversize one is refused before anything of that size is allocated.
+// shape, a length beyond the cap, a cut-off attachment, and a header that
+// is cut short, over its cap, trailed by bytes, of an unknown kind or
+// marking unknown parts are errors — never a panic — and the oversize ones
+// are refused before anything of that size is allocated.
 func TestStreamRejectsBadAttachments(t *testing.T) {
+	stat := func(n int) eventHeader { return eventHeader{ID: "j", Event: "stats", StatsAttach: n} }
+	done := func(g gridShape, attach int) eventHeader {
+		return eventHeader{ID: "j", Event: "done", Has: hasGrid, Grid: g, Attach: attach}
+	}
+	head, err := stats.AppendFields(nil, &eventHeader{ID: "j", Event: "stats", Iter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct{ name, wire, want string }{
-		{"length disagrees with shape", `{"id":"j","event":"done","grid":{"nx":2,"ny":2,"elem":"float32"},"attach":15}` + "\n" + strings.Repeat("x", 15), "needs 16"},
-		{"attachment without a grid", `{"id":"j","event":"stats","attach":4}` + "\nabcd", "needs 0"},
-		{"unknown element type", `{"id":"j","event":"done","grid":{"nx":2,"ny":2,"elem":"float16"},"attach":8}` + "\n12345678", "not a shape"},
-		{"shape overflows", `{"id":"j","event":"done","grid":{"nx":4611686018427387904,"ny":4,"elem":"float64"},"attach":0}` + "\n", "not a shape"},
-		{"shape beyond the cap", `{"id":"j","event":"done","grid":{"nx":65536,"ny":65536,"elem":"float64"},"attach":34359738368}` + "\n", "not a shape"},
-		{"truncated", `{"id":"j","event":"done","grid":{"nx":2,"ny":2,"elem":"float32"},"attach":16}` + "\nshort", "truncated"},
-		{"truncated trace", `{"id":"j","event":"done","grid":{"nx":1,"ny":1,"elem":"float32"},"attach":4,"traceAttach":9}` + "\n1234{}", "truncated"},
-		{"negative trace length", `{"id":"j","event":"done","traceAttach":-1}` + "\n", "outside"},
-		{"negative stats length", `{"id":"j","event":"stats","statsAttach":-1}` + "\n", "outside"},
-		{"stats beyond the cap", `{"id":"j","event":"stats","statsAttach":65537}` + "\n" + strings.Repeat("\x00", 65537), "outside"},
-		{"truncated stats", `{"id":"j","event":"stats","statsAttach":40}` + "\n\x00\x00", "truncated stats"},
-		{"short stats", `{"id":"j","event":"stats","statsAttach":3}` + "\n\x02\x04\x06", "bad stats"},
-		{"stats with trailing bytes", `{"id":"j","event":"stats","statsAttach":` + statsPlus(1) + "\x00", "trail"},
-		{"stats string past its end", `{"id":"j","event":"stats","statsAttach":17}` + "\n" + strings.Repeat("\x00", 16) + "\x7f", "bad stats"},
-		{"cut inside the line", `{"id":"j","event":"st`, "unexpected EOF"},
-		{"not json", "hello\n", "bad protocol line"},
+		{"length disagrees with shape", rawEvent(grid2x2(15), strings.Repeat("x", 15)), "needs 16"},
+		{"attachment without a grid", rawEvent(eventHeader{ID: "j", Event: "stats", Attach: 4}, "abcd"), "needs 0"},
+		{"unknown element type", rawEvent(done(gridShape{Nx: 2, Ny: 2, Elem: "float16"}, 8), "12345678"), "not a shape"},
+		{"shape overflows", rawEvent(done(gridShape{Nx: 1 << 62, Ny: 4, Elem: "float64"}, 0), ""), "not a shape"},
+		{"shape beyond the cap", rawEvent(done(gridShape{Nx: 65536, Ny: 65536, Elem: "float64"}, 34359738368), ""), "not a shape"},
+		{"truncated", rawEvent(grid2x2(16), "short"), "truncated"},
+		{"truncated trace", rawEvent(eventHeader{ID: "j", Event: "done", Has: hasGrid, Grid: gridShape{Nx: 1, Ny: 1, Elem: "float32"},
+			Attach: 4, TraceAttach: 9}, "1234{}"), "truncated"},
+		{"negative trace length", rawEvent(eventHeader{ID: "j", Event: "done", TraceAttach: -1}, ""), "outside"},
+		{"negative stats length", rawEvent(stat(-1), ""), "outside"},
+		{"stats beyond the cap", rawEvent(stat(65537), strings.Repeat("\x00", 65537)), "outside"},
+		{"truncated stats", rawEvent(stat(40), "\x00\x00"), "truncated stats"},
+		{"short stats", rawEvent(stat(3), "\x02\x04\x06"), "bad stats"},
+		{"stats with trailing bytes", statsPlus(stat(0), 1) + "\x00", "trail"},
+		{"stats string past its end", rawEvent(stat(17), strings.Repeat("\x00", 16)+"\x7f"), "bad stats"},
+		{"cut inside the header", rawEvent(grid2x2(16), "")[:9], "unexpected EOF"},
+		{"cut inside the header length", "E\x80", "unexpected EOF"},
+		{"cut after the kind", "E", "unexpected EOF"},
+		{"header over its cap", string(binary.AppendUvarint([]byte{msgEvent}, maxHeader+1)) + "xyz", "exceeds"},
+		{"trailing header bytes", rawMessage(msgEvent, append(head, 0), ""), "trail"},
+		{"unknown parts", rawEvent(eventHeader{ID: "j", Event: "done", Has: 4}, ""), "unknown parts"},
+		{"unknown message kind", "hello\n", "unknown message kind"},
+		{"a request where an event belongs", rawRequest(`{"id":"j","iters":1,"attach":0}`, ""), "unknown message kind"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,31 +244,52 @@ func TestStreamRejectsBadAttachments(t *testing.T) {
 			}
 		})
 	}
+	for _, tc := range []struct{ name, wire, want string }{
+		{"not json", rawRequest("hello", ""), "bad request header"},
+		{"trailing bytes after the document", rawRequest(`{"id":"j","iters":1,"attach":0} x`, ""), "bad request header"},
+		{"an event where a request belongs", rawEvent(grid2x2(0), ""), "unknown message kind"},
+		{"truncated spec", rawRequest(`{"id":"j","iters":1,"attach":9}`, "spec"), "truncated"},
+		{"cut inside a long header", string(binary.AppendUvarint([]byte{msgRequest}, maxHeader)) + "{", "unexpected EOF"},
+	} {
+		t.Run("request/"+tc.name, func(t *testing.T) {
+			_, err := newStream(strings.NewReader(tc.wire), io.Discard).readRequest()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("readRequest: %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := newStream(strings.NewReader(`{"id":"j","iters":1,"attach":1073741825}`+"\nspec"), io.Discard).readRequest()
-	_, err2 := newStream(strings.NewReader(`{"id":"j","event":"done","traceAttach":1073741825}`+"\ntrace"), io.Discard).Recv()
-	_, err3 := newStream(strings.NewReader(`{"id":"j","event":"stats","statsAttach":1073741825}`+"\nstats"), io.Discard).Recv()
+	_, err = newStream(strings.NewReader(rawRequest(`{"id":"j","iters":1,"attach":1073741825}`, "spec")), io.Discard).readRequest()
+	_, err2 := newStream(strings.NewReader(rawEvent(eventHeader{ID: "j", Event: "done", TraceAttach: 1073741825}, "trace")), io.Discard).Recv()
+	_, err3 := newStream(strings.NewReader(rawEvent(stat(1073741825), "stats")), io.Discard).Recv()
+	_, err4 := newStream(strings.NewReader(string(binary.AppendUvarint([]byte{msgEvent}, 1<<40))+"head"), io.Discard).Recv()
+	_, err5 := newStream(strings.NewReader(string(binary.AppendUvarint([]byte{msgRequest}, maxHeader))+"head"), io.Discard).readRequest()
 	runtime.ReadMemStats(&after)
 	for _, e := range []error{err, err2, err3} {
 		if e == nil || !strings.Contains(e.Error(), "outside") {
 			t.Fatalf("oversize request, trace and stats attachments: %v; %v; %v", err, err2, err3)
 		}
 	}
+	if err4 == nil || !strings.Contains(err4.Error(), "exceeds") || err5 == nil || !strings.Contains(err5.Error(), "truncated") {
+		t.Fatalf("oversize and cut-short headers: %v; %v", err4, err5)
+	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("refusing three 1 GiB announcements allocated %d bytes", grew)
+		t.Fatalf("refusing three 1 GiB attachments, a 1 TiB header and a cut-short 1 MiB one allocated %d bytes", grew)
 	}
 }
 
-// statsPlus is the rest of a stats event line whose attachment is a whole
-// stats.Stats followed by extra more bytes, which the test appends.
-func statsPlus(extra int) string {
+// statsPlus is a stats event with header h whose attachment is a whole
+// stats.Stats followed by extra more bytes, which the caller appends (or,
+// for a negative extra, announced that many bytes short).
+func statsPlus(h eventHeader, extra int) string {
 	b, err := fullStats().AppendBinary(nil)
 	if err != nil {
 		panic(err)
 	}
-	return fmt.Sprintf("%d}\n%s", len(b)+extra, b)
+	h.StatsAttach = len(b) + extra
+	return rawEvent(h, string(b))
 }
 
 // FuzzWorkerStream feeds arbitrary bytes to both ends of the protocol
@@ -211,15 +302,20 @@ func FuzzWorkerStream(f *testing.F) {
 	f.Add(evs)
 	f.Add(evs[:len(evs)/2])
 	f.Add(reqs[:len(reqs)-3])
-	f.Add([]byte(`{"id":"j","event":"done","grid":{"nx":1000000,"ny":1000000,"elem":"float64"},"attach":8000000000000}` + "\n"))
-	f.Add([]byte(`{"id":"j","iters":1,"attach":999999999999}` + "\nx"))
-	f.Add([]byte(`{"attach":-1}` + "\n"))
-	f.Add([]byte(`{"id":"j","event":"ckpt","ckpt":{"rank":3,"gen":16}}` + "\n"))
-	f.Add([]byte(`{"id":"j","event":"done","traceAttach":999999999999}` + "\n{}"))
-	f.Add([]byte(`{"id":"j","event":"stats","iter":2,"statsAttach":` + statsPlus(0)))
-	f.Add([]byte(`{"id":"j","event":"stats","iter":2,"statsAttach":` + statsPlus(-5)))
-	f.Add([]byte(`{"id":"j","event":"done","grid":{"nx":1,"ny":1,"elem":"float32"},"attach":4,"statsAttach":` + statsPlus(0) + "abcd"))
-	f.Add([]byte(`{"id":"j","event":"stats","statsAttach":999999999999}` + "\n\x00"))
+	f.Add([]byte(rawEvent(eventHeader{ID: "j", Event: "done", Has: hasGrid,
+		Grid: gridShape{Nx: 1000000, Ny: 1000000, Elem: "float64"}, Attach: 8000000000000}, "")))
+	f.Add([]byte(rawRequest(`{"id":"j","iters":1,"attach":999999999999}`, "x")))
+	f.Add([]byte(rawRequest(`{"attach":-1}`, "")))
+	f.Add([]byte(rawEvent(eventHeader{ID: "j", Event: "ckpt", Has: hasCkpt, Ckpt: Checkpoint{Rank: 3, Gen: 16}}, "")))
+	f.Add([]byte(rawEvent(eventHeader{ID: "j", Event: "done", TraceAttach: 999999999999}, "{}")))
+	stat := eventHeader{ID: "j", Event: "stats", Iter: 2}
+	f.Add([]byte(statsPlus(stat, 0)))
+	f.Add([]byte(statsPlus(stat, -5)))
+	f.Add([]byte(statsPlus(eventHeader{ID: "j", Event: "done", Has: hasGrid, Grid: gridShape{Nx: 1, Ny: 1, Elem: "float32"}, Attach: 4}, 0) + "abcd"))
+	f.Add([]byte(rawEvent(eventHeader{ID: "j", Event: "stats", StatsAttach: 999999999999}, "\x00")))
+	f.Add(binary.AppendUvarint([]byte{msgEvent}, maxHeader+1))
+	f.Add(binary.AppendUvarint([]byte{msgRequest}, maxHeader))
+	f.Add([]byte(rawEvent(eventHeader{ID: "j", Event: "error", Error: "serve: no", Status: 400}, "")))
 	f.Add(bytes.Repeat([]byte("x"), 5000))
 
 	const fuzzCap = 1 << 16
@@ -252,8 +348,9 @@ func FuzzWorkerStream(f *testing.F) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		// Every message costs at least its newline, so the reads are bounded
-		// by the input; the allowance is decode garbage, not announced sizes.
+		// Every message costs at least its kind and header-length bytes, so
+		// the reads are bounded by the input; the allowance is decode
+		// garbage, not announced sizes.
 		if grew, allow := after.TotalAlloc-before.TotalAlloc, uint64(2*fuzzCap+64*len(data)+1<<20); grew > allow {
 			t.Fatalf("reading %d input bytes allocated %d (allowance %d)", len(data), grew, allow)
 		}
@@ -574,25 +671,30 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// legacyEvent is an event as the protocol has always encoded it: its line,
-// then its stats, grid and trace attachments.
-func legacyEvent(t *testing.T, ev WorkerEvent) []byte {
+// v4Event is an event as protocol v4 encodes it: its kind, its header's
+// length, its binary header, then its stats, grid and trace attachments.
+func v4Event(t *testing.T, ev WorkerEvent) []byte {
 	t.Helper()
+	h := eventHeader{ID: ev.ID, Event: ev.Event, Iter: ev.Iter, Error: ev.Error, Status: ev.Status, TraceAttach: len(ev.Trace)}
 	var st, raw []byte
 	if ev.Stats != nil {
 		var err error
 		if st, err = ev.Stats.AppendBinary(nil); err != nil {
 			t.Fatal(err)
 		}
+		h.StatsAttach = len(st)
 	}
-	if ev.Grid != nil {
-		raw = ev.Grid.Raw
+	if g := ev.Grid; g != nil {
+		raw = g.Raw
+		h.Has |= hasGrid
+		h.Grid = gridShape{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz, X0: g.X0, Y0: g.Y0, Elem: g.Elem}
+		h.Attach = len(raw)
 	}
-	line, err := json.Marshal(eventLine{ev, len(raw), len(st), len(ev.Trace)})
-	if err != nil {
-		t.Fatal(err)
+	if ev.Ckpt != nil {
+		h.Has |= hasCkpt
+		h.Ckpt = *ev.Ckpt
 	}
-	return slices.Concat(line, []byte("\n"), st, raw, ev.Trace)
+	return []byte(rawEvent(h, string(slices.Concat(st, raw, ev.Trace))))
 }
 
 // TestStreamWritesBursts: a request, and an event with small attachments,
@@ -630,7 +732,7 @@ func TestStreamWritesBursts(t *testing.T) {
 		if err := worker.writeEvent(ev); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, legacyEvent(t, ev)...)
+		want = append(want, v4Event(t, ev)...)
 		if wantWrite {
 			writes++
 		}
@@ -678,7 +780,7 @@ func TestStreamWritesBursts(t *testing.T) {
 	if err := worker.writeEvent(WorkerEvent{ID: "j2", Event: "done", Iter: 2, Stats: &st, Grid: big}); err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, legacyEvent(t, WorkerEvent{ID: "j2", Event: "done", Iter: 2, Stats: &st, Grid: big})...)
+	want = append(want, v4Event(t, WorkerEvent{ID: "j2", Event: "done", Iter: 2, Stats: &st, Grid: big})...)
 	if out.writes != writes+2 || !bytes.Equal(out.Bytes(), want) {
 		t.Fatalf("a done event with a %d-byte grid took %d writes, want 2, or changed its bytes", len(big.Raw), out.writes-writes)
 	}

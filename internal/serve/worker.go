@@ -4,7 +4,7 @@
 // processes, streams per-iteration Stats over SSE, and content-addresses
 // finished results so identical submissions are answered from cache.
 //
-// The package splits into the worker side (this file, speaking the line +
+// The package splits into the worker side (this file, speaking the header +
 // attachment protocol of stream.go over stdin/stdout) and the host side
 // (pool, scheduler, cache, HTTP surface). The same WorkerMain runs as a child
 // process of cmd/stencilserve, as a re-exec'd test binary, or in-process
@@ -24,7 +24,7 @@ import (
 )
 
 // JobRequest is one unit of work sent to a worker: the canonical wire-form
-// spec plus the run length. Spec follows the request line as its attachment
+// spec plus the run length. Spec follows the request header as its attachment
 // (see stream.go), so the document is never re-scanned on the way in. A
 // placed request additionally seats the worker as one rank of a
 // multi-process cluster (see Placement) — the scheduler's gang fan-out and

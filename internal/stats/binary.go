@@ -13,20 +13,35 @@ import (
 // bytes. The declaration order is the schema, so both ends must be one
 // build — as a re-exec'd worker is. A run's counters are mostly zero, so a
 // whole Stats is tens of bytes where its JSON is hundreds, and decoding it
-// scans no text.
+// scans no text. AppendFields and UnmarshalFields are the same walk over
+// any struct of such fields; the worker protocol's event header is one.
 
 var errShort = errors.New("stats: binary form ends early")
 
 // AppendBinary appends the binary form of s to b.
 func (s Stats) AppendBinary(b []byte) ([]byte, error) {
-	return appendValue(b, reflect.ValueOf(&s).Elem())
+	return AppendFields(b, &s)
 }
 
 // UnmarshalBinary decodes the binary form AppendBinary wrote. Input that
 // ends early, runs past the last field or holds a malformed or
 // out-of-range varint is an error, and leaves s partly written.
 func (s *Stats) UnmarshalBinary(data []byte) error {
-	rest, err := decodeValue(data, reflect.ValueOf(s).Elem())
+	return UnmarshalFields(data, s)
+}
+
+// AppendFields appends the binary form of the struct v points to: its
+// fields in declaration order, as Stats.AppendBinary writes a Stats. Every
+// field must be an int, int64, string, or an array or struct of them.
+func AppendFields(b []byte, v any) ([]byte, error) {
+	return appendValue(b, reflect.ValueOf(v).Elem())
+}
+
+// UnmarshalFields decodes what AppendFields wrote into the struct v points
+// to, under UnmarshalBinary's rules: input that ends early, trails the last
+// field or holds a malformed or out-of-range varint is an error.
+func UnmarshalFields(data []byte, v any) error {
+	rest, err := decodeValue(data, reflect.ValueOf(v).Elem())
 	if err != nil {
 		return err
 	}

@@ -112,3 +112,38 @@ func TestBinaryRejectsBadInput(t *testing.T) {
 		t.Fatalf("huge string length: %v", err)
 	}
 }
+
+// TestFieldsRoundTrip: the walk Stats' binary form rides is open to any
+// struct of ints, strings and nested structs, under the same rules — a
+// short or trailing input is an error — and refuses a field it cannot
+// encode.
+func TestFieldsRoundTrip(t *testing.T) {
+	type inner struct {
+		A int64
+		S string
+	}
+	type rec struct {
+		N   int
+		In  inner
+		Arr [2]int
+		T   string
+	}
+	in := rec{N: -7, In: inner{A: math.MaxInt64, S: "x\x00y"}, Arr: [2]int{3, -4}, T: "tail"}
+	b, err := AppendFields(nil, &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out rec
+	if err := UnmarshalFields(b, &out); err != nil || out != in {
+		t.Fatalf("decoded %+v, %v; want %+v", out, err, in)
+	}
+	if err := UnmarshalFields(b[:len(b)-1], &out); err == nil {
+		t.Fatal("a cut-short record decoded")
+	}
+	if err := UnmarshalFields(append(b, 0), &out); err == nil || !strings.Contains(err.Error(), "trail") {
+		t.Fatalf("trailing byte: %v", err)
+	}
+	if _, err := AppendFields(nil, &struct{ F float64 }{1}); err == nil {
+		t.Fatal("a float field encoded")
+	}
+}

@@ -95,7 +95,34 @@ func (p *Pool) Close() {
 // to a plain fn(0, n) with no synchronisation at all — and the remaining
 // chunks are dispatched to the persistent workers.
 func (p *Pool) ForEachChunk(n int, fn func(lo, hi int)) {
-	w := p.workers()
+	p.forEachChunk(n, p.workers(), fn)
+}
+
+// sweepGrain is the fewest cells a sweep hands one part of the pool: a
+// sweep of fewer than two grains runs on the calling goroutine, never
+// starting or waking a worker, and a larger one splits into at most one
+// part a grain. Handing a part to a parked worker and joining it costs
+// microseconds, which the part must pay back. One sweep on a pool of two
+// against the same sweep on the caller (medians of repeated sweeps, 2-vCPU
+// Xeon 2.1 GHz, go1.24): 0.82 at 768 cells (serve_small's 32x24 job),
+// 0.6-1.0 with 4-8 Ki-cell parts, 1.0 (star7) and 1.2-1.6 (star5) with
+// 16 Ki, 1.1-1.4 with 24 Ki and 1.3-1.4 with 32 Ki (serve_grid's 256x256
+// job); bench's stencil.pool2_speedup read 0.66 on serve_small, 0.97 on
+// tile_small (16 Ki-cell parts) and 1.37 on serve_grid. The grain sits
+// above the break-even because a gain measured alone is lent by an idle
+// core, which a service running jobs side by side does not have. So
+// serve_grid's 64 Ki cells and tile_large's 2 Mi still split, and
+// tile_small's 32 Ki and every smaller sweep do not.
+const sweepGrain = 24 << 10
+
+// sweepParts is how many parts a sweep of cells takes: the pool's workers,
+// but no more than one a grain.
+func (p *Pool) sweepParts(cells int) int {
+	return min(p.workers(), cells/sweepGrain)
+}
+
+// forEachChunk is ForEachChunk over at most w chunks.
+func (p *Pool) forEachChunk(n, w int, fn func(lo, hi int)) {
 	if w > n {
 		w = n
 	}
@@ -158,10 +185,11 @@ func (op *Op2D[T]) SweepParallelInject(p *Pool, dst, src *grid.Grid[T], b []T, s
 }
 
 // SweepRectParallel is SweepRectFused with the rectangle's rows partitioned
-// over the pool (a nil pool sweeps on the calling goroutine): b, indexed by
-// rectangle row, is written by the worker that owns the row. A steady-state
-// call allocates nothing: what the workers need travels in a rectSweep the
-// operator keeps between calls instead of in a fresh closure.
+// over the pool (a nil pool, or a rectangle under two sweepGrains, sweeps
+// on the calling goroutine): b, indexed by rectangle row, is written by the
+// worker that owns the row. A steady-state call allocates nothing: what the
+// workers need travels in a rectSweep the operator keeps between calls
+// instead of in a fresh closure.
 func (op *Op2D[T]) SweepRectParallel(p *Pool, dst, src *grid.Grid[T], x0, y0, x1, y1 int, b []T, sites []Site[T]) {
 	c := op.sweepc.Take() // nil on first use, or while a concurrent call holds it
 	if c == nil {
@@ -169,7 +197,7 @@ func (op *Op2D[T]) SweepRectParallel(p *Pool, dst, src *grid.Grid[T], x0, y0, x1
 		c.run = c.rows
 	}
 	c.op, c.dst, c.src, c.x0, c.y0, c.x1, c.b, c.sites = op, dst, src, x0, y0, x1, b, sites
-	p.ForEachChunk(y1-y0, c.run)
+	p.forEachChunk(y1-y0, p.sweepParts((x1-x0)*(y1-y0)), c.run)
 	*c = rectSweep[T]{run: c.run} // do not pin the caller's grids
 	op.sweepc.Store(c)
 }
@@ -207,10 +235,11 @@ func (op *Op3D[T]) SweepParallel(p *Pool, dst, src *grid.Grid3D[T], bs [][]T) {
 // the worker that owns its row. The pool partitions the box's rows counted
 // layer by layer, not whole layers, so a one-layer stack (a 2-D domain) still
 // splits, and a box whose layer count the workers divide splits at layer
-// boundaries. bs is indexed by layer of the grid and bs[z] by row, like
-// SweepParallel's; bs[z][y] is row y's sum over [x0, x1). A steady-state call
-// allocates nothing: what the workers need travels in a layerSweep the
-// operator keeps between calls instead of in a fresh closure.
+// boundaries; a box under two sweepGrains sweeps on the calling goroutine.
+// bs is indexed by layer of the grid and bs[z] by row, like SweepParallel's;
+// bs[z][y] is row y's sum over [x0, x1). A steady-state call allocates
+// nothing: what the workers need travels in a layerSweep the operator keeps
+// between calls instead of in a fresh closure.
 func (op *Op3D[T]) SweepLayersInject(p *Pool, dst, src *grid.Grid3D[T], x0, y0, z0, x1, y1, z1 int, bs [][]T, sites []Site[T]) {
 	c := op.sweepc.Take() // nil on first use, or while a concurrent call holds it
 	if c == nil {
@@ -218,7 +247,7 @@ func (op *Op3D[T]) SweepLayersInject(p *Pool, dst, src *grid.Grid3D[T], x0, y0, 
 		c.run = c.rows
 	}
 	c.op, c.dst, c.src, c.x0, c.y0, c.z0, c.x1, c.y1, c.bs, c.sites = op, dst, src, x0, y0, z0, x1, y1, bs, sites
-	p.ForEachChunk((z1-z0)*(y1-y0), c.run)
+	p.forEachChunk((z1-z0)*(y1-y0), p.sweepParts((x1-x0)*(y1-y0)*(z1-z0)), c.run)
 	*c = layerSweep[T]{run: c.run} // do not pin the caller's grids
 	op.sweepc.Store(c)
 }

@@ -1,11 +1,17 @@
 package stencil
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stencilabft/internal/grid"
+	"stencilabft/internal/num"
 )
 
 // TestPoolPersistentWorkers pins the pool's lifecycle: the workers are
@@ -121,4 +127,75 @@ func TestPoolCallerRunsFinalChunk(t *testing.T) {
 		t.Fatal("final chunk did not run while the persistent worker was blocked")
 	}
 	close(block)
+}
+
+// TestPoolSweepGrain: a pooled sweep writes the nil-pool sweep's cells and
+// fused checksums bit for bit on either side of the grain — a 2-D
+// rectangle and a 3-D box, each with injection sites — and only a sweep of
+// at least two grains, what a pool of two splits, wakes the pool: one a
+// row under starts no worker goroutine on a fresh pool.
+func TestPoolSweepGrain(t *testing.T) {
+	const nx = 256
+	rows := 2 * sweepGrain / nx // the fewest 256-cell rows a pool of two splits
+	rng := rand.New(rand.NewSource(47))
+	for _, h := range []int{rows - 1, rows, rows + 1} {
+		split := h >= rows
+
+		// 2-D: rows [1, 1+h) of an (h+2)-row float64 domain.
+		op := &Op2D[float64]{St: Laplace5(0.2), BC: grid.Clamp}
+		src := grid.New[float64](nx, h+2)
+		src.FillFunc(func(x, y int) float64 { return rng.Float64()*200 - 100 })
+		sites := []Site[float64]{{X: 3, Y: 1, Mutate: func(v float64) float64 { return v + 1e3 }},
+			{X: nx - 1, Y: h, Mutate: func(v float64) float64 { return -v }}}
+		sweep2 := func(p *Pool) ([]float64, []float64) {
+			dst, b := grid.New[float64](nx, h+2), make([]float64, h)
+			dst.Fill(-7)
+			op.SweepRectParallel(p, dst, src, 0, 1, nx, 1+h, b, sites)
+			return dst.Data(), b
+		}
+		grainCase(t, fmt.Sprintf("2-D %dx%d", nx, h), split, sweep2)
+
+		// 3-D: a 128-wide box over rows [1, 1+h) of layers [1, 3) of a
+		// four-layer float32 stack, so as many cells as the 2-D rectangle.
+		op3 := &Op3D[float32]{St: SevenPoint3D[float32](0.4, 0.1, 0.1, 0.1, 0.1, 0.05, 0.15), BC: grid.Periodic}
+		src3 := grid.New3D[float32](nx/2, h+2, 4)
+		src3.FillFunc(func(x, y, z int) float32 { return float32(rng.Float64()) })
+		sites3 := []Site[float32]{{X: 5, Y: h, Z: 2, Mutate: func(v float32) float32 { return v * 3 }}}
+		sweep3 := func(p *Pool) ([]float32, []float32) {
+			dst := grid.New3D[float32](nx/2, h+2, 4)
+			dst.Fill(-7)
+			bs := [][]float32{nil, make([]float32, h+2), make([]float32, h+2), nil}
+			op3.SweepLayersInject(p, dst, src3, 0, 1, 1, nx/2, 1+h, 3, bs, sites3)
+			return dst.Data(), slices.Concat(bs...)
+		}
+		grainCase(t, fmt.Sprintf("3-D %dx%dx2", nx/2, h), split, sweep3)
+	}
+}
+
+// grainCase runs sweep on the calling goroutine and on a fresh pool of two,
+// requires the same bits from both, and that the pool started its worker
+// exactly when split.
+func grainCase[T num.Float](t *testing.T, what string, split bool, sweep func(p *Pool) (cells, b []T)) {
+	t.Helper()
+	wantCells, wantB := sweep(nil)
+	pool := &Pool{Workers: 2}
+	t.Cleanup(pool.Close)
+	before := runtime.NumGoroutine()
+	cells, b := sweep(pool)
+	if started := pool.jobs != nil; started != split {
+		t.Fatalf("%s: pool started = %v, want %v", what, started, split)
+	}
+	if now := runtime.NumGoroutine(); !split && now > before {
+		t.Fatalf("%s: a sweep under the grain left %d goroutines, was %d", what, now, before)
+	}
+	for i := range wantCells {
+		if !num.SameBits(cells[i], wantCells[i]) {
+			t.Fatalf("%s: pooled cell %d = %v, the caller's sweep wrote %v", what, i, cells[i], wantCells[i])
+		}
+	}
+	for i := range wantB {
+		if !num.SameBits(b[i], wantB[i]) {
+			t.Fatalf("%s: pooled checksum %d = %v, the caller's sweep wrote %v", what, i, b[i], wantB[i])
+		}
+	}
 }
