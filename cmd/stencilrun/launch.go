@@ -227,17 +227,13 @@ func runLaunch(c config, p plan, start serve.StartWorker) error {
 	return nil
 }
 
-// deathReport names a dead rank process, how it exited, the last buddy
-// checkpoint generation it had reported, and how much transport healing
-// (reconnects, resent frames) it had done by then — the launcher-side
-// diagnostic for a fail-stop event.
+// deathReport names a dead rank process, how it exited and the last buddy
+// checkpoint generation it had reported — the launcher-side diagnostic for
+// a fail-stop event.
 func (l *rankLog) deathReport(e *serve.RankError) string {
 	progress := "no buddy checkpoint reported"
 	if ck := l.ckpt[e.Rank]; ck != nil {
 		progress = fmt.Sprintf("last buddy checkpoint at generation %d", ck.Gen)
-		if ck.Reconnects > 0 || ck.Resends > 0 {
-			progress += fmt.Sprintf(" after %d reconnects and %d resent frames", ck.Reconnects, ck.Resends)
-		}
 	}
 	return fmt.Sprintf("rank %d process (epoch %d) died: %v; %s", e.Rank, e.Epoch, e.Err, progress)
 }

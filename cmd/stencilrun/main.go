@@ -231,7 +231,7 @@ func (c config) resolve() (plan, error) {
 		return p, fmt.Errorf("-chaos injects faults into a cluster's transport; shape one with -rankgrid RxC (or -ranks N)")
 	}
 	if c.chaos != "" && c.inject {
-		return p, fmt.Errorf("-chaos drills the transport (healed bit-identically) and -inject corrupts the domain (detected and repaired) — run the drills separately so each gate means something")
+		return p, fmt.Errorf("-chaos drills the transport (absorbed, or recovered under -buddy) and -inject corrupts the domain (detected and repaired) — run the drills separately so each gate means something")
 	}
 
 	if kind == abft.TransportChan {
@@ -460,7 +460,7 @@ func main() {
 		fail(err)
 	}
 	// Soak mode: the same run repeated with an advancing chaos seed, every
-	// pass fully verified — the long-tail sieve for heal-path races.
+	// pass fully verified — the long-tail sieve for fault-path races.
 	passes := 1
 	if c.soak > 0 {
 		passes = c.soak
@@ -617,9 +617,10 @@ func runProcess(c config, p plan) error {
 		fmt.Printf("chaos: injected %s (plan %s, seed %d)\n", harness.Summary(), c.chaos, c.chaosSeed)
 		if ref != nil {
 			// Transport chaos must be invisible in the result: every absorbed
-			// or healed fault leaves the run bit-identical to the fault-free
-			// reference. (A tcp rank process has no reference; the gate is
-			// its operator's cross-process gather comparison.)
+			// fault leaves the run bit-identical to the fault-free reference,
+			// and one that is not fails the run. (A tcp rank process has no
+			// reference; the gate is its operator's cross-process gather
+			// comparison.)
 			if err := sameAsReference("chaos", prot.Grid(), ref); err != nil {
 				return err
 			}

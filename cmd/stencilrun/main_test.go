@@ -490,12 +490,12 @@ func (w *idleWorker) Recv() (serve.WorkerEvent, error) {
 
 // TestDeathReport pins the launcher's fail-stop diagnostic and the "ckpt"
 // event bookkeeping behind it: the report names the rank, how its process
-// exited, the last checkpoint generation the rank itself reported, and any
-// transport healing it had done before it died. The scripted rank runs in
-// a gang whose other ranks idle until its failure collapses the gang.
+// exited and the last checkpoint generation the rank itself reported. The
+// scripted rank runs in a gang whose other ranks idle until its failure
+// collapses the gang.
 func TestDeathReport(t *testing.T) {
-	ckpt := func(rank, gen int, reconnects, resends int64) serve.WorkerEvent {
-		return serve.WorkerEvent{Event: "ckpt", Ckpt: &serve.Checkpoint{Rank: rank, Gen: gen, Reconnects: reconnects, Resends: resends}}
+	ckpt := func(rank, gen int) serve.WorkerEvent {
+		return serve.WorkerEvent{Event: "ckpt", Ckpt: &serve.Checkpoint{Rank: rank, Gen: gen}}
 	}
 	cases := []struct {
 		name        string
@@ -505,16 +505,13 @@ func TestDeathReport(t *testing.T) {
 		want, not   []string
 	}{
 		{"killed after two clean checkpoints", 3, 0,
-			[]serve.WorkerEvent{ckpt(3, 8, 0, 0), ckpt(2, 40, 9, 9), ckpt(3, 24, 0, 0), {Event: "ckpt"}},
+			[]serve.WorkerEvent{ckpt(3, 8), ckpt(2, 40), ckpt(3, 24), {Event: "ckpt"}},
 			errors.New("signal: killed"),
-			[]string{"rank 3", "epoch 0", "signal: killed", "generation 24"}, []string{"reconnects", "generation 40"}},
+			[]string{"rank 3", "epoch 0", "signal: killed", "generation 24"}, []string{"generation 40"}},
 		{"died before any checkpoint: the pipe's EOF stands in for a clean exit status", 1, 2, nil, nil,
 			[]string{"rank 1", "epoch 2", "EOF", "no buddy checkpoint"}, nil},
-		{"healed connections before dying", 2, 1,
-			[]serve.WorkerEvent{ckpt(2, 40, 3, 17)}, errors.New("exit status 1"),
-			[]string{"exit status 1", "generation 40", "3 reconnects", "17 resent frames"}, nil},
 		{"a job error is the cause", 0, 0,
-			[]serve.WorkerEvent{ckpt(0, 8, 0, 0), {Event: "error", Error: "rank 0 lost its Right neighbour"}}, nil,
+			[]serve.WorkerEvent{ckpt(0, 8), {Event: "error", Error: "rank 0 lost its Right neighbour"}}, nil,
 			[]string{"lost its Right neighbour", "generation 8"}, nil},
 	}
 	for _, tc := range cases {

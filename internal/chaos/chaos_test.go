@@ -19,12 +19,12 @@ func TestPlanParseAndValidate(t *testing.T) {
 		{"AllTypes", `{"faults":[
 			{"type":"drop","edge":{"from":0,"to":1},"at":3},
 			{"type":"delay","edge":{"from":1,"to":0},"at":0,"count":2,"ms":10},
-			{"type":"dup","edge":{"from":0,"to":1},"at":5},
-			{"type":"reorder","edge":{"from":0,"to":1},"at":7},
 			{"type":"corrupt","prob":0.01},
 			{"type":"killconn","edge":{"from":2,"to":3},"at":9},
-			{"type":"partition","edge":{"from":0,"to":1},"at":4,"ms":100},
+			{"type":"partition","edge":{"from":0,"to":1},"at":4,"count":3},
 			{"type":"stall","rank":2,"at":1,"ms":25}]}`, ""},
+		{"DupGone", `{"faults":[{"type":"dup","edge":{"from":0,"to":1},"at":5}]}`, "no transport fault duplicates or reorders"},
+		{"ReorderGone", `{"faults":[{"type":"reorder","edge":{"from":0,"to":1},"at":7}]}`, "no transport fault duplicates or reorders"},
 		{"BadJSON", `{"faults":[`, "parsing fault plan"},
 		{"Empty", `{"faults":[]}`, "no faults"},
 		{"UnknownType", `{"faults":[{"type":"scramble","edge":{"from":0,"to":1}}]}`, `unknown type "scramble"`},
@@ -58,16 +58,12 @@ func TestPlanParseAndValidate(t *testing.T) {
 	}
 }
 
-// The fault plans the CI chaos job writes (plan-wire, plan-seam, plan-drop),
-// verbatim: FuzzChaosParse's seed corpus.
+// The fault plans the CI chaos job writes (plan-wire, plan-seam, plan-drop,
+// plan-kill), verbatim: FuzzChaosParse's seed corpus.
 var ciPlans = []string{
 	`{"faults":[
-		{"type":"drop",     "edge":{"from":0,"to":1}, "at":4, "count":2},
 		{"type":"corrupt",  "edge":{"from":2,"to":3}, "at":6},
-		{"type":"dup",      "edge":{"from":1,"to":0}, "at":3},
-		{"type":"reorder",  "edge":{"from":3,"to":2}, "at":8},
 		{"type":"killconn", "edge":{"from":0,"to":2}, "at":10},
-		{"type":"partition","edge":{"from":1,"to":3}, "at":5, "ms":400},
 		{"type":"delay",    "edge":{"from":2,"to":0}, "at":7, "ms":50},
 		{"type":"stall",    "rank":3, "at":12, "ms":60}
 	]}`,
@@ -78,6 +74,7 @@ var ciPlans = []string{
 		{"type":"stall","rank":1,"at":11,"ms":40}
 	]}`,
 	`{"faults":[{"type":"drop","edge":{"from":0,"to":1},"at":5}]}`,
+	`{"faults":[{"type":"killconn","edge":{"from":0,"to":2},"at":10}]}`,
 }
 
 // FuzzChaosParse feeds arbitrary bytes to the fault-plan parser — what
@@ -114,9 +111,10 @@ func FuzzChaosParse(f *testing.F) {
 	})
 }
 
-// TestPlanSplit checks the fault-to-seam routing for both backends: wire
-// faults go below the TCP transport, scheduling faults stay at the seam,
-// and a wire-only fault on the channel backend is a configuration error.
+// TestPlanSplit checks the fault-to-seam routing for both backends: the
+// wire faults go below the TCP transport, every other fault stays at the
+// seam, and a wire-only fault on the channel backend is a configuration
+// error.
 func TestPlanSplit(t *testing.T) {
 	edge := &Edge{From: 0, To: 1}
 	p := &Plan{Faults: []Fault{
@@ -130,11 +128,11 @@ func TestPlanSplit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tcp split failed: %v", err)
 	}
-	if len(conn) != 2 || conn[0].Type != Drop || conn[1].Type != Corrupt {
-		t.Fatalf("tcp split routed %v to the wire, want [drop corrupt]", conn)
+	if len(conn) != 1 || conn[0].Type != Corrupt {
+		t.Fatalf("tcp split routed %v to the wire, want [corrupt]", conn)
 	}
-	if len(seam) != 2 || seam[0].Type != Delay || seam[1].Type != Stall {
-		t.Fatalf("tcp split routed %v to the seam, want [delay stall]", seam)
+	if len(seam) != 3 || seam[0].Type != Drop || seam[1].Type != Delay || seam[2].Type != Stall {
+		t.Fatalf("tcp split routed %v to the seam, want [drop delay stall]", seam)
 	}
 
 	if _, _, err := p.Split(false); err == nil || !strings.Contains(err.Error(), "needs a wire-level transport") {

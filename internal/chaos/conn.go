@@ -4,34 +4,27 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"time"
 
 	"stencilabft/internal/dist"
 )
 
 // Wire-level injection: a net.Conn wrapper installed via
 // dist.TCPConfig.WrapConn. The TCP transport writes exactly one sealed
-// frame per Write call (hello and heartbeats included), so the wrapper is
-// frame-aware without buffering: it reads the kind byte straight from the
-// header, counts data frames per edge, and applies the scripted wire
-// faults — drop, dup, reorder, corrupt, killconn, partition. Every one of
-// these must be absorbed by the transport's self-healing layer (CRC,
-// sequence numbers, reconnect + resend window); none may change the
-// computation's result by a single bit.
-//
-// Injection happens below the resend window, so a replayed frame passes
-// through the wrapper again under a new message index — indices count
-// write attempts on the edge, not unique sequence numbers.
+// frame per Write call, so the wrapper is frame-aware without buffering: it
+// reads the kind byte straight from the header, counts data frames per
+// edge, and applies the two faults a real connection can suffer — a frame
+// corrupted past the TCP checksum, which the frame CRC catches, and a
+// connection that dies (killconn). Each fails its edge as a classified
+// *dist.Fault, which buddy recovery survives with a bit-identical result.
 
-// errInjected is the write error surfaced by killconn and partition
-// injections — recognisably chaos, never mistaken for a real network
-// error in logs.
+// errInjected is the write error surfaced by a killconn injection —
+// recognisably chaos, never mistaken for a real network error in logs.
 var errInjected = errors.New("chaos: injected connection failure")
 
 // WrapConn returns the dist.TCPConfig.WrapConn hook that applies this
-// injector's wire faults. The hook is applied by the transport at every
-// outbound dial — bootstrap and reconnect — and all connections of one
-// directed edge share the edge's injection state.
+// injector's wire faults to every outbound edge connection the transport
+// dials; an edge's frames are counted across the cluster incarnations of
+// one process, so a fault scripted at frame 7 fires once.
 func (in *Injector) WrapConn() func(conn net.Conn, from, to int, d dist.Dir) net.Conn {
 	return func(conn net.Conn, from, to int, d dist.Dir) net.Conn {
 		return &chaosConn{Conn: conn, in: in, st: in.edge(from, to)}
@@ -45,42 +38,19 @@ type chaosConn struct {
 }
 
 // frame kinds mirrored from the dist wire format (offset 3 of the header).
-// Control frames are uncounted and fault-exempt except under a partition.
+// The hello is uncounted and fault-exempt.
 const (
-	kindOffset    = 3
-	kindHello     = 1
-	kindHeartbeat = 12
+	kindOffset = 3
+	kindHello  = 1
+	headerSize = 28
 )
 
 func (c *chaosConn) Write(b []byte) (int, error) {
-	if len(b) < 4 || b[0] != 'S' || b[1] != 'B' {
-		return c.Conn.Write(b) // not a transport frame; pass through
+	if len(b) < headerSize || b[0] != 'S' || b[1] != 'B' || b[kindOffset] == kindHello {
+		return c.Conn.Write(b)
 	}
 	st := c.st
 	st.mu.Lock()
-
-	// An active partition fails every write — data, hello, heartbeat — so
-	// reconnect attempts keep failing until the window passes.
-	if st.partEnd > 0 {
-		if time.Now().UnixNano() < st.partEnd {
-			st.mu.Unlock()
-			c.Conn.Close()
-			return 0, fmt.Errorf("%w (partition)", errInjected)
-		}
-		st.partEnd = 0
-	}
-
-	kind := b[kindOffset]
-	if kind == kindHello || kind == kindHeartbeat {
-		held := st.takePending()
-		st.mu.Unlock()
-		n, err := c.Conn.Write(b)
-		if err == nil && held != nil {
-			c.Conn.Write(held)
-		}
-		return n, err
-	}
-
 	idx := st.count
 	st.count++
 	for _, f := range st.faults {
@@ -88,58 +58,15 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 			continue
 		}
 		switch f.Type {
-		case Drop:
-			held := st.takePending()
-			st.mu.Unlock()
-			if held != nil {
-				c.Conn.Write(held)
-			}
-			c.in.drops.Add(1)
-			return len(b), nil // swallowed; the receiver sees a gap and forces a replay
-
-		case Dup:
-			held := st.takePending()
-			st.mu.Unlock()
-			if held != nil {
-				c.Conn.Write(held)
-			}
-			c.in.dups.Add(1)
-			n, err := c.Conn.Write(b)
-			if err != nil {
-				return n, err
-			}
-			c.Conn.Write(b) // the duplicate; the receiver's sequence dedup drops it
-			return n, nil
-
-		case Reorder:
-			// Hold this frame; it goes out after the next write, behind a
-			// newer sequence number — the receiver sees the gap first.
-			prev := st.takePending()
-			st.pending = append([]byte(nil), b...)
-			st.mu.Unlock()
-			if prev != nil {
-				c.Conn.Write(prev)
-			}
-			c.in.reorders.Add(1)
-			return len(b), nil
-
 		case Corrupt:
-			// Flip one bit in a cloned buffer — never in b itself, which
-			// the transport's resend window retains for the (clean) replay.
+			// Flip one bit in a clone: b is the transport's wire buffer.
 			cp := append([]byte(nil), b...)
-			var pos int
-			if len(cp) > 28 {
-				pos = 28 + st.rng.Intn(len(cp)-28) // payload bit
-			} else {
-				pos = 4 + st.rng.Intn(12) // CRC-covered header field
+			pos := 4 + st.rng.Intn(12) // a CRC-covered header field
+			if len(cp) > headerSize {
+				pos = headerSize + st.rng.Intn(len(cp)-headerSize) // a payload bit
 			}
-			bit := byte(1) << uint(st.rng.Intn(8))
-			held := st.takePending()
+			cp[pos] ^= byte(1) << uint(st.rng.Intn(8))
 			st.mu.Unlock()
-			if held != nil {
-				c.Conn.Write(held)
-			}
-			cp[pos] ^= bit
 			c.in.corrupts.Add(1)
 			return c.Conn.Write(cp)
 
@@ -148,33 +75,8 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 			c.in.kills.Add(1)
 			c.Conn.Close()
 			return 0, fmt.Errorf("%w (killconn)", errInjected)
-
-		case Partition:
-			ms := f.Ms
-			if ms <= 0 {
-				ms = 250
-			}
-			st.partEnd = time.Now().Add(time.Duration(ms) * time.Millisecond).UnixNano()
-			st.mu.Unlock()
-			c.in.partitions.Add(1)
-			c.Conn.Close()
-			return 0, fmt.Errorf("%w (partition for %dms)", errInjected, ms)
 		}
 	}
-
-	held := st.takePending()
 	st.mu.Unlock()
-	n, err := c.Conn.Write(b)
-	if err == nil && held != nil {
-		c.Conn.Write(held)
-	}
-	return n, err
-}
-
-// takePending returns and clears a frame held by a Reorder. Caller holds
-// st.mu.
-func (st *edgeState) takePending() []byte {
-	p := st.pending
-	st.pending = nil
-	return p
+	return c.Conn.Write(b)
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // Injector is the seeded engine one set of faults runs through: it owns
-// the per-edge message counters, per-edge RNGs and fault state that must
-// survive reconnects (a rebuilt connection continues the same edge's
-// counters, so a fault scripted at frame 7 fires exactly once no matter
-// how many connections the edge went through).
+// the per-edge message counters and per-edge RNGs, which outlive any one
+// connection or cluster incarnation (a rebuilt cluster continues the same
+// edge's counters, so a fault scripted at frame 7 fires exactly once no
+// matter how many recovery epochs the process went through).
 type Injector struct {
 	seed   int64
 	faults []Fault
@@ -20,7 +20,7 @@ type Injector struct {
 	ranks map[int]*edgeState // Stall state, keyed by rank
 
 	// Injection tallies by fault type, for soak reports and tests.
-	drops, dups, reorders, corrupts, kills, partitions, delays, stalls atomic.Int64
+	drops, corrupts, kills, partitions, delays, stalls atomic.Int64
 }
 
 type edgeID struct {
@@ -33,12 +33,10 @@ type edgeID struct {
 // state is mutex-guarded anyway: chaos runs off the hot path by definition, and the lock makes
 // the injector safe under any backend's threading.
 type edgeState struct {
-	mu      sync.Mutex
-	count   int64 // messages seen on this edge so far
-	rng     *rand.Rand
-	faults  []Fault // the injector's faults filtered to this edge
-	pending []byte  // frame held back by a Reorder
-	partEnd int64   // wall-clock ns until which a wire Partition holds
+	mu     sync.Mutex
+	count  int64 // messages seen on this edge so far
+	rng    *rand.Rand
+	faults []Fault // the injector's faults filtered to this edge
 }
 
 // NewInjector builds the engine for one seam's faults. Every edge derives
@@ -111,8 +109,7 @@ func (in *Injector) Stats() map[string]int64 {
 		name string
 		n    *atomic.Int64
 	}{
-		{Drop, &in.drops}, {Dup, &in.dups}, {Reorder, &in.reorders},
-		{Corrupt, &in.corrupts}, {KillConn, &in.kills},
+		{Drop, &in.drops}, {Corrupt, &in.corrupts}, {KillConn, &in.kills},
 		{Partition, &in.partitions}, {Delay, &in.delays}, {Stall, &in.stalls},
 	} {
 		if v := e.n.Load(); v > 0 {

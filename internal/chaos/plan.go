@@ -1,12 +1,12 @@
 // Package chaos is the deterministic fault-injection harness of the
-// transport stack: a JSON fault plan describes wire and scheduling faults
-// (dropped, duplicated, reordered or corrupted frames, killed connections,
-// edge partitions, delayed messages, stalled ranks), and a seeded injector
-// applies them at one of two seams — a frame-aware net.Conn wrapper hooked
-// into dist.TCPConfig.WrapConn (wire faults the self-healing TCP layer
-// must absorb bit-identically) and a dist.Transport wrapper that works on
-// any backend (scheduling faults, plus message drops that must surface as
-// clean classified faults where no wire layer can heal them).
+// transport stack: a JSON fault plan describes wire and seam faults
+// (corrupted frames, killed connections, dropped messages, edge partitions,
+// delayed messages, stalled ranks), and a seeded injector applies them at
+// one of two seams — a frame-aware net.Conn wrapper hooked into
+// dist.TCPConfig.WrapConn (the two faults a real TCP connection can suffer,
+// each failing its edge as a classified *dist.Fault) and a dist.Transport
+// wrapper that works on any backend (scheduling faults the lockstep
+// absorbs, and message drops that surface as classified faults).
 //
 // Everything is deterministic under a seed: the same plan, seed and
 // workload injects the same faults at the same frame indices, so a CI
@@ -21,19 +21,19 @@ import (
 	"os"
 )
 
-// Fault types. Wire faults (injected below the TCP transport, healed by
-// it): Drop, Dup, Reorder, Corrupt, KillConn, Partition. Seam faults
-// (injected above any transport): Drop, Partition (surface as classified
-// faults), Delay, Stall (absorbed by the lockstep).
+// Fault types. Wire faults (injected below the TCP transport; each fails
+// its edge as a classified fault): Corrupt, KillConn. Seam faults (injected
+// above any transport): Drop, Partition (surface as classified faults),
+// Delay, Stall (absorbed by the lockstep). A TCP connection never drops,
+// duplicates or reorders bytes inside itself, so no fault does that below
+// the transport.
 const (
-	Drop      = "drop"      // frame/message never sent
-	Delay     = "delay"     // message held for Ms before sending (seam only)
-	Dup       = "dup"       // frame written twice (wire only)
-	Reorder   = "reorder"   // frame held and written after its successor (wire only)
-	Corrupt   = "corrupt"   // one payload bit flipped after sealing (wire only)
+	Drop      = "drop"      // message never sent (seam)
+	Delay     = "delay"     // message held for Ms before sending (seam)
+	Corrupt   = "corrupt"   // one bit flipped after sealing (wire only)
 	KillConn  = "killconn"  // connection closed mid-stream (wire only)
-	Partition = "partition" // every write on the edge fails for Ms (wire) or Count messages vanish (seam)
-	Stall     = "stall"     // rank sleeps Ms before a send — a straggler (seam only)
+	Partition = "partition" // Count consecutive messages on the edge vanish (seam)
+	Stall     = "stall"     // rank sleeps Ms before a send — a straggler (seam)
 )
 
 // Edge names a directed halo edge by global rank ids.
@@ -58,8 +58,7 @@ type Fault struct {
 	At int `json:"at,omitempty"`
 	// Count is how many consecutive messages are affected (default 1).
 	Count int `json:"count,omitempty"`
-	// Ms is the duration in milliseconds of a Delay, Stall or wire
-	// Partition.
+	// Ms is the duration in milliseconds of a Delay or Stall.
 	Ms int `json:"ms,omitempty"`
 	// Prob, when > 0, fires the fault on each message independently with
 	// this probability (seeded, reproducible) instead of At/Count.
@@ -118,7 +117,7 @@ func (p *Plan) Validate() error {
 	for i, f := range p.Faults {
 		where := fmt.Sprintf("chaos: fault %d (%s)", i, f.Type)
 		switch f.Type {
-		case Drop, Dup, Reorder, Corrupt, KillConn, Partition, Delay:
+		case Drop, Corrupt, KillConn, Partition, Delay:
 			if f.Edge == nil && f.Prob <= 0 {
 				return fmt.Errorf("%s: needs an edge (or prob > 0 to dice every edge)", where)
 			}
@@ -126,6 +125,8 @@ func (p *Plan) Validate() error {
 			if f.Rank < 0 {
 				return fmt.Errorf("%s: needs a rank to stall", where)
 			}
+		case "dup", "reorder":
+			return fmt.Errorf("%s: a TCP connection delivers its bytes once and in order, so no transport fault duplicates or reorders a frame; the type is gone (drop a message at the seam with %q)", where, Drop)
 		default:
 			return fmt.Errorf("chaos: fault %d has unknown type %q", i, f.Type)
 		}
@@ -149,31 +150,20 @@ func (p *Plan) Validate() error {
 }
 
 // Split partitions the plan's faults by injection seam for the given
-// backend. With wire support (the TCP transport), every wire-capable fault
-// injects below the transport — where the self-healing layer absorbs it
-// bit-identically — and only Delay/Stall stay at the transport seam.
-// Without wire support (the in-process channel backend), Drop and
-// Partition inject at the seam (they then surface as clean classified
-// faults: there is no wire layer to heal them) and the wire-only faults
-// are rejected — a plan asking for frame corruption on a backend with no
-// frames is a configuration error, not a no-op.
+// backend. Corrupt and KillConn inject below the transport and need a wire
+// (the TCP transport): on the channel backend, which has no frames to
+// corrupt, they are a configuration error, not a no-op. Every other fault
+// injects at the transport seam on either backend.
 func (p *Plan) Split(wire bool) (seam, conn []Fault, err error) {
 	for i, f := range p.Faults {
 		switch f.Type {
-		case Delay, Stall:
-			seam = append(seam, f)
-		case Drop, Partition:
-			if wire {
-				conn = append(conn, f)
-			} else {
-				seam = append(seam, f)
-			}
-		case Dup, Reorder, Corrupt, KillConn:
-			if wire {
-				conn = append(conn, f)
-			} else {
+		case Corrupt, KillConn:
+			if !wire {
 				return nil, nil, fmt.Errorf("chaos: fault %d (%s) needs a wire-level transport (tcp); the channel backend has no frames to corrupt", i, f.Type)
 			}
+			conn = append(conn, f)
+		default:
+			seam = append(seam, f)
 		}
 	}
 	return seam, conn, nil

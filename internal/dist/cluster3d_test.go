@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"stencilabft/internal/core"
 	"stencilabft/internal/errs"
@@ -295,46 +294,61 @@ func TestCluster3DStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCluster3DOverTCP runs a 1x3 slab chain over real loopback sockets,
-// with one transient connection failure induced on the 1->0 edge. The
-// gathered grid must still equal the single-process Online3D bit for bit,
-// and Stats().Transport must equal the transport's own totals — the
-// transport-global counters (the reconnect among them) included, which
-// have no owning rank and ride on rank 0's entry.
+// TestCluster3DOverTCP runs a 1x3 slab chain over real loopback sockets.
+// The gathered grid must equal the single-process Online3D bit for bit,
+// and Stats().Transport must equal the transport's own totals. A second
+// chain has one connection failure induced on its 1->0 edge: the run ends
+// in a classified fault, and the totals still agree — the transport-global
+// counters (the poisoned edge) included, which have no owning rank and ride
+// on rank 0's entry.
 func TestCluster3DOverTCP(t *testing.T) {
 	const nx, ny, nz, iters = 12, 9, 10, 12
-	var countdown atomic.Int32
-	countdown.Store(6) // fail the 6th write on the wrapped edge, once
 	op := &stencil.Op3D[float64]{St: star7(), BC: grid.Clamp}
 	init := testInit3D(nx, ny, nz)
-	opt := strictOpts()
-	opt.NewTransport = func(rx, ry int, ring bool) Transport[float64] {
-		tr, err := NewTCPTransport[float64](TCPConfig{RanksX: rx, RanksY: ry, Ring: ring,
-			DeathDeadline: 5 * time.Second,
-			WrapConn: func(conn net.Conn, from, to int, d Dir) net.Conn {
-				if from == 1 && to == 0 {
-					return &flakyConn{Conn: conn, countdown: &countdown}
-				}
-				return conn
-			}})
-		if err != nil {
-			t.Fatalf("NewTCPTransport: %v", err)
+	build := func(wrap func(conn net.Conn, from, to int, d Dir) net.Conn) *Cluster3D[float64] {
+		opt := strictOpts()
+		opt.NewTransport = func(rx, ry int, ring bool) Transport[float64] {
+			tr, err := NewTCPTransport[float64](TCPConfig{RanksX: rx, RanksY: ry, Ring: ring, WrapConn: wrap})
+			if err != nil {
+				t.Fatalf("NewTCPTransport: %v", err)
+			}
+			return tr
 		}
-		return tr
+		c, err := NewCluster3D(op, init, 3, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
 	}
-	c, err := NewCluster3D(op, init, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := build(nil)
 	c.Run(iters)
 	requireSameBits(t, c.Gather(), online3DRef(t, op, init, iters, nil).Grid3D(), "slabs over tcp")
-
 	got, want := c.Stats().Transport, c.TransportMetrics().Totals()
 	if got != want {
 		t.Fatalf("Stats().Transport = %+v, the transport's totals are %+v", got, want)
 	}
-	if want.Reconnects < 1 || want.FramesSent != 4*iters {
-		t.Fatalf("totals %+v: want the induced reconnect and %d halo frames", want, 4*iters)
+	if want.FramesSent != 4*iters || want.PoisonEvents != 0 {
+		t.Fatalf("totals %+v: want %d halo frames and no poisoned edge", want, 4*iters)
+	}
+
+	var countdown atomic.Int32
+	countdown.Store(6) // fail the 6th write on the wrapped edge, once
+	f := build(func(conn net.Conn, from, to int, d Dir) net.Conn {
+		if from == 1 && to == 0 {
+			return &flakyConn{Conn: conn, countdown: &countdown}
+		}
+		return conn
+	})
+	var fault *Fault
+	if err := f.RunRecover(iters); !errors.As(err, &fault) || fault.Class != ClassPermanent {
+		t.Fatalf("a broken connection ended the run with %v, want a ClassPermanent *Fault", err)
+	}
+	got, want = f.Stats().Transport, f.TransportMetrics().Totals()
+	if got != want {
+		t.Fatalf("after the fault, Stats().Transport = %+v, the transport's totals are %+v", got, want)
+	}
+	if want.PoisonEvents < 1 {
+		t.Fatalf("totals %+v: want the broken edge counted as poisoned", want)
 	}
 }

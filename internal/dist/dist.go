@@ -457,10 +457,7 @@ func (c *shell[T]) RankStats() []Stats {
 	if len(out) > 0 {
 		out[0].Transport.DialRetries += m.DialRetries
 		out[0].Transport.PoisonEvents += m.Poisoned
-		out[0].Transport.Reconnects += m.Reconnects
-		out[0].Transport.Resends += m.Resends
 		out[0].Transport.CrcErrors += m.CrcErrors
-		out[0].Transport.DupFrames += m.DupFrames
 	}
 	return out
 }

@@ -7,8 +7,8 @@
 // the two-phase send-before-receive ordering the halo exchange relies on,
 // the x strip posted one round ahead of the barrier that delivers it,
 // non-blocking receives, the checkpoint side channel,
-// barrier generation ordering, abort, receive timeouts, traffic counters
-// and close.
+// a strip lost on the way, barrier generation ordering, abort, receive
+// timeouts, traffic counters and close.
 //
 // Usage, from the backend's own test file:
 //
@@ -42,6 +42,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SelfExchange", func(t *testing.T) { selfExchange(t, f) })
 	t.Run("ExchangeOrdering", func(t *testing.T) { exchangeOrdering(t, f) })
 	t.Run("PipelinedSend", func(t *testing.T) { pipelinedSend(t, f) })
+	t.Run("Lose", func(t *testing.T) { lose(t, f) })
 	t.Run("TryRecv", func(t *testing.T) { tryRecv(t, f) })
 	t.Run("Checkpoint", func(t *testing.T) { checkpoint(t, f) })
 	t.Run("BarrierOrdering", func(t *testing.T) { barrierOrdering(t, f) })
@@ -386,6 +387,29 @@ func abort(t *testing.T, f Factory) {
 	var fault *dist.Fault
 	if err := recovered(func() { tr.Recv(1, dist.Left) }); !errors.Is(err, cause) || !errors.As(err, &fault) || fault.Rank != 1 || fault.Dir != dist.Left {
 		t.Errorf("Recv after Abort panicked with %v, want a *dist.Fault for rank 1's Left edge carrying the first cause", err)
+	}
+}
+
+// lose checks a strip lost on the way: Lose takes its place on the edge,
+// so the receive it was due for fails at once — a ClassTimeout *dist.Fault
+// naming the edge — when the next strip comes in its place, instead of
+// returning that strip as the lost one's.
+func lose(t *testing.T, f Factory) {
+	const timeout = 10 * time.Second
+	tr := f(1, 2, false)
+	tr.SetRecvTimeout(timeout)
+	tr.Lose(0, dist.Down)
+	tr.Send(0, dist.Down, []float64{2})
+	t0 := time.Now()
+	var fault *dist.Fault
+	if err := recovered(func() { tr.Recv(1, dist.Up) }); !errors.As(err, &fault) {
+		t.Fatalf("the receive of a lost strip ended with %v, want a *dist.Fault", err)
+	}
+	if fault.Class != dist.ClassTimeout || fault.Rank != 1 || fault.Dir != dist.Up || fault.Peer != 0 {
+		t.Fatalf("fault %+v does not name rank 1's Up edge from rank 0 as a timeout", fault)
+	}
+	if took := time.Since(t0); took > timeout/2 {
+		t.Fatalf("the lost strip took %v to surface, want it found by the strip that came in its place", took)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // many racing poison calls — a dying connection reader racing repeated
 // Close calls — exactly one reports having poisoned the box.
 func TestEdgeBoxPoisonConcurrentDeath(t *testing.T) {
-	box := newEdgeBox[float64](4)
+	box := newEdgeBox[float64](4, nil)
 	cause := errors.New("peer process died")
 
 	const receivers = 4
@@ -50,12 +50,12 @@ func TestEdgeBoxPoisonConcurrentDeath(t *testing.T) {
 		pg.Add(1)
 		go func() {
 			defer pg.Done()
-			if box.poison(cause) {
+			if box.poison(cause, true) {
 				first.Add(1)
 			}
 			// Repeats — a second Close, a late connection-reader fault —
 			// must stay safe and unreported.
-			if box.poison(errors.New("late repeat cause")) {
+			if box.poison(errors.New("late repeat cause"), false) {
 				first.Add(1)
 			}
 		}()

@@ -2,12 +2,10 @@ package dist
 
 import "fmt"
 
-// FaultClass places a transport failure on the recovery ladder: how hard
-// the fault is determines how expensive the response must be. Transient
-// wire faults (dropped, duplicated, reordered or corrupted frames, a
-// broken connection) never surface as a Fault at all — the TCP backend
-// heals them in place by reconnecting and replaying its resend window.
-// Only faults the transport could not absorb reach this classification.
+// FaultClass names what failed an edge, for the recovery report and its
+// readers. Every fault of an edge surfaces as a Fault at once — the TCP
+// backend heals nothing in place — and the buddy recovery above the
+// transport treats every class alike.
 type FaultClass int
 
 const (
@@ -15,18 +13,17 @@ const (
 	// protocol violations, legacy error paths).
 	ClassUnknown FaultClass = iota
 	// ClassTimeout: the peer stayed silent past the configured IO timeout
-	// — a stuck or stalled rank — or, on the channel backend, a round's
-	// strip never arrived and the next round's came in its place. The
-	// process is alive as far as anyone knows; recovery treats it like a
-	// death because lockstep cannot continue without it.
+	// — a stuck or stalled rank — or a strip never arrived and the edge
+	// delivered a later one in its place (a round's strip on the channel
+	// backend, a frame out of its place in the edge's count on the TCP
+	// backend). The process is alive as far as anyone knows; recovery
+	// treats it like a death because lockstep cannot continue without it.
 	ClassTimeout
-	// ClassCorrupt: a payload failed validation after the wire-level CRC
-	// had already passed (element-width mismatch, malformed control
-	// payload) — corruption the reconnect path cannot heal.
+	// ClassCorrupt: a frame failed the wire CRC, or a payload failed
+	// validation after it (element-width mismatch).
 	ClassCorrupt
-	// ClassPermanent: the edge was declared dead — the connection dropped
-	// and no reconnect arrived within the death deadline, or the peer
-	// process demonstrably exited. The buddy-recovery ladder takes over.
+	// ClassPermanent: the edge's connection died — reset, closed, or its
+	// peer process exited.
 	ClassPermanent
 )
 

@@ -12,8 +12,8 @@ import (
 // TestClusterCloseReleasesGoroutines is the goroutine accounting of a
 // cluster's life: build, Run, Close must return the process to the
 // goroutine count it started from — the persistent rank goroutines (tile
-// ranks and slab ranks alike) on the channel backend, plus the listener,
-// per-edge readers and keepalive tickers on the socket backend, which
+// ranks and slab ranks alike) on the channel backend, plus the listener
+// and the per-edge readers on the socket backend, which
 // Cluster.Close reaches through Transport.Close. Run leaves the next
 // iteration's x strips posted (the pipelined exchange), so Close is
 // exercised with strips in the inboxes.

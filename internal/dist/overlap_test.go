@@ -332,11 +332,12 @@ func TestClusterRunAllocs(t *testing.T) {
 		t.Errorf("steady-state Run(1) with a receive timeout allocates %.1f times per call, want 0", avg)
 	}
 
-	// The same cluster over loopback sockets: wire buffers recycle through
-	// each edge's resend window (so the warm-up must fill it: 64 frames, a
-	// strip and a token per step), decoded strips through the reader's
-	// rotation, receive deadlines through one timer a box. The target is 0;
-	// the bound leaves room for a timer the runtime re-allocates.
+	// The same cluster over loopback sockets: every frame of an edge is
+	// serialised into the edge's one wire buffer, decoded strips rotate
+	// through the reader's buffers (so the warm-up must fill that rotation:
+	// six strips an edge), receive deadlines run on one timer a box. The
+	// target is 0; the bound leaves room for a timer the runtime
+	// re-allocates.
 	opt = strictOpts()
 	opt.NewTransport = func(rx, ry int, ring bool) Transport[float64] {
 		tr, err := NewTCPTransport[float64](TCPConfig{RanksX: rx, RanksY: ry, Ring: ring})
@@ -350,7 +351,7 @@ func TestClusterRunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ct.Close()
-	ct.Run(defaultResendWindow)
+	ct.Run(8)
 	if avg := testing.AllocsPerRun(10, func() { ct.Run(1) }); avg > 2 {
 		t.Errorf("steady-state Run(1) over tcp allocates %.1f times per call, want 0 and at most 2", avg)
 	}

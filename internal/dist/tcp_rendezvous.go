@@ -208,8 +208,11 @@ func dialRetry(addr string, deadline time.Duration, retries *atomic.Int64) (net.
 }
 
 // dialEdges opens one persistent connection per outbound directed edge of
-// the hosted ranks, performs the hello/ack handshake, and starts its
-// keepalive goroutine.
+// the hosted ranks and announces the edge on it with a hello. Nothing is
+// awaited back: the peer's reader binds its box when it reads the hello,
+// ahead of any frame the connection carries after it, and a peer that
+// refuses the edge fails it on its side, which this process sees as the
+// peer's teardown.
 func (t *TCPTransport[T]) dialEdges(cfg TCPConfig, book map[int]string) error {
 	for _, id := range t.local {
 		for d := Dir(0); d < NumDirs; d++ {
@@ -221,35 +224,20 @@ func (t *TCPTransport[T]) dialEdges(cfg TCPConfig, book map[int]string) error {
 			if !ok {
 				return fmt.Errorf("dist: address book has no entry for rank %d (neighbour %v of rank %d)", nb, d, id)
 			}
-			oe := &outEdge{
-				addr:  addr,
-				from:  id,
-				to:    nb,
-				dir:   d,
-				hello: appendFrame(nil, frame{kind: frameHello, from: uint16(id), to: uint16(nb), dir: byte(d)}),
-			}
 			conn, err := dialRetry(addr, cfg.DialTimeout, &t.dialRetries)
 			if err != nil {
 				return fmt.Errorf("dist: halo edge rank %d --%v--> rank %d: %w", id, d, nb, err)
 			}
-			conn = t.wrap(conn, oe)
-			ack, err := t.handshake(conn, oe, cfg.DialTimeout)
-			if err != nil {
-				conn.Close()
-				return fmt.Errorf("dist: halo edge rank %d --%v--> rank %d: %w", id, d, nb, err)
-			}
-			oe.conn = conn
-			oe.seq = ack - 1
-			oe.flushed = ack - 1
-			t.outs[edgeKey{id, d}] = oe
 			t.track(conn)
-			if t.keepalive > 0 {
-				t.wg.Add(1)
-				go func() {
-					defer t.wg.Done()
-					t.keepaliveLoop(oe)
-				}()
+			if cfg.WrapConn != nil {
+				conn = cfg.WrapConn(conn, id, nb, d)
 			}
+			conn.SetWriteDeadline(time.Now().Add(cfg.DialTimeout))
+			if _, err := conn.Write(appendFrame(nil, frame{kind: frameHello, from: uint16(id), to: uint16(nb), dir: byte(d)})); err != nil {
+				return fmt.Errorf("dist: halo edge rank %d --%v--> rank %d: hello: %w", id, d, nb, err)
+			}
+			conn.SetWriteDeadline(time.Time{})
+			t.outs[edgeKey{id, d}] = &outEdge{conn: conn, to: nb}
 		}
 	}
 	return nil

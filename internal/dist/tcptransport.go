@@ -55,50 +55,18 @@ type TCPConfig struct {
 	// the bound.
 	IOTimeout time.Duration
 
-	// DeathDeadline bounds transient-fault healing: how long a broken edge
-	// may spend reconnecting (sender side) or waiting for its peer to
-	// reconnect (receiver side) before the edge is declared permanently
-	// dead and the buddy-recovery ladder takes over. Default 15s; negative
-	// disables healing entirely — the first disconnect is fatal, the
-	// pre-healing behaviour.
-	DeathDeadline time.Duration
-
-	// ResendWindow is how many sealed data frames each outbound edge
-	// retains for replay after a reconnect. A window too small to cover
-	// the frames in flight when a connection died makes the edge
-	// unhealable (it is then declared dead). Default 64 — an order of
-	// magnitude above one barrier generation's traffic per edge.
-	ResendWindow int
-
-	// KeepalivePeriod is the idle interval after which an outbound edge
-	// writes a heartbeat frame, so a silently severed connection is
-	// discovered (and healed) between halo exchanges instead of at the
-	// next one. Default DeathDeadline/3 when healing is enabled; negative
-	// disables keepalives.
-	KeepalivePeriod time.Duration
-
 	// WrapConn, when non-nil, wraps every outbound data connection as it
-	// is established — at bootstrap and on every reconnect. This is the
-	// chaos-injection seam: a wrapper that drops, corrupts, duplicates,
-	// reorders or kills frames exercises exactly the healing machinery a
-	// flaky network would. from/to name the directed edge, d the direction
-	// from sends toward.
+	// is established at bootstrap. This is the chaos-injection seam: a
+	// wrapper that corrupts a frame or kills the connection makes the
+	// classified edge fault a real wire fault would. from/to name the
+	// directed edge, d the direction from sends toward.
 	WrapConn func(conn net.Conn, from, to int, d Dir) net.Conn
 }
 
-// DefaultDeathDeadline is the TCPConfig.DeathDeadline a zero config gets:
-// how long a broken edge may heal before its peer is classified dead.
-// Exported because control-plane timeouts (the recovery coordinator's
-// stall escalation) must outlast the detection cascade it implies.
-const DefaultDeathDeadline = 15 * time.Second
-
 const (
-	defaultDialTimeout  = 30 * time.Second
-	defaultIOTimeout    = 2 * time.Minute
-	defaultResendWindow = 64
-	dialRetryStep       = 20 * time.Millisecond
-	reconnectBackoffMin = 10 * time.Millisecond
-	reconnectBackoffMax = 640 * time.Millisecond
+	defaultDialTimeout = 30 * time.Second
+	defaultIOTimeout   = 2 * time.Minute
+	dialRetryStep      = 20 * time.Millisecond
 )
 
 // withDefaults returns a copy of cfg with zero fields defaulted.
@@ -114,21 +82,6 @@ func (cfg TCPConfig) withDefaults() TCPConfig {
 	}
 	if cfg.IOTimeout < 0 {
 		cfg.IOTimeout = 0 // 0 means "no bound" internally
-	}
-	if cfg.DeathDeadline == 0 {
-		cfg.DeathDeadline = DefaultDeathDeadline
-	}
-	if cfg.DeathDeadline < 0 {
-		cfg.DeathDeadline = 0 // 0 means "healing disabled" internally
-	}
-	if cfg.ResendWindow == 0 {
-		cfg.ResendWindow = defaultResendWindow
-	}
-	if cfg.KeepalivePeriod == 0 && cfg.DeathDeadline > 0 {
-		cfg.KeepalivePeriod = cfg.DeathDeadline / 3
-	}
-	if cfg.KeepalivePeriod < 0 {
-		cfg.KeepalivePeriod = 0
 	}
 	return cfg
 }
@@ -170,27 +123,22 @@ func classOf(err error) FaultClass {
 // schedule needs. No coordinator, no extra connections: the tokens ride the
 // halo edges.
 //
-// Transient wire faults are healed in place, invisibly to the ranks: every
-// data frame carries a CRC-32C and a per-edge sequence number; a receiver
-// that sees corruption, loss or reordering drops the connection, and the
-// sender rebuilds it with bounded exponential backoff, re-handshakes
-// (hello → helloAck naming the next expected sequence) and replays its
-// resend window — exactly-once delivery restored, no recovery epoch,
-// bit-identical results. Only a fault that outlives the death deadline
-// becomes fatal: Recv and Barrier then panic with a classified *Fault
-// naming the rank, direction, generation and class —
-// MPI_ERRORS_ARE_FATAL semantics, which is what a bulk-synchronous stencil
-// wants since no iteration can complete without its neighbours.
+// The transport trusts TCP to deliver a connection's bytes once and in
+// order, or to fail. Every data frame carries a CRC-32C (for the payload
+// corruption the 16-bit TCP checksum misses) and its number in the edge's
+// frame count; a connection that dies, a frame the CRC rejects, or a frame
+// out of its place (a strip lost above the wire, Lose) poisons the edge at
+// once. Recv and Barrier then panic with a classified *Fault naming the
+// rank, direction, generation and class — MPI_ERRORS_ARE_FATAL semantics,
+// which is what a bulk-synchronous stencil wants since no iteration can
+// complete without its neighbours. Surviving the fault is the job of the
+// buddy recovery above the transport (internal/resilience).
 type TCPTransport[T num.Float] struct {
-	geo       Decomp
-	ring      bool
-	local     []int
-	rounds    int
-	ioWait    atomic.Int64  // recv/write deadline in ns; 0 = unbounded
-	deadline  time.Duration // death deadline; 0 = healing disabled
-	keepalive time.Duration
-	window    int
-	wrapConn  func(conn net.Conn, from, to int, d Dir) net.Conn
+	geo    Decomp
+	ring   bool
+	local  []int
+	rounds int
+	ioWait atomic.Int64 // recv/write deadline in ns; 0 = unbounded
 
 	ln    net.Listener
 	boxes map[edgeKey]*edgeBox[T]
@@ -202,12 +150,12 @@ type TCPTransport[T num.Float] struct {
 	bar *barrier
 
 	dialRetries atomic.Int64 // bootstrap connect attempts beyond each first
-	poisoned    atomic.Int64 // edges killed by I/O faults (Close's deliberate poisons excluded)
+	poisoned    atomic.Int64 // edges whose fault a wait ran into (Abort's and Close's poisons excluded)
 
 	gen    atomic.Uint32 // completed barrier generations, for error reports
 	quit   chan struct{}
 	closed atomic.Bool
-	wg     sync.WaitGroup // the accept loop, connection readers and keepalive loops
+	wg     sync.WaitGroup // the accept loop and connection readers
 
 	connMu sync.Mutex
 	conns  []net.Conn
@@ -237,18 +185,14 @@ func NewTCPTransport[T num.Float](cfg TCPConfig) (*TCPTransport[T], error) {
 	}
 
 	t := &TCPTransport[T]{
-		geo:       geo,
-		ring:      cfg.Ring,
-		local:     local,
-		rounds:    geo.diameter(cfg.Ring),
-		deadline:  cfg.DeathDeadline,
-		keepalive: cfg.KeepalivePeriod,
-		window:    cfg.ResendWindow,
-		wrapConn:  cfg.WrapConn,
-		bar:       newBarrier(len(local)),
-		boxes:     make(map[edgeKey]*edgeBox[T]),
-		outs:      make(map[edgeKey]*outEdge),
-		quit:      make(chan struct{}),
+		geo:    geo,
+		ring:   cfg.Ring,
+		local:  local,
+		rounds: geo.diameter(cfg.Ring),
+		bar:    newBarrier(len(local)),
+		boxes:  make(map[edgeKey]*edgeBox[T]),
+		outs:   make(map[edgeKey]*outEdge),
+		quit:   make(chan struct{}),
 	}
 	t.bar.full = func(gen int) error {
 		if err := t.exchangeTokens(uint32(gen)); err != nil {
@@ -273,7 +217,7 @@ func NewTCPTransport[T num.Float](cfg TCPConfig) (*TCPTransport[T], error) {
 	for _, id := range local {
 		for d := Dir(0); d < NumDirs; d++ {
 			if _, ok := geo.Neighbor(id, d, cfg.Ring); ok {
-				t.boxes[edgeKey{id, d}] = newEdgeBox[T](tokCap)
+				t.boxes[edgeKey{id, d}] = newEdgeBox[T](tokCap, &t.poisoned)
 			}
 		}
 	}
@@ -325,12 +269,10 @@ func (t *TCPTransport[T]) Neighbor(id int, d Dir) bool {
 
 // Send posts rank from's boundary strip toward its neighbour in direction
 // d. The strip is serialised into a wire buffer the edge owns, stamped,
-// sealed, retained for replay and written to the socket before Send
-// returns, so the caller may reuse the slice at once — well inside what the
-// Transport contract allows. The write is into the kernel's socket buffer:
-// it waits for the network only when the peer's reader has fallen a whole
-// buffer behind, and a broken connection is rebuilt off this goroutine
-// (heal) while the frame waits in the resend window.
+// sealed and written to the socket before Send returns, so the caller may
+// reuse the slice at once — well inside what the Transport contract
+// allows. The write is into the kernel's socket buffer: it waits for the
+// network only when the peer's reader has fallen a whole buffer behind.
 func (t *TCPTransport[T]) Send(from int, d Dir, data []T) {
 	oe := t.out("Send", from, d)
 	t.post(oe, frame{kind: frameHalo, from: uint16(from), to: uint16(oe.to), dir: byte(d), elem: elemSize[T](), gen: t.gen.Load()}, data)
@@ -440,15 +382,15 @@ func (t *TCPTransport[T]) RecvCkpt(to int, d Dir) ([]T, int, error) {
 // token — the poison is what wakes it.
 func (t *TCPTransport[T]) Abort(cause error) {
 	for _, box := range t.boxes {
-		box.poison(cause)
+		box.poison(cause, false)
 	}
 	t.bar.abort(cause)
 }
 
 // Close tears the transport down: listener, every edge connection, and all
-// reader and keepalive goroutines. Safe to call more than once. Ranks blocked in
-// Recv or Barrier when their peer's transport closes observe a poisoned
-// edge, not a hang.
+// reader goroutines. Safe to call more than once. Ranks blocked in Recv or
+// Barrier when their peer's transport closes observe a poisoned edge, not a
+// hang.
 func (t *TCPTransport[T]) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
@@ -467,25 +409,17 @@ func (t *TCPTransport[T]) Close() error {
 	}
 	t.wg.Wait()
 	for _, box := range t.boxes {
-		box.mu.Lock()
-		if box.deathT != nil {
-			box.deathT.Stop()
-			box.deathT = nil
-		}
-		box.mu.Unlock()
-		box.poison(errors.New("dist: transport closed"))
+		box.poison(errors.New("dist: transport closed"), false)
 	}
 	return nil
 }
 
 // Metrics returns the per-edge halo traffic of the hosted ranks plus the
-// backend's health counters — including the self-healing ones: connections
-// rebuilt (Reconnects), frames replayed from resend windows (Resends),
-// frames rejected by the wire CRC (CrcErrors) and replay duplicates
-// dropped by the sequence dedup (DupFrames). Each process of a
-// multi-process cluster reports its own edges; the launcher's MergeAll
-// sums the totals. Safe to call live (the counters are atomic) and after
-// Close.
+// backend's health counters: bootstrap dial retries, edges whose fault a
+// receive or barrier ran into (Poisoned) and frames rejected by the wire
+// CRC (CrcErrors). Each process of a multi-process cluster reports its own
+// edges; the launcher's MergeAll sums the totals. Safe to call live (the
+// counters are atomic) and after Close.
 func (t *TCPTransport[T]) Metrics() telemetry.TransportMetrics {
 	var m telemetry.TransportMetrics
 	for _, id := range t.local {
@@ -498,14 +432,11 @@ func (t *TCPTransport[T]) Metrics() telemetry.TransportMetrics {
 			if oe, ok := t.outs[edgeKey{id, d}]; ok {
 				e.FramesSent = oe.framesSent.Load()
 				e.BytesSent = oe.bytesSent.Load()
-				m.Reconnects += oe.reconnects.Load()
-				m.Resends += oe.resends.Load()
 			}
 			if box, ok := t.boxes[edgeKey{id, d}]; ok {
 				e.FramesRecv = box.framesRecv.Load()
 				e.BytesRecv = box.bytesRecv.Load()
 				m.CrcErrors += box.crcErrors.Load()
-				m.DupFrames += box.dupFrames.Load()
 			}
 			m.Edges = append(m.Edges, e)
 		}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -9,9 +10,9 @@ import (
 	"time"
 )
 
-// flakyConn induces one transient connection failure: when the shared
-// countdown hits zero the write fails and the connection closes — the
-// wire-level fault the self-healing path must absorb.
+// flakyConn induces one connection failure: when the shared countdown
+// hits zero the write fails and the connection closes — a wire fault that
+// must fail the edge as a classified fault.
 type flakyConn struct {
 	net.Conn
 	countdown *atomic.Int32
@@ -20,20 +21,21 @@ type flakyConn struct {
 func (c *flakyConn) Write(b []byte) (int, error) {
 	if c.countdown.Add(-1) == 0 {
 		c.Conn.Close()
-		return 0, errors.New("induced transient connection failure")
+		return 0, errors.New("induced connection failure")
 	}
 	return c.Conn.Write(b)
 }
 
-// TestTCPTransientDisconnectHeals kills the 1->0 edge connection mid-run
-// and checks the transport heals it invisibly: every strip still arrives
-// in order with the right bits, no error ever surfaces, and the metrics
-// show the reconnect happened.
-func TestTCPTransientDisconnectHeals(t *testing.T) {
+// TestTCPDisconnectFaults kills the 1->0 edge connection mid-run. Every
+// strip before the break arrives in order with the right bits; rank 0's
+// next wait fails at once with a ClassPermanent *Fault naming the edge,
+// counted as one poisoned edge; and once rank 0's process tears its
+// transport down rank 1 faults in turn — one hop of the detection cascade
+// is one connection teardown, not a deadline.
+func TestTCPDisconnectFaults(t *testing.T) {
 	var countdown atomic.Int32
-	countdown.Store(5) // fail the 5th write on the wrapped edge, once
+	countdown.Store(6) // fail the 6th write on the wrapped edge (after the hello, two strips and two tokens)
 	tr0, tr1 := splitTCPPair(t, false, func(cfg *TCPConfig) {
-		cfg.DeathDeadline = 5 * time.Second
 		cfg.WrapConn = func(conn net.Conn, from, to int, d Dir) net.Conn {
 			if from == 1 && to == 0 {
 				return &flakyConn{Conn: conn, countdown: &countdown}
@@ -43,42 +45,55 @@ func TestTCPTransientDisconnectHeals(t *testing.T) {
 	})
 
 	const iters = 10
-	errs := make(chan error, 1)
-	go func() {
-		defer close(errs)
-		for i := 0; i < iters; i++ {
-			tr1.Send(1, Up, []float64{float64(100 + i)})
-			got, err := tr1.recv(1, Up)
-			if err != nil || got[0] != float64(i) {
-				errs <- err
-				return
+	// run exchanges one strip a step with the peer until a receive or the
+	// barrier fails, and returns that failure.
+	run := func(tr *TCPTransport[float64], id, peer int, d Dir) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err, _ = p.(error)
 			}
-			tr1.Barrier()
+		}()
+		for i := 0; i < iters; i++ {
+			tr.Send(id, d, []float64{float64(100*id + i)})
+			got, err := tr.recv(id, d)
+			if err != nil {
+				return err
+			}
+			if want := float64(100*peer + i); got[0] != want {
+				return fmt.Errorf("rank %d iteration %d: got %v, want %v", id, i, got[0], want)
+			}
+			tr.Barrier()
 		}
-	}()
-	for i := 0; i < iters; i++ {
-		tr0.Send(0, Down, []float64{float64(i)})
-		got, err := tr0.recv(0, Down)
-		if err != nil {
-			t.Fatalf("iteration %d: recv after induced disconnect: %v", i, err)
-		}
-		if got[0] != float64(100+i) {
-			t.Fatalf("iteration %d: got %v, want %v — healing broke delivery order", i, got[0], 100+i)
-		}
-		tr0.Barrier()
+		return nil
 	}
-	if err, bad := <-errs; bad {
-		t.Fatalf("rank 1 side: %v", err)
+	peer := make(chan error, 1)
+	go func() { peer <- run(tr1, 1, 0, Up) }()
+	start := time.Now()
+	var fault *Fault
+	if err := run(tr0, 0, 1, Down); !errors.As(err, &fault) {
+		t.Fatalf("rank 0 ended with %v, want a *Fault", err)
 	}
 	if countdown.Load() > 0 {
 		t.Fatal("the induced failure never fired; the test exercised nothing")
 	}
-	m := tr1.Metrics()
-	if m.Reconnects < 1 {
-		t.Errorf("Reconnects = %d, want >= 1 (the healed edge)", m.Reconnects)
+	if fault.Class != ClassPermanent || fault.Rank != 0 || fault.Dir != Down || fault.Peer != 1 {
+		t.Fatalf("fault %+v, want rank 0's Down edge from rank 1 classified permanent", fault)
 	}
-	if m0 := tr0.Metrics(); m0.Poisoned != 0 || m.Poisoned != 0 {
-		t.Errorf("poison events %d/%d, want 0/0 — a transient fault must not kill an edge", m0.Poisoned, m.Poisoned)
+	if m := tr0.Metrics(); m.Poisoned != 1 {
+		t.Errorf("rank 0 counted %d poisoned edges, want 1", m.Poisoned)
+	}
+
+	tr0.Close()
+	select {
+	case err := <-peer:
+		if !errors.As(err, &fault) || fault.Class != ClassPermanent || fault.Rank != 1 {
+			t.Fatalf("rank 1 ended with %v after its peer tore down, want its own ClassPermanent *Fault", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("rank 1 still waits 5s after its faulted peer tore down")
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("the fault took %v to reach both ranks", took)
 	}
 }
 
@@ -149,9 +164,7 @@ func splitTCPPair(t *testing.T, ring bool, mod ...func(*TCPConfig)) (*TCPTranspo
 // and checks the survivor's receive fails with a wrapped error naming the
 // rank, the direction and the barrier generation instead of hanging.
 func TestTCPRecvErrorOnPeerDeath(t *testing.T) {
-	// Healing disabled: the peer's death must surface immediately as a
-	// permanent fault, not after a reconnect grace period.
-	tr0, tr1 := splitTCPPair(t, false, func(cfg *TCPConfig) { cfg.DeathDeadline = -1 })
+	tr0, tr1 := splitTCPPair(t, false)
 
 	// One healthy iteration first, so the failure happens mid-stream.
 	done := make(chan struct{})
@@ -217,10 +230,10 @@ func TestTCPConnectRetryDeadline(t *testing.T) {
 
 // newHalfTCP builds a transport hosting only rank 0 of a 1x2 chain while
 // the test plays rank 1's process with raw sockets: it registers a dummy
-// data listener at the rendezvous, answers the transport's outbound edge
-// handshake (hello → helloAck) and swallows everything after it, and
-// returns a raw connection on which the test can write hand-crafted frames
-// for the (genuinely unbound) inbound edge rank 1 --Up--> rank 0.
+// data listener at the rendezvous that swallows the transport's outbound
+// edge, and returns a raw connection on which the test can write
+// hand-crafted frames for the (genuinely unbound) inbound edge rank 1
+// --Up--> rank 0.
 func newHalfTCP(t *testing.T, mod ...func(*TCPConfig)) (*TCPTransport[float64], net.Conn) {
 	t.Helper()
 	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -237,12 +250,8 @@ func newHalfTCP(t *testing.T, mod ...func(*TCPConfig)) (*TCPTransport[float64], 
 			go func(c net.Conn) {
 				defer c.Close()
 				for {
-					f, err := readFrame(c)
-					if err != nil {
+					if _, err := readFrame(c); err != nil {
 						return
-					}
-					if f.kind == frameHello {
-						c.Write(appendFrame(nil, frame{kind: frameHelloAck, from: f.to, to: f.from, dir: f.dir, seq: 1}))
 					}
 				}
 			}(c)
@@ -280,9 +289,7 @@ func newHalfTCP(t *testing.T, mod ...func(*TCPConfig)) (*TCPTransport[float64], 
 // version; the receiving edge must reject it with an error naming both
 // versions.
 func TestTCPWireVersionRejected(t *testing.T) {
-	// Healing off: the protocol error must poison the edge immediately with
-	// the version cause, not wait out a reconnect grace period.
-	tr, conn := newHalfTCP(t, func(cfg *TCPConfig) { cfg.DeathDeadline = -1 })
+	tr, conn := newHalfTCP(t)
 
 	// Valid hello for the directed edge rank 1 --Up--> rank 0, so the
 	// connection binds to a real inbound box...
@@ -301,7 +308,7 @@ func TestTCPWireVersionRejected(t *testing.T) {
 		t.Fatal("version-mismatched frame accepted")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "wire version mismatch") || !strings.Contains(msg, "version 2") {
+	if !strings.Contains(msg, "wire version mismatch") || !strings.Contains(msg, "version 3") {
 		t.Errorf("version error %q does not name the mismatched versions", msg)
 	}
 }
@@ -315,7 +322,7 @@ func TestTCPRejectsMixedElementWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	f32payload := AppendElems(nil, []float32{1, 2})
-	if _, err := conn.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 4, payload: f32payload})); err != nil {
+	if _, err := conn.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 4, seq: 1, payload: f32payload})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.recv(0, Down); err == nil || !strings.Contains(err.Error(), "element width") {
@@ -323,19 +330,15 @@ func TestTCPRejectsMixedElementWidth(t *testing.T) {
 	}
 }
 
-// TestTCPEdgeRebind checks the reconnect protocol on the receive side: a
-// second hello for an already-bound edge supersedes the old connection, the
-// helloAck names the resume sequence, replayed duplicates are deduplicated,
-// and in-order frames on the new connection are delivered — the receiver
-// half of transparent healing.
-func TestTCPEdgeRebind(t *testing.T) {
+// TestTCPSecondHelloFaults checks an edge is bound once: a second hello
+// for an already-bound edge (a peer that tries to reconnect) fails the edge
+// instead of taking it over. The strip delivered before stays delivered;
+// the next receive fails with a *Fault saying why.
+func TestTCPSecondHelloFaults(t *testing.T) {
 	tr, conn := newHalfTCP(t)
 
 	if _, err := conn.Write(appendFrame(nil, frame{kind: frameHello, from: 1, to: 0, dir: byte(Up)})); err != nil {
 		t.Fatal(err)
-	}
-	if ack, err := readFrame(conn); err != nil || ack.kind != frameHelloAck || ack.seq != 1 {
-		t.Fatalf("first hello ack: %+v, %v", ack, err)
 	}
 	payload := AppendElems(nil, []float64{11})
 	if _, err := conn.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 8, seq: 1, payload: payload})); err != nil {
@@ -345,43 +348,55 @@ func TestTCPEdgeRebind(t *testing.T) {
 		t.Fatalf("first stream: %v, %v", got, err)
 	}
 
-	// The peer "reconnects": the new hello takes the edge over and the ack
-	// names the next sequence the box expects.
-	dup, err := net.Dial("tcp", tr.Addr())
+	again, err := net.Dial("tcp", tr.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dup.Close()
-	if _, err := dup.Write(appendFrame(nil, frame{kind: frameHello, from: 1, to: 0, dir: byte(Up)})); err != nil {
+	defer again.Close()
+	if _, err := again.Write(appendFrame(nil, frame{kind: frameHello, from: 1, to: 0, dir: byte(Up)})); err != nil {
 		t.Fatal(err)
 	}
-	if ack, err := readFrame(dup); err != nil || ack.kind != frameHelloAck || ack.seq != 2 {
-		t.Fatalf("rebind hello ack: %+v, %v (want resume at seq 2)", ack, err)
+	_, err = tr.recv(0, Down)
+	var fault *Fault
+	if !errors.As(err, &fault) || !strings.Contains(err.Error(), "never rebound") {
+		t.Fatalf("receive after a second hello = %v, want a *Fault naming the refused rebind", err)
 	}
+	if m := tr.Metrics(); m.Poisoned != 1 {
+		t.Errorf("Poisoned = %d, want 1", m.Poisoned)
+	}
+}
 
-	// A replay of the already-delivered frame is deduplicated; the next
-	// in-order frame is delivered.
-	stale := AppendElems(nil, []float64{99})
-	if _, err := dup.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 8, seq: 1, payload: stale})); err != nil {
+// TestTCPFrameOutOfPlaceFaults checks the edge's strict frame count: a frame
+// that is not the edge's next — here a replay of one already delivered —
+// fails the edge at once as a ClassTimeout fault (its predecessor in that
+// place never arrived), as the channel backend fails a round whose strip
+// was lost.
+func TestTCPFrameOutOfPlaceFaults(t *testing.T) {
+	tr, conn := newHalfTCP(t)
+
+	if _, err := conn.Write(appendFrame(nil, frame{kind: frameHello, from: 1, to: 0, dir: byte(Up)})); err != nil {
 		t.Fatal(err)
 	}
-	payload = AppendElems(nil, []float64{22})
-	if _, err := dup.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 8, seq: 2, payload: payload})); err != nil {
-		t.Fatal(err)
+	for _, v := range []float64{11, 99} { // the second frame repeats sequence 1
+		if _, err := conn.Write(appendFrame(nil, frame{kind: frameHalo, from: 1, to: 0, dir: byte(Up), elem: 8, seq: 1, payload: AppendElems(nil, []float64{v})})); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, err := tr.recv(0, Down); err != nil || got[0] != 22 {
-		t.Fatalf("stream after rebind: %v, %v", got, err)
+	if got, err := tr.recv(0, Down); err != nil || got[0] != 11 {
+		t.Fatalf("in-place frame: %v, %v", got, err)
 	}
-	if m := tr.Metrics(); m.DupFrames != 1 {
-		t.Errorf("DupFrames = %d, want 1 (the replayed frame)", m.DupFrames)
+	_, err := tr.recv(0, Down)
+	var fault *Fault
+	if !errors.As(err, &fault) || fault.Class != ClassTimeout || !strings.Contains(err.Error(), "frame 2 never arrived") {
+		t.Fatalf("receive after an out-of-place frame = %v, want a ClassTimeout *Fault naming frame 2", err)
 	}
 }
 
 // TestTCPCorruptFrameRejected flips a payload bit after sealing and checks
 // the receiving edge rejects the frame via the wire CRC, attributing the
-// corruption to the edge.
+// corruption to the edge as a ClassCorrupt fault.
 func TestTCPCorruptFrameRejected(t *testing.T) {
-	tr, conn := newHalfTCP(t, func(cfg *TCPConfig) { cfg.DeathDeadline = -1 })
+	tr, conn := newHalfTCP(t)
 
 	if _, err := conn.Write(appendFrame(nil, frame{kind: frameHello, from: 1, to: 0, dir: byte(Up)})); err != nil {
 		t.Fatal(err)
@@ -394,8 +409,9 @@ func TestTCPCorruptFrameRejected(t *testing.T) {
 	}
 
 	_, err := tr.recv(0, Down)
-	if err == nil {
-		t.Fatal("corrupted frame accepted")
+	var fault *Fault
+	if !errors.As(err, &fault) || fault.Class != ClassCorrupt {
+		t.Fatalf("corrupted frame surfaced as %v, want a ClassCorrupt *Fault", err)
 	}
 	msg := err.Error()
 	for _, want := range []string{"CRC mismatch", "rank 1", "corrupted on the wire"} {

@@ -109,6 +109,12 @@ type Transport[T num.Float] interface {
 	Neighbor(id int, d Dir) bool
 	// Send posts rank from's boundary strip toward direction d.
 	Send(from int, d Dir, data []T)
+	// Lose is Send for a strip lost on the way: it takes the strip's place
+	// on the edge and never arrives, so the receiver fails with a
+	// ClassTimeout *Fault on the strip that comes in its place instead of
+	// taking it for the lost one. A wrapper that drops messages calls it in
+	// place of Send.
+	Lose(from int, d Dir)
 	// Recv blocks for the strip rank to's neighbour in direction d sent
 	// this round.
 	Recv(to int, d Dir) []T
@@ -375,8 +381,7 @@ func (t *ChanTransport[T]) Send(from int, d Dir, data []T) {
 }
 
 // Lose is Send for a strip lost on the way: it takes its round on the edge
-// and never arrives. A transport wrapper that drops messages calls it in
-// place of Send.
+// and never arrives.
 func (t *ChanTransport[T]) Lose(from int, d Dir) { t.rounds[from].sent[d]++ }
 
 // Recv returns the strip sent toward rank to from direction d: the

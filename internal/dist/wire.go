@@ -24,24 +24,26 @@ import (
 //	offset  size  field
 //	0       2     magic "SB" (stencil binary)
 //	2       1     wire version (wireVersion)
-//	3       1     frame kind (hello | helloAck | halo | token | ... | heartbeat)
+//	3       1     frame kind (hello | halo | token | ... | state)
 //	4       2     from rank (uint16)
 //	6       2     to rank (uint16)
 //	8       1     direction (dist.Dir; the direction `from` sent toward)
 //	9       1     element width in bytes (4 = float32, 8 = float64, 0 = none)
 //	10      4     barrier generation (uint32; token frames)
 //	14      2     barrier round (uint16; token frames)
-//	16      4     sequence number (uint32; per-edge, data frames only, 0 = unsequenced)
+//	16      4     sequence number (uint32; the frame's place in its edge's count, from 1; 0 off the edges)
 //	20      4     payload length in bytes (uint32)
 //	24      4     CRC-32C over header[0:24] + payload
 //	28      —     payload
 //
 // Version 2 added the sequence number and the checksum. The CRC turns a
-// corrupted frame (a flipped bit on the wire, a chaos injection) into a
-// detected, attributable error at the receiving edge instead of silently
-// desynchronizing the stream; the sequence number is what lets a rebuilt
-// connection resume exactly where the old one left off (duplicates are
-// dropped, gaps force a reconnect-and-replay).
+// corrupted frame (a flipped bit the TCP checksum missed, a chaos
+// injection) into a detected, attributable fault at the receiving edge
+// instead of silently desynchronizing the stream. Version 3 dropped the
+// reconnect protocol (the hello acknowledgement and its resume point, the
+// idle heartbeat): the sequence number is the edge's strict frame count,
+// and a frame that is not the edge's next fails it — a strip lost above the
+// wire (TCPTransport.Lose) surfaces on the frame that follows.
 //
 // Halo payloads are raw IEEE-754 element bits, little-endian, in the pack
 // order of the exchange (row-major strips). Bootstrap payloads (register,
@@ -51,7 +53,7 @@ import (
 const (
 	wireMagic0  = 'S'
 	wireMagic1  = 'B'
-	wireVersion = 2
+	wireVersion = 3
 
 	wireHeaderSize = 28
 
@@ -70,18 +72,16 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame kinds.
 const (
-	frameHello     = byte(iota + 1) // opens a directed halo edge: {from, to, dir}
-	frameHalo                       // one boundary strip, payload = elements
-	frameToken                      // barrier token: {gen, round}
-	frameRegister                   // rendezvous: JSON {ranks, addr}
-	frameBook                       // rendezvous: JSON {addrs: rank → listen addr}
-	frameNack                       // rendezvous rejection: JSON {error}
-	frameCkpt                       // buddy checkpoint: gen = iteration, payload = packed rank state
-	frameDead                       // recovery control: JSON fault report / death notice
-	frameClaim                      // recovery control: JSON plan / a replacement's claim
-	frameState                      // recovery control: gen = iteration, payload = dead rank's packed state
-	frameHelloAck                   // edge handshake reply: seq = next sequence the receiver expects
-	frameHeartbeat                  // idle keepalive; unsequenced, receiver discards it
+	frameHello    = byte(iota + 1) // opens a directed halo edge: {from, to, dir}
+	frameHalo                      // one boundary strip, payload = elements
+	frameToken                     // barrier token: {gen, round}
+	frameRegister                  // rendezvous: JSON {ranks, addr}
+	frameBook                      // rendezvous: JSON {addrs: rank → listen addr}
+	frameNack                      // rendezvous rejection: JSON {error}
+	frameCkpt                      // buddy checkpoint: gen = iteration, payload = packed rank state
+	frameDead                      // recovery control: JSON fault report / death notice
+	frameClaim                     // recovery control: JSON plan / a replacement's claim
+	frameState                     // recovery control: gen = iteration, payload = dead rank's packed state
 )
 
 // The recovery control plane (internal/resilience) speaks the same wire
@@ -202,9 +202,6 @@ func sealFrame(buf []byte, seq uint32) {
 	binary.LittleEndian.PutUint32(buf[24:28], crc)
 }
 
-// frameSeq reads the sequence number of a serialised frame.
-func frameSeq(buf []byte) uint32 { return binary.LittleEndian.Uint32(buf[16:20]) }
-
 // appendFrame serialises and seals f onto dst and returns the extended
 // slice.
 func appendFrame(dst []byte, f frame) []byte {
@@ -218,8 +215,8 @@ func appendFrame(dst []byte, f frame) []byte {
 }
 
 // wireCorruptError marks a frame rejected by the CRC check — the receiver
-// classifies it as corruption (and heals by forcing the sender to
-// reconnect and replay) rather than as a protocol error.
+// classifies the edge's fault as corruption rather than as a lost
+// connection.
 type wireCorruptError struct{ msg string }
 
 func (e *wireCorruptError) Error() string { return e.msg }

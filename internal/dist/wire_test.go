@@ -36,7 +36,7 @@ func TestWireVersionMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("mismatched wire version accepted")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 5") || !strings.Contains(msg, "speaks version 2") {
+	if msg := err.Error(); !strings.Contains(msg, "version 6") || !strings.Contains(msg, "speaks version 3") {
 		t.Errorf("version error %q does not name peer and own versions", msg)
 	}
 }

@@ -25,7 +25,7 @@ type CoordinatorConfig struct {
 	// reserved on (default "127.0.0.1"). Single-host clusters only; a
 	// multi-host deployment must make this routable from every rank host.
 	RendezvousHost string
-	// Timeout bounds each control connection's I/O. Default 30s.
+	// Timeout bounds each control connection's I/O. Default DefaultTimeout.
 	Timeout time.Duration
 	// Respawn (required) is called once per dead rank of a recovery round to
 	// start its replacement process; the plan names the rank (Plan.Dead) the
@@ -45,12 +45,10 @@ type CoordinatorConfig struct {
 	// StallWait is how long a partial round may sit with no new report
 	// arriving before escalation triggers (the clock restarts on every
 	// report). It must exceed the gap between consecutive survivor reports:
-	// detection cascades outward from the dead rank one transport death
-	// deadline per hop (a survivor not adjacent to the victim only faults
-	// when its faulted neighbours tear down their connections), so the gap
-	// is about one death deadline. Default dist.DefaultDeathDeadline plus
-	// Timeout/4 of margin; deployments running a custom DeathDeadline
-	// should scale StallWait with it.
+	// detection cascades outward from the dead rank one connection teardown
+	// per hop (a survivor not adjacent to the victim faults when its faulted
+	// neighbours close their transports), so the gap is a step and a
+	// teardown at most. Default Timeout/4.
 	StallWait time.Duration
 	// OnDecision, when non-nil, observes each recovery plan as it is
 	// published — the launch parent's diagnostics hook.
@@ -104,13 +102,13 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.RendezvousHost = "127.0.0.1"
 	}
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
+		cfg.Timeout = DefaultTimeout
 	}
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 3
 	}
 	if cfg.StallWait <= 0 {
-		cfg.StallWait = dist.DefaultDeathDeadline + cfg.Timeout/4
+		cfg.StallWait = cfg.Timeout / 4
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -133,7 +131,8 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // as their recovery control endpoint.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Close stops the coordinator. In-flight recovery rounds are abandoned.
+// Close stops the coordinator. In-flight recovery rounds are abandoned:
+// their parked reporters see the connection close.
 func (c *Coordinator) Close() error {
 	err := c.ln.Close()
 	c.mu.Lock()
@@ -141,6 +140,10 @@ func (c *Coordinator) Close() error {
 		c.stall.Stop()
 		c.stall = nil
 	}
+	for _, rc := range c.reports {
+		rc.conn.Close()
+	}
+	c.reports = nil
 	c.mu.Unlock()
 	c.wg.Wait()
 	return err
@@ -191,8 +194,23 @@ func (c *Coordinator) handle(conn net.Conn) {
 // the round (every rank but one accounted for) runs the decision on its
 // handler goroutine; everyone else's connection parks until the decision
 // writes their plan.
+//
+// A report from an epoch whose round has already closed is answered at
+// once with an error plan and never parked. It comes from the rank that
+// round declared dead: a fault between two live ranks makes all n ranks
+// report, the round closes at n-1, and the last rank is replaced. Parked,
+// its report would count in the next round's elimination, or arm the disk
+// escalation's stall clock.
 func (c *Coordinator) addReport(conn net.Conn, rep Report) {
 	c.mu.Lock()
+	if rep.Epoch < c.epoch {
+		epoch := c.epoch
+		c.mu.Unlock()
+		dist.WriteJSONFrame(conn, dist.FrameClaim, Plan{Dead: -1, Epoch: epoch,
+			Err: fmt.Sprintf("rank %d reported a fault of epoch %d, whose recovery round has closed; the cluster runs as epoch %d", rep.Rank, rep.Epoch, epoch)})
+		conn.Close()
+		return
+	}
 	c.reports = append(c.reports, reportConn{conn, rep})
 	seen := c.reported()
 	if len(seen) < c.n-1 {

@@ -27,6 +27,10 @@ import (
 type Report struct {
 	// Rank is the rank this process hosts.
 	Rank int `json:"rank"`
+	// Epoch is the incarnation of the cluster the fault surfaced in; a
+	// report of an epoch whose round has closed is refused (see
+	// Coordinator.addReport).
+	Epoch int `json:"epoch"`
 	// Suspect is the peer rank the observed fault points at, -1 if the
 	// fault did not name one. Corroborating only — the coordinator decides
 	// by elimination, which also covers faults first observed as timeouts.
@@ -68,6 +72,12 @@ type Plan struct {
 	// Err aborts recovery with a reason (e.g. no restorable generation).
 	Err string `json:"err,omitempty"`
 }
+
+// DefaultTimeout bounds a control-plane exchange when no timeout is
+// configured: the coordinator's connections, a survivor's wait for its plan,
+// and the derived waits (CoordinatorConfig.StallWait, the gang runner's
+// wait for a respawn).
+const DefaultTimeout = 30 * time.Second
 
 // ClaimRequest is what a respawned process sends the coordinator to claim
 // the plan (and relayed state) parked for its rank.

@@ -147,11 +147,10 @@ type runResult struct {
 type drill struct {
 	op      *stencil.Op2D[float64]
 	init    *grid.Grid[float64]
-	depth   int           // > 1 runs the depth-k ghost-zone schedule
-	death   time.Duration // the tcp transport's death deadline; 0 keeps the default
-	diskDir string        // also persist checkpoints here; "" keeps the memory banks only
-	ctrl    string        // the coordinator's control address
-	rdv     net.Listener  // epoch 0's rendezvous, pre-bound: rank 0 serves it without a handover window
+	depth   int          // > 1 runs the depth-k ghost-zone schedule
+	diskDir string       // also persist checkpoints here; "" keeps the memory banks only
+	ctrl    string       // the coordinator's control address
+	rdv     net.Listener // epoch 0's rendezvous, pre-bound: rank 0 serves it without a handover window
 	results chan runResult
 
 	mu    sync.Mutex
@@ -160,7 +159,7 @@ type drill struct {
 
 // startDrill builds the scenario and its coordinator. stallWait only matters
 // with a diskDir (it arms the double-death escalation).
-func startDrill(t *testing.T, bc grid.Boundary, depth int, death time.Duration, diskDir string, stallWait time.Duration) *drill {
+func startDrill(t *testing.T, bc grid.Boundary, depth int, diskDir string, stallWait time.Duration) *drill {
 	t.Helper()
 	// The control listener is bound first so Respawn can capture its address.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -175,7 +174,7 @@ func startDrill(t *testing.T, bc grid.Boundary, depth int, death time.Duration, 
 	d := &drill{
 		op:    &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: bc, BCValue: 42},
 		init:  testInit(drillNx, drillNy),
-		depth: depth, death: death, diskDir: diskDir,
+		depth: depth, diskDir: diskDir,
 		ctrl: ln.Addr().String(), rdv: rdv,
 		results: make(chan runResult, 8), // four ranks plus a replacement for each could report; none may block
 	}
@@ -206,7 +205,6 @@ func (d *drill) config(rank int) resilience.Config[float64] {
 			RanksX: 2, RanksY: 2, Ring: d.op.BC == grid.Periodic,
 			LocalRanks: []int{rank}, Rendezvous: rdv,
 			DialTimeout: 20 * time.Second, IOTimeout: 10 * time.Second,
-			DeathDeadline: d.death,
 		}
 		if epoch == 0 && rank == 0 {
 			cfg.RendezvousListener = d.rdv
@@ -369,7 +367,7 @@ func (d *drill) finish(t *testing.T) ([4]runResult, resilience.Plan) {
 // and the finished run is bit-identical to an undisturbed in-process run.
 func runFailStop(t *testing.T, bc grid.Boundary, depth int) {
 	const victim = 3
-	d := startDrill(t, bc, depth, 0, "", 0)
+	d := startDrill(t, bc, depth, "", 0)
 	for rank := 0; rank < 4; rank++ {
 		d.launch(rank, rank == victim)
 	}
@@ -422,7 +420,7 @@ func TestFailStopRecovery(t *testing.T) {
 // bit-identical to an undisturbed run.
 func TestDoubleDeathDiskEscalation(t *testing.T) {
 	dir := t.TempDir()
-	d := startDrill(t, grid.Clamp, 1, 2*time.Second, dir, 3*time.Second)
+	d := startDrill(t, grid.Clamp, 1, dir, 3*time.Second)
 	for rank := 0; rank < 4; rank++ {
 		d.launch(rank, rank >= 2)
 	}

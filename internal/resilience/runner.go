@@ -28,7 +28,7 @@ type Config[T num.Float] struct {
 	// Control is the recovery coordinator's address; empty leaves faults
 	// fatal (the first transport fault is returned as an error).
 	Control string
-	// Timeout bounds each control-plane exchange (default 30s).
+	// Timeout bounds each control-plane exchange (default DefaultTimeout).
 	Timeout time.Duration
 	// Rank is the rank this process hosts, for the whole run.
 	Rank int
@@ -49,10 +49,9 @@ type Config[T num.Float] struct {
 	// time per rank; nil disables instrumentation.
 	Telemetry *telemetry.Collector
 	// OnCheckpoint, when non-nil, observes every completed buddy checkpoint
-	// (rank, generation) of the live incarnation cl — a launcher's
-	// liveness/progress feed. Called from rank goroutines; it must be safe
-	// for concurrent use.
-	OnCheckpoint func(cl *dist.Cluster[T], rank, gen int)
+	// (rank, generation) — a launcher's liveness/progress feed. Called from
+	// rank goroutines; it must be safe for concurrent use.
+	OnCheckpoint func(rank, gen int)
 	// DiskDir, when set, persists every periodic checkpoint to per-rank
 	// rotations under it and restores from there when a plan's restart
 	// generation is in nobody's memory bank — the whole-cluster fallback a
@@ -74,7 +73,7 @@ type Config[T num.Float] struct {
 func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 	var extra stats.Stats
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
+		cfg.Timeout = DefaultTimeout
 	}
 	if cfg.MaxRecoveries <= 0 {
 		cfg.MaxRecoveries = 3
@@ -90,11 +89,10 @@ func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 	diskRestores := 0
 
 	for {
-		var cl *dist.Cluster[T] // set before any rank steps, so before hook reads it
 		hook := func(rank, iter int) {
 			buddy.AfterStep(rank, iter)
 			if cfg.OnCheckpoint != nil && cfg.Period > 0 && (iter+1)%cfg.Period == 0 {
-				cfg.OnCheckpoint(cl, rank, iter+1)
+				cfg.OnCheckpoint(rank, iter+1)
 			}
 		}
 		cl, err := cfg.Factory(epoch, rdv, hook)
@@ -151,7 +149,7 @@ func Run[T num.Float](cfg Config[T]) (*dist.Cluster[T], stats.Stats, error) {
 			return nil, extra, runErr
 		}
 
-		rep := Report{Rank: cfg.Rank, Suspect: -1, SelfGens: buddy.SelfGens(), WardGens: buddy.WardGens()}
+		rep := Report{Rank: cfg.Rank, Epoch: epoch, Suspect: -1, SelfGens: buddy.SelfGens(), WardGens: buddy.WardGens()}
 		var f *dist.Fault
 		if errors.As(runErr, &f) {
 			rep.Suspect = f.Peer

@@ -12,12 +12,11 @@ import (
 
 // The chaos surface of a rank process (stencilrun -chaos, or a placement's
 // plan): a fault plan is split by the resolved backend — wire faults
-// (drop/dup/reorder/corrupt/killconn/partition) ride the tcp transport's
-// connection hook, where the self-healing layer must absorb them
-// bit-identically; seam faults (delay/stall, plus drop/partition on the
-// channel backend) wrap the transport itself. One harness is built per
-// process and survives recovery epochs, so an edge's scripted fault indices
-// keep counting across rebuilt connections and clusters.
+// (corrupt/killconn) ride the tcp transport's connection hook, where each
+// fails its edge as a classified fault; seam faults (drop/partition/delay/
+// stall) wrap the transport itself. One harness is built per process and
+// survives recovery epochs, so an edge's scripted fault indices keep
+// counting across rebuilt connections and clusters.
 
 // ChaosHarness owns one process's injectors; ApplyChaos installs them on
 // the Spec the run builds from. A nil harness injects nothing.

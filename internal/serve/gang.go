@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"stencilabft/internal/dist"
 	"stencilabft/internal/resilience"
 	"stencilabft/internal/stats"
 )
@@ -194,10 +193,11 @@ func (p *Pool) runRanks(slots []*Slot, g *Gang, onEvent func(rank int, ev Worker
 	}
 	for running > 0 || (failure == nil && finished < n) {
 		// With nothing running only a respawn can move the gang on; the
-		// coordinator decides within the survivors' death deadline.
+		// coordinator decides within one control-plane timeout of the last
+		// report.
 		var idle <-chan time.Time
 		if running == 0 {
-			idle = time.After(dist.DefaultDeathDeadline)
+			idle = time.After(resilience.DefaultTimeout)
 		}
 		select {
 		case m := <-msgs:

@@ -129,8 +129,8 @@ func (w dyingRank) Send(req serve.JobRequest) error {
 }
 
 // TestGangWorkerDeath: a gang rank whose worker dies mid-run fails the job
-// at once and in that rank's name — not after the survivor's transport
-// gives up on it (the 15 s death deadline), blaming the survivor.
+// at once and in that rank's name — not with the fault the survivor's
+// transport reports a connection teardown later, blaming the survivor.
 func TestGangWorkerDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks worker processes")

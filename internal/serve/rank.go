@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"time"
 
 	abft "stencilabft"
 	"stencilabft/internal/chaos"
@@ -31,14 +30,11 @@ type Placement struct {
 }
 
 // Checkpoint is the payload of a "ckpt" event: Rank completed the buddy
-// checkpoint of generation Gen, its transport having rebuilt Reconnects
-// connections and replayed Resends frames by then — what a death report
-// says of a rank that dies next.
+// checkpoint of generation Gen — what a death report says of a rank that
+// dies next.
 type Checkpoint struct {
-	Rank       int   `json:"rank"`
-	Gen        int   `json:"gen"`
-	Reconnects int64 `json:"reconnects,omitempty"`
-	Resends    int64 `json:"resends,omitempty"`
+	Rank int `json:"rank"`
+	Gen  int `json:"gen"`
 }
 
 // runPlaced is runTyped's body for a placed request: build this process's
@@ -46,7 +42,14 @@ type Checkpoint struct {
 // takes buddy checkpoints), and answer with the rank's tile.
 func runPlaced[T abft.Float](req JobRequest, spec abft.Spec[T], elem string, emit func(WorkerEvent) error) error {
 	pl := req.Place
-	harness, err := NewChaosHarness(pl.Chaos, pl.ChaosSeed, true)
+	// A respawned claimant injects nothing: the plan scripted the faults of
+	// the run's first processes, which the survivors' injectors keep
+	// counting, as the -die drill fires only in epoch 0.
+	plan := pl.Chaos
+	if pl.Epoch > 0 {
+		plan = nil
+	}
+	harness, err := NewChaosHarness(plan, pl.ChaosSeed, true)
 	if err != nil {
 		return emit(errorEvent(err))
 	}
@@ -138,13 +141,10 @@ func RunResilient[T abft.Float](spec abft.Spec[T], pl Placement, iters int, onCk
 		Rendezvous: pl.Rendezvous, DiskDir: pl.CkptDir,
 	}
 	if onCkpt != nil {
-		cfg.OnCheckpoint = func(cl *abft.Cluster[T], rank, gen int) {
-			tm := cl.TransportMetrics()
-			onCkpt(Checkpoint{Rank: rank, Gen: gen, Reconnects: tm.Reconnects, Resends: tm.Resends})
-		}
+		cfg.OnCheckpoint = func(rank, gen int) { onCkpt(Checkpoint{Rank: rank, Gen: gen}) }
 	}
 	if pl.Epoch > 0 {
-		claim, state, err := resilience.RequestClaim[T](pl.Control, pl.Rank, 30*time.Second)
+		claim, state, err := resilience.RequestClaim[T](pl.Control, pl.Rank, resilience.DefaultTimeout)
 		if err != nil {
 			return nil, stats.Stats{}, fmt.Errorf("claiming rank %d from the coordinator: %w", pl.Rank, err)
 		}

@@ -46,7 +46,7 @@ func distinct(s *Stats) int {
 // Stats survive too.
 func TestBinaryRoundTripsEveryField(t *testing.T) {
 	var full Stats
-	if leaves := distinct(&full); leaves < 50 {
+	if leaves := distinct(&full); leaves < 49 {
 		t.Fatalf("found %d leaf fields by reflection; Stats has more", leaves)
 	}
 	extreme := full

@@ -67,7 +67,6 @@ func (s Stats) AppendJSON(b []byte) []byte {
 	b = appendInt(b, `,"Reconnects":`, r.Reconnects)
 	b = appendInt(b, `,"Resends":`, r.Resends)
 	b = appendInt(b, `,"CrcErrors":`, r.CrcErrors)
-	b = appendInt(b, `,"DupFrames":`, r.DupFrames)
 	return append(b, "}}"...)
 }
 

@@ -29,7 +29,7 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 		cases = append(cases, c)
 	}
 	ext := full
-	ext.Timing.PackNs, ext.Timing.SendNs, ext.Transport.DupFrames = 1<<63-1, -1<<63, -1
+	ext.Timing.PackNs, ext.Timing.SendNs, ext.Transport.CrcErrors = 1<<63-1, -1<<63, -1
 	cases = append(cases, ext)
 	for _, s := range cases {
 		want, err := json.Marshal(s)

@@ -160,11 +160,12 @@ type Transport struct {
 	BytesSent    int64 // halo payload bytes sent (headers excluded)
 	BytesRecv    int64 // halo payload bytes received
 	DialRetries  int64 // bootstrap connection retries (TCP)
-	PoisonEvents int64 // edges torn down by I/O errors (TCP; Close excluded)
-	Reconnects   int64 // edge connections rebuilt after transient faults (TCP)
-	Resends      int64 // data frames replayed from resend windows (TCP)
-	CrcErrors    int64 // frames rejected by the wire checksum (TCP)
-	DupFrames    int64 // replay duplicates dropped by sequence dedup (TCP)
+	PoisonEvents int64 // edges whose fault a receive or barrier ran into (TCP)
+	// Reconnects and Resends counted the TCP backend's in-place healing,
+	// which is gone (a broken edge is a fault); they always read 0 and stay
+	// only because the benchmark (bench/workloads.go) still reads them.
+	Reconnects, Resends int64
+	CrcErrors           int64 // frames rejected by the wire checksum (TCP)
 }
 
 // Merge sums the counters.
@@ -178,7 +179,6 @@ func (t Transport) Merge(o Transport) Transport {
 	t.Reconnects += o.Reconnects
 	t.Resends += o.Resends
 	t.CrcErrors += o.CrcErrors
-	t.DupFrames += o.DupFrames
 	return t
 }
 
@@ -325,14 +325,8 @@ func (t Transport) String() string {
 	if t.PoisonEvents > 0 {
 		out += fmt.Sprintf(" poison-events=%d", t.PoisonEvents)
 	}
-	if t.Reconnects > 0 || t.Resends > 0 {
-		out += fmt.Sprintf(" reconnects=%d resends=%d", t.Reconnects, t.Resends)
-	}
 	if t.CrcErrors > 0 {
 		out += fmt.Sprintf(" crc-errors=%d", t.CrcErrors)
-	}
-	if t.DupFrames > 0 {
-		out += fmt.Sprintf(" dup-frames=%d", t.DupFrames)
 	}
 	return out
 }

@@ -30,18 +30,9 @@ type EdgeStat struct {
 // TransportMetrics is one transport's full counter snapshot.
 type TransportMetrics struct {
 	Edges       []EdgeStat // sorted by (From, To, Dir) for determinism
-	DialRetries int64      // bootstrap redials (TCP only)
-	Poisoned    int64      // edges killed by I/O errors (TCP only; Close excluded)
-
-	// Self-healing counters (TCP only): connections rebuilt after an I/O
-	// fault, data frames replayed from resend windows after reconnects,
-	// frames rejected by the wire CRC, and replay duplicates dropped by the
-	// per-edge sequence dedup. Non-zero Reconnects with zero recoveries is
-	// the healing path working: the wire flaked and nobody upstairs noticed.
-	Reconnects int64
-	Resends    int64
-	CrcErrors  int64
-	DupFrames  int64
+	DialRetries int64      // bootstrap dial retries (TCP only)
+	Poisoned    int64      // edges whose fault a receive or barrier ran into (TCP only)
+	CrcErrors   int64      // frames rejected by the wire CRC (TCP only)
 }
 
 // SortEdges orders Edges by (From, To, Dir) so snapshots are deterministic
@@ -71,10 +62,7 @@ func (m TransportMetrics) Totals() stats.Transport {
 	}
 	t.DialRetries = m.DialRetries
 	t.PoisonEvents = m.Poisoned
-	t.Reconnects = m.Reconnects
-	t.Resends = m.Resends
 	t.CrcErrors = m.CrcErrors
-	t.DupFrames = m.DupFrames
 	return t
 }
 

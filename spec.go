@@ -208,8 +208,8 @@ type Spec[T Float] struct {
 	// Clustered deployments only.
 	RecvTimeout time.Duration
 	// WrapConn hooks every outbound tcp data connection as it is
-	// established — bootstrap dials and healing reconnects alike — the
-	// seam wire-level chaos injection rides (TCPConfig.WrapConn).
+	// established — the seam wire-level chaos injection rides
+	// (TCPConfig.WrapConn).
 	// TransportTCP only.
 	WrapConn func(conn net.Conn, from, to int, d Dir) net.Conn
 
